@@ -93,6 +93,19 @@ pub fn clock_rsm_imbalanced_light_no_ext(m: &LatencyMatrix, replica: ReplicaId) 
     2 * m.max_from(replica)
 }
 
+/// Clock-RSM **local read** latency at an otherwise idle `replica` — a
+/// light-load upper bound. A read parks until every replica's clock
+/// evidence passes its stamp, and that evidence comes from whichever
+/// lands first: the echoes of the read's own clock probe, one round
+/// trip to the farthest replica away, or each replica's next periodic
+/// CLOCKTIME, at most `delta` away plus the one-way trip:
+/// `min(2·max_k d(i,k), max_k d(k,i) + Δ)`.
+/// Any concurrent write's PREPAREOKs only bring evidence sooner.
+pub fn clock_rsm_local_read(m: &LatencyMatrix, replica: ReplicaId, delta: Micros) -> Micros {
+    let farthest = m.max_from(replica);
+    (2 * farthest).min(farthest + delta)
+}
+
 /// The prefix-replication term of the balanced formula:
 /// `max_j median_k (d(j,k) + d(k,i))` — the worst two-hop majority path
 /// from any concurrent originator `j` back to `i`.
@@ -266,6 +279,24 @@ mod tests {
             let without = clock_rsm_imbalanced_light_no_ext(&m, r(i));
             let with = clock_rsm_imbalanced_light(&m, r(i), 5_000);
             assert!(with <= without, "extension must not hurt");
+        }
+    }
+
+    #[test]
+    fn local_read_takes_the_probe_or_the_clocktime_period_whichever_is_shorter() {
+        // In a data centre the probe round trip wins: 2 × 250 µs « Δ.
+        let lan = rsm_core::LatencyMatrix::uniform(3, 250);
+        assert_eq!(clock_rsm_local_read(&lan, r(0), 5_000), 500);
+        // Across the WAN the periodic CLOCKTIME wins; the probe cannot
+        // beat one-way + Δ. JP's farthest peer is IR at 140 ms.
+        assert_eq!(clock_rsm_local_read(&five(), r(3), 5_000), 145_000);
+        // Without it (Δ → ∞) the probe bounds the wait on its own, and
+        // a read never costs more than an extension-less light write.
+        for i in 0..5 {
+            assert_eq!(
+                clock_rsm_local_read(&five(), r(i), Micros::MAX / 2),
+                clock_rsm_imbalanced_light_no_ext(&five(), r(i))
+            );
         }
     }
 

@@ -192,13 +192,35 @@ pub enum RsmMsg {
         /// `(epoch, decision)` pairs, ascending.
         decisions: Vec<(Epoch, Decision)>,
     },
+    /// Demand-driven clock evidence: sent to every configuration member
+    /// (the sender included) by a replica holding a local read parked
+    /// above its stable timestamp. Each peer answers at once with a
+    /// unicast [`ClockTime`](RsmMsg::ClockTime), so the read releases
+    /// after one round trip to the slowest peer instead of waiting out
+    /// the periodic Δ broadcast. The probe is itself clock evidence for
+    /// the sender's lane — self-delivered, it is what lifts the
+    /// sender's own `LatestTV` entry past the read's stamp.
+    ///
+    /// Wire tag 10, appended after the PR-7 variants: per the
+    /// versioning rule in [`rsm_core::wire`], a new variant under a
+    /// previously unused tag needs no `WIRE_VERSION` bump (an older
+    /// receiver rejects it cleanly as `BadTag`).
+    ClockProbe {
+        /// Sender's current epoch.
+        epoch: Epoch,
+        /// The sender's clock at send time, above the stamp of every
+        /// read it has parked.
+        ts: Timestamp,
+    },
 }
 
 impl WireSize for RsmMsg {
     fn wire_size(&self) -> usize {
         match self {
             RsmMsg::PrepareBatch { cmds, .. } => MSG_HEADER_BYTES + cmds.wire_size(),
-            RsmMsg::PrepareOk { .. } | RsmMsg::ClockTime { .. } => MSG_HEADER_BYTES,
+            RsmMsg::PrepareOk { .. } | RsmMsg::ClockTime { .. } | RsmMsg::ClockProbe { .. } => {
+                MSG_HEADER_BYTES
+            }
             RsmMsg::Suspend { .. } | RsmMsg::DecisionRequest { .. } => MSG_HEADER_BYTES,
             RsmMsg::SuspendOk { cmds, .. } => {
                 MSG_HEADER_BYTES + cmds.iter().map(WireSize::wire_size).sum::<usize>()
@@ -287,6 +309,11 @@ impl WireEncode for RsmMsg {
                 9u8.encode(buf);
                 decisions.encode(buf);
             }
+            RsmMsg::ClockProbe { epoch, ts } => {
+                10u8.encode(buf);
+                epoch.encode(buf);
+                ts.encode(buf);
+            }
         }
     }
 }
@@ -335,6 +362,10 @@ impl WireDecode for RsmMsg {
             },
             9 => RsmMsg::DecisionCatchup {
                 decisions: Vec::<(Epoch, Decision)>::decode(r)?,
+            },
+            10 => RsmMsg::ClockProbe {
+                epoch: Epoch::decode(r)?,
+                ts: Timestamp::decode(r)?,
             },
             tag => return Err(WireError::BadTag { ty: "RsmMsg", tag }),
         })

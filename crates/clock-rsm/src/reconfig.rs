@@ -434,6 +434,8 @@ impl ClockRsm {
         for tv in &mut self.latest_tv {
             *tv = Timestamp::ZERO;
         }
+        // Echoes of old-epoch clock probes are dropped on arrival.
+        self.probes_out.clear();
         self.pending.clear();
         for row in &mut self.acked {
             row.fill(0);

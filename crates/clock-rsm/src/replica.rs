@@ -9,7 +9,7 @@ use rsm_core::config::{Epoch, Membership};
 use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{ReadPath, ReadQueue};
+use rsm_core::read::{ReadPath, ReadQueue, MAX_INFLIGHT_PROBES};
 use rsm_core::session::SessionTable;
 use rsm_core::time::{Micros, Timestamp};
 
@@ -140,6 +140,14 @@ pub struct ClockRsm {
     /// unfreeze (a stamp taken mid-freeze could release against a
     /// stale configuration's stable timestamp).
     pub(crate) queued_reads: VecDeque<Command>,
+    /// The newest stamp this replica took for a local read — the one
+    /// [`ClockRsm::probe_clocks`] must get covered by clock evidence.
+    pub(crate) last_read_stamp: Timestamp,
+    /// Timestamps of the clock probes still in flight (oldest first, at
+    /// most [`MAX_INFLIGHT_PROBES`]): a probe leaves once `min(LatestTV)`
+    /// reaches its timestamp, i.e. every echo is in. Cleared with
+    /// `LatestTV` on an epoch install, which orphans their echoes.
+    pub(crate) probes_out: VecDeque<Timestamp>,
 
     // ------ client sessions (exactly-once; `rsm_core::session`) ------
     /// Per-client dedup window: a retried command that already executed
@@ -203,6 +211,8 @@ impl ClockRsm {
             last_heard: vec![0; n],
             read_queue: ReadQueue::new(),
             queued_reads: VecDeque::new(),
+            last_read_stamp: Timestamp::ZERO,
+            probes_out: VecDeque::new(),
             sessions: SessionTable::new(cfg.session_window),
             committed_count: 0,
             obs_stable_floor: Timestamp::ZERO,
@@ -441,6 +451,24 @@ impl ClockRsm {
         self.try_commit(ctx);
     }
 
+    /// Receive side of a clock probe: the probe is clock evidence for
+    /// its sender's lane like any CLOCKTIME, and a peer answers it at
+    /// once with a unicast CLOCKTIME of its own. The sender's own copy
+    /// needs no answer (the probe already moved its lane), and a frozen
+    /// or rejoining replica stays as silent as
+    /// [`clocktime_tick`](ClockRsm::clocktime_tick) keeps it.
+    fn handle_clock_probe(&mut self, from: ReplicaId, ts: Timestamp, ctx: &mut dyn Context<Self>) {
+        if from != self.id && !self.frozen && !self.needs_rejoin {
+            let echo = RsmMsg::ClockTime {
+                epoch: self.epoch(),
+                ts: self.next_send_ts(ctx),
+            };
+            ctx.send(from, echo);
+            ctx.obs_count(names::CLOCK_ECHOES_SENT, 1);
+        }
+        self.handle_clock_time(from, ts, ctx);
+    }
+
     /// The smallest `LatestTV` entry over the current configuration
     /// (line 22).
     pub(crate) fn min_latest_tv(&self) -> Timestamp {
@@ -598,6 +626,24 @@ impl ClockRsm {
     /// Clock skew shifts only how long the wait takes — a fast local
     /// clock stamps high and waits for `min(LatestTV)` to catch up, a
     /// slow one stamps low and releases sooner — never the answer.
+    ///
+    /// **The stamp is always a fresh clock reading, never `send_floor`.**
+    /// On an idle replica `send_floor` sits below the evidence already
+    /// in hand, so stamping there would serve most idle reads for free —
+    /// from whatever the replica last heard, however long ago. That is
+    /// exactly what a replica partitioned away and reconfigured out
+    /// holds: old-epoch evidence above its old send floor, and a state
+    /// the survivors have since moved past. A fresh reading is above
+    /// everything it heard before the cut (unless its clock trails its
+    /// peers' by longer than the exclusion took — the residual ROADMAP
+    /// item 4 records), and the evidence that could pass the stamp is
+    /// epoch-gated: the survivors drop its old-epoch probes unanswered,
+    /// their new-epoch CLOCKTIMEs buffer until it has applied the
+    /// decision that excludes it, and from then on it queues reads until
+    /// it has rejoined.
+    ///
+    /// A read left parked asks for the evidence it waits on instead of
+    /// sitting out the Δ period: see [`probe_clocks`](Self::probe_clocks).
     fn handle_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
         if self.frozen || self.needs_rejoin {
             self.queued_reads.push_back(cmd);
@@ -613,10 +659,21 @@ impl ClockRsm {
             // the exact-cut release in `try_commit` guarantees each
             // serves from precisely that prefix.
             Some(at) => Timestamp::new(at, ReplicaId::new(u16::MAX - 1)),
-            None => self.next_send_ts(ctx),
+            None => {
+                self.last_read_stamp = self.next_send_ts(ctx);
+                self.last_read_stamp
+            }
         };
         self.read_queue.park(stamp, cmd);
         self.release_ready_reads(ctx);
+        if ctx.obs_active() {
+            let outcome = if self.read_queue.holds(stamp) {
+                names::READS_PARKED
+            } else {
+                names::READS_IMMEDIATE
+            };
+            ctx.obs_count(outcome, 1);
+        }
     }
 
     /// Serves every parked read whose stamp the stable timestamp has
@@ -625,7 +682,8 @@ impl ClockRsm {
     /// below it can still arrive) **and** every pending command at or
     /// below the stamp has committed (commits drain in timestamp order,
     /// so an empty prefix of `pending` proves local execution covers
-    /// the stamp).
+    /// the stamp). Whatever stays parked for want of clock evidence is
+    /// then probed for.
     pub(crate) fn release_ready_reads(&mut self, ctx: &mut dyn Context<Self>) {
         if self.read_queue.is_empty() || self.frozen || self.needs_rejoin {
             return;
@@ -634,6 +692,59 @@ impl ClockRsm {
         for cmd in self.read_queue.release(stable) {
             self.serve_read(cmd, ctx);
         }
+        self.probe_clocks(ctx);
+    }
+
+    /// Demand-driven clock evidence: while the newest locally stamped
+    /// read is parked above `min(LatestTV)`, broadcast a
+    /// [`ClockProbe`](RsmMsg::ClockProbe) so every peer answers with a
+    /// fresh CLOCKTIME at once. The read then waits one round trip to
+    /// the slowest peer, or for the next periodic CLOCKTIME, whichever
+    /// lands first — Algorithm 2's timer remains the liveness backstop
+    /// (an echo stamped by a clock behind the read's stamp does not
+    /// cover it) and the failure-detector heartbeat.
+    ///
+    /// The probe goes to the whole configuration **including this
+    /// replica**: `min(LatestTV)` counts the replica's own lane, which
+    /// only moves when one of its own timestamped messages loops back
+    /// through the FIFO self-channel (behind every PREPARE it sent
+    /// earlier — raising the lane directly could order a peer's command
+    /// ahead of an own smaller-timestamped one still in that channel).
+    ///
+    /// A probe is sent only when no probe already in flight was stamped
+    /// after the read (that one's echoes cover it), and at most
+    /// [`MAX_INFLIGHT_PROBES`] are in flight: a read arriving past the
+    /// cap rides the probe that leaves when the oldest completes. Only
+    /// evidence is requested — stamps and
+    /// [`stable_timestamp`](Self::stable_timestamp) are untouched, so
+    /// the safety argument of [`handle_read`](Self::handle_read) stands.
+    fn probe_clocks(&mut self, ctx: &mut dyn Context<Self>) {
+        let evidence = self.min_latest_tv();
+        while self.probes_out.front().is_some_and(|&p| p <= evidence) {
+            self.probes_out.pop_front();
+        }
+        let newest = self.last_read_stamp;
+        // Evidence is not what the read lacks (a smaller pending write
+        // is), or the read was served already.
+        if newest <= evidence || !self.read_queue.holds(newest) {
+            return;
+        }
+        if self.probes_out.back().is_some_and(|&p| p > newest)
+            || self.probes_out.len() >= MAX_INFLIGHT_PROBES
+        {
+            return;
+        }
+        let ts = self.next_send_ts(ctx);
+        self.probes_out.push_back(ts);
+        let probe = RsmMsg::ClockProbe {
+            epoch: self.epoch(),
+            ts,
+        };
+        ctx.obs_count(
+            names::CLOCK_PROBES_SENT,
+            self.membership.config().len() as u64,
+        );
+        self.broadcast_config(probe, ctx);
     }
 
     /// The replica's current **stable timestamp**: every command at or
@@ -950,6 +1061,13 @@ impl Protocol for ClockRsm {
                 Admission::Buffer => self
                     .queued_msgs
                     .push_back((from, RsmMsg::ClockTime { epoch, ts })),
+                Admission::Drop => {}
+            },
+            RsmMsg::ClockProbe { epoch, ts } => match self.admit_epoch(from, epoch, ctx) {
+                Admission::Process => self.handle_clock_probe(from, ts, ctx),
+                Admission::Buffer => self
+                    .queued_msgs
+                    .push_back((from, RsmMsg::ClockProbe { epoch, ts })),
                 Admission::Drop => {}
             },
             RsmMsg::Suspend { epoch, cts } => self.handle_suspend(from, epoch, cts, ctx),
@@ -1684,29 +1802,62 @@ mod tests {
         }
     }
 
+    /// Destinations of the clock probes among `sends`, in send order,
+    /// with the probes' (common) timestamp.
+    fn probes(sends: &[(ReplicaId, RsmMsg)]) -> (Vec<ReplicaId>, Option<Timestamp>) {
+        let mut to = Vec::new();
+        let mut stamp = None;
+        for (dest, m) in sends {
+            if let RsmMsg::ClockProbe { ts, .. } = m {
+                to.push(*dest);
+                stamp = Some(*ts);
+            }
+        }
+        (to, stamp)
+    }
+
     #[test]
-    fn read_parks_until_stable_timestamp_passes_its_stamp() {
+    fn parked_read_probes_the_whole_config_once_and_releases_on_the_echoes() {
         let mut p = replica(0, 3);
         let mut ctx = TestCtx::new(1_000);
         p.on_client_read(read(7), &mut ctx);
         assert_eq!(p.parked_reads(), 1);
-        assert!(
-            ctx.read_replies.is_empty() && ctx.sends.is_empty(),
-            "a read neither answers early nor touches the wire"
+        assert!(ctx.read_replies.is_empty(), "a read never answers early");
+        let sends = ctx.take_sends();
+        let (to, probe_ts) = probes(&sends);
+        assert_eq!(
+            to,
+            vec![r(0), r(1), r(2)],
+            "one probe per member incl. self"
         );
-        // Two of three clocks pass the stamp: still not stable.
-        for k in 0..2u16 {
-            p.on_message(
-                r(k),
-                RsmMsg::ClockTime {
-                    epoch: Epoch::ZERO,
-                    ts: ts(5_000, k),
-                },
-                &mut ctx,
-            );
-        }
+        assert_eq!(sends.len(), 3, "and nothing else leaves");
+        let probe_ts = probe_ts.unwrap();
+        assert!(
+            probe_ts > p.last_read_stamp,
+            "the probe is stamped after the read"
+        );
+        // While that probe covers the stamp, nothing re-probes: not the
+        // self-delivered copy, not a partial echo.
+        p.on_message(
+            r(0),
+            RsmMsg::ClockProbe {
+                epoch: Epoch::ZERO,
+                ts: probe_ts,
+            },
+            &mut ctx,
+        );
+        assert_eq!(p.latest_tv[0], probe_ts, "the probe moved our own lane");
+        p.on_message(
+            r(1),
+            RsmMsg::ClockTime {
+                epoch: Epoch::ZERO,
+                ts: ts(5_000, 1),
+            },
+            &mut ctx,
+        );
         assert_eq!(p.parked_reads(), 1, "min(LatestTV) still below the stamp");
-        // The third clock arrives: stable timestamp passes the stamp.
+        assert!(ctx.sends.is_empty(), "no echo to self, no second probe");
+        // The last echo arrives: stable timestamp passes the stamp.
         p.on_message(
             r(2),
             RsmMsg::ClockTime {
@@ -1719,10 +1870,166 @@ mod tests {
         assert_eq!(ctx.read_replies.len(), 1);
         assert_eq!(ctx.read_replies[0].id.seq, 7);
         assert_eq!(&ctx.read_replies[0].result[..], b"read:7");
+        assert!(p.probes_out.is_empty(), "the probe completed");
         assert!(
-            ctx.commits.is_empty() && ctx.log.is_empty(),
-            "local reads never commit or log"
+            ctx.commits.is_empty() && ctx.log.is_empty() && ctx.sends.is_empty(),
+            "local reads never commit or log, and a served read stops probing"
         );
+        // The next read takes a fresh stamp above the evidence in hand,
+        // so it parks and probes again.
+        p.on_client_read(read(8), &mut ctx);
+        assert_eq!(probes(&ctx.sends).0.len(), 3);
+    }
+
+    #[test]
+    fn reads_behind_an_uncovering_probe_probe_again_up_to_the_cap() {
+        let mut p = replica(0, 3);
+        let mut ctx = TestCtx::new(1_000);
+        // Each read is stamped after the previous probe, so no probe in
+        // flight covers it: it sends its own, until the cap.
+        for seq in 1..=MAX_INFLIGHT_PROBES as u64 + 2 {
+            p.on_client_read(read(seq), &mut ctx);
+        }
+        let (to, _) = probes(&ctx.take_sends());
+        assert_eq!(to.len(), 3 * MAX_INFLIGHT_PROBES, "probes stop at the cap");
+        assert_eq!(p.probes_out.len(), MAX_INFLIGHT_PROBES);
+        // The oldest probe completes: the reads it covered release, and
+        // ONE new probe leaves covering every read queued past the cap.
+        let first = p.probes_out[0];
+        advance_latest_tv(&mut p, first.micros(), &mut ctx);
+        assert_eq!(ctx.read_replies.len(), 1, "only the first stamp is covered");
+        let (to, newest) = probes(&ctx.take_sends());
+        assert_eq!(to, vec![r(0), r(1), r(2)]);
+        assert!(newest.unwrap() > p.last_read_stamp);
+        assert_eq!(p.probes_out.len(), MAX_INFLIGHT_PROBES);
+    }
+
+    #[test]
+    fn write_traffic_never_probes() {
+        // A replica with no parked read sends no probe, whatever moves
+        // its stable timestamp: client batches, PREPAREs, PREPAREOKs.
+        let mut p = replica(0, 3);
+        let mut ctx = TestCtx::new(1_000);
+        p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), &mut ctx);
+        p.on_message(
+            r(1),
+            prepare(Epoch::ZERO, ts(1_500, 1), r(1), cmd(3)),
+            &mut ctx,
+        );
+        for k in 0..3u16 {
+            p.on_message(
+                r(k),
+                RsmMsg::PrepareOk {
+                    epoch: Epoch::ZERO,
+                    up_to: ts(1_500, 1),
+                    clock_ts: ts(2_000, k),
+                },
+                &mut ctx,
+            );
+        }
+        assert_eq!(ctx.commits.len(), 1, "the traffic did commit something");
+        assert!(probes(&ctx.sends).0.is_empty());
+        // A read blocked by a pending write rather than by missing clock
+        // evidence does not probe either (the first probe's echoes did
+        // their job; the write's acks will release it).
+        p.on_message(
+            r(1),
+            prepare(Epoch::ZERO, ts(2_500, 1), r(1), cmd(4)),
+            &mut ctx,
+        );
+        ctx.clock = 3_000;
+        p.on_client_read(read(9), &mut ctx);
+        advance_latest_tv(&mut p, 50_000, &mut ctx);
+        assert_eq!(p.parked_reads(), 1);
+        ctx.take_sends();
+        advance_latest_tv(&mut p, 60_000, &mut ctx);
+        assert!(probes(&ctx.sends).0.is_empty());
+    }
+
+    #[test]
+    fn peer_echoes_a_probe_with_one_unicast_clocktime() {
+        let mut p = replica(1, 3);
+        let mut ctx = TestCtx::new(1_000);
+        p.on_message(
+            r(0),
+            RsmMsg::ClockProbe {
+                epoch: Epoch::ZERO,
+                ts: ts(900, 0),
+            },
+            &mut ctx,
+        );
+        assert_eq!(p.latest_tv[0], ts(900, 0), "a probe is clock evidence");
+        let sends = ctx.take_sends();
+        assert_eq!(sends.len(), 1, "one echo, to the prober only");
+        match &sends[0] {
+            (to, RsmMsg::ClockTime { epoch, ts }) => {
+                assert_eq!((*to, *epoch), (r(0), Epoch::ZERO));
+                assert_eq!(ts.replica(), r(1));
+                assert_eq!(ts.micros(), p.send_floor, "stamped by next_send_ts");
+            }
+            other => panic!("expected a CLOCKTIME echo, got {other:?}"),
+        }
+        // Epoch-gated like CLOCKTIME: a stale-epoch probe is dropped
+        // without an echo (what keeps a reconfigured-out replica's reads
+        // parked), a future-epoch one is buffered.
+        p.membership.install(Epoch(1), vec![r(0), r(1), r(2)]);
+        p.on_message(
+            r(2),
+            RsmMsg::ClockProbe {
+                epoch: Epoch::ZERO,
+                ts: ts(5_000, 2),
+            },
+            &mut ctx,
+        );
+        assert!(ctx.sends.is_empty());
+        assert_eq!(p.latest_tv[2], Timestamp::ZERO);
+        p.on_message(
+            r(2),
+            RsmMsg::ClockProbe {
+                epoch: Epoch(2),
+                ts: ts(6_000, 2),
+            },
+            &mut ctx,
+        );
+        assert_eq!(p.queued_msgs.len(), 1);
+        assert!(!ctx
+            .sends
+            .iter()
+            .any(|(_, m)| matches!(m, RsmMsg::ClockTime { .. })));
+    }
+
+    #[test]
+    fn frozen_or_rejoining_replica_neither_probes_nor_echoes() {
+        let probe = RsmMsg::ClockProbe {
+            epoch: Epoch::ZERO,
+            ts: ts(900, 0),
+        };
+        for rejoining in [false, true] {
+            let mut p = replica(1, 3);
+            let mut ctx = TestCtx::new(1_000);
+            // A read parks, then the replica freezes / loses its place.
+            p.on_client_read(read(1), &mut ctx);
+            ctx.take_sends();
+            p.probes_out.clear();
+            p.frozen = !rejoining;
+            p.needs_rejoin = rejoining;
+            p.on_client_read(read(2), &mut ctx);
+            p.on_message(r(0), probe.clone(), &mut ctx);
+            p.on_message(
+                r(2),
+                RsmMsg::ClockTime {
+                    epoch: Epoch::ZERO,
+                    ts: ts(950, 2),
+                },
+                &mut ctx,
+            );
+            assert!(
+                ctx.sends.is_empty(),
+                "rejoining={rejoining}: sent {:?}",
+                ctx.sends
+            );
+            assert_eq!(p.latest_tv[0], ts(900, 0), "the evidence still counts");
+        }
     }
 
     #[test]

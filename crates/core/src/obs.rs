@@ -101,6 +101,10 @@ pub mod names {
     pub const SESSION_DEDUP_HITS: &str = "session.dedup_hits";
     /// Stale (below-window) writes dropped by the session table.
     pub const SESSION_STALE_DROPS: &str = "session.stale_drops";
+    /// Protocol messages the replica handed to the network, self-sends
+    /// included (stamped by the simnet driver; the base a protocol's
+    /// extra-message counters are shares of).
+    pub const MSGS_SENT: &str = "net.msgs_sent";
     /// The batch controller's current drain threshold.
     pub const BATCH_THRESHOLD: &str = "batch.threshold";
     /// Lag between the replica's clock and its stable timestamp, µs
@@ -108,6 +112,19 @@ pub mod names {
     pub const STABLE_LAG_US: &str = "clock_rsm.stable_lag_us";
     /// Per-peer `LatestTV` staleness, µs (Clock-RSM; indexed by peer).
     pub const LATEST_TV_STALENESS_US: &str = "clock_rsm.latest_tv_staleness_us";
+    /// Clock probes sent, one per destination (Clock-RSM: a parked read
+    /// asked the configuration for fresh clock evidence).
+    pub const CLOCK_PROBES_SENT: &str = "clock_rsm.clock_probes_sent";
+    /// Unicast `ClockTime` echoes sent in answer to a peer's clock probe
+    /// (Clock-RSM).
+    pub const CLOCK_ECHOES_SENT: &str = "clock_rsm.clock_echoes_sent";
+    /// Local reads the stable timestamp already covered when they were
+    /// stamped: served without parking (Clock-RSM).
+    pub const READS_IMMEDIATE: &str = "clock_rsm.reads_immediate";
+    /// Local reads that parked above the stable timestamp and waited
+    /// for clock evidence — the reads `STABLE_LAG_US` is paid by
+    /// (Clock-RSM).
+    pub const READS_PARKED: &str = "clock_rsm.reads_parked";
     /// Elections started (Paxos: a candidacy began).
     pub const ELECTIONS_STARTED: &str = "paxos.elections_started";
     /// Elections won (Paxos: this replica became leader).

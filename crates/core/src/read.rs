@@ -22,17 +22,45 @@
 //! about it:
 //!
 //! * **Clock-RSM stable-timestamp reads** ([`ReadPath::LocalStable`])
-//!   keep the rule intact. A read is stamped from the replica's own
-//!   monotonic send-timestamp discipline and released only once the
-//!   replica's stable timestamp — `min(LatestTV)` over the
-//!   configuration, with every smaller pending command committed — has
-//!   passed the stamp. Any write whose reply preceded the read's issue
-//!   necessarily has a smaller timestamp than the stamp (its commit
-//!   required this very replica's clock evidence to exceed the write's
-//!   timestamp), so the released prefix always contains it. Clock skew
-//!   moves the *wait*, never the *answer*: a slow local clock just
-//!   stamps low and releases sooner; a fast one stamps high and waits
-//!   for the cluster to catch up. **Skew is latency-only here.**
+//!   keep the rule intact. A read is stamped with a **fresh reading of
+//!   the replica's clock** (through its monotonic send-timestamp
+//!   discipline) and released only once the replica's stable timestamp —
+//!   `min(LatestTV)` over the configuration, with every smaller pending
+//!   command committed — has passed the stamp. Any write whose reply
+//!   preceded the read's issue necessarily has a smaller timestamp than
+//!   the stamp (its commit required this very replica's clock evidence
+//!   to exceed the write's timestamp), so the released prefix always
+//!   contains it. Clock skew moves the *wait*, never the *answer*: a
+//!   slow local clock just stamps low and releases sooner; a fast one
+//!   stamps high and waits for the cluster to catch up. **Skew is
+//!   latency-only here.**
+//!
+//!   *Probe rule.* A fresh stamp is above the evidence in hand, so an
+//!   idle replica's read always parks; left to Algorithm 2's periodic
+//!   CLOCKTIME it would wait out up to a Δ period. Instead the evidence
+//!   is demand-driven: while its newest locally stamped read is parked
+//!   above `min(LatestTV)`, the replica sends a clock probe to the
+//!   whole configuration and each peer answers at once with a unicast
+//!   CLOCKTIME, so the read releases after one round trip to the
+//!   slowest peer or at the next periodic CLOCKTIME, whichever lands
+//!   first. One probe covers every read stamped before it, and at most
+//!   [`MAX_INFLIGHT_PROBES`] are in flight. Only evidence arrives
+//!   sooner — stamp and release rule are untouched.
+//!
+//!   *Self lane.* `min(LatestTV)` includes the replica's **own** entry,
+//!   which moves only when one of its own timestamped messages comes
+//!   back through its FIFO self-channel (behind every PREPARE it sent
+//!   before), so the probe is delivered to the sender too; answering
+//!   peers alone would leave the read waiting on the replica itself.
+//!
+//!   *Why not stamp lower.* Stamping at the last **sent** timestamp
+//!   would make most idle reads free, because evidence already in hand
+//!   covers it — which is the flaw: a replica partitioned away and
+//!   reconfigured out holds exactly such evidence, from the old epoch,
+//!   over a state the survivors have moved past. A fresh stamp is
+//!   above all of it, and what could pass the stamp is epoch-gated
+//!   (its old-epoch probes are dropped unanswered), so the castaway
+//!   parks its reads until it learns the new epoch and rejoins.
 //! * **Paxos leader-lease reads** ([`ReadPath::LeaderLease`]) import a
 //!   genuine bounded-skew *safety* assumption — the one piece of this
 //!   workspace where a clock bound is load-bearing. The lease-holding
@@ -238,6 +266,11 @@ impl<W: Ord + Copy> ReadQueue<W> {
         all
     }
 
+    /// Whether any read is still parked at exactly `mark`.
+    pub fn holds(&self, mark: W) -> bool {
+        self.parked.contains_key(&mark)
+    }
+
     /// Number of parked reads.
     pub fn len(&self) -> usize {
         self.len
@@ -254,6 +287,14 @@ impl<W: Ord + Copy> Default for ReadQueue<W> {
         ReadQueue::new()
     }
 }
+
+/// Concurrency cap on read probes, shared by every protocol's read path
+/// (Paxos and Mencius quorum-mark probes, Clock-RSM clock probes).
+/// Below it, a read that needs a probe sends one at once — queuing a
+/// lone read behind another read's probe costs it a second round trip
+/// and saves no message — while a burst that would otherwise broadcast
+/// one probe per read rides the probe that leaves when one completes.
+pub const MAX_INFLIGHT_PROBES: usize = 4;
 
 /// Cap on in-flight quorum-read probes: beyond this the oldest probe is
 /// dropped — its reads are lost and re-issued by client retry, like any
@@ -390,6 +431,7 @@ mod tests {
             vec![2, 3]
         );
         assert_eq!(q.len(), 1);
+        assert!(q.holds(10) && !q.holds(7), "only the mark above 7 is left");
         assert!(q.release(9).is_empty());
         assert_eq!(q.release(10).len(), 1);
         assert!(q.is_empty());

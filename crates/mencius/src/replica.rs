@@ -17,7 +17,9 @@ use rsm_core::config::{Epoch, Membership};
 use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{ReadPath, ReadProbes, ReadQueue, ReadReply, MAX_READ_PROBES};
+use rsm_core::read::{
+    ReadPath, ReadProbes, ReadQueue, ReadReply, MAX_INFLIGHT_PROBES, MAX_READ_PROBES,
+};
 use rsm_core::session::SessionTable;
 use rsm_core::time::Micros;
 
@@ -31,12 +33,6 @@ pub(crate) const TOKEN_PROBE_FLUSH: TimerToken = TimerToken(1);
 /// without this bound a probe whose marks were lost would strand every
 /// read queued behind it.
 pub(crate) const PROBE_FLUSH_US: Micros = 5_000;
-/// Reads queue behind in-flight probes only past this concurrency cap.
-/// Below it, each read probes immediately — queuing a lone read behind a
-/// wide-area probe RTT just trades latency for nothing — while a burst
-/// that would otherwise fan out one broadcast per read coalesces onto
-/// the next flush.
-pub(crate) const MAX_INFLIGHT_PROBES: usize = 4;
 
 /// Stable log record of Mencius-bcast.
 #[derive(Debug, Clone)]

@@ -50,7 +50,7 @@ use rsm_core::id::ReplicaId;
 use rsm_core::lease::{Lease, LeaseConfig};
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{ReadPath, ReadProbes, ReadQueue, ReadReply};
+use rsm_core::read::{ReadPath, ReadProbes, ReadQueue, ReadReply, MAX_INFLIGHT_PROBES};
 use rsm_core::session::SessionTable;
 use rsm_core::time::Micros;
 
@@ -81,13 +81,6 @@ pub(crate) const TOKEN_PROBE_FLUSH: TimerToken = TimerToken(2);
 /// traffic (the point of batching) and worst-case read latency when a
 /// probe stalls.
 pub(crate) const PROBE_FLUSH_US: Micros = 5_000;
-
-/// Reads queue behind in-flight probes only past this concurrency cap.
-/// Below it, each read probes immediately — parking a lone read behind a
-/// wide-area probe RTT adds latency without saving a single message —
-/// while a burst that would otherwise broadcast one probe per read
-/// coalesces onto the next flush.
-pub(crate) const MAX_INFLIGHT_PROBES: usize = 4;
 
 /// Which phase-2b dissemination strategy to run (Section IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

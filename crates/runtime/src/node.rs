@@ -295,12 +295,10 @@ impl<P: Protocol> NodeHarness<P> {
         loop {
             // Fire due timers first.
             let now = Instant::now();
-            loop {
-                let due = match timers.peek() {
-                    Some(Reverse((due, _, _))) if *due <= now => *due,
-                    _ => break,
-                };
-                let _ = due;
+            while timers
+                .peek()
+                .is_some_and(|Reverse((due, _, _))| *due <= now)
+            {
                 let Reverse((_, _, token)) = timers.pop().expect("peeked");
                 dispatch!(|c| self.proto.on_timer(token, &mut c));
             }
@@ -309,7 +307,7 @@ impl<P: Protocol> NodeHarness<P> {
             // protocol for its instantaneous state — stable-timestamp
             // lag, per-peer LatestTV staleness, ballot.
             if let (Some(every), Some(np)) = (self.poll_every, next_poll) {
-                if Instant::now() >= np {
+                if now >= np {
                     dispatch!(|c| self.proto.obs_poll(&mut c));
                     next_poll = Some(Instant::now() + every);
                 }

@@ -1304,6 +1304,9 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// timers, executes commits on the state machine, and routes replies.
     fn apply_effects(&mut self, idx: usize, eff: Effects<P>, at: Micros, suppress_replies: bool) {
         let from = ReplicaId::new(idx as u16);
+        if let Some(o) = &mut self.nodes[idx].obs {
+            o.count(names::MSGS_SENT, eff.sends.len() as u64);
+        }
         for (to, msg) in eff.sends {
             // Link chaos (extra delay + jitter set by the fuzzer) applies
             // only to cross-node links; the FIFO floor below keeps each

@@ -189,6 +189,7 @@ fn arb_rsm_all() -> impl Strategy<Value = Vec<RsmMsg>> {
                 RsmMsg::DecisionCatchup {
                     decisions: vec![(epoch, decision)],
                 },
+                RsmMsg::ClockProbe { epoch, ts: later },
             ];
             msgs.extend(synods.into_iter().map(|msg| RsmMsg::Synod { epoch, msg }));
             msgs
@@ -420,6 +421,24 @@ fn unknown_variant_tags_are_rejected() {
         Err(WireError::BadTag {
             ty: "RsmMsg",
             tag: 0xFF
+        })
+    ));
+    // `ClockProbe` was appended under tag 10 without a version bump
+    // (the wire.rs versioning rule): its tag is pinned, and the same
+    // bytes under the next, still unused, tag are refused — which is
+    // how a receiver built before the variant existed sees a probe.
+    let probe = encode_payload(&RsmMsg::ClockProbe {
+        epoch: Epoch(3),
+        ts: Timestamp::new(9, ReplicaId::new(1)),
+    });
+    assert_eq!(probe[0], 10);
+    let mut next_tag = probe.to_vec();
+    next_tag[0] = 11;
+    assert!(matches!(
+        decode_payload::<RsmMsg>(Bytes::from(next_tag)),
+        Err(WireError::BadTag {
+            ty: "RsmMsg",
+            tag: 11
         })
     ));
     assert!(matches!(

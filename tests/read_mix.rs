@@ -10,11 +10,16 @@
 //! not), leader crashes, and the adaptive-batching bypass regression
 //! (a `Get` must never wait behind a flush threshold).
 
-use harness::{run_latency, ExperimentConfig, ExperimentResult, ProtocolChoice};
+use clock_rsm::{ClockRsm, ClockRsmConfig};
+use harness::{run_latency, ExperimentConfig, ExperimentResult, OpRecord, ProtocolChoice};
+use kvstore::{KvOp, KvStore};
 use rsm_core::lease::LeaseConfig;
+use rsm_core::obs::names;
 use rsm_core::time::{MILLIS, SECONDS};
-use rsm_core::{BatchPolicy, LatencyMatrix};
-use simnet::{ClockModel, CpuModel};
+use rsm_core::{
+    BatchPolicy, ClientId, Command, CommandId, LatencyMatrix, Membership, ReplicaId, Reply,
+};
+use simnet::{Application, ClockModel, CpuModel, SimApi, SimConfig, Simulation};
 
 /// A wide-area topology: 25 ms one-way between any two of three sites.
 fn geo() -> LatencyMatrix {
@@ -261,5 +266,257 @@ fn reads_bypass_adaptive_batching_under_load() {
         "adaptive batching inflated read p99: {:.2} ms vs unbatched {:.2} ms",
         adaptive.read_p99_ms,
         unbatched.read_p99_ms
+    );
+}
+
+// -----------------------------------------------------------------
+// Demand-driven clock evidence (clock probes)
+// -----------------------------------------------------------------
+
+const DELTA_US: u64 = 5 * MILLIS;
+
+/// An otherwise idle cluster: one client per site issuing nothing but
+/// reads, far enough apart that no read overlaps another at its site.
+/// Perfect clocks, so the model of `analysis::model` applies as is.
+fn idle_reads_cfg(latency: LatencyMatrix) -> ExperimentConfig {
+    ExperimentConfig::new(latency)
+        .seed(21)
+        .clients_per_site(1)
+        .think_max_us(40 * MILLIS)
+        .read_fraction(1.0)
+        .clock(ClockModel::perfect())
+        .warmup_us(200 * MILLIS)
+        .duration_us(6_000 * MILLIS)
+        .observe(rsm_obs::ObsConfig::all())
+}
+
+/// Sums the per-replica counter `name` over the cluster.
+fn counter_sum(r: &ExperimentResult, name: &str) -> u64 {
+    let m = r.metrics.as_ref().expect("the run observes");
+    m.counters
+        .iter()
+        .filter(|(k, _)| k.split_once('.').is_some_and(|(_, rest)| rest == name))
+        .map(|(_, v)| *v)
+        .sum()
+}
+
+/// The client ↔ replica hops `harness` charges every operation (300 µs
+/// each way by simnet's default), on top of what the protocol costs.
+const CLIENT_HOPS_MS: f64 = 0.6;
+
+/// (a) + the `analysis::model::clock_rsm_local_read` bound. On an idle
+/// data-centre cluster a read costs one round trip to the slowest peer,
+/// not the Δ period: p50 ≤ 2δ + client hops, well under Δ. And on every
+/// matrix — uniform LAN, uniform WAN, the paper's EC2 deployments — each
+/// site's measured median sits under the model's
+/// `min(2·max_k d, max_k d + Δ)`.
+#[test]
+fn idle_clock_rsm_read_costs_a_round_trip_not_a_delta_period() {
+    for (label, matrix) in [
+        ("uniform LAN", LatencyMatrix::uniform(3, 250)),
+        ("uniform WAN", geo()),
+        ("EC2 three sites", analysis::ec2::three_site_deployment().1),
+        ("EC2 five sites", analysis::ec2::five_site_deployment().1),
+    ] {
+        let mut r = run_latency(ProtocolChoice::clock_rsm(), &idle_reads_cfg(matrix.clone()));
+        assert_green(&r, label);
+        for site in matrix.replicas() {
+            let model_us = analysis::model::clock_rsm_local_read(&matrix, site, DELTA_US);
+            let measured = r.site_stats[site.index()].p50_ms();
+            assert!(
+                measured <= model_us as f64 / 1e3 + CLIENT_HOPS_MS,
+                "{label}, site {site}: idle read p50 {measured:.3} ms above the model's \
+                 {:.3} ms",
+                model_us as f64 / 1e3
+            );
+        }
+        // Every read parked (its stamp is a fresh clock reading) and
+        // every one asked for its evidence.
+        assert_eq!(counter_sum(&r, names::READS_IMMEDIATE), 0, "{label}");
+        assert!(
+            counter_sum(&r, names::CLOCK_PROBES_SENT) >= matrix.len() as u64 * r.read_count as u64,
+            "{label}"
+        );
+        if label == "uniform LAN" {
+            assert!(
+                r.read_p50_ms <= 2.0 * 0.25 + CLIENT_HOPS_MS + 0.05,
+                "idle read p50 {:.3} ms is not one 2δ round trip",
+                r.read_p50_ms
+            );
+            assert!(r.read_p50_ms < DELTA_US as f64 / 1e3 / 3.0);
+        }
+    }
+}
+
+/// (b) Across the WAN the probe cannot beat the periodic CLOCKTIME
+/// (round trip 50 ms against one-way + Δ = 30 ms) — and must not hurt:
+/// the geo mix's read p50 stays at one-way + Δ as before, and the probe
+/// traffic is bounded per parked read (n probes, n − 1 echoes) and
+/// stays a minority of all messages.
+#[test]
+fn clock_probes_do_not_hurt_geo_reads_and_add_bounded_traffic() {
+    for seed in [1u64, 2] {
+        let cfg = geo_mix_cfg(seed).observe(rsm_obs::ObsConfig::all());
+        let r = run_latency(ProtocolChoice::clock_rsm(), &cfg);
+        assert_green(&r, "geo 90/10 with probes");
+        let one_way_plus_delta_ms = (25_000 + DELTA_US) as f64 / 1e3;
+        assert!(
+            r.read_p50_ms <= one_way_plus_delta_ms + CLIENT_HOPS_MS,
+            "seed {seed}: geo read p50 {:.2} ms above one-way + Δ",
+            r.read_p50_ms
+        );
+        let probe_msgs =
+            counter_sum(&r, names::CLOCK_PROBES_SENT) + counter_sum(&r, names::CLOCK_ECHOES_SENT);
+        let parked = counter_sum(&r, names::READS_PARKED);
+        let total = counter_sum(&r, names::MSGS_SENT);
+        assert!(parked > 0 && probe_msgs > 0);
+        assert!(
+            probe_msgs <= 5 * parked,
+            "seed {seed}: {probe_msgs} probe messages for {parked} parked reads"
+        );
+        assert!(
+            2 * probe_msgs < total,
+            "seed {seed}: probes are {probe_msgs} of {total} messages"
+        );
+    }
+}
+
+/// One writer at site 0 and one reader at site 1, both closed-loop on a
+/// single key, with site 1 cut off from both peers for a while.
+struct CastawayApp {
+    ops: Vec<OpRecord>,
+    seqs: [u64; 2],
+    cut_at: u64,
+    heal_at: u64,
+    stop_at: u64,
+}
+
+impl CastawayApp {
+    const THINK_US: u64 = 5 * MILLIS;
+
+    fn issue(&mut self, site: u16, api: &mut SimApi<'_, ClockRsm>) {
+        if api.now() >= self.stop_at {
+            return;
+        }
+        let site_id = ReplicaId::new(site);
+        self.seqs[site as usize] += 1;
+        let seq = self.seqs[site as usize];
+        let cmd_id = CommandId::new(ClientId::new(site_id, 0), seq);
+        let reads = site == 1;
+        let payload = if reads {
+            KvOp::get(&b"k"[..]).encode()
+        } else {
+            KvOp::put(&b"k"[..], seq.to_be_bytes().to_vec()).encode()
+        };
+        self.ops.push(OpRecord {
+            cmd_id,
+            issued: api.now(),
+            replied: None,
+            payload: payload.clone(),
+            result: None,
+            read_only: reads,
+        });
+        let cmd = if reads {
+            Command::read(cmd_id, payload)
+        } else {
+            Command::new(cmd_id, payload)
+        };
+        api.submit(site_id, cmd);
+    }
+}
+
+impl Application<ClockRsm> for CastawayApp {
+    fn on_init(&mut self, api: &mut SimApi<'_, ClockRsm>) {
+        let castaway = ReplicaId::new(1);
+        for peer in [ReplicaId::new(0), ReplicaId::new(2)] {
+            api.partition(castaway, peer, self.cut_at);
+            api.heal(castaway, peer, self.heal_at);
+        }
+        api.schedule(0, 0);
+        api.schedule(0, 1);
+    }
+
+    fn on_event(&mut self, site: u64, api: &mut SimApi<'_, ClockRsm>) {
+        self.issue(site as u16, api);
+    }
+
+    fn on_reply(&mut self, client: ClientId, reply: Reply, api: &mut SimApi<'_, ClockRsm>) {
+        let op = self
+            .ops
+            .iter_mut()
+            .rfind(|op| op.cmd_id == reply.id)
+            .expect("a reply answers a recorded op");
+        if op.replied.is_none() {
+            op.replied = Some(api.now());
+            op.result = Some(reply.result);
+            api.schedule(Self::THINK_US, u64::from(client.site().as_u16()));
+        }
+    }
+}
+
+/// (c) The scenario that rules out stamping reads at `send_floor`: with
+/// the failure detector on, a replica partitioned away is reconfigured
+/// out while the survivors keep writing. It still holds old-epoch clock
+/// evidence, but every read it takes is stamped above all of it, its
+/// probes go unanswered (cut off, then dropped as stale-epoch), and once
+/// it learns of the new epoch it queues reads until it has rejoined —
+/// so it answers **no** read from its stale state, which
+/// `check_read_values` grades, and none at all between its exclusion
+/// and the heal.
+#[test]
+fn reconfigured_out_replica_answers_no_read_until_it_rejoins() {
+    let (cut_at, heal_at, stop_at) = (1_000 * MILLIS, 5_000 * MILLIS, 8_000 * MILLIS);
+    let rsm_cfg = ClockRsmConfig::default()
+        .with_failure_detection(Some(400 * MILLIS))
+        .with_synod_retry_us(100 * MILLIS)
+        .with_reconfig_retry_us(100 * MILLIS);
+    let app = CastawayApp {
+        ops: Vec::new(),
+        seqs: [0; 2],
+        cut_at,
+        heal_at,
+        stop_at,
+    };
+    let mut sim = Simulation::new(
+        SimConfig::new(LatencyMatrix::uniform(3, 2_000)).seed(17),
+        move |id| ClockRsm::new(id, Membership::uniform(3), rsm_cfg),
+        || Box::new(KvStore::new()),
+        app,
+    );
+    sim.run_until(stop_at + 2_000 * MILLIS);
+
+    let order = sim.commits(ReplicaId::new(0)).to_vec();
+    let ops = sim.app().ops.clone();
+    harness::lin::check_read_values(&order, &ops).expect("a stale read was served");
+
+    // The survivors reconfigured the castaway out and kept writing.
+    let excluded_at = order
+        .iter()
+        .map(|c| c.at)
+        .find(|&at| at > cut_at + 400 * MILLIS)
+        .expect("the survivors never resumed");
+    assert!(excluded_at < heal_at - 2_000 * MILLIS, "{excluded_at}");
+    let reads: Vec<&OpRecord> = ops.iter().filter(|op| op.read_only).collect();
+    let answered = |from: u64, to: u64| {
+        reads
+            .iter()
+            .filter(|op| op.replied.is_some_and(|at| at >= from && at <= to))
+            .count()
+    };
+    assert!(answered(0, cut_at) > 50, "reads flowed before the cut");
+    assert_eq!(
+        answered(excluded_at, heal_at),
+        0,
+        "the excluded replica answered a read"
+    );
+    assert!(
+        answered(heal_at, u64::MAX) > 50,
+        "reads never resumed after the rejoin"
+    );
+    // Its first answer after the heal is served from caught-up state:
+    // the replica has executed everything the survivors committed.
+    assert_eq!(
+        sim.commit_count(ReplicaId::new(1)),
+        sim.commit_count(ReplicaId::new(0))
     );
 }
