@@ -29,7 +29,6 @@ use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound::{Excluded, Unbounded};
 
 use paxos::synod::{SynodInstance, SynodMsg};
-use rsm_core::command::Committed;
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
 use rsm_core::protocol::Context;
@@ -409,19 +408,8 @@ impl ClockRsm {
             ctx.log_append(LogRec::Commit { ts });
             self.last_committed = ts;
             self.committed_count += 1;
-            let payload_len = lc.cmd.payload.len();
-            let applied = self.sessions.commit_dedup(
-                self.id,
-                Committed {
-                    cmd: lc.cmd,
-                    origin: lc.origin,
-                    order_hint: order_key(old_epoch, ts),
-                },
-                ctx,
-            );
-            if applied {
-                self.checkpointer.note_commit(payload_len);
-            }
+            self.exec
+                .execute(lc.cmd, lc.origin, order_key(old_epoch, ts), ctx);
         }
 
         // Lines 21–23: install epoch + configuration, reset LatestTV.
@@ -685,7 +673,7 @@ mod tests {
     use super::*;
     use crate::config::ClockRsmConfig;
     use bytes::Bytes;
-    use rsm_core::command::{Command, CommandId};
+    use rsm_core::command::{Command, CommandId, Committed};
     use rsm_core::config::Membership;
     use rsm_core::id::ClientId;
     use rsm_core::protocol::{Protocol, TimerToken};

@@ -3,14 +3,13 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{Checkpoint, Checkpointer};
-use rsm_core::command::{Command, Committed, Reply};
+use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
+use rsm_core::exec::Executor;
 use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{ReadPath, ReadQueue, MAX_INFLIGHT_PROBES};
-use rsm_core::session::SessionTable;
+use rsm_core::read::{ReadPath, MAX_INFLIGHT_PROBES};
 use rsm_core::time::{Micros, Timestamp};
 
 use crate::config::ClockRsmConfig;
@@ -132,10 +131,14 @@ pub struct ClockRsm {
     /// Local-clock time we last heard from each replica.
     pub(crate) last_heard: Vec<Micros>,
 
+    // ------ execution (`rsm_core::exec`) ------
+    /// The shared execution pipeline: session dedup window, checkpoint
+    /// trigger, and the local reads parked against their stamp until the
+    /// stable timestamp passes it (see
+    /// [`ClockRsm::release_ready_reads`]).
+    pub(crate) exec: Executor<Timestamp>,
+
     // ------ local reads (stable-timestamp, `rsm_core::read`) ------
-    /// Reads parked against their stamp, released once the stable
-    /// timestamp passes it (see [`ClockRsm::release_ready_reads`]).
-    pub(crate) read_queue: ReadQueue<Timestamp>,
     /// Reads received while frozen or awaiting rejoin, re-stamped on
     /// unfreeze (a stamp taken mid-freeze could release against a
     /// stale configuration's stable timestamp).
@@ -149,12 +152,6 @@ pub struct ClockRsm {
     /// `LatestTV` on an epoch install, which orphans their echoes.
     pub(crate) probes_out: VecDeque<Timestamp>,
 
-    // ------ client sessions (exactly-once; `rsm_core::session`) ------
-    /// Per-client dedup window: a retried command that already executed
-    /// is answered from here instead of re-applying. Rides checkpoints;
-    /// rebuilt by replay on recovery.
-    pub(crate) sessions: SessionTable,
-
     // ------ counters (observability) ------
     pub(crate) committed_count: u64,
     /// Trace-stage floors (only advanced while the driver is observing;
@@ -166,8 +163,6 @@ pub struct ClockRsm {
     /// pending commands have been stamped
     /// [`Replicated`](rsm_core::obs::TraceStage::Replicated).
     pub(crate) obs_repl_floor: Vec<Micros>,
-    /// Shared checkpoint scheduler (Section V-B; `rsm_core::checkpoint`).
-    pub(crate) checkpointer: Checkpointer,
 }
 
 impl ClockRsm {
@@ -209,15 +204,13 @@ impl ClockRsm {
             needs_rejoin: false,
             history: BTreeMap::new(),
             last_heard: vec![0; n],
-            read_queue: ReadQueue::new(),
+            exec: Executor::new(id, cfg.checkpoint, cfg.session_window),
             queued_reads: VecDeque::new(),
             last_read_stamp: Timestamp::ZERO,
             probes_out: VecDeque::new(),
-            sessions: SessionTable::new(cfg.session_window),
             committed_count: 0,
             obs_stable_floor: Timestamp::ZERO,
             obs_repl_floor: vec![0; n],
-            checkpointer: Checkpointer::new(cfg.checkpoint),
             membership,
         }
     }
@@ -226,7 +219,7 @@ impl ClockRsm {
     /// duplicate writes re-apply instead of deduplicating — the bug the
     /// chaos fuzzer proves it can find and shrink.
     pub fn with_session_canary(mut self, on: bool) -> Self {
-        self.sessions.set_canary_skip_dedup(on);
+        self.exec.set_session_canary(on);
         self
     }
 
@@ -515,33 +508,17 @@ impl ClockRsm {
             // each released stamp — the invariant cross-shard snapshot
             // reads rely on (serving only after the whole drain could
             // leak writes newer than the stamp into the answer).
-            if !self.read_queue.is_empty() && !self.needs_rejoin {
-                for cmd in self.read_queue.release_before(ts) {
-                    self.serve_read(cmd, ctx);
-                }
+            if !self.exec.reads.is_empty() && !self.needs_rejoin {
+                let ready = self.exec.reads.release_before(ts);
+                self.serve_reads(ready, ctx);
             }
             let (cmd, origin) = self.pending.remove(&ts).expect("first key exists");
             ctx.log_append(LogRec::Commit { ts });
             debug_assert!(ts > self.last_committed, "commits must be ts-ordered");
             self.last_committed = ts;
             self.committed_count += 1;
-            let payload_len = cmd.payload.len();
-            let order_hint = order_key(self.epoch(), ts);
-            // The session dedup window decides whether this command
-            // actually reaches the state machine: a client retry that
-            // already executed is answered from the cache instead.
-            let applied = self.sessions.commit_dedup(
-                self.id,
-                Committed {
-                    cmd,
-                    origin,
-                    order_hint,
-                },
-                ctx,
-            );
-            if applied {
-                self.checkpointer.note_commit(payload_len);
-            }
+            self.exec
+                .execute(cmd, origin, order_key(self.epoch(), ts), ctx);
             self.maybe_checkpoint(ctx);
         }
         // The stable timestamp may have advanced: serve any read whose
@@ -664,10 +641,10 @@ impl ClockRsm {
                 self.last_read_stamp
             }
         };
-        self.read_queue.park(stamp, cmd);
+        self.exec.reads.park(stamp, cmd);
         self.release_ready_reads(ctx);
         if ctx.obs_active() {
-            let outcome = if self.read_queue.holds(stamp) {
+            let outcome = if self.exec.reads.holds(stamp) {
                 names::READS_PARKED
             } else {
                 names::READS_IMMEDIATE
@@ -685,13 +662,11 @@ impl ClockRsm {
     /// the stamp). Whatever stays parked for want of clock evidence is
     /// then probed for.
     pub(crate) fn release_ready_reads(&mut self, ctx: &mut dyn Context<Self>) {
-        if self.read_queue.is_empty() || self.frozen || self.needs_rejoin {
+        if self.exec.reads.is_empty() || self.frozen || self.needs_rejoin {
             return;
         }
-        let stable = self.stable_timestamp();
-        for cmd in self.read_queue.release(stable) {
-            self.serve_read(cmd, ctx);
-        }
+        let ready = self.exec.reads.release(self.stable_timestamp());
+        self.serve_reads(ready, ctx);
         self.probe_clocks(ctx);
     }
 
@@ -726,7 +701,7 @@ impl ClockRsm {
         let newest = self.last_read_stamp;
         // Evidence is not what the read lacks (a smaller pending write
         // is), or the read was served already.
-        if newest <= evidence || !self.read_queue.holds(newest) {
+        if newest <= evidence || !self.exec.reads.holds(newest) {
             return;
         }
         if self.probes_out.back().is_some_and(|&p| p > newest)
@@ -768,35 +743,31 @@ impl ClockRsm {
         stable
     }
 
-    /// Serves one released read from the local state machine, falling
-    /// back to ordinary replication when the driver cannot serve reads
-    /// (no state machine access) or the command is not actually
-    /// read-only.
-    fn serve_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-        if let Some(at) = cmd.read_at {
-            // A pinned snapshot read is only servable while the applied
-            // prefix still sits at or below its cut — normally
-            // guaranteed by the exact-cut release in `try_commit`. A
-            // part arriving *after* the state passed its cut (delivery
-            // slower than the router's lead, or a rejoin that installed
-            // a newer checkpoint) cannot be answered exactly without
-            // multi-versioning, so it is dropped, never answered
-            // inexactly: the router times out and retries the whole
-            // snapshot under a fresh cut.
-            let cut = Timestamp::new(at, ReplicaId::new(u16::MAX - 1));
-            if self.last_committed > cut {
-                return;
-            }
-        }
-        match ctx.sm_read(&cmd) {
-            Some(result) => ctx.send_reply(Reply::new(cmd.id, result)),
-            None => self.handle_batch(Batch::single(cmd), ctx),
+    /// Serves released reads from the local state machine, falling back
+    /// to ordinary replication for any the driver cannot serve.
+    ///
+    /// A pinned snapshot read is only servable while the applied prefix
+    /// still sits at or below its cut — normally guaranteed by the
+    /// exact-cut release in `try_commit`. A part arriving *after* the
+    /// state passed its cut (delivery slower than the router's lead, or
+    /// a rejoin that installed a newer checkpoint) cannot be answered
+    /// exactly without multi-versioning, so it is dropped, never answered
+    /// inexactly: the router times out and retries the whole snapshot
+    /// under a fresh cut.
+    fn serve_reads(&mut self, mut ready: Vec<Command>, ctx: &mut dyn Context<Self>) {
+        let applied = self.last_committed;
+        ready.retain(|cmd| {
+            cmd.read_at
+                .is_none_or(|at| applied <= Timestamp::new(at, ReplicaId::new(u16::MAX - 1)))
+        });
+        for cmd in Executor::<Timestamp>::serve_reads(ready, ctx) {
+            self.handle_batch(Batch::single(cmd), ctx);
         }
     }
 
     /// Number of reads currently parked (test observability).
     pub fn parked_reads(&self) -> usize {
-        self.read_queue.len()
+        self.exec.reads.len()
     }
 
     /// Writes a checkpoint record when the policy says one is due and the
@@ -807,21 +778,15 @@ impl ClockRsm {
     /// pending (uncommitted) prepares; the epoch and configuration travel
     /// inside the checkpoint itself.
     pub(crate) fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
-        if !self.checkpointer.due() {
+        let Some(cp) = self.exec.checkpoint_if_due(
+            self.last_committed,
+            self.membership.epoch(),
+            self.membership.config(),
+            ctx,
+        ) else {
             return;
-        }
-        let Some(state) = ctx.sm_snapshot() else {
-            return; // driver without snapshot support: replay-only recovery
         };
-        self.checkpointer.taken();
-        let cp = Checkpoint {
-            applied: self.last_committed,
-            epoch: self.epoch(),
-            config: self.membership.config().to_vec(),
-            snapshot: state,
-            sessions: self.sessions.export(),
-        };
-        if self.checkpointer.policy().compact && !self.keeps_history() {
+        if self.exec.compacts() && !self.keeps_history() {
             let mut recs: Vec<LogRec> = Vec::with_capacity(1 + self.pending.len());
             recs.push(LogRec::Checkpoint(cp));
             for (&ts, (cmd, origin)) in &self.pending {
@@ -1129,25 +1094,19 @@ impl Protocol for ClockRsm {
         // compaction requires install support, which both in-tree
         // drivers provide).
         let mut base_ts = Timestamp::ZERO;
-        for rec in log.iter().rev() {
-            if let LogRec::Checkpoint(cp) = rec {
-                if ctx.sm_install(cp.snapshot.clone()) {
-                    base_ts = cp.applied;
-                    self.last_committed = cp.applied;
-                    // The dedup window travels with the snapshot: restore
-                    // it so retries of pre-checkpoint commands stay
-                    // recognised (a malformed frame leaves it empty and
-                    // replay above the watermark rebuilds what it can).
-                    let _ = self.sessions.install(&cp.sessions);
-                    // A compacted log may hold no Epoch records below the
-                    // checkpoint; the checkpoint itself pins the
-                    // membership it was taken in.
-                    if cp.epoch > self.epoch() {
-                        self.membership.install(cp.epoch, cp.config.clone());
-                        self.reconfig.forget_instances_up_to(cp.epoch);
-                    }
-                }
-                break;
+        let newest = log.iter().rev().find_map(|rec| match rec {
+            LogRec::Checkpoint(cp) => Some(cp),
+            _ => None,
+        });
+        if let Some(cp) = newest.filter(|cp| self.exec.install(cp, ctx)) {
+            base_ts = cp.applied;
+            self.last_committed = cp.applied;
+            // A compacted log may hold no Epoch records below the
+            // checkpoint; the checkpoint itself pins the membership it
+            // was taken in.
+            if cp.epoch > self.epoch() {
+                self.membership.install(cp.epoch, cp.config.clone());
+                self.reconfig.forget_instances_up_to(cp.epoch);
             }
         }
         // Section V-B: scan the log, inserting PREPARE entries into a hash
@@ -1173,18 +1132,12 @@ impl Protocol for ClockRsm {
                     if let Some((cmd, origin)) = entry {
                         self.last_committed = *ts;
                         self.committed_count += 1;
-                        // Replay through the same dedup path as live
-                        // execution so the rebuilt window matches what
-                        // the replica held before the crash.
-                        self.sessions.commit_dedup(
-                            self.id,
-                            Committed {
-                                cmd,
-                                origin,
-                                order_hint: order_key(self.membership.epoch(), *ts),
-                            },
-                            ctx,
-                        );
+                        // Replay through the same path as live execution
+                        // so the rebuilt dedup window and checkpoint
+                        // trigger match what the replica held before the
+                        // crash.
+                        let hint = order_key(self.membership.epoch(), *ts);
+                        self.exec.execute(cmd, origin, hint, ctx);
                     }
                 }
                 LogRec::Epoch { epoch, config } => {
@@ -1215,7 +1168,7 @@ impl Protocol for ClockRsm {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use rsm_core::command::CommandId;
+    use rsm_core::command::{CommandId, Committed, Reply};
     use rsm_core::id::ClientId;
     use rsm_core::Batch;
 

@@ -107,7 +107,12 @@ fn replica_with(policy: CheckpointPolicy) -> ClockRsm {
 
 /// Drives `count` full commits through a replica by hand.
 fn commit_n(p: &mut ClockRsm, ctx: &mut CtxWithSm, count: u64) {
-    for seq in 1..=count {
+    commit_seqs(p, ctx, 1..=count);
+}
+
+/// Drives the commits of commands `seqs` through a replica by hand.
+fn commit_seqs(p: &mut ClockRsm, ctx: &mut CtxWithSm, seqs: std::ops::RangeInclusive<u64>) {
+    for seq in seqs {
         let ts = Timestamp::new(10_000 * seq, r(0));
         p.on_message(
             r(0),
@@ -220,6 +225,36 @@ fn recovery_restores_snapshot_and_replays_only_suffix() {
     assert_eq!(ctx2.commits.len(), 1, "only the suffix is re-executed");
     assert_eq!(ctx2.commits[0].cmd.id.seq, 7);
     assert_eq!(p2.last_committed_ts().micros(), 70_000);
+}
+
+/// Recovery replay feeds the checkpoint trigger like live execution: a
+/// replica that crashes every 2 commits — more often than its 5-commit
+/// interval — still checkpoints, instead of restarting the count from
+/// zero on every recovery and replaying an ever-growing log.
+#[test]
+fn crashing_more_often_than_the_interval_still_checkpoints() {
+    let mut ctx = CtxWithSm::new(true);
+    for round in 0..4u64 {
+        // A crash loses the replica and its state machine; the log stays.
+        let mut p = replica(Some(5));
+        ctx.executed.clear();
+        p.on_recover(&ctx.log.clone(), &mut ctx);
+        commit_seqs(&mut p, &mut ctx, 2 * round + 1..=2 * round + 2);
+    }
+    assert_eq!(ctx.executed, (1..=8).collect::<Vec<u64>>());
+    let checkpoints: Vec<u64> = ctx
+        .log
+        .iter()
+        .filter_map(|l| match l {
+            LogRec::Checkpoint(cp) => Some(cp.applied.micros()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        checkpoints,
+        vec![50_000],
+        "4 replayed + 1 live commit reach the interval in the third life"
+    );
 }
 
 #[test]

@@ -19,9 +19,13 @@
 //!   holes whose proposals were lost while it was down, or holes whose
 //!   retransmission history the owner has since pruned) asks any peer
 //!   whose commit watermark covers the gap; the peer answers with a
-//!   checkpoint, the requester installs it via
-//!   [`Context::sm_install`](crate::protocol::Context::sm_install) and
-//!   resumes — acknowledgements included — from the installed watermark.
+//!   checkpoint, the requester installs it and resumes —
+//!   acknowledgements included — from the installed watermark.
+//!
+//! The mechanism itself — counting applied commands, taking the
+//! snapshot, building, serving and installing a [`Checkpoint`] — is
+//! [`exec::Executor`](crate::exec::Executor)'s; protocols decide only
+//! what their log keeps around a checkpoint record.
 //!
 //! # Watermark and epoch invariants
 //!
@@ -159,13 +163,13 @@ impl Default for CheckpointPolicy {
 /// Tracks applied commands and bytes since the last checkpoint and decides
 /// when the next one is due, per a [`CheckpointPolicy`].
 ///
-/// Protocols call [`note_commit`](Checkpointer::note_commit) once per
-/// executed command, check [`due`](Checkpointer::due) at a convenient
-/// boundary (after an execution burst), and call
-/// [`taken`](Checkpointer::taken) when the checkpoint record has actually
-/// been written — `due` keeps answering `true` until then, so a driver
-/// without snapshot support simply never resets the counters (and never
-/// pays for them either).
+/// Driven by [`Executor`](crate::exec::Executor), never by a protocol
+/// directly: [`execute`](crate::exec::Executor::execute) counts every
+/// applied command — live or replayed on recovery — and
+/// [`checkpoint_if_due`](crate::exec::Executor::checkpoint_if_due)
+/// resets the counters only once a snapshot was actually taken. Until
+/// then [`due`](Checkpointer::due) keeps answering `true`, so a driver
+/// without snapshot support simply never resets them.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     policy: CheckpointPolicy,

@@ -72,6 +72,17 @@
 //! per-replica memory. See the module docs for the watermark and epoch
 //! invariants.
 //!
+//! ## Modules
+//!
+//! [`protocol`] (the sans-io traits), [`command`], [`id`], [`time`],
+//! [`config`], [`error`] and [`matrix`] are the vocabulary; [`batch`],
+//! [`read`], [`session`], [`checkpoint`] and [`lease`] are the shared
+//! subsystems; [`exec`] is the execution pipeline that drives the last
+//! three for every protocol — dedup → apply → checkpoint → read release
+//! → state transfer — so a protocol crate holds ordering logic only;
+//! [`sm`] is the state machine trait, [`wire`] the binary codec, [`obs`]
+//! the observability vocabulary.
+//!
 //! [Clock-RSM]: https://doi.org/10.1109/DSN.2014.42
 //!
 //! ## Example
@@ -96,6 +107,7 @@ pub mod checkpoint;
 pub mod command;
 pub mod config;
 pub mod error;
+pub mod exec;
 pub mod id;
 pub mod lease;
 pub mod matrix;
@@ -114,6 +126,7 @@ pub use checkpoint::{
 pub use command::{Command, CommandId, Committed, Reply};
 pub use config::{Epoch, Membership};
 pub use error::{ProtocolError, Result};
+pub use exec::Executor;
 pub use id::{ClientId, ReplicaId};
 pub use lease::{Lease, LeaseConfig};
 pub use matrix::LatencyMatrix;

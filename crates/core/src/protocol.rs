@@ -258,7 +258,7 @@ pub trait Protocol {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::command::CommandId;
     use crate::id::ClientId;
@@ -266,7 +266,8 @@ mod tests {
 
     /// A trivial protocol that commits every request immediately; exercises
     /// the trait surface and documents the driver contract in miniature.
-    struct Echo {
+    /// Shared, with its recording context, by the other modules' tests.
+    pub(crate) struct Echo {
         id: ReplicaId,
         order: u64,
     }
@@ -305,11 +306,11 @@ mod tests {
     }
 
     #[derive(Default)]
-    struct RecordingCtx {
+    pub(crate) struct RecordingCtx {
         now: Micros,
         log: Vec<Command>,
         committed: Vec<Committed>,
-        timers: Vec<(Micros, TimerToken)>,
+        pub(crate) timers: Vec<(Micros, TimerToken)>,
         replies: Vec<Reply>,
     }
 

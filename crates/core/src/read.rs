@@ -86,10 +86,12 @@ use std::collections::BTreeMap;
 
 use crate::command::Command;
 use crate::id::ReplicaId;
+use crate::protocol::{Context, Protocol, TimerToken};
+use crate::time::Micros;
 use crate::wire::{WireSize, MSG_HEADER_BYTES};
 
 /// The local-read mechanism a protocol implements, reported via
-/// [`Protocol::read_path`](crate::Protocol::read_path).
+/// [`Protocol::read_path`].
 ///
 /// Drivers and harnesses use the capability for routing decisions and
 /// reporting; the invariant behind each variant is documented in the
@@ -296,6 +298,14 @@ impl<W: Ord + Copy> Default for ReadQueue<W> {
 /// one probe per read rides the probe that leaves when one completes.
 pub const MAX_INFLIGHT_PROBES: usize = 4;
 
+/// How long reads queued behind [`MAX_INFLIGHT_PROBES`] quorum probes may
+/// wait before the escape timer forces their own probe out. Probes are
+/// fire-once (no retransmit): if the gating probes never reach a majority
+/// (crashed or partitioned peers) the queued reads would otherwise be
+/// stranded. A compromise between probe traffic (the point of batching)
+/// and worst-case read latency when a probe stalls.
+pub const PROBE_FLUSH_US: Micros = 5_000;
+
 /// Cap on in-flight quorum-read probes: beyond this the oldest probe is
 /// dropped — its reads are lost and re-issued by client retry, like any
 /// command lost to a fault. Bounds memory when probes go unanswered (a
@@ -322,21 +332,92 @@ struct Probe {
 /// hands back the reads of each probe that reached a majority together
 /// with the mark to park them at.
 ///
-/// Protocol glue stays thin: wrap [`begin`](ReadProbes::begin)'s
-/// [`ReadRequest`] in the protocol's message type and broadcast it,
-/// feed incoming [`ReadReply`]s to [`on_reply`](ReadProbes::on_reply),
-/// and drain [`take_ready`](ReadProbes::take_ready) into a
-/// [`ReadQueue`] after either.
+/// Protocol glue stays thin: pass each arriving read through
+/// [`admit`](ReadProbes::admit), wrap [`begin`](ReadProbes::begin)'s
+/// [`ReadRequest`] in the protocol's message type and broadcast it, feed
+/// incoming [`ReadReply`]s to [`on_reply`](ReadProbes::on_reply), and
+/// after either let [`complete`](ReadProbes::complete) park the finished
+/// probes' reads in a [`ReadQueue`].
 #[derive(Debug, Default)]
 pub struct ReadProbes {
     probes: Vec<Probe>,
     seq: u64,
+    /// Reads that arrived while [`MAX_INFLIGHT_PROBES`] were out: they
+    /// ride the *next* probe together (one [`ReadRequest`] carries many
+    /// reads), cut loose by the completion of a probe or by the escape
+    /// timer.
+    queued: Vec<Command>,
+    /// Whether the escape timer is outstanding.
+    flush_armed: bool,
 }
 
 impl ReadProbes {
     /// No probes in flight.
     pub fn new() -> Self {
         ReadProbes::default()
+    }
+
+    /// Admits a read that needs a probe. Below [`MAX_INFLIGHT_PROBES`]
+    /// it gets its own at once: returns the reads to
+    /// [`begin`](ReadProbes::begin) a probe for. Past the cap it queues
+    /// to ride the probe launched when one completes, and `None` comes
+    /// back; the escape timer (`flush`, [`PROBE_FLUSH_US`]) bounds the
+    /// wait when no in-flight probe reaches a majority.
+    pub fn admit<P: Protocol + ?Sized>(
+        &mut self,
+        cmd: Command,
+        flush: TimerToken,
+        ctx: &mut dyn Context<P>,
+    ) -> Option<Vec<Command>> {
+        if self.probes.len() < MAX_INFLIGHT_PROBES {
+            return Some(vec![cmd]);
+        }
+        self.queued.push(cmd);
+        if !self.flush_armed {
+            self.flush_armed = true;
+            ctx.set_timer(PROBE_FLUSH_US, flush);
+        }
+        None
+    }
+
+    /// The escape timer fired: hands back the queued reads (possibly
+    /// none) for a probe of their own, even while the gating probes are
+    /// still in flight — a probe always begins after its riders arrived,
+    /// so overlapping probes are safe, just extra traffic.
+    pub fn on_flush_timer(&mut self) -> Vec<Command> {
+        self.flush_armed = false;
+        std::mem::take(&mut self.queued)
+    }
+
+    /// Parks the reads of every probe that reached `majority` (counting
+    /// the requester itself — a single-replica configuration is its own
+    /// majority, so a probe can complete the moment it is begun) in
+    /// `queue`, at the mark `mark_of(seq, folded scalar mark)` chooses.
+    /// The probe sequence number lets a protocol that keeps richer
+    /// per-probe state on the side (Mencius per-owner marks) join it
+    /// back up; one that parks on the folded mark returns it as is.
+    /// Returns `None` when no probe completed; otherwise the reads that
+    /// queued up behind the cap (possibly none), for the caller to
+    /// launch one fresh probe with once it has released what is already
+    /// executable — probe traffic scales with probe round trips, not
+    /// with read arrivals.
+    pub fn complete(
+        &mut self,
+        majority: usize,
+        queue: &mut ReadQueue<u64>,
+        mut mark_of: impl FnMut(u64, u64) -> u64,
+    ) -> Option<Vec<Command>> {
+        let ready = self.take_ready(majority);
+        if ready.is_empty() {
+            return None;
+        }
+        for (seq, scalar, cmds) in ready {
+            let mark = mark_of(seq, scalar);
+            for cmd in cmds {
+                queue.park(mark, cmd);
+            }
+        }
+        Some(std::mem::take(&mut self.queued))
     }
 
     /// Opens a probe carrying `cmds`, seeded with the caller's own read
@@ -369,13 +450,8 @@ impl ReadProbes {
     }
 
     /// Removes and returns every probe that reached `majority` counting
-    /// the requester itself, as `(seq, mark, reads)` triples ready to
-    /// park. The probe sequence number lets protocols that keep richer
-    /// per-probe state on the side (e.g. Mencius per-owner marks) join
-    /// it back up; callers that park on the folded scalar mark alone
-    /// simply ignore it. A single-replica configuration is its own
-    /// majority, so a probe can complete the moment it is begun.
-    pub fn take_ready(&mut self, majority: usize) -> Vec<(u64, u64, Vec<Command>)> {
+    /// the requester itself, as `(seq, mark, reads)` triples.
+    fn take_ready(&mut self, majority: usize) -> Vec<(u64, u64, Vec<Command>)> {
         let mut ready = Vec::new();
         self.probes.retain_mut(|p| {
             if 1 + p.responders.len() >= majority {
@@ -388,19 +464,12 @@ impl ReadProbes {
         ready
     }
 
-    /// Number of reads riding in-flight probes.
+    /// Number of reads riding in-flight probes or queued for the next
+    /// one. (A queued read never joins a probe already launched: a probe
+    /// must begin *after* every read it carries arrived, or it could park
+    /// a read at a mark that predates a write the read must see.)
     pub fn pending(&self) -> usize {
-        self.probes.iter().map(|p| p.cmds.len()).sum()
-    }
-
-    /// Number of probes currently in flight. Callers batching reads onto
-    /// probes use this as the gate: while a probe is out, newly arrived
-    /// reads queue locally and ride the **next** probe together (a probe
-    /// must begin *after* every read it carries arrived — attaching a
-    /// read to an already-launched probe could park it at a mark that
-    /// predates a write the read must see).
-    pub fn in_flight(&self) -> usize {
-        self.probes.len()
+        self.probes.iter().map(|p| p.cmds.len()).sum::<usize>() + self.queued.len()
     }
 }
 
@@ -409,6 +478,7 @@ mod tests {
     use super::*;
     use crate::command::CommandId;
     use crate::id::{ClientId, ReplicaId};
+    use crate::protocol::tests::RecordingCtx;
     use bytes::Bytes;
 
     fn cmd(seq: u64) -> Command {
@@ -497,6 +567,45 @@ mod tests {
         // The first probe (seq 1) was dropped: its reply finds nothing.
         probes.on_reply(ReplicaId::new(1), ReadReply { seq: 1, mark: 9 });
         assert!(probes.take_ready(2).is_empty());
+    }
+
+    #[test]
+    fn reads_past_the_probe_cap_queue_and_ride_the_next_probe() {
+        let flush = TimerToken(9);
+        let mut ctx = RecordingCtx::default();
+        let mut probes = ReadProbes::new();
+        let mut queue: ReadQueue<u64> = ReadQueue::new();
+        // Below the cap every read gets its own probe at once.
+        for seq in 1..=MAX_INFLIGHT_PROBES as u64 {
+            let cmds = probes.admit(cmd(seq), flush, &mut ctx).expect("below cap");
+            assert_eq!(cmds, vec![cmd(seq)]);
+            probes.begin(0, cmds);
+        }
+        assert!(
+            ctx.timers.is_empty(),
+            "no escape timer while nothing queues"
+        );
+        // Past it they queue, and the escape timer is armed exactly once.
+        assert!(probes.admit(cmd(10), flush, &mut ctx).is_none());
+        assert!(probes.admit(cmd(11), flush, &mut ctx).is_none());
+        assert_eq!(ctx.timers, vec![(PROBE_FLUSH_US, flush)]);
+        assert_eq!(probes.pending(), MAX_INFLIGHT_PROBES + 2);
+        // Nothing completed: nothing parks, the queue stays put.
+        assert!(probes.complete(2, &mut queue, |_, m| m).is_none());
+        // Probe 2 completes: its read parks at the chosen mark and the
+        // queued reads come back to ride one fresh probe together.
+        probes.on_reply(ReplicaId::new(1), ReadReply { seq: 2, mark: 7 });
+        let queued = probes.complete(2, &mut queue, |seq, mark| seq * 100 + mark);
+        assert_eq!(queued, Some(vec![cmd(10), cmd(11)]));
+        assert!(queue.holds(207) && queue.len() == 1);
+        assert_eq!(probes.pending(), MAX_INFLIGHT_PROBES - 1);
+        // The escape timer fires with the queue already drained, then
+        // re-arms with the next queued read.
+        assert!(probes.on_flush_timer().is_empty());
+        probes.begin(0, queued.expect("checked above"));
+        assert!(probes.admit(cmd(12), flush, &mut ctx).is_none());
+        assert_eq!(ctx.timers.len(), 2, "re-armed after firing");
+        assert_eq!(probes.on_flush_timer(), vec![cmd(12)]);
     }
 
     #[test]

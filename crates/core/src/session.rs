@@ -11,13 +11,13 @@
 //!   monotone sequence number. A *retry* keeps the **same** `CommandId`
 //!   ([`ClientSession::current_id`]); only a *new* operation advances the
 //!   sequence ([`ClientSession::next_id`]).
-//! * [`SessionTable`] — the server half, owned by each protocol replica
-//!   beside its read-probe bookkeeping: per client, the highest applied
+//! * [`SessionTable`] — the server half, owned by each replica's
+//!   [`Executor`](crate::exec::Executor): per client, the highest applied
 //!   sequence number and the cached [`Reply`] of that newest command.
-//!   Protocols route every decided command through
-//!   [`SessionTable::commit_dedup`] at execution time; a duplicate is
-//!   **not** re-applied, and at the origin replica the cached reply is
-//!   re-sent instead.
+//!   The executor routes every decided command — live or replayed —
+//!   through [`SessionTable::commit_dedup`]; a duplicate is **not**
+//!   re-applied, and at the origin replica the cached reply is re-sent
+//!   instead.
 //! * [`SessionOpen`] / [`SessionRetry`] / [`SessionEvict`] — the wire
 //!   vocabulary of the client plane (encoded via `rsm_core::wire` like
 //!   every other frame), so session establishment and explicit eviction
@@ -160,7 +160,8 @@ struct SessionEntry {
 /// A replica's dedup window: per client, the highest applied sequence
 /// number and the cached reply of that newest command.
 ///
-/// Owned by each protocol replica and consulted at execution time via
+/// Owned by each replica's [`Executor`](crate::exec::Executor) and
+/// consulted at execution time via
 /// [`commit_dedup`](SessionTable::commit_dedup); see the module docs for
 /// the exactly-once contract, the eviction staleness caveat, and what
 /// survives checkpoint install.

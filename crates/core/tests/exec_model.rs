@@ -1,0 +1,238 @@
+//! Model-based test of the shared execution pipeline
+//! ([`rsm_core::exec::Executor`]): a generated op sequence — execute a
+//! fresh write / a same-id retry / a stale id / a read-only command,
+//! `checkpoint_if_due`, park and release reads, and a twin that installs
+//! a transferred checkpoint mid-sequence — checked step by step against a
+//! small reference (applied-id list + newest-reply map + counter).
+
+use std::collections::HashMap;
+
+use bytes::Bytes;
+use proptest::prelude::*;
+use rsm_core::checkpoint::CheckpointPolicy;
+use rsm_core::exec::Executor;
+use rsm_core::protocol::{Context, Protocol, TimerToken};
+use rsm_core::{ClientId, Command, CommandId, Committed, Epoch, Micros, ReplicaId, Reply};
+
+/// The protocol type the contexts are keyed by; never driven.
+struct Nop;
+
+impl Protocol for Nop {
+    type Msg = ();
+    type LogRec = ();
+    fn id(&self) -> ReplicaId {
+        ME
+    }
+    fn on_start(&mut self, _: &mut dyn Context<Self>) {}
+    fn on_client_request(&mut self, _: Command, _: &mut dyn Context<Self>) {}
+    fn on_message(&mut self, _: ReplicaId, _: (), _: &mut dyn Context<Self>) {}
+    fn on_timer(&mut self, _: TimerToken, _: &mut dyn Context<Self>) {}
+    fn on_recover(&mut self, _: &[()], _: &mut dyn Context<Self>) {}
+}
+
+const ME: ReplicaId = ReplicaId::new(0);
+const ELSEWHERE: ReplicaId = ReplicaId::new(1);
+
+/// A driver whose state machine is the list of applied ids; a command's
+/// result is how many commands the state held when it ran, so a reply
+/// re-served from the cache is distinguishable from a re-execution.
+#[derive(Default)]
+struct Sm {
+    state: Vec<CommandId>,
+    replies: Vec<Reply>,
+}
+
+fn count(n: usize) -> Bytes {
+    Bytes::from((n as u64).to_be_bytes().to_vec())
+}
+
+impl Context<Nop> for Sm {
+    fn clock(&mut self) -> Micros {
+        0
+    }
+    fn send(&mut self, _: ReplicaId, _: ()) {}
+    fn log_append(&mut self, _: ()) {}
+    fn log_rewrite(&mut self, _: Vec<()>) {}
+    fn commit(&mut self, c: Committed) -> Bytes {
+        self.state.push(c.cmd.id);
+        count(self.state.len())
+    }
+    fn set_timer(&mut self, _: Micros, _: TimerToken) {}
+    fn sm_snapshot(&mut self) -> Option<Bytes> {
+        let ids = self.state.iter();
+        Some(Bytes::from(
+            ids.flat_map(|id| [id.client.number() as u64, id.seq])
+                .flat_map(u64::to_be_bytes)
+                .collect::<Vec<u8>>(),
+        ))
+    }
+    fn sm_install(&mut self, snapshot: Bytes) -> bool {
+        let words: Vec<u64> = snapshot
+            .chunks(8)
+            .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte words")))
+            .collect();
+        self.state = words
+            .chunks(2)
+            .map(|w| CommandId::new(ClientId::new(ME, w[0] as u32), w[1]))
+            .collect();
+        true
+    }
+    fn sm_read(&mut self, cmd: &Command) -> Option<Bytes> {
+        cmd.read_only.then(|| count(self.state.len()))
+    }
+    fn send_reply(&mut self, reply: Reply) {
+        self.replies.push(reply);
+    }
+}
+
+/// The reference: what was applied, each client's newest applied seq with
+/// its reply, the applied commands since the last checkpoint, and the
+/// parked reads.
+#[derive(Default)]
+struct Model {
+    applied: Vec<CommandId>,
+    newest: HashMap<u32, (u64, Bytes)>,
+    since_checkpoint: u64,
+    replies: Vec<Reply>,
+    parked: Vec<(u64, Command)>,
+}
+
+impl Model {
+    /// Returns whether the command applies.
+    fn execute(&mut self, cmd: &Command, origin: ReplicaId) -> bool {
+        let client = cmd.id.client.number();
+        let newest = self.newest.get(&client);
+        let fresh = cmd.read_only || newest.is_none_or(|(seq, _)| cmd.id.seq > *seq);
+        if fresh {
+            self.applied.push(cmd.id);
+            self.since_checkpoint += 1;
+            if !cmd.read_only {
+                let result = count(self.applied.len());
+                self.newest.insert(client, (cmd.id.seq, result));
+            }
+        } else if let Some((_, result)) = newest.filter(|(seq, _)| cmd.id.seq == *seq) {
+            if origin == ME {
+                self.replies.push(Reply::new(cmd.id, result.clone()));
+            }
+        }
+        fresh
+    }
+
+    /// Answers the servable reads at or below `up_to`, in mark order
+    /// (park order within a mark); returns the unservable ones.
+    fn release(&mut self, up_to: u64) -> Vec<Command> {
+        let (mut ready, rest): (Vec<_>, Vec<_>) =
+            self.parked.drain(..).partition(|(mark, _)| *mark <= up_to);
+        self.parked = rest;
+        ready.sort_by_key(|(mark, _)| *mark);
+        let (served, unserved): (Vec<_>, Vec<_>) =
+            ready.into_iter().partition(|(_, cmd)| cmd.read_only);
+        let result = count(self.applied.len());
+        let answer = |(_, cmd): (u64, Command)| Reply::new(cmd.id, result.clone());
+        self.replies.extend(served.into_iter().map(answer));
+        unserved.into_iter().map(|(_, cmd)| cmd).collect()
+    }
+}
+
+fn id(client: u32, seq: u64) -> CommandId {
+    CommandId::new(ClientId::new(ME, client), seq)
+}
+
+proptest! {
+    #[test]
+    fn executor_matches_the_reference_model(
+        ops in proptest::collection::vec((0u8..9, 0u32..4, 0u64..12), 1..160),
+        every in 1u64..7,
+        transfer_at in 0usize..160,
+    ) {
+        let policy = CheckpointPolicy::every(every);
+        let config = [ME, ELSEWHERE];
+        let mut exec: Executor<u64> = Executor::new(ME, policy, 64);
+        let (mut sm, mut model) = (Sm::default(), Model::default());
+        // The twin installs `exec`'s checkpoint at `transfer_at` and then
+        // executes the same suffix.
+        let mut twin: Executor<u64> = Executor::new(ME, policy, 64);
+        let (mut twin_sm, mut twin_live) = (Sm::default(), false);
+        let mut issued = [0u64; 4];
+        let mut read_seq = 0u64;
+
+        for (step, &(kind, client, arg)) in ops.iter().enumerate() {
+            if step == transfer_at.min(ops.len() - 1) {
+                let at = model.applied.len() as u64;
+                let reply = exec.serve_transfer(0, at + 1, Epoch::ZERO, &config, &mut sm);
+                let cp = reply.expect("snapshots are supported").checkpoint;
+                prop_assert_eq!(cp.applied, at + 1);
+                prop_assert!(exec.serve_transfer(at + 1, at + 1, Epoch::ZERO, &config, &mut sm).is_none());
+                prop_assert!(twin.install(&cp, &mut twin_sm));
+                twin_live = true;
+            }
+            let origin = if arg % 2 == 0 { ME } else { ELSEWHERE };
+            let slot = &mut issued[client as usize];
+            let cmd = match kind {
+                // A fresh write: the client's next sequence number.
+                0..=2 => {
+                    *slot += 1;
+                    Some(Command::new(id(client, *slot), Bytes::from_static(b"w")))
+                }
+                // A same-id retry of the client's newest write.
+                3 if *slot > 0 => Some(Command::new(id(client, *slot), Bytes::from_static(b"w"))),
+                // A stale id, below the newest applied one.
+                4 if *slot > 1 => Some(Command::new(id(client, *slot - 1), Bytes::from_static(b"w"))),
+                // A replicated read-only command: bypasses the window.
+                5 => {
+                    read_seq += 1;
+                    Some(Command::read(id(100 + client, read_seq), Bytes::from_static(b"r")))
+                }
+                _ => None,
+            };
+            if let Some(cmd) = cmd {
+                let expect = model.execute(&cmd, origin);
+                let hint = model.applied.len() as u64;
+                prop_assert_eq!(exec.execute(cmd.clone(), origin, hint, &mut sm), expect);
+                if twin_live {
+                    prop_assert_eq!(twin.execute(cmd, origin, hint, &mut twin_sm), expect);
+                }
+            }
+            match kind {
+                6 => {
+                    let due = model.since_checkpoint >= every;
+                    let at = model.applied.len() as u64;
+                    let cp = exec.checkpoint_if_due(at, Epoch(3), &config, &mut sm);
+                    prop_assert_eq!(cp.is_some(), due, "checkpoint exactly when the policy says");
+                    if let Some(cp) = cp {
+                        model.since_checkpoint = 0;
+                        prop_assert_eq!((cp.applied, cp.epoch, &cp.config[..]), (at, Epoch(3), &config[..]));
+                        prop_assert_eq!(Some(cp.snapshot), sm.sm_snapshot());
+                    }
+                }
+                7 => {
+                    // Every third parked command is not read-only, so the
+                    // driver cannot serve it and it must come back.
+                    read_seq += 1;
+                    let rid = id(200 + client, read_seq);
+                    let cmd = if read_seq.is_multiple_of(3) {
+                        Command::new(rid, Bytes::from_static(b"r"))
+                    } else {
+                        Command::read(rid, Bytes::from_static(b"r"))
+                    };
+                    model.parked.push((arg, cmd.clone()));
+                    exec.reads.park(arg, cmd);
+                }
+                8 => prop_assert_eq!(exec.release_reads(arg, &mut sm), model.release(arg)),
+                _ => {}
+            }
+            prop_assert_eq!(&sm.state, &model.applied, "applied exactly the fresh commands, in order");
+            prop_assert_eq!(&sm.replies, &model.replies, "replies re-sent only at the origin");
+            prop_assert_eq!(exec.reads.len(), model.parked.len());
+        }
+
+        // Install + the same suffix is indistinguishable from having
+        // executed the whole sequence: identical snapshot and dedup
+        // window, byte for byte.
+        let end = model.applied.len() as u64 + 1;
+        let ours = exec.serve_transfer(0, end, Epoch::ZERO, &config, &mut sm).expect("snapshot");
+        let theirs = twin.serve_transfer(0, end, Epoch::ZERO, &config, &mut twin_sm).expect("snapshot");
+        prop_assert_eq!(ours.checkpoint.snapshot, theirs.checkpoint.snapshot);
+        prop_assert_eq!(ours.checkpoint.sessions, theirs.checkpoint.sessions);
+    }
+}

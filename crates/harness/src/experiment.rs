@@ -376,27 +376,50 @@ impl ExperimentResult {
     }
 }
 
-/// Runs a latency experiment for the chosen protocol.
-pub fn run_latency(choice: ProtocolChoice, cfg: &ExperimentConfig) -> ExperimentResult {
-    let n = cfg.n() as u16;
-    let checkpoint = cfg.checkpoint;
-    let canary = cfg.session_canary;
-    let window = cfg.session_window;
+/// What an experiment driver does with the chosen protocol's replica
+/// factory (the protocol type differs per [`ProtocolChoice`], so the
+/// driver is handed to [`with_protocol`] as a generic visitor).
+pub(crate) trait ProtocolRun {
+    /// The driver's result.
+    type Out;
+    /// Runs the experiment over replicas built by `factory`.
+    fn run<P, F>(self, name: &'static str, factory: F) -> Self::Out
+    where
+        P: Protocol + 'static,
+        F: FnMut(ReplicaId) -> P + Clone + 'static;
+}
+
+/// Builds the replica factory for `choice` under `cfg` — checkpoint
+/// policy, session window and canary, fail-over, history cap — and hands
+/// it to `run`. The one place experiment knobs reach a protocol, shared
+/// by the single-group and sharded drivers.
+pub(crate) fn with_protocol<R: ProtocolRun>(
+    choice: ProtocolChoice,
+    cfg: &ExperimentConfig,
+    run: R,
+) -> R::Out {
+    let members = Membership::uniform(cfg.n() as u16);
+    let (checkpoint, canary, window) = (cfg.checkpoint, cfg.session_canary, cfg.session_window);
+    let name = choice.name();
+    let variant = match choice {
+        ProtocolChoice::Paxos { .. } => PaxosVariant::Plain,
+        _ => PaxosVariant::Bcast,
+    };
     match choice {
-        ProtocolChoice::ClockRsm { cfg: rcfg } => run_generic(cfg, "Clock-RSM", move |id| {
-            let rcfg = if checkpoint.enabled() {
-                rcfg.with_checkpoint(checkpoint)
-            } else {
-                rcfg
-            };
-            let rcfg = match window {
-                Some(w) => rcfg.with_session_window(w),
-                None => rcfg,
-            };
-            ClockRsm::new(id, Membership::uniform(n), rcfg).with_session_canary(canary)
-        }),
-        ProtocolChoice::Paxos { leader, failover } => run_generic(cfg, "Paxos", move |id| {
-            let p = MultiPaxos::new(id, Membership::uniform(n), leader, PaxosVariant::Plain)
+        ProtocolChoice::ClockRsm { cfg: mut rcfg } => {
+            if checkpoint.enabled() {
+                rcfg = rcfg.with_checkpoint(checkpoint);
+            }
+            if let Some(w) = window {
+                rcfg = rcfg.with_session_window(w);
+            }
+            run.run(name, move |id| {
+                ClockRsm::new(id, members.clone(), rcfg).with_session_canary(canary)
+            })
+        }
+        ProtocolChoice::Paxos { leader, failover }
+        | ProtocolChoice::PaxosBcast { leader, failover } => run.run(name, move |id| {
+            let p = MultiPaxos::new(id, members.clone(), leader, variant)
                 .with_checkpoints(checkpoint)
                 .with_failover(failover);
             let p = match window {
@@ -405,31 +428,33 @@ pub fn run_latency(choice: ProtocolChoice, cfg: &ExperimentConfig) -> Experiment
             };
             p.with_session_canary(canary)
         }),
-        ProtocolChoice::PaxosBcast { leader, failover } => {
-            run_generic(cfg, "Paxos-bcast", move |id| {
-                let p = MultiPaxos::new(id, Membership::uniform(n), leader, PaxosVariant::Bcast)
-                    .with_checkpoints(checkpoint)
-                    .with_failover(failover);
-                let p = match window {
-                    Some(w) => p.with_session_window(w),
-                    None => p,
-                };
-                p.with_session_canary(canary)
-            })
-        }
-        ProtocolChoice::MenciusBcast { history_cap } => {
-            run_generic(cfg, "Mencius-bcast", move |id| {
-                let p = MenciusBcast::new(id, Membership::uniform(n))
-                    .with_checkpoints(checkpoint)
-                    .with_history_cap(history_cap);
-                let p = match window {
-                    Some(w) => p.with_session_window(w),
-                    None => p,
-                };
-                p.with_session_canary(canary)
-            })
+        ProtocolChoice::MenciusBcast { history_cap } => run.run(name, move |id| {
+            let p = MenciusBcast::new(id, members.clone())
+                .with_checkpoints(checkpoint)
+                .with_history_cap(history_cap);
+            let p = match window {
+                Some(w) => p.with_session_window(w),
+                None => p,
+            };
+            p.with_session_canary(canary)
+        }),
+    }
+}
+
+/// Runs a latency experiment for the chosen protocol.
+pub fn run_latency(choice: ProtocolChoice, cfg: &ExperimentConfig) -> ExperimentResult {
+    struct Latency<'a>(&'a ExperimentConfig);
+    impl ProtocolRun for Latency<'_> {
+        type Out = ExperimentResult;
+        fn run<P, F>(self, name: &'static str, factory: F) -> ExperimentResult
+        where
+            P: Protocol + 'static,
+            F: FnMut(ReplicaId) -> P + Clone + 'static,
+        {
+            run_generic(self.0, name, factory)
         }
     }
+    with_protocol(choice, cfg, Latency(cfg))
 }
 
 /// Runs a throughput experiment (Figure 8): saturating clients, CPU cost

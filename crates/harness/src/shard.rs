@@ -24,14 +24,10 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use clock_rsm::ClockRsm;
 use kvstore::{KvOp, KvStore};
-use mencius::MenciusBcast;
-use paxos::{MultiPaxos, PaxosVariant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsm_core::command::{Command, CommandId, Committed, Reply};
-use rsm_core::config::Membership;
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::protocol::Protocol;
 use rsm_core::time::{Micros, MILLIS};
@@ -40,7 +36,7 @@ use simnet::sim::{Application, SimApi};
 use simnet::{SimConfig, Simulation};
 
 use crate::cluster::ProtocolChoice;
-use crate::experiment::{ExperimentConfig, ExperimentResult};
+use crate::experiment::{with_protocol, ExperimentConfig, ExperimentResult, ProtocolRun};
 use crate::lin::{check_all, check_snapshot_reads, CheckReport, OpRecord, SnapshotRecord};
 use crate::stats::LatencyStats;
 use crate::workload::Fault;
@@ -190,55 +186,31 @@ impl ShardedResult {
     }
 }
 
-/// Runs a sharded experiment for the chosen protocol.
+/// Runs a sharded experiment for the chosen protocol. Every knob of
+/// `cfg.base` reaches every shard's replicas through the same factory
+/// as [`run_latency`](crate::run_latency).
 pub fn run_sharded(choice: ProtocolChoice, cfg: &ShardedConfig) -> ShardedResult {
-    let n = cfg.n() as u16;
-    let checkpoint = cfg.base.checkpoint;
-    match choice {
-        ProtocolChoice::ClockRsm { cfg: rcfg } => run_sharded_generic(
-            cfg,
-            "Clock-RSM",
-            move |id| {
-                let rcfg = if checkpoint.enabled() {
-                    rcfg.with_checkpoint(checkpoint)
-                } else {
-                    rcfg
-                };
-                ClockRsm::new(id, Membership::uniform(n), rcfg)
-            },
-            true,
-        ),
-        ProtocolChoice::Paxos { leader, failover } => run_sharded_generic(
-            cfg,
-            "Paxos",
-            move |id| {
-                MultiPaxos::new(id, Membership::uniform(n), leader, PaxosVariant::Plain)
-                    .with_checkpoints(checkpoint)
-                    .with_failover(failover)
-            },
-            false,
-        ),
-        ProtocolChoice::PaxosBcast { leader, failover } => run_sharded_generic(
-            cfg,
-            "Paxos-bcast",
-            move |id| {
-                MultiPaxos::new(id, Membership::uniform(n), leader, PaxosVariant::Bcast)
-                    .with_checkpoints(checkpoint)
-                    .with_failover(failover)
-            },
-            false,
-        ),
-        ProtocolChoice::MenciusBcast { history_cap } => run_sharded_generic(
-            cfg,
-            "Mencius-bcast",
-            move |id| {
-                MenciusBcast::new(id, Membership::uniform(n))
-                    .with_checkpoints(checkpoint)
-                    .with_history_cap(history_cap)
-            },
-            false,
-        ),
+    struct Sharded<'a> {
+        cfg: &'a ShardedConfig,
+        /// Only Clock-RSM claims one consistent cut per snapshot read.
+        snapshot_consistent: bool,
     }
+    impl ProtocolRun for Sharded<'_> {
+        type Out = ShardedResult;
+        fn run<P, F>(self, name: &'static str, factory: F) -> ShardedResult
+        where
+            P: Protocol + 'static,
+            F: FnMut(ReplicaId) -> P + Clone + 'static,
+        {
+            run_sharded_generic(self.cfg, name, factory, self.snapshot_consistent)
+        }
+    }
+    let snapshot_consistent = matches!(choice, ProtocolChoice::ClockRsm { .. });
+    let run = Sharded {
+        cfg,
+        snapshot_consistent,
+    };
+    with_protocol(choice, &cfg.base, run)
 }
 
 /// Per-shard application: collects replies (with exact in-simulation
@@ -466,7 +438,16 @@ impl Router {
     ) {
         let shard = self.map.shard_of(&key.to_be_bytes());
         let (id, site) = (self.clients[idx].id, self.clients[idx].site);
-        self.clients[idx].seq += 1;
+        // A write retry re-submits the SAME command (identical id and
+        // payload, same operation record): that is what lets the
+        // replicas' session windows answer it from the cached reply when
+        // only the reply was lost. A read retry mints a fresh id — reads
+        // bypass the window, and a late answer to the abandoned attempt
+        // must not complete the new one.
+        let same_cmd = !is_read && self.clients[idx].attempt > 0;
+        if !same_cmd {
+            self.clients[idx].seq += 1;
+        }
         let seq = self.clients[idx].seq;
         let cmd_id = CommandId::new(id, seq);
         let payload = if is_read {
@@ -474,7 +455,9 @@ impl Router {
         } else {
             KvOp::put(key.to_be_bytes().to_vec(), self.unique_value(id, seq)).encode()
         };
-        self.record_op(shard, cmd_id, now, payload.clone(), is_read);
+        if !same_cmd {
+            self.record_op(shard, cmd_id, now, payload.clone(), is_read);
+        }
         if is_read {
             let target = self.read_site(&sims[shard], site, self.clients[idx].attempt);
             sims[shard].submit_from(site, target, Command::read(cmd_id, payload));
@@ -656,8 +639,8 @@ impl Router {
     }
 
     /// Acts on every client whose wake time has passed: issue when idle,
-    /// retry (fresh ids, rotated read target, fresh snapshot cut) when a
-    /// pending operation timed out.
+    /// retry (same command for a write; fresh ids, rotated target and
+    /// fresh snapshot cut for reads) when a pending operation timed out.
     fn wakes<P: Protocol>(&mut self, now: Micros, sims: &mut [Simulation<P, Collector>]) {
         for idx in 0..self.clients.len() {
             if self.clients[idx].next_wake > now {

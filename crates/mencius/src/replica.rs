@@ -9,30 +9,22 @@
 use std::collections::{BTreeMap, HashMap};
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{
-    Checkpoint, CheckpointPolicy, Checkpointer, StateTransferReply, StateTransferRequest,
-};
-use rsm_core::command::{Command, Committed, Reply};
+use rsm_core::checkpoint::{Checkpoint, CheckpointPolicy};
+use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
+use rsm_core::exec::{Executor, TRANSFER_RETRY_US};
 use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{
-    ReadPath, ReadProbes, ReadQueue, ReadReply, MAX_INFLIGHT_PROBES, MAX_READ_PROBES,
-};
-use rsm_core::session::SessionTable;
+use rsm_core::read::{ReadPath, ReadProbes, ReadReply, MAX_READ_PROBES};
+use rsm_core::session::DEFAULT_SESSION_WINDOW;
 use rsm_core::time::Micros;
 
 use crate::msg::MenciusMsg;
 
-/// Timer token for the queued-probe-read escape flush (the crate uses no
-/// other timers).
+/// Timer token for the escape flush of the shared quorum-read pipeline
+/// ([`ReadProbes::admit`]; the crate uses no other timers).
 pub(crate) const TOKEN_PROBE_FLUSH: TimerToken = TimerToken(1);
-/// How long queued reads wait behind in-flight probes before getting
-/// their own probe anyway. Probes are fire-once (no retransmit), so
-/// without this bound a probe whose marks were lost would strand every
-/// read queued behind it.
-pub(crate) const PROBE_FLUSH_US: Micros = 5_000;
 
 /// Stable log record of Mencius-bcast.
 #[derive(Debug, Clone)]
@@ -93,10 +85,6 @@ pub enum MenciusLogRec {
 /// ([`MenciusMsg::StateRequest`]). Override per replica with
 /// [`MenciusBcast::with_history_cap`].
 pub const MAX_OWN_HISTORY: usize = 4096;
-
-/// How long an unanswered [`MenciusMsg::StateRequest`] stays deduplicated
-/// before it may be re-sent (same rationale as [`GAP_RETRY_US`]).
-const TRANSFER_RETRY_US: Micros = 500_000;
 
 /// How long an unanswered [`MenciusMsg::GapRequest`] stays deduplicated
 /// before it may be re-sent. Comfortably above a WAN round trip, so a
@@ -188,39 +176,22 @@ pub struct MenciusBcast {
     exec_cursor: u64,
     /// Cap on `own_history` (defaults to [`MAX_OWN_HISTORY`]).
     history_cap: usize,
-    /// Shared checkpoint scheduler (`rsm_core::checkpoint`).
-    checkpointer: Checkpointer,
-    /// When the last [`MenciusMsg::StateRequest`] left (rate limiter).
+    /// The shared execution pipeline (`rsm_core::exec`): session dedup
+    /// window, checkpoint trigger, state-transfer peer rotation, and the
+    /// reads parked on a slot mark — the fold of the per-owner bounds a
+    /// majority probe established — until `exec_cursor` passes it.
+    exec: Executor<u64>,
+    /// When the last [`MenciusMsg::StateRequest`] left: an unanswered one
+    /// stays deduplicated for [`TRANSFER_RETRY_US`].
     last_transfer_req: Option<Micros>,
-    /// Rotation cursor over the peers for state transfer requests: one
-    /// peer is asked per round (a snapshot is large; asking everyone
-    /// would make every peer serialize and ship one while the requester
-    /// installs exactly one), and an unhelpful or dead peer just means
-    /// the next retry asks the next one.
-    transfer_target: usize,
 
     // ------ local reads (`rsm_core::read`) ------
-    /// Reads parked on a slot mark — the fold of the per-owner bounds a
-    /// majority probe established — served once `exec_cursor` passes it.
-    read_queue: ReadQueue<u64>,
-    /// Quorum-read probes awaiting a majority of marks.
+    /// Quorum-read probes awaiting a majority of marks, and the reads
+    /// queued to ride the next one.
     read_probes: ReadProbes,
     /// Per-owner mark state for each in-flight probe, keyed by probe
     /// seq (the shared [`ReadProbes`] tracks only the folded scalar).
     probe_marks: HashMap<u64, ProbeMarks>,
-    /// Reads that arrived while a probe was in flight: they ride the
-    /// next probe (launched when the current one completes, or when the
-    /// [`TOKEN_PROBE_FLUSH`] escape timer fires) instead of paying one
-    /// probe broadcast each.
-    queued_probe_reads: Vec<Command>,
-    /// Whether the escape-flush timer is armed.
-    probe_flush_armed: bool,
-
-    // ------ client sessions (`rsm_core::session`) ------
-    /// Per-client dedup window, consulted at execution time beside the
-    /// read-probe bookkeeping: a retried command whose seq was already
-    /// applied is answered from the cached reply instead of re-applied.
-    sessions: SessionTable,
 }
 
 /// The requester-side per-owner bounds accumulated for one read probe.
@@ -269,15 +240,10 @@ impl MenciusBcast {
             gap_unanswerable: vec![0; n as usize],
             exec_cursor: 0,
             history_cap: MAX_OWN_HISTORY,
-            checkpointer: Checkpointer::new(CheckpointPolicy::DISABLED),
+            exec: Executor::new(id, CheckpointPolicy::DISABLED, DEFAULT_SESSION_WINDOW),
             last_transfer_req: None,
-            transfer_target: 0,
-            read_queue: ReadQueue::new(),
             read_probes: ReadProbes::new(),
             probe_marks: HashMap::new(),
-            queued_probe_reads: Vec::new(),
-            probe_flush_armed: false,
-            sessions: SessionTable::default(),
             membership,
         }
     }
@@ -285,7 +251,7 @@ impl MenciusBcast {
     /// Enables periodic checkpoints (and, per the policy, log compaction)
     /// for this replica.
     pub fn with_checkpoints(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpointer = Checkpointer::new(policy);
+        self.exec.set_checkpoint_policy(policy);
         self
     }
 
@@ -296,7 +262,7 @@ impl MenciusBcast {
     ///
     /// Panics if `n` is zero.
     pub fn with_session_window(mut self, n: usize) -> Self {
-        self.sessions = SessionTable::new(n);
+        self.exec.set_session_window(n);
         self
     }
 
@@ -304,7 +270,7 @@ impl MenciusBcast {
     /// duplicate writes re-apply instead of deduplicating — the bug the
     /// chaos fuzzer proves it can find and shrink.
     pub fn with_session_canary(mut self, on: bool) -> Self {
-        self.sessions.set_canary_skip_dedup(on);
+        self.exec.set_session_canary(on);
         self
     }
 
@@ -551,19 +517,7 @@ impl MenciusBcast {
                 }
                 ctx.log_append(MenciusLogRec::Commit { slot: c });
                 self.exec_cursor = c + 1;
-                let payload_len = cmd.payload.len();
-                let applied = self.sessions.commit_dedup(
-                    self.id,
-                    Committed {
-                        cmd,
-                        origin,
-                        order_hint: c,
-                    },
-                    ctx,
-                );
-                if applied {
-                    self.checkpointer.note_commit(payload_len);
-                }
+                self.exec.execute(cmd, origin, c, ctx);
                 continue;
             }
             let owner = self.owner_of_slot(c);
@@ -663,8 +617,11 @@ impl MenciusBcast {
         marks
     }
 
-    /// Starts a quorum-read probe carrying `cmds`.
+    /// Starts a quorum-read probe carrying `cmds` (no-op without any).
     fn start_read_probe(&mut self, cmds: Vec<Command>, ctx: &mut dyn Context<Self>) {
+        if cmds.is_empty() {
+            return;
+        }
         let req = self.read_probes.begin(self.local_read_mark(), cmds);
         let mut marks = ProbeMarks {
             own: vec![None; self.n as usize],
@@ -735,12 +692,12 @@ impl MenciusBcast {
     /// its largest constrained slot at `p - 1 - ((p - 1 - o) mod n)`
     /// when `p > o`, and none otherwise; execution is total-order by
     /// slot, so waiting for the maximum of those slots waits for all.
-    fn park_mark(&self, marks: &ProbeMarks) -> u64 {
+    fn park_mark(n: u64, marks: &ProbeMarks) -> u64 {
         let mut needed = 0u64;
-        for o in 0..self.n {
+        for o in 0..n {
             let p = marks.own[o as usize].unwrap_or(marks.all[o as usize]);
             if p > o {
-                let last = p - 1 - ((p - 1 - o) % self.n);
+                let last = p - 1 - ((p - 1 - o) % n);
                 needed = needed.max(last + 1);
             }
         }
@@ -748,55 +705,39 @@ impl MenciusBcast {
     }
 
     /// Moves every probe that reached a majority (self plus responders)
-    /// into the read queue and releases whatever is already resolvable.
+    /// into the read queue at its per-owner fold, releases whatever is
+    /// already resolvable, and launches one probe for the reads that
+    /// queued up meanwhile.
     fn complete_ready_probes(&mut self, ctx: &mut dyn Context<Self>) {
-        let ready = self.read_probes.take_ready(self.majority());
-        if ready.is_empty() {
-            return;
-        }
-        for (seq, scalar_mark, cmds) in ready {
-            let mark = match self.probe_marks.remove(&seq) {
-                Some(marks) => self.park_mark(&marks),
-                // Side state evicted (probe-cap overflow): the folded
-                // scalar is the conservative all-owners bound.
-                None => scalar_mark,
-            };
-            for cmd in cmds {
-                self.read_queue.park(mark, cmd);
-            }
-        }
-        self.release_reads(ctx);
-        self.flush_queued_probe_reads(ctx);
-    }
-
-    /// Launches one probe carrying every read queued behind the probe
-    /// that just completed (or timed out).
-    fn flush_queued_probe_reads(&mut self, ctx: &mut dyn Context<Self>) {
-        if !self.queued_probe_reads.is_empty() {
-            let cmds = std::mem::take(&mut self.queued_probe_reads);
-            self.start_read_probe(cmds, ctx);
+        let (n, majority) = (self.n, self.majority());
+        let parked =
+            self.read_probes
+                .complete(majority, &mut self.exec.reads, |seq, scalar_mark| {
+                    match self.probe_marks.remove(&seq) {
+                        Some(marks) => Self::park_mark(n, &marks),
+                        // Side state evicted (probe-cap overflow): the folded
+                        // scalar is the conservative all-owners bound.
+                        None => scalar_mark,
+                    }
+                });
+        if let Some(queued) = parked {
+            self.release_reads(ctx);
+            self.start_read_probe(queued, ctx);
         }
     }
 
     /// Serves every parked read whose mark the resolution cursor has
-    /// passed.
+    /// passed; one the driver cannot serve is replicated like a write.
     fn release_reads(&mut self, ctx: &mut dyn Context<Self>) {
-        if self.read_queue.is_empty() {
-            return;
-        }
-        for cmd in self.read_queue.release(self.exec_cursor) {
-            match ctx.sm_read(&cmd) {
-                Some(result) => ctx.send_reply(Reply::new(cmd.id, result)),
-                // Driver cannot serve reads (or the command is not
-                // actually read-only): replicate it like a write.
-                None => self.on_client_batch(Batch::single(cmd), ctx),
-            }
+        for cmd in self.exec.release_reads(self.exec_cursor, ctx) {
+            self.on_client_batch(Batch::single(cmd), ctx);
         }
     }
 
-    /// Number of reads parked or riding probes (test observability).
+    /// Number of reads parked, riding probes, or queued for the next
+    /// probe (test observability).
     pub fn pending_reads(&self) -> usize {
-        self.read_queue.len() + self.read_probes.pending() + self.queued_probe_reads.len()
+        self.exec.reads.len() + self.read_probes.pending()
     }
 
     /// Writes a checkpoint when one is due and the driver supports
@@ -804,21 +745,19 @@ impl MenciusBcast {
     /// the own proposals still retained for gap retransmission, and the
     /// unresolved slots above the watermark.
     fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
-        if !self.checkpointer.due() {
-            return;
+        let config = self.membership.config();
+        let due = self
+            .exec
+            .checkpoint_if_due(self.exec_cursor, Epoch::ZERO, config, ctx);
+        if let Some(cp) = due {
+            self.log_checkpoint(cp, ctx);
         }
-        let Some(snapshot) = ctx.sm_snapshot() else {
-            return; // driver without snapshot support: replay-only recovery
-        };
-        self.checkpointer.taken();
-        let cp = Checkpoint {
-            applied: self.exec_cursor,
-            epoch: Epoch::ZERO,
-            config: self.membership.config().to_vec(),
-            snapshot,
-            sessions: self.sessions.export(),
-        };
-        if self.checkpointer.policy().compact {
+    }
+
+    /// Makes `cp` durable: compacts the log around it when the policy
+    /// says so, otherwise appends the checkpoint record.
+    fn log_checkpoint(&self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
+        if self.exec.compacts() {
             self.compact_log(cp, ctx);
         } else {
             ctx.log_append(MenciusLogRec::Checkpoint {
@@ -872,51 +811,22 @@ impl MenciusBcast {
             }
         }
         self.last_transfer_req = Some(now);
-        if let Some(to) = self.next_transfer_target() {
-            ctx.send(
-                to,
-                MenciusMsg::StateRequest(StateTransferRequest {
-                    have: self.exec_cursor,
-                }),
-            );
-        }
-    }
-
-    /// The next peer to ask for a checkpoint (round-robin over the
-    /// configuration, skipping self).
-    fn next_transfer_target(&mut self) -> Option<ReplicaId> {
         let config = self.membership.config();
-        for _ in 0..config.len() {
-            let candidate = config[self.transfer_target % config.len()];
-            self.transfer_target = (self.transfer_target + 1) % config.len();
-            if candidate != self.id {
-                return Some(candidate);
-            }
+        if let Some((to, req)) = self.exec.transfer_request(self.exec_cursor, config) {
+            ctx.send(to, MenciusMsg::StateRequest(req));
         }
-        None // single-replica configuration: no peer to ask
     }
 
     /// Serves a state transfer request with a fresh snapshot of our
     /// resolved prefix.
     fn on_state_request(&mut self, from: ReplicaId, have: u64, ctx: &mut dyn Context<Self>) {
-        if self.exec_cursor <= have {
-            return; // nothing the requester does not already have
+        let config = self.membership.config();
+        let served = self
+            .exec
+            .serve_transfer(have, self.exec_cursor, Epoch::ZERO, config, ctx);
+        if let Some(reply) = served {
+            ctx.send(from, MenciusMsg::StateReply(reply));
         }
-        let Some(snapshot) = ctx.sm_snapshot() else {
-            return; // cannot snapshot: let a peer that can answer
-        };
-        ctx.send(
-            from,
-            MenciusMsg::StateReply(StateTransferReply {
-                checkpoint: Checkpoint {
-                    applied: self.exec_cursor,
-                    epoch: Epoch::ZERO,
-                    config: self.membership.config().to_vec(),
-                    snapshot,
-                    sessions: self.sessions.export(),
-                },
-            }),
-        );
     }
 
     /// Installs a transferred checkpoint: every slot below its watermark
@@ -930,10 +840,9 @@ impl MenciusBcast {
         if cp.applied <= self.exec_cursor {
             return; // stale or duplicate reply
         }
-        if !ctx.sm_install(cp.snapshot.clone()) {
+        if !self.exec.install(&cp, ctx) {
             return; // driver cannot install snapshots
         }
-        let _ = self.sessions.install(&cp.sessions);
         self.last_transfer_req = None;
         self.slots = self.slots.split_off(&cp.applied);
         self.exec_cursor = cp.applied;
@@ -945,14 +854,7 @@ impl MenciusBcast {
                 *g = None;
             }
         }
-        if self.checkpointer.policy().compact {
-            self.compact_log(cp, ctx);
-        } else {
-            ctx.log_append(MenciusLogRec::Checkpoint {
-                cp,
-                history_floor: self.history_floor,
-            });
-        }
+        self.log_checkpoint(cp, ctx);
         self.try_execute(ctx);
     }
 
@@ -1129,17 +1031,10 @@ impl Protocol for MenciusBcast {
     }
 
     fn on_client_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-        if self.read_probes.in_flight() >= MAX_INFLIGHT_PROBES {
-            // Ride the next probe instead of broadcasting one per read;
-            // the escape timer bounds the wait if the in-flight probes'
-            // marks were lost.
-            self.queued_probe_reads.push(cmd);
-            if !self.probe_flush_armed {
-                self.probe_flush_armed = true;
-                ctx.set_timer(PROBE_FLUSH_US, TOKEN_PROBE_FLUSH);
-            }
-        } else {
-            self.start_read_probe(vec![cmd], ctx);
+        // Past the probe cap the read rides the next probe instead of
+        // broadcasting one of its own.
+        if let Some(cmds) = self.read_probes.admit(cmd, TOKEN_PROBE_FLUSH, ctx) {
+            self.start_read_probe(cmds, ctx);
         }
     }
 
@@ -1206,10 +1101,8 @@ impl Protocol for MenciusBcast {
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn Context<Self>) {
         if token == TOKEN_PROBE_FLUSH {
-            self.probe_flush_armed = false;
-            // A probe always begins after its riders arrived, so an
-            // extra overlapping probe is safe — just extra traffic.
-            self.flush_queued_probe_reads(ctx);
+            let queued = self.read_probes.on_flush_timer();
+            self.start_read_probe(queued, ctx);
         }
     }
 
@@ -1230,16 +1123,16 @@ impl Protocol for MenciusBcast {
         // while the log is uncompacted). The persisted history floor
         // survives the truncation: emptiness below it is never
         // confirmed, whatever the rebuilt history happens to hold.
+        let newest = log.iter().rev().find_map(|rec| match rec {
+            MenciusLogRec::Checkpoint { cp, history_floor } => Some((cp, *history_floor)),
+            _ => None,
+        });
         let mut base = 0u64;
-        for rec in log.iter().rev() {
-            if let MenciusLogRec::Checkpoint { cp, history_floor } = rec {
-                if ctx.sm_install(cp.snapshot.clone()) {
-                    base = cp.applied;
-                    let _ = self.sessions.install(&cp.sessions);
-                }
-                self.history_floor = *history_floor;
-                break;
+        if let Some((cp, history_floor)) = newest {
+            if self.exec.install(cp, ctx) {
+                base = cp.applied;
             }
+            self.history_floor = history_floor;
         }
         self.exec_cursor = base;
         // Rebuild the slot table above the base, then re-execute the
@@ -1295,15 +1188,7 @@ impl Protocol for MenciusBcast {
             self.exec_cursor += 1;
             self.slots.remove(&c);
             if let Some((cmd, origin)) = entry {
-                self.sessions.commit_dedup(
-                    self.id,
-                    Committed {
-                        cmd,
-                        origin,
-                        order_hint: c,
-                    },
-                    ctx,
-                );
+                self.exec.execute(cmd, origin, c, ctx);
             }
         }
         // Never reuse own slots: continue at the smallest own slot that
@@ -1330,7 +1215,8 @@ impl Protocol for MenciusBcast {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use rsm_core::command::CommandId;
+    use rsm_core::checkpoint::StateTransferRequest;
+    use rsm_core::command::{CommandId, Committed, Reply};
     use rsm_core::id::ClientId;
     use rsm_core::read::ReadRequest;
     use rsm_core::time::Micros;
@@ -2062,6 +1948,44 @@ mod tests {
         // Own proposals below the watermark stay answerable after the
         // round trip (they are retained in the compacted log).
         assert!(!m2.own_history.is_empty());
+    }
+
+    /// Recovery replay feeds the checkpoint trigger like live execution:
+    /// a replica that crashes every 2 commits — more often than its
+    /// 5-commit interval — still checkpoints, instead of restarting the
+    /// count from zero on every recovery and replaying an ever-growing
+    /// log. (A single-replica group: every slot is its own, so each
+    /// command resolves on its self-ack.)
+    #[test]
+    fn crashing_more_often_than_the_interval_still_checkpoints() {
+        let mut ctx = TestCtx::with_snapshots();
+        for life in 0..4u64 {
+            // A crash loses the replica and its state machine; the log
+            // stays.
+            let mut m = MenciusBcast::new(r(0), Membership::uniform(1))
+                .with_checkpoints(CheckpointPolicy::every(5));
+            ctx.executed.clear();
+            m.on_recover(&ctx.log.clone(), &mut ctx);
+            for slot in 2 * life..2 * life + 2 {
+                m.on_client_request(cmd(slot), &mut ctx);
+                ack(&mut m, &mut ctx, r(0), slot, slot + 1);
+            }
+            assert_eq!(m.resolved(), 2 * life + 2);
+        }
+        assert_eq!(ctx.executed, (0..8).collect::<Vec<u64>>());
+        let checkpoints: Vec<u64> = ctx
+            .log
+            .iter()
+            .filter_map(|l| match l {
+                MenciusLogRec::Checkpoint { cp, .. } => Some(cp.applied),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            checkpoints,
+            vec![5],
+            "4 replayed + 1 live commit reach the interval in the third life"
+        );
     }
 
     #[test]

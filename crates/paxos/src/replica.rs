@@ -41,46 +41,27 @@
 use std::collections::BTreeMap;
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{
-    Checkpoint, CheckpointPolicy, Checkpointer, StateTransferReply, StateTransferRequest,
-};
-use rsm_core::command::{Command, Committed, Reply};
+use rsm_core::checkpoint::{Checkpoint, CheckpointPolicy};
+use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
+use rsm_core::exec::{Executor, TRANSFER_RETRY_US};
 use rsm_core::id::ReplicaId;
 use rsm_core::lease::{Lease, LeaseConfig};
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{ReadPath, ReadProbes, ReadQueue, ReadReply, MAX_INFLIGHT_PROBES};
-use rsm_core::session::SessionTable;
+use rsm_core::read::{ReadPath, ReadProbes, ReadReply};
+use rsm_core::session::DEFAULT_SESSION_WINDOW;
 use rsm_core::time::Micros;
 
 use crate::msg::{PaxosMsg, SuffixEntry};
 use crate::synod::Ballot;
 
-/// How long execution must sit at the *same* hole before a
-/// [`PaxosMsg::StateRequest`] leaves, and how long to wait before
-/// retrying an unanswered one. Comfortably above a WAN round trip, so a
-/// hole whose `ACCEPT` is merely in flight (commit watermarks can outrun
-/// accepts via faster relay paths) resolves itself and never triggers a
-/// transfer; a hole whose accepts were lost to a crash persists and does.
-const TRANSFER_RETRY_US: Micros = 500_000;
-
 /// The lease/election timer (heartbeats, suspicion, candidate retries).
 pub(crate) const TOKEN_LEASE: TimerToken = TimerToken(1);
 
-/// The probe-flush escape timer: reads queued behind an in-flight quorum
-/// probe normally ride the next probe the moment the current one
-/// completes, but probes are fire-once (no retransmit) — if the gating
-/// probe never reaches a majority (crashed or partitioned peers), this
-/// timer launches a fresh probe carrying everything queued, so batching
-/// can never turn into a deadlock.
+/// The probe-flush escape timer of the shared quorum-read pipeline
+/// ([`ReadProbes::admit`]).
 pub(crate) const TOKEN_PROBE_FLUSH: TimerToken = TimerToken(2);
-
-/// How long queued reads may wait behind an in-flight probe before the
-/// escape timer forces their own probe out. A compromise between probe
-/// traffic (the point of batching) and worst-case read latency when a
-/// probe stalls.
-pub(crate) const PROBE_FLUSH_US: Micros = 5_000;
 
 /// Which phase-2b dissemination strategy to run (Section IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,45 +216,27 @@ pub struct MultiPaxos {
     committed_next: u64,
     /// Next instance to execute (all below are executed).
     exec_cursor: u64,
-    /// Shared checkpoint scheduler (`rsm_core::checkpoint`).
-    checkpointer: Checkpointer,
+    /// The shared execution pipeline (`rsm_core::exec`): session dedup
+    /// window, checkpoint trigger, state-transfer peer rotation, and the
+    /// reads parked on an instance mark until `exec_cursor` passes it.
+    exec: Executor<u64>,
     /// The execution hole currently being watched and since when:
     /// `(exec_cursor, first observed)`. A hole must persist for
-    /// [`TRANSFER_RETRY_US`] before a state transfer is requested, and
+    /// [`TRANSFER_RETRY_US`] before a state transfer is requested —
+    /// comfortably above a WAN round trip, so a hole whose `ACCEPT` is
+    /// merely in flight (commit watermarks can outrun accepts via faster
+    /// relay paths) resolves itself and never triggers a transfer — and
     /// the same field paces the retries afterwards.
     stalled_at: Option<(u64, Micros)>,
     /// The vouch gap a [`PaxosMsg::FillRequest`] is out for, and when it
     /// was sent: `(gap start, asked at)`. Paces the retries of leader
     /// retransmission for instances lost while this replica was down.
     fill_asked: Option<(u64, Micros)>,
-    /// Rotation cursor over the peers for state transfer requests: one
-    /// peer is asked per round (a snapshot is large; asking everyone
-    /// would make every peer serialize and ship one while the requester
-    /// installs exactly one), and an unhelpful or dead peer just means
-    /// the next retry asks the next one.
-    transfer_target: usize,
 
     // ------ local reads (`rsm_core::read`) ------
-    /// Reads parked on an instance mark, served once `exec_cursor`
-    /// passes it.
-    read_queue: ReadQueue<u64>,
-    /// Quorum-read probes awaiting a majority of marks.
+    /// Quorum-read probes awaiting a majority of marks, and the reads
+    /// queued to ride the next one.
     read_probes: ReadProbes,
-    /// Reads that arrived while a probe was in flight: they ride the
-    /// *next* probe together (one `ReadRequest` carries many reads), cut
-    /// loose by the completion of the current probe or by
-    /// [`TOKEN_PROBE_FLUSH`]. A probe must begin after every read it
-    /// carries arrived — attaching to an in-flight probe could park a
-    /// read at a mark predating a write it must observe.
-    queued_probe_reads: Vec<Command>,
-    /// Whether a [`TOKEN_PROBE_FLUSH`] timer is outstanding.
-    probe_flush_armed: bool,
-
-    // ------ client sessions (exactly-once; `rsm_core::session`) ------
-    /// Per-client dedup window: a retried command that already executed
-    /// is answered from the cached reply instead of re-applying. Rides
-    /// checkpoints and state transfer; rebuilt by replay on recovery.
-    sessions: SessionTable,
     /// `regime_heard[k]`: local clock when replica `k` last sent
     /// evidence of the **current** regime (an `Accepted` or `ReadMark`
     /// at our ballot). Reset on regime change; feeds the leader's read
@@ -324,15 +287,10 @@ impl MultiPaxos {
             acked: vec![0; n],
             committed_next: 0,
             exec_cursor: 0,
-            checkpointer: Checkpointer::new(CheckpointPolicy::DISABLED),
+            exec: Executor::new(id, CheckpointPolicy::DISABLED, DEFAULT_SESSION_WINDOW),
             stalled_at: None,
             fill_asked: None,
-            transfer_target: 0,
-            read_queue: ReadQueue::new(),
             read_probes: ReadProbes::new(),
-            queued_probe_reads: Vec::new(),
-            probe_flush_armed: false,
-            sessions: SessionTable::default(),
             regime_heard: vec![0; n],
             repair_top: 0,
         }
@@ -341,7 +299,7 @@ impl MultiPaxos {
     /// Enables periodic checkpoints (and, per the policy, log compaction)
     /// for this replica.
     pub fn with_checkpoints(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpointer = Checkpointer::new(policy);
+        self.exec.set_checkpoint_policy(policy);
         self
     }
 
@@ -352,7 +310,7 @@ impl MultiPaxos {
     ///
     /// Panics if `n` is zero.
     pub fn with_session_window(mut self, n: usize) -> Self {
-        self.sessions = SessionTable::new(n);
+        self.exec.set_session_window(n);
         self
     }
 
@@ -360,7 +318,7 @@ impl MultiPaxos {
     /// duplicate writes re-apply instead of deduplicating — the bug the
     /// chaos fuzzer proves it can find and shrink.
     pub fn with_session_canary(mut self, on: bool) -> Self {
-        self.sessions.set_canary_skip_dedup(on);
+        self.exec.set_session_canary(on);
         self
     }
 
@@ -1426,8 +1384,11 @@ impl MultiPaxos {
             .max(self.committed_next)
     }
 
-    /// Starts a quorum-read probe carrying `cmds`.
+    /// Starts a quorum-read probe carrying `cmds` (no-op without any).
     fn start_read_probe(&mut self, cmds: Vec<Command>, ctx: &mut dyn Context<Self>) {
+        if cmds.is_empty() {
+            return;
+        }
         let req = self.read_probes.begin(self.local_read_mark(), cmds);
         for r in self.membership.config().to_vec() {
             if r != self.id {
@@ -1460,48 +1421,28 @@ impl MultiPaxos {
     /// behind the completed one (probe batching: probe traffic scales
     /// with probe round trips, not with read arrivals).
     fn complete_ready_probes(&mut self, ctx: &mut dyn Context<Self>) {
-        let ready = self.read_probes.take_ready(self.majority());
-        if ready.is_empty() {
-            return;
-        }
-        for (_seq, mark, cmds) in ready {
-            for cmd in cmds {
-                self.read_queue.park(mark, cmd);
-            }
-        }
-        self.release_reads(ctx);
-        self.flush_queued_probe_reads(ctx);
-    }
-
-    /// Launches one probe carrying every read queued behind an in-flight
-    /// probe. No-op when nothing queued.
-    fn flush_queued_probe_reads(&mut self, ctx: &mut dyn Context<Self>) {
-        if !self.queued_probe_reads.is_empty() {
-            let cmds = std::mem::take(&mut self.queued_probe_reads);
-            self.start_read_probe(cmds, ctx);
+        let majority = self.majority();
+        let parked = self
+            .read_probes
+            .complete(majority, &mut self.exec.reads, |_seq, mark| mark);
+        if let Some(queued) = parked {
+            self.release_reads(ctx);
+            self.start_read_probe(queued, ctx);
         }
     }
 
     /// Serves every parked read whose mark the execution cursor has
-    /// passed.
+    /// passed; one the driver cannot serve is replicated like a write.
     fn release_reads(&mut self, ctx: &mut dyn Context<Self>) {
-        if self.read_queue.is_empty() {
-            return;
-        }
-        for cmd in self.read_queue.release(self.exec_cursor) {
-            match ctx.sm_read(&cmd) {
-                Some(result) => ctx.send_reply(Reply::new(cmd.id, result)),
-                // Driver cannot serve reads (or the command is not
-                // actually read-only): replicate it like a write.
-                None => self.on_client_batch(Batch::single(cmd), ctx),
-            }
+        for cmd in self.exec.release_reads(self.exec_cursor, ctx) {
+            self.on_client_batch(Batch::single(cmd), ctx);
         }
     }
 
     /// Number of reads parked, riding probes, or queued for the next
     /// probe (test observability).
     pub fn pending_reads(&self) -> usize {
-        self.read_queue.len() + self.read_probes.pending() + self.queued_probe_reads.len()
+        self.exec.reads.len() + self.read_probes.pending()
     }
 
     // ------------------------------------------------------------------
@@ -1542,22 +1483,7 @@ impl MultiPaxos {
                 ctx.log_append(PaxosLogRec::Commit { instance });
             }
             if let Some((cmd, origin)) = slot.value {
-                let payload_len = cmd.payload.len();
-                // The session dedup window decides whether the command
-                // actually reaches the state machine: a client retry that
-                // already executed is answered from the cache instead.
-                let applied = self.sessions.commit_dedup(
-                    self.id,
-                    Committed {
-                        cmd,
-                        origin,
-                        order_hint: instance,
-                    },
-                    ctx,
-                );
-                if applied {
-                    self.checkpointer.note_commit(payload_len);
-                }
+                self.exec.execute(cmd, origin, instance, ctx);
             }
         }
         if log_marks {
@@ -1572,24 +1498,14 @@ impl MultiPaxos {
     /// plus the still-pending accepts (everything below the watermark is
     /// inside the snapshot, everything above is in `instances`).
     fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
-        if !self.checkpointer.due() {
-            return;
-        }
-        let Some(snapshot) = ctx.sm_snapshot() else {
-            return; // driver without snapshot support: replay-only recovery
-        };
-        self.checkpointer.taken();
-        let cp = Checkpoint {
-            applied: self.exec_cursor,
-            epoch: Epoch::ZERO,
-            config: self.membership.config().to_vec(),
-            snapshot,
-            sessions: self.sessions.export(),
-        };
-        if self.checkpointer.policy().compact {
-            self.compact_log(cp, ctx);
-        } else {
-            ctx.log_append(PaxosLogRec::Checkpoint(cp));
+        let config = self.membership.config();
+        let due = self
+            .exec
+            .checkpoint_if_due(self.exec_cursor, Epoch::ZERO, config, ctx);
+        match due {
+            Some(cp) if self.exec.compacts() => self.compact_log(cp, ctx),
+            Some(cp) => ctx.log_append(PaxosLogRec::Checkpoint(cp)),
+            None => {}
         }
     }
 
@@ -1630,56 +1546,24 @@ impl MultiPaxos {
             }
         }
         self.stalled_at = Some((self.exec_cursor, now)); // pace the retry
-        if let Some(to) = self.next_transfer_target() {
-            ctx.send(
-                to,
-                PaxosMsg::StateRequest(StateTransferRequest {
-                    have: self.exec_cursor,
-                }),
-            );
-        }
-    }
-
-    /// The next peer to ask for a checkpoint (round-robin over the
-    /// configuration, skipping self).
-    fn next_transfer_target(&mut self) -> Option<ReplicaId> {
         let config = self.membership.config();
-        for _ in 0..config.len() {
-            let candidate = config[self.transfer_target % config.len()];
-            self.transfer_target = (self.transfer_target + 1) % config.len();
-            if candidate != self.id {
-                return Some(candidate);
-            }
+        if let Some((to, req)) = self.exec.transfer_request(self.exec_cursor, config) {
+            ctx.send(to, PaxosMsg::StateRequest(req));
         }
-        None // single-replica configuration: no peer to ask
     }
 
     /// Serves a state transfer request with a fresh snapshot of our
-    /// executed prefix — always coherent, never stale, no retained
-    /// checkpoint needed. The reply carries our promise so the installer
+    /// executed prefix. The reply carries our promise so the installer
     /// cannot regress below a regime the cluster already fenced.
     fn on_state_request(&mut self, from: ReplicaId, have: u64, ctx: &mut dyn Context<Self>) {
-        if self.exec_cursor <= have {
-            return; // nothing the requester does not already have
+        let config = self.membership.config();
+        let served = self
+            .exec
+            .serve_transfer(have, self.exec_cursor, Epoch::ZERO, config, ctx);
+        if let Some(reply) = served {
+            let promised = self.promised;
+            ctx.send(from, PaxosMsg::StateReply { reply, promised });
         }
-        let Some(snapshot) = ctx.sm_snapshot() else {
-            return; // cannot snapshot: let a peer that can answer
-        };
-        ctx.send(
-            from,
-            PaxosMsg::StateReply {
-                reply: StateTransferReply {
-                    checkpoint: Checkpoint {
-                        applied: self.exec_cursor,
-                        epoch: Epoch::ZERO,
-                        config: self.membership.config().to_vec(),
-                        snapshot,
-                        sessions: self.sessions.export(),
-                    },
-                },
-                promised: self.promised,
-            },
-        );
     }
 
     /// Installs a transferred checkpoint: everything below its watermark
@@ -1699,18 +1583,15 @@ impl MultiPaxos {
         if cp.applied <= self.exec_cursor {
             return; // stale or duplicate reply
         }
-        if !ctx.sm_install(cp.snapshot.clone()) {
+        if !self.exec.install(&cp, ctx) {
             return; // driver cannot install snapshots
         }
-        // The dedup window travels with the snapshot: adopt the sender's
-        // (it reflects exactly the applied prefix we just installed).
-        let _ = self.sessions.install(&cp.sessions);
         self.stalled_at = None;
         self.instances = self.instances.split_off(&cp.applied);
         self.exec_cursor = cp.applied;
         self.committed_next = self.committed_next.max(cp.applied);
         self.next_instance = self.next_instance.max(cp.applied);
-        if self.checkpointer.policy().compact {
+        if self.exec.compacts() {
             self.compact_log(cp, ctx);
         } else {
             ctx.log_append(PaxosLogRec::Checkpoint(cp));
@@ -1775,23 +1656,16 @@ impl Protocol for MultiPaxos {
                 PaxosVariant::Plain => self.committed_next.max(self.repair_top),
                 PaxosVariant::Bcast => self.local_read_mark(),
             };
-            self.read_queue.park(mark, cmd);
+            self.exec.reads.park(mark, cmd);
             self.release_reads(ctx);
-        } else if self.read_probes.in_flight() >= MAX_INFLIGHT_PROBES {
-            // Probes are saturated: queue the read to ride the next
-            // one (launched the moment a probe completes — see
-            // `complete_ready_probes`). The escape timer bounds the
-            // wait when no in-flight probe reaches a majority.
-            self.queued_probe_reads.push(cmd);
-            if !self.probe_flush_armed {
-                self.probe_flush_armed = true;
-                ctx.set_timer(PROBE_FLUSH_US, TOKEN_PROBE_FLUSH);
-            }
-        } else {
+        } else if let Some(cmds) = self.read_probes.admit(cmd, TOKEN_PROBE_FLUSH, ctx) {
             // Nack the local fast path and forward the read onto the
             // clock-free quorum-mark fallback (followers, candidates,
-            // and a leader whose lease is uncertain all land here).
-            self.start_read_probe(vec![cmd], ctx);
+            // and a leader whose lease is uncertain all land here). With
+            // probes saturated the read instead rides the next one
+            // (launched the moment a probe completes — see
+            // `complete_ready_probes`).
+            self.start_read_probe(cmds, ctx);
         }
     }
 
@@ -1899,12 +1773,9 @@ impl Protocol for MultiPaxos {
         if token == TOKEN_LEASE {
             self.lease_tick(ctx);
         } else if token == TOKEN_PROBE_FLUSH {
-            self.probe_flush_armed = false;
-            // Escape hatch: the gating probe has had its window; give
-            // the queued reads their own probe even if it is still in
-            // flight (a probe always begins after its riders arrived, so
-            // overlapping probes are safe — just extra traffic).
-            self.flush_queued_probe_reads(ctx);
+            // Escape hatch: the gating probes have had their window.
+            let queued = self.read_probes.on_flush_timer();
+            self.start_read_probe(queued, ctx);
         }
     }
 
@@ -1914,18 +1785,14 @@ impl Protocol for MultiPaxos {
         // watermark instead of replaying from instance zero. Falls back
         // to a full replay when the driver cannot install snapshots
         // (sound only while the log is uncompacted).
-        let mut base = 0u64;
-        for rec in log.iter().rev() {
-            if let PaxosLogRec::Checkpoint(cp) = rec {
-                if ctx.sm_install(cp.snapshot.clone()) {
-                    base = cp.applied;
-                    // Restore the dedup window the checkpoint rode in
-                    // with; replay above the watermark extends it.
-                    let _ = self.sessions.install(&cp.sessions);
-                }
-                break;
-            }
-        }
+        let newest = log.iter().rev().find_map(|rec| match rec {
+            PaxosLogRec::Checkpoint(cp) => Some(cp),
+            _ => None,
+        });
+        let base = match newest {
+            Some(cp) if self.exec.install(cp, ctx) => cp.applied,
+            _ => 0,
+        };
         self.exec_cursor = base;
         self.committed_next = base;
         // Rebuild accepted instances, the promise, the regime, and the

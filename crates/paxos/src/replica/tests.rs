@@ -1,7 +1,8 @@
 use super::*;
 use crate::msg::SuffixEntry;
 use bytes::Bytes;
-use rsm_core::command::CommandId;
+use rsm_core::checkpoint::{StateTransferReply, StateTransferRequest};
+use rsm_core::command::{CommandId, Committed, Reply};
 use rsm_core::id::ClientId;
 use rsm_core::read::ReadRequest;
 use rsm_core::time::Micros;
@@ -555,6 +556,40 @@ fn recovery_restores_checkpoint_and_replays_only_the_suffix() {
     // The ack watermark resumes above the checkpoint.
     p2.on_message(r(0), accept(b0(), 3, vec![cmd(4)], r(0)), &mut ctx2);
     assert_eq!(last_ack(&ctx2), Some(4));
+}
+
+/// Recovery replay feeds the checkpoint trigger like live execution: a
+/// replica that crashes every 2 commits — more often than its 5-commit
+/// interval — still checkpoints.
+#[test]
+fn crashing_more_often_than_the_interval_still_checkpoints() {
+    let mut ctx = TestCtx::with_snapshots();
+    for life in 0..4u64 {
+        // A crash loses the replica and its state machine; the log stays.
+        let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
+            .with_checkpoints(CheckpointPolicy::every(5));
+        ctx.executed.clear();
+        p.on_recover(&ctx.log.clone(), &mut ctx);
+        let (first, next) = (2 * life, 2 * life + 2);
+        let cmds = vec![cmd(first + 1), cmd(first + 2)];
+        p.on_message(r(0), accept(b0(), first, cmds, r(0)), &mut ctx);
+        p.on_message(r(0), acked(b0(), next), &mut ctx);
+        p.on_message(r(2), acked(b0(), next), &mut ctx);
+    }
+    assert_eq!(ctx.executed, (1..=8).collect::<Vec<u64>>());
+    let checkpoints: Vec<u64> = ctx
+        .log
+        .iter()
+        .filter_map(|l| match l {
+            PaxosLogRec::Checkpoint(cp) => Some(cp.applied),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        checkpoints,
+        vec![6],
+        "4 replayed + 2 live commits pass the interval in the third life"
+    );
 }
 
 #[test]

@@ -192,3 +192,35 @@ fn shard_local_long_outage_rejoins_past_log_retention() {
         }
     }
 }
+
+/// The sharded twin of
+/// `session_retry::session_window_eviction_reapplies_late_retries`: the
+/// experiment's session knobs reach every shard's replicas. Clients time
+/// out before a 5 ms-one-way commit can answer, so every write is
+/// re-submitted under its original id while the original is still in
+/// flight. With the default window the retry is recognised and answered
+/// from the cached reply; with a window of one client another client's
+/// write has evicted the entry by then, so the late retry re-applies —
+/// visible as a duplicate execution in the shard's commit history.
+#[test]
+fn session_window_reaches_every_shard() {
+    let shape = || base(75, 600).client_retry_us(8 * MILLIS);
+    let run = |base| run_sharded(ProtocolChoice::clock_rsm(), &ShardedConfig::new(base, 2));
+
+    let r = run(shape());
+    assert!(
+        r.all_ok(),
+        "same-id retries must dedup under the default window: {:?}",
+        r.aggregate.checks.violation
+    );
+
+    let r = run(shape().session_window(1));
+    assert!(
+        !r.aggregate.checks.no_duplicates_ok,
+        "a one-client window cannot still recognise the late retries"
+    );
+    assert!(
+        r.per_shard.iter().all(|s| !s.checks.no_duplicates_ok),
+        "the window override must reach every shard"
+    );
+}
