@@ -9,7 +9,7 @@
 //! three sites, ±1 ms NTP clocks, 90/10 reads) for each protocol with
 //! full span tracing (`rsm-obs`), aggregates the per-stage medians
 //! into a latency-breakdown table, and writes it into
-//! `BENCH_perf.json` (schema v6) next to `perf_baseline`'s matrix.
+//! `BENCH_perf.json` next to `perf_baseline`'s matrix.
 //!
 //! Breakdown columns (median virtual milliseconds over every traced
 //! write):
@@ -33,31 +33,28 @@
 //!    replicate-vs-stable ordering agrees **directionally** with the
 //!    `analysis` model (`2·median_from` vs `max_from`);
 //! 4. every replica's `commands.executed` counter equals its commit
-//!    count (the instrumentation does not miscount);
-//! 5. the instrumented heavy-throughput run lands within 5 % of its
-//!    uninstrumented twin (observability must be ~free).
+//!    count (the instrumentation does not miscount).
+//!
+//! What instrumentation costs is a wall-clock question this
+//! virtual-time experiment cannot answer (observation consumes no
+//! virtual time); the repo benchmark's `obs.overhead_frac` row
+//! measures it.
 //!
 //! Run **after** `perf_baseline` (it substitutes the single-line
-//! `"latency_breakdown"` / `"obs_overhead"` placeholder sections in
-//! place); standalone runs write a fresh skeleton file instead.
-//! `BENCH_QUICK=1` shrinks the windows; `BENCH_PERF_OUT` overrides the
-//! path.
+//! `"latency_breakdown"` placeholder section in place); standalone runs
+//! write a fresh skeleton file instead. `BENCH_QUICK=1` shrinks the
+//! windows; `BENCH_PERF_OUT` overrides the path.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use analysis::model;
 use bench::quick;
 use harness::{run_latency, ExperimentConfig, ExperimentResult, ProtocolChoice};
 use rsm_core::obs::TraceStage;
 use rsm_core::time::MILLIS;
-use rsm_core::{BatchPolicy, LatencyMatrix, ReplicaId};
+use rsm_core::{LatencyMatrix, ReplicaId};
 use rsm_obs::{ObsConfig, Span};
-use simnet::{ClockModel, CpuModel};
-
-/// Instrumented-vs-uninstrumented heavy-throughput gate: the
-/// instrumented run must land within this fraction of its twin.
-const OVERHEAD_MAX_FRAC: f64 = 0.05;
+use simnet::ClockModel;
 
 /// Sum-consistency gate: the telescoping term p50s must land within
 /// this fraction of the end-to-end p50 (medians do not telescope
@@ -96,29 +93,6 @@ fn traced_readmix(choice: ProtocolChoice) -> ExperimentResult {
 
 fn geo_matrix() -> LatencyMatrix {
     LatencyMatrix::uniform(3, 25_000)
-}
-
-/// One heavy-load cell (the `perf_baseline` heavy scenario), with or
-/// without instrumentation, for the overhead gate.
-fn heavy(choice: ProtocolChoice, observe: bool) -> (ExperimentResult, f64) {
-    let clients = if quick() { 20 } else { 40 };
-    let (warmup, duration) = windows();
-    let mut cfg = ExperimentConfig::new(LatencyMatrix::uniform(5, 250))
-        .seed(11)
-        .clients_per_site(clients)
-        .think_max_us(0)
-        .value_bytes(10)
-        .warmup_us(warmup)
-        .duration_us(duration / 2)
-        .cpu(CpuModel::default())
-        .batch(BatchPolicy::max(64))
-        .record_ops(false);
-    if observe {
-        cfg = cfg.observe(ObsConfig::all());
-    }
-    let t0 = Instant::now();
-    let r = run_latency(choice, &cfg);
-    (r, t0.elapsed().as_secs_f64())
 }
 
 /// Median of stage-pair deltas (virtual ms) over the spans that carry
@@ -195,16 +169,6 @@ fn breakdown(protocol: &'static str, r: &ExperimentResult) -> Breakdown {
     }
 }
 
-/// Per-protocol overhead row: virtual throughput with and without the
-/// registry + tracer attached, plus wall-clock (stderr only: it is
-/// machine-dependent, the JSON stays reproducible).
-struct Overhead {
-    protocol: &'static str,
-    uninstrumented_kops: f64,
-    instrumented_kops: f64,
-    delta_frac: f64,
-}
-
 fn fmt_opt(v: Option<f64>) -> String {
     match v {
         Some(v) => format!("{v:.3}"),
@@ -212,14 +176,14 @@ fn fmt_opt(v: Option<f64>) -> String {
     }
 }
 
-/// Replaces the single-line `"latency_breakdown"` / `"obs_overhead"`
-/// placeholder sections of an existing `BENCH_perf.json` in place, or
-/// writes a fresh skeleton when the file (or a placeholder) is missing.
-fn merge_into(path: &str, breakdown_line: &str, overhead_line: &str) {
+/// Replaces the single-line `"latency_breakdown"` placeholder section of
+/// an existing `BENCH_perf.json` in place, or writes a fresh skeleton
+/// when the file (or the placeholder) is missing.
+fn merge_into(path: &str, breakdown_line: &str) {
     let fresh = || {
         format!(
-            "{{\n  \"schema\": \"clock-rsm-repro/perf-baseline/v6\",\n  \"quick\": {},\n\
-             {breakdown_line}\n{overhead_line}\n  \"entries\": []\n}}\n",
+            "{{\n  \"schema\": \"clock-rsm-repro/perf-baseline/v7\",\n  \"quick\": {},\n\
+             {breakdown_line}\n  \"entries\": []\n}}\n",
             quick()
         )
     };
@@ -231,8 +195,6 @@ fn merge_into(path: &str, breakdown_line: &str, overhead_line: &str) {
                     let t = line.trim_start();
                     if t.starts_with("\"latency_breakdown\":") {
                         breakdown_line.to_string()
-                    } else if t.starts_with("\"obs_overhead\":") {
-                        overhead_line.to_string()
                     } else {
                         line.to_string()
                     }
@@ -377,48 +339,8 @@ fn main() {
         rows.push(b);
     }
 
-    // The overhead gate: instrumented vs uninstrumented heavy load.
-    println!("\n=== Instrumentation overhead (heavy load, static-64) ===");
-    println!(
-        "{:<14}{:>14}{:>14}{:>10}{:>16}",
-        "protocol", "plain kops", "traced kops", "delta", "wall s (p/t)"
-    );
-    let mut overheads: Vec<Overhead> = Vec::new();
-    for choice in &protocols {
-        let (plain, plain_wall) = heavy(choice.clone(), false);
-        let (traced, traced_wall) = heavy(choice.clone(), true);
-        let delta = (traced.throughput_kops - plain.throughput_kops).abs()
-            / plain.throughput_kops.max(1e-9);
-        println!(
-            "{:<14}{:>14.1}{:>14.1}{:>9.2}%{:>9.1}/{:.1}",
-            plain.protocol,
-            plain.throughput_kops,
-            traced.throughput_kops,
-            delta * 100.0,
-            plain_wall,
-            traced_wall
-        );
-        if check && delta > OVERHEAD_MAX_FRAC {
-            failures.push(format!(
-                "{}: instrumented heavy throughput {:.1}k deviates {:.1}% from \
-                 uninstrumented {:.1}k (max {:.0}%)",
-                plain.protocol,
-                traced.throughput_kops,
-                delta * 100.0,
-                plain.throughput_kops,
-                OVERHEAD_MAX_FRAC * 100.0
-            ));
-        }
-        overheads.push(Overhead {
-            protocol: plain.protocol,
-            uninstrumented_kops: plain.throughput_kops,
-            instrumented_kops: traced.throughput_kops,
-            delta_frac: delta,
-        });
-    }
-
-    // Substitute the schema-v6 sections in place (single lines, so a
-    // rerun substitutes its own output idempotently).
+    // Substitute the section in place (a single line, so a rerun
+    // substitutes its own output idempotently).
     let mut bl = String::from("  \"latency_breakdown\": [ ");
     for (i, b) in rows.iter().enumerate() {
         let _ = write!(
@@ -444,19 +366,8 @@ fn main() {
         bl.push_str(if i + 1 < rows.len() { ", " } else { " " });
     }
     bl.push_str("],");
-    let mut ol = String::from("  \"obs_overhead\": [ ");
-    for (i, o) in overheads.iter().enumerate() {
-        let _ = write!(
-            ol,
-            "{{ \"protocol\": \"{}\", \"uninstrumented_kops\": {:.3}, \
-             \"instrumented_kops\": {:.3}, \"delta_frac\": {:.4}, \"max_frac\": {} }}",
-            o.protocol, o.uninstrumented_kops, o.instrumented_kops, o.delta_frac, OVERHEAD_MAX_FRAC
-        );
-        ol.push_str(if i + 1 < overheads.len() { ", " } else { " " });
-    }
-    ol.push_str("],");
-    merge_into(&out_path, &bl, &ol);
-    println!("\nmerged latency_breakdown + obs_overhead into {out_path}");
+    merge_into(&out_path, &bl);
+    println!("\nmerged latency_breakdown into {out_path}");
 
     if !failures.is_empty() {
         eprintln!(

@@ -1,17 +1,16 @@
 //! Canonical performance baseline: a fixed throughput/latency matrix —
-//! 3 protocols × {light, heavy} load × {static 1, static 64, adaptive},
-//! plus a **read-heavy (90/10) geo scenario** per protocol — written to
+//! 3 protocols × {light, heavy} load × batch cap {1, 64}, plus a
+//! **read-heavy (90/10) geo scenario** per protocol — written to
 //! machine-readable `BENCH_perf.json` so every future PR has a
 //! trajectory to compare against.
 //!
-//! The batching matrix is the adaptive-batching acceptance experiment:
+//! The batching matrix records what the cap buys and costs:
 //!
 //! * **heavy** load (saturating closed-loop clients, 10 B commands, the
-//!   default CPU cost model) measures throughput — adaptive must land
-//!   within 10 % of the best static policy (full amortization).
+//!   default CPU cost model) measures throughput (amortization).
 //! * **light** load (2 clients per site with think time) measures p50
-//!   commit latency — adaptive must stay within 10 % of static batch=1
-//!   (no batching tax when there is nothing to batch).
+//!   commit latency (flushes are opportunistic, so the cap costs
+//!   nothing when there is nothing to batch).
 //!
 //! The **readmix** column is the local-read acceptance experiment
 //! (`rsm_core::read`): a 90/10 mix on a 25 ms-one-way geo topology with
@@ -36,18 +35,17 @@
 //! regression shows up as a collapse here long before it matters on a
 //! real network).
 //!
-//! Schema v6 adds two observability sections, `latency_breakdown` and
-//! `obs_overhead`, emitted as single-line placeholders here and filled
-//! **in place** by the `obs_report` binary (run it after this one; see
-//! its doc header for the column definitions and the gates it applies).
+//! The `latency_breakdown` section is emitted as a single-line
+//! placeholder here and filled **in place** by the `obs_report` binary
+//! (run it after this one; see its doc header for the column
+//! definitions and the gates it applies).
 //!
 //! Run with `cargo run -p bench --release --bin perf_baseline`.
 //! `BENCH_QUICK=1` shrinks the windows for smoke runs; `--check` exits
-//! non-zero if the adaptive policy's heavy-load throughput regresses
-//! more than 20 % below static-64 for any protocol, the read-mix gate
-//! fails, the 8-shard aggregate lands below 4x the single-shard row,
-//! or a loopback-TCP row falls below half its in-process twin (the CI
-//! gates); `BENCH_PERF_OUT` overrides the output path.
+//! non-zero if the read-mix gate fails, the 8-shard aggregate lands
+//! below 4x the single-shard row, or a loopback-TCP row falls below
+//! half its in-process twin (the CI gates); `BENCH_PERF_OUT` overrides
+//! the output path.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,10 +68,6 @@ use rsm_core::{BatchPolicy, LatencyMatrix, Membership, ReplicaId};
 use rsm_runtime::{Cluster, ClusterConfig, ClusterTransport};
 use simnet::{ClockModel, CpuModel};
 
-/// The CI regression gate: adaptive heavy-load throughput must stay
-/// within this fraction of static-64.
-const CHECK_FLOOR: f64 = 0.80;
-
 /// The scale-out regression gate: the 8-shard Clock-RSM aggregate must
 /// deliver at least this multiple of the single-shard row (sub-linear
 /// scaling collapse fails `--check`).
@@ -85,11 +79,6 @@ const SHARD_SCALE_FLOOR: f64 = 4.0;
 /// parity is not expected — but a codec or transport regression that
 /// halves throughput over loopback fails `--check`.
 const LOOPBACK_FLOOR: f64 = 0.5;
-
-/// The acceptance targets the JSON records (informational in `--check`
-/// smoke runs, the real bar for full runs).
-const TARGET_THROUGHPUT_FRAC: f64 = 0.90;
-const TARGET_P50_FRAC: f64 = 1.10;
 
 struct Cell {
     protocol: &'static str,
@@ -106,11 +95,10 @@ struct Cell {
     read_count: usize,
 }
 
-fn policies() -> [(&'static str, BatchPolicy); 3] {
+fn policies() -> [(&'static str, BatchPolicy); 2] {
     [
         ("static1", BatchPolicy::DISABLED),
         ("static64", BatchPolicy::max(64)),
-        ("adaptive", BatchPolicy::adaptive(64)),
     ]
 }
 
@@ -402,43 +390,7 @@ fn main() {
             .expect("full matrix")
     };
 
-    // Per-protocol acceptance summary.
-    let mut summaries = Vec::new();
     let mut failures = Vec::new();
-    println!("\n=== Adaptive batching vs static baselines ===");
-    println!(
-        "{:<14}{:>16}{:>16}{:>14}{:>14}",
-        "protocol", "heavy adp/best", "heavy adp/s64", "light p50/s1", "verdict"
-    );
-    for choice in &protocols {
-        let name = choice.name();
-        let s1 = get(name, "heavy", "static1").throughput_kops;
-        let s64 = get(name, "heavy", "static64").throughput_kops;
-        let adp = get(name, "heavy", "adaptive").throughput_kops;
-        let best = s1.max(s64);
-        let tp_vs_best = adp / best.max(1e-9);
-        let tp_vs_s64 = adp / s64.max(1e-9);
-        let p50_s1 = get(name, "light", "static1").p50_ms;
-        let p50_adp = get(name, "light", "adaptive").p50_ms;
-        let p50_frac = p50_adp / p50_s1.max(1e-9);
-        let meets = tp_vs_best >= TARGET_THROUGHPUT_FRAC && p50_frac <= TARGET_P50_FRAC;
-        println!(
-            "{name:<14}{:>15.1}%{:>15.1}%{:>13.1}%{:>14}",
-            tp_vs_best * 100.0,
-            tp_vs_s64 * 100.0,
-            p50_frac * 100.0,
-            if meets { "ok" } else { "MISS" }
-        );
-        if check && tp_vs_s64 < CHECK_FLOOR {
-            failures.push(format!(
-                "{name}: adaptive heavy throughput {adp:.1}k is {:.1}% of static-64 \
-                 {s64:.1}k (floor {:.0}%)",
-                tp_vs_s64 * 100.0,
-                CHECK_FLOOR * 100.0
-            ));
-        }
-        summaries.push((name, tp_vs_best, tp_vs_s64, p50_frac, meets));
-    }
 
     // Read-mix acceptance: local reads alive everywhere; Clock-RSM's
     // stable-timestamp reads strictly undercut its write commits.
@@ -549,21 +501,17 @@ fn main() {
     // the JSON is assembled by hand).
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"clock-rsm-repro/perf-baseline/v6\",");
+    let _ = writeln!(json, "  \"schema\": \"clock-rsm-repro/perf-baseline/v7\",");
     let _ = writeln!(json, "  \"quick\": {},", quick());
     let _ = writeln!(
         json,
-        "  \"targets\": {{ \"heavy_throughput_vs_best_static_min\": {TARGET_THROUGHPUT_FRAC}, \
-         \"light_p50_vs_static1_max\": {TARGET_P50_FRAC}, \
-         \"readmix_clock_rsm_read_p50_below_write_p50\": true, \
+        "  \"targets\": {{ \"readmix_clock_rsm_read_p50_below_write_p50\": true, \
          \"shard8_aggregate_vs_shard1_min\": {SHARD_SCALE_FLOOR}, \
          \"loopback_tcp_vs_inproc_min\": {LOOPBACK_FLOOR} }},"
     );
-    // Schema-v6 observability sections, filled **in place** by the
-    // `obs_report` binary (kept to single lines so its substitution is
-    // line-based; run it after this one).
+    // Filled **in place** by the `obs_report` binary (kept to a single
+    // line so its substitution is line-based; run it after this one).
     json.push_str("  \"latency_breakdown\": [],\n");
-    json.push_str("  \"obs_overhead\": [],\n");
     json.push_str("  \"entries\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(
@@ -586,17 +534,18 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str("  \"summary\": [\n");
-    for (i, (name, vs_best, vs_s64, p50_frac, meets)) in summaries.iter().enumerate() {
-        let (_, read_p50, write_p50, read_meets) = read_summaries[i];
+    for (i, (name, read_p50, write_p50, read_meets)) in read_summaries.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{ \"protocol\": \"{name}\", \"heavy_adaptive_vs_best_static\": {vs_best:.4}, \
-             \"heavy_adaptive_vs_static64\": {vs_s64:.4}, \
-             \"light_adaptive_p50_vs_static1\": {p50_frac:.4}, \"meets_targets\": {meets}, \
+            "    {{ \"protocol\": \"{name}\", \
              \"readmix_read_p50_ms\": {read_p50:.3}, \"readmix_write_p50_ms\": {write_p50:.3}, \
              \"readmix_meets_targets\": {read_meets} }}"
         );
-        json.push_str(if i + 1 < summaries.len() { ",\n" } else { "\n" });
+        json.push_str(if i + 1 < read_summaries.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     json.push_str("  ],\n");
     json.push_str("  \"shard_sweep\": [\n");

@@ -34,6 +34,6 @@ fn main() {
         assert!(status.success(), "{t} failed with {status}");
     }
     println!(
-        "\nAll tables and figures reproduced. See EXPERIMENTS.md for the paper-vs-measured record."
+        "\nAll tables and figures reproduced. tests/paper_claims.rs asserts the paper's shapes."
     );
 }

@@ -22,8 +22,8 @@
 //! | `ablation_jitter` | network jitter sensitivity |
 //! | `ablation_batching` | CPU fixed-cost (batching benefit) sweep |
 //! | `batch_sweep` | protocol-level batch size × command size throughput sweep |
-//! | `perf_baseline` | canonical perf matrix (3 protocols × light/heavy × static/adaptive batching) → `BENCH_perf.json` |
-//! | `obs_report` | per-protocol latency breakdown from trace spans + instrumentation overhead → `BENCH_perf.json` (run after `perf_baseline`) |
+//! | `perf_baseline` | canonical perf matrix (3 protocols × light/heavy × static batch caps, shard sweep, wall-clock runtime rows) → `BENCH_perf.json` |
+//! | `obs_report` | per-protocol latency breakdown from trace spans → `BENCH_perf.json` (run after `perf_baseline`) |
 //!
 //! Run any of them with `cargo run -p bench --release --bin figN`.
 //! Set `BENCH_QUICK=1` to shrink measurement windows ~10x for smoke runs.

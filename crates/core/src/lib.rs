@@ -27,21 +27,15 @@
 //!
 //! Every protocol in the workspace replicates whole [`Batch`]es of client
 //! commands: drivers coalesce queued requests (up to
-//! [`BatchPolicy::max_batch`] commands and [`BatchPolicy::max_bytes`] of
-//! payload, never waiting intentionally) and deliver them via
-//! [`Protocol::on_client_batch`]; protocols bind each batch to a
-//! contiguous run of ordering coordinates and acknowledge it with one
-//! cumulative watermark message. `BatchPolicy::DISABLED` (the default
-//! everywhere) reproduces per-command behaviour exactly — batching is
-//! never observable in the committed sequence, only in throughput.
-//!
-//! The flush threshold can also adapt to load: an
-//! [`adaptive`](BatchPolicy::adaptive) policy gives each driver node a
-//! [`BatchController`] that widens batches as its inbox deepens and
-//! narrows them back when load (and commit latency) subsides, so a
-//! single knob serves both light-load latency and heavy-load
-//! amortization. Batches themselves are `Arc`-shared, so the per-peer
-//! message clones of a broadcast never deep-copy command payloads.
+//! [`BatchPolicy::max_batch`] commands, never waiting intentionally) and
+//! deliver them via [`Protocol::on_client_batch`]; protocols bind each
+//! batch to a contiguous run of ordering coordinates and acknowledge it
+//! with one cumulative watermark message. `BatchPolicy::DISABLED` (the
+//! default everywhere) reproduces per-command behaviour exactly —
+//! batching is never observable in the committed sequence, only in
+//! throughput.
+//! Batches themselves are `Arc`-shared, so the per-peer message clones
+//! of a broadcast never deep-copy command payloads.
 //!
 //! ## Linearizable reads
 //!
@@ -119,7 +113,7 @@ pub mod sm;
 pub mod time;
 pub mod wire;
 
-pub use batch::{Batch, BatchController, BatchPolicy};
+pub use batch::{Batch, BatchPolicy};
 pub use checkpoint::{
     Checkpoint, CheckpointPolicy, Checkpointer, StateTransferReply, StateTransferRequest,
 };

@@ -105,8 +105,6 @@ pub mod names {
     /// included (stamped by the simnet driver; the base a protocol's
     /// extra-message counters are shares of).
     pub const MSGS_SENT: &str = "net.msgs_sent";
-    /// The batch controller's current drain threshold.
-    pub const BATCH_THRESHOLD: &str = "batch.threshold";
     /// Lag between the replica's clock and its stable timestamp, µs
     /// (Clock-RSM; the stable-wait a fresh command would pay locally).
     pub const STABLE_LAG_US: &str = "clock_rsm.stable_lag_us";

@@ -52,8 +52,7 @@ pub struct ExperimentConfig {
     /// CPU cost model (throughput experiments only).
     pub cpu: Option<CpuModel>,
     /// Request-coalescing policy: queued client requests are handed to
-    /// the protocol as batches of up to `max_batch` commands and
-    /// `max_bytes` of payload.
+    /// the protocol as batches of up to `max_batch` commands.
     pub batch: BatchPolicy,
     /// Checkpoint policy applied to every replica (shared subsystem,
     /// `rsm_core::checkpoint`): periodic snapshots, optional log

@@ -78,8 +78,7 @@ impl LatencyStats {
         self.percentile_ms(50.0)
     }
 
-    /// 99th-percentile latency in milliseconds (0 when empty) — the tail
-    /// the adaptive-batching benches track alongside the mean.
+    /// 99th-percentile latency in milliseconds (0 when empty).
     pub fn p99_ms(&mut self) -> f64 {
         self.percentile_ms(99.0)
     }

@@ -169,10 +169,7 @@ impl ClusterConfig {
 
     /// Sets the request-coalescing policy: a node thread hands the
     /// protocol whatever requests are queued in its inbox (up to
-    /// `max_batch`) as one batch, never waiting for more. An
-    /// [adaptive](BatchPolicy::adaptive) policy moves the effective
-    /// threshold with the observed inbox depth and reply latency
-    /// (see `rsm_core::BatchController`).
+    /// `max_batch`) as one batch, never waiting for more.
     pub fn batch_policy(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
         self
@@ -279,30 +276,18 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         match cfg.transport {
             ClusterTransport::InProcess => {
                 let (tx, net_rx) = unbounded();
-                // The network thread forwards wires into node inboxes via
-                // dedicated channels (a node input is either a wire or a
-                // control).
-                let mut wire_txs = Vec::with_capacity(n);
-                #[allow(clippy::needless_range_loop)] // i pairs channels with replica ids
-                for i in 0..n {
-                    let (wtx, wrx) = unbounded();
-                    wire_txs.push(wtx);
-                    // Bridge thread: wrap wires as NodeInput::Msg.
-                    let node_tx = node_txs[i].clone();
-                    std::thread::spawn(move || {
-                        while let Ok(w) = wrx.recv() {
-                            if node_tx.send(NodeInput::Msg(w)).is_err() {
-                                return;
-                            }
-                        }
-                    });
-                }
                 let latency = cfg.latency.clone();
                 let scale = cfg.scale;
+                let inboxes = node_txs.clone();
                 net_handle = Some(
                     std::thread::Builder::new()
                         .name("wan-emulator".to_string())
-                        .spawn(move || run_network(latency, scale, net_rx, wire_txs))
+                        .spawn(move || {
+                            run_network(latency, scale, net_rx, move |w: Wire<P::Msg>| {
+                                // A dropped inbox means the node stopped; ignore.
+                                let _ = inboxes[w.to.index()].send(NodeInput::Msg(w));
+                            })
+                        })
                         .expect("spawn network thread"),
                 );
                 outbounds = (0..n).map(|_| Outbound::Wan(tx.clone())).collect();
@@ -724,10 +709,11 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         for listener in &mut self.listeners {
             listener.stop();
         }
-        // Dropping node_txs/net_tx unblocks the bridge and router threads.
-        drop(self.node_txs);
-        drop(self.pending);
-        let _ = self.router_handle;
+        // Every `reply_tx` clone died with its node thread, so the
+        // router has seen its channel disconnect.
+        self.router_handle
+            .join()
+            .expect("reply router thread panicked");
         reports
     }
 }
@@ -1055,40 +1041,6 @@ mod tests {
         let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), 999);
         expected.apply(&Command::new(id, KvOp::put("last", "v").encode()));
         assert_eq!(reports[0].snapshot, expected.snapshot());
-    }
-
-    #[test]
-    fn adaptive_cluster_absorbs_a_submit_burst() {
-        use rsm_core::id::ClientId;
-
-        // Same burst as above under an adaptive policy: the controller
-        // starts at threshold 1 and widens as the burst queues up; every
-        // command must still commit exactly once.
-        let cfg = ClusterConfig::new(LatencyMatrix::uniform(3, 10_000))
-            .scale(0.02)
-            .batch_policy(BatchPolicy::adaptive(8));
-        let cluster = Cluster::spawn(
-            cfg,
-            |id| ClockRsm::new(id, Membership::uniform(3), ClockRsmConfig::default()),
-            kv,
-        );
-        for i in 0..20u64 {
-            let id = CommandId::new(ClientId::new(ReplicaId::new(0), 99), i + 1);
-            cluster.submit(
-                ReplicaId::new(0),
-                Command::new(id, KvOp::put(format!("burst{i}"), "v").encode()),
-            );
-        }
-        let reply = cluster
-            .execute(
-                ReplicaId::new(0),
-                KvOp::put("last", "v").encode(),
-                Duration::from_secs(20),
-            )
-            .expect("commit after burst");
-        assert_eq!(reply.result[0], 1);
-        let reports = cluster.shutdown();
-        assert_eq!(reports[0].commit_count, 21);
     }
 
     #[test]

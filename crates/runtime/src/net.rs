@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 
 use rsm_core::id::ReplicaId;
 use rsm_core::matrix::LatencyMatrix;
@@ -49,14 +49,14 @@ impl<M> Ord for InFlight<M> {
 }
 
 /// Runs the network loop: receives sends, holds each message for the
-/// link's one-way latency (scaled), then forwards it to the destination
-/// node's inbox. Per-link FIFO follows from constant latency plus the
-/// sequence tie-break.
+/// link's one-way latency (scaled), then hands it to `deliver`, which
+/// puts it in the destination node's inbox. Per-link FIFO follows from
+/// constant latency plus the sequence tie-break.
 pub(crate) fn run_network<M: Send + 'static>(
     latency: LatencyMatrix,
     scale: f64,
     rx: Receiver<NetInput<M>>,
-    inboxes: Vec<Sender<Wire<M>>>,
+    mut deliver: impl FnMut(Wire<M>),
 ) {
     let mut heap: BinaryHeap<Reverse<InFlight<M>>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -65,9 +65,7 @@ pub(crate) fn run_network<M: Send + 'static>(
         let now = Instant::now();
         while heap.peek().is_some_and(|Reverse(f)| f.due <= now) {
             let Reverse(flight) = heap.pop().expect("peeked");
-            let to = flight.wire.to.index();
-            // A dropped inbox means the node stopped; ignore.
-            let _ = inboxes[to].send(flight.wire);
+            deliver(flight.wire);
         }
         // Wait for the next send or the next due time.
         let input = match heap.peek() {
@@ -111,8 +109,11 @@ mod tests {
         let (tx, rx) = unbounded();
         let (in0, out0) = unbounded();
         let (in1, out1) = unbounded();
+        let inboxes = [in0, in1];
         let handle = std::thread::spawn(move || {
-            run_network::<u32>(latency, 0.1, rx, vec![in0, in1]);
+            run_network::<u32>(latency, 0.1, rx, |w| {
+                inboxes[w.to.index()].send(w).unwrap();
+            });
         });
         let start = Instant::now();
         for i in 0..5 {
@@ -139,10 +140,8 @@ mod tests {
     fn stops_on_disconnect() {
         let latency = LatencyMatrix::uniform(2, 1_000);
         let (tx, rx) = unbounded::<NetInput<u32>>();
-        let (in0, _out0) = unbounded();
-        let (in1, _out1) = unbounded();
         let handle = std::thread::spawn(move || {
-            run_network::<u32>(latency, 1.0, rx, vec![in0, in1]);
+            run_network::<u32>(latency, 1.0, rx, |_| {});
         });
         drop(tx);
         handle.join().unwrap();

@@ -1,13 +1,13 @@
 //! The per-replica node thread.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
-use rsm_core::batch::{Batch, BatchController, BatchPolicy};
+use rsm_core::batch::{Batch, BatchPolicy};
 use rsm_core::command::{Command, CommandId, Committed, Reply};
 use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, span_key, TraceStage};
@@ -60,15 +60,6 @@ pub struct NodeReport {
 /// send per drained protocol callback instead of one send per reply —
 /// the reply-path analogue of request batching.
 pub(crate) type ReplyBatch = Vec<(CommandId, Reply)>;
-
-/// Size at which the adaptive controller's drain-time map sheds entries
-/// older than [`REQ_DRAINED_MAX_AGE`] — commands that never produced a
-/// reply at this node (superseded, stale-dropped, retried) must not
-/// accumulate forever in a long-lived node thread.
-const REQ_DRAINED_CAP: usize = 4096;
-
-/// Age past which an unanswered drain-time entry is presumed dead.
-const REQ_DRAINED_MAX_AGE: Duration = Duration::from_secs(30);
 
 pub(crate) struct NodeHarness<P: Protocol> {
     pub id: ReplicaId,
@@ -236,13 +227,6 @@ impl<P: Protocol> NodeHarness<P> {
         let mut timer_seq = 0u64;
         let mut commit_count = 0u64;
         let mut replies: ReplyBatch = Vec::new();
-        // Adaptive batching state: the controller picks the effective
-        // flush threshold per drain (static policies pin it), fed by the
-        // observed inbox depth and — via `req_drained` — the drain-to-
-        // reply latency of this node's own clients' requests.
-        let adaptive = self.batch.adaptive;
-        let mut batcher = BatchController::new(self.batch);
-        let mut req_drained: HashMap<CommandId, Instant> = HashMap::new();
 
         // Run one protocol callback, then flush every reply it produced
         // as ONE channel send (reply batching: co-located clients cost
@@ -269,17 +253,6 @@ impl<P: Protocol> NodeHarness<P> {
                     $body;
                 }
                 if !replies.is_empty() {
-                    if adaptive {
-                        let now_us = self.epoch.elapsed().as_micros() as Micros;
-                        for (id, _) in &replies {
-                            if let Some(t0) = req_drained.remove(id) {
-                                batcher.record_commit_latency(
-                                    t0.elapsed().as_micros() as Micros,
-                                    now_us,
-                                );
-                            }
-                        }
-                    }
                     let _ = self.reply_tx.send(std::mem::take(&mut replies));
                 }
             }};
@@ -341,34 +314,21 @@ impl<P: Protocol> NodeHarness<P> {
                 }
                 NodeInput::Request(cmd) if cmd.read_only => {
                     // Reads bypass the batching pipeline entirely: a
-                    // `Get` must never wait behind an adaptive flush
-                    // threshold, and it carries no depth signal for the
-                    // controller. Straight to the protocol's read path.
+                    // `Get` must never wait behind a write batch.
+                    // Straight to the protocol's read path.
                     dispatch!(|c| self.proto.on_client_read(cmd, &mut c));
                 }
                 NodeInput::Request(cmd) => {
                     // Coalesce opportunistically: take whatever requests
-                    // are already queued (up to the effective count
-                    // threshold and byte budget) into one batch, never
-                    // waiting for more. A non-request input ends the run
-                    // and is handled right after, preserving arrival
-                    // order. The queue length (requests plus messages —
-                    // an upper bound on waiting requests, which is the
-                    // best this side of the channel can observe) is the
-                    // adaptive controller's depth signal.
-                    batcher.begin_drain(1 + self.inbox.len());
-                    if let Some(o) = &mut self.obs {
-                        o.gauge(names::BATCH_THRESHOLD, batcher.effective_max_batch() as i64);
-                    }
-                    let mut bytes = cmd.size();
+                    // are already queued (up to the policy cap) into one
+                    // batch, never waiting for more. A non-request input
+                    // ends the run and is handled right after, preserving
+                    // arrival order.
                     let mut cmds = vec![cmd];
                     let mut interrupt: Option<NodeInput<P>> = None;
-                    while batcher.fits(cmds.len(), bytes) {
+                    while self.batch.fits(cmds.len()) {
                         match self.inbox.try_recv() {
-                            Ok(NodeInput::Request(c)) if !c.read_only => {
-                                bytes += c.size();
-                                cmds.push(c);
-                            }
+                            Ok(NodeInput::Request(c)) if !c.read_only => cmds.push(c),
                             Ok(other) => {
                                 // A read or a message ends the run (and
                                 // is handled right after, preserving
@@ -378,24 +338,6 @@ impl<P: Protocol> NodeHarness<P> {
                                 break;
                             }
                             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                    if adaptive {
-                        let now = Instant::now();
-                        // Entries normally leave via the reply-flush
-                        // lookup, but a command may never reply at this
-                        // node (superseded proposal, duplicate dropped
-                        // as stale, client retried under a new id). The
-                        // map is advisory latency telemetry, so when it
-                        // grows past any plausible in-flight window we
-                        // evict stale entries rather than leak forever —
-                        // lost entries only cost latency samples.
-                        if req_drained.len() >= REQ_DRAINED_CAP {
-                            req_drained
-                                .retain(|_, t0| now.duration_since(*t0) < REQ_DRAINED_MAX_AGE);
-                        }
-                        for c in &cmds {
-                            req_drained.insert(c.id, now);
                         }
                     }
                     if let Some(t) = &self.tracer {
@@ -430,5 +372,126 @@ impl<P: Protocol> NodeHarness<P> {
             snapshot: self.sm.snapshot(),
             log_len: self.log.len(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::unbounded;
+    use kvstore::KvStore;
+    use rsm_core::id::ClientId;
+    use std::sync::{Arc, Mutex};
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Batch(usize),
+        Read,
+        Message,
+    }
+
+    /// Records which driver callback ran, in order; commits nothing.
+    struct Recorder {
+        calls: Arc<Mutex<Vec<Call>>>,
+    }
+
+    impl Recorder {
+        fn push(&self, call: Call) {
+            self.calls.lock().expect("recorder lock").push(call);
+        }
+    }
+
+    impl Protocol for Recorder {
+        type Msg = ();
+        type LogRec = ();
+        fn id(&self) -> ReplicaId {
+            ReplicaId::new(0)
+        }
+        fn on_start(&mut self, _: &mut dyn Context<Self>) {}
+        fn on_client_request(&mut self, _: Command, _: &mut dyn Context<Self>) {
+            unreachable!("the node loop only calls the batch and read entry points");
+        }
+        fn on_client_batch(&mut self, batch: Batch, _: &mut dyn Context<Self>) {
+            self.push(Call::Batch(batch.len()));
+        }
+        fn on_client_read(&mut self, _: Command, _: &mut dyn Context<Self>) {
+            self.push(Call::Read);
+        }
+        fn on_message(&mut self, _: ReplicaId, _: (), _: &mut dyn Context<Self>) {
+            self.push(Call::Message);
+        }
+        fn on_timer(&mut self, _: TimerToken, _: &mut dyn Context<Self>) {}
+        fn on_recover(&mut self, _: &[()], _: &mut dyn Context<Self>) {}
+    }
+
+    /// Runs a node over a fully pre-loaded inbox (nothing races the
+    /// drain) that ends in `Stop`, and returns the callback sequence.
+    fn drain(policy: BatchPolicy, inputs: Vec<NodeInput<Recorder>>) -> Vec<Call> {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let (inbox_tx, inbox) = unbounded();
+        for input in inputs {
+            inbox_tx.send(input).expect("inbox open");
+        }
+        inbox_tx.send(NodeInput::Stop).expect("inbox open");
+        let (net_tx, _net_rx) = unbounded();
+        let (reply_tx, _reply_rx) = unbounded();
+        let harness = NodeHarness {
+            id: ReplicaId::new(0),
+            proto: Recorder {
+                calls: Arc::clone(&calls),
+            },
+            sm: Box::new(KvStore::new()),
+            log: Vec::new(),
+            inbox,
+            outbound: Outbound::Wan(net_tx),
+            reply_tx,
+            epoch: Instant::now(),
+            clock_offset_us: 0,
+            batch: policy,
+            obs: None,
+            tracer: None,
+            poll_every: None,
+        };
+        harness.run();
+        let mut calls = calls.lock().expect("recorder lock");
+        std::mem::take(&mut *calls)
+    }
+
+    fn id(seq: u64) -> CommandId {
+        CommandId::new(ClientId::new(ReplicaId::new(0), 0), seq)
+    }
+
+    fn write(seq: u64) -> NodeInput<Recorder> {
+        NodeInput::Request(Command::new(id(seq), Bytes::from_static(b"w")))
+    }
+
+    #[test]
+    fn reads_and_messages_end_a_write_run_and_keep_arrival_order() {
+        let msg = NodeInput::Msg(Wire {
+            from: ReplicaId::new(1),
+            to: ReplicaId::new(0),
+            msg: (),
+        });
+        let read = NodeInput::Request(Command::read(id(3), Bytes::from_static(b"r")));
+        let inputs = vec![write(1), write(2), read, write(4), msg, write(5)];
+        assert_eq!(
+            drain(BatchPolicy::max(8), inputs),
+            [
+                Call::Batch(2),
+                Call::Read,
+                Call::Batch(1),
+                Call::Message,
+                Call::Batch(1), // its run is ended by `Stop`
+            ]
+        );
+    }
+
+    #[test]
+    fn a_deep_write_queue_splits_at_the_cap() {
+        let inputs = (1..=20).map(write).collect();
+        assert_eq!(
+            drain(BatchPolicy::max(8), inputs),
+            [Call::Batch(8), Call::Batch(8), Call::Batch(4)]
+        );
     }
 }

@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rsm_core::batch::{Batch, BatchController, BatchPolicy};
+use rsm_core::batch::{Batch, BatchPolicy};
 use rsm_core::command::{Command, Committed, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
@@ -116,10 +116,7 @@ impl SimConfig {
     /// replica when it gets scheduled are handed to the protocol as one
     /// [`Batch`] of up to `max_batch` commands (never waiting
     /// intentionally). The default is [`BatchPolicy::DISABLED`], which
-    /// reproduces per-command behaviour exactly. An
-    /// [adaptive](BatchPolicy::adaptive) policy gives every node a
-    /// [`BatchController`] fed from its inbox depth at each drain and
-    /// the commit latency of its own clients' requests.
+    /// reproduces per-command behaviour exactly.
     pub fn batch_policy(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
         self
@@ -425,14 +422,6 @@ struct Node<P: Protocol> {
     inbox: VecDeque<NodeInput<P>>,
     inbox_scheduled: bool,
     cpu_free: Micros,
-    /// Per-node batching controller: static policies pin it at
-    /// `max_batch`; adaptive policies move the effective flush threshold
-    /// each drain from observed inbox depth and commit latency.
-    batcher: BatchController,
-    /// Arrival time of each locally submitted, not-yet-committed request
-    /// — the adaptive controller's commit-latency feed. Populated only
-    /// under an adaptive policy; bounded by commands in flight.
-    req_arrivals: HashMap<CommandId, Micros>,
     /// This replica's handle-cached view of the shared metrics registry
     /// (`None` unless [`SimConfig::observe`] is set).
     obs: Option<NodeObs>,
@@ -615,8 +604,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 inbox: VecDeque::new(),
                 inbox_scheduled: false,
                 cpu_free: 0,
-                batcher: BatchController::new(cfg.batch),
-                req_arrivals: HashMap::new(),
                 obs: None,
             });
         }
@@ -784,13 +771,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         self.nodes[r.index()].up
     }
 
-    /// The replica's current effective batch flush threshold (test and
-    /// bench observability; `max_batch` under a static policy, moving
-    /// with load under an adaptive one).
-    pub fn batch_threshold(&self, r: ReplicaId) -> usize {
-        self.nodes[r.index()].batcher.effective_max_batch()
-    }
-
     /// Immutable access to a replica's protocol instance.
     pub fn protocol(&self, r: ReplicaId) -> &P {
         &self.nodes[r.index()].proto
@@ -882,8 +862,8 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 }
                 // Reads never coalesce: batching amortizes replication
                 // cost, and a local read replicates nothing, so holding
-                // a Get behind an adaptive flush threshold would buy
-                // nothing and inflate read latency. They only pass
+                // a Get behind a write batch would buy nothing and
+                // inflate read latency. They only pass
                 // through the inbox when a CPU model prices processing.
                 if cmd.read_only {
                     if self.cfg.cpu.is_some() {
@@ -900,9 +880,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 // experiments) the hop only doubles event-queue traffic,
                 // so invoke directly.
                 if self.cfg.cpu.is_some() || self.cfg.batch.coalesces() {
-                    if self.cfg.batch.adaptive {
-                        self.nodes[idx].req_arrivals.insert(cmd.id, self.now);
-                    }
                     self.enqueue_input(idx, NodeInput::Request(cmd));
                 } else {
                     self.invoke(idx, false, |p, ctx| p.on_client_request(cmd, ctx));
@@ -964,7 +941,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                     n.incarnation += 1;
                     n.inbox.clear();
                     n.inbox_scheduled = false;
-                    n.req_arrivals.clear();
                 }
             }
             Event::Recover { node } => self.handle_recover(node),
@@ -1045,7 +1021,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             return;
         }
         {
-            let batch = self.cfg.batch;
             let n = &mut self.nodes[idx];
             n.up = true;
             n.incarnation += 1;
@@ -1053,9 +1028,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             n.sm.reset();
             n.commits.clear();
             n.cpu_free = self.now;
-            // Batching state is volatile: the fresh incarnation re-learns
-            // its operating point instead of trusting pre-crash load.
-            n.batcher = BatchController::new(batch);
         }
         let log: Vec<P::LogRec> = self.nodes[idx].log.records().to_vec();
         // Replaying the log re-commits executed commands into the fresh
@@ -1155,27 +1127,9 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 clock,
                 log,
                 sm,
-                batcher,
                 obs,
                 ..
             } = n;
-            // Hand the controller this drain's load signal (queued client
-            // requests); it returns by mutating its effective threshold,
-            // which `batcher.fits` below applies. Static policies pass
-            // through unchanged.
-            // Reads never join batches, so they carry no depth signal:
-            // letting a read-heavy mix widen the flush threshold would
-            // only delay the writes it is interleaved with.
-            let queued_requests = inputs
-                .iter()
-                .filter(|i| matches!(i, NodeInput::Request(c) if !c.read_only))
-                .count();
-            batcher.begin_drain(queued_requests);
-            if let Some(o) = obs.as_mut() {
-                // The controller's operating point, freshly adjusted for
-                // this drain's load signal.
-                o.gauge(names::BATCH_THRESHOLD, batcher.effective_max_batch() as i64);
-            }
             let mut ctx = NodeCtx {
                 now: self.now,
                 clock,
@@ -1186,13 +1140,11 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 tracer,
             };
             let mut run: Vec<Command> = Vec::new();
-            let mut run_bytes = 0usize;
             for input in inputs {
                 match input {
                     NodeInput::Msg(from, m) => {
                         if !run.is_empty() {
                             proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
-                            run_bytes = 0;
                         }
                         proto.on_message(from, m, &mut ctx);
                     }
@@ -1203,19 +1155,14 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                         // read path.
                         if !run.is_empty() {
                             proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
-                            run_bytes = 0;
                         }
                         proto.on_client_read(c, &mut ctx);
                     }
                     NodeInput::Request(c) => {
-                        // Flush when the effective command count or byte
-                        // budget is full — kilobyte payloads flush long
-                        // before the count cap.
-                        if !batcher.fits(run.len(), run_bytes) {
+                        // Flush when the run has reached the cap.
+                        if !self.cfg.batch.fits(run.len()) {
                             proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
-                            run_bytes = 0;
                         }
-                        run_bytes += c.size();
                         run.push(c);
                     }
                 }
@@ -1400,11 +1347,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                     t.record_at_origin(key, r, TraceStage::Committed.index(), at);
                     t.record_at_origin(key, r, TraceStage::Executed.index(), done_at);
                 }
-            }
-            // Close the adaptive controller's latency loop for requests
-            // this node originated (the map is empty otherwise).
-            if let Some(t0) = n.req_arrivals.remove(&committed.cmd.id) {
-                n.batcher.record_commit_latency(at.saturating_sub(t0), at);
             }
             if self.cfg.record_history {
                 n.commits.push(CommitRecord {
@@ -2000,126 +1942,6 @@ mod tests {
             sizes.iter().filter(|&&s| s == 1).count(),
             5,
             "each read dispatches alone: {sizes:?}"
-        );
-    }
-
-    /// Sustained bursts under an adaptive policy, then a trickle: the
-    /// effective threshold must widen to the cap under pressure and
-    /// narrow again once the load subsides.
-    struct BurstsThenTrickle {
-        seq: u64,
-    }
-    impl BurstsThenTrickle {
-        fn submit(&mut self, k: usize, api: &mut SimApi<'_, BatchObserver>) {
-            for _ in 0..k {
-                self.seq += 1;
-                let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), self.seq);
-                api.submit(
-                    ReplicaId::new(0),
-                    Command::new(id, Bytes::from_static(b"a")),
-                );
-            }
-        }
-    }
-    impl Application<BatchObserver> for BurstsThenTrickle {
-        fn on_init(&mut self, api: &mut SimApi<'_, BatchObserver>) {
-            // 30 bursts of 16 same-instant requests, 1 ms apart…
-            for burst in 0..30u64 {
-                api.schedule(burst * 1_000, 0);
-            }
-            // …then 40 lone requests 10 ms apart.
-            for i in 0..40u64 {
-                api.schedule(100_000 + i * 10_000, 1);
-            }
-        }
-        fn on_event(&mut self, key: u64, api: &mut SimApi<'_, BatchObserver>) {
-            let k = if key == 0 { 16 } else { 1 };
-            self.submit(k, api);
-        }
-        fn on_reply(&mut self, _: ClientId, _: Reply, _: &mut SimApi<'_, BatchObserver>) {}
-    }
-
-    #[test]
-    fn adaptive_policy_widens_with_load_and_narrows_back() {
-        let cfg = SimConfig::new(LatencyMatrix::uniform(2, 1_000))
-            .batch_policy(rsm_core::BatchPolicy::adaptive(8));
-        let mut sim = Simulation::new(
-            cfg,
-            |id| BatchObserver {
-                id,
-                batch_sizes: Vec::new(),
-            },
-            sm,
-            BurstsThenTrickle { seq: 0 },
-        );
-        let r0 = ReplicaId::new(0);
-        // Run through the burst phase: the threshold must hit the cap.
-        sim.run_until(50_000);
-        assert_eq!(
-            sim.batch_threshold(r0),
-            8,
-            "sustained 16-deep bursts must widen the threshold to the cap"
-        );
-        let sizes = sim.protocol(r0).batch_sizes.clone();
-        assert_eq!(sizes.iter().sum::<usize>(), 16 * 30);
-        assert!(
-            sizes[0] <= 2,
-            "the first drain must stay near batch-of-1 latency: {sizes:?}"
-        );
-        assert!(
-            sizes.contains(&8),
-            "later bursts must coalesce at the cap: {sizes:?}"
-        );
-        // Run through the trickle: the threshold must narrow again.
-        sim.run_until(1_000_000);
-        assert!(
-            sim.batch_threshold(r0) < 8,
-            "a 1-deep trickle must narrow the threshold from the cap"
-        );
-        let sizes = sim.protocol(r0).batch_sizes.clone();
-        assert_eq!(sizes.iter().sum::<usize>(), 16 * 30 + 40);
-        assert!(
-            sizes[sizes.len() - 40..].iter().all(|&s| s == 1),
-            "trickle requests flush immediately"
-        );
-    }
-
-    struct OversizedBurst;
-    impl Application<BatchObserver> for OversizedBurst {
-        fn on_init(&mut self, api: &mut SimApi<'_, BatchObserver>) {
-            for seq in 0..6 {
-                let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), seq);
-                api.submit(
-                    ReplicaId::new(0),
-                    Command::new(id, Bytes::from(vec![0u8; 1_000])),
-                );
-            }
-        }
-        fn on_reply(&mut self, _: ClientId, _: Reply, _: &mut SimApi<'_, BatchObserver>) {}
-        fn on_event(&mut self, _: u64, _: &mut SimApi<'_, BatchObserver>) {}
-    }
-
-    #[test]
-    fn byte_budget_flushes_oversized_commands_before_the_count_cap() {
-        // Six kilobyte commands under a 2 000-byte budget: the count cap
-        // (64) never fills, but each pair of commands exhausts the byte
-        // budget, so three two-command batches come out.
-        let policy = rsm_core::BatchPolicy::max(64).with_max_bytes(2_000);
-        let cfg = SimConfig::new(LatencyMatrix::uniform(2, 1_000)).batch_policy(policy);
-        let mut sim = Simulation::new(
-            cfg,
-            |id| BatchObserver {
-                id,
-                batch_sizes: Vec::new(),
-            },
-            sm,
-            OversizedBurst,
-        );
-        sim.run_until(1_000_000);
-        assert_eq!(
-            sim.protocol(ReplicaId::new(0)).batch_sizes,
-            vec![2, 2, 2],
-            "the byte budget must flush before the count cap"
         );
     }
 

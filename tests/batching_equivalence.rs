@@ -16,15 +16,12 @@
 //!   cross-origin interleaving may legitimately differ — batching changes
 //!   timing, not correctness.
 //!
-//! Both static and [adaptive](BatchPolicy::adaptive) policies are held
-//! to the contract — an adaptive controller only moves the flush
-//! threshold, so it must be exactly as invisible in the committed
-//! history as any static setting — including across **crash/recovery
-//! schedules**: a replica crashing mid-run and recovering (losing its
-//! volatile state and any requests delivered while down, replaying its
-//! stable log, catching up via the protocol's retransmission machinery)
-//! must leave the surviving replicas' committed sequence identical
-//! across policies.
+//! Every batch cap is held to the contract, including across
+//! **crash/recovery schedules**: a replica crashing mid-run and
+//! recovering (losing its volatile state and any requests delivered
+//! while down, replaying its stable log, catching up via the protocol's
+//! retransmission machinery) must leave the surviving replicas'
+//! committed sequence identical across policies.
 
 use std::collections::BTreeSet;
 
@@ -204,16 +201,12 @@ fn arb_matrix(n: usize) -> impl Strategy<Value = LatencyMatrix> {
     })
 }
 
-/// The policies every unbatched baseline is compared against: static
-/// sizes plus the adaptive controller at two ceilings (the controller
-/// may pick any threshold trajectory — the history must not care).
+/// The policies every unbatched baseline is compared against.
 fn policies() -> Vec<(&'static str, BatchPolicy)> {
     vec![
         ("static4", BatchPolicy::max(4)),
         ("static8", BatchPolicy::max(8)),
         ("static32", BatchPolicy::max(32)),
-        ("adaptive8", BatchPolicy::adaptive(8)),
-        ("adaptive64", BatchPolicy::adaptive(64)),
     ]
 }
 
@@ -221,7 +214,7 @@ fn policies() -> Vec<(&'static str, BatchPolicy)> {
 fn crash_policies() -> Vec<(&'static str, BatchPolicy)> {
     vec![
         ("static8", BatchPolicy::max(8)),
-        ("adaptive8", BatchPolicy::adaptive(8)),
+        ("static32", BatchPolicy::max(32)),
     ]
 }
 
@@ -365,7 +358,7 @@ proptest! {
     /// Clock-RSM with failure handling: replica 2 crashes mid-plan and
     /// recovers; the failure detector reconfigures it out, rejoin
     /// reconfigures it back in, and the surviving replicas' committed
-    /// sequence must be identical across static and adaptive policies.
+    /// sequence must be identical across batch caps.
     #[test]
     fn clock_rsm_crash_recovery_equivalence(
         matrix in arb_matrix(3),
