@@ -142,6 +142,9 @@ pub fn experiment_config(s: &Schedule) -> ExperimentConfig {
         // Every chaos run is instrumented (full span sampling), so the
         // swarm fuzzes the observability layer alongside the protocols:
         // the metric oracle below grades the counters it produces.
+        // Simnet guarantees an instrumented and a plain run of one seed
+        // are the same execution (`SimConfig::observe`), so what the
+        // swarm searches is what runs untraced.
         .observe(ObsConfig::all());
     if k.batch_max > 0 {
         cfg = cfg.batch(BatchPolicy::max(k.batch_max));

@@ -140,9 +140,16 @@ impl SimConfig {
     /// **virtual time**, and a periodic
     /// [`obs_poll`](rsm_core::protocol::Protocol::obs_poll) sweep every
     /// [`ObsConfig::poll_interval`] microseconds. Off by default —
-    /// uninstrumented runs pay only a `None` check per hook, and
-    /// instrumentation cannot consume virtual time, so enabling it
-    /// never perturbs a deterministic schedule.
+    /// uninstrumented runs pay only a `None` check per hook.
+    ///
+    /// **Observation does not change the run**: instrumentation
+    /// consumes no virtual time and each `obs_poll` reads a throwaway
+    /// copy of its node's clock (the monotonic stamper would otherwise
+    /// record the read and shift later timestamps), so one seed commits
+    /// the same sequence at the same virtual times with or without
+    /// `observe` — `tests/obs_determinism.rs` holds every protocol to
+    /// it. The threaded runtime is exempt: a wall-clock run has no
+    /// reproducible history to perturb.
     pub fn observe(mut self, obs: ObsConfig) -> Self {
         self.observe = Some(obs);
         self
@@ -977,9 +984,20 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 self.handle_process_inbox(node, incarnation)
             }
             Event::ObsPoll => {
+                // Observation must not change the run, but `Context::clock`
+                // is a mutating read: the monotonic stamper records every
+                // value it hands out, so a poll reading the node's real
+                // clock would push later timestamps forward a microsecond
+                // and, through the CLOCKTIME cadence, shift the schedule.
+                // Each poll reads a throwaway copy instead (saved before,
+                // restored after), for every protocol. The threaded
+                // runtime polls its live clock: a wall-clock run has no
+                // reproducible history to keep.
                 for i in 0..self.nodes.len() {
                     if self.nodes[i].up {
+                        let clock = self.nodes[i].clock.clone();
                         self.invoke(i, false, |p, ctx| p.obs_poll(ctx));
+                        self.nodes[i].clock = clock;
                     }
                 }
                 if let Some(obs) = self.cfg.observe {

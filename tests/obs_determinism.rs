@@ -10,14 +10,15 @@
 //! executed-command counters mirror each replica's commit history
 //! exactly (the same equality the chaos metric oracle grades).
 
+use clock_rsm::ClockRsmConfig;
 use harness::{run_latency, ExperimentConfig, ExperimentResult, Fault, ProtocolChoice};
 use proptest::prelude::*;
 use rsm_chaos::{exec, Knobs, ProtocolKind, Schedule};
 use rsm_core::obs::TraceStage;
 use rsm_core::time::MILLIS;
-use rsm_core::{LatencyMatrix, ReplicaId};
+use rsm_core::{BatchPolicy, LatencyMatrix, ReplicaId};
 use rsm_obs::{ObsConfig, Span};
-use simnet::ClockModel;
+use simnet::{ClockModel, CpuModel};
 
 /// A small instrumented geo run: three sites, 25 ms one-way, mixed
 /// reads and writes, full span sampling.
@@ -207,5 +208,117 @@ proptest! {
         prop_assert_eq!(exec::evaluate(&s, &r), None);
         prop_assert!(!r.spans.is_empty());
         assert_spans_balanced(&r);
+    }
+}
+
+/// Asserts that an observed run and a plain run of the same
+/// configuration are the same execution.
+fn assert_same_run(label: &str, traced: &ExperimentResult, plain: &ExperimentResult) {
+    macro_rules! same {
+        ($($field:ident),+) => {$(
+            assert_eq!(
+                traced.$field, plain.$field,
+                "{label}: observing the run changed `{}`",
+                stringify!($field)
+            );
+        )+};
+    }
+    same!(
+        commit_counts,
+        log_lens,
+        read_count,
+        write_count,
+        cas_count,
+        cas_failures,
+        throughput_kops,
+        p50_ms,
+        p99_ms,
+        read_p50_ms,
+        read_p99_ms,
+        write_p50_ms,
+        write_p99_ms,
+        snapshots_agree
+    );
+    // Thousands of samples each: report which differs, not the dump.
+    assert!(
+        traced.commit_times == plain.commit_times,
+        "{label}: observing the run changed the virtual commit times"
+    );
+    assert!(
+        format!("{:?}", traced.site_stats) == format!("{:?}", plain.site_stats),
+        "{label}: observing the run changed the per-site latency samples"
+    );
+    assert_eq!(
+        format!("{:?}", traced.checks),
+        format!("{:?}", plain.checks),
+        "{label}: observing the run changed the checker report"
+    );
+}
+
+/// `Protocol::obs_poll` is read-only by contract and instrumentation
+/// consumes no virtual time, so turning observation on must not move a
+/// single commit: same counts, same logs, same virtual commit times,
+/// same client-side latencies. Clock-RSM's poll reads the clock, and a
+/// clock read is recorded by the monotonic stamper — simnet polls a
+/// throwaway copy of the clock so that read leaves no trace. The chaos
+/// swarm instruments every run it searches, so this equality is what
+/// makes its verdicts hold for plain runs.
+#[test]
+fn observation_does_not_change_the_run() {
+    for protocol in ProtocolKind::ALL {
+        let crash = crash_schedule(protocol, 11, 1_200);
+        // Failure detection on for Clock-RSM at its default Δ (the 5 ms
+        // CLOCKTIME cadence is what a recorded poll read used to shift);
+        // the chaos executor's lease configurations for the rest.
+        let choice = match protocol {
+            ProtocolKind::ClockRsm => ProtocolChoice::clock_rsm_with(
+                ClockRsmConfig::default().with_failure_detection(Some(400 * MILLIS)),
+            ),
+            _ => exec::protocol_choice(&crash),
+        };
+        let (_, ec2) = analysis::ec2::five_site_deployment();
+        let shapes = [
+            (
+                "LAN saturating",
+                ExperimentConfig::new(LatencyMatrix::uniform(3, 250))
+                    .seed(11)
+                    .clients_per_site(20)
+                    .think_max_us(0)
+                    .value_bytes(10)
+                    .read_fraction(0.3)
+                    .cpu(CpuModel::default())
+                    .batch(BatchPolicy::max(8))
+                    .warmup_us(50 * MILLIS)
+                    .duration_us(250 * MILLIS),
+            ),
+            (
+                "EC2 five sites",
+                ExperimentConfig::new(ec2)
+                    .seed(11)
+                    .jitter_us(2 * MILLIS)
+                    .clock(ClockModel::ntp(MILLIS))
+                    .clients_per_site(3)
+                    .think_max_us(15 * MILLIS)
+                    .read_fraction(0.5)
+                    .cas_fraction(0.3)
+                    .warmup_us(100 * MILLIS)
+                    .duration_us(1_500 * MILLIS),
+            ),
+            // Client retries on, as in every chaos run.
+            ("crash and recover", exec::experiment_config(&crash)),
+        ];
+        for (shape, mut cfg) in shapes {
+            let label = format!("{} / {shape}", protocol.name());
+            let traced = run_latency(choice.clone(), &cfg.clone().observe(ObsConfig::all()));
+            cfg.observe = None;
+            let plain = run_latency(choice.clone(), &cfg);
+            assert!(!traced.spans.is_empty(), "{label}: no spans traced");
+            assert!(plain.spans.is_empty() && plain.metrics.is_none());
+            assert!(
+                plain.commit_counts.iter().all(|&c| c > 0),
+                "{label}: nothing committed"
+            );
+            assert_same_run(&label, &traced, &plain);
+        }
     }
 }

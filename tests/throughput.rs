@@ -1,7 +1,8 @@
 //! Throughput-model regressions (Figure 8): the qualitative relationships
-//! the reproduction preserves, at reduced scale. See EXPERIMENTS.md for
-//! the full-size numbers and the documented divergence at small command
-//! sizes.
+//! the reproduction preserves, at reduced scale — the throughput
+//! counterpart of `tests/paper_claims.rs`, which asserts the latency
+//! shapes. `repro fig8` (`crates/bench`) prints the full-size numbers and
+//! documents the divergence at small command sizes.
 
 use harness::{run_throughput, ProtocolChoice};
 use rsm_core::BatchPolicy;
