@@ -14,7 +14,7 @@
 //!     10     2  to           destination replica id
 //!     12     4  payload_len  payload bytes following the header
 //!     16     8  seq          per-link frame sequence (diagnostics)
-//!     24     4  checksum     FNV-1a 32 over the payload
+//!     24     4  checksum     XXH64 low 32 bits over the payload
 //!     28     4  reserved     zero
 //! ```
 //!
@@ -35,6 +35,9 @@
 //! via the reserved `flags` field (zero on send, ignored on receive) and
 //! by appending new enum variants with previously unused tags (old
 //! receivers reject them cleanly as [`WireError::BadTag`]).
+//!
+//! Version 2 changed the checksum function (to the low 32 bits of XXH64)
+//! and nothing else: layout, field order and tags are those of version 1.
 //!
 //! # Zero-copy discipline
 //!
@@ -99,7 +102,7 @@ pub const MSG_HEADER_BYTES: usize = 32;
 pub const FRAME_MAGIC: u32 = 0x5253_4D57;
 
 /// Current wire format version (see the module-level versioning rule).
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Upper bound on a frame's payload length; a header announcing more is
 /// rejected before any allocation (a corrupt or hostile length prefix
@@ -154,6 +157,8 @@ pub enum WireError {
     TrailingBytes(usize),
     /// The header announced a payload larger than [`MAX_FRAME_PAYLOAD`].
     FrameTooLarge(usize),
+    /// A [`Batch`] announced zero commands (batches are non-empty).
+    EmptyBatch,
 }
 
 impl fmt::Display for WireError {
@@ -170,22 +175,98 @@ impl fmt::Display for WireError {
             WireError::FrameTooLarge(n) => {
                 write!(f, "payload of {n} bytes exceeds {MAX_FRAME_PAYLOAD}")
             }
+            WireError::EmptyBatch => write!(f, "batch of zero commands"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a 32-bit checksum of the payload (cheap, catches the torn and
-/// bit-flipped frames a length-prefixed stream is exposed to; not a
-/// cryptographic integrity guarantee).
-pub fn checksum(payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in payload {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+fn xxh64_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh64_round(0, acc))
+        .wrapping_mul(PRIME64_1)
+        .wrapping_add(PRIME64_4)
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte lane"))
+}
+
+/// XXH64 with seed 0, exactly as the xxHash specification gives it: four
+/// independent accumulators over 32-byte stripes (what lets the CPU run
+/// the multiplies in parallel instead of one dependent multiply per
+/// byte), then the 8-, 4- and 1-byte tail steps and the avalanche.
+fn xxh64(data: &[u8]) -> u64 {
+    let stripes = data.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut h = if data.len() >= 32 {
+        let mut v = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            0u64.wrapping_sub(PRIME64_1),
+        ];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = xxh64_round(*acc, le_u64(lane));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(h, xxh64_merge)
+    } else {
+        PRIME64_5
+    };
+    h = h.wrapping_add(data.len() as u64);
+    while tail.len() >= 8 {
+        h = (h ^ xxh64_round(0, le_u64(&tail[..8])))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+        tail = &tail[8..];
     }
-    h
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("4-byte word"));
+        h = (h ^ u64::from(word).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
+}
+
+/// Payload checksum: the low 32 bits of XXH64 (seed 0) — runs at memory
+/// speed, catches the torn and bit-flipped frames a length-prefixed
+/// stream is exposed to; not a cryptographic integrity guarantee. The
+/// function is part of the wire format: changing it requires bumping
+/// [`WIRE_VERSION`].
+pub fn checksum(payload: &[u8]) -> u32 {
+    xxh64(payload) as u32
 }
 
 /// A fallible big-endian read cursor over a received payload.
@@ -317,7 +398,7 @@ pub struct FrameHeader {
     /// drop non-increasing sequences so a reconnect resend of frames the
     /// sender could not prove fully written never duplicates delivery.
     pub seq: u64,
-    /// FNV-1a 32 checksum of the payload.
+    /// [`checksum`] of the payload (XXH64, low 32 bits).
     pub checksum: u32,
 }
 
@@ -672,7 +753,11 @@ impl WireEncode for Batch {
 }
 impl WireDecode for Batch {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(Batch::new(Vec::<Command>::decode(r)?))
+        let cmds = Vec::<Command>::decode(r)?;
+        if cmds.is_empty() {
+            return Err(WireError::EmptyBatch);
+        }
+        Ok(Batch::new(cmds))
     }
 }
 
@@ -867,6 +952,72 @@ mod tests {
             FrameHeader::decode(&huge),
             Err(WireError::FrameTooLarge(_))
         ));
+    }
+
+    #[test]
+    fn xxh64_matches_the_specification_vectors() {
+        for (input, want) in [
+            (&b""[..], 0xEF46_DB37_51D8_E999u64),
+            (b"a", 0xD24E_C4F1_A98C_6E5B),
+            (b"abc", 0x44BC_2CF5_AD77_0999),
+            (
+                b"Nobody inspects the spammish repetition",
+                0xFBCE_A83C_8A37_8BF1,
+            ),
+        ] {
+            assert_eq!(xxh64(input), want, "xxh64({input:?})");
+            assert_eq!(checksum(input), want as u32, "checksum({input:?})");
+        }
+    }
+
+    /// Lengths 0..=96 walk the short (< 32 B) path, one to three stripes
+    /// and every combination of the 8- / 4- / 1-byte tail steps.
+    #[test]
+    fn checksum_sees_every_length_and_the_last_byte() {
+        let pattern: Vec<u8> = (0..96u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 1..=pattern.len() {
+            let sum = checksum(&pattern[..len]);
+            assert_ne!(
+                sum,
+                checksum(&pattern[..len - 1]),
+                "length {len} vs one less"
+            );
+            let mut changed = pattern[..len].to_vec();
+            changed[len - 1] ^= 0x5A;
+            assert_ne!(sum, checksum(&changed), "last byte of {len}");
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_payload_fails_verification() {
+        let mut payload: Vec<u8> = (0..4096u32).map(|i| (i * 131 + i / 7) as u8).collect();
+        let h = FrameHeader::for_payload(ReplicaId::new(0), ReplicaId::new(1), 1, &payload);
+        h.verify_payload(&payload).unwrap();
+        for cut in 0..payload.len() {
+            assert_eq!(
+                h.verify_payload(&payload[..cut]),
+                Err(WireError::BadChecksum),
+                "truncated to {cut}"
+            );
+        }
+        for bit in 0..payload.len() * 8 {
+            payload[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                h.verify_payload(&payload),
+                Err(WireError::BadChecksum),
+                "bit {bit} flipped"
+            );
+            payload[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn version_1_peers_are_refused_by_version() {
+        assert_eq!(WIRE_VERSION, 2);
+        let mut old =
+            FrameHeader::for_payload(ReplicaId::new(1), ReplicaId::new(2), 1, b"x").encode();
+        old[4..6].copy_from_slice(&1u16.to_be_bytes());
+        assert_eq!(FrameHeader::decode(&old), Err(WireError::BadVersion(1)));
     }
 
     #[test]

@@ -40,6 +40,9 @@ pub struct TransportMetrics {
     /// Frames dropped by the receiver's per-sender sequence dedup (a
     /// reconnect resend overlapped what was already delivered).
     pub dup_frames: Counter,
+    /// Frames the listener refused — a bad header, a checksum mismatch
+    /// or an undecodable payload; each one also closed its connection.
+    pub frames_rejected: Counter,
 }
 
 impl TransportMetrics {
@@ -53,6 +56,7 @@ impl TransportMetrics {
             bytes_recv: registry.counter(&name("bytes_recv")),
             reconnects: registry.counter(&name("reconnects")),
             dup_frames: registry.counter(&name("dup_frames")),
+            frames_rejected: registry.counter(&name("frames_rejected")),
         }
     }
 }

@@ -35,10 +35,10 @@ const BACKOFF_START: Duration = Duration::from_micros(200);
 const BACKOFF_MAX: Duration = Duration::from_millis(100);
 
 /// One direction of a replica pair: a bounded queue drained by a
-/// dedicated writer thread that dials the peer lazily, coalesces queued
-/// due frames into a single vectored write, and reconnects with
-/// exponential backoff, retaining every frame it could not prove fully
-/// written.
+/// dedicated writer thread that dials the peer as soon as it is spawned,
+/// coalesces queued due frames into a single vectored write, and
+/// reconnects with exponential backoff, retaining every frame it could
+/// not prove fully written.
 pub struct PeerLink {
     tx: Option<QueueSender<OutFrame>>,
     handle: Option<JoinHandle<()>>,
@@ -94,6 +94,28 @@ fn writer_loop(endpoint: &Endpoint, rx: &QueueReceiver<OutFrame>, reconnects: &C
     let mut pending: VecDeque<OutFrame> = VecDeque::new();
     let mut carry: Option<OutFrame> = None;
     loop {
+        // Connect (at spawn / after a failure) before waiting for a frame,
+        // so the first one does not pay the dial; give up only once the
+        // hub is gone — an unreachable peer must not wedge shutdown.
+        let mut backoff = BACKOFF_START;
+        while conn.is_none() {
+            match Conn::connect(endpoint) {
+                Ok(c) => {
+                    if connected_before {
+                        reconnects.inc();
+                    }
+                    connected_before = true;
+                    conn = Some(c);
+                }
+                Err(_) => {
+                    if rx.senders_gone() {
+                        return;
+                    }
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(BACKOFF_MAX);
+                }
+            }
+        }
         // Refill: keep at least one frame to write, honouring due times.
         if pending.is_empty() {
             let first = match carry.take().or_else(|| rx.recv()) {
@@ -115,27 +137,6 @@ fn writer_loop(endpoint: &Endpoint, rx: &QueueReceiver<OutFrame>, reconnects: &C
                         break;
                     }
                     None => break,
-                }
-            }
-        }
-        // Connect (lazily / after a failure), giving up only once the
-        // hub is gone — an unreachable peer must not wedge shutdown.
-        let mut backoff = BACKOFF_START;
-        while conn.is_none() {
-            match Conn::connect(endpoint) {
-                Ok(c) => {
-                    if connected_before {
-                        reconnects.inc();
-                    }
-                    connected_before = true;
-                    conn = Some(c);
-                }
-                Err(_) => {
-                    if rx.senders_gone() {
-                        return;
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(BACKOFF_MAX);
                 }
             }
         }

@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use rsm_core::id::ReplicaId;
-use rsm_core::wire::{decode_payload, FrameHeader, WireMsg, MSG_HEADER_BYTES};
+use rsm_core::wire::{decode_payload, FrameHeader, WireError, WireMsg, MSG_HEADER_BYTES};
 
 use crate::endpoint::{Conn, Endpoint};
 use crate::hub::TransportMetrics;
@@ -35,8 +35,11 @@ impl Acceptor {
 /// 32-byte [`FrameHeader`], validates magic/version/length, reads the
 /// payload, verifies the checksum, deduplicates by per-sender sequence
 /// number, decodes the message, and invokes the deliver callback. Any
-/// framing or decode error closes the connection (the sending peer
-/// reconnects and resends); EOF ends the thread cleanly.
+/// framing or decode error bumps `frames_rejected` and closes the
+/// connection — the reader shuts the socket down, so the sending peer's
+/// next write fails and it redials; EOF ends the thread cleanly. The
+/// rejected frame itself is **not** resent: a writer retains only what
+/// it could not hand to the kernel, and there is no ack layer above it.
 pub struct Listener {
     endpoint: Endpoint,
     shutdown: Arc<AtomicBool>,
@@ -59,8 +62,10 @@ impl Listener {
     }
 
     /// [`bind`](Listener::bind) with inbound counters: every verified
-    /// delivered frame bumps `frames_recv`/`bytes_recv`, and frames
-    /// dropped by the reconnect-resend sequence dedup bump `dup_frames`.
+    /// delivered frame bumps `frames_recv`/`bytes_recv`, frames dropped
+    /// by the reconnect-resend sequence dedup bump `dup_frames`, and a
+    /// frame that fails header, checksum or payload decoding bumps
+    /// `frames_rejected`.
     pub fn bind_with_metrics<M, F>(
         endpoint: &Endpoint,
         metrics: TransportMetrics,
@@ -99,7 +104,7 @@ impl Listener {
             std::thread::Builder::new()
                 .name("rsm-accept".into())
                 .spawn(move || loop {
-                    let conn = match acceptor.accept() {
+                    let mut conn = match acceptor.accept() {
                         Ok(c) => c,
                         Err(_) => {
                             if shutdown.load(Ordering::Acquire) {
@@ -119,7 +124,15 @@ impl Listener {
                     let metrics = metrics.clone();
                     let handle = std::thread::Builder::new()
                         .name("rsm-reader".into())
-                        .spawn(move || read_frames(conn, &*deliver, &last_seq, &metrics))
+                        .spawn(move || {
+                            if read_frames(&mut conn, &*deliver, &last_seq, &metrics).is_err() {
+                                metrics.frames_rejected.inc();
+                            }
+                            // `conns` holds a clone of this socket, so
+                            // dropping `conn` would leave it open and the
+                            // peer writing into a stream nobody reads.
+                            conn.shutdown();
+                        })
                         .expect("spawn reader thread");
                     readers.lock().unwrap().push(handle);
                 })
@@ -172,31 +185,26 @@ impl Drop for Listener {
     }
 }
 
-/// Reads frames off one connection until EOF or the first malformed
-/// frame.
+/// Reads frames off one connection until EOF or a torn connection
+/// (`Ok`; the peer redials) or the first malformed frame (`Err`).
 fn read_frames<M: WireMsg>(
-    mut conn: Conn,
+    conn: &mut Conn,
     deliver: &(dyn Fn(ReplicaId, M) + Send + Sync),
     last_seq: &Mutex<HashMap<u16, u64>>,
     metrics: &TransportMetrics,
-) {
+) -> Result<(), WireError> {
     let mut header_buf = [0u8; MSG_HEADER_BYTES];
     loop {
         if conn.read_exact(&mut header_buf).is_err() {
-            return; // EOF or torn connection; peer will redial.
+            return Ok(());
         }
-        let header = match FrameHeader::decode(&header_buf) {
-            Ok(h) => h,
-            Err(_) => return, // Bad magic/version: drop the connection.
-        };
+        let header = FrameHeader::decode(&header_buf)?;
         let mut payload = vec![0u8; header.len as usize];
         if conn.read_exact(&mut payload).is_err() {
-            return;
+            return Ok(());
         }
         let payload = Bytes::from(payload);
-        if header.verify_payload(&payload).is_err() {
-            return;
-        }
+        header.verify_payload(&payload)?;
         {
             let mut seqs = last_seq.lock().unwrap();
             let last = seqs.entry(header.from.as_u16()).or_insert(0);
@@ -206,15 +214,11 @@ fn read_frames<M: WireMsg>(
             }
             *last = header.seq;
         }
-        match decode_payload::<M>(payload) {
-            Ok(msg) => {
-                metrics.frames_recv.inc();
-                metrics
-                    .bytes_recv
-                    .add((MSG_HEADER_BYTES + header.len as usize) as u64);
-                deliver(header.from, msg);
-            }
-            Err(_) => return,
-        }
+        let msg = decode_payload::<M>(payload)?;
+        metrics.frames_recv.inc();
+        metrics
+            .bytes_recv
+            .add((MSG_HEADER_BYTES + header.len as usize) as u64);
+        deliver(header.from, msg);
     }
 }

@@ -1,14 +1,16 @@
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use rsm_core::id::ReplicaId;
-use rsm_core::wire::{WireDecode, WireEncode, WireError, WireMsg, WireReader};
+use rsm_core::wire::{
+    encode_payload, FrameHeader, WireDecode, WireEncode, WireError, WireMsg, WireReader,
+};
 
-use crate::{Endpoint, Hub, Listener, MsgSink};
+use crate::{Endpoint, Hub, Listener, MsgSink, TransportMetrics};
 
 static ENCODES: AtomicUsize = AtomicUsize::new(0);
 
@@ -55,6 +57,13 @@ fn deliver_into(
 ) -> impl Fn(ReplicaId, TestMsg) + Send + Sync {
     move |from, msg| {
         let _ = tx.send((from, msg));
+    }
+}
+
+fn tcp_addr(listener: &Listener) -> SocketAddr {
+    match listener.endpoint() {
+        Endpoint::Tcp(addr) => *addr,
+        Endpoint::Uds(_) => unreachable!("bound on TCP"),
     }
 }
 
@@ -157,10 +166,7 @@ fn link_delay_holds_frames_back() {
 fn garbage_connections_do_not_poison_the_listener() {
     let (tx, rx) = mpsc::channel();
     let listener = Listener::bind(&Endpoint::tcp_loopback(), deliver_into(tx)).expect("bind");
-    let addr = match listener.endpoint() {
-        Endpoint::Tcp(addr) => *addr,
-        Endpoint::Uds(_) => unreachable!(),
-    };
+    let addr = tcp_addr(&listener);
     // A connection that speaks nonsense: the reader must drop it at the
     // bad magic and keep serving other connections.
     let mut garbage = TcpStream::connect(addr).unwrap();
@@ -177,6 +183,44 @@ fn garbage_connections_do_not_poison_the_listener() {
     hub.send_msg(ReplicaId::new(1), TestMsg::new(3, b"still-alive"));
     let (_, msg) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
     assert_eq!(msg.tag, 3);
+}
+
+#[test]
+fn a_rejected_frame_closes_the_connection_and_is_counted() {
+    let (tx, rx) = mpsc::channel();
+    let metrics = TransportMetrics::default();
+    let listener =
+        Listener::bind_with_metrics(&Endpoint::tcp_loopback(), metrics.clone(), deliver_into(tx))
+            .expect("bind");
+    let addr = tcp_addr(&listener);
+    let (r0, r1) = (ReplicaId::new(0), ReplicaId::new(1));
+
+    // A well-formed header over a payload with one bit flipped in flight.
+    let mut payload = encode_payload(&TestMsg::new(1, &[7u8; 256])).to_vec();
+    let header = FrameHeader::for_payload(r0, r1, 1, &payload).encode();
+    payload[100] ^= 0x01;
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(&header).unwrap();
+    raw.write_all(&payload).unwrap();
+
+    // The reader must close the socket, not just stop reading it: the
+    // sender sees EOF instead of a stream that silently fills up.
+    raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    assert_eq!(
+        raw.read(&mut [0u8; 1])
+            .expect("connection closed, not left open"),
+        0
+    );
+    assert_eq!(metrics.frames_rejected.get(), 1);
+    assert!(rx.try_recv().is_err(), "a corrupt frame was delivered");
+
+    // A fresh link to the same listener still delivers.
+    let mut hub: Hub<TestMsg> = Hub::new(r0, Box::new(|_| ()));
+    hub.add_peer(r1, listener.endpoint().clone(), Duration::ZERO);
+    hub.send_msg(r1, TestMsg::new(2, b"after"));
+    let (_, msg) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+    assert_eq!(msg.tag, 2);
+    assert_eq!(metrics.frames_rejected.get(), 1);
 }
 
 #[test]

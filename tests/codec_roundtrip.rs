@@ -1,7 +1,8 @@
 //! Property tests for the binary wire codec: every message variant of
 //! every protocol must survive an encode → decode round trip unchanged,
 //! and the decoder must reject malformed frames (truncated prefixes,
-//! trailing garbage, unknown variant tags, corrupted headers).
+//! trailing garbage, unknown variant tags, corrupted headers) and
+//! survive mutated ones — `Ok` or `Err`, never a panic.
 //!
 //! The generators are deliberately exhaustive rather than sampled: each
 //! proptest case builds one instance of **every** variant of `RsmMsg`,
@@ -345,6 +346,57 @@ where
     }
 }
 
+/// One byte edit: where (reduced modulo the encoding's length), how
+/// (`0xFF`, a single-bit flip, or a random byte), and the bit / byte.
+type Edit = (usize, u8, u8);
+
+/// 1–4 edits per mutant; length words are the interesting targets.
+fn arb_mutants() -> impl Strategy<Value = Vec<Vec<Edit>>> {
+    pvec(pvec((any::<usize>(), 0u8..3, any::<u8>()), 1..5), 64)
+}
+
+/// A receiver decodes whatever passed the frame checksum, and a peer
+/// chooses both: every mutant of a valid encoding must come back as
+/// `Ok` or `Err` — a panic here is a reader thread a peer can kill.
+fn assert_survives_mutation<M>(msg: &M, mutants: &[Vec<Edit>])
+where
+    M: WireEncode + WireDecode,
+{
+    let clean = encode_payload(msg);
+    for edits in mutants {
+        let mut bytes = clean.to_vec();
+        for &(pos, how, val) in edits {
+            let at = pos % bytes.len();
+            match how {
+                0 => bytes[at] = 0xFF,
+                1 => bytes[at] ^= 1 << (val % 8),
+                _ => bytes[at] = val,
+            }
+        }
+        let _ = decode_payload::<M>(Bytes::from(bytes));
+    }
+}
+
+/// Zeroes the length word of `batch` inside `msg`'s encoding (found by
+/// searching for the batch's own encoding, so no field layout is
+/// assumed) and expects the decoder to refuse it by name.
+fn assert_rejects_empty_batch<M>(msg: &M, batch: &Batch)
+where
+    M: WireEncode + WireDecode + std::fmt::Debug,
+{
+    let mut bytes = encode_payload(msg).to_vec();
+    let needle = encode_payload(batch);
+    let at = bytes
+        .windows(needle.len())
+        .position(|w| w == &needle[..])
+        .expect("message carries its batch's encoding");
+    bytes[at..at + 4].fill(0);
+    match decode_payload::<M>(Bytes::from(bytes)) {
+        Err(WireError::EmptyBatch) => {}
+        other => panic!("expected EmptyBatch for {msg:?}, got {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -407,6 +459,80 @@ proptest! {
             assert_rejects_trailing(msg, &garbage);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mutated_encodings_never_panic_the_decoder(
+        rsm in arb_rsm_all(),
+        paxos in arb_paxos_all(),
+        mencius in arb_mencius_all(),
+        mutants in arb_mutants(),
+    ) {
+        for msg in &rsm {
+            assert_survives_mutation(msg, &mutants);
+        }
+        for msg in &paxos {
+            assert_survives_mutation(msg, &mutants);
+        }
+        for msg in &mencius {
+            assert_survives_mutation(msg, &mutants);
+        }
+    }
+}
+
+#[test]
+fn zero_length_batches_are_rejected() {
+    let origin = ReplicaId::new(1);
+    let cmds = Batch::new(
+        (1..=2)
+            .map(|seq| {
+                Command::new(
+                    CommandId::new(ClientId::new(origin, 7), seq),
+                    Bytes::from_static(b"put k v"),
+                )
+            })
+            .collect(),
+    );
+    let ballot = Ballot {
+        round: 3,
+        proposer: origin,
+    };
+    assert_rejects_empty_batch(
+        &RsmMsg::PrepareBatch {
+            epoch: Epoch(1),
+            ts: Timestamp::new(40, origin),
+            origin,
+            cmds: cmds.clone(),
+        },
+        &cmds,
+    );
+    assert_rejects_empty_batch(
+        &PaxosMsg::Forward {
+            cmds: cmds.clone(),
+            origin,
+        },
+        &cmds,
+    );
+    assert_rejects_empty_batch(
+        &PaxosMsg::Accept {
+            ballot,
+            first_instance: 9,
+            cmds: cmds.clone(),
+            origin,
+        },
+        &cmds,
+    );
+    assert_rejects_empty_batch(
+        &MenciusMsg::Propose {
+            first_slot: 9,
+            cmds: cmds.clone(),
+            origin,
+        },
+        &cmds,
+    );
 }
 
 // -----------------------------------------------------------------
