@@ -22,7 +22,6 @@ use rsm_core::wire::WireMsg;
 use rsm_obs::{gauge_max, Gauge, MetricsSnapshot, NodeObs, ObsConfig, Registry, Tracer};
 use rsm_transport::{Endpoint, Hub, Listener, TransportMetrics};
 
-use crate::net::{run_network, NetInput, Wire};
 use crate::node::{NodeHarness, NodeInput, NodeReport, Outbound, ReplyBatch};
 
 /// How replica threads exchange protocol messages.
@@ -35,8 +34,9 @@ use crate::node::{NodeHarness, NodeInput, NodeReport, Outbound, ReplyBatch};
 /// back by its scaled one-way delay before they hit the socket).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClusterTransport {
-    /// Messages stay in memory: one WAN-emulator thread reorders them
-    /// by due time and forwards into node inboxes. The default.
+    /// Messages stay in memory: a send stamps the message with its due
+    /// time and pushes it straight into the destination's inbox, and the
+    /// receiving node thread holds it until then. The default.
     #[default]
     InProcess,
     /// Loopback TCP: every ordered replica pair gets one real socket
@@ -198,24 +198,30 @@ impl ClusterConfig {
     pub fn is_empty(&self) -> bool {
         self.latency.is_empty()
     }
+
+    /// The emulated one-way delay of the `from → to` link, scaled.
+    fn link_delay(&self, from: ReplicaId, to: ReplicaId) -> Duration {
+        Duration::from_micros((self.latency.one_way(from, to) as f64 * self.scale) as u64)
+    }
 }
 
-/// A running cluster of replica threads plus the WAN-emulating network
-/// thread and a reply router. See the crate-level example.
+/// A running cluster: one thread per replica plus a reply router — and,
+/// over sockets, the transport's listener, reader and link-writer
+/// threads. The in-process plane adds no thread: replicas push into each
+/// other's inboxes and each holds what it receives until the emulated
+/// link delay has passed. See the crate-level example.
 pub struct Cluster<P: Protocol + Send + 'static> {
     node_txs: Vec<Sender<NodeInput<P>>>,
-    net_tx: Option<Sender<NetInput<P::Msg>>>,
     pending: Arc<Mutex<PendingMap>>,
     node_handles: Vec<JoinHandle<NodeReport>>,
-    net_handle: Option<JoinHandle<()>>,
     listeners: Vec<Listener>,
     router_handle: JoinHandle<()>,
     /// Mints distinct client numbers (offset from [`CLIENT_BASE`]) so
     /// every API call / session owns its own per-client seq space.
     clients: AtomicU64,
     /// Per-replica, per-peer outbound socket-queue depth gauges (empty
-    /// in process: the WAN emulator's channel is unbounded and drains
-    /// centrally).
+    /// in process: a send lands in the destination's inbox at once, so
+    /// there is no outbound queue to measure).
     outbound_depths: Vec<Vec<Gauge>>,
     retry_attempts: u32,
     retry_backoff: Duration,
@@ -266,32 +272,23 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         }
 
         // The message plane: per-node outbound halves plus whatever
-        // shared machinery the transport needs (the WAN-emulator thread
-        // in process, bound listeners over sockets).
+        // shared machinery the transport needs (none in process, bound
+        // listeners over sockets).
         let mut outbounds: Vec<Outbound<P>>;
         let mut outbound_depths: Vec<Vec<Gauge>> = vec![Vec::new(); n];
-        let mut net_tx = None;
-        let mut net_handle = None;
         let mut listeners = Vec::new();
         match cfg.transport {
             ClusterTransport::InProcess => {
-                let (tx, net_rx) = unbounded();
-                let latency = cfg.latency.clone();
-                let scale = cfg.scale;
-                let inboxes = node_txs.clone();
-                net_handle = Some(
-                    std::thread::Builder::new()
-                        .name("wan-emulator".to_string())
-                        .spawn(move || {
-                            run_network(latency, scale, net_rx, move |w: Wire<P::Msg>| {
-                                // A dropped inbox means the node stopped; ignore.
-                                let _ = inboxes[w.to.index()].send(NodeInput::Msg(w));
-                            })
-                        })
-                        .expect("spawn network thread"),
-                );
-                outbounds = (0..n).map(|_| Outbound::Wan(tx.clone())).collect();
-                net_tx = Some(tx);
+                outbounds = cfg
+                    .latency
+                    .replicas()
+                    .map(|from| {
+                        let links = cfg.latency.replicas().zip(&node_txs);
+                        let links =
+                            links.map(|(to, inbox)| (inbox.clone(), cfg.link_delay(from, to)));
+                        Outbound::InProcess(links.collect())
+                    })
+                    .collect();
             }
             ClusterTransport::Tcp | ClusterTransport::Uds => {
                 // Bind every listener before dialing anything: peers
@@ -303,14 +300,18 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                         ClusterTransport::Tcp => Endpoint::tcp_loopback(),
                         _ => Endpoint::uds_temp("cluster", i as u16),
                     };
-                    let id = ReplicaId::new(i as u16);
                     let node_tx = node_tx.clone();
                     let metrics = match &registry {
                         Some(r) => TransportMetrics::register(r, i as u16),
                         None => TransportMetrics::default(),
                     };
                     let listener = Listener::bind_with_metrics(&ep, metrics, move |from, msg| {
-                        let _ = node_tx.send(NodeInput::Msg(Wire { from, to: id, msg }));
+                        // The link writer already held the frame for the link delay.
+                        let _ = node_tx.send(NodeInput::Msg {
+                            from,
+                            msg,
+                            due: None,
+                        });
                     })
                     .expect("bind cluster transport listener");
                     endpoints.push(listener.endpoint().clone());
@@ -324,11 +325,11 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                     let mut hub: Hub<P::Msg> = Hub::new(
                         id,
                         Box::new(move |msg| {
-                            let _ = loop_tx.send(NodeInput::Msg(Wire {
+                            let _ = loop_tx.send(NodeInput::Msg {
                                 from: id,
-                                to: id,
                                 msg,
-                            }));
+                                due: None,
+                            });
                         }),
                     );
                     if let Some(r) = &registry {
@@ -342,8 +343,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                             continue;
                         }
                         let to = ReplicaId::new(j as u16);
-                        let delay_us = (cfg.latency.one_way(id, to) as f64 * cfg.scale) as u64;
-                        hub.add_peer(to, endpoint.clone(), Duration::from_micros(delay_us));
+                        hub.add_peer(to, endpoint.clone(), cfg.link_delay(id, to));
                     }
                     let gauges = hub.depth_gauges();
                     if let Some(r) = &registry {
@@ -417,10 +417,8 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
 
         Cluster {
             node_txs,
-            net_tx,
             pending,
             node_handles,
-            net_handle,
             listeners,
             router_handle,
             clients: AtomicU64::new(0),
@@ -698,12 +696,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
             .into_iter()
             .map(|h| h.join().expect("replica thread panicked"))
             .collect();
-        if let Some(net_tx) = &self.net_tx {
-            let _ = net_tx.send(NetInput::Stop);
-        }
-        if let Some(h) = self.net_handle.take() {
-            let _ = h.join();
-        }
         // Socket mode: with every peer's writers gone, stop accepting
         // and join the (EOF'd) readers.
         for listener in &mut self.listeners {

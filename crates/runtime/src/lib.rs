@@ -1,16 +1,22 @@
 //! # rsm-runtime
 //!
 //! A **threaded real-time runtime** for the sans-io protocol cores: one OS
-//! thread per replica, crossbeam channels as the transport, and a network
-//! thread that delays every message by the configured wide-area latency
-//! (optionally scaled down for fast tests).
+//! thread per replica and crossbeam channels as the in-process message
+//! plane (framed TCP or Unix sockets on request —
+//! [`ClusterTransport`]). Every message is delayed by the configured
+//! wide-area latency (optionally scaled down for fast tests) without a
+//! network thread: a send stamps the message with its due time and pushes
+//! it straight into the destination's inbox, and the receiving replica
+//! thread holds it in a due-time heap until then.
 //!
-//! The discrete-event simulator (`simnet`) is where all experiments run;
-//! this runtime exists to demonstrate that the *same* protocol
-//! implementations — Clock-RSM, Paxos, Paxos-bcast, Mencius-bcast — run
-//! unmodified outside virtual time, which is the point of the sans-io
-//! design. The geo-replicated key-value store example (`geo_kvstore`)
-//! uses it as a live deployment on one machine.
+//! The same protocol implementations — Clock-RSM, Paxos, Paxos-bcast,
+//! Mencius-bcast — run unmodified here and in the discrete-event
+//! simulator (`simnet`), which is the point of the sans-io design. The
+//! simulator is where the paper's figures are reproduced in virtual time;
+//! this runtime is what the repo benchmark (`BENCHMARK.json`,
+//! `benchmark/`) drives on the wall clock, and what the geo-replicated
+//! key-value store example (`geo_kvstore`) uses as a live deployment on
+//! one machine.
 //!
 //! Like the simulator, the runtime coalesces queued client requests into
 //! protocol-level batches ([`ClusterConfig::batch_policy`]): a node
@@ -47,7 +53,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
-pub mod net;
 pub mod node;
 pub mod shard;
 

@@ -18,25 +18,32 @@ use rsm_core::time::{Micros, MonotonicStamper};
 use rsm_obs::{NodeObs, Tracer};
 use rsm_transport::MsgSink;
 
-use crate::net::{NetInput, Wire};
-
 /// Where a node's outbound peer messages go — decided once at cluster
 /// spawn by the configured [`ClusterTransport`](crate::ClusterTransport).
 pub(crate) enum Outbound<P: Protocol> {
-    /// In-process transport: every message is a channel send to the
-    /// WAN-emulator thread, which routes it to the destination inbox
-    /// after the emulated delay.
-    Wan(Sender<NetInput<P::Msg>>),
+    /// In-process transport: one `(inbox, scaled one-way delay)` pair per
+    /// destination, indexed by replica (self included). A send stamps the
+    /// message `due = now + delay` and pushes it straight into the
+    /// destination's inbox; the receiving node holds it until then.
+    InProcess(Vec<(Sender<NodeInput<P>>, Duration)>),
     /// Socket transport: messages are encoded once and framed onto
     /// per-peer TCP/UDS links by an `rsm_transport::Hub` (which also
-    /// short-circuits self-sends back into this node's inbox).
+    /// short-circuits self-sends back into this node's inbox). Each link
+    /// writer holds a frame for the link delay before it hits the
+    /// socket, so these messages are due on arrival.
     Socket(Box<dyn MsgSink<P::Msg>>),
 }
 
 /// Input to a node thread.
 pub(crate) enum NodeInput<P: Protocol> {
-    /// A peer message delivered by the network thread.
-    Msg(Wire<P::Msg>),
+    /// A peer message. `due` is when the emulated link delivers it:
+    /// `Some` on the in-process plane (the node holds the message until
+    /// then), `None` when the plane already applied the delay.
+    Msg {
+        from: ReplicaId,
+        msg: P::Msg,
+        due: Option<Instant>,
+    },
     /// A client request routed to this (local) replica.
     Request(Command),
     /// Graceful shutdown; the thread answers with its final report.
@@ -60,6 +67,32 @@ pub struct NodeReport {
 /// send per drained protocol callback instead of one send per reply —
 /// the reply-path analogue of request batching.
 pub(crate) type ReplyBatch = Vec<(CommandId, Reply)>;
+
+/// A received peer message that is not due yet, ordered by
+/// `(due, arrival seq)`.
+struct InFlight<M> {
+    due: Instant,
+    seq: u64,
+    from: ReplicaId,
+    msg: M,
+}
+
+impl<M> PartialEq for InFlight<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due && self.seq == other.seq
+    }
+}
+impl<M> Eq for InFlight<M> {}
+impl<M> PartialOrd for InFlight<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<M> Ord for InFlight<M> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.due, self.seq).cmp(&(other.due, other.seq))
+    }
+}
 
 pub(crate) struct NodeHarness<P: Protocol> {
     pub id: ReplicaId,
@@ -125,12 +158,14 @@ impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
 
     fn send(&mut self, to: ReplicaId, msg: P::Msg) {
         match &mut *self.outbound {
-            Outbound::Wan(tx) => {
-                let _ = tx.send(NetInput::Send(Wire {
+            Outbound::InProcess(links) => {
+                let (inbox, delay) = &links[to.index()];
+                // A dropped inbox means the node stopped; ignore.
+                let _ = inbox.send(NodeInput::Msg {
                     from: self.id,
-                    to,
                     msg,
-                }));
+                    due: Some(Instant::now() + *delay),
+                });
             }
             Outbound::Socket(sink) => sink.send_msg(to, msg),
         }
@@ -221,10 +256,22 @@ impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
 impl<P: Protocol> NodeHarness<P> {
     /// The node thread body: dispatch messages, requests, and timers until
     /// asked to stop.
+    ///
+    /// On the in-process plane this loop is also the emulated WAN: a peer
+    /// message arrives stamped with its `due` time and waits in
+    /// `in_flight` until then. Per-link FIFO holds because one thread
+    /// stamps a link's messages with a monotonic clock plus a constant,
+    /// the inbox is FIFO, and equal `due`s break by arrival sequence —
+    /// so a message may skip the heap only when the heap is **empty**,
+    /// never merely because its own `due` has passed. Links with
+    /// different delays share the heap, not a queue: a slow link cannot
+    /// hold back a fast one.
     pub(crate) fn run(mut self) -> NodeReport {
         let mut stamper = MonotonicStamper::new();
         let mut timers: BinaryHeap<Reverse<(Instant, u64, TimerToken)>> = BinaryHeap::new();
         let mut timer_seq = 0u64;
+        let mut in_flight: BinaryHeap<Reverse<InFlight<P::Msg>>> = BinaryHeap::new();
+        let mut arrival_seq = 0u64;
         let mut commit_count = 0u64;
         let mut replies: ReplyBatch = Vec::new();
 
@@ -265,8 +312,8 @@ impl<P: Protocol> NodeHarness<P> {
         // snapshot before the first interval elapses).
         let mut next_poll = self.poll_every.map(|_| Instant::now());
 
-        loop {
-            // Fire due timers first.
+        'run: loop {
+            // Fire due timers first, then deliver every due message.
             let now = Instant::now();
             while timers
                 .peek()
@@ -274,6 +321,10 @@ impl<P: Protocol> NodeHarness<P> {
             {
                 let Reverse((_, _, token)) = timers.pop().expect("peeked");
                 dispatch!(|c| self.proto.on_timer(token, &mut c));
+            }
+            while in_flight.peek().is_some_and(|Reverse(f)| f.due <= now) {
+                let Reverse(f) = in_flight.pop().expect("peeked");
+                dispatch!(|c| self.proto.on_message(f.from, f.msg, &mut c));
             }
 
             // Periodic gauge poll (observing clusters only): ask the
@@ -286,13 +337,16 @@ impl<P: Protocol> NodeHarness<P> {
                 }
             }
 
-            // Sleep until the next timer or gauge poll, whichever is
-            // sooner (forever when neither is pending).
-            let timer_due = timers.peek().map(|Reverse((due, _, _))| *due);
-            let deadline = match (timer_due, next_poll) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            // Sleep until the next timer, held message or gauge poll,
+            // whichever is sooner (forever when none is pending).
+            let deadline = [
+                timers.peek().map(|Reverse((due, _, _))| *due),
+                in_flight.peek().map(|Reverse(f)| f.due),
+                next_poll,
+            ]
+            .into_iter()
+            .flatten()
+            .min();
             let input = match deadline {
                 Some(due) => {
                     let timeout = due.saturating_duration_since(Instant::now());
@@ -308,61 +362,59 @@ impl<P: Protocol> NodeHarness<P> {
                 },
             };
 
-            match input {
-                NodeInput::Msg(wire) => {
-                    dispatch!(|c| self.proto.on_message(wire.from, wire.msg, &mut c));
-                }
-                NodeInput::Request(cmd) if cmd.read_only => {
-                    // Reads bypass the batching pipeline entirely: a
-                    // `Get` must never wait behind a write batch.
-                    // Straight to the protocol's read path.
-                    dispatch!(|c| self.proto.on_client_read(cmd, &mut c));
-                }
-                NodeInput::Request(cmd) => {
-                    // Coalesce opportunistically: take whatever requests
-                    // are already queued (up to the policy cap) into one
-                    // batch, never waiting for more. A non-request input
-                    // ends the run and is handled right after, preserving
-                    // arrival order.
-                    let mut cmds = vec![cmd];
-                    let mut interrupt: Option<NodeInput<P>> = None;
-                    while self.batch.fits(cmds.len()) {
-                        match self.inbox.try_recv() {
-                            Ok(NodeInput::Request(c)) if !c.read_only => cmds.push(c),
-                            Ok(other) => {
-                                // A read or a message ends the run (and
-                                // is handled right after, preserving
-                                // arrival order): reads never join
-                                // batches.
-                                interrupt = Some(other);
-                                break;
+            // A write run that stops at a non-write hands it back here,
+            // so it is handled right after the batch, in arrival order.
+            let mut next = Some(input);
+            while let Some(input) = next.take() {
+                match input {
+                    NodeInput::Msg { from, msg, due } => match due {
+                        Some(due) if !in_flight.is_empty() || due > Instant::now() => {
+                            arrival_seq += 1;
+                            in_flight.push(Reverse(InFlight {
+                                due,
+                                seq: arrival_seq,
+                                from,
+                                msg,
+                            }));
+                        }
+                        _ => dispatch!(|c| self.proto.on_message(from, msg, &mut c)),
+                    },
+                    NodeInput::Request(cmd) if cmd.read_only => {
+                        // Reads bypass the batching pipeline entirely: a
+                        // `Get` must never wait behind a write batch.
+                        // Straight to the protocol's read path.
+                        dispatch!(|c| self.proto.on_client_read(cmd, &mut c));
+                    }
+                    NodeInput::Request(cmd) => {
+                        // Coalesce opportunistically: take whatever
+                        // requests are already queued (up to the policy
+                        // cap) into one batch, never waiting for more. A
+                        // read or a message ends the run: reads never
+                        // join batches.
+                        let mut cmds = vec![cmd];
+                        while self.batch.fits(cmds.len()) {
+                            match self.inbox.try_recv() {
+                                Ok(NodeInput::Request(c)) if !c.read_only => cmds.push(c),
+                                Ok(other) => {
+                                    next = Some(other);
+                                    break;
+                                }
+                                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
                             }
-                            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
                         }
+                        if let Some(t) = &self.tracer {
+                            // Span origin: this node (the command's local
+                            // replica). Reads never reach here — they skip
+                            // the ordering pipeline the span describes.
+                            let at = self.epoch.elapsed().as_micros() as u64;
+                            for c in &cmds {
+                                t.begin(span_key(c.id), self.id.as_u16(), at);
+                            }
+                        }
+                        dispatch!(|c| self.proto.on_client_batch(Batch::new(cmds), &mut c));
                     }
-                    if let Some(t) = &self.tracer {
-                        // Span origin: this node (the command's local
-                        // replica). Reads never reach here — they skip
-                        // the ordering pipeline the span describes.
-                        let at = self.epoch.elapsed().as_micros() as u64;
-                        for c in &cmds {
-                            t.begin(span_key(c.id), self.id.as_u16(), at);
-                        }
-                    }
-                    dispatch!(|c| self.proto.on_client_batch(Batch::new(cmds), &mut c));
-                    match interrupt {
-                        None => {}
-                        Some(NodeInput::Msg(wire)) => {
-                            dispatch!(|c| self.proto.on_message(wire.from, wire.msg, &mut c));
-                        }
-                        Some(NodeInput::Request(read)) => {
-                            debug_assert!(read.read_only, "only reads interrupt a run");
-                            dispatch!(|c| self.proto.on_client_read(read, &mut c));
-                        }
-                        Some(NodeInput::Stop) => break,
-                    }
+                    NodeInput::Stop => break 'run,
                 }
-                NodeInput::Stop => break,
             }
         }
 
@@ -387,22 +439,41 @@ mod tests {
     enum Call {
         Batch(usize),
         Read,
-        Message,
+        Message { from: u16, payload: u32 },
     }
 
-    /// Records which driver callback ran, in order; commits nothing.
+    type Calls = Arc<Mutex<Vec<(Call, Instant)>>>;
+
+    /// The test protocol's peer message: a number to tell sends apart.
+    #[derive(Clone, Debug)]
+    struct Payload(u32);
+
+    impl rsm_core::wire::WireSize for Payload {
+        fn wire_size(&self) -> usize {
+            4
+        }
+    }
+
+    /// Records which driver callback ran and when, in order; commits
+    /// nothing.
+    #[derive(Default)]
     struct Recorder {
-        calls: Arc<Mutex<Vec<Call>>>,
+        calls: Calls,
+        /// A read makes the node send payloads `0..burst` to replica 1.
+        burst: u32,
+        /// How long a write batch keeps the node thread busy.
+        stall: Duration,
     }
 
     impl Recorder {
         fn push(&self, call: Call) {
-            self.calls.lock().expect("recorder lock").push(call);
+            let at = Instant::now();
+            self.calls.lock().expect("recorder lock").push((call, at));
         }
     }
 
     impl Protocol for Recorder {
-        type Msg = ();
+        type Msg = Payload;
         type LogRec = ();
         fn id(&self) -> ReplicaId {
             ReplicaId::new(0)
@@ -413,46 +484,90 @@ mod tests {
         }
         fn on_client_batch(&mut self, batch: Batch, _: &mut dyn Context<Self>) {
             self.push(Call::Batch(batch.len()));
+            std::thread::sleep(self.stall);
         }
-        fn on_client_read(&mut self, _: Command, _: &mut dyn Context<Self>) {
+        fn on_client_read(&mut self, _: Command, ctx: &mut dyn Context<Self>) {
             self.push(Call::Read);
+            for payload in 0..self.burst {
+                ctx.send(ReplicaId::new(1), Payload(payload));
+            }
         }
-        fn on_message(&mut self, _: ReplicaId, _: (), _: &mut dyn Context<Self>) {
-            self.push(Call::Message);
+        fn on_message(&mut self, from: ReplicaId, msg: Payload, _: &mut dyn Context<Self>) {
+            let (from, payload) = (from.as_u16(), msg.0);
+            self.push(Call::Message { from, payload });
         }
         fn on_timer(&mut self, _: TimerToken, _: &mut dyn Context<Self>) {}
         fn on_recover(&mut self, _: &[()], _: &mut dyn Context<Self>) {}
     }
 
-    /// Runs a node over a fully pre-loaded inbox (nothing races the
-    /// drain) that ends in `Stop`, and returns the callback sequence.
-    fn drain(policy: BatchPolicy, inputs: Vec<NodeInput<Recorder>>) -> Vec<Call> {
-        let calls = Arc::new(Mutex::new(Vec::new()));
+    fn harness(
+        proto: Recorder,
+        inbox: Receiver<NodeInput<Recorder>>,
+        links: Vec<(Sender<NodeInput<Recorder>>, Duration)>,
+    ) -> NodeHarness<Recorder> {
+        // Nobody reads replies: the Recorder commits nothing.
+        let (reply_tx, _) = unbounded();
+        NodeHarness {
+            id: proto.id(),
+            proto,
+            sm: Box::new(KvStore::new()),
+            log: Vec::new(),
+            inbox,
+            outbound: Outbound::InProcess(links),
+            reply_tx,
+            epoch: Instant::now(),
+            clock_offset_us: 0,
+            batch: BatchPolicy::max(8),
+            obs: None,
+            tracer: None,
+            poll_every: None,
+        }
+    }
+
+    /// Runs a node on this thread over a fully pre-loaded inbox (nothing
+    /// races the drain) that ends in `Stop`, and returns the callback
+    /// sequence.
+    fn drain(inputs: Vec<NodeInput<Recorder>>) -> Vec<Call> {
+        let proto = Recorder::default();
+        let calls = Arc::clone(&proto.calls);
         let (inbox_tx, inbox) = unbounded();
         for input in inputs {
             inbox_tx.send(input).expect("inbox open");
         }
         inbox_tx.send(NodeInput::Stop).expect("inbox open");
-        let (net_tx, _net_rx) = unbounded();
-        let (reply_tx, _reply_rx) = unbounded();
-        let harness = NodeHarness {
-            id: ReplicaId::new(0),
-            proto: Recorder {
-                calls: Arc::clone(&calls),
-            },
-            sm: Box::new(KvStore::new()),
-            log: Vec::new(),
-            inbox,
-            outbound: Outbound::Wan(net_tx),
-            reply_tx,
-            epoch: Instant::now(),
-            clock_offset_us: 0,
-            batch: policy,
-            obs: None,
-            tracer: None,
-            poll_every: None,
-        };
-        harness.run();
+        harness(proto, inbox, Vec::new()).run();
+        let mut calls = calls.lock().expect("recorder lock");
+        calls.drain(..).map(|(call, _)| call).collect()
+    }
+
+    /// Blocks until `want` callbacks have been recorded. A delivery that
+    /// never happens fails here, under a watchdog, instead of hanging.
+    fn wait_for(calls: &Calls, want: usize) {
+        let watchdog = Instant::now() + Duration::from_secs(10);
+        while calls.lock().expect("recorder lock").len() < want {
+            assert!(Instant::now() < watchdog, "fewer than {want} callbacks ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Runs a node on its own thread over `inputs`, keeps its inbox open
+    /// until `want` callbacks have run, stops it, and returns the
+    /// callbacks with their dispatch times.
+    fn run_until(
+        proto: Recorder,
+        inputs: Vec<NodeInput<Recorder>>,
+        want: usize,
+    ) -> Vec<(Call, Instant)> {
+        let calls = Arc::clone(&proto.calls);
+        let (inbox_tx, inbox) = unbounded();
+        for input in inputs {
+            inbox_tx.send(input).expect("inbox open");
+        }
+        let node = harness(proto, inbox, Vec::new());
+        let handle = std::thread::spawn(move || node.run());
+        wait_for(&calls, want);
+        inbox_tx.send(NodeInput::Stop).expect("inbox open");
+        handle.join().expect("node thread");
         let mut calls = calls.lock().expect("recorder lock");
         std::mem::take(&mut *calls)
     }
@@ -465,22 +580,39 @@ mod tests {
         NodeInput::Request(Command::new(id(seq), Bytes::from_static(b"w")))
     }
 
+    fn read(seq: u64) -> NodeInput<Recorder> {
+        NodeInput::Request(Command::read(id(seq), Bytes::from_static(b"r")))
+    }
+
+    /// A peer message as the in-process plane's `send` stamps it.
+    fn msg(from: u16, payload: u32, due: Instant) -> NodeInput<Recorder> {
+        NodeInput::Msg {
+            from: ReplicaId::new(from),
+            msg: Payload(payload),
+            due: Some(due),
+        }
+    }
+
+    fn message(from: u16, payload: u32) -> Call {
+        Call::Message { from, payload }
+    }
+
     #[test]
     fn reads_and_messages_end_a_write_run_and_keep_arrival_order() {
-        let msg = NodeInput::Msg(Wire {
+        // Due on arrival, as the socket planes deliver.
+        let peer = NodeInput::Msg {
             from: ReplicaId::new(1),
-            to: ReplicaId::new(0),
-            msg: (),
-        });
-        let read = NodeInput::Request(Command::read(id(3), Bytes::from_static(b"r")));
-        let inputs = vec![write(1), write(2), read, write(4), msg, write(5)];
+            msg: Payload(7),
+            due: None,
+        };
+        let inputs = vec![write(1), write(2), read(3), write(4), peer, write(5)];
         assert_eq!(
-            drain(BatchPolicy::max(8), inputs),
+            drain(inputs),
             [
                 Call::Batch(2),
                 Call::Read,
                 Call::Batch(1),
-                Call::Message,
+                message(1, 7),
                 Call::Batch(1), // its run is ended by `Stop`
             ]
         );
@@ -490,8 +622,101 @@ mod tests {
     fn a_deep_write_queue_splits_at_the_cap() {
         let inputs = (1..=20).map(write).collect();
         assert_eq!(
-            drain(BatchPolicy::max(8), inputs),
+            drain(inputs),
             [Call::Batch(8), Call::Batch(8), Call::Batch(4)]
         );
+    }
+
+    #[test]
+    fn one_link_delivers_in_send_order_and_never_early() {
+        // Two nodes wired as the cluster wires them: node 0's read
+        // callback sends five messages down its 2 ms link to node 1
+        // through the real `Context::send`, which stamps them.
+        const DELAY: Duration = Duration::from_millis(2);
+        let (tx0, inbox0) = unbounded();
+        let (tx1, inbox1) = unbounded();
+        let sender = Recorder {
+            burst: 5,
+            ..Recorder::default()
+        };
+        let links = vec![(tx0.clone(), Duration::ZERO), (tx1.clone(), DELAY)];
+        let node0 = harness(sender, inbox0, links);
+        let receiver = Recorder::default();
+        let calls = Arc::clone(&receiver.calls);
+        let node1 = harness(receiver, inbox1, Vec::new());
+        let h0 = std::thread::spawn(move || node0.run());
+        let h1 = std::thread::spawn(move || node1.run());
+
+        let sent_after = Instant::now();
+        tx0.send(read(1)).expect("inbox open");
+        wait_for(&calls, 5);
+        for tx in [tx0, tx1] {
+            tx.send(NodeInput::Stop).expect("inbox open");
+        }
+        h0.join().expect("node 0");
+        h1.join().expect("node 1");
+
+        let calls = calls.lock().expect("recorder lock");
+        for (payload, (call, at)) in calls.iter().enumerate() {
+            assert_eq!(*call, message(0, payload as u32), "FIFO per link");
+            assert!(*at >= sent_after + DELAY, "{call:?} dispatched early");
+        }
+        assert_eq!(calls.len(), 5);
+    }
+
+    #[test]
+    fn a_slow_link_does_not_hold_back_a_fast_one() {
+        let t0 = Instant::now();
+        let slow = t0 + Duration::from_millis(40);
+        let fast = t0 + Duration::from_millis(1);
+        // The slow link's message is queued FIRST.
+        let inputs = vec![msg(1, 40, slow), msg(2, 1, fast)];
+        let calls = run_until(Recorder::default(), inputs, 2);
+        assert_eq!(calls[0].0, message(2, 1), "fast link first");
+        assert_eq!(calls[1].0, message(1, 40));
+        assert!(calls[0].1 >= fast, "fast: not before its due");
+        assert!(calls[1].1 >= slow, "slow: not before its due");
+    }
+
+    #[test]
+    fn a_due_message_does_not_overtake_its_link_predecessor_in_the_heap() {
+        // One link, two messages. The first is received early and held;
+        // the write behind it keeps the node busy past both due times,
+        // and its run is ended by the second message — which is thus
+        // received already due, in the same turn, with the first still
+        // in the heap. "Due already, dispatch directly" would reorder
+        // the link here.
+        let t0 = Instant::now();
+        let first = msg(1, 1, t0 + Duration::from_millis(20));
+        let second = msg(1, 2, t0 + Duration::from_millis(21));
+        let busy = Recorder {
+            stall: Duration::from_millis(40),
+            ..Recorder::default()
+        };
+        let calls = run_until(busy, vec![first, write(1), second], 3);
+        let order: Vec<Call> = calls.into_iter().map(|(call, _)| call).collect();
+        assert_eq!(order, [Call::Batch(1), message(1, 1), message(1, 2)]);
+    }
+
+    #[test]
+    fn stop_with_messages_still_held_exits_promptly_and_reports() {
+        // What `Cluster::crash` relies on: a stopping node does not wait
+        // out (or deliver) what it holds.
+        let held = Instant::now() + Duration::from_secs(30);
+        let (inbox_tx, inbox) = unbounded();
+        for payload in 0..3 {
+            inbox_tx.send(msg(1, payload, held)).expect("inbox open");
+        }
+        inbox_tx.send(NodeInput::Stop).expect("inbox open");
+        let proto = Recorder::default();
+        let calls = Arc::clone(&proto.calls);
+        let started = Instant::now();
+        let report = harness(proto, inbox, Vec::new()).run();
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "waited for the heap"
+        );
+        assert_eq!((report.id, report.commit_count), (ReplicaId::new(0), 0));
+        assert!(calls.lock().expect("recorder lock").is_empty());
     }
 }

@@ -2,13 +2,16 @@
 //! the simulator: spin up real replica threads with emulated WAN delays
 //! and drive the replicated key-value store from multiple client threads.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use clock_rsm::{ClockRsm, ClockRsmConfig};
 use kvstore::{KvOp, KvStore};
 use mencius::MenciusBcast;
 use paxos::{MultiPaxos, PaxosVariant};
-use rsm_core::{LatencyMatrix, Membership, ReplicaId, StateMachine};
+use rsm_core::wire::WireMsg;
+use rsm_core::{
+    ClientId, Command, CommandId, LatencyMatrix, Membership, Protocol, ReplicaId, StateMachine,
+};
 use rsm_runtime::{Cluster, ClusterConfig};
 
 fn kv() -> Box<dyn StateMachine> {
@@ -144,4 +147,109 @@ fn live_cluster_with_skewed_clocks() {
     std::thread::sleep(Duration::from_millis(300));
     let reports = cluster.shutdown();
     assert!(reports.windows(2).all(|w| w[0].snapshot == w[1].snapshot));
+}
+
+/// Three sites with one slow pair, one-way: 0–1 and 0–2 are 1 ms apart,
+/// 1–2 are 12 ms. Every other live test runs a uniform matrix, where all
+/// links share one delay and a cross-link mistake in a receiver's
+/// due-time heap (or a delay read from the wrong link) cannot show.
+fn slow_pair() -> LatencyMatrix {
+    LatencyMatrix::from_one_way_micros(vec![
+        vec![0, 1_000, 1_000],
+        vec![1_000, 0, 12_000],
+        vec![1_000, 12_000, 0],
+    ])
+}
+
+/// A fire-and-forget burst of writes at every site of a live cluster on
+/// the [`slow_pair`] matrix (unscaled), then `probe`, then the grade:
+/// identical snapshots and the exact commit count on every replica.
+/// `probe` returns how many writes it committed.
+fn burst_on_the_slow_pair_matrix<P>(
+    factory: impl FnMut(ReplicaId) -> P,
+    probe: impl FnOnce(&Cluster<P>) -> u64,
+) where
+    P: Protocol + Send + 'static,
+    P::Msg: WireMsg,
+{
+    const BURST: u64 = 2_000;
+    let timeout = Duration::from_secs(60);
+    let matrix = slow_pair();
+    let sites = || matrix.replicas();
+    let cluster = Cluster::spawn(ClusterConfig::new(matrix.clone()), factory, kv);
+    for seq in 1..=BURST {
+        for site in sites() {
+            let id = CommandId::new(ClientId::new(site, 99), seq);
+            let put = KvOp::put(
+                format!("s{}-k{}", site.as_u16(), seq % 64),
+                format!("{seq}"),
+            );
+            cluster.submit(site, Command::new(id, put.encode()));
+        }
+    }
+    // One blocking write per site, behind that site's burst in its inbox:
+    // every protocol orders a site's own commands in submission order, so
+    // the reply proves the whole burst of that site is committed.
+    for site in sites() {
+        let fence = KvOp::put(format!("fence{}", site.as_u16()), "v");
+        let reply = cluster.execute(site, fence.encode(), timeout);
+        assert_eq!(reply.expect("fence write").result[0], 1);
+    }
+    let probed = probe(&cluster);
+    // One linearizable read per site: it must observe every write
+    // acknowledged above, so a reply proves that site has executed them
+    // all — nothing trails into `shutdown`.
+    for site in sites() {
+        let reply = cluster.read(site, KvOp::get("fence2").encode(), timeout);
+        assert_eq!(&reply.expect("fence read").result[..], b"\x01v");
+    }
+    let reports = cluster.shutdown();
+    assert!(reports.windows(2).all(|w| w[0].snapshot == w[1].snapshot));
+    for r in &reports {
+        assert_eq!(r.commit_count, 3 * BURST + 3 + probed, "replica {:?}", r.id);
+    }
+}
+
+/// Clock-RSM on the asymmetric matrix, plus the latency floor: with the
+/// runtime's shared clock epoch a lone write at site `i` cannot commit
+/// before `max(2·median_k d(i,k), max_k d(i,k))` — a majority round trip,
+/// and a later-stamped message from the farthest replica. A delay
+/// applied short, or taken from the wrong link, lands under it.
+#[test]
+fn clock_rsm_live_on_an_asymmetric_matrix() {
+    burst_on_the_slow_pair_matrix(
+        |id| ClockRsm::new(id, Membership::uniform(3), ClockRsmConfig::default()),
+        |cluster| {
+            let matrix = slow_pair();
+            for site in matrix.replicas() {
+                let floor = analysis::model::clock_rsm_imbalanced(&matrix, site);
+                let put = KvOp::put(format!("lone{}", site.as_u16()), "v").encode();
+                let started = Instant::now();
+                cluster
+                    .execute(site, put, Duration::from_secs(60))
+                    .expect("lone write");
+                let took = started.elapsed();
+                assert!(
+                    took >= Duration::from_micros(floor),
+                    "site {site:?}: {took:?} beats the {floor} us floor"
+                );
+            }
+            3
+        },
+    );
+}
+
+#[test]
+fn paxos_bcast_live_on_an_asymmetric_matrix() {
+    // The leader sits on the slow pair, so its accepts cross it.
+    let leader = ReplicaId::new(1);
+    burst_on_the_slow_pair_matrix(
+        |id| MultiPaxos::new(id, Membership::uniform(3), leader, PaxosVariant::Bcast),
+        |_| 0,
+    );
+}
+
+#[test]
+fn mencius_bcast_live_on_an_asymmetric_matrix() {
+    burst_on_the_slow_pair_matrix(|id| MenciusBcast::new(id, Membership::uniform(3)), |_| 0);
 }
