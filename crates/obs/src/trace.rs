@@ -108,7 +108,7 @@ struct TraceState {
 
 /// Collects [`Span`]s across one run. Cloning shares the collector;
 /// all methods take `&self` and are thread-safe (the threaded runtime
-/// stamps from node, router, and client threads).
+/// stamps from node and client threads).
 #[derive(Clone, Debug)]
 pub struct Tracer {
     cfg: ObsConfig,

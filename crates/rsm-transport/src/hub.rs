@@ -128,8 +128,8 @@ impl<M: WireMsg> Hub<M> {
     }
 
     /// The `(peer, depth gauge)` pair of every peer link added so far —
-    /// the gauges mirror each link's queued-frame count, updated by the
-    /// queue itself. Grab them before handing the hub to its node
+    /// the gauges mirror each link's queued-frame count, kept by the link
+    /// at enqueue and dequeue. Grab them before handing the hub to its node
     /// thread; links added later are not covered.
     pub fn depth_gauges(&self) -> Vec<(ReplicaId, Gauge)> {
         self.peers

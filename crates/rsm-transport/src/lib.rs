@@ -14,8 +14,13 @@
 //!   ([`FrameHeader`](rsm_core::wire::FrameHeader) + payload), verifies
 //!   the checksum, and hands the decoded message to a deliver callback.
 //! * [`Hub`] — a node's outbound side: one [`PeerLink`] writer thread
-//!   per peer with a **bounded, blocking** queue (backpressure, never
-//!   drops), plus a one-entry encode cache keyed by
+//!   per peer behind a `crossbeam::channel::bounded` queue — the same
+//!   channel the runtime's inboxes use. It **blocks** a sender that
+//!   outruns the peer's socket and never drops: the paper's protocols
+//!   are proved over reliable FIFO links, and a later timestamp from a
+//!   replica is taken as proof that nothing earlier from it is
+//!   outstanding, so a frame shed under load would be a safety bug, not
+//!   a slow-down. Plus a one-entry encode cache keyed by
 //!   [`WireMsg::shares_encoding`](rsm_core::wire::WireMsg::shares_encoding)
 //!   so a broadcast encodes its payload **once** and every per-peer send
 //!   reuses the same `Bytes` buffer.
@@ -42,7 +47,6 @@ mod endpoint;
 mod hub;
 mod link;
 mod listener;
-mod queue;
 
 pub use endpoint::Endpoint;
 pub use hub::{Hub, MsgSink, TransportMetrics};

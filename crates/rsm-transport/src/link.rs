@@ -2,15 +2,17 @@
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use rsm_core::wire::MSG_HEADER_BYTES;
 use rsm_obs::{Counter, Gauge};
 
 use crate::endpoint::{Conn, Endpoint};
-use crate::queue::{bounded, QueueReceiver, QueueSender};
 
 /// An encoded frame queued on a link: pre-built header, shared payload
 /// buffer, and the earliest instant it may hit the socket (the runtime's
@@ -29,7 +31,7 @@ const MAX_COALESCE: usize = 64;
 /// peer's socket falls this far behind — backpressure propagates to the
 /// protocol thread, which is the correct failure mode for gap-free FIFO
 /// links.
-const LINK_QUEUE_CAP: usize = 4096;
+pub(crate) const LINK_QUEUE_CAP: usize = 4096;
 
 const BACKOFF_START: Duration = Duration::from_micros(200);
 const BACKOFF_MAX: Duration = Duration::from_millis(100);
@@ -40,7 +42,17 @@ const BACKOFF_MAX: Duration = Duration::from_millis(100);
 /// reconnects with exponential backoff, retaining every frame it could
 /// not prove fully written.
 pub struct PeerLink {
-    tx: Option<QueueSender<OutFrame>>,
+    tx: Option<Sender<OutFrame>>,
+    /// Frames handed to [`send`](PeerLink::send) that the writer has not
+    /// taken yet: the queue's length plus the frame a blocked send holds.
+    /// Lock-free, so admission control and the metrics registry read it
+    /// without touching the queue.
+    depth: Gauge,
+    /// Set when the link is dropped. The writer cannot learn that from
+    /// the queue while it is unable to drain it (a dropped sender shows
+    /// only once the queue is empty), and that is exactly when it must
+    /// know: it is redialing a peer it cannot reach.
+    closing: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -50,27 +62,34 @@ impl PeerLink {
     /// connection was replaced).
     pub(crate) fn spawn(endpoint: Endpoint, reconnects: Counter) -> PeerLink {
         let (tx, rx) = bounded(LINK_QUEUE_CAP);
-        let handle = std::thread::Builder::new()
-            .name("rsm-writer".into())
-            .spawn(move || writer_loop(&endpoint, &rx, &reconnects))
-            .expect("spawn link writer thread");
+        let depth = Gauge::default();
+        let closing = Arc::new(AtomicBool::new(false));
+        let handle = {
+            let (depth, closing) = (depth.clone(), Arc::clone(&closing));
+            std::thread::Builder::new()
+                .name("rsm-writer".into())
+                .spawn(move || writer_loop(&endpoint, &rx, &depth, &closing, &reconnects))
+                .expect("spawn link writer thread")
+        };
         PeerLink {
             tx: Some(tx),
+            depth,
+            closing,
             handle: Some(handle),
         }
     }
 
-    /// A lock-free handle on this link's queued-frame count.
+    /// A handle on this link's queued-frame count.
     pub(crate) fn depth_gauge(&self) -> Gauge {
-        self.tx
-            .as_ref()
-            .expect("link queue alive until drop")
-            .depth_gauge()
+        self.depth.clone()
     }
 
     /// Enqueues a frame, blocking while the link queue is full.
     pub(crate) fn send(&self, frame: OutFrame) {
         if let Some(tx) = &self.tx {
+            // Counted before the send, so the writer's decrement can
+            // never come first and show a negative depth.
+            self.depth.add(1);
             // Err only if the writer died (shutdown race): drop silently,
             // links are lossy at teardown by design.
             let _ = tx.send(frame);
@@ -80,7 +99,9 @@ impl PeerLink {
 
 impl Drop for PeerLink {
     fn drop(&mut self) {
-        // Dropping the sender lets the writer drain its queue and exit.
+        // Dropping the sender lets the writer drain its queue and exit;
+        // the flag releases one that cannot (its peer is unreachable).
+        self.closing.store(true, Ordering::Release);
         self.tx = None;
         if let Some(h) = self.handle.take() {
             let _ = h.join();
@@ -88,7 +109,13 @@ impl Drop for PeerLink {
     }
 }
 
-fn writer_loop(endpoint: &Endpoint, rx: &QueueReceiver<OutFrame>, reconnects: &Counter) {
+fn writer_loop(
+    endpoint: &Endpoint,
+    rx: &Receiver<OutFrame>,
+    depth: &Gauge,
+    closing: &AtomicBool,
+    reconnects: &Counter,
+) {
     let mut conn: Option<Conn> = None;
     let mut connected_before = false;
     let mut pending: VecDeque<OutFrame> = VecDeque::new();
@@ -96,7 +123,8 @@ fn writer_loop(endpoint: &Endpoint, rx: &QueueReceiver<OutFrame>, reconnects: &C
     loop {
         // Connect (at spawn / after a failure) before waiting for a frame,
         // so the first one does not pay the dial; give up only once the
-        // hub is gone — an unreachable peer must not wedge shutdown.
+        // hub is gone — an unreachable peer must not wedge shutdown,
+        // whatever the writer and the queue still hold.
         let mut backoff = BACKOFF_START;
         while conn.is_none() {
             match Conn::connect(endpoint) {
@@ -108,7 +136,7 @@ fn writer_loop(endpoint: &Endpoint, rx: &QueueReceiver<OutFrame>, reconnects: &C
                     conn = Some(c);
                 }
                 Err(_) => {
-                    if rx.senders_gone() {
+                    if closing.load(Ordering::Acquire) {
                         return;
                     }
                     std::thread::sleep(backoff);
@@ -118,9 +146,15 @@ fn writer_loop(endpoint: &Endpoint, rx: &QueueReceiver<OutFrame>, reconnects: &C
         }
         // Refill: keep at least one frame to write, honouring due times.
         if pending.is_empty() {
-            let first = match carry.take().or_else(|| rx.recv()) {
+            let first = match carry.take() {
                 Some(f) => f,
-                None => return, // Hub dropped and queue drained.
+                None => match rx.recv() {
+                    Ok(f) => {
+                        depth.add(-1);
+                        f
+                    }
+                    Err(_) => return, // Hub dropped and queue drained.
+                },
             };
             let now = Instant::now();
             if first.due > now {
@@ -130,14 +164,13 @@ fn writer_loop(endpoint: &Endpoint, rx: &QueueReceiver<OutFrame>, reconnects: &C
             // Coalesce whatever else is already due.
             let now = Instant::now();
             while pending.len() < MAX_COALESCE {
-                match rx.try_recv() {
-                    Some(f) if f.due <= now => pending.push_back(f),
-                    Some(f) => {
-                        carry = Some(f);
-                        break;
-                    }
-                    None => break,
+                let Ok(f) = rx.try_recv() else { break };
+                depth.add(-1);
+                if f.due > now {
+                    carry = Some(f);
+                    break;
                 }
+                pending.push_back(f);
             }
         }
         let c = conn.as_mut().expect("connected above");

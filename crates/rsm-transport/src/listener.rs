@@ -40,13 +40,19 @@ impl Acceptor {
 /// next write fails and it redials; EOF ends the thread cleanly. The
 /// rejected frame itself is **not** resent: a writer retains only what
 /// it could not hand to the kernel, and there is no ack layer above it.
+///
+/// What the listener holds is bounded by its **live** connections: every
+/// accept lets go of the readers that have finished since the last one.
 pub struct Listener {
     endpoint: Endpoint,
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    conns: Arc<Mutex<Vec<Conn>>>,
+    readers: Readers,
 }
+
+/// Each reader thread with a second handle on its socket, through which
+/// `stop` unblocks a reader parked in `read`.
+type Readers = Arc<Mutex<Vec<(JoinHandle<()>, Option<Conn>)>>>;
 
 impl Listener {
     /// Binds `endpoint` and starts accepting. `deliver` is called on the
@@ -88,8 +94,7 @@ impl Listener {
             }
         };
         let shutdown = Arc::new(AtomicBool::new(false));
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
+        let readers = Readers::default();
         // Last delivered frame sequence per sender, shared by all reader
         // threads of this listener: a reconnecting peer resends anything
         // it could not prove fully written, and this map drops the
@@ -100,7 +105,6 @@ impl Listener {
         let accept_handle = {
             let shutdown = Arc::clone(&shutdown);
             let readers = Arc::clone(&readers);
-            let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("rsm-accept".into())
                 .spawn(move || loop {
@@ -116,9 +120,7 @@ impl Listener {
                     if shutdown.load(Ordering::Acquire) {
                         return;
                     }
-                    if let Ok(clone) = conn.try_clone() {
-                        conns.lock().unwrap().push(clone);
-                    }
+                    let clone = conn.try_clone().ok();
                     let deliver = Arc::clone(&deliver);
                     let last_seq = Arc::clone(&last_seq);
                     let metrics = metrics.clone();
@@ -128,13 +130,19 @@ impl Listener {
                             if read_frames(&mut conn, &*deliver, &last_seq, &metrics).is_err() {
                                 metrics.frames_rejected.inc();
                             }
-                            // `conns` holds a clone of this socket, so
+                            // `readers` holds a clone of this socket, so
                             // dropping `conn` would leave it open and the
                             // peer writing into a stream nobody reads.
                             conn.shutdown();
                         })
                         .expect("spawn reader thread");
-                    readers.lock().unwrap().push(handle);
+                    // A finished reader's handle and descriptor go here,
+                    // not at `stop`: a peer that redials after every torn
+                    // connection would otherwise cost one of each per
+                    // dial for as long as the listener lives.
+                    let mut readers = readers.lock().unwrap();
+                    readers.retain(|(reader, _)| !reader.is_finished());
+                    readers.push((handle, clone));
                 })
                 .expect("spawn accept thread")
         };
@@ -144,7 +152,6 @@ impl Listener {
             shutdown,
             accept_handle: Some(accept_handle),
             readers,
-            conns,
         })
     }
 
@@ -165,13 +172,13 @@ impl Listener {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Unblock readers still parked in read() on live connections.
-        for conn in self.conns.lock().unwrap().drain(..) {
-            conn.shutdown();
-        }
         let readers = std::mem::take(&mut *self.readers.lock().unwrap());
-        for h in readers {
-            let _ = h.join();
+        for (reader, conn) in readers {
+            // Unblock a reader still parked in read() on a live connection.
+            if let Some(conn) = conn {
+                conn.shutdown();
+            }
+            let _ = reader.join();
         }
         if let Endpoint::Uds(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
@@ -220,5 +227,13 @@ fn read_frames<M: WireMsg>(
             .bytes_recv
             .add((MSG_HEADER_BYTES + header.len as usize) as u64);
         deliver(header.from, msg);
+    }
+}
+
+#[cfg(test)]
+impl Listener {
+    /// Reader threads (and socket clones) currently held.
+    pub(crate) fn held(&self) -> usize {
+        self.readers.lock().unwrap().len()
     }
 }

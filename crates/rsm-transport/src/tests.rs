@@ -1,7 +1,8 @@
+use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
@@ -10,9 +11,14 @@ use rsm_core::wire::{
     encode_payload, FrameHeader, WireDecode, WireEncode, WireError, WireMsg, WireReader,
 };
 
+use crate::link::LINK_QUEUE_CAP;
 use crate::{Endpoint, Hub, Listener, MsgSink, TransportMetrics};
 
-static ENCODES: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Encodes performed on this thread — a hub encodes on its caller's
+    /// thread, so a test counts its own and nobody else's.
+    static ENCODES: Cell<usize> = const { Cell::new(0) };
+}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct TestMsg {
@@ -31,7 +37,7 @@ impl TestMsg {
 
 impl WireEncode for TestMsg {
     fn encode(&self, buf: &mut BytesMut) {
-        ENCODES.fetch_add(1, Ordering::Relaxed);
+        ENCODES.with(|n| n.set(n.get() + 1));
         self.tag.encode(buf);
         self.body.encode(buf);
     }
@@ -107,11 +113,11 @@ fn self_sends_bypass_the_socket() {
             let _ = tx.send(msg);
         }),
     );
-    let before = ENCODES.load(Ordering::Relaxed);
+    let before = ENCODES.with(Cell::get);
     hub.send_msg(r0, TestMsg::new(7, b"loop"));
     assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap().tag, 7);
     assert_eq!(
-        ENCODES.load(Ordering::Relaxed),
+        ENCODES.with(Cell::get),
         before,
         "a self-send must not encode"
     );
@@ -129,11 +135,11 @@ fn broadcast_encodes_the_payload_once() {
     hub.add_peer(ReplicaId::new(2), l2.endpoint().clone(), Duration::ZERO);
 
     let msg = TestMsg::new(42, &[9u8; 1024]);
-    let before = ENCODES.load(Ordering::Relaxed);
+    let before = ENCODES.with(Cell::get);
     hub.send_msg(ReplicaId::new(1), msg.clone());
     hub.send_msg(ReplicaId::new(2), msg.clone());
     assert_eq!(
-        ENCODES.load(Ordering::Relaxed) - before,
+        ENCODES.with(Cell::get) - before,
         1,
         "the second per-peer send must reuse the cached encoding"
     );
@@ -241,5 +247,135 @@ fn listener_stop_is_idempotent_and_unblocks() {
     std::thread::sleep(Duration::from_millis(50));
     listener.stop();
     listener.stop();
+    drop(hub);
+}
+
+/// Polls `cond` until it holds, or gives up: a state that is never
+/// reached is the caller's failed assertion, not a hang.
+fn reached(cond: impl Fn() -> bool) -> bool {
+    let watchdog = Instant::now() + Duration::from_secs(60);
+    while !cond() {
+        if Instant::now() > watchdog {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
+}
+
+#[test]
+fn a_stalled_peer_blocks_the_sender_at_the_link_bound_and_loses_nothing() {
+    const FRAMES: u64 = 64 * 1024;
+    // A receiver that takes nothing until the gate opens: its socket
+    // buffers fill, the writer blocks in `write`, the link queue fills,
+    // and the sending thread must stall — never drop, never run ahead.
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let (tx, rx) = mpsc::channel();
+    let listener = {
+        let gate = Arc::clone(&gate);
+        Listener::bind(&Endpoint::tcp_loopback(), move |from, msg: TestMsg| {
+            let (open, opened) = &*gate;
+            drop(opened.wait_while(open.lock().unwrap(), |open| !*open));
+            let _ = tx.send((from, msg));
+        })
+        .expect("bind")
+    };
+    let (r0, r1) = (ReplicaId::new(0), ReplicaId::new(1));
+    let mut hub: Hub<TestMsg> = Hub::new(r0, Box::new(|_| ()));
+    hub.add_peer(r1, listener.endpoint().clone(), Duration::ZERO);
+    let depth = hub.depth_gauges().remove(0).1;
+    let sent = Arc::new(AtomicUsize::new(0));
+    let sender = {
+        let sent = Arc::clone(&sent);
+        std::thread::spawn(move || {
+            for tag in 0..FRAMES {
+                hub.send_msg(r1, TestMsg::new(tag, &[tag as u8; 1024]));
+                sent.fetch_add(1, Ordering::SeqCst);
+            }
+            hub
+        })
+    };
+
+    // Stalled: the queue holds its bound, the blocked send one more.
+    let full = LINK_QUEUE_CAP as i64 + 1;
+    let filled = reached(|| depth.get() >= full);
+    let stalled_at = sent.load(Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(100));
+    let (depth_later, sent_later) = (depth.get(), sent.load(Ordering::SeqCst));
+    // Judge with the gate open: a failed assertion must not leave the
+    // reader parked in `deliver` for the listener's drop to wait on.
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    assert!(filled, "the link queue never filled: depth {depth_later}");
+    assert_eq!(depth_later, full, "the queue grew past its bound");
+    assert_eq!(sent_later, stalled_at, "a send went through a full queue");
+    assert!((stalled_at as u64) < FRAMES);
+
+    for tag in 0..FRAMES {
+        let (from, msg) = rx.recv_timeout(Duration::from_secs(60)).expect("frame");
+        assert_eq!((from, msg.tag), (r0, tag), "exactly once, in order");
+    }
+    let hub = sender.join().expect("sender");
+    assert_eq!(depth.get(), 0, "every frame left the queue");
+    assert!(rx.try_recv().is_err(), "a frame arrived twice");
+    drop(hub);
+}
+
+#[test]
+fn dropping_a_hub_does_not_wait_for_an_unreachable_peer() {
+    // Nobody listens here, so the writer redials for ever — with frames
+    // queued and, after the drop, no way to drain them.
+    let nowhere = Endpoint::uds_temp("nowhere", 0);
+    let mut hub: Hub<TestMsg> = Hub::new(ReplicaId::new(0), Box::new(|_| ()));
+    hub.add_peer(ReplicaId::new(1), nowhere, Duration::ZERO);
+    for tag in 0..100 {
+        hub.send_msg(ReplicaId::new(1), TestMsg::new(tag, b"lost at teardown"));
+    }
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(hub);
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("hub drop wedged behind an unreachable peer");
+}
+
+#[test]
+fn finished_connections_cost_the_listener_nothing() {
+    let (tx, rx) = mpsc::channel();
+    let mut listener = Listener::bind(&Endpoint::tcp_loopback(), deliver_into(tx)).expect("bind");
+    let addr = tcp_addr(&listener);
+    // One connection that stays up for the whole test…
+    let r0 = ReplicaId::new(0);
+    let mut hub: Hub<TestMsg> = Hub::new(r0, Box::new(|_| ()));
+    hub.add_peer(
+        ReplicaId::new(1),
+        listener.endpoint().clone(),
+        Duration::ZERO,
+    );
+    hub.send_msg(ReplicaId::new(1), TestMsg::new(1, b"live"));
+    rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+    // …and 200 that come and go, as a peer redialing after torn
+    // connections (or a port scanner) would produce them.
+    for _ in 0..200 {
+        drop(TcpStream::connect(addr).unwrap());
+    }
+    // Readers notice EOF on their own time, and a finished reader is let
+    // go of at the next accept: dial until the listener holds the live
+    // connection plus, at most, that last dial.
+    let let_go = reached(|| {
+        drop(TcpStream::connect(addr).unwrap());
+        std::thread::sleep(Duration::from_millis(5));
+        listener.held() <= 2
+    });
+    assert!(
+        let_go,
+        "{} readers held for one connection",
+        listener.held()
+    );
+    // The live reader is still parked in `read`; stop must unblock it.
+    listener.stop();
+    assert_eq!(listener.held(), 0);
     drop(hub);
 }

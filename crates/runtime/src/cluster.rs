@@ -1,20 +1,17 @@
-//! Cluster orchestration: spawn replicas, route replies, submit commands.
+//! Cluster orchestration: spawn replicas, submit commands, wait for
+//! replies.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Sender};
-use parking_lot::Mutex;
 
 use rsm_core::batch::BatchPolicy;
 use rsm_core::command::{Command, CommandId, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
-use rsm_core::obs::{span_key, TraceStage};
 use rsm_core::protocol::Protocol;
 use rsm_core::session::ClientSession;
 use rsm_core::sm::StateMachine;
@@ -22,7 +19,7 @@ use rsm_core::wire::WireMsg;
 use rsm_obs::{gauge_max, Gauge, MetricsSnapshot, NodeObs, ObsConfig, Registry, Tracer};
 use rsm_transport::{Endpoint, Hub, Listener, TransportMetrics};
 
-use crate::node::{NodeHarness, NodeInput, NodeReport, Outbound, ReplyBatch};
+use crate::node::{NodeHarness, NodeInput, NodeReport, Outbound, Waiter};
 
 /// How replica threads exchange protocol messages.
 ///
@@ -53,12 +50,6 @@ pub enum ClusterTransport {
 /// coordinator's snapshot client and the test suites' small numbers
 /// already do.
 pub const CLIENT_BASE: u32 = 0x4000_0000;
-
-/// The pending-reply map is swept for expired entries whenever an
-/// insert finds it at least this large, bounding the leak from waiters
-/// that vanished without removing their entry (a racing retry overwrote
-/// it, or the caller panicked between insert and receive).
-const PENDING_SWEEP_MIN: usize = 1024;
 
 /// Default admission-control high-water mark: a *new* command is
 /// rejected with [`ExecuteError::Busy`] when its target replica's inbox
@@ -205,17 +196,18 @@ impl ClusterConfig {
     }
 }
 
-/// A running cluster: one thread per replica plus a reply router — and,
-/// over sockets, the transport's listener, reader and link-writer
-/// threads. The in-process plane adds no thread: replicas push into each
-/// other's inboxes and each holds what it receives until the emulated
-/// link delay has passed. See the crate-level example.
+/// A running cluster: one thread per replica — and, over sockets, the
+/// transport's listener, reader and link-writer threads. Nothing stands
+/// between a replica and its callers: a blocking call's waiter rides in
+/// with the request, and the replica thread that executes the command
+/// sends the reply straight to it. The in-process plane adds no thread
+/// either: replicas push into each other's inboxes and each holds what
+/// it receives until the emulated link delay has passed. See the
+/// crate-level example.
 pub struct Cluster<P: Protocol + Send + 'static> {
     node_txs: Vec<Sender<NodeInput<P>>>,
-    pending: Arc<Mutex<PendingMap>>,
     node_handles: Vec<JoinHandle<NodeReport>>,
     listeners: Vec<Listener>,
-    router_handle: JoinHandle<()>,
     /// Mints distinct client numbers (offset from [`CLIENT_BASE`]) so
     /// every API call / session owns its own per-client seq space.
     clients: AtomicU64,
@@ -232,20 +224,9 @@ pub struct Cluster<P: Protocol + Send + 'static> {
     tracer: Option<Tracer>,
 }
 
-/// A parked waiter for one in-flight command's reply.
-struct PendingReply {
-    tx: Sender<Reply>,
-    /// When the waiter stops listening; expired entries are swept once
-    /// the map grows past [`PENDING_SWEEP_MIN`].
-    expires: Instant,
-}
-
-type PendingMap = HashMap<CommandId, PendingReply>;
-
 impl<P: Protocol + Send + 'static> Cluster<P> {
     /// Spawns one thread per replica (protocols built by `factory`, state
-    /// machines by `sm_factory`), the configured message plane, and the
-    /// reply router.
+    /// machines by `sm_factory`) and the configured message plane.
     pub fn spawn(
         cfg: ClusterConfig,
         mut factory: impl FnMut(ReplicaId) -> P,
@@ -258,10 +239,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         let epoch = cfg.epoch.unwrap_or_else(Instant::now);
         let registry = cfg.observe.map(|_| Registry::new());
         let tracer = cfg.observe.map(Tracer::new);
-        // Nodes ship reply *batches*: one channel send per drained
-        // protocol callback, however many co-located clients it answered.
-        let (reply_tx, reply_rx) = unbounded::<ReplyBatch>();
-
         let mut node_txs = Vec::with_capacity(n);
         let mut node_handles = Vec::with_capacity(n);
         let mut inbox_rxs = Vec::with_capacity(n);
@@ -370,7 +347,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                 log: Vec::new(),
                 inbox,
                 outbound,
-                reply_tx: reply_tx.clone(),
                 epoch,
                 clock_offset_us: cfg.clock_offsets_us[i],
                 batch: cfg.batch,
@@ -386,41 +362,10 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
             );
         }
 
-        let pending: Arc<Mutex<PendingMap>> = Arc::new(Mutex::new(HashMap::new()));
-        let pending_for_router = Arc::clone(&pending);
-        let tracer_for_router = tracer.clone();
-        let router_handle = std::thread::Builder::new()
-            .name("reply-router".to_string())
-            .spawn(move || {
-                while let Ok(batch) = reply_rx.recv() {
-                    if let Some(t) = &tracer_for_router {
-                        // The reply crossed back to the client side of
-                        // the cluster — the span's terminal stage. A
-                        // reply nobody waits for (the waiter timed out)
-                        // still completes: the command's pipeline ran in
-                        // full. Read replies are a no-op here (reads are
-                        // untraced, so no span was ever begun).
-                        let at = epoch.elapsed().as_micros() as u64;
-                        for (id, _) in &batch {
-                            t.complete(span_key(*id), TraceStage::Replied.index(), at);
-                        }
-                    }
-                    let mut pending = pending_for_router.lock();
-                    for (id, reply) in batch {
-                        if let Some(p) = pending.remove(&id) {
-                            let _ = p.tx.send(reply);
-                        }
-                    }
-                }
-            })
-            .expect("spawn router thread");
-
         Cluster {
             node_txs,
-            pending,
             node_handles,
             listeners,
-            router_handle,
             clients: AtomicU64::new(0),
             outbound_depths,
             retry_attempts: cfg.retry_attempts,
@@ -453,7 +398,13 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
 
     /// Submits a command to `site` without waiting for the reply.
     pub fn submit(&self, site: ReplicaId, cmd: Command) {
-        let _ = self.node_txs[site.index()].send(NodeInput::Request(cmd));
+        self.request(site, cmd, None);
+    }
+
+    /// Hands `site` a request. A dropped inbox means the node stopped;
+    /// the command (and its waiter) go down with it.
+    fn request(&self, site: ReplicaId, cmd: Command, waiter: Option<Waiter>) {
+        let _ = self.node_txs[site.index()].send(NodeInput::Request(cmd, waiter));
     }
 
     /// Crash-stops one replica: its thread exits immediately and every
@@ -462,8 +413,9 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// remote process kill looks like from the outside — so fail-over
     /// machinery (lease timeouts, elections) runs against a realistically
     /// silent peer. There is no restart path in the threaded runtime;
-    /// recovery schedules live in the simnet suites. Commands submitted
-    /// to a crashed site time out.
+    /// recovery schedules live in the simnet suites. The callers it was
+    /// serving, and commands submitted to it afterwards, wait out their
+    /// full timeout: a crashed site is silent, it does not refuse.
     pub fn crash(&self, site: ReplicaId) {
         let _ = self.node_txs[site.index()].send(NodeInput::Stop);
     }
@@ -583,17 +535,16 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         if !retry {
             self.check_admission(site)?;
         }
-        let id = cmd.id;
         let (tx, rx) = bounded(1);
-        self.insert_pending(id, tx, timeout);
-        self.submit(site, cmd);
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(reply),
-            Err(_) => {
-                self.pending.lock().remove(&id);
-                Err(ExecuteError::Timeout)
-            }
-        }
+        let expires = Instant::now() + timeout;
+        // A sender of the caller's own, alive until this call returns, so
+        // the channel never reads disconnected. A node lets go of a
+        // waiter unanswered when it stops, or when a retry of the id
+        // replaces it; neither is an answer, and a dead replica does not
+        // say it is dead — the caller waits out its deadline.
+        let _connected = tx.clone();
+        self.request(site, cmd, Some(Waiter { tx, expires }));
+        rx.recv_timeout(timeout).map_err(|_| ExecuteError::Timeout)
     }
 
     /// The configured retry loop around [`execute_attempt`]: same
@@ -633,25 +584,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
             return Err(ExecuteError::Busy);
         }
         Ok(())
-    }
-
-    /// Registers a reply waiter, sweeping expired entries once the map
-    /// is large: a waiter that disappeared without cleaning up (its
-    /// entry was overwritten by a retry, or it panicked) must not leak
-    /// its slot forever.
-    fn insert_pending(&self, id: CommandId, tx: Sender<Reply>, timeout: Duration) {
-        let now = Instant::now();
-        let mut pending = self.pending.lock();
-        if pending.len() >= PENDING_SWEEP_MIN {
-            pending.retain(|_, p| p.expires > now);
-        }
-        pending.insert(
-            id,
-            PendingReply {
-                tx,
-                expires: now + timeout,
-            },
-        );
     }
 
     /// Mints a cluster-owned client id homed at `site` (see
@@ -701,11 +633,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         for listener in &mut self.listeners {
             listener.stop();
         }
-        // Every `reply_tx` clone died with its node thread, so the
-        // router has seen its channel disconnect.
-        self.router_handle
-            .join()
-            .expect("reply router thread panicked");
         reports
     }
 }
@@ -807,6 +734,7 @@ mod tests {
     use mencius::MenciusBcast;
     use paxos::{MultiPaxos, PaxosVariant};
     use rsm_core::config::Membership;
+    use rsm_core::obs::TraceStage;
 
     fn kv() -> Box<dyn StateMachine> {
         Box::new(KvStore::new())
@@ -1253,5 +1181,33 @@ mod tests {
         }
         let reports = cluster.shutdown();
         assert!(reports.windows(2).all(|w| w[0].snapshot == w[1].snapshot));
+    }
+
+    #[test]
+    fn a_crashed_site_costs_the_full_timeout() {
+        const TIMEOUT: Duration = Duration::from_millis(300);
+        let cfg = ClusterConfig::new(LatencyMatrix::uniform(3, 10_000)).scale(0.02);
+        let cluster = Cluster::spawn(
+            cfg,
+            |id| ClockRsm::new(id, Membership::uniform(3), ClockRsmConfig::default()),
+            kv,
+        );
+        let site = ReplicaId::new(2);
+        cluster.crash(site);
+        // Twice: racing the node's exit (the waiter is dropped with the
+        // inbox) and after it (the inbox refuses the request outright).
+        // Either way the caller learns nothing before its deadline — a
+        // dead replica does not announce itself.
+        for _ in 0..2 {
+            let started = Instant::now();
+            let result = cluster.execute(site, KvOp::put("k", "v").encode(), TIMEOUT);
+            assert_eq!(result, Err(ExecuteError::Timeout));
+            assert!(
+                started.elapsed() >= TIMEOUT,
+                "a crashed site answered after {:?}",
+                started.elapsed()
+            );
+        }
+        cluster.shutdown();
     }
 }

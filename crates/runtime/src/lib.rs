@@ -9,6 +9,13 @@
 //! it straight into the destination's inbox, and the receiving replica
 //! thread holds it in a due-time heap until then.
 //!
+//! A cluster *is* its replica threads. As in the paper's Algorithm 1, the
+//! replica that took a command from its client is the one that answers
+//! it: a blocking call's waiter rides into the replica's inbox with the
+//! request, and the thread that executes the command hands the reply
+//! straight to the caller — one wake-up, no intermediary, and no reply
+//! built at all for a fire-and-forget [`Cluster::submit`].
+//!
 //! The same protocol implementations — Clock-RSM, Paxos, Paxos-bcast,
 //! Mencius-bcast — run unmodified here and in the discrete-event
 //! simulator (`simnet`), which is the point of the sans-io design. The

@@ -1,7 +1,7 @@
 //! The per-replica node thread.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -44,10 +44,53 @@ pub(crate) enum NodeInput<P: Protocol> {
         msg: P::Msg,
         due: Option<Instant>,
     },
-    /// A client request routed to this (local) replica.
-    Request(Command),
+    /// A client request routed to this (local) replica, with the waiter
+    /// of the blocking call behind it — `None` for a fire-and-forget
+    /// submit, whose reply nobody reads.
+    Request(Command, Option<Waiter>),
     /// Graceful shutdown; the thread answers with its final report.
     Stop,
+}
+
+/// A blocking caller's end of one command: where its reply goes.
+pub(crate) struct Waiter {
+    /// A channel of capacity one that this waiter alone sends on, once.
+    pub tx: Sender<Reply>,
+    /// When the caller stops listening.
+    pub expires: Instant,
+}
+
+/// The table is swept for expired waiters whenever a registration finds
+/// it at least this large, bounding the leak from callers that gave up:
+/// their command was lost with a crashed peer, or is answered late.
+const WAITER_SWEEP_MIN: usize = 1024;
+
+/// The callers blocked on commands this replica took from its clients.
+/// Owned by the node thread alone: a request registers its waiter before
+/// the protocol sees the command, and the callback that executes the
+/// command (or answers it from a cache) removes it and sends the reply.
+#[derive(Default)]
+struct Waiters(HashMap<CommandId, Waiter>);
+
+impl Waiters {
+    /// Registers the waiter for `id`, if the request has one, replacing —
+    /// and so disconnecting — an earlier one: a retry resubmits the same
+    /// id.
+    fn register(&mut self, id: CommandId, waiter: Option<Waiter>) {
+        let Some(waiter) = waiter else { return };
+        if self.0.len() >= WAITER_SWEEP_MIN {
+            let now = Instant::now();
+            self.0.retain(|_, w| w.expires > now);
+        }
+        self.0.insert(id, waiter);
+    }
+
+    /// Removes and returns the reply channel for `id`. A command is
+    /// answered at most once per registration, so the send that follows
+    /// finds room and the node thread never blocks on a caller.
+    fn take(&mut self, id: CommandId) -> Option<Sender<Reply>> {
+        self.0.remove(&id).map(|w| w.tx)
+    }
 }
 
 /// What a node reports when it stops.
@@ -62,11 +105,6 @@ pub struct NodeReport {
     /// Number of stable log records written.
     pub log_len: usize,
 }
-
-/// A batch of replies to co-located clients, shipped as **one** channel
-/// send per drained protocol callback instead of one send per reply —
-/// the reply-path analogue of request batching.
-pub(crate) type ReplyBatch = Vec<(CommandId, Reply)>;
 
 /// A received peer message that is not due yet, ordered by
 /// `(due, arrival seq)`.
@@ -101,7 +139,6 @@ pub(crate) struct NodeHarness<P: Protocol> {
     pub log: Vec<P::LogRec>,
     pub inbox: Receiver<NodeInput<P>>,
     pub outbound: Outbound<P>,
-    pub reply_tx: Sender<ReplyBatch>,
     pub epoch: Instant,
     pub clock_offset_us: i64,
     pub batch: BatchPolicy,
@@ -124,13 +161,10 @@ struct NodeCtx<'a, P: Protocol> {
     log: &'a mut Vec<P::LogRec>,
     sm: &'a mut dyn StateMachine,
     outbound: &'a mut Outbound<P>,
-    /// Replies buffered during one protocol callback; the harness
-    /// flushes them as one [`ReplyBatch`] when the callback returns.
-    replies: &'a mut ReplyBatch,
+    waiters: &'a mut Waiters,
     timers: &'a mut BinaryHeap<Reverse<(Instant, u64, TimerToken)>>,
     timer_seq: &'a mut u64,
     commit_count: &'a mut u64,
-    suppress_replies: bool,
     obs: Option<&'a mut NodeObs>,
     tracer: Option<&'a Tracer>,
 }
@@ -147,6 +181,19 @@ impl<'a, P: Protocol> NodeCtx<'a, P> {
     /// comparable.
     fn mono_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
+    }
+
+    /// The command `id` is answered now: stamps the span's terminal
+    /// stage and returns the caller to send the reply to, if one waits.
+    /// A reply nobody waits for (a fire-and-forget submit, or a caller
+    /// that timed out) still completes its span — the command's pipeline
+    /// ran in full — and is never built. Completing is a no-op for reads,
+    /// which are untraced.
+    fn answer(&mut self, id: CommandId) -> Option<Sender<Reply>> {
+        if let Some(t) = self.tracer {
+            t.complete(span_key(id), TraceStage::Replied.index(), self.mono_us());
+        }
+        self.waiters.take(id)
     }
 }
 
@@ -185,7 +232,7 @@ impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
         if let Some(o) = &mut self.obs {
             o.count(names::EXECUTED, 1);
         }
-        if committed.origin == self.id && !self.suppress_replies {
+        if committed.origin == self.id {
             let id = committed.cmd.id;
             if let Some(t) = self.tracer {
                 // Commit and execution are one synchronous step in this
@@ -195,7 +242,9 @@ impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
                 t.record_at_origin(key, me, TraceStage::Committed.index(), at);
                 t.record_at_origin(key, me, TraceStage::Executed.index(), at);
             }
-            self.replies.push((id, Reply::new(id, result.clone())));
+            if let Some(tx) = self.answer(id) {
+                let _ = tx.send(Reply::new(id, result.clone()));
+            }
         }
         result
     }
@@ -219,8 +268,8 @@ impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
     }
 
     fn send_reply(&mut self, reply: Reply) {
-        if !self.suppress_replies {
-            self.replies.push((reply.id, reply));
+        if let Some(tx) = self.answer(reply.id) {
+            let _ = tx.send(reply);
         }
     }
 
@@ -273,35 +322,26 @@ impl<P: Protocol> NodeHarness<P> {
         let mut in_flight: BinaryHeap<Reverse<InFlight<P::Msg>>> = BinaryHeap::new();
         let mut arrival_seq = 0u64;
         let mut commit_count = 0u64;
-        let mut replies: ReplyBatch = Vec::new();
+        let mut waiters = Waiters::default();
 
-        // Run one protocol callback, then flush every reply it produced
-        // as ONE channel send (reply batching: co-located clients cost
-        // one send per drained batch, not one per reply).
         macro_rules! dispatch {
             (|$c:ident| $body:expr) => {{
-                {
-                    let mut $c = NodeCtx {
-                        id: self.id,
-                        epoch: self.epoch,
-                        clock_offset_us: self.clock_offset_us,
-                        stamper: &mut stamper,
-                        log: &mut self.log,
-                        sm: self.sm.as_mut(),
-                        outbound: &mut self.outbound,
-                        replies: &mut replies,
-                        timers: &mut timers,
-                        timer_seq: &mut timer_seq,
-                        commit_count: &mut commit_count,
-                        suppress_replies: false,
-                        obs: self.obs.as_mut(),
-                        tracer: self.tracer.as_ref(),
-                    };
-                    $body;
-                }
-                if !replies.is_empty() {
-                    let _ = self.reply_tx.send(std::mem::take(&mut replies));
-                }
+                let mut $c = NodeCtx {
+                    id: self.id,
+                    epoch: self.epoch,
+                    clock_offset_us: self.clock_offset_us,
+                    stamper: &mut stamper,
+                    log: &mut self.log,
+                    sm: self.sm.as_mut(),
+                    outbound: &mut self.outbound,
+                    waiters: &mut waiters,
+                    timers: &mut timers,
+                    timer_seq: &mut timer_seq,
+                    commit_count: &mut commit_count,
+                    obs: self.obs.as_mut(),
+                    tracer: self.tracer.as_ref(),
+                };
+                $body;
             }};
         }
 
@@ -379,13 +419,15 @@ impl<P: Protocol> NodeHarness<P> {
                         }
                         _ => dispatch!(|c| self.proto.on_message(from, msg, &mut c)),
                     },
-                    NodeInput::Request(cmd) if cmd.read_only => {
+                    NodeInput::Request(cmd, waiter) if cmd.read_only => {
+                        waiters.register(cmd.id, waiter);
                         // Reads bypass the batching pipeline entirely: a
                         // `Get` must never wait behind a write batch.
                         // Straight to the protocol's read path.
                         dispatch!(|c| self.proto.on_client_read(cmd, &mut c));
                     }
-                    NodeInput::Request(cmd) => {
+                    NodeInput::Request(cmd, waiter) => {
+                        waiters.register(cmd.id, waiter);
                         // Coalesce opportunistically: take whatever
                         // requests are already queued (up to the policy
                         // cap) into one batch, never waiting for more. A
@@ -394,7 +436,10 @@ impl<P: Protocol> NodeHarness<P> {
                         let mut cmds = vec![cmd];
                         while self.batch.fits(cmds.len()) {
                             match self.inbox.try_recv() {
-                                Ok(NodeInput::Request(c)) if !c.read_only => cmds.push(c),
+                                Ok(NodeInput::Request(c, waiter)) if !c.read_only => {
+                                    waiters.register(c.id, waiter);
+                                    cmds.push(c);
+                                }
                                 Ok(other) => {
                                     next = Some(other);
                                     break;
@@ -505,8 +550,6 @@ mod tests {
         inbox: Receiver<NodeInput<Recorder>>,
         links: Vec<(Sender<NodeInput<Recorder>>, Duration)>,
     ) -> NodeHarness<Recorder> {
-        // Nobody reads replies: the Recorder commits nothing.
-        let (reply_tx, _) = unbounded();
         NodeHarness {
             id: proto.id(),
             proto,
@@ -514,7 +557,6 @@ mod tests {
             log: Vec::new(),
             inbox,
             outbound: Outbound::InProcess(links),
-            reply_tx,
             epoch: Instant::now(),
             clock_offset_us: 0,
             batch: BatchPolicy::max(8),
@@ -577,11 +619,11 @@ mod tests {
     }
 
     fn write(seq: u64) -> NodeInput<Recorder> {
-        NodeInput::Request(Command::new(id(seq), Bytes::from_static(b"w")))
+        NodeInput::Request(Command::new(id(seq), Bytes::from_static(b"w")), None)
     }
 
     fn read(seq: u64) -> NodeInput<Recorder> {
-        NodeInput::Request(Command::read(id(seq), Bytes::from_static(b"r")))
+        NodeInput::Request(Command::read(id(seq), Bytes::from_static(b"r")), None)
     }
 
     /// A peer message as the in-process plane's `send` stamps it.
@@ -718,5 +760,62 @@ mod tests {
         );
         assert_eq!((report.id, report.commit_count), (ReplicaId::new(0), 0));
         assert!(calls.lock().expect("recorder lock").is_empty());
+    }
+
+    /// A waiter expiring `expires_in` from now, and the caller's end.
+    fn waiter(expires_in: Duration) -> (Option<Waiter>, Receiver<Reply>) {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let expires = Instant::now() + expires_in;
+        (Some(Waiter { tx, expires }), rx)
+    }
+
+    fn reply(seq: u64) -> Reply {
+        Reply::new(id(seq), Bytes::from_static(b"ok"))
+    }
+
+    #[test]
+    fn a_reply_reaches_the_latest_waiter_of_its_id_exactly_once() {
+        let mut waiters = Waiters::default();
+        let (first, first_rx) = waiter(Duration::from_secs(60));
+        let (retry, retry_rx) = waiter(Duration::from_secs(60));
+        waiters.register(id(1), first);
+        waiters.register(id(1), retry);
+        waiters.register(id(2), None);
+        assert_eq!(
+            waiters.0.len(),
+            1,
+            "a retry replaces, a submit adds nothing"
+        );
+        // The replaced caller is cut off, not left to a second value.
+        assert_eq!(first_rx.try_recv(), Err(TryRecvError::Disconnected));
+
+        let tx = waiters.take(id(1)).expect("the retry waits");
+        tx.send(reply(1)).expect("caller listening");
+        assert_eq!(retry_rx.try_recv(), Ok(reply(1)));
+        // The dedup path answers the id again from its cache: nobody is
+        // left to hear it, so nothing can be sent into the full channel.
+        assert!(waiters.take(id(1)).is_none());
+        assert!(waiters.take(id(2)).is_none());
+    }
+
+    #[test]
+    fn expired_waiters_are_swept_once_the_table_is_large() {
+        let mut waiters = Waiters::default();
+        let (live, live_rx) = waiter(Duration::from_secs(60));
+        waiters.register(id(0), live);
+        // Below the threshold nothing is swept, expired or not.
+        for seq in 1..WAITER_SWEEP_MIN as u64 {
+            waiters.register(id(seq), waiter(Duration::ZERO).0);
+        }
+        assert_eq!(waiters.0.len(), WAITER_SWEEP_MIN);
+        let (newcomer, _newcomer_rx) = waiter(Duration::from_secs(60));
+        waiters.register(id(u64::MAX), newcomer);
+        assert_eq!(waiters.0.len(), 2, "every expired waiter swept");
+        assert!(waiters.take(id(u64::MAX)).is_some());
+        let tx = waiters
+            .take(id(0))
+            .expect("a live waiter survives the sweep");
+        tx.send(reply(0)).expect("caller listening");
+        assert_eq!(live_rx.try_recv(), Ok(reply(0)));
     }
 }

@@ -1,8 +1,8 @@
 //! Sharded front-end: one live [`Cluster`] per keyspace shard.
 //!
 //! A [`ShardedCluster`] spawns `N` independent replication groups — each
-//! a full [`Cluster`] with its own replica threads, message plane, reply
-//! router and batching — and routes single-key commands through an
+//! a full [`Cluster`] with its own replica threads, message plane and
+//! batching — and routes single-key commands through an
 //! [`rsm_shard::ShardMap`]. All groups share one clock **epoch**
 //! ([`ClusterConfig::epoch`]): every replica clock reads microseconds
 //! since the same instant (plus its configured offset), which makes the

@@ -1,23 +1,32 @@
 //! Offline stand-in for the [`crossbeam`](https://docs.rs/crossbeam)
 //! crate.
 //!
-//! Implements the `crossbeam::channel` subset the runtime uses — cloneable
-//! [`channel::Sender`]s, a blocking [`channel::Receiver`] with timeouts,
-//! and disconnect detection in both directions — over a mutex + condvar
-//! queue. Throughput is below real crossbeam, and it matters: a saturated
-//! in-process cluster pushes hundreds of thousands of values per second
-//! through these channels (every client submit is one send — 250–380k/s
-//! on the repo benchmark's `sat_inproc_small` — plus every peer message
-//! and reply batch), so a send must not pay for what it does not need.
+//! Implements the `crossbeam::channel` subset the workspace uses —
+//! cloneable [`channel::Sender`]s, a blocking [`channel::Receiver`] with
+//! timeouts, and disconnect detection in both directions — as **one**
+//! mutex + two-condvar queue behind both constructors:
+//! [`channel::unbounded`] never blocks a sender; [`channel::bounded`]
+//! blocks `send` while the queue holds `cap` values and fails it, handing
+//! the value back, once every receiver is gone. Throughput is below real
+//! crossbeam, and it matters: a saturated in-process cluster pushes
+//! hundreds of thousands of values per second through these channels
+//! (every client submit is one send — 250–380k/s on the repo benchmark's
+//! `sat_inproc_small` — plus every peer message, and every frame on a
+//! socket link), so neither side may pay for what it does not need.
 //!
-//! **Wake-up rule.** A send signals the condvar — a `futex` system call
-//! on Linux — only when a receiver is parked. Receivers count themselves
-//! in `Inner::parked` just before they wait and out again after, and the
-//! sender reads that count while it holds the lock it pushed under.
-//! Check and registration share the one channel mutex, so no wake-up can
-//! be lost: a receiver either sees the new value before it decides to
-//! park, or is already counted when the sender looks. Dropping the last
-//! sender still wakes everyone unconditionally.
+//! **Wake-up rules.** A condvar signal is a `futex` system call on Linux,
+//! so each direction signals only a thread that is actually asleep. A
+//! send signals `ready` only when a receiver is parked: receivers count
+//! themselves in `Inner::parked_receivers` just before they wait and out
+//! again after, and the sender reads that count while it holds the lock
+//! it pushed under. The mirror holds for a full bounded queue: a sender
+//! counts itself in `Inner::parked_senders` before it waits on `space`,
+//! and a receive signals `space` only when that count is non-zero. Check
+//! and registration share the one channel mutex, so no wake-up can be
+//! lost: a thread either sees the change before it decides to park, or
+//! is already counted when the other side looks. Dropping the last
+//! sender wakes every receiver, and dropping the last receiver every
+//! blocked sender, unconditionally.
 
 /// Multi-producer, single/multi-consumer FIFO channels.
 pub mod channel {
@@ -28,7 +37,12 @@ pub mod channel {
 
     struct Shared<T> {
         inner: Mutex<Inner<T>>,
+        /// Receivers wait here for a value.
         ready: Condvar,
+        /// Senders wait here for room (bounded channels only).
+        space: Condvar,
+        /// Most values the queue may hold; `usize::MAX` when unbounded.
+        cap: usize,
     }
 
     struct Inner<T> {
@@ -36,19 +50,44 @@ pub mod channel {
         senders: usize,
         receivers: usize,
         /// Receivers blocked in `recv` / `recv_timeout` right now.
-        parked: usize,
+        parked_receivers: usize,
+        /// Senders blocked in `send` on a full queue right now.
+        parked_senders: usize,
     }
 
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+    impl<T> Shared<T> {
+        /// Takes the head of the queue, waking one sender blocked on the
+        /// slot this frees.
+        fn pop(&self, inner: &mut Inner<T>) -> Option<T> {
+            let value = inner.queue.pop_front()?;
+            if inner.parked_senders > 0 {
+                self.space.notify_one();
+            }
+            Some(value)
+        }
+    }
+
+    /// Creates a channel holding at most `cap` values: a send blocks
+    /// while it is full. Storage grows with use, nothing is allocated up
+    /// front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero: the rendezvous channel real crossbeam
+    /// builds for that is outside this subset.
+    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
+        assert!(cap > 0, "zero-capacity channels are not implemented");
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
-                parked: 0,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             ready: Condvar::new(),
+            space: Condvar::new(),
+            cap,
         });
         (
             Sender {
@@ -58,11 +97,10 @@ pub mod channel {
         )
     }
 
-    /// Creates a "bounded" channel. This shim does not enforce the bound
-    /// (sends never block); the workspace only uses small bounds as
-    /// rendezvous buffers, where the distinction is unobservable.
-    pub fn bounded<T>(_cap: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
+    /// Creates an unbounded channel: a send never blocks. It is the
+    /// bounded channel with a bound no queue can reach.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+        bounded(usize::MAX)
     }
 
     /// An error returned by [`Sender::send`] when every receiver is gone.
@@ -122,14 +160,20 @@ pub mod channel {
             self.shared.inner.lock().unwrap().queue.is_empty()
         }
 
-        /// Enqueues `value`, failing only if every receiver is gone.
+        /// Enqueues `value`, blocking while a bounded channel is full;
+        /// fails only if every receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut inner = self.shared.inner.lock().unwrap();
+            while inner.receivers > 0 && inner.queue.len() >= self.shared.cap {
+                inner.parked_senders += 1;
+                inner = self.shared.space.wait(inner).unwrap();
+                inner.parked_senders -= 1;
+            }
             if inner.receivers == 0 {
                 return Err(SendError(value));
             }
             inner.queue.push_back(value);
-            let wake = inner.parked > 0;
+            let wake = inner.parked_receivers > 0;
             drop(inner);
             if wake {
                 self.shared.ready.notify_one();
@@ -168,15 +212,15 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut inner = self.shared.inner.lock().unwrap();
             loop {
-                if let Some(v) = inner.queue.pop_front() {
+                if let Some(v) = self.shared.pop(&mut inner) {
                     return Ok(v);
                 }
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
-                inner.parked += 1;
+                inner.parked_receivers += 1;
                 inner = self.shared.ready.wait(inner).unwrap();
-                inner.parked -= 1;
+                inner.parked_receivers -= 1;
             }
         }
 
@@ -185,7 +229,7 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut inner = self.shared.inner.lock().unwrap();
             loop {
-                if let Some(v) = inner.queue.pop_front() {
+                if let Some(v) = self.shared.pop(&mut inner) {
                     return Ok(v);
                 }
                 if inner.senders == 0 {
@@ -195,21 +239,21 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                inner.parked += 1;
+                inner.parked_receivers += 1;
                 let (guard, _) = self
                     .shared
                     .ready
                     .wait_timeout(inner, deadline - now)
                     .unwrap();
                 inner = guard;
-                inner.parked -= 1;
+                inner.parked_receivers -= 1;
             }
         }
 
         /// Returns immediately with a value, emptiness, or disconnection.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut inner = self.shared.inner.lock().unwrap();
-            if let Some(v) = inner.queue.pop_front() {
+            if let Some(v) = self.shared.pop(&mut inner) {
                 return Ok(v);
             }
             if inner.senders == 0 {
@@ -240,6 +284,8 @@ pub mod channel {
                 let backlog = std::mem::take(&mut inner.queue);
                 drop(inner);
                 drop(backlog);
+                // Blocked senders get their values back as errors.
+                self.shared.space.notify_all();
             }
         }
     }
@@ -306,15 +352,24 @@ mod tests {
 
     #[test]
     fn racing_sends_never_lose_a_wake_up() {
+        // A producer runs at most 8 ahead of the consumer, so the
+        // consumer keeps emptying the queue and parking while sends are
+        // about to land — the window the send-side wake-up rule has to
+        // cover. With every producer at its limit, a consumer that missed
+        // a wake-up stays parked for good.
+        race(unbounded(), 8);
+        // The same race with the channel's own bound as the throttle:
+        // now producers park on a full queue too, and a receive that
+        // skipped its wake-up strands them.
+        race(bounded(8), usize::MAX);
+    }
+
+    /// `(producer, index)`.
+    type Item = (usize, usize);
+
+    fn race((tx, rx): (Sender<Item>, Receiver<Item>), window: usize) {
         const PRODUCERS: usize = 4;
         const PER_PRODUCER: usize = 50_000;
-        // A producer runs at most this far ahead of the consumer, so the
-        // consumer keeps emptying the queue and parking while sends are
-        // about to land — the window the wake-up rule has to cover. With
-        // every producer at its limit, a consumer that missed a wake-up
-        // stays parked for good.
-        const WINDOW: usize = 8;
-        let (tx, rx) = unbounded::<(usize, usize)>();
         let consumed: Arc<[AtomicUsize; PRODUCERS]> = Arc::default();
         let gave_up = Arc::new(AtomicBool::new(false));
         let producers: Vec<_> = (0..PRODUCERS)
@@ -322,7 +377,7 @@ mod tests {
                 let (tx, consumed, gave_up) = (tx.clone(), consumed.clone(), gave_up.clone());
                 std::thread::spawn(move || {
                     for i in 0..PER_PRODUCER {
-                        while i >= consumed[p].load(Ordering::SeqCst) + WINDOW {
+                        while i >= consumed[p].load(Ordering::SeqCst).saturating_add(window) {
                             if gave_up.load(Ordering::SeqCst) {
                                 return;
                             }
@@ -370,7 +425,7 @@ mod tests {
         assert_ne!(
             verdict,
             Err(mpsc::RecvTimeoutError::Timeout),
-            "consumer still parked with values queued: a wake-up was lost"
+            "a consumer or producer is still parked: a wake-up was lost"
         );
         consumer.join().expect("consumer");
         for p in producers {
@@ -422,5 +477,77 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 3);
         assert!(tx.send(Counted(Arc::clone(&drops))).is_err());
         assert_eq!(drops.load(Ordering::SeqCst), 4);
+    }
+
+    /// Spawns a thread that sends `values` in order and reports each
+    /// completed send on the returned channel.
+    fn sender_thread(
+        tx: Sender<u32>,
+        values: std::ops::Range<u32>,
+    ) -> (
+        std::thread::JoinHandle<()>,
+        mpsc::Receiver<Result<u32, u32>>,
+    ) {
+        let (sent_tx, sent_rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            for v in values {
+                let outcome = tx.send(v).map(|()| v).map_err(|SendError(back)| back);
+                sent_tx.send(outcome).unwrap();
+            }
+        });
+        (handle, sent_rx)
+    }
+
+    #[test]
+    fn a_bounded_sender_blocks_at_cap_and_resumes_in_order() {
+        const CAP: u32 = 4;
+        let (tx, rx) = bounded(CAP as usize);
+        let probe = tx.clone();
+        let (sender, sent) = sender_thread(tx, 0..CAP + 3);
+        for v in 0..CAP {
+            assert_eq!(sent.recv_timeout(Duration::from_secs(20)), Ok(Ok(v)));
+        }
+        // The next send has nowhere to go until the receiver takes one.
+        assert_eq!(
+            sent.recv_timeout(Duration::from_millis(100)),
+            Err(mpsc::RecvTimeoutError::Timeout),
+            "a send went through a full queue"
+        );
+        assert_eq!(probe.len(), CAP as usize);
+        for v in 0..CAP + 3 {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(20)), Ok(v), "FIFO");
+            // Each receive frees exactly one slot: sends `CAP..` complete
+            // one at a time, in order, as the queue drains.
+            if v < 3 {
+                assert_eq!(sent.recv_timeout(Duration::from_secs(20)), Ok(Ok(CAP + v)));
+            }
+        }
+        sender.join().unwrap();
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    }
+
+    #[test]
+    fn dropping_the_receiver_hands_a_blocked_sender_its_value_back() {
+        let (tx, rx) = bounded(1);
+        let (sender, sent) = sender_thread(tx, 7..9);
+        assert_eq!(sent.recv_timeout(Duration::from_secs(20)), Ok(Ok(7)));
+        // Nothing outside the channel can observe the park; give the
+        // thread time to get there. Either order must end in `Err(8)`.
+        std::thread::sleep(Duration::from_millis(20));
+        drop(rx);
+        let got = sent.recv_timeout(Duration::from_secs(20));
+        assert_eq!(got, Ok(Err(8)), "blocked sender not released");
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn a_bounded_one_channel_hands_off_across_threads() {
+        let (tx, rx) = bounded(1);
+        let (sender, _sent) = sender_thread(tx, 0..1000);
+        for v in 0..1000 {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(20)), Ok(v));
+        }
+        sender.join().unwrap();
+        assert_eq!(rx.recv(), Err(RecvError), "sender gone, queue empty");
     }
 }

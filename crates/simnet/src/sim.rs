@@ -1232,12 +1232,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
 
     /// Runs `f` against node `idx`'s protocol with a fresh effect buffer,
     /// then applies the effects at the current instant.
-    fn invoke(
-        &mut self,
-        idx: usize,
-        suppress_replies: bool,
-        f: impl FnOnce(&mut P, &mut NodeCtx<'_, P>),
-    ) {
+    fn invoke(&mut self, idx: usize, replaying: bool, f: impl FnOnce(&mut P, &mut NodeCtx<'_, P>)) {
         let mut eff = Effects::default();
         {
             let tracer = self.tracer.as_ref();
@@ -1261,13 +1256,13 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             };
             f(proto, &mut ctx);
         }
-        self.apply_effects(idx, eff, self.now, suppress_replies);
+        self.apply_effects(idx, eff, self.now, replaying);
     }
 
     /// Applies buffered effects produced by node `idx`: schedules message
     /// deliveries (with latency, jitter, and per-link FIFO floors), arms
     /// timers, executes commits on the state machine, and routes replies.
-    fn apply_effects(&mut self, idx: usize, eff: Effects<P>, at: Micros, suppress_replies: bool) {
+    fn apply_effects(&mut self, idx: usize, eff: Effects<P>, at: Micros, replaying: bool) {
         let from = ReplicaId::new(idx as u16);
         if let Some(o) = &mut self.nodes[idx].obs {
             o.count(names::MSGS_SENT, eff.sends.len() as u64);
@@ -1331,7 +1326,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         // client — no commit, no history record, one delivery hop
         // (local, or the WAN hop home when the client routed the read
         // to a remote replica).
-        if !suppress_replies {
+        if !replaying {
             for reply in eff.read_replies {
                 let client = reply.id.client;
                 self.queue.push(
@@ -1358,7 +1353,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             // Commit/execute stamps stay on the origin replica (the
             // client's pipeline); recovery replays re-execute old
             // commands and must not re-stamp still-open spans.
-            if !suppress_replies && committed.origin == from {
+            if !replaying && committed.origin == from {
                 if let Some(t) = &self.tracer {
                     let key = span_key(committed.cmd.id);
                     let r = from.as_u16();
@@ -1375,7 +1370,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 });
             }
             self.app.on_commit(from, &committed, at);
-            if committed.origin == from && !suppress_replies {
+            if committed.origin == from && !replaying {
                 let client = committed.cmd.id.client;
                 let reply = Reply::new(committed.cmd.id, result);
                 self.queue.push(

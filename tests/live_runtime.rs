@@ -253,3 +253,52 @@ fn paxos_bcast_live_on_an_asymmetric_matrix() {
 fn mencius_bcast_live_on_an_asymmetric_matrix() {
     burst_on_the_slow_pair_matrix(|id| MenciusBcast::new(id, Membership::uniform(3)), |_| 0);
 }
+
+/// A cluster is its replica threads: nothing stands between a replica
+/// and the caller it answers. Threads are named, so the kernel's own
+/// listing says who is running while a blocking call is in flight.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_in_process_cluster_runs_no_thread_but_its_replicas() {
+    let cluster = Cluster::spawn(
+        ClusterConfig::new(LatencyMatrix::uniform(3, 50_000)),
+        |id| ClockRsm::new(id, Membership::uniform(3), ClockRsmConfig::default()),
+        kv,
+    );
+    let put = || {
+        cluster.execute(
+            ReplicaId::new(0),
+            KvOp::put("k", "v").encode(),
+            Duration::from_secs(20),
+        )
+    };
+    // A commit needs every replica: after one, each thread has named
+    // itself (a new thread shows its parent's name until it does).
+    put().expect("commit");
+    let names = std::thread::scope(|s| {
+        // ~100 ms on this matrix: the listing below is taken mid-call.
+        let call = s.spawn(put);
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("task directory")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim().to_string())
+            .collect();
+        call.join().expect("caller thread").expect("commit");
+        names
+    });
+    cluster.shutdown();
+    for replica in ["replica-0", "replica-1", "replica-2"] {
+        assert!(
+            names.iter().any(|n| n == replica),
+            "{replica} not in {names:?}"
+        );
+    }
+    // Every other thread of this process belongs to the test harness
+    // (one per test running beside this one, named after it) or to a
+    // neighbour's cluster — which has only replicas too.
+    let helpers: Vec<&String> = names
+        .iter()
+        .filter(|n| n.contains("router") || n.contains("wan-emulator"))
+        .collect();
+    assert!(helpers.is_empty(), "helper threads running: {helpers:?}");
+}
