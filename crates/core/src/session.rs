@@ -66,6 +66,7 @@
 //! would serve stale data after a retry. They neither consult nor occupy
 //! the window.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -231,33 +232,46 @@ impl SessionTable {
 
     /// Classifies a decided write against the window without mutating it.
     pub fn check(&self, id: CommandId) -> SessionCheck {
-        match self.entries.get(&id.client) {
-            None => SessionCheck::Fresh,
-            Some(e) if id.seq > e.seq => SessionCheck::Fresh,
-            Some(e) if id.seq == e.seq => SessionCheck::Duplicate(e.reply.clone()),
-            Some(_) => SessionCheck::Stale,
-        }
+        classify(self.entries.get(&id.client), id.seq)
     }
 
     /// Records an applied write and its reply, advancing the LRU tick and
     /// evicting the least-recently-written entry beyond the window.
     pub fn record(&mut self, id: CommandId, reply: Reply) {
+        self.write_with(id, |_| Some(reply));
+    }
+
+    /// The one body that writes an entry. Finds `id`'s client once, asks
+    /// `decide` — shown the client's current entry — for the reply to
+    /// record, and if there is one overwrites the entry in place:
+    /// advances the apply-order tick, moves the client to the young end
+    /// of the LRU index and evicts the oldest entry beyond the window.
+    fn write_with(
+        &mut self,
+        id: CommandId,
+        decide: impl FnOnce(Option<&SessionEntry>) -> Option<Reply>,
+    ) {
+        let slot = self.entries.entry(id.client);
+        let current = match &slot {
+            Entry::Occupied(e) => Some(e.get()),
+            Entry::Vacant(_) => None,
+        };
+        let Some(reply) = decide(current) else {
+            return;
+        };
         self.tick += 1;
-        let touched = self.tick;
-        if let Some(old) = self.entries.insert(
-            id.client,
-            SessionEntry {
-                seq: id.seq,
-                reply,
-                touched,
-            },
-        ) {
-            self.lru.remove(&old.touched);
+        let entry = SessionEntry {
+            seq: id.seq,
+            reply,
+            touched: self.tick,
+        };
+        if let Entry::Occupied(e) = &slot {
+            self.lru.remove(&e.get().touched);
         }
-        self.lru.insert(touched, id.client);
+        slot.insert_entry(entry);
+        self.lru.insert(self.tick, id.client);
         if self.entries.len() > self.window {
-            if let Some((&oldest, &victim)) = self.lru.iter().next() {
-                self.lru.remove(&oldest);
+            if let Some((_, victim)) = self.lru.pop_first() {
                 self.entries.remove(&victim);
             }
         }
@@ -307,24 +321,25 @@ impl SessionTable {
             return true;
         }
         let id = committed.cmd.id;
-        match self.check(id) {
+        let mut applied = false;
+        self.write_with(id, |current| match classify(current, id.seq) {
             SessionCheck::Fresh => {
-                let result = ctx.commit(committed);
-                self.record(id, Reply::new(id, result));
-                true
+                applied = true;
+                Some(Reply::new(id, ctx.commit(committed)))
             }
             SessionCheck::Duplicate(reply) => {
                 ctx.obs_count(crate::obs::names::SESSION_DEDUP_HITS, 1);
                 if committed.origin == me {
                     ctx.send_reply(reply);
                 }
-                false
+                None
             }
             SessionCheck::Stale => {
                 ctx.obs_count(crate::obs::names::SESSION_STALE_DROPS, 1);
-                false
+                None
             }
-        }
+        });
+        applied
     }
 
     /// Serializes the table for a checkpoint, deterministically (entries
@@ -349,9 +364,22 @@ impl SessionTable {
     ///
     /// # Errors
     ///
-    /// Returns the wire error (table left empty) on a malformed frame.
+    /// Returns the wire error on a malformed frame, and the table is
+    /// then **empty** — tick 0, no entry, no LRU key — wherever in the
+    /// frame decoding stopped: a prefix of somebody's window is never
+    /// installed.
     pub fn install(&mut self, frame: &Bytes) -> Result<(), WireError> {
         self.reset();
+        let installed = self.install_entries(frame);
+        if installed.is_err() {
+            self.reset();
+        }
+        installed
+    }
+
+    /// Decodes `frame` into an empty table, entry by entry; on an error
+    /// the entries decoded so far are still in place.
+    fn install_entries(&mut self, frame: &Bytes) -> Result<(), WireError> {
         let mut r = WireReader::new(frame.clone());
         let tick = r.u64()?;
         let count = r.u32()? as usize;
@@ -374,12 +402,21 @@ impl SessionTable {
         // A peer's window may have been larger: trim to ours, oldest
         // first, preserving the local staleness contract.
         while self.entries.len() > self.window {
-            if let Some((&oldest, &victim)) = self.lru.iter().next() {
-                self.lru.remove(&oldest);
-                self.entries.remove(&victim);
-            }
+            let Some((_, victim)) = self.lru.pop_first() else {
+                break;
+            };
+            self.entries.remove(&victim);
         }
         Ok(())
+    }
+}
+
+fn classify(entry: Option<&SessionEntry>, seq: u64) -> SessionCheck {
+    match entry {
+        None => SessionCheck::Fresh,
+        Some(e) if seq > e.seq => SessionCheck::Fresh,
+        Some(e) if seq == e.seq => SessionCheck::Duplicate(e.reply.clone()),
+        Some(_) => SessionCheck::Stale,
     }
 }
 
@@ -553,6 +590,39 @@ mod tests {
         t.record(id, reply(id, 1));
         assert!(t.install(&Bytes::from_static(b"\x00\x01")).is_err());
         assert!(t.is_empty(), "failed install leaves the table empty");
+    }
+
+    #[test]
+    fn an_install_cut_anywhere_leaves_an_empty_working_table() {
+        let mut donor = SessionTable::new(16);
+        for n in [5u32, 1, 9, 3] {
+            let id = CommandId::new(client(n), u64::from(n) + 1);
+            donor.record(id, reply(id, n as u8));
+        }
+        let frame = donor.export();
+        let window = 4;
+        for cut in 0..frame.len() {
+            let mut t = SessionTable::new(window);
+            let id = CommandId::new(client(1), 1);
+            t.record(id, reply(id, 1));
+            assert!(t.install(&frame.slice(0..cut)).is_err(), "cut at {cut}");
+            assert!(
+                t.is_empty(),
+                "cut at {cut}: {} entries left behind",
+                t.len()
+            );
+            assert!(t.lru.is_empty() && t.tick == 0, "cut at {cut}");
+            // The window bound still holds: no minted tick collides with
+            // an LRU key that survived the failed install.
+            for n in 100..=100 + window as u32 {
+                let id = CommandId::new(client(n), 1);
+                t.record(id, reply(id, 0));
+            }
+            assert_eq!((t.len(), t.lru.len()), (window, window), "cut at {cut}");
+        }
+        let mut t = SessionTable::new(window);
+        t.install(&frame).unwrap();
+        assert_eq!((t.len(), t.lru.len()), (window, window));
     }
 
     #[test]

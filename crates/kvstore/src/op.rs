@@ -97,77 +97,52 @@ impl KvOp {
         }
     }
 
-    /// Encodes the operation into a command payload.
+    /// Encodes the operation into a command payload, in a buffer sized
+    /// exactly for it.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        match self {
-            KvOp::Put { key, value } => {
-                buf.put_u8(TAG_PUT);
-                put_chunk(&mut buf, key);
-                put_chunk(&mut buf, value);
-            }
-            KvOp::Get { key } => {
-                buf.put_u8(TAG_GET);
-                put_chunk(&mut buf, key);
-            }
-            KvOp::Delete { key } => {
-                buf.put_u8(TAG_DELETE);
-                put_chunk(&mut buf, key);
-            }
+        let (tag, chunks) = match self {
+            KvOp::Put { key, value } => (TAG_PUT, [Some(key), Some(value), None]),
+            KvOp::Get { key } => (TAG_GET, [Some(key), None, None]),
+            KvOp::Delete { key } => (TAG_DELETE, [Some(key), None, None]),
             KvOp::Cas { key, expect, value } => match expect {
-                None => {
-                    buf.put_u8(TAG_CAS_ABSENT);
-                    put_chunk(&mut buf, key);
-                    put_chunk(&mut buf, value);
-                }
-                Some(e) => {
-                    buf.put_u8(TAG_CAS_PRESENT);
-                    put_chunk(&mut buf, key);
-                    put_chunk(&mut buf, e);
-                    put_chunk(&mut buf, value);
-                }
+                None => (TAG_CAS_ABSENT, [Some(key), Some(value), None]),
+                Some(e) => (TAG_CAS_PRESENT, [Some(key), Some(e), Some(value)]),
             },
+        };
+        let chunks = chunks.into_iter().flatten();
+        let len = 1 + chunks.clone().map(|c| 4 + c.len()).sum::<usize>();
+        let mut buf = BytesMut::with_capacity(len);
+        buf.put_u8(tag);
+        for chunk in chunks {
+            buf.put_u32(chunk.len() as u32);
+            buf.put_slice(chunk);
         }
         buf.freeze()
     }
 
-    /// Decodes an operation from a command payload.
+    /// Decodes an operation from a command payload, copying its key and
+    /// values out of it (the owning wrapper around the one payload
+    /// parser; the store itself executes on the borrowed form).
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError`] if the payload is truncated, has an unknown
     /// tag, or carries trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
-        let (&tag, mut rest) = payload.split_first().ok_or(DecodeError)?;
-        let op = match tag {
-            TAG_PUT => {
-                let key = take_chunk(&mut rest)?;
-                let value = take_chunk(&mut rest)?;
-                KvOp::Put { key, value }
-            }
-            TAG_GET => KvOp::Get {
-                key: take_chunk(&mut rest)?,
+        let own = Bytes::copy_from_slice;
+        Ok(match OpRef::parse(payload)? {
+            OpRef::Put { key, value } => KvOp::Put {
+                key: own(key),
+                value: own(value),
             },
-            TAG_DELETE => KvOp::Delete {
-                key: take_chunk(&mut rest)?,
+            OpRef::Get { key } => KvOp::Get { key: own(key) },
+            OpRef::Delete { key } => KvOp::Delete { key: own(key) },
+            OpRef::Cas { key, expect, value } => KvOp::Cas {
+                key: own(key),
+                expect: expect.map(own),
+                value: own(value),
             },
-            TAG_CAS_ABSENT => KvOp::Cas {
-                key: take_chunk(&mut rest)?,
-                expect: None,
-                value: take_chunk(&mut rest)?,
-            },
-            TAG_CAS_PRESENT => KvOp::Cas {
-                key: take_chunk(&mut rest)?,
-                expect: Some(take_chunk(&mut rest)?),
-                value: take_chunk(&mut rest)?,
-            },
-            _ => return Err(DecodeError),
-        };
-        if rest.is_empty() {
-            Ok(op)
-        } else {
-            Err(DecodeError)
-        }
+        })
     }
 
     /// The key this operation touches.
@@ -186,12 +161,64 @@ impl KvOp {
     }
 }
 
-fn put_chunk(buf: &mut BytesMut, chunk: &Bytes) {
-    buf.put_u32(chunk.len() as u32);
-    buf.put_slice(chunk);
+/// A [`KvOp`] whose key and values are still windows into the command
+/// payload it was parsed from: what the store executes, so that applying a
+/// command copies only what the store keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpRef<'a> {
+    Put {
+        key: &'a [u8],
+        value: &'a [u8],
+    },
+    Get {
+        key: &'a [u8],
+    },
+    Delete {
+        key: &'a [u8],
+    },
+    Cas {
+        key: &'a [u8],
+        expect: Option<&'a [u8]>,
+        value: &'a [u8],
+    },
 }
 
-fn take_chunk(rest: &mut &[u8]) -> Result<Bytes, DecodeError> {
+impl<'a> OpRef<'a> {
+    /// The payload parser — the only one; [`KvOp::decode`] wraps it.
+    pub(crate) fn parse(payload: &'a [u8]) -> Result<Self, DecodeError> {
+        let (&tag, mut rest) = payload.split_first().ok_or(DecodeError)?;
+        let op = match tag {
+            TAG_PUT => OpRef::Put {
+                key: take_chunk(&mut rest)?,
+                value: take_chunk(&mut rest)?,
+            },
+            TAG_GET => OpRef::Get {
+                key: take_chunk(&mut rest)?,
+            },
+            TAG_DELETE => OpRef::Delete {
+                key: take_chunk(&mut rest)?,
+            },
+            TAG_CAS_ABSENT => OpRef::Cas {
+                key: take_chunk(&mut rest)?,
+                expect: None,
+                value: take_chunk(&mut rest)?,
+            },
+            TAG_CAS_PRESENT => OpRef::Cas {
+                key: take_chunk(&mut rest)?,
+                expect: Some(take_chunk(&mut rest)?),
+                value: take_chunk(&mut rest)?,
+            },
+            _ => return Err(DecodeError),
+        };
+        if rest.is_empty() {
+            Ok(op)
+        } else {
+            Err(DecodeError)
+        }
+    }
+}
+
+fn take_chunk<'a>(rest: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
     if rest.len() < 4 {
         return Err(DecodeError);
     }
@@ -202,7 +229,7 @@ fn take_chunk(rest: &mut &[u8]) -> Result<Bytes, DecodeError> {
     }
     let (chunk, tail) = tail.split_at(len);
     *rest = tail;
-    Ok(Bytes::copy_from_slice(chunk))
+    Ok(chunk)
 }
 
 #[cfg(test)]
@@ -219,6 +246,7 @@ mod tests {
             KvOp::put("key", vec![0u8; 1000]),
             KvOp::cas("k", None, "v0"),
             KvOp::cas("k", Some(Bytes::from_static(b"v0")), "v1"),
+            KvOp::cas("", Some(Bytes::new()), ""),
         ] {
             assert_eq!(KvOp::decode(&op.encode()).unwrap(), op);
         }
@@ -251,22 +279,77 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        fn some_op(which: u8, key: Vec<u8>, value: Vec<u8>, expect: Vec<u8>) -> KvOp {
+            match which {
+                0 => KvOp::put(key, value),
+                1 => KvOp::get(key),
+                2 => KvOp::delete(key),
+                3 => KvOp::cas(key, None, value),
+                _ => KvOp::cas(key, Some(expect.into()), value),
+            }
+        }
+
+        /// The borrowed parser and the owning decoder say the same thing.
+        fn agree(bytes: &[u8]) -> bool {
+            match (OpRef::parse(bytes), KvOp::decode(bytes)) {
+                (Err(_), Err(_)) => true,
+                (Ok(OpRef::Put { key, value }), Ok(KvOp::Put { key: k, value: v })) => {
+                    (key, value) == (&k[..], &v[..])
+                }
+                (Ok(OpRef::Get { key }), Ok(KvOp::Get { key: k }))
+                | (Ok(OpRef::Delete { key }), Ok(KvOp::Delete { key: k })) => key == &k[..],
+                (
+                    Ok(OpRef::Cas { key, expect, value }),
+                    Ok(KvOp::Cas {
+                        key: k,
+                        expect: e,
+                        value: v,
+                    }),
+                ) => (key, expect, value) == (&k[..], e.as_deref(), &v[..]),
+                _ => false,
+            }
+        }
+
         proptest! {
+            /// Every variant round-trips through the exactly-sized buffer,
+            /// empty keys and values included.
             #[test]
             fn roundtrip_random(key in proptest::collection::vec(any::<u8>(), 0..64),
                                 value in proptest::collection::vec(any::<u8>(), 0..256),
-                                which in 0u8..3) {
-                let op = match which {
-                    0 => KvOp::put(key.clone(), value),
-                    1 => KvOp::get(key.clone()),
-                    _ => KvOp::delete(key.clone()),
-                };
-                prop_assert_eq!(KvOp::decode(&op.encode()).unwrap(), op);
+                                expect in proptest::collection::vec(any::<u8>(), 0..64),
+                                which in 0u8..5) {
+                let op = some_op(which, key, value, expect);
+                let bytes = op.encode();
+                prop_assert_eq!(KvOp::decode(&bytes).unwrap(), op);
+                prop_assert!(agree(&bytes));
             }
 
             #[test]
-            fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-                let _ = KvOp::decode(&bytes);
+            fn parser_and_decoder_agree_on_arbitrary_bytes(
+                bytes in proptest::collection::vec(any::<u8>(), 0..128)
+            ) {
+                prop_assert!(agree(&bytes));
+            }
+
+            /// Arbitrary bytes almost never parse; an encoding one edit
+            /// away from a valid one sometimes does.
+            #[test]
+            fn parser_and_decoder_agree_next_to_valid_encodings(
+                key in proptest::collection::vec(any::<u8>(), 0..8),
+                value in proptest::collection::vec(any::<u8>(), 0..8),
+                which in 0u8..5,
+                edit in 0u8..3,
+                at in any::<u16>(),
+                byte in any::<u8>(),
+            ) {
+                let mut bytes = some_op(which, key, value.clone(), value).encode().to_vec();
+                let at = usize::from(at) % bytes.len();
+                match edit {
+                    0 => bytes[at] = byte,
+                    1 => bytes.truncate(at),
+                    _ => bytes.push(byte),
+                }
+                prop_assert!(agree(&bytes));
             }
         }
     }

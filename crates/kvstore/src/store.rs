@@ -7,13 +7,29 @@ use bytes::{BufMut, Bytes, BytesMut};
 use rsm_core::command::Command;
 use rsm_core::sm::StateMachine;
 
-use crate::op::KvOp;
+use crate::op::OpRef;
 
 /// A deterministic in-memory key-value store, the replicated state machine
 /// of the paper's evaluation.
 ///
 /// Reply format: one status byte (`1` = found / applied, `0` = not found /
 /// malformed) followed by the read value for `Get`.
+///
+/// # What executing a command allocates
+///
+/// A command is executed on its payload as it arrived — keys and values
+/// are parsed as borrowed windows, nothing is decoded into an owned
+/// [`KvOp`](crate::KvOp) — and the store copies only what it keeps. A
+/// `Put` (or a successful `Cas`) copies the **value** once into an
+/// exactly-sized allocation of its own; the **key** is copied only when
+/// it is new — an overwrite replaces the value under the key already in
+/// the map. The one-byte status replies are constants; a `Get` allocates
+/// its reply and nothing else.
+///
+/// Stored values never alias a command payload, although sharing would
+/// save the copy: on the socket plane a payload is a window into the
+/// frame it arrived in, so a stored slice would keep a whole frame (64 KiB
+/// for a full batch) alive for as long as its key kept that value.
 ///
 /// # Examples
 ///
@@ -63,42 +79,55 @@ impl KvStore {
     }
 }
 
+const NO: Bytes = Bytes::from_static(&[0]);
+const YES: Bytes = Bytes::from_static(&[1]);
+
+impl KvStore {
+    fn read(&self, key: &[u8]) -> Bytes {
+        match self.map.get(key) {
+            Some(v) => {
+                let mut out = BytesMut::with_capacity(1 + v.len());
+                out.put_u8(1);
+                out.put_slice(v);
+                out.freeze()
+            }
+            None => NO,
+        }
+    }
+
+    fn write(&mut self, key: &[u8], value: &[u8]) {
+        let value = Bytes::copy_from_slice(value);
+        match self.map.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => {
+                self.map.insert(Bytes::copy_from_slice(key), value);
+            }
+        }
+    }
+}
+
 impl StateMachine for KvStore {
     fn apply(&mut self, cmd: &Command) -> Bytes {
         self.applied += 1;
-        match KvOp::decode(&cmd.payload) {
-            Ok(KvOp::Put { key, value }) => {
-                self.map.insert(key, value);
-                Bytes::from_static(&[1])
+        match OpRef::parse(&cmd.payload) {
+            Ok(OpRef::Put { key, value }) => {
+                self.write(key, value);
+                YES
             }
-            Ok(KvOp::Get { key }) => match self.map.get(&key) {
-                Some(v) => {
-                    let mut out = BytesMut::with_capacity(1 + v.len());
-                    out.put_u8(1);
-                    out.put_slice(v);
-                    out.freeze()
-                }
-                None => Bytes::from_static(&[0]),
+            Ok(OpRef::Get { key }) => self.read(key),
+            Ok(OpRef::Delete { key }) => match self.map.remove(key) {
+                Some(_) => YES,
+                None => NO,
             },
-            Ok(KvOp::Delete { key }) => {
-                let existed = self.map.remove(&key).is_some();
-                Bytes::from_static(if existed { &[1] } else { &[0] })
-            }
-            Ok(KvOp::Cas { key, expect, value }) => {
-                let current = self.map.get(&key);
-                let matches = match (&expect, current) {
-                    (None, None) => true,
-                    (Some(e), Some(v)) => e == v,
-                    _ => false,
-                };
-                if matches {
-                    self.map.insert(key, value);
-                    Bytes::from_static(&[1])
+            Ok(OpRef::Cas { key, expect, value }) => {
+                if self.map.get(key).map(|v| &v[..]) == expect {
+                    self.write(key, value);
+                    YES
                 } else {
-                    Bytes::from_static(&[0])
+                    NO
                 }
             }
-            Err(_) => Bytes::from_static(&[0]),
+            Err(_) => NO,
         }
     }
 
@@ -125,16 +154,8 @@ impl StateMachine for KvStore {
         // Only a well-formed Get is a genuine read; anything else —
         // including a mutating op falsely marked read-only — is refused
         // so the caller replicates it instead.
-        match KvOp::decode(&cmd.payload) {
-            Ok(KvOp::Get { key }) => Some(match self.map.get(&key) {
-                Some(v) => {
-                    let mut out = BytesMut::with_capacity(1 + v.len());
-                    out.put_u8(1);
-                    out.put_slice(v);
-                    out.freeze()
-                }
-                None => Bytes::from_static(&[0]),
-            }),
+        match OpRef::parse(&cmd.payload) {
+            Ok(OpRef::Get { key }) => Some(self.read(key)),
             _ => None,
         }
     }
@@ -183,6 +204,7 @@ impl StateMachine for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::KvOp;
     use rsm_core::command::CommandId;
     use rsm_core::id::{ClientId, ReplicaId};
 
@@ -269,10 +291,136 @@ mod tests {
         assert_eq!(s.len(), 1);
     }
 
+    /// The `Put` of `key` to `value`, as a window into a frame-sized
+    /// buffer — what a command's payload is on the socket plane.
+    fn put_inside_a_frame(key: &[u8], value: &[u8]) -> (Bytes, Command) {
+        let op = KvOp::put(key.to_vec(), value.to_vec()).encode();
+        let mut frame = vec![0xEE; 64 << 10];
+        frame[1000..1000 + op.len()].copy_from_slice(&op);
+        let frame = Bytes::from(frame);
+        let payload = frame.slice(1000..1000 + op.len());
+        let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), 1);
+        (frame, Command::new(id, payload))
+    }
+
+    #[test]
+    fn stored_values_never_alias_the_command_payload() {
+        let mut s = KvStore::new();
+        let (frame, put) = put_inside_a_frame(b"k", &[7u8; 1024]);
+        assert_eq!(s.apply(&put)[..], [1]);
+        let (key, value) = s.map.iter().next().unwrap();
+        assert_eq!(value.as_ref(), &[7u8; 1024]);
+        let frame = frame.as_ptr_range();
+        assert!(
+            !frame.contains(&value.as_ptr()),
+            "the stored value keeps a 64 KiB frame alive"
+        );
+        assert!(!frame.contains(&key.as_ptr()));
+    }
+
+    #[test]
+    fn an_overwrite_keeps_the_stored_key() {
+        let mut s = KvStore::new();
+        s.apply(&cmd(1, &KvOp::put("k", "old")));
+        let stored_key = s.map.keys().next().unwrap().as_ptr();
+        s.apply(&put_inside_a_frame(b"k", b"new").1);
+        assert_eq!(s.map.keys().next().unwrap().as_ptr(), stored_key);
+        let expect = Some(Bytes::from_static(b"new"));
+        assert_eq!(s.apply(&cmd(3, &KvOp::cas("k", expect, "newer")))[..], [1]);
+        assert_eq!(s.map.keys().next().unwrap().as_ptr(), stored_key);
+        assert_eq!(s.get(b"k").unwrap().as_ref(), b"newer");
+        assert_eq!(s.len(), 1);
+    }
+
     #[cfg(test)]
     mod props {
         use super::*;
         use proptest::prelude::*;
+
+        /// Today's semantics, written directly on `KvOp::decode` and a
+        /// `BTreeMap`: what the store must keep answering whatever it
+        /// does to get there.
+        #[derive(Default)]
+        struct Model {
+            map: BTreeMap<Vec<u8>, Vec<u8>>,
+            applied: u64,
+        }
+
+        impl Model {
+            fn read(&self, key: &[u8]) -> Vec<u8> {
+                match self.map.get(key) {
+                    Some(v) => [&[1], &v[..]].concat(),
+                    None => vec![0],
+                }
+            }
+
+            fn apply(&mut self, payload: &[u8]) -> Vec<u8> {
+                self.applied += 1;
+                let status = |ok: bool| vec![u8::from(ok)];
+                match KvOp::decode(payload) {
+                    Ok(KvOp::Put { key, value }) => {
+                        self.map.insert(key.to_vec(), value.to_vec());
+                        status(true)
+                    }
+                    Ok(KvOp::Get { key }) => self.read(&key),
+                    Ok(KvOp::Delete { key }) => status(self.map.remove(&key[..]).is_some()),
+                    Ok(KvOp::Cas { key, expect, value }) => {
+                        let current = self.map.get(&key[..]).map(|v| &v[..]);
+                        let matches = current == expect.as_deref();
+                        if matches {
+                            self.map.insert(key.to_vec(), value.to_vec());
+                        }
+                        status(matches)
+                    }
+                    Err(_) => status(false),
+                }
+            }
+
+            fn query(&self, payload: &[u8]) -> Option<Vec<u8>> {
+                match KvOp::decode(payload) {
+                    Ok(KvOp::Get { key }) => Some(self.read(&key)),
+                    _ => None,
+                }
+            }
+
+            fn snapshot(&self) -> Vec<u8> {
+                let mut out = (self.map.len() as u64).to_be_bytes().to_vec();
+                for (k, v) in &self.map {
+                    out.extend_from_slice(&(k.len() as u32).to_be_bytes());
+                    out.extend_from_slice(k);
+                    out.extend_from_slice(&(v.len() as u32).to_be_bytes());
+                    out.extend_from_slice(v);
+                }
+                out
+            }
+        }
+
+        /// One of four values, the empty one included, so that a `Cas`
+        /// meets its expectation often enough to matter.
+        fn small_value(pick: u8) -> Vec<u8> {
+            vec![pick % 4; usize::from(pick % 4)]
+        }
+
+        /// A payload on one of 16 keys: the five well-formed shapes, a
+        /// trailing byte, a truncation, and raw junk.
+        fn payload(kind: u8, k: u8, a: u8, b: u8, junk: &[u8]) -> Bytes {
+            let key = vec![k];
+            let op = match kind {
+                0 | 5 | 6 => KvOp::put(key, small_value(a)),
+                1 => KvOp::get(key),
+                2 => KvOp::delete(key),
+                3 => KvOp::cas(key, None, small_value(a)),
+                4 => KvOp::cas(key, Some(small_value(b).into()), small_value(a)),
+                _ => return Bytes::copy_from_slice(junk),
+            };
+            let mut bytes = op.encode().to_vec();
+            match kind {
+                5 => bytes.push(b),
+                6 => bytes.truncate(bytes.len() - 1),
+                _ => {}
+            }
+            bytes.into()
+        }
 
         proptest! {
             /// Replicas applying the same op sequence converge (determinism).
@@ -293,6 +441,29 @@ mod tests {
                     prop_assert_eq!(ra, rb);
                 }
                 prop_assert_eq!(a.snapshot(), b.snapshot());
+            }
+
+            /// Every reply, every query answer, the applied count and the
+            /// final snapshot are the reference model's.
+            #[test]
+            fn store_matches_the_reference_model(
+                ops in proptest::collection::vec(
+                    (0u8..8, 0u8..16, any::<u8>(), any::<u8>(),
+                     proptest::collection::vec(any::<u8>(), 0..12)),
+                    0..200,
+                )
+            ) {
+                let mut store = KvStore::new();
+                let mut model = Model::default();
+                for (i, (kind, k, a, b, junk)) in ops.iter().enumerate() {
+                    let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), i as u64);
+                    let c = Command::new(id, payload(*kind, *k, *a, *b, junk));
+                    prop_assert_eq!(store.query(&c).map(|r| r.to_vec()), model.query(&c.payload));
+                    prop_assert_eq!(store.apply(&c).to_vec(), model.apply(&c.payload));
+                    prop_assert_eq!(store.applied(), model.applied);
+                    prop_assert_eq!(store.len(), model.map.len());
+                }
+                prop_assert_eq!(store.snapshot().to_vec(), model.snapshot());
             }
         }
     }

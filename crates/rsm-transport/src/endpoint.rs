@@ -1,6 +1,6 @@
 //! Transport endpoints and the stream abstraction over TCP / UDS.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -47,9 +47,10 @@ impl Endpoint {
 }
 
 /// A connected byte stream over either family. Both variants give the
-/// same blocking `Read`/`Write` (with real vectored writes) plus
-/// half-aware shutdown; `TCP_NODELAY` is set on TCP so small frames are
-/// not Nagle-delayed.
+/// same blocking `Write` (with real vectored writes) plus half-aware
+/// shutdown; `TCP_NODELAY` is set on TCP so small frames are not
+/// Nagle-delayed. Reading is done on the socket inside, not through a
+/// `Read` of `Conn`'s own (see `listener::read_frames`).
 pub(crate) enum Conn {
     Tcp(TcpStream),
     Uds(UnixStream),
@@ -84,15 +85,6 @@ impl Conn {
             Conn::Tcp(s) => s.shutdown(Shutdown::Both),
             Conn::Uds(s) => s.shutdown(Shutdown::Both),
         };
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Uds(s) => s.read(buf),
-        }
     }
 }
 

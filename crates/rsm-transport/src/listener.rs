@@ -34,7 +34,11 @@ impl Acceptor {
 /// Each accepted connection gets its own reader thread: it reads the
 /// 32-byte [`FrameHeader`], validates magic/version/length, reads the
 /// payload, verifies the checksum, deduplicates by per-sender sequence
-/// number, decodes the message, and invokes the deliver callback. Any
+/// number, decodes the message, and invokes the deliver callback. The
+/// payload is read once, by the kernel, into a buffer that is reserved
+/// but never zero-filled, and that buffer — not a copy of it — is what
+/// the delivered message's `Bytes` fields point into (so a message that
+/// outlives its frame keeps the frame's allocation alive). Any
 /// framing or decode error bumps `frames_rejected` and closes the
 /// connection — the reader shuts the socket down, so the sending peer's
 /// next write fails and it redials; EOF ends the thread cleanly. The
@@ -127,7 +131,12 @@ impl Listener {
                     let handle = std::thread::Builder::new()
                         .name("rsm-reader".into())
                         .spawn(move || {
-                            if read_frames(&mut conn, &*deliver, &last_seq, &metrics).is_err() {
+                            // On the socket itself: see `read_frames`.
+                            let read = match &mut conn {
+                                Conn::Tcp(s) => read_frames(s, &*deliver, &last_seq, &metrics),
+                                Conn::Uds(s) => read_frames(s, &*deliver, &last_seq, &metrics),
+                            };
+                            if read.is_err() {
                                 metrics.frames_rejected.inc();
                             }
                             // `readers` holds a clone of this socket, so
@@ -194,8 +203,15 @@ impl Drop for Listener {
 
 /// Reads frames off one connection until EOF or a torn connection
 /// (`Ok`; the peer redials) or the first malformed frame (`Err`).
+///
+/// The payload buffer is reserved, never zero-filled: `read_to_end` hands
+/// the reader the vector's spare capacity, and std's socket types read
+/// straight into it. For a `Read` that only implements `read`, as a
+/// wrapper enum must, std zeroes that capacity first — which is why the
+/// caller passes the socket itself. The same vector, unmoved, then backs
+/// the decoded message's `Bytes`.
 fn read_frames<M: WireMsg>(
-    conn: &mut Conn,
+    conn: &mut impl Read,
     deliver: &(dyn Fn(ReplicaId, M) + Send + Sync),
     last_seq: &Mutex<HashMap<u16, u64>>,
     metrics: &TransportMetrics,
@@ -206,9 +222,12 @@ fn read_frames<M: WireMsg>(
             return Ok(());
         }
         let header = FrameHeader::decode(&header_buf)?;
-        let mut payload = vec![0u8; header.len as usize];
-        if conn.read_exact(&mut payload).is_err() {
-            return Ok(());
+        let len = header.len as usize;
+        let mut payload = Vec::with_capacity(len);
+        match conn.by_ref().take(len as u64).read_to_end(&mut payload) {
+            Ok(read) if read == len => {}
+            // EOF or an error part-way: torn, not malformed.
+            _ => return Ok(()),
         }
         let payload = Bytes::from(payload);
         header.verify_payload(&payload)?;

@@ -9,6 +9,7 @@ use bytes::{Bytes, BytesMut};
 use rsm_core::id::ReplicaId;
 use rsm_core::wire::{
     encode_payload, FrameHeader, WireDecode, WireEncode, WireError, WireMsg, WireReader,
+    MAX_FRAME_PAYLOAD,
 };
 
 use crate::link::LINK_QUEUE_CAP;
@@ -64,6 +65,20 @@ fn deliver_into(
     move |from, msg| {
         let _ = tx.send((from, msg));
     }
+}
+
+/// A TCP listener with its inbound counters and what it delivers.
+fn counted_tcp_listener() -> (
+    Listener,
+    TransportMetrics,
+    mpsc::Receiver<(ReplicaId, TestMsg)>,
+) {
+    let (tx, rx) = mpsc::channel();
+    let metrics = TransportMetrics::default();
+    let listener =
+        Listener::bind_with_metrics(&Endpoint::tcp_loopback(), metrics.clone(), deliver_into(tx))
+            .expect("bind");
+    (listener, metrics, rx)
 }
 
 fn tcp_addr(listener: &Listener) -> SocketAddr {
@@ -193,11 +208,7 @@ fn garbage_connections_do_not_poison_the_listener() {
 
 #[test]
 fn a_rejected_frame_closes_the_connection_and_is_counted() {
-    let (tx, rx) = mpsc::channel();
-    let metrics = TransportMetrics::default();
-    let listener =
-        Listener::bind_with_metrics(&Endpoint::tcp_loopback(), metrics.clone(), deliver_into(tx))
-            .expect("bind");
+    let (listener, metrics, rx) = counted_tcp_listener();
     let addr = tcp_addr(&listener);
     let (r0, r1) = (ReplicaId::new(0), ReplicaId::new(1));
 
@@ -227,6 +238,107 @@ fn a_rejected_frame_closes_the_connection_and_is_counted() {
     let (_, msg) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
     assert_eq!(msg.tag, 2);
     assert_eq!(metrics.frames_rejected.get(), 1);
+}
+
+/// Header and payload of `msg` as frame `seq` on the `0 → 1` link.
+fn raw_frame(seq: u64, msg: &TestMsg) -> Vec<u8> {
+    let payload = encode_payload(msg);
+    let header = FrameHeader::for_payload(ReplicaId::new(0), ReplicaId::new(1), seq, &payload);
+    [&header.encode()[..], &payload[..]].concat()
+}
+
+fn patterned_64k(tag: u64) -> TestMsg {
+    let body: Vec<u8> = (0..64 << 10).map(|i| (i % 251) as u8).collect();
+    TestMsg::new(tag, &body)
+}
+
+/// Dials until the listener holds no finished reader: at most `live`
+/// connections plus the probe dial itself.
+fn readers_drain_to(listener: &Listener, live: usize) -> bool {
+    let addr = tcp_addr(listener);
+    reached(|| {
+        drop(TcpStream::connect(addr).unwrap());
+        std::thread::sleep(Duration::from_millis(5));
+        listener.held() <= live + 1
+    })
+}
+
+#[test]
+fn a_frame_arriving_in_pieces_is_delivered_once_and_intact() {
+    let (listener, metrics, rx) = counted_tcp_listener();
+    let msg = patterned_64k(1);
+    let frame = raw_frame(1, &msg);
+    let mut raw = TcpStream::connect(tcp_addr(&listener)).unwrap();
+    raw.set_nodelay(true).unwrap();
+    // One byte of the header, then the rest of it with the head of the
+    // payload, then the tail: the pauses only make it likely that the
+    // reader sees each piece as a short read of its own.
+    for piece in [&frame[..1], &frame[1..1001], &frame[1001..]] {
+        raw.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (from, got) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+    assert_eq!(from, ReplicaId::new(0));
+    assert_eq!(got, msg);
+    // The stream is still in step: the next frame on it is the next
+    // delivery, and there is no other.
+    raw.write_all(&raw_frame(2, &TestMsg::new(2, b"next")))
+        .unwrap();
+    let (_, next) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+    assert_eq!(next.tag, 2);
+    assert!(rx.try_recv().is_err(), "a frame was delivered twice");
+    assert_eq!(metrics.frames_recv.get(), 2);
+    assert_eq!(metrics.frames_rejected.get(), 0);
+}
+
+#[test]
+fn a_connection_closed_mid_payload_is_torn_not_malformed() {
+    let (listener, metrics, rx) = counted_tcp_listener();
+    let msg = patterned_64k(1);
+    let frame = raw_frame(1, &msg);
+    let mut torn = TcpStream::connect(tcp_addr(&listener)).unwrap();
+    torn.write_all(&frame[..frame.len() / 2]).unwrap();
+    drop(torn);
+    assert!(
+        readers_drain_to(&listener, 0),
+        "the torn reader never ended"
+    );
+    assert!(rx.try_recv().is_err(), "half a frame was delivered");
+    assert_eq!(metrics.frames_rejected.get(), 0, "torn, not malformed");
+
+    // The peer redials and resends: same sequence number, delivered —
+    // the torn attempt did not touch the dedup state either.
+    let mut redial = TcpStream::connect(tcp_addr(&listener)).unwrap();
+    redial.write_all(&frame).unwrap();
+    let (_, got) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+    assert_eq!(got, msg);
+    assert_eq!(metrics.frames_rejected.get(), 0);
+}
+
+#[test]
+fn a_header_promising_far_more_than_arrives_ends_promptly() {
+    let (listener, metrics, rx) = counted_tcp_listener();
+    // The largest payload a header may announce, and ten bytes of it.
+    let header = FrameHeader {
+        from: ReplicaId::new(0),
+        to: ReplicaId::new(1),
+        len: MAX_FRAME_PAYLOAD as u32,
+        seq: 1,
+        checksum: 0,
+    };
+    let started = Instant::now();
+    let mut raw = TcpStream::connect(tcp_addr(&listener)).unwrap();
+    raw.write_all(&header.encode()).unwrap();
+    raw.write_all(&[7u8; 10]).unwrap();
+    drop(raw);
+    assert!(readers_drain_to(&listener, 0), "the reader never ended");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "a reader took {:?} to give up on a payload that was never coming",
+        started.elapsed()
+    );
+    assert!(rx.try_recv().is_err());
+    assert_eq!(metrics.frames_rejected.get(), 0, "torn, not malformed");
 }
 
 #[test]
@@ -296,19 +408,31 @@ fn a_stalled_peer_blocks_the_sender_at_the_link_bound_and_loses_nothing() {
         })
     };
 
-    // Stalled: the queue holds its bound, the blocked send one more.
+    // Stalled: the queue holds its bound, the blocked send one more —
+    // and stays there. A full queue alone is not a stall: while the
+    // kernel still takes bytes the writer empties the queue a batch at a
+    // time and a fast sender refills it in between.
     let full = LINK_QUEUE_CAP as i64 + 1;
-    let filled = reached(|| depth.get() >= full);
-    let stalled_at = sent.load(Ordering::SeqCst);
-    std::thread::sleep(Duration::from_millis(100));
-    let (depth_later, sent_later) = (depth.get(), sent.load(Ordering::SeqCst));
+    let seen = Cell::new((0, 0, 0));
+    let stalled = reached(|| {
+        if depth.get() < full {
+            return false;
+        }
+        let stalled_at = sent.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(100));
+        seen.set((stalled_at, depth.get(), sent.load(Ordering::SeqCst)));
+        stalled_at == seen.get().2
+    });
+    let (stalled_at, depth_later, sent_later) = seen.get();
     // Judge with the gate open: a failed assertion must not leave the
     // reader parked in `deliver` for the listener's drop to wait on.
     *gate.0.lock().unwrap() = true;
     gate.1.notify_all();
-    assert!(filled, "the link queue never filled: depth {depth_later}");
+    assert!(
+        stalled,
+        "no send ever waited 100 ms: depth {depth_later}, {sent_later} sent"
+    );
     assert_eq!(depth_later, full, "the queue grew past its bound");
-    assert_eq!(sent_later, stalled_at, "a send went through a full queue");
     assert!((stalled_at as u64) < FRAMES);
 
     for tag in 0..FRAMES {
@@ -364,13 +488,8 @@ fn finished_connections_cost_the_listener_nothing() {
     // Readers notice EOF on their own time, and a finished reader is let
     // go of at the next accept: dial until the listener holds the live
     // connection plus, at most, that last dial.
-    let let_go = reached(|| {
-        drop(TcpStream::connect(addr).unwrap());
-        std::thread::sleep(Duration::from_millis(5));
-        listener.held() <= 2
-    });
     assert!(
-        let_go,
+        readers_drain_to(&listener, 1),
         "{} readers held for one connection",
         listener.held()
     );

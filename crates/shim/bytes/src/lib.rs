@@ -9,6 +9,27 @@
 //! this subset — including the panicking-on-underflow contract of
 //! `Buf`/`BufMut` — swap the workspace dependency back to crates.io
 //! `bytes` when a registry is available; no call sites need to change.
+//!
+//! # Complexity contract
+//!
+//! The cost model matches the real crate's too, so a measurement taken on
+//! the shim is a measurement of the caller, not of the stand-in:
+//!
+//! * `Bytes::from(Vec<u8>)`, `Bytes::from(String)` and
+//!   [`BytesMut::freeze`] are **O(1)**: they take ownership of the
+//!   vector's allocation — no copy, one small allocation for the
+//!   reference count, and the buffer keeps the vector's address (and any
+//!   spare capacity the vector had).
+//! * [`Bytes::from_static`] is a `const fn`, borrows the static slice and
+//!   allocates nothing; so do [`Bytes::new`] and `Bytes::default()`.
+//! * `clone`, [`Bytes::slice`], [`Bytes::split_to`] and `advance` are
+//!   O(1) and share storage.
+//! * [`Bytes::copy_from_slice`] is the one O(len) constructor: one copy
+//!   into an exactly-sized allocation.
+//!
+//! Equality, ordering, hashing and `Borrow<[u8]>` look at content only: a
+//! static and an owned buffer holding the same bytes are the same map key.
+//! Everything is safe Rust.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -18,37 +39,46 @@ use std::sync::Arc;
 
 /// A cheaply cloneable, immutable slice of bytes.
 ///
-/// Clones share the same backing storage (an `Arc`), so cloning a payload
-/// when rebroadcasting a command is O(1) and allocation-free.
-#[derive(Clone, Default)]
+/// A `Bytes` is a window (`start..end`) onto storage it either borrows for
+/// `'static` or shares by reference count. Clones and sub-slices share the
+/// storage, so cloning a payload when rebroadcasting a command is O(1) and
+/// allocation-free; wrapping a `Vec<u8>` is O(1) and copy-free (see the
+/// [crate docs](crate#complexity-contract)).
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    storage: Storage,
     start: usize,
     end: usize,
 }
 
+#[derive(Clone)]
+enum Storage {
+    Static(&'static [u8]),
+    /// The vector a `Bytes` was built from, as it was: never reallocated,
+    /// so the bytes stay where the producer wrote them.
+    Shared(Arc<Vec<u8>>),
+}
+
 impl Bytes {
-    /// Creates an empty `Bytes`.
-    pub fn new() -> Self {
-        Bytes::default()
+    /// Creates an empty `Bytes`. Allocates nothing.
+    pub const fn new() -> Self {
+        Bytes::from_static(&[])
     }
 
-    /// Wraps a static byte slice without copying.
-    pub fn from_static(bytes: &'static [u8]) -> Self {
-        // A static slice could be borrowed directly; this subset keeps one
-        // representation (Arc) for simplicity. Still O(len) once, then
-        // clones are free.
-        Bytes::copy_from_slice(bytes)
-    }
-
-    /// Copies a slice into a new buffer.
-    pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        let data: Arc<[u8]> = Arc::from(bytes);
+    /// Borrows a static byte slice: O(1), no allocation, no copy, usable
+    /// in a `const`. The buffer points at the static itself.
+    pub const fn from_static(bytes: &'static [u8]) -> Self {
         Bytes {
+            storage: Storage::Static(bytes),
             start: 0,
-            end: data.len(),
-            data,
+            end: bytes.len(),
         }
+    }
+
+    /// Copies a slice into a new, exactly-sized buffer: O(len), the only
+    /// constructor that copies.
+    pub fn copy_from_slice(bytes: &[u8]) -> Self {
+        Bytes::from(bytes.to_vec())
     }
 
     /// Length in bytes.
@@ -74,7 +104,7 @@ impl Bytes {
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && range.end <= self.len());
         Bytes {
-            data: Arc::clone(&self.data),
+            storage: self.storage.clone(),
             start: self.start + range.start,
             end: self.start + range.end,
         }
@@ -179,7 +209,17 @@ impl Buf for &[u8] {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        let all: &[u8] = match &self.storage {
+            Storage::Static(bytes) => bytes,
+            Storage::Shared(vec) => vec,
+        };
+        &all[self.start..self.end]
+    }
+}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::new()
     }
 }
 
@@ -243,13 +283,14 @@ impl fmt::Debug for Bytes {
     }
 }
 
+/// O(1): the `Bytes` owns the vector's allocation as it is — same address,
+/// same capacity; only the reference count is allocated.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = Arc::from(v.into_boxed_slice());
         Bytes {
             start: 0,
-            end: data.len(),
-            data,
+            end: v.len(),
+            storage: Storage::Shared(Arc::new(v)),
         }
     }
 }
@@ -307,7 +348,10 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Freezes the builder into an immutable [`Bytes`].
+    /// Freezes the builder into an immutable [`Bytes`]: O(1), the bytes
+    /// stay where they were written (spare capacity included — size the
+    /// builder with [`with_capacity`](BytesMut::with_capacity) when the
+    /// result is kept for long).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -428,5 +472,134 @@ mod tests {
         let mut m: BTreeMap<Bytes, u32> = BTreeMap::new();
         m.insert(Bytes::from("k"), 1);
         assert_eq!(m.get(b"k".as_slice()), Some(&1));
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_vectors_address() {
+        // Spare capacity on purpose: a shrink would be free to move it.
+        let mut v = Vec::with_capacity(4096);
+        v.extend_from_slice(&[7u8; 100]);
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b.as_ref(), &[7u8; 100]);
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.put_slice(&[9u8; 100]);
+        let at = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b.as_ref(), &[9u8; 100]);
+
+        let s = String::from("owned text");
+        let at = s.as_ptr();
+        assert_eq!(Bytes::from(s).as_ptr(), at);
+    }
+
+    #[test]
+    fn from_static_is_const_and_points_at_the_static() {
+        static DATA: [u8; 3] = [1, 2, 3];
+        const WHOLE: Bytes = Bytes::from_static(&DATA);
+        const EMPTY: Bytes = Bytes::new();
+        assert_eq!(WHOLE.as_ptr(), DATA.as_ptr());
+        assert_eq!(WHOLE.clone().as_ptr(), DATA.as_ptr());
+        assert_eq!(WHOLE.slice(1..3).as_ptr(), DATA[1..].as_ptr());
+        assert_eq!(Bytes::from(&DATA[..]).as_ptr(), DATA.as_ptr());
+        assert!(EMPTY.is_empty() && Bytes::default().is_empty());
+    }
+
+    /// The same content in each representation, each as a whole buffer
+    /// and as a window into a larger one.
+    fn representations(content: &'static [u8]) -> Vec<Bytes> {
+        let mut padded = vec![0xEE];
+        padded.extend_from_slice(content);
+        padded.push(0xEE);
+        let window = 1..1 + content.len();
+        vec![
+            Bytes::from_static(content),
+            Bytes::from(content.to_vec()),
+            Bytes::from_static(padded.clone().leak()).slice(window.clone()),
+            Bytes::from(padded).slice(window),
+        ]
+    }
+
+    #[test]
+    fn equal_content_is_one_key_whatever_holds_it() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::{BTreeMap, HashMap};
+        fn hash_of(b: &Bytes) -> u64 {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        }
+        let (below, above) = (Bytes::from_static(b"kex"), Bytes::from(b"kez".to_vec()));
+        let all = representations(b"key");
+        for a in &all {
+            for b in &all {
+                assert_eq!(a, b);
+                assert_eq!(a.cmp(b), std::cmp::Ordering::Equal);
+                assert_eq!(hash_of(a), hash_of(b));
+            }
+            assert!(below < *a && *a < above);
+            assert_eq!(*a, b"key".as_slice());
+
+            let mut tree: BTreeMap<Bytes, u32> = BTreeMap::new();
+            let mut table: HashMap<Bytes, u32> = HashMap::new();
+            tree.insert(a.clone(), 1);
+            table.insert(a.clone(), 1);
+            for b in &all {
+                assert_eq!(tree.insert(b.clone(), 1), Some(1), "one key, not two");
+                assert_eq!(table.insert(b.clone(), 1), Some(1), "one key, not two");
+            }
+            assert_eq!(tree.get(b"key".as_slice()), Some(&1));
+            assert_eq!(table.get(b"key".as_slice()), Some(&1));
+            assert_eq!((tree.len(), table.len()), (1, 1));
+        }
+    }
+
+    #[test]
+    fn cursor_and_slicing_behave_the_same_on_every_representation() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        const CONTENT: &[u8] = &[
+            0xAB, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B, 0x0C, 0x0D,
+            0x0E, b't', b'a', b'i', b'l',
+        ];
+        for mut b in representations(CONTENT) {
+            let origin = b.as_ptr();
+            assert_eq!(b.len(), CONTENT.len());
+            assert_eq!(b.to_vec(), CONTENT);
+            assert_eq!(b.slice(15..19).as_ref(), b"tail");
+            assert_eq!(b.slice(3..3).len(), 0);
+            assert_eq!(b.clone().as_ptr(), origin);
+
+            assert_eq!(b.get_u8(), 0xAB);
+            assert_eq!(b.get_u16(), 0x0102);
+            assert_eq!(b.get_u32(), 0x03040506);
+            assert_eq!(b.get_u64(), 0x0708090A0B0C0D0E);
+            assert_eq!((b.remaining(), b.chunk()), (4, b"tail".as_slice()));
+            let head = b.split_to(1);
+            assert_eq!(
+                (head.as_ref(), b.as_ref()),
+                (b"t".as_slice(), b"ail".as_slice())
+            );
+            assert_eq!(head.as_ptr(), origin.wrapping_add(15), "split_to shares");
+            b.advance(1);
+            let mut rest = [0u8; 2];
+            b.copy_to_slice(&mut rest);
+            assert_eq!(&rest, b"il");
+            assert!(!b.has_remaining());
+
+            // Underflow panics, and leaves the cursor where it was.
+            let mut short = head;
+            assert!(catch_unwind(AssertUnwindSafe(|| short.get_u16())).is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| short.get_u32())).is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| short.get_u64())).is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| short.copy_to_slice(&mut [0; 2]))).is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| short.advance(2))).is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| short.split_to(2))).is_err());
+            assert!(catch_unwind(|| short.slice(0..2)).is_err());
+            assert_eq!(short.get_u8(), b't');
+            assert!(catch_unwind(AssertUnwindSafe(|| short.get_u8())).is_err());
+        }
     }
 }
