@@ -55,8 +55,8 @@
 //! commands (knob: [`BatchPolicy`](rsm_core::BatchPolicy) on the driver),
 //! which is stamped with **one** head timestamp — command `i` implicitly
 //! holds `head + i` — and broadcast as a single `PREPAREBATCH`. Receivers
-//! log every command but answer with a single **cumulative** `PREPAREOK`:
-//! a per-originator watermark covering the batch's last timestamp (sound
+//! log and hold it as one run, and answer with one **cumulative**
+//! `PREPAREOK`: a per-originator watermark covering its last timestamp (sound
 //! because an originator emits prepares in increasing timestamp order
 //! over FIFO channels). Commit checks then read a small watermark matrix
 //! instead of per-timestamp ack counters, so the hot path does integer
@@ -103,6 +103,7 @@ pub mod log;
 pub mod msg;
 pub mod reconfig;
 pub mod replica;
+mod run;
 
 pub use config::ClockRsmConfig;
 pub use log::LogRec;

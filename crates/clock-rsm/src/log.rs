@@ -1,7 +1,7 @@
 //! Clock-RSM stable log records.
 
+use rsm_core::batch::Batch;
 use rsm_core::checkpoint::Checkpoint;
-use rsm_core::command::Command;
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
 use rsm_core::time::Timestamp;
@@ -9,22 +9,27 @@ use rsm_core::time::Timestamp;
 /// A record in a Clock-RSM replica's stable log.
 ///
 /// As in Section V-B of the paper, entries are of two main types —
-/// `Prepare` (a command with its timestamp, appended in *arrival* order,
-/// which is not necessarily timestamp order across originators) and
-/// `Commit` (a commit mark, always appended in timestamp order, always
-/// after its corresponding `Prepare`). `Epoch` records additionally
-/// persist reconfiguration decisions so a recovering replica knows the
-/// configuration it crashed in.
+/// prepares, appended in *arrival* order (not necessarily timestamp order
+/// across originators), and `Commit` marks, always appended in timestamp
+/// order, always after the prepare they commit. A prepare is logged as
+/// the run it arrived as: one `PrepareBatch` per PREPAREBATCH, its
+/// command `i` at timestamp `head + i`. Replay is the same as with one
+/// record per command: the order keys are `head + i` by construction, and
+/// commit marks stay per command, so replay executes exactly the marked
+/// commands in mark order — a run cut mid-way by stability, acks or a
+/// checkpoint replays only its marked prefix. `Epoch` records
+/// additionally persist reconfiguration decisions so a recovering replica
+/// knows the configuration it crashed in.
 #[derive(Debug, Clone)]
 pub enum LogRec {
-    /// A logged command (Algorithm 1, line 7).
-    Prepare {
-        /// The command's timestamp.
-        ts: Timestamp,
+    /// A logged run of commands (Algorithm 1, line 7).
+    PrepareBatch {
+        /// The timestamp of the run's first command.
+        head: Timestamp,
         /// The originating replica.
         origin: ReplicaId,
-        /// The command.
-        cmd: Command,
+        /// The commands, command `i` at timestamp `head + i`.
+        cmds: Batch,
     },
     /// A commit mark (Algorithm 1, line 15); strictly increasing `ts`.
     Commit {
@@ -45,55 +50,4 @@ pub enum LogRec {
     /// ≤ `applied` is reflected in the snapshot. Recovery restores the
     /// snapshot and skips re-executing everything at or below it.
     Checkpoint(Checkpoint<Timestamp>),
-}
-
-impl LogRec {
-    /// The timestamp of a `Prepare` or `Commit` record, if any.
-    pub fn ts(&self) -> Option<Timestamp> {
-        match self {
-            LogRec::Prepare { ts, .. } | LogRec::Commit { ts } => Some(*ts),
-            LogRec::Epoch { .. } | LogRec::Checkpoint(_) => None,
-        }
-    }
-
-    /// Whether this is a `Prepare` record.
-    pub fn is_prepare(&self) -> bool {
-        matches!(self, LogRec::Prepare { .. })
-    }
-
-    /// Whether this is a `Commit` record.
-    pub fn is_commit(&self) -> bool {
-        matches!(self, LogRec::Commit { .. })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bytes::Bytes;
-    use rsm_core::command::CommandId;
-    use rsm_core::id::ClientId;
-
-    #[test]
-    fn accessors() {
-        let ts = Timestamp::new(5, ReplicaId::new(1));
-        let prep = LogRec::Prepare {
-            ts,
-            origin: ReplicaId::new(1),
-            cmd: Command::new(
-                CommandId::new(ClientId::new(ReplicaId::new(1), 0), 1),
-                Bytes::from_static(b"x"),
-            ),
-        };
-        assert!(prep.is_prepare());
-        assert!(!prep.is_commit());
-        assert_eq!(prep.ts(), Some(ts));
-        let commit = LogRec::Commit { ts };
-        assert!(commit.is_commit());
-        let epoch = LogRec::Epoch {
-            epoch: Epoch(1),
-            config: vec![ReplicaId::new(0)],
-        };
-        assert_eq!(epoch.ts(), None);
-    }
 }

@@ -26,9 +26,9 @@
 //! epoch order.
 
 use std::collections::{BTreeMap, HashSet};
-use std::ops::Bound::{Excluded, Unbounded};
 
 use paxos::synod::{SynodInstance, SynodMsg};
+use rsm_core::batch::Batch;
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
 use rsm_core::protocol::Context;
@@ -152,16 +152,8 @@ impl ClockRsm {
             collected: BTreeMap::new(),
             responders: HashSet::new(),
         };
-        for r in self.membership.spec().to_vec() {
-            ctx.send(
-                r,
-                RsmMsg::Suspend {
-                    epoch: target_epoch,
-                    cts,
-                },
-            );
-        }
-        ctx.set_timer(self.cfg.reconfig_retry_us, TOKEN_RECONFIG_RETRY);
+        // No one has answered yet: the retry path sends to all of Spec.
+        self.reconfig_retry(ctx);
     }
 
     /// Recovery reintegration: rejoin the configuration via a
@@ -195,15 +187,7 @@ impl ClockRsm {
             return;
         }
         self.freeze(ctx);
-        let cmds: Vec<LoggedCmd> = self
-            .history
-            .range((Excluded(cts), Unbounded))
-            .map(|(&ts, (origin, cmd))| LoggedCmd {
-                ts,
-                origin: *origin,
-                cmd: cmd.clone(),
-            })
-            .collect();
+        let cmds = self.history.after(cts).collect();
         ctx.send(from, RsmMsg::SuspendOk { epoch, cmds });
     }
 
@@ -224,11 +208,8 @@ impl ClockRsm {
                 ..
             } if *target_epoch == epoch => {
                 if responders.insert(from) {
-                    for lc in cmds {
-                        if lc.ts > *cts {
-                            collected.insert(lc.ts, lc);
-                        }
-                    }
+                    let above = cmds.into_iter().filter(|lc| lc.ts > *cts);
+                    collected.extend(above.map(|lc| (lc.ts, lc)));
                 }
                 responders.len() >= majority
             }
@@ -299,7 +280,7 @@ impl ClockRsm {
             .on_message(from, msg, &mut out);
         self.route_synod(epoch, out, ctx);
         if let Some(decision) = decided {
-            self.receive_decision(epoch, decision, ctx);
+            self.handle_decision_catchup(vec![(epoch, decision)], ctx);
         }
     }
 
@@ -320,11 +301,6 @@ impl ClockRsm {
     // ------------------------------------------------------------------
     // Decisions (lines 11–24)
     // ------------------------------------------------------------------
-
-    fn receive_decision(&mut self, epoch: Epoch, decision: Decision, ctx: &mut dyn Context<Self>) {
-        self.reconfig.decisions.entry(epoch).or_insert(decision);
-        self.apply_ready_decisions(ctx);
-    }
 
     /// Applies stashed decisions strictly in epoch order; pauses when a
     /// state transfer is required and resumes when it completes.
@@ -350,19 +326,15 @@ impl ClockRsm {
         let cts_local = self.last_committed;
         if decision.cts > cts_local {
             // Lines 13–14: we lag behind the decided commit point.
-            let (from_ts, to_ts) = (cts_local, decision.cts);
             self.reconfig.phase = Phase::FetchingState {
+                from_ts: cts_local,
+                to_ts: decision.cts,
                 epoch: e,
                 decision,
                 fetched: BTreeMap::new(),
                 responders: HashSet::new(),
-                from_ts,
-                to_ts,
             };
-            for r in self.membership.spec().to_vec() {
-                ctx.send(r, RsmMsg::RetrieveCmds { from_ts, to_ts });
-            }
-            ctx.set_timer(self.cfg.reconfig_retry_us, TOKEN_RECONFIG_RETRY);
+            self.reconfig_retry(ctx);
             return false;
         }
         self.finish_apply(e, decision, BTreeMap::new(), ctx);
@@ -380,16 +352,14 @@ impl ClockRsm {
     ) {
         self.reconfig.phase = Phase::Idle;
         let mut to_apply = fetched;
-        for lc in &decision.cmds {
-            to_apply.insert(lc.ts, lc.clone());
-        }
+        to_apply.extend(decision.cmds.iter().map(|lc| (lc.ts, lc.clone())));
 
         // Line 15: drop un-executed PREPAREs beyond the decided timestamp
         // that did not make it into the decision — they can never have
-        // committed anywhere.
-        self.history.retain(|ts, _| {
-            *ts <= decision.cts || to_apply.contains_key(ts) || *ts <= self.last_committed
-        });
+        // committed anywhere. (This may split a logged run.)
+        let floor = decision.cts.max(self.last_committed);
+        self.history
+            .retain(|ts| ts <= floor || to_apply.contains_key(&ts));
 
         // Lines 16–20: execute everything not yet executed, in ts order.
         let old_epoch = self.epoch();
@@ -397,13 +367,14 @@ impl ClockRsm {
             if ts <= self.last_committed {
                 continue; // already executed locally
             }
+            let cmds = Batch::single(lc.cmd.clone());
             if self.keeps_history() {
-                self.history.insert(ts, (lc.origin, lc.cmd.clone()));
+                self.history.add(ts, &cmds);
             }
-            ctx.log_append(LogRec::Prepare {
-                ts,
+            ctx.log_append(LogRec::PrepareBatch {
+                head: ts,
                 origin: lc.origin,
-                cmd: lc.cmd.clone(),
+                cmds,
             });
             ctx.log_append(LogRec::Commit { ts });
             self.last_committed = ts;
@@ -424,8 +395,8 @@ impl ClockRsm {
         }
         // Echoes of old-epoch clock probes are dropped on arrival.
         self.probes_out.clear();
-        self.pending.clear();
-        for row in &mut self.acked {
+        for (lane, row) in self.pending.iter_mut().zip(&mut self.acked) {
+            lane.clear();
             row.fill(0);
         }
         // The trace cursors track the watermarks just reset; left high
@@ -499,15 +470,10 @@ impl ClockRsm {
         to_ts: Timestamp,
         ctx: &mut dyn Context<Self>,
     ) {
-        let cmds: Vec<LoggedCmd> = self
+        let cmds = self
             .history
-            .range((Excluded(from_ts), Unbounded))
-            .take_while(|(&ts, _)| ts <= to_ts)
-            .map(|(&ts, (origin, cmd))| LoggedCmd {
-                ts,
-                origin: *origin,
-                cmd: cmd.clone(),
-            })
+            .after(from_ts)
+            .take_while(|lc| lc.ts <= to_ts)
             .collect();
         ctx.send(
             from,
@@ -537,11 +503,10 @@ impl ClockRsm {
                 ..
             } if *f == from_ts && *t == to_ts => {
                 if responders.insert(from) {
-                    for lc in cmds {
-                        if lc.ts > from_ts && lc.ts <= to_ts {
-                            fetched.insert(lc.ts, lc);
-                        }
-                    }
+                    let within = cmds
+                        .into_iter()
+                        .filter(|lc| lc.ts > from_ts && lc.ts <= to_ts);
+                    fetched.extend(within.map(|lc| (lc.ts, lc)));
                 }
                 responders.len() >= majority
             }
@@ -584,15 +549,6 @@ impl ClockRsm {
         }
     }
 
-    pub(crate) fn handle_decision_request(
-        &mut self,
-        from: ReplicaId,
-        have_epoch: Epoch,
-        ctx: &mut dyn Context<Self>,
-    ) {
-        self.send_catchup(from, have_epoch, ctx);
-    }
-
     pub(crate) fn handle_decision_catchup(
         &mut self,
         decisions: Vec<(Epoch, Decision)>,
@@ -609,7 +565,7 @@ impl ClockRsm {
     // ------------------------------------------------------------------
 
     pub(crate) fn reconfig_retry(&mut self, ctx: &mut dyn Context<Self>) {
-        match &self.reconfig.phase {
+        let (responders, msg) = match &self.reconfig.phase {
             Phase::Collecting {
                 target_epoch,
                 cts,
@@ -625,17 +581,7 @@ impl ClockRsm {
                     return;
                 }
                 let (epoch, cts) = (*target_epoch, *cts);
-                let missing: Vec<ReplicaId> = self
-                    .membership
-                    .spec()
-                    .iter()
-                    .copied()
-                    .filter(|r| !responders.contains(r))
-                    .collect();
-                for r in missing {
-                    ctx.send(r, RsmMsg::Suspend { epoch, cts });
-                }
-                ctx.set_timer(self.cfg.reconfig_retry_us, TOKEN_RECONFIG_RETRY);
+                (responders, RsmMsg::Suspend { epoch, cts })
             }
             Phase::FetchingState {
                 from_ts,
@@ -644,27 +590,24 @@ impl ClockRsm {
                 ..
             } => {
                 let (from_ts, to_ts) = (*from_ts, *to_ts);
-                let missing: Vec<ReplicaId> = self
-                    .membership
-                    .spec()
-                    .iter()
-                    .copied()
-                    .filter(|r| !responders.contains(r))
-                    .collect();
-                for r in missing {
-                    ctx.send(r, RsmMsg::RetrieveCmds { from_ts, to_ts });
-                }
-                ctx.set_timer(self.cfg.reconfig_retry_us, TOKEN_RECONFIG_RETRY);
+                (responders, RsmMsg::RetrieveCmds { from_ts, to_ts })
             }
             Phase::AwaitingDecision { .. } => {
                 // The synod retry timer drives this phase.
+                return;
             }
             Phase::Idle => {
                 if self.needs_rejoin {
                     self.start_rejoin(ctx);
                 }
+                return;
             }
+        };
+        let spec = self.membership.spec().iter();
+        for r in spec.filter(|r| !responders.contains(r)) {
+            ctx.send(*r, msg.clone());
         }
+        ctx.set_timer(self.cfg.reconfig_retry_us, TOKEN_RECONFIG_RETRY);
     }
 }
 
@@ -774,8 +717,10 @@ mod tests {
         let mut p = replica(1);
         let mut ctx = TestCtx::new();
         // Seed the history with two prepares.
-        p.history.insert(Timestamp::new(100, r(0)), (r(0), cmd(1)));
-        p.history.insert(Timestamp::new(200, r(0)), (r(0), cmd(2)));
+        p.history
+            .add(Timestamp::new(100, r(0)), &Batch::single(cmd(1)));
+        p.history
+            .add(Timestamp::new(200, r(0)), &Batch::single(cmd(2)));
         p.handle_suspend(r(0), Epoch(1), Timestamp::new(100, r(0)), &mut ctx);
         assert!(p.is_frozen());
         let (_, reply) = ctx
@@ -825,7 +770,7 @@ mod tests {
         let orphan = lc(500, 1, 42);
         nodes[1]
             .history
-            .insert(orphan.ts, (orphan.origin, orphan.cmd.clone()));
+            .add(orphan.ts, &Batch::single(orphan.cmd.clone()));
 
         // r0 suspects r2 and starts removing it.
         nodes[0].trigger_reconfigure(vec![r(0), r(1)], &mut ctxs[0]);
@@ -936,7 +881,8 @@ mod tests {
         let mut p = replica(0);
         let mut ctx = TestCtx::new();
         for (m, seq) in [(100u64, 1u64), (200, 2), (300, 3)] {
-            p.history.insert(Timestamp::new(m, r(0)), (r(0), cmd(seq)));
+            p.history
+                .add(Timestamp::new(m, r(0)), &Batch::single(cmd(seq)));
         }
         p.handle_retrieve(
             r(1),
@@ -952,5 +898,141 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// Runs from three origins overlapping in micros, queried at every
+    /// bound — inside runs, at their ends, at every replica lane — answer
+    /// SUSPENDOK and RETRIEVECMDS with exactly the list the per-command
+    /// index they replaced would give, before and after a prune splits
+    /// runs.
+    #[test]
+    fn run_history_answers_like_a_per_command_index() {
+        use std::ops::Bound::{Excluded, Included};
+        let mut p = replica(0);
+        let mut reference = BTreeMap::new();
+        let mut seq = 0;
+        for (head, o, len) in [
+            (100, 0, 10),
+            (200, 0, 5),
+            (105, 1, 10),
+            (100, 2, 1),
+            (150, 2, 11),
+        ] {
+            let cmds: Vec<Command> = (0..len)
+                .map(|_| {
+                    cmd({
+                        seq += 1;
+                        seq
+                    })
+                })
+                .collect();
+            for (i, c) in cmds.iter().enumerate() {
+                let ts = Timestamp::new(head + i as u64, r(o));
+                reference.insert(
+                    ts,
+                    LoggedCmd {
+                        ts,
+                        origin: r(o),
+                        cmd: c.clone(),
+                    },
+                );
+            }
+            p.history.add(Timestamp::new(head, r(o)), &Batch::new(cmds));
+        }
+        let top = Timestamp::new(u64::MAX, r(2));
+        let bounds: Vec<Timestamp> = (95..=210)
+            .flat_map(|m| (0..3).map(move |o| Timestamp::new(m, r(o))))
+            .chain([Timestamp::ZERO, top])
+            .collect();
+        let check = |p: &mut ClockRsm, reference: &BTreeMap<Timestamp, LoggedCmd>| {
+            let expect = |from, to| -> Vec<LoggedCmd> {
+                if to <= from {
+                    return Vec::new();
+                }
+                let range = reference.range((Excluded(from), Included(to)));
+                range.map(|(_, lc)| lc.clone()).collect()
+            };
+            for &from in &bounds {
+                let mut ctx = TestCtx::new();
+                p.handle_suspend(r(1), Epoch(1), from, &mut ctx);
+                for &to in bounds.iter().step_by(5) {
+                    p.handle_retrieve(r(1), from, to, &mut ctx);
+                }
+                let mut sent = ctx.sends.into_iter().map(|(_, m)| m);
+                match sent.next() {
+                    Some(RsmMsg::SuspendOk { cmds, .. }) => assert_eq!(cmds, expect(from, top)),
+                    other => panic!("expected SUSPENDOK, got {other:?}"),
+                }
+                for (&to, m) in bounds.iter().step_by(5).zip(sent) {
+                    match m {
+                        RsmMsg::RetrieveReply { cmds, .. } => assert_eq!(cmds, expect(from, to)),
+                        other => panic!("expected RETRIEVEREPLY, got {other:?}"),
+                    }
+                }
+            }
+        };
+        check(&mut p, &reference);
+        let keep = |ts: Timestamp| ts.micros() % 4 != 1 || ts.replica() == r(2);
+        p.history.retain(keep);
+        reference.retain(|&ts, _| keep(ts));
+        check(&mut p, &reference);
+    }
+
+    /// Reconfiguration logs a fetched command below a run of the same
+    /// origin already in the log, and re-logs that run's decided
+    /// commands: replay finds each commit mark's command by lookup and
+    /// executes every command exactly once, in the live order.
+    #[test]
+    fn fetched_commands_logged_below_a_run_replay_exactly_once() {
+        let mut p = replica(2);
+        let mut ctx = TestCtx::new();
+        let run: Vec<Command> = (2..=4).map(cmd).collect();
+        p.on_message(
+            r(0),
+            RsmMsg::PrepareBatch {
+                epoch: Epoch::ZERO,
+                ts: Timestamp::new(1_000, r(0)),
+                origin: r(0),
+                cmds: Batch::new(run.clone()),
+            },
+            &mut ctx,
+        );
+        // Epoch 1 decides r0's run above a commit point this replica
+        // lags: r0's command at 500 must be fetched first.
+        let decided = (0..3).map(|i| LoggedCmd {
+            ts: Timestamp::new(1_000 + i as u64, r(0)),
+            origin: r(0),
+            cmd: run[i].clone(),
+        });
+        let cts = Timestamp::new(900, r(0));
+        p.reconfig.decisions.insert(
+            Epoch(1),
+            Decision {
+                config: vec![r(0), r(1), r(2)],
+                cts,
+                cmds: decided.collect(),
+            },
+        );
+        p.apply_ready_decisions(&mut ctx);
+        for k in [0u16, 1] {
+            p.handle_retrieve_reply(r(k), Timestamp::ZERO, cts, vec![lc(500, 0, 1)], &mut ctx);
+        }
+        let order = |c: &TestCtx| -> Vec<(u64, u64)> {
+            c.commits
+                .iter()
+                .map(|c| (c.cmd.id.seq, c.order_hint))
+                .collect()
+        };
+        assert_eq!(
+            order(&ctx).iter().map(|c| c.0).collect::<Vec<_>>(),
+            [1, 2, 3, 4]
+        );
+
+        let mut q = replica(2);
+        let mut replay = TestCtx::new();
+        q.on_recover(&ctx.log, &mut replay);
+        assert_eq!(order(&replay), order(&ctx), "each command executes once");
+        assert_eq!(q.committed_count(), p.committed_count());
+        assert_eq!(q.history.after(Timestamp::ZERO).count(), 4);
     }
 }

@@ -1,6 +1,6 @@
 //! The Clock-RSM replica: Algorithms 1 and 2 of the paper.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rsm_core::batch::Batch;
 use rsm_core::command::Command;
@@ -16,6 +16,7 @@ use crate::config::ClockRsmConfig;
 use crate::log::LogRec;
 use crate::msg::RsmMsg;
 use crate::reconfig::ReconfigEngine;
+use crate::run::{at, stamped, History, Run};
 
 /// Timer token: periodic CLOCKTIME broadcast check (Algorithm 2).
 pub(crate) const TOKEN_CLOCKTIME: TimerToken = TimerToken(1);
@@ -57,16 +58,6 @@ pub(crate) fn order_key(epoch: Epoch, ts: Timestamp) -> u64 {
 /// lane). Enforced at construction.
 pub const MAX_ORDER_KEY_REPLICAS: u16 = 1 << 8;
 
-/// What to do with an incoming data-plane message, by epoch tag.
-enum Admission {
-    /// Current epoch: handle now.
-    Process,
-    /// Future epoch: stash until the missing decisions apply.
-    Buffer,
-    /// Stale epoch: discard.
-    Drop,
-}
-
 /// A Clock-RSM replica (Algorithm 1), with the clock-time broadcast
 /// extension (Algorithm 2) and reconfiguration (Algorithm 3).
 ///
@@ -80,8 +71,13 @@ pub struct ClockRsm {
     pub(crate) cfg: ClockRsmConfig,
 
     // ------ Algorithm 1 soft state (Table I) ------
-    /// `PendingCmds`: commands not yet committed, ordered by timestamp.
-    pub(crate) pending: BTreeMap<Timestamp, (Command, ReplicaId)>,
+    /// `PendingCmds`, as one FIFO of runs per origin (indexed like
+    /// `acked`): each run is a received PREPAREBATCH and a cursor past its
+    /// committed commands. An origin stamps its batches above a strictly
+    /// increasing send floor and its links are FIFO, so its runs arrive —
+    /// and each lane stays — in timestamp order; the timestamp order
+    /// across origins is the merge of the lane fronts.
+    pub(crate) pending: Vec<VecDeque<Run>>,
     /// Cumulative replication watermarks replacing the paper's
     /// `RepCounter`: `acked[k][o]` is the largest timestamp value `t`
     /// such that replica `k` has acknowledged logging **every** prepare
@@ -121,11 +117,14 @@ pub struct ClockRsm {
     pub(crate) reconfig: ReconfigEngine,
     /// Set by recovery: rejoin via reconfiguration before serving.
     pub(crate) needs_rejoin: bool,
-    /// Index of every PREPARE in the stable log by timestamp, serving
-    /// `SUSPENDOK` collection and `RETRIEVECMDS` state transfer.
-    /// Maintained only when failure handling is enabled; a production
-    /// system would bound it with checkpointing (Section V-B).
-    pub(crate) history: BTreeMap<Timestamp, (ReplicaId, Command)>,
+    /// The runs of the stable log, per origin, serving `SUSPENDOK`
+    /// collection and `RETRIEVECMDS` state transfer. The same runs as
+    /// `pending`, kept after they commit: the per-origin FIFO argument
+    /// orders each lane, and reconfiguration adds the fetched commands
+    /// below it as one-command runs. Maintained only when failure
+    /// handling is enabled; a production system would bound it with
+    /// checkpointing (Section V-B).
+    pub(crate) history: History,
 
     // ------ failure detector ------
     /// Local-clock time we last heard from each replica.
@@ -189,7 +188,7 @@ impl ClockRsm {
         ClockRsm {
             id,
             cfg,
-            pending: BTreeMap::new(),
+            pending: (0..n).map(|_| VecDeque::new()).collect(),
             acked: vec![vec![0; n]; n],
             latest_tv: vec![Timestamp::ZERO; n],
             last_committed: Timestamp::ZERO,
@@ -202,7 +201,7 @@ impl ClockRsm {
             queued_msgs: VecDeque::new(),
             reconfig: ReconfigEngine::new(id, membership.spec().to_vec()),
             needs_rejoin: false,
-            history: BTreeMap::new(),
+            history: History::new(n),
             last_heard: vec![0; n],
             exec: Executor::new(id, cfg.checkpoint, cfg.session_window),
             queued_reads: VecDeque::new(),
@@ -246,7 +245,8 @@ impl ClockRsm {
 
     /// Number of commands currently pending (not yet committed).
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        let runs = self.pending.iter().flatten();
+        runs.map(|run| run.cmds.len() - run.next).sum()
     }
 
     /// Whether the replica is frozen by an in-flight reconfiguration.
@@ -315,10 +315,11 @@ impl ClockRsm {
         self.broadcast_config(msg, ctx);
     }
 
-    /// Lines 4–10, generalized: log every command of the batch, then
-    /// acknowledge the whole run with one cumulative PREPAREOK carrying a
-    /// clock reading greater than its last timestamp (waiting out clock
-    /// skew if necessary).
+    /// Lines 4–10, generalized: log the batch as one run, then
+    /// acknowledge it with one cumulative PREPAREOK carrying a clock
+    /// reading greater than its last timestamp (waiting out clock skew
+    /// if necessary). The log record, the history and the pending lane
+    /// share the received batch's storage: no command is cloned.
     fn handle_prepare_batch(
         &mut self,
         head: Timestamp,
@@ -326,25 +327,26 @@ impl ClockRsm {
         cmds: Batch,
         ctx: &mut dyn Context<Self>,
     ) {
-        let last = Timestamp::new(head.micros() + cmds.len() as Micros - 1, origin);
-        // Iterate by reference: the batch's storage is typically still
-        // shared with the sender's other in-flight broadcast copies, so
-        // consuming it would deep-clone the whole command vector just to
-        // move commands we clone anyway (Command clones are cheap —
-        // Bytes payloads are refcounted).
-        for (i, cmd) in cmds.iter().enumerate() {
-            let ts = Timestamp::new(head.micros() + i as Micros, origin);
-            self.pending.insert(ts, (cmd.clone(), origin));
-            if self.keeps_history() {
-                self.history.insert(ts, (origin, cmd.clone()));
-            }
-            ctx.log_append(LogRec::Prepare {
-                ts,
-                origin,
-                cmd: cmd.clone(),
-            });
+        let head = Timestamp::new(head.micros(), origin);
+        let last = at(head, cmds.len() - 1);
+        ctx.log_append(LogRec::PrepareBatch {
+            head,
+            origin,
+            cmds: cmds.clone(),
+        });
+        if self.keeps_history() {
+            self.history.add(head, &cmds);
         }
         let o = origin.index();
+        let fifo = self.pending[o]
+            .back()
+            .is_none_or(|r| at(r.head, r.cmds.len()) <= head);
+        debug_assert!(fifo, "an origin's runs arrive in timestamp order");
+        self.pending[o].push_back(Run {
+            head,
+            cmds,
+            next: 0,
+        });
         self.latest_tv[o] = self.latest_tv[o].max(last);
         if self.needs_rejoin {
             // A recovered replica may have lost prepares that were in
@@ -395,24 +397,19 @@ impl ClockRsm {
     /// has now passed, in timestamp order. A later ready watermark from
     /// the same originator subsumes earlier ones (acks are cumulative),
     /// so at most one PREPAREOK per originator leaves per drain.
-    #[allow(clippy::while_let_loop)] // the miss arm re-arms the timer
     fn drain_wait_queue(&mut self, ctx: &mut dyn Context<Self>) {
         self.wait_armed_for = None;
         let mut ready: Vec<Timestamp> = Vec::new();
-        loop {
-            let Some(&ts) = self.wait_queue.iter().next() else {
-                break;
-            };
+        while let Some(&ts) = self.wait_queue.first() {
             let clock = ctx.clock();
-            if clock > ts.micros() {
-                self.wait_queue.remove(&ts);
-                // Keep only the largest ready watermark per originator.
-                ready.retain(|r| r.replica() != ts.replica());
-                ready.push(ts);
-            } else {
+            if clock <= ts.micros() {
                 self.arm_wait_timer(ts.micros(), clock, ctx);
                 break;
             }
+            self.wait_queue.pop_first();
+            // Keep only the largest ready watermark per originator.
+            ready.retain(|r| r.replica() != ts.replica());
+            ready.push(ts);
         }
         for ts in ready {
             self.send_prepare_ok(ts, ctx);
@@ -474,13 +471,17 @@ impl ClockRsm {
     }
 
     /// Lines 14–23: commit every pending command that satisfies majority
-    /// replication, stable order, and prefix replication — always working
-    /// on the smallest pending timestamp so prefix order is automatic.
+    /// replication, stable order, and prefix replication, in timestamp
+    /// order — an n-way merge of the lane fronts.
     ///
-    /// Majority replication is read off the cumulative watermark matrix:
-    /// command `(ts, o)` is logged at replica `k` iff `acked[k][o]`
-    /// reaches `ts` — no per-command counter state exists or needs
-    /// cleanup.
+    /// Each round takes the lane whose front command has the smallest
+    /// timestamp and commits from its front run while the command is
+    /// majority-replicated (its origin's majority-ack watermark, computed
+    /// once per round, reaches it), stable (`min(LatestTV)` reaches it)
+    /// and below every other lane's front. Stability or acks can cut a
+    /// run mid-way; another lane's front cuts it because runs from
+    /// different origins interleave. The first round that commits
+    /// nothing ends the walk: everything later waits on that command.
     pub(crate) fn try_commit(&mut self, ctx: &mut dyn Context<Self>) {
         if self.frozen {
             return;
@@ -488,44 +489,74 @@ impl ClockRsm {
         if ctx.obs_active() {
             self.obs_scan(ctx);
         }
-        let majority = self.membership.majority();
-        while let Some((&ts, _)) = self.pending.iter().next() {
-            let o = ts.replica().index();
-            let acks = self
-                .membership
-                .config()
-                .iter()
-                .filter(|k| self.acked[k.index()][o] >= ts.micros())
-                .count();
-            if acks < majority || ts > self.min_latest_tv() {
+        let stable = self.min_latest_tv();
+        while let Some((_, o)) = self.fronts().min() {
+            let rival = self.fronts().filter(|&(_, k)| k != o).min();
+            let replicated = self.replicated_upto(o);
+            let before = self.committed_count;
+            while let Some(run) = self.pending[o].front_mut() {
+                let ts = run.front();
+                if ts.micros() > replicated || ts > stable || rival.is_some_and(|r| r.0 < ts) {
+                    break;
+                }
+                let cmd = run.cmds.get(run.next).clone();
+                run.next += 1;
+                if run.next == run.cmds.len() {
+                    self.pending[o].pop_front();
+                }
+                // Exact-cut discipline: before applying the write at `ts`,
+                // serve every parked read stamped strictly below it. At
+                // this point no pending command is below `ts` and
+                // `min(LatestTV) ≥ ts`, so nothing below `ts` can still
+                // arrive: the local state contains *exactly* the writes
+                // below each released stamp — the invariant cross-shard
+                // snapshot reads rely on (serving only after the whole
+                // drain could leak writes newer than the stamp into the
+                // answer).
+                if !self.exec.reads.is_empty() && !self.needs_rejoin {
+                    let ready = self.exec.reads.release_before(ts);
+                    self.serve_reads(ready, ctx);
+                }
+                ctx.log_append(LogRec::Commit { ts });
+                debug_assert!(ts > self.last_committed, "commits must be ts-ordered");
+                self.last_committed = ts;
+                self.committed_count += 1;
+                self.exec
+                    .execute(cmd, ts.replica(), order_key(self.epoch(), ts), ctx);
+                self.maybe_checkpoint(ctx);
+            }
+            if self.committed_count == before {
                 break;
             }
-            // Exact-cut discipline: before applying the write at `ts`,
-            // serve every parked read stamped strictly below it. At this
-            // point the pending prefix below `ts` is empty and
-            // `min(LatestTV) ≥ ts`, so nothing below `ts` can still
-            // arrive: the local state contains *exactly* the writes below
-            // each released stamp — the invariant cross-shard snapshot
-            // reads rely on (serving only after the whole drain could
-            // leak writes newer than the stamp into the answer).
-            if !self.exec.reads.is_empty() && !self.needs_rejoin {
-                let ready = self.exec.reads.release_before(ts);
-                self.serve_reads(ready, ctx);
-            }
-            let (cmd, origin) = self.pending.remove(&ts).expect("first key exists");
-            ctx.log_append(LogRec::Commit { ts });
-            debug_assert!(ts > self.last_committed, "commits must be ts-ordered");
-            self.last_committed = ts;
-            self.committed_count += 1;
-            self.exec
-                .execute(cmd, origin, order_key(self.epoch(), ts), ctx);
-            self.maybe_checkpoint(ctx);
         }
         // The stable timestamp may have advanced: serve any read whose
         // stamp it passed. Riding on try_commit puts the check on every
         // path that moves `LatestTV` or drains `pending` (PREPAREOK,
         // CLOCKTIME, prepares, epoch installs).
         self.release_ready_reads(ctx);
+    }
+
+    /// Each origin lane's first pending timestamp, with the lane.
+    fn fronts(&self) -> impl Iterator<Item = (Timestamp, usize)> + '_ {
+        let lanes = self.pending.iter().enumerate();
+        lanes.filter_map(|(o, lane)| Some((lane.front()?.front(), o)))
+    }
+
+    /// The majority-ack watermark of origin lane `o`: the largest `t`
+    /// such that a majority of the configuration acknowledged logging
+    /// every prepare from `o` up to `t` (the majority-th largest
+    /// `acked[k][o]`). No per-command counter state exists or needs
+    /// cleanup.
+    fn replicated_upto(&self, o: usize) -> Micros {
+        let config = self.membership.config();
+        let acked = |k: &ReplicaId| self.acked[k.index()][o];
+        let majority = self.membership.majority();
+        config
+            .iter()
+            .map(acked)
+            .filter(|&t| config.iter().filter(|k| acked(k) >= t).count() >= majority)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Stamps trace-stage transitions on pending commands **this
@@ -539,50 +570,30 @@ impl ClockRsm {
     /// majority-logged a full one-way hop before the origin's quorum
     /// ack returns, which would under-report the replication term).
     /// Both conditions are monotone in a watermark, so each scan only
-    /// walks the pending commands a watermark newly passed (tracked by
+    /// walks the own-lane commands a watermark newly passed (tracked by
     /// the `obs_*_floor` cursors) and stamps each stage exactly once —
     /// at the event that made it true. Only called while the driver is
     /// observing; stamps are write-only (commit decisions never read
     /// them).
     fn obs_scan(&mut self, ctx: &mut dyn Context<Self>) {
-        use std::ops::Bound::{Excluded, Included};
-        let top_lane = ReplicaId::new(u16::MAX);
-        let stable = self.min_latest_tv();
-        if stable > self.obs_stable_floor {
-            let range = (Excluded(self.obs_stable_floor), Included(stable));
-            for (&ts, (cmd, _)) in self.pending.range(range) {
-                if ts.replica() == self.id {
-                    ctx.trace(cmd.id, TraceStage::Stable);
-                }
+        let own = self.id.index();
+        let top = |m| Timestamp::new(m, ReplicaId::new(u16::MAX));
+        let (stable, repl) = (self.min_latest_tv(), self.replicated_upto(own));
+        let (stable_from, repl_from) = (self.obs_stable_floor, top(self.obs_repl_floor[own]));
+        for (from, upto, stage) in [
+            (stable_from, stable, TraceStage::Stable),
+            (repl_from, top(repl), TraceStage::Replicated),
+        ] {
+            let live = self.pending[own]
+                .iter()
+                .flat_map(|r| stamped(r.head, &r.cmds, r.next));
+            let newly = live.skip_while(|&(ts, _)| ts <= from);
+            for (_, cmd) in newly.take_while(|&(ts, _)| ts <= upto) {
+                ctx.trace(cmd.id, stage);
             }
-            self.obs_stable_floor = stable;
         }
-        let majority = self.membership.majority();
-        let o = self.id;
-        // The majority-th largest per-replica ack watermark for our own
-        // lane: every pending command of ours at or below it is logged
-        // by a majority.
-        let mut acks: Vec<Micros> = self
-            .membership
-            .config()
-            .iter()
-            .map(|k| self.acked[k.index()][o.index()])
-            .collect();
-        acks.sort_unstable_by(|a, b| b.cmp(a));
-        let w = acks[majority - 1];
-        let floor = self.obs_repl_floor[o.index()];
-        if w > floor {
-            let range = (
-                Excluded(Timestamp::new(floor, top_lane)),
-                Included(Timestamp::new(w, top_lane)),
-            );
-            for (&ts, (cmd, _)) in self.pending.range(range) {
-                if ts.replica() == o {
-                    ctx.trace(cmd.id, TraceStage::Replicated);
-                }
-            }
-            self.obs_repl_floor[o.index()] = w;
-        }
+        self.obs_stable_floor = self.obs_stable_floor.max(stable);
+        self.obs_repl_floor[own] = self.obs_repl_floor[own].max(repl);
     }
 
     // ------------------------------------------------------------------
@@ -612,8 +623,8 @@ impl ClockRsm {
     /// holds: old-epoch evidence above its old send floor, and a state
     /// the survivors have since moved past. A fresh reading is above
     /// everything it heard before the cut (unless its clock trails its
-    /// peers' by longer than the exclusion took — the residual ROADMAP
-    /// item 4 records), and the evidence that could pass the stamp is
+    /// peers' by longer than the exclusion took — the castaway residual
+    /// ROADMAP item 1 records), and the evidence that could pass the stamp is
     /// epoch-gated: the survivors drop its old-epoch probes unanswered,
     /// their new-epoch CLOCKTIMEs buffer until it has applied the
     /// decision that excludes it, and from then on it queues reads until
@@ -730,7 +741,7 @@ impl ClockRsm {
     /// chosen snapshot cut.
     pub fn stable_timestamp(&self) -> Timestamp {
         let mut stable = self.min_latest_tv();
-        if let Some((&first_pending, _)) = self.pending.iter().next() {
+        if let Some((first_pending, _)) = self.fronts().min() {
             // Commands at or below the first pending timestamp are not
             // all executed yet; reads stamped past it must keep waiting.
             // (Timestamps are unique, so releasing strictly below it is
@@ -775,8 +786,9 @@ impl ClockRsm {
     /// (and the prepared-command history index not required — see
     /// [`ClockRsmConfig::checkpoint`]), the stable log is rewritten to the
     /// checkpoint plus the records still live above its watermark — the
-    /// pending (uncommitted) prepares; the epoch and configuration travel
-    /// inside the checkpoint itself.
+    /// pending runs, whole: commit marks at or below the checkpoint are
+    /// skipped on replay, so a run's committed prefix is inert there. The
+    /// epoch and configuration travel inside the checkpoint itself.
     pub(crate) fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
         let Some(cp) = self.exec.checkpoint_if_due(
             self.last_committed,
@@ -787,13 +799,12 @@ impl ClockRsm {
             return;
         };
         if self.exec.compacts() && !self.keeps_history() {
-            let mut recs: Vec<LogRec> = Vec::with_capacity(1 + self.pending.len());
-            recs.push(LogRec::Checkpoint(cp));
-            for (&ts, (cmd, origin)) in &self.pending {
-                recs.push(LogRec::Prepare {
-                    ts,
-                    origin: *origin,
-                    cmd: cmd.clone(),
+            let mut recs = vec![LogRec::Checkpoint(cp)];
+            for Run { head, cmds, .. } in self.pending.iter().flatten() {
+                recs.push(LogRec::PrepareBatch {
+                    head: *head,
+                    origin: head.replica(),
+                    cmds: cmds.clone(),
                 });
             }
             ctx.log_rewrite(recs);
@@ -842,98 +853,50 @@ impl ClockRsm {
             return;
         }
         let clock = ctx.clock();
-        let suspects: Vec<ReplicaId> = self
-            .membership
-            .config()
-            .iter()
-            .copied()
-            .filter(|&k| k != self.id && clock.saturating_sub(self.last_heard[k.index()]) > timeout)
-            .collect();
-        if self.frozen {
-            // Liveness backstop: if the reconfigurer that froze us died
-            // before reaching a decision, take over the reconfiguration
-            // ourselves (the consensus instance keeps competing proposals
-            // safe).
-            if clock.saturating_sub(self.frozen_since) > 2 * timeout {
-                self.frozen_since = clock; // back off before retrying again
-                let new_config: Vec<ReplicaId> = self
-                    .membership
-                    .config()
-                    .iter()
-                    .copied()
-                    .filter(|r| !suspects.contains(r))
-                    .collect();
-                if new_config.len() >= self.membership.majority() {
-                    self.trigger_reconfigure(new_config, ctx);
-                }
-            }
-            return;
-        }
-        if suspects.is_empty() {
-            return;
-        }
         let new_config: Vec<ReplicaId> = self
             .membership
             .config()
             .iter()
             .copied()
-            .filter(|r| !suspects.contains(r))
+            .filter(|&k| {
+                k == self.id || clock.saturating_sub(self.last_heard[k.index()]) <= timeout
+            })
             .collect();
-        if new_config.len() >= self.membership.majority() {
+        let due = if self.frozen {
+            // Liveness backstop: if the reconfigurer that froze us died
+            // before reaching a decision, take over the reconfiguration
+            // ourselves (the consensus instance keeps competing proposals
+            // safe).
+            let stuck = clock.saturating_sub(self.frozen_since) > 2 * timeout;
+            if stuck {
+                self.frozen_since = clock; // back off before retrying again
+            }
+            stuck
+        } else {
+            // Someone is suspected.
+            new_config.len() < self.membership.config().len()
+        };
+        if due && new_config.len() >= self.membership.majority() {
             self.trigger_reconfigure(new_config, ctx);
         }
-    }
-
-    pub(crate) fn note_heard(&mut self, from: ReplicaId, ctx: &mut dyn Context<Self>) {
-        let clock = ctx.clock();
-        self.last_heard[from.index()] = clock;
     }
 
     // ------------------------------------------------------------------
     // Epoch hygiene
     // ------------------------------------------------------------------
 
-    /// Classifies a data-plane message by its epoch tag: older epochs
-    /// are dropped; newer ones must be buffered while we request the
-    /// decisions we missed; current-epoch messages are processed. The
-    /// caller rebuilds the owned message only on the buffering path, so
-    /// the hot path never clones a batch.
-    fn admit_epoch(
-        &mut self,
-        from: ReplicaId,
-        epoch: Epoch,
-        ctx: &mut dyn Context<Self>,
-    ) -> Admission {
-        if epoch < self.epoch() {
-            return Admission::Drop;
-        }
-        if epoch > self.epoch() {
-            ctx.send(
-                from,
-                RsmMsg::DecisionRequest {
-                    have_epoch: self.epoch(),
-                },
-            );
-            return Admission::Buffer;
-        }
-        Admission::Process
-    }
-
     /// Re-dispatches buffered requests and messages after an epoch install
     /// or unfreeze. Queued client batches are re-issued exactly as the
     /// driver delivered them — a freeze never merges or splits batches,
     /// so the batch policy holds across reconfigurations.
     pub(crate) fn drain_buffers(&mut self, ctx: &mut dyn Context<Self>) {
-        let msgs: Vec<(ReplicaId, RsmMsg)> = self.queued_msgs.drain(..).collect();
-        for (from, msg) in msgs {
+        for (from, msg) in std::mem::take(&mut self.queued_msgs) {
             self.on_message(from, msg, ctx);
         }
-        let batches: Vec<Batch> = self.queued_requests.drain(..).collect();
-        for batch in batches {
+        for batch in std::mem::take(&mut self.queued_requests) {
             self.handle_batch(batch, ctx);
         }
-        let reads: Vec<Command> = self.queued_reads.drain(..).collect();
-        for cmd in reads {
+        for cmd in std::mem::take(&mut self.queued_reads) {
             self.handle_read(cmd, ctx);
         }
         self.release_ready_reads(ctx);
@@ -981,60 +944,39 @@ impl Protocol for ClockRsm {
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: RsmMsg, ctx: &mut dyn Context<Self>) {
-        self.note_heard(from, ctx);
+        self.last_heard[from.index()] = ctx.clock();
+        let data_epoch = match &msg {
+            RsmMsg::PrepareBatch { epoch, .. }
+            | RsmMsg::PrepareOk { epoch, .. }
+            | RsmMsg::ClockTime { epoch, .. }
+            | RsmMsg::ClockProbe { epoch, .. } => Some(*epoch),
+            _ => None,
+        };
+        if let Some(epoch) = data_epoch {
+            // Older epochs are dropped. Newer ones wait while we request
+            // the decisions we missed, and a PREPARE waits while we are
+            // suspended (Algorithm 3 line 8); both replay from the buffer.
+            if epoch < self.epoch() {
+                return;
+            }
+            if epoch > self.epoch() {
+                let have_epoch = self.epoch();
+                ctx.send(from, RsmMsg::DecisionRequest { have_epoch });
+            }
+            if epoch > self.epoch() || self.frozen && matches!(msg, RsmMsg::PrepareBatch { .. }) {
+                self.queued_msgs.push_back((from, msg));
+                return;
+            }
+        }
         match msg {
             RsmMsg::PrepareBatch {
-                epoch,
-                ts,
-                origin,
-                cmds,
-            } => match self.admit_epoch(from, epoch, ctx) {
-                // Algorithm 3 line 8: stop processing PREPARE while
-                // suspended (buffered and replayed on unfreeze).
-                Admission::Process if !self.frozen => {
-                    self.handle_prepare_batch(ts, origin, cmds, ctx)
-                }
-                Admission::Process | Admission::Buffer => self.queued_msgs.push_back((
-                    from,
-                    RsmMsg::PrepareBatch {
-                        epoch,
-                        ts,
-                        origin,
-                        cmds,
-                    },
-                )),
-                Admission::Drop => {}
-            },
+                ts, origin, cmds, ..
+            } => self.handle_prepare_batch(ts, origin, cmds, ctx),
             RsmMsg::PrepareOk {
-                epoch,
-                up_to,
-                clock_ts,
-            } => match self.admit_epoch(from, epoch, ctx) {
-                Admission::Process => self.handle_prepare_ok(from, up_to, clock_ts, ctx),
-                Admission::Buffer => self.queued_msgs.push_back((
-                    from,
-                    RsmMsg::PrepareOk {
-                        epoch,
-                        up_to,
-                        clock_ts,
-                    },
-                )),
-                Admission::Drop => {}
-            },
-            RsmMsg::ClockTime { epoch, ts } => match self.admit_epoch(from, epoch, ctx) {
-                Admission::Process => self.handle_clock_time(from, ts, ctx),
-                Admission::Buffer => self
-                    .queued_msgs
-                    .push_back((from, RsmMsg::ClockTime { epoch, ts })),
-                Admission::Drop => {}
-            },
-            RsmMsg::ClockProbe { epoch, ts } => match self.admit_epoch(from, epoch, ctx) {
-                Admission::Process => self.handle_clock_probe(from, ts, ctx),
-                Admission::Buffer => self
-                    .queued_msgs
-                    .push_back((from, RsmMsg::ClockProbe { epoch, ts })),
-                Admission::Drop => {}
-            },
+                up_to, clock_ts, ..
+            } => self.handle_prepare_ok(from, up_to, clock_ts, ctx),
+            RsmMsg::ClockTime { ts, .. } => self.handle_clock_time(from, ts, ctx),
+            RsmMsg::ClockProbe { ts, .. } => self.handle_clock_probe(from, ts, ctx),
             RsmMsg::Suspend { epoch, cts } => self.handle_suspend(from, epoch, cts, ctx),
             RsmMsg::SuspendOk { epoch, cmds } => self.handle_suspend_ok(from, epoch, cmds, ctx),
             RsmMsg::Synod { epoch, msg } => self.handle_synod(from, epoch, msg, ctx),
@@ -1046,9 +988,7 @@ impl Protocol for ClockRsm {
                 to_ts,
                 cmds,
             } => self.handle_retrieve_reply(from, from_ts, to_ts, cmds, ctx),
-            RsmMsg::DecisionRequest { have_epoch } => {
-                self.handle_decision_request(from, have_epoch, ctx)
-            }
+            RsmMsg::DecisionRequest { have_epoch } => self.send_catchup(from, have_epoch, ctx),
             RsmMsg::DecisionCatchup { decisions } => self.handle_decision_catchup(decisions, ctx),
         }
     }
@@ -1093,13 +1033,11 @@ impl Protocol for ClockRsm {
         // restore snapshots (sound only while the log is uncompacted —
         // compaction requires install support, which both in-tree
         // drivers provide).
-        let mut base_ts = Timestamp::ZERO;
         let newest = log.iter().rev().find_map(|rec| match rec {
             LogRec::Checkpoint(cp) => Some(cp),
             _ => None,
         });
         if let Some(cp) = newest.filter(|cp| self.exec.install(cp, ctx)) {
-            base_ts = cp.applied;
             self.last_committed = cp.applied;
             // A compacted log may hold no Epoch records below the
             // checkpoint; the checkpoint itself pins the membership it
@@ -1109,27 +1047,25 @@ impl Protocol for ClockRsm {
                 self.reconfig.forget_instances_up_to(cp.epoch);
             }
         }
-        // Section V-B: scan the log, inserting PREPARE entries into a hash
-        // table and executing them as their COMMIT marks are encountered —
+        // Section V-B: scan the log, indexing the PREPAREBATCH runs and
+        // executing each command as its COMMIT mark is encountered —
         // commit marks are in timestamp order, so execution replays
-        // exactly.
-        let mut prepared: HashMap<Timestamp, (Command, ReplicaId)> = HashMap::new();
+        // exactly. A mark finds its run by lookup, not by lane order:
+        // reconfiguration logs fetched commands below runs already logged.
+        let mut prepared = History::new(self.membership.spec().len());
         let mut max_ts = Timestamp::ZERO;
         for rec in log {
             match rec {
-                LogRec::Prepare { ts, origin, cmd } => {
-                    prepared.insert(*ts, (cmd.clone(), *origin));
-                    if self.keeps_history() {
-                        self.history.insert(*ts, (*origin, cmd.clone()));
-                    }
-                    max_ts = max_ts.max(*ts);
+                LogRec::PrepareBatch { head, cmds, .. } => {
+                    prepared.add(*head, cmds);
+                    max_ts = max_ts.max(at(*head, cmds.len() - 1));
                 }
                 LogRec::Commit { ts } => {
-                    let entry = prepared.remove(ts);
-                    if *ts <= base_ts {
-                        continue; // already reflected in the checkpoint
+                    // At or below the checkpoint, or executed already.
+                    if *ts <= self.last_committed {
+                        continue;
                     }
-                    if let Some((cmd, origin)) = entry {
+                    if let Some(cmd) = prepared.get(*ts) {
                         self.last_committed = *ts;
                         self.committed_count += 1;
                         // Replay through the same path as live execution
@@ -1137,7 +1073,7 @@ impl Protocol for ClockRsm {
                         // trigger match what the replica held before the
                         // crash.
                         let hint = order_key(self.membership.epoch(), *ts);
-                        self.exec.execute(cmd, origin, hint, ctx);
+                        self.exec.execute(cmd.clone(), ts.replica(), hint, ctx);
                     }
                 }
                 LogRec::Epoch { epoch, config } => {
@@ -1148,6 +1084,9 @@ impl Protocol for ClockRsm {
                 }
                 LogRec::Checkpoint(_) => {}
             }
+        }
+        if self.keeps_history() {
+            self.history = prepared;
         }
         // Never reuse timestamps at or below anything we logged before the
         // crash: peers hold our old promises. A compacted log may have
@@ -1380,7 +1319,7 @@ mod tests {
             },
             &mut ctx,
         );
-        assert_eq!(ctx.log.len(), 4, "every command of the batch is logged");
+        assert_eq!(ctx.log.len(), 1, "the batch is logged as one run");
         assert_eq!(p.pending_count(), 4);
         let oks: Vec<&RsmMsg> = ctx
             .sends
@@ -1478,7 +1417,7 @@ mod tests {
         assert_eq!(p.committed_count(), 1);
         assert_eq!(p.pending_count(), 0);
         // Commit mark appended after the prepare record.
-        assert!(ctx.log.iter().any(|l| l.is_commit()));
+        assert!(ctx.log.iter().any(|l| matches!(l, LogRec::Commit { .. })));
     }
 
     #[test]
@@ -1706,24 +1645,17 @@ mod tests {
         let mut ctx = TestCtx::new(1_000);
         let t1 = ts(100, 1);
         let t2 = ts(200, 0);
+        let run = |head: Timestamp, c: Command| LogRec::PrepareBatch {
+            head,
+            origin: head.replica(),
+            cmds: Batch::single(c),
+        };
         let log = vec![
-            LogRec::Prepare {
-                ts: t2,
-                origin: r(0),
-                cmd: cmd(2),
-            },
-            LogRec::Prepare {
-                ts: t1,
-                origin: r(1),
-                cmd: cmd(1),
-            },
+            run(t2, cmd(2)),
+            run(t1, cmd(1)),
             LogRec::Commit { ts: t1 },
             LogRec::Commit { ts: t2 },
-            LogRec::Prepare {
-                ts: ts(300, 0),
-                origin: r(0),
-                cmd: cmd(3),
-            }, // tail without commit
+            run(ts(300, 0), cmd(3)), // tail without commit
         ];
         p.on_recover(&log, &mut ctx);
         assert_eq!(ctx.commits.len(), 2);

@@ -191,7 +191,11 @@ fn compaction_truncates_the_log_below_the_watermark() {
     let below_watermark = ctx
         .log
         .iter()
-        .filter_map(LogRec::ts)
+        .filter_map(|l| match l {
+            LogRec::PrepareBatch { head, .. } => Some(*head),
+            LogRec::Commit { ts } => Some(*ts),
+            _ => None,
+        })
         .filter(|ts| ts.micros() <= 60_000)
         .count();
     assert_eq!(below_watermark, 0, "records below the watermark survive");
@@ -296,4 +300,57 @@ fn snapshotless_driver_never_receives_checkpoint_records() {
             .any(|l| matches!(l, LogRec::Checkpoint { .. })),
         "no snapshots -> no checkpoint records"
     );
+}
+
+/// A run cut mid-way by acks, with a checkpoint landing inside it: a
+/// replica that crashes there recovers the uncrashed replica's state,
+/// commit count and order keys, whether it restores the checkpoint (from
+/// a compacted log or not) or replays the whole log.
+#[test]
+fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
+    for (compact, snapshots) in [(false, true), (true, true), (false, false)] {
+        let policy = CheckpointPolicy::every(3).with_compaction(compact);
+        let mut p = replica_with(policy);
+        let mut ctx = CtxWithSm::new(true);
+        let head = Timestamp::new(10_000, r(0));
+        p.on_message(
+            r(0),
+            RsmMsg::PrepareBatch {
+                epoch: Epoch::ZERO,
+                ts: head,
+                origin: r(0),
+                cmds: Batch::new((1..=8).map(cmd).collect()),
+            },
+            &mut ctx,
+        );
+        // Acks cover five of the eight commands; every clock passes all.
+        for k in 0..3u16 {
+            p.on_message(
+                r(k),
+                RsmMsg::PrepareOk {
+                    epoch: Epoch::ZERO,
+                    up_to: Timestamp::new(10_004, r(0)),
+                    clock_ts: Timestamp::new(20_000 + k as u64, r(k)),
+                },
+                &mut ctx,
+            );
+        }
+        assert_eq!(ctx.executed, vec![1, 2, 3, 4, 5]);
+        assert_eq!(p.pending_count(), 3, "the run is cut after five");
+        let checkpoint_at = ctx.log.iter().find_map(|l| match l {
+            LogRec::Checkpoint(cp) => Some(cp.applied.micros()),
+            _ => None,
+        });
+        assert_eq!(checkpoint_at, Some(10_002), "the checkpoint is mid-run");
+
+        let mut p2 = replica_with(policy);
+        let mut ctx2 = CtxWithSm::new(snapshots);
+        p2.on_recover(&ctx.log.clone(), &mut ctx2);
+        assert_eq!(ctx2.executed, ctx.executed, "compact={compact}");
+        let restored = if snapshots { 3 } else { 0 };
+        assert_eq!(p2.committed_count() + restored, p.committed_count());
+        assert_eq!(p2.last_committed_ts(), p.last_committed_ts());
+        let keys = |c: &CtxWithSm| c.commits.iter().map(|c| c.order_hint).collect::<Vec<_>>();
+        assert_eq!(keys(&ctx2), keys(&ctx)[restored as usize..]);
+    }
 }

@@ -7,21 +7,25 @@
 //!   timestamp order;
 //! * Claim 2 — all replicas execute the same total order;
 //! * Agreement under full delivery — once every message drains, every
-//!   replica has executed every command.
+//!   replica has executed every command;
+//! * Algorithm 1, command by command — after every delivery, a replica
+//!   has committed exactly what the paper's per-command commit rule
+//!   allows, however its batches' runs interleave.
 //!
 //! This pump explores interleavings the discrete-event simulator (which
 //! ties delivery order to latencies) cannot reach.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use clock_rsm::{ClockRsm, ClockRsmConfig, LogRec, RsmMsg};
 use proptest::prelude::*;
+use rsm_core::batch::Batch;
 use rsm_core::command::{Command, CommandId, Committed};
 use rsm_core::config::Membership;
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::time::Micros;
+use rsm_core::time::{Micros, Timestamp};
 
 /// Per-replica context: a skewed logical clock plus captured effects.
 struct PumpCtx {
@@ -72,12 +76,18 @@ struct Pump {
 
 impl Pump {
     fn new(n: usize, clock_offsets: &[Micros]) -> Self {
+        Pump::with_delta(n, clock_offsets, None)
+    }
+
+    /// A pump whose replicas broadcast CLOCKTIME every `delta_us` of
+    /// quiet (Algorithm 2) when their timer fires.
+    fn with_delta(n: usize, clock_offsets: &[Micros], delta_us: Option<Micros>) -> Self {
         let replicas = (0..n)
             .map(|i| {
                 ClockRsm::new(
                     ReplicaId::new(i as u16),
                     Membership::uniform(n as u16),
-                    ClockRsmConfig::default().with_delta_us(None),
+                    ClockRsmConfig::default().with_delta_us(delta_us),
                 )
             })
             .collect();
@@ -155,6 +165,66 @@ impl Pump {
     }
 }
 
+/// Algorithm 1's commit rule applied one `(ts, cmd)` at a time, smallest
+/// timestamp first, over the messages one replica received: the
+/// per-command reference a replica's merge of per-origin runs must
+/// reproduce exactly.
+struct Reference {
+    pending: BTreeMap<Timestamp, CommandId>,
+    /// `acked[k][o]`: replica `k` logged every prepare of `o` up to it.
+    acked: Vec<Vec<Micros>>,
+    latest_tv: Vec<Timestamp>,
+    committed: Vec<CommandId>,
+}
+
+impl Reference {
+    fn new(n: usize) -> Self {
+        Reference {
+            pending: BTreeMap::new(),
+            acked: vec![vec![0; n]; n],
+            latest_tv: vec![Timestamp::ZERO; n],
+            committed: Vec::new(),
+        }
+    }
+
+    fn observe(&mut self, from: usize, msg: &RsmMsg) {
+        match msg {
+            RsmMsg::PrepareBatch {
+                ts, origin, cmds, ..
+            } => {
+                for (i, cmd) in cmds.iter().enumerate() {
+                    let t = Timestamp::new(ts.micros() + i as Micros, *origin);
+                    self.pending.insert(t, cmd.id);
+                    let o = origin.index();
+                    self.latest_tv[o] = self.latest_tv[o].max(t);
+                }
+            }
+            RsmMsg::PrepareOk {
+                up_to, clock_ts, ..
+            } => {
+                self.latest_tv[from] = self.latest_tv[from].max(*clock_ts);
+                let acked = &mut self.acked[from][up_to.replica().index()];
+                *acked = (*acked).max(up_to.micros());
+            }
+            RsmMsg::ClockTime { ts, .. } | RsmMsg::ClockProbe { ts, .. } => {
+                self.latest_tv[from] = self.latest_tv[from].max(*ts);
+            }
+            _ => {}
+        }
+        let n = self.acked.len();
+        while let Some((&ts, &id)) = self.pending.first_key_value() {
+            let o = ts.replica().index();
+            let acks = (0..n).filter(|&k| self.acked[k][o] >= ts.micros()).count();
+            let stable = self.latest_tv.iter().min().expect("n > 0");
+            if acks < n / 2 + 1 || ts > *stable {
+                break;
+            }
+            self.pending.remove(&ts);
+            self.committed.push(id);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -223,6 +293,82 @@ proptest! {
         for r in 1..3 {
             prop_assert_eq!(&pump.committed_ids(r), &reference);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Three origins whose batch runs (1–64 commands) overlap in micros,
+    /// random per-link-FIFO delivery of PREPAREBATCH, PREPAREOK and
+    /// CLOCKTIME, so stability, acks and other lanes cut runs mid-way:
+    /// after every delivery each replica's committed sequence equals the
+    /// per-command [`Reference`].
+    #[test]
+    fn run_merge_commits_what_the_per_command_rule_allows(
+        offsets in proptest::collection::vec(1_000u64..1_040, 3),
+        script in proptest::collection::vec((0usize..8, 0usize..9, 1usize..=64), 1..160),
+    ) {
+        let mut pump = Pump::with_delta(3, &offsets, Some(40));
+        let mut refs: Vec<Reference> = (0..3).map(|_| Reference::new(3)).collect();
+        let mut seq = 0u64;
+        let mut deliver = |pump: &mut Pump, from: usize, to: usize| {
+            let Some(msg) = pump.links[from][to].front().cloned() else {
+                return false;
+            };
+            pump.deliver(from, to);
+            refs[to].observe(from, &msg);
+            prop_assert_eq!(&pump.committed_ids(to), &refs[to].committed);
+            true
+        };
+        for (action, arg, len) in script {
+            match action {
+                0 => {
+                    let cmds = (0..len).map(|_| {
+                        seq += 1;
+                        Command::new(
+                            CommandId::new(ClientId::new(ReplicaId::new(arg as u16 % 3), 0), seq),
+                            Bytes::from_static(b"w"),
+                        )
+                    });
+                    let at = arg % 3;
+                    pump.replicas[at].on_client_batch(Batch::new(cmds.collect()), &mut pump.ctxs[at]);
+                    pump.flush_sends(at);
+                }
+                1 => {
+                    pump.fire_timer(arg % 3);
+                }
+                _ => {
+                    deliver(&mut pump, arg % 3, arg / 3);
+                }
+            }
+        }
+        // Drain: every link in turn, then the timers, until quiet.
+        loop {
+            let mut progressed = false;
+            for from in 0..3 {
+                for to in 0..3 {
+                    while deliver(&mut pump, from, to) {
+                        progressed = true;
+                    }
+                }
+            }
+            for r in 0..3 {
+                // A CLOCKTIME tick re-arms forever: fire only the ack waits.
+                while pump.ctxs[r].timers.iter().any(|&(_, t)| t != TimerToken(1)) {
+                    let i = pump.ctxs[r].timers.iter().position(|&(_, t)| t != TimerToken(1));
+                    let (after, token) = pump.ctxs[r].timers.remove(i.expect("checked"));
+                    pump.ctxs[r].clock += after;
+                    pump.replicas[r].on_timer(token, &mut pump.ctxs[r]);
+                    pump.flush_sends(r);
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        prop_assert_eq!(pump.committed_ids(0).len() as u64, refs[0].committed.len() as u64);
     }
 }
 

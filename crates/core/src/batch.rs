@@ -109,6 +109,20 @@ impl Batch {
         &self.cmds
     }
 
+    /// The commands at offsets `range`, as a batch of their own: an O(1)
+    /// clone when `range` is the whole batch, one copy of the kept
+    /// commands otherwise (for the rare paths that trim a logged run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is empty or reaches past `len()`.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Batch {
+        if range == (0..self.len()) {
+            return self.clone();
+        }
+        Batch::new(self.cmds[range].to_vec())
+    }
+
     /// Consumes the batch, yielding its commands. Free when this is the
     /// last reference to the storage; clones the commands once otherwise
     /// (a batch just received off a broadcast usually still shares its
@@ -243,6 +257,15 @@ mod tests {
         let seqs: Vec<u64> = b.iter().map(|c| c.id.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
         assert_eq!(b.payload_bytes(), 12);
+    }
+
+    #[test]
+    fn slice_shares_the_whole_batch_and_copies_a_part() {
+        let b = Batch::new((1..=4).map(|i| cmd(i, 4)).collect());
+        assert!(b.slice(0..4).ptr_eq(&b));
+        let part = b.slice(1..3);
+        let seqs: Vec<u64> = part.iter().map(|c| c.id.seq).collect();
+        assert_eq!(seqs, vec![2, 3]);
     }
 
     #[test]

@@ -201,6 +201,7 @@ fn xxh64_merge(h: u64, acc: u64) -> u64 {
 }
 
 fn le_u64(b: &[u8]) -> u64 {
+    // Callers pass exactly 8 bytes: a `chunks_exact(8)` lane or `tail[..8]` after `len >= 8`.
     u64::from_le_bytes(b.try_into().expect("8-byte lane"))
 }
 
@@ -241,6 +242,7 @@ fn xxh64(data: &[u8]) -> u64 {
         tail = &tail[8..];
     }
     if tail.len() >= 4 {
+        // `tail[..4]` is exactly 4 bytes: the branch requires `len >= 4`.
         let word = u32::from_le_bytes(tail[..4].try_into().expect("4-byte word"));
         h = (h ^ u64::from(word).wrapping_mul(PRIME64_1))
             .rotate_left(23)
@@ -434,24 +436,32 @@ impl FrameHeader {
     /// checksum is verified separately once the payload has been read
     /// ([`FrameHeader::verify_payload`]).
     pub fn decode(h: &[u8; MSG_HEADER_BYTES]) -> Result<Self, WireError> {
-        let magic = u32::from_be_bytes(h[0..4].try_into().unwrap());
+        // The big-endian unsigned integer in `h[range]`; every range
+        // below is at most 8 bytes wide, so the value fits its field's
+        // type and each cast is exact.
+        let be = |range: std::ops::Range<usize>| {
+            h[range]
+                .iter()
+                .fold(0u64, |acc, &b| acc << 8 | u64::from(b))
+        };
+        let magic = be(0..4) as u32;
         if magic != FRAME_MAGIC {
             return Err(WireError::BadMagic(magic));
         }
-        let version = u16::from_be_bytes(h[4..6].try_into().unwrap());
+        let version = be(4..6) as u16;
         if version != WIRE_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let len = u32::from_be_bytes(h[12..16].try_into().unwrap());
+        let len = be(12..16) as u32;
         if len as usize > MAX_FRAME_PAYLOAD {
             return Err(WireError::FrameTooLarge(len as usize));
         }
         Ok(FrameHeader {
-            from: ReplicaId::new(u16::from_be_bytes(h[8..10].try_into().unwrap())),
-            to: ReplicaId::new(u16::from_be_bytes(h[10..12].try_into().unwrap())),
+            from: ReplicaId::new(be(8..10) as u16),
+            to: ReplicaId::new(be(10..12) as u16),
             len,
-            seq: u64::from_be_bytes(h[16..24].try_into().unwrap()),
-            checksum: u32::from_be_bytes(h[24..28].try_into().unwrap()),
+            seq: be(16..24),
+            checksum: be(24..28) as u32,
         })
     }
 

@@ -29,13 +29,16 @@ pub(crate) const TOKEN_PROBE_FLUSH: TimerToken = TimerToken(1);
 /// Stable log record of Mencius-bcast.
 #[derive(Debug, Clone)]
 pub enum MenciusLogRec {
-    /// A logged (accepted) proposal for a slot.
+    /// A logged (accepted) run of proposals: command `i` in the owner's
+    /// `i`-th own slot from `first`, i.e. slot `first + i·N`. A
+    /// replicated batch is one record; a gap fill or compaction entry is
+    /// a one-command run. Replay applies the runs in log order.
     Accept {
-        /// Slot number.
-        slot: u64,
-        /// The command.
-        cmd: Command,
-        /// Originating replica (the slot owner).
+        /// Slot of the run's first command.
+        first: u64,
+        /// The commands.
+        cmds: Batch,
+        /// Originating replica (the slots' owner).
         origin: ReplicaId,
     },
     /// A commit mark: the slot's command was executed.
@@ -328,22 +331,21 @@ impl MenciusBcast {
         origin: ReplicaId,
         ctx: &mut dyn Context<Self>,
     ) {
-        let k = cmds.len() as u64;
-        let last_slot = first_slot + (k - 1) * self.n;
-        // Iterate by reference: the batch's storage is typically still
-        // shared with the owner's other in-flight broadcast copies, so
-        // consuming it would deep-clone the whole command vector just to
-        // move commands we clone anyway (Command clones are cheap).
-        for (i, cmd) in cmds.iter().enumerate() {
-            let slot = first_slot + i as u64 * self.n;
-            if slot < self.exec_cursor {
-                continue; // stale
-            }
+        let last_slot = first_slot + (cmds.len() as u64 - 1) * self.n;
+        // One record for the run, sharing the batch's storage; only the
+        // rare run reaching below the execution cursor is trimmed (a
+        // copy) to its slots still unresolved.
+        let skip = self.exec_cursor.saturating_sub(first_slot).div_ceil(self.n) as usize;
+        let first = first_slot + skip as u64 * self.n;
+        let live = cmds.as_slice().get(skip..).unwrap_or_default();
+        if !live.is_empty() {
             ctx.log_append(MenciusLogRec::Accept {
-                slot,
-                cmd: cmd.clone(),
+                first,
+                cmds: cmds.slice(skip..cmds.len()),
                 origin,
             });
+        }
+        for (slot, cmd) in (first..).step_by(self.n as usize).zip(live) {
             if origin == self.id {
                 self.own_history.insert(slot, cmd.clone());
                 self.cap_own_history();
@@ -781,18 +783,16 @@ impl MenciusBcast {
         });
         // Own proposals below the cursor (those at or above it are in
         // `slots` and re-emitted there).
-        for (&slot, cmd) in self.own_history.range(..cursor) {
+        let own = self
+            .own_history
+            .range(..cursor)
+            .map(|(s, c)| (s, c, &self.id));
+        let live = self.slots.iter().map(|(s, (c, o))| (s, c, o));
+        for (&first, cmd, &origin) in own.chain(live) {
             recs.push(MenciusLogRec::Accept {
-                slot,
-                cmd: cmd.clone(),
-                origin: self.id,
-            });
-        }
-        for (&slot, (cmd, origin)) in &self.slots {
-            recs.push(MenciusLogRec::Accept {
-                slot,
-                cmd: cmd.clone(),
-                origin: *origin,
+                first,
+                cmds: Batch::single(cmd.clone()),
+                origin,
             });
         }
         ctx.log_rewrite(recs);
@@ -958,8 +958,8 @@ impl MenciusBcast {
                 continue;
             }
             ctx.log_append(MenciusLogRec::Accept {
-                slot,
-                cmd: cmd.clone(),
+                first: slot,
+                cmds: Batch::single(cmd.clone()),
                 origin: from,
             });
             self.slots.insert(slot, (cmd, from));
@@ -1140,15 +1140,21 @@ impl Protocol for MenciusBcast {
         let mut resolved: BTreeMap<u64, Option<(Command, ReplicaId)>> = BTreeMap::new();
         for rec in log {
             match rec {
-                MenciusLogRec::Accept { slot, cmd, origin } => {
-                    if *origin == self.id {
-                        // Own proposals stay answerable for peers whose
-                        // crash may have lost them in flight — including
-                        // those below the checkpoint watermark.
-                        self.own_history.insert(*slot, cmd.clone());
-                    }
-                    if *slot >= base {
-                        self.slots.insert(*slot, (cmd.clone(), *origin));
+                MenciusLogRec::Accept {
+                    first,
+                    cmds,
+                    origin,
+                } => {
+                    let slots = (*first..).step_by(self.n as usize);
+                    for (slot, cmd) in slots.zip(cmds) {
+                        if *origin == self.id {
+                            // Own proposals stay answerable to peers that
+                            // lost them in flight, even below the base.
+                            self.own_history.insert(slot, cmd.clone());
+                        }
+                        if slot >= base {
+                            self.slots.insert(slot, (cmd.clone(), *origin));
+                        }
                     }
                 }
                 MenciusLogRec::Commit { slot } if *slot >= base => {
@@ -1412,8 +1418,9 @@ mod tests {
         // One batch message per peer (2 peers; own copy handled inline).
         assert_eq!(proposes, vec![(1, 3), (1, 3)]);
         // The batch occupies own slots 1, 4, 7; the local registration
-        // logged all three and acked once with the last slot's watermark.
-        assert_eq!(ctx.log.len(), 3);
+        // logged them as one run and acked once with the last slot's
+        // watermark.
+        assert_eq!(ctx.log.len(), 1);
         let acks: Vec<(u64, u64)> = ctx
             .sends
             .iter()
@@ -1993,16 +2000,16 @@ mod tests {
         let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
         let log = vec![
             MenciusLogRec::Accept {
-                slot: 0,
-                cmd: cmd(1),
+                first: 0,
+                cmds: Batch::single(cmd(1)),
                 origin: r(0),
             },
             MenciusLogRec::Commit { slot: 0 },
             MenciusLogRec::Skip { slot: 1 },
             MenciusLogRec::Skip { slot: 2 },
             MenciusLogRec::Accept {
-                slot: 3,
-                cmd: cmd(2),
+                first: 3,
+                cmds: Batch::single(cmd(2)),
                 origin: r(0),
             },
         ];
@@ -2015,6 +2022,40 @@ mod tests {
         assert_eq!(m.next_own_slot % 3, 0);
     }
 
+    /// A checkpoint lands inside a logged run, so on replay the run's
+    /// prefix lies below the restored cursor: it feeds only the own
+    /// history, and the rest rebuilds the slot table.
+    #[test]
+    fn replay_of_a_run_straddling_the_checkpoint() {
+        let mut m = MenciusBcast::new(r(0), Membership::uniform(3))
+            .with_checkpoints(CheckpointPolicy::every(2));
+        let mut ctx = TestCtx::with_snapshots();
+        // Own slots 0, 3, 6, 9; the peers skip below 5 and ack slot 3.
+        m.on_client_batch(Batch::new((1..=4).map(cmd).collect()), &mut ctx);
+        ack(&mut m, &mut ctx, r(1), 3, 5);
+        ack(&mut m, &mut ctx, r(2), 3, 5);
+        assert_eq!(ctx.executed, vec![1, 2]);
+        let base = ctx.log.iter().rev().find_map(|l| match l {
+            MenciusLogRec::Checkpoint { cp, .. } => Some(cp.applied),
+            _ => None,
+        });
+        assert!(
+            base.is_some_and(|b| b > 0 && b < 9),
+            "checkpoint at {base:?}"
+        );
+
+        let mut m2 = MenciusBcast::new(r(0), Membership::uniform(3));
+        let mut ctx2 = TestCtx::with_snapshots();
+        m2.on_recover(&ctx.log.clone(), &mut ctx2);
+        assert_eq!(ctx2.executed, ctx.executed);
+        assert_eq!(m2.resolved(), m.resolved());
+        let own: Vec<u64> = m2.own_history.keys().copied().collect();
+        assert_eq!(own, [0, 3, 6, 9], "the whole run stays answerable");
+        let live: Vec<u64> = m2.slots.keys().copied().collect();
+        assert_eq!(live, [6, 9], "only the unresolved suffix is pending");
+        assert_eq!(m2.next_own_slot, 12, "no slot of the run is reused");
+    }
+
     #[test]
     fn recovery_never_reuses_slot_zero() {
         // An uncommitted Accept for slot 0 must push replica 0 past it:
@@ -2022,8 +2063,8 @@ mod tests {
         // re-proposing slot 0 with a new command would fork the log.
         let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
         let log = vec![MenciusLogRec::Accept {
-            slot: 0,
-            cmd: cmd(1),
+            first: 0,
+            cmds: Batch::single(cmd(1)),
             origin: r(0),
         }];
         let mut ctx = TestCtx::new();

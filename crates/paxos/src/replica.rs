@@ -73,18 +73,21 @@ pub enum PaxosVariant {
     Bcast,
 }
 
-/// Stable log record of Multi-Paxos: accepted instances, promises, and
-/// commit marks.
+/// Stable log record of Multi-Paxos: accepted runs, no-op fillers,
+/// promises, and commit marks.
 #[derive(Debug, Clone)]
 pub enum PaxosLogRec {
-    /// An accepted (logged) instance, phase 2.
+    /// An accepted (logged) run of instances, phase 2: command `i` at
+    /// instance `first + i`. A replicated batch is one record; a repair
+    /// or fill entry is a one-command run. Replay applies the runs in log
+    /// order, so a later record for an instance wins.
     Accept {
-        /// Instance number.
-        instance: u64,
-        /// The ballot the value was accepted at.
+        /// Instance of the run's first command.
+        first: u64,
+        /// The ballot the run was accepted at.
         ballot: Ballot,
-        /// The command.
-        cmd: Command,
+        /// The commands.
+        cmds: Batch,
         /// Originating replica.
         origin: ReplicaId,
     },
@@ -475,8 +478,7 @@ impl MultiPaxos {
         if self.election.is_some() || self.pending.is_empty() {
             return;
         }
-        let pending: Vec<(Batch, ReplicaId)> = self.pending.drain(..).collect();
-        for (cmds, origin) in pending {
+        for (cmds, origin) in std::mem::take(&mut self.pending) {
             if self.is_leader() {
                 self.propose(cmds, origin, ctx);
             } else {
@@ -553,21 +555,18 @@ impl MultiPaxos {
             self.flush_pending(ctx);
             return; // stale: the whole run is already executed
         }
-        // Iterate by reference: the batch's storage is typically still
-        // shared with the leader's other in-flight broadcast copies, so
-        // consuming it would deep-clone the whole command vector just to
-        // move commands we clone anyway (Command clones are cheap).
-        for (i, cmd) in cmds.iter().enumerate() {
-            let instance = first_instance + i as u64;
-            if instance < self.exec_cursor {
-                continue;
-            }
-            ctx.log_append(PaxosLogRec::Accept {
-                instance,
-                ballot,
-                cmd: cmd.clone(),
-                origin,
-            });
+        // One record for the run, sharing the batch's storage; only the
+        // rare run reaching below the execution cursor is trimmed (a
+        // copy) to the instances still unexecuted.
+        let skip = self.exec_cursor.saturating_sub(first_instance) as usize;
+        let first = first_instance + skip as u64;
+        ctx.log_append(PaxosLogRec::Accept {
+            first,
+            ballot,
+            cmds: cmds.slice(skip..cmds.len()),
+            origin,
+        });
+        for (instance, cmd) in (first..).zip(&cmds.as_slice()[skip..]) {
             self.instances.insert(
                 instance,
                 Slot {
@@ -1113,9 +1112,9 @@ impl MultiPaxos {
     fn slot_rec(instance: u64, slot: &Slot) -> PaxosLogRec {
         match &slot.value {
             Some((cmd, origin)) => PaxosLogRec::Accept {
-                instance,
+                first: instance,
                 ballot: slot.ballot,
-                cmd: cmd.clone(),
+                cmds: Batch::single(cmd.clone()),
                 origin: *origin,
             },
             None => PaxosLogRec::Noop {
@@ -1801,39 +1800,32 @@ impl Protocol for MultiPaxos {
         let mut committed = std::collections::BTreeSet::new();
         let mut promised = self.promised;
         let mut regime = self.regime;
+        // A run's slots, or a no-op's one, in log order: a later record
+        // for an instance wins.
+        let mut replay = |first: u64, ballot: Ballot, values: Vec<Option<(Command, ReplicaId)>>| {
+            regime = regime.max(ballot);
+            for (instance, value) in (first..).zip(values).filter(|&(i, _)| i >= base) {
+                let slot = Slot {
+                    ballot,
+                    verified: false,
+                    value,
+                };
+                self.instances.insert(instance, slot);
+            }
+        };
         for rec in log {
             match rec {
                 PaxosLogRec::Accept {
-                    instance,
+                    first,
                     ballot,
-                    cmd,
+                    cmds,
                     origin,
-                } => {
-                    regime = regime.max(*ballot);
-                    if *instance >= base {
-                        self.instances.insert(
-                            *instance,
-                            Slot {
-                                ballot: *ballot,
-                                verified: false,
-                                value: Some((cmd.clone(), *origin)),
-                            },
-                        );
-                    }
-                }
-                PaxosLogRec::Noop { instance, ballot } => {
-                    regime = regime.max(*ballot);
-                    if *instance >= base {
-                        self.instances.insert(
-                            *instance,
-                            Slot {
-                                ballot: *ballot,
-                                verified: false,
-                                value: None,
-                            },
-                        );
-                    }
-                }
+                } => replay(
+                    *first,
+                    *ballot,
+                    cmds.iter().map(|c| Some((c.clone(), *origin))).collect(),
+                ),
+                PaxosLogRec::Noop { instance, ballot } => replay(*instance, *ballot, vec![None]),
                 PaxosLogRec::Promised(b) => promised = promised.max(*b),
                 PaxosLogRec::Commit { instance } if *instance >= base => {
                     committed.insert(*instance);

@@ -209,7 +209,7 @@ fn leader_binds_a_batch_to_one_instance_run() {
     assert_eq!(accepts.len(), 2, "one ACCEPT per peer for 3 cmds");
     assert!(accepts.iter().all(|&(f, k)| f == 0 && k == 3));
     assert_eq!(p.next_instance, 3);
-    assert_eq!(ctx.log.len(), 3, "leader logs its own run synchronously");
+    assert_eq!(ctx.log.len(), 1, "leader logs its own run synchronously");
 }
 
 #[test]
@@ -268,7 +268,7 @@ fn one_ack_covers_a_whole_batch() {
         accept(b0(), 0, vec![cmd(1), cmd(2), cmd(3)], r(0)),
         &mut ctx,
     );
-    assert_eq!(ctx.log.len(), 3, "all three commands logged");
+    assert_eq!(ctx.log.len(), 1, "the run is logged as one record");
     let acks: Vec<u64> = ctx
         .sends
         .iter()
@@ -361,15 +361,15 @@ fn recovered_replica_never_acks_across_a_gap() {
     let mut ctx = TestCtx::new();
     let log = vec![
         PaxosLogRec::Accept {
-            instance: 0,
+            first: 0,
             ballot: b0(),
-            cmd: cmd(1),
+            cmds: Batch::single(cmd(1)),
             origin: r(0),
         },
         PaxosLogRec::Accept {
-            instance: 1,
+            first: 1,
             ballot: b0(),
-            cmd: cmd(2),
+            cmds: Batch::single(cmd(2)),
             origin: r(0),
         },
     ];
@@ -391,8 +391,8 @@ fn recovered_replica_never_acks_across_a_gap() {
         acks.iter().all(|&w| w <= 2),
         "watermark crossed the gap: {acks:?}"
     );
-    // The post-gap commands are still logged for state transfer.
-    assert_eq!(ctx.log.len(), 3);
+    // The post-gap run is still logged for state transfer.
+    assert_eq!(ctx.log.len(), 1);
 }
 
 #[test]
@@ -421,9 +421,9 @@ fn recovered_replica_resumes_acking_once_the_gap_commits() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Plain);
     let mut ctx = TestCtx::new();
     let log = vec![PaxosLogRec::Accept {
-        instance: 0,
+        first: 0,
         ballot: b0(),
-        cmd: cmd(1),
+        cmds: Batch::single(cmd(1)),
         origin: r(0),
     }];
     p.on_recover(&log, &mut ctx);
@@ -459,7 +459,7 @@ fn leader_recovery_never_reuses_instances() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
     let mut ctx = TestCtx::new();
     p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), &mut ctx);
-    assert_eq!(ctx.log.len(), 2, "run logged before any network round-trip");
+    assert_eq!(ctx.log.len(), 1, "run logged before any network round-trip");
     let mut p2 = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
     let mut ctx2 = TestCtx::new();
     p2.on_recover(&ctx.log, &mut ctx2);
@@ -489,9 +489,9 @@ fn recovered_replica_reextends_watermark_past_a_committed_gap_under_load() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
     let mut ctx = TestCtx::new();
     let log = vec![PaxosLogRec::Accept {
-        instance: 0,
+        first: 0,
         ballot: b0(),
-        cmd: cmd(1),
+        cmds: Batch::single(cmd(1)),
         origin: r(0),
     }];
     p.on_recover(&log, &mut ctx);
@@ -520,15 +520,12 @@ fn checkpoints_compact_the_log_below_the_watermark() {
     p.on_message(r(0), acked(b0(), 2), &mut ctx);
     p.on_message(r(2), acked(b0(), 2), &mut ctx);
     assert_eq!(ctx.commits.len(), 2, "first run committed");
-    // Compaction replaced 3 accepts + 2 commit marks with checkpoint
-    // + promise + the pending accept for instance 2.
+    // Compaction replaced 2 accepted runs + 2 commit marks with
+    // checkpoint + promise + the pending accept for instance 2.
     assert_eq!(ctx.log.len(), 3, "log: {:?}", ctx.log);
     assert!(matches!(&ctx.log[0], PaxosLogRec::Checkpoint(cp) if cp.applied == 2));
     assert!(matches!(&ctx.log[1], PaxosLogRec::Promised(_)));
-    assert!(matches!(
-        &ctx.log[2],
-        PaxosLogRec::Accept { instance: 2, .. }
-    ));
+    assert!(matches!(&ctx.log[2], PaxosLogRec::Accept { first: 2, .. }));
 }
 
 #[test]
@@ -707,15 +704,15 @@ fn recovery_replays_committed_prefix() {
     let mut ctx = TestCtx::new();
     let log = vec![
         PaxosLogRec::Accept {
-            instance: 0,
+            first: 0,
             ballot: b0(),
-            cmd: cmd(1),
+            cmds: Batch::single(cmd(1)),
             origin: r(0),
         },
         PaxosLogRec::Accept {
-            instance: 1,
+            first: 1,
             ballot: b0(),
-            cmd: cmd(2),
+            cmds: Batch::single(cmd(2)),
             origin: r(2),
         },
         PaxosLogRec::Commit { instance: 0 },
@@ -729,6 +726,44 @@ fn recovery_replays_committed_prefix() {
     p.on_message(r(0), acked(b0(), 2), &mut ctx);
     p.on_message(r(2), acked(b0(), 2), &mut ctx);
     assert_eq!(ctx.commits.len(), 2);
+}
+
+#[test]
+fn replay_lets_a_later_record_win_inside_a_run() {
+    // A run of four at the initial ballot, then a repair at a higher
+    // ballot that re-asserts instance 1 with another command and closes
+    // instance 2 with a no-op: replay applies the records in log order,
+    // so the later record wins for the slots inside the run.
+    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
+    let mut ctx = TestCtx::new();
+    let repair = b(1, 2);
+    let mut log = vec![
+        PaxosLogRec::Accept {
+            first: 0,
+            ballot: b0(),
+            cmds: Batch::new(vec![cmd(1), cmd(2), cmd(3), cmd(6)]),
+            origin: r(0),
+        },
+        PaxosLogRec::Accept {
+            first: 1,
+            ballot: repair,
+            cmds: Batch::single(cmd(4)),
+            origin: r(2),
+        },
+        PaxosLogRec::Noop {
+            instance: 2,
+            ballot: repair,
+        },
+    ];
+    log.extend((0..4).map(|instance| PaxosLogRec::Commit { instance }));
+    p.on_recover(&log, &mut ctx);
+    let executed: Vec<(u64, u64, ReplicaId)> = ctx
+        .commits
+        .iter()
+        .map(|c| (c.cmd.id.seq, c.order_hint, c.origin))
+        .collect();
+    assert_eq!(executed, [(1, 0, r(0)), (4, 1, r(2)), (6, 3, r(0))]);
+    assert_eq!(p.executed(), 4);
 }
 
 // ----------------------------------------------------------------------
@@ -1267,9 +1302,9 @@ fn recovered_suffix_is_not_executed_under_a_newer_regime_until_revalidated() {
         .with_failover(lease());
     let mut ctx = TestCtx::new();
     let log = vec![PaxosLogRec::Accept {
-        instance: 0,
+        first: 0,
         ballot: b0(),
-        cmd: cmd(1),
+        cmds: Batch::single(cmd(1)),
         origin: r(0),
     }];
     p.on_recover(&log, &mut ctx);
@@ -1309,9 +1344,9 @@ fn recovered_suffix_still_executes_under_its_own_regime() {
         .with_failover(lease());
     let mut ctx = TestCtx::new();
     let log = vec![PaxosLogRec::Accept {
-        instance: 0,
+        first: 0,
         ballot: b0(),
-        cmd: cmd(1),
+        cmds: Batch::single(cmd(1)),
         origin: r(0),
     }];
     p.on_recover(&log, &mut ctx);
