@@ -8,7 +8,8 @@
 //! event-driven state machine implementing the [`Protocol`] trait. A protocol
 //! never touches a socket, a disk, or a wall clock directly: all its
 //! interactions with the outside world go through a [`Context`], which the
-//! embedding driver provides. Two drivers exist in this workspace:
+//! embedding driver provides through the one [`node`] core. Two drivers
+//! exist in this workspace, both schedulers around a [`Node`]:
 //!
 //! * `simnet` — a deterministic discrete-event simulator with virtual time,
 //!   a configurable wide-area latency matrix, loosely synchronized physical
@@ -74,8 +75,10 @@
 //! subsystems; [`exec`] is the execution pipeline that drives the last
 //! three for every protocol — dedup → apply → checkpoint → read release
 //! → state transfer — so a protocol crate holds ordering logic only;
-//! [`sm`] is the state machine trait, [`wire`] the binary codec, [`obs`]
-//! the observability vocabulary.
+//! [`node`] is a replica under any driver and the one [`Context`]
+//! implementation both drivers schedule; [`sm`] is the state machine
+//! trait, [`wire`] the binary codec, [`obs`] the observability
+//! vocabulary.
 //!
 //! [Clock-RSM]: https://doi.org/10.1109/DSN.2014.42
 //!
@@ -105,6 +108,7 @@ pub mod exec;
 pub mod id;
 pub mod lease;
 pub mod matrix;
+pub mod node;
 pub mod obs;
 pub mod protocol;
 pub mod read;
@@ -124,6 +128,7 @@ pub use exec::Executor;
 pub use id::{ClientId, ReplicaId};
 pub use lease::{Lease, LeaseConfig};
 pub use matrix::LatencyMatrix;
+pub use node::{Driver, Node};
 pub use obs::TraceStage;
 pub use protocol::{Context, Protocol, TimerToken};
 pub use read::{ReadPath, ReadProbes, ReadQueue, ReadReply, ReadRequest};

@@ -8,7 +8,10 @@
 //!
 //! The embedding driver (the `simnet` simulator or the threaded
 //! `rsm-runtime`) owns the transport, the clock, and the stable storage, and
-//! is responsible for:
+//! is responsible for the list below. Both drivers meet it through one
+//! implementation of [`Context`], [`node`](crate::node): applying,
+//! logging and snapshots are written once there, and a driver supplies
+//! only delivery, clock, timers and the reply path.
 //!
 //! * delivering messages FIFO per sender→receiver pair (the paper's channel
 //!   assumption, Section II-A);

@@ -379,6 +379,12 @@ impl SessionTable {
 
     /// Decodes `frame` into an empty table, entry by entry; on an error
     /// the entries decoded so far are still in place.
+    ///
+    /// A frame [`export`](SessionTable::export) cannot produce is
+    /// rejected: a client named twice, two entries touched at one tick
+    /// (the LRU index would lose one, and the window bound with it), a
+    /// tick not yet minted (a later write would collide with it), or
+    /// bytes after the last entry.
     fn install_entries(&mut self, frame: &Bytes) -> Result<(), WireError> {
         let mut r = WireReader::new(frame.clone());
         let tick = r.u64()?;
@@ -388,15 +394,25 @@ impl SessionTable {
             let seq = r.u64()?;
             let touched = r.u64()?;
             let reply = Reply::decode(&mut r)?;
-            self.lru.insert(touched, client);
-            self.entries.insert(
-                client,
-                SessionEntry {
-                    seq,
-                    reply,
-                    touched,
-                },
-            );
+            if touched > tick {
+                return Err(WireError::Inconsistent(
+                    "entry touched after the frame's tick",
+                ));
+            }
+            if self.lru.insert(touched, client).is_some() {
+                return Err(WireError::Inconsistent("two entries touched at one tick"));
+            }
+            let entry = SessionEntry {
+                seq,
+                reply,
+                touched,
+            };
+            if self.entries.insert(client, entry).is_some() {
+                return Err(WireError::Inconsistent("client named twice"));
+            }
+        }
+        if r.remaining() != 0 {
+            return Err(WireError::TrailingBytes(r.remaining()));
         }
         self.tick = tick;
         // A peer's window may have been larger: trim to ours, oldest
@@ -623,6 +639,51 @@ mod tests {
         let mut t = SessionTable::new(window);
         t.install(&frame).unwrap();
         assert_eq!((t.len(), t.lru.len()), (window, window));
+    }
+
+    #[test]
+    fn an_install_that_contradicts_itself_leaves_an_empty_working_table() {
+        let id = |n: u32| CommandId::new(client(n), 1);
+        // One entry as `export` writes it.
+        let entry = |buf: &mut BytesMut, n: u32, touched: u64| {
+            client(n).encode(buf);
+            buf.put_u64(1);
+            buf.put_u64(touched);
+            reply(id(n), 0).encode(buf);
+        };
+        let frame = |tick: u64, entries: &[(u32, u64)], trailing: &[u8]| {
+            let mut buf = BytesMut::new();
+            buf.put_u64(tick);
+            buf.put_u32(entries.len() as u32);
+            for &(n, touched) in entries {
+                entry(&mut buf, n, touched);
+            }
+            buf.put_slice(trailing);
+            buf.freeze()
+        };
+        let window = 2;
+        let cases = [
+            ("repeated client", frame(2, &[(1, 1), (1, 2)], b"")),
+            ("repeated tick", frame(2, &[(1, 2), (2, 2)], b"")),
+            ("touched above tick", frame(2, &[(1, 1), (2, 3)], b"")),
+            ("trailing bytes", frame(2, &[(1, 1), (2, 2)], b"\0")),
+        ];
+        for (rule, bad) in cases {
+            let mut t = SessionTable::new(window);
+            t.record(id(9), reply(id(9), 9));
+            assert!(t.install(&bad).is_err(), "{rule}: accepted");
+            assert!(t.is_empty() && t.lru.is_empty() && t.tick == 0, "{rule}");
+            for n in 100..=100 + window as u32 {
+                t.record(id(n), reply(id(n), 0));
+            }
+            assert_eq!((t.len(), t.lru.len()), (window, window), "{rule}");
+        }
+        // The same frame without the contradiction installs, and is what
+        // `export` writes for that window.
+        let good = frame(2, &[(1, 1), (2, 2)], b"");
+        let mut t = SessionTable::new(window);
+        t.install(&good).unwrap();
+        assert_eq!(t.export(), good);
     }
 
     #[test]

@@ -159,6 +159,9 @@ pub enum WireError {
     FrameTooLarge(usize),
     /// A [`Batch`] announced zero commands (batches are non-empty).
     EmptyBatch,
+    /// Every value decoded, but together they contradict each other
+    /// (e.g. a dedup window naming one client twice); says which rule.
+    Inconsistent(&'static str),
 }
 
 impl fmt::Display for WireError {
@@ -176,6 +179,7 @@ impl fmt::Display for WireError {
                 write!(f, "payload of {n} bytes exceeds {MAX_FRAME_PAYLOAD}")
             }
             WireError::EmptyBatch => write!(f, "batch of zero commands"),
+            WireError::Inconsistent(rule) => write!(f, "inconsistent frame: {rule}"),
         }
     }
 }

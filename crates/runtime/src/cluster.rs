@@ -12,6 +12,7 @@ use rsm_core::batch::BatchPolicy;
 use rsm_core::command::{Command, CommandId, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
+use rsm_core::node::Node;
 use rsm_core::protocol::Protocol;
 use rsm_core::session::ClientSession;
 use rsm_core::sm::StateMachine;
@@ -19,7 +20,7 @@ use rsm_core::wire::WireMsg;
 use rsm_obs::{gauge_max, Gauge, MetricsSnapshot, NodeObs, ObsConfig, Registry, Tracer};
 use rsm_transport::{Endpoint, Hub, Listener, TransportMetrics};
 
-use crate::node::{NodeHarness, NodeInput, NodeReport, Outbound, Waiter};
+use crate::node::{NodeHarness, NodeInput, NodeReport, Outbound, Waiter, Wall};
 
 /// How replica threads exchange protocol messages.
 ///
@@ -340,18 +341,12 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
 
         for ((i, inbox), outbound) in inbox_rxs.into_iter().enumerate().zip(outbounds) {
             let id = ReplicaId::new(i as u16);
+            let obs = registry.as_ref().map(|r| NodeObs::new(r.clone(), i as u16));
             let harness = NodeHarness {
-                id,
-                proto: factory(id),
-                sm: sm_factory(),
-                log: Vec::new(),
+                node: Node::new(factory(id), sm_factory(), obs, tracer.clone()),
                 inbox,
-                outbound,
-                epoch,
-                clock_offset_us: cfg.clock_offsets_us[i],
+                wall: Wall::new(id, epoch, cfg.clock_offsets_us[i], outbound),
                 batch: cfg.batch,
-                obs: registry.as_ref().map(|r| NodeObs::new(r.clone(), i as u16)),
-                tracer: tracer.clone(),
                 poll_every: cfg.observe.map(|o| Duration::from_micros(o.poll_interval)),
             };
             node_handles.push(

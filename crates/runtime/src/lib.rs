@@ -18,7 +18,11 @@
 //!
 //! The same protocol implementations — Clock-RSM, Paxos, Paxos-bcast,
 //! Mencius-bcast — run unmodified here and in the discrete-event
-//! simulator (`simnet`), which is the point of the sans-io design. The
+//! simulator (`simnet`), which is the point of the sans-io design, and
+//! through the same node core: a replica thread schedules an
+//! `rsm_core::node::Node` (state machine, log, execution count,
+//! observability hooks, the `Context` implementation) and supplies only
+//! the wall clock, the message plane, its timer heap and its waiters. The
 //! simulator is where the paper's figures are reproduced in virtual time;
 //! this runtime is what the repo benchmark (`BENCHMARK.json`,
 //! `benchmark/`) drives on the wall clock, and what the geo-replicated

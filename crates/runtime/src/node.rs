@@ -10,12 +10,12 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use rsm_core::batch::{Batch, BatchPolicy};
 use rsm_core::command::{Command, CommandId, Committed, Reply};
 use rsm_core::id::ReplicaId;
-use rsm_core::obs::{names, span_key, TraceStage};
-use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::sm::StateMachine;
+use rsm_core::node::{Driver, Node};
+use rsm_core::obs::{span_key, TraceStage};
+use rsm_core::protocol::{Protocol, TimerToken};
 use rsm_core::time::{Micros, MonotonicStamper};
 
-use rsm_obs::{NodeObs, Tracer};
+use rsm_obs::Tracer;
 use rsm_transport::MsgSink;
 
 /// Where a node's outbound peer messages go — decided once at cluster
@@ -133,54 +133,49 @@ impl<M> Ord for InFlight<M> {
 }
 
 pub(crate) struct NodeHarness<P: Protocol> {
-    pub id: ReplicaId,
-    pub proto: P,
-    pub sm: Box<dyn StateMachine>,
-    pub log: Vec<P::LogRec>,
+    pub node: Node<P>,
     pub inbox: Receiver<NodeInput<P>>,
-    pub outbound: Outbound<P>,
-    pub epoch: Instant,
-    pub clock_offset_us: i64,
+    pub wall: Wall<P>,
     pub batch: BatchPolicy,
-    /// Metrics sink when the cluster observes (`ClusterConfig::observe`).
-    pub obs: Option<NodeObs>,
-    /// Span collector when the cluster observes. Trace stamps carry
-    /// **monotonic microseconds since the cluster epoch** — the shared
-    /// cross-node timeline — never the per-node skewed protocol clock.
-    pub tracer: Option<Tracer>,
     /// How often `Protocol::obs_poll` runs (from `ObsConfig`); `None`
     /// when not observing.
     pub poll_every: Option<Duration>,
 }
 
-struct NodeCtx<'a, P: Protocol> {
+/// The wall-clock [`Driver`]: a replica thread's clock, its outbound
+/// messages, its timers, and the callers blocked on its commands. An
+/// executed command is answered inline, by the thread that executed it.
+pub(crate) struct Wall<P: Protocol> {
     id: ReplicaId,
+    /// The cluster epoch. Trace stamps carry **monotonic microseconds
+    /// since it** — the shared cross-node timeline — never the per-node
+    /// skewed protocol clock.
     epoch: Instant,
     clock_offset_us: i64,
-    stamper: &'a mut MonotonicStamper,
-    log: &'a mut Vec<P::LogRec>,
-    sm: &'a mut dyn StateMachine,
-    outbound: &'a mut Outbound<P>,
-    waiters: &'a mut Waiters,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, u64, TimerToken)>>,
-    timer_seq: &'a mut u64,
-    commit_count: &'a mut u64,
-    obs: Option<&'a mut NodeObs>,
-    tracer: Option<&'a Tracer>,
+    stamper: MonotonicStamper,
+    outbound: Outbound<P>,
+    waiters: Waiters,
+    timers: BinaryHeap<Reverse<(Instant, u64, TimerToken)>>,
+    timer_seq: u64,
 }
 
-impl<'a, P: Protocol> NodeCtx<'a, P> {
-    fn raw_clock(&self) -> Micros {
-        let elapsed = self.epoch.elapsed().as_micros() as i64;
-        (elapsed + self.clock_offset_us).max(0) as Micros
-    }
-
-    /// Monotonic micros since the cluster epoch — the trace-stamp
-    /// timeline. Unlike [`raw_clock`](NodeCtx::raw_clock) it carries no
-    /// per-node offset, so stamps from different replicas are
-    /// comparable.
-    fn mono_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+impl<P: Protocol> Wall<P> {
+    pub(crate) fn new(
+        id: ReplicaId,
+        epoch: Instant,
+        clock_offset_us: i64,
+        outbound: Outbound<P>,
+    ) -> Self {
+        Wall {
+            id,
+            epoch,
+            clock_offset_us,
+            stamper: MonotonicStamper::new(),
+            outbound,
+            waiters: Waiters::default(),
+            timers: BinaryHeap::new(),
+            timer_seq: 0,
+        }
     }
 
     /// The command `id` is answered now: stamps the span's terminal
@@ -189,22 +184,27 @@ impl<'a, P: Protocol> NodeCtx<'a, P> {
     /// that timed out) still completes its span — the command's pipeline
     /// ran in full — and is never built. Completing is a no-op for reads,
     /// which are untraced.
-    fn answer(&mut self, id: CommandId) -> Option<Sender<Reply>> {
-        if let Some(t) = self.tracer {
-            t.complete(span_key(id), TraceStage::Replied.index(), self.mono_us());
+    fn answer(&mut self, id: CommandId, tracer: Option<&Tracer>) -> Option<Sender<Reply>> {
+        if let Some(t) = tracer {
+            t.complete(span_key(id), TraceStage::Replied.index(), self.trace_now());
         }
         self.waiters.take(id)
     }
 }
 
-impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
+impl<P: Protocol> Driver<P> for Wall<P> {
     fn clock(&mut self) -> Micros {
-        let raw = self.raw_clock();
+        let elapsed = self.epoch.elapsed().as_micros() as i64;
+        let raw = (elapsed + self.clock_offset_us).max(0) as Micros;
         self.stamper.stamp(raw)
     }
 
+    fn trace_now(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
     fn send(&mut self, to: ReplicaId, msg: P::Msg) {
-        match &mut *self.outbound {
+        match &mut self.outbound {
             Outbound::InProcess(links) => {
                 let (inbox, delay) = &links[to.index()];
                 // A dropped inbox means the node stopped; ignore.
@@ -218,86 +218,33 @@ impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
         }
     }
 
-    fn log_append(&mut self, rec: P::LogRec) {
-        self.log.push(rec);
-    }
-
-    fn log_rewrite(&mut self, recs: Vec<P::LogRec>) {
-        *self.log = recs;
-    }
-
-    fn commit(&mut self, committed: Committed) -> Bytes {
-        let result = self.sm.apply(&committed.cmd);
-        *self.commit_count += 1;
-        if let Some(o) = &mut self.obs {
-            o.count(names::EXECUTED, 1);
-        }
-        if committed.origin == self.id {
-            let id = committed.cmd.id;
-            if let Some(t) = self.tracer {
-                // Commit and execution are one synchronous step in this
-                // runtime: the protocol decided the command and the state
-                // machine applied it just above.
-                let (key, at, me) = (span_key(id), self.mono_us(), self.id.as_u16());
-                t.record_at_origin(key, me, TraceStage::Committed.index(), at);
-                t.record_at_origin(key, me, TraceStage::Executed.index(), at);
-            }
-            if let Some(tx) = self.answer(id) {
-                let _ = tx.send(Reply::new(id, result.clone()));
-            }
-        }
-        result
-    }
-
     fn set_timer(&mut self, after: Micros, token: TimerToken) {
-        *self.timer_seq += 1;
+        self.timer_seq += 1;
         let due = Instant::now() + Duration::from_micros(after);
-        self.timers.push(Reverse((due, *self.timer_seq, token)));
+        self.timers.push(Reverse((due, self.timer_seq, token)));
     }
 
-    fn sm_snapshot(&mut self) -> Option<Bytes> {
-        Some(self.sm.snapshot())
+    fn executed(&mut self, committed: Committed, result: &Bytes, tracer: Option<&Tracer>) {
+        if committed.origin != self.id {
+            return;
+        }
+        let id = committed.cmd.id;
+        if let Some(t) = tracer {
+            // Commit and execution are one synchronous step in this
+            // runtime: the protocol decided the command and the state
+            // machine applied it just before this call.
+            let (key, at, me) = (span_key(id), self.trace_now(), self.id.as_u16());
+            t.record_at_origin(key, me, TraceStage::Committed.index(), at);
+            t.record_at_origin(key, me, TraceStage::Executed.index(), at);
+        }
+        if let Some(tx) = self.answer(id, tracer) {
+            let _ = tx.send(Reply::new(id, result.clone()));
+        }
     }
 
-    fn sm_install(&mut self, snapshot: Bytes) -> bool {
-        self.sm.restore(&snapshot)
-    }
-
-    fn sm_read(&mut self, cmd: &Command) -> Option<Bytes> {
-        self.sm.query(cmd)
-    }
-
-    fn send_reply(&mut self, reply: Reply) {
-        if let Some(tx) = self.answer(reply.id) {
+    fn answered(&mut self, reply: Reply, tracer: Option<&Tracer>) {
+        if let Some(tx) = self.answer(reply.id, tracer) {
             let _ = tx.send(reply);
-        }
-    }
-
-    fn obs_active(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    fn obs_count(&mut self, name: &'static str, delta: u64) {
-        if let Some(o) = &mut self.obs {
-            o.count(name, delta);
-        }
-    }
-
-    fn obs_gauge(&mut self, name: &'static str, value: i64) {
-        if let Some(o) = &mut self.obs {
-            o.gauge(name, value);
-        }
-    }
-
-    fn obs_gauge_idx(&mut self, name: &'static str, idx: ReplicaId, value: i64) {
-        if let Some(o) = &mut self.obs {
-            o.gauge_idx(name, idx.as_u16(), value);
-        }
-    }
-
-    fn trace(&mut self, id: CommandId, stage: TraceStage) {
-        if let Some(t) = self.tracer {
-            t.record(span_key(id), stage.index(), self.mono_us());
         }
     }
 }
@@ -315,64 +262,46 @@ impl<P: Protocol> NodeHarness<P> {
     /// never merely because its own `due` has passed. Links with
     /// different delays share the heap, not a queue: a slow link cannot
     /// hold back a fast one.
-    pub(crate) fn run(mut self) -> NodeReport {
-        let mut stamper = MonotonicStamper::new();
-        let mut timers: BinaryHeap<Reverse<(Instant, u64, TimerToken)>> = BinaryHeap::new();
-        let mut timer_seq = 0u64;
+    pub(crate) fn run(self) -> NodeReport {
+        let NodeHarness {
+            mut node,
+            inbox,
+            mut wall,
+            batch,
+            poll_every,
+        } = self;
         let mut in_flight: BinaryHeap<Reverse<InFlight<P::Msg>>> = BinaryHeap::new();
         let mut arrival_seq = 0u64;
-        let mut commit_count = 0u64;
-        let mut waiters = Waiters::default();
 
-        macro_rules! dispatch {
-            (|$c:ident| $body:expr) => {{
-                let mut $c = NodeCtx {
-                    id: self.id,
-                    epoch: self.epoch,
-                    clock_offset_us: self.clock_offset_us,
-                    stamper: &mut stamper,
-                    log: &mut self.log,
-                    sm: self.sm.as_mut(),
-                    outbound: &mut self.outbound,
-                    waiters: &mut waiters,
-                    timers: &mut timers,
-                    timer_seq: &mut timer_seq,
-                    commit_count: &mut commit_count,
-                    obs: self.obs.as_mut(),
-                    tracer: self.tracer.as_ref(),
-                };
-                $body;
-            }};
-        }
-
-        dispatch!(|c| self.proto.on_start(&mut c));
+        node.with(&mut wall, |p, c| p.on_start(c));
 
         // First sweep fires immediately so every gauge series exists
         // from node start (a short-lived cluster would otherwise
         // snapshot before the first interval elapses).
-        let mut next_poll = self.poll_every.map(|_| Instant::now());
+        let mut next_poll = poll_every.map(|_| Instant::now());
 
         'run: loop {
             // Fire due timers first, then deliver every due message.
             let now = Instant::now();
-            while timers
+            while wall
+                .timers
                 .peek()
                 .is_some_and(|Reverse((due, _, _))| *due <= now)
             {
-                let Reverse((_, _, token)) = timers.pop().expect("peeked");
-                dispatch!(|c| self.proto.on_timer(token, &mut c));
+                let Reverse((_, _, token)) = wall.timers.pop().expect("peeked");
+                node.with(&mut wall, |p, c| p.on_timer(token, c));
             }
             while in_flight.peek().is_some_and(|Reverse(f)| f.due <= now) {
                 let Reverse(f) = in_flight.pop().expect("peeked");
-                dispatch!(|c| self.proto.on_message(f.from, f.msg, &mut c));
+                node.with(&mut wall, |p, c| p.on_message(f.from, f.msg, c));
             }
 
             // Periodic gauge poll (observing clusters only): ask the
             // protocol for its instantaneous state — stable-timestamp
             // lag, per-peer LatestTV staleness, ballot.
-            if let (Some(every), Some(np)) = (self.poll_every, next_poll) {
+            if let (Some(every), Some(np)) = (poll_every, next_poll) {
                 if now >= np {
-                    dispatch!(|c| self.proto.obs_poll(&mut c));
+                    node.with(&mut wall, |p, c| p.obs_poll(c));
                     next_poll = Some(Instant::now() + every);
                 }
             }
@@ -380,7 +309,7 @@ impl<P: Protocol> NodeHarness<P> {
             // Sleep until the next timer, held message or gauge poll,
             // whichever is sooner (forever when none is pending).
             let deadline = [
-                timers.peek().map(|Reverse((due, _, _))| *due),
+                wall.timers.peek().map(|Reverse((due, _, _))| *due),
                 in_flight.peek().map(|Reverse(f)| f.due),
                 next_poll,
             ]
@@ -390,13 +319,13 @@ impl<P: Protocol> NodeHarness<P> {
             let input = match deadline {
                 Some(due) => {
                     let timeout = due.saturating_duration_since(Instant::now());
-                    match self.inbox.recv_timeout(timeout) {
+                    match inbox.recv_timeout(timeout) {
                         Ok(i) => i,
                         Err(RecvTimeoutError::Timeout) => continue,
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
                 }
-                None => match self.inbox.recv() {
+                None => match inbox.recv() {
                     Ok(i) => i,
                     Err(_) => break,
                 },
@@ -417,27 +346,27 @@ impl<P: Protocol> NodeHarness<P> {
                                 msg,
                             }));
                         }
-                        _ => dispatch!(|c| self.proto.on_message(from, msg, &mut c)),
+                        _ => node.with(&mut wall, |p, c| p.on_message(from, msg, c)),
                     },
                     NodeInput::Request(cmd, waiter) if cmd.read_only => {
-                        waiters.register(cmd.id, waiter);
+                        wall.waiters.register(cmd.id, waiter);
                         // Reads bypass the batching pipeline entirely: a
                         // `Get` must never wait behind a write batch.
                         // Straight to the protocol's read path.
-                        dispatch!(|c| self.proto.on_client_read(cmd, &mut c));
+                        node.with(&mut wall, |p, c| p.on_client_read(cmd, c));
                     }
                     NodeInput::Request(cmd, waiter) => {
-                        waiters.register(cmd.id, waiter);
+                        wall.waiters.register(cmd.id, waiter);
                         // Coalesce opportunistically: take whatever
                         // requests are already queued (up to the policy
                         // cap) into one batch, never waiting for more. A
                         // read or a message ends the run: reads never
                         // join batches.
                         let mut cmds = vec![cmd];
-                        while self.batch.fits(cmds.len()) {
-                            match self.inbox.try_recv() {
+                        while batch.fits(cmds.len()) {
+                            match inbox.try_recv() {
                                 Ok(NodeInput::Request(c, waiter)) if !c.read_only => {
-                                    waiters.register(c.id, waiter);
+                                    wall.waiters.register(c.id, waiter);
                                     cmds.push(c);
                                 }
                                 Ok(other) => {
@@ -447,16 +376,16 @@ impl<P: Protocol> NodeHarness<P> {
                                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
                             }
                         }
-                        if let Some(t) = &self.tracer {
+                        if let Some(t) = &node.tracer {
                             // Span origin: this node (the command's local
                             // replica). Reads never reach here — they skip
                             // the ordering pipeline the span describes.
-                            let at = self.epoch.elapsed().as_micros() as u64;
+                            let at = wall.trace_now();
                             for c in &cmds {
-                                t.begin(span_key(c.id), self.id.as_u16(), at);
+                                t.begin(span_key(c.id), wall.id.as_u16(), at);
                             }
                         }
-                        dispatch!(|c| self.proto.on_client_batch(Batch::new(cmds), &mut c));
+                        node.with(&mut wall, |p, c| p.on_client_batch(Batch::new(cmds), c));
                     }
                     NodeInput::Stop => break 'run,
                 }
@@ -464,10 +393,10 @@ impl<P: Protocol> NodeHarness<P> {
         }
 
         NodeReport {
-            id: self.id,
-            commit_count,
-            snapshot: self.sm.snapshot(),
-            log_len: self.log.len(),
+            id: wall.id,
+            commit_count: node.executed,
+            snapshot: node.sm.snapshot(),
+            log_len: node.log.len(),
         }
     }
 }
@@ -478,6 +407,7 @@ mod tests {
     use crossbeam::channel::unbounded;
     use kvstore::KvStore;
     use rsm_core::id::ClientId;
+    use rsm_core::protocol::Context;
     use std::sync::{Arc, Mutex};
 
     #[derive(Debug, PartialEq)]
@@ -551,17 +481,10 @@ mod tests {
         links: Vec<(Sender<NodeInput<Recorder>>, Duration)>,
     ) -> NodeHarness<Recorder> {
         NodeHarness {
-            id: proto.id(),
-            proto,
-            sm: Box::new(KvStore::new()),
-            log: Vec::new(),
+            wall: Wall::new(proto.id(), Instant::now(), 0, Outbound::InProcess(links)),
+            node: Node::new(proto, Box::new(KvStore::new()), None, None),
             inbox,
-            outbound: Outbound::InProcess(links),
-            epoch: Instant::now(),
-            clock_offset_us: 0,
             batch: BatchPolicy::max(8),
-            obs: None,
-            tracer: None,
             poll_every: None,
         }
     }

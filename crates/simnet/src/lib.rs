@@ -11,11 +11,16 @@
 //!
 //! * **non-uniform one-way latencies** between data centers, taken from the
 //!   paper's own measured RTT matrix (Table III), with optional jitter and
-//!   strict per-link FIFO delivery (the paper's channel assumption);
+//!   strict per-link FIFO delivery (the paper's channel assumption). The
+//!   links are FIFO and loss-free by construction: a partition parks
+//!   messages and delivers them in order on heal, it never drops one;
+//!   only a crashed destination loses what arrives while it is down;
 //! * **loosely synchronized physical clocks** with configurable offset,
 //!   drift, and an NTP-like synchronization bound — monotonic, as obtained
 //!   from `clock_gettime` in the paper's implementation;
-//! * **stable storage** that survives simulated crashes;
+//! * **stable storage** that survives simulated crashes: each replica is
+//!   an `rsm_core::node::Node` whose log outlives its protocol instance,
+//!   and recovery replays it into a fresh one;
 //! * **crash / recovery / partition** fault injection;
 //! * an optional **CPU cost model** with opportunistic batching, used by
 //!   the local-cluster throughput experiments (Figure 8);
@@ -24,8 +29,12 @@
 //!   the protocol as one `Batch` of up to `max_batch` commands, enabling
 //!   the protocol-level batching of the replication crates.
 //!
-//! Runs are fully deterministic given a seed, so every experiment and every
-//! failure scenario in the test suite is replayable.
+//! The simulator is a scheduler: the replica itself — state machine,
+//! log, execution count, observability hooks and the one `Context`
+//! implementation — is `rsm_core::node`, the same core the threaded
+//! runtime drives. Runs are fully deterministic given a seed, so every
+//! experiment and every failure scenario in the test suite is
+//! replayable.
 //!
 //! ## Example
 //!
@@ -47,10 +56,8 @@ pub mod clock;
 pub mod cpu;
 pub mod sched;
 pub mod sim;
-pub mod storage;
 
 pub use clock::{ClockAnomaly, ClockModel, PhysicalClock};
 pub use cpu::CpuModel;
 pub use sched::EventQueue;
 pub use sim::{Application, CommitRecord, NullApplication, SimApi, SimConfig, Simulation};
-pub use storage::SimLog;

@@ -9,6 +9,7 @@ use rsm_core::batch::{Batch, BatchPolicy};
 use rsm_core::command::{Command, Committed, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
+use rsm_core::node::{Driver, Node};
 use rsm_core::obs::{names, span_key, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::sm::StateMachine;
@@ -20,7 +21,6 @@ use rsm_obs::{MetricsSnapshot, NodeObs, ObsConfig, Registry, Tracer};
 use crate::clock::{ClockAnomaly, ClockModel, PhysicalClock};
 use crate::cpu::CpuModel;
 use crate::sched::EventQueue;
-use crate::storage::SimLog;
 
 /// Static configuration of a simulation run.
 ///
@@ -212,8 +212,7 @@ pub struct SimApi<'a, P: Protocol> {
     now: Micros,
     local_delivery_us: Micros,
     latency: &'a LatencyMatrix,
-    /// Per-site read-routing hints (see [`SimApi::read_target`]).
-    read_hints: &'a [ReplicaId],
+    nodes: &'a [SimNode<P>],
     queue: &'a mut EventQueue<Event<P>>,
     rng: &'a mut StdRng,
     stop: &'a mut bool,
@@ -258,7 +257,7 @@ impl<'a, P: Protocol> SimApi<'a, P> {
     ///
     /// [`lease_holder_hint`]: rsm_core::protocol::Protocol::lease_holder_hint
     pub fn read_target(&self, site: ReplicaId) -> ReplicaId {
-        self.read_hints.get(site.index()).copied().unwrap_or(site)
+        read_target(self.nodes, site)
     }
 
     /// Schedules an application event `after` microseconds from now.
@@ -417,23 +416,22 @@ enum NodeInput<P: Protocol> {
     Request(Command),
 }
 
-struct Node<P: Protocol> {
-    proto: P,
-    sm: Box<dyn StateMachine>,
+/// One simulated replica: the node core plus what only simnet models
+/// around it.
+struct SimNode<P: Protocol> {
+    node: Node<P>,
     clock: PhysicalClock,
-    log: SimLog<P::LogRec>,
     up: bool,
     incarnation: u64,
     commits: Vec<CommitRecord>,
-    commit_count: u64,
     inbox: VecDeque<NodeInput<P>>,
     inbox_scheduled: bool,
     cpu_free: Micros,
-    /// This replica's handle-cached view of the shared metrics registry
-    /// (`None` unless [`SimConfig::observe`] is set).
-    obs: Option<NodeObs>,
 }
 
+/// What one callback (or one inbox drain) produced, applied after it
+/// returns: the CPU model prices the sends and replies, and execution
+/// feeds the history, the replies and [`Application::on_commit`].
 #[derive(Debug)]
 struct Effects<P: Protocol> {
     sends: Vec<(ReplicaId, P::Msg)>,
@@ -449,89 +447,51 @@ struct Effects<P: Protocol> {
     installed: bool,
 }
 
-impl<P: Protocol> Default for Effects<P> {
-    fn default() -> Self {
-        Effects {
+/// The virtual-time [`Driver`]: reads the replica's simulated clock at
+/// the current instant and buffers everything else into [`Effects`].
+/// Trace stamps carry **virtual time**, never the replica's (possibly
+/// skewed) physical clock, so breakdown terms across replicas share one
+/// timeline.
+struct SimDriver<'a, P: Protocol> {
+    now: Micros,
+    clock: &'a mut PhysicalClock,
+    eff: Effects<P>,
+}
+
+impl<'a, P: Protocol> SimDriver<'a, P> {
+    fn new(now: Micros, clock: &'a mut PhysicalClock) -> Self {
+        let eff = Effects {
             sends: Vec::new(),
             commits: Vec::new(),
             timers: Vec::new(),
             read_replies: Vec::new(),
             installed: false,
-        }
+        };
+        SimDriver { now, clock, eff }
     }
 }
 
-struct NodeCtx<'a, P: Protocol> {
-    now: Micros,
-    clock: &'a mut PhysicalClock,
-    log: &'a mut SimLog<P::LogRec>,
-    sm: &'a mut dyn StateMachine,
-    eff: &'a mut Effects<P>,
-    /// Metrics sink for this replica, when observing.
-    obs: Option<&'a mut NodeObs>,
-    /// Span collector, when observing. Trace stamps carry **virtual
-    /// time** — never the replica's (possibly skewed) physical clock —
-    /// so breakdown terms across replicas share one timeline.
-    tracer: Option<&'a Tracer>,
-}
-
-impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
+impl<P: Protocol> Driver<P> for SimDriver<'_, P> {
     fn clock(&mut self) -> Micros {
         self.clock.read(self.now)
+    }
+    fn trace_now(&self) -> u64 {
+        self.now
     }
     fn send(&mut self, to: ReplicaId, msg: P::Msg) {
         self.eff.sends.push((to, msg));
     }
-    fn log_append(&mut self, rec: P::LogRec) {
-        self.log.append(rec);
-    }
-    fn log_rewrite(&mut self, recs: Vec<P::LogRec>) {
-        self.log.rewrite(recs);
-    }
-    fn commit(&mut self, committed: Committed) -> bytes::Bytes {
-        let result = self.sm.apply(&committed.cmd);
-        self.eff.commits.push((committed, result.clone()));
-        result
-    }
     fn set_timer(&mut self, after: Micros, token: TimerToken) {
         self.eff.timers.push((after, token));
     }
-    fn sm_snapshot(&mut self) -> Option<bytes::Bytes> {
-        Some(self.sm.snapshot())
+    fn executed(&mut self, committed: Committed, result: &bytes::Bytes, _: Option<&Tracer>) {
+        self.eff.commits.push((committed, result.clone()));
     }
-    fn sm_install(&mut self, snapshot: bytes::Bytes) -> bool {
-        let ok = self.sm.restore(&snapshot);
-        self.eff.installed |= ok;
-        ok
-    }
-    fn sm_read(&mut self, cmd: &Command) -> Option<bytes::Bytes> {
-        self.sm.query(cmd)
-    }
-    fn send_reply(&mut self, reply: Reply) {
+    fn answered(&mut self, reply: Reply, _: Option<&Tracer>) {
         self.eff.read_replies.push(reply);
     }
-    fn obs_active(&self) -> bool {
-        self.obs.is_some()
-    }
-    fn obs_count(&mut self, name: &'static str, delta: u64) {
-        if let Some(o) = &mut self.obs {
-            o.count(name, delta);
-        }
-    }
-    fn obs_gauge(&mut self, name: &'static str, value: i64) {
-        if let Some(o) = &mut self.obs {
-            o.gauge(name, value);
-        }
-    }
-    fn obs_gauge_idx(&mut self, name: &'static str, idx: ReplicaId, value: i64) {
-        if let Some(o) = &mut self.obs {
-            o.gauge_idx(name, idx.as_u16(), value);
-        }
-    }
-    fn trace(&mut self, id: CommandId, stage: TraceStage) {
-        if let Some(t) = self.tracer {
-            t.record(span_key(id), stage.index(), self.now);
-        }
+    fn installed(&mut self) {
+        self.eff.installed = true;
     }
 }
 
@@ -544,7 +504,7 @@ pub struct Simulation<P: Protocol, A: Application<P>> {
     cfg: SimConfig,
     now: Micros,
     queue: EventQueue<Event<P>>,
-    nodes: Vec<Node<P>>,
+    nodes: Vec<SimNode<P>>,
     factory: Box<dyn FnMut(ReplicaId) -> P>,
     app: A,
     rng: StdRng,
@@ -581,6 +541,8 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     ) -> Self {
         let n = cfg.num_replicas();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let registry = Registry::new();
+        let tracer = cfg.observe.map(Tracer::new);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
             let id = ReplicaId::new(i as u16);
@@ -599,27 +561,19 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 .filter(|(r, _, _)| *r == i)
                 .map(|&(_, at, a)| (at, a))
                 .collect();
-            nodes.push(Node {
-                proto: factory(id),
-                sm: sm_factory(),
+            let obs = cfg
+                .observe
+                .map(|_| NodeObs::new(registry.clone(), i as u16));
+            nodes.push(SimNode {
+                node: Node::new(factory(id), sm_factory(), obs, tracer.clone()),
                 clock: PhysicalClock::with_anomalies(model, anomalies),
-                log: SimLog::new(),
                 up: true,
                 incarnation: 0,
                 commits: Vec::new(),
-                commit_count: 0,
                 inbox: VecDeque::new(),
                 inbox_scheduled: false,
                 cpu_free: 0,
-                obs: None,
             });
-        }
-        let registry = Registry::new();
-        let tracer = cfg.observe.map(Tracer::new);
-        if cfg.observe.is_some() {
-            for (i, node) in nodes.iter_mut().enumerate() {
-                node.obs = Some(NodeObs::new(registry.clone(), i as u16));
-            }
         }
         let mut sim = Simulation {
             fifo_floor: vec![vec![0; n]; n],
@@ -644,7 +598,13 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         for i in 0..n {
             sim.invoke(i, false, |p, ctx| p.on_start(ctx));
         }
-        let hints = sim.read_hints();
+        sim.with_api(|app, api| app.on_init(api));
+        sim
+    }
+
+    /// Runs `f` with the application and the capabilities the
+    /// simulator exposes to it, at the current instant.
+    fn with_api(&mut self, f: impl FnOnce(&mut A, &mut SimApi<'_, P>)) {
         let Simulation {
             queue,
             rng,
@@ -652,36 +612,19 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             stop,
             cfg,
             now,
+            nodes,
             ..
-        } = &mut sim;
+        } = self;
         let mut api = SimApi {
             now: *now,
             local_delivery_us: cfg.local_delivery_us,
             latency: &cfg.latency,
-            read_hints: &hints,
+            nodes,
             queue,
             rng,
             stop,
         };
-        app.on_init(&mut api);
-        sim
-    }
-
-    /// Per-site read-routing hints: each site's current
-    /// [`lease_holder_hint`], defaulting to the site itself (see
-    /// [`SimApi::read_target`]).
-    ///
-    /// [`lease_holder_hint`]: rsm_core::protocol::Protocol::lease_holder_hint
-    fn read_hints(&self) -> Vec<ReplicaId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                n.proto
-                    .lease_holder_hint()
-                    .unwrap_or(ReplicaId::new(i as u16))
-            })
-            .collect()
+        f(app, &mut api)
     }
 
     /// Current virtual time.
@@ -705,10 +648,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// the client-local delivery hop, exactly like
     /// [`SimApi::submit`].
     pub fn submit(&mut self, to: ReplicaId, cmd: Command) {
-        self.queue.push(
-            self.now + self.cfg.local_delivery_us,
-            Event::Request { to, cmd },
-        );
+        self.with_api(|_, api| api.submit(to, cmd));
     }
 
     /// Injects a client command from an external router on behalf of a
@@ -716,34 +656,25 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// local delivery hop; cross-site pays the configured one-way WAN
     /// latency, exactly like [`SimApi::submit_from`].
     pub fn submit_from(&mut self, from: ReplicaId, to: ReplicaId, cmd: Command) {
-        let delay = if from == to {
-            self.cfg.local_delivery_us
-        } else {
-            self.cfg.latency.one_way(from, to)
-        };
-        self.queue
-            .push(self.now + delay, Event::Request { to, cmd });
+        self.with_api(|_, api| api.submit_from(from, to, cmd));
     }
 
     /// The read-routing target for a client at `site` (external-router
     /// counterpart of [`SimApi::read_target`]).
     pub fn read_target(&self, site: ReplicaId) -> ReplicaId {
-        self.nodes[site.index()]
-            .proto
-            .lease_holder_hint()
-            .unwrap_or(site)
+        read_target(&self.nodes, site)
     }
 
     /// Crashes a replica `after` microseconds from now (external-router
     /// counterpart of [`SimApi::crash`]).
     pub fn crash(&mut self, node: ReplicaId, after: Micros) {
-        self.queue.push(self.now + after, Event::Crash { node });
+        self.with_api(|_, api| api.crash(node, after));
     }
 
     /// Restarts a crashed replica `after` microseconds from now
     /// (external-router counterpart of [`SimApi::recover`]).
     pub fn recover(&mut self, node: ReplicaId, after: Micros) {
-        self.queue.push(self.now + after, Event::Recover { node });
+        self.with_api(|_, api| api.recover(node, after));
     }
 
     /// The simulation configuration.
@@ -760,17 +691,17 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// Total number of commands a replica has executed (monotonic across
     /// recoveries).
     pub fn commit_count(&self, r: ReplicaId) -> u64 {
-        self.nodes[r.index()].commit_count
+        self.nodes[r.index()].node.executed
     }
 
     /// Snapshot of a replica's state machine.
     pub fn snapshot(&self, r: ReplicaId) -> bytes::Bytes {
-        self.nodes[r.index()].sm.snapshot()
+        self.nodes[r.index()].node.sm.snapshot()
     }
 
     /// The stable log of a replica (test observability).
     pub fn log(&self, r: ReplicaId) -> &[P::LogRec] {
-        self.nodes[r.index()].log.records()
+        &self.nodes[r.index()].node.log
     }
 
     /// Whether a replica is currently up.
@@ -780,7 +711,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
 
     /// Immutable access to a replica's protocol instance.
     pub fn protocol(&self, r: ReplicaId) -> &P {
-        &self.nodes[r.index()].proto
+        &self.nodes[r.index()].node.proto
     }
 
     /// A deterministic snapshot of every metric, or `None` when
@@ -898,49 +829,9 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 if let Some(t) = &self.tracer {
                     t.complete(span_key(reply.id), TraceStage::Replied.index(), self.now);
                 }
-                let hints = self.read_hints();
-                let Simulation {
-                    queue,
-                    rng,
-                    app,
-                    stop,
-                    cfg,
-                    now,
-                    ..
-                } = self;
-                let mut api = SimApi {
-                    now: *now,
-                    local_delivery_us: cfg.local_delivery_us,
-                    latency: &cfg.latency,
-                    read_hints: &hints,
-                    queue,
-                    rng,
-                    stop,
-                };
-                app.on_reply(client, reply, &mut api);
+                self.with_api(|app, api| app.on_reply(client, reply, api));
             }
-            Event::App { key } => {
-                let hints = self.read_hints();
-                let Simulation {
-                    queue,
-                    rng,
-                    app,
-                    stop,
-                    cfg,
-                    now,
-                    ..
-                } = self;
-                let mut api = SimApi {
-                    now: *now,
-                    local_delivery_us: cfg.local_delivery_us,
-                    latency: &cfg.latency,
-                    read_hints: &hints,
-                    queue,
-                    rng,
-                    stop,
-                };
-                app.on_event(key, &mut api);
-            }
+            Event::App { key } => self.with_api(|app, api| app.on_event(key, api)),
             Event::Crash { node } => {
                 let n = &mut self.nodes[node.index()];
                 if n.up {
@@ -1038,16 +929,14 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         if self.nodes[idx].up {
             return;
         }
-        {
-            let n = &mut self.nodes[idx];
-            n.up = true;
-            n.incarnation += 1;
-            n.proto = (self.factory)(node);
-            n.sm.reset();
-            n.commits.clear();
-            n.cpu_free = self.now;
-        }
-        let log: Vec<P::LogRec> = self.nodes[idx].log.records().to_vec();
+        let n = &mut self.nodes[idx];
+        n.up = true;
+        n.incarnation += 1;
+        n.node.proto = (self.factory)(node);
+        n.node.sm.reset();
+        n.commits.clear();
+        n.cpu_free = self.now;
+        let log = n.node.log.clone();
         // Replaying the log re-commits executed commands into the fresh
         // state machine; replies are suppressed (clients saw them already).
         self.invoke(idx, true, |p, ctx| p.on_recover(&log, ctx));
@@ -1136,35 +1025,18 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         // Consecutive requests coalesce into one client batch each, up to
         // the policy cap; messages flush the run so relative order with
         // requests is preserved.
-        let mut eff = Effects::default();
-        {
-            let tracer = self.tracer.as_ref();
-            let n = &mut self.nodes[idx];
-            let Node {
-                proto,
-                clock,
-                log,
-                sm,
-                obs,
-                ..
-            } = n;
-            let mut ctx = NodeCtx {
-                now: self.now,
-                clock,
-                log,
-                sm: sm.as_mut(),
-                eff: &mut eff,
-                obs: obs.as_mut(),
-                tracer,
-            };
+        let batch = self.cfg.batch;
+        let n = &mut self.nodes[idx];
+        let mut driver = SimDriver::new(self.now, &mut n.clock);
+        n.node.with(&mut driver, |proto, ctx| {
             let mut run: Vec<Command> = Vec::new();
             for input in inputs {
                 match input {
                     NodeInput::Msg(from, m) => {
                         if !run.is_empty() {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
+                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), ctx);
                         }
-                        proto.on_message(from, m, &mut ctx);
+                        proto.on_message(from, m, ctx);
                     }
                     NodeInput::Request(c) if c.read_only => {
                         // Reads bypass coalescing entirely: flush the
@@ -1172,23 +1044,24 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                         // and hand the read straight to the protocol's
                         // read path.
                         if !run.is_empty() {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
+                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), ctx);
                         }
-                        proto.on_client_read(c, &mut ctx);
+                        proto.on_client_read(c, ctx);
                     }
                     NodeInput::Request(c) => {
                         // Flush when the run has reached the cap.
-                        if !self.cfg.batch.fits(run.len()) {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
+                        if !batch.fits(run.len()) {
+                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), ctx);
                         }
                         run.push(c);
                     }
                 }
             }
             if !run.is_empty() {
-                proto.on_client_batch(Batch::new(run), &mut ctx);
+                proto.on_client_batch(Batch::new(run), ctx);
             }
-        }
+        });
+        let eff = driver.eff;
 
         // Send batches: group by destination (order-preserving).
         let mut send_cost: Micros = 0;
@@ -1232,30 +1105,11 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
 
     /// Runs `f` against node `idx`'s protocol with a fresh effect buffer,
     /// then applies the effects at the current instant.
-    fn invoke(&mut self, idx: usize, replaying: bool, f: impl FnOnce(&mut P, &mut NodeCtx<'_, P>)) {
-        let mut eff = Effects::default();
-        {
-            let tracer = self.tracer.as_ref();
-            let n = &mut self.nodes[idx];
-            let Node {
-                proto,
-                clock,
-                log,
-                sm,
-                obs,
-                ..
-            } = n;
-            let mut ctx = NodeCtx {
-                now: self.now,
-                clock,
-                log,
-                sm: sm.as_mut(),
-                eff: &mut eff,
-                obs: obs.as_mut(),
-                tracer,
-            };
-            f(proto, &mut ctx);
-        }
+    fn invoke(&mut self, idx: usize, replaying: bool, f: impl FnOnce(&mut P, &mut dyn Context<P>)) {
+        let n = &mut self.nodes[idx];
+        let mut driver = SimDriver::new(self.now, &mut n.clock);
+        n.node.with(&mut driver, f);
+        let eff = driver.eff;
         self.apply_effects(idx, eff, self.now, replaying);
     }
 
@@ -1264,7 +1118,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// timers, executes commits on the state machine, and routes replies.
     fn apply_effects(&mut self, idx: usize, eff: Effects<P>, at: Micros, replaying: bool) {
         let from = ReplicaId::new(idx as u16);
-        if let Some(o) = &mut self.nodes[idx].obs {
+        if let Some(o) = &mut self.nodes[idx].node.obs {
             o.count(names::MSGS_SENT, eff.sends.len() as u64);
         }
         for (to, msg) in eff.sends {
@@ -1344,12 +1198,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         let per_exec_us = self.cfg.cpu.as_ref().map(|c| c.per_msg_us).unwrap_or(0);
         for (k, (committed, result)) in eff.commits.into_iter().enumerate() {
             let done_at = at + per_exec_us * k as Micros;
-            let n = &mut self.nodes[idx];
-            n.commit_count += 1;
-            if let Some(o) = &mut n.obs {
-                // Mirrors `commit_count` exactly, replays included.
-                o.count(names::EXECUTED, 1);
-            }
             // Commit/execute stamps stay on the origin replica (the
             // client's pipeline); recovery replays re-execute old
             // commands and must not re-stamp still-open spans.
@@ -1362,7 +1210,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 }
             }
             if self.cfg.record_history {
-                n.commits.push(CommitRecord {
+                self.nodes[idx].commits.push(CommitRecord {
                     at,
                     order_hint: committed.order_hint,
                     origin: committed.origin,
@@ -1392,6 +1240,17 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             self.cfg.latency.one_way(from, client.site())
         }
     }
+}
+
+/// Where a client at `site` should send a read-only command: the site
+/// replica's [`lease_holder_hint`], or the site itself.
+///
+/// [`lease_holder_hint`]: rsm_core::protocol::Protocol::lease_holder_hint
+fn read_target<P: Protocol>(nodes: &[SimNode<P>], site: ReplicaId) -> ReplicaId {
+    nodes
+        .get(site.index())
+        .and_then(|n| n.node.proto.lease_holder_hint())
+        .unwrap_or(site)
 }
 
 fn link_key(a: ReplicaId, b: ReplicaId) -> (usize, usize) {

@@ -2,7 +2,8 @@
 //! every protocol must survive an encode → decode round trip unchanged,
 //! and the decoder must reject malformed frames (truncated prefixes,
 //! trailing garbage, unknown variant tags, corrupted headers) and
-//! survive mutated ones — `Ok` or `Err`, never a panic.
+//! survive mutated ones and arbitrary bytes — `Ok` or `Err`, never a
+//! panic.
 //!
 //! The generators are deliberately exhaustive rather than sampled: each
 //! proptest case builds one instance of **every** variant of `RsmMsg`,
@@ -23,6 +24,7 @@ use rsm_core::command::{Command, CommandId};
 use rsm_core::config::Epoch;
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::read::{ReadReply, ReadRequest};
+use rsm_core::session::SessionTable;
 use rsm_core::time::Timestamp;
 use rsm_core::wire::{
     decode_payload, encode_payload, FrameHeader, WireDecode, WireEncode, WireError,
@@ -480,6 +482,37 @@ proptest! {
         for msg in &mencius {
             assert_survives_mutation(msg, &mutants);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Bytes no encoder wrote — any buffer at all, not a mutant of a
+    /// valid encoding — come back `Ok` or `Err` from every decoder a
+    /// peer's frame or checkpoint reaches, never a panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(bytes in pvec(any::<u8>(), 0..512)) {
+        let bytes = Bytes::from(bytes);
+        let _ = decode_payload::<RsmMsg>(bytes.clone());
+        let _ = decode_payload::<PaxosMsg>(bytes.clone());
+        let _ = decode_payload::<MenciusMsg>(bytes.clone());
+        let _ = SessionTable::new(4).install(&bytes);
+    }
+
+    /// The same for the fixed 32-byte frame header, half the time behind
+    /// a valid magic and version so the length and field reads run too.
+    #[test]
+    fn arbitrary_headers_never_panic_the_decoder(
+        bytes in pvec(any::<u8>(), MSG_HEADER_BYTES),
+        valid_prefix in any::<bool>(),
+    ) {
+        let mut h: [u8; MSG_HEADER_BYTES] = bytes.try_into().expect("32 bytes");
+        if valid_prefix {
+            let valid = FrameHeader::for_payload(ReplicaId::new(0), ReplicaId::new(1), 1, b"");
+            h[..6].copy_from_slice(&valid.encode()[..6]);
+        }
+        let _ = FrameHeader::decode(&h);
     }
 }
 

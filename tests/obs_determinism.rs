@@ -8,17 +8,29 @@
 //! every completed span carries a full submitted→replied pipeline with
 //! coherent stage ordering, span keys never duplicate, and the
 //! executed-command counters mirror each replica's commit history
-//! exactly (the same equality the chaos metric oracle grades).
+//! exactly (the same equality the chaos metric oracle grades). Last, a
+//! pinned digest of every protocol's execution under six conditions
+//! holds the simulator itself to the runs it produced when the digest
+//! was pinned.
 
-use clock_rsm::ClockRsmConfig;
-use harness::{run_latency, ExperimentConfig, ExperimentResult, Fault, ProtocolChoice};
+use clock_rsm::{ClockRsm, ClockRsmConfig};
+use harness::{
+    run_latency, ExperimentConfig, ExperimentResult, Fault, ProtocolChoice, WorkloadApp,
+    WorkloadConfig,
+};
+use kvstore::KvStore;
+use mencius::MenciusBcast;
+use paxos::{MultiPaxos, PaxosVariant};
 use proptest::prelude::*;
 use rsm_chaos::{exec, Knobs, ProtocolKind, Schedule};
 use rsm_core::obs::TraceStage;
-use rsm_core::time::MILLIS;
-use rsm_core::{BatchPolicy, LatencyMatrix, ReplicaId};
+use rsm_core::time::{Micros, MILLIS};
+use rsm_core::{
+    BatchPolicy, ClientId, Committed, LatencyMatrix, LeaseConfig, Membership, Protocol, ReplicaId,
+    Reply,
+};
 use rsm_obs::{ObsConfig, Span};
-use simnet::{ClockModel, CpuModel};
+use simnet::{Application, ClockModel, CpuModel, SimApi, SimConfig, Simulation};
 
 /// A small instrumented geo run: three sites, 25 ms one-way, mixed
 /// reads and writes, full span sampling.
@@ -321,4 +333,185 @@ fn observation_does_not_change_the_run() {
             assert_same_run(&label, &traced, &plain);
         }
     }
+}
+
+/// FNV-1a over 64 bits: a hash fixed by its two constants, so a digest
+/// computed with it means the same thing under every Rust release (the
+/// standard library's `DefaultHasher` promises no such thing).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// The workload, plus one running hash per replica of every command
+/// that replica executes: virtual time, order hint, origin and id, in
+/// execution order, recovery replays included.
+struct Digesting<P> {
+    workload: WorkloadApp<P>,
+    commits: Vec<Fnv>,
+}
+
+impl<P: Protocol> Application<P> for Digesting<P> {
+    fn on_init(&mut self, api: &mut SimApi<'_, P>) {
+        self.workload.on_init(api);
+    }
+
+    fn on_reply(&mut self, client: ClientId, reply: Reply, api: &mut SimApi<'_, P>) {
+        self.workload.on_reply(client, reply, api);
+    }
+
+    fn on_event(&mut self, key: u64, api: &mut SimApi<'_, P>) {
+        self.workload.on_event(key, api);
+    }
+
+    fn on_commit(&mut self, replica: ReplicaId, c: &Committed, at: Micros) {
+        self.workload.on_commit(replica, c, at);
+        let id = c.cmd.id;
+        let h = &mut self.commits[replica.index()];
+        for v in [
+            at,
+            c.order_hint,
+            u64::from(c.origin.as_u16()),
+            u64::from(id.client.site().as_u16()),
+            u64::from(id.client.number()),
+            id.seq,
+        ] {
+            h.add(v);
+        }
+    }
+}
+
+/// The six conditions the pinned digest covers.
+const CONDITIONS: [&str; 6] = [
+    "fault-free",
+    "crash and recover",
+    "partition and heal",
+    "clock jump and freeze",
+    "cpu model, batch 64",
+    "50% reads",
+];
+
+/// One small simnet run of `factory`'s protocol under `CONDITIONS[cond]`:
+/// three replicas, retrying clients, observed (so the message counters
+/// exist; observing does not change the run). Folds each replica's
+/// commit-sequence hash, execution count and sent-message count into
+/// `digest`.
+fn digest_run<P: Protocol + 'static>(
+    digest: &mut Fnv,
+    cond: usize,
+    factory: impl FnMut(ReplicaId) -> P + 'static,
+) {
+    let r = ReplicaId::new;
+    let lan = CONDITIONS[cond] == "cpu model, batch 64";
+    let until = if lan { 300 * MILLIS } else { 1_500 * MILLIS };
+    let mut sim_cfg = SimConfig::new(LatencyMatrix::uniform(3, if lan { 250 } else { 5_000 }))
+        .seed(7 + cond as u64)
+        .jitter_us(500)
+        .clock_model(ClockModel::ntp(MILLIS))
+        .observe(ObsConfig::all());
+    if lan {
+        sim_cfg = sim_cfg
+            .cpu_model(CpuModel::default())
+            .batch_policy(BatchPolicy::max(64));
+    }
+    let faults = match CONDITIONS[cond] {
+        "crash and recover" => vec![
+            (400 * MILLIS, Fault::Crash(r(2))),
+            (900 * MILLIS, Fault::Recover(r(2))),
+        ],
+        "partition and heal" => vec![
+            (400 * MILLIS, Fault::Partition(r(0), r(1))),
+            (800 * MILLIS, Fault::Heal(r(0), r(1))),
+        ],
+        "clock jump and freeze" => vec![
+            (400 * MILLIS, Fault::ClockJump(r(1), -30_000)),
+            (700 * MILLIS, Fault::ClockFreeze(r(2), 60 * MILLIS)),
+        ],
+        _ => Vec::new(),
+    };
+    let workload = WorkloadConfig {
+        n_sites: 3,
+        active_sites: (0..3).map(r).collect(),
+        clients_per_site: if lan { 8 } else { 2 },
+        think_max_us: if lan { 0 } else { 20 * MILLIS },
+        value_bytes: 16,
+        key_space: 100,
+        read_fraction: if CONDITIONS[cond] == "50% reads" {
+            0.5
+        } else {
+            0.0
+        },
+        warmup_until: 100 * MILLIS,
+        measure_until: until,
+        record_ops: false,
+        faults,
+        retry_timeout_us: Some(400 * MILLIS),
+        cas_fraction: 0.0,
+    };
+    let app = Digesting {
+        workload: WorkloadApp::new(workload),
+        commits: (0..3).map(|_| Fnv::new()).collect(),
+    };
+    let mut sim = Simulation::new(sim_cfg, factory, || Box::new(KvStore::new()), app);
+    sim.run_until(until + 1_000 * MILLIS);
+    let metrics = sim.metrics().expect("observed run");
+    for i in 0..3 {
+        assert!(
+            sim.commit_count(r(i as u16)) > 0,
+            "{}: replica {i} executed nothing",
+            CONDITIONS[cond]
+        );
+        digest.add(sim.app().commits[i].0);
+        digest.add(sim.commit_count(r(i as u16)));
+        digest.add(metrics.counters[&format!("r{i}.net.msgs_sent")]);
+    }
+}
+
+/// The digest of every protocol's execution under every condition of
+/// [`digest_run`]; see [`executions_match_the_pinned_digest`].
+const PINNED_DIGEST: u64 = 0xbdb0_f2ab_fadc_45a2;
+
+/// Every protocol, under six conditions, executes exactly the commands,
+/// at exactly the virtual times and in exactly the order, and sends
+/// exactly the messages it did when this constant was pinned. A change
+/// that only moves code (a driver refactor, a new abstraction) must
+/// leave it alone; that is what this test is for. A change that alters
+/// execution on purpose updates the constant, and says why in
+/// CHANGES.md.
+#[test]
+fn executions_match_the_pinned_digest() {
+    let lease = LeaseConfig::after(400 * MILLIS);
+    let members = Membership::uniform(3);
+    let mut digest = Fnv::new();
+    for cond in 0..CONDITIONS.len() {
+        let m = members.clone();
+        digest_run(&mut digest, cond, move |id| {
+            let cfg = ClockRsmConfig::default().with_failure_detection(Some(400 * MILLIS));
+            ClockRsm::new(id, m.clone(), cfg)
+        });
+        for variant in [PaxosVariant::Plain, PaxosVariant::Bcast] {
+            let m = members.clone();
+            digest_run(&mut digest, cond, move |id| {
+                MultiPaxos::new(id, m.clone(), ReplicaId::new(1), variant).with_failover(lease)
+            });
+        }
+        let m = members.clone();
+        digest_run(&mut digest, cond, move |id| {
+            MenciusBcast::new(id, m.clone())
+        });
+    }
+    assert_eq!(
+        digest.0, PINNED_DIGEST,
+        "execution changed: got {:#018x}",
+        digest.0
+    );
 }
