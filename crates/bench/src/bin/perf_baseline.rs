@@ -53,7 +53,7 @@
 //!    count (the instrumentation does not miscount).
 //!
 //! The **shard sweep** is the scale-out acceptance experiment
-//! (`rsm-shard`): 1/2/4/8 independent Clock-RSM groups, each offered
+//! (`harness::shard`): 1/2/4/8 independent Clock-RSM groups, each offered
 //! the same saturating per-group load (weak scaling), reporting the
 //! aggregate committed throughput per shard count.
 //!

@@ -13,10 +13,11 @@ use rsm_core::matrix::LatencyMatrix;
 use rsm_core::protocol::Protocol;
 use rsm_core::time::{Micros, MILLIS};
 use rsm_obs::{MetricsSnapshot, ObsConfig, Span};
+use simnet::sim::Application;
 use simnet::{ClockModel, CpuModel, SimConfig, Simulation};
 
 use crate::cluster::ProtocolChoice;
-use crate::lin::{check_all, CheckReport};
+use crate::lin::{check_all, CheckReport, OpRecord};
 use crate::stats::LatencyStats;
 use crate::workload::{Fault, WorkloadApp, WorkloadConfig};
 
@@ -281,11 +282,11 @@ impl ExperimentConfig {
         self
     }
 
-    fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.latency.len()
     }
 
-    fn active(&self) -> Vec<ReplicaId> {
+    pub(crate) fn active(&self) -> Vec<ReplicaId> {
         match &self.active_sites {
             Some(sites) => sites.iter().map(|&s| ReplicaId::new(s)).collect(),
             None => (0..self.n() as u16).map(ReplicaId::new).collect(),
@@ -338,7 +339,8 @@ pub struct ExperimentResult {
     /// checkpoint compaction on, these stay bounded however many
     /// commands commit — the memory-bound claim of Section V-B.
     pub log_lens: Vec<usize>,
-    /// CAS replies observed (the sharded driver issues no CAS: 0 there).
+    /// CAS replies observed (0 in a sharded run, which rejects a CAS
+    /// mix: see [`run_sharded`](crate::shard::run_sharded)).
     pub cas_count: usize,
     /// Failed private-key CAS chains — always a violation (see
     /// [`ExperimentConfig::cas_fraction`]).
@@ -485,15 +487,18 @@ pub fn run_throughput(
     run_latency(choice, &cfg)
 }
 
-fn run_generic<P, F>(cfg: &ExperimentConfig, name: &'static str, factory: F) -> ExperimentResult
-where
-    P: Protocol + 'static,
-    F: FnMut(ReplicaId) -> P + 'static,
-{
-    let n = cfg.n();
-    let end = cfg.warmup_us + cfg.duration_us;
+/// Virtual time a run keeps going after its measurement window, so
+/// in-flight commands commit everywhere before the results are read.
+pub(crate) const SLACK_US: Micros = 2_000 * MILLIS;
+
+/// The simulator configuration of one replication group under `cfg`,
+/// seeded with `seed`: the one place the experiment's topology, jitter,
+/// clocks, batching, CPU model and observability reach a simulation,
+/// for [`run_latency`] and for every shard of
+/// [`run_sharded`](crate::shard::run_sharded).
+pub(crate) fn sim_config(cfg: &ExperimentConfig, seed: u64) -> SimConfig {
     let sim_cfg = SimConfig::new(cfg.latency.clone())
-        .seed(cfg.seed)
+        .seed(seed)
         .jitter_us(cfg.jitter_us)
         .clock_model(cfg.clock)
         .batch_policy(cfg.batch)
@@ -502,38 +507,51 @@ where
         Some(cpu) => sim_cfg.cpu_model(cpu),
         None => sim_cfg,
     };
-    let sim_cfg = match cfg.observe {
+    match cfg.observe {
         Some(obs) => sim_cfg.observe(obs),
         None => sim_cfg,
-    };
-    let workload = WorkloadConfig {
-        n_sites: n,
-        active_sites: cfg.active(),
-        clients_per_site: cfg.clients_per_site,
-        think_max_us: cfg.think_max_us,
-        value_bytes: cfg.value_bytes,
-        key_space: cfg.key_space,
-        read_fraction: cfg.read_fraction,
-        warmup_until: cfg.warmup_us,
-        measure_until: end,
-        record_ops: cfg.record_ops,
-        faults: cfg.faults.clone(),
-        retry_timeout_us: cfg.client_retry_us,
-        cas_fraction: cfg.cas_fraction,
-    };
-    let app: WorkloadApp<P> = WorkloadApp::new(workload);
-    let mut sim = Simulation::new(sim_cfg, factory, || Box::new(KvStore::new()), app);
-    sim.run_until(end);
-    let metrics_mid = sim.metrics();
-    // Slack after the window so in-flight commands commit everywhere.
-    sim.run_until(end + 2_000 * MILLIS);
+    }
+}
 
+/// What a driver's clients measured against one replication group.
+pub(crate) struct Measured<'a> {
+    /// The operation records the checkers replay (empty unless
+    /// recording).
+    pub(crate) ops: &'a [OpRecord],
+    /// Commands the observer replica committed inside the window.
+    pub(crate) observer_commits: u64,
+    /// Per-site latencies.
+    pub(crate) site_stats: Vec<LatencyStats>,
+    /// Read latencies across every site.
+    pub(crate) read: LatencyStats,
+    /// Write latencies across every site.
+    pub(crate) write: LatencyStats,
+    /// CAS replies observed.
+    pub(crate) cas_count: usize,
+    /// Failed private-key CAS chains.
+    pub(crate) cas_failures: usize,
+    /// The metrics snapshot taken at the end of the window.
+    pub(crate) metrics_mid: Option<MetricsSnapshot>,
+}
+
+/// The result of one finished replication group: replica state from
+/// `sim` (commit counts, logs, snapshot agreement, commit times and the
+/// checkers over `measured.ops`), client latencies from `measured`, and
+/// the group's metrics and spans. [`run_latency`] and every shard of
+/// [`run_sharded`](crate::shard::run_sharded) build theirs here.
+pub(crate) fn group_result<P: Protocol, A: Application<P>>(
+    name: &'static str,
+    cfg: &ExperimentConfig,
+    sim: &Simulation<P, A>,
+    mut measured: Measured<'_>,
+) -> ExperimentResult {
+    let n = cfg.n();
     let replicas: Vec<ReplicaId> = (0..n as u16).map(ReplicaId::new).collect();
     let commit_counts: Vec<u64> = replicas.iter().map(|&r| sim.commit_count(r)).collect();
     let log_lens: Vec<usize> = replicas.iter().map(|&r| sim.log(r).len()).collect();
 
     // Snapshot agreement over every replica that is up at the end: the
-    // run quiesces (clients stop at the window's end, then 2 s of slack),
+    // run quiesces (clients stop at the window's end, then the slack),
     // so all live replicas must have executed the same command sequence.
     let snapshots: Vec<_> = replicas
         .iter()
@@ -548,68 +566,95 @@ where
         for (i, h) in histories.iter().enumerate() {
             commit_times[i] = h.iter().map(|c| c.at).collect();
         }
-        check_all(&histories, sim.app().ops())
+        check_all(&histories, measured.ops)
     } else {
         CheckReport::trivially_ok()
     };
 
-    let window_secs = cfg.duration_us as f64 / 1e6;
-    let throughput_kops = sim.app().observer_commits() as f64 / window_secs / 1_000.0;
-
-    let site_stats = sim.app().site_stats().to_vec();
     // Aggregate percentiles over every site's samples: the number the
     // batching benches compare across policies (a per-site view hides
     // load imbalance; the mean hides the tail).
     let mut all = LatencyStats::new();
-    for s in &site_stats {
+    for s in &measured.site_stats {
         all.merge(s);
     }
-    let (p50_ms, p99_ms) = if all.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (all.p50_ms(), all.p99_ms())
-    };
-
-    let metrics = sim.metrics();
     let (spans, open_spans) = match sim.tracer() {
         Some(t) => (t.completed(), t.open_spans().len()),
         None => (Vec::new(), 0),
     };
-
-    // Read vs write latency split (the read-mix scenarios' headline);
-    // percentile queries sort lazily, hence the mutable accessors.
-    let app = sim.app_mut();
-    let (read_p50_ms, read_p99_ms) = (app.read_stats_mut().p50_ms(), app.read_stats_mut().p99_ms());
-    let (write_p50_ms, write_p99_ms) = (
-        app.write_stats_mut().p50_ms(),
-        app.write_stats_mut().p99_ms(),
-    );
-    let (read_count, write_count) = (app.read_stats().count(), app.write_stats().count());
+    let window_secs = cfg.duration_us as f64 / 1e6;
 
     ExperimentResult {
         protocol: name,
-        site_stats,
+        site_stats: measured.site_stats,
         commit_counts,
         checks,
         snapshots_agree,
-        throughput_kops,
-        p50_ms,
-        p99_ms,
-        read_p50_ms,
-        read_p99_ms,
-        read_count,
-        write_p50_ms,
-        write_p99_ms,
-        write_count,
+        throughput_kops: measured.observer_commits as f64 / window_secs / 1_000.0,
+        p50_ms: all.p50_ms(),
+        p99_ms: all.p99_ms(),
+        read_p50_ms: measured.read.p50_ms(),
+        read_p99_ms: measured.read.p99_ms(),
+        read_count: measured.read.count(),
+        write_p50_ms: measured.write.p50_ms(),
+        write_p99_ms: measured.write.p99_ms(),
+        write_count: measured.write.count(),
         commit_times,
         log_lens,
-        cas_count: app.cas_count(),
-        cas_failures: app.cas_failures(),
-        metrics,
-        metrics_mid,
+        cas_count: measured.cas_count,
+        cas_failures: measured.cas_failures,
+        metrics: sim.metrics(),
+        metrics_mid: measured.metrics_mid,
         spans,
         open_spans,
     }
+}
+
+fn run_generic<P, F>(cfg: &ExperimentConfig, name: &'static str, factory: F) -> ExperimentResult
+where
+    P: Protocol + 'static,
+    F: FnMut(ReplicaId) -> P + 'static,
+{
+    let end = cfg.warmup_us + cfg.duration_us;
+    let workload = WorkloadConfig {
+        n_sites: cfg.n(),
+        active_sites: cfg.active(),
+        clients_per_site: cfg.clients_per_site,
+        think_max_us: cfg.think_max_us,
+        value_bytes: cfg.value_bytes,
+        key_space: cfg.key_space,
+        read_fraction: cfg.read_fraction,
+        warmup_until: cfg.warmup_us,
+        measure_until: end,
+        record_ops: cfg.record_ops,
+        faults: cfg.faults.clone(),
+        retry_timeout_us: cfg.client_retry_us,
+        cas_fraction: cfg.cas_fraction,
+    };
+    let app: WorkloadApp<P> = WorkloadApp::new(workload);
+    let sim_cfg = sim_config(cfg, cfg.seed);
+    let mut sim = Simulation::new(sim_cfg, factory, || Box::new(KvStore::new()), app);
+    sim.run_until(end);
+    let metrics_mid = sim.metrics();
+    sim.run_until(end + SLACK_US);
+
+    // The result takes the read/write samples: percentile queries sort
+    // them in place.
+    let app = sim.app_mut();
+    let read = std::mem::take(app.read_stats_mut());
+    let write = std::mem::take(app.write_stats_mut());
+    let app = sim.app();
+    let measured = Measured {
+        ops: app.ops(),
+        observer_commits: app.observer_commits(),
+        site_stats: app.site_stats().to_vec(),
+        read,
+        write,
+        cas_count: app.cas_count(),
+        cas_failures: app.cas_failures(),
+        metrics_mid,
+    };
+    group_result(name, cfg, &sim, measured)
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 //! * [`experiment`] — the per-figure experiment runners used by both the
 //!   `bench` binaries and the integration tests.
 //! * [`shard`] — the scale-out driver: `N` independent replication
-//!   groups in lockstep, keys routed through `rsm-shard`, with
-//!   timestamp-consistent cross-shard snapshot reads under Clock-RSM.
+//!   groups in lockstep, keys hashed to groups, with cross-shard snapshot
+//!   reads that observe one timestamp cut of every shard under
+//!   Clock-RSM.
 //!
 //! ## Example
 //!
@@ -50,6 +51,6 @@ pub mod workload;
 pub use cluster::ProtocolChoice;
 pub use experiment::{run_latency, run_throughput, ExperimentConfig, ExperimentResult};
 pub use lin::{CheckReport, OpRecord, SnapshotRecord};
-pub use shard::{run_sharded, ShardMapChoice, ShardedConfig, ShardedResult};
+pub use shard::{run_sharded, ShardCounters, ShardedConfig, ShardedResult};
 pub use stats::LatencyStats;
 pub use workload::{Fault, WorkloadApp, WorkloadConfig};

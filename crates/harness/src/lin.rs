@@ -387,7 +387,7 @@ pub struct SnapshotRecord {
 ///
 /// * `T ≥ i` — a write completed before the snapshot began must be
 ///   visible (freshness; the driver pins cuts at least a skew-covering
-///   lead past issue, see `rsm-shard`);
+///   lead past issue, see [`crate::shard`]);
 /// * `T ≥ issued(W) − skew` for every observed write `W` — a value
 ///   cannot be visible before its write began;
 /// * `T < replied(X) + skew` for every write `X` on an observed key that

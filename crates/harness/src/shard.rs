@@ -2,10 +2,18 @@
 //! lockstep, with the closed-loop client population living in an
 //! external router.
 //!
+//! One replication group totally orders *every* command, so its
+//! throughput is bounded by one leader pipeline (Paxos), one round-robin
+//! ring (Mencius), or one timestamp-ordered commit loop per replica
+//! (Clock-RSM). Partitioning the key space across independent groups
+//! lets aggregate write throughput scale with the number of shards,
+//! because the groups share nothing.
+//!
 //! Each shard is a complete single-group deployment — its own protocol
 //! instances, batching controllers, checkpointing, and read subsystem —
-//! running in its own [`Simulation`]. The router owns the clients: it
-//! picks keys, maps them to shards through a [`ShardMap`], submits
+//! running in its own [`Simulation`], configured and summarised by the
+//! same code as a [`run_latency`](crate::run_latency) group. The router
+//! owns the clients: it picks keys, hashes them to shards, submits
 //! commands into the owning shard's simulation, and collects replies.
 //! The simulations share one virtual clock because the router advances
 //! them in small lockstep quanta; the only approximation is that the
@@ -13,13 +21,53 @@
 //! themselves are exact in-simulation times, so latency statistics carry
 //! no quantization error.
 //!
-//! Multi-key reads follow the `rsm-shard` design: under Clock-RSM they
-//! are **timestamp-consistent snapshot reads** — one cut `t` slightly in
-//! the future, one pinned `Get` per key parked on each touched shard's
-//! read queue until the shard's stable timestamp passes `t`. Under Paxos
-//! and Mencius the identical commands degrade to the honest fallback
-//! (per-shard linearizable reads; the pin is ignored), so the
-//! cross-shard cut checker only runs for Clock-RSM.
+//! # The cross-shard snapshot-read invariant
+//!
+//! A multi-key read touching several shards must not observe a *torn*
+//! state — key `a` from before some transaction of writes and key `b`
+//! from after it. The router therefore picks one cut timestamp `t`
+//! slightly in the future (covering clock skew plus request delivery),
+//! splits the read into one pinned single-key `Get` per key, and parks
+//! each on its shard's read queue at stamp `t`. Every shard serves its
+//! part only once its **stable timestamp** — the floor below which no
+//! new command can commit — has passed `t`, and serves it against the
+//! state holding *exactly* the writes with timestamp `≤ t`. The
+//! assembled result is then the one global state at cut `t`:
+//!
+//! > for every shard `s` and key `k` on `s`, the returned value of `k`
+//! > is the last write to `k` with commit timestamp `≤ t`, where all
+//! > shards use the same `t` from the same loosely-synchronized clock
+//! > domain.
+//!
+//! [`check_snapshot_reads`] grades exactly this.
+//!
+//! # Why snapshot reads are Clock-RSM-only
+//!
+//! The invariant leans on two properties that only the Clock-RSM groups
+//! provide:
+//!
+//! 1. **A shared order domain.** Clock-RSM orders commands by physical
+//!    clock timestamp, so commit timestamps of *different* groups are
+//!    mutually comparable — one `t` cuts every shard. Paxos instance
+//!    numbers and Mencius slot numbers are per-group coordinates with no
+//!    cross-group meaning; there is no `t` to agree on.
+//! 2. **A stable-timestamp watermark.** Each Clock-RSM replica knows a
+//!    floor below which its prefix is final, can hold a pinned read
+//!    until the floor passes `t`, and applies writes in timestamp order
+//!    with reads released exactly between them — so "state at `t`" is a
+//!    well-defined, locally-servable thing.
+//!
+//! Paxos and Mencius shards get the honest fallback: the identical
+//! commands decompose into **per-shard linearizable reads** (the pin is
+//! ignored) that are *not* a single cut across shards. Each part is
+//! individually linearizable within its shard, and that is all the
+//! fallback claims, so the cut checker runs for Clock-RSM only.
+//!
+//! This mirrors the paper's positioning of loosely synchronized physical
+//! clocks: beyond low-latency commit (the paper's subject), a shared
+//! clock domain is exactly what makes cross-group consistency cheap.
+
+mod snapshot;
 
 use std::collections::HashMap;
 
@@ -30,24 +78,42 @@ use rand::{Rng, SeedableRng};
 use rsm_core::command::{Command, CommandId, Committed, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::protocol::Protocol;
-use rsm_core::time::{Micros, MILLIS};
-use rsm_shard::{HashShardMap, RangeShardMap, ShardAccounting, ShardMap, SnapshotCoordinator};
+use rsm_core::time::Micros;
 use simnet::sim::{Application, SimApi};
-use simnet::{SimConfig, Simulation};
+use simnet::Simulation;
 
+use self::snapshot::{SnapshotCoordinator, SnapshotResult};
 use crate::cluster::ProtocolChoice;
-use crate::experiment::{with_protocol, ExperimentConfig, ExperimentResult, ProtocolRun};
-use crate::lin::{check_all, check_snapshot_reads, CheckReport, OpRecord, SnapshotRecord};
+use crate::experiment::{
+    group_result, sim_config, with_protocol, ExperimentConfig, ExperimentResult, Measured,
+    ProtocolRun, SLACK_US,
+};
+use crate::lin::{check_snapshot_reads, CheckReport, OpRecord, SnapshotRecord};
 use crate::stats::LatencyStats;
 use crate::workload::Fault;
 
-/// Which [`ShardMap`] the sharded driver routes with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardMapChoice {
-    /// FNV-1a hash partitioning (even spread, no locality).
-    Hash,
-    /// Uniform range partitioning of the big-endian `u64` key space.
-    Range,
+/// Lockstep quantum: how far every shard simulation advances before the
+/// router looks at replies again.
+const QUANTUM_US: Micros = 200;
+
+/// How far past issue time (and past the worst client-to-replica hop) a
+/// snapshot cut is pinned. It must exceed the clock model's offset
+/// bound, so every completed-before-issue write has a commit timestamp
+/// below the cut (freshness) and the pinned parts arrive before their
+/// shard's stable timestamp passes the cut.
+const SNAPSHOT_LEAD_US: Micros = 2_500;
+
+/// The shard owning `key`: FNV-1a over its big-endian bytes, modulo the
+/// shard count. Tiny, allocation-free, stable across calls (a key's
+/// every command lands on one group), and plenty uniform for placement;
+/// not a defense against adversarial keys.
+fn shard_of(key: u64, shards: usize) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in key.to_be_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h % shards as u64) as usize
 }
 
 /// Configuration of a sharded experiment: a base single-group experiment
@@ -56,25 +122,15 @@ pub enum ShardMapChoice {
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// The per-shard experiment shape (topology, clients, workload mix,
-    /// batching, checkpointing, faults applied to *every* shard).
+    /// batching, checkpointing, observability, and crash/recover faults
+    /// applied to *every* shard). A CAS mix is not supported.
     pub base: ExperimentConfig,
     /// Number of independent replication groups.
     pub shards: usize,
-    /// Key-to-shard placement.
-    pub map: ShardMapChoice,
     /// Fraction of **reads** issued as multi-key snapshot reads.
     pub snapshot_fraction: f64,
     /// Keys per multi-key snapshot read.
     pub snapshot_keys: usize,
-    /// How far past issue time a snapshot cut is pinned. Must exceed the
-    /// client-to-replica delivery delay plus the clock model's offset
-    /// bound, so every completed-before-issue write has a commit
-    /// timestamp below the cut (freshness) and the pinned parts arrive
-    /// before their shard's stable timestamp passes the cut.
-    pub snapshot_lead_us: Micros,
-    /// Lockstep quantum: how far every shard simulation advances before
-    /// the router looks at replies again.
-    pub quantum_us: Micros,
     /// Faults scoped to a single shard `(at, shard, fault)`; only
     /// `Crash` and `Recover` are supported here.
     pub shard_faults: Vec<(Micros, usize, Fault)>,
@@ -82,17 +138,14 @@ pub struct ShardedConfig {
 
 impl ShardedConfig {
     /// A sharded experiment over `shards` groups with no multi-key
-    /// reads, hash placement, and a 2.5 ms snapshot lead.
+    /// reads.
     pub fn new(base: ExperimentConfig, shards: usize) -> Self {
         assert!(shards > 0, "a sharded experiment needs at least one shard");
         ShardedConfig {
             base,
             shards,
-            map: ShardMapChoice::Hash,
             snapshot_fraction: 0.0,
             snapshot_keys: 4,
-            snapshot_lead_us: 2_500,
-            quantum_us: 200,
             shard_faults: Vec::new(),
         }
     }
@@ -107,44 +160,25 @@ impl ShardedConfig {
         self
     }
 
-    /// Switches key placement to uniform range partitioning.
-    pub fn range_partitioned(mut self) -> Self {
-        self.map = ShardMapChoice::Range;
-        self
-    }
-
-    /// Sets the snapshot cut lead.
-    pub fn snapshot_lead_us(mut self, us: Micros) -> Self {
-        self.snapshot_lead_us = us;
-        self
-    }
-
     /// Adds a fault scoped to one shard.
     pub fn shard_fault(mut self, at: Micros, shard: usize, fault: Fault) -> Self {
         assert!(shard < self.shards, "fault on unknown shard");
         self.shard_faults.push((at, shard, fault));
         self
     }
+}
 
-    fn n(&self) -> usize {
-        self.base.latency.len()
-    }
-
-    fn active(&self) -> Vec<ReplicaId> {
-        match &self.base.active_sites {
-            Some(sites) => sites.iter().map(|&s| ReplicaId::new(s)).collect(),
-            None => (0..self.n() as u16).map(ReplicaId::new).collect(),
-        }
-    }
-
-    fn shard_map(&self) -> Box<dyn ShardMap> {
-        match self.map {
-            ShardMapChoice::Hash => Box::new(HashShardMap::new(self.shards)),
-            ShardMapChoice::Range => {
-                Box::new(RangeShardMap::uniform_u64(self.base.key_space, self.shards))
-            }
-        }
-    }
+/// Operation tallies for one shard.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardCounters {
+    /// Replicated write commands routed to the shard, each counted once
+    /// however often its client re-submitted it.
+    pub writes: u64,
+    /// Single-key linearizable reads routed to the shard (a read retry
+    /// mints a new command, so it counts again).
+    pub reads: u64,
+    /// Snapshot-read parts (pinned single-key `Get`s) the shard served.
+    pub snapshot_parts: u64,
 }
 
 /// Everything a sharded run produces.
@@ -160,8 +194,8 @@ pub struct ShardedResult {
     /// The cross-shard roll-up: summed throughput and commit counts,
     /// merged latency distributions, folded checks.
     pub aggregate: ExperimentResult,
-    /// How the load spread over the shards.
-    pub accounting: ShardAccounting,
+    /// How the load spread over the shards, one entry per shard.
+    pub counters: Vec<ShardCounters>,
     /// Completed multi-key snapshot reads.
     pub snapshot_count: usize,
     /// Median multi-key read latency, ms (0 with no samples).
@@ -188,8 +222,25 @@ impl ShardedResult {
 
 /// Runs a sharded experiment for the chosen protocol. Every knob of
 /// `cfg.base` reaches every shard's replicas through the same factory
-/// as [`run_latency`](crate::run_latency).
+/// and simulator configuration as [`run_latency`](crate::run_latency).
+///
+/// # Panics
+///
+/// Panics before anything runs when `cfg.base` asks for a CAS mix (the
+/// router issues no CAS, so the chain checker would pass without
+/// running), or when a base or shard fault is anything but `Crash` or
+/// `Recover`.
 pub fn run_sharded(choice: ProtocolChoice, cfg: &ShardedConfig) -> ShardedResult {
+    assert!(
+        cfg.base.cas_fraction == 0.0,
+        "the sharded driver issues no CAS: cas_fraction must be 0"
+    );
+    let crash_or_recover = |f: &Fault| matches!(f, Fault::Crash(_) | Fault::Recover(_));
+    assert!(
+        cfg.base.faults.iter().all(|(_, f)| crash_or_recover(f))
+            && cfg.shard_faults.iter().all(|(_, _, f)| crash_or_recover(f)),
+        "the sharded driver supports crash/recover faults only"
+    );
     struct Sharded<'a> {
         cfg: &'a ShardedConfig,
         /// Only Clock-RSM claims one consistent cut per snapshot read.
@@ -273,27 +324,17 @@ struct Client {
 
 /// The external router: client population, key routing, snapshot
 /// coordination, and all measurement state.
-struct Router {
-    map: Box<dyn ShardMap>,
-    n: usize,
+struct Router<'a> {
+    cfg: &'a ShardedConfig,
+    /// End of the measurement window.
     end: Micros,
-    warmup: Micros,
-    think_max_us: Micros,
-    value_bytes: usize,
-    key_space: u64,
-    read_fraction: f64,
-    snapshot_fraction: f64,
-    snapshot_keys: usize,
-    snapshot_lead_us: Micros,
-    retry_timeout_us: Option<Micros>,
-    record_ops: bool,
 
     clients: Vec<Client>,
     client_index: HashMap<ClientId, usize>,
     rng: StdRng,
     coord: SnapshotCoordinator,
     snap_owner: HashMap<u64, usize>,
-    accounting: ShardAccounting,
+    counters: Vec<ShardCounters>,
 
     /// Per-shard operation records (snapshot parts included), feeding
     /// each shard's own checkers.
@@ -307,13 +348,13 @@ struct Router {
     snaps: Vec<SnapshotRecord>,
 }
 
-impl Router {
-    fn new(cfg: &ShardedConfig) -> Self {
-        let n = cfg.n();
+impl<'a> Router<'a> {
+    fn new(cfg: &'a ShardedConfig) -> Self {
+        let base = &cfg.base;
         let mut clients = Vec::new();
         let mut client_index = HashMap::new();
-        for &site in &cfg.active() {
-            for k in 0..cfg.base.clients_per_site {
+        for &site in &base.active() {
+            for k in 0..base.clients_per_site {
                 let id = ClientId::new(site, k as u32);
                 client_index.insert(id, clients.len());
                 clients.push(Client {
@@ -327,30 +368,18 @@ impl Router {
                 });
             }
         }
-        let end = cfg.base.warmup_us + cfg.base.duration_us;
         let mut router = Router {
-            map: cfg.shard_map(),
-            n,
-            end,
-            warmup: cfg.base.warmup_us,
-            think_max_us: cfg.base.think_max_us,
-            value_bytes: cfg.base.value_bytes,
-            key_space: cfg.base.key_space,
-            read_fraction: cfg.base.read_fraction,
-            snapshot_fraction: cfg.snapshot_fraction,
-            snapshot_keys: cfg.snapshot_keys,
-            snapshot_lead_us: cfg.snapshot_lead_us,
-            retry_timeout_us: cfg.base.client_retry_us,
-            record_ops: cfg.base.record_ops,
+            cfg,
+            end: base.warmup_us + base.duration_us,
             clients,
             client_index,
-            rng: StdRng::seed_from_u64(cfg.base.seed ^ 0x5ead_c0de),
-            coord: SnapshotCoordinator::new(),
+            rng: StdRng::seed_from_u64(base.seed ^ 0x5ead_c0de),
+            coord: SnapshotCoordinator::default(),
             snap_owner: HashMap::new(),
-            accounting: ShardAccounting::new(cfg.shards),
+            counters: vec![ShardCounters::default(); cfg.shards],
             ops: vec![Vec::new(); cfg.shards],
             op_index: HashMap::new(),
-            site_stats: vec![vec![LatencyStats::new(); n]; cfg.shards],
+            site_stats: vec![vec![LatencyStats::new(); base.n()]; cfg.shards],
             read_stats: vec![LatencyStats::new(); cfg.shards],
             write_stats: vec![LatencyStats::new(); cfg.shards],
             snap_stats: LatencyStats::new(),
@@ -359,20 +388,27 @@ impl Router {
         // Stagger initial issues over one think interval, like the
         // single-group workload.
         for idx in 0..router.clients.len() {
-            router.clients[idx].next_wake = if router.think_max_us == 0 {
+            router.clients[idx].next_wake = if base.think_max_us == 0 {
                 router.rng.gen_range(0..100)
             } else {
-                router.rng.gen_range(0..=router.think_max_us)
+                router.rng.gen_range(0..=base.think_max_us)
             };
         }
         router
     }
 
     fn think(&mut self) -> Micros {
-        if self.think_max_us == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..=self.think_max_us)
+        match self.cfg.base.think_max_us {
+            0 => 0,
+            max => self.rng.gen_range(0..=max),
+        }
+    }
+
+    /// When the router next looks at a client it just dispatched for.
+    fn retry_at(&self, now: Micros) -> Micros {
+        match self.cfg.base.client_retry_us {
+            Some(t) => now + t,
+            None => Micros::MAX,
         }
     }
 
@@ -380,11 +416,12 @@ impl Router {
     /// unique per write, which lets the cut checker match an observed
     /// value back to exactly one write — padded to the configured size.
     fn unique_value(&self, id: ClientId, seq: u64) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.value_bytes.max(14));
+        let value_bytes = self.cfg.base.value_bytes;
+        let mut v = Vec::with_capacity(value_bytes.max(14));
         v.extend_from_slice(&(id.site().index() as u16).to_be_bytes());
         v.extend_from_slice(&id.number().to_be_bytes());
         v.extend_from_slice(&seq.to_be_bytes());
-        while v.len() < self.value_bytes {
+        while v.len() < value_bytes {
             v.push((seq % 251) as u8);
         }
         v
@@ -398,7 +435,7 @@ impl Router {
         payload: Bytes,
         read: bool,
     ) {
-        if !self.record_ops {
+        if !self.cfg.base.record_ops {
             return;
         }
         self.op_index.insert(cmd_id, (shard, self.ops[shard].len()));
@@ -424,7 +461,7 @@ impl Router {
         if attempt == 0 {
             sim.read_target(site)
         } else {
-            ReplicaId::new(((site.index() + attempt as usize) % self.n) as u16)
+            ReplicaId::new(((site.index() + attempt as usize) % self.cfg.base.n()) as u16)
         }
     }
 
@@ -436,7 +473,7 @@ impl Router {
         now: Micros,
         sims: &mut [Simulation<P, Collector>],
     ) {
-        let shard = self.map.shard_of(&key.to_be_bytes());
+        let shard = shard_of(key, self.cfg.shards);
         let (id, site) = (self.clients[idx].id, self.clients[idx].site);
         // A write retry re-submits the SAME command (identical id and
         // payload, same operation record): that is what lets the
@@ -457,15 +494,20 @@ impl Router {
         };
         if !same_cmd {
             self.record_op(shard, cmd_id, now, payload.clone(), is_read);
+            let counters = &mut self.counters[shard];
+            if is_read {
+                counters.reads += 1;
+            } else {
+                counters.writes += 1;
+            }
         }
         if is_read {
             let target = self.read_site(&sims[shard], site, self.clients[idx].attempt);
             sims[shard].submit_from(site, target, Command::read(cmd_id, payload));
-            self.accounting.record_read(shard);
         } else {
             sims[shard].submit(site, Command::new(cmd_id, payload));
-            self.accounting.record_write(shard);
         }
+        let next_wake = self.retry_at(now);
         let c = &mut self.clients[idx];
         c.pending = Pending::Single {
             cmd_id,
@@ -474,10 +516,7 @@ impl Router {
             is_read,
         };
         c.issued_at = now;
-        c.next_wake = match self.retry_timeout_us {
-            Some(t) => now + t,
-            None => Micros::MAX,
-        };
+        c.next_wake = next_wake;
     }
 
     fn dispatch_snapshot<P: Protocol>(
@@ -493,8 +532,8 @@ impl Router {
         // part's delivery, so take the worst hop into account.
         let parts: Vec<(usize, Bytes, ReplicaId)> = keys
             .iter()
-            .map(|k| {
-                let shard = self.map.shard_of(&k.to_be_bytes());
+            .map(|&k| {
+                let shard = shard_of(k, self.cfg.shards);
                 let target = self.read_site(&sims[shard], site, attempt);
                 (shard, Bytes::from(k.to_be_bytes().to_vec()), target)
             })
@@ -510,7 +549,7 @@ impl Router {
             })
             .max()
             .unwrap_or(0);
-        let at = now + self.snapshot_lead_us + max_hop;
+        let at = now + SNAPSHOT_LEAD_US + max_hop;
         let mut seq = self.clients[idx].seq;
         let (token, cmds) = self.coord.begin(
             parts.iter().map(|(s, k, _)| (*s, k.clone())).collect(),
@@ -527,13 +566,11 @@ impl Router {
             sims[shard].submit_from(site, target, cmd);
         }
         self.snap_owner.insert(token, idx);
+        let next_wake = self.retry_at(now);
         let c = &mut self.clients[idx];
         c.pending = Pending::Snapshot { token, keys };
         c.issued_at = now;
-        c.next_wake = match self.retry_timeout_us {
-            Some(t) => now + t,
-            None => Micros::MAX,
-        };
+        c.next_wake = next_wake;
     }
 
     fn issue_new<P: Protocol>(
@@ -542,22 +579,23 @@ impl Router {
         now: Micros,
         sims: &mut [Simulation<P, Collector>],
     ) {
+        let cfg = self.cfg;
         self.clients[idx].attempt = 0;
-        let is_read = self.read_fraction > 0.0 && self.rng.gen::<f64>() < self.read_fraction;
-        let is_snapshot = is_read
-            && self.snapshot_fraction > 0.0
-            && self.rng.gen::<f64>() < self.snapshot_fraction;
+        let read_fraction = cfg.base.read_fraction;
+        let is_read = read_fraction > 0.0 && self.rng.gen::<f64>() < read_fraction;
+        let is_snapshot =
+            is_read && cfg.snapshot_fraction > 0.0 && self.rng.gen::<f64>() < cfg.snapshot_fraction;
         if is_snapshot {
-            let mut keys: Vec<u64> = Vec::with_capacity(self.snapshot_keys);
-            while keys.len() < self.snapshot_keys {
-                let key = self.rng.gen_range(0..self.key_space);
+            let mut keys: Vec<u64> = Vec::with_capacity(cfg.snapshot_keys);
+            while keys.len() < cfg.snapshot_keys {
+                let key = self.rng.gen_range(0..cfg.base.key_space);
                 if !keys.contains(&key) {
                     keys.push(key);
                 }
             }
             self.dispatch_snapshot(idx, keys, now, sims);
         } else {
-            let key = self.rng.gen_range(0..self.key_space);
+            let key = self.rng.gen_range(0..cfg.base.key_space);
             self.dispatch_single(idx, key, is_read, now, sims);
         }
     }
@@ -605,7 +643,7 @@ impl Router {
         c.pending = Pending::Idle;
         c.attempt = 0;
         c.next_wake = now + think;
-        if issued >= self.warmup && at <= self.end {
+        if issued >= self.cfg.base.warmup_us && at <= self.end {
             self.site_stats[shard][site].record(at - issued);
             if is_read {
                 self.read_stats[shard].record(at - issued);
@@ -615,15 +653,17 @@ impl Router {
         }
     }
 
-    fn complete_snapshot(&mut self, snap: rsm_shard::SnapshotResult, at: Micros, now: Micros) {
+    fn complete_snapshot(&mut self, snap: SnapshotResult, at: Micros, now: Micros) {
         let Some(idx) = self.snap_owner.remove(&snap.token) else {
             return; // owner already moved on (abandoned concurrently)
         };
-        self.accounting.record_snapshot(&snap.shards);
-        if snap.issued >= self.warmup && at <= self.end {
+        for &s in &snap.shards {
+            self.counters[s].snapshot_parts += 1;
+        }
+        if snap.issued >= self.cfg.base.warmup_us && at <= self.end {
             self.snap_stats.record(at - snap.issued);
         }
-        if self.record_ops {
+        if self.cfg.base.record_ops {
             self.snaps.push(SnapshotRecord {
                 issued: snap.issued,
                 replied: snap.replied,
@@ -647,37 +687,27 @@ impl Router {
                 continue;
             }
             let pending = self.clients[idx].pending.clone();
+            if let Pending::Snapshot { token, .. } = pending {
+                // A lost part abandons the *whole* snapshot: a stale cut
+                // may already be unservable exactly, so retry everything
+                // under a fresh one.
+                self.coord.abandon(token);
+                self.snap_owner.remove(&token);
+            }
+            if now >= self.end {
+                self.clients[idx].pending = Pending::Idle;
+                self.clients[idx].next_wake = Micros::MAX;
+                continue;
+            }
             match pending {
-                Pending::Idle => {
-                    if now >= self.end {
-                        self.clients[idx].next_wake = Micros::MAX;
-                    } else {
-                        self.issue_new(idx, now, sims);
-                    }
-                }
+                Pending::Idle => self.issue_new(idx, now, sims),
                 Pending::Single { key, is_read, .. } => {
-                    if now >= self.end {
-                        self.clients[idx].pending = Pending::Idle;
-                        self.clients[idx].next_wake = Micros::MAX;
-                    } else {
-                        self.clients[idx].attempt += 1;
-                        self.dispatch_single(idx, key, is_read, now, sims);
-                    }
+                    self.clients[idx].attempt += 1;
+                    self.dispatch_single(idx, key, is_read, now, sims);
                 }
-                Pending::Snapshot { token, keys } => {
-                    // A lost part abandons the *whole* snapshot: a stale
-                    // cut may already be unservable exactly, so retry
-                    // everything under a fresh one.
-                    self.coord.abandon(token);
-                    self.snap_owner.remove(&token);
-                    if now >= self.end {
-                        self.clients[idx].pending = Pending::Idle;
-                        self.clients[idx].next_wake = Micros::MAX;
-                    } else {
-                        self.accounting.record_snapshot_retry();
-                        self.clients[idx].attempt += 1;
-                        self.dispatch_snapshot(idx, keys, now, sims);
-                    }
+                Pending::Snapshot { keys, .. } => {
+                    self.clients[idx].attempt += 1;
+                    self.dispatch_snapshot(idx, keys, now, sims);
                 }
             }
         }
@@ -694,28 +724,18 @@ where
     P: Protocol + 'static,
     F: FnMut(ReplicaId) -> P + Clone + 'static,
 {
-    let n = cfg.n();
-    let end = cfg.base.warmup_us + cfg.base.duration_us;
-    let finish = end + 2_000 * MILLIS; // slack: let in-flight work land
+    let base = &cfg.base;
+    let end = base.warmup_us + base.duration_us;
+    let finish = end + SLACK_US;
 
     let mut sims: Vec<Simulation<P, Collector>> = (0..cfg.shards)
         .map(|s| {
-            let sim_cfg = SimConfig::new(cfg.base.latency.clone())
-                .seed(cfg.base.seed.wrapping_add(s as u64 * 0x9e37_79b9))
-                .jitter_us(cfg.base.jitter_us)
-                .clock_model(cfg.base.clock)
-                .batch_policy(cfg.base.batch)
-                .record_history(cfg.base.record_ops);
-            let sim_cfg = match cfg.base.cpu {
-                Some(cpu) => sim_cfg.cpu_model(cpu),
-                None => sim_cfg,
-            };
             Simulation::new(
-                sim_cfg,
+                sim_config(base, base.seed.wrapping_add(s as u64 * 0x9e37_79b9)),
                 factory.clone(),
                 || Box::new(KvStore::new()),
                 Collector {
-                    warmup_until: cfg.base.warmup_us,
+                    warmup_until: base.warmup_us,
                     measure_until: end,
                     replies: Vec::new(),
                     observer_commits: 0,
@@ -727,7 +747,7 @@ where
     // Fault plan: shard-scoped entries plus the base experiment's faults
     // applied to every shard, in time order.
     let mut faults: Vec<(Micros, usize, Fault)> = cfg.shard_faults.clone();
-    for &(at, fault) in &cfg.base.faults {
+    for &(at, fault) in &base.faults {
         for s in 0..cfg.shards {
             faults.push((at, s, fault));
         }
@@ -736,97 +756,39 @@ where
     let mut next_fault = 0;
 
     let mut router = Router::new(cfg);
+    let mut metrics_mid = vec![None; cfg.shards];
     let mut now: Micros = 0;
     while now < finish {
-        let t = (now + cfg.quantum_us).min(finish);
+        let t = (now + QUANTUM_US).min(finish);
         while next_fault < faults.len() && faults[next_fault].0 <= t {
             let (at, shard, fault) = faults[next_fault];
             let after = at.saturating_sub(now);
             match fault {
                 Fault::Crash(r) => sims[shard].crash(r, after),
                 Fault::Recover(r) => sims[shard].recover(r, after),
-                _ => panic!("the sharded driver supports crash/recover faults only"),
+                _ => unreachable!("run_sharded admits crash/recover faults only"),
             }
             next_fault += 1;
         }
         for sim in &mut sims {
             sim.run_until(t);
         }
+        // The window's end is a quantum boundary when it is a multiple
+        // of the quantum; otherwise no shard reports a mid-run snapshot.
+        if t == end {
+            metrics_mid = sims.iter().map(Simulation::metrics).collect();
+        }
         now = t;
         router.drain(now, &mut sims);
         router.wakes(now, &mut sims);
     }
 
-    // Per-shard results: each shard is a complete single-group run.
-    let window_secs = cfg.base.duration_us as f64 / 1e6;
-    let replicas: Vec<ReplicaId> = (0..n as u16).map(ReplicaId::new).collect();
-    let mut per_shard = Vec::with_capacity(cfg.shards);
-    for (s, sim) in sims.iter_mut().enumerate() {
-        let commit_counts: Vec<u64> = replicas.iter().map(|&r| sim.commit_count(r)).collect();
-        let log_lens: Vec<usize> = replicas.iter().map(|&r| sim.log(r).len()).collect();
-        let snapshots: Vec<_> = replicas
-            .iter()
-            .filter(|&&r| sim.is_up(r))
-            .map(|&r| sim.snapshot(r))
-            .collect();
-        let snapshots_agree = snapshots.windows(2).all(|w| w[0] == w[1]);
-
-        let mut commit_times: Vec<Vec<Micros>> = vec![Vec::new(); n];
-        let checks = if cfg.base.record_ops {
-            let histories: Vec<_> = replicas.iter().map(|&r| sim.commits(r).to_vec()).collect();
-            for (i, h) in histories.iter().enumerate() {
-                commit_times[i] = h.iter().map(|c| c.at).collect();
-            }
-            check_all(&histories, &router.ops[s])
-        } else {
-            CheckReport::trivially_ok()
-        };
-
-        let site_stats = std::mem::take(&mut router.site_stats[s]);
-        let mut all = LatencyStats::new();
-        for st in &site_stats {
-            all.merge(st);
-        }
-        let (p50_ms, p99_ms) = if all.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (all.p50_ms(), all.p99_ms())
-        };
-        let read = &mut router.read_stats[s];
-        let (read_p50_ms, read_p99_ms, read_count) = (read.p50_ms(), read.p99_ms(), read.count());
-        let write = &mut router.write_stats[s];
-        let (write_p50_ms, write_p99_ms, write_count) =
-            (write.p50_ms(), write.p99_ms(), write.count());
-
-        per_shard.push(ExperimentResult {
-            protocol: name,
-            site_stats,
-            commit_counts,
-            checks,
-            snapshots_agree,
-            throughput_kops: sim.app().observer_commits as f64 / window_secs / 1_000.0,
-            p50_ms,
-            p99_ms,
-            read_p50_ms,
-            read_p99_ms,
-            read_count,
-            write_p50_ms,
-            write_p99_ms,
-            write_count,
-            commit_times,
-            log_lens,
-            cas_count: 0,
-            cas_failures: 0,
-            metrics: None,
-            metrics_mid: None,
-            spans: Vec::new(),
-            open_spans: 0,
-        });
-    }
-
-    // The aggregate: merged distributions, summed counters, folded
-    // checks. Commit times stay per shard (there is no meaningful merged
+    // Each shard is a complete single-group run; the aggregate merges
+    // their distributions, sums their counters and folds their checks.
+    // Commit times stay per shard (there is no meaningful merged
     // sequence).
+    let n = base.n();
+    let mut per_shard = Vec::with_capacity(cfg.shards);
     let mut agg_sites = vec![LatencyStats::new(); n];
     let mut agg_commits = vec![0u64; n];
     let mut agg_logs = vec![0usize; n];
@@ -835,19 +797,28 @@ where
     let mut agg_read = LatencyStats::new();
     let mut agg_write = LatencyStats::new();
     let mut throughput = 0.0;
-    let mut read_count = 0;
-    let mut write_count = 0;
-    for (s, r) in per_shard.iter().enumerate() {
+    for (s, (sim, metrics_mid)) in sims.iter().zip(metrics_mid).enumerate() {
+        let read = std::mem::take(&mut router.read_stats[s]);
+        let write = std::mem::take(&mut router.write_stats[s]);
+        agg_read.merge(&read);
+        agg_write.merge(&write);
+        let measured = Measured {
+            ops: &router.ops[s],
+            observer_commits: sim.app().observer_commits,
+            site_stats: std::mem::take(&mut router.site_stats[s]),
+            read,
+            write,
+            cas_count: 0,
+            cas_failures: 0,
+            metrics_mid,
+        };
+        let r = group_result(name, base, sim, measured);
         for i in 0..n {
             agg_sites[i].merge(&r.site_stats[i]);
             agg_all.merge(&r.site_stats[i]);
             agg_commits[i] += r.commit_counts[i];
             agg_logs[i] += r.log_lens[i];
         }
-        agg_read.merge(&router.read_stats[s]);
-        agg_write.merge(&router.write_stats[s]);
-        read_count += r.read_count;
-        write_count += r.write_count;
         throughput += r.throughput_kops;
         agg_checks.total_order_ok &= r.checks.total_order_ok;
         agg_checks.monotonic_ok &= r.checks.monotonic_ok;
@@ -857,28 +828,23 @@ where
         if agg_checks.violation.is_none() {
             agg_checks.violation = r.checks.violation.clone();
         }
+        per_shard.push(r);
     }
-    let (p50_ms, p99_ms) = if agg_all.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (agg_all.p50_ms(), agg_all.p99_ms())
-    };
-    let snapshots_agree = per_shard.iter().all(|r| r.snapshots_agree);
     let aggregate = ExperimentResult {
         protocol: name,
         site_stats: agg_sites,
         commit_counts: agg_commits,
         checks: agg_checks,
-        snapshots_agree,
+        snapshots_agree: per_shard.iter().all(|r| r.snapshots_agree),
         throughput_kops: throughput,
-        p50_ms,
-        p99_ms,
+        p50_ms: agg_all.p50_ms(),
+        p99_ms: agg_all.p99_ms(),
         read_p50_ms: agg_read.p50_ms(),
         read_p99_ms: agg_read.p99_ms(),
-        read_count,
+        read_count: agg_read.count(),
         write_p50_ms: agg_write.p50_ms(),
         write_p99_ms: agg_write.p99_ms(),
-        write_count,
+        write_count: agg_write.count(),
         commit_times: vec![Vec::new(); n],
         log_lens: agg_logs,
         cas_count: 0,
@@ -893,22 +859,13 @@ where
     // fallback decomposes into per-shard linearizable reads (checked
     // above per shard) and claims no cut. Real-time bounds derived from
     // commit timestamps are only tight to within the clock offset bound.
-    let snapshot_check = if snapshot_consistent && cfg.base.record_ops {
+    let snapshot_check = if snapshot_consistent && base.record_ops {
         let all_ops: Vec<OpRecord> = router.ops.iter().flatten().cloned().collect();
-        let skew = cfg
-            .base
-            .clock
-            .sync_bound_us
-            .max(cfg.base.clock.offset_us.unsigned_abs());
+        let clock = base.clock;
+        let skew = clock.sync_bound_us.max(clock.offset_us.unsigned_abs());
         check_snapshot_reads(&all_ops, &router.snaps, skew)
     } else {
         Ok(())
-    };
-
-    let (snapshot_p50_ms, snapshot_p99_ms) = if router.snap_stats.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (router.snap_stats.p50_ms(), router.snap_stats.p99_ms())
     };
 
     ShardedResult {
@@ -916,10 +873,10 @@ where
         shards: cfg.shards,
         per_shard,
         aggregate,
-        accounting: router.accounting,
+        counters: router.counters,
         snapshot_count: router.snaps.len(),
-        snapshot_p50_ms,
-        snapshot_p99_ms,
+        snapshot_p50_ms: router.snap_stats.p50_ms(),
+        snapshot_p99_ms: router.snap_stats.p99_ms(),
         snapshot_ok: snapshot_check.is_ok(),
         snapshot_violation: snapshot_check.err(),
     }
@@ -929,6 +886,8 @@ where
 mod tests {
     use super::*;
     use rsm_core::matrix::LatencyMatrix;
+    use rsm_core::time::MILLIS;
+    use rsm_obs::ObsConfig;
     use simnet::ClockModel;
 
     fn quick(shards: usize) -> ShardedConfig {
@@ -962,7 +921,7 @@ mod tests {
         );
         assert!(r.snapshot_p50_ms > 0.0);
         // Both shards saw work.
-        for (s, c) in r.accounting.per_shard().iter().enumerate() {
+        for (s, c) in r.counters.iter().enumerate() {
             assert!(c.writes > 0, "shard {s} got no writes");
         }
         assert!(r.aggregate.throughput_kops > 0.0);
@@ -996,13 +955,15 @@ mod tests {
     }
 
     #[test]
-    fn range_partitioning_routes_contiguous_blocks() {
-        let cfg = quick(4).range_partitioned();
-        let r = run_sharded(ProtocolChoice::clock_rsm(), &cfg);
-        assert!(r.all_ok(), "{:?}", r.aggregate.checks.violation);
-        // Uniform keys over a uniform range split: every shard gets work.
-        for (s, c) in r.accounting.per_shard().iter().enumerate() {
-            assert!(c.writes > 0, "shard {s} got no writes");
+    fn hash_placement_is_stable_and_spreads_keys_evenly() {
+        let mut counts = [0usize; 4];
+        for k in 0u64..4_000 {
+            let s = shard_of(k, 4);
+            assert_eq!(s, shard_of(k, 4), "placement must be stable");
+            counts[s] += 1;
+        }
+        for (s, &c) in counts.iter().enumerate() {
+            assert!((700..=1_300).contains(&c), "shard {s} got {c} of 4000 keys");
         }
     }
 
@@ -1035,5 +996,59 @@ mod tests {
         let r = run_sharded(ProtocolChoice::clock_rsm(), &cfg);
         assert!(r.snapshot_ok, "{:?}", r.snapshot_violation);
         assert!(r.snapshot_count > 5);
+    }
+
+    #[test]
+    fn observation_reaches_every_shard() {
+        let mut cfg = quick(2);
+        cfg.base = cfg.base.observe(ObsConfig::all());
+        let r = run_sharded(ProtocolChoice::clock_rsm(), &cfg);
+        for (s, shard) in r.per_shard.iter().enumerate() {
+            assert!(shard.metrics.is_some(), "shard {s} kept no metrics");
+            assert!(
+                shard.metrics_mid.is_some(),
+                "shard {s} has no mid-run metrics"
+            );
+            assert!(!shard.spans.is_empty(), "shard {s} traced no spans");
+        }
+    }
+
+    #[test]
+    fn a_write_retry_is_not_a_new_write() {
+        // Clients give up after 8 ms against a 10 ms round trip, so every
+        // write is re-submitted under its original id at least once. The
+        // session windows dedup the retries, so each shard's observer
+        // replica executes every write routed to it exactly once.
+        let mut cfg = quick(2);
+        cfg.base = cfg
+            .base
+            .duration_us(600 * MILLIS)
+            .client_retry_us(8 * MILLIS);
+        let r = run_sharded(ProtocolChoice::clock_rsm(), &cfg);
+        assert!(r.all_ok(), "{:?}", r.aggregate.checks.violation);
+        for (s, (shard, counters)) in r.per_shard.iter().zip(&r.counters).enumerate() {
+            assert!(counters.writes > 10, "shard {s} starved: {counters:?}");
+            assert_eq!(
+                counters.writes, shard.commit_counts[0],
+                "shard {s}: write count differs from the commands its observer executed"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cas_fraction must be 0")]
+    fn a_cas_mix_is_rejected_before_the_run() {
+        let mut cfg = quick(2);
+        cfg.base = cfg.base.cas_fraction(0.3);
+        run_sharded(ProtocolChoice::clock_rsm(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "crash/recover faults only")]
+    fn a_fault_other_than_crash_or_recover_is_rejected_before_the_run() {
+        let mut cfg = quick(2);
+        let (a, b) = (ReplicaId::new(0), ReplicaId::new(1));
+        cfg.base = cfg.base.fault(60_000 * MILLIS, Fault::Partition(a, b));
+        run_sharded(ProtocolChoice::clock_rsm(), &cfg);
     }
 }

@@ -18,27 +18,23 @@ use rsm_core::time::Micros;
 
 /// A fully assembled cross-shard snapshot read.
 #[derive(Debug, Clone)]
-pub struct SnapshotResult {
+pub(crate) struct SnapshotResult {
     /// Caller-visible handle returned by [`SnapshotCoordinator::begin`].
-    pub token: u64,
-    /// The cut timestamp every part was pinned to (µs, clock domain of
-    /// the replicas).
-    pub at: Micros,
-    /// When the multi-key read was first issued (virtual/driver time).
-    pub issued: Micros,
+    pub(crate) token: u64,
+    /// When the multi-key read was first issued (virtual time).
+    pub(crate) issued: Micros,
     /// When the last part's reply arrived.
-    pub replied: Micros,
+    pub(crate) replied: Micros,
     /// The keys, in the order the caller passed them.
-    pub keys: Vec<Bytes>,
+    pub(crate) keys: Vec<Bytes>,
     /// Per-key value at the cut (`None` = key absent at `t`).
-    pub values: Vec<Option<Bytes>>,
+    pub(crate) values: Vec<Option<Bytes>>,
     /// Per-key owning shard (parallel to `keys`).
-    pub shards: Vec<usize>,
+    pub(crate) shards: Vec<usize>,
 }
 
 #[derive(Debug)]
 struct InFlight {
-    at: Micros,
     issued: Micros,
     keys: Vec<Bytes>,
     shards: Vec<usize>,
@@ -48,7 +44,7 @@ struct InFlight {
 
 /// Tracks multi-key snapshot reads in flight and assembles their parts.
 #[derive(Debug, Default)]
-pub struct SnapshotCoordinator {
+pub(crate) struct SnapshotCoordinator {
     next_token: u64,
     /// Which (snapshot, part) a single-key command id belongs to.
     parts: HashMap<CommandId, (u64, usize)>,
@@ -56,16 +52,11 @@ pub struct SnapshotCoordinator {
 }
 
 impl SnapshotCoordinator {
-    /// An empty coordinator.
-    pub fn new() -> Self {
-        SnapshotCoordinator::default()
-    }
-
     /// Starts a snapshot read of `keys` (each tagged with its owning
     /// shard) at cut timestamp `at`. `next_id` mints one fresh
     /// [`CommandId`] per part. Returns the token identifying the read
     /// and the per-shard pinned `Get` commands to submit.
-    pub fn begin(
+    pub(crate) fn begin(
         &mut self,
         keys: Vec<(usize, Bytes)>,
         at: Micros,
@@ -92,7 +83,6 @@ impl SnapshotCoordinator {
         self.inflight.insert(
             token,
             InFlight {
-                at,
                 issued,
                 keys: key_list,
                 shards,
@@ -107,7 +97,7 @@ impl SnapshotCoordinator {
     /// encoding: status byte, then the value when found). Returns the
     /// assembled snapshot when this was the last outstanding part;
     /// replies for abandoned or unknown commands are ignored.
-    pub fn on_reply(
+    pub(crate) fn on_reply(
         &mut self,
         id: CommandId,
         result: &Bytes,
@@ -129,7 +119,6 @@ impl SnapshotCoordinator {
         let read = self.inflight.remove(&token).expect("completed read exists");
         Some(SnapshotResult {
             token,
-            at: read.at,
             issued: read.issued,
             replied: now,
             keys: read.keys,
@@ -142,18 +131,12 @@ impl SnapshotCoordinator {
         })
     }
 
-    /// Abandons an in-flight read (timeout), returning its keys (with
-    /// shards) so the caller can retry the whole snapshot under a fresh
-    /// cut. Late replies to the abandoned parts are dropped silently.
-    pub fn abandon(&mut self, token: u64) -> Option<Vec<(usize, Bytes)>> {
-        let read = self.inflight.remove(&token)?;
+    /// Abandons an in-flight read (timeout) so the caller can retry the
+    /// whole snapshot under a fresh cut. Late replies to the abandoned
+    /// parts are dropped silently.
+    pub(crate) fn abandon(&mut self, token: u64) {
+        self.inflight.remove(&token);
         self.parts.retain(|_, &mut (t, _)| t != token);
-        Some(read.shards.into_iter().zip(read.keys).collect())
-    }
-
-    /// Number of snapshot reads currently in flight.
-    pub fn pending(&self) -> usize {
-        self.inflight.len()
     }
 }
 
@@ -178,7 +161,7 @@ mod tests {
 
     #[test]
     fn parts_assemble_into_one_snapshot() {
-        let mut c = SnapshotCoordinator::new();
+        let mut c = SnapshotCoordinator::default();
         let keys = vec![(0, Bytes::from_static(b"a")), (2, Bytes::from_static(b"b"))];
         let (token, cmds) = c.begin(keys, 5_000, 100, ids());
         assert_eq!(cmds.len(), 2);
@@ -193,45 +176,42 @@ mod tests {
         let snap = c
             .on_reply(cmds[0].1.id, &Bytes::from_static(&[0]), 250)
             .expect("complete");
-        assert_eq!(snap.at, 5_000);
         assert_eq!(snap.issued, 100);
         assert_eq!(snap.replied, 250);
         assert_eq!(snap.values, vec![None, Some(Bytes::from_static(b"vb"))]);
         assert_eq!(snap.shards, vec![0, 2]);
         assert_eq!(token, snap.token);
-        assert_eq!(c.pending(), 0);
+        assert!(c.inflight.is_empty() && c.parts.is_empty());
     }
 
     #[test]
-    fn abandoned_reads_drop_late_replies_and_return_keys() {
-        let mut c = SnapshotCoordinator::new();
+    fn abandoned_reads_drop_late_replies() {
+        let mut c = SnapshotCoordinator::default();
         let keys = vec![(1, Bytes::from_static(b"x")), (3, Bytes::from_static(b"y"))];
         let (token, cmds) = c.begin(keys, 9_000, 10, ids());
         assert!(c.on_reply(cmds[0].1.id, &found(b"v"), 20).is_none());
-        let retry = c.abandon(token).expect("was in flight");
-        assert_eq!(
-            retry,
-            vec![(1, Bytes::from_static(b"x")), (3, Bytes::from_static(b"y"))]
-        );
+        c.abandon(token);
         // The straggler's reply no longer completes anything.
         assert!(c.on_reply(cmds[1].1.id, &found(b"v2"), 30).is_none());
-        assert_eq!(c.pending(), 0);
+        assert!(c.inflight.is_empty() && c.parts.is_empty());
     }
 
     #[test]
     fn concurrent_snapshots_do_not_interfere() {
-        let mut c = SnapshotCoordinator::new();
+        let mut c = SnapshotCoordinator::default();
         let mut mint = ids();
-        let (_t1, c1) = c.begin(vec![(0, Bytes::from_static(b"a"))], 1_000, 1, &mut mint);
-        let (_t2, c2) = c.begin(vec![(0, Bytes::from_static(b"a"))], 2_000, 2, &mut mint);
-        assert_eq!(c.pending(), 2);
+        let (t1, c1) = c.begin(vec![(0, Bytes::from_static(b"a"))], 1_000, 1, &mut mint);
+        let (t2, c2) = c.begin(vec![(0, Bytes::from_static(b"a"))], 2_000, 2, &mut mint);
+        assert_eq!(c.inflight.len(), 2);
         let s2 = c
             .on_reply(c2[0].1.id, &found(b"late"), 40)
             .expect("second completes");
-        assert_eq!(s2.at, 2_000);
+        assert_eq!((s2.token, s2.issued), (t2, 2));
+        assert_eq!(s2.values, vec![Some(Bytes::from_static(b"late"))]);
         let s1 = c
             .on_reply(c1[0].1.id, &found(b"early"), 50)
             .expect("first completes");
-        assert_eq!(s1.at, 1_000);
+        assert_eq!((s1.token, s1.issued), (t1, 1));
+        assert_eq!(s1.values, vec![Some(Bytes::from_static(b"early"))]);
     }
 }

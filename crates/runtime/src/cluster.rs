@@ -47,9 +47,8 @@ pub enum ClusterTransport {
 
 /// First client number the cluster mints for its own API calls
 /// ([`Cluster::execute`], [`Cluster::session`]). Caller-minted ids
-/// ([`Cluster::execute_command`]) must stay below it; the shard
-/// coordinator's snapshot client and the test suites' small numbers
-/// already do.
+/// ([`Cluster::execute_command`]) must stay below it; the repo
+/// benchmark's clients and the test suites' small numbers already do.
 pub const CLIENT_BASE: u32 = 0x4000_0000;
 
 /// Default admission-control high-water mark: a *new* command is
@@ -148,12 +147,12 @@ impl ClusterConfig {
         self
     }
 
-    /// Shares a clock epoch with other clusters: replica clocks read
-    /// microseconds since `epoch` (plus their configured offset), so
-    /// several clusters spawned with the same epoch form **one**
-    /// loosely-synchronized clock domain — the prerequisite for
-    /// timestamp-consistent cross-shard reads (`rsm-shard`). Defaults to
-    /// the spawn instant.
+    /// Sets the instant the cluster counts time from: replica clocks read
+    /// microseconds since `epoch` (plus their configured offset), and so
+    /// do trace stamps. A caller that stamps its own calls from the same
+    /// instant — the repo benchmark does — can subtract its client-side
+    /// times from the cluster's stage stamps. Defaults to the spawn
+    /// instant.
     pub fn epoch(mut self, epoch: Instant) -> Self {
         self.epoch = Some(epoch);
         self
@@ -434,7 +433,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Reply, ExecuteError> {
-        self.roundtrip(site, payload, timeout, false, None)
+        self.roundtrip(site, payload, timeout, false)
     }
 
     /// Opens a client session against `site`: a handle owning its own
@@ -470,31 +469,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Reply, ExecuteError> {
-        self.roundtrip(site, payload, timeout, true, None)
-    }
-
-    /// Submits a read-only operation **pinned** to the cut timestamp
-    /// `at` (microseconds in the cluster's clock domain — see
-    /// [`ClusterConfig::epoch`]): under Clock-RSM the reply reflects
-    /// exactly the writes with commit timestamp `≤ at`, the building
-    /// block of cross-shard snapshot reads. Protocols without a shared
-    /// timestamp domain ignore the pin and serve a plain linearizable
-    /// read.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(ExecuteError::Timeout)` when no reply arrives in
-    /// time — including when the replica's applied state had already
-    /// passed `at` (an exact answer is no longer possible; retry with a
-    /// fresh cut).
-    pub fn read_at(
-        &self,
-        site: ReplicaId,
-        payload: Bytes,
-        at: u64,
-        timeout: Duration,
-    ) -> Result<Reply, ExecuteError> {
-        self.roundtrip(site, payload, timeout, true, Some(at))
+        self.roundtrip(site, payload, timeout, true)
     }
 
     /// Submits a pre-built command (caller-minted id) to `site` and
@@ -594,7 +569,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         payload: Bytes,
         timeout: Duration,
         read_only: bool,
-        read_at: Option<u64>,
     ) -> Result<Reply, ExecuteError> {
         // One-shot session per call: a FRESH client id with seq 1, not a
         // shared client with a global seq. Replicas dedup per client by
@@ -602,10 +576,10 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         // client id could commit out of seq order and have the lower
         // seq dropped as stale.
         let id = CommandId::new(self.mint_client(site), 1);
-        let cmd = match (read_only, read_at) {
-            (true, Some(at)) => Command::read_at(id, payload, at),
-            (true, None) => Command::read(id, payload),
-            (false, _) => Command::new(id, payload),
+        let cmd = if read_only {
+            Command::read(id, payload)
+        } else {
+            Command::new(id, payload)
         };
         self.execute_with_retry(site, cmd, timeout)
     }

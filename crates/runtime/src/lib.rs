@@ -34,11 +34,6 @@
 //! thread drains whatever requests sit in its inbox (up to `max_batch`,
 //! never waiting for more) and hands them to the protocol as one batch.
 //!
-//! For scale-out, [`shard`] layers `N` independent clusters over one
-//! partitioned key space sharing a single clock epoch, with
-//! timestamp-consistent cross-shard snapshot reads under Clock-RSM (and
-//! the honest per-shard linearizable fallback elsewhere).
-//!
 //! ## Example
 //!
 //! ```
@@ -65,7 +60,5 @@
 
 pub mod cluster;
 pub mod node;
-pub mod shard;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterSession, ClusterTransport, ExecuteError};
-pub use shard::ShardedCluster;

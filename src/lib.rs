@@ -12,10 +12,10 @@
 //! * `simnet` — the deterministic discrete-event simulator
 //! * `rsm-runtime` — the threaded real-time driver, over `rsm-transport`
 //!   (framed TCP/UDS links) when not in process
-//! * `rsm-shard` — key-space partitioning and cross-shard snapshot cuts
 //! * `rsm-obs` — metrics registry and per-command stage spans
-//! * `harness`, `rsm-chaos` — simulated experiments with their checkers,
-//!   and the fault-schedule search built on them
+//! * `harness`, `rsm-chaos` — simulated experiments with their checkers
+//!   (the sharded one included: key-space partitioning and cross-shard
+//!   snapshot cuts), and the fault-schedule search built on them
 //! * `analysis`, `bench` — analytical latency model; the virtual-time
 //!   paper-figure and perf-baseline binaries
 //!

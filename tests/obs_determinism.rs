@@ -11,12 +11,12 @@
 //! exactly (the same equality the chaos metric oracle grades). Last, a
 //! pinned digest of every protocol's execution under six conditions
 //! holds the simulator itself to the runs it produced when the digest
-//! was pinned.
+//! was pinned, and a second digest does the same for four sharded runs.
 
 use clock_rsm::{ClockRsm, ClockRsmConfig};
 use harness::{
-    run_latency, ExperimentConfig, ExperimentResult, Fault, ProtocolChoice, WorkloadApp,
-    WorkloadConfig,
+    run_latency, run_sharded, ExperimentConfig, ExperimentResult, Fault, ProtocolChoice,
+    ShardedConfig, WorkloadApp, WorkloadConfig,
 };
 use kvstore::KvStore;
 use mencius::MenciusBcast;
@@ -512,6 +512,78 @@ fn executions_match_the_pinned_digest() {
     assert_eq!(
         digest.0, PINNED_DIGEST,
         "execution changed: got {:#018x}",
+        digest.0
+    );
+}
+
+/// The digest of the four sharded runs of
+/// [`sharded_executions_match_the_pinned_digest`].
+const PINNED_SHARDED_DIGEST: u64 = 0x95a9_a141_ef7d_5495;
+
+/// The sharded driver's twin of [`executions_match_the_pinned_digest`]:
+/// four 2-shard runs (Clock-RSM with snapshot reads under NTP skew,
+/// Clock-RSM through a shard-scoped crash and recovery, and the
+/// Paxos-bcast and Mencius fallbacks) commit exactly what they did when
+/// the constant was pinned — per shard and replica the commit counts,
+/// commit times and log lengths; per shard the read and write counts
+/// and medians; and the snapshot reads' count, latencies and verdict.
+#[test]
+fn sharded_executions_match_the_pinned_digest() {
+    let base = |seed: u64| {
+        ExperimentConfig::new(LatencyMatrix::uniform(3, 5_000))
+            .seed(seed)
+            .clients_per_site(3)
+            .think_max_us(10 * MILLIS)
+            .warmup_us(200 * MILLIS)
+            .duration_us(800 * MILLIS)
+    };
+    let reads = |seed| ShardedConfig::new(base(seed).read_fraction(0.5), 2).snapshot_mix(0.3, 3);
+    let reconfig = ClockRsmConfig::default()
+        .with_delta_us(Some(50 * MILLIS))
+        .with_failure_detection(Some(400 * MILLIS))
+        .with_synod_retry_us(100 * MILLIS)
+        .with_reconfig_retry_us(100 * MILLIS);
+    let runs = [
+        (
+            ProtocolChoice::clock_rsm(),
+            ShardedConfig::new(base(1).read_fraction(0.5).clock(ClockModel::ntp(MILLIS)), 2)
+                .snapshot_mix(0.3, 3),
+        ),
+        (
+            ProtocolChoice::clock_rsm_with(reconfig),
+            ShardedConfig::new(base(2).client_retry_us(400 * MILLIS), 2)
+                .shard_fault(300 * MILLIS, 0, Fault::Crash(ReplicaId::new(1)))
+                .shard_fault(600 * MILLIS, 0, Fault::Recover(ReplicaId::new(1))),
+        ),
+        (ProtocolChoice::paxos_bcast(0), reads(3)),
+        (ProtocolChoice::mencius(), reads(4)),
+    ];
+    let mut digest = Fnv::new();
+    for (choice, cfg) in runs {
+        let r = run_sharded(choice, &cfg);
+        assert!(r.all_ok(), "{}: {:?}", r.protocol, r.aggregate.checks);
+        for shard in &r.per_shard {
+            for i in 0..shard.commit_counts.len() {
+                digest.add(shard.commit_counts[i]);
+                digest.add(shard.log_lens[i] as u64);
+                digest.add(shard.commit_times[i].len() as u64);
+                for &t in &shard.commit_times[i] {
+                    digest.add(t);
+                }
+            }
+            digest.add(shard.read_count as u64);
+            digest.add(shard.write_count as u64);
+            digest.add(shard.read_p50_ms.to_bits());
+            digest.add(shard.write_p50_ms.to_bits());
+        }
+        digest.add(r.snapshot_count as u64);
+        digest.add(r.snapshot_p50_ms.to_bits());
+        digest.add(r.snapshot_p99_ms.to_bits());
+        digest.add(u64::from(r.snapshot_ok));
+    }
+    assert_eq!(
+        digest.0, PINNED_SHARDED_DIGEST,
+        "sharded execution changed: got {:#018x}",
         digest.0
     );
 }

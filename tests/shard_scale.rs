@@ -63,9 +63,9 @@ fn eight_shards_keep_snapshot_cuts_consistent_under_ntp_skew() {
         r.snapshot_count
     );
     assert!(
-        r.accounting.per_shard().iter().all(|c| c.writes > 0),
+        r.counters.iter().all(|c| c.writes > 0),
         "idle shard: {:?}",
-        r.accounting.per_shard()
+        r.counters
     );
 }
 
