@@ -14,6 +14,7 @@
 use bytes::Bytes;
 use rsm_obs::{NodeObs, Tracer};
 
+use crate::batch::Batch;
 use crate::command::{Command, CommandId, Committed, Reply};
 use crate::id::ReplicaId;
 use crate::obs::{names, span_key, TraceStage};
@@ -111,6 +112,15 @@ impl<P: Protocol> Node<P> {
         };
         f(proto, &mut ctx)
     }
+}
+
+/// Hands `proto` one client batch of `cmds`, as a scheduler does once it
+/// has cut a run of queued writes, and counts the batch and its commands
+/// when observing.
+pub fn propose<P: Protocol>(proto: &mut P, ctx: &mut dyn Context<P>, cmds: Vec<Command>) {
+    ctx.obs_count(names::CLIENT_BATCHES, 1);
+    ctx.obs_count(names::BATCHED_COMMANDS, cmds.len() as u64);
+    proto.on_client_batch(Batch::new(cmds), ctx);
 }
 
 struct NodeCtx<'a, P: Protocol, D> {

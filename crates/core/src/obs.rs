@@ -102,6 +102,12 @@ pub mod names {
     pub const SESSION_DEDUP_HITS: &str = "session.dedup_hits";
     /// Stale (below-window) writes dropped by the session table.
     pub const SESSION_STALE_DROPS: &str = "session.stale_drops";
+    /// Write batches the scheduler handed the protocol (one per
+    /// `on_client_batch` call, stamped by both drivers).
+    pub const CLIENT_BATCHES: &str = "batch.client_batches";
+    /// Commands in those batches: `BATCHED_COMMANDS / CLIENT_BATCHES` is
+    /// the replica's mean batch size.
+    pub const BATCHED_COMMANDS: &str = "batch.batched_commands";
     /// Protocol messages the replica handed to the network, self-sends
     /// included (stamped by the simnet driver; the base a protocol's
     /// extra-message counters are shares of).

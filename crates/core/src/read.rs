@@ -30,10 +30,17 @@
 //!   preceded the read's issue necessarily has a smaller timestamp than
 //!   the stamp (its commit required this very replica's clock evidence
 //!   to exceed the write's timestamp), so the released prefix always
-//!   contains it. Clock skew moves the *wait*, never the *answer*: a
-//!   slow local clock just stamps low and releases sooner; a fast one
-//!   stamps high and waits for the cluster to catch up. **Skew is
-//!   latency-only here.**
+//!   contains it. For a replica inside the configuration, clock skew
+//!   moves the *wait*, not the *answer*: a slow local clock stamps low
+//!   and releases sooner; a fast one stamps high and waits for the
+//!   cluster to catch up. **Skew is not latency-only at a castaway,**
+//!   though: a replica cut off and reconfigured out whose clock is slow
+//!   enough stamps its reads *below* the old-epoch evidence it already
+//!   holds, and serves them at once from a state the survivors have
+//!   moved past. `tests/read_mix.rs::slow_castaway_answers_no_stale_read`
+//!   (ignored while the hole is open) is the witness: with a clock 3 s
+//!   slow, a read issued at 1.415 s returns the value the survivors
+//!   overwrote. The fix is ROADMAP item 1.
 //!
 //!   *Probe rule.* A fresh stamp is above the evidence in hand, so an
 //!   idle replica's read always parks; left to Algorithm 2's periodic
@@ -57,10 +64,14 @@
 //!   would make most idle reads free, because evidence already in hand
 //!   covers it — which is the flaw: a replica partitioned away and
 //!   reconfigured out holds exactly such evidence, from the old epoch,
-//!   over a state the survivors have moved past. A fresh stamp is
-//!   above all of it, and what could pass the stamp is epoch-gated
-//!   (its old-epoch probes are dropped unanswered), so the castaway
-//!   parks its reads until it learns the new epoch and rejoins.
+//!   over a state the survivors have moved past. A fresh stamp from a
+//!   clock that is not far behind is above all of it, and what could
+//!   pass the stamp is epoch-gated (its old-epoch probes are dropped
+//!   unanswered), so the castaway parks its reads until it learns the
+//!   new epoch and rejoins. A fresh stamp is *not* above all of it when
+//!   the castaway's clock is slower than that evidence is old: the
+//!   counterexample above, which only a release rule that ignores
+//!   old-epoch evidence closes.
 //! * **Paxos leader-lease reads** ([`ReadPath::LeaderLease`]) import a
 //!   genuine bounded-skew *safety* assumption — the one piece of this
 //!   workspace where a clock bound is load-bearing. The lease-holding
@@ -100,7 +111,8 @@ use crate::wire::{WireSize, MSG_HEADER_BYTES};
 pub enum ReadPath {
     /// Reads are served locally at **any** replica once the replica's
     /// stable timestamp passes the read's stamp (Clock-RSM). Clock skew
-    /// affects read latency only, never correctness.
+    /// affects read latency only, except at a reconfigured-out replica
+    /// with a slow clock (see the [module docs](self)).
     LocalStable,
     /// The lease-holding leader serves reads locally, fenced by ballot
     /// and lease; this introduces a bounded-skew **safety** assumption.

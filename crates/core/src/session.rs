@@ -67,7 +67,7 @@
 //! the window.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -174,9 +174,14 @@ pub struct SessionTable {
     /// eviction decisions) are identical everywhere.
     tick: u64,
     entries: HashMap<ClientId, SessionEntry>,
-    /// LRU index: `touched` tick → client. Ticks are unique, so this is
-    /// a total order; the first key is the eviction victim.
-    lru: BTreeMap<u64, ClientId>,
+    /// LRU index: `(touched tick, client)` pairs in tick order, one
+    /// pushed per write. A pair is **live** while its client's entry
+    /// still carries that tick; a rewrite or an eviction leaves the old
+    /// pair behind, stale, to be skipped when it reaches the front
+    /// (lazy deletion). Ticks are unique, so the first live pair is the
+    /// eviction victim. Whenever the index holds more than twice the
+    /// window its stale pairs are dropped, so each costs amortised O(1).
+    lru: VecDeque<(u64, ClientId)>,
     /// Chaos-canary knob, **test-only**: when set, [`commit_dedup`]
     /// (SessionTable::commit_dedup) skips the window and re-applies
     /// duplicates — deliberately re-introducing the pre-session retry
@@ -203,7 +208,7 @@ impl SessionTable {
             window,
             tick: 0,
             entries: HashMap::new(),
-            lru: BTreeMap::new(),
+            lru: VecDeque::new(),
             canary_skip_dedup: false,
         }
     }
@@ -244,8 +249,8 @@ impl SessionTable {
     /// The one body that writes an entry. Finds `id`'s client once, asks
     /// `decide` — shown the client's current entry — for the reply to
     /// record, and if there is one overwrites the entry in place:
-    /// advances the apply-order tick, moves the client to the young end
-    /// of the LRU index and evicts the oldest entry beyond the window.
+    /// advances the apply-order tick, pushes the client onto the young
+    /// end of the LRU index and evicts the oldest entry beyond the window.
     fn write_with(
         &mut self,
         id: CommandId,
@@ -265,14 +270,25 @@ impl SessionTable {
             reply,
             touched: self.tick,
         };
-        if let Entry::Occupied(e) = &slot {
-            self.lru.remove(&e.get().touched);
-        }
         slot.insert_entry(entry);
-        self.lru.insert(self.tick, id.client);
-        if self.entries.len() > self.window {
-            if let Some((_, victim)) = self.lru.pop_first() {
-                self.entries.remove(&victim);
+        self.lru.push_back((self.tick, id.client));
+        self.trim();
+        if self.lru.len() > self.window.saturating_mul(2) {
+            let entries = &self.entries;
+            self.lru
+                .retain(|&(touched, client)| live(entries, touched, client));
+        }
+    }
+
+    /// Evicts the least-recently-written entries until at most `window`
+    /// are left, dropping the stale LRU pairs it passes.
+    fn trim(&mut self) {
+        while self.entries.len() > self.window {
+            let Some((touched, client)) = self.lru.pop_front() else {
+                break;
+            };
+            if live(&self.entries, touched, client) {
+                self.entries.remove(&client);
             }
         }
     }
@@ -280,9 +296,7 @@ impl SessionTable {
     /// Explicitly evicts `client`'s entry (the [`SessionEvict`] wire
     /// shape): a client that closes its session releases its window slot.
     pub fn evict(&mut self, client: ClientId) {
-        if let Some(e) = self.entries.remove(&client) {
-            self.lru.remove(&e.touched);
-        }
+        self.entries.remove(&client);
     }
 
     /// Drops every entry (recovery from scratch; replay rebuilds).
@@ -382,7 +396,7 @@ impl SessionTable {
     ///
     /// A frame [`export`](SessionTable::export) cannot produce is
     /// rejected: a client named twice, two entries touched at one tick
-    /// (the LRU index would lose one, and the window bound with it), a
+    /// (eviction order would rest on a tie no write can produce), a
     /// tick not yet minted (a later write would collide with it), or
     /// bytes after the last entry.
     fn install_entries(&mut self, frame: &Bytes) -> Result<(), WireError> {
@@ -399,9 +413,7 @@ impl SessionTable {
                     "entry touched after the frame's tick",
                 ));
             }
-            if self.lru.insert(touched, client).is_some() {
-                return Err(WireError::Inconsistent("two entries touched at one tick"));
-            }
+            self.lru.push_back((touched, client));
             let entry = SessionEntry {
                 seq,
                 reply,
@@ -411,20 +423,25 @@ impl SessionTable {
                 return Err(WireError::Inconsistent("client named twice"));
             }
         }
+        let pairs = self.lru.make_contiguous();
+        pairs.sort_unstable();
+        if pairs.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(WireError::Inconsistent("two entries touched at one tick"));
+        }
         if r.remaining() != 0 {
             return Err(WireError::TrailingBytes(r.remaining()));
         }
         self.tick = tick;
         // A peer's window may have been larger: trim to ours, oldest
         // first, preserving the local staleness contract.
-        while self.entries.len() > self.window {
-            let Some((_, victim)) = self.lru.pop_first() else {
-                break;
-            };
-            self.entries.remove(&victim);
-        }
+        self.trim();
         Ok(())
     }
+}
+
+/// Whether the LRU pair `(touched, client)` is the client's current one.
+fn live(entries: &HashMap<ClientId, SessionEntry>, touched: u64, client: ClientId) -> bool {
+    entries.get(&client).is_some_and(|e| e.touched == touched)
 }
 
 fn classify(entry: Option<&SessionEntry>, seq: u64) -> SessionCheck {
@@ -696,5 +713,161 @@ mod tests {
         let _read = Command::read(id, Bytes::new());
         assert_eq!(t.check(id), SessionCheck::Fresh);
         assert_eq!(t.len(), 0);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// The table as it was with an eager `BTreeMap` LRU index
+        /// (touched tick → client, the first key the victim): the
+        /// reference every export of the lazy index must match.
+        struct Model {
+            window: usize,
+            tick: u64,
+            entries: HashMap<ClientId, SessionEntry>,
+            lru: BTreeMap<u64, ClientId>,
+        }
+
+        impl Model {
+            fn new(window: usize) -> Self {
+                Model {
+                    window,
+                    tick: 0,
+                    entries: HashMap::new(),
+                    lru: BTreeMap::new(),
+                }
+            }
+
+            fn trim(&mut self) {
+                while self.entries.len() > self.window {
+                    let (_, victim) = self.lru.pop_first().expect("one key per entry");
+                    self.entries.remove(&victim);
+                }
+            }
+
+            fn record(&mut self, id: CommandId, reply: Reply) {
+                self.tick += 1;
+                let entry = SessionEntry {
+                    seq: id.seq,
+                    reply,
+                    touched: self.tick,
+                };
+                if let Some(old) = self.entries.insert(id.client, entry) {
+                    self.lru.remove(&old.touched);
+                }
+                self.lru.insert(self.tick, id.client);
+                self.trim();
+            }
+
+            fn evict(&mut self, client: ClientId) {
+                if let Some(e) = self.entries.remove(&client) {
+                    self.lru.remove(&e.touched);
+                }
+            }
+
+            fn reset(&mut self) {
+                self.tick = 0;
+                self.entries.clear();
+                self.lru.clear();
+            }
+
+            /// `install`, decoding only frames some table exported (or
+            /// a cut of one, which leaves the model empty).
+            fn install(&mut self, frame: &Bytes) {
+                self.reset();
+                let mut r = WireReader::new(frame.clone());
+                let mut decoded = || -> Result<_, WireError> {
+                    let tick = r.u64()?;
+                    let mut entries = Vec::new();
+                    for _ in 0..r.u32()? {
+                        let client = ClientId::decode(&mut r)?;
+                        let (seq, touched) = (r.u64()?, r.u64()?);
+                        let reply = Reply::decode(&mut r)?;
+                        entries.push((client, seq, touched, reply));
+                    }
+                    Ok((tick, entries, r.remaining()))
+                };
+                let Ok((tick, entries, 0)) = decoded() else {
+                    return;
+                };
+                self.tick = tick;
+                for (client, seq, touched, reply) in entries {
+                    self.lru.insert(touched, client);
+                    let entry = SessionEntry {
+                        seq,
+                        reply,
+                        touched,
+                    };
+                    self.entries.insert(client, entry);
+                }
+                self.trim();
+            }
+
+            fn export(&self) -> Bytes {
+                let mut sorted: Vec<_> = self.entries.iter().collect();
+                sorted.sort_by_key(|(c, _)| **c);
+                let mut buf = BytesMut::new();
+                buf.put_u64(self.tick);
+                buf.put_u32(sorted.len() as u32);
+                for (client, e) in sorted {
+                    client.encode(&mut buf);
+                    buf.put_u64(e.seq);
+                    buf.put_u64(e.touched);
+                    e.reply.encode(&mut buf);
+                }
+                buf.freeze()
+            }
+        }
+
+        proptest! {
+            /// Two tables of different windows, each beside its model,
+            /// under random writes, evictions, resets and installs of
+            /// either table's export (whole, or cut short): after every
+            /// step each table exports its model's bytes.
+            #[test]
+            fn the_lazy_lru_index_exports_what_the_eager_one_did(
+                window in 1usize..5,
+                ops in proptest::collection::vec(
+                    (0u8..8, any::<bool>(), 0u32..10, any::<u8>()),
+                    0..300,
+                ),
+            ) {
+                let windows = [window, window + 3];
+                let mut tables = windows.map(SessionTable::new);
+                let mut models = windows.map(Model::new);
+                for (step, &(kind, which, n, cut)) in ops.iter().enumerate() {
+                    let (at, other) = if which { (1, 0) } else { (0, 1) };
+                    match kind {
+                        0..=4 => {
+                            let id = CommandId::new(client(n), step as u64);
+                            tables[at].record(id, reply(id, cut));
+                            models[at].record(id, reply(id, cut));
+                        }
+                        5 => {
+                            tables[at].evict(client(n));
+                            models[at].evict(client(n));
+                        }
+                        6 => {
+                            tables[at].reset();
+                            models[at].reset();
+                        }
+                        _ => {
+                            let frame = tables[other].export();
+                            let frame = match cut {
+                                0..=191 => frame,
+                                _ => frame.slice(0..usize::from(cut) % frame.len()),
+                            };
+                            prop_assert_eq!(tables[at].install(&frame).is_ok(), cut < 192);
+                            models[at].install(&frame);
+                        }
+                    }
+                    for i in 0..2 {
+                        prop_assert_eq!(tables[i].export(), models[i].export());
+                    }
+                }
+            }
+        }
     }
 }

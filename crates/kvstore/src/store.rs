@@ -19,12 +19,14 @@ use crate::op::OpRef;
 ///
 /// A command is executed on its payload as it arrived — keys and values
 /// are parsed as borrowed windows, nothing is decoded into an owned
-/// [`KvOp`](crate::KvOp) — and the store copies only what it keeps. A
-/// `Put` (or a successful `Cas`) copies the **value** once into an
-/// exactly-sized allocation of its own; the **key** is copied only when
-/// it is new — an overwrite replaces the value under the key already in
-/// the map. The one-byte status replies are constants; a `Get` allocates
-/// its reply and nothing else.
+/// [`KvOp`](crate::KvOp) — and the store copies only what it keeps, into
+/// plain owned buffers. A `Put` (or a successful `Cas`) to an existing
+/// key copies the value into the buffer the key already holds: with
+/// room enough, as in every same-size overwrite, that allocates and
+/// frees **nothing**. A new key costs two allocations, one for the key
+/// and one for the value, and so does each entry that
+/// [`restore`](StateMachine::restore) rebuilds. The one-byte status
+/// replies are constants; a `Get` allocates its reply and nothing else.
 ///
 /// Stored values never alias a command payload, although sharing would
 /// save the copy: on the socket plane a payload is a window into the
@@ -47,7 +49,7 @@ use crate::op::OpRef;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct KvStore {
-    map: BTreeMap<Bytes, Bytes>,
+    map: BTreeMap<Box<[u8]>, Vec<u8>>,
     applied: u64,
 }
 
@@ -74,8 +76,8 @@ impl KvStore {
 
     /// Reads a value directly (test observability; not part of the
     /// replicated interface).
-    pub fn get(&self, key: &[u8]) -> Option<&Bytes> {
-        self.map.get(key)
+    pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        self.map.get(key).map(Vec::as_slice)
     }
 }
 
@@ -96,11 +98,13 @@ impl KvStore {
     }
 
     fn write(&mut self, key: &[u8], value: &[u8]) {
-        let value = Bytes::copy_from_slice(value);
         match self.map.get_mut(key) {
-            Some(slot) => *slot = value,
+            Some(slot) => {
+                slot.clear();
+                slot.extend_from_slice(value);
+            }
             None => {
-                self.map.insert(Bytes::copy_from_slice(key), value);
+                self.map.insert(key.into(), value.to_vec());
             }
         }
     }
@@ -120,7 +124,7 @@ impl StateMachine for KvStore {
                 None => NO,
             },
             Ok(OpRef::Cas { key, expect, value }) => {
-                if self.map.get(key).map(|v| &v[..]) == expect {
+                if self.get(key) == expect {
                     self.write(key, value);
                     YES
                 } else {
@@ -191,7 +195,7 @@ impl StateMachine for KvStore {
             let Some(v) = take(&mut rest, vlen) else {
                 return false;
             };
-            map.insert(Bytes::copy_from_slice(k), Bytes::copy_from_slice(v));
+            map.insert(k.into(), v.to_vec());
         }
         if !rest.is_empty() {
             return false;
@@ -279,7 +283,7 @@ mod tests {
             Bytes::from_static(b"\xFFjunk"),
         );
         assert!(s.query(&bad).is_none());
-        assert_eq!(s.get(b"k").unwrap().as_ref(), b"v", "state untouched");
+        assert_eq!(s.get(b"k"), Some(&b"v"[..]), "state untouched");
     }
 
     #[test]
@@ -287,7 +291,7 @@ mod tests {
         let mut s = KvStore::new();
         s.apply(&cmd(1, &KvOp::put("k", "old")));
         s.apply(&cmd(2, &KvOp::put("k", "new")));
-        assert_eq!(s.get(b"k").unwrap().as_ref(), b"new");
+        assert_eq!(s.get(b"k"), Some(&b"new"[..]));
         assert_eq!(s.len(), 1);
     }
 
@@ -309,7 +313,7 @@ mod tests {
         let (frame, put) = put_inside_a_frame(b"k", &[7u8; 1024]);
         assert_eq!(s.apply(&put)[..], [1]);
         let (key, value) = s.map.iter().next().unwrap();
-        assert_eq!(value.as_ref(), &[7u8; 1024]);
+        assert_eq!(value.as_slice(), &[7u8; 1024]);
         let frame = frame.as_ptr_range();
         assert!(
             !frame.contains(&value.as_ptr()),
@@ -328,8 +332,21 @@ mod tests {
         let expect = Some(Bytes::from_static(b"new"));
         assert_eq!(s.apply(&cmd(3, &KvOp::cas("k", expect, "newer")))[..], [1]);
         assert_eq!(s.map.keys().next().unwrap().as_ptr(), stored_key);
-        assert_eq!(s.get(b"k").unwrap().as_ref(), b"newer");
+        assert_eq!(s.get(b"k"), Some(&b"newer"[..]));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn a_same_length_overwrite_reuses_the_stored_value_buffer() {
+        let mut s = KvStore::new();
+        s.apply(&cmd(1, &KvOp::put("k", "old")));
+        let stored_value = s.map[&b"k"[..]].as_ptr();
+        s.apply(&put_inside_a_frame(b"k", b"new").1);
+        assert_eq!(s.map[&b"k"[..]].as_ptr(), stored_value);
+        let expect = Some(Bytes::from_static(b"new"));
+        assert_eq!(s.apply(&cmd(3, &KvOp::cas("k", expect, "cas")))[..], [1]);
+        assert_eq!(s.map[&b"k"[..]].as_ptr(), stored_value);
+        assert_eq!(s.get(b"k"), Some(&b"cas"[..]));
     }
 
     #[cfg(test)]

@@ -159,8 +159,10 @@ impl ClusterConfig {
     }
 
     /// Sets the request-coalescing policy: a node thread hands the
-    /// protocol whatever requests are queued in its inbox (up to
-    /// `max_batch`) as one batch, never waiting for more.
+    /// protocol whatever writes are queued in its inbox (up to
+    /// `max_batch`) as one batch, never waiting for more. Peer messages
+    /// queued between them are handled right after the batch instead of
+    /// splitting it; a read ends the batch.
     pub fn batch_policy(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
         self
@@ -703,7 +705,7 @@ mod tests {
     use mencius::MenciusBcast;
     use paxos::{MultiPaxos, PaxosVariant};
     use rsm_core::config::Membership;
-    use rsm_core::obs::TraceStage;
+    use rsm_core::obs::{names, TraceStage};
 
     fn kv() -> Box<dyn StateMachine> {
         Box::new(KvStore::new())
@@ -890,7 +892,8 @@ mod tests {
 
         let cfg = ClusterConfig::new(LatencyMatrix::uniform(3, 10_000))
             .scale(0.02)
-            .batch_policy(BatchPolicy::max(8));
+            .batch_policy(BatchPolicy::max(8))
+            .observe(ObsConfig::all());
         let cluster = Cluster::spawn(
             cfg,
             |id| ClockRsm::new(id, Membership::uniform(3), ClockRsmConfig::default()),
@@ -916,8 +919,14 @@ mod tests {
             )
             .expect("commit after burst");
         assert_eq!(reply.result[0], 1);
+        let metrics = cluster.metrics().expect("observing");
         let reports = cluster.shutdown();
         assert_eq!(reports[0].commit_count, 21);
+        // Every command went through a batch, and the burst coalesced.
+        let counter = |name: &str| metrics.counters[&format!("r0.{name}")];
+        assert_eq!(counter(names::BATCHED_COMMANDS), 21);
+        let batches = counter(names::CLIENT_BATCHES);
+        assert!(batches < 20, "the burst took {batches} batches");
         // The origin's state machine holds every burst key.
         let mut expected = KvStore::new();
         for i in 0..20u64 {

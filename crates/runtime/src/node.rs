@@ -1,16 +1,16 @@
 //! The per-replica node thread.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
-use rsm_core::batch::{Batch, BatchPolicy};
+use rsm_core::batch::BatchPolicy;
 use rsm_core::command::{Command, CommandId, Committed, Reply};
 use rsm_core::id::ReplicaId;
-use rsm_core::node::{Driver, Node};
+use rsm_core::node::{propose, Driver, Node};
 use rsm_core::obs::{span_key, TraceStage};
 use rsm_core::protocol::{Protocol, TimerToken};
 use rsm_core::time::{Micros, MonotonicStamper};
@@ -253,6 +253,16 @@ impl<P: Protocol> NodeHarness<P> {
     /// The node thread body: dispatch messages, requests, and timers until
     /// asked to stop.
     ///
+    /// A write request opens a **run**: every write already queued behind
+    /// it joins one batch, up to the policy cap, never waiting for more.
+    /// The run ends at the cap, at an empty inbox, at a read or at `Stop`;
+    /// a peer message met on the way is set aside and does not end it.
+    /// Right after the batch, the set-aside messages are handled in
+    /// arrival order, then the input that ended the run. So client
+    /// requests keep their arrival order among themselves, each link
+    /// keeps its order, and a message handled after newer writes is only
+    /// a message on a slower link, which every protocol tolerates.
+    ///
     /// On the in-process plane this loop is also the emulated WAN: a peer
     /// message arrives stamped with its `due` time and waits in
     /// `in_flight` until then. Per-link FIFO holds because one thread
@@ -272,6 +282,10 @@ impl<P: Protocol> NodeHarness<P> {
         } = self;
         let mut in_flight: BinaryHeap<Reverse<InFlight<P::Msg>>> = BinaryHeap::new();
         let mut arrival_seq = 0u64;
+        // Inputs a write run took from the inbox but did not batch: the
+        // peer messages it set aside, then the input that ended it. They
+        // are handled, in this order, before anything else.
+        let mut handed_back: VecDeque<NodeInput<P>> = VecDeque::new();
 
         node.with(&mut wall, |p, c| p.on_start(c));
 
@@ -280,115 +294,121 @@ impl<P: Protocol> NodeHarness<P> {
         // snapshot before the first interval elapses).
         let mut next_poll = poll_every.map(|_| Instant::now());
 
-        'run: loop {
-            // Fire due timers first, then deliver every due message.
-            let now = Instant::now();
-            while wall
-                .timers
-                .peek()
-                .is_some_and(|Reverse((due, _, _))| *due <= now)
-            {
-                let Reverse((_, _, token)) = wall.timers.pop().expect("peeked");
-                node.with(&mut wall, |p, c| p.on_timer(token, c));
-            }
-            while in_flight.peek().is_some_and(|Reverse(f)| f.due <= now) {
-                let Reverse(f) = in_flight.pop().expect("peeked");
-                node.with(&mut wall, |p, c| p.on_message(f.from, f.msg, c));
-            }
+        loop {
+            let input = match handed_back.pop_front() {
+                Some(input) => input,
+                None => {
+                    // Fire due timers first, then deliver every due
+                    // message.
+                    let now = Instant::now();
+                    while wall
+                        .timers
+                        .peek()
+                        .is_some_and(|Reverse((due, _, _))| *due <= now)
+                    {
+                        let Reverse((_, _, token)) = wall.timers.pop().expect("peeked");
+                        node.with(&mut wall, |p, c| p.on_timer(token, c));
+                    }
+                    while in_flight.peek().is_some_and(|Reverse(f)| f.due <= now) {
+                        let Reverse(f) = in_flight.pop().expect("peeked");
+                        node.with(&mut wall, |p, c| p.on_message(f.from, f.msg, c));
+                    }
 
-            // Periodic gauge poll (observing clusters only): ask the
-            // protocol for its instantaneous state — stable-timestamp
-            // lag, per-peer LatestTV staleness, ballot.
-            if let (Some(every), Some(np)) = (poll_every, next_poll) {
-                if now >= np {
-                    node.with(&mut wall, |p, c| p.obs_poll(c));
-                    next_poll = Some(Instant::now() + every);
-                }
-            }
+                    // Periodic gauge poll (observing clusters only): ask
+                    // the protocol for its instantaneous state —
+                    // stable-timestamp lag, per-peer LatestTV staleness,
+                    // ballot.
+                    if let (Some(every), Some(np)) = (poll_every, next_poll) {
+                        if now >= np {
+                            node.with(&mut wall, |p, c| p.obs_poll(c));
+                            next_poll = Some(Instant::now() + every);
+                        }
+                    }
 
-            // Sleep until the next timer, held message or gauge poll,
-            // whichever is sooner (forever when none is pending).
-            let deadline = [
-                wall.timers.peek().map(|Reverse((due, _, _))| *due),
-                in_flight.peek().map(|Reverse(f)| f.due),
-                next_poll,
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let input = match deadline {
-                Some(due) => {
-                    let timeout = due.saturating_duration_since(Instant::now());
-                    match inbox.recv_timeout(timeout) {
-                        Ok(i) => i,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
+                    // Sleep until the next timer, held message or gauge
+                    // poll, whichever is sooner (forever when none is
+                    // pending).
+                    let deadline = [
+                        wall.timers.peek().map(|Reverse((due, _, _))| *due),
+                        in_flight.peek().map(|Reverse(f)| f.due),
+                        next_poll,
+                    ]
+                    .into_iter()
+                    .flatten()
+                    .min();
+                    match deadline {
+                        Some(due) => {
+                            let timeout = due.saturating_duration_since(Instant::now());
+                            match inbox.recv_timeout(timeout) {
+                                Ok(i) => i,
+                                Err(RecvTimeoutError::Timeout) => continue,
+                                Err(RecvTimeoutError::Disconnected) => break,
+                            }
+                        }
+                        None => match inbox.recv() {
+                            Ok(i) => i,
+                            Err(_) => break,
+                        },
                     }
                 }
-                None => match inbox.recv() {
-                    Ok(i) => i,
-                    Err(_) => break,
-                },
             };
 
-            // A write run that stops at a non-write hands it back here,
-            // so it is handled right after the batch, in arrival order.
-            let mut next = Some(input);
-            while let Some(input) = next.take() {
-                match input {
-                    NodeInput::Msg { from, msg, due } => match due {
-                        Some(due) if !in_flight.is_empty() || due > Instant::now() => {
-                            arrival_seq += 1;
-                            in_flight.push(Reverse(InFlight {
-                                due,
-                                seq: arrival_seq,
-                                from,
-                                msg,
-                            }));
-                        }
-                        _ => node.with(&mut wall, |p, c| p.on_message(from, msg, c)),
-                    },
-                    NodeInput::Request(cmd, waiter) if cmd.read_only => {
-                        wall.waiters.register(cmd.id, waiter);
-                        // Reads bypass the batching pipeline entirely: a
-                        // `Get` must never wait behind a write batch.
-                        // Straight to the protocol's read path.
-                        node.with(&mut wall, |p, c| p.on_client_read(cmd, c));
+            match input {
+                NodeInput::Msg { from, msg, due } => match due {
+                    Some(due) if !in_flight.is_empty() || due > Instant::now() => {
+                        arrival_seq += 1;
+                        in_flight.push(Reverse(InFlight {
+                            due,
+                            seq: arrival_seq,
+                            from,
+                            msg,
+                        }));
                     }
-                    NodeInput::Request(cmd, waiter) => {
-                        wall.waiters.register(cmd.id, waiter);
-                        // Coalesce opportunistically: take whatever
-                        // requests are already queued (up to the policy
-                        // cap) into one batch, never waiting for more. A
-                        // read or a message ends the run: reads never
-                        // join batches.
-                        let mut cmds = vec![cmd];
-                        while batch.fits(cmds.len()) {
-                            match inbox.try_recv() {
-                                Ok(NodeInput::Request(c, waiter)) if !c.read_only => {
-                                    wall.waiters.register(c.id, waiter);
-                                    cmds.push(c);
-                                }
-                                Ok(other) => {
-                                    next = Some(other);
-                                    break;
-                                }
-                                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                            }
-                        }
-                        if let Some(t) = &node.tracer {
-                            // Span origin: this node (the command's local
-                            // replica). Reads never reach here — they skip
-                            // the ordering pipeline the span describes.
-                            let at = wall.trace_now();
-                            for c in &cmds {
-                                t.begin(span_key(c.id), wall.id.as_u16(), at);
-                            }
-                        }
-                        node.with(&mut wall, |p, c| p.on_client_batch(Batch::new(cmds), c));
-                    }
-                    NodeInput::Stop => break 'run,
+                    _ => node.with(&mut wall, |p, c| p.on_message(from, msg, c)),
+                },
+                NodeInput::Request(cmd, waiter) if cmd.read_only => {
+                    wall.waiters.register(cmd.id, waiter);
+                    // Reads bypass the batching pipeline entirely: a `Get`
+                    // must never wait behind a write batch. Straight to
+                    // the protocol's read path.
+                    node.with(&mut wall, |p, c| p.on_client_read(cmd, c));
                 }
+                NodeInput::Request(cmd, waiter) => {
+                    wall.waiters.register(cmd.id, waiter);
+                    // Coalesce opportunistically: take whatever writes are
+                    // already queued (up to the policy cap) into one
+                    // batch, never waiting for more. A peer message is set
+                    // aside and the run goes on; a read (reads never join
+                    // batches) or `Stop` ends it. A run starts only when
+                    // nothing is handed back, so what it hands back is
+                    // handled next, in arrival order.
+                    let mut cmds = vec![cmd];
+                    while batch.fits(cmds.len()) {
+                        match inbox.try_recv() {
+                            Ok(NodeInput::Request(c, waiter)) if !c.read_only => {
+                                wall.waiters.register(c.id, waiter);
+                                cmds.push(c);
+                            }
+                            Ok(msg @ NodeInput::Msg { .. }) => handed_back.push_back(msg),
+                            Ok(other) => {
+                                handed_back.push_back(other);
+                                break;
+                            }
+                            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
+                        }
+                    }
+                    if let Some(t) = &node.tracer {
+                        // Span origin: this node (the command's local
+                        // replica). Reads never reach here — they skip the
+                        // ordering pipeline the span describes.
+                        let at = wall.trace_now();
+                        for c in &cmds {
+                            t.begin(span_key(c.id), wall.id.as_u16(), at);
+                        }
+                    }
+                    node.with(&mut wall, |p, c| propose(p, c, cmds));
+                }
+                NodeInput::Stop => break,
             }
         }
 
@@ -406,6 +426,7 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
     use kvstore::KvStore;
+    use rsm_core::batch::Batch;
     use rsm_core::id::ClientId;
     use rsm_core::protocol::Context;
     use std::sync::{Arc, Mutex};
@@ -563,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn reads_and_messages_end_a_write_run_and_keep_arrival_order() {
+    fn reads_end_a_write_run_and_messages_wait_behind_it() {
         // Due on arrival, as the socket planes deliver.
         let peer = NodeInput::Msg {
             from: ReplicaId::new(1),
@@ -576,11 +597,43 @@ mod tests {
             [
                 Call::Batch(2),
                 Call::Read,
-                Call::Batch(1),
+                Call::Batch(2), // the message does not end the run
                 message(1, 7),
-                Call::Batch(1), // its run is ended by `Stop`
             ]
         );
+    }
+
+    #[test]
+    fn messages_inside_a_write_run_wait_for_its_batch() {
+        // A pre-loaded inbox, so nothing races the drain: five writes
+        // with in-process messages of two links between them, link 1
+        // slower than link 2.
+        let t0 = Instant::now();
+        let sent = [(1, 0, 6), (2, 0, 2), (1, 1, 8), (2, 1, 4)]
+            .map(|(from, payload, ms)| (from, payload, t0 + Duration::from_millis(ms)));
+        let mut inputs = vec![write(1)];
+        for (seq, &(from, payload, due)) in (2..).zip(&sent) {
+            inputs.push(msg(from, payload, due));
+            inputs.push(write(seq));
+        }
+        let calls = run_until(Recorder::default(), inputs, 1 + sent.len());
+        assert_eq!(calls[0].0, Call::Batch(5), "one batch, before any message");
+        let mut per_link: HashMap<u16, Vec<u32>> = HashMap::new();
+        for (call, at) in &calls[1..] {
+            let &Call::Message { from, payload } = call else {
+                panic!("a second batch or a read: {call:?}");
+            };
+            let due = sent
+                .iter()
+                .find(|s| (s.0, s.1) == (from, payload))
+                .expect("a sent message")
+                .2;
+            assert!(*at >= due, "{call:?} dispatched early");
+            per_link.entry(from).or_default().push(payload);
+        }
+        for link in [1, 2] {
+            assert_eq!(per_link[&link], [0, 1], "FIFO on link {link}");
+        }
     }
 
     #[test]
@@ -647,10 +700,10 @@ mod tests {
     fn a_due_message_does_not_overtake_its_link_predecessor_in_the_heap() {
         // One link, two messages. The first is received early and held;
         // the write behind it keeps the node busy past both due times,
-        // and its run is ended by the second message — which is thus
-        // received already due, in the same turn, with the first still
-        // in the heap. "Due already, dispatch directly" would reorder
-        // the link here.
+        // and its run sets the second message aside — which is thus
+        // handed back already due, right after the batch, with the first
+        // still in the heap. "Due already, dispatch directly" would
+        // reorder the link here.
         let t0 = Instant::now();
         let first = msg(1, 1, t0 + Duration::from_millis(20));
         let second = msg(1, 2, t0 + Duration::from_millis(21));

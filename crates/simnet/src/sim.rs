@@ -5,11 +5,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rsm_core::batch::{Batch, BatchPolicy};
+use rsm_core::batch::BatchPolicy;
 use rsm_core::command::{Command, Committed, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
-use rsm_core::node::{Driver, Node};
+use rsm_core::node::{propose, Driver, Node};
 use rsm_core::obs::{names, span_key, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::sm::StateMachine;
@@ -114,7 +114,7 @@ impl SimConfig {
 
     /// Sets the request-coalescing policy: client requests queued at a
     /// replica when it gets scheduled are handed to the protocol as one
-    /// [`Batch`] of up to `max_batch` commands (never waiting
+    /// [`Batch`](rsm_core::batch::Batch) of up to `max_batch` commands (never waiting
     /// intentionally). The default is [`BatchPolicy::DISABLED`], which
     /// reproduces per-command behaviour exactly.
     pub fn batch_policy(mut self, batch: BatchPolicy) -> Self {
@@ -981,7 +981,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     }
 
     /// Inbox processing step: drain the inbox as one receive batch,
-    /// coalesce runs of queued client requests into [`Batch`]es (capped
+    /// coalesce runs of queued client requests into [`Batch`](rsm_core::batch::Batch)es (capped
     /// by the batch policy), run the protocol, then ship all produced
     /// messages as per-destination send batches. With a CPU model the
     /// node is busy for the step's total cost and outgoing messages hit
@@ -1024,7 +1024,11 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         // Run the protocol over every input, accumulating effects.
         // Consecutive requests coalesce into one client batch each, up to
         // the policy cap; messages flush the run so relative order with
-        // requests is preserved.
+        // requests is preserved. This is deliberately not the threaded
+        // runtime's rule, where a message is set aside and the run goes
+        // on: adopting it here would re-time every simulated execution,
+        // and predicting the runtime's batch sizes is the cost model's
+        // calibration, not the inbox step's.
         let batch = self.cfg.batch;
         let n = &mut self.nodes[idx];
         let mut driver = SimDriver::new(self.now, &mut n.clock);
@@ -1034,7 +1038,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 match input {
                     NodeInput::Msg(from, m) => {
                         if !run.is_empty() {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), ctx);
+                            propose(proto, ctx, std::mem::take(&mut run));
                         }
                         proto.on_message(from, m, ctx);
                     }
@@ -1044,21 +1048,21 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                         // and hand the read straight to the protocol's
                         // read path.
                         if !run.is_empty() {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), ctx);
+                            propose(proto, ctx, std::mem::take(&mut run));
                         }
                         proto.on_client_read(c, ctx);
                     }
                     NodeInput::Request(c) => {
                         // Flush when the run has reached the cap.
                         if !batch.fits(run.len()) {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), ctx);
+                            propose(proto, ctx, std::mem::take(&mut run));
                         }
                         run.push(c);
                     }
                 }
             }
             if !run.is_empty() {
-                proto.on_client_batch(Batch::new(run), ctx);
+                propose(proto, ctx, run);
             }
         });
         let eff = driver.eff;
