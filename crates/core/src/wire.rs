@@ -400,9 +400,9 @@ pub struct FrameHeader {
     pub to: ReplicaId,
     /// Payload length in bytes.
     pub len: u32,
-    /// Per-link frame sequence number, strictly increasing. Receivers
-    /// drop non-increasing sequences so a reconnect resend of frames the
-    /// sender could not prove fully written never duplicates delivery.
+    /// Per-link frame sequence number: 1, 2, 3, … on each connection.
+    /// Receivers refuse any other value and close the connection, so a
+    /// lost frame takes its link down instead of leaving a gap.
     pub seq: u64,
     /// [`checksum`] of the payload (XXH64, low 32 bits).
     pub checksum: u32,

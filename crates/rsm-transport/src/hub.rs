@@ -34,14 +34,12 @@ pub struct TransportMetrics {
     pub frames_recv: Counter,
     /// Header + payload bytes of verified delivered frames.
     pub bytes_recv: Counter,
-    /// Successful redials after a torn connection (per-link dials beyond
-    /// the first).
-    pub reconnects: Counter,
-    /// Frames dropped by the receiver's per-sender sequence dedup (a
-    /// reconnect resend overlapped what was already delivered).
-    pub dup_frames: Counter,
-    /// Frames the listener refused — a bad header, a checksum mismatch
-    /// or an undecodable payload; each one also closed its connection.
+    /// Peer links that went down — a failed dial or write — and stay
+    /// down, dropping every frame sent on them afterwards.
+    pub links_down: Counter,
+    /// Frames the listener refused — a bad header, a checksum mismatch,
+    /// a `seq` out of order, a second link from one sender or an
+    /// undecodable payload; each one also closed its connection.
     pub frames_rejected: Counter,
 }
 
@@ -54,8 +52,7 @@ impl TransportMetrics {
             bytes_sent: registry.counter(&name("bytes_sent")),
             frames_recv: registry.counter(&name("frames_recv")),
             bytes_recv: registry.counter(&name("bytes_recv")),
-            reconnects: registry.counter(&name("reconnects")),
-            dup_frames: registry.counter(&name("dup_frames")),
+            links_down: registry.counter(&name("links_down")),
             frames_rejected: registry.counter(&name("frames_rejected")),
         }
     }
@@ -70,13 +67,13 @@ struct EncodeCache<M> {
 struct Peer {
     link: PeerLink,
     delay: Duration,
-    /// Strictly increasing per-link frame sequence, the receiver's
-    /// reconnect dedup key.
+    /// Per-link frame sequence, 1, 2, 3, …: the receiver takes any other
+    /// as a gap and closes the link.
     seq: u64,
 }
 
-/// The outbound half of one replica: a [`PeerLink`] per peer and a
-/// one-entry encode cache.
+/// The outbound half of one replica: a link (a queue and its writer
+/// thread) per peer and a one-entry encode cache.
 ///
 /// The cache is what makes broadcasts zero-re-encode: protocols send the
 /// same `Arc`-shared batch message to every peer back-to-back, and
@@ -107,7 +104,7 @@ impl<M: WireMsg> Hub<M> {
     /// Replaces the hub's outbound counters (typically with
     /// registry-backed cells from [`TransportMetrics::register`]). Call
     /// **before** [`add_peer`](Hub::add_peer): links spawned earlier keep
-    /// the previous reconnect counter.
+    /// the previous `links_down` counter.
     pub fn set_metrics(&mut self, metrics: TransportMetrics) {
         self.metrics = metrics;
     }
@@ -121,7 +118,7 @@ impl<M: WireMsg> Hub<M> {
             self.peers.resize_with(idx + 1, || None);
         }
         self.peers[idx] = Some(Peer {
-            link: PeerLink::spawn(endpoint, self.metrics.reconnects.clone()),
+            link: PeerLink::spawn(endpoint, self.metrics.links_down.clone()),
             delay,
             seq: 0,
         });

@@ -13,14 +13,14 @@
 //!   accepted connection. Each reader decodes length-prefixed frames
 //!   ([`FrameHeader`](rsm_core::wire::FrameHeader) + payload), verifies
 //!   the checksum, and hands the decoded message to a deliver callback.
-//! * [`Hub`] — a node's outbound side: one [`PeerLink`] writer thread
-//!   per peer behind a `crossbeam::channel::bounded` queue — the same
-//!   channel the runtime's inboxes use. It **blocks** a sender that
-//!   outruns the peer's socket and never drops: the paper's protocols
-//!   are proved over reliable FIFO links, and a later timestamp from a
-//!   replica is taken as proof that nothing earlier from it is
-//!   outstanding, so a frame shed under load would be a safety bug, not
-//!   a slow-down. Plus a one-entry encode cache keyed by
+//! * [`Hub`] — a node's outbound side: one writer thread per peer link
+//!   behind a `crossbeam::channel::bounded` queue — the same channel the
+//!   runtime's inboxes use. It **blocks** a sender that outruns a live
+//!   peer's socket and never drops a frame on a live link: the paper's
+//!   protocols are proved over reliable FIFO links, and a later
+//!   timestamp from a replica is taken as proof that nothing earlier
+//!   from it is outstanding, so a frame shed under load would be a
+//!   safety bug, not a slow-down. Plus a one-entry encode cache keyed by
 //!   [`WireMsg::shares_encoding`](rsm_core::wire::WireMsg::shares_encoding)
 //!   so a broadcast encodes its payload **once** and every per-peer send
 //!   reuses the same `Bytes` buffer.
@@ -29,16 +29,22 @@
 //!
 //! ## Link semantics
 //!
-//! Each ordered replica pair `(i → j)` uses one connection, dialed by
-//! `i`'s writer thread and accepted by `j`'s listener, so delivery is
-//! FIFO per link — the channel assumption every protocol in the
-//! workspace relies on. Writer threads coalesce all queued due frames
-//! into a single vectored write (pipelining), honour a per-link minimum
-//! delay (the runtime's WAN emulation rides on it), and reconnect with
-//! exponential backoff, retaining unsent frames. Frames carry a strictly
-//! increasing per-link sequence number; receivers drop non-increasing
-//! sequences so a resend after a torn connection can never duplicate a
-//! delivered frame.
+//! Each ordered replica pair `(i → j)` uses one connection for its whole
+//! life, dialed once by `i`'s writer thread and accepted by `j`'s
+//! listener. Writer threads coalesce all queued due frames into a single
+//! vectored write (pipelining) and honour a per-link minimum delay (the
+//! runtime's WAN emulation rides on it). Frames carry the per-link
+//! sequence 1, 2, 3, …; the listener refuses any other, and any second
+//! connection from a sender it has delivered from.
+//!
+//! A link is therefore FIFO and gap-free — the channel assumption every
+//! protocol in the workspace relies on — or it is down, and counted. A
+//! failed dial, a failed write or a refused frame closes the connection;
+//! the writer bumps `links_down` and drops every later frame for that
+//! peer, which the protocols see as a partition they already survive.
+//! There is no redial: the writer cannot know which of the frames it
+//! wrote the peer took, and a resumed stream could deliver past a lost
+//! one.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,7 +56,6 @@ mod listener;
 
 pub use endpoint::Endpoint;
 pub use hub::{Hub, MsgSink, TransportMetrics};
-pub use link::PeerLink;
 pub use listener::Listener;
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Inbound side: accept loop + per-connection frame readers.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::io::{self, Read};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -33,17 +33,21 @@ impl Acceptor {
 ///
 /// Each accepted connection gets its own reader thread: it reads the
 /// 32-byte [`FrameHeader`], validates magic/version/length, reads the
-/// payload, verifies the checksum, deduplicates by per-sender sequence
-/// number, decodes the message, and invokes the deliver callback. The
-/// payload is read once, by the kernel, into a buffer that is reserved
-/// but never zero-filled, and that buffer — not a copy of it — is what
-/// the delivered message's `Bytes` fields point into (so a message that
-/// outlives its frame keeps the frame's allocation alive). Any
-/// framing or decode error bumps `frames_rejected` and closes the
-/// connection — the reader shuts the socket down, so the sending peer's
-/// next write fails and it redials; EOF ends the thread cleanly. The
-/// rejected frame itself is **not** resent: a writer retains only what
-/// it could not hand to the kernel, and there is no ack layer above it.
+/// payload, verifies the checksum, checks the frame's place on its link,
+/// decodes the message, and invokes the deliver callback. The payload is
+/// read once, by the kernel, into a buffer that is reserved but never
+/// zero-filled, and that buffer — not a copy of it — is what the
+/// delivered message's `Bytes` fields point into (so a message that
+/// outlives its frame keeps the frame's allocation alive).
+///
+/// A link is one connection for the listener's life. The frames on a
+/// connection must come from one sender with `seq` 1, 2, 3, …, and the
+/// first verified frame claims that sender, so a second connection from
+/// it is refused. Any framing, sequence or decode error bumps
+/// `frames_rejected` and closes the connection — the reader shuts the
+/// socket down, so the sending peer's next write fails and its link goes
+/// down for good; EOF ends the thread cleanly. What is delivered from a
+/// sender is therefore always a gap-free prefix of what it sent.
 ///
 /// What the listener holds is bounded by its **live** connections: every
 /// accept lets go of the readers that have finished since the last one.
@@ -60,8 +64,8 @@ type Readers = Arc<Mutex<Vec<(JoinHandle<()>, Option<Conn>)>>>;
 
 impl Listener {
     /// Binds `endpoint` and starts accepting. `deliver` is called on the
-    /// reader thread for every verified, deduplicated frame, with the
-    /// sending replica and the decoded message; it must hand off fast
+    /// reader thread for every verified frame, in its sender's order, with
+    /// the sending replica and the decoded message; it must hand off fast
     /// (typically one channel send into the node's inbox).
     pub fn bind<M, F>(endpoint: &Endpoint, deliver: F) -> io::Result<Listener>
     where
@@ -72,9 +76,8 @@ impl Listener {
     }
 
     /// [`bind`](Listener::bind) with inbound counters: every verified
-    /// delivered frame bumps `frames_recv`/`bytes_recv`, frames dropped
-    /// by the reconnect-resend sequence dedup bump `dup_frames`, and a
-    /// frame that fails header, checksum or payload decoding bumps
+    /// delivered frame bumps `frames_recv`/`bytes_recv`, and a frame that
+    /// fails its header, checksum, sequence or payload checks bumps
     /// `frames_rejected`.
     pub fn bind_with_metrics<M, F>(
         endpoint: &Endpoint,
@@ -99,11 +102,9 @@ impl Listener {
         };
         let shutdown = Arc::new(AtomicBool::new(false));
         let readers = Readers::default();
-        // Last delivered frame sequence per sender, shared by all reader
-        // threads of this listener: a reconnecting peer resends anything
-        // it could not prove fully written, and this map drops the
-        // overlap so links stay exactly-once from the node's viewpoint.
-        let last_seq: Arc<Mutex<HashMap<u16, u64>>> = Arc::new(Mutex::new(HashMap::new()));
+        // Every sender that has its one link here: a connection that
+        // carried a verified frame from it.
+        let claimed: Arc<Mutex<HashSet<ReplicaId>>> = Arc::default();
         let deliver = Arc::new(deliver);
 
         let accept_handle = {
@@ -126,15 +127,15 @@ impl Listener {
                     }
                     let clone = conn.try_clone().ok();
                     let deliver = Arc::clone(&deliver);
-                    let last_seq = Arc::clone(&last_seq);
+                    let claimed = Arc::clone(&claimed);
                     let metrics = metrics.clone();
                     let handle = std::thread::Builder::new()
                         .name("rsm-reader".into())
                         .spawn(move || {
                             // On the socket itself: see `read_frames`.
                             let read = match &mut conn {
-                                Conn::Tcp(s) => read_frames(s, &*deliver, &last_seq, &metrics),
-                                Conn::Uds(s) => read_frames(s, &*deliver, &last_seq, &metrics),
+                                Conn::Tcp(s) => read_frames(s, &*deliver, &claimed, &metrics),
+                                Conn::Uds(s) => read_frames(s, &*deliver, &claimed, &metrics),
                             };
                             if read.is_err() {
                                 metrics.frames_rejected.inc();
@@ -146,8 +147,8 @@ impl Listener {
                         })
                         .expect("spawn reader thread");
                     // A finished reader's handle and descriptor go here,
-                    // not at `stop`: a peer that redials after every torn
-                    // connection would otherwise cost one of each per
+                    // not at `stop`: short-lived dials (probes, refused
+                    // second links) would otherwise cost one of each per
                     // dial for as long as the listener lives.
                     let mut readers = readers.lock().unwrap();
                     readers.retain(|(reader, _)| !reader.is_finished());
@@ -202,7 +203,7 @@ impl Drop for Listener {
 }
 
 /// Reads frames off one connection until EOF or a torn connection
-/// (`Ok`; the peer redials) or the first malformed frame (`Err`).
+/// (`Ok`) or the first rejected frame (`Err`).
 ///
 /// The payload buffer is reserved, never zero-filled: `read_to_end` hands
 /// the reader the vector's spare capacity, and std's socket types read
@@ -213,10 +214,12 @@ impl Drop for Listener {
 fn read_frames<M: WireMsg>(
     conn: &mut impl Read,
     deliver: &(dyn Fn(ReplicaId, M) + Send + Sync),
-    last_seq: &Mutex<HashMap<u16, u64>>,
+    claimed: &Mutex<HashSet<ReplicaId>>,
     metrics: &TransportMetrics,
 ) -> Result<(), WireError> {
     let mut header_buf = [0u8; MSG_HEADER_BYTES];
+    let mut sender: Option<ReplicaId> = None;
+    let mut next_seq = 1u64;
     loop {
         if conn.read_exact(&mut header_buf).is_err() {
             return Ok(());
@@ -231,15 +234,17 @@ fn read_frames<M: WireMsg>(
         }
         let payload = Bytes::from(payload);
         header.verify_payload(&payload)?;
-        {
-            let mut seqs = last_seq.lock().unwrap();
-            let last = seqs.entry(header.from.as_u16()).or_insert(0);
-            if header.seq <= *last {
-                metrics.dup_frames.inc();
-                continue; // Duplicate from a reconnect resend.
-            }
-            *last = header.seq;
+        if header.seq != next_seq || sender.is_some_and(|s| s != header.from) {
+            return Err(WireError::Inconsistent("frame out of sequence on its link"));
         }
+        if sender.is_none() {
+            let mut claimed = claimed.lock().expect("no reader panics holding the claims");
+            if !claimed.insert(header.from) {
+                return Err(WireError::Inconsistent("second link from one sender"));
+            }
+            sender = Some(header.from);
+        }
+        next_seq += 1;
         let msg = decode_payload::<M>(payload)?;
         metrics.frames_recv.inc();
         metrics

@@ -1,7 +1,8 @@
 use std::cell::Cell;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -9,7 +10,7 @@ use bytes::{Bytes, BytesMut};
 use rsm_core::id::ReplicaId;
 use rsm_core::wire::{
     encode_payload, FrameHeader, WireDecode, WireEncode, WireError, WireMsg, WireReader,
-    MAX_FRAME_PAYLOAD,
+    MAX_FRAME_PAYLOAD, MSG_HEADER_BYTES,
 };
 
 use crate::link::LINK_QUEUE_CAP;
@@ -44,10 +45,17 @@ impl WireEncode for TestMsg {
     }
 }
 
+/// The one tag the listener's decoder refuses.
+const REFUSED_TAG: u64 = 1_000_000;
+
 impl WireDecode for TestMsg {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
+        let tag = u64::decode(r)?;
+        if tag == REFUSED_TAG {
+            return Err(WireError::Inconsistent("the refused test tag"));
+        }
         Ok(TestMsg {
-            tag: u64::decode(r)?,
+            tag,
             body: Bytes::decode(r)?,
         })
     }
@@ -211,39 +219,62 @@ fn a_rejected_frame_closes_the_connection_and_is_counted() {
     let (listener, metrics, rx) = counted_tcp_listener();
     let addr = tcp_addr(&listener);
     let (r0, r1) = (ReplicaId::new(0), ReplicaId::new(1));
+    let msg = TestMsg::new(1, b"frame");
 
     // A well-formed header over a payload with one bit flipped in flight.
-    let mut payload = encode_payload(&TestMsg::new(1, &[7u8; 256])).to_vec();
-    let header = FrameHeader::for_payload(r0, r1, 1, &payload).encode();
-    payload[100] ^= 0x01;
-    let mut raw = TcpStream::connect(addr).unwrap();
-    raw.write_all(&header).unwrap();
-    raw.write_all(&payload).unwrap();
+    let mut corrupt = raw_frame(0, 1, &TestMsg::new(1, &[7u8; 256]));
+    corrupt[MSG_HEADER_BYTES + 100] ^= 0x01;
+    // Each stream is refused at its last frame, after delivering the
+    // given number of frames before it.
+    let cases = [
+        ("a corrupt payload", corrupt, 0),
+        (
+            "seq 1 then 3",
+            [raw_frame(2, 1, &msg), raw_frame(2, 3, &msg)].concat(),
+            1,
+        ),
+        ("a first frame that is not seq 1", raw_frame(3, 2, &msg), 0),
+        (
+            "a second connection from sender 2",
+            raw_frame(2, 1, &msg),
+            0,
+        ),
+    ];
+    for (rejected, (case, stream, delivered)) in (1..).zip(cases) {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(&stream).unwrap();
+        // The reader must close the socket, not just stop reading it: the
+        // sender sees EOF instead of a stream that silently fills up.
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(
+            raw.read(&mut [0u8; 1])
+                .unwrap_or_else(|e| panic!("{case}: connection left open ({e})")),
+            0,
+            "{case}"
+        );
+        assert_eq!(metrics.frames_rejected.get(), rejected, "{case}");
+        for _ in 0..delivered {
+            rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+        }
+        assert!(
+            rx.try_recv().is_err(),
+            "{case}: a refused frame was delivered"
+        );
+    }
 
-    // The reader must close the socket, not just stop reading it: the
-    // sender sees EOF instead of a stream that silently fills up.
-    raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-    assert_eq!(
-        raw.read(&mut [0u8; 1])
-            .expect("connection closed, not left open"),
-        0
-    );
-    assert_eq!(metrics.frames_rejected.get(), 1);
-    assert!(rx.try_recv().is_err(), "a corrupt frame was delivered");
-
-    // A fresh link to the same listener still delivers.
+    // A link from a sender no connection has delivered from still works.
     let mut hub: Hub<TestMsg> = Hub::new(r0, Box::new(|_| ()));
     hub.add_peer(r1, listener.endpoint().clone(), Duration::ZERO);
     hub.send_msg(r1, TestMsg::new(2, b"after"));
     let (_, msg) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
     assert_eq!(msg.tag, 2);
-    assert_eq!(metrics.frames_rejected.get(), 1);
+    assert_eq!(metrics.frames_rejected.get(), 4);
 }
 
-/// Header and payload of `msg` as frame `seq` on the `0 → 1` link.
-fn raw_frame(seq: u64, msg: &TestMsg) -> Vec<u8> {
+/// Header and payload of `msg` as frame `seq` on the `from → 1` link.
+fn raw_frame(from: u16, seq: u64, msg: &TestMsg) -> Vec<u8> {
     let payload = encode_payload(msg);
-    let header = FrameHeader::for_payload(ReplicaId::new(0), ReplicaId::new(1), seq, &payload);
+    let header = FrameHeader::for_payload(ReplicaId::new(from), ReplicaId::new(1), seq, &payload);
     [&header.encode()[..], &payload[..]].concat()
 }
 
@@ -267,7 +298,7 @@ fn readers_drain_to(listener: &Listener, live: usize) -> bool {
 fn a_frame_arriving_in_pieces_is_delivered_once_and_intact() {
     let (listener, metrics, rx) = counted_tcp_listener();
     let msg = patterned_64k(1);
-    let frame = raw_frame(1, &msg);
+    let frame = raw_frame(0, 1, &msg);
     let mut raw = TcpStream::connect(tcp_addr(&listener)).unwrap();
     raw.set_nodelay(true).unwrap();
     // One byte of the header, then the rest of it with the head of the
@@ -282,7 +313,7 @@ fn a_frame_arriving_in_pieces_is_delivered_once_and_intact() {
     assert_eq!(got, msg);
     // The stream is still in step: the next frame on it is the next
     // delivery, and there is no other.
-    raw.write_all(&raw_frame(2, &TestMsg::new(2, b"next")))
+    raw.write_all(&raw_frame(0, 2, &TestMsg::new(2, b"next")))
         .unwrap();
     let (_, next) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
     assert_eq!(next.tag, 2);
@@ -295,7 +326,7 @@ fn a_frame_arriving_in_pieces_is_delivered_once_and_intact() {
 fn a_connection_closed_mid_payload_is_torn_not_malformed() {
     let (listener, metrics, rx) = counted_tcp_listener();
     let msg = patterned_64k(1);
-    let frame = raw_frame(1, &msg);
+    let frame = raw_frame(0, 1, &msg);
     let mut torn = TcpStream::connect(tcp_addr(&listener)).unwrap();
     torn.write_all(&frame[..frame.len() / 2]).unwrap();
     drop(torn);
@@ -306,10 +337,10 @@ fn a_connection_closed_mid_payload_is_torn_not_malformed() {
     assert!(rx.try_recv().is_err(), "half a frame was delivered");
     assert_eq!(metrics.frames_rejected.get(), 0, "torn, not malformed");
 
-    // The peer redials and resends: same sequence number, delivered —
-    // the torn attempt did not touch the dedup state either.
-    let mut redial = TcpStream::connect(tcp_addr(&listener)).unwrap();
-    redial.write_all(&frame).unwrap();
+    // A torn connection that delivered nothing claims no sender: a new
+    // connection from the same peer, at `seq` 1 again, is its link.
+    let mut fresh = TcpStream::connect(tcp_addr(&listener)).unwrap();
+    fresh.write_all(&frame).unwrap();
     let (_, got) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
     assert_eq!(got, msg);
     assert_eq!(metrics.frames_rejected.get(), 0);
@@ -447,8 +478,8 @@ fn a_stalled_peer_blocks_the_sender_at_the_link_bound_and_loses_nothing() {
 
 #[test]
 fn dropping_a_hub_does_not_wait_for_an_unreachable_peer() {
-    // Nobody listens here, so the writer redials for ever — with frames
-    // queued and, after the drop, no way to drain them.
+    // Nobody listens here, so the link is down from its dial on — with
+    // frames queued and, after the drop, no peer to write them to.
     let nowhere = Endpoint::uds_temp("nowhere", 0);
     let mut hub: Hub<TestMsg> = Hub::new(ReplicaId::new(0), Box::new(|_| ()));
     hub.add_peer(ReplicaId::new(1), nowhere, Duration::ZERO);
@@ -480,8 +511,8 @@ fn finished_connections_cost_the_listener_nothing() {
     );
     hub.send_msg(ReplicaId::new(1), TestMsg::new(1, b"live"));
     rx.recv_timeout(Duration::from_secs(5)).expect("frame");
-    // …and 200 that come and go, as a peer redialing after torn
-    // connections (or a port scanner) would produce them.
+    // …and 200 that come and go, as probes or a port scanner would
+    // produce them.
     for _ in 0..200 {
         drop(TcpStream::connect(addr).unwrap());
     }
@@ -497,4 +528,131 @@ fn finished_connections_cost_the_listener_nothing() {
     listener.stop();
     assert_eq!(listener.held(), 0);
     drop(hub);
+}
+
+/// A TCP relay to `target`. It forwards every connection faithfully
+/// until `cut` is set; then the connection it is serving reads one more
+/// chunk, forwards none of it and closes both sides: a link torn with
+/// bytes in flight. Later dials are relayed faithfully again. Its
+/// threads end with the test process.
+fn lossy_relay(target: SocketAddr, cut: Arc<AtomicBool>) -> Endpoint {
+    let relay = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = relay.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for from in relay.incoming() {
+            let (Ok(mut from), Ok(mut to)) = (from, TcpStream::connect(target)) else {
+                return;
+            };
+            let cut = Arc::clone(&cut);
+            std::thread::spawn(move || {
+                let mut chunk = vec![0u8; 64 << 10];
+                loop {
+                    let n = from.read(&mut chunk).unwrap_or(0);
+                    // Returning drops, and so closes, both streams.
+                    if n == 0
+                        || cut.swap(false, Ordering::SeqCst)
+                        || to.write_all(&chunk[..n]).is_err()
+                    {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    Endpoint::Tcp(addr)
+}
+
+/// `tags` as runs of consecutive values, e.g. `0..=9 30..=59`.
+fn runs(tags: &[u64]) -> String {
+    let runs: Vec<String> = tags
+        .chunk_by(|a, b| a + 1 == *b)
+        .map(|run| format!("{}..={}", run[0], run[run.len() - 1]))
+        .collect();
+    runs.join(" ")
+}
+
+/// What a link must still guarantee after a fault on it: `hub`'s link to
+/// replica 1 has carried the frames tagged `sent`, the first ten of which
+/// arrived before the fault. Five waves of ten more frames, 100 ms apart,
+/// let the writer meet the fault; then come `2 × LINK_QUEUE_CAP` more.
+/// - Every send returns: no sender blocks on a dead link.
+/// - The link's queue drains to 0.
+/// - What was delivered is a gap-free prefix of what was sent.
+/// - The hub counted the link down, once.
+fn assert_down_and_gap_free(
+    mut hub: Hub<TestMsg>,
+    metrics: &TransportMetrics,
+    rx: &mpsc::Receiver<(ReplicaId, TestMsg)>,
+    sent: Range<u64>,
+) {
+    let r1 = ReplicaId::new(1);
+    let depth = hub.depth_gauges().remove(0).1;
+    let end = sent.end + 50 + 2 * LINK_QUEUE_CAP as u64;
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for tag in sent.end..end {
+            if tag < sent.end + 50 && (tag - sent.end).is_multiple_of(10) {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            hub.send_msg(r1, TestMsg::new(tag, b"after"));
+        }
+        let _ = done_tx.send(hub);
+    });
+    let hub = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a send blocked on a dead link");
+    assert!(reached(|| depth.get() == 0), "{} frames stuck", depth.get());
+    let delivered: Vec<u64> =
+        std::iter::from_fn(|| rx.recv_timeout(Duration::from_millis(500)).ok())
+            .map(|(_, msg)| msg.tag)
+            .collect();
+    assert!(
+        delivered.len() >= 10
+            && delivered
+                .iter()
+                .copied()
+                .eq(sent.start..sent.start + delivered.len() as u64),
+        "of {}..{end} delivered {}: not a gap-free prefix",
+        sent.start,
+        runs(&delivered)
+    );
+    assert_eq!(metrics.links_down.get(), 1);
+    drop(hub);
+}
+
+/// A hub whose link to replica 1 dials `endpoint`, counting into `metrics`.
+fn counted_hub(endpoint: Endpoint, metrics: &TransportMetrics) -> Hub<TestMsg> {
+    let mut hub: Hub<TestMsg> = Hub::new(ReplicaId::new(0), Box::new(|_| ()));
+    hub.set_metrics(metrics.clone());
+    hub.add_peer(ReplicaId::new(1), endpoint, Duration::ZERO);
+    hub
+}
+
+#[test]
+fn a_link_torn_with_frames_in_flight_stays_down_instead_of_skipping_them() {
+    let (listener, inbound, rx) = counted_tcp_listener();
+    let cut = Arc::new(AtomicBool::new(false));
+    let metrics = TransportMetrics::default();
+    let mut hub = counted_hub(lossy_relay(tcp_addr(&listener), Arc::clone(&cut)), &metrics);
+    for tag in 0..10 {
+        hub.send_msg(ReplicaId::new(1), TestMsg::new(tag, b"before"));
+    }
+    assert!(reached(|| inbound.frames_recv.get() == 10));
+    cut.store(true, Ordering::SeqCst);
+    assert_down_and_gap_free(hub, &metrics, &rx, 0..10);
+}
+
+#[test]
+fn a_refused_frame_takes_its_link_down_instead_of_being_skipped() {
+    let (listener, inbound, rx) = counted_tcp_listener();
+    let metrics = TransportMetrics::default();
+    let mut hub = counted_hub(listener.endpoint().clone(), &metrics);
+    let first = REFUSED_TAG - 10;
+    for tag in first..REFUSED_TAG {
+        hub.send_msg(ReplicaId::new(1), TestMsg::new(tag, b"before"));
+    }
+    assert!(reached(|| inbound.frames_recv.get() == 10));
+    hub.send_msg(ReplicaId::new(1), TestMsg::new(REFUSED_TAG, b"refused"));
+    assert_down_and_gap_free(hub, &metrics, &rx, first..REFUSED_TAG + 1);
+    assert_eq!(inbound.frames_rejected.get(), 1);
 }

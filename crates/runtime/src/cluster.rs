@@ -408,7 +408,11 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// their links up and simply stop hearing from it — exactly what a
     /// remote process kill looks like from the outside — so fail-over
     /// machinery (lease timeouts, elections) runs against a realistically
-    /// silent peer. There is no restart path in the threaded runtime;
+    /// silent peer. No link tears: over sockets the crashed replica's
+    /// listener stays bound until [`shutdown`](Cluster::shutdown), so
+    /// peers' frames to it are still read (and dropped), and a link that
+    /// did go down would stay down — the transport never redials. There
+    /// is no restart path in the threaded runtime;
     /// recovery schedules live in the simnet suites. The callers it was
     /// serving, and commands submitted to it afterwards, wait out their
     /// full timeout: a crashed site is silent, it does not refuse.
@@ -1101,6 +1105,8 @@ mod tests {
             );
             assert!(snap.counters[&format!("r{r}.transport.frames_sent")] > 0);
             assert!(snap.counters[&format!("r{r}.transport.bytes_recv")] > 0);
+            // Nothing in a run, shutdown included, tears a live link.
+            assert_eq!(snap.counters[&format!("r{r}.transport.links_down")], 0);
         }
         assert!(snap.gauges.contains_key("r0.transport.outq.1"));
         assert!(snap.gauges.contains_key("r0.clock_rsm.stable_lag_us"));
