@@ -13,7 +13,6 @@
 //!   latency vs Paxos-bcast, with average absolute and relative
 //!   reductions for both the winning and losing buckets.
 
-use rsm_core::matrix::LatencyMatrix;
 use rsm_core::time::Micros;
 use rsm_core::ReplicaId;
 
@@ -186,21 +185,6 @@ pub fn sweep(group_size: usize) -> SweepResult {
     }
 }
 
-/// Convenience: evaluate both protocols on an arbitrary matrix (used by
-/// tests to cross-check simulation results against the model).
-pub fn compare_on(m: &LatencyMatrix) -> (Vec<Micros>, Vec<Micros>, ReplicaId) {
-    let leader = model::best_leader(m, model::paxos_bcast);
-    let c = m
-        .replicas()
-        .map(|r| model::clock_rsm_balanced(m, r))
-        .collect();
-    let p = m
-        .replicas()
-        .map(|r| model::paxos_bcast(m, r, leader))
-        .collect();
-    (c, p, leader)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,17 +309,5 @@ mod tests {
             "improvement for the highest-latency replica should be larger \
              ({gap_highest:.1} vs {gap_all:.1})"
         );
-    }
-
-    #[test]
-    fn compare_on_uniform_matrix() {
-        let m = LatencyMatrix::uniform(5, 50_000);
-        let (c, p, leader) = compare_on(&m);
-        assert_eq!(c.len(), 5);
-        // All replicas symmetric: leader is replica 0 by tie-break.
-        assert_eq!(leader, ReplicaId::new(0));
-        for i in 1..5 {
-            assert!(c[i] < p[i]);
-        }
     }
 }

@@ -616,51 +616,10 @@ mod tests {
     use super::*;
     use crate::config::ClockRsmConfig;
     use bytes::Bytes;
-    use rsm_core::command::{Command, CommandId, Committed};
+    use rsm_core::command::{Command, CommandId};
     use rsm_core::config::Membership;
     use rsm_core::id::ClientId;
-    use rsm_core::protocol::{Protocol, TimerToken};
-    use rsm_core::time::Micros;
-
-    struct TestCtx {
-        sends: Vec<(ReplicaId, RsmMsg)>,
-        commits: Vec<Committed>,
-        log: Vec<LogRec>,
-        clock: Micros,
-    }
-
-    impl TestCtx {
-        fn new() -> Self {
-            TestCtx {
-                sends: Vec::new(),
-                commits: Vec::new(),
-                log: Vec::new(),
-                clock: 1_000,
-            }
-        }
-    }
-
-    impl Context<ClockRsm> for TestCtx {
-        fn clock(&mut self) -> Micros {
-            self.clock += 1;
-            self.clock
-        }
-        fn send(&mut self, to: ReplicaId, msg: RsmMsg) {
-            self.sends.push((to, msg));
-        }
-        fn log_append(&mut self, rec: LogRec) {
-            self.log.push(rec);
-        }
-        fn log_rewrite(&mut self, recs: Vec<LogRec>) {
-            self.log = recs;
-        }
-        fn commit(&mut self, c: Committed) -> Bytes {
-            let result = c.cmd.payload.clone();
-            self.commits.push(c);
-            result
-        }
-        fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-    }
+    use rsm_core::node::Script;
 
     fn r(i: u16) -> ReplicaId {
         ReplicaId::new(i)
@@ -691,40 +650,46 @@ mod tests {
 
     #[test]
     fn trigger_broadcasts_suspend_to_spec() {
-        let mut p = replica(0);
-        let mut ctx = TestCtx::new();
-        p.trigger_reconfigure(vec![r(0), r(1)], &mut ctx);
-        let suspends = ctx
-            .sends
+        let mut s = Script::new(vec![replica(0)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| p.trigger_reconfigure(vec![r(0), r(1)], ctx));
+        let suspends = s[0]
+            .sent
             .iter()
             .filter(|(_, m)| matches!(m, RsmMsg::Suspend { .. }))
             .count();
         assert_eq!(suspends, 3, "SUSPEND goes to all of Spec incl self");
-        assert!(!p.reconfig.is_idle());
+        assert!(!s.nodes[0].proto.reconfig.is_idle());
     }
 
     #[test]
     fn trigger_refuses_sub_majority_config() {
-        let mut p = replica(0);
-        let mut ctx = TestCtx::new();
-        p.trigger_reconfigure(vec![r(0)], &mut ctx);
-        assert!(p.reconfig.is_idle());
-        assert!(ctx.sends.is_empty());
+        let mut s = Script::new(vec![replica(0)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| p.trigger_reconfigure(vec![r(0)], ctx));
+        assert!(s.nodes[0].proto.reconfig.is_idle());
+        assert!(s[0].sent.is_empty());
     }
 
     #[test]
     fn suspend_freezes_and_returns_log_tail() {
-        let mut p = replica(1);
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![replica(1)]);
+        s[0].clock = 1_000;
         // Seed the history with two prepares.
-        p.history
+        s.nodes[0]
+            .proto
+            .history
             .add(Timestamp::new(100, r(0)), &Batch::single(cmd(1)));
-        p.history
+        s.nodes[0]
+            .proto
+            .history
             .add(Timestamp::new(200, r(0)), &Batch::single(cmd(2)));
-        p.handle_suspend(r(0), Epoch(1), Timestamp::new(100, r(0)), &mut ctx);
-        assert!(p.is_frozen());
-        let (_, reply) = ctx
-            .sends
+        s.on(0, |p, ctx| {
+            p.handle_suspend(r(0), Epoch(1), Timestamp::new(100, r(0)), ctx)
+        });
+        assert!(s.nodes[0].proto.is_frozen());
+        let (_, reply) = s[0]
+            .sent
             .iter()
             .find(|(_, m)| matches!(m, RsmMsg::SuspendOk { .. }))
             .unwrap();
@@ -739,9 +704,9 @@ mod tests {
 
     #[test]
     fn stale_suspend_gets_catchup_not_freeze() {
-        let mut p = replica(1);
-        let mut ctx = TestCtx::new();
-        p.reconfig.decisions.insert(
+        let mut s = Script::new(vec![replica(1)]);
+        s[0].clock = 1_000;
+        s.nodes[0].proto.reconfig.decisions.insert(
             Epoch(1),
             Decision {
                 config: vec![r(0), r(1)],
@@ -749,11 +714,16 @@ mod tests {
                 cmds: vec![],
             },
         );
-        p.membership.install(Epoch(1), vec![r(0), r(1), r(2)]);
-        p.handle_suspend(r(2), Epoch(1), Timestamp::ZERO, &mut ctx);
-        assert!(!p.is_frozen());
-        assert!(ctx
-            .sends
+        s.nodes[0]
+            .proto
+            .membership
+            .install(Epoch(1), vec![r(0), r(1), r(2)]);
+        s.on(0, |p, ctx| {
+            p.handle_suspend(r(2), Epoch(1), Timestamp::ZERO, ctx)
+        });
+        assert!(!s.nodes[0].proto.is_frozen());
+        assert!(s[0]
+            .sent
             .iter()
             .any(|(to, m)| *to == r(2) && matches!(m, RsmMsg::DecisionCatchup { .. })));
     }
@@ -763,51 +733,40 @@ mod tests {
     /// configuration, and that a collected command commits everywhere.
     #[test]
     fn full_reconfiguration_round() {
-        let mut nodes: Vec<ClockRsm> = (0..3).map(replica).collect();
-        let mut ctxs: Vec<TestCtx> = (0..3).map(|_| TestCtx::new()).collect();
+        let mut s = Script::new((0..3).map(replica).collect());
+        for i in 0..3 {
+            s[i].clock = 1_000;
+        }
 
         // r1 has logged a command that r0 (the reconfigurer) hasn't seen.
         let orphan = lc(500, 1, 42);
-        nodes[1]
-            .history
-            .add(orphan.ts, &Batch::single(orphan.cmd.clone()));
+        let history = &mut s.nodes[1].proto.history;
+        history.add(orphan.ts, &Batch::single(orphan.cmd.clone()));
 
         // r0 suspects r2 and starts removing it.
-        nodes[0].trigger_reconfigure(vec![r(0), r(1)], &mut ctxs[0]);
+        s.on(0, |p, ctx| p.trigger_reconfigure(vec![r(0), r(1)], ctx));
+        s.flush(0);
 
-        // Message pump between r0 and r1 only (r2 is "dead").
-        let mut inflight: Vec<(ReplicaId, ReplicaId, RsmMsg)> = Vec::new();
-        let drain = |i: usize,
-                     ctxs: &mut Vec<TestCtx>,
-                     inflight: &mut Vec<(ReplicaId, ReplicaId, RsmMsg)>| {
-            for (to, m) in std::mem::take(&mut ctxs[i].sends) {
-                inflight.push((r(i as u16), to, m));
-            }
-        };
-        drain(0, &mut ctxs, &mut inflight);
+        // Deliver between r0 and r1 only (r2 is "dead").
         let mut steps = 0;
-        while let Some((from, to, msg)) = inflight.pop() {
+        while [(0, 0), (0, 1), (1, 0), (1, 1)]
+            .into_iter()
+            .any(|(from, to)| s.deliver(from, to))
+        {
             steps += 1;
             assert!(steps < 1_000, "reconfiguration did not converge");
-            if to == r(2) {
-                continue; // r2 is down
-            }
-            let idx = to.index();
-            nodes[idx].on_message(from, msg, &mut ctxs[idx]);
-            drain(idx, &mut ctxs, &mut inflight);
         }
 
         for i in [0usize, 1] {
-            assert_eq!(nodes[i].epoch(), Epoch(1), "replica {i}");
-            assert_eq!(nodes[i].membership().config(), &[r(0), r(1)]);
-            assert!(!nodes[i].is_frozen());
+            let p = &s.nodes[i].proto;
+            assert_eq!(p.epoch(), Epoch(1), "replica {i}");
+            assert_eq!(p.membership().config(), &[r(0), r(1)]);
+            assert!(!p.is_frozen());
             // The orphan command was collected from r1 and executed.
-            assert_eq!(ctxs[i].commits.len(), 1, "replica {i}");
-            assert_eq!(ctxs[i].commits[0].cmd.id.seq, 42);
-        }
-        // Epoch record landed in both logs.
-        for ctx in &ctxs[..2] {
-            assert!(ctx
+            assert_eq!(s[i].executed.len(), 1, "replica {i}");
+            assert_eq!(s[i].executed[0].cmd.id.seq, 42);
+            // Epoch record landed in both logs.
+            assert!(s.nodes[i]
                 .log
                 .iter()
                 .any(|l| matches!(l, LogRec::Epoch { epoch, .. } if *epoch == Epoch(1))));
@@ -816,45 +775,50 @@ mod tests {
 
     #[test]
     fn fetching_state_requests_missing_range() {
-        let mut p = replica(2);
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![replica(2)]);
+        s[0].clock = 1_000;
         // A decision whose commit point is ahead of ours.
         let d = Decision {
             config: vec![r(0), r(1), r(2)],
             cts: Timestamp::new(900, r(0)),
             cmds: vec![lc(950, 0, 7)],
         };
-        p.reconfig.decisions.insert(Epoch(1), d);
-        p.apply_ready_decisions(&mut ctx);
-        assert!(matches!(p.reconfig.phase, Phase::FetchingState { .. }));
-        let retrieves = ctx
-            .sends
+        s.nodes[0].proto.reconfig.decisions.insert(Epoch(1), d);
+        s.on(0, |p, ctx| p.apply_ready_decisions(ctx));
+        assert!(matches!(
+            s.nodes[0].proto.reconfig.phase,
+            Phase::FetchingState { .. }
+        ));
+        let retrieves = s[0]
+            .sent
             .iter()
             .filter(|(_, m)| matches!(m, RsmMsg::RetrieveCmds { .. }))
             .count();
         assert_eq!(retrieves, 3);
         // Majority replies with the missing command at ts 800.
         for k in [0u16, 1] {
-            p.handle_retrieve_reply(
-                r(k),
-                Timestamp::ZERO,
-                Timestamp::new(900, r(0)),
-                vec![lc(800, 0, 6)],
-                &mut ctx,
-            );
+            s.on(0, |p, ctx| {
+                p.handle_retrieve_reply(
+                    r(k),
+                    Timestamp::ZERO,
+                    Timestamp::new(900, r(0)),
+                    vec![lc(800, 0, 6)],
+                    ctx,
+                )
+            });
         }
-        assert!(p.reconfig.is_idle());
-        assert_eq!(p.epoch(), Epoch(1));
+        assert!(s.nodes[0].proto.reconfig.is_idle());
+        assert_eq!(s.nodes[0].proto.epoch(), Epoch(1));
         // Both the fetched (800) and decided (950) commands executed, in order.
-        assert_eq!(ctx.commits.len(), 2);
-        assert_eq!(ctx.commits[0].cmd.id.seq, 6);
-        assert_eq!(ctx.commits[1].cmd.id.seq, 7);
+        assert_eq!(s[0].executed.len(), 2);
+        assert_eq!(s[0].executed[0].cmd.id.seq, 6);
+        assert_eq!(s[0].executed[1].cmd.id.seq, 7);
     }
 
     #[test]
     fn decision_catchup_applies_in_epoch_order() {
-        let mut p = replica(2);
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![replica(2)]);
+        s[0].clock = 1_000;
         let d1 = Decision {
             config: vec![r(0), r(1), r(2)],
             cts: Timestamp::ZERO,
@@ -866,31 +830,43 @@ mod tests {
             cmds: vec![lc(200, 0, 2)],
         };
         // Deliver out of order: epoch 2 first.
-        p.handle_decision_catchup(vec![(Epoch(2), d2)], &mut ctx);
-        assert_eq!(p.epoch(), Epoch(0), "cannot apply epoch 2 before 1");
-        p.handle_decision_catchup(vec![(Epoch(1), d1)], &mut ctx);
-        assert_eq!(p.epoch(), Epoch(2));
-        assert_eq!(ctx.commits.len(), 2);
-        assert_eq!(ctx.commits[0].cmd.id.seq, 1);
-        assert_eq!(ctx.commits[1].cmd.id.seq, 2);
-        assert!(ctx.commits[0].order_hint < ctx.commits[1].order_hint);
+        s.on(0, |p, ctx| {
+            p.handle_decision_catchup(vec![(Epoch(2), d2)], ctx)
+        });
+        assert_eq!(
+            s.nodes[0].proto.epoch(),
+            Epoch(0),
+            "cannot apply epoch 2 before 1"
+        );
+        s.on(0, |p, ctx| {
+            p.handle_decision_catchup(vec![(Epoch(1), d1)], ctx)
+        });
+        assert_eq!(s.nodes[0].proto.epoch(), Epoch(2));
+        assert_eq!(s[0].executed.len(), 2);
+        assert_eq!(s[0].executed[0].cmd.id.seq, 1);
+        assert_eq!(s[0].executed[1].cmd.id.seq, 2);
+        assert!(s[0].executed[0].order_hint < s[0].executed[1].order_hint);
     }
 
     #[test]
     fn retrieve_serves_requested_range() {
-        let mut p = replica(0);
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![replica(0)]);
+        s[0].clock = 1_000;
         for (m, seq) in [(100u64, 1u64), (200, 2), (300, 3)] {
-            p.history
+            s.nodes[0]
+                .proto
+                .history
                 .add(Timestamp::new(m, r(0)), &Batch::single(cmd(seq)));
         }
-        p.handle_retrieve(
-            r(1),
-            Timestamp::new(100, r(0)),
-            Timestamp::new(250, r(0)),
-            &mut ctx,
-        );
-        let (_, reply) = &ctx.sends[0];
+        s.on(0, |p, ctx| {
+            p.handle_retrieve(
+                r(1),
+                Timestamp::new(100, r(0)),
+                Timestamp::new(250, r(0)),
+                ctx,
+            )
+        });
+        let (_, reply) = &s[0].sent[0];
         match reply {
             RsmMsg::RetrieveReply { cmds, .. } => {
                 assert_eq!(cmds.len(), 1);
@@ -908,7 +884,8 @@ mod tests {
     #[test]
     fn run_history_answers_like_a_per_command_index() {
         use std::ops::Bound::{Excluded, Included};
-        let mut p = replica(0);
+        let mut s = Script::new(vec![replica(0)]);
+        s[0].clock = 1_000;
         let mut reference = BTreeMap::new();
         let mut seq = 0;
         for (head, o, len) in [
@@ -937,14 +914,17 @@ mod tests {
                     },
                 );
             }
-            p.history.add(Timestamp::new(head, r(o)), &Batch::new(cmds));
+            s.nodes[0]
+                .proto
+                .history
+                .add(Timestamp::new(head, r(o)), &Batch::new(cmds));
         }
         let top = Timestamp::new(u64::MAX, r(2));
         let bounds: Vec<Timestamp> = (95..=210)
             .flat_map(|m| (0..3).map(move |o| Timestamp::new(m, r(o))))
             .chain([Timestamp::ZERO, top])
             .collect();
-        let check = |p: &mut ClockRsm, reference: &BTreeMap<Timestamp, LoggedCmd>| {
+        let check = |s: &mut Script<ClockRsm>, reference: &BTreeMap<Timestamp, LoggedCmd>| {
             let expect = |from, to| -> Vec<LoggedCmd> {
                 if to <= from {
                     return Vec::new();
@@ -953,12 +933,11 @@ mod tests {
                 range.map(|(_, lc)| lc.clone()).collect()
             };
             for &from in &bounds {
-                let mut ctx = TestCtx::new();
-                p.handle_suspend(r(1), Epoch(1), from, &mut ctx);
+                s.on(0, |p, ctx| p.handle_suspend(r(1), Epoch(1), from, ctx));
                 for &to in bounds.iter().step_by(5) {
-                    p.handle_retrieve(r(1), from, to, &mut ctx);
+                    s.on(0, |p, ctx| p.handle_retrieve(r(1), from, to, ctx));
                 }
-                let mut sent = ctx.sends.into_iter().map(|(_, m)| m);
+                let mut sent = std::mem::take(&mut s[0].sent).into_iter().map(|(_, m)| m);
                 match sent.next() {
                     Some(RsmMsg::SuspendOk { cmds, .. }) => assert_eq!(cmds, expect(from, top)),
                     other => panic!("expected SUSPENDOK, got {other:?}"),
@@ -971,11 +950,11 @@ mod tests {
                 }
             }
         };
-        check(&mut p, &reference);
+        check(&mut s, &reference);
         let keep = |ts: Timestamp| ts.micros() % 4 != 1 || ts.replica() == r(2);
-        p.history.retain(keep);
+        s.nodes[0].proto.history.retain(keep);
         reference.retain(|&ts, _| keep(ts));
-        check(&mut p, &reference);
+        check(&mut s, &reference);
     }
 
     /// Reconfiguration logs a fetched command below a run of the same
@@ -984,10 +963,11 @@ mod tests {
     /// executes every command exactly once, in the live order.
     #[test]
     fn fetched_commands_logged_below_a_run_replay_exactly_once() {
-        let mut p = replica(2);
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![replica(2)]);
+        s[0].clock = 1_000;
         let run: Vec<Command> = (2..=4).map(cmd).collect();
-        p.on_message(
+        s.receive(
+            0,
             r(0),
             RsmMsg::PrepareBatch {
                 epoch: Epoch::ZERO,
@@ -995,7 +975,6 @@ mod tests {
                 origin: r(0),
                 cmds: Batch::new(run.clone()),
             },
-            &mut ctx,
         );
         // Epoch 1 decides r0's run above a commit point this replica
         // lags: r0's command at 500 must be fetched first.
@@ -1005,7 +984,7 @@ mod tests {
             cmd: run[i].clone(),
         });
         let cts = Timestamp::new(900, r(0));
-        p.reconfig.decisions.insert(
+        s.nodes[0].proto.reconfig.decisions.insert(
             Epoch(1),
             Decision {
                 config: vec![r(0), r(1), r(2)],
@@ -1013,26 +992,25 @@ mod tests {
                 cmds: decided.collect(),
             },
         );
-        p.apply_ready_decisions(&mut ctx);
+        s.on(0, |p, ctx| p.apply_ready_decisions(ctx));
         for k in [0u16, 1] {
-            p.handle_retrieve_reply(r(k), Timestamp::ZERO, cts, vec![lc(500, 0, 1)], &mut ctx);
+            let fetched = vec![lc(500, 0, 1)];
+            s.on(0, |p, ctx| {
+                p.handle_retrieve_reply(r(k), Timestamp::ZERO, cts, fetched, ctx)
+            });
         }
-        let order = |c: &TestCtx| -> Vec<(u64, u64)> {
-            c.commits
-                .iter()
-                .map(|c| (c.cmd.id.seq, c.order_hint))
-                .collect()
+        let order = |s: &Script<ClockRsm>| -> Vec<(u64, u64)> {
+            let executed = s[0].executed.iter();
+            executed.map(|c| (c.cmd.id.seq, c.order_hint)).collect()
         };
-        assert_eq!(
-            order(&ctx).iter().map(|c| c.0).collect::<Vec<_>>(),
-            [1, 2, 3, 4]
-        );
+        let live = order(&s);
+        assert_eq!(live.iter().map(|c| c.0).collect::<Vec<_>>(), [1, 2, 3, 4]);
+        let committed = s.nodes[0].proto.committed_count();
 
-        let mut q = replica(2);
-        let mut replay = TestCtx::new();
-        q.on_recover(&ctx.log, &mut replay);
-        assert_eq!(order(&replay), order(&ctx), "each command executes once");
-        assert_eq!(q.committed_count(), p.committed_count());
+        s.restart(0, replica(2));
+        assert_eq!(order(&s), live, "each command executes once");
+        let q = &s.nodes[0].proto;
+        assert_eq!(q.committed_count(), committed);
         assert_eq!(q.history.after(Timestamp::ZERO).count(), 4);
     }
 }

@@ -1107,73 +1107,10 @@ impl Protocol for ClockRsm {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use rsm_core::command::{CommandId, Committed, Reply};
+    use rsm_core::command::CommandId;
     use rsm_core::id::ClientId;
+    use rsm_core::node::{ApplyOnly, Script};
     use rsm_core::Batch;
-
-    pub(crate) struct TestCtx {
-        pub sends: Vec<(ReplicaId, RsmMsg)>,
-        pub commits: Vec<Committed>,
-        pub log: Vec<LogRec>,
-        pub timers: Vec<(Micros, TimerToken)>,
-        pub clock: Micros,
-        pub clock_step: Micros,
-        /// Replies routed via `send_reply` (served local reads).
-        pub read_replies: Vec<Reply>,
-        /// Whether `sm_read` answers (false models a driver without
-        /// state machine access, forcing the replicated fallback).
-        pub serve_reads: bool,
-    }
-
-    impl TestCtx {
-        pub fn new(start_clock: Micros) -> Self {
-            TestCtx {
-                sends: Vec::new(),
-                commits: Vec::new(),
-                log: Vec::new(),
-                timers: Vec::new(),
-                clock: start_clock,
-                clock_step: 1,
-                read_replies: Vec::new(),
-                serve_reads: true,
-            }
-        }
-
-        pub fn take_sends(&mut self) -> Vec<(ReplicaId, RsmMsg)> {
-            std::mem::take(&mut self.sends)
-        }
-    }
-
-    impl Context<ClockRsm> for TestCtx {
-        fn clock(&mut self) -> Micros {
-            self.clock += self.clock_step;
-            self.clock
-        }
-        fn send(&mut self, to: ReplicaId, msg: RsmMsg) {
-            self.sends.push((to, msg));
-        }
-        fn log_append(&mut self, rec: LogRec) {
-            self.log.push(rec);
-        }
-        fn log_rewrite(&mut self, recs: Vec<LogRec>) {
-            self.log = recs;
-        }
-        fn commit(&mut self, c: Committed) -> Bytes {
-            let result = c.cmd.payload.clone();
-            self.commits.push(c);
-            result
-        }
-        fn set_timer(&mut self, after: Micros, token: TimerToken) {
-            self.timers.push((after, token));
-        }
-        fn sm_read(&mut self, cmd: &Command) -> Option<Bytes> {
-            self.serve_reads
-                .then(|| Bytes::from(format!("read:{}", cmd.id.seq).into_bytes()))
-        }
-        fn send_reply(&mut self, reply: Reply) {
-            self.read_replies.push(reply);
-        }
-    }
 
     fn cmd(seq: u64) -> Command {
         Command::new(
@@ -1214,12 +1151,12 @@ mod tests {
         // The allocation-lean fan-out contract: the per-peer clones of a
         // PREPAREBATCH share one command vector (Arc), so an N-peer
         // broadcast of a k-command batch clones pointers, not commands.
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
         let batch = Batch::new((1..=64).map(cmd).collect());
-        p.on_client_batch(batch.clone(), &mut ctx);
-        let prepares: Vec<&Batch> = ctx
-            .sends
+        s.on(0, |p, ctx| p.on_client_batch(batch.clone(), ctx));
+        let prepares: Vec<&Batch> = s[0]
+            .sent
             .iter()
             .filter_map(|(_, m)| match m {
                 RsmMsg::PrepareBatch { cmds, .. } => Some(cmds),
@@ -1237,11 +1174,11 @@ mod tests {
 
     #[test]
     fn request_broadcasts_prepare_to_everyone() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_client_request(cmd(1), &mut ctx);
-        let prepares: Vec<&RsmMsg> = ctx
-            .sends
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+        let prepares: Vec<&RsmMsg> = s[0]
+            .sent
             .iter()
             .map(|(_, m)| m)
             .filter(|m| matches!(m, RsmMsg::PrepareBatch { .. }))
@@ -1258,11 +1195,13 @@ mod tests {
 
     #[test]
     fn batched_request_reserves_contiguous_timestamps() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3)]), &mut ctx);
-        let heads: Vec<(Timestamp, usize)> = ctx
-            .sends
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| {
+            p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3)]), ctx)
+        });
+        let heads: Vec<(Timestamp, usize)> = s[0]
+            .sent
             .iter()
             .filter_map(|(_, m)| match m {
                 RsmMsg::PrepareBatch { ts, cmds, .. } => Some((*ts, cmds.len())),
@@ -1272,22 +1211,18 @@ mod tests {
         assert_eq!(heads.len(), 3, "one batch message per destination");
         assert!(heads.iter().all(|&(t, k)| t == heads[0].0 && k == 3));
         // The next stamp clears the whole reserved run.
-        let next = p.next_send_ts(&mut ctx);
+        let next = s.on(0, |p, ctx| p.next_send_ts(ctx));
         assert!(next.micros() >= heads[0].0.micros() + 3);
     }
 
     #[test]
     fn prepare_is_logged_and_acked_with_greater_clock() {
-        let mut p = replica(1, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_message(
-            r(0),
-            prepare(Epoch::ZERO, ts(500, 0), r(0), cmd(1)),
-            &mut ctx,
-        );
-        assert_eq!(ctx.log.len(), 1);
-        let oks: Vec<&RsmMsg> = ctx
-            .sends
+        let mut s = Script::new(vec![replica(1, 3)]);
+        s[0].clock = 1_000;
+        s.receive(0, r(0), prepare(Epoch::ZERO, ts(500, 0), r(0), cmd(1)));
+        assert_eq!(s.nodes[0].log.len(), 1);
+        let oks: Vec<&RsmMsg> = s[0]
+            .sent
             .iter()
             .map(|(_, m)| m)
             .filter(|m| matches!(m, RsmMsg::PrepareOk { .. }))
@@ -1307,9 +1242,10 @@ mod tests {
 
     #[test]
     fn batched_prepare_acks_once_covering_the_whole_run() {
-        let mut p = replica(1, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_message(
+        let mut s = Script::new(vec![replica(1, 3)]);
+        s[0].clock = 1_000;
+        s.receive(
+            0,
             r(0),
             RsmMsg::PrepareBatch {
                 epoch: Epoch::ZERO,
@@ -1317,12 +1253,11 @@ mod tests {
                 origin: r(0),
                 cmds: Batch::new(vec![cmd(1), cmd(2), cmd(3), cmd(4)]),
             },
-            &mut ctx,
         );
-        assert_eq!(ctx.log.len(), 1, "the batch is logged as one run");
-        assert_eq!(p.pending_count(), 4);
-        let oks: Vec<&RsmMsg> = ctx
-            .sends
+        assert_eq!(s.nodes[0].log.len(), 1, "the batch is logged as one run");
+        assert_eq!(s.nodes[0].proto.pending_count(), 4);
+        let oks: Vec<&RsmMsg> = s[0]
+            .sent
             .iter()
             .map(|(_, m)| m)
             .filter(|m| matches!(m, RsmMsg::PrepareOk { .. }))
@@ -1338,26 +1273,23 @@ mod tests {
 
     #[test]
     fn prepare_from_the_future_waits_for_local_clock() {
-        let mut p = replica(1, 3);
-        let mut ctx = TestCtx::new(100);
+        let mut s = Script::new(vec![replica(1, 3)]);
+        s[0].clock = 100;
         // Originator's clock (10_000) is far ahead of ours (≈100).
-        p.on_message(
-            r(0),
-            prepare(Epoch::ZERO, ts(10_000, 0), r(0), cmd(1)),
-            &mut ctx,
-        );
+        s.receive(0, r(0), prepare(Epoch::ZERO, ts(10_000, 0), r(0), cmd(1)));
         assert!(
-            !ctx.sends
+            !s[0]
+                .sent
                 .iter()
                 .any(|(_, m)| matches!(m, RsmMsg::PrepareOk { .. })),
             "must not ack before local clock passes ts"
         );
-        assert_eq!(ctx.timers.len(), 1, "wait timer armed");
+        assert_eq!(s[0].timers.len(), 1, "wait timer armed");
         // Fire the timer once the clock has advanced past ts.
-        ctx.clock = 10_050;
-        p.on_timer(TOKEN_ACK_WAIT, &mut ctx);
-        let oks = ctx
-            .sends
+        s[0].clock = 10_050;
+        s.on(0, |p, ctx| p.on_timer(TOKEN_ACK_WAIT, ctx));
+        let oks = s[0]
+            .sent
             .iter()
             .filter(|(_, m)| matches!(m, RsmMsg::PrepareOk { .. }))
             .count();
@@ -1367,210 +1299,213 @@ mod tests {
     /// Drives a full three-replica commit at replica 0 by hand.
     #[test]
     fn command_commits_after_majority_and_stable_order() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_client_request(cmd(1), &mut ctx);
-        let tcmd = match &ctx.take_sends()[0] {
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+        let tcmd = match &std::mem::take(&mut s[0].sent)[0] {
             (_, RsmMsg::PrepareBatch { ts, .. }) => *ts,
             _ => unreachable!(),
         };
         // Self-delivery of own PREPARE.
-        p.on_message(r(0), prepare(Epoch::ZERO, tcmd, r(0), cmd(1)), &mut ctx);
+        s.receive(0, r(0), prepare(Epoch::ZERO, tcmd, r(0), cmd(1)));
         // Own PREPAREOK (self-delivery).
-        let own_ok = ctx
-            .take_sends()
+        let own_ok = std::mem::take(&mut s[0].sent)
             .into_iter()
             .find_map(|(to, m)| match (to, &m) {
                 (to, RsmMsg::PrepareOk { .. }) if to == r(0) => Some(m),
                 _ => None,
             })
             .unwrap();
-        p.on_message(r(0), own_ok, &mut ctx);
-        assert!(ctx.commits.is_empty(), "one ack is not a majority");
+        s.receive(0, r(0), own_ok);
+        assert!(s[0].executed.is_empty(), "one ack is not a majority");
         // r1 acks: majority reached, but r2's latest timestamp is unknown
         // (stable order not yet satisfied).
-        p.on_message(
+        s.receive(
+            0,
             r(1),
             RsmMsg::PrepareOk {
                 epoch: Epoch::ZERO,
                 up_to: tcmd,
                 clock_ts: ts(tcmd.micros() + 10, 1),
             },
-            &mut ctx,
         );
         assert!(
-            ctx.commits.is_empty(),
+            s[0].executed.is_empty(),
             "stable order requires a newer timestamp from every replica"
         );
         // r2's clock time arrives (e.g. a CLOCKTIME or another command's
         // PREPAREOK): now ts ≤ min(LatestTV) and the command commits.
-        p.on_message(
+        s.receive(
+            0,
             r(2),
             RsmMsg::ClockTime {
                 epoch: Epoch::ZERO,
                 ts: ts(tcmd.micros() + 12, 2),
             },
-            &mut ctx,
         );
-        assert_eq!(ctx.commits.len(), 1);
-        assert_eq!(ctx.commits[0].origin, r(0));
-        assert_eq!(p.committed_count(), 1);
-        assert_eq!(p.pending_count(), 0);
+        assert_eq!(s[0].executed.len(), 1);
+        assert_eq!(s[0].executed[0].origin, r(0));
+        assert_eq!(s.nodes[0].proto.committed_count(), 1);
+        assert_eq!(s.nodes[0].proto.pending_count(), 0);
         // Commit mark appended after the prepare record.
-        assert!(ctx.log.iter().any(|l| matches!(l, LogRec::Commit { .. })));
+        assert!(s.nodes[0]
+            .log
+            .iter()
+            .any(|l| matches!(l, LogRec::Commit { .. })));
     }
 
     #[test]
     fn commits_follow_timestamp_order_across_originators() {
-        let mut p = replica(2, 3);
-        let mut ctx = TestCtx::new(1_000);
+        let mut s = Script::new(vec![replica(2, 3)]);
+        s[0].clock = 1_000;
         let t0 = ts(5_000, 0);
         let t1 = ts(4_000, 1); // smaller timestamp from r1
         for (origin, t) in [(r(0), t0), (r(1), t1)] {
-            p.on_message(
-                origin,
-                prepare(Epoch::ZERO, t, origin, cmd(t.micros())),
-                &mut ctx,
-            );
+            s.receive(0, origin, prepare(Epoch::ZERO, t, origin, cmd(t.micros())));
         }
-        ctx.take_sends();
+        s[0].sent.clear();
         // Majority acks for BOTH, with clock_ts > both commands.
         for t in [t0, t1] {
             for k in [0u16, 1, 2] {
-                p.on_message(
+                s.receive(
+                    0,
                     r(k),
                     RsmMsg::PrepareOk {
                         epoch: Epoch::ZERO,
                         up_to: t,
                         clock_ts: ts(6_000 + k as u64, k),
                     },
-                    &mut ctx,
                 );
             }
         }
-        assert_eq!(ctx.commits.len(), 2);
-        assert_eq!(ctx.commits[0].cmd.id.seq, 4_000, "smaller ts first");
-        assert_eq!(ctx.commits[1].cmd.id.seq, 5_000);
-        assert!(ctx.commits[0].order_hint < ctx.commits[1].order_hint);
+        assert_eq!(s[0].executed.len(), 2);
+        assert_eq!(s[0].executed[0].cmd.id.seq, 4_000, "smaller ts first");
+        assert_eq!(s[0].executed[1].cmd.id.seq, 5_000);
+        assert!(s[0].executed[0].order_hint < s[0].executed[1].order_hint);
     }
 
     #[test]
     fn prefix_replication_blocks_later_commands() {
         // A command with a larger timestamp reaches majority + stability,
         // but an earlier pending command hasn't: nothing commits.
-        let mut p = replica(2, 3);
-        let mut ctx = TestCtx::new(1_000);
+        let mut s = Script::new(vec![replica(2, 3)]);
+        s[0].clock = 1_000;
         let early = ts(4_000, 0);
         let late = ts(5_000, 1);
         for (origin, t) in [(r(0), early), (r(1), late)] {
-            p.on_message(
-                origin,
-                prepare(Epoch::ZERO, t, origin, cmd(t.micros())),
-                &mut ctx,
-            );
+            s.receive(0, origin, prepare(Epoch::ZERO, t, origin, cmd(t.micros())));
         }
         // Acks only for the late command.
         for k in [0u16, 1, 2] {
-            p.on_message(
+            s.receive(
+                0,
                 r(k),
                 RsmMsg::PrepareOk {
                     epoch: Epoch::ZERO,
                     up_to: late,
                     clock_ts: ts(6_000 + k as u64, k),
                 },
-                &mut ctx,
             );
         }
         assert!(
-            ctx.commits.is_empty(),
+            s[0].executed.is_empty(),
             "prefix replication must hold back the later command"
         );
         // Early command's majority arrives: both commit, in order.
         for k in [0u16, 1] {
-            p.on_message(
+            s.receive(
+                0,
                 r(k),
                 RsmMsg::PrepareOk {
                     epoch: Epoch::ZERO,
                     up_to: early,
                     clock_ts: ts(6_100 + k as u64, k),
                 },
-                &mut ctx,
             );
         }
-        assert_eq!(ctx.commits.len(), 2);
-        assert_eq!(ctx.commits[0].cmd.id.seq, 4_000);
+        assert_eq!(s[0].executed.len(), 2);
+        assert_eq!(s[0].executed[0].cmd.id.seq, 4_000);
     }
 
     #[test]
     fn stale_epoch_messages_dropped_and_newer_buffered() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
         // Move to epoch 1 so an Epoch::ZERO message is genuinely stale.
-        p.membership.install(Epoch(1), vec![r(0), r(1), r(2)]);
-        let before = p.latest_tv[1];
+        s.nodes[0]
+            .proto
+            .membership
+            .install(Epoch(1), vec![r(0), r(1), r(2)]);
+        let before = s.nodes[0].proto.latest_tv[1];
         // Stale epoch: dropped outright, LatestTV untouched.
-        p.on_message(
+        s.receive(
+            0,
             r(1),
             RsmMsg::ClockTime {
                 epoch: Epoch::ZERO,
                 ts: ts(2_000, 1),
             },
-            &mut ctx,
         );
-        assert_eq!(p.latest_tv[1], before, "stale-epoch msg must be dropped");
+        assert_eq!(
+            s.nodes[0].proto.latest_tv[1], before,
+            "stale-epoch msg must be dropped"
+        );
         // Current epoch: applied.
-        p.on_message(
+        s.receive(
+            0,
             r(1),
             RsmMsg::ClockTime {
                 epoch: Epoch(1),
                 ts: ts(2_500, 1),
             },
-            &mut ctx,
         );
-        assert_eq!(p.latest_tv[1], ts(2_500, 1));
+        assert_eq!(s.nodes[0].proto.latest_tv[1], ts(2_500, 1));
         // Future epoch: buffered + decision request sent.
-        p.on_message(
+        s.receive(
+            0,
             r(1),
             RsmMsg::ClockTime {
                 epoch: Epoch(3),
                 ts: ts(9_000, 1),
             },
-            &mut ctx,
         );
-        assert_eq!(p.latest_tv[1], ts(2_500, 1), "future-epoch msg not applied");
-        assert!(ctx
-            .sends
+        assert_eq!(
+            s.nodes[0].proto.latest_tv[1],
+            ts(2_500, 1),
+            "future-epoch msg not applied"
+        );
+        assert!(s[0]
+            .sent
             .iter()
             .any(|(_, m)| matches!(m, RsmMsg::DecisionRequest { .. })));
-        assert_eq!(p.queued_msgs.len(), 1);
+        assert_eq!(s.nodes[0].proto.queued_msgs.len(), 1);
     }
 
     #[test]
     fn clocktime_broadcast_fires_when_quiet() {
-        let mut p = ClockRsm::new(
+        let mut s = Script::new(vec![ClockRsm::new(
             r(0),
             Membership::uniform(3),
             ClockRsmConfig::default().with_delta_us(Some(5_000)),
-        );
-        let mut ctx = TestCtx::new(0);
-        p.on_start(&mut ctx);
-        assert!(ctx.timers.iter().any(|(_, t)| *t == TOKEN_CLOCKTIME));
-        ctx.clock = 10_000; // quiet for > delta
-        p.on_timer(TOKEN_CLOCKTIME, &mut ctx);
-        let sent = ctx
-            .sends
+        )]);
+        s.on(0, |p, ctx| p.on_start(ctx));
+        assert!(s[0].timers.iter().any(|(_, t)| *t == TOKEN_CLOCKTIME));
+        s[0].clock = 10_000; // quiet for > delta
+        s.on(0, |p, ctx| p.on_timer(TOKEN_CLOCKTIME, ctx));
+        let sent = s[0]
+            .sent
             .iter()
             .filter(|(_, m)| matches!(m, RsmMsg::ClockTime { .. }))
             .count();
         assert_eq!(sent, 3);
         // Self-delivery updates our own LatestTV entry; the next tick
         // within delta must not rebroadcast.
-        let (_, m) = ctx.sends[0].clone();
-        p.on_message(r(0), m, &mut ctx);
-        ctx.take_sends();
-        p.on_timer(TOKEN_CLOCKTIME, &mut ctx);
+        let (_, m) = s[0].sent[0].clone();
+        s.receive(0, r(0), m);
+        s[0].sent.clear();
+        s.on(0, |p, ctx| p.on_timer(TOKEN_CLOCKTIME, ctx));
         assert_eq!(
-            ctx.sends
+            s[0].sent
                 .iter()
                 .filter(|(_, m)| matches!(m, RsmMsg::ClockTime { .. }))
                 .count(),
@@ -1581,12 +1516,12 @@ mod tests {
 
     #[test]
     fn send_timestamps_strictly_increase() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        ctx.clock_step = 0; // frozen clock: stamper must still increase
-        let a = p.next_send_ts(&mut ctx);
-        let b = p.next_send_ts(&mut ctx);
-        let c = p.next_send_ts(&mut ctx);
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        s[0].clock_step = 0; // frozen clock: stamper must still increase
+        let a = s.on(0, |p, ctx| p.next_send_ts(ctx));
+        let b = s.on(0, |p, ctx| p.next_send_ts(ctx));
+        let c = s.on(0, |p, ctx| p.next_send_ts(ctx));
         assert!(a < b && b < c);
     }
 
@@ -1596,23 +1531,23 @@ mod tests {
         // cumulative PREPAREOK sent before the rejoin reconfiguration
         // completes would falsely cover them. The replica still logs
         // (shrinking the post-rejoin state transfer) but stays silent.
-        let mut p = replica(1, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_recover(&[], &mut ctx);
-        assert!(p.needs_rejoin);
-        p.on_message(
-            r(0),
-            prepare(Epoch::ZERO, ts(500, 0), r(0), cmd(1)),
-            &mut ctx,
-        );
-        assert_eq!(ctx.log.len(), 1, "the prepare is still logged");
+        let mut s = Script::new(vec![replica(1, 3)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| p.on_recover(&[], ctx));
+        assert!(s.nodes[0].proto.needs_rejoin);
+        s.receive(0, r(0), prepare(Epoch::ZERO, ts(500, 0), r(0), cmd(1)));
+        assert_eq!(s.nodes[0].log.len(), 1, "the prepare is still logged");
         assert!(
-            !ctx.sends
+            !s[0]
+                .sent
                 .iter()
                 .any(|(_, m)| matches!(m, RsmMsg::PrepareOk { .. })),
             "no cumulative ack may leave before the rejoin completes"
         );
-        assert!(p.wait_queue.is_empty(), "no deferred ack either");
+        assert!(
+            s.nodes[0].proto.wait_queue.is_empty(),
+            "no deferred ack either"
+        );
     }
 
     #[test]
@@ -1620,16 +1555,18 @@ mod tests {
         // Batches queued during a freeze must re-issue exactly as the
         // driver delivered them: never merged (policy cap would be
         // violated) and never split.
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.frozen = true;
-        p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), &mut ctx);
-        p.on_client_request(cmd(3), &mut ctx);
-        assert!(ctx.sends.is_empty(), "frozen: nothing leaves");
-        p.frozen = false;
-        p.drain_buffers(&mut ctx);
-        let shapes: Vec<usize> = ctx
-            .sends
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        s.nodes[0].proto.frozen = true;
+        s.on(0, |p, ctx| {
+            p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), ctx)
+        });
+        s.on(0, |p, ctx| p.on_client_request(cmd(3), ctx));
+        assert!(s[0].sent.is_empty(), "frozen: nothing leaves");
+        s.nodes[0].proto.frozen = false;
+        s.on(0, |p, ctx| p.drain_buffers(ctx));
+        let shapes: Vec<usize> = s[0]
+            .sent
             .iter()
             .filter_map(|(to, m)| match m {
                 RsmMsg::PrepareBatch { cmds, .. } if *to == r(0) => Some(cmds.len()),
@@ -1641,8 +1578,8 @@ mod tests {
 
     #[test]
     fn recovery_replays_committed_prefix_in_order() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
         let t1 = ts(100, 1);
         let t2 = ts(200, 0);
         let run = |head: Timestamp, c: Command| LogRec::PrepareBatch {
@@ -1657,12 +1594,15 @@ mod tests {
             LogRec::Commit { ts: t2 },
             run(ts(300, 0), cmd(3)), // tail without commit
         ];
-        p.on_recover(&log, &mut ctx);
-        assert_eq!(ctx.commits.len(), 2);
-        assert_eq!(ctx.commits[0].cmd.id.seq, 1);
-        assert_eq!(ctx.commits[1].cmd.id.seq, 2);
-        assert!(p.needs_rejoin);
-        assert!(p.send_floor >= 300, "must not reuse logged timestamps");
+        s.on(0, |p, ctx| p.on_recover(&log, ctx));
+        assert_eq!(s[0].executed.len(), 2);
+        assert_eq!(s[0].executed[0].cmd.id.seq, 1);
+        assert_eq!(s[0].executed[1].cmd.id.seq, 2);
+        assert!(s.nodes[0].proto.needs_rejoin);
+        assert!(
+            s.nodes[0].proto.send_floor >= 300,
+            "must not reuse logged timestamps"
+        );
     }
 
     fn read(seq: u64) -> Command {
@@ -1674,16 +1614,11 @@ mod tests {
 
     /// Advances every replica's `LatestTV` entry past `micros` via
     /// CLOCKTIME messages (the stable-timestamp feed).
-    fn advance_latest_tv(p: &mut ClockRsm, micros: Micros, ctx: &mut TestCtx) {
+    fn advance_latest_tv(s: &mut Script<ClockRsm>, micros: Micros) {
+        let epoch = s.nodes[0].proto.epoch();
         for k in 0..3u16 {
-            p.on_message(
-                r(k),
-                RsmMsg::ClockTime {
-                    epoch: p.epoch(),
-                    ts: ts(micros, k),
-                },
-                ctx,
-            );
+            let ts = ts(micros, k);
+            s.receive(0, r(k), RsmMsg::ClockTime { epoch, ts });
         }
     }
 
@@ -1703,12 +1638,12 @@ mod tests {
 
     #[test]
     fn parked_read_probes_the_whole_config_once_and_releases_on_the_echoes() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_client_read(read(7), &mut ctx);
-        assert_eq!(p.parked_reads(), 1);
-        assert!(ctx.read_replies.is_empty(), "a read never answers early");
-        let sends = ctx.take_sends();
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| p.on_client_read(read(7), ctx));
+        assert_eq!(s.nodes[0].proto.parked_reads(), 1);
+        assert!(s[0].replies.is_empty(), "a read never answers early");
+        let sends = std::mem::take(&mut s[0].sent);
         let (to, probe_ts) = probes(&sends);
         assert_eq!(
             to,
@@ -1718,167 +1653,186 @@ mod tests {
         assert_eq!(sends.len(), 3, "and nothing else leaves");
         let probe_ts = probe_ts.unwrap();
         assert!(
-            probe_ts > p.last_read_stamp,
+            probe_ts > s.nodes[0].proto.last_read_stamp,
             "the probe is stamped after the read"
         );
         // While that probe covers the stamp, nothing re-probes: not the
         // self-delivered copy, not a partial echo.
-        p.on_message(
+        s.receive(
+            0,
             r(0),
             RsmMsg::ClockProbe {
                 epoch: Epoch::ZERO,
                 ts: probe_ts,
             },
-            &mut ctx,
         );
-        assert_eq!(p.latest_tv[0], probe_ts, "the probe moved our own lane");
-        p.on_message(
+        assert_eq!(
+            s.nodes[0].proto.latest_tv[0], probe_ts,
+            "the probe moved our own lane"
+        );
+        s.receive(
+            0,
             r(1),
             RsmMsg::ClockTime {
                 epoch: Epoch::ZERO,
                 ts: ts(5_000, 1),
             },
-            &mut ctx,
         );
-        assert_eq!(p.parked_reads(), 1, "min(LatestTV) still below the stamp");
-        assert!(ctx.sends.is_empty(), "no echo to self, no second probe");
+        assert_eq!(
+            s.nodes[0].proto.parked_reads(),
+            1,
+            "min(LatestTV) still below the stamp"
+        );
+        assert!(s[0].sent.is_empty(), "no echo to self, no second probe");
         // The last echo arrives: stable timestamp passes the stamp.
-        p.on_message(
+        s.receive(
+            0,
             r(2),
             RsmMsg::ClockTime {
                 epoch: Epoch::ZERO,
                 ts: ts(5_000, 2),
             },
-            &mut ctx,
         );
-        assert_eq!(p.parked_reads(), 0);
-        assert_eq!(ctx.read_replies.len(), 1);
-        assert_eq!(ctx.read_replies[0].id.seq, 7);
-        assert_eq!(&ctx.read_replies[0].result[..], b"read:7");
-        assert!(p.probes_out.is_empty(), "the probe completed");
+        assert_eq!(s.nodes[0].proto.parked_reads(), 0);
+        assert_eq!(s[0].replies.len(), 1);
+        assert_eq!(s[0].replies[0].id.seq, 7);
+        assert_eq!(
+            &s[0].replies[0].result[..],
+            b"get",
+            "the state machine answered"
+        );
         assert!(
-            ctx.commits.is_empty() && ctx.log.is_empty() && ctx.sends.is_empty(),
+            s.nodes[0].proto.probes_out.is_empty(),
+            "the probe completed"
+        );
+        assert!(
+            s[0].executed.is_empty() && s.nodes[0].log.is_empty() && s[0].sent.is_empty(),
             "local reads never commit or log, and a served read stops probing"
         );
         // The next read takes a fresh stamp above the evidence in hand,
         // so it parks and probes again.
-        p.on_client_read(read(8), &mut ctx);
-        assert_eq!(probes(&ctx.sends).0.len(), 3);
+        s.on(0, |p, ctx| p.on_client_read(read(8), ctx));
+        assert_eq!(probes(&s[0].sent).0.len(), 3);
     }
 
     #[test]
     fn reads_behind_an_uncovering_probe_probe_again_up_to_the_cap() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
         // Each read is stamped after the previous probe, so no probe in
         // flight covers it: it sends its own, until the cap.
         for seq in 1..=MAX_INFLIGHT_PROBES as u64 + 2 {
-            p.on_client_read(read(seq), &mut ctx);
+            s.on(0, |p, ctx| p.on_client_read(read(seq), ctx));
         }
-        let (to, _) = probes(&ctx.take_sends());
+        let (to, _) = probes(&std::mem::take(&mut s[0].sent));
         assert_eq!(to.len(), 3 * MAX_INFLIGHT_PROBES, "probes stop at the cap");
-        assert_eq!(p.probes_out.len(), MAX_INFLIGHT_PROBES);
+        assert_eq!(s.nodes[0].proto.probes_out.len(), MAX_INFLIGHT_PROBES);
         // The oldest probe completes: the reads it covered release, and
         // ONE new probe leaves covering every read queued past the cap.
-        let first = p.probes_out[0];
-        advance_latest_tv(&mut p, first.micros(), &mut ctx);
-        assert_eq!(ctx.read_replies.len(), 1, "only the first stamp is covered");
-        let (to, newest) = probes(&ctx.take_sends());
+        let first = s.nodes[0].proto.probes_out[0];
+        advance_latest_tv(&mut s, first.micros());
+        assert_eq!(s[0].replies.len(), 1, "only the first stamp is covered");
+        let (to, newest) = probes(&std::mem::take(&mut s[0].sent));
         assert_eq!(to, vec![r(0), r(1), r(2)]);
-        assert!(newest.unwrap() > p.last_read_stamp);
-        assert_eq!(p.probes_out.len(), MAX_INFLIGHT_PROBES);
+        assert!(newest.unwrap() > s.nodes[0].proto.last_read_stamp);
+        assert_eq!(s.nodes[0].proto.probes_out.len(), MAX_INFLIGHT_PROBES);
     }
 
     #[test]
     fn write_traffic_never_probes() {
         // A replica with no parked read sends no probe, whatever moves
         // its stable timestamp: client batches, PREPAREs, PREPAREOKs.
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), &mut ctx);
-        p.on_message(
-            r(1),
-            prepare(Epoch::ZERO, ts(1_500, 1), r(1), cmd(3)),
-            &mut ctx,
-        );
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| {
+            p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), ctx)
+        });
+        s.receive(0, r(1), prepare(Epoch::ZERO, ts(1_500, 1), r(1), cmd(3)));
         for k in 0..3u16 {
-            p.on_message(
+            s.receive(
+                0,
                 r(k),
                 RsmMsg::PrepareOk {
                     epoch: Epoch::ZERO,
                     up_to: ts(1_500, 1),
                     clock_ts: ts(2_000, k),
                 },
-                &mut ctx,
             );
         }
-        assert_eq!(ctx.commits.len(), 1, "the traffic did commit something");
-        assert!(probes(&ctx.sends).0.is_empty());
+        assert_eq!(s[0].executed.len(), 1, "the traffic did commit something");
+        assert!(probes(&s[0].sent).0.is_empty());
         // A read blocked by a pending write rather than by missing clock
         // evidence does not probe either (the first probe's echoes did
         // their job; the write's acks will release it).
-        p.on_message(
-            r(1),
-            prepare(Epoch::ZERO, ts(2_500, 1), r(1), cmd(4)),
-            &mut ctx,
-        );
-        ctx.clock = 3_000;
-        p.on_client_read(read(9), &mut ctx);
-        advance_latest_tv(&mut p, 50_000, &mut ctx);
-        assert_eq!(p.parked_reads(), 1);
-        ctx.take_sends();
-        advance_latest_tv(&mut p, 60_000, &mut ctx);
-        assert!(probes(&ctx.sends).0.is_empty());
+        s.receive(0, r(1), prepare(Epoch::ZERO, ts(2_500, 1), r(1), cmd(4)));
+        s[0].clock = 3_000;
+        s.on(0, |p, ctx| p.on_client_read(read(9), ctx));
+        advance_latest_tv(&mut s, 50_000);
+        assert_eq!(s.nodes[0].proto.parked_reads(), 1);
+        s[0].sent.clear();
+        advance_latest_tv(&mut s, 60_000);
+        assert!(probes(&s[0].sent).0.is_empty());
     }
 
     #[test]
     fn peer_echoes_a_probe_with_one_unicast_clocktime() {
-        let mut p = replica(1, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.on_message(
+        let mut s = Script::new(vec![replica(1, 3)]);
+        s[0].clock = 1_000;
+        s.receive(
+            0,
             r(0),
             RsmMsg::ClockProbe {
                 epoch: Epoch::ZERO,
                 ts: ts(900, 0),
             },
-            &mut ctx,
         );
-        assert_eq!(p.latest_tv[0], ts(900, 0), "a probe is clock evidence");
-        let sends = ctx.take_sends();
+        assert_eq!(
+            s.nodes[0].proto.latest_tv[0],
+            ts(900, 0),
+            "a probe is clock evidence"
+        );
+        let sends = std::mem::take(&mut s[0].sent);
         assert_eq!(sends.len(), 1, "one echo, to the prober only");
         match &sends[0] {
             (to, RsmMsg::ClockTime { epoch, ts }) => {
                 assert_eq!((*to, *epoch), (r(0), Epoch::ZERO));
                 assert_eq!(ts.replica(), r(1));
-                assert_eq!(ts.micros(), p.send_floor, "stamped by next_send_ts");
+                assert_eq!(
+                    ts.micros(),
+                    s.nodes[0].proto.send_floor,
+                    "stamped by next_send_ts"
+                );
             }
             other => panic!("expected a CLOCKTIME echo, got {other:?}"),
         }
         // Epoch-gated like CLOCKTIME: a stale-epoch probe is dropped
         // without an echo (what keeps a reconfigured-out replica's reads
         // parked), a future-epoch one is buffered.
-        p.membership.install(Epoch(1), vec![r(0), r(1), r(2)]);
-        p.on_message(
+        s.nodes[0]
+            .proto
+            .membership
+            .install(Epoch(1), vec![r(0), r(1), r(2)]);
+        s.receive(
+            0,
             r(2),
             RsmMsg::ClockProbe {
                 epoch: Epoch::ZERO,
                 ts: ts(5_000, 2),
             },
-            &mut ctx,
         );
-        assert!(ctx.sends.is_empty());
-        assert_eq!(p.latest_tv[2], Timestamp::ZERO);
-        p.on_message(
+        assert!(s[0].sent.is_empty());
+        assert_eq!(s.nodes[0].proto.latest_tv[2], Timestamp::ZERO);
+        s.receive(
+            0,
             r(2),
             RsmMsg::ClockProbe {
                 epoch: Epoch(2),
                 ts: ts(6_000, 2),
             },
-            &mut ctx,
         );
-        assert_eq!(p.queued_msgs.len(), 1);
-        assert!(!ctx
-            .sends
+        assert_eq!(s.nodes[0].proto.queued_msgs.len(), 1);
+        assert!(!s[0]
+            .sent
             .iter()
             .any(|(_, m)| matches!(m, RsmMsg::ClockTime { .. })));
     }
@@ -1890,82 +1844,83 @@ mod tests {
             ts: ts(900, 0),
         };
         for rejoining in [false, true] {
-            let mut p = replica(1, 3);
-            let mut ctx = TestCtx::new(1_000);
+            let mut s = Script::new(vec![replica(1, 3)]);
+            s[0].clock = 1_000;
             // A read parks, then the replica freezes / loses its place.
-            p.on_client_read(read(1), &mut ctx);
-            ctx.take_sends();
-            p.probes_out.clear();
-            p.frozen = !rejoining;
-            p.needs_rejoin = rejoining;
-            p.on_client_read(read(2), &mut ctx);
-            p.on_message(r(0), probe.clone(), &mut ctx);
-            p.on_message(
+            s.on(0, |p, ctx| p.on_client_read(read(1), ctx));
+            s[0].sent.clear();
+            s.nodes[0].proto.probes_out.clear();
+            s.nodes[0].proto.frozen = !rejoining;
+            s.nodes[0].proto.needs_rejoin = rejoining;
+            s.on(0, |p, ctx| p.on_client_read(read(2), ctx));
+            s.receive(0, r(0), probe.clone());
+            s.receive(
+                0,
                 r(2),
                 RsmMsg::ClockTime {
                     epoch: Epoch::ZERO,
                     ts: ts(950, 2),
                 },
-                &mut ctx,
             );
             assert!(
-                ctx.sends.is_empty(),
+                s[0].sent.is_empty(),
                 "rejoining={rejoining}: sent {:?}",
-                ctx.sends
+                s[0].sent
             );
-            assert_eq!(p.latest_tv[0], ts(900, 0), "the evidence still counts");
+            assert_eq!(
+                s.nodes[0].proto.latest_tv[0],
+                ts(900, 0),
+                "the evidence still counts"
+            );
         }
     }
 
     #[test]
     fn read_waits_for_smaller_pending_commands_to_commit() {
-        let mut p = replica(2, 3);
-        let mut ctx = TestCtx::new(1_000);
+        let mut s = Script::new(vec![replica(2, 3)]);
+        s[0].clock = 1_000;
         // A write with a small timestamp is pending (not yet majority-
         // acked); a read stamped above it must wait even once every
         // clock passed the stamp.
-        p.on_message(
-            r(0),
-            prepare(Epoch::ZERO, ts(500, 0), r(0), cmd(1)),
-            &mut ctx,
-        );
-        ctx.take_sends();
-        p.on_client_read(read(9), &mut ctx);
-        advance_latest_tv(&mut p, 50_000, &mut ctx);
+        s.receive(0, r(0), prepare(Epoch::ZERO, ts(500, 0), r(0), cmd(1)));
+        s[0].sent.clear();
+        s.on(0, |p, ctx| p.on_client_read(read(9), ctx));
+        advance_latest_tv(&mut s, 50_000);
         assert_eq!(
-            p.parked_reads(),
+            s.nodes[0].proto.parked_reads(),
             1,
             "a pending write below the stamp blocks the read"
         );
-        assert!(ctx.read_replies.is_empty());
+        assert!(s[0].replies.is_empty());
         // Majority acks arrive, the write commits, the read releases.
         for k in [0u16, 1, 2] {
-            p.on_message(
+            s.receive(
+                0,
                 r(k),
                 RsmMsg::PrepareOk {
                     epoch: Epoch::ZERO,
                     up_to: ts(500, 0),
                     clock_ts: ts(60_000 + k as u64, k),
                 },
-                &mut ctx,
             );
         }
-        assert_eq!(ctx.commits.len(), 1, "the write committed");
-        assert_eq!(p.parked_reads(), 0);
-        assert_eq!(ctx.read_replies.len(), 1);
+        assert_eq!(s[0].executed.len(), 1, "the write committed");
+        assert_eq!(s.nodes[0].proto.parked_reads(), 0);
+        assert_eq!(s[0].replies.len(), 1);
     }
 
     #[test]
     fn read_falls_back_to_replication_without_sm_access() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        ctx.serve_reads = false; // driver cannot answer reads locally
-        p.on_client_read(read(3), &mut ctx);
-        advance_latest_tv(&mut p, 50_000, &mut ctx);
-        assert_eq!(p.parked_reads(), 0);
-        assert!(ctx.read_replies.is_empty());
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        // The state machine cannot answer reads locally.
+        s.nodes[0].sm = Box::new(ApplyOnly::default());
+        s.on(0, |p, ctx| p.on_client_read(read(3), ctx));
+        advance_latest_tv(&mut s, 50_000);
+        assert_eq!(s.nodes[0].proto.parked_reads(), 0);
+        assert!(s[0].replies.is_empty());
         assert!(
-            ctx.sends
+            s[0].sent
                 .iter()
                 .any(|(_, m)| matches!(m, RsmMsg::PrepareBatch { .. })),
             "unserveable read must be replicated as an ordinary command"
@@ -1974,18 +1929,22 @@ mod tests {
 
     #[test]
     fn frozen_replica_queues_reads_and_restamps_on_unfreeze() {
-        let mut p = replica(0, 3);
-        let mut ctx = TestCtx::new(1_000);
-        p.frozen = true;
-        p.on_client_read(read(4), &mut ctx);
-        assert_eq!(p.parked_reads(), 0, "frozen: not stamped yet");
-        assert_eq!(p.queued_reads.len(), 1);
-        p.frozen = false;
-        p.drain_buffers(&mut ctx);
-        assert_eq!(p.queued_reads.len(), 0);
-        assert_eq!(p.parked_reads(), 1, "re-stamped and parked");
-        advance_latest_tv(&mut p, 50_000, &mut ctx);
-        assert_eq!(ctx.read_replies.len(), 1);
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        s.nodes[0].proto.frozen = true;
+        s.on(0, |p, ctx| p.on_client_read(read(4), ctx));
+        assert_eq!(
+            s.nodes[0].proto.parked_reads(),
+            0,
+            "frozen: not stamped yet"
+        );
+        assert_eq!(s.nodes[0].proto.queued_reads.len(), 1);
+        s.nodes[0].proto.frozen = false;
+        s.on(0, |p, ctx| p.drain_buffers(ctx));
+        assert_eq!(s.nodes[0].proto.queued_reads.len(), 0);
+        assert_eq!(s.nodes[0].proto.parked_reads(), 1, "re-stamped and parked");
+        advance_latest_tv(&mut s, 50_000);
+        assert_eq!(s[0].replies.len(), 1);
     }
 
     #[test]

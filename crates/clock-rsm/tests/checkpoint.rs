@@ -4,75 +4,13 @@
 use bytes::Bytes;
 use clock_rsm::{ClockRsm, ClockRsmConfig, LogRec, RsmMsg};
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::CheckpointPolicy;
-use rsm_core::command::{Command, CommandId, Committed};
+use rsm_core::checkpoint::{Checkpoint, CheckpointPolicy};
+use rsm_core::command::{Command, CommandId};
 use rsm_core::config::{Epoch, Membership};
 use rsm_core::id::{ClientId, ReplicaId};
-use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::time::{Micros, Timestamp};
-
-/// A context whose "state machine" is an append-only list of executed
-/// sequence numbers, with snapshot/restore support.
-struct CtxWithSm {
-    clock: Micros,
-    log: Vec<LogRec>,
-    executed: Vec<u64>,
-    commits: Vec<Committed>,
-    support_snapshots: bool,
-}
-
-impl CtxWithSm {
-    fn new(support_snapshots: bool) -> Self {
-        CtxWithSm {
-            clock: 1_000,
-            log: Vec::new(),
-            executed: Vec::new(),
-            commits: Vec::new(),
-            support_snapshots,
-        }
-    }
-}
-
-impl Context<ClockRsm> for CtxWithSm {
-    fn clock(&mut self) -> Micros {
-        self.clock += 1;
-        self.clock
-    }
-    fn send(&mut self, _to: ReplicaId, _msg: RsmMsg) {}
-    fn log_append(&mut self, rec: LogRec) {
-        self.log.push(rec);
-    }
-    fn log_rewrite(&mut self, recs: Vec<LogRec>) {
-        self.log = recs;
-    }
-    fn commit(&mut self, c: Committed) -> Bytes {
-        let result = c.cmd.payload.clone();
-        self.executed.push(c.cmd.id.seq);
-        self.commits.push(c);
-        result
-    }
-    fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-    fn sm_snapshot(&mut self) -> Option<Bytes> {
-        if !self.support_snapshots {
-            return None;
-        }
-        let mut buf = Vec::new();
-        for s in &self.executed {
-            buf.extend_from_slice(&s.to_be_bytes());
-        }
-        Some(Bytes::from(buf))
-    }
-    fn sm_install(&mut self, snapshot: Bytes) -> bool {
-        if !self.support_snapshots {
-            return false;
-        }
-        self.executed = snapshot
-            .chunks(8)
-            .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunks")))
-            .collect();
-        true
-    }
-}
+use rsm_core::node::{ApplyOnly, Script};
+use rsm_core::protocol::Protocol;
+use rsm_core::time::Timestamp;
 
 fn r(i: u16) -> ReplicaId {
     ReplicaId::new(i)
@@ -105,91 +43,93 @@ fn replica_with(policy: CheckpointPolicy) -> ClockRsm {
     )
 }
 
+/// One replica (r2 at position 0) whose clock starts at 1 ms.
+fn script(p: ClockRsm) -> Script<ClockRsm> {
+    let mut s = Script::new(vec![p]);
+    s[0].clock = 1_000;
+    s
+}
+
 /// Drives `count` full commits through a replica by hand.
-fn commit_n(p: &mut ClockRsm, ctx: &mut CtxWithSm, count: u64) {
-    commit_seqs(p, ctx, 1..=count);
+fn commit_n(s: &mut Script<ClockRsm>, count: u64) {
+    commit_seqs(s, 1..=count);
 }
 
 /// Drives the commits of commands `seqs` through a replica by hand.
-fn commit_seqs(p: &mut ClockRsm, ctx: &mut CtxWithSm, seqs: std::ops::RangeInclusive<u64>) {
+fn commit_seqs(s: &mut Script<ClockRsm>, seqs: std::ops::RangeInclusive<u64>) {
     for seq in seqs {
         let ts = Timestamp::new(10_000 * seq, r(0));
-        p.on_message(
-            r(0),
-            RsmMsg::PrepareBatch {
-                epoch: Epoch::ZERO,
-                ts,
-                origin: r(0),
-                cmds: Batch::single(cmd(seq)),
-            },
-            ctx,
-        );
+        let prepare = RsmMsg::PrepareBatch {
+            epoch: Epoch::ZERO,
+            ts,
+            origin: r(0),
+            cmds: Batch::single(cmd(seq)),
+        };
+        s.on(0, |p, ctx| p.on_message(r(0), prepare, ctx));
         for k in 0..3u16 {
-            p.on_message(
-                r(k),
-                RsmMsg::PrepareOk {
-                    epoch: Epoch::ZERO,
-                    up_to: ts,
-                    clock_ts: Timestamp::new(ts.micros() + 10 + k as u64, r(k)),
-                },
-                ctx,
-            );
+            let ok = RsmMsg::PrepareOk {
+                epoch: Epoch::ZERO,
+                up_to: ts,
+                clock_ts: Timestamp::new(ts.micros() + 10 + k as u64, r(k)),
+            };
+            s.on(0, |p, ctx| p.on_message(r(k), ok, ctx));
         }
     }
 }
 
+/// The replica's logged checkpoints, oldest first.
+fn checkpoints(s: &Script<ClockRsm>) -> Vec<&Checkpoint<Timestamp>> {
+    let log = s.nodes[0].log.iter();
+    log.filter_map(|l| match l {
+        LogRec::Checkpoint(cp) => Some(cp),
+        _ => None,
+    })
+    .collect()
+}
+
 #[test]
 fn checkpoints_are_written_at_the_interval() {
-    let mut p = replica(Some(3));
-    let mut ctx = CtxWithSm::new(true);
-    commit_n(&mut p, &mut ctx, 7);
-    let checkpoints: Vec<&LogRec> = ctx
-        .log
-        .iter()
-        .filter(|l| matches!(l, LogRec::Checkpoint { .. }))
-        .collect();
+    let mut s = script(replica(Some(3)));
+    commit_n(&mut s, 7);
+    let checkpoints = checkpoints(&s);
     assert_eq!(
         checkpoints.len(),
         2,
         "7 commits at interval 3 -> 2 checkpoints"
     );
-    match checkpoints[1] {
-        LogRec::Checkpoint(cp) => {
-            assert_eq!(
-                cp.applied.micros(),
-                60_000,
-                "second checkpoint covers commit 6"
-            );
-            assert_eq!(cp.snapshot.len(), 6 * 8);
-        }
-        _ => unreachable!(),
-    }
+    let cp = checkpoints[1];
+    assert_eq!(
+        cp.applied.micros(),
+        60_000,
+        "second checkpoint covers commit 6"
+    );
+    assert_eq!(cp.snapshot.len(), 6 * 8);
 }
 
 #[test]
 fn byte_budget_triggers_checkpoints_before_the_count_interval() {
     // 1-byte commands, a 2-byte budget and a distant count interval: the
     // byte trigger must fire every two commits.
-    let mut p = replica_with(CheckpointPolicy::every(1_000_000).with_every_bytes(Some(2)));
-    let mut ctx = CtxWithSm::new(true);
-    commit_n(&mut p, &mut ctx, 6);
-    let checkpoints = ctx
-        .log
-        .iter()
-        .filter(|l| matches!(l, LogRec::Checkpoint(_)))
-        .count();
-    assert_eq!(checkpoints, 3, "6 one-byte commits over a 2-byte budget");
+    let mut s = script(replica_with(
+        CheckpointPolicy::every(1_000_000).with_every_bytes(Some(2)),
+    ));
+    commit_n(&mut s, 6);
+    assert_eq!(
+        checkpoints(&s).len(),
+        3,
+        "6 one-byte commits over a 2-byte budget"
+    );
 }
 
 #[test]
 fn compaction_truncates_the_log_below_the_watermark() {
-    let mut p = replica_with(CheckpointPolicy::every(3).with_compaction(true));
-    let mut ctx = CtxWithSm::new(true);
-    commit_n(&mut p, &mut ctx, 7);
+    let policy = CheckpointPolicy::every(3).with_compaction(true);
+    let mut s = script(replica_with(policy));
+    commit_n(&mut s, 7);
     // The last compaction ran at commit 6: the log holds that checkpoint
     // plus only the records above its watermark (commit 7's pair).
-    let below_watermark = ctx
-        .log
+    let log = &s.nodes[0].log;
+    let below_watermark = log
         .iter()
         .filter_map(|l| match l {
             LogRec::PrepareBatch { head, .. } => Some(*head),
@@ -200,35 +140,27 @@ fn compaction_truncates_the_log_below_the_watermark() {
         .count();
     assert_eq!(below_watermark, 0, "records below the watermark survive");
     assert!(
-        ctx.log.len() <= 4,
+        log.len() <= 4,
         "log must stay bounded, got {} records",
-        ctx.log.len()
+        log.len()
     );
     // Recovery from the compacted log reproduces the full state.
-    let mut p2 = replica_with(CheckpointPolicy::every(3).with_compaction(true));
-    let mut ctx2 = CtxWithSm::new(true);
-    p2.on_recover(&ctx.log.clone(), &mut ctx2);
-    assert_eq!(ctx2.executed, vec![1, 2, 3, 4, 5, 6, 7]);
-    assert_eq!(p2.last_committed_ts().micros(), 70_000);
+    s.restart(0, replica_with(policy));
+    assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!(s.nodes[0].proto.last_committed_ts().micros(), 70_000);
 }
 
 #[test]
 fn recovery_restores_snapshot_and_replays_only_suffix() {
-    let mut p = replica(Some(3));
-    let mut ctx = CtxWithSm::new(true);
-    commit_n(&mut p, &mut ctx, 7);
-    let log = ctx.log.clone();
-
-    // Fresh replica + fresh context: recover from the log.
-    let mut p2 = replica(Some(3));
-    let mut ctx2 = CtxWithSm::new(true);
-    p2.on_recover(&log, &mut ctx2);
+    let mut s = script(replica(Some(3)));
+    commit_n(&mut s, 7);
+    s.restart(0, replica(Some(3)));
 
     // The snapshot restored commands 1..=6; only command 7 was replayed.
-    assert_eq!(ctx2.executed, vec![1, 2, 3, 4, 5, 6, 7]);
-    assert_eq!(ctx2.commits.len(), 1, "only the suffix is re-executed");
-    assert_eq!(ctx2.commits[0].cmd.id.seq, 7);
-    assert_eq!(p2.last_committed_ts().micros(), 70_000);
+    assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!(s[0].executed.len(), 1, "only the suffix is re-executed");
+    assert_eq!(s[0].executed[0].cmd.id.seq, 7);
+    assert_eq!(s.nodes[0].proto.last_committed_ts().micros(), 70_000);
 }
 
 /// Recovery replay feeds the checkpoint trigger like live execution: a
@@ -237,22 +169,16 @@ fn recovery_restores_snapshot_and_replays_only_suffix() {
 /// zero on every recovery and replaying an ever-growing log.
 #[test]
 fn crashing_more_often_than_the_interval_still_checkpoints() {
-    let mut ctx = CtxWithSm::new(true);
+    let mut s = script(replica(Some(5)));
     for round in 0..4u64 {
         // A crash loses the replica and its state machine; the log stays.
-        let mut p = replica(Some(5));
-        ctx.executed.clear();
-        p.on_recover(&ctx.log.clone(), &mut ctx);
-        commit_seqs(&mut p, &mut ctx, 2 * round + 1..=2 * round + 2);
+        s.restart(0, replica(Some(5)));
+        commit_seqs(&mut s, 2 * round + 1..=2 * round + 2);
     }
-    assert_eq!(ctx.executed, (1..=8).collect::<Vec<u64>>());
-    let checkpoints: Vec<u64> = ctx
-        .log
+    assert_eq!(s.applied(0), (1..=8).collect::<Vec<u64>>());
+    let checkpoints: Vec<u64> = checkpoints(&s)
         .iter()
-        .filter_map(|l| match l {
-            LogRec::Checkpoint(cp) => Some(cp.applied.micros()),
-            _ => None,
-        })
+        .map(|cp| cp.applied.micros())
         .collect();
     assert_eq!(
         checkpoints,
@@ -263,43 +189,21 @@ fn crashing_more_often_than_the_interval_still_checkpoints() {
 
 #[test]
 fn recovery_without_snapshot_support_replays_everything() {
-    let mut p = replica(Some(3));
-    let mut ctx = CtxWithSm::new(true);
-    commit_n(&mut p, &mut ctx, 7);
-    let log = ctx.log.clone();
-
-    // The recovering driver cannot restore snapshots: full replay.
-    let mut p2 = replica(Some(3));
-    let mut ctx2 = CtxWithSm::new(false);
-    p2.on_recover(&log, &mut ctx2);
-    assert_eq!(ctx2.executed, vec![1, 2, 3, 4, 5, 6, 7]);
-    assert_eq!(ctx2.commits.len(), 7);
+    // The state machine cannot restore snapshots: full replay.
+    let mut s = script(replica(Some(3)));
+    s.nodes[0].sm = Box::new(ApplyOnly::default());
+    commit_n(&mut s, 7);
+    assert_eq!(checkpoints(&s).len(), 2, "checkpoints are still written");
+    s.restart(0, replica(Some(3)));
+    assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!(s[0].executed.len(), 7);
 }
 
 #[test]
 fn no_checkpoints_without_configuration() {
-    let mut p = replica(None);
-    let mut ctx = CtxWithSm::new(true);
-    commit_n(&mut p, &mut ctx, 10);
-    assert!(
-        !ctx.log
-            .iter()
-            .any(|l| matches!(l, LogRec::Checkpoint { .. })),
-        "checkpointing must be opt-in"
-    );
-}
-
-#[test]
-fn snapshotless_driver_never_receives_checkpoint_records() {
-    let mut p = replica(Some(2));
-    let mut ctx = CtxWithSm::new(false);
-    commit_n(&mut p, &mut ctx, 6);
-    assert!(
-        !ctx.log
-            .iter()
-            .any(|l| matches!(l, LogRec::Checkpoint { .. })),
-        "no snapshots -> no checkpoint records"
-    );
+    let mut s = script(replica(None));
+    commit_n(&mut s, 10);
+    assert!(checkpoints(&s).is_empty(), "checkpointing must be opt-in");
 }
 
 /// A run cut mid-way by acks, with a checkpoint landing inside it: a
@@ -310,47 +214,45 @@ fn snapshotless_driver_never_receives_checkpoint_records() {
 fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
     for (compact, snapshots) in [(false, true), (true, true), (false, false)] {
         let policy = CheckpointPolicy::every(3).with_compaction(compact);
-        let mut p = replica_with(policy);
-        let mut ctx = CtxWithSm::new(true);
+        let mut s = script(replica_with(policy));
+        if !snapshots {
+            s.nodes[0].sm = Box::new(ApplyOnly::default());
+        }
         let head = Timestamp::new(10_000, r(0));
-        p.on_message(
-            r(0),
-            RsmMsg::PrepareBatch {
-                epoch: Epoch::ZERO,
-                ts: head,
-                origin: r(0),
-                cmds: Batch::new((1..=8).map(cmd).collect()),
-            },
-            &mut ctx,
-        );
+        let prepare = RsmMsg::PrepareBatch {
+            epoch: Epoch::ZERO,
+            ts: head,
+            origin: r(0),
+            cmds: Batch::new((1..=8).map(cmd).collect()),
+        };
+        s.on(0, |p, ctx| p.on_message(r(0), prepare, ctx));
         // Acks cover five of the eight commands; every clock passes all.
         for k in 0..3u16 {
-            p.on_message(
-                r(k),
-                RsmMsg::PrepareOk {
-                    epoch: Epoch::ZERO,
-                    up_to: Timestamp::new(10_004, r(0)),
-                    clock_ts: Timestamp::new(20_000 + k as u64, r(k)),
-                },
-                &mut ctx,
-            );
+            let ok = RsmMsg::PrepareOk {
+                epoch: Epoch::ZERO,
+                up_to: Timestamp::new(10_004, r(0)),
+                clock_ts: Timestamp::new(20_000 + k as u64, r(k)),
+            };
+            s.on(0, |p, ctx| p.on_message(r(k), ok, ctx));
         }
-        assert_eq!(ctx.executed, vec![1, 2, 3, 4, 5]);
+        let applied = s.applied(0);
+        assert_eq!(applied, vec![1, 2, 3, 4, 5]);
+        let p = &s.nodes[0].proto;
         assert_eq!(p.pending_count(), 3, "the run is cut after five");
-        let checkpoint_at = ctx.log.iter().find_map(|l| match l {
-            LogRec::Checkpoint(cp) => Some(cp.applied.micros()),
-            _ => None,
-        });
+        let (committed, last) = (p.committed_count(), p.last_committed_ts());
+        let checkpoint_at = checkpoints(&s).first().map(|cp| cp.applied.micros());
         assert_eq!(checkpoint_at, Some(10_002), "the checkpoint is mid-run");
+        let keys = |s: &Script<ClockRsm>| -> Vec<u64> {
+            s[0].executed.iter().map(|c| c.order_hint).collect()
+        };
+        let live_keys = keys(&s);
 
-        let mut p2 = replica_with(policy);
-        let mut ctx2 = CtxWithSm::new(snapshots);
-        p2.on_recover(&ctx.log.clone(), &mut ctx2);
-        assert_eq!(ctx2.executed, ctx.executed, "compact={compact}");
+        s.restart(0, replica_with(policy));
+        assert_eq!(s.applied(0), applied, "compact={compact}");
+        let p = &s.nodes[0].proto;
         let restored = if snapshots { 3 } else { 0 };
-        assert_eq!(p2.committed_count() + restored, p.committed_count());
-        assert_eq!(p2.last_committed_ts(), p.last_committed_ts());
-        let keys = |c: &CtxWithSm| c.commits.iter().map(|c| c.order_hint).collect::<Vec<_>>();
-        assert_eq!(keys(&ctx2), keys(&ctx)[restored as usize..]);
+        assert_eq!(p.committed_count() + restored, committed);
+        assert_eq!(p.last_committed_ts(), last);
+        assert_eq!(keys(&s), live_keys[restored as usize..]);
     }
 }

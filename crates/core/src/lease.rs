@@ -88,31 +88,6 @@ impl LeaseConfig {
         self
     }
 
-    /// Overrides the heartbeat / detector tick interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is zero or not below the lease timeout.
-    pub fn with_heartbeat_us(mut self, us: Micros) -> Self {
-        assert!(
-            us > 0 && us < self.timeout_us,
-            "heartbeat must fit the lease"
-        );
-        self.heartbeat_us = us;
-        self
-    }
-
-    /// Overrides the candidate retry interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is zero.
-    pub fn with_election_retry_us(mut self, us: Micros) -> Self {
-        assert!(us > 0, "election retry must be positive");
-        self.election_retry_us = us;
-        self
-    }
-
     /// Whether fail-over is configured at all.
     pub fn enabled(&self) -> bool {
         self.timeout_us > 0
@@ -191,21 +166,6 @@ mod tests {
         assert_eq!(lease.heartbeat_us, 100);
         assert_eq!(lease.election_retry_us, 200);
         assert!(lease.enabled());
-    }
-
-    #[test]
-    fn builders_override_derived_ticks() {
-        let lease = LeaseConfig::after(1_000)
-            .with_heartbeat_us(50)
-            .with_election_retry_us(300);
-        assert_eq!(lease.heartbeat_us, 50);
-        assert_eq!(lease.election_retry_us, 300);
-    }
-
-    #[test]
-    #[should_panic(expected = "fit the lease")]
-    fn heartbeat_must_be_below_timeout() {
-        let _ = LeaseConfig::after(100).with_heartbeat_us(100);
     }
 
     #[test]

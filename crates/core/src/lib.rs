@@ -8,8 +8,8 @@
 //! event-driven state machine implementing the [`Protocol`] trait. A protocol
 //! never touches a socket, a disk, or a wall clock directly: all its
 //! interactions with the outside world go through a [`Context`], which the
-//! embedding driver provides through the one [`node`] core. Two drivers
-//! exist in this workspace, both schedulers around a [`Node`]:
+//! embedding driver provides through the one [`node`] core. Three drivers
+//! exist in this workspace, all schedulers around a [`Node`]:
 //!
 //! * `simnet` — a deterministic discrete-event simulator with virtual time,
 //!   a configurable wide-area latency matrix, loosely synchronized physical
@@ -18,6 +18,9 @@
 //! * `rsm-runtime` — a threaded real-time runtime that emulates WAN latency
 //!   with real delays, demonstrating that the same protocol cores run
 //!   unmodified outside the simulator.
+//! * [`node::Script`] — a hand-stepped driver: the caller picks every
+//!   callback, link delivery, timer and crash, so the protocol crates'
+//!   unit and property tests run the production context.
 //!
 //! The split mirrors the paper's model (Section II): an asynchronous message
 //! passing system, FIFO channels, crash-recovery failures, stable storage,
@@ -76,7 +79,7 @@
 //! three for every protocol — dedup → apply → checkpoint → read release
 //! → state transfer — so a protocol crate holds ordering logic only;
 //! [`node`] is a replica under any driver and the one [`Context`]
-//! implementation both drivers schedule; [`sm`] is the state machine
+//! implementation every driver schedules; [`sm`] is the state machine
 //! trait, [`wire`] the binary codec, [`obs`] the observability
 //! vocabulary.
 //!

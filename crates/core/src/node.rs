@@ -3,13 +3,18 @@
 //!
 //! A [`Node`] is what a replica *is*, whichever scheduler runs it: the
 //! protocol, its state machine, its stable log, how many commands it has
-//! executed, and its observability sinks. The two drivers — `simnet`'s
-//! virtual time and `rsm-runtime`'s replica threads — are schedulers
-//! around it: each decides *when* a callback runs and hands
-//! [`Node::with`] a [`Driver`] covering only what differs between them
-//! (the clock, the network, timers, and where an executed command's
-//! reply goes). Applying a command, counting it, logging, snapshots,
-//! local reads and every `obs_*` hook are implemented once, here.
+//! executed, and its observability sinks. Three drivers are schedulers
+//! around it — `simnet`'s virtual time, `rsm-runtime`'s replica threads,
+//! and [`Script`], the hand-stepped driver of the protocol tests: each
+//! decides *when* a callback runs and hands [`Node::with`] a [`Driver`]
+//! covering only what differs between them (the clock, the network,
+//! timers, and where an executed command's reply goes). Applying a
+//! command, counting it, logging, snapshots, local reads and every
+//! `obs_*` hook are implemented once, here, so a protocol's unit tests
+//! run the same context code as a simulation or a live cluster.
+
+use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 use bytes::Bytes;
 use rsm_obs::{NodeObs, Tracer};
@@ -89,11 +94,11 @@ impl<P: Protocol> Node<P> {
 
     /// Runs `f` — one protocol callback, or a driver's whole drain of
     /// them — against this node's context over `driver`.
-    pub fn with<D: Driver<P>>(
+    pub fn with<D: Driver<P>, R>(
         &mut self,
         driver: &mut D,
-        f: impl FnOnce(&mut P, &mut dyn Context<P>),
-    ) {
+        f: impl FnOnce(&mut P, &mut dyn Context<P>) -> R,
+    ) -> R {
         let Node {
             proto,
             sm,
@@ -207,5 +212,402 @@ impl<P: Protocol, D: Driver<P>> Context<P> for NodeCtx<'_, P, D> {
         if let Some(t) = self.tracer {
             t.record(span_key(id), stage.index(), self.driver.trace_now());
         }
+    }
+}
+
+/// A hand-stepped driver for tests and explorers: real [`Node`]s over one
+/// fake clock each, where the caller decides which callback runs next —
+/// a client request, the head of one link, one timer, a crash.
+///
+/// Replica `i` sits at position `i`. A test of one replica calls
+/// [`on`](Script::on) and reads what it [`sent`](Scripted::sent); a
+/// schedule [`flush`](Script::flush)es sends onto per-link FIFO queues
+/// and [`deliver`](Script::deliver)s them one head at a time, so every
+/// interleaving it reaches respects the channel contract of
+/// [`protocol`](crate::protocol). Indexing a script gives a replica's
+/// [`Scripted`] record.
+pub struct Script<P: Protocol> {
+    /// The replicas, replica `i` at position `i`.
+    pub nodes: Vec<Node<P>>,
+    drivers: Vec<Scripted<P>>,
+}
+
+/// One replica's side of a [`Script`]: its clock and every effect its
+/// callbacks produced.
+pub struct Scripted<P: Protocol> {
+    /// The physical clock: each read first advances it by `clock_step`.
+    pub clock: Micros,
+    /// How far one clock read advances the clock (0 freezes it).
+    pub clock_step: Micros,
+    /// Sends not yet flushed onto the links, in send order.
+    pub sent: Vec<(ReplicaId, P::Msg)>,
+    /// Armed timers not yet fired, in arming order.
+    pub timers: Vec<(Micros, TimerToken)>,
+    /// Every command the state machine executed, replays included.
+    pub executed: Vec<Committed>,
+    /// Locally served read replies.
+    pub replies: Vec<Reply>,
+    /// Flushed sends in flight to each destination, oldest first.
+    pub links: Vec<VecDeque<P::Msg>>,
+}
+
+impl<P: Protocol> Driver<P> for Scripted<P> {
+    fn clock(&mut self) -> Micros {
+        self.clock += self.clock_step;
+        self.clock
+    }
+
+    fn trace_now(&self) -> u64 {
+        self.clock
+    }
+
+    fn send(&mut self, to: ReplicaId, msg: P::Msg) {
+        self.sent.push((to, msg));
+    }
+
+    fn set_timer(&mut self, after: Micros, token: TimerToken) {
+        self.timers.push((after, token));
+    }
+
+    fn executed(&mut self, committed: Committed, _result: &Bytes, _tracer: Option<&Tracer>) {
+        self.executed.push(committed);
+    }
+
+    fn answered(&mut self, reply: Reply, _tracer: Option<&Tracer>) {
+        self.replies.push(reply);
+    }
+}
+
+impl<P: Protocol> Script<P> {
+    /// One replica per protocol, each over a fresh [`Recorder`] and a
+    /// clock at 0 that steps 1 µs per read.
+    pub fn new(protos: Vec<P>) -> Self {
+        let n = protos.len();
+        let nodes = protos
+            .into_iter()
+            .map(|p| Node::new(p, Box::new(Recorder::default()), None, None))
+            .collect();
+        let drivers = (0..n)
+            .map(|_| Scripted {
+                clock: 0,
+                clock_step: 1,
+                sent: Vec::new(),
+                timers: Vec::new(),
+                executed: Vec::new(),
+                replies: Vec::new(),
+                links: (0..n).map(|_| VecDeque::new()).collect(),
+            })
+            .collect();
+        Script { nodes, drivers }
+    }
+
+    /// Runs one callback at replica `r` against its production context,
+    /// returning what the callback returns.
+    pub fn on<R>(&mut self, r: usize, f: impl FnOnce(&mut P, &mut dyn Context<P>) -> R) -> R {
+        self.nodes[r].with(&mut self.drivers[r], f)
+    }
+
+    /// Hands replica `r` a message from `from` that no link carried: a
+    /// test's stand-in for a peer it does not run.
+    pub fn receive(&mut self, r: usize, from: ReplicaId, msg: P::Msg) {
+        self.on(r, |p, ctx| p.on_message(from, msg, ctx));
+    }
+
+    /// Moves replica `r`'s sends onto the tails of its outgoing links.
+    pub fn flush(&mut self, r: usize) {
+        let d = &mut self.drivers[r];
+        for (to, msg) in std::mem::take(&mut d.sent) {
+            d.links[to.index()].push_back(msg);
+        }
+    }
+
+    /// Delivers the head of link `from → to`, if any, and flushes what
+    /// `to` sent in response. Returns whether a message was delivered.
+    pub fn deliver(&mut self, from: usize, to: usize) -> bool {
+        let Some(msg) = self.drivers[from].links[to].pop_front() else {
+            return false;
+        };
+        self.receive(to, ReplicaId::new(from as u16), msg);
+        self.flush(to);
+        true
+    }
+
+    /// Fires replica `r`'s most recently armed timer, if any (see
+    /// [`fire`](Script::fire)). Returns whether one fired.
+    pub fn fire_timer(&mut self, r: usize) -> bool {
+        let Some(last) = self.drivers[r].timers.len().checked_sub(1) else {
+            return false;
+        };
+        self.fire(r, last);
+        true
+    }
+
+    /// Fires replica `r`'s `i`-th pending timer: the clock first advances
+    /// by the timer's delay, then the callback runs and its sends are
+    /// flushed.
+    pub fn fire(&mut self, r: usize, i: usize) {
+        let (after, token) = self.drivers[r].timers.remove(i);
+        self.drivers[r].clock += after;
+        self.on(r, |p, ctx| p.on_timer(token, ctx));
+        self.flush(r);
+    }
+
+    /// Delivers every link in turn, then fires every timer, until nothing
+    /// is left to do. A protocol that re-arms a timer on every firing
+    /// never drains.
+    pub fn drain(&mut self) {
+        let n = self.nodes.len();
+        loop {
+            let mut progressed = false;
+            for from in 0..n {
+                for to in 0..n {
+                    while self.deliver(from, to) {
+                        progressed = true;
+                    }
+                }
+            }
+            for r in 0..n {
+                while self.fire_timer(r) {
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                return;
+            }
+        }
+    }
+
+    /// Crashes replica `r` and restarts it as `proto`, as simnet does: the
+    /// stable log survives, the state machine is reset, the crashed
+    /// incarnation's unflushed sends, timers, executions and replies are
+    /// dropped, and the new one replays the log (`on_recover`) and starts
+    /// (`on_start`). Links are left as they are.
+    pub fn restart(&mut self, r: usize, proto: P) {
+        let node = &mut self.nodes[r];
+        node.proto = proto;
+        node.sm.reset();
+        let log = node.log.clone();
+        let d = &mut self.drivers[r];
+        d.sent.clear();
+        d.timers.clear();
+        d.executed.clear();
+        d.replies.clear();
+        self.on(r, |p, ctx| p.on_recover(&log, ctx));
+        self.on(r, |p, ctx| p.on_start(ctx));
+    }
+
+    /// The sequence numbers replica `r`'s state machine holds, read from
+    /// its snapshot: what it applied, or what an install jumped it to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state machine's snapshot is not a [`Recorder`]'s.
+    pub fn applied(&self, r: usize) -> Vec<u64> {
+        Recorder::decode(&self.nodes[r].sm.snapshot()).expect("a Recorder snapshot")
+    }
+}
+
+impl<P: Protocol> Index<usize> for Script<P> {
+    type Output = Scripted<P>;
+
+    fn index(&self, r: usize) -> &Scripted<P> {
+        &self.drivers[r]
+    }
+}
+
+impl<P: Protocol> IndexMut<usize> for Script<P> {
+    fn index_mut(&mut self, r: usize) -> &mut Scripted<P> {
+        &mut self.drivers[r]
+    }
+}
+
+/// The state machine of the protocol tests: it records the sequence
+/// number of every command it applies and answers with the command's
+/// payload. Its snapshot is those sequence numbers, 8 big-endian bytes
+/// each; it restores any snapshot of that shape and answers read-only
+/// commands locally.
+#[derive(Debug, Default)]
+pub struct Recorder {
+    applied: Vec<u64>,
+}
+
+impl Recorder {
+    /// The sequence numbers in `snapshot`, or `None` if its length is
+    /// not a multiple of 8.
+    fn decode(snapshot: &[u8]) -> Option<Vec<u64>> {
+        let words = snapshot.chunks_exact(8);
+        let whole = words.remainder().is_empty();
+        whole.then(|| {
+            let word = |w: &[u8]| u64::from_be_bytes(w.try_into().expect("8 bytes"));
+            words.map(word).collect()
+        })
+    }
+}
+
+impl StateMachine for Recorder {
+    fn apply(&mut self, cmd: &Command) -> Bytes {
+        self.applied.push(cmd.id.seq);
+        cmd.payload.clone()
+    }
+
+    fn snapshot(&self) -> Bytes {
+        let bytes: Vec<u8> = self.applied.iter().flat_map(|s| s.to_be_bytes()).collect();
+        Bytes::from(bytes)
+    }
+
+    fn reset(&mut self) {
+        self.applied.clear();
+    }
+
+    fn restore(&mut self, snapshot: &[u8]) -> bool {
+        let Some(applied) = Recorder::decode(snapshot) else {
+            return false;
+        };
+        self.applied = applied;
+        true
+    }
+
+    fn query(&self, cmd: &Command) -> Option<Bytes> {
+        cmd.read_only.then(|| cmd.payload.clone())
+    }
+}
+
+/// A [`Recorder`] that keeps [`StateMachine`]'s default `restore` and
+/// `query`: a state machine that can neither install a checkpoint nor
+/// serve a local read, so recovery replays the whole log and reads are
+/// replicated like writes.
+#[derive(Debug, Default)]
+pub struct ApplyOnly(Recorder);
+
+impl StateMachine for ApplyOnly {
+    fn apply(&mut self, cmd: &Command) -> Bytes {
+        self.0.apply(cmd)
+    }
+
+    fn snapshot(&self) -> Bytes {
+        self.0.snapshot()
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::CheckpointPolicy;
+    use crate::config::Epoch;
+    use crate::exec::Executor;
+    use crate::id::ClientId;
+    use crate::protocol::tests::{Echo, RecordingCtx};
+
+    fn r(i: u16) -> ReplicaId {
+        ReplicaId::new(i)
+    }
+
+    fn cmd(seq: u64) -> Command {
+        Command::new(
+            CommandId::new(ClientId::new(r(0), 0), seq),
+            Bytes::from_static(b"x"),
+        )
+    }
+
+    fn echoes(n: u16) -> Script<Echo> {
+        Script::new((0..n).map(|i| Echo::new(r(i))).collect())
+    }
+
+    #[test]
+    fn a_link_is_fifo_and_links_interleave_freely() {
+        let mut s = echoes(3);
+        s.on(0, |_, ctx| {
+            ctx.send(r(1), cmd(1));
+            ctx.send(r(2), cmd(2));
+            ctx.send(r(1), cmd(3));
+        });
+        s.on(2, |_, ctx| ctx.send(r(1), cmd(4)));
+        assert_eq!(s[0].sent.len(), 3, "nothing moves before a flush");
+        assert!(!s.deliver(0, 1));
+        s.flush(0);
+        s.flush(2);
+        assert!(s[0].sent.is_empty());
+        // Link 2 → 1 overtakes link 0 → 1; within link 0 → 1 the later
+        // send never overtakes the earlier one.
+        assert!(s.deliver(2, 1));
+        assert!(s.deliver(0, 1));
+        assert!(s.deliver(0, 2));
+        assert!(s.deliver(0, 1));
+        assert!(!s.deliver(0, 1));
+        let seqs = |s: &Script<Echo>, i: usize| -> Vec<(ReplicaId, u64)> {
+            let received = &s.nodes[i].proto.received;
+            received.iter().map(|(from, c)| (*from, c.id.seq)).collect()
+        };
+        assert_eq!(seqs(&s, 1), [(r(2), 4), (r(0), 1), (r(0), 3)]);
+        assert_eq!(seqs(&s, 2), [(r(0), 2)]);
+    }
+
+    #[test]
+    fn restart_replays_the_log_to_the_same_prefix_and_snapshot() {
+        let mut s = echoes(1);
+        s.on(0, |p, ctx| p.on_start(ctx));
+        for seq in 1..=3 {
+            s.on(0, |p, ctx| p.on_client_request(cmd(seq), ctx));
+        }
+        let order = |s: &Script<Echo>| -> Vec<(u64, u64)> {
+            let executed = s[0].executed.iter();
+            executed.map(|c| (c.cmd.id.seq, c.order_hint)).collect()
+        };
+        let executed = order(&s);
+        let snapshot = s.nodes[0].sm.snapshot();
+        assert_eq!(s.applied(0), [1, 2, 3]);
+
+        s.restart(0, Echo::new(r(0)));
+        assert_eq!(order(&s), executed, "replay re-executes the prefix");
+        assert_eq!(s.nodes[0].sm.snapshot(), snapshot);
+        assert_eq!(s.nodes[0].executed, 6, "replays count as executions");
+        assert_eq!(s[0].timers, [(5, TimerToken(1))], "old timers died");
+
+        // A timer fire advances the clock by its delay.
+        let before = s[0].clock;
+        assert!(s.fire_timer(0));
+        assert_eq!(s[0].clock, before + 5);
+        assert!(!s.fire_timer(0));
+    }
+
+    #[test]
+    fn recorder_round_trips_its_snapshot_and_refuses_a_torn_one() {
+        let mut sm = Recorder::default();
+        for seq in [4, 9, 2] {
+            assert_eq!(sm.apply(&cmd(seq)), Bytes::from_static(b"x"));
+        }
+        let snapshot = sm.snapshot();
+        let mut copy = Recorder::default();
+        assert!(copy.restore(&snapshot));
+        assert_eq!(copy.applied, [4, 9, 2]);
+        assert!(!copy.restore(&snapshot[..7]), "7 bytes is no snapshot");
+        assert_eq!(copy.snapshot(), snapshot, "a refused restore is a no-op");
+
+        let read = Command::read(cmd(5).id, Bytes::from_static(b"get"));
+        assert_eq!(sm.query(&read), Some(Bytes::from_static(b"get")));
+        assert_eq!(sm.query(&cmd(5)), None, "writes are not queries");
+        let mut bare = ApplyOnly::default();
+        bare.apply(&cmd(1));
+        assert!(!bare.restore(&bare.snapshot()));
+        assert_eq!(bare.query(&read), None);
+    }
+
+    #[test]
+    fn a_checkpoint_stays_due_while_the_driver_cannot_snapshot() {
+        let mut exec: Executor<u64> = Executor::new(r(0), CheckpointPolicy::every(1), 4);
+        let mut snapshotless = RecordingCtx::default();
+        assert!(exec.execute(cmd(1), r(0), 1, &mut snapshotless));
+        let none = exec.checkpoint_if_due(1, Epoch::ZERO, &[r(0)], &mut snapshotless);
+        assert!(none.is_none(), "no snapshot support, no checkpoint");
+        // Still due: the first driver that can snapshot takes it.
+        let mut s = echoes(1);
+        let cp = s.on(0, |_, ctx| {
+            exec.checkpoint_if_due(1, Epoch::ZERO, &[r(0)], ctx)
+        });
+        assert_eq!(cp.map(|cp| cp.applied), Some(1));
     }
 }

@@ -6,12 +6,13 @@
 //! physical clock, sending messages, appending to its stable log, committing
 //! commands, and arming timers.
 //!
-//! The embedding driver (the `simnet` simulator or the threaded
-//! `rsm-runtime`) owns the transport, the clock, and the stable storage, and
-//! is responsible for the list below. Both drivers meet it through one
-//! implementation of [`Context`], [`node`](crate::node): applying,
-//! logging and snapshots are written once there, and a driver supplies
-//! only delivery, clock, timers and the reply path.
+//! The embedding driver (the `simnet` simulator, the threaded
+//! `rsm-runtime`, or the tests' hand-stepped
+//! [`Script`](crate::node::Script)) owns the transport, the clock, and the
+//! stable storage, and is responsible for the list below. Every driver meets
+//! it through one implementation of [`Context`], [`node`](crate::node):
+//! applying, logging and snapshots are written once there, and a driver
+//! supplies only delivery, clock, timers and the reply path.
 //!
 //! * delivering messages FIFO per sender→receiver pair (the paper's channel
 //!   assumption, Section II-A);
@@ -267,16 +268,29 @@ pub(crate) mod tests {
     use crate::id::ClientId;
     use bytes::Bytes;
 
-    /// A trivial protocol that commits every request immediately; exercises
-    /// the trait surface and documents the driver contract in miniature.
-    /// Shared, with its recording context, by the other modules' tests.
+    /// A trivial protocol that commits every request immediately and
+    /// keeps every message it receives; exercises the trait surface and
+    /// documents the driver contract in miniature. Shared, with its
+    /// recording context, by the other modules' tests.
     pub(crate) struct Echo {
         id: ReplicaId,
         order: u64,
+        /// Messages received, with their senders, in delivery order.
+        pub(crate) received: Vec<(ReplicaId, Command)>,
+    }
+
+    impl Echo {
+        pub(crate) fn new(id: ReplicaId) -> Self {
+            Echo {
+                id,
+                order: 0,
+                received: Vec::new(),
+            }
+        }
     }
 
     impl Protocol for Echo {
-        type Msg = ();
+        type Msg = Command;
         type LogRec = Command;
 
         fn id(&self) -> ReplicaId {
@@ -294,7 +308,9 @@ pub(crate) mod tests {
                 order_hint: self.order,
             });
         }
-        fn on_message(&mut self, _: ReplicaId, _: (), _: &mut dyn Context<Self>) {}
+        fn on_message(&mut self, from: ReplicaId, msg: Command, _: &mut dyn Context<Self>) {
+            self.received.push((from, msg));
+        }
         fn on_timer(&mut self, _: TimerToken, _: &mut dyn Context<Self>) {}
         fn on_recover(&mut self, log: &[Command], ctx: &mut dyn Context<Self>) {
             for cmd in log {
@@ -308,6 +324,10 @@ pub(crate) mod tests {
         }
     }
 
+    /// A context on the trait's defaults (no snapshots, no local reads)
+    /// for the tests that drive `SessionTable`, `ReadProbes` and
+    /// `Executor` without a node. The node's context always offers both
+    /// halves, so only this one shows how the executor does without them.
     #[derive(Default)]
     pub(crate) struct RecordingCtx {
         now: Micros,
@@ -322,7 +342,7 @@ pub(crate) mod tests {
             self.now += 1;
             self.now
         }
-        fn send(&mut self, _to: ReplicaId, _msg: ()) {}
+        fn send(&mut self, _to: ReplicaId, _msg: Command) {}
         fn log_append(&mut self, rec: Command) {
             self.log.push(rec);
         }
@@ -351,10 +371,7 @@ pub(crate) mod tests {
 
     #[test]
     fn echo_protocol_commits_immediately() {
-        let mut p = Echo {
-            id: ReplicaId::new(0),
-            order: 0,
-        };
+        let mut p = Echo::new(ReplicaId::new(0));
         let mut ctx = RecordingCtx::default();
         p.on_start(&mut ctx);
         assert_eq!(ctx.timers, vec![(5, TimerToken(1))]);
@@ -367,10 +384,7 @@ pub(crate) mod tests {
 
     #[test]
     fn echo_protocol_recovers_from_log() {
-        let mut p = Echo {
-            id: ReplicaId::new(0),
-            order: 0,
-        };
+        let mut p = Echo::new(ReplicaId::new(0));
         let mut ctx = RecordingCtx::default();
         let log = vec![cmd(1), cmd(2), cmd(3)];
         p.on_recover(&log, &mut ctx);

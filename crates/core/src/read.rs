@@ -268,18 +268,6 @@ impl<W: Ord + Copy> ReadQueue<W> {
         ready
     }
 
-    /// Removes and returns every parked read (fallback paths: a replica
-    /// that can no longer honor its marks re-routes the reads instead
-    /// of serving them).
-    pub fn drain_all(&mut self) -> Vec<Command> {
-        self.len = 0;
-        let mut all = Vec::new();
-        for (_, cmds) in std::mem::take(&mut self.parked) {
-            all.extend(cmds);
-        }
-        all
-    }
-
     /// Whether any read is still parked at exactly `mark`.
     pub fn holds(&self, mark: W) -> bool {
         self.parked.contains_key(&mark)
@@ -529,16 +517,6 @@ mod tests {
             ready.iter().map(|c| c.id.seq).collect::<Vec<_>>(),
             vec![1, 2]
         );
-    }
-
-    #[test]
-    fn drain_all_empties_the_queue() {
-        let mut q: ReadQueue<u64> = ReadQueue::new();
-        q.park(3, cmd(1));
-        q.park(9, cmd(2));
-        assert_eq!(q.drain_all().len(), 2);
-        assert!(q.is_empty());
-        assert!(q.release(u64::MAX).is_empty());
     }
 
     #[test]

@@ -83,18 +83,6 @@ impl LatencyStats {
         self.percentile_ms(99.0)
     }
 
-    /// Minimum sample in milliseconds (0 when empty).
-    pub fn min_ms(&mut self) -> f64 {
-        self.ensure_sorted();
-        self.samples.first().map_or(0.0, |&v| v as f64 / 1_000.0)
-    }
-
-    /// Maximum sample in milliseconds (0 when empty).
-    pub fn max_ms(&mut self) -> f64 {
-        self.ensure_sorted();
-        self.samples.last().map_or(0.0, |&v| v as f64 / 1_000.0)
-    }
-
     /// The empirical CDF evaluated at `points` evenly spaced quantiles:
     /// returns `(latency_ms, cumulative_fraction)` pairs suitable for
     /// plotting Figures 3, 4, and 6.
@@ -146,8 +134,6 @@ mod tests {
         assert_eq!(s.percentile_ms(50.0), 3.0);
         assert_eq!(s.percentile_ms(95.0), 5.0);
         assert_eq!(s.percentile_ms(100.0), 5.0);
-        assert_eq!(s.min_ms(), 1.0);
-        assert_eq!(s.max_ms(), 5.0);
     }
 
     #[test]

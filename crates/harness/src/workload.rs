@@ -204,11 +204,6 @@ impl<P> WorkloadApp<P> {
         &self.site_stats
     }
 
-    /// Mutable access (for percentile queries, which sort lazily).
-    pub fn site_stats_mut(&mut self) -> &mut [LatencyStats] {
-        &mut self.site_stats
-    }
-
     /// The recorded operation intervals for the linearizability checker.
     pub fn ops(&self) -> &[OpRecord] {
         &self.ops

@@ -154,11 +154,6 @@ impl KvOp {
             | KvOp::Cas { key, .. } => key,
         }
     }
-
-    /// Whether this operation writes (put/delete/cas) rather than reads.
-    pub fn is_write(&self) -> bool {
-        !matches!(self, KvOp::Get { .. })
-    }
 }
 
 /// A [`KvOp`] whose key and values are still windows into the command
@@ -267,10 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn key_and_is_write() {
-        assert!(KvOp::put("a", "b").is_write());
-        assert!(KvOp::delete("a").is_write());
-        assert!(!KvOp::get("a").is_write());
+    fn key_names_the_operand() {
         assert_eq!(KvOp::get("a").key().as_ref(), b"a");
     }
 

@@ -1222,98 +1222,10 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use rsm_core::checkpoint::StateTransferRequest;
-    use rsm_core::command::{CommandId, Committed, Reply};
+    use rsm_core::command::CommandId;
     use rsm_core::id::ClientId;
+    use rsm_core::node::{ApplyOnly, Script};
     use rsm_core::read::ReadRequest;
-    use rsm_core::time::Micros;
-
-    struct TestCtx {
-        sends: Vec<(ReplicaId, MenciusMsg)>,
-        commits: Vec<Committed>,
-        log: Vec<MenciusLogRec>,
-        clock: Micros,
-        /// Executed command seqs — a trivial state machine for snapshot
-        /// tests; `snapshots` gates whether the driver supports them.
-        executed: Vec<u64>,
-        snapshots: bool,
-        /// Replies routed via `send_reply` (served local reads).
-        read_replies: Vec<Reply>,
-        /// Whether `sm_read` answers (false models a driver without
-        /// state machine access, forcing the replicated fallback).
-        serve_reads: bool,
-    }
-
-    impl TestCtx {
-        fn new() -> Self {
-            TestCtx {
-                sends: Vec::new(),
-                commits: Vec::new(),
-                log: Vec::new(),
-                clock: 0,
-                executed: Vec::new(),
-                snapshots: false,
-                read_replies: Vec::new(),
-                serve_reads: true,
-            }
-        }
-
-        fn with_snapshots() -> Self {
-            TestCtx {
-                snapshots: true,
-                ..TestCtx::new()
-            }
-        }
-    }
-
-    impl Context<MenciusBcast> for TestCtx {
-        fn clock(&mut self) -> Micros {
-            self.clock += 1;
-            self.clock
-        }
-        fn send(&mut self, to: ReplicaId, msg: MenciusMsg) {
-            self.sends.push((to, msg));
-        }
-        fn log_append(&mut self, rec: MenciusLogRec) {
-            self.log.push(rec);
-        }
-        fn log_rewrite(&mut self, recs: Vec<MenciusLogRec>) {
-            self.log = recs;
-        }
-        fn commit(&mut self, c: Committed) -> Bytes {
-            let result = c.cmd.payload.clone();
-            self.executed.push(c.cmd.id.seq);
-            self.commits.push(c);
-            result
-        }
-        fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-        fn sm_snapshot(&mut self) -> Option<Bytes> {
-            if !self.snapshots {
-                return None;
-            }
-            let mut buf = Vec::new();
-            for s in &self.executed {
-                buf.extend_from_slice(&s.to_be_bytes());
-            }
-            Some(Bytes::from(buf))
-        }
-        fn sm_install(&mut self, snapshot: Bytes) -> bool {
-            if !self.snapshots {
-                return false;
-            }
-            self.executed = snapshot
-                .chunks(8)
-                .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunks")))
-                .collect();
-            true
-        }
-        fn sm_read(&mut self, _cmd: &Command) -> Option<Bytes> {
-            self.serve_reads
-                .then(|| Bytes::from(self.executed.len().to_be_bytes().to_vec()))
-        }
-        fn send_reply(&mut self, reply: Reply) {
-            self.read_replies.push(reply);
-        }
-    }
 
     fn cmd(seq: u64) -> Command {
         Command::new(
@@ -1326,14 +1238,18 @@ mod tests {
         ReplicaId::new(i)
     }
 
-    /// Single-command propose, the shape most tests drive by hand.
-    fn propose(m: &mut MenciusBcast, ctx: &mut TestCtx, slot: u64, c: Command, origin: ReplicaId) {
-        m.on_propose(slot, Batch::single(c), origin, ctx);
+    /// Single-command propose at replica `i`, the shape most tests drive
+    /// by hand.
+    fn propose(s: &mut Script<MenciusBcast>, i: usize, slot: u64, c: Command, origin: ReplicaId) {
+        s.on(i, |m, ctx| {
+            m.on_propose(slot, Batch::single(c), origin, ctx)
+        });
     }
 
-    /// Single-slot ack with a skip promise (cumulative watermark = slot).
-    fn ack(m: &mut MenciusBcast, ctx: &mut TestCtx, from: ReplicaId, slot: u64, skip: u64) {
-        m.on_accept_ack(from, slot, skip, ctx);
+    /// Single-slot ack with a skip promise (cumulative watermark = slot)
+    /// at replica `i`.
+    fn ack(s: &mut Script<MenciusBcast>, i: usize, from: ReplicaId, slot: u64, skip: u64) {
+        s.on(i, |m, ctx| m.on_accept_ack(from, slot, skip, ctx));
     }
 
     #[test]
@@ -1353,12 +1269,11 @@ mod tests {
         // Allocation-lean fan-out: the per-peer PROPOSE clones share one
         // Arc-backed command vector with the submitted batch instead of
         // deep-copying it per destination.
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
         let batch = Batch::new((1..=64).map(cmd).collect());
-        m.on_client_batch(batch.clone(), &mut ctx);
-        let proposes: Vec<&Batch> = ctx
-            .sends
+        s.on(0, |m, ctx| m.on_client_batch(batch.clone(), ctx));
+        let proposes: Vec<&Batch> = s[0]
+            .sent
             .iter()
             .filter_map(|(_, msg)| match msg {
                 MenciusMsg::Propose { cmds, .. } => Some(cmds),
@@ -1376,12 +1291,11 @@ mod tests {
 
     #[test]
     fn proposer_uses_own_slots_in_order() {
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        m.on_client_request(cmd(1), &mut ctx);
-        m.on_client_request(cmd(2), &mut ctx);
-        let slots: Vec<u64> = ctx
-            .sends
+        let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
+        s.on(0, |m, ctx| m.on_client_request(cmd(1), ctx));
+        s.on(0, |m, ctx| m.on_client_request(cmd(2), ctx));
+        let slots: Vec<u64> = s[0]
+            .sent
             .iter()
             .filter_map(|(_, msg)| match msg {
                 MenciusMsg::Propose { first_slot, .. } => Some(*first_slot),
@@ -1392,8 +1306,8 @@ mod tests {
         // proposals in own-slot order: 1,1 then 4,4.
         assert_eq!(slots, vec![1, 1, 4, 4]);
         // The local registration also acknowledged both slots.
-        let acks = ctx
-            .sends
+        let acks = s[0]
+            .sent
             .iter()
             .filter(|(_, m)| matches!(m, MenciusMsg::AcceptAck { .. }))
             .count();
@@ -1402,11 +1316,12 @@ mod tests {
 
     #[test]
     fn batched_proposal_strides_own_slots_with_one_message() {
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        m.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3)]), &mut ctx);
-        let proposes: Vec<(u64, usize)> = ctx
-            .sends
+        let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
+        s.on(0, |m, ctx| {
+            m.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3)]), ctx)
+        });
+        let proposes: Vec<(u64, usize)> = s[0]
+            .sent
             .iter()
             .filter_map(|(_, msg)| match msg {
                 MenciusMsg::Propose {
@@ -1420,9 +1335,9 @@ mod tests {
         // The batch occupies own slots 1, 4, 7; the local registration
         // logged them as one run and acked once with the last slot's
         // watermark.
-        assert_eq!(ctx.log.len(), 1);
-        let acks: Vec<(u64, u64)> = ctx
-            .sends
+        assert_eq!(s.nodes[0].log.len(), 1);
+        let acks: Vec<(u64, u64)> = s[0]
+            .sent
             .iter()
             .filter_map(|(_, msg)| match msg {
                 MenciusMsg::AcceptAck {
@@ -1434,17 +1349,16 @@ mod tests {
             .collect();
         assert_eq!(acks.len(), 3, "ONE cumulative ack broadcast, not 3");
         assert!(acks.iter().all(|&(u, s)| u == 7 && s == 10));
-        assert_eq!(m.next_own_slot, 10);
+        assert_eq!(s.nodes[0].proto.next_own_slot, 10);
     }
 
     #[test]
     fn ack_carries_skip_promise_and_advances_own_slot() {
-        let mut m = MenciusBcast::new(r(2), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![MenciusBcast::new(r(2), Membership::uniform(3))]);
         // r0 proposes slot 3 (its second slot); r2 must skip its slot 2.
-        propose(&mut m, &mut ctx, 3, cmd(1), r(0));
-        let (_, ack) = ctx
-            .sends
+        propose(&mut s, 0, 3, cmd(1), r(0));
+        let (_, ack) = s[0]
+            .sent
             .iter()
             .find(|(_, msg)| matches!(msg, MenciusMsg::AcceptAck { .. }))
             .unwrap();
@@ -1462,14 +1376,13 @@ mod tests {
 
     #[test]
     fn slot_zero_commits_with_majority_and_no_predecessors() {
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        propose(&mut m, &mut ctx, 0, cmd(1), r(0));
-        ack(&mut m, &mut ctx, r(0), 0, 3);
-        assert!(ctx.commits.is_empty());
-        ack(&mut m, &mut ctx, r(1), 0, 1);
-        assert_eq!(ctx.commits.len(), 1);
-        assert_eq!(ctx.commits[0].order_hint, 0);
+        let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))]);
+        propose(&mut s, 0, 0, cmd(1), r(0));
+        ack(&mut s, 0, r(0), 0, 3);
+        assert!(s[0].executed.is_empty());
+        ack(&mut s, 0, r(1), 0, 1);
+        assert_eq!(s[0].executed.len(), 1);
+        assert_eq!(s[0].executed[0].order_hint, 0);
     }
 
     #[test]
@@ -1477,23 +1390,22 @@ mod tests {
         // Imbalanced workload shape: only r0 proposes; its second command
         // sits in slot 3 and needs r1's and r2's promises covering slots
         // 1 and 2.
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        propose(&mut m, &mut ctx, 0, cmd(1), r(0));
-        propose(&mut m, &mut ctx, 3, cmd(2), r(0));
+        let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))]);
+        propose(&mut s, 0, 0, cmd(1), r(0));
+        propose(&mut s, 0, 3, cmd(2), r(0));
         // Majority acks for both slots from r0 (self) and r1.
-        ack(&mut m, &mut ctx, r(0), 0, 3);
-        ack(&mut m, &mut ctx, r(0), 3, 6);
-        ack(&mut m, &mut ctx, r(1), 0, 1);
-        ack(&mut m, &mut ctx, r(1), 3, 4);
+        ack(&mut s, 0, r(0), 0, 3);
+        ack(&mut s, 0, r(0), 3, 6);
+        ack(&mut s, 0, r(1), 0, 1);
+        ack(&mut s, 0, r(1), 3, 4);
         // Slot 0 commits; slot 3 blocked: r2's promise for slot 2 missing.
-        assert_eq!(ctx.commits.len(), 1);
+        assert_eq!(s[0].executed.len(), 1);
         // r2's ack arrives: skip_below 5 covers its slot 2; slot 1 covered
         // by r1's skip_below 4.
-        ack(&mut m, &mut ctx, r(2), 3, 5);
-        assert_eq!(ctx.commits.len(), 2);
-        assert_eq!(ctx.commits[1].order_hint, 3);
-        assert_eq!(m.resolved(), 4);
+        ack(&mut s, 0, r(2), 3, 5);
+        assert_eq!(s[0].executed.len(), 2);
+        assert_eq!(s[0].executed[1].order_hint, 3);
+        assert_eq!(s.nodes[0].proto.resolved(), 4);
     }
 
     #[test]
@@ -1501,51 +1413,52 @@ mod tests {
         // r1 observes its own slot-1 proposal fully acked, but r0's
         // concurrent slot-0 command is still short of a majority: slot 1
         // must wait (the delayed-commit problem).
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        propose(&mut m, &mut ctx, 0, cmd(1), r(0));
-        propose(&mut m, &mut ctx, 1, cmd(2), r(1));
-        ack(&mut m, &mut ctx, r(1), 1, 4);
-        ack(&mut m, &mut ctx, r(2), 1, 5);
-        ack(&mut m, &mut ctx, r(0), 1, 3);
-        assert!(ctx.commits.is_empty(), "slot 1 must wait for slot 0");
-        ack(&mut m, &mut ctx, r(0), 0, 3);
-        ack(&mut m, &mut ctx, r(2), 0, 2);
-        assert_eq!(ctx.commits.len(), 2);
-        assert_eq!(ctx.commits[0].order_hint, 0);
-        assert_eq!(ctx.commits[1].order_hint, 1);
+        let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
+        propose(&mut s, 0, 0, cmd(1), r(0));
+        propose(&mut s, 0, 1, cmd(2), r(1));
+        ack(&mut s, 0, r(1), 1, 4);
+        ack(&mut s, 0, r(2), 1, 5);
+        ack(&mut s, 0, r(0), 1, 3);
+        assert!(s[0].executed.is_empty(), "slot 1 must wait for slot 0");
+        ack(&mut s, 0, r(0), 0, 3);
+        ack(&mut s, 0, r(2), 0, 2);
+        assert_eq!(s[0].executed.len(), 2);
+        assert_eq!(s[0].executed[0].order_hint, 0);
+        assert_eq!(s[0].executed[1].order_hint, 1);
     }
 
     #[test]
     fn cumulative_ack_covers_earlier_slots_of_the_same_owner() {
         // r2 receives r0's slots 0 and 3 and acks only once for slot 3:
         // the watermark must count for slot 0 as well.
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        propose(&mut m, &mut ctx, 0, cmd(1), r(0));
-        propose(&mut m, &mut ctx, 3, cmd(2), r(0));
+        let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
+        propose(&mut s, 0, 0, cmd(1), r(0));
+        propose(&mut s, 0, 3, cmd(2), r(0));
         // One cumulative ack per replica, watermark at slot 3.
-        ack(&mut m, &mut ctx, r(0), 3, 6);
-        ack(&mut m, &mut ctx, r(1), 3, 4);
-        ack(&mut m, &mut ctx, r(2), 3, 5);
-        assert_eq!(ctx.commits.len(), 2, "both slots commit off one watermark");
-        assert_eq!(ctx.commits[0].order_hint, 0);
-        assert_eq!(ctx.commits[1].order_hint, 3);
+        ack(&mut s, 0, r(0), 3, 6);
+        ack(&mut s, 0, r(1), 3, 4);
+        ack(&mut s, 0, r(2), 3, 5);
+        assert_eq!(
+            s[0].executed.len(),
+            2,
+            "both slots commit off one watermark"
+        );
+        assert_eq!(s[0].executed[0].order_hint, 0);
+        assert_eq!(s[0].executed[1].order_hint, 3);
     }
 
     #[test]
     fn skipped_slots_resolve_without_commands() {
-        let mut m = MenciusBcast::new(r(2), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![MenciusBcast::new(r(2), Membership::uniform(3))]);
         // r1 proposes in its slot 4; everyone skips 0..4.
-        propose(&mut m, &mut ctx, 4, cmd(1), r(1));
-        ack(&mut m, &mut ctx, r(0), 4, 6); // r0 skips 0 and 3
-        ack(&mut m, &mut ctx, r(1), 4, 7); // r1 skips 1 (4 proposed)
-        ack(&mut m, &mut ctx, r(2), 4, 5); // r2 skips 2
-        assert_eq!(ctx.commits.len(), 1);
-        assert_eq!(ctx.commits[0].order_hint, 4);
-        assert_eq!(m.resolved(), 5);
-        let skips = ctx
+        propose(&mut s, 0, 4, cmd(1), r(1));
+        ack(&mut s, 0, r(0), 4, 6); // r0 skips 0 and 3
+        ack(&mut s, 0, r(1), 4, 7); // r1 skips 1 (4 proposed)
+        ack(&mut s, 0, r(2), 4, 5); // r2 skips 2
+        assert_eq!(s[0].executed.len(), 1);
+        assert_eq!(s[0].executed[0].order_hint, 4);
+        assert_eq!(s.nodes[0].proto.resolved(), 5);
+        let skips = s.nodes[0]
             .log
             .iter()
             .filter(|r| matches!(r, MenciusLogRec::Skip { .. }))
@@ -1560,12 +1473,11 @@ mod tests {
         // cumulative ack up to slot 3 would falsely cover the lost
         // slot 0; the replica must fall back to vouching only for its
         // own slots (still carrying the skip promise).
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        m.on_recover(&[], &mut ctx);
-        propose(&mut m, &mut ctx, 3, cmd(2), r(0));
-        let acks: Vec<(u64, u64)> = ctx
-            .sends
+        let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
+        s.on(0, |m, ctx| m.on_recover(&[], ctx));
+        propose(&mut s, 0, 3, cmd(2), r(0));
+        let acks: Vec<(u64, u64)> = s[0]
+            .sent
             .iter()
             .filter_map(|(_, msg)| match msg {
                 MenciusMsg::AcceptAck {
@@ -1578,20 +1490,20 @@ mod tests {
         assert!(!acks.is_empty());
         for (up_to, skip) in acks {
             assert_eq!(
-                m.owner_of_slot(up_to),
+                s.nodes[0].proto.owner_of_slot(up_to),
                 r(1),
                 "post-recovery ack must only reference own slots"
             );
             assert!(skip > 3, "skip promise must still cover the gap slots");
         }
         // Own proposals remain fully vouchable after recovery.
-        m.on_client_request(cmd(9), &mut ctx);
-        let own_acks = ctx
-            .sends
+        s.on(0, |m, ctx| m.on_client_request(cmd(9), ctx));
+        let own_acks = s[0]
+            .sent
             .iter()
             .filter(|(_, msg)| {
                 matches!(msg, MenciusMsg::AcceptAck { up_to_slot, .. }
-                if *up_to_slot == m.next_own_slot - 3)
+                if *up_to_slot == s.nodes[0].proto.next_own_slot - 3)
             })
             .count();
         assert!(own_acks >= 3, "own-slot acks keep flowing");
@@ -1603,13 +1515,12 @@ mod tests {
         // been missed). Once everything below 3 resolves locally, the
         // gap is globally decided, so cumulative coverage of r0 becomes
         // truthful again and full acks resume.
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        m.on_recover(&[], &mut ctx);
-        propose(&mut m, &mut ctx, 3, cmd(1), r(0));
+        let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
+        s.on(0, |m, ctx| m.on_recover(&[], ctx));
+        propose(&mut s, 0, 3, cmd(1), r(0));
         // Unsynced: the ack references r1's own slots, not slot 3.
-        let last_ack = |ctx: &TestCtx| {
-            ctx.sends
+        let last_ack = |s: &Script<MenciusBcast>| {
+            s[0].sent
                 .iter()
                 .rev()
                 .find_map(|(_, msg)| match msg {
@@ -1618,42 +1529,45 @@ mod tests {
                 })
                 .unwrap()
         };
-        assert_eq!(m.owner_of_slot(last_ack(&ctx)), r(1));
+        assert_eq!(s.nodes[0].proto.owner_of_slot(last_ack(&s)), r(1));
         // Majority watermarks for slot 3 arrive.
-        ack(&mut m, &mut ctx, r(0), 0, 3);
-        ack(&mut m, &mut ctx, r(2), 0, 5);
-        ack(&mut m, &mut ctx, r(0), 3, 6);
-        ack(&mut m, &mut ctx, r(2), 3, 5);
+        ack(&mut s, 0, r(0), 0, 3);
+        ack(&mut s, 0, r(2), 0, 5);
+        ack(&mut s, 0, r(0), 3, 6);
+        ack(&mut s, 0, r(2), 3, 5);
         // Gap slots 0 and 2 cannot resolve off the owners' floors alone
         // (a proposal may have been lost in r1's crash); the owners
         // confirm emptiness, then 0..3 skip and slot 3 commits.
-        assert!(m.resolved() < 4, "holes must wait for owner confirmation");
-        m.on_message(
+        assert!(
+            s.nodes[0].proto.resolved() < 4,
+            "holes must wait for owner confirmation"
+        );
+        s.receive(
+            0,
             r(0),
             MenciusMsg::GapFill {
                 from_slot: 0,
                 below: 6,
                 cmds: Vec::new(),
             },
-            &mut ctx,
         );
-        m.on_message(
+        s.receive(
+            0,
             r(2),
             MenciusMsg::GapFill {
                 from_slot: 2,
                 below: 5,
                 cmds: Vec::new(),
             },
-            &mut ctx,
         );
-        assert!(m.resolved() >= 4, "gap resolved: {}", m.resolved());
+        assert!(
+            s.nodes[0].proto.resolved() >= 4,
+            "gap resolved: {}",
+            s.nodes[0].proto.resolved()
+        );
         // Next proposal from r0: resynced, full cumulative ack again.
-        propose(&mut m, &mut ctx, 6, cmd(2), r(0));
-        assert_eq!(
-            last_ack(&ctx),
-            6,
-            "cumulative acks must resume after resync"
-        );
+        propose(&mut s, 0, 6, cmd(2), r(0));
+        assert_eq!(last_ack(&s), 6, "cumulative acks must resume after resync");
     }
 
     #[test]
@@ -1663,18 +1577,22 @@ mod tests {
         // a skip off r0's floor — that would fork its committed sequence.
         // It queries r0, which retransmits from its retained history, and
         // r1 commits the same command everyone else executed.
-        let mut owner = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut owner_ctx = TestCtx::new();
-        owner.on_client_request(cmd(7), &mut owner_ctx); // fills slot 0
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        m.on_recover(&[], &mut ctx);
+        let mut s = Script::new(vec![
+            MenciusBcast::new(r(0), Membership::uniform(3)),
+            MenciusBcast::new(r(1), Membership::uniform(3)),
+        ]);
+        s.on(0, |owner, ctx| owner.on_client_request(cmd(7), ctx)); // fills slot 0
+        s.on(1, |m, ctx| m.on_recover(&[], ctx));
         // r0's next batch is the first thing r1 hears: its floor now
         // covers slot 0, which the old code skipped locally.
-        propose(&mut m, &mut ctx, 3, cmd(8), r(0));
-        assert_eq!(m.resolved(), 0, "slot 0 must not resolve as a skip");
-        let (to, from_slot, below) = ctx
-            .sends
+        propose(&mut s, 1, 3, cmd(8), r(0));
+        assert_eq!(
+            s.nodes[1].proto.resolved(),
+            0,
+            "slot 0 must not resolve as a skip"
+        );
+        let (to, from_slot, below) = s[1]
+            .sent
             .iter()
             .find_map(|(to, msg)| match msg {
                 MenciusMsg::GapRequest { from_slot, below } => Some((*to, *from_slot, *below)),
@@ -1683,14 +1601,10 @@ mod tests {
             .expect("recovered replica must query the owner");
         assert_eq!(to, r(0));
         // The owner answers from its retained own-proposal history.
-        owner_ctx.sends.clear();
-        owner.on_message(
-            r(1),
-            MenciusMsg::GapRequest { from_slot, below },
-            &mut owner_ctx,
-        );
-        let fill = owner_ctx
-            .sends
+        s[0].sent.clear();
+        s.receive(0, r(1), MenciusMsg::GapRequest { from_slot, below });
+        let fill = s[0]
+            .sent
             .iter()
             .find_map(|(to, msg)| match (to, msg) {
                 (to, MenciusMsg::GapFill { .. }) if *to == r(1) => Some(msg.clone()),
@@ -1701,91 +1615,92 @@ mod tests {
             matches!(&fill, MenciusMsg::GapFill { cmds, .. } if cmds.len() == 1),
             "retransmission must carry the lost slot-0 proposal"
         );
-        m.on_message(r(0), fill, &mut ctx);
+        s.receive(1, r(0), fill);
         // r2 confirms its own slots in the gap are empty.
-        m.on_message(
+        s.receive(
+            1,
             r(2),
             MenciusMsg::GapFill {
                 from_slot: 2,
                 below: 5,
                 cmds: Vec::new(),
             },
-            &mut ctx,
         );
         // Majority watermarks for slots 0 and 3 arrive: everything
         // resolves, slot 0 first and with the original command.
-        ack(&mut m, &mut ctx, r(0), 0, 6);
-        ack(&mut m, &mut ctx, r(2), 0, 5);
-        ack(&mut m, &mut ctx, r(0), 3, 6);
-        ack(&mut m, &mut ctx, r(2), 3, 5);
-        assert!(m.resolved() >= 4, "gap resolved: {}", m.resolved());
-        assert_eq!(ctx.commits[0].order_hint, 0);
+        ack(&mut s, 1, r(0), 0, 6);
+        ack(&mut s, 1, r(2), 0, 5);
+        ack(&mut s, 1, r(0), 3, 6);
+        ack(&mut s, 1, r(2), 3, 5);
+        let resolved = s.nodes[1].proto.resolved();
+        assert!(resolved >= 4, "gap resolved: {resolved}");
+        assert_eq!(s[1].executed[0].order_hint, 0);
         assert_eq!(
-            ctx.commits[0].cmd.id.seq, 7,
+            s[1].executed[0].cmd.id.seq, 7,
             "slot 0 must commit the owner's original command"
         );
     }
 
     #[test]
     fn lost_gap_request_is_retried_when_the_owner_is_heard_from() {
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        m.on_recover(&[], &mut ctx);
-        propose(&mut m, &mut ctx, 3, cmd(1), r(0));
-        let count_reqs = |ctx: &TestCtx| {
-            ctx.sends
+        let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
+        s.on(0, |m, ctx| m.on_recover(&[], ctx));
+        propose(&mut s, 0, 3, cmd(1), r(0));
+        let count_reqs = |s: &Script<MenciusBcast>| {
+            s[0].sent
                 .iter()
                 .filter(|(_, msg)| matches!(msg, MenciusMsg::GapRequest { .. }))
                 .count()
         };
-        assert_eq!(count_reqs(&ctx), 1, "stall at slot 0 queries the owner");
+        assert_eq!(count_reqs(&s), 1, "stall at slot 0 queries the owner");
         // Owner traffic within the retry window must not duplicate the
         // in-flight exchange…
-        m.on_message(
+        s.receive(
+            0,
             r(0),
             MenciusMsg::AcceptAck {
                 up_to_slot: 3,
                 skip_below: 6,
             },
-            &mut ctx,
         );
-        assert_eq!(count_reqs(&ctx), 1, "in-flight request is deduplicated");
+        assert_eq!(count_reqs(&s), 1, "in-flight request is deduplicated");
         // …but once the window expires, the request (or its fill) is
         // presumed lost to the owner's downtime and is re-sent.
-        ctx.clock = 1_000_000;
-        m.on_message(
+        s[0].clock = 1_000_000;
+        s.receive(
+            0,
             r(0),
             MenciusMsg::AcceptAck {
                 up_to_slot: 3,
                 skip_below: 6,
             },
-            &mut ctx,
         );
-        assert_eq!(count_reqs(&ctx), 2, "timed-out request is retried");
+        assert_eq!(count_reqs(&s), 2, "timed-out request is retried");
     }
 
     #[test]
     fn own_history_is_capped_and_capped_ranges_never_confirm_emptiness() {
-        let mut owner = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        for s in 0..(MAX_OWN_HISTORY as u64 + 8) {
-            owner.on_client_request(cmd(s), &mut ctx);
+        let mut s = Script::new(vec![
+            MenciusBcast::new(r(0), Membership::uniform(3)),
+            MenciusBcast::new(r(1), Membership::uniform(3)),
+        ]);
+        for seq in 0..(MAX_OWN_HISTORY as u64 + 8) {
+            s.on(0, |owner, ctx| owner.on_client_request(cmd(seq), ctx));
         }
+        let owner = &s.nodes[0].proto;
         assert!(owner.own_history.len() <= MAX_OWN_HISTORY);
         assert!(owner.history_floor > 0, "cap must advance the floor");
+        let (floor, next) = (owner.history_floor, owner.next_own_slot);
         // A request reaching below the retention floor is answered with
         // a clamped range…
-        let mut reply_ctx = TestCtx::new();
-        owner.on_message(
-            r(1),
-            MenciusMsg::GapRequest {
-                from_slot: 0,
-                below: owner.next_own_slot,
-            },
-            &mut reply_ctx,
-        );
-        let fill = reply_ctx
-            .sends
+        s[0].sent.clear();
+        let request = MenciusMsg::GapRequest {
+            from_slot: 0,
+            below: next,
+        };
+        s.receive(0, r(1), request);
+        let fill = s[0]
+            .sent
             .iter()
             .find_map(|(_, msg)| match msg {
                 MenciusMsg::GapFill { .. } => Some(msg.clone()),
@@ -1795,14 +1710,13 @@ mod tests {
         let MenciusMsg::GapFill { from_slot, .. } = &fill else {
             unreachable!()
         };
-        assert_eq!(*from_slot, owner.history_floor);
+        assert_eq!(*from_slot, floor);
         // …and the requester refuses to treat it as proof of emptiness
         // at its cursor: the capped-out slot 0 may have held a command.
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut mctx = TestCtx::new();
-        m.on_recover(&[], &mut mctx);
-        ack(&mut m, &mut mctx, r(0), 0, owner.next_own_slot);
-        m.on_message(r(0), fill, &mut mctx);
+        s.on(1, |m, ctx| m.on_recover(&[], ctx));
+        ack(&mut s, 1, r(0), 0, next);
+        s.receive(1, r(0), fill);
+        let m = &s.nodes[1].proto;
         assert!(
             !m.gap_trust[0].iter().any(|&(f, b)| f == 0 && b > 0),
             "trust must not reach below the owner's retention floor"
@@ -1810,26 +1724,19 @@ mod tests {
         assert_eq!(m.resolved(), 0, "the hole at slot 0 must keep waiting");
         // Further owner traffic must not restart the request/fill
         // ping-pong: the range is recorded as unanswerable.
-        let reqs = |ctx: &TestCtx| {
-            ctx.sends
+        let reqs = |s: &Script<MenciusBcast>| {
+            s[1].sent
                 .iter()
                 .filter(|(_, msg)| matches!(msg, MenciusMsg::GapRequest { .. }))
                 .count()
         };
-        let before = reqs(&mctx);
-        m.on_message(
-            r(0),
-            MenciusMsg::AcceptAck {
-                up_to_slot: 0,
-                skip_below: owner.next_own_slot,
-            },
-            &mut mctx,
-        );
-        assert_eq!(
-            reqs(&mctx),
-            before,
-            "unanswerable range is not re-requested"
-        );
+        let before = reqs(&s);
+        let promise = MenciusMsg::AcceptAck {
+            up_to_slot: 0,
+            skip_below: next,
+        };
+        s.receive(1, r(0), promise);
+        assert_eq!(reqs(&s), before, "unanswerable range is not re-requested");
     }
 
     #[test]
@@ -1838,27 +1745,29 @@ mod tests {
         // proposes past its retention cap. On rejoin, r0's clamped
         // GapFill cannot confirm the early slots — previously a quiet
         // forever-stall; now the hole resolves via checkpoint transfer.
-        let mut owner = MenciusBcast::new(r(0), Membership::uniform(3)).with_history_cap(4);
-        let mut octx = TestCtx::with_snapshots();
-        for s in 0..8 {
-            owner.on_client_request(cmd(s), &mut octx);
+        let mut s = Script::new(vec![
+            MenciusBcast::new(r(0), Membership::uniform(3)).with_history_cap(4),
+            MenciusBcast::new(r(1), Membership::uniform(3)),
+        ]);
+        for seq in 0..8 {
+            s.on(0, |owner, ctx| owner.on_client_request(cmd(seq), ctx));
         }
+        let owner = &s.nodes[0].proto;
         assert!(owner.history_floor > 0, "cap must have advanced the floor");
         // Majority watermarks + skip promises resolve everything at the
         // owner: its own 8 slots commit, everyone else's skip.
-        ack(&mut owner, &mut octx, r(1), 21, 22);
-        ack(&mut owner, &mut octx, r(2), 21, 23);
-        ack(&mut owner, &mut octx, r(0), 21, 24);
-        assert_eq!(owner.resolved(), 22, "owner resolved its whole prefix");
+        ack(&mut s, 0, r(1), 21, 22);
+        ack(&mut s, 0, r(2), 21, 23);
+        ack(&mut s, 0, r(0), 21, 24);
+        let resolved = s.nodes[0].proto.resolved();
+        assert_eq!(resolved, 22, "owner resolved its whole prefix");
 
         // r1 recovers from a long outage with an empty log and hears the
         // owner's promise; the gap request comes back clamped.
-        let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::with_snapshots();
-        m.on_recover(&[], &mut ctx);
-        ack(&mut m, &mut ctx, r(0), 21, 24);
-        let (from_slot, below) = ctx
-            .sends
+        s.on(1, |m, ctx| m.on_recover(&[], ctx));
+        ack(&mut s, 1, r(0), 21, 24);
+        let (from_slot, below) = s[1]
+            .sent
             .iter()
             .find_map(|(to, msg)| match msg {
                 MenciusMsg::GapRequest { from_slot, below } if *to == r(0) => {
@@ -1867,23 +1776,23 @@ mod tests {
                 _ => None,
             })
             .expect("hole must first try a gap request");
-        octx.sends.clear();
-        owner.on_message(r(1), MenciusMsg::GapRequest { from_slot, below }, &mut octx);
-        let fill = octx
-            .sends
+        s[0].sent.clear();
+        s.receive(0, r(1), MenciusMsg::GapRequest { from_slot, below });
+        let fill = s[0]
+            .sent
             .iter()
             .find_map(|(to, msg)| match (to, msg) {
                 (to, MenciusMsg::GapFill { .. }) if *to == r(1) => Some(msg.clone()),
                 _ => None,
             })
             .expect("owner answers with a clamped fill");
-        m.on_message(r(0), fill, &mut ctx);
+        s.receive(1, r(0), fill);
         // The clamped fill proves retransmission can never cover the
         // hole: a state transfer request must leave for a peer (one per
         // retry round — a snapshot is large, so peers are tried
         // round-robin rather than all at once).
-        let reqs: Vec<ReplicaId> = ctx
-            .sends
+        let reqs: Vec<ReplicaId> = s[1]
+            .sent
             .iter()
             .filter_map(|(to, msg)| match msg {
                 MenciusMsg::StateRequest(_) => Some(*to),
@@ -1894,62 +1803,61 @@ mod tests {
 
         // The owner serves its checkpoint; installing it converges r1 on
         // the owner's exact state and unblocks resolution.
-        octx.sends.clear();
-        owner.on_message(
-            r(1),
-            MenciusMsg::StateRequest(StateTransferRequest { have: 0 }),
-            &mut octx,
-        );
-        let reply = octx
-            .sends
+        s[0].sent.clear();
+        let request = MenciusMsg::StateRequest(StateTransferRequest { have: 0 });
+        s.receive(0, r(1), request);
+        let reply = s[0]
+            .sent
             .iter()
             .find_map(|(to, msg)| match (to, msg) {
                 (to, MenciusMsg::StateReply(_)) if *to == r(1) => Some(msg.clone()),
                 _ => None,
             })
             .expect("owner must serve a checkpoint");
-        m.on_message(r(0), reply, &mut ctx);
-        assert_eq!(m.resolved(), 22, "hole covered by the checkpoint");
+        s.receive(1, r(0), reply);
+        let resolved = s.nodes[1].proto.resolved();
+        assert_eq!(resolved, 22, "hole covered by the checkpoint");
         assert_eq!(
-            ctx.executed, octx.executed,
+            s.applied(1),
+            s.applied(0),
             "recovered replica reaches the owner's exact state"
         );
         // And it can keep proposing above everything resolved.
-        m.on_client_request(cmd(99), &mut ctx);
-        assert!(m.next_own_slot > 22);
+        s.on(1, |m, ctx| m.on_client_request(cmd(99), ctx));
+        assert!(s.nodes[1].proto.next_own_slot > 22);
     }
 
     #[test]
     fn checkpoints_compact_the_log_and_recovery_restores_them() {
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3))
-            .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true));
-        let mut ctx = TestCtx::with_snapshots();
-        for s in 0..6 {
-            m.on_client_request(cmd(s), &mut ctx);
+        let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))
+            .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true))]);
+        for seq in 0..6 {
+            s.on(0, |m, ctx| m.on_client_request(cmd(seq), ctx));
         }
-        ack(&mut m, &mut ctx, r(1), 15, 16);
-        ack(&mut m, &mut ctx, r(2), 15, 17);
-        ack(&mut m, &mut ctx, r(0), 15, 18);
-        assert_eq!(m.resolved(), 16, "all six own slots + skips resolved");
+        ack(&mut s, 0, r(1), 15, 16);
+        ack(&mut s, 0, r(2), 15, 17);
+        ack(&mut s, 0, r(0), 15, 18);
+        let resolved = s.nodes[0].proto.resolved();
+        assert_eq!(resolved, 16, "all six own slots + skips resolved");
         // Compaction keeps the log at the checkpoint + retained own
         // proposals — far below the 6 accepts + 16 commit/skip marks a
         // plain log would hold.
-        let checkpoints = ctx
-            .log
+        let log = &s.nodes[0].log;
+        let checkpoints = log
             .iter()
             .filter(|l| matches!(l, MenciusLogRec::Checkpoint { .. }))
             .count();
         assert_eq!(checkpoints, 1, "log holds exactly the newest checkpoint");
         assert!(
-            ctx.log.len() <= 1 + 6,
+            log.len() <= 1 + 6,
             "log must stay bounded, got {} records",
-            ctx.log.len()
+            log.len()
         );
         // Recovery from the compacted log reproduces the full state.
-        let mut m2 = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx2 = TestCtx::with_snapshots();
-        m2.on_recover(&ctx.log.clone(), &mut ctx2);
-        assert_eq!(ctx2.executed, ctx.executed);
+        let applied = s.applied(0);
+        s.restart(0, MenciusBcast::new(r(0), Membership::uniform(3)));
+        assert_eq!(s.applied(0), applied);
+        let m2 = &s.nodes[0].proto;
         assert!(m2.resolved() >= 14, "cursor resumes at the watermark");
         assert!(m2.next_own_slot >= m2.resolved(), "own slots never reused");
         // Own proposals below the watermark stay answerable after the
@@ -1965,22 +1873,23 @@ mod tests {
     /// command resolves on its self-ack.)
     #[test]
     fn crashing_more_often_than_the_interval_still_checkpoints() {
-        let mut ctx = TestCtx::with_snapshots();
+        let replica = || {
+            MenciusBcast::new(r(0), Membership::uniform(1))
+                .with_checkpoints(CheckpointPolicy::every(5))
+        };
+        let mut s = Script::new(vec![replica()]);
         for life in 0..4u64 {
             // A crash loses the replica and its state machine; the log
             // stays.
-            let mut m = MenciusBcast::new(r(0), Membership::uniform(1))
-                .with_checkpoints(CheckpointPolicy::every(5));
-            ctx.executed.clear();
-            m.on_recover(&ctx.log.clone(), &mut ctx);
+            s.restart(0, replica());
             for slot in 2 * life..2 * life + 2 {
-                m.on_client_request(cmd(slot), &mut ctx);
-                ack(&mut m, &mut ctx, r(0), slot, slot + 1);
+                s.on(0, |m, ctx| m.on_client_request(cmd(slot), ctx));
+                ack(&mut s, 0, r(0), slot, slot + 1);
             }
-            assert_eq!(m.resolved(), 2 * life + 2);
+            assert_eq!(s.nodes[0].proto.resolved(), 2 * life + 2);
         }
-        assert_eq!(ctx.executed, (0..8).collect::<Vec<u64>>());
-        let checkpoints: Vec<u64> = ctx
+        assert_eq!(s.applied(0), (0..8).collect::<Vec<u64>>());
+        let checkpoints: Vec<u64> = s.nodes[0]
             .log
             .iter()
             .filter_map(|l| match l {
@@ -1997,7 +1906,7 @@ mod tests {
 
     #[test]
     fn recovery_replays_resolved_prefix() {
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
+        let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))]);
         let log = vec![
             MenciusLogRec::Accept {
                 first: 0,
@@ -2013,13 +1922,12 @@ mod tests {
                 origin: r(0),
             },
         ];
-        let mut ctx = TestCtx::new();
-        m.on_recover(&log, &mut ctx);
-        assert_eq!(ctx.commits.len(), 1);
-        assert_eq!(m.resolved(), 3);
+        s.on(0, |m, ctx| m.on_recover(&log, ctx));
+        assert_eq!(s[0].executed.len(), 1);
+        assert_eq!(s.nodes[0].proto.resolved(), 3);
         // Own slots never reused below what the log shows.
-        assert!(m.next_own_slot > 3);
-        assert_eq!(m.next_own_slot % 3, 0);
+        assert!(s.nodes[0].proto.next_own_slot > 3);
+        assert_eq!(s.nodes[0].proto.next_own_slot % 3, 0);
     }
 
     /// A checkpoint lands inside a logged run, so on replay the run's
@@ -2027,15 +1935,15 @@ mod tests {
     /// history, and the rest rebuilds the slot table.
     #[test]
     fn replay_of_a_run_straddling_the_checkpoint() {
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3))
-            .with_checkpoints(CheckpointPolicy::every(2));
-        let mut ctx = TestCtx::with_snapshots();
+        let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))
+            .with_checkpoints(CheckpointPolicy::every(2))]);
         // Own slots 0, 3, 6, 9; the peers skip below 5 and ack slot 3.
-        m.on_client_batch(Batch::new((1..=4).map(cmd).collect()), &mut ctx);
-        ack(&mut m, &mut ctx, r(1), 3, 5);
-        ack(&mut m, &mut ctx, r(2), 3, 5);
-        assert_eq!(ctx.executed, vec![1, 2]);
-        let base = ctx.log.iter().rev().find_map(|l| match l {
+        let batch = Batch::new((1..=4).map(cmd).collect());
+        s.on(0, |m, ctx| m.on_client_batch(batch, ctx));
+        ack(&mut s, 0, r(1), 3, 5);
+        ack(&mut s, 0, r(2), 3, 5);
+        assert_eq!(s.applied(0), vec![1, 2]);
+        let base = s.nodes[0].log.iter().rev().find_map(|l| match l {
             MenciusLogRec::Checkpoint { cp, .. } => Some(cp.applied),
             _ => None,
         });
@@ -2044,11 +1952,11 @@ mod tests {
             "checkpoint at {base:?}"
         );
 
-        let mut m2 = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx2 = TestCtx::with_snapshots();
-        m2.on_recover(&ctx.log.clone(), &mut ctx2);
-        assert_eq!(ctx2.executed, ctx.executed);
-        assert_eq!(m2.resolved(), m.resolved());
+        let resolved = s.nodes[0].proto.resolved();
+        s.restart(0, MenciusBcast::new(r(0), Membership::uniform(3)));
+        assert_eq!(s.applied(0), vec![1, 2]);
+        let m2 = &s.nodes[0].proto;
+        assert_eq!(m2.resolved(), resolved);
         let own: Vec<u64> = m2.own_history.keys().copied().collect();
         assert_eq!(own, [0, 3, 6, 9], "the whole run stays answerable");
         let live: Vec<u64> = m2.slots.keys().copied().collect();
@@ -2061,21 +1969,21 @@ mod tests {
         // An uncommitted Accept for slot 0 must push replica 0 past it:
         // peers may have logged or committed the original proposal, so
         // re-proposing slot 0 with a new command would fork the log.
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
         let log = vec![MenciusLogRec::Accept {
             first: 0,
             cmds: Batch::single(cmd(1)),
             origin: r(0),
         }];
-        let mut ctx = TestCtx::new();
-        m.on_recover(&log, &mut ctx);
-        assert_eq!(m.next_own_slot, 3, "slot 0 was seen; next own slot is 3");
+        let recovered = |i: u16, log: &[MenciusLogRec]| {
+            let mut s = Script::new(vec![MenciusBcast::new(r(i), Membership::uniform(3))]);
+            s.on(0, |m, ctx| m.on_recover(log, ctx));
+            s.nodes[0].proto.next_own_slot
+        };
+        assert_eq!(recovered(0, &log), 3, "slot 0 was seen; next own slot is 3");
         // A genuinely empty log is a fresh start from the replica's own
         // first slot — for every replica id, not just 0.
         for i in 0..3 {
-            let mut fresh = MenciusBcast::new(r(i), Membership::uniform(3));
-            fresh.on_recover(&[], &mut ctx);
-            assert_eq!(fresh.next_own_slot, i as u64);
+            assert_eq!(recovered(i, &[]), i as u64);
         }
     }
     fn read(seq: u64) -> Command {
@@ -2087,15 +1995,14 @@ mod tests {
 
     #[test]
     fn read_probes_a_majority_and_parks_on_the_max_mark() {
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))]);
         // Slot 1 (owned by r1) is logged here but unresolved.
-        propose(&mut m, &mut ctx, 1, cmd(11), r(1));
-        ctx.sends.clear();
-        m.on_client_read(read(5), &mut ctx);
-        assert!(ctx.read_replies.is_empty(), "reads never serve eagerly");
+        propose(&mut s, 0, 1, cmd(11), r(1));
+        s[0].sent.clear();
+        s.on(0, |m, ctx| m.on_client_read(read(5), ctx));
+        assert!(s[0].replies.is_empty(), "reads never serve eagerly");
         assert_eq!(
-            ctx.sends
+            s[0].sent
                 .iter()
                 .filter(|(_, msg)| matches!(msg, MenciusMsg::ReadProbe(_)))
                 .count(),
@@ -2105,45 +2012,44 @@ mod tests {
         // One answer + self = majority of 3. The peer's own-slot bound
         // (owner 1, bound 4) constrains the read: its largest owner-1
         // slot below 4 is slot 1, so the read parks at cursor mark 2.
-        m.on_message(
+        s.receive(
+            0,
             r(1),
             MenciusMsg::ReadMark {
                 reply: ReadReply { seq: 1, mark: 4 },
                 owner_marks: vec![0, 4, 0],
             },
-            &mut ctx,
         );
-        assert_eq!(m.pending_reads(), 1, "parked until slots 0..2 resolve");
-        assert!(ctx.read_replies.is_empty());
+        assert_eq!(
+            s.nodes[0].proto.pending_reads(),
+            1,
+            "parked until slots 0..2 resolve"
+        );
+        assert!(s[0].replies.is_empty());
         // Resolve slots 0..4: acks give slot 1 a majority, and the skip
         // promises cover the empty slots of every owner.
-        ack(&mut m, &mut ctx, r(1), 1, 7);
-        ack(&mut m, &mut ctx, r(2), 1, 8);
-        m.on_client_request(cmd(1), &mut ctx); // fills own slot 3... (slot 0 skipped by own floor)
-        ack(&mut m, &mut ctx, r(1), 3, 7);
-        ack(&mut m, &mut ctx, r(2), 3, 8);
+        ack(&mut s, 0, r(1), 1, 7);
+        ack(&mut s, 0, r(2), 1, 8);
+        s.on(0, |m, ctx| m.on_client_request(cmd(1), ctx)); // fills own slot 3... (slot 0 skipped by own floor)
+        ack(&mut s, 0, r(1), 3, 7);
+        ack(&mut s, 0, r(2), 3, 8);
         assert!(
-            m.resolved() >= 4,
+            s.nodes[0].proto.resolved() >= 4,
             "slots below the mark resolved: {}",
-            m.resolved()
+            s.nodes[0].proto.resolved()
         );
-        assert_eq!(ctx.read_replies.len(), 1);
-        assert_eq!(ctx.read_replies[0].id.seq, 5);
-        assert_eq!(m.pending_reads(), 0);
+        assert_eq!(s[0].replies.len(), 1);
+        assert_eq!(s[0].replies[0].id.seq, 5);
+        assert_eq!(s.nodes[0].proto.pending_reads(), 0);
     }
 
     #[test]
     fn any_replica_answers_read_probes_with_its_log_top() {
-        let mut m = MenciusBcast::new(r(2), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        propose(&mut m, &mut ctx, 4, cmd(9), r(1));
-        ctx.sends.clear();
-        m.on_message(
-            r(0),
-            MenciusMsg::ReadProbe(ReadRequest { seq: 7 }),
-            &mut ctx,
-        );
-        match &ctx.sends[..] {
+        let mut s = Script::new(vec![MenciusBcast::new(r(2), Membership::uniform(3))]);
+        propose(&mut s, 0, 4, cmd(9), r(1));
+        s[0].sent.clear();
+        s.receive(0, r(0), MenciusMsg::ReadProbe(ReadRequest { seq: 7 }));
+        match &s[0].sent[..] {
             [(to, MenciusMsg::ReadMark { reply, owner_marks })] => {
                 assert_eq!(*to, r(0));
                 assert_eq!(reply.seq, 7);
@@ -2166,49 +2072,47 @@ mod tests {
         // the old scalar logged-top mark the read would park above it
         // and wait out the proposal's full commit round; per-owner marks
         // let the owner's answer exclude it.
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        propose(&mut m, &mut ctx, 1, cmd(11), r(1));
-        ctx.sends.clear();
-        m.on_client_read(read(9), &mut ctx);
-        assert!(ctx.read_replies.is_empty(), "waiting on the probe quorum");
+        let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))]);
+        propose(&mut s, 0, 1, cmd(11), r(1));
+        s[0].sent.clear();
+        s.on(0, |m, ctx| m.on_client_read(read(9), ctx));
+        assert!(s[0].replies.is_empty(), "waiting on the probe quorum");
         // Owner 1 answers: its execution cursor is still 0, so its own
         // entry excludes the in-flight slot 1 even though its scalar
         // logged-top mark (2) covers it.
-        m.on_message(
+        s.receive(
+            0,
             r(1),
             MenciusMsg::ReadMark {
                 reply: ReadReply { seq: 1, mark: 2 },
                 owner_marks: vec![0, 0, 0],
             },
-            &mut ctx,
         );
         assert_eq!(
-            ctx.read_replies.len(),
+            s[0].replies.len(),
             1,
             "read served without waiting for the in-flight proposal"
         );
-        assert_eq!(ctx.read_replies[0].id.seq, 9);
-        assert_eq!(m.pending_reads(), 0);
+        assert_eq!(s[0].replies[0].id.seq, 9);
+        assert_eq!(s.nodes[0].proto.pending_reads(), 0);
     }
 
     #[test]
     fn read_falls_back_to_replication_without_sm_access() {
-        let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
-        ctx.serve_reads = false;
-        m.on_client_read(read(4), &mut ctx);
-        m.on_message(
+        let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))]);
+        s.nodes[0].sm = Box::new(ApplyOnly::default());
+        s.on(0, |m, ctx| m.on_client_read(read(4), ctx));
+        s.receive(
+            0,
             r(1),
             MenciusMsg::ReadMark {
                 reply: ReadReply { seq: 1, mark: 0 },
                 owner_marks: vec![0, 0, 0],
             },
-            &mut ctx,
         );
-        assert!(ctx.read_replies.is_empty());
+        assert!(s[0].replies.is_empty());
         assert!(
-            ctx.sends
+            s[0].sent
                 .iter()
                 .any(|(_, msg)| matches!(msg, MenciusMsg::Propose { .. })),
             "unserveable read must be replicated as an ordinary command"

@@ -3,109 +3,32 @@
 //! same way (total order) and every command eventually executes
 //! everywhere once messages drain.
 
-use std::collections::VecDeque;
-
 use bytes::Bytes;
-use mencius::{MenciusBcast, MenciusLogRec, MenciusMsg};
+use mencius::MenciusBcast;
 use proptest::prelude::*;
-use rsm_core::command::{Command, CommandId, Committed};
+use rsm_core::command::{Command, CommandId};
 use rsm_core::config::Membership;
 use rsm_core::id::{ClientId, ReplicaId};
-use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::time::Micros;
+use rsm_core::node::Script;
+use rsm_core::protocol::Protocol;
 
-struct PumpCtx {
-    clock: Micros,
-    sends: Vec<(ReplicaId, MenciusMsg)>,
-    commits: Vec<Committed>,
+fn cluster(n: usize) -> Script<MenciusBcast> {
+    let membership = Membership::uniform(n as u16);
+    let replica = |i| MenciusBcast::new(ReplicaId::new(i as u16), membership.clone());
+    Script::new((0..n).map(replica).collect())
 }
 
-impl Context<MenciusBcast> for PumpCtx {
-    fn clock(&mut self) -> Micros {
-        self.clock += 1;
-        self.clock
-    }
-    fn send(&mut self, to: ReplicaId, msg: MenciusMsg) {
-        self.sends.push((to, msg));
-    }
-    fn log_append(&mut self, _rec: MenciusLogRec) {}
-    fn log_rewrite(&mut self, _recs: Vec<MenciusLogRec>) {}
-    fn commit(&mut self, c: Committed) -> Bytes {
-        let result = c.cmd.payload.clone();
-        self.commits.push(c);
-        result
-    }
-    fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
+fn submit(s: &mut Script<MenciusBcast>, at: usize, seq: u64) {
+    let cmd = Command::new(
+        CommandId::new(ClientId::new(ReplicaId::new(at as u16), 0), seq),
+        Bytes::from_static(b"m"),
+    );
+    s.on(at, |p, ctx| p.on_client_request(cmd, ctx));
+    s.flush(at);
 }
 
-struct Pump {
-    n: usize,
-    replicas: Vec<MenciusBcast>,
-    ctxs: Vec<PumpCtx>,
-    links: Vec<Vec<VecDeque<MenciusMsg>>>,
-}
-
-impl Pump {
-    fn new(n: usize) -> Self {
-        Pump {
-            n,
-            replicas: (0..n)
-                .map(|i| MenciusBcast::new(ReplicaId::new(i as u16), Membership::uniform(n as u16)))
-                .collect(),
-            ctxs: (0..n)
-                .map(|_| PumpCtx {
-                    clock: 0,
-                    sends: Vec::new(),
-                    commits: Vec::new(),
-                })
-                .collect(),
-            links: vec![vec![VecDeque::new(); n]; n],
-        }
-    }
-
-    fn flush(&mut self, from: usize) {
-        for (to, msg) in std::mem::take(&mut self.ctxs[from].sends) {
-            self.links[from][to.index()].push_back(msg);
-        }
-    }
-
-    fn submit(&mut self, at: usize, seq: u64) {
-        let cmd = Command::new(
-            CommandId::new(ClientId::new(ReplicaId::new(at as u16), 0), seq),
-            Bytes::from_static(b"m"),
-        );
-        self.replicas[at].on_client_request(cmd, &mut self.ctxs[at]);
-        self.flush(at);
-    }
-
-    fn deliver(&mut self, from: usize, to: usize) -> bool {
-        let Some(msg) = self.links[from][to].pop_front() else {
-            return false;
-        };
-        self.replicas[to].on_message(ReplicaId::new(from as u16), msg, &mut self.ctxs[to]);
-        self.flush(to);
-        true
-    }
-
-    fn drain(&mut self) {
-        loop {
-            let mut progressed = false;
-            for from in 0..self.n {
-                for to in 0..self.n {
-                    while self.deliver(from, to) {
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                return;
-            }
-        }
-    }
-
-    fn committed_ids(&self, r: usize) -> Vec<CommandId> {
-        self.ctxs[r].commits.iter().map(|c| c.cmd.id).collect()
-    }
+fn committed_ids(s: &Script<MenciusBcast>, r: usize) -> Vec<CommandId> {
+    s[r].executed.iter().map(|c| c.cmd.id).collect()
 }
 
 proptest! {
@@ -119,30 +42,30 @@ proptest! {
         submissions in proptest::collection::vec(0usize..5, 1..40),
         partial in proptest::collection::vec((0usize..5, 0usize..5), 0..150),
     ) {
-        let mut pump = Pump::new(n);
+        let mut s = cluster(n);
         let mut seq = 0;
         let mut partial = partial.into_iter();
         for who in submissions {
             seq += 1;
-            pump.submit(who % n, seq);
+            submit(&mut s, who % n, seq);
             if let Some((f, t)) = partial.next() {
-                pump.deliver(f % n, t % n);
+                s.deliver(f % n, t % n);
             }
         }
-        pump.drain();
+        s.drain();
         for r in 0..n {
             prop_assert_eq!(
-                pump.ctxs[r].commits.len() as u64, seq,
-                "replica {} executed {}/{} commands", r, pump.ctxs[r].commits.len(), seq
+                s[r].executed.len() as u64, seq,
+                "replica {} executed {}/{} commands", r, s[r].executed.len(), seq
             );
         }
-        let reference = pump.committed_ids(0);
+        let reference = committed_ids(&s, 0);
         for r in 1..n {
-            prop_assert_eq!(&pump.committed_ids(r), &reference, "replica {} diverged", r);
+            prop_assert_eq!(&committed_ids(&s, r), &reference, "replica {} diverged", r);
         }
         // Slot order strictly increases.
         for r in 0..n {
-            let slots: Vec<u64> = pump.ctxs[r].commits.iter().map(|c| c.order_hint).collect();
+            let slots: Vec<u64> = s[r].executed.iter().map(|c| c.order_hint).collect();
             prop_assert!(slots.windows(2).all(|w| w[0] < w[1]));
         }
     }
@@ -151,12 +74,12 @@ proptest! {
     /// its own slots are taken in increasing order.
     #[test]
     fn single_proposer_fifo(count in 1u64..30, who in 0usize..3) {
-        let mut pump = Pump::new(3);
+        let mut s = cluster(3);
         for seq in 1..=count {
-            pump.submit(who, seq);
+            submit(&mut s, who, seq);
         }
-        pump.drain();
-        let seqs: Vec<u64> = pump.ctxs[0].commits.iter().map(|c| c.cmd.id.seq).collect();
+        s.drain();
+        let seqs: Vec<u64> = s[0].executed.iter().map(|c| c.cmd.id.seq).collect();
         prop_assert_eq!(seqs, (1..=count).collect::<Vec<_>>());
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! ## Hot-path cost contract
 //!
-//! * [`Counter::add`], [`Gauge::set`], and [`Histogram::record`] are a
-//!   single relaxed atomic RMW on a pre-resolved handle — no locks, no
-//!   allocation, no branches beyond the bucket index. Handles are
+//! * [`Counter::add`] and [`Gauge::set`] are a single relaxed atomic
+//!   RMW on a pre-resolved handle — no locks, no allocation, no
+//!   branches. Handles are
 //!   resolved once (one registry mutex acquisition per *name*, cached
 //!   by [`NodeObs`]) and cloned freely.
 //! * [`Tracer::sampled`] is a pure hash of the span key; an unsampled
@@ -52,9 +52,7 @@
 mod registry;
 mod trace;
 
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, NodeObs, Registry,
-};
+pub use registry::{Counter, Gauge, MetricsSnapshot, NodeObs, Registry};
 pub use trace::{ObsConfig, Span, Tracer, MAX_STAGES};
 
 /// Largest value over a set of gauges (e.g. the deepest per-peer

@@ -1,5 +1,4 @@
-//! The metrics registry: counters, gauges, log-scale histograms, and
-//! deterministic snapshots.
+//! The metrics registry: counters, gauges, and deterministic snapshots.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -48,131 +47,15 @@ impl Gauge {
     }
 }
 
-/// Number of log-scale buckets: bucket `i > 0` covers
-/// `[2^(i-1), 2^i - 1]`; bucket 0 holds zeros.
-const BUCKETS: usize = 64;
-
-#[derive(Debug)]
-struct HistogramCells {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-}
-
-/// A fixed-bucket log2-scale histogram (64 buckets covering the full
-/// `u64` range). Recording is one relaxed add per cell — no locks, no
-/// allocation. Cloning shares the cells.
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistogramCells>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram(Arc::new(HistogramCells {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }))
-    }
-}
-
-fn bucket_index(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()).min(BUCKETS as u32 - 1) as usize
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn record(&self, value: u64) {
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(value, Ordering::Relaxed);
-        self.0.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Captures the current contents.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.0.count.load(Ordering::Relaxed),
-            sum: self.0.sum.load(Ordering::Relaxed),
-            buckets: self
-                .0
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i as u32, n))
-                })
-                .collect(),
-        }
-    }
-}
-
-/// The captured contents of one [`Histogram`]: totals plus the nonzero
-/// `(bucket index, count)` pairs, index-sorted.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: u64,
-    /// Nonzero buckets as `(index, count)`; bucket `i > 0` covers
-    /// `[2^(i-1), 2^i - 1]`, bucket 0 holds zeros.
-    pub buckets: Vec<(u32, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Mean observation, zero when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Approximate quantile (`0.0..=1.0`): the inclusive upper bound of
-    /// the bucket holding the q-th observation. Zero when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for &(i, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return if i == 0 {
-                    0
-                } else {
-                    (1u64 << i).wrapping_sub(1)
-                };
-            }
-        }
-        u64::MAX
-    }
-
-    fn saturating_sub(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let earlier_counts: HashMap<u32, u64> = earlier.buckets.iter().copied().collect();
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            buckets: self
-                .buckets
-                .iter()
-                .filter_map(|&(i, n)| {
-                    let d = n.saturating_sub(earlier_counts.get(&i).copied().unwrap_or(0));
-                    (d > 0).then_some((i, d))
-                })
-                .collect(),
-        }
-    }
-}
-
 #[derive(Clone)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
 }
 
 /// A shared registry of named metrics.
 ///
-/// Registration (`counter`/`gauge`/`histogram`) takes the registry
+/// Registration (`counter`/`gauge`) takes the registry
 /// mutex and allocates on first use of a name; the returned handles
 /// record lock-free thereafter. Re-registering a name returns the SAME
 /// underlying cell, so a replica that recovers keeps accumulating into
@@ -220,22 +103,6 @@ impl Registry {
         }
     }
 
-    /// The histogram named `name`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut metrics = self.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric {name:?} is not a histogram"),
-        }
-    }
-
     /// Adopts an externally created gauge cell under `name`, so a value
     /// maintained elsewhere (e.g. a transport queue depth updated by its
     /// own threads) appears in snapshots without double bookkeeping.
@@ -261,9 +128,6 @@ impl Registry {
                 Metric::Gauge(g) => {
                     snap.gauges.insert(name.clone(), g.get());
                 }
-                Metric::Histogram(h) => {
-                    snap.hists.insert(name.clone(), h.snapshot());
-                }
             }
         }
         snap
@@ -286,22 +150,15 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, i64>,
-    /// Histogram contents by name.
-    pub hists: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
-    /// The window between `earlier` and `self`: counters and histograms
-    /// subtract (saturating), gauges keep their later value.
+    /// The window between `earlier` and `self`: counters subtract
+    /// (saturating), gauges keep their later value.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = self.clone();
         for (name, v) in &mut out.counters {
             *v = v.saturating_sub(earlier.counters.get(name).copied().unwrap_or(0));
-        }
-        for (name, h) in &mut out.hists {
-            if let Some(e) = earlier.hists.get(name) {
-                *h = h.saturating_sub(e);
-            }
         }
         out
     }
@@ -325,28 +182,6 @@ impl MetricsSnapshot {
             }
             first = false;
             let _ = write!(s, "\n    {}: {v}", json_str(name));
-        }
-        s.push_str("\n  },\n  \"histograms\": {");
-        first = true;
-        for (name, h) in &self.hists {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(
-                s,
-                "\n    {}: {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                json_str(name),
-                h.count,
-                h.sum
-            );
-            for (k, &(i, n)) in h.buckets.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "[{i}, {n}]");
-            }
-            s.push_str("]}");
         }
         s.push_str("\n  }\n}");
         s
@@ -390,7 +225,6 @@ pub struct NodeObs {
     prefix: String,
     counters: HashMap<(&'static str, u32), Counter>,
     gauges: HashMap<(&'static str, u32), Gauge>,
-    hists: HashMap<(&'static str, u32), Histogram>,
 }
 
 /// Cache key for the un-indexed variant of a metric name.
@@ -404,7 +238,6 @@ impl NodeObs {
             prefix: format!("r{node}"),
             counters: HashMap::new(),
             gauges: HashMap::new(),
-            hists: HashMap::new(),
         }
     }
 
@@ -425,15 +258,6 @@ impl NodeObs {
             .add(delta);
     }
 
-    /// Adds `delta` to the node's indexed counter `name.idx`.
-    pub fn count_idx(&mut self, name: &'static str, idx: u16, delta: u64) {
-        let (registry, prefix) = (&self.registry, &self.prefix);
-        self.counters
-            .entry((name, u32::from(idx)))
-            .or_insert_with(|| registry.counter(&Self::full_name(prefix, name, u32::from(idx))))
-            .add(delta);
-    }
-
     /// Sets the node's gauge `name`.
     pub fn gauge(&mut self, name: &'static str, value: i64) {
         let (registry, prefix) = (&self.registry, &self.prefix);
@@ -450,15 +274,6 @@ impl NodeObs {
             .entry((name, u32::from(idx)))
             .or_insert_with(|| registry.gauge(&Self::full_name(prefix, name, u32::from(idx))))
             .set(value);
-    }
-
-    /// Records into the node's histogram `name`.
-    pub fn hist(&mut self, name: &'static str, value: u64) {
-        let (registry, prefix) = (&self.registry, &self.prefix);
-        self.hists
-            .entry((name, NO_IDX))
-            .or_insert_with(|| registry.histogram(&Self::full_name(prefix, name, NO_IDX)))
-            .record(value);
     }
 
     /// The registry this view writes into.
@@ -486,45 +301,19 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
-        let h = Histogram::default();
-        for v in [0, 1, 2, 3, 1000, 1_000_000] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 6);
-        assert_eq!(s.sum, 1_001_006);
-        // Zeros land in bucket 0; 1 in bucket 1; 2..3 in bucket 2.
-        assert_eq!(s.buckets[0], (0, 1));
-        assert_eq!(s.buckets[1], (1, 1));
-        assert_eq!(s.buckets[2], (2, 2));
-        assert_eq!(s.quantile(0.0), 0);
-        assert!(s.quantile(0.5) >= 3);
-        assert!(s.quantile(1.0) >= 1_000_000);
-        // The quantile never exceeds the next power-of-two bound.
-        assert!(s.quantile(1.0) < 2_097_152);
-    }
-
-    #[test]
     fn snapshot_delta_subtracts_counters_keeps_gauges() {
         let reg = Registry::new();
         let c = reg.counter("c");
         let g = reg.gauge("g");
-        let h = reg.histogram("h");
         c.add(5);
         g.set(1);
-        h.record(10);
         let early = reg.snapshot();
         c.add(2);
         g.set(9);
-        h.record(10);
-        h.record(2_000);
         let late = reg.snapshot();
         let d = late.delta(&early);
         assert_eq!(d.counters["c"], 2);
         assert_eq!(d.gauges["g"], 9);
-        assert_eq!(d.hists["h"].count, 2);
-        assert_eq!(d.hists["h"].sum, 2_010);
     }
 
     #[test]
@@ -534,18 +323,16 @@ mod tests {
             reg.counter("z.last").add(1);
             reg.counter("a.first").add(2);
             reg.gauge("m.depth").set(-3);
-            reg.histogram("lat").record(100);
             reg.snapshot()
         };
         let (a, b) = (build(), build());
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
         let json = a.to_json();
-        // Name-sorted order and all three sections present.
+        // Name-sorted order and both sections present.
         assert!(json.find("a.first").unwrap() < json.find("z.last").unwrap());
         assert!(json.contains("\"counters\""));
         assert!(json.contains("\"m.depth\": -3"));
-        assert!(json.contains("\"count\": 1"));
     }
 
     #[test]
@@ -557,12 +344,10 @@ mod tests {
         n0.count("commits", 1);
         n1.count("commits", 5);
         n0.gauge_idx("outq", 2, 11);
-        n0.hist("lat", 64);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["r0.commits"], 3);
         assert_eq!(snap.counters["r1.commits"], 5);
         assert_eq!(snap.gauges["r0.outq.2"], 11);
-        assert_eq!(snap.hists["r0.lat"].count, 1);
     }
 
     #[test]

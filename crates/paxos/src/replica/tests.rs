@@ -2,97 +2,14 @@ use super::*;
 use crate::msg::SuffixEntry;
 use bytes::Bytes;
 use rsm_core::checkpoint::{StateTransferReply, StateTransferRequest};
-use rsm_core::command::{CommandId, Committed, Reply};
+use rsm_core::command::CommandId;
 use rsm_core::id::ClientId;
+use rsm_core::node::{ApplyOnly, Script};
 use rsm_core::read::ReadRequest;
-use rsm_core::time::Micros;
 
-struct TestCtx {
-    sends: Vec<(ReplicaId, PaxosMsg)>,
-    commits: Vec<Committed>,
-    log: Vec<PaxosLogRec>,
-    clock: Micros,
-    /// Executed command seqs — a trivial state machine for snapshot
-    /// tests; `snapshots` gates whether the driver supports them.
-    executed: Vec<u64>,
-    snapshots: bool,
-    /// Replies routed via `send_reply` (served local reads).
-    read_replies: Vec<Reply>,
-    /// Whether `sm_read` answers (false models a driver without state
-    /// machine access, forcing the replicated fallback).
-    serve_reads: bool,
-}
-
-impl TestCtx {
-    fn new() -> Self {
-        TestCtx {
-            sends: Vec::new(),
-            commits: Vec::new(),
-            log: Vec::new(),
-            clock: 0,
-            executed: Vec::new(),
-            snapshots: false,
-            read_replies: Vec::new(),
-            serve_reads: true,
-        }
-    }
-
-    fn with_snapshots() -> Self {
-        TestCtx {
-            snapshots: true,
-            ..TestCtx::new()
-        }
-    }
-}
-
-impl Context<MultiPaxos> for TestCtx {
-    fn clock(&mut self) -> Micros {
-        self.clock += 1;
-        self.clock
-    }
-    fn send(&mut self, to: ReplicaId, msg: PaxosMsg) {
-        self.sends.push((to, msg));
-    }
-    fn log_append(&mut self, rec: PaxosLogRec) {
-        self.log.push(rec);
-    }
-    fn log_rewrite(&mut self, recs: Vec<PaxosLogRec>) {
-        self.log = recs;
-    }
-    fn commit(&mut self, c: Committed) -> Bytes {
-        let result = c.cmd.payload.clone();
-        self.executed.push(c.cmd.id.seq);
-        self.commits.push(c);
-        result
-    }
-    fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-    fn sm_snapshot(&mut self) -> Option<Bytes> {
-        if !self.snapshots {
-            return None;
-        }
-        let mut buf = Vec::new();
-        for s in &self.executed {
-            buf.extend_from_slice(&s.to_be_bytes());
-        }
-        Some(Bytes::from(buf))
-    }
-    fn sm_install(&mut self, snapshot: Bytes) -> bool {
-        if !self.snapshots {
-            return false;
-        }
-        self.executed = snapshot
-            .chunks(8)
-            .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunks")))
-            .collect();
-        true
-    }
-    fn sm_read(&mut self, _cmd: &Command) -> Option<Bytes> {
-        self.serve_reads
-            .then(|| Bytes::from(self.executed.len().to_be_bytes().to_vec()))
-    }
-    fn send_reply(&mut self, reply: Reply) {
-        self.read_replies.push(reply);
-    }
+/// Replica `i` of a three-replica Paxos-bcast deployment led by r0.
+fn bcast(i: u16) -> MultiPaxos {
+    MultiPaxos::new(r(i), Membership::uniform(3), r(0), PaxosVariant::Bcast)
 }
 
 fn cmd(seq: u64) -> Command {
@@ -138,16 +55,15 @@ fn lease() -> LeaseConfig {
     LeaseConfig::after(400_000)
 }
 
-fn last_ack(ctx: &TestCtx) -> Option<u64> {
-    ctx.sends.iter().rev().find_map(|(_, m)| match m {
+fn last_ack(sent: &[(ReplicaId, PaxosMsg)]) -> Option<u64> {
+    sent.iter().rev().find_map(|(_, m)| match m {
         PaxosMsg::Accepted { up_to, .. } => Some(*up_to),
         _ => None,
     })
 }
 
-fn prepares(ctx: &TestCtx) -> Vec<Ballot> {
-    ctx.sends
-        .iter()
+fn prepares(sent: &[(ReplicaId, PaxosMsg)]) -> Vec<Ballot> {
+    sent.iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Prepare { ballot, .. } => Some(*ballot),
             _ => None,
@@ -161,22 +77,20 @@ fn prepares(ctx: &TestCtx) -> Vec<Ballot> {
 
 #[test]
 fn follower_forwards_to_leader() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_client_request(cmd(1), &mut ctx);
-    assert_eq!(ctx.sends.len(), 1);
-    assert_eq!(ctx.sends[0].0, r(0));
-    assert!(matches!(ctx.sends[0].1, PaxosMsg::Forward { .. }));
+    let mut s = Script::new(vec![bcast(1)]);
+    s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+    assert_eq!(s[0].sent.len(), 1);
+    assert_eq!(s[0].sent[0].0, r(0));
+    assert!(matches!(s[0].sent[0].1, PaxosMsg::Forward { .. }));
 }
 
 #[test]
 fn leader_assigns_consecutive_instances() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_client_request(cmd(1), &mut ctx);
-    p.on_client_request(cmd(2), &mut ctx);
-    let firsts: Vec<u64> = ctx
-        .sends
+    let mut s = Script::new(vec![bcast(0)]);
+    s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+    s.on(0, |p, ctx| p.on_client_request(cmd(2), ctx));
+    let firsts: Vec<u64> = s[0]
+        .sent
         .iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Accept { first_instance, .. } => Some(*first_instance),
@@ -191,11 +105,12 @@ fn leader_assigns_consecutive_instances() {
 
 #[test]
 fn leader_binds_a_batch_to_one_instance_run() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3)]), &mut ctx);
-    let accepts: Vec<(u64, usize)> = ctx
-        .sends
+    let mut s = Script::new(vec![bcast(0)]);
+    s.on(0, |p, ctx| {
+        p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3)]), ctx)
+    });
+    let accepts: Vec<(u64, usize)> = s[0]
+        .sent
         .iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Accept {
@@ -208,8 +123,12 @@ fn leader_binds_a_batch_to_one_instance_run() {
         .collect();
     assert_eq!(accepts.len(), 2, "one ACCEPT per peer for 3 cmds");
     assert!(accepts.iter().all(|&(f, k)| f == 0 && k == 3));
-    assert_eq!(p.next_instance, 3);
-    assert_eq!(ctx.log.len(), 1, "leader logs its own run synchronously");
+    assert_eq!(s.nodes[0].proto.next_instance, 3);
+    assert_eq!(
+        s.nodes[0].log.len(),
+        1,
+        "leader logs its own run synchronously"
+    );
 }
 
 #[test]
@@ -217,12 +136,11 @@ fn accept_fanout_shares_the_batch_payload_across_peers() {
     // Allocation-lean fan-out: the leader's per-peer ACCEPT clones share
     // one Arc-backed command vector with the submitted batch instead of
     // deep-copying it per destination.
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(0)]);
     let batch = Batch::new((1..=64).map(cmd).collect());
-    p.on_client_batch(batch.clone(), &mut ctx);
-    let accepts: Vec<&Batch> = ctx
-        .sends
+    s.on(0, |p, ctx| p.on_client_batch(batch.clone(), ctx));
+    let accepts: Vec<&Batch> = s[0]
+        .sent
         .iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Accept { cmds, .. } => Some(cmds),
@@ -240,37 +158,31 @@ fn accept_fanout_shares_the_batch_payload_across_peers() {
 
 #[test]
 fn bcast_commits_on_majority_acks() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
+    let mut s = Script::new(vec![bcast(1)]);
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1)], r(0)));
     // Logged and broadcast its own cumulative 2b.
-    assert_eq!(ctx.log.len(), 1);
-    let own_acks = ctx
-        .sends
+    assert_eq!(s.nodes[0].log.len(), 1);
+    let own_acks = s[0]
+        .sent
         .iter()
         .filter(|(_, m)| matches!(m, PaxosMsg::Accepted { up_to: 1, .. }))
         .count();
     assert_eq!(own_acks, 3);
     // Two 2b watermarks arrive (majority of 3 incl. someone else's).
-    p.on_message(r(0), acked(b0(), 1), &mut ctx);
-    assert!(ctx.commits.is_empty());
-    p.on_message(r(1), acked(b0(), 1), &mut ctx);
-    assert_eq!(ctx.commits.len(), 1);
-    assert_eq!(ctx.commits[0].origin, r(0));
+    s.receive(0, r(0), acked(b0(), 1));
+    assert!(s[0].executed.is_empty());
+    s.receive(0, r(1), acked(b0(), 1));
+    assert_eq!(s[0].executed.len(), 1);
+    assert_eq!(s[0].executed[0].origin, r(0));
 }
 
 #[test]
 fn one_ack_covers_a_whole_batch() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_message(
-        r(0),
-        accept(b0(), 0, vec![cmd(1), cmd(2), cmd(3)], r(0)),
-        &mut ctx,
-    );
-    assert_eq!(ctx.log.len(), 1, "the run is logged as one record");
-    let acks: Vec<u64> = ctx
-        .sends
+    let mut s = Script::new(vec![bcast(1)]);
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2), cmd(3)], r(0)));
+    assert_eq!(s.nodes[0].log.len(), 1, "the run is logged as one record");
+    let acks: Vec<u64> = s[0]
+        .sent
         .iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Accepted { up_to, .. } => Some(*up_to),
@@ -279,51 +191,59 @@ fn one_ack_covers_a_whole_batch() {
         .collect();
     assert_eq!(acks, vec![3, 3, 3], "ONE watermark ack per destination");
     // Majority watermarks commit the whole run at once, in order.
-    p.on_message(r(0), acked(b0(), 3), &mut ctx);
-    p.on_message(r(1), acked(b0(), 3), &mut ctx);
-    assert_eq!(ctx.commits.len(), 3);
-    let hints: Vec<u64> = ctx.commits.iter().map(|c| c.order_hint).collect();
+    s.receive(0, r(0), acked(b0(), 3));
+    s.receive(0, r(1), acked(b0(), 3));
+    assert_eq!(s[0].executed.len(), 3);
+    let hints: Vec<u64> = s[0].executed.iter().map(|c| c.order_hint).collect();
     assert_eq!(hints, vec![0, 1, 2]);
 }
 
 #[test]
 fn plain_follower_waits_for_commit_message() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Plain);
-    let mut ctx = TestCtx::new();
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(2)), &mut ctx);
+    let mut s = Script::new(vec![MultiPaxos::new(
+        r(1),
+        Membership::uniform(3),
+        r(0),
+        PaxosVariant::Plain,
+    )]);
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1)], r(2)));
     // 2b goes to the leader only.
-    let (to, _) = ctx
-        .sends
+    let (to, _) = s[0]
+        .sent
         .iter()
         .find(|(_, m)| matches!(m, PaxosMsg::Accepted { .. }))
         .unwrap();
     assert_eq!(*to, r(0));
     // Acks from others do nothing at a plain follower.
-    p.on_message(r(0), acked(b0(), 1), &mut ctx);
-    p.on_message(r(2), acked(b0(), 1), &mut ctx);
-    assert!(ctx.commits.is_empty());
-    p.on_message(
+    s.receive(0, r(0), acked(b0(), 1));
+    s.receive(0, r(2), acked(b0(), 1));
+    assert!(s[0].executed.is_empty());
+    s.receive(
+        0,
         r(0),
         PaxosMsg::Commit {
             ballot: b0(),
             up_to: 1,
         },
-        &mut ctx,
     );
-    assert_eq!(ctx.commits.len(), 1);
+    assert_eq!(s[0].executed.len(), 1);
 }
 
 #[test]
 fn plain_leader_broadcasts_commit_on_majority() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Plain);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![MultiPaxos::new(
+        r(0),
+        Membership::uniform(3),
+        r(0),
+        PaxosVariant::Plain,
+    )]);
     // propose() self-delivers the Accept synchronously: the run is
     // logged and the leader's own Accepted is already in flight.
-    p.on_client_request(cmd(1), &mut ctx);
-    p.on_message(r(0), acked(b0(), 1), &mut ctx);
-    p.on_message(r(1), acked(b0(), 1), &mut ctx);
-    let commit_sends = ctx
-        .sends
+    s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+    s.receive(0, r(0), acked(b0(), 1));
+    s.receive(0, r(1), acked(b0(), 1));
+    let commit_sends = s[0]
+        .sent
         .iter()
         .filter(|(_, m)| matches!(m, PaxosMsg::Commit { .. }))
         .count();
@@ -332,23 +252,22 @@ fn plain_leader_broadcasts_commit_on_majority() {
 
 #[test]
 fn execution_is_in_instance_order_despite_commit_reorder() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(1)]);
     for i in 0..2 {
-        p.on_message(r(0), accept(b0(), i, vec![cmd(i)], r(0)), &mut ctx);
+        s.receive(0, r(0), accept(b0(), i, vec![cmd(i)], r(0)));
     }
     // A watermark only covering instance 0 from one replica: nothing
     // commits yet (one ack is not a majority).
-    p.on_message(r(0), acked(b0(), 1), &mut ctx);
-    assert!(ctx.commits.is_empty(), "one ack is not a majority");
+    s.receive(0, r(0), acked(b0(), 1));
+    assert!(s[0].executed.is_empty(), "one ack is not a majority");
     // Majority watermarks covering both instances commit them in
     // instance order (cumulative acks make out-of-order commit of a
     // later instance impossible by construction).
-    p.on_message(r(0), acked(b0(), 2), &mut ctx);
-    p.on_message(r(1), acked(b0(), 2), &mut ctx);
-    assert_eq!(ctx.commits.len(), 2);
-    assert_eq!(ctx.commits[0].order_hint, 0);
-    assert_eq!(ctx.commits[1].order_hint, 1);
+    s.receive(0, r(0), acked(b0(), 2));
+    s.receive(0, r(1), acked(b0(), 2));
+    assert_eq!(s[0].executed.len(), 2);
+    assert_eq!(s[0].executed[0].order_hint, 0);
+    assert_eq!(s[0].executed[1].order_hint, 1);
 }
 
 #[test]
@@ -357,8 +276,7 @@ fn recovered_replica_never_acks_across_a_gap() {
     // (lost), recovered, and then receives the run starting at 5.
     // Its cumulative ack must stay at the gap — claiming 5..8 would
     // falsely vouch for the lost 2..5 and break quorum intersection.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(1)]);
     let log = vec![
         PaxosLogRec::Accept {
             first: 0,
@@ -373,14 +291,10 @@ fn recovered_replica_never_acks_across_a_gap() {
             origin: r(0),
         },
     ];
-    p.on_recover(&log, &mut ctx);
-    p.on_message(
-        r(0),
-        accept(b0(), 5, vec![cmd(6), cmd(7), cmd(8)], r(0)),
-        &mut ctx,
-    );
-    let acks: Vec<u64> = ctx
-        .sends
+    s.on(0, |p, ctx| p.on_recover(&log, ctx));
+    s.receive(0, r(0), accept(b0(), 5, vec![cmd(6), cmd(7), cmd(8)], r(0)));
+    let acks: Vec<u64> = s[0]
+        .sent
         .iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Accepted { up_to, .. } => Some(*up_to),
@@ -392,7 +306,7 @@ fn recovered_replica_never_acks_across_a_gap() {
         "watermark crossed the gap: {acks:?}"
     );
     // The post-gap run is still logged for state transfer.
-    assert_eq!(ctx.log.len(), 1);
+    assert_eq!(s.nodes[0].log.len(), 1);
 }
 
 #[test]
@@ -401,14 +315,13 @@ fn late_accept_fills_an_already_committed_instance_and_executes() {
     // relays (the EC2 matrix violates the triangle inequality): the
     // commit watermark covers instance 0 before its command arrives.
     // The late Accept must trigger execution — nothing else retries.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_message(r(0), acked(b0(), 1), &mut ctx);
-    p.on_message(r(2), acked(b0(), 1), &mut ctx);
-    assert!(ctx.commits.is_empty(), "command not yet known");
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
-    assert_eq!(ctx.commits.len(), 1, "late accept must resume execution");
-    assert_eq!(ctx.commits[0].order_hint, 0);
+    let mut s = Script::new(vec![bcast(1)]);
+    s.receive(0, r(0), acked(b0(), 1));
+    s.receive(0, r(2), acked(b0(), 1));
+    assert!(s[0].executed.is_empty(), "command not yet known");
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1)], r(0)));
+    assert_eq!(s[0].executed.len(), 1, "late accept must resume execution");
+    assert_eq!(s[0].executed[0].order_hint, 0);
 }
 
 #[test]
@@ -418,32 +331,36 @@ fn recovered_replica_resumes_acking_once_the_gap_commits() {
     // decided, so covering it cumulatively adds no false quorum
     // evidence — the replica's watermark may jump and it resumes
     // quorum duty for new instances.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Plain);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![MultiPaxos::new(
+        r(1),
+        Membership::uniform(3),
+        r(0),
+        PaxosVariant::Plain,
+    )]);
     let log = vec![PaxosLogRec::Accept {
         first: 0,
         ballot: b0(),
         cmds: Batch::single(cmd(1)),
         origin: r(0),
     }];
-    p.on_recover(&log, &mut ctx);
+    s.on(0, |p, ctx| p.on_recover(&log, ctx));
     // Gap: instances 1..3 were lost; the run starting at 3 must not
     // be vouched for yet.
-    p.on_message(r(0), accept(b0(), 3, vec![cmd(4)], r(0)), &mut ctx);
-    assert_eq!(last_ack(&ctx), Some(1));
+    s.receive(0, r(0), accept(b0(), 3, vec![cmd(4)], r(0)));
+    assert_eq!(last_ack(&s[0].sent), Some(1));
     // The leader announces everything below 4 committed, then sends
     // the next run: the watermark jumps over the decided hole.
-    p.on_message(
+    s.receive(
+        0,
         r(0),
         PaxosMsg::Commit {
             ballot: b0(),
             up_to: 4,
         },
-        &mut ctx,
     );
-    p.on_message(r(0), accept(b0(), 4, vec![cmd(5), cmd(6)], r(0)), &mut ctx);
+    s.receive(0, r(0), accept(b0(), 4, vec![cmd(5), cmd(6)], r(0)));
     assert_eq!(
-        last_ack(&ctx),
+        last_ack(&s[0].sent),
         Some(6),
         "ack watermark must resume past a committed gap"
     );
@@ -456,16 +373,19 @@ fn leader_recovery_never_reuses_instances() {
     // must not let recovery re-assign the same instance numbers to
     // new commands — followers may have logged or committed the
     // originals, and a re-proposal would fork execution.
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), &mut ctx);
-    assert_eq!(ctx.log.len(), 1, "run logged before any network round-trip");
-    let mut p2 = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx2 = TestCtx::new();
-    p2.on_recover(&ctx.log, &mut ctx2);
-    p2.on_client_request(cmd(3), &mut ctx2);
-    let firsts: Vec<u64> = ctx2
-        .sends
+    let mut s = Script::new(vec![bcast(0)]);
+    s.on(0, |p, ctx| {
+        p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), ctx)
+    });
+    assert_eq!(
+        s.nodes[0].log.len(),
+        1,
+        "run logged before any network round-trip"
+    );
+    s.restart(0, bcast(0));
+    s.on(0, |p, ctx| p.on_client_request(cmd(3), ctx));
+    let firsts: Vec<u64> = s[0]
+        .sent
         .iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Accept { first_instance, .. } => Some(*first_instance),
@@ -486,73 +406,71 @@ fn recovered_replica_reextends_watermark_past_a_committed_gap_under_load() {
     // accept run, so the on_accept jump alone never fires; the
     // watermark must also re-extend when commits advance past the
     // gap, or B acks up_to=1 forever and never rejoins quorums.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(1)]);
     let log = vec![PaxosLogRec::Accept {
         first: 0,
         ballot: b0(),
         cmds: Batch::single(cmd(1)),
         origin: r(0),
     }];
-    p.on_recover(&log, &mut ctx);
+    s.on(0, |p, ctx| p.on_recover(&log, ctx));
     // Run [3,4) arrives while the gap is still uncommitted.
-    p.on_message(r(0), accept(b0(), 3, vec![cmd(4)], r(0)), &mut ctx);
-    assert_eq!(last_ack(&ctx), Some(1));
+    s.receive(0, r(0), accept(b0(), 3, vec![cmd(4)], r(0)));
+    assert_eq!(last_ack(&s[0].sent), Some(1));
     // Peer watermarks commit through the gap (to 3) while run [4,5)
     // is already in flight.
-    p.on_message(r(0), acked(b0(), 3), &mut ctx);
-    p.on_message(r(2), acked(b0(), 3), &mut ctx);
+    s.receive(0, r(0), acked(b0(), 3));
+    s.receive(0, r(2), acked(b0(), 3));
     // The pipelined run arrives with committed_next (3) still below
     // its first instance (4): the watermark must nevertheless cover
     // the decided gap plus the contiguously logged instance 3.
-    p.on_message(r(0), accept(b0(), 4, vec![cmd(5)], r(0)), &mut ctx);
-    assert_eq!(last_ack(&ctx), Some(5), "watermark frozen at the gap");
+    s.receive(0, r(0), accept(b0(), 4, vec![cmd(5)], r(0)));
+    assert_eq!(last_ack(&s[0].sent), Some(5), "watermark frozen at the gap");
 }
 
 #[test]
 fn checkpoints_compact_the_log_below_the_watermark() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true));
-    let mut ctx = TestCtx::with_snapshots();
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)), &mut ctx);
+    let mut s = Script::new(vec![
+        bcast(1).with_checkpoints(CheckpointPolicy::every(2).with_compaction(true))
+    ]);
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)));
     // A pending third instance that must survive compaction.
-    p.on_message(r(0), accept(b0(), 2, vec![cmd(3)], r(0)), &mut ctx);
-    p.on_message(r(0), acked(b0(), 2), &mut ctx);
-    p.on_message(r(2), acked(b0(), 2), &mut ctx);
-    assert_eq!(ctx.commits.len(), 2, "first run committed");
+    s.receive(0, r(0), accept(b0(), 2, vec![cmd(3)], r(0)));
+    s.receive(0, r(0), acked(b0(), 2));
+    s.receive(0, r(2), acked(b0(), 2));
+    assert_eq!(s[0].executed.len(), 2, "first run committed");
     // Compaction replaced 2 accepted runs + 2 commit marks with
     // checkpoint + promise + the pending accept for instance 2.
-    assert_eq!(ctx.log.len(), 3, "log: {:?}", ctx.log);
-    assert!(matches!(&ctx.log[0], PaxosLogRec::Checkpoint(cp) if cp.applied == 2));
-    assert!(matches!(&ctx.log[1], PaxosLogRec::Promised(_)));
-    assert!(matches!(&ctx.log[2], PaxosLogRec::Accept { first: 2, .. }));
+    assert_eq!(s.nodes[0].log.len(), 3, "log: {:?}", s.nodes[0].log);
+    assert!(matches!(&s.nodes[0].log[0], PaxosLogRec::Checkpoint(cp) if cp.applied == 2));
+    assert!(matches!(&s.nodes[0].log[1], PaxosLogRec::Promised(_)));
+    assert!(matches!(
+        &s.nodes[0].log[2],
+        PaxosLogRec::Accept { first: 2, .. }
+    ));
 }
 
 #[test]
 fn recovery_restores_checkpoint_and_replays_only_the_suffix() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true));
-    let mut ctx = TestCtx::with_snapshots();
+    let policy = CheckpointPolicy::every(2).with_compaction(true);
+    let mut s = Script::new(vec![bcast(1).with_checkpoints(policy)]);
     // Two bursts: the first trips the checkpoint at watermark 2, the
     // third command lands after it and stays in the log suffix.
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)), &mut ctx);
-    p.on_message(r(0), acked(b0(), 2), &mut ctx);
-    p.on_message(r(2), acked(b0(), 2), &mut ctx);
-    p.on_message(r(0), accept(b0(), 2, vec![cmd(3)], r(0)), &mut ctx);
-    p.on_message(r(0), acked(b0(), 3), &mut ctx);
-    p.on_message(r(2), acked(b0(), 3), &mut ctx);
-    assert_eq!(ctx.executed, vec![1, 2, 3]);
-    let log = ctx.log.clone();
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)));
+    s.receive(0, r(0), acked(b0(), 2));
+    s.receive(0, r(2), acked(b0(), 2));
+    s.receive(0, r(0), accept(b0(), 2, vec![cmd(3)], r(0)));
+    s.receive(0, r(0), acked(b0(), 3));
+    s.receive(0, r(2), acked(b0(), 3));
+    assert_eq!(s.applied(0), vec![1, 2, 3]);
 
-    let mut p2 = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx2 = TestCtx::with_snapshots();
-    p2.on_recover(&log, &mut ctx2);
-    assert_eq!(ctx2.executed, vec![1, 2, 3], "snapshot prefix + suffix");
-    assert_eq!(ctx2.commits.len(), 1, "only instance 2 replayed");
-    assert_eq!(p2.executed(), 3);
+    s.restart(0, bcast(1));
+    assert_eq!(s.applied(0), vec![1, 2, 3], "snapshot prefix + suffix");
+    assert_eq!(s[0].executed.len(), 1, "only instance 2 replayed");
+    assert_eq!(s.nodes[0].proto.executed(), 3);
     // The ack watermark resumes above the checkpoint.
-    p2.on_message(r(0), accept(b0(), 3, vec![cmd(4)], r(0)), &mut ctx2);
-    assert_eq!(last_ack(&ctx2), Some(4));
+    s.receive(0, r(0), accept(b0(), 3, vec![cmd(4)], r(0)));
+    assert_eq!(last_ack(&s[0].sent), Some(4));
 }
 
 /// Recovery replay feeds the checkpoint trigger like live execution: a
@@ -560,21 +478,19 @@ fn recovery_restores_checkpoint_and_replays_only_the_suffix() {
 /// interval — still checkpoints.
 #[test]
 fn crashing_more_often_than_the_interval_still_checkpoints() {
-    let mut ctx = TestCtx::with_snapshots();
+    let replica = || bcast(1).with_checkpoints(CheckpointPolicy::every(5));
+    let mut s = Script::new(vec![replica()]);
     for life in 0..4u64 {
         // A crash loses the replica and its state machine; the log stays.
-        let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-            .with_checkpoints(CheckpointPolicy::every(5));
-        ctx.executed.clear();
-        p.on_recover(&ctx.log.clone(), &mut ctx);
+        s.restart(0, replica());
         let (first, next) = (2 * life, 2 * life + 2);
         let cmds = vec![cmd(first + 1), cmd(first + 2)];
-        p.on_message(r(0), accept(b0(), first, cmds, r(0)), &mut ctx);
-        p.on_message(r(0), acked(b0(), next), &mut ctx);
-        p.on_message(r(2), acked(b0(), next), &mut ctx);
+        s.receive(0, r(0), accept(b0(), first, cmds, r(0)));
+        s.receive(0, r(0), acked(b0(), next));
+        s.receive(0, r(2), acked(b0(), next));
     }
-    assert_eq!(ctx.executed, (1..=8).collect::<Vec<u64>>());
-    let checkpoints: Vec<u64> = ctx
+    assert_eq!(s.applied(0), (1..=8).collect::<Vec<u64>>());
+    let checkpoints: Vec<u64> = s.nodes[0]
         .log
         .iter()
         .filter_map(|l| match l {
@@ -591,82 +507,67 @@ fn crashing_more_often_than_the_interval_still_checkpoints() {
 
 #[test]
 fn confirmed_stall_requests_transfer_and_install_converges() {
-    // Healthy r2 executes instances 0..4.
-    let mut healthy = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut hctx = TestCtx::with_snapshots();
-    healthy.on_message(
-        r(0),
-        accept(b0(), 0, vec![cmd(1), cmd(2), cmd(3), cmd(4)], r(0)),
-        &mut hctx,
-    );
-    healthy.on_message(r(0), acked(b0(), 4), &mut hctx);
-    healthy.on_message(r(1), acked(b0(), 4), &mut hctx);
-    assert_eq!(healthy.executed(), 4);
+    // Healthy r2 (at position 0) executes instances 0..4.
+    let mut s = Script::new(vec![bcast(2), bcast(1)]);
+    let run = accept(b0(), 0, vec![cmd(1), cmd(2), cmd(3), cmd(4)], r(0));
+    s.receive(0, r(0), run);
+    s.receive(0, r(0), acked(b0(), 4));
+    s.receive(0, r(1), acked(b0(), 4));
+    assert_eq!(s.nodes[0].proto.executed(), 4);
 
-    // r1 recovered with an empty log: instances 0..4 were lost in its
-    // outage. The next run plus peer watermarks commit through 5, but
-    // execution stalls at the hole.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::with_snapshots();
-    p.on_recover(&[], &mut ctx);
-    p.on_message(r(0), accept(b0(), 4, vec![cmd(5)], r(0)), &mut ctx);
-    p.on_message(r(0), acked(b0(), 5), &mut ctx);
-    p.on_message(r(2), acked(b0(), 5), &mut ctx);
-    let requests = |ctx: &TestCtx| {
-        ctx.sends
-            .iter()
-            .filter(|(_, m)| matches!(m, PaxosMsg::StateRequest(_)))
-            .count()
+    // r1 (at position 1) recovered with an empty log: instances 0..4
+    // were lost in its outage. The next run plus peer watermarks commit
+    // through 5, but execution stalls at the hole.
+    s.on(1, |p, ctx| p.on_recover(&[], ctx));
+    s.receive(1, r(0), accept(b0(), 4, vec![cmd(5)], r(0)));
+    s.receive(1, r(0), acked(b0(), 5));
+    s.receive(1, r(2), acked(b0(), 5));
+    let requests = |s: &Script<MultiPaxos>| -> Vec<ReplicaId> {
+        let sent = s[1].sent.iter();
+        sent.filter_map(|(to, m)| matches!(m, PaxosMsg::StateRequest(_)).then_some(*to))
+            .collect()
     };
     assert_eq!(
-        requests(&ctx),
-        0,
+        requests(&s),
+        [],
         "a fresh hole must not trigger a transfer (accepts may be in flight)"
     );
     // The hole persists past the confirmation window: the next pass
     // over it queries one peer (round-robin; the other peer is next
     // if this round goes unanswered).
-    ctx.clock = 1_000_000;
-    p.on_message(r(0), accept(b0(), 4, vec![cmd(5)], r(0)), &mut ctx);
-    assert_eq!(requests(&ctx), 1, "confirmed stall queries one peer");
+    s[1].clock = 1_000_000;
+    s.receive(1, r(0), accept(b0(), 4, vec![cmd(5)], r(0)));
+    assert_eq!(requests(&s).len(), 1, "confirmed stall queries one peer");
     // Another confirmation window with no reply: the retry rotates
     // to the remaining peer.
-    ctx.clock = 2_000_000;
-    p.on_message(r(0), accept(b0(), 4, vec![cmd(5)], r(0)), &mut ctx);
-    let targets: Vec<ReplicaId> = ctx
-        .sends
-        .iter()
-        .filter_map(|(to, m)| match m {
-            PaxosMsg::StateRequest(_) => Some(*to),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(targets, vec![r(0), r(2)], "retries rotate over the peers");
+    s[1].clock = 2_000_000;
+    s.receive(1, r(0), accept(b0(), 4, vec![cmd(5)], r(0)));
+    assert_eq!(requests(&s), [r(0), r(2)], "retries rotate over the peers");
 
     // The healthy peer answers with its checkpoint; installing it
     // fills the hole and execution converges on the same state.
-    hctx.sends.clear();
-    healthy.on_message(
+    s[0].sent.clear();
+    s.receive(
+        0,
         r(1),
         PaxosMsg::StateRequest(StateTransferRequest { have: 0 }),
-        &mut hctx,
     );
-    let (to, reply) = hctx
-        .sends
+    let (to, reply) = s[0]
+        .sent
         .iter()
         .find(|(_, m)| matches!(m, PaxosMsg::StateReply { .. }))
         .cloned()
         .expect("healthy peer must serve a checkpoint");
     assert_eq!(to, r(1));
-    p.on_message(r(2), reply, &mut ctx);
+    s.receive(1, r(2), reply);
     assert_eq!(
-        ctx.executed,
+        s.applied(1),
         vec![1, 2, 3, 4, 5],
         "installed prefix + executed suffix must match the healthy replica"
     );
     // Acks resumed from the installed watermark.
     assert!(
-        ctx.sends
+        s[1].sent
             .iter()
             .any(|(_, m)| matches!(m, PaxosMsg::Accepted { up_to, .. } if *up_to >= 5)),
         "watermark must resume past the installed prefix"
@@ -675,12 +576,11 @@ fn confirmed_stall_requests_transfer_and_install_converges() {
 
 #[test]
 fn stale_state_reply_is_ignored() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::with_snapshots();
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)), &mut ctx);
-    p.on_message(r(0), acked(b0(), 2), &mut ctx);
-    p.on_message(r(2), acked(b0(), 2), &mut ctx);
-    assert_eq!(p.executed(), 2);
+    let mut s = Script::new(vec![bcast(1)]);
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)));
+    s.receive(0, r(0), acked(b0(), 2));
+    s.receive(0, r(2), acked(b0(), 2));
+    assert_eq!(s.nodes[0].proto.executed(), 2);
     let stale = PaxosMsg::StateReply {
         reply: StateTransferReply {
             checkpoint: Checkpoint {
@@ -693,15 +593,18 @@ fn stale_state_reply_is_ignored() {
         },
         promised: b0(),
     };
-    p.on_message(r(0), stale, &mut ctx);
-    assert_eq!(p.executed(), 2, "a stale reply must not regress anything");
-    assert_eq!(ctx.executed, vec![1, 2], "state machine untouched");
+    s.receive(0, r(0), stale);
+    assert_eq!(
+        s.nodes[0].proto.executed(),
+        2,
+        "a stale reply must not regress anything"
+    );
+    assert_eq!(s.applied(0), vec![1, 2], "state machine untouched");
 }
 
 #[test]
 fn recovery_replays_committed_prefix() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(1)]);
     let log = vec![
         PaxosLogRec::Accept {
             first: 0,
@@ -717,15 +620,15 @@ fn recovery_replays_committed_prefix() {
         },
         PaxosLogRec::Commit { instance: 0 },
     ];
-    p.on_recover(&log, &mut ctx);
-    assert_eq!(ctx.commits.len(), 1);
-    assert_eq!(ctx.commits[0].order_hint, 0);
-    assert_eq!(p.executed(), 1);
+    s.on(0, |p, ctx| p.on_recover(&log, ctx));
+    assert_eq!(s[0].executed.len(), 1);
+    assert_eq!(s[0].executed[0].order_hint, 0);
+    assert_eq!(s.nodes[0].proto.executed(), 1);
     // The uncommitted instance 1 stays pending; later watermarks
     // covering it resume execution.
-    p.on_message(r(0), acked(b0(), 2), &mut ctx);
-    p.on_message(r(2), acked(b0(), 2), &mut ctx);
-    assert_eq!(ctx.commits.len(), 2);
+    s.receive(0, r(0), acked(b0(), 2));
+    s.receive(0, r(2), acked(b0(), 2));
+    assert_eq!(s[0].executed.len(), 2);
 }
 
 #[test]
@@ -734,8 +637,7 @@ fn replay_lets_a_later_record_win_inside_a_run() {
     // ballot that re-asserts instance 1 with another command and closes
     // instance 2 with a no-op: replay applies the records in log order,
     // so the later record wins for the slots inside the run.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(1)]);
     let repair = b(1, 2);
     let mut log = vec![
         PaxosLogRec::Accept {
@@ -756,14 +658,14 @@ fn replay_lets_a_later_record_win_inside_a_run() {
         },
     ];
     log.extend((0..4).map(|instance| PaxosLogRec::Commit { instance }));
-    p.on_recover(&log, &mut ctx);
-    let executed: Vec<(u64, u64, ReplicaId)> = ctx
-        .commits
+    s.on(0, |p, ctx| p.on_recover(&log, ctx));
+    let executed: Vec<(u64, u64, ReplicaId)> = s[0]
+        .executed
         .iter()
         .map(|c| (c.cmd.id.seq, c.order_hint, c.origin))
         .collect();
     assert_eq!(executed, [(1, 0, r(0)), (4, 1, r(2)), (6, 3, r(0))]);
-    assert_eq!(p.executed(), 4);
+    assert_eq!(s.nodes[0].proto.executed(), 4);
 }
 
 // ----------------------------------------------------------------------
@@ -775,34 +677,32 @@ fn stale_ballot_accept_from_deposed_leader_is_rejected() {
     // The acceptance-criterion regression: an acceptor that promised a
     // candidate must Nack the deposed leader's in-flight Accept — not
     // log it, not ack it.
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
-    assert_eq!(ctx.log.len(), 1);
+    let mut s = Script::new(vec![bcast(2).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1)], r(0)));
+    assert_eq!(s.nodes[0].log.len(), 1);
     // r1's candidacy: once this acceptor's own lease has expired
     // (leader stickiness), it promises ballot (1, r1).
-    ctx.clock += lease().timeout_us + 1;
-    p.on_message(
+    s[0].clock += lease().timeout_us + 1;
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot: b(1, 1),
             from_instance: 0,
         },
-        &mut ctx,
     );
-    assert_eq!(p.promised(), b(1, 1));
-    let logged_before = ctx.log.len();
-    let acks_before = ctx
-        .sends
+    assert_eq!(s.nodes[0].proto.promised(), b(1, 1));
+    let logged_before = s.nodes[0].log.len();
+    let acks_before = s[0]
+        .sent
         .iter()
         .filter(|(_, m)| matches!(m, PaxosMsg::Accepted { .. }))
         .count();
     // The deposed leader's in-flight run arrives at the old ballot.
-    p.on_message(r(0), accept(b0(), 1, vec![cmd(2)], r(0)), &mut ctx);
-    let nacks: Vec<(ReplicaId, Ballot)> = ctx
-        .sends
+    s.receive(0, r(0), accept(b0(), 1, vec![cmd(2)], r(0)));
+    let nacks: Vec<(ReplicaId, Ballot)> = s[0]
+        .sent
         .iter()
         .filter_map(|(to, m)| match m {
             PaxosMsg::Nack { promised } => Some((*to, *promised)),
@@ -810,9 +710,13 @@ fn stale_ballot_accept_from_deposed_leader_is_rejected() {
         })
         .collect();
     assert_eq!(nacks, vec![(r(0), b(1, 1))], "stale accept must be nacked");
-    assert_eq!(ctx.log.len(), logged_before, "stale accept must not log");
-    let acks_after = ctx
-        .sends
+    assert_eq!(
+        s.nodes[0].log.len(),
+        logged_before,
+        "stale accept must not log"
+    );
+    let acks_after = s[0]
+        .sent
         .iter()
         .filter(|(_, m)| matches!(m, PaxosMsg::Accepted { .. }))
         .count();
@@ -821,56 +725,53 @@ fn stale_ballot_accept_from_deposed_leader_is_rejected() {
 
 #[test]
 fn lease_expiry_starts_a_staggered_election() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
     // Before the staggered timeout (400ms + 1×100ms for index 1): quiet.
-    ctx.clock = 400_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    assert!(prepares(&ctx).is_empty(), "lease not yet expired");
-    assert!(!p.is_campaigning());
+    s[0].clock = 400_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    assert!(prepares(&s[0].sent).is_empty(), "lease not yet expired");
+    assert!(!s.nodes[0].proto.is_campaigning());
     // Past it: a candidacy at round 1 solicits everyone, self included.
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    assert_eq!(prepares(&ctx), vec![b(1, 1); 3]);
-    assert!(p.is_campaigning());
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    assert_eq!(prepares(&s[0].sent), vec![b(1, 1); 3]);
+    assert!(s.nodes[0].proto.is_campaigning());
 }
 
 #[test]
 fn heartbeat_renews_the_lease() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 450_000;
-    p.on_message(
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 450_000;
+    s.receive(
+        0,
         r(0),
         PaxosMsg::Heartbeat {
             ballot: b0(),
             committed: 0,
         },
-        &mut ctx,
     );
     // Half a lease later the renewal still holds.
-    ctx.clock = 800_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    assert!(prepares(&ctx).is_empty(), "heartbeat must renew the lease");
+    s[0].clock = 800_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    assert!(
+        prepares(&s[0].sent).is_empty(),
+        "heartbeat must renew the lease"
+    );
     // Silence past the stagger finally triggers suspicion.
-    ctx.clock = 2_000_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    assert!(!prepares(&ctx).is_empty());
+    s[0].clock = 2_000_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    assert!(!prepares(&s[0].sent).is_empty());
 }
 
 #[test]
 fn leader_heartbeats_when_idle() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    let heartbeats = ctx
-        .sends
+    let mut s = Script::new(vec![bcast(0).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    let heartbeats = s[0]
+        .sent
         .iter()
         .filter(|(_, m)| matches!(m, PaxosMsg::Heartbeat { .. }))
         .count();
@@ -879,26 +780,20 @@ fn leader_heartbeats_when_idle() {
 
 #[test]
 fn promise_reports_the_accepted_suffix_with_ballots() {
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    p.on_message(
-        r(0),
-        accept(b0(), 0, vec![cmd(1), cmd(2), cmd(3)], r(0)),
-        &mut ctx,
-    );
-    ctx.clock += lease().timeout_us + 1; // leader stickiness: lease must lapse
-    p.on_message(
+    let mut s = Script::new(vec![bcast(2).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2), cmd(3)], r(0)));
+    s[0].clock += lease().timeout_us + 1; // leader stickiness: lease must lapse
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot: b(1, 1),
             from_instance: 1,
         },
-        &mut ctx,
     );
-    let (to, promise) = ctx
-        .sends
+    let (to, promise) = s[0]
+        .sent
         .iter()
         .find(|(_, m)| matches!(m, PaxosMsg::Promise { .. }))
         .cloned()
@@ -918,7 +813,7 @@ fn promise_reports_the_accepted_suffix_with_ballots() {
     assert_eq!(reported, vec![(1, b0()), (2, b0())]);
     assert!(entries.iter().all(|e| e.value.is_some()));
     // The promise is durable before it leaves.
-    assert!(ctx
+    assert!(s.nodes[0]
         .log
         .iter()
         .any(|rec| matches!(rec, PaxosLogRec::Promised(pb) if *pb == b(1, 1))));
@@ -926,24 +821,23 @@ fn promise_reports_the_accepted_suffix_with_ballots() {
 
 #[test]
 fn election_win_merges_highest_ballot_and_noops_holes() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     let ballot = b(1, 1);
-    assert_eq!(prepares(&ctx), vec![ballot; 3]);
+    assert_eq!(prepares(&s[0].sent), vec![ballot; 3]);
     // Own promise (empty log, nothing committed).
-    p.on_message(
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot,
             from_instance: 0,
         },
-        &mut ctx,
     );
-    p.on_message(
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Promise {
             ballot,
@@ -951,12 +845,15 @@ fn election_win_merges_highest_ballot_and_noops_holes() {
             committed: 0,
             entries: vec![],
         },
-        &mut ctx,
     );
-    assert!(!p.is_leader(), "one promise is not a majority");
+    assert!(
+        !s.nodes[0].proto.is_leader(),
+        "one promise is not a majority"
+    );
     // r2 reports instance 1 accepted at the old regime — instance 0 is
     // a hole nobody accepted, provably unchosen.
-    p.on_message(
+    s.receive(
+        0,
         r(2),
         PaxosMsg::Promise {
             ballot,
@@ -968,15 +865,14 @@ fn election_win_merges_highest_ballot_and_noops_holes() {
                 value: Some((cmd(42), r(0))),
             }],
         },
-        &mut ctx,
     );
-    assert!(p.is_leader(), "majority of promises elects");
-    assert_eq!(p.regime(), ballot);
-    assert_eq!(p.leader(), r(1));
+    assert!(s.nodes[0].proto.is_leader(), "majority of promises elects");
+    assert_eq!(s.nodes[0].proto.regime(), ballot);
+    assert_eq!(s.nodes[0].proto.leader(), r(1));
     // The repair closes the hole with a no-op and re-proposes the
     // inherited value at the new ballot.
-    let (_, repair) = ctx
-        .sends
+    let (_, repair) = s[0]
+        .sent
         .iter()
         .find(|(_, m)| matches!(m, PaxosMsg::Repair { .. }))
         .cloned()
@@ -994,24 +890,28 @@ fn election_win_merges_highest_ballot_and_noops_holes() {
     assert!(entries[0].value.is_none(), "hole closed with a no-op");
     assert_eq!(entries[1].value.as_ref().unwrap().0.id.seq, 42);
     // The new leader logged its own repair durably and vouches for it.
-    assert!(ctx
+    assert!(s.nodes[0]
         .log
         .iter()
         .any(|rec| matches!(rec, PaxosLogRec::Noop { instance: 0, .. })));
-    assert_eq!(last_ack(&ctx), Some(2));
+    assert_eq!(last_ack(&s[0].sent), Some(2));
     // Majority acks at the new regime (own looped-back broadcast plus
     // r2's) commit the repaired suffix; the no-op advances execution
     // without reaching the state machine.
-    p.on_message(r(1), acked(ballot, 2), &mut ctx);
-    p.on_message(r(2), acked(ballot, 2), &mut ctx);
-    assert_eq!(p.executed(), 2, "noop + inherited command executed");
-    assert_eq!(ctx.commits.len(), 1, "the noop never reaches the app");
-    assert_eq!(ctx.commits[0].order_hint, 1);
-    assert_eq!(ctx.commits[0].cmd.id.seq, 42);
+    s.receive(0, r(1), acked(ballot, 2));
+    s.receive(0, r(2), acked(ballot, 2));
+    assert_eq!(
+        s.nodes[0].proto.executed(),
+        2,
+        "noop + inherited command executed"
+    );
+    assert_eq!(s[0].executed.len(), 1, "the noop never reaches the app");
+    assert_eq!(s[0].executed[0].order_hint, 1);
+    assert_eq!(s[0].executed[0].cmd.id.seq, 42);
     // The data plane resumes above the repaired suffix.
-    p.on_client_request(cmd(7), &mut ctx);
-    let new_accepts: Vec<(Ballot, u64)> = ctx
-        .sends
+    s.on(0, |p, ctx| p.on_client_request(cmd(7), ctx));
+    let new_accepts: Vec<(Ballot, u64)> = s[0]
+        .sent
         .iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Accept {
@@ -1027,18 +927,17 @@ fn election_win_merges_highest_ballot_and_noops_holes() {
 
 #[test]
 fn repair_supersedes_stale_acceptances_and_drops_the_uncommitted_tail() {
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
+    let mut s = Script::new(vec![bcast(2).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
     // Old-regime acceptances at instances 0 and 3 (1 and 2 lost).
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
-    p.on_message(r(0), accept(b0(), 3, vec![cmd(4)], r(0)), &mut ctx);
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1)], r(0)));
+    s.receive(0, r(0), accept(b0(), 3, vec![cmd(4)], r(0)));
     // The new leader's repair chose a different value for 0 and proved
     // 1 unchosen; everything above its top (instance 2+) was never
     // merged, so the stale acceptance at 3 is dropped.
     let ballot = b(1, 1);
-    p.on_message(
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Repair {
             ballot,
@@ -1056,23 +955,26 @@ fn repair_supersedes_stale_acceptances_and_drops_the_uncommitted_tail() {
                 },
             ],
         },
-        &mut ctx,
     );
-    assert_eq!(p.regime(), ballot);
-    assert_eq!(last_ack(&ctx), Some(2), "vouch covers exactly the repair");
+    assert_eq!(s.nodes[0].proto.regime(), ballot);
+    assert_eq!(
+        last_ack(&s[0].sent),
+        Some(2),
+        "vouch covers exactly the repair"
+    );
     // A later prepare (after the new regime's lease lapses) sees the
     // repaired suffix only.
-    ctx.clock += lease().timeout_us + 1;
-    p.on_message(
+    s[0].clock += lease().timeout_us + 1;
+    s.receive(
+        0,
         r(0),
         PaxosMsg::Prepare {
             ballot: b(2, 0),
             from_instance: 0,
         },
-        &mut ctx,
     );
-    let PaxosMsg::Promise { entries, .. } = ctx
-        .sends
+    let PaxosMsg::Promise { entries, .. } = s[0]
+        .sent
         .iter()
         .rev()
         .find_map(|(_, m)| match m {
@@ -1091,52 +993,51 @@ fn repair_supersedes_stale_acceptances_and_drops_the_uncommitted_tail() {
 
 #[test]
 fn deposed_leader_steps_down_on_nack_and_forwards() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    p.on_client_request(cmd(1), &mut ctx);
-    assert!(p.is_leader());
-    p.on_message(r(2), PaxosMsg::Nack { promised: b(3, 1) }, &mut ctx);
-    assert!(!p.is_leader(), "a higher promise deposes the leader");
+    let mut s = Script::new(vec![bcast(0).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+    assert!(s.nodes[0].proto.is_leader());
+    s.receive(0, r(2), PaxosMsg::Nack { promised: b(3, 1) });
+    assert!(
+        !s.nodes[0].proto.is_leader(),
+        "a higher promise deposes the leader"
+    );
     // Subsequent client traffic flows toward the fencing candidate.
-    p.on_client_request(cmd(2), &mut ctx);
-    let (to, last) = ctx.sends.last().unwrap();
+    s.on(0, |p, ctx| p.on_client_request(cmd(2), ctx));
+    let (to, last) = s[0].sent.last().unwrap();
     assert_eq!(*to, r(1));
     assert!(matches!(last, PaxosMsg::Forward { .. }));
     // And the step-down is durable: recovery must not resurrect the
     // old regime's proposer role at the stale ballot.
-    let mut p2 = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx2 = TestCtx::new();
-    p2.on_recover(&ctx.log, &mut ctx2);
-    assert_eq!(p2.promised(), b(3, 1));
-    assert!(!p2.is_leader());
+    s.restart(0, bcast(0).with_failover(lease()));
+    assert_eq!(s.nodes[0].proto.promised(), b(3, 1));
+    assert!(!s.nodes[0].proto.is_leader());
 }
 
 #[test]
 fn dueling_candidate_defers_to_a_higher_ballot() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    assert!(p.is_campaigning());
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    assert!(s.nodes[0].proto.is_campaigning());
     // A competing candidacy at a higher ballot solicits us: grant it
     // and stand down.
-    p.on_message(
+    s.receive(
+        0,
         r(2),
         PaxosMsg::Prepare {
             ballot: b(2, 2),
             from_instance: 0,
         },
-        &mut ctx,
     );
-    assert!(!p.is_campaigning(), "outbid candidacy must stand down");
-    assert_eq!(p.promised(), b(2, 2));
     assert!(
-        ctx.sends
+        !s.nodes[0].proto.is_campaigning(),
+        "outbid candidacy must stand down"
+    );
+    assert_eq!(s.nodes[0].proto.promised(), b(2, 2));
+    assert!(
+        s[0].sent
             .iter()
             .any(|(to, m)| *to == r(2) && matches!(m, PaxosMsg::Promise { .. })),
         "the higher candidacy still gets our promise"
@@ -1150,30 +1051,23 @@ fn candidacy_round_is_durable_before_the_prepare_leaves() {
     // identical ballot could count stale first-campaign promises. The
     // round is logged synchronously in start_election (the same crash
     // window propose() closes), not via the async self-sent Prepare.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    let log = &s.nodes[0].log;
     assert!(
-        ctx.log
-            .iter()
+        log.iter()
             .any(|rec| matches!(rec, PaxosLogRec::Promised(pb) if *pb == b(1, 1))),
-        "candidacy ballot must be durable before the broadcast: {:?}",
-        ctx.log
+        "candidacy ballot must be durable before the broadcast: {log:?}"
     );
     // Crash before any self-delivery; the recovered replica's next
     // candidacy outbids its own lost one.
-    let mut p2 = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx2 = TestCtx::new();
-    p2.on_recover(&ctx.log, &mut ctx2);
-    p2.on_start(&mut ctx2);
-    ctx2.clock = 600_000;
-    p2.on_timer(TOKEN_LEASE, &mut ctx2);
+    s.restart(0, bcast(1).with_failover(lease()));
+    s[0].clock += 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     assert_eq!(
-        prepares(&ctx2),
+        prepares(&s[0].sent),
         vec![b(2, 1); 3],
         "round 1 must not be reused"
     );
@@ -1181,18 +1075,19 @@ fn candidacy_round_is_durable_before_the_prepare_leaves() {
 
 #[test]
 fn candidate_retries_at_a_higher_round() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     // A nack tells us round 4 exists somewhere; the retry outbids it.
-    p.on_message(r(2), PaxosMsg::Nack { promised: b(4, 2) }, &mut ctx);
-    assert!(!p.is_campaigning(), "outbid candidacy stands down");
-    ctx.clock = 900_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    let rounds: Vec<u64> = prepares(&ctx).iter().map(|b| b.round).collect();
+    s.receive(0, r(2), PaxosMsg::Nack { promised: b(4, 2) });
+    assert!(
+        !s.nodes[0].proto.is_campaigning(),
+        "outbid candidacy stands down"
+    );
+    s[0].clock = 900_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    let rounds: Vec<u64> = prepares(&s[0].sent).iter().map(|b| b.round).collect();
     assert_eq!(rounds, vec![1, 1, 1, 5, 5, 5], "retry outbids round 4");
 }
 
@@ -1200,26 +1095,24 @@ fn candidate_retries_at_a_higher_round() {
 fn acks_from_an_older_regime_are_never_counted() {
     // The new leader must not commit on vouches earned under the old
     // one: the sender's prefix may hold superseded values.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1)], r(0)));
     // Election: r1 wins at (1, r1) with an empty merge except r2's
     // report of instance 0.
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     let ballot = b(1, 1);
-    p.on_message(
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot,
             from_instance: 0,
         },
-        &mut ctx,
     );
-    let own_promise = ctx
-        .sends
+    let own_promise = s[0]
+        .sent
         .iter()
         .rev()
         .find_map(|(_, m)| match m {
@@ -1227,8 +1120,9 @@ fn acks_from_an_older_regime_are_never_counted() {
             _ => None,
         })
         .unwrap();
-    p.on_message(r(1), own_promise, &mut ctx);
-    p.on_message(
+    s.receive(0, r(1), own_promise);
+    s.receive(
+        0,
         r(2),
         PaxosMsg::Promise {
             ballot,
@@ -1236,56 +1130,50 @@ fn acks_from_an_older_regime_are_never_counted() {
             committed: 0,
             entries: vec![],
         },
-        &mut ctx,
     );
-    assert!(p.is_leader());
+    assert!(s.nodes[0].proto.is_leader());
     // Old-regime acks arrive late: ignored, nothing commits.
-    p.on_message(r(0), acked(b0(), 1), &mut ctx);
-    p.on_message(r(2), acked(b0(), 1), &mut ctx);
-    assert!(ctx.commits.is_empty(), "old-regime acks must not commit");
+    s.receive(0, r(0), acked(b0(), 1));
+    s.receive(0, r(2), acked(b0(), 1));
+    assert!(s[0].executed.is_empty(), "old-regime acks must not commit");
     // Current-regime acks (own looped-back one plus r2's) do.
-    p.on_message(r(1), acked(ballot, 1), &mut ctx);
-    p.on_message(r(2), acked(ballot, 1), &mut ctx);
-    assert_eq!(p.executed(), 1);
+    s.receive(0, r(1), acked(ballot, 1));
+    s.receive(0, r(2), acked(ballot, 1));
+    assert_eq!(s.nodes[0].proto.executed(), 1);
 }
 
 #[test]
 fn compaction_preserves_the_promise_across_recovery() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
+    let mut s = Script::new(vec![bcast(1)
         .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true))
-        .with_failover(lease());
-    let mut ctx = TestCtx::with_snapshots();
-    p.on_start(&mut ctx);
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)), &mut ctx);
+        .with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)));
     // Promise a candidate (once the lease lapses — leader stickiness),
     // then let the checkpoint compact the log.
-    ctx.clock += lease().timeout_us + 1;
-    p.on_message(
+    s[0].clock += lease().timeout_us + 1;
+    s.receive(
+        0,
         r(2),
         PaxosMsg::Prepare {
             ballot: b(5, 2),
             from_instance: 0,
         },
-        &mut ctx,
     );
-    p.on_message(r(0), acked(b0(), 2), &mut ctx);
-    p.on_message(r(2), acked(b0(), 2), &mut ctx);
+    s.receive(0, r(0), acked(b0(), 2));
+    s.receive(0, r(2), acked(b0(), 2));
+    let log = &s.nodes[0].log;
     assert!(
-        ctx.log
-            .iter()
+        log.iter()
             .any(|rec| matches!(rec, PaxosLogRec::Promised(pb) if *pb == b(5, 2))),
-        "compaction must preserve the promise: {:?}",
-        ctx.log
+        "compaction must preserve the promise: {log:?}"
     );
     // Recovery restores it, and the deposed regime stays fenced.
-    let mut p2 = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx2 = TestCtx::with_snapshots();
-    p2.on_recover(&ctx.log, &mut ctx2);
-    assert_eq!(p2.promised(), b(5, 2));
-    p2.on_message(r(0), accept(b0(), 2, vec![cmd(3)], r(0)), &mut ctx2);
+    s.restart(0, bcast(1).with_failover(lease()));
+    assert_eq!(s.nodes[0].proto.promised(), b(5, 2));
+    s.receive(0, r(0), accept(b0(), 2, vec![cmd(3)], r(0)));
     assert!(
-        ctx2.sends
+        s[0].sent
             .iter()
             .any(|(to, m)| *to == r(0) && matches!(m, PaxosMsg::Nack { .. })),
         "a recovered acceptor must not regress its promise"
@@ -1298,26 +1186,25 @@ fn recovered_suffix_is_not_executed_under_a_newer_regime_until_revalidated() {
     // slept through may have superseded the value. Commit evidence from
     // the *new* regime must not execute the stale slot; the repair's
     // re-proposal (or a checkpoint install) is what re-validates it.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
     let log = vec![PaxosLogRec::Accept {
         first: 0,
         ballot: b0(),
         cmds: Batch::single(cmd(1)),
         origin: r(0),
     }];
-    p.on_recover(&log, &mut ctx);
-    p.on_start(&mut ctx);
+    s.on(0, |p, ctx| p.on_recover(&log, ctx));
+    s.on(0, |p, ctx| p.on_start(ctx));
     let ballot = b(2, 2);
-    p.on_message(r(2), PaxosMsg::Commit { ballot, up_to: 1 }, &mut ctx);
+    s.receive(0, r(2), PaxosMsg::Commit { ballot, up_to: 1 });
     assert!(
-        ctx.commits.is_empty(),
+        s[0].executed.is_empty(),
         "a suspect slot must not execute under a newer regime"
     );
     // The new leader's repair re-proposes the (here: same) value at its
     // ballot — now it is trusted and executes.
-    p.on_message(
+    s.receive(
+        0,
         r(2),
         PaxosMsg::Repair {
             ballot,
@@ -1328,10 +1215,9 @@ fn recovered_suffix_is_not_executed_under_a_newer_regime_until_revalidated() {
                 value: Some((cmd(1), r(0))),
             }],
         },
-        &mut ctx,
     );
-    assert_eq!(ctx.commits.len(), 1);
-    assert_eq!(ctx.commits[0].cmd.id.seq, 1);
+    assert_eq!(s[0].executed.len(), 1);
+    assert_eq!(s[0].executed[0].cmd.id.seq, 1);
 }
 
 #[test]
@@ -1340,26 +1226,28 @@ fn recovered_suffix_still_executes_under_its_own_regime() {
     // slot's own ballot proves the value committed as-is (a regime's
     // leader has one value per instance), so the replay-era gap rule
     // keeps working with fail-over enabled.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
     let log = vec![PaxosLogRec::Accept {
         first: 0,
         ballot: b0(),
         cmds: Batch::single(cmd(1)),
         origin: r(0),
     }];
-    p.on_recover(&log, &mut ctx);
-    p.on_start(&mut ctx);
-    p.on_message(
+    s.on(0, |p, ctx| p.on_recover(&log, ctx));
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.receive(
+        0,
         r(0),
         PaxosMsg::Commit {
             ballot: b0(),
             up_to: 1,
         },
-        &mut ctx,
     );
-    assert_eq!(ctx.commits.len(), 1, "own-regime commit evidence executes");
+    assert_eq!(
+        s[0].executed.len(),
+        1,
+        "own-regime commit evidence executes"
+    );
 }
 
 #[test]
@@ -1368,12 +1256,11 @@ fn vouch_gap_requests_leader_fill_and_resumes_acking() {
     // nothing there is committed, so the committed-gap jump never fires
     // and, before leader retransmission existed, the cluster deadlocked
     // (no survivor could ever vouch across the hole).
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_recover(&[], &mut ctx);
-    p.on_message(r(0), accept(b0(), 3, vec![cmd(4)], r(0)), &mut ctx);
-    let fills: Vec<(ReplicaId, u64, u64)> = ctx
-        .sends
+    let mut s = Script::new(vec![bcast(1)]);
+    s.on(0, |p, ctx| p.on_recover(&[], ctx));
+    s.receive(0, r(0), accept(b0(), 3, vec![cmd(4)], r(0)));
+    let fills: Vec<(ReplicaId, u64, u64)> = s[0]
+        .sent
         .iter()
         .filter_map(|(to, m)| match m {
             PaxosMsg::FillRequest {
@@ -1386,9 +1273,9 @@ fn vouch_gap_requests_leader_fill_and_resumes_acking() {
     assert_eq!(fills, vec![(r(0), 0, 3)], "gap must ask the leader");
     // A second run over the same gap inside the pacing window must not
     // storm another request.
-    p.on_message(r(0), accept(b0(), 4, vec![cmd(5)], r(0)), &mut ctx);
+    s.receive(0, r(0), accept(b0(), 4, vec![cmd(5)], r(0)));
     assert_eq!(
-        ctx.sends
+        s[0].sent
             .iter()
             .filter(|(_, m)| matches!(m, PaxosMsg::FillRequest { .. }))
             .count(),
@@ -1403,36 +1290,41 @@ fn vouch_gap_requests_leader_fill_and_resumes_acking() {
             value: Some((cmd(i + 1), r(0))),
         })
         .collect();
-    p.on_message(
+    s.receive(
+        0,
         r(0),
         PaxosMsg::Fill {
             ballot: b0(),
             entries,
         },
-        &mut ctx,
     );
-    assert_eq!(last_ack(&ctx), Some(5), "fill must close the vouch gap");
+    assert_eq!(
+        last_ack(&s[0].sent),
+        Some(5),
+        "fill must close the vouch gap"
+    );
     // And the whole range commits once a majority vouches.
-    p.on_message(r(0), acked(b0(), 5), &mut ctx);
-    p.on_message(r(2), acked(b0(), 5), &mut ctx);
-    assert_eq!(p.executed(), 5);
+    s.receive(0, r(0), acked(b0(), 5));
+    s.receive(0, r(2), acked(b0(), 5));
+    assert_eq!(s.nodes[0].proto.executed(), 5);
 }
 
 #[test]
 fn leader_serves_fill_from_pending_instances() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3), cmd(4)]), &mut ctx);
-    ctx.sends.clear();
-    p.on_message(
+    let mut s = Script::new(vec![bcast(0)]);
+    s.on(0, |p, ctx| {
+        p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3), cmd(4)]), ctx)
+    });
+    s[0].sent.clear();
+    s.receive(
+        0,
         r(2),
         PaxosMsg::FillRequest {
             from_instance: 1,
             to_instance: 3,
         },
-        &mut ctx,
     );
-    let (to, fill) = ctx.sends.last().cloned().expect("leader must answer");
+    let (to, fill) = s[0].sent.last().cloned().expect("leader must answer");
     assert_eq!(to, r(2));
     let PaxosMsg::Fill { ballot, entries } = fill else {
         panic!("expected a Fill, got {fill:?}");
@@ -1442,45 +1334,44 @@ fn leader_serves_fill_from_pending_instances() {
     assert_eq!(instances, vec![1, 2], "exactly the requested pending range");
     // A deposed leader must not serve fills: its values may be
     // superseded by a repair it has not seen.
-    p.on_message(r(1), PaxosMsg::Nack { promised: b(2, 1) }, &mut ctx);
-    ctx.sends.clear();
-    p.on_message(
+    s.receive(0, r(1), PaxosMsg::Nack { promised: b(2, 1) });
+    s[0].sent.clear();
+    s.receive(
+        0,
         r(2),
         PaxosMsg::FillRequest {
             from_instance: 1,
             to_instance: 3,
         },
-        &mut ctx,
     );
-    assert!(ctx.sends.is_empty(), "deposed leader must stay silent");
+    assert!(s[0].sent.is_empty(), "deposed leader must stay silent");
 }
 
 #[test]
 fn client_batches_buffered_during_candidacy_are_proposed_on_victory() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    p.on_client_request(cmd(9), &mut ctx);
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    s.on(0, |p, ctx| p.on_client_request(cmd(9), ctx));
     assert!(
-        !ctx.sends
+        !s[0]
+            .sent
             .iter()
             .any(|(_, m)| matches!(m, PaxosMsg::Forward { .. } | PaxosMsg::Accept { .. })),
         "mid-candidacy batches are held"
     );
     let ballot = b(1, 1);
-    p.on_message(
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot,
             from_instance: 0,
         },
-        &mut ctx,
     );
-    let own_promise = ctx
-        .sends
+    let own_promise = s[0]
+        .sent
         .iter()
         .rev()
         .find_map(|(_, m)| match m {
@@ -1488,8 +1379,9 @@ fn client_batches_buffered_during_candidacy_are_proposed_on_victory() {
             _ => None,
         })
         .unwrap();
-    p.on_message(r(1), own_promise, &mut ctx);
-    p.on_message(
+    s.receive(0, r(1), own_promise);
+    s.receive(
+        0,
         r(2),
         PaxosMsg::Promise {
             ballot,
@@ -1497,11 +1389,10 @@ fn client_batches_buffered_during_candidacy_are_proposed_on_victory() {
             committed: 0,
             entries: vec![],
         },
-        &mut ctx,
     );
-    assert!(p.is_leader());
-    let proposed: Vec<u64> = ctx
-        .sends
+    assert!(s.nodes[0].proto.is_leader());
+    let proposed: Vec<u64> = s[0]
+        .sent
         .iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::Accept { cmds, .. } => Some(cmds.iter().next().unwrap().id.seq),
@@ -1526,33 +1417,35 @@ fn read(seq: u64) -> Command {
 }
 
 /// Drives one command through commit on a 3-replica bcast leader.
-fn commit_one_at_leader(p: &mut MultiPaxos, ctx: &mut TestCtx, seq: u64) {
-    let next = p.executed();
-    p.on_client_batch(Batch::new(vec![cmd(seq)]), ctx);
-    p.on_message(r(1), acked(p.regime(), next + 1), ctx);
-    p.on_message(r(2), acked(p.regime(), next + 1), ctx);
-    assert_eq!(p.executed(), next + 1, "setup: command must commit");
+fn commit_one_at_leader(s: &mut Script<MultiPaxos>, i: usize, seq: u64) {
+    let next = s.nodes[i].proto.executed();
+    s.on(i, |p, ctx| {
+        p.on_client_batch(Batch::new(vec![cmd(seq)]), ctx)
+    });
+    let regime = s.nodes[i].proto.regime();
+    s.receive(i, r(1), acked(regime, next + 1));
+    s.receive(i, r(2), acked(regime, next + 1));
+    assert_eq!(
+        s.nodes[i].proto.executed(),
+        next + 1,
+        "setup: command must commit"
+    );
 }
 
 #[test]
 fn fixed_leader_serves_reads_locally_without_wire_traffic() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    commit_one_at_leader(&mut p, &mut ctx, 1);
-    ctx.sends.clear();
-    p.on_client_read(read(7), &mut ctx);
-    assert_eq!(
-        ctx.read_replies.len(),
-        1,
-        "fixed leader: immediate local read"
-    );
-    assert_eq!(ctx.read_replies[0].id.seq, 7);
+    let mut s = Script::new(vec![bcast(0)]);
+    commit_one_at_leader(&mut s, 0, 1);
+    s[0].sent.clear();
+    s.on(0, |p, ctx| p.on_client_read(read(7), ctx));
+    assert_eq!(s[0].replies.len(), 1, "fixed leader: immediate local read");
+    assert_eq!(s[0].replies[0].id.seq, 7);
     assert!(
-        ctx.sends.is_empty(),
+        s[0].sent.is_empty(),
         "a leader-local read must not touch the wire: {:?}",
-        ctx.sends
+        s[0].sent
     );
-    assert_eq!(p.pending_reads(), 0);
+    assert_eq!(s.nodes[0].proto.pending_reads(), 0);
 }
 
 #[test]
@@ -1561,21 +1454,20 @@ fn bcast_leader_read_waits_out_its_proposed_tail() {
     // its client — before the leader's own watermark advances, so the
     // leader's read index is its log top: a read behind an uncommitted
     // proposal waits for that proposal to commit and execute.
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    commit_one_at_leader(&mut p, &mut ctx, 1);
+    let mut s = Script::new(vec![bcast(0)]);
+    commit_one_at_leader(&mut s, 0, 1);
     // Propose another command; not yet acked by a majority.
-    p.on_client_batch(Batch::new(vec![cmd(2)]), &mut ctx);
-    p.on_client_read(read(9), &mut ctx);
+    s.on(0, |p, ctx| p.on_client_batch(Batch::new(vec![cmd(2)]), ctx));
+    s.on(0, |p, ctx| p.on_client_read(read(9), ctx));
     assert!(
-        ctx.read_replies.is_empty(),
+        s[0].replies.is_empty(),
         "bcast leader must not serve below its proposed tail"
     );
-    p.on_message(r(1), acked(b0(), 2), &mut ctx);
-    p.on_message(r(2), acked(b0(), 2), &mut ctx);
-    assert_eq!(p.executed(), 2);
+    s.receive(0, r(1), acked(b0(), 2));
+    s.receive(0, r(2), acked(b0(), 2));
+    assert_eq!(s.nodes[0].proto.executed(), 2);
     assert_eq!(
-        ctx.read_replies.len(),
+        s[0].replies.len(),
         1,
         "read released once the tail committed"
     );
@@ -1586,17 +1478,25 @@ fn plain_leader_read_serves_at_the_commit_watermark_despite_a_tail() {
     // In plain Paxos only the leader counts 2b: nothing can be client-
     // visible above its commit watermark, so an uncommitted tail does
     // not delay leader reads.
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Plain);
-    let mut ctx = TestCtx::new();
-    p.on_client_batch(Batch::new(vec![cmd(1)]), &mut ctx);
-    p.on_message(r(0), acked(b0(), 1), &mut ctx); // looped-back self ack
-    p.on_message(r(1), acked(b0(), 1), &mut ctx);
-    assert_eq!(p.executed(), 1, "setup: first command committed");
-    // A second proposal with no majority yet.
-    p.on_client_batch(Batch::new(vec![cmd(2)]), &mut ctx);
-    p.on_client_read(read(9), &mut ctx);
+    let mut s = Script::new(vec![MultiPaxos::new(
+        r(0),
+        Membership::uniform(3),
+        r(0),
+        PaxosVariant::Plain,
+    )]);
+    s.on(0, |p, ctx| p.on_client_batch(Batch::new(vec![cmd(1)]), ctx));
+    s.receive(0, r(0), acked(b0(), 1)); // looped-back self ack
+    s.receive(0, r(1), acked(b0(), 1));
     assert_eq!(
-        ctx.read_replies.len(),
+        s.nodes[0].proto.executed(),
+        1,
+        "setup: first command committed"
+    );
+    // A second proposal with no majority yet.
+    s.on(0, |p, ctx| p.on_client_batch(Batch::new(vec![cmd(2)]), ctx));
+    s.on(0, |p, ctx| p.on_client_read(read(9), ctx));
+    assert_eq!(
+        s[0].replies.len(),
         1,
         "plain leader reads at its commit watermark, tail notwithstanding"
     );
@@ -1604,55 +1504,50 @@ fn plain_leader_read_serves_at_the_commit_watermark_despite_a_tail() {
 
 #[test]
 fn failover_leader_without_regime_evidence_probes_instead_of_serving() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(0).with_failover(lease())]);
     // No Accepted/ReadMark at our regime has arrived: the read lease is
     // unearned and the leader must nack its own fast path.
-    p.on_client_read(read(1), &mut ctx);
-    assert!(ctx.read_replies.is_empty());
-    let probes = ctx
-        .sends
+    s.on(0, |p, ctx| p.on_client_read(read(1), ctx));
+    assert!(s[0].replies.is_empty());
+    let probes = s[0]
+        .sent
         .iter()
         .filter(|(_, m)| matches!(m, PaxosMsg::ReadProbe(_)))
         .count();
     assert_eq!(probes, 2, "lease-uncertain leader falls back to a probe");
-    assert_eq!(p.pending_reads(), 1);
+    assert_eq!(s.nodes[0].proto.pending_reads(), 1);
 }
 
 #[test]
 fn failover_leader_with_fresh_majority_evidence_reads_locally() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    commit_one_at_leader(&mut p, &mut ctx, 1);
+    let mut s = Script::new(vec![bcast(0).with_failover(lease())]);
+    commit_one_at_leader(&mut s, 0, 1);
     // The two Accepted messages above are regime evidence from r1 and
     // r2, well within timeout/2 of the current clock.
-    ctx.sends.clear();
-    p.on_client_read(read(5), &mut ctx);
-    assert_eq!(ctx.read_replies.len(), 1, "leased leader reads locally");
-    assert!(ctx.sends.is_empty());
+    s[0].sent.clear();
+    s.on(0, |p, ctx| p.on_client_read(read(5), ctx));
+    assert_eq!(s[0].replies.len(), 1, "leased leader reads locally");
+    assert!(s[0].sent.is_empty());
     // Let the lease age past timeout/2: the fast path must close again.
-    ctx.clock += lease().timeout_us;
-    p.on_client_read(read(6), &mut ctx);
-    assert_eq!(ctx.read_replies.len(), 1, "stale lease: no local serve");
-    assert!(ctx
-        .sends
+    s[0].clock += lease().timeout_us;
+    s.on(0, |p, ctx| p.on_client_read(read(6), ctx));
+    assert_eq!(s[0].replies.len(), 1, "stale lease: no local serve");
+    assert!(s[0]
+        .sent
         .iter()
         .any(|(_, m)| matches!(m, PaxosMsg::ReadProbe(_))));
 }
 
 #[test]
 fn follower_quorum_read_parks_on_the_max_mark_until_executed() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut s = Script::new(vec![bcast(1)]);
     // The follower logs instance 0 (not yet known committed).
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
-    ctx.sends.clear();
-    p.on_client_read(read(3), &mut ctx);
-    assert!(ctx.read_replies.is_empty(), "follower never serves eagerly");
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1)], r(0)));
+    s[0].sent.clear();
+    s.on(0, |p, ctx| p.on_client_read(read(3), ctx));
+    assert!(s[0].replies.is_empty(), "follower never serves eagerly");
     assert_eq!(
-        ctx.sends
+        s[0].sent
             .iter()
             .filter(|(_, m)| matches!(m, PaxosMsg::ReadProbe(_)))
             .count(),
@@ -1661,29 +1556,28 @@ fn follower_quorum_read_parks_on_the_max_mark_until_executed() {
     );
     // One peer answers: with self that is a majority of 3. Its mark (1)
     // matches our own log top, so the read parks at instance mark 1.
-    p.on_message(
-        r(0),
-        PaxosMsg::ReadMark(ReadReply { seq: 1, mark: 1 }),
-        &mut ctx,
+    s.receive(0, r(0), PaxosMsg::ReadMark(ReadReply { seq: 1, mark: 1 }));
+    assert_eq!(
+        s.nodes[0].proto.pending_reads(),
+        1,
+        "parked: instance 0 not yet executed"
     );
-    assert_eq!(p.pending_reads(), 1, "parked: instance 0 not yet executed");
-    assert!(ctx.read_replies.is_empty());
+    assert!(s[0].replies.is_empty());
     // Majority acks arrive, instance 0 executes, the read releases.
-    p.on_message(r(0), acked(b0(), 1), &mut ctx);
-    p.on_message(r(2), acked(b0(), 1), &mut ctx);
-    assert_eq!(p.executed(), 1);
-    assert_eq!(ctx.read_replies.len(), 1);
-    assert_eq!(p.pending_reads(), 0);
+    s.receive(0, r(0), acked(b0(), 1));
+    s.receive(0, r(2), acked(b0(), 1));
+    assert_eq!(s.nodes[0].proto.executed(), 1);
+    assert_eq!(s[0].replies.len(), 1);
+    assert_eq!(s.nodes[0].proto.pending_reads(), 0);
 }
 
 #[test]
 fn any_replica_answers_read_probes_with_its_log_top() {
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)), &mut ctx);
-    ctx.sends.clear();
-    p.on_message(r(1), PaxosMsg::ReadProbe(ReadRequest { seq: 42 }), &mut ctx);
-    match &ctx.sends[..] {
+    let mut s = Script::new(vec![bcast(2)]);
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)));
+    s[0].sent.clear();
+    s.receive(0, r(1), PaxosMsg::ReadProbe(ReadRequest { seq: 42 }));
+    match &s[0].sent[..] {
         [(to, PaxosMsg::ReadMark(reply))] => {
             assert_eq!(*to, r(1));
             assert_eq!(reply.seq, 42);
@@ -1695,13 +1589,12 @@ fn any_replica_answers_read_probes_with_its_log_top() {
 
 #[test]
 fn read_falls_back_to_replication_without_sm_access() {
-    let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
-    ctx.serve_reads = false;
-    p.on_client_read(read(4), &mut ctx);
-    assert!(ctx.read_replies.is_empty());
+    let mut s = Script::new(vec![bcast(0)]);
+    s.nodes[0].sm = Box::new(ApplyOnly::default());
+    s.on(0, |p, ctx| p.on_client_read(read(4), ctx));
+    assert!(s[0].replies.is_empty());
     assert!(
-        ctx.sends
+        s[0].sent
             .iter()
             .any(|(_, m)| matches!(m, PaxosMsg::Accept { .. })),
         "unserveable read must be replicated as an ordinary command"
@@ -1713,25 +1606,23 @@ fn new_leader_reads_wait_out_the_repaired_suffix() {
     // r1 wins an election inheriting an instance that may already have
     // committed — and replied — under the old regime. Its local reads
     // must not be served below the repaired suffix top.
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    ctx.clock = 1_000_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx); // lease expired at start: campaign
-    assert!(p.is_campaigning());
-    let ballot = p.promised();
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s[0].clock = 1_000_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx)); // lease expired at start: campaign
+    assert!(s.nodes[0].proto.is_campaigning());
+    let ballot = s.nodes[0].proto.promised();
     // Loop back the self-addressed Prepare, then the resulting Promise.
-    let own_prepare = ctx
-        .sends
+    let own_prepare = s[0]
+        .sent
         .iter()
         .find_map(|(to, m)| match m {
             PaxosMsg::Prepare { .. } if *to == r(1) => Some(m.clone()),
             _ => None,
         })
         .expect("self prepare");
-    p.on_message(r(1), own_prepare, &mut ctx);
-    let own_promise = ctx
-        .sends
+    s.receive(0, r(1), own_prepare);
+    let own_promise = s[0]
+        .sent
         .iter()
         .rev()
         .find_map(|(to, m)| match m {
@@ -1739,8 +1630,9 @@ fn new_leader_reads_wait_out_the_repaired_suffix() {
             _ => None,
         })
         .expect("self promise");
-    p.on_message(r(1), own_promise, &mut ctx);
-    p.on_message(
+    s.receive(0, r(1), own_promise);
+    s.receive(
+        0,
         r(2),
         PaxosMsg::Promise {
             ballot,
@@ -1752,28 +1644,27 @@ fn new_leader_reads_wait_out_the_repaired_suffix() {
                 value: Some((cmd(1), r(0))),
             }],
         },
-        &mut ctx,
     );
-    assert!(p.is_leader());
+    assert!(s.nodes[0].proto.is_leader());
     // Both peers acked the repair run at the new ballot: the leader's
     // read lease is fresh. A read now must still wait for the inherited
     // instance to commit and execute.
-    p.on_message(r(2), acked(ballot, 1), &mut ctx);
-    p.on_message(r(0), acked(ballot, 0), &mut ctx);
-    let executed_before = p.executed();
+    s.receive(0, r(2), acked(ballot, 1));
+    s.receive(0, r(0), acked(ballot, 0));
+    let executed_before = s.nodes[0].proto.executed();
     if executed_before == 0 {
-        p.on_client_read(read(8), &mut ctx);
+        s.on(0, |p, ctx| p.on_client_read(read(8), ctx));
         assert!(
-            ctx.read_replies.is_empty(),
+            s[0].replies.is_empty(),
             "read served below the repaired suffix top"
         );
     }
     // Our own vouch (r0's ack was 0, r2 acked 1; our logged_next is 1)
     // plus r2 commits instance 0; the read releases.
-    p.on_message(r(0), acked(ballot, 1), &mut ctx);
-    assert_eq!(p.executed(), 1);
-    p.on_client_read(read(9), &mut ctx);
-    assert!(!ctx.read_replies.is_empty());
+    s.receive(0, r(0), acked(ballot, 1));
+    assert_eq!(s.nodes[0].proto.executed(), 1);
+    s.on(0, |p, ctx| p.on_client_read(read(9), ctx));
+    assert!(!s[0].replies.is_empty());
 }
 
 #[test]
@@ -1782,40 +1673,39 @@ fn fresh_lease_acceptor_refuses_to_promise_a_new_ballot() {
     // suspicion timeout must not grant promises — otherwise one
     // isolated replica could depose a healthy leader through fresh
     // followers and race the leader's read lease.
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
+    let mut s = Script::new(vec![bcast(2).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
     // Current-regime leader traffic renews the lease.
-    p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
-    ctx.sends.clear();
-    p.on_message(
+    s.receive(0, r(0), accept(b0(), 0, vec![cmd(1)], r(0)));
+    s[0].sent.clear();
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot: b(1, 1),
             from_instance: 0,
         },
-        &mut ctx,
     );
     assert!(
-        !ctx.sends
+        !s[0]
+            .sent
             .iter()
             .any(|(_, m)| matches!(m, PaxosMsg::Promise { .. })),
         "fresh-leased acceptor granted a promise: {:?}",
-        ctx.sends
+        s[0].sent
     );
     // Once the lease expires, the same Prepare is granted.
-    ctx.clock += lease().timeout_us + 1;
-    p.on_message(
+    s[0].clock += lease().timeout_us + 1;
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot: b(1, 1),
             from_instance: 0,
         },
-        &mut ctx,
     );
     assert!(
-        ctx.sends
+        s[0].sent
             .iter()
             .any(|(_, m)| matches!(m, PaxosMsg::Promise { .. })),
         "expired-lease acceptor must grant"
@@ -1824,20 +1714,18 @@ fn fresh_lease_acceptor_refuses_to_promise_a_new_ballot() {
 
 #[test]
 fn heartbeat_draws_a_cumulative_ack_as_lease_evidence() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    p.on_message(
+    let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.receive(
+        0,
         r(0),
         PaxosMsg::Heartbeat {
             ballot: b0(),
             committed: 0,
         },
-        &mut ctx,
     );
-    let acks: Vec<_> = ctx
-        .sends
+    let acks: Vec<_> = s[0]
+        .sent
         .iter()
         .filter(|(to, m)| *to == r(0) && matches!(m, PaxosMsg::Accepted { .. }))
         .collect();
@@ -1852,9 +1740,8 @@ fn prevote_lease() -> LeaseConfig {
     lease().with_pre_vote()
 }
 
-fn prevotes(ctx: &TestCtx) -> Vec<Ballot> {
-    ctx.sends
-        .iter()
+fn prevotes(sent: &[(ReplicaId, PaxosMsg)]) -> Vec<Ballot> {
+    sent.iter()
         .filter_map(|(_, m)| match m {
             PaxosMsg::PreVote { ballot } => Some(*ballot),
             _ => None,
@@ -1864,21 +1751,30 @@ fn prevotes(ctx: &TestCtx) -> Vec<Ballot> {
 
 #[test]
 fn prevote_expiry_probes_instead_of_preparing() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 600_000; // past the staggered timeout for index 1
-    p.on_timer(TOKEN_LEASE, &mut ctx);
+    let mut s = Script::new(vec![bcast(1).with_failover(prevote_lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 600_000; // past the staggered timeout for index 1
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     // A probe at the prospective round goes to everyone, self included —
     // but no Prepare, no durable promise, no round burned.
-    assert_eq!(prevotes(&ctx), vec![b(1, 1); 3]);
-    assert!(prepares(&ctx).is_empty(), "probe must precede any Prepare");
-    assert!(p.is_pre_voting() && !p.is_campaigning());
-    assert_eq!(p.promised(), b0(), "a probe must not move the promise");
-    assert_eq!(p.max_round_seen, 0, "a probe must not burn a round");
+    assert_eq!(prevotes(&s[0].sent), vec![b(1, 1); 3]);
     assert!(
-        !ctx.log
+        prepares(&s[0].sent).is_empty(),
+        "probe must precede any Prepare"
+    );
+    assert!(s.nodes[0].proto.is_pre_voting() && !s.nodes[0].proto.is_campaigning());
+    assert_eq!(
+        s.nodes[0].proto.promised(),
+        b0(),
+        "a probe must not move the promise"
+    );
+    assert_eq!(
+        s.nodes[0].proto.max_round_seen, 0,
+        "a probe must not burn a round"
+    );
+    assert!(
+        !s.nodes[0]
+            .log
             .iter()
             .any(|rec| matches!(rec, PaxosLogRec::Promised(_))),
         "a probe must not write the durable log"
@@ -1890,101 +1786,107 @@ fn prevote_answer_is_pure() {
     // A peer whose lease on the leader is fresh refuses the probe
     // silently; one whose lease lapsed grants it. Neither answer
     // mutates anything — promise, lease, log, or round counter.
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    p.on_message(r(1), PaxosMsg::PreVote { ballot: b(1, 1) }, &mut ctx);
+    let mut s = Script::new(vec![bcast(2).with_failover(prevote_lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s.receive(0, r(1), PaxosMsg::PreVote { ballot: b(1, 1) });
     assert!(
-        ctx.sends.is_empty(),
+        s[0].sent.is_empty(),
         "fresh-lease peer must refuse the probe silently"
     );
-    ctx.clock += lease().timeout_us + 1;
-    p.on_message(r(1), PaxosMsg::PreVote { ballot: b(1, 1) }, &mut ctx);
+    s[0].clock += lease().timeout_us + 1;
+    s.receive(0, r(1), PaxosMsg::PreVote { ballot: b(1, 1) });
     assert_eq!(
-        ctx.sends,
+        s[0].sent,
         vec![(r(1), PaxosMsg::PreVoteGrant { ballot: b(1, 1) })]
     );
-    assert_eq!(p.promised(), b0(), "granting a probe is not promising");
-    assert_eq!(p.max_round_seen, 0);
-    assert!(ctx.log.is_empty(), "granting a probe must not log");
+    assert_eq!(
+        s.nodes[0].proto.promised(),
+        b0(),
+        "granting a probe is not promising"
+    );
+    assert_eq!(s.nodes[0].proto.max_round_seen, 0);
+    assert!(s.nodes[0].log.is_empty(), "granting a probe must not log");
     // The grant did not renew the grantor's lease either: unlike a real
     // promise there is no election window to protect, so its own (pre-)
     // candidacy timing is untouched. A real Prepare at the same ballot
     // is still granted afterwards.
-    p.on_message(
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot: b(1, 1),
             from_instance: 0,
         },
-        &mut ctx,
     );
-    assert!(ctx
-        .sends
+    assert!(s[0]
+        .sent
         .iter()
         .any(|(_, m)| matches!(m, PaxosMsg::Promise { .. })));
 }
 
 #[test]
 fn stale_prevote_draws_a_nack() {
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock += lease().timeout_us + 1;
-    p.on_message(
+    let mut s = Script::new(vec![bcast(2).with_failover(prevote_lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock += lease().timeout_us + 1;
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot: b(3, 1),
             from_instance: 0,
         },
-        &mut ctx,
     );
-    assert_eq!(p.promised(), b(3, 1));
-    ctx.sends.clear();
+    assert_eq!(s.nodes[0].proto.promised(), b(3, 1));
+    s[0].sent.clear();
     // A probe below the promise teaches the prober the round to beat.
-    p.on_message(r(0), PaxosMsg::PreVote { ballot: b(1, 0) }, &mut ctx);
+    s.receive(0, r(0), PaxosMsg::PreVote { ballot: b(1, 0) });
     assert_eq!(
-        ctx.sends,
+        s[0].sent,
         vec![(r(0), PaxosMsg::Nack { promised: b(3, 1) })]
     );
 }
 
 #[test]
 fn prevote_majority_escalates_to_a_real_election() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    assert_eq!(prevotes(&ctx), vec![b(1, 1); 3]);
+    let mut s = Script::new(vec![bcast(1).with_failover(prevote_lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    assert_eq!(prevotes(&s[0].sent), vec![b(1, 1); 3]);
     // Self-addressed probe loops back (own lease expired → grant)...
-    p.on_message(r(1), PaxosMsg::PreVote { ballot: b(1, 1) }, &mut ctx);
-    p.on_message(r(1), PaxosMsg::PreVoteGrant { ballot: b(1, 1) }, &mut ctx);
-    assert!(p.is_pre_voting(), "one grant is not a majority");
-    assert!(prepares(&ctx).is_empty());
+    s.receive(0, r(1), PaxosMsg::PreVote { ballot: b(1, 1) });
+    s.receive(0, r(1), PaxosMsg::PreVoteGrant { ballot: b(1, 1) });
+    assert!(
+        s.nodes[0].proto.is_pre_voting(),
+        "one grant is not a majority"
+    );
+    assert!(prepares(&s[0].sent).is_empty());
     // ...and a second grant makes the majority: the real election starts,
     // burning the round only now.
-    p.on_message(r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) }, &mut ctx);
-    assert!(!p.is_pre_voting() && p.is_campaigning());
-    assert_eq!(prepares(&ctx), vec![b(1, 1); 3]);
-    assert_eq!(p.promised(), b(1, 1), "the election is durably promised");
+    s.receive(0, r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) });
+    assert!(!s.nodes[0].proto.is_pre_voting() && s.nodes[0].proto.is_campaigning());
+    assert_eq!(prepares(&s[0].sent), vec![b(1, 1); 3]);
+    assert_eq!(
+        s.nodes[0].proto.promised(),
+        b(1, 1),
+        "the election is durably promised"
+    );
 }
 
 #[test]
 fn duplicate_grants_do_not_make_a_majority() {
-    let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 600_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    p.on_message(r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) }, &mut ctx);
-    p.on_message(r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) }, &mut ctx);
-    assert!(p.is_pre_voting(), "a re-delivered grant counts once");
-    assert!(prepares(&ctx).is_empty());
+    let mut s = Script::new(vec![bcast(1).with_failover(prevote_lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 600_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    s.receive(0, r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) });
+    s.receive(0, r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) });
+    assert!(
+        s.nodes[0].proto.is_pre_voting(),
+        "a re-delivered grant counts once"
+    );
+    assert!(prepares(&s[0].sent).is_empty());
 }
 
 #[test]
@@ -1997,67 +1899,80 @@ fn isolated_prevoter_burns_no_ballots_and_rejoins_quietly() {
     // ever probes: heal finds it exactly where it left — same promise,
     // same regime — and the leader's next heartbeat is acked, not
     // Nacked.
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
+    let mut s = Script::new(vec![bcast(2).with_failover(prevote_lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
     // Partitioned: many retry periods pass, every probe unanswered.
     for tick in 1..=20u64 {
-        ctx.clock = 600_000 + tick * lease().election_retry_us;
-        p.on_timer(TOKEN_LEASE, &mut ctx);
+        s[0].clock = 600_000 + tick * lease().election_retry_us;
+        s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     }
-    assert!(prevotes(&ctx).len() >= 3, "castaway must keep re-probing");
-    assert!(prepares(&ctx).is_empty(), "castaway must never Prepare");
-    assert_eq!(p.promised(), b0(), "no self-promise accumulated");
-    assert_eq!(p.max_round_seen, 0, "no rounds burned while isolated");
+    assert!(
+        prevotes(&s[0].sent).len() >= 3,
+        "castaway must keep re-probing"
+    );
+    assert!(
+        prepares(&s[0].sent).is_empty(),
+        "castaway must never Prepare"
+    );
+    assert_eq!(
+        s.nodes[0].proto.promised(),
+        b0(),
+        "no self-promise accumulated"
+    );
+    assert_eq!(
+        s.nodes[0].proto.max_round_seen, 0,
+        "no rounds burned while isolated"
+    );
     // Heal: the leader's heartbeat arrives. No Nack — the castaway is
     // still a clean follower of the original regime.
-    ctx.sends.clear();
-    p.on_message(
+    s[0].sent.clear();
+    s.receive(
+        0,
         r(0),
         PaxosMsg::Heartbeat {
             ballot: b0(),
             committed: 0,
         },
-        &mut ctx,
     );
     assert!(
-        !ctx.sends
+        !s[0]
+            .sent
             .iter()
             .any(|(_, m)| matches!(m, PaxosMsg::Nack { .. })),
         "healed castaway must not depose the leader"
     );
     assert!(
-        ctx.sends
+        s[0].sent
             .iter()
             .any(|(to, m)| *to == r(0) && matches!(m, PaxosMsg::Accepted { .. })),
         "heartbeat must be acked as usual"
     );
     // The heartbeat renewed its lease; the next tick stands the probe
     // down instead of escalating.
-    ctx.clock += 1_000;
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    assert!(!p.is_pre_voting() && !p.is_campaigning());
+    s[0].clock += 1_000;
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    assert!(!s.nodes[0].proto.is_pre_voting() && !s.nodes[0].proto.is_campaigning());
 }
 
 #[test]
 fn prevote_stands_down_when_outbid_by_a_real_candidacy() {
-    let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
-        .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
-    p.on_start(&mut ctx);
-    ctx.clock = 800_000; // past the index-2 stagger
-    p.on_timer(TOKEN_LEASE, &mut ctx);
-    assert!(p.is_pre_voting());
+    let mut s = Script::new(vec![bcast(2).with_failover(prevote_lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    s[0].clock = 800_000; // past the index-2 stagger
+    s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
+    assert!(s.nodes[0].proto.is_pre_voting());
     // A real candidate at a higher ballot solicits us: grant and defer.
-    p.on_message(
+    s.receive(
+        0,
         r(1),
         PaxosMsg::Prepare {
             ballot: b(2, 1),
             from_instance: 0,
         },
-        &mut ctx,
     );
-    assert!(!p.is_pre_voting(), "a real candidacy trumps our probe");
-    assert_eq!(p.promised(), b(2, 1));
+    assert!(
+        !s.nodes[0].proto.is_pre_voting(),
+        "a real candidacy trumps our probe"
+    );
+    assert_eq!(s.nodes[0].proto.promised(), b(2, 1));
 }

@@ -753,12 +753,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         self.now
     }
 
-    /// Runs for `duration` more microseconds of virtual time.
-    pub fn run_for(&mut self, duration: Micros) -> Micros {
-        let until = self.now + duration;
-        self.run_until(until)
-    }
-
     /// Processes a single event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
         let Some((at, ev)) = self.queue.pop() else {
