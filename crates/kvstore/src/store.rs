@@ -179,7 +179,7 @@ impl StateMachine for KvStore {
             return false;
         };
         let count = u64::from_be_bytes(count_bytes.try_into().expect("8 bytes"));
-        let mut map = BTreeMap::new();
+        let mut map: BTreeMap<Box<[u8]>, Vec<u8>> = BTreeMap::new();
         for _ in 0..count {
             let Some(klen) = take(&mut rest, 4) else {
                 return false;
@@ -188,6 +188,11 @@ impl StateMachine for KvStore {
             let Some(k) = take(&mut rest, klen) else {
                 return false;
             };
+            // `snapshot` writes each key once, in increasing order: a
+            // repeated or out-of-order key is not a snapshot it produced.
+            if map.last_key_value().is_some_and(|(last, _)| **last >= *k) {
+                return false;
+            }
             let Some(vlen) = take(&mut rest, 4) else {
                 return false;
             };
@@ -254,6 +259,40 @@ mod tests {
         assert_eq!(a.snapshot(), b.snapshot());
         b.apply(&cmd(3, &KvOp::put("x", "9")));
         assert_ne!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn restore_accepts_exactly_what_snapshot_produces() {
+        let mut a = KvStore::new();
+        a.apply(&cmd(1, &KvOp::put("b", "2")));
+        a.apply(&cmd(2, &KvOp::put("a", "1")));
+        let snap = a.snapshot();
+        let mut b = KvStore::new();
+        assert!(b.restore(&snap));
+        assert_eq!(b.snapshot(), snap);
+        // Two entries, keys in the given order.
+        let frame = |keys: [&[u8]; 2]| {
+            let mut buf = BytesMut::new();
+            buf.put_u64(2);
+            for k in keys {
+                buf.put_u32(k.len() as u32);
+                buf.put_slice(k);
+                buf.put_u32(1);
+                buf.put_slice(b"v");
+            }
+            buf.freeze()
+        };
+        assert!(b.restore(&frame([b"a", b"b"])));
+        for bad in [frame([b"a", b"a"]), frame([b"b", b"a"])] {
+            let mut c = KvStore::new();
+            c.apply(&cmd(1, &KvOp::put("k", "v")));
+            assert!(!c.restore(&bad), "{bad:?}");
+            assert_eq!(
+                c.get(b"k"),
+                Some(&b"v"[..]),
+                "a refused restore keeps the state"
+            );
+        }
     }
 
     #[test]

@@ -203,13 +203,29 @@ pub struct MultiPaxos {
     pending: Vec<(Batch, ReplicaId)>,
     /// Leader only: next instance number to assign.
     next_instance: u64,
-    /// Commands accepted but not yet executed, keyed by instance.
+    /// Commands accepted but not yet executed, keyed by instance. Every
+    /// instance in `[committed_next, logged_next)` holds a verified slot
+    /// (the invariant documented on `logged_next`).
     instances: BTreeMap<u64, Slot>,
     /// The regime-tagged vouch watermark: every instance below it is
     /// either known committed or logged here at the current regime's
     /// ballot (gap-free thanks to consecutive leader assignment over
-    /// FIFO channels). Recomputed from the slot table whenever the
-    /// regime changes.
+    /// FIFO channels).
+    ///
+    /// Invariant: every instance in `[committed_next, logged_next)` is a
+    /// verified slot. Inserting verified slots and raising
+    /// `committed_next` keep it, which is all `on_accept`,
+    /// `advance_commit` and `on_commit` do; so the two commit paths
+    /// resume the walk where it stood ([`extend_vouch`]) and pay for
+    /// what they advance, not for the pipeline behind the watermark.
+    /// The five sites that demote, drop or install slots —
+    /// `adopt_regime` (demotes), `on_repair` (drops the tail above the
+    /// repair), `on_fill` (installs), `on_state_reply` (drops below the
+    /// checkpoint) and `on_recover` (rebuilds unverified) — re-walk
+    /// from `committed_next` ([`recompute_vouch`]).
+    ///
+    /// [`extend_vouch`]: MultiPaxos::extend_vouch
+    /// [`recompute_vouch`]: MultiPaxos::recompute_vouch
     logged_next: u64,
     /// `acked[k]`: replica `k`'s acknowledged watermark **under the
     /// current regime**. Reset on every regime change; tracked by
@@ -444,15 +460,39 @@ impl MultiPaxos {
         }
     }
 
-    /// Recomputes the regime-tagged vouch watermark: starting from the
-    /// committed watermark (decided instances need no local voucher —
-    /// the same argument that lets a recovered replica's cumulative ack
-    /// jump a committed gap), extend over contiguous verified slots.
+    /// Recomputes the regime-tagged vouch watermark from scratch: starting
+    /// from the committed watermark (decided instances need no local
+    /// voucher — the same argument that lets a recovered replica's
+    /// cumulative ack jump a committed gap), extend over contiguous
+    /// verified slots. Only the five sites that demote, drop or install
+    /// slots call this (see `logged_next`): a demotion or a drop may cut
+    /// the run below the old watermark, so it cannot be resumed.
     fn recompute_vouch(&mut self) {
-        let mut w = self.committed_next;
-        while self.instances.get(&w).is_some_and(|s| s.verified) {
-            w += 1;
-        }
+        self.logged_next = self.committed_next;
+        self.extend_vouch();
+    }
+
+    /// Extends the vouch watermark over contiguous verified slots,
+    /// resuming at `max(committed_next, logged_next)`. By the invariant
+    /// on `logged_next` every instance below that start is already
+    /// verified or committed, so this reaches the same watermark as a
+    /// walk from `committed_next` in O(advance) lookups instead of one
+    /// per in-flight instance — under saturation `logged_next` runs a
+    /// whole pipeline ahead of `committed_next`. Debug builds check the
+    /// resumed walk against the full one on every call.
+    fn extend_vouch(&mut self) {
+        let run_end = |mut w: u64| {
+            while self.instances.get(&w).is_some_and(|s| s.verified) {
+                w += 1;
+            }
+            w
+        };
+        let w = run_end(self.committed_next.max(self.logged_next));
+        debug_assert_eq!(
+            w,
+            run_end(self.committed_next),
+            "resumed vouch walk disagrees with the full walk"
+        );
         self.logged_next = w;
     }
 
@@ -676,7 +716,7 @@ impl MultiPaxos {
             self.obs_stamp_replicated(self.committed_next, w, ctx);
         }
         self.committed_next = w;
-        self.recompute_vouch();
+        self.extend_vouch();
         if self.variant == PaxosVariant::Plain {
             // Only the leader counts 2b in plain Paxos; notify everyone
             // (itself included) with one cumulative COMMIT.
@@ -725,7 +765,7 @@ impl MultiPaxos {
             self.obs_stamp_replicated(self.committed_next, up_to, ctx);
         }
         self.committed_next = up_to;
-        self.recompute_vouch();
+        self.extend_vouch();
         self.execute_ready(true, ctx);
         self.flush_pending(ctx);
     }

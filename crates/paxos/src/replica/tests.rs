@@ -991,6 +991,115 @@ fn repair_supersedes_stale_acceptances_and_drops_the_uncommitted_tail() {
     assert_eq!(entries[0].value.as_ref().unwrap().0.id.seq, 10);
 }
 
+/// The vouch watermark a walk from the committed watermark reaches: the
+/// reference the resumed walk of the commit paths must agree with.
+fn full_vouch_walk(p: &MultiPaxos) -> u64 {
+    let mut w = p.committed_next;
+    while p.instances.get(&w).is_some_and(|s| s.verified) {
+        w += 1;
+    }
+    w
+}
+
+#[test]
+fn resumed_vouch_walk_matches_the_full_walk_under_a_deep_pipeline() {
+    const BATCH: u64 = 64;
+    const DEPTH: u64 = 64;
+    let mut s = Script::new(vec![bcast(0).with_failover(lease())]);
+    s.on(0, |p, ctx| p.on_start(ctx));
+    let mut seq = 0;
+    let mut batch = || {
+        seq += BATCH;
+        (seq - BATCH + 1..=seq).map(cmd).collect::<Vec<_>>()
+    };
+    // After every step: the watermark and the `Accepted` the step sent
+    // (if any) equal a full walk; then the replica's own sends loop
+    // back, so its `Accepted` counts toward its quorums.
+    let check = |s: &mut Script<MultiPaxos>, step: &str| {
+        let full = full_vouch_walk(&s.nodes[0].proto);
+        assert_eq!(s.nodes[0].proto.logged_next, full, "{step}");
+        if let Some(up_to) = last_ack(&s[0].sent) {
+            assert_eq!(up_to, full, "{step}: Accepted");
+        }
+        for (to, msg) in std::mem::take(&mut s[0].sent) {
+            if to == r(0) {
+                s.receive(0, r(0), msg);
+            }
+        }
+    };
+
+    // A leader with DEPTH batches accepted and none committed.
+    for k in 0..DEPTH {
+        let cmds = batch();
+        s.on(0, |p, ctx| p.on_client_batch(Batch::new(cmds), ctx));
+        check(&mut s, &format!("propose {k}"));
+    }
+    assert_eq!(s.nodes[0].proto.logged_next, DEPTH * BATCH);
+    // Commit one batch at a time while proposing one more, so each
+    // commit step resumes a whole pipeline ahead of the watermark.
+    for k in 1..=DEPTH / 2 {
+        s.receive(0, r(1), acked(b0(), k * BATCH));
+        assert_eq!(s.nodes[0].proto.committed_next, k * BATCH);
+        check(&mut s, &format!("commit {k}"));
+        let cmds = batch();
+        s.on(0, |p, ctx| p.on_client_batch(Batch::new(cmds), ctx));
+        check(&mut s, &format!("propose after commit {k}"));
+    }
+    let committed = s.nodes[0].proto.committed_next;
+    assert_eq!(s.nodes[0].proto.logged_next - committed, DEPTH * BATCH);
+
+    // A newer leader's Accept mid-pipeline: adopting its regime demotes
+    // every old-ballot slot, so the watermark must fall back to the
+    // accepted run instead of resuming at the old tail.
+    let b1 = b(1, 1);
+    s.receive(0, r(1), accept(b1, committed, batch(), r(1)));
+    assert_eq!(s.nodes[0].proto.regime(), b1);
+    check(&mut s, "higher-ballot accept");
+    assert_eq!(s.nodes[0].proto.logged_next, committed + BATCH);
+    s.receive(0, r(1), acked(b1, committed + BATCH));
+    check(&mut s, "commit under the new regime");
+
+    // A third leader's repair re-proposes one batch above the commit
+    // watermark and drops the tail beyond it; its Accepts and Accepted
+    // then grow the pipeline again.
+    let b2 = b(2, 2);
+    let floor = s.nodes[0].proto.committed_next;
+    let entries = (floor..)
+        .zip(batch())
+        .map(|(instance, c)| SuffixEntry {
+            instance,
+            ballot: b2,
+            value: Some((c, r(2))),
+        })
+        .collect();
+    s.receive(
+        0,
+        r(2),
+        PaxosMsg::Repair {
+            ballot: b2,
+            floor,
+            entries,
+        },
+    );
+    check(&mut s, "repair");
+    assert_eq!(s.nodes[0].proto.logged_next, floor + BATCH);
+    let top = s.nodes[0].proto.instances.keys().next_back().copied();
+    assert_eq!(
+        top,
+        Some(floor + BATCH - 1),
+        "the tail above the repair is gone"
+    );
+    for k in 1..=8 {
+        let first = floor + k * BATCH;
+        s.receive(0, r(2), accept(b2, first, batch(), r(2)));
+        check(&mut s, &format!("accept {k} after the repair"));
+        s.receive(0, r(2), acked(b2, first));
+        check(&mut s, &format!("commit {k} after the repair"));
+    }
+    assert_eq!(s.nodes[0].proto.committed_next, floor + 8 * BATCH);
+    assert_eq!(s.nodes[0].proto.logged_next, floor + 9 * BATCH);
+}
+
 #[test]
 fn deposed_leader_steps_down_on_nack_and_forwards() {
     let mut s = Script::new(vec![bcast(0).with_failover(lease())]);
