@@ -112,15 +112,10 @@ pub fn protocol_choice(s: &Schedule) -> ProtocolChoice {
         ),
         ProtocolKind::Paxos => ProtocolChoice::paxos_failover(PAXOS_LEADER, lease),
         ProtocolKind::PaxosBcast => ProtocolChoice::paxos_bcast_failover(PAXOS_LEADER, lease),
-        ProtocolKind::Mencius => {
-            if s.knobs.checkpoint_every > 0 {
-                // A finite history cap puts retention pressure on
-                // recovery paths, the same shape long-outage tests use.
-                ProtocolChoice::mencius_with_history_cap(64)
-            } else {
-                ProtocolChoice::mencius()
-            }
-        }
+        // With `checkpoint_every` set, compaction bounds how far back
+        // Mencius gap fills reach, which puts the checkpoint-transfer
+        // recovery path under the swarm.
+        ProtocolKind::Mencius => ProtocolChoice::mencius(),
     }
 }
 

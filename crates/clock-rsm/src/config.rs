@@ -100,18 +100,6 @@ impl ClockRsmConfig {
         self
     }
 
-    /// Enables checkpointing every `n` commits (`None` disables), without
-    /// a byte trigger or compaction. Sugar over
-    /// [`with_checkpoint`](ClockRsmConfig::with_checkpoint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is `Some(0)`.
-    pub fn with_checkpoint_every(mut self, n: Option<u64>) -> Self {
-        self.checkpoint = self.checkpoint.with_every(n);
-        self
-    }
-
     /// Sets the client-session dedup window bound.
     ///
     /// # Panics
@@ -123,7 +111,7 @@ impl ClockRsmConfig {
         self
     }
 
-    /// Sets the full checkpoint policy (count/byte triggers, compaction).
+    /// Sets the checkpoint policy (interval, compaction).
     pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = policy;
         self

@@ -23,17 +23,7 @@ fn cmd(seq: u64) -> Command {
     )
 }
 
-fn replica(checkpoint_every: Option<u64>) -> ClockRsm {
-    ClockRsm::new(
-        r(2),
-        Membership::uniform(3),
-        ClockRsmConfig::default()
-            .with_delta_us(None)
-            .with_checkpoint_every(checkpoint_every),
-    )
-}
-
-fn replica_with(policy: CheckpointPolicy) -> ClockRsm {
+fn replica(policy: CheckpointPolicy) -> ClockRsm {
     ClockRsm::new(
         r(2),
         Membership::uniform(3),
@@ -89,7 +79,7 @@ fn checkpoints(s: &Script<ClockRsm>) -> Vec<&Checkpoint<Timestamp>> {
 
 #[test]
 fn checkpoints_are_written_at_the_interval() {
-    let mut s = script(replica(Some(3)));
+    let mut s = script(replica(CheckpointPolicy::every(3)));
     commit_n(&mut s, 7);
     let checkpoints = checkpoints(&s);
     assert_eq!(
@@ -107,24 +97,9 @@ fn checkpoints_are_written_at_the_interval() {
 }
 
 #[test]
-fn byte_budget_triggers_checkpoints_before_the_count_interval() {
-    // 1-byte commands, a 2-byte budget and a distant count interval: the
-    // byte trigger must fire every two commits.
-    let mut s = script(replica_with(
-        CheckpointPolicy::every(1_000_000).with_every_bytes(Some(2)),
-    ));
-    commit_n(&mut s, 6);
-    assert_eq!(
-        checkpoints(&s).len(),
-        3,
-        "6 one-byte commits over a 2-byte budget"
-    );
-}
-
-#[test]
 fn compaction_truncates_the_log_below_the_watermark() {
     let policy = CheckpointPolicy::every(3).with_compaction(true);
-    let mut s = script(replica_with(policy));
+    let mut s = script(replica(policy));
     commit_n(&mut s, 7);
     // The last compaction ran at commit 6: the log holds that checkpoint
     // plus only the records above its watermark (commit 7's pair).
@@ -145,16 +120,16 @@ fn compaction_truncates_the_log_below_the_watermark() {
         log.len()
     );
     // Recovery from the compacted log reproduces the full state.
-    s.restart(0, replica_with(policy));
+    s.restart(0, replica(policy));
     assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
     assert_eq!(s.nodes[0].proto.last_committed_ts().micros(), 70_000);
 }
 
 #[test]
 fn recovery_restores_snapshot_and_replays_only_suffix() {
-    let mut s = script(replica(Some(3)));
+    let mut s = script(replica(CheckpointPolicy::every(3)));
     commit_n(&mut s, 7);
-    s.restart(0, replica(Some(3)));
+    s.restart(0, replica(CheckpointPolicy::every(3)));
 
     // The snapshot restored commands 1..=6; only command 7 was replayed.
     assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
@@ -169,10 +144,10 @@ fn recovery_restores_snapshot_and_replays_only_suffix() {
 /// zero on every recovery and replaying an ever-growing log.
 #[test]
 fn crashing_more_often_than_the_interval_still_checkpoints() {
-    let mut s = script(replica(Some(5)));
+    let mut s = script(replica(CheckpointPolicy::every(5)));
     for round in 0..4u64 {
         // A crash loses the replica and its state machine; the log stays.
-        s.restart(0, replica(Some(5)));
+        s.restart(0, replica(CheckpointPolicy::every(5)));
         commit_seqs(&mut s, 2 * round + 1..=2 * round + 2);
     }
     assert_eq!(s.applied(0), (1..=8).collect::<Vec<u64>>());
@@ -190,18 +165,18 @@ fn crashing_more_often_than_the_interval_still_checkpoints() {
 #[test]
 fn recovery_without_snapshot_support_replays_everything() {
     // The state machine cannot restore snapshots: full replay.
-    let mut s = script(replica(Some(3)));
+    let mut s = script(replica(CheckpointPolicy::every(3)));
     s.nodes[0].sm = Box::new(ApplyOnly::default());
     commit_n(&mut s, 7);
     assert_eq!(checkpoints(&s).len(), 2, "checkpoints are still written");
-    s.restart(0, replica(Some(3)));
+    s.restart(0, replica(CheckpointPolicy::every(3)));
     assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
     assert_eq!(s[0].executed.len(), 7);
 }
 
 #[test]
 fn no_checkpoints_without_configuration() {
-    let mut s = script(replica(None));
+    let mut s = script(replica(CheckpointPolicy::DISABLED));
     commit_n(&mut s, 10);
     assert!(checkpoints(&s).is_empty(), "checkpointing must be opt-in");
 }
@@ -214,7 +189,7 @@ fn no_checkpoints_without_configuration() {
 fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
     for (compact, snapshots) in [(false, true), (true, true), (false, false)] {
         let policy = CheckpointPolicy::every(3).with_compaction(compact);
-        let mut s = script(replica_with(policy));
+        let mut s = script(replica(policy));
         if !snapshots {
             s.nodes[0].sm = Box::new(ApplyOnly::default());
         }
@@ -247,7 +222,7 @@ fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
         };
         let live_keys = keys(&s);
 
-        s.restart(0, replica_with(policy));
+        s.restart(0, replica(policy));
         assert_eq!(s.applied(0), applied, "compact={compact}");
         let p = &s.nodes[0].proto;
         let restored = if snapshots { 3 } else { 0 };

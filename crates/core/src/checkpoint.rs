@@ -6,9 +6,8 @@
 //! pieces:
 //!
 //! * [`CheckpointPolicy`] / [`Checkpointer`] — *when* to checkpoint: every
-//!   N applied commands and/or every M applied payload bytes, whichever
-//!   trips first, optionally followed by **log compaction** (truncating
-//!   log records at or below the checkpoint watermark).
+//!   N applied commands, optionally followed by **log compaction**
+//!   (truncating log records at or below the checkpoint watermark).
 //! * [`Checkpoint`] — *what* a checkpoint is: a canonical state machine
 //!   snapshot plus the **applied watermark** (the protocol's own ordering
 //!   coordinate — a Clock-RSM timestamp, a Paxos instance, a Mencius
@@ -16,9 +15,9 @@
 //! * [`StateTransferRequest`] / [`StateTransferReply`] — the wire shapes
 //!   of peer-to-peer checkpoint transfer: a replica that cannot make
 //!   execution progress from its log and live traffic alone (committed
-//!   holes whose proposals were lost while it was down, or holes whose
-//!   retransmission history the owner has since pruned) asks any peer
-//!   whose commit watermark covers the gap; the peer answers with a
+//!   holes whose proposals were lost while it was down, and whose log
+//!   records its peers have since compacted into a checkpoint) asks any
+//!   peer whose commit watermark covers the gap; the peer answers with a
 //!   checkpoint, the requester installs it and resumes —
 //!   acknowledgements included — from the installed watermark.
 //!
@@ -63,8 +62,7 @@ use crate::config::Epoch;
 use crate::id::ReplicaId;
 use crate::wire::{WireSize, MSG_HEADER_BYTES};
 
-/// When a replica writes a checkpoint: after this many applied commands
-/// and/or after this many applied payload bytes, whichever trips first.
+/// When a replica writes a checkpoint: every so many applied commands.
 ///
 /// `compact` additionally truncates the stable log at checkpoint time,
 /// keeping only the checkpoint record and the records still above its
@@ -83,12 +81,8 @@ use crate::wire::{WireSize, MSG_HEADER_BYTES};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Checkpoint every this many applied commands (`None` = no count
-    /// trigger).
+    /// Checkpoint every this many applied commands (`None` = never).
     pub every_commits: Option<u64>,
-    /// Checkpoint every this many applied payload bytes (`None` = no byte
-    /// trigger).
-    pub every_bytes: Option<u64>,
     /// Truncate the stable log at or below the watermark when a
     /// checkpoint is written or installed.
     pub compact: bool,
@@ -98,7 +92,6 @@ impl CheckpointPolicy {
     /// Checkpointing off: recovery replays the whole log.
     pub const DISABLED: CheckpointPolicy = CheckpointPolicy {
         every_commits: None,
-        every_bytes: None,
         compact: false,
     };
 
@@ -115,42 +108,15 @@ impl CheckpointPolicy {
         }
     }
 
-    /// Checkpoint every `n` applied payload bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn every_bytes(n: u64) -> Self {
-        assert!(n > 0, "checkpoint byte budget must be positive");
-        CheckpointPolicy {
-            every_bytes: Some(n),
-            ..CheckpointPolicy::DISABLED
-        }
-    }
-
-    /// Adds a command-count trigger.
-    pub fn with_every(mut self, n: Option<u64>) -> Self {
-        assert!(n != Some(0), "checkpoint interval must be positive");
-        self.every_commits = n;
-        self
-    }
-
-    /// Adds a byte-budget trigger.
-    pub fn with_every_bytes(mut self, n: Option<u64>) -> Self {
-        assert!(n != Some(0), "checkpoint byte budget must be positive");
-        self.every_bytes = n;
-        self
-    }
-
     /// Enables or disables log compaction at checkpoint time.
     pub fn with_compaction(mut self, on: bool) -> Self {
         self.compact = on;
         self
     }
 
-    /// Whether any trigger is configured.
+    /// Whether checkpoints are taken at all.
     pub fn enabled(&self) -> bool {
-        self.every_commits.is_some() || self.every_bytes.is_some()
+        self.every_commits.is_some()
     }
 }
 
@@ -160,21 +126,20 @@ impl Default for CheckpointPolicy {
     }
 }
 
-/// Tracks applied commands and bytes since the last checkpoint and decides
-/// when the next one is due, per a [`CheckpointPolicy`].
+/// Counts applied commands since the last checkpoint and decides when the
+/// next one is due, per a [`CheckpointPolicy`].
 ///
 /// Driven by [`Executor`](crate::exec::Executor), never by a protocol
 /// directly: [`execute`](crate::exec::Executor::execute) counts every
 /// applied command — live or replayed on recovery — and
 /// [`checkpoint_if_due`](crate::exec::Executor::checkpoint_if_due)
-/// resets the counters only once a snapshot was actually taken. Until
+/// resets the count only once a snapshot was actually taken. Until
 /// then [`due`](Checkpointer::due) keeps answering `true`, so a driver
-/// without snapshot support simply never resets them.
+/// without snapshot support simply never resets it.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     policy: CheckpointPolicy,
     commits_since: u64,
-    bytes_since: u64,
 }
 
 impl Checkpointer {
@@ -183,7 +148,6 @@ impl Checkpointer {
         Checkpointer {
             policy,
             commits_since: 0,
-            bytes_since: 0,
         }
     }
 
@@ -192,32 +156,23 @@ impl Checkpointer {
         self.policy
     }
 
-    /// Records one applied command of `payload_bytes` bytes.
-    pub fn note_commit(&mut self, payload_bytes: usize) {
-        if !self.policy.enabled() {
-            return;
+    /// Records one applied command.
+    pub fn note_commit(&mut self) {
+        if self.policy.enabled() {
+            self.commits_since += 1;
         }
-        self.commits_since += 1;
-        self.bytes_since += payload_bytes as u64;
     }
 
     /// Whether a checkpoint is due under the policy.
     pub fn due(&self) -> bool {
-        let by_count = self
-            .policy
+        self.policy
             .every_commits
-            .is_some_and(|n| self.commits_since >= n);
-        let by_bytes = self
-            .policy
-            .every_bytes
-            .is_some_and(|n| self.bytes_since >= n);
-        by_count || by_bytes
+            .is_some_and(|n| self.commits_since >= n)
     }
 
-    /// Resets the counters after a checkpoint was durably written.
+    /// Resets the count after a checkpoint was durably written.
     pub fn taken(&mut self) {
         self.commits_since = 0;
-        self.bytes_since = 0;
     }
 }
 
@@ -274,8 +229,8 @@ impl<W> WireSize for Checkpoint<W> {
 ///
 /// Sent when execution cannot progress from the log and live traffic
 /// alone: a Paxos replica stalled at a committed hole whose `ACCEPT` was
-/// lost while it was down, or a Mencius replica stalled at a hole whose
-/// owner has pruned the retransmission history past its retention cap.
+/// lost while it was down, or a Mencius replica stalled at a hole below
+/// the checkpoint its owner's compacted log now starts at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateTransferRequest<W> {
     /// The requester's applied watermark: it has executed everything
@@ -314,7 +269,7 @@ mod tests {
     fn disabled_policy_never_fires() {
         let mut c = Checkpointer::new(CheckpointPolicy::DISABLED);
         for _ in 0..1_000 {
-            c.note_commit(1 << 20);
+            c.note_commit();
         }
         assert!(!c.due());
     }
@@ -322,26 +277,14 @@ mod tests {
     #[test]
     fn count_trigger_fires_at_interval() {
         let mut c = Checkpointer::new(CheckpointPolicy::every(3));
-        c.note_commit(0);
-        c.note_commit(0);
+        c.note_commit();
+        c.note_commit();
         assert!(!c.due());
-        c.note_commit(0);
+        c.note_commit();
         assert!(c.due());
         // Stays due until taken (driver may lack snapshot support).
-        c.note_commit(0);
+        c.note_commit();
         assert!(c.due());
-        c.taken();
-        assert!(!c.due());
-    }
-
-    #[test]
-    fn byte_trigger_fires_before_count() {
-        let policy = CheckpointPolicy::every(1_000).with_every_bytes(Some(100));
-        let mut c = Checkpointer::new(policy);
-        c.note_commit(64);
-        assert!(!c.due());
-        c.note_commit(64);
-        assert!(c.due(), "128 bytes over a 100-byte budget");
         c.taken();
         assert!(!c.due());
     }

@@ -10,7 +10,7 @@
 //! compaction (what a rewritten log must retain is ordering state).
 //!
 //! The executor is the one place that calls
-//! [`SessionTable::commit_dedup`], the [`Checkpointer`] counters,
+//! [`SessionTable::commit_dedup`], the [`Checkpointer`] count,
 //! [`Context::sm_snapshot`], [`Context::sm_install`], and the
 //! [`Context::sm_read`] → [`Context::send_reply`] release step, so a fix
 //! to any of them lands for every protocol at once — including recovery
@@ -111,7 +111,6 @@ impl<W: Ord + Copy> Executor<W> {
         order_hint: u64,
         ctx: &mut dyn Context<P>,
     ) -> bool {
-        let payload_len = cmd.payload.len();
         let committed = Committed {
             cmd,
             origin,
@@ -119,7 +118,7 @@ impl<W: Ord + Copy> Executor<W> {
         };
         let applied = self.sessions.commit_dedup(self.me, committed, ctx);
         if applied {
-            self.checkpointer.note_commit(payload_len);
+            self.checkpointer.note_commit();
         }
         applied
     }

@@ -61,7 +61,7 @@
 //!
 //! The [`checkpoint`] module (Section V-B of the paper) is shared by all
 //! protocols: a [`CheckpointPolicy`] schedules periodic state machine
-//! snapshots (every N commands / M bytes), optionally compacting the
+//! snapshots (every N commands), optionally compacting the
 //! stable log below the checkpoint watermark, and the
 //! [`StateTransferRequest`]/[`StateTransferReply`] wire shapes let a
 //! recovered replica install a peer's checkpoint when nothing can

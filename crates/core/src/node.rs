@@ -154,6 +154,10 @@ impl<P: Protocol, D: Driver<P>> Context<P> for NodeCtx<'_, P, D> {
         *self.log = recs;
     }
 
+    fn stable_log(&self) -> &[P::LogRec] {
+        self.log
+    }
+
     fn commit(&mut self, committed: Committed) -> Bytes {
         let result = self.sm.apply(&committed.cmd);
         *self.executed += 1;
@@ -572,6 +576,22 @@ mod tests {
         assert!(s.fire_timer(0));
         assert_eq!(s[0].clock, before + 5);
         assert!(!s.fire_timer(0));
+    }
+
+    #[test]
+    fn the_context_reads_back_the_log_it_wrote() {
+        let mut s = echoes(1);
+        let seqs = |log: &[Command]| log.iter().map(|c| c.id.seq).collect::<Vec<_>>();
+        let read = s.on(0, |_, ctx| {
+            ctx.log_append(cmd(1));
+            ctx.log_append(cmd(2));
+            let before = seqs(ctx.stable_log());
+            ctx.log_rewrite(vec![cmd(7)]);
+            ctx.log_append(cmd(8));
+            (before, seqs(ctx.stable_log()))
+        });
+        assert_eq!(read, (vec![1, 2], vec![7, 8]));
+        assert_eq!(seqs(&s.nodes[0].log), [7, 8], "it is the node's log");
     }
 
     #[test]

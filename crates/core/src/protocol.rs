@@ -71,10 +71,28 @@ pub trait Context<P: Protocol + ?Sized> {
     /// scheduling, the runtime by synchronous appends).
     fn log_append(&mut self, rec: P::LogRec);
 
-    /// Rewrites the entire stable log. Only the reconfiguration protocol
-    /// uses this (Algorithm 3 removes un-executed `PREPARE` records beyond
-    /// the decided timestamp); normal operation is append-only.
+    /// Rewrites the entire stable log: Clock-RSM reconfiguration
+    /// (Algorithm 3 removes un-executed `PREPARE` records beyond the
+    /// decided timestamp) and checkpoint compaction use this; otherwise
+    /// the log is append-only.
     fn log_rewrite(&mut self, recs: Vec<P::LogRec>);
+
+    /// This replica's stable log as it stands: the records of the last
+    /// [`log_rewrite`](Context::log_rewrite), if any, then every record
+    /// appended since, oldest first. A protocol answers a peer's
+    /// retransmission request from it rather than keeping a second copy
+    /// of what it logged.
+    ///
+    /// # Panics
+    ///
+    /// The default panics. A driver that keeps no readable log must not
+    /// return an empty slice instead: a protocol reads absence from its
+    /// log as proof that it never logged a record, and would hand that
+    /// proof to a peer. [`node`](crate::node)'s context implements this,
+    /// so every in-tree driver does.
+    fn stable_log(&self) -> &[P::LogRec] {
+        panic!("this driver keeps no readable stable log")
+    }
 
     /// Hands a decided command to the state machine for execution.
     ///
@@ -418,6 +436,13 @@ pub(crate) mod tests {
         };
         assert!(!table.commit_dedup(me, elsewhere, &mut ctx));
         assert_eq!(ctx.replies.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no readable stable log")]
+    fn a_driver_without_a_readable_log_refuses_to_show_an_empty_one() {
+        let ctx = RecordingCtx::default();
+        let _ = Context::<Echo>::stable_log(&ctx);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Protocol selection for experiments.
 
 use clock_rsm::ClockRsmConfig;
-use mencius::MAX_OWN_HISTORY;
 use rsm_core::id::ReplicaId;
 use rsm_core::lease::LeaseConfig;
 
@@ -37,14 +36,11 @@ pub enum ProtocolChoice {
         /// the paper's fixed-leader setup).
         failover: LeaseConfig,
     },
-    /// Mencius with broadcast acknowledgements.
-    MenciusBcast {
-        /// Own-proposal retention cap for gap retransmission (defaults
-        /// to [`mencius::MAX_OWN_HISTORY`]); the long-outage scenarios
-        /// shrink it so a short simulated outage exercises the
-        /// retention-exceeded checkpoint-transfer path.
-        history_cap: usize,
-    },
+    /// Mencius with broadcast acknowledgements. It has no knob of its
+    /// own: a replica answers gap requests from its stable log, so the
+    /// experiment's checkpoint policy alone decides how far back those
+    /// answers reach.
+    MenciusBcast,
 }
 
 impl ProtocolChoice {
@@ -97,14 +93,7 @@ impl ProtocolChoice {
 
     /// Mencius-bcast.
     pub fn mencius() -> Self {
-        ProtocolChoice::MenciusBcast {
-            history_cap: MAX_OWN_HISTORY,
-        }
-    }
-
-    /// Mencius-bcast with a custom own-proposal retention cap.
-    pub fn mencius_with_history_cap(history_cap: usize) -> Self {
-        ProtocolChoice::MenciusBcast { history_cap }
+        ProtocolChoice::MenciusBcast
     }
 
     /// Display name matching the paper's figure legends.
@@ -113,7 +102,7 @@ impl ProtocolChoice {
             ProtocolChoice::ClockRsm { .. } => "Clock-RSM",
             ProtocolChoice::Paxos { .. } => "Paxos",
             ProtocolChoice::PaxosBcast { .. } => "Paxos-bcast",
-            ProtocolChoice::MenciusBcast { .. } => "Mencius-bcast",
+            ProtocolChoice::MenciusBcast => "Mencius-bcast",
         }
     }
 }

@@ -206,10 +206,10 @@ impl ExperimentConfig {
     }
 
     /// Scripts a long outage: `replica` crashes at `down_at` and
-    /// recovers at `up_at` (virtual µs). Combined with a checkpoint
-    /// policy and a small Mencius history cap, this is the scenario
-    /// where the cluster commits past the retransmission horizon while
-    /// the replica is down, so rejoining requires checkpoint transfer.
+    /// recovers at `up_at` (virtual µs). Combined with a compacting
+    /// checkpoint policy, this is the scenario where the cluster commits
+    /// past what its logs still hold while the replica is down, so
+    /// rejoining requires checkpoint transfer.
     pub fn long_outage(self, replica: u16, down_at: Micros, up_at: Micros) -> Self {
         assert!(down_at < up_at, "outage must end after it begins");
         let r = ReplicaId::new(replica);
@@ -391,7 +391,7 @@ pub(crate) trait ProtocolRun {
 }
 
 /// Builds the replica factory for `choice` under `cfg` — checkpoint
-/// policy, session window and canary, fail-over, history cap — and hands
+/// policy, session window and canary, fail-over — and hands
 /// it to `run`. The one place experiment knobs reach a protocol, shared
 /// by the single-group and sharded drivers.
 pub(crate) fn with_protocol<R: ProtocolRun>(
@@ -429,10 +429,8 @@ pub(crate) fn with_protocol<R: ProtocolRun>(
             };
             p.with_session_canary(canary)
         }),
-        ProtocolChoice::MenciusBcast { history_cap } => run.run(name, move |id| {
-            let p = MenciusBcast::new(id, members.clone())
-                .with_checkpoints(checkpoint)
-                .with_history_cap(history_cap);
+        ProtocolChoice::MenciusBcast => run.run(name, move |id| {
+            let p = MenciusBcast::new(id, members.clone()).with_checkpoints(checkpoint);
             let p = match window {
                 Some(w) => p.with_session_window(w),
                 None => p,

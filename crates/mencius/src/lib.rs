@@ -46,4 +46,4 @@ pub mod msg;
 pub mod replica;
 
 pub use msg::MenciusMsg;
-pub use replica::{MenciusBcast, MenciusLogRec, MAX_OWN_HISTORY};
+pub use replica::{MenciusBcast, MenciusLogRec};

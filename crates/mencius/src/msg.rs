@@ -44,7 +44,8 @@ pub enum MenciusMsg {
     /// own-slot proposals in `[from_slot, below)`. After a crash the
     /// sender can no longer tell a skipped slot from a proposal lost in
     /// flight while it was down, so absence must be confirmed by the
-    /// owner before the slot may resolve as a no-op.
+    /// owner before the slot may resolve as a no-op. The owner answers
+    /// from its stable log.
     GapRequest {
         /// First slot of the queried range (owned by the receiver).
         from_slot: u64,
@@ -53,19 +54,25 @@ pub enum MenciusMsg {
         below: u64,
     },
     /// The owner's answer to a [`MenciusMsg::GapRequest`]: every proposal
-    /// it ever made in its own slots within `[from_slot, below)`. Own
-    /// slots in the range absent from `cmds` are permanently empty.
+    /// it ever made in its own slots within `[from_slot, below)`, read
+    /// from its stable log. Own slots in the range absent from `cmds`
+    /// are permanently empty. The range may be narrower than the query:
+    /// the owner's log holds no own proposal below the checkpoint a
+    /// compaction left at its head, and the requester fetches a
+    /// checkpoint for a hole under the echoed start
+    /// ([`MenciusMsg::StateRequest`]).
     GapFill {
-        /// Echo of the queried range start.
+        /// The queried range start, raised to the watermark of the
+        /// checkpoint the owner's compacted log leads with.
         from_slot: u64,
-        /// Echo of the queried range bound.
+        /// The queried range bound, lowered to the owner's next own slot.
         below: u64,
         /// The retransmitted proposals, as `(slot, command)` pairs.
         cmds: Vec<(u64, Command)>,
     },
     /// A replica stalled at a hole whose owner can no longer answer gap
-    /// requests (its retained history was pruned past the hole) asks a
-    /// peer for a checkpoint covering the gap (shared subsystem,
+    /// requests (it compacted its log past the hole) asks a peer for a
+    /// checkpoint covering the gap (shared subsystem,
     /// `rsm_core::checkpoint`). The watermark is the requester's
     /// next-to-resolve slot.
     StateRequest(StateTransferRequest<u64>),

@@ -52,12 +52,13 @@ pub enum MenciusLogRec {
         slot: u64,
     },
     /// A durable record of a [`MenciusMsg::GapFill`] confirmation: the
-    /// owner vouched that every proposal it ever made at own slots in
-    /// `[from_slot, below)` is in our log (the fill's `Accept` records
-    /// precede this one). Persisting the range keeps absence proofs —
-    /// and the cumulative acks built on them — valid across our own
-    /// crashes, since an empty confirmed slot leaves no other trace in
-    /// the log.
+    /// owner vouched, from its own stable log, that every proposal it
+    /// ever made at own slots in `[from_slot, below)` is in our log (the
+    /// fill's `Accept` records precede this one). Persisting the range
+    /// keeps absence proofs — and the cumulative acks built on them —
+    /// valid across our own crashes, since an empty confirmed slot
+    /// leaves no other trace in the log, and the owner may since have
+    /// compacted its own records of the range away.
     GapConfirm {
         /// The confirming owner.
         owner: ReplicaId,
@@ -67,34 +68,13 @@ pub enum MenciusLogRec {
         below: u64,
     },
     /// A state machine checkpoint (shared subsystem,
-    /// `rsm_core::checkpoint`): the snapshot reflects every slot
-    /// **below** the (exclusive) applied watermark. `history_floor`
-    /// persists the own-proposal retention floor, so a recovered replica
-    /// never confirms emptiness of a slot whose proposal a compaction
-    /// dropped from the log.
-    Checkpoint {
-        /// The checkpoint (slot watermark, epoch/config, snapshot).
-        cp: Checkpoint<u64>,
-        /// The own-history retention floor at checkpoint time.
-        history_floor: u64,
-    },
+    /// `rsm_core::checkpoint`) — the slot watermark, epoch/config and
+    /// snapshot: the snapshot reflects every slot **below** the
+    /// (exclusive) applied watermark. A compacted log leads with one,
+    /// and this replica's own proposals below its watermark are no
+    /// longer in the log, so gap fills reach no lower than it.
+    Checkpoint(Checkpoint<u64>),
 }
-
-/// Default cap on retained own proposals for gap retransmission (see
-/// `MenciusBcast::own_history`): beyond this the oldest entries are
-/// dropped and the retention floor advances, so a peer that stayed down
-/// long enough to need them cannot be given a wrong emptiness
-/// confirmation — it fetches a checkpoint from a peer instead
-/// ([`MenciusMsg::StateRequest`]). Override per replica with
-/// [`MenciusBcast::with_history_cap`].
-pub const MAX_OWN_HISTORY: usize = 4096;
-
-/// How long an unanswered [`MenciusMsg::GapRequest`] stays deduplicated
-/// before it may be re-sent. Comfortably above a WAN round trip, so a
-/// request/fill exchange in flight is never duplicated by the owner's
-/// ongoing traffic, while a request lost to the owner's downtime is
-/// retried promptly once traffic gives `try_execute` another pass.
-const GAP_RETRY_US: Micros = 500_000;
 
 /// A Mencius replica with the broadcast-acknowledgement optimization.
 ///
@@ -130,8 +110,9 @@ pub struct MenciusBcast {
     /// always true. Restored per owner once every own slot of theirs
     /// below the first post-recovery receipt is accounted for — held in
     /// the slot table, already resolved, or confirmed absent by a
-    /// `GapFill` — since FIFO receipt bounds everything at and above
-    /// that first receipt (see `resync_floor`).
+    /// `GapFill` the owner answered from its stable log — since FIFO
+    /// receipt bounds everything at and above that first receipt (see
+    /// `resync_floor`).
     recv_synced: Vec<bool>,
     /// First slot received from each owner after a desync: the only
     /// proposals a crash can have cost us sit **below** it (FIFO — the
@@ -144,21 +125,6 @@ pub struct MenciusBcast {
     /// blocked waiting for exactly that ack — execution-gated resync
     /// deadlocks when two replicas desync in overlapping windows.
     resync_floor: Vec<Option<u64>>,
-    /// Own proposals retained for gap retransmission: a peer that was
-    /// down while a proposal was in flight can no longer tell a skipped
-    /// own slot from a lost one and asks the owner ([`MenciusMsg::GapRequest`]).
-    /// Entries are pruned once every replica's cumulative watermark over
-    /// our slots covers them (a crashed peer's watermark freezes, so
-    /// anything it may still ask about stays retained), and capped at
-    /// [`MAX_OWN_HISTORY`] entries so a permanently dead peer cannot
-    /// grow memory without bound.
-    own_history: BTreeMap<u64, Command>,
-    /// Smallest own slot still answerable from `own_history`: advanced by
-    /// watermark pruning and by the [`MAX_OWN_HISTORY`] cap. A `GapFill`
-    /// never confirms emptiness below it — a peer that stayed down long
-    /// enough to need capped-out history stalls instead of being handed
-    /// a wrong "permanently empty" answer (safety over liveness).
-    history_floor: u64,
     /// Ranges `[from, below)` the owner confirmed via
     /// [`MenciusMsg::GapFill`]: we hold every proposal it ever made at
     /// own slots inside them, so absence there proves a skip even while
@@ -166,19 +132,17 @@ pub struct MenciusBcast {
     gap_trust: Vec<Vec<(u64, u64)>>,
     /// Rate limiter: the hole (`from_slot`) last queried per owner and
     /// when; cleared when the fill arrives, and expired after
-    /// [`GAP_RETRY_US`] so a request or fill lost to the owner's
+    /// [`TRANSFER_RETRY_US`] so a request or fill lost to the owner's
     /// downtime is eventually re-sent.
     gap_requested: Vec<Option<(u64, Micros)>>,
-    /// Highest retention floor each owner has echoed in a [`MenciusMsg::GapFill`]:
-    /// the owner's cap has dropped its proposals below this, so gap
-    /// requests starting under it can never be answered and are not
+    /// Highest start each owner has echoed in a [`MenciusMsg::GapFill`]:
+    /// the owner compacted its log past its proposals below this, so
+    /// gap requests starting under it can never be answered and are not
     /// re-sent — the hole resolves through checkpoint transfer instead
     /// ([`MenciusMsg::StateRequest`]).
     gap_unanswerable: Vec<u64>,
     /// Next slot to execute or skip; all smaller slots are resolved.
     exec_cursor: u64,
-    /// Cap on `own_history` (defaults to [`MAX_OWN_HISTORY`]).
-    history_cap: usize,
     /// The shared execution pipeline (`rsm_core::exec`): session dedup
     /// window, checkpoint trigger, state-transfer peer rotation, and the
     /// reads parked on a slot mark — the fold of the per-owner bounds a
@@ -236,13 +200,10 @@ impl MenciusBcast {
             acked_below: vec![vec![0; n as usize]; n as usize],
             recv_synced: vec![true; n as usize],
             resync_floor: vec![None; n as usize],
-            own_history: BTreeMap::new(),
-            history_floor: 0,
             gap_trust: vec![Vec::new(); n as usize],
             gap_requested: vec![None; n as usize],
             gap_unanswerable: vec![0; n as usize],
             exec_cursor: 0,
-            history_cap: MAX_OWN_HISTORY,
             exec: Executor::new(id, CheckpointPolicy::DISABLED, DEFAULT_SESSION_WINDOW),
             last_transfer_req: None,
             read_probes: ReadProbes::new(),
@@ -274,18 +235,6 @@ impl MenciusBcast {
     /// chaos fuzzer proves it can find and shrink.
     pub fn with_session_canary(mut self, on: bool) -> Self {
         self.exec.set_session_canary(on);
-        self
-    }
-
-    /// Overrides the own-proposal retention cap (tests and memory-tight
-    /// deployments; defaults to [`MAX_OWN_HISTORY`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn with_history_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "history cap must be positive");
-        self.history_cap = cap;
         self
     }
 
@@ -346,10 +295,6 @@ impl MenciusBcast {
             });
         }
         for (slot, cmd) in (first..).step_by(self.n as usize).zip(live) {
-            if origin == self.id {
-                self.own_history.insert(slot, cmd.clone());
-                self.cap_own_history();
-            }
             self.slots.insert(slot, (cmd.clone(), origin));
         }
         // The owner will not propose below its next own slot again.
@@ -468,20 +413,6 @@ impl MenciusBcast {
         if self.acked_below[from.index()][owner] < below {
             self.acked_below[from.index()][owner] = below;
         }
-        // Prune retained own proposals every replica has now covered:
-        // nobody can ask about a slot it already acknowledged (an ack
-        // implies the proposal is in the acker's stable log).
-        if owner == self.id.index() {
-            let min_acked = self
-                .membership
-                .config()
-                .iter()
-                .map(|k| self.acked_below[k.index()][owner])
-                .min()
-                .unwrap_or(0);
-            self.own_history = self.own_history.split_off(&min_acked);
-            self.history_floor = self.history_floor.max(min_acked);
-        }
         self.try_execute(ctx);
     }
 
@@ -536,8 +467,8 @@ impl MenciusBcast {
                 ctx.log_append(MenciusLogRec::Skip { slot: c });
                 self.exec_cursor = c + 1;
             } else if c < self.gap_unanswerable[o] {
-                // The owner's retention cap has dropped the range: no
-                // gap fill can ever answer. Only a peer's checkpoint —
+                // The owner compacted its log past the range: no gap
+                // fill can ever answer. Only a peer's checkpoint —
                 // which reflects however the cluster resolved the slot —
                 // can cover the hole (this closes the permanent stall a
                 // long outage used to cause).
@@ -743,9 +674,8 @@ impl MenciusBcast {
     }
 
     /// Writes a checkpoint when one is due and the driver supports
-    /// snapshots; with compaction, rewrites the log to the checkpoint,
-    /// the own proposals still retained for gap retransmission, and the
-    /// unresolved slots above the watermark.
+    /// snapshots; with compaction, rewrites the log to the checkpoint
+    /// and the unresolved slots above its watermark.
     fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
         let config = self.membership.config();
         let due = self
@@ -762,37 +692,23 @@ impl MenciusBcast {
         if self.exec.compacts() {
             self.compact_log(cp, ctx);
         } else {
-            ctx.log_append(MenciusLogRec::Checkpoint {
-                cp,
-                history_floor: self.history_floor,
-            });
+            ctx.log_append(MenciusLogRec::Checkpoint(cp));
         }
     }
 
-    /// Rewrites the stable log to `cp` plus the records still live above
-    /// (or retained below) its watermark: own proposals kept for gap
-    /// retransmission — peers whose crash lost them in flight may still
-    /// ask — and the unresolved slots. The persisted `history_floor`
-    /// keeps emptiness confirmations sound across the truncation.
+    /// Rewrites the stable log to `cp` plus the unresolved slots above
+    /// its watermark. Own proposals below the watermark leave the log
+    /// with the rest: a peer still missing one gets a fill clamped at
+    /// the watermark and fetches a checkpoint for the hole below it
+    /// (see [`Self::on_gap_request`]).
     fn compact_log(&self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
-        let cursor = cp.applied;
-        let mut recs = Vec::with_capacity(1 + self.own_history.len() + self.slots.len());
-        recs.push(MenciusLogRec::Checkpoint {
-            cp,
-            history_floor: self.history_floor,
-        });
-        // Own proposals below the cursor (those at or above it are in
-        // `slots` and re-emitted there).
-        let own = self
-            .own_history
-            .range(..cursor)
-            .map(|(s, c)| (s, c, &self.id));
-        let live = self.slots.iter().map(|(s, (c, o))| (s, c, o));
-        for (&first, cmd, &origin) in own.chain(live) {
+        let mut recs = Vec::with_capacity(1 + self.slots.len());
+        recs.push(MenciusLogRec::Checkpoint(cp));
+        for (&first, (cmd, origin)) in &self.slots {
             recs.push(MenciusLogRec::Accept {
                 first,
                 cmds: Batch::single(cmd.clone()),
-                origin,
+                origin: *origin,
             });
         }
         ctx.log_rewrite(recs);
@@ -858,26 +774,16 @@ impl MenciusBcast {
         self.try_execute(ctx);
     }
 
-    /// Enforces the history cap: drops the oldest retained own proposals
-    /// and advances `history_floor` past them, so emptiness is never
-    /// confirmed for a slot whose command was dropped.
-    fn cap_own_history(&mut self) {
-        while self.own_history.len() > self.history_cap {
-            let (dropped, _) = self.own_history.pop_first().expect("len checked");
-            self.history_floor = self.history_floor.max(dropped + self.n);
-        }
-    }
-
     /// Sends one [`MenciusMsg::GapRequest`] for the unresolved range
     /// `[from_slot, floor[owner])`. An identical request stays
-    /// deduplicated for [`GAP_RETRY_US`] — long enough that the owner's
-    /// ongoing traffic never duplicates an exchange in flight, short
-    /// enough that a request or fill lost to the owner's downtime is
-    /// retried once traffic gives `try_execute` another pass.
+    /// deduplicated for [`TRANSFER_RETRY_US`] — long enough that the
+    /// owner's ongoing traffic never duplicates an exchange in flight,
+    /// short enough that a request or fill lost to the owner's downtime
+    /// is retried once traffic gives `try_execute` another pass.
     fn request_gap_fill(&mut self, from_slot: u64, owner: ReplicaId, ctx: &mut dyn Context<Self>) {
         let o = owner.index();
         if from_slot < self.gap_unanswerable[o] {
-            return; // the owner's retention cap already said it cannot answer
+            return; // the owner already said its log no longer reaches back here
         }
         let below = self.floor[o];
         let now = ctx.clock();
@@ -887,7 +793,7 @@ impl MenciusBcast {
         // wider range can be requested after that fill, or after the
         // retry window expires.
         if let Some((f, sent_at)) = self.gap_requested[o] {
-            if f == from_slot && now.saturating_sub(sent_at) < GAP_RETRY_US {
+            if f == from_slot && now.saturating_sub(sent_at) < TRANSFER_RETRY_US {
                 return; // request for this hole in flight, not yet timed out
             }
         }
@@ -896,10 +802,13 @@ impl MenciusBcast {
         ctx.send(owner, MenciusMsg::GapRequest { from_slot, below });
     }
 
-    /// Owner side of gap retransmission: answer with every retained own
-    /// proposal in the range. Slots the requester already acknowledged
-    /// are never queried (the ack proves they are in its log), so the
-    /// pruned prefix of `own_history` cannot be needed.
+    /// Owner side of gap retransmission: answer with every own proposal
+    /// in the range, read from the stable log. Own proposals are logged
+    /// synchronously, so the log holds every one ever made — except
+    /// those a compaction folded into the checkpoint the log now leads
+    /// with. The answer therefore starts no lower than that checkpoint's
+    /// watermark (0 for an uncompacted log); the echoed `from_slot`
+    /// tells the requester how far back the confirmation reaches.
     fn on_gap_request(
         &mut self,
         from: ReplicaId,
@@ -907,25 +816,35 @@ impl MenciusBcast {
         below: u64,
         ctx: &mut dyn Context<Self>,
     ) {
+        let log = ctx.stable_log();
+        let floor = match log.first() {
+            Some(MenciusLogRec::Checkpoint(cp)) => cp.applied,
+            _ => 0,
+        };
         // The requester's floor for us can never outrun our own promise,
         // but clamp defensively: we must not confirm emptiness of slots
-        // we could still propose in, nor of slots the retention cap
-        // already dropped (the echoed `from_slot` tells the requester
-        // how far back the confirmation actually reaches).
+        // we could still propose in. The clamps can invert the range (a
+        // compaction passed the requested bound, or a malformed
+        // request): the fill is then empty and confirms nothing.
         let below = below.min(self.next_own_slot);
-        let from_slot = from_slot.max(self.history_floor);
-        // The clamps can invert the range (cap advanced past the
-        // requested bound, or a malformed request): answer with an
-        // empty fill — the echoed `from_slot` still tells the requester
-        // how far back we can answer at all.
-        let cmds: Vec<(u64, Command)> = if from_slot < below {
-            self.own_history
-                .range(from_slot..below)
-                .map(|(s, c)| (*s, c.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let from_slot = from_slot.max(floor);
+        let mut cmds = Vec::new();
+        for rec in log {
+            if let MenciusLogRec::Accept {
+                first,
+                cmds: run,
+                origin,
+            } = rec
+            {
+                if *origin == self.id {
+                    let slots = (*first..).step_by(self.n as usize).zip(run);
+                    let wanted = slots.filter(|(s, _)| (from_slot..below).contains(s));
+                    cmds.extend(wanted.map(|(s, c)| (s, c.clone())));
+                }
+            }
+        }
+        // Own runs are logged in slot order, and compaction keeps it.
+        debug_assert!(cmds.windows(2).all(|w| w[0].0 < w[1].0));
         ctx.send(
             from,
             MenciusMsg::GapFill {
@@ -948,9 +867,9 @@ impl MenciusBcast {
     ) {
         let o = from.index();
         self.gap_requested[o] = None;
-        // The echoed start carries the owner's retention floor when it
-        // exceeds what we asked for: ranges below it will never be
-        // answerable, so remember it and stop re-requesting them.
+        // The echoed start carries the owner's log floor when it exceeds
+        // what we asked for: ranges below it will never be answerable,
+        // so remember it and stop re-requesting them.
         self.gap_unanswerable[o] = self.gap_unanswerable[o].max(from_slot);
         for (slot, cmd) in cmds {
             debug_assert_eq!(self.owner_of_slot(slot), from);
@@ -966,11 +885,11 @@ impl MenciusBcast {
         }
         // Absence now proves a skip anywhere in `[from_slot, below)` —
         // and only there: an owner that clamped `from_slot` upward
-        // (retention cap) has not confirmed the slots below it, so a
-        // hole at the cursor stays blocked rather than being skipped
-        // over a possibly dropped command. The confirmation is logged:
+        // (compaction) has not confirmed the slots below it, so a hole
+        // at the cursor stays blocked rather than being skipped over a
+        // possibly compacted command. The confirmation is logged:
         // cumulative acks will lean on it, and they must stay truthful
-        // across our own crashes (the owner prunes history behind them).
+        // across our own crashes (the owner compacts its log behind them).
         let covered = self.gap_trust[o]
             .iter()
             .any(|&(f, b)| f <= from_slot && below <= b);
@@ -1120,19 +1039,16 @@ impl Protocol for MenciusBcast {
         // durable checkpoint and resume resolution at its watermark
         // instead of replaying from slot zero. Falls back to a full
         // replay when the driver cannot install snapshots (sound only
-        // while the log is uncompacted). The persisted history floor
-        // survives the truncation: emptiness below it is never
-        // confirmed, whatever the rebuilt history happens to hold.
+        // while the log is uncompacted).
         let newest = log.iter().rev().find_map(|rec| match rec {
-            MenciusLogRec::Checkpoint { cp, history_floor } => Some((cp, *history_floor)),
+            MenciusLogRec::Checkpoint(cp) => Some(cp),
             _ => None,
         });
         let mut base = 0u64;
-        if let Some((cp, history_floor)) = newest {
+        if let Some(cp) = newest {
             if self.exec.install(cp, ctx) {
                 base = cp.applied;
             }
-            self.history_floor = history_floor;
         }
         self.exec_cursor = base;
         // Rebuild the slot table above the base, then re-execute the
@@ -1147,11 +1063,6 @@ impl Protocol for MenciusBcast {
                 } => {
                     let slots = (*first..).step_by(self.n as usize);
                     for (slot, cmd) in slots.zip(cmds) {
-                        if *origin == self.id {
-                            // Own proposals stay answerable to peers that
-                            // lost them in flight, even below the base.
-                            self.own_history.insert(slot, cmd.clone());
-                        }
                         if slot >= base {
                             self.slots.insert(slot, (cmd.clone(), *origin));
                         }
@@ -1185,10 +1096,6 @@ impl Protocol for MenciusBcast {
                 | MenciusLogRec::Checkpoint { .. } => {}
             }
         }
-        // The log holds every own proposal the compactions have not
-        // folded below the persisted floor, so the rebuilt history is
-        // complete above it; re-apply the retention cap to bound memory.
-        self.cap_own_history();
         while let Some(entry) = resolved.remove(&self.exec_cursor) {
             let c = self.exec_cursor;
             self.exec_cursor += 1;
@@ -1221,6 +1128,7 @@ impl Protocol for MenciusBcast {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use proptest::prelude::*;
     use rsm_core::checkpoint::StateTransferRequest;
     use rsm_core::command::CommandId;
     use rsm_core::id::ClientId;
@@ -1575,7 +1483,7 @@ mod tests {
         // r0 proposed slot 0 (committed by r0+r2) while the Propose to a
         // crashed r1 was lost. On recovery r1 must not resolve slot 0 as
         // a skip off r0's floor — that would fork its committed sequence.
-        // It queries r0, which retransmits from its retained history, and
+        // It queries r0, which retransmits from its log, and
         // r1 commits the same command everyone else executed.
         let mut s = Script::new(vec![
             MenciusBcast::new(r(0), Membership::uniform(3)),
@@ -1600,7 +1508,7 @@ mod tests {
             })
             .expect("recovered replica must query the owner");
         assert_eq!(to, r(0));
-        // The owner answers from its retained own-proposal history.
+        // The owner answers from its own Accept records in its log.
         s[0].sent.clear();
         s.receive(0, r(1), MenciusMsg::GapRequest { from_slot, below });
         let fill = s[0]
@@ -1678,94 +1586,165 @@ mod tests {
         assert_eq!(count_reqs(&s), 2, "timed-out request is retried");
     }
 
-    #[test]
-    fn own_history_is_capped_and_capped_ranges_never_confirm_emptiness() {
-        let mut s = Script::new(vec![
-            MenciusBcast::new(r(0), Membership::uniform(3)),
-            MenciusBcast::new(r(1), Membership::uniform(3)),
-        ]);
-        for seq in 0..(MAX_OWN_HISTORY as u64 + 8) {
-            s.on(0, |owner, ctx| owner.on_client_request(cmd(seq), ctx));
-        }
-        let owner = &s.nodes[0].proto;
-        assert!(owner.own_history.len() <= MAX_OWN_HISTORY);
-        assert!(owner.history_floor > 0, "cap must advance the floor");
-        let (floor, next) = (owner.history_floor, owner.next_own_slot);
-        // A request reaching below the retention floor is answered with
-        // a clamped range…
+    /// The owner's answer to a gap request for `[from_slot, below)` from
+    /// replica 1, as a message ready to deliver.
+    fn gap_fill(s: &mut Script<MenciusBcast>, from_slot: u64, below: u64) -> MenciusMsg {
         s[0].sent.clear();
-        let request = MenciusMsg::GapRequest {
-            from_slot: 0,
-            below: next,
-        };
-        s.receive(0, r(1), request);
-        let fill = s[0]
+        s.receive(0, r(1), MenciusMsg::GapRequest { from_slot, below });
+        let fills: Vec<&MenciusMsg> = s[0]
             .sent
             .iter()
-            .find_map(|(_, msg)| match msg {
-                MenciusMsg::GapFill { .. } => Some(msg.clone()),
+            .filter_map(|(to, msg)| match msg {
+                MenciusMsg::GapFill { .. } if *to == r(1) => Some(msg),
                 _ => None,
             })
-            .expect("owner must still answer");
-        let MenciusMsg::GapFill { from_slot, .. } = &fill else {
-            unreachable!()
-        };
-        assert_eq!(*from_slot, floor);
-        // …and the requester refuses to treat it as proof of emptiness
-        // at its cursor: the capped-out slot 0 may have held a command.
-        s.on(1, |m, ctx| m.on_recover(&[], ctx));
-        ack(&mut s, 1, r(0), 0, next);
-        s.receive(1, r(0), fill);
-        let m = &s.nodes[1].proto;
-        assert!(
-            !m.gap_trust[0].iter().any(|&(f, b)| f == 0 && b > 0),
-            "trust must not reach below the owner's retention floor"
-        );
-        assert_eq!(m.resolved(), 0, "the hole at slot 0 must keep waiting");
-        // Further owner traffic must not restart the request/fill
-        // ping-pong: the range is recorded as unanswerable.
-        let reqs = |s: &Script<MenciusBcast>| {
-            s[1].sent
-                .iter()
-                .filter(|(_, msg)| matches!(msg, MenciusMsg::GapRequest { .. }))
-                .count()
-        };
-        let before = reqs(&s);
-        let promise = MenciusMsg::AcceptAck {
-            up_to_slot: 0,
-            skip_below: next,
-        };
-        s.receive(1, r(0), promise);
-        assert_eq!(reqs(&s), before, "unanswerable range is not re-requested");
+            .collect();
+        assert_eq!(fills.len(), 1, "one fill per request");
+        fills[0].clone()
+    }
+
+    /// One step of [`gap_fills_are_exactly_what_the_owner_proposed`].
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// The owner proposes a batch of this many commands.
+        Propose(usize),
+        /// Peer 1 or 2 proposes a batch of this many commands.
+        PeerPropose(u16, usize),
+        /// A cumulative ack of the owner's slots, the owner's own ack
+        /// included: (acker, up_to_slot, skip_below).
+        Ack(u16, u64, u64),
+        /// The owner crashes and recovers from its log.
+        Restart,
+        /// Replica 1 asks the owner for `[from, below)`.
+        Ask(u64, u64),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (1usize..4).prop_map(Step::Propose),
+            (1u16..3, 1usize..4).prop_map(|(k, n)| Step::PeerPropose(k, n)),
+            (0u16..3, 0u64..22, 0u64..64).prop_map(|(k, i, skip)| Step::Ack(k, 3 * i, skip)),
+            Just(Step::Restart),
+            (0u64..72, 0u64..72).prop_map(|(from, below)| Step::Ask(from, below)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Without compaction the log holds every own proposal, so a fill
+        /// carries exactly what the owner proposed in the range, whatever
+        /// acks and restarts came before, and the own slots it leaves out
+        /// are exactly the ones never proposed.
+        #[test]
+        fn gap_fills_are_exactly_what_the_owner_proposed(
+            steps in proptest::collection::vec(step(), 1..60),
+        ) {
+            let owner = || MenciusBcast::new(r(0), Membership::uniform(3));
+            let mut s = Script::new(vec![owner()]);
+            // Test-side model: own slot -> command seq.
+            let mut proposed = BTreeMap::new();
+            let mut peer_next = [0, 1, 2];
+            let mut seq = 0;
+            for step in steps {
+                match step {
+                    Step::Propose(len) => {
+                        let first = s.nodes[0].proto.next_own_slot;
+                        let cmds: Vec<Command> = (0..len)
+                            .map(|i| {
+                                seq += 1;
+                                proposed.insert(first + 3 * i as u64, seq);
+                                cmd(seq)
+                            })
+                            .collect();
+                        s.on(0, |m, ctx| m.on_client_batch(Batch::new(cmds), ctx));
+                    }
+                    Step::PeerPropose(k, len) => {
+                        let first = peer_next[k as usize];
+                        peer_next[k as usize] += 3 * len as u64;
+                        let cmds: Vec<Command> = (0..len)
+                            .map(|_| {
+                                seq += 1;
+                                cmd(seq)
+                            })
+                            .collect();
+                        s.on(0, |m, ctx| m.on_propose(first, Batch::new(cmds), r(k), ctx));
+                    }
+                    Step::Ack(0, up, _) => {
+                        // The owner's own ack promises its next own slot.
+                        let skip = s.nodes[0].proto.next_own_slot;
+                        ack(&mut s, 0, r(0), up, skip)
+                    }
+                    Step::Ack(k, up, skip) => ack(&mut s, 0, r(k), up, skip),
+                    Step::Restart => s.restart(0, owner()),
+                    Step::Ask(from, below) => {
+                        let next = s.nodes[0].proto.next_own_slot;
+                        let MenciusMsg::GapFill { from_slot, below: upto, cmds } =
+                            gap_fill(&mut s, from, below)
+                        else {
+                            unreachable!()
+                        };
+                        prop_assert_eq!(from_slot, from, "an uncompacted log reaches slot 0");
+                        prop_assert_eq!(upto, below.min(next), "no promise past the next own slot");
+                        let got: Vec<(u64, u64)> =
+                            cmds.iter().map(|(slot, c)| (*slot, c.id.seq)).collect();
+                        let want: Vec<(u64, u64)> = if from < upto {
+                            proposed.range(from..upto).map(|(&slot, &q)| (slot, q)).collect()
+                        } else {
+                            Vec::new()
+                        };
+                        prop_assert_eq!(got, want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn capped_out_hole_fetches_a_checkpoint_instead_of_stalling() {
-        // The ROADMAP's permanent-stall hole: r1 stays down while r0
-        // proposes past its retention cap. On rejoin, r0's clamped
-        // GapFill cannot confirm the early slots — previously a quiet
-        // forever-stall; now the hole resolves via checkpoint transfer.
+    fn compacted_out_hole_fetches_a_checkpoint_instead_of_stalling() {
+        // r1 stays down while r0 proposes, resolves and compacts its log
+        // past r1's holes. On rejoin, r0's fill is clamped at its
+        // checkpoint's watermark and cannot confirm the early slots: the
+        // hole resolves through checkpoint transfer instead of a wrong
+        // "permanently empty" answer or a forever-stall.
         let mut s = Script::new(vec![
-            MenciusBcast::new(r(0), Membership::uniform(3)).with_history_cap(4),
+            MenciusBcast::new(r(0), Membership::uniform(3))
+                .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true)),
             MenciusBcast::new(r(1), Membership::uniform(3)),
         ]);
         for seq in 0..8 {
             s.on(0, |owner, ctx| owner.on_client_request(cmd(seq), ctx));
         }
-        let owner = &s.nodes[0].proto;
-        assert!(owner.history_floor > 0, "cap must have advanced the floor");
         // Majority watermarks + skip promises resolve everything at the
         // owner: its own 8 slots commit, everyone else's skip.
         ack(&mut s, 0, r(1), 21, 22);
         ack(&mut s, 0, r(2), 21, 23);
         ack(&mut s, 0, r(0), 21, 24);
-        let resolved = s.nodes[0].proto.resolved();
-        assert_eq!(resolved, 22, "owner resolved its whole prefix");
+        assert_eq!(
+            s.nodes[0].proto.resolved(),
+            22,
+            "owner resolved its whole prefix"
+        );
+        // Two more own proposals stay unresolved above the watermark.
+        for seq in 8..10 {
+            s.on(0, |owner, ctx| owner.on_client_request(cmd(seq), ctx));
+        }
+        let log = &s.nodes[0].log;
+        assert!(
+            matches!(&log[0], MenciusLogRec::Checkpoint(cp) if cp.applied == 22),
+            "the compacted log leads with the checkpoint"
+        );
+        let own_accepts = log
+            .iter()
+            .filter(|l| matches!(l, MenciusLogRec::Accept { first, .. } if *first < 22))
+            .count();
+        assert_eq!(own_accepts, 0, "compaction dropped the resolved proposals");
 
         // r1 recovers from a long outage with an empty log and hears the
-        // owner's promise; the gap request comes back clamped.
+        // owner's promise; the gap request comes back clamped, carrying
+        // the proposals the log still holds.
         s.on(1, |m, ctx| m.on_recover(&[], ctx));
-        ack(&mut s, 1, r(0), 21, 24);
+        ack(&mut s, 1, r(0), 27, 30);
         let (from_slot, below) = s[1]
             .sent
             .iter()
@@ -1776,30 +1755,59 @@ mod tests {
                 _ => None,
             })
             .expect("hole must first try a gap request");
-        s[0].sent.clear();
-        s.receive(0, r(1), MenciusMsg::GapRequest { from_slot, below });
-        let fill = s[0]
-            .sent
-            .iter()
-            .find_map(|(to, msg)| match (to, msg) {
-                (to, MenciusMsg::GapFill { .. }) if *to == r(1) => Some(msg.clone()),
-                _ => None,
-            })
-            .expect("owner answers with a clamped fill");
+        assert_eq!((from_slot, below), (0, 30));
+        let fill = gap_fill(&mut s, from_slot, below);
+        let MenciusMsg::GapFill {
+            from_slot,
+            below,
+            cmds,
+        } = &fill
+        else {
+            unreachable!()
+        };
+        assert_eq!((*from_slot, *below), (22, 30), "clamped at the watermark");
+        let held: Vec<(u64, u64)> = cmds.iter().map(|(slot, c)| (*slot, c.id.seq)).collect();
+        assert_eq!(held, [(24, 8), (27, 9)], "the log's own proposals above it");
         s.receive(1, r(0), fill);
+        let m = &s.nodes[1].proto;
+        assert!(
+            m.gap_trust[0].iter().all(|&(f, _)| f >= 22),
+            "trust must not reach below the owner's watermark"
+        );
+        assert_eq!(
+            m.resolved(),
+            0,
+            "the hole at slot 0 must not resolve as a skip"
+        );
         // The clamped fill proves retransmission can never cover the
         // hole: a state transfer request must leave for a peer (one per
         // retry round — a snapshot is large, so peers are tried
         // round-robin rather than all at once).
-        let reqs: Vec<ReplicaId> = s[1]
-            .sent
-            .iter()
-            .filter_map(|(to, msg)| match msg {
-                MenciusMsg::StateRequest(_) => Some(*to),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(reqs, vec![r(0)], "one transfer request, first peer");
+        let sent = |s: &Script<MenciusBcast>, gap: bool| {
+            s[1].sent
+                .iter()
+                .filter(|(_, msg)| match msg {
+                    MenciusMsg::GapRequest { .. } => gap,
+                    MenciusMsg::StateRequest(_) => !gap,
+                    _ => false,
+                })
+                .map(|(to, _)| *to)
+                .collect::<Vec<ReplicaId>>()
+        };
+        assert_eq!(sent(&s, false), [r(0)], "one transfer request, first peer");
+        // Further owner traffic must not restart the request/fill
+        // ping-pong: the range is recorded as unanswerable.
+        let before = sent(&s, true).len();
+        let promise = MenciusMsg::AcceptAck {
+            up_to_slot: 27,
+            skip_below: 30,
+        };
+        s.receive(1, r(0), promise);
+        assert_eq!(
+            sent(&s, true).len(),
+            before,
+            "unanswerable range is not re-requested"
+        );
 
         // The owner serves its checkpoint; installing it converges r1 on
         // the owner's exact state and unblocks resolution.
@@ -1839,30 +1847,38 @@ mod tests {
         ack(&mut s, 0, r(0), 15, 18);
         let resolved = s.nodes[0].proto.resolved();
         assert_eq!(resolved, 16, "all six own slots + skips resolved");
-        // Compaction keeps the log at the checkpoint + retained own
-        // proposals — far below the 6 accepts + 16 commit/skip marks a
-        // plain log would hold.
+        // Compaction keeps the log at the checkpoint plus the unresolved
+        // slots — none here — far below the 6 accepts + 16 commit/skip
+        // marks a plain log would hold.
         let log = &s.nodes[0].log;
-        let checkpoints = log
-            .iter()
-            .filter(|l| matches!(l, MenciusLogRec::Checkpoint { .. }))
-            .count();
-        assert_eq!(checkpoints, 1, "log holds exactly the newest checkpoint");
         assert!(
-            log.len() <= 1 + 6,
-            "log must stay bounded, got {} records",
-            log.len()
+            matches!(&log[..], [MenciusLogRec::Checkpoint(cp)] if cp.applied == 16),
+            "log holds exactly the newest checkpoint, got {log:?}"
         );
         // Recovery from the compacted log reproduces the full state.
         let applied = s.applied(0);
         s.restart(0, MenciusBcast::new(r(0), Membership::uniform(3)));
         assert_eq!(s.applied(0), applied);
         let m2 = &s.nodes[0].proto;
-        assert!(m2.resolved() >= 14, "cursor resumes at the watermark");
+        assert_eq!(m2.resolved(), 16, "cursor resumes at the watermark");
         assert!(m2.next_own_slot >= m2.resolved(), "own slots never reused");
-        // Own proposals below the watermark stay answerable after the
-        // round trip (they are retained in the compacted log).
-        assert!(!m2.own_history.is_empty());
+        // Own proposals below the watermark left the log with the
+        // compaction: a fill reaches no lower than the watermark.
+        let fill = gap_fill(&mut s, 0, 18);
+        let MenciusMsg::GapFill {
+            from_slot,
+            below,
+            cmds,
+        } = fill
+        else {
+            unreachable!()
+        };
+        assert_eq!(
+            (from_slot, below),
+            (16, 18),
+            "fill clamped at the watermark"
+        );
+        assert!(cmds.is_empty());
     }
 
     /// Recovery replay feeds the checkpoint trigger like live execution:
@@ -1893,7 +1909,7 @@ mod tests {
             .log
             .iter()
             .filter_map(|l| match l {
-                MenciusLogRec::Checkpoint { cp, .. } => Some(cp.applied),
+                MenciusLogRec::Checkpoint(cp) => Some(cp.applied),
                 _ => None,
             })
             .collect();
@@ -1931,8 +1947,8 @@ mod tests {
     }
 
     /// A checkpoint lands inside a logged run, so on replay the run's
-    /// prefix lies below the restored cursor: it feeds only the own
-    /// history, and the rest rebuilds the slot table.
+    /// prefix lies below the restored cursor: it stays in the log for gap
+    /// fills, and the rest rebuilds the slot table.
     #[test]
     fn replay_of_a_run_straddling_the_checkpoint() {
         let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))
@@ -1944,7 +1960,7 @@ mod tests {
         ack(&mut s, 0, r(2), 3, 5);
         assert_eq!(s.applied(0), vec![1, 2]);
         let base = s.nodes[0].log.iter().rev().find_map(|l| match l {
-            MenciusLogRec::Checkpoint { cp, .. } => Some(cp.applied),
+            MenciusLogRec::Checkpoint(cp) => Some(cp.applied),
             _ => None,
         });
         assert!(
@@ -1957,11 +1973,14 @@ mod tests {
         assert_eq!(s.applied(0), vec![1, 2]);
         let m2 = &s.nodes[0].proto;
         assert_eq!(m2.resolved(), resolved);
-        let own: Vec<u64> = m2.own_history.keys().copied().collect();
-        assert_eq!(own, [0, 3, 6, 9], "the whole run stays answerable");
         let live: Vec<u64> = m2.slots.keys().copied().collect();
         assert_eq!(live, [6, 9], "only the unresolved suffix is pending");
         assert_eq!(m2.next_own_slot, 12, "no slot of the run is reused");
+        let MenciusMsg::GapFill { cmds, .. } = gap_fill(&mut s, 0, 12) else {
+            unreachable!()
+        };
+        let own: Vec<u64> = cmds.iter().map(|(slot, _)| *slot).collect();
+        assert_eq!(own, [0, 3, 6, 9], "the whole run stays answerable");
     }
 
     #[test]

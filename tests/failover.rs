@@ -136,7 +136,7 @@ fn five_replicas_tolerate_two_failures() {
 /// order checker validates its mid-stream history.
 #[test]
 fn checkpointed_recovery_converges() {
-    let rsm_cfg = fd_config().with_checkpoint_every(Some(50));
+    let rsm_cfg = fd_config().with_checkpoint(CheckpointPolicy::every(50));
     let cfg = base_cfg(3)
         .active_sites(vec![0, 1])
         .duration_us(10_000 * MILLIS)

@@ -1,13 +1,14 @@
 //! Long-outage soak: a replica stays down while the cluster commits far
-//! past any retransmission horizon, then recovers. Before checkpoint
-//! transfer existed this was the unsound regime — a recovered Paxos
-//! replica could never refill its committed holes, and a Mencius peer
-//! down past the own-history retention cap stalled forever. With the
-//! shared checkpoint subsystem (periodic snapshots + log compaction +
-//! peer-to-peer transfer, `rsm_core::checkpoint`), every protocol must
-//! bring the replica back to a state machine **byte-identical** to the
-//! never-crashed replicas, while compaction keeps every stable log
-//! bounded regardless of how many commands committed.
+//! past what its compacted logs still hold, then recovers. Before
+//! checkpoint transfer existed this was the unsound regime — a recovered
+//! Paxos replica could never refill its committed holes, and a Mencius
+//! peer whose holes an owner could no longer retransmit stalled forever.
+//! With the shared checkpoint subsystem (periodic snapshots + log
+//! compaction + peer-to-peer transfer, `rsm_core::checkpoint`), every
+//! protocol must bring the replica back to a state machine
+//! **byte-identical** to the never-crashed replicas, while compaction
+//! keeps every stable log bounded regardless of how many commands
+//! committed.
 
 use clock_rsm::ClockRsmConfig;
 use harness::{run_latency, ExperimentConfig, ExperimentResult, ProtocolChoice};
@@ -38,8 +39,8 @@ fn outage_cfg(seed: u64) -> ExperimentConfig {
         .checkpoint(policy())
         // Retries keep the closed loop alive across the outage (and, for
         // Mencius, keep proposals flowing while execution is stalled on
-        // the dead peer's slots — that growth is what pushes the owner
-        // past its retention cap).
+        // the dead peer's slots; with nothing executing, no checkpoint
+        // compacts them out of the owner's log).
         .client_retry_us(500 * MILLIS)
         // Commit histories are gappy by design here (a snapshot install
         // skips per-command records), so run the soak on snapshots and
@@ -105,18 +106,20 @@ fn paxos_recovers_committed_holes_via_checkpoint_transfer() {
 }
 
 #[test]
-fn mencius_peer_down_past_history_retention_rejoins_and_commits() {
+fn mencius_peer_down_past_compaction_rejoins_and_commits() {
     // While the victim is down, cluster execution stalls on its slots,
-    // but client retries keep the site-0 owner proposing: its
-    // own-history cap (shrunk to 24 here) prunes the retransmission
-    // horizon past the victim's holes. On rejoin, gap fills come back
-    // clamped-unanswerable and the victim must fetch a checkpoint —
-    // previously this configuration stalled it forever.
+    // but client retries keep the site-0 owner proposing. On rejoin both
+    // catch-up paths run. The owner has not compacted since the stall,
+    // so its gap fill carries every proposal the victim missed, read
+    // from its log. Replica 2 proposes nothing, but once the victim's
+    // promise lets execution resume it checkpoints and compacts every 32
+    // commands, while the victim confirms replica 2's slots one gap
+    // request at a time. A request reaching below replica 2's newest
+    // checkpoint comes back clamped at its watermark, and the victim
+    // fetches a checkpoint — before checkpoint transfer existed, such a
+    // hole stalled it forever.
     for seed in [21u64, 22, 23] {
-        let r = run_latency(
-            ProtocolChoice::mencius_with_history_cap(24),
-            &outage_cfg(seed),
-        );
+        let r = run_latency(ProtocolChoice::mencius(), &outage_cfg(seed));
         // Mencius commits only outside the outage window (the dead
         // peer's slots gate execution), so expect less total progress.
         assert_recovered(&r, seed, 100);

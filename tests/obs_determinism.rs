@@ -11,7 +11,8 @@
 //! exactly (the same equality the chaos metric oracle grades). Last, a
 //! pinned digest of every protocol's execution under six conditions
 //! holds the simulator itself to the runs it produced when the digest
-//! was pinned, and a second digest does the same for four sharded runs.
+//! was pinned, with a per-run table that names the runs a change moved,
+//! and a second digest does the same for four sharded runs.
 
 use clock_rsm::{ClockRsm, ClockRsmConfig};
 use harness::{
@@ -402,14 +403,13 @@ const CONDITIONS: [&str; 6] = [
 
 /// One small simnet run of `factory`'s protocol under `CONDITIONS[cond]`:
 /// three replicas, retrying clients, observed (so the message counters
-/// exist; observing does not change the run). Folds each replica's
-/// commit-sequence hash, execution count and sent-message count into
-/// `digest`.
+/// exist; observing does not change the run). Returns what the digests
+/// fold, in order: each replica's commit-sequence hash, execution count
+/// and sent-message count.
 fn digest_run<P: Protocol + 'static>(
-    digest: &mut Fnv,
     cond: usize,
     factory: impl FnMut(ReplicaId) -> P + 'static,
-) {
+) -> Vec<u64> {
     let r = ReplicaId::new;
     let lan = CONDITIONS[cond] == "cpu model, batch 64";
     let until = if lan { 300 * MILLIS } else { 1_500 * MILLIS };
@@ -464,51 +464,118 @@ fn digest_run<P: Protocol + 'static>(
     let mut sim = Simulation::new(sim_cfg, factory, || Box::new(KvStore::new()), app);
     sim.run_until(until + 1_000 * MILLIS);
     let metrics = sim.metrics().expect("observed run");
+    let mut values = Vec::new();
     for i in 0..3 {
         assert!(
             sim.commit_count(r(i as u16)) > 0,
             "{}: replica {i} executed nothing",
             CONDITIONS[cond]
         );
-        digest.add(sim.app().commits[i].0);
-        digest.add(sim.commit_count(r(i as u16)));
-        digest.add(metrics.counters[&format!("r{i}.net.msgs_sent")]);
+        values.push(sim.app().commits[i].0);
+        values.push(sim.commit_count(r(i as u16)));
+        values.push(metrics.counters[&format!("r{i}.net.msgs_sent")]);
     }
+    values
 }
 
 /// The digest of every protocol's execution under every condition of
 /// [`digest_run`]; see [`executions_match_the_pinned_digest`].
 const PINNED_DIGEST: u64 = 0xbdb0_f2ab_fadc_45a2;
 
+/// Each of the 24 runs behind [`PINNED_DIGEST`] hashed on its own, in
+/// run order: protocol, condition, digest. Pinned with it, so a moved
+/// execution names the runs it moved.
+const PINNED_RUNS: [(&str, &str, u64); 24] = [
+    ("Clock-RSM", "fault-free", 0x6054_daf8_4d65_0dfc),
+    ("Paxos", "fault-free", 0x284d_c1a8_7a0c_d747),
+    ("Paxos-bcast", "fault-free", 0x2916_4c7a_2e70_7d27),
+    ("Mencius-bcast", "fault-free", 0x0c7a_9fa1_b3cf_d6e3),
+    ("Clock-RSM", "crash and recover", 0x69dc_4390_5660_105b),
+    ("Paxos", "crash and recover", 0xf65a_f709_b2ed_9e6f),
+    ("Paxos-bcast", "crash and recover", 0x7686_db89_16c8_f202),
+    ("Mencius-bcast", "crash and recover", 0xf330_3e9d_3540_9b2e),
+    ("Clock-RSM", "partition and heal", 0x8d87_a675_eee8_5aa3),
+    ("Paxos", "partition and heal", 0xbd06_4a57_613a_3630),
+    ("Paxos-bcast", "partition and heal", 0x2803_d2d8_628d_4f6a),
+    ("Mencius-bcast", "partition and heal", 0x308a_6390_0429_32f0),
+    ("Clock-RSM", "clock jump and freeze", 0x846a_2850_bead_ea5d),
+    ("Paxos", "clock jump and freeze", 0x0078_eceb_84cf_4bdd),
+    (
+        "Paxos-bcast",
+        "clock jump and freeze",
+        0xd985_4f32_44f7_3763,
+    ),
+    (
+        "Mencius-bcast",
+        "clock jump and freeze",
+        0xd859_c1b9_fdac_c1f5,
+    ),
+    ("Clock-RSM", "cpu model, batch 64", 0xc6e1_af51_6fd2_ed3c),
+    ("Paxos", "cpu model, batch 64", 0x725a_ff02_3527_b395),
+    ("Paxos-bcast", "cpu model, batch 64", 0xf12c_9b9f_cc81_9eda),
+    (
+        "Mencius-bcast",
+        "cpu model, batch 64",
+        0xfe8f_f501_bc38_080f,
+    ),
+    ("Clock-RSM", "50% reads", 0xaf6a_260b_ef6b_d386),
+    ("Paxos", "50% reads", 0xc3ac_3fd1_fa01_bb0a),
+    ("Paxos-bcast", "50% reads", 0xd1b0_5fad_6ad8_02c0),
+    ("Mencius-bcast", "50% reads", 0x6f45_82ea_5167_ede7),
+];
+
 /// Every protocol, under six conditions, executes exactly the commands,
 /// at exactly the virtual times and in exactly the order, and sends
 /// exactly the messages it did when this constant was pinned. A change
 /// that only moves code (a driver refactor, a new abstraction) must
 /// leave it alone; that is what this test is for. A change that alters
-/// execution on purpose updates the constant, and says why in
-/// CHANGES.md.
+/// execution on purpose updates the constant and the per-run table, and
+/// says why in CHANGES.md.
 #[test]
 fn executions_match_the_pinned_digest() {
     let lease = LeaseConfig::after(400 * MILLIS);
     let members = Membership::uniform(3);
     let mut digest = Fnv::new();
+    let mut pinned = PINNED_RUNS.iter();
+    let mut moved = Vec::new();
+    let mut fold = |protocol: &str, cond: usize, values: Vec<u64>| {
+        let mut run = Fnv::new();
+        for v in values {
+            digest.add(v);
+            run.add(v);
+        }
+        let &(p, c, want) = pinned.next().expect("a pinned digest per run");
+        assert_eq!((p, c), (protocol, CONDITIONS[cond]), "run order");
+        if run.0 != want {
+            moved.push(format!("{protocol} / {c}: got {:#018x}", run.0));
+        }
+    };
     for cond in 0..CONDITIONS.len() {
         let m = members.clone();
-        digest_run(&mut digest, cond, move |id| {
+        let values = digest_run(cond, move |id| {
             let cfg = ClockRsmConfig::default().with_failure_detection(Some(400 * MILLIS));
             ClockRsm::new(id, m.clone(), cfg)
         });
-        for variant in [PaxosVariant::Plain, PaxosVariant::Bcast] {
+        fold("Clock-RSM", cond, values);
+        for (name, variant) in [
+            ("Paxos", PaxosVariant::Plain),
+            ("Paxos-bcast", PaxosVariant::Bcast),
+        ] {
             let m = members.clone();
-            digest_run(&mut digest, cond, move |id| {
+            let values = digest_run(cond, move |id| {
                 MultiPaxos::new(id, m.clone(), ReplicaId::new(1), variant).with_failover(lease)
             });
+            fold(name, cond, values);
         }
         let m = members.clone();
-        digest_run(&mut digest, cond, move |id| {
-            MenciusBcast::new(id, m.clone())
-        });
+        let values = digest_run(cond, move |id| MenciusBcast::new(id, m.clone()));
+        fold("Mencius-bcast", cond, values);
     }
+    assert!(
+        moved.is_empty(),
+        "executions changed:\n{}",
+        moved.join("\n")
+    );
     assert_eq!(
         digest.0, PINNED_DIGEST,
         "execution changed: got {:#018x}",
