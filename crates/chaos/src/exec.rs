@@ -217,11 +217,7 @@ pub fn evaluate(s: &Schedule, r: &ExperimentResult) -> Option<Failure> {
             ),
         });
     }
-    // Clock-RSM is exempt: with failure detection on (which [`run`]
-    // always configures, so crashes are survivable) it keeps the full
-    // prepared-command history for reconfiguration and skips compaction
-    // by design — see `ClockRsm::keeps_history`.
-    if s.knobs.checkpoint_every > 0 && s.protocol != ProtocolKind::ClockRsm {
+    if s.knobs.checkpoint_every > 0 {
         if let Some((i, &len)) = r
             .log_lens
             .iter()

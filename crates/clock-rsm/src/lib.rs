@@ -73,12 +73,13 @@
 //! consensus instance (single-decree Paxos from the `paxos` crate) on the
 //! `(config, timestamp, commands)` triple, and every replica applies the
 //! decision — fetching missed commands via state transfer if it lags —
-//! before resuming in the next epoch.
+//! before resuming in the next epoch. Every answer is read from the
+//! stable log, the replica's only record of what it prepared.
 //!
 //! In-flight commands that did not reach the decision are dropped by the
-//! epoch change (their clients retry, as in any at-most-once RSM without
-//! client session tables); commands that reached any majority member are
-//! preserved by the overlapping-majority argument of the paper's Claim 3.
+//! epoch change (their clients retry); commands that reached any majority
+//! member are preserved by the overlapping-majority argument of the
+//! paper's Claim 3.
 //!
 //! ## Example
 //!

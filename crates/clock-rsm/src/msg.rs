@@ -3,6 +3,7 @@
 use bytes::BytesMut;
 use paxos::synod::SynodMsg;
 use rsm_core::batch::Batch;
+use rsm_core::checkpoint::StateTransferReply;
 use rsm_core::command::Command;
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
@@ -212,6 +213,10 @@ pub enum RsmMsg {
         /// read it has parked.
         ts: Timestamp,
     },
+    /// A snapshot answering a [`Suspend`](RsmMsg::Suspend) or
+    /// [`RetrieveCmds`](RsmMsg::RetrieveCmds) that asks from below the
+    /// sender's compacted log. Wire tag 11, appended like `ClockProbe`.
+    StateReply(StateTransferReply<Timestamp>),
 }
 
 impl WireSize for RsmMsg {
@@ -237,6 +242,7 @@ impl WireSize for RsmMsg {
                         .map(|(_, d)| 8 + d.wire_size())
                         .sum::<usize>()
             }
+            RsmMsg::StateReply(reply) => reply.wire_size(),
         }
     }
 }
@@ -314,6 +320,10 @@ impl WireEncode for RsmMsg {
                 epoch.encode(buf);
                 ts.encode(buf);
             }
+            RsmMsg::StateReply(reply) => {
+                11u8.encode(buf);
+                reply.encode(buf);
+            }
         }
     }
 }
@@ -367,6 +377,7 @@ impl WireDecode for RsmMsg {
                 epoch: Epoch::decode(r)?,
                 ts: Timestamp::decode(r)?,
             },
+            11 => RsmMsg::StateReply(StateTransferReply::<Timestamp>::decode(r)?),
             tag => return Err(WireError::BadTag { ty: "RsmMsg", tag }),
         })
     }

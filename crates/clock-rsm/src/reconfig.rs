@@ -6,8 +6,8 @@
 //!
 //! 1. A reconfigurer broadcasts `SUSPEND(e, cts)` where `e` is the next
 //!    epoch and `cts` its last commit mark. Receivers freeze their logs
-//!    (stop processing `REQUEST`/`PREPARE`) and return every logged
-//!    command with a timestamp greater than `cts`.
+//!    (stop processing `REQUEST`/`PREPARE`) and return every command
+//!    their stable log holds with a timestamp greater than `cts`.
 //! 2. With a majority of `SUSPENDOK`s collected, the reconfigurer proposes
 //!    `(config_new, cts, ∪cmds)` in the `e`-th consensus instance — a
 //!    single-decree Paxos from the `paxos` crate. Any command that could
@@ -17,24 +17,31 @@
 //! 3. On `DECIDE`, every replica applies the decision: replicas whose last
 //!    commit mark is below the decided timestamp first fetch the missing
 //!    commands from a majority (`STATETRANSFER`); un-executed `PREPARE`
-//!    records beyond the decided timestamp are dropped from the log; the
-//!    decided commands are executed in timestamp order; finally the new
-//!    epoch and configuration are installed and normal processing resumes.
+//!    records beyond the decided timestamp are dropped from the log (the
+//!    `Epoch` record's floor); the decided commands are executed in
+//!    timestamp order; finally the new epoch and configuration are
+//!    installed and normal processing resumes.
+//!
+//! A responder whose log was compacted past the point a `SUSPEND` or a
+//! fetch asks from answers with a snapshot (`StateReply`); the requester
+//! installs the checkpoint and asks again from its new commit point.
 //!
 //! Replicas that missed decisions (crashed or partitioned) catch up via
 //! `DecisionRequest`/`DecisionCatchup` and apply decisions strictly in
 //! epoch order.
 
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
 use paxos::synod::{SynodInstance, SynodMsg};
 use rsm_core::batch::Batch;
+use rsm_core::checkpoint::Checkpoint;
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
 use rsm_core::protocol::Context;
 use rsm_core::time::Timestamp;
 
-use crate::log::LogRec;
+use crate::log::{logged_in, LogRec, Logged};
 use crate::msg::{Decision, LoggedCmd, RsmMsg};
 use crate::replica::{order_key, ClockRsm, TOKEN_RECONFIG_RETRY, TOKEN_SYNOD_RETRY};
 
@@ -62,13 +69,9 @@ pub(crate) enum Phase {
         /// The epoch being decided.
         target_epoch: Epoch,
     },
-    /// Applying a decision but lagging: fetching missed commands from a
-    /// majority (lines 25–28).
+    /// Applying the next epoch's decision but lagging: fetching missed
+    /// commands from a majority (lines 25–28).
     FetchingState {
-        /// The epoch whose decision is being applied.
-        epoch: Epoch,
-        /// The decision awaiting application.
-        decision: Decision,
         /// Commands fetched so far.
         fetched: BTreeMap<Timestamp, LoggedCmd>,
         /// Replicas that have answered.
@@ -187,8 +190,10 @@ impl ClockRsm {
             return;
         }
         self.freeze(ctx);
-        let cmds = self.history.after(cts).collect();
-        ctx.send(from, RsmMsg::SuspendOk { epoch, cmds });
+        self.answer_from_log(from, cts, Unbounded, ctx, |logged| {
+            let cmds = logged.into_values().collect();
+            RsmMsg::SuspendOk { epoch, cmds }
+        });
     }
 
     pub(crate) fn handle_suspend_ok(
@@ -329,8 +334,6 @@ impl ClockRsm {
             self.reconfig.phase = Phase::FetchingState {
                 from_ts: cts_local,
                 to_ts: decision.cts,
-                epoch: e,
-                decision,
                 fetched: BTreeMap::new(),
                 responders: HashSet::new(),
             };
@@ -341,8 +344,9 @@ impl ClockRsm {
         true
     }
 
-    /// Lines 15–24: prune the log, execute the decided commands in
-    /// timestamp order, install the new epoch/configuration, and resume.
+    /// Lines 15–24: execute the decided commands in timestamp order,
+    /// install the new epoch/configuration (with line 15's floor), and
+    /// resume.
     fn finish_apply(
         &mut self,
         e: Epoch,
@@ -354,12 +358,11 @@ impl ClockRsm {
         let mut to_apply = fetched;
         to_apply.extend(decision.cmds.iter().map(|lc| (lc.ts, lc.clone())));
 
-        // Line 15: drop un-executed PREPAREs beyond the decided timestamp
-        // that did not make it into the decision — they can never have
-        // committed anywhere. (This may split a logged run.)
+        // Line 15: un-executed PREPAREs beyond the decided timestamp that
+        // did not make it into the decision can never have committed
+        // anywhere. The `Epoch` record's floor drops them from the log
+        // (this may split a logged run).
         let floor = decision.cts.max(self.last_committed);
-        self.history
-            .retain(|ts| ts <= floor || to_apply.contains_key(&ts));
 
         // Lines 16–20: execute everything not yet executed, in ts order.
         let old_epoch = self.epoch();
@@ -367,14 +370,10 @@ impl ClockRsm {
             if ts <= self.last_committed {
                 continue; // already executed locally
             }
-            let cmds = Batch::single(lc.cmd.clone());
-            if self.keeps_history() {
-                self.history.add(ts, &cmds);
-            }
             ctx.log_append(LogRec::PrepareBatch {
                 head: ts,
                 origin: lc.origin,
-                cmds,
+                cmds: Batch::single(lc.cmd.clone()),
             });
             ctx.log_append(LogRec::Commit { ts });
             self.last_committed = ts;
@@ -388,6 +387,7 @@ impl ClockRsm {
         ctx.log_append(LogRec::Epoch {
             epoch: e,
             config: decision.config.clone(),
+            floor,
         });
         self.reconfig.forget_instances_up_to(e);
         for tv in &mut self.latest_tv {
@@ -470,19 +470,13 @@ impl ClockRsm {
         to_ts: Timestamp,
         ctx: &mut dyn Context<Self>,
     ) {
-        let cmds = self
-            .history
-            .after(from_ts)
-            .take_while(|lc| lc.ts <= to_ts)
-            .collect();
-        ctx.send(
-            from,
+        self.answer_from_log(from, from_ts, Included(to_ts), ctx, |logged| {
             RsmMsg::RetrieveReply {
                 from_ts,
                 to_ts,
-                cmds,
-            },
-        );
+                cmds: logged.into_values().collect(),
+            }
+        });
     }
 
     pub(crate) fn handle_retrieve_reply(
@@ -515,17 +509,79 @@ impl ClockRsm {
         if !ready {
             return;
         }
-        let Phase::FetchingState {
-            epoch,
-            decision,
-            fetched,
-            ..
-        } = std::mem::replace(&mut self.reconfig.phase, Phase::Idle)
+        let Phase::FetchingState { fetched, .. } =
+            std::mem::replace(&mut self.reconfig.phase, Phase::Idle)
         else {
             unreachable!("checked above");
         };
-        self.finish_apply(epoch, decision, fetched, ctx);
+        let e = self.epoch().next();
+        let decision = self.reconfig.decisions[&e].clone();
+        self.finish_apply(e, decision, fetched, ctx);
         self.apply_ready_decisions(ctx);
+    }
+
+    /// Responder side of SUSPEND and RETRIEVECMDS: answers `to` with
+    /// `reply` over the commands this replica logged above `after`, up to
+    /// `upto`, read from its stable log — unless a compaction folded some
+    /// of them into the checkpoint the log starts with. Then a snapshot of
+    /// our commit point goes instead.
+    fn answer_from_log(
+        &self,
+        to: ReplicaId,
+        after: Timestamp,
+        upto: Bound<Timestamp>,
+        ctx: &mut dyn Context<Self>,
+        reply: impl FnOnce(Logged) -> RsmMsg,
+    ) {
+        let log = ctx.stable_log();
+        let msg = match log.first() {
+            Some(LogRec::Checkpoint(cp)) if cp.applied > after => {
+                let (at, cfg) = (self.last_committed, self.membership.config());
+                let served = self.exec.serve_transfer(after, at, self.epoch(), cfg, ctx);
+                let Some(snapshot) = served else { return };
+                RsmMsg::StateReply(snapshot)
+            }
+            _ => reply(logged_in(log, (Excluded(after), upto))),
+        };
+        ctx.send(to, msg);
+    }
+
+    /// Requester side of a snapshot answer (Section V-B state transfer,
+    /// through the shared executor): install it, rewrite the log around
+    /// it, and ask again from the new commit point. The replica stays
+    /// frozen until a decision applies and clears the pending commands
+    /// the snapshot covers. A checkpoint of a later epoch installs that
+    /// epoch as an empty decision would: every decision up to it is
+    /// inside the snapshot.
+    pub(crate) fn handle_state_reply(
+        &mut self,
+        cp: Checkpoint<Timestamp>,
+        ctx: &mut dyn Context<Self>,
+    ) {
+        let waiting = !matches!(
+            self.reconfig.phase,
+            Phase::Idle | Phase::AwaitingDecision { .. }
+        );
+        if !waiting || cp.applied <= self.last_committed || !self.exec.install(&cp, ctx) {
+            return; // stale, or the driver cannot install snapshots
+        }
+        self.freeze(ctx);
+        self.last_committed = cp.applied;
+        let (epoch, config, cts) = (cp.epoch, cp.config.clone(), cp.applied);
+        self.rewrite_log(cp, ctx);
+        if epoch > self.epoch() {
+            self.reconfig.rejoin_proposal = None;
+            let decision = Decision {
+                config,
+                cts,
+                cmds: Vec::new(),
+            };
+            self.finish_apply(epoch, decision, BTreeMap::new(), ctx);
+        }
+        match std::mem::replace(&mut self.reconfig.phase, Phase::Idle) {
+            Phase::Collecting { new_config, .. } => self.trigger_reconfigure(new_config, ctx),
+            _ => self.apply_ready_decisions(ctx),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -592,10 +648,8 @@ impl ClockRsm {
                 let (from_ts, to_ts) = (*from_ts, *to_ts);
                 (responders, RsmMsg::RetrieveCmds { from_ts, to_ts })
             }
-            Phase::AwaitingDecision { .. } => {
-                // The synod retry timer drives this phase.
-                return;
-            }
+            // The synod retry timer drives this phase.
+            Phase::AwaitingDecision { .. } => return,
             Phase::Idle => {
                 if self.needs_rejoin {
                     self.start_rejoin(ctx);
@@ -648,6 +702,26 @@ mod tests {
         }
     }
 
+    /// Appends a run headed at `head` to node `i`'s stable log, as a
+    /// received PREPAREBATCH would.
+    fn log_run(s: &mut Script<ClockRsm>, i: usize, head: Timestamp, cmds: Vec<Command>) {
+        s.nodes[i].log.push(LogRec::PrepareBatch {
+            head,
+            origin: head.replica(),
+            cmds: Batch::new(cmds),
+        });
+    }
+
+    /// The SUSPENDOK replies node `i` sent, in order.
+    fn suspend_oks(s: &Script<ClockRsm>, i: usize) -> Vec<Vec<LoggedCmd>> {
+        let sent = s[i].sent.iter();
+        sent.filter_map(|(_, m)| match m {
+            RsmMsg::SuspendOk { cmds, .. } => Some(cmds.clone()),
+            _ => None,
+        })
+        .collect()
+    }
+
     #[test]
     fn trigger_broadcasts_suspend_to_spec() {
         let mut s = Script::new(vec![replica(0)]);
@@ -675,15 +749,9 @@ mod tests {
     fn suspend_freezes_and_returns_log_tail() {
         let mut s = Script::new(vec![replica(1)]);
         s[0].clock = 1_000;
-        // Seed the history with two prepares.
-        s.nodes[0]
-            .proto
-            .history
-            .add(Timestamp::new(100, r(0)), &Batch::single(cmd(1)));
-        s.nodes[0]
-            .proto
-            .history
-            .add(Timestamp::new(200, r(0)), &Batch::single(cmd(2)));
+        // Seed the log with two prepares.
+        log_run(&mut s, 0, Timestamp::new(100, r(0)), vec![cmd(1)]);
+        log_run(&mut s, 0, Timestamp::new(200, r(0)), vec![cmd(2)]);
         s.on(0, |p, ctx| {
             p.handle_suspend(r(0), Epoch(1), Timestamp::new(100, r(0)), ctx)
         });
@@ -740,8 +808,7 @@ mod tests {
 
         // r1 has logged a command that r0 (the reconfigurer) hasn't seen.
         let orphan = lc(500, 1, 42);
-        let history = &mut s.nodes[1].proto.history;
-        history.add(orphan.ts, &Batch::single(orphan.cmd.clone()));
+        log_run(&mut s, 1, orphan.ts, vec![orphan.cmd]);
 
         // r0 suspects r2 and starts removing it.
         s.on(0, |p, ctx| p.trigger_reconfigure(vec![r(0), r(1)], ctx));
@@ -853,10 +920,7 @@ mod tests {
         let mut s = Script::new(vec![replica(0)]);
         s[0].clock = 1_000;
         for (m, seq) in [(100u64, 1u64), (200, 2), (300, 3)] {
-            s.nodes[0]
-                .proto
-                .history
-                .add(Timestamp::new(m, r(0)), &Batch::single(cmd(seq)));
+            log_run(&mut s, 0, Timestamp::new(m, r(0)), vec![cmd(seq)]);
         }
         s.on(0, |p, ctx| {
             p.handle_retrieve(
@@ -878,11 +942,13 @@ mod tests {
 
     /// Runs from three origins overlapping in micros, queried at every
     /// bound — inside runs, at their ends, at every replica lane — answer
-    /// SUSPENDOK and RETRIEVECMDS with exactly the list the per-command
-    /// index they replaced would give, before and after a prune splits
-    /// runs.
+    /// SUSPENDOK and RETRIEVECMDS from the log with exactly the list a
+    /// per-command index would give, before and after an `Epoch` record
+    /// drops (line 15) every uncommitted command above its floor,
+    /// splitting runs; a decided command re-logged inside a held run
+    /// counts once.
     #[test]
-    fn run_history_answers_like_a_per_command_index() {
+    fn log_reader_answers_like_a_per_command_index() {
         use std::ops::Bound::{Excluded, Included};
         let mut s = Script::new(vec![replica(0)]);
         s[0].clock = 1_000;
@@ -914,10 +980,7 @@ mod tests {
                     },
                 );
             }
-            s.nodes[0]
-                .proto
-                .history
-                .add(Timestamp::new(head, r(o)), &Batch::new(cmds));
+            log_run(&mut s, 0, Timestamp::new(head, r(o)), cmds);
         }
         let top = Timestamp::new(u64::MAX, r(2));
         let bounds: Vec<Timestamp> = (95..=210)
@@ -951,10 +1014,69 @@ mod tests {
             }
         };
         check(&mut s, &reference);
-        let keep = |ts: Timestamp| ts.micros() % 4 != 1 || ts.replica() == r(2);
-        s.nodes[0].proto.history.retain(keep);
-        reference.retain(|&ts, _| keep(ts));
+        // A decision with floor 120 keeps every third command above it:
+        // the decided ones, re-logged and committed in timestamp order.
+        let floor = Timestamp::new(120, r(0));
+        let decided: Vec<LoggedCmd> = reference
+            .range((Excluded(floor), Included(top)))
+            .map(|(_, lc)| lc.clone())
+            .step_by(3)
+            .collect();
+        for lc in &decided {
+            log_run(&mut s, 0, lc.ts, vec![lc.cmd.clone()]);
+            s.nodes[0].log.push(LogRec::Commit { ts: lc.ts });
+        }
+        s.nodes[0].log.push(LogRec::Epoch {
+            epoch: Epoch(1),
+            config: vec![r(0), r(1), r(2)],
+            floor,
+        });
+        reference.retain(|ts, _| *ts <= floor || decided.iter().any(|lc| lc.ts == *ts));
         check(&mut s, &reference);
+    }
+
+    /// Algorithm 3's line 15 survives a crash: a decision drops an
+    /// uncommitted run at r1, r1 crashes and recovers, and a second
+    /// reconfiguration collected from below that run must not get it
+    /// back — a replica that already executed past it would skip it
+    /// while a lagging one executed it.
+    #[test]
+    fn a_run_dropped_by_a_decision_stays_dropped_across_a_crash() {
+        let mut s = Script::new(vec![replica(1)]);
+        s[0].clock = 1_000;
+        let dead = Timestamp::new(2_000, r(2));
+        s.receive(
+            0,
+            r(2),
+            RsmMsg::PrepareBatch {
+                epoch: Epoch::ZERO,
+                ts: dead,
+                origin: r(2),
+                cmds: Batch::new((1..=3).map(cmd).collect()),
+            },
+        );
+        // Epoch 1 decides one command at 500 and not r2's run.
+        let d = Decision {
+            config: vec![r(0), r(1), r(2)],
+            cts: Timestamp::ZERO,
+            cmds: vec![lc(500, 0, 9)],
+        };
+        s.nodes[0].proto.reconfig.decisions.insert(Epoch(1), d);
+        s.on(0, |p, ctx| p.apply_ready_decisions(ctx));
+        assert_eq!(s.nodes[0].proto.epoch(), Epoch(1));
+
+        s.restart(0, replica(1));
+        assert_eq!(s.nodes[0].proto.epoch(), Epoch(1));
+        s[0].sent.clear();
+        let cts = Timestamp::new(100, r(0));
+        s.on(0, |p, ctx| p.handle_suspend(r(0), Epoch(2), cts, ctx));
+        let oks = suspend_oks(&s, 0);
+        assert_eq!(oks.len(), 1);
+        let got: Vec<(u64, u16)> = oks[0]
+            .iter()
+            .map(|lc| (lc.ts.micros(), lc.ts.replica().as_u16()))
+            .collect();
+        assert_eq!(got, [(500, 0)], "the dropped run came back");
     }
 
     /// Reconfiguration logs a fetched command below a run of the same
@@ -1011,6 +1133,6 @@ mod tests {
         assert_eq!(order(&s), live, "each command executes once");
         let q = &s.nodes[0].proto;
         assert_eq!(q.committed_count(), committed);
-        assert_eq!(q.history.after(Timestamp::ZERO).count(), 4);
+        assert_eq!(logged_in(&s.nodes[0].log, ..).len(), 4);
     }
 }

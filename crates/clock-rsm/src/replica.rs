@@ -3,6 +3,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use rsm_core::batch::Batch;
+use rsm_core::checkpoint::Checkpoint;
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
 use rsm_core::exec::Executor;
@@ -13,10 +14,10 @@ use rsm_core::read::{ReadPath, MAX_INFLIGHT_PROBES};
 use rsm_core::time::{Micros, Timestamp};
 
 use crate::config::ClockRsmConfig;
-use crate::log::LogRec;
+use crate::log::{logged_in, LogRec};
 use crate::msg::RsmMsg;
 use crate::reconfig::ReconfigEngine;
-use crate::run::{at, stamped, History, Run};
+use crate::run::{at, stamped, Run};
 
 /// Timer token: periodic CLOCKTIME broadcast check (Algorithm 2).
 pub(crate) const TOKEN_CLOCKTIME: TimerToken = TimerToken(1);
@@ -117,14 +118,6 @@ pub struct ClockRsm {
     pub(crate) reconfig: ReconfigEngine,
     /// Set by recovery: rejoin via reconfiguration before serving.
     pub(crate) needs_rejoin: bool,
-    /// The runs of the stable log, per origin, serving `SUSPENDOK`
-    /// collection and `RETRIEVECMDS` state transfer. The same runs as
-    /// `pending`, kept after they commit: the per-origin FIFO argument
-    /// orders each lane, and reconfiguration adds the fetched commands
-    /// below it as one-command runs. Maintained only when failure
-    /// handling is enabled; a production system would bound it with
-    /// checkpointing (Section V-B).
-    pub(crate) history: History,
 
     // ------ failure detector ------
     /// Local-clock time we last heard from each replica.
@@ -201,7 +194,6 @@ impl ClockRsm {
             queued_msgs: VecDeque::new(),
             reconfig: ReconfigEngine::new(id, membership.spec().to_vec()),
             needs_rejoin: false,
-            history: History::new(n),
             last_heard: vec![0; n],
             exec: Executor::new(id, cfg.checkpoint, cfg.session_window),
             queued_reads: VecDeque::new(),
@@ -220,12 +212,6 @@ impl ClockRsm {
     pub fn with_session_canary(mut self, on: bool) -> Self {
         self.exec.set_session_canary(on);
         self
-    }
-
-    /// Whether the replica maintains the prepared-command history index
-    /// (required by reconfiguration; enabled with failure detection).
-    pub(crate) fn keeps_history(&self) -> bool {
-        self.cfg.fd_timeout_us.is_some()
     }
 
     /// The current epoch.
@@ -318,8 +304,8 @@ impl ClockRsm {
     /// Lines 4–10, generalized: log the batch as one run, then
     /// acknowledge it with one cumulative PREPAREOK carrying a clock
     /// reading greater than its last timestamp (waiting out clock skew
-    /// if necessary). The log record, the history and the pending lane
-    /// share the received batch's storage: no command is cloned.
+    /// if necessary). The log record and the pending lane share the
+    /// received batch's storage: no command is cloned.
     fn handle_prepare_batch(
         &mut self,
         head: Timestamp,
@@ -334,9 +320,6 @@ impl ClockRsm {
             origin,
             cmds: cmds.clone(),
         });
-        if self.keeps_history() {
-            self.history.add(head, &cmds);
-        }
         let o = origin.index();
         let fifo = self.pending[o]
             .back()
@@ -782,13 +765,8 @@ impl ClockRsm {
     }
 
     /// Writes a checkpoint record when the policy says one is due and the
-    /// driver supports state machine snapshots. With compaction enabled
-    /// (and the prepared-command history index not required — see
-    /// [`ClockRsmConfig::checkpoint`]), the stable log is rewritten to the
-    /// checkpoint plus the records still live above its watermark — the
-    /// pending runs, whole: commit marks at or below the checkpoint are
-    /// skipped on replay, so a run's committed prefix is inert there. The
-    /// epoch and configuration travel inside the checkpoint itself.
+    /// driver supports state machine snapshots; with compaction enabled
+    /// the stable log is rewritten around it ([`Self::rewrite_log`]).
     pub(crate) fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
         let Some(cp) = self.exec.checkpoint_if_due(
             self.last_committed,
@@ -798,19 +776,29 @@ impl ClockRsm {
         ) else {
             return;
         };
-        if self.exec.compacts() && !self.keeps_history() {
-            let mut recs = vec![LogRec::Checkpoint(cp)];
-            for Run { head, cmds, .. } in self.pending.iter().flatten() {
-                recs.push(LogRec::PrepareBatch {
-                    head: *head,
-                    origin: head.replica(),
-                    cmds: cmds.clone(),
-                });
-            }
-            ctx.log_rewrite(recs);
+        if self.exec.compacts() {
+            self.rewrite_log(cp, ctx);
         } else {
             ctx.log_append(LogRec::Checkpoint(cp));
         }
+    }
+
+    /// Rewrites the stable log to `cp` plus the records still live above
+    /// its watermark — the pending runs, whole: commit marks at or below
+    /// the checkpoint are skipped on replay, so a run's committed prefix
+    /// is inert there. Any other command logged above the watermark was
+    /// dropped by line 15, and the epoch and configuration travel inside
+    /// the checkpoint.
+    pub(crate) fn rewrite_log(&self, cp: Checkpoint<Timestamp>, ctx: &mut dyn Context<Self>) {
+        let mut recs = vec![LogRec::Checkpoint(cp)];
+        for Run { head, cmds, .. } in self.pending.iter().flatten() {
+            recs.push(LogRec::PrepareBatch {
+                head: *head,
+                origin: head.replica(),
+                cmds: cmds.clone(),
+            });
+        }
+        ctx.log_rewrite(recs);
     }
 
     // ------------------------------------------------------------------
@@ -990,6 +978,7 @@ impl Protocol for ClockRsm {
             } => self.handle_retrieve_reply(from, from_ts, to_ts, cmds, ctx),
             RsmMsg::DecisionRequest { have_epoch } => self.send_catchup(from, have_epoch, ctx),
             RsmMsg::DecisionCatchup { decisions } => self.handle_decision_catchup(decisions, ctx),
+            RsmMsg::StateReply(reply) => self.handle_state_reply(reply.checkpoint, ctx),
         }
     }
 
@@ -1047,17 +1036,16 @@ impl Protocol for ClockRsm {
                 self.reconfig.forget_instances_up_to(cp.epoch);
             }
         }
-        // Section V-B: scan the log, indexing the PREPAREBATCH runs and
-        // executing each command as its COMMIT mark is encountered —
-        // commit marks are in timestamp order, so execution replays
-        // exactly. A mark finds its run by lookup, not by lane order:
-        // reconfiguration logs fetched commands below runs already logged.
-        let mut prepared = History::new(self.membership.spec().len());
+        // Section V-B: scan the log, executing each command as its COMMIT
+        // mark is encountered — commit marks are in timestamp order, so
+        // execution replays exactly. A mark finds its command in the
+        // log's index, not by lane order: reconfiguration logs fetched
+        // commands below runs already logged.
+        let prepared = logged_in(log, self.last_committed..);
         let mut max_ts = Timestamp::ZERO;
         for rec in log {
             match rec {
                 LogRec::PrepareBatch { head, cmds, .. } => {
-                    prepared.add(*head, cmds);
                     max_ts = max_ts.max(at(*head, cmds.len() - 1));
                 }
                 LogRec::Commit { ts } => {
@@ -1065,7 +1053,7 @@ impl Protocol for ClockRsm {
                     if *ts <= self.last_committed {
                         continue;
                     }
-                    if let Some(cmd) = prepared.get(*ts) {
+                    if let Some(lc) = prepared.get(ts) {
                         self.last_committed = *ts;
                         self.committed_count += 1;
                         // Replay through the same path as live execution
@@ -1073,10 +1061,10 @@ impl Protocol for ClockRsm {
                         // trigger match what the replica held before the
                         // crash.
                         let hint = order_key(self.membership.epoch(), *ts);
-                        self.exec.execute(cmd.clone(), ts.replica(), hint, ctx);
+                        self.exec.execute(lc.cmd.clone(), ts.replica(), hint, ctx);
                     }
                 }
-                LogRec::Epoch { epoch, config } => {
+                LogRec::Epoch { epoch, config, .. } => {
                     if *epoch > self.epoch() {
                         self.membership.install(*epoch, config.clone());
                         self.reconfig.forget_instances_up_to(*epoch);
@@ -1084,9 +1072,6 @@ impl Protocol for ClockRsm {
                 }
                 LogRec::Checkpoint(_) => {}
             }
-        }
-        if self.keeps_history() {
-            self.history = prepared;
         }
         // Never reuse timestamps at or below anything we logged before the
         // crash: peers hold our old promises. A compacted log may have

@@ -231,3 +231,55 @@ fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
         assert_eq!(keys(&s), live_keys[restored as usize..]);
     }
 }
+
+/// A compacted log cannot answer a SUSPEND from below its checkpoint:
+/// the responder sends a snapshot of its commit point instead, and
+/// answers from the log once asked from at or above the checkpoint. The
+/// requester installs the snapshot, restarts its log at it, and asks
+/// again from its new commit point.
+#[test]
+fn a_suspend_below_a_compacted_log_is_answered_with_a_snapshot() {
+    let mut s = script(replica(CheckpointPolicy::every(4).with_compaction(true)));
+    commit_n(&mut s, 10);
+    assert!(matches!(&s.nodes[0].log[0], LogRec::Checkpoint(cp) if cp.applied.micros() == 80_000));
+    let suspend = |cts| RsmMsg::Suspend {
+        epoch: Epoch(1),
+        cts: Timestamp::new(cts, r(0)),
+    };
+    s.on(0, |p, ctx| p.on_message(r(0), suspend(20_000), ctx));
+    let reply = match s[0].sent.pop() {
+        Some((to, RsmMsg::StateReply(reply))) if to == r(0) => reply,
+        other => panic!("expected a snapshot, got {other:?}"),
+    };
+    assert_eq!(reply.checkpoint.applied.micros(), 100_000);
+    s.on(0, |p, ctx| p.on_message(r(0), suspend(90_000), ctx));
+    match s[0].sent.pop() {
+        Some((_, RsmMsg::SuspendOk { cmds, .. })) => {
+            let seqs: Vec<u64> = cmds.iter().map(|lc| lc.cmd.id.seq).collect();
+            assert_eq!(seqs, [10], "the log answers from its checkpoint up");
+        }
+        other => panic!("expected SUSPENDOK, got {other:?}"),
+    }
+
+    // The requester is collecting from commit point zero.
+    let cfg = ClockRsmConfig::default().with_delta_us(None);
+    let mut q = script(ClockRsm::new(r(0), Membership::uniform(3), cfg));
+    let config = vec![r(0), r(1), r(2)];
+    q.on(0, |p, ctx| p.trigger_reconfigure(config, ctx));
+    q[0].sent.clear();
+    q.on(0, |p, ctx| {
+        p.on_message(r(2), RsmMsg::StateReply(reply), ctx)
+    });
+    assert_eq!(q.applied(0), (1..=10).collect::<Vec<u64>>());
+    assert!(q.nodes[0].proto.is_frozen());
+    assert!(
+        matches!(&q.nodes[0].log[..], [LogRec::Checkpoint(cp)] if cp.applied.micros() == 100_000)
+    );
+    let resent: Vec<Timestamp> = (q[0].sent.iter())
+        .filter_map(|(_, m)| match m {
+            RsmMsg::Suspend { cts, .. } => Some(*cts),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resent, [Timestamp::new(100_000, r(0)); 3]);
+}

@@ -564,7 +564,11 @@ pub(crate) fn group_result<P: Protocol, A: Application<P>>(
         for (i, h) in histories.iter().enumerate() {
             commit_times[i] = h.iter().map(|c| c.at).collect();
         }
-        check_all(&histories, measured.ops)
+        let mid_stream: Vec<bool> = replicas
+            .iter()
+            .map(|&r| sim.history_starts_mid_stream(r))
+            .collect();
+        check_all(&histories, &mid_stream, measured.ops)
     } else {
         CheckReport::trivially_ok()
     };

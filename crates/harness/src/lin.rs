@@ -246,7 +246,18 @@ pub fn check_real_time(order: &[CommitRecord], ops: &[OpRecord]) -> Result<(), S
 /// checkpoint install) cannot be positioned and simply do not constrain
 /// the window — the check degrades gracefully rather than
 /// false-positively.
-pub fn check_read_values(order: &[CommitRecord], ops: &[OpRecord]) -> Result<(), String> {
+///
+/// `mid_stream` says the order begins mid-stream: its replica installed
+/// a snapshot, so a key's state before its first write in the order is
+/// unknown. A read no positioned write bounds from below may then also
+/// observe an unpositioned write that took effect (it replied, and a
+/// `Cas` replied success) and was issued before the read replied. A
+/// write that never replied stays invisible either way.
+pub fn check_read_values(
+    order: &[CommitRecord],
+    ops: &[OpRecord],
+    mid_stream: bool,
+) -> Result<(), String> {
     let by_id: HashMap<CommandId, &OpRecord> = ops.iter().map(|op| (op.cmd_id, op)).collect();
 
     /// One write as positioned in the total order (the per-key timeline
@@ -257,6 +268,29 @@ pub fn check_read_values(order: &[CommitRecord], ops: &[OpRecord]) -> Result<(),
         replied: Option<Micros>,
         /// The key's value after this write applied.
         value_after: Option<Bytes>,
+    }
+
+    // In an order that starts mid-stream, the writes it lacks that took
+    // effect, per key, with when each was issued and the value it left.
+    let mut unpositioned: HashMap<Bytes, Vec<(Micros, Option<Bytes>)>> = HashMap::new();
+    let positioned: HashSet<CommandId> = order.iter().map(|r| r.cmd_id).collect();
+    let lacked = ops
+        .iter()
+        .filter(|op| mid_stream && !op.read_only && !positioned.contains(&op.cmd_id));
+    for op in lacked {
+        let Some(result) = &op.result else {
+            continue; // never replied: it may never have applied
+        };
+        let (key, value) = match KvOp::decode(&op.payload) {
+            Ok(KvOp::Put { key, value }) => (key, Some(value)),
+            Ok(KvOp::Cas { key, value, .. }) if result.first() == Some(&1) => (key, Some(value)),
+            Ok(KvOp::Delete { key }) => (key, None),
+            _ => continue,
+        };
+        unpositioned
+            .entry(key)
+            .or_default()
+            .push((op.issued, value));
     }
 
     // Replay the order's writes, simulating the kv store per key.
@@ -334,7 +368,12 @@ pub fn check_read_values(order: &[CommitRecord], ops: &[OpRecord]) -> Result<(),
         let mut candidates: Vec<Option<&[u8]>> = Vec::new();
         match lower {
             Some(i) => candidates.push(timeline[i].value_after.as_deref()),
-            None => candidates.push(None),
+            None => {
+                candidates.push(None);
+                let before = unpositioned.get(&key).into_iter().flatten();
+                let begun = before.filter(|(issued, _)| *issued < replied);
+                candidates.extend(begun.map(|(_, value)| value.as_deref()));
+            }
         }
         let from = lower.map_or(0, |i| i + 1);
         for w in &timeline[from..upper] {
@@ -485,18 +524,20 @@ pub fn check_snapshot_reads(
     Ok(())
 }
 
-/// Runs every check and summarizes the outcome.
-pub fn check_all(histories: &[Vec<CommitRecord>], ops: &[OpRecord]) -> CheckReport {
+/// Runs every check and summarizes the outcome. `mid_stream[i]` says
+/// history `i` begins mid-stream (see [`check_read_values`]).
+pub fn check_all(
+    histories: &[Vec<CommitRecord>],
+    mid_stream: &[bool],
+    ops: &[OpRecord],
+) -> CheckReport {
     let total = check_total_order(histories);
     let mono = check_monotonic(histories);
     let dup = check_no_duplicates(histories);
-    let longest = histories
-        .iter()
-        .max_by_key(|h| h.len())
-        .cloned()
-        .unwrap_or_default();
-    let rt = check_real_time(&longest, ops);
-    let rv = check_read_values(&longest, ops);
+    let longest = (0..histories.len()).max_by_key(|&i| histories[i].len());
+    let order = longest.map_or(&[][..], |i| &histories[i][..]);
+    let rt = check_real_time(order, ops);
+    let rv = check_read_values(order, ops, longest.is_some_and(|i| mid_stream[i]));
     let violation = [&total, &mono, &dup, &rt, &rv]
         .iter()
         .find_map(|r| r.as_ref().err().cloned());
@@ -612,7 +653,7 @@ mod tests {
     #[test]
     fn check_all_aggregates() {
         let a = vec![rec(1, 1, 10), rec(2, 2, 20)];
-        let report = check_all(&[a], &[]);
+        let report = check_all(&[a], &[false], &[]);
         assert!(report.all_ok());
         assert!(report.violation.is_none());
     }
@@ -661,14 +702,14 @@ mod tests {
             put(2, "other", "x", 0, 100),
             get(3, "k", Some("a"), 150, 160),
         ];
-        assert!(check_read_values(&order, &ops).is_ok());
+        assert!(check_read_values(&order, &ops, false).is_ok());
         // Observing absence instead is a violation: w1 completed first.
         let stale = vec![
             put(1, "k", "a", 0, 100),
             put(2, "other", "x", 0, 100),
             get(3, "k", None, 150, 160),
         ];
-        let err = check_read_values(&order, &stale).unwrap_err();
+        let err = check_read_values(&order, &stale, false).unwrap_err();
         assert!(err.contains("read-value violation"), "{err}");
     }
 
@@ -684,8 +725,8 @@ mod tests {
                 get(3, "k", Some(seen), 150, 160),
             ]
         };
-        assert!(check_read_values(&order, &ops("new")).is_ok());
-        assert!(check_read_values(&order, &ops("old")).is_err());
+        assert!(check_read_values(&order, &ops("new"), false).is_ok());
+        assert!(check_read_values(&order, &ops("old"), false).is_err());
     }
 
     #[test]
@@ -700,9 +741,72 @@ mod tests {
                 get(3, "k", seen, 150, 160),
             ]
         };
-        assert!(check_read_values(&order, &ops(Some("a"))).is_ok());
-        assert!(check_read_values(&order, &ops(Some("b"))).is_ok());
-        assert!(check_read_values(&order, &ops(None)).is_err());
+        assert!(check_read_values(&order, &ops(Some("a")), false).is_ok());
+        assert!(check_read_values(&order, &ops(Some("b")), false).is_ok());
+        assert!(check_read_values(&order, &ops(None), false).is_err());
+    }
+
+    #[test]
+    fn an_order_starting_mid_stream_leaves_the_initial_state_open() {
+        // The order's replica installed a snapshot after write 1: the
+        // order holds only write 2, to another key. A read of k may
+        // observe write 1's value, but not a value issued after it
+        // replied.
+        let order = vec![rec(2, 2, 20)];
+        let ops = |seen: Option<&str>| {
+            vec![
+                put(1, "k", "a", 0, 50),
+                put(2, "other", "x", 60, 100),
+                put(4, "k", "late", 300, 400),
+                get(3, "k", seen, 150, 160),
+            ]
+        };
+        assert!(check_read_values(&order, &ops(Some("a")), true).is_ok());
+        assert!(check_read_values(&order, &ops(None), true).is_ok());
+        assert!(check_read_values(&order, &ops(Some("late")), true).is_err());
+        // An order that did not start mid-stream admits no such value.
+        assert!(check_read_values(&order, &ops(Some("a")), false).is_err());
+        // A positioned write completed before the read still bounds it.
+        let order = vec![rec(2, 2, 20), rec(5, 5, 50)];
+        let mut bounded = ops(Some("a"));
+        bounded.push(put(5, "k", "b", 110, 120));
+        assert!(check_read_values(&order, &bounded, true).is_err());
+    }
+
+    #[test]
+    fn a_write_that_took_no_effect_is_never_observable() {
+        // Write 1 never replied (it may have been dropped); Cas 4 replied
+        // that its expectation failed. Neither value may be read, in an
+        // order that started mid-stream or not.
+        let order = vec![rec(2, 2, 20)];
+        let mut lost = put(1, "k", "lost", 0, 50);
+        lost.replied = None;
+        lost.result = None;
+        let failed_cas = OpRecord {
+            cmd_id: cid(4),
+            issued: 0,
+            replied: Some(50),
+            payload: KvOp::cas(
+                "k".to_string(),
+                Some(Bytes::from_static(b"x")),
+                "cas".to_string(),
+            )
+            .encode(),
+            result: Some(Bytes::from_static(&[0])),
+            read_only: false,
+        };
+        let ops = |seen: &str| {
+            vec![
+                lost.clone(),
+                failed_cas.clone(),
+                put(2, "other", "x", 60, 100),
+                get(3, "k", Some(seen), 150, 160),
+            ]
+        };
+        for mid_stream in [false, true] {
+            assert!(check_read_values(&order, &ops("lost"), mid_stream).is_err());
+            assert!(check_read_values(&order, &ops("cas"), mid_stream).is_err());
+        }
     }
 
     #[test]
@@ -715,7 +819,7 @@ mod tests {
             put(2, "k", "future", 300, 400),
             get(3, "k", Some("future"), 150, 160),
         ];
-        assert!(check_read_values(&order, &ops).is_err());
+        assert!(check_read_values(&order, &ops, false).is_err());
     }
 
     #[test]
@@ -728,7 +832,7 @@ mod tests {
             put(2, "k", "lost", 60, 100),
             get(3, "k", Some("a"), 150, 160),
         ];
-        assert!(check_read_values(&order, &ops).is_ok());
+        assert!(check_read_values(&order, &ops, false).is_ok());
     }
 
     #[test]
@@ -738,7 +842,7 @@ mod tests {
             put(1, "k", "a", 100, 300), // concurrent with the read
             get(2, "k", None, 150, 160),
         ];
-        assert!(check_read_values(&order, &ops).is_ok());
+        assert!(check_read_values(&order, &ops, false).is_ok());
     }
 
     // ---------------- cross-shard snapshot checker ----------------

@@ -156,10 +156,17 @@ fn arb_rsm_all() -> impl Strategy<Value = Vec<RsmMsg>> {
         pvec(arb_logged(), 0..3),
         arb_decision(),
         arb_synod_all(),
-        (0u64..50, arb_ts(), arb_replica()),
+        (0u64..50, arb_ts(), arb_replica(), arb_checkpoint()),
     )
-        .prop_map(|(cmds, logged, decision, synods, (e, ts, origin))| {
+        .prop_map(|(cmds, logged, decision, synods, (e, ts, origin, cp))| {
             let epoch = Epoch(e);
+            let checkpoint = Checkpoint {
+                applied: ts,
+                epoch: cp.epoch,
+                config: cp.config,
+                snapshot: cp.snapshot,
+                sessions: cp.sessions,
+            };
             let later = Timestamp::new(ts.micros() + 7, ts.replica());
             let mut msgs = vec![
                 RsmMsg::PrepareBatch {
@@ -193,6 +200,7 @@ fn arb_rsm_all() -> impl Strategy<Value = Vec<RsmMsg>> {
                     decisions: vec![(epoch, decision)],
                 },
                 RsmMsg::ClockProbe { epoch, ts: later },
+                RsmMsg::StateReply(StateTransferReply { checkpoint }),
             ];
             msgs.extend(synods.into_iter().map(|msg| RsmMsg::Synod { epoch, msg }));
             msgs
@@ -582,22 +590,33 @@ fn unknown_variant_tags_are_rejected() {
             tag: 0xFF
         })
     ));
-    // `ClockProbe` was appended under tag 10 without a version bump
-    // (the wire.rs versioning rule): its tag is pinned, and the same
-    // bytes under the next, still unused, tag are refused — which is
-    // how a receiver built before the variant existed sees a probe.
+    // `ClockProbe` and `StateReply` were appended under tags 10 and 11
+    // without a version bump (the wire.rs versioning rule): their tags
+    // are pinned, and the same bytes under the next, still unused, tag
+    // are refused — which is how a receiver built before a variant
+    // existed sees it.
     let probe = encode_payload(&RsmMsg::ClockProbe {
         epoch: Epoch(3),
         ts: Timestamp::new(9, ReplicaId::new(1)),
     });
     assert_eq!(probe[0], 10);
+    let reply = encode_payload(&RsmMsg::StateReply(StateTransferReply {
+        checkpoint: Checkpoint {
+            applied: Timestamp::new(9, ReplicaId::new(1)),
+            epoch: Epoch(3),
+            config: vec![ReplicaId::new(1)],
+            snapshot: Bytes::new(),
+            sessions: Bytes::new(),
+        },
+    }));
+    assert_eq!(reply[0], 11);
     let mut next_tag = probe.to_vec();
-    next_tag[0] = 11;
+    next_tag[0] = 12;
     assert!(matches!(
         decode_payload::<RsmMsg>(Bytes::from(next_tag)),
         Err(WireError::BadTag {
             ty: "RsmMsg",
-            tag: 11
+            tag: 12
         })
     ));
     assert!(matches!(

@@ -112,6 +112,49 @@ fn fast_crash_recovery_preserves_safety() {
     assert!(r.site_stats[0].count() > 30);
 }
 
+/// The default configuration — failure detection off, as in the paper's
+/// latency experiments — still survives a crash: the recovered replica
+/// rejoins through Algorithm 3 (Section V-B), and every peer answers its
+/// SUSPEND from the stable log. Run with and without log compaction, so
+/// crash recovery of the default config stays safe with compaction on.
+/// This run never reaches the snapshot answer a compacted peer gives a
+/// SUSPEND from below its checkpoint; that path is covered by
+/// `a_suspend_below_a_compacted_log_is_answered_with_a_snapshot`
+/// (`crates/clock-rsm/tests/checkpoint.rs`) and by `tests/long_outage.rs`.
+fn default_config_crash(policy: CheckpointPolicy) {
+    let rsm_cfg = ClockRsmConfig::default()
+        .with_delta_us(Some(50 * MILLIS))
+        .with_checkpoint(policy);
+    let failed: Vec<String> = (1..=8)
+        .filter_map(|seed| {
+            let cfg = base_cfg(3)
+                .seed(seed)
+                .active_sites(vec![0])
+                .duration_us(8_000 * MILLIS)
+                .fault(1_500 * MILLIS, Fault::Crash(ReplicaId::new(1)))
+                .fault(2_500 * MILLIS, Fault::Recover(ReplicaId::new(1)));
+            let r = run_latency(ProtocolChoice::clock_rsm_with(rsm_cfg), &cfg);
+            let ok = r.checks.all_ok() && r.snapshots_agree;
+            let why = format!(
+                "seed {seed}: {:?}, commits {:?}",
+                r.checks.violation, r.commit_counts
+            );
+            (!ok).then_some(why)
+        })
+        .collect();
+    assert!(failed.is_empty(), "diverged: {failed:#?}");
+}
+
+#[test]
+fn default_config_crash_recovery_preserves_safety() {
+    default_config_crash(CheckpointPolicy::DISABLED);
+}
+
+#[test]
+fn default_config_crash_recovery_with_compaction_preserves_safety() {
+    default_config_crash(CheckpointPolicy::every(32).with_compaction(true));
+}
+
 /// A five-replica deployment tolerates two crashed replicas (majority of
 /// the spec still up) and reintegrates both.
 #[test]

@@ -132,7 +132,9 @@ fn clock_rsm_long_outage_recovers_from_durable_checkpoints() {
     // Clock-RSM handles the outage through reconfiguration (the victim
     // is removed, then rejoins via Algorithm 3 state transfer); the
     // checkpoint policy rides along so its local recovery starts from
-    // the newest durable snapshot instead of a full replay.
+    // the newest durable snapshot instead of a full replay. Its peers
+    // compact past the victim's commit point, so its rejoin SUSPEND is
+    // answered with a snapshot, and every log stays bounded.
     let rsm_cfg = ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
         .with_failure_detection(Some(400 * MILLIS))
@@ -141,5 +143,6 @@ fn clock_rsm_long_outage_recovers_from_durable_checkpoints() {
     for seed in [31u64, 32] {
         let r = run_latency(ProtocolChoice::clock_rsm_with(rsm_cfg), &outage_cfg(seed));
         assert_recovered(&r, seed, 500);
+        assert_log_bounded(&r, seed);
     }
 }

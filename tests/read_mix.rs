@@ -492,7 +492,8 @@ fn reconfigured_out_replica_answers_no_read_until_it_rejoins() {
 
     let order = sim.commits(ReplicaId::new(0)).to_vec();
     let ops = sim.app().ops.clone();
-    harness::lin::check_read_values(&order, &ops).expect("a stale read was served");
+    let mid_stream = sim.history_starts_mid_stream(ReplicaId::new(0));
+    harness::lin::check_read_values(&order, &ops, mid_stream).expect("a stale read was served");
 
     // The survivors reconfigured the castaway out and kept writing.
     let excluded_at = order
@@ -538,5 +539,7 @@ fn slow_castaway_answers_no_stale_read() {
         .clock_override(1, ClockModel::fixed_offset(-3 * SECONDS as i64));
     let sim = run_castaway(sim_cfg);
     let order = sim.commits(ReplicaId::new(0)).to_vec();
-    harness::lin::check_read_values(&order, &sim.app().ops).expect("a stale read was served");
+    let mid_stream = sim.history_starts_mid_stream(ReplicaId::new(0));
+    harness::lin::check_read_values(&order, &sim.app().ops, mid_stream)
+        .expect("a stale read was served");
 }
