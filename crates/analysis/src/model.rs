@@ -94,16 +94,28 @@ pub fn clock_rsm_imbalanced_light_no_ext(m: &LatencyMatrix, replica: ReplicaId) 
 }
 
 /// Clock-RSM **local read** latency at an otherwise idle `replica` — a
-/// light-load upper bound. A read parks until every replica's clock
-/// evidence passes its stamp, and that evidence comes from whichever
-/// lands first: the echoes of the read's own clock probe, one round
-/// trip to the farthest replica away, or each replica's next periodic
-/// CLOCKTIME, at most `delta` away plus the one-way trip:
-/// `min(2·max_k d(i,k), max_k d(k,i) + Δ)`.
+/// light-load upper bound. A read rides a clock probe and is served once
+/// every replica's clock evidence passes the probe's timestamp, and that
+/// evidence comes from whichever lands first: the probe's echoes, one
+/// round trip to the farthest replica away, or each replica's next
+/// periodic CLOCKTIME, at most `delta` away plus the one-way trip:
+/// `min(2·max_k d(i,k), max_k d(k,i) + Δ)`. With `failure_detection`
+/// on, the probe must also hear a majority of echoes first, one round
+/// trip to the median replica: `max(2·median_k d(i,k), …)`.
 /// Any concurrent write's PREPAREOKs only bring evidence sooner.
-pub fn clock_rsm_local_read(m: &LatencyMatrix, replica: ReplicaId, delta: Micros) -> Micros {
+pub fn clock_rsm_local_read(
+    m: &LatencyMatrix,
+    replica: ReplicaId,
+    delta: Micros,
+    failure_detection: bool,
+) -> Micros {
     let farthest = m.max_from(replica);
-    (2 * farthest).min(farthest + delta)
+    let evidence = (2 * farthest).min(farthest + delta);
+    if failure_detection {
+        evidence.max(2 * m.median_from(replica))
+    } else {
+        evidence
+    }
 }
 
 /// The prefix-replication term of the balanced formula:
@@ -286,17 +298,36 @@ mod tests {
     fn local_read_takes_the_probe_or_the_clocktime_period_whichever_is_shorter() {
         // In a data centre the probe round trip wins: 2 × 250 µs « Δ.
         let lan = rsm_core::LatencyMatrix::uniform(3, 250);
-        assert_eq!(clock_rsm_local_read(&lan, r(0), 5_000), 500);
+        assert_eq!(clock_rsm_local_read(&lan, r(0), 5_000, false), 500);
         // Across the WAN the periodic CLOCKTIME wins; the probe cannot
         // beat one-way + Δ. JP's farthest peer is IR at 140 ms.
-        assert_eq!(clock_rsm_local_read(&five(), r(3), 5_000), 145_000);
+        assert_eq!(clock_rsm_local_read(&five(), r(3), 5_000, false), 145_000);
         // Without it (Δ → ∞) the probe bounds the wait on its own, and
         // a read never costs more than an extension-less light write.
         for i in 0..5 {
             assert_eq!(
-                clock_rsm_local_read(&five(), r(i), Micros::MAX / 2),
+                clock_rsm_local_read(&five(), r(i), Micros::MAX / 2, false),
                 clock_rsm_imbalanced_light_no_ext(&five(), r(i))
             );
+        }
+    }
+
+    #[test]
+    fn failure_detection_adds_the_echo_quorum_round_trip() {
+        // On a uniform WAN the echo majority (2 × 25 ms) outlasts one-way
+        // + Δ (30 ms): a read pays the round trip to the median replica.
+        let wan = rsm_core::LatencyMatrix::uniform(3, 25_000);
+        assert_eq!(clock_rsm_local_read(&wan, r(0), 5_000, false), 30_000);
+        assert_eq!(clock_rsm_local_read(&wan, r(0), 5_000, true), 50_000);
+        // In a data centre the full echo round trip already covers it.
+        let lan = rsm_core::LatencyMatrix::uniform(3, 250);
+        assert_eq!(clock_rsm_local_read(&lan, r(0), 5_000, true), 500);
+        for i in 0..5 {
+            let (off, on) = (
+                clock_rsm_local_read(&five(), r(i), 5_000, false),
+                clock_rsm_local_read(&five(), r(i), 5_000, true),
+            );
+            assert_eq!(on, off.max(2 * five().median_from(r(i))));
         }
     }
 

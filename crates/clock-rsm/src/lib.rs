@@ -36,14 +36,18 @@
 //! ## Linearizable local reads
 //!
 //! The same stable-order machinery yields **local reads at any replica**
-//! (`rsm_core::read`): a read is stamped from the replica's monotonic
-//! send-timestamp discipline and served from the local state machine
-//! once the stable timestamp — `min(LatestTV)` with every smaller
-//! pending command committed — passes the stamp. Any write whose reply
-//! preceded the read's issue committed only after *this* replica's own
-//! clock evidence exceeded the write's timestamp, so the stamp (strictly
-//! above everything this replica ever sent) always orders after it.
-//! Like commits, the read path keeps the paper's design rule intact:
+//! (`rsm_core::read`): a read rides a clock probe, stamped from the
+//! replica's monotonic send-timestamp discipline, and is served from the
+//! local state machine once the probe has its quorum of echoes and the
+//! stable timestamp — `min(LatestTV)` with every smaller pending command
+//! committed — passes the probe's stamp. Any write whose reply preceded
+//! the read's arrival committed only after *this* replica's own clock
+//! evidence exceeded the write's timestamp, so the stamp (strictly above
+//! everything this replica ever sent) always orders after it. With
+//! failure detection on, the quorum is a majority of current-epoch
+//! echoes, so a replica reconfigured out answers no read, however slow
+//! its clock. Like commits, the read path keeps the paper's design rule
+//! intact:
 //! clock skew moves only the stable-timestamp *wait*, never the answer —
 //! in contrast to leader-lease reads (see the `paxos` crate), where a
 //! clock bound is load-bearing for safety.

@@ -193,39 +193,48 @@ pub enum RsmMsg {
         /// `(epoch, decision)` pairs, ascending.
         decisions: Vec<(Epoch, Decision)>,
     },
-    /// Demand-driven clock evidence: sent to every configuration member
-    /// (the sender included) by a replica holding a local read parked
-    /// above its stable timestamp. Each peer answers at once with a
-    /// unicast [`ClockTime`](RsmMsg::ClockTime), so the read releases
-    /// after one round trip to the slowest peer instead of waiting out
-    /// the periodic Δ broadcast. The probe is itself clock evidence for
-    /// the sender's lane — self-delivered, it is what lifts the
-    /// sender's own `LatestTV` entry past the read's stamp.
-    ///
-    /// Wire tag 10, appended after the PR-7 variants: per the
-    /// versioning rule in [`rsm_core::wire`], a new variant under a
-    /// previously unused tag needs no `WIRE_VERSION` bump (an older
-    /// receiver rejects it cleanly as `BadTag`).
+    /// A read probe (`rsm_core::read`), sent to every configuration
+    /// member (the sender included) to collect fresh clock evidence for
+    /// the reads riding it: each peer answers at once with a
+    /// [`ClockEcho`](RsmMsg::ClockEcho). Self-delivered, it lifts the
+    /// sender's own `LatestTV` lane and is its own answer. Wire tag 10;
+    /// `seq` was added in wire version 3.
     ClockProbe {
         /// Sender's current epoch.
         epoch: Epoch,
-        /// The sender's clock at send time, above the stamp of every
-        /// read it has parked.
+        /// The sender's clock, above everything it sent before.
         ts: Timestamp,
+        /// The sender's probe sequence number, named by every echo.
+        seq: u64,
     },
     /// A snapshot answering a [`Suspend`](RsmMsg::Suspend) or
     /// [`RetrieveCmds`](RsmMsg::RetrieveCmds) that asks from below the
-    /// sender's compacted log. Wire tag 11, appended like `ClockProbe`.
+    /// sender's compacted log. Wire tag 11, appended after
+    /// `ClockProbe`: per the versioning rule in [`rsm_core::wire`], a new
+    /// variant under a previously unused tag needs no `WIRE_VERSION`
+    /// bump (an older receiver rejects it cleanly as `BadTag`).
     StateReply(StateTransferReply<Timestamp>),
+    /// A peer's answer to a [`ClockProbe`](RsmMsg::ClockProbe): clock
+    /// evidence, and one answer toward the probe's quorum under the
+    /// prober's current epoch. Wire tag 12, appended.
+    ClockEcho {
+        /// The echoing replica's current epoch.
+        epoch: Epoch,
+        /// The echoing replica's clock at send time.
+        ts: Timestamp,
+        /// The probe this echo answers.
+        seq: u64,
+    },
 }
 
 impl WireSize for RsmMsg {
     fn wire_size(&self) -> usize {
         match self {
             RsmMsg::PrepareBatch { cmds, .. } => MSG_HEADER_BYTES + cmds.wire_size(),
-            RsmMsg::PrepareOk { .. } | RsmMsg::ClockTime { .. } | RsmMsg::ClockProbe { .. } => {
-                MSG_HEADER_BYTES
-            }
+            RsmMsg::PrepareOk { .. }
+            | RsmMsg::ClockTime { .. }
+            | RsmMsg::ClockProbe { .. }
+            | RsmMsg::ClockEcho { .. } => MSG_HEADER_BYTES,
             RsmMsg::Suspend { .. } | RsmMsg::DecisionRequest { .. } => MSG_HEADER_BYTES,
             RsmMsg::SuspendOk { cmds, .. } => {
                 MSG_HEADER_BYTES + cmds.iter().map(WireSize::wire_size).sum::<usize>()
@@ -315,14 +324,21 @@ impl WireEncode for RsmMsg {
                 9u8.encode(buf);
                 decisions.encode(buf);
             }
-            RsmMsg::ClockProbe { epoch, ts } => {
+            RsmMsg::ClockProbe { epoch, ts, seq } => {
                 10u8.encode(buf);
                 epoch.encode(buf);
                 ts.encode(buf);
+                seq.encode(buf);
             }
             RsmMsg::StateReply(reply) => {
                 11u8.encode(buf);
                 reply.encode(buf);
+            }
+            RsmMsg::ClockEcho { epoch, ts, seq } => {
+                12u8.encode(buf);
+                epoch.encode(buf);
+                ts.encode(buf);
+                seq.encode(buf);
             }
         }
     }
@@ -376,8 +392,14 @@ impl WireDecode for RsmMsg {
             10 => RsmMsg::ClockProbe {
                 epoch: Epoch::decode(r)?,
                 ts: Timestamp::decode(r)?,
+                seq: u64::decode(r)?,
             },
             11 => RsmMsg::StateReply(StateTransferReply::<Timestamp>::decode(r)?),
+            12 => RsmMsg::ClockEcho {
+                epoch: Epoch::decode(r)?,
+                ts: Timestamp::decode(r)?,
+                seq: u64::decode(r)?,
+            },
             tag => return Err(WireError::BadTag { ty: "RsmMsg", tag }),
         })
     }

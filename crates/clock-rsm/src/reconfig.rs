@@ -138,13 +138,24 @@ impl ClockRsm {
     // ------------------------------------------------------------------
 
     /// Starts a reconfiguration establishing `new_config` in the next
-    /// epoch (Algorithm 3, lines 1–6). No-op when one is already running.
+    /// epoch (Algorithm 3, lines 1–6). No-op when one is already running,
+    /// below a majority of Spec, or — failure detection off — when it
+    /// drops a member: read probes then count on configurations only
+    /// growing (see the `ReadFront::probe_quorum` impl).
     pub fn trigger_reconfigure(&mut self, new_config: Vec<ReplicaId>, ctx: &mut dyn Context<Self>) {
         if !self.reconfig.is_idle() {
             return;
         }
         if new_config.len() < self.membership.majority() {
             return; // cannot survive below a majority of Spec
+        }
+        let grows = self
+            .membership
+            .config()
+            .iter()
+            .all(|m| new_config.contains(m));
+        if self.cfg.fd_timeout_us.is_none() && !grows {
+            return;
         }
         let target_epoch = self.epoch().next();
         let cts = self.last_committed;
@@ -393,8 +404,13 @@ impl ClockRsm {
         for tv in &mut self.latest_tv {
             *tv = Timestamp::ZERO;
         }
-        // Echoes of old-epoch clock probes are dropped on arrival.
-        self.probes_out.clear();
+        // Old-epoch echoes are dropped on arrival and `LatestTV` starts
+        // over: every read the front holds goes round again, ahead of
+        // those queued since.
+        let reads = self.exec.take_reads();
+        for cmd in reads.into_iter().rev() {
+            self.queued_reads.push_front(cmd);
+        }
         for (lane, row) in self.pending.iter_mut().zip(&mut self.acked) {
             lane.clear();
             row.fill(0);
@@ -743,6 +759,21 @@ mod tests {
         s.on(0, |p, ctx| p.trigger_reconfigure(vec![r(0)], ctx));
         assert!(s.nodes[0].proto.reconfig.is_idle());
         assert!(s[0].sent.is_empty());
+    }
+
+    #[test]
+    fn trigger_refuses_to_drop_a_member_without_failure_detection() {
+        let cfg = ClockRsmConfig::default();
+        let mut s = Script::new(vec![ClockRsm::new(r(0), Membership::uniform(3), cfg)]);
+        s[0].clock = 1_000;
+        s.on(0, |p, ctx| p.trigger_reconfigure(vec![r(0), r(1)], ctx));
+        assert!(s.nodes[0].proto.reconfig.is_idle());
+        assert!(s[0].sent.is_empty());
+        // Keeping every member is allowed: configurations only grow.
+        s.on(0, |p, ctx| {
+            p.trigger_reconfigure(vec![r(0), r(1), r(2)], ctx)
+        });
+        assert!(!s.nodes[0].proto.reconfig.is_idle());
     }
 
     #[test]

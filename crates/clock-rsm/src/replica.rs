@@ -6,11 +6,11 @@ use rsm_core::batch::Batch;
 use rsm_core::checkpoint::Checkpoint;
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
-use rsm_core::exec::Executor;
+use rsm_core::exec::{Executor, ReadFront};
 use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{ReadPath, MAX_INFLIGHT_PROBES};
+use rsm_core::read::{ReadPath, PROBE_FLUSH_TOKEN};
 use rsm_core::time::{Micros, Timestamp};
 
 use crate::config::ClockRsmConfig;
@@ -29,6 +29,14 @@ pub(crate) const TOKEN_FD: TimerToken = TimerToken(3);
 pub(crate) const TOKEN_SYNOD_RETRY: TimerToken = TimerToken(4);
 /// Timer token: suspend-collection / state-transfer retry.
 pub(crate) const TOKEN_RECONFIG_RETRY: TimerToken = TimerToken(5);
+
+/// Where a read pinned at the external cut `at` parks: the lane sits
+/// above every real replica id, so a write stamped at the same
+/// microsecond orders *below* the cut and is included — "snapshot at
+/// t" means exactly the writes with ts ≤ t.
+fn pinned(at: Micros) -> Timestamp {
+    Timestamp::new(at, ReplicaId::new(u16::MAX - 1))
+}
 
 /// Packs `(epoch, ts)` into a single strictly increasing execution-order
 /// coordinate: epoch-major, then timestamp micros, then originating
@@ -125,24 +133,14 @@ pub struct ClockRsm {
 
     // ------ execution (`rsm_core::exec`) ------
     /// The shared execution pipeline: session dedup window, checkpoint
-    /// trigger, and the local reads parked against their stamp until the
-    /// stable timestamp passes it (see
-    /// [`ClockRsm::release_ready_reads`]).
+    /// trigger, and the read front — reads ride clock probes and park at
+    /// the probe's timestamp until the stable timestamp passes it (see
+    /// the [`ReadFront`] impl).
     pub(crate) exec: Executor<Timestamp>,
-
-    // ------ local reads (stable-timestamp, `rsm_core::read`) ------
-    /// Reads received while frozen or awaiting rejoin, re-stamped on
-    /// unfreeze (a stamp taken mid-freeze could release against a
-    /// stale configuration's stable timestamp).
+    /// Reads received while frozen or awaiting rejoin, admitted on
+    /// unfreeze: a probe sent mid-freeze would count its own copy, an
+    /// answer from a frozen replica, toward its echo quorum.
     pub(crate) queued_reads: VecDeque<Command>,
-    /// The newest stamp this replica took for a local read — the one
-    /// [`ClockRsm::probe_clocks`] must get covered by clock evidence.
-    pub(crate) last_read_stamp: Timestamp,
-    /// Timestamps of the clock probes still in flight (oldest first, at
-    /// most [`MAX_INFLIGHT_PROBES`]): a probe leaves once `min(LatestTV)`
-    /// reaches its timestamp, i.e. every echo is in. Cleared with
-    /// `LatestTV` on an epoch install, which orphans their echoes.
-    pub(crate) probes_out: VecDeque<Timestamp>,
 
     // ------ counters (observability) ------
     pub(crate) committed_count: u64,
@@ -197,8 +195,6 @@ impl ClockRsm {
             last_heard: vec![0; n],
             exec: Executor::new(id, cfg.checkpoint, cfg.session_window),
             queued_reads: VecDeque::new(),
-            last_read_stamp: Timestamp::ZERO,
-            probes_out: VecDeque::new(),
             committed_count: 0,
             obs_stable_floor: Timestamp::ZERO,
             obs_repl_floor: vec![0; n],
@@ -424,17 +420,23 @@ impl ClockRsm {
         self.try_commit(ctx);
     }
 
-    /// Receive side of a clock probe: the probe is clock evidence for
-    /// its sender's lane like any CLOCKTIME, and a peer answers it at
-    /// once with a unicast CLOCKTIME of its own. The sender's own copy
-    /// needs no answer (the probe already moved its lane), and a frozen
-    /// or rejoining replica stays as silent as
-    /// [`clocktime_tick`](ClockRsm::clocktime_tick) keeps it.
-    fn handle_clock_probe(&mut self, from: ReplicaId, ts: Timestamp, ctx: &mut dyn Context<Self>) {
-        if from != self.id && !self.frozen && !self.needs_rejoin {
-            let echo = RsmMsg::ClockTime {
+    /// Receive side of a peer's clock probe: clock evidence for its
+    /// lane like any CLOCKTIME, answered at once with a unicast
+    /// [`ClockEcho`](RsmMsg::ClockEcho) naming it — except by a frozen or
+    /// rejoining replica, which stays silent, so a reconfiguration's
+    /// frozen majority is in no echo quorum.
+    fn handle_clock_probe(
+        &mut self,
+        from: ReplicaId,
+        ts: Timestamp,
+        seq: u64,
+        ctx: &mut dyn Context<Self>,
+    ) {
+        if !self.frozen && !self.needs_rejoin {
+            let echo = RsmMsg::ClockEcho {
                 epoch: self.epoch(),
                 ts: self.next_send_ts(ctx),
+                seq,
             };
             ctx.send(from, echo);
             ctx.obs_count(names::CLOCK_ECHOES_SENT, 1);
@@ -496,9 +498,8 @@ impl ClockRsm {
                 // snapshot reads rely on (serving only after the whole
                 // drain could leak writes newer than the stamp into the
                 // answer).
-                if !self.exec.reads.is_empty() && !self.needs_rejoin {
-                    let ready = self.exec.reads.release_before(ts);
-                    self.serve_reads(ready, ctx);
+                if !self.needs_rejoin {
+                    self.release_reads_before(ts, ctx);
                 }
                 ctx.log_append(LogRec::Commit { ts });
                 debug_assert!(ts > self.last_committed, "commits must be ts-ordered");
@@ -513,10 +514,10 @@ impl ClockRsm {
             }
         }
         // The stable timestamp may have advanced: serve any read whose
-        // stamp it passed. Riding on try_commit puts the check on every
+        // mark it passed. Riding on try_commit puts the check on every
         // path that moves `LatestTV` or drains `pending` (PREPAREOK,
         // CLOCKTIME, prepares, epoch installs).
-        self.release_ready_reads(ctx);
+        self.release_reads(ctx);
     }
 
     /// Each origin lane's first pending timestamp, with the lane.
@@ -583,137 +584,17 @@ impl ClockRsm {
     // Local reads (stable-timestamp rule; see `rsm_core::read`)
     // ------------------------------------------------------------------
 
-    /// Handles a client read: stamp it from the monotonic send-timestamp
-    /// discipline and park it until the stable timestamp passes the
-    /// stamp.
-    ///
-    /// Why the stamp makes the released prefix linearizable: a write `W`
-    /// whose reply preceded this read's issue committed at its origin
-    /// only after **this** replica's clock evidence (`LatestTV[self]` at
-    /// the origin — a timestamp this replica itself sent, hence ≤
-    /// `send_floor`) exceeded `ts_W`. The stamp is strictly above
-    /// `send_floor`, so `ts_W < stamp` for every such `W`, and releasing
-    /// at `stable ≥ stamp` guarantees `W` is already executed locally.
-    /// Clock skew shifts only how long the wait takes — a fast local
-    /// clock stamps high and waits for `min(LatestTV)` to catch up, a
-    /// slow one stamps low and releases sooner — never the answer.
-    ///
-    /// **The stamp is always a fresh clock reading, never `send_floor`.**
-    /// On an idle replica `send_floor` sits below the evidence already
-    /// in hand, so stamping there would serve most idle reads for free —
-    /// from whatever the replica last heard, however long ago. That is
-    /// exactly what a replica partitioned away and reconfigured out
-    /// holds: old-epoch evidence above its old send floor, and a state
-    /// the survivors have since moved past. A fresh reading is above
-    /// everything it heard before the cut (unless its clock trails its
-    /// peers' by longer than the exclusion took — the castaway residual
-    /// ROADMAP item 1 records), and the evidence that could pass the stamp is
-    /// epoch-gated: the survivors drop its old-epoch probes unanswered,
-    /// their new-epoch CLOCKTIMEs buffer until it has applied the
-    /// decision that excludes it, and from then on it queues reads until
-    /// it has rejoined.
-    ///
-    /// A read left parked asks for the evidence it waits on instead of
-    /// sitting out the Δ period: see [`probe_clocks`](Self::probe_clocks).
+    /// Handles a client read: it rides a clock probe, parks at the
+    /// probe's timestamp and is served once the stable timestamp passes
+    /// it (see the [`ReadFront`] impl, and `rsm_core::read` for why that
+    /// is linearizable).
     fn handle_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
         if self.frozen || self.needs_rejoin {
             self.queued_reads.push_back(cmd);
             return;
         }
-        let stamp = match cmd.read_at {
-            // A router-pinned snapshot read: park at the external cut
-            // instead of stamping locally. The lane sits above every
-            // real replica id, so a write stamped at the same
-            // microsecond orders *below* the cut and is included —
-            // "snapshot at t" means exactly the writes with ts ≤ t.
-            // Every shard of a multi-key read parks at the same t, and
-            // the exact-cut release in `try_commit` guarantees each
-            // serves from precisely that prefix.
-            Some(at) => Timestamp::new(at, ReplicaId::new(u16::MAX - 1)),
-            None => {
-                self.last_read_stamp = self.next_send_ts(ctx);
-                self.last_read_stamp
-            }
-        };
-        self.exec.reads.park(stamp, cmd);
-        self.release_ready_reads(ctx);
-        if ctx.obs_active() {
-            let outcome = if self.exec.reads.holds(stamp) {
-                names::READS_PARKED
-            } else {
-                names::READS_IMMEDIATE
-            };
-            ctx.obs_count(outcome, 1);
-        }
-    }
-
-    /// Serves every parked read whose stamp the stable timestamp has
-    /// passed: `min(LatestTV)` over the configuration has reached the
-    /// stamp (no replica will ever send a smaller timestamp, so nothing
-    /// below it can still arrive) **and** every pending command at or
-    /// below the stamp has committed (commits drain in timestamp order,
-    /// so an empty prefix of `pending` proves local execution covers
-    /// the stamp). Whatever stays parked for want of clock evidence is
-    /// then probed for.
-    pub(crate) fn release_ready_reads(&mut self, ctx: &mut dyn Context<Self>) {
-        if self.exec.reads.is_empty() || self.frozen || self.needs_rejoin {
-            return;
-        }
-        let ready = self.exec.reads.release(self.stable_timestamp());
-        self.serve_reads(ready, ctx);
-        self.probe_clocks(ctx);
-    }
-
-    /// Demand-driven clock evidence: while the newest locally stamped
-    /// read is parked above `min(LatestTV)`, broadcast a
-    /// [`ClockProbe`](RsmMsg::ClockProbe) so every peer answers with a
-    /// fresh CLOCKTIME at once. The read then waits one round trip to
-    /// the slowest peer, or for the next periodic CLOCKTIME, whichever
-    /// lands first — Algorithm 2's timer remains the liveness backstop
-    /// (an echo stamped by a clock behind the read's stamp does not
-    /// cover it) and the failure-detector heartbeat.
-    ///
-    /// The probe goes to the whole configuration **including this
-    /// replica**: `min(LatestTV)` counts the replica's own lane, which
-    /// only moves when one of its own timestamped messages loops back
-    /// through the FIFO self-channel (behind every PREPARE it sent
-    /// earlier — raising the lane directly could order a peer's command
-    /// ahead of an own smaller-timestamped one still in that channel).
-    ///
-    /// A probe is sent only when no probe already in flight was stamped
-    /// after the read (that one's echoes cover it), and at most
-    /// [`MAX_INFLIGHT_PROBES`] are in flight: a read arriving past the
-    /// cap rides the probe that leaves when the oldest completes. Only
-    /// evidence is requested — stamps and
-    /// [`stable_timestamp`](Self::stable_timestamp) are untouched, so
-    /// the safety argument of [`handle_read`](Self::handle_read) stands.
-    fn probe_clocks(&mut self, ctx: &mut dyn Context<Self>) {
-        let evidence = self.min_latest_tv();
-        while self.probes_out.front().is_some_and(|&p| p <= evidence) {
-            self.probes_out.pop_front();
-        }
-        let newest = self.last_read_stamp;
-        // Evidence is not what the read lacks (a smaller pending write
-        // is), or the read was served already.
-        if newest <= evidence || !self.exec.reads.holds(newest) {
-            return;
-        }
-        if self.probes_out.back().is_some_and(|&p| p > newest)
-            || self.probes_out.len() >= MAX_INFLIGHT_PROBES
-        {
-            return;
-        }
-        let ts = self.next_send_ts(ctx);
-        self.probes_out.push_back(ts);
-        let probe = RsmMsg::ClockProbe {
-            epoch: self.epoch(),
-            ts,
-        };
-        ctx.obs_count(
-            names::CLOCK_PROBES_SENT,
-            self.membership.config().len() as u64,
-        );
-        self.broadcast_config(probe, ctx);
+        ctx.obs_count(names::READS_PARKED, 1);
+        self.start_read(cmd, ctx);
     }
 
     /// The replica's current **stable timestamp**: every command at or
@@ -729,39 +610,9 @@ impl ClockRsm {
             // all executed yet; reads stamped past it must keep waiting.
             // (Timestamps are unique, so releasing strictly below it is
             // exact, not conservative.)
-            stable = stable.min(Timestamp::new(
-                first_pending.micros().saturating_sub(1),
-                ReplicaId::new(u16::MAX - 1),
-            ));
+            stable = stable.min(pinned(first_pending.micros().saturating_sub(1)));
         }
         stable
-    }
-
-    /// Serves released reads from the local state machine, falling back
-    /// to ordinary replication for any the driver cannot serve.
-    ///
-    /// A pinned snapshot read is only servable while the applied prefix
-    /// still sits at or below its cut — normally guaranteed by the
-    /// exact-cut release in `try_commit`. A part arriving *after* the
-    /// state passed its cut (delivery slower than the router's lead, or
-    /// a rejoin that installed a newer checkpoint) cannot be answered
-    /// exactly without multi-versioning, so it is dropped, never answered
-    /// inexactly: the router times out and retries the whole snapshot
-    /// under a fresh cut.
-    fn serve_reads(&mut self, mut ready: Vec<Command>, ctx: &mut dyn Context<Self>) {
-        let applied = self.last_committed;
-        ready.retain(|cmd| {
-            cmd.read_at
-                .is_none_or(|at| applied <= Timestamp::new(at, ReplicaId::new(u16::MAX - 1)))
-        });
-        for cmd in Executor::<Timestamp>::serve_reads(ready, ctx) {
-            self.handle_batch(Batch::single(cmd), ctx);
-        }
-    }
-
-    /// Number of reads currently parked (test observability).
-    pub fn parked_reads(&self) -> usize {
-        self.exec.reads.len()
     }
 
     /// Writes a checkpoint record when the policy says one is due and the
@@ -887,7 +738,73 @@ impl ClockRsm {
         for cmd in std::mem::take(&mut self.queued_reads) {
             self.handle_read(cmd, ctx);
         }
-        self.release_ready_reads(ctx);
+        self.release_reads(ctx);
+    }
+}
+
+/// The stable-timestamp read front (`rsm_core::read`): a clock probe to
+/// the whole configuration, this replica included, so a read waits one
+/// round trip to the slowest peer or the next periodic CLOCKTIME,
+/// whichever lands first.
+impl ReadFront for ClockRsm {
+    type Mark = Timestamp;
+    type Probe = Timestamp;
+
+    fn executor(&mut self) -> &mut Executor<Timestamp> {
+        &mut self.exec
+    }
+
+    /// Stamps the probe above everything this replica has sent, so above
+    /// every write that completed before its reads arrived.
+    fn send_probe(&mut self, seq: u64, ctx: &mut dyn Context<Self>) -> Timestamp {
+        let ts = self.next_send_ts(ctx);
+        let probe = RsmMsg::ClockProbe {
+            epoch: self.epoch(),
+            ts,
+            seq,
+        };
+        ctx.obs_count(
+            names::CLOCK_PROBES_SENT,
+            self.membership.config().len() as u64,
+        );
+        self.broadcast_config(probe, ctx);
+        ts
+    }
+
+    /// With failure detection on, a majority of Spec answering under our
+    /// current epoch — it intersects the majority a reconfiguration
+    /// freezes, so no newer epoch existed when the reads arrived. With
+    /// it off, configurations only grow
+    /// ([`trigger_reconfigure`](Self::trigger_reconfigure) refuses to drop
+    /// a member), and our own copy is enough.
+    fn probe_quorum(&self) -> usize {
+        if self.cfg.fd_timeout_us.is_some() {
+            self.membership.majority()
+        } else {
+            1
+        }
+    }
+
+    /// A stamped read parks at the probe's timestamp; a router-pinned
+    /// snapshot read at its cut, which the exact-cut release in
+    /// `try_commit` serves from precisely that prefix.
+    fn park_mark(&self, probe: &Timestamp, cmd: &Command) -> Timestamp {
+        cmd.read_at.map_or(*probe, pinned)
+    }
+
+    /// The stable timestamp, while the replica is neither frozen nor
+    /// rejoining.
+    fn read_cursor(&self) -> Option<Timestamp> {
+        (!self.frozen && !self.needs_rejoin).then(|| self.stable_timestamp())
+    }
+
+    /// A pinned snapshot read only while the applied prefix sits at or
+    /// below its cut: one the state passed (a late part, or a rejoin that
+    /// installed a newer checkpoint) cannot be answered exactly, so it is
+    /// dropped and the router retries the snapshot under a fresh cut.
+    fn servable(&self, cmd: &Command) -> bool {
+        cmd.read_at
+            .is_none_or(|at| self.last_committed <= pinned(at))
     }
 }
 
@@ -937,7 +854,8 @@ impl Protocol for ClockRsm {
             RsmMsg::PrepareBatch { epoch, .. }
             | RsmMsg::PrepareOk { epoch, .. }
             | RsmMsg::ClockTime { epoch, .. }
-            | RsmMsg::ClockProbe { epoch, .. } => Some(*epoch),
+            | RsmMsg::ClockProbe { epoch, .. }
+            | RsmMsg::ClockEcho { epoch, .. } => Some(*epoch),
             _ => None,
         };
         if let Some(epoch) = data_epoch {
@@ -964,7 +882,15 @@ impl Protocol for ClockRsm {
                 up_to, clock_ts, ..
             } => self.handle_prepare_ok(from, up_to, clock_ts, ctx),
             RsmMsg::ClockTime { ts, .. } => self.handle_clock_time(from, ts, ctx),
-            RsmMsg::ClockProbe { ts, .. } => self.handle_clock_probe(from, ts, ctx),
+            RsmMsg::ClockProbe { ts, seq, .. } if from != self.id => {
+                self.handle_clock_probe(from, ts, seq, ctx)
+            }
+            // Our own probe's copy and a peer's echo answer our probe
+            // `seq`; an echo gets here only under our current epoch.
+            RsmMsg::ClockProbe { ts, seq, .. } | RsmMsg::ClockEcho { ts, seq, .. } => {
+                self.handle_clock_time(from, ts, ctx);
+                self.probe_answered(from, seq, |_| {}, ctx);
+            }
             RsmMsg::Suspend { epoch, cts } => self.handle_suspend(from, epoch, cts, ctx),
             RsmMsg::SuspendOk { epoch, cmds } => self.handle_suspend_ok(from, epoch, cmds, ctx),
             RsmMsg::Synod { epoch, msg } => self.handle_synod(from, epoch, msg, ctx),
@@ -1011,6 +937,7 @@ impl Protocol for ClockRsm {
             TOKEN_FD => self.fd_tick(ctx),
             TOKEN_SYNOD_RETRY => self.synod_retry(ctx),
             TOKEN_RECONFIG_RETRY => self.reconfig_retry(ctx),
+            PROBE_FLUSH_TOKEN => self.flush_read_probes(ctx),
             _ => {}
         }
     }
@@ -1095,7 +1022,10 @@ mod tests {
     use rsm_core::command::CommandId;
     use rsm_core::id::ClientId;
     use rsm_core::node::{ApplyOnly, Script};
+    use rsm_core::read::{MAX_INFLIGHT_PROBES, PROBE_FLUSH_US};
     use rsm_core::Batch;
+
+    use crate::msg::Decision;
 
     fn cmd(seq: u64) -> Command {
         Command::new(
@@ -1597,6 +1527,12 @@ mod tests {
         )
     }
 
+    /// Replica `i` of `n` with failure detection on.
+    fn fd_replica(i: u16, n: u16) -> ClockRsm {
+        let cfg = ClockRsmConfig::default().with_failure_detection(Some(400_000));
+        ClockRsm::new(r(i), Membership::uniform(n), cfg)
+    }
+
     /// Advances every replica's `LatestTV` entry past `micros` via
     /// CLOCKTIME messages (the stable-timestamp feed).
     fn advance_latest_tv(s: &mut Script<ClockRsm>, micros: Micros) {
@@ -1607,78 +1543,62 @@ mod tests {
         }
     }
 
-    /// Destinations of the clock probes among `sends`, in send order,
-    /// with the probes' (common) timestamp.
-    fn probes(sends: &[(ReplicaId, RsmMsg)]) -> (Vec<ReplicaId>, Option<Timestamp>) {
-        let mut to = Vec::new();
-        let mut stamp = None;
-        for (dest, m) in sends {
-            if let RsmMsg::ClockProbe { ts, .. } = m {
-                to.push(*dest);
-                stamp = Some(*ts);
-            }
+    /// The clock probes among `sends`, in send order: destination,
+    /// timestamp and sequence number.
+    fn probes(sends: &[(ReplicaId, RsmMsg)]) -> Vec<(ReplicaId, Timestamp, u64)> {
+        let probe = |(to, m): &(ReplicaId, RsmMsg)| match m {
+            RsmMsg::ClockProbe { ts, seq, .. } => Some((*to, *ts, *seq)),
+            _ => None,
+        };
+        sends.iter().filter_map(probe).collect()
+    }
+
+    /// Delivers the copies of its probes the replica sent itself (its
+    /// FIFO self-channel).
+    fn loop_back(s: &mut Script<ClockRsm>) {
+        let me = s.nodes[0].proto.id;
+        let own: Vec<RsmMsg> = (s[0].sent.iter())
+            .filter(|(to, m)| *to == me && matches!(m, RsmMsg::ClockProbe { .. }))
+            .map(|(_, m)| m.clone())
+            .collect();
+        for m in own {
+            s.receive(0, me, m);
         }
-        (to, stamp)
+    }
+
+    fn echo(epoch: Epoch, micros: Micros, k: u16, seq: u64) -> RsmMsg {
+        RsmMsg::ClockEcho {
+            epoch,
+            ts: ts(micros, k),
+            seq,
+        }
     }
 
     #[test]
-    fn parked_read_probes_the_whole_config_once_and_releases_on_the_echoes() {
+    fn without_failure_detection_a_read_parks_on_the_probes_own_copy() {
         let mut s = Script::new(vec![replica(0, 3)]);
         s[0].clock = 1_000;
         s.on(0, |p, ctx| p.on_client_read(read(7), ctx));
-        assert_eq!(s.nodes[0].proto.parked_reads(), 1);
         assert!(s[0].replies.is_empty(), "a read never answers early");
         let sends = std::mem::take(&mut s[0].sent);
-        let (to, probe_ts) = probes(&sends);
-        assert_eq!(
-            to,
-            vec![r(0), r(1), r(2)],
-            "one probe per member incl. self"
-        );
+        let sent = probes(&sends);
+        let to: Vec<ReplicaId> = sent.iter().map(|p| p.0).collect();
+        assert_eq!(to, [r(0), r(1), r(2)], "one probe per member incl. self");
         assert_eq!(sends.len(), 3, "and nothing else leaves");
-        let probe_ts = probe_ts.unwrap();
-        assert!(
-            probe_ts > s.nodes[0].proto.last_read_stamp,
-            "the probe is stamped after the read"
-        );
-        // While that probe covers the stamp, nothing re-probes: not the
-        // self-delivered copy, not a partial echo.
-        s.receive(
-            0,
-            r(0),
-            RsmMsg::ClockProbe {
-                epoch: Epoch::ZERO,
-                ts: probe_ts,
-            },
-        );
-        assert_eq!(
-            s.nodes[0].proto.latest_tv[0], probe_ts,
-            "the probe moved our own lane"
-        );
-        s.receive(
-            0,
-            r(1),
-            RsmMsg::ClockTime {
-                epoch: Epoch::ZERO,
-                ts: ts(5_000, 1),
-            },
-        );
-        assert_eq!(
-            s.nodes[0].proto.parked_reads(),
-            1,
-            "min(LatestTV) still below the stamp"
-        );
-        assert!(s[0].sent.is_empty(), "no echo to self, no second probe");
-        // The last echo arrives: stable timestamp passes the stamp.
-        s.receive(
-            0,
-            r(2),
-            RsmMsg::ClockTime {
-                epoch: Epoch::ZERO,
-                ts: ts(5_000, 2),
-            },
-        );
-        assert_eq!(s.nodes[0].proto.parked_reads(), 0);
+        let (_, probe_ts, seq) = sent[0];
+        // Evidence past the probe from every lane, our own included, is
+        // not enough: the probe has not completed.
+        advance_latest_tv(&mut s, 5_000);
+        assert!(s[0].replies.is_empty());
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 1);
+        // Its own copy completes it: the read parks at the probe's
+        // timestamp, which the stable timestamp has passed.
+        let copy = RsmMsg::ClockProbe {
+            epoch: Epoch::ZERO,
+            ts: probe_ts,
+            seq,
+        };
+        s.receive(0, r(0), copy);
         assert_eq!(s[0].replies.len(), 1);
         assert_eq!(s[0].replies[0].id.seq, 7);
         assert_eq!(
@@ -1686,46 +1606,165 @@ mod tests {
             b"get",
             "the state machine answered"
         );
-        assert!(
-            s.nodes[0].proto.probes_out.is_empty(),
-            "the probe completed"
-        );
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 0);
         assert!(
             s[0].executed.is_empty() && s.nodes[0].log.is_empty() && s[0].sent.is_empty(),
-            "local reads never commit or log, and a served read stops probing"
+            "local reads never commit or log, no echo to self, no second probe"
         );
-        // The next read takes a fresh stamp above the evidence in hand,
-        // so it parks and probes again.
+        // The next read rides a fresh probe.
         s.on(0, |p, ctx| p.on_client_read(read(8), ctx));
-        assert_eq!(probes(&s[0].sent).0.len(), 3);
+        let next = probes(&s[0].sent);
+        assert_eq!(next.len(), 3);
+        assert!(next[0].1 > probe_ts && next[0].2 == seq + 1);
     }
 
     #[test]
-    fn reads_behind_an_uncovering_probe_probe_again_up_to_the_cap() {
+    fn without_failure_detection_the_echoes_release_a_parked_read() {
         let mut s = Script::new(vec![replica(0, 3)]);
         s[0].clock = 1_000;
-        // Each read is stamped after the previous probe, so no probe in
-        // flight covers it: it sends its own, until the cap.
+        s.on(0, |p, ctx| p.on_client_read(read(7), ctx));
+        let (_, probe_ts, seq) = probes(&s[0].sent)[0];
+        loop_back(&mut s);
+        assert_eq!(
+            s.nodes[0].proto.latest_tv[0], probe_ts,
+            "the probe moved our own lane"
+        );
+        s.receive(0, r(1), echo(Epoch::ZERO, 5_000, 1, seq));
+        assert!(
+            s[0].replies.is_empty(),
+            "min(LatestTV) still below the probe"
+        );
+        s.receive(0, r(2), echo(Epoch::ZERO, 5_000, 2, seq));
+        assert_eq!(
+            s[0].replies.len(),
+            1,
+            "the last echo passes the stable timestamp"
+        );
+    }
+
+    #[test]
+    fn with_failure_detection_a_read_waits_for_a_majority_of_current_epoch_echoes() {
+        let mut s = Script::new(vec![fd_replica(0, 3)]);
+        s[0].clock = 1_000;
+        let config = vec![r(0), r(1), r(2)];
+        s.nodes[0].proto.membership.install(Epoch(1), config);
+        // The evidence in hand sits far above any stamp the read gets —
+        // the position of a castaway whose clock is slow.
+        advance_latest_tv(&mut s, 1_000_000);
+        s.on(0, |p, ctx| p.on_client_read(read(7), ctx));
+        let (_, probe_ts, seq) = probes(&std::mem::take(&mut s[0].sent))[0];
+        assert!(probe_ts < s.nodes[0].proto.stable_timestamp());
+        // Its own copy is one answer; a majority of three needs a peer.
+        let copy = RsmMsg::ClockProbe {
+            epoch: Epoch(1),
+            ts: probe_ts,
+            seq,
+        };
+        s.receive(0, r(0), copy.clone());
+        // An older-epoch echo never counts, nor one naming another
+        // probe, nor our own copy twice.
+        s.receive(0, r(1), echo(Epoch::ZERO, 1_000_100, 1, seq));
+        s.receive(0, r(2), echo(Epoch(1), 1_000_100, 2, seq + 1));
+        s.receive(0, r(0), copy);
+        assert!(
+            s[0].replies.is_empty(),
+            "served before a majority of current-epoch echoes named the probe"
+        );
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 1);
+        s.receive(0, r(1), echo(Epoch(1), 1_000_200, 1, seq));
+        assert_eq!(s[0].replies.len(), 1);
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 0);
+    }
+
+    #[test]
+    fn an_epoch_install_sends_every_read_round_again() {
+        let mut s = Script::new(vec![fd_replica(0, 3)]);
+        s[0].clock = 1_000;
+        let probe = |epoch, ts, seq| RsmMsg::ClockProbe { epoch, ts, seq };
+        // Read 6 parks: its probe has its quorum (its own copy and r1's
+        // echo), but r2's lane holds the stable timestamp below it.
+        s.on(0, |p, ctx| p.on_client_read(read(6), ctx));
+        let (_, ts6, seq6) = probes(&std::mem::take(&mut s[0].sent))[0];
+        s.receive(0, r(0), probe(Epoch::ZERO, ts6, seq6));
+        s.receive(0, r(1), echo(Epoch::ZERO, 5_000, 1, seq6));
+        // Read 7 rides a probe still in flight.
+        s.on(0, |p, ctx| p.on_client_read(read(7), ctx));
+        let (_, ts7, seq7) = probes(&std::mem::take(&mut s[0].sent))[0];
+        assert!(s[0].replies.is_empty());
+        // Epoch 1 installs, same configuration.
+        let decision = Decision {
+            config: vec![r(0), r(1), r(2)],
+            cts: Timestamp::ZERO,
+            cmds: Vec::new(),
+        };
+        let catchup = RsmMsg::DecisionCatchup {
+            decisions: vec![(Epoch(1), decision)],
+        };
+        s.receive(0, r(1), catchup);
+        assert_eq!(s.nodes[0].proto.epoch(), Epoch(1));
+        let sent = probes(&std::mem::take(&mut s[0].sent));
+        assert_eq!(sent.len(), 6, "both reads went round again");
+        assert!(sent.iter().all(|&(_, ts, seq)| ts > ts7 && seq > seq7));
+        // The old probes' answers find nothing: old-epoch ones are
+        // dropped, and the probes they name are gone.
+        s.receive(0, r(2), echo(Epoch::ZERO, 5_000, 2, seq6));
+        s.receive(0, r(1), echo(Epoch(1), 5_000, 1, seq7));
+        s.receive(0, r(2), echo(Epoch(1), 5_000, 2, seq7));
+        assert!(s[0].replies.is_empty());
+        // The new probes complete under epoch 1.
+        for &(to, ts, seq) in &sent {
+            if to == r(0) {
+                s.receive(0, r(0), probe(Epoch(1), ts, seq));
+                s.receive(0, r(1), echo(Epoch(1), 6_000, 1, seq));
+            }
+        }
+        assert_eq!(s[0].replies.len(), 2);
+    }
+
+    #[test]
+    fn reads_past_the_probe_cap_ride_one_probe_when_the_oldest_completes() {
+        let mut s = Script::new(vec![replica(0, 3)]);
+        s[0].clock = 1_000;
+        // Every read below the cap sends its own probe; past it, reads
+        // queue and the escape timer is armed once.
         for seq in 1..=MAX_INFLIGHT_PROBES as u64 + 2 {
             s.on(0, |p, ctx| p.on_client_read(read(seq), ctx));
         }
-        let (to, _) = probes(&std::mem::take(&mut s[0].sent));
-        assert_eq!(to.len(), 3 * MAX_INFLIGHT_PROBES, "probes stop at the cap");
-        assert_eq!(s.nodes[0].proto.probes_out.len(), MAX_INFLIGHT_PROBES);
-        // The oldest probe completes: the reads it covered release, and
-        // ONE new probe leaves covering every read queued past the cap.
-        let first = s.nodes[0].proto.probes_out[0];
-        advance_latest_tv(&mut s, first.micros());
-        assert_eq!(s[0].replies.len(), 1, "only the first stamp is covered");
-        let (to, newest) = probes(&std::mem::take(&mut s[0].sent));
-        assert_eq!(to, vec![r(0), r(1), r(2)]);
-        assert!(newest.unwrap() > s.nodes[0].proto.last_read_stamp);
-        assert_eq!(s.nodes[0].proto.probes_out.len(), MAX_INFLIGHT_PROBES);
+        let sent = probes(&std::mem::take(&mut s[0].sent));
+        assert_eq!(
+            sent.len(),
+            3 * MAX_INFLIGHT_PROBES,
+            "probes stop at the cap"
+        );
+        assert_eq!(s[0].timers, [(PROBE_FLUSH_US, PROBE_FLUSH_TOKEN)]);
+        // The oldest probe's own copy completes it: its read parks, and
+        // ONE new probe leaves carrying both queued reads.
+        let (_, first_ts, first_seq) = sent[0];
+        let copy = RsmMsg::ClockProbe {
+            epoch: Epoch::ZERO,
+            ts: first_ts,
+            seq: first_seq,
+        };
+        s.receive(0, r(0), copy);
+        let next = probes(&std::mem::take(&mut s[0].sent));
+        assert_eq!(
+            next.iter().map(|p| p.0).collect::<Vec<_>>(),
+            [r(0), r(1), r(2)]
+        );
+        assert_eq!(next[0].2, MAX_INFLIGHT_PROBES as u64 + 1);
+        assert_eq!(
+            s.nodes[0].proto.exec.pending_reads(),
+            MAX_INFLIGHT_PROBES + 2
+        );
+        // Evidence up to the first probe serves its read alone.
+        advance_latest_tv(&mut s, first_ts.micros());
+        assert_eq!(s[0].replies.len(), 1);
+        assert_eq!(s[0].replies[0].id.seq, 1);
     }
 
     #[test]
     fn write_traffic_never_probes() {
-        // A replica with no parked read sends no probe, whatever moves
+        // A replica with no read to serve sends no probe, whatever moves
         // its stable timestamp: client batches, PREPAREs, PREPAREOKs.
         let mut s = Script::new(vec![replica(0, 3)]);
         s[0].clock = 1_000;
@@ -1745,32 +1784,33 @@ mod tests {
             );
         }
         assert_eq!(s[0].executed.len(), 1, "the traffic did commit something");
-        assert!(probes(&s[0].sent).0.is_empty());
-        // A read blocked by a pending write rather than by missing clock
-        // evidence does not probe either (the first probe's echoes did
-        // their job; the write's acks will release it).
+        assert!(probes(&s[0].sent).is_empty());
+        // A read rides exactly one probe, also one a pending write
+        // rather than missing evidence holds up; evidence arriving
+        // afterwards sends no more.
         s.receive(0, r(1), prepare(Epoch::ZERO, ts(2_500, 1), r(1), cmd(4)));
+        s[0].sent.clear();
         s[0].clock = 3_000;
         s.on(0, |p, ctx| p.on_client_read(read(9), ctx));
-        advance_latest_tv(&mut s, 50_000);
-        assert_eq!(s.nodes[0].proto.parked_reads(), 1);
+        assert_eq!(probes(&s[0].sent).len(), 3);
+        loop_back(&mut s);
         s[0].sent.clear();
+        advance_latest_tv(&mut s, 50_000);
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 1);
         advance_latest_tv(&mut s, 60_000);
-        assert!(probes(&s[0].sent).0.is_empty());
+        assert!(probes(&s[0].sent).is_empty());
     }
 
     #[test]
-    fn peer_echoes_a_probe_with_one_unicast_clocktime() {
+    fn peer_echoes_a_probe_with_one_unicast_echo_naming_it() {
         let mut s = Script::new(vec![replica(1, 3)]);
         s[0].clock = 1_000;
-        s.receive(
-            0,
-            r(0),
-            RsmMsg::ClockProbe {
-                epoch: Epoch::ZERO,
-                ts: ts(900, 0),
-            },
-        );
+        let probe = |epoch, micros, seq| RsmMsg::ClockProbe {
+            epoch,
+            ts: ts(micros, 0),
+            seq,
+        };
+        s.receive(0, r(0), probe(Epoch::ZERO, 900, 4));
         assert_eq!(
             s.nodes[0].proto.latest_tv[0],
             ts(900, 0),
@@ -1779,8 +1819,8 @@ mod tests {
         let sends = std::mem::take(&mut s[0].sent);
         assert_eq!(sends.len(), 1, "one echo, to the prober only");
         match &sends[0] {
-            (to, RsmMsg::ClockTime { epoch, ts }) => {
-                assert_eq!((*to, *epoch), (r(0), Epoch::ZERO));
+            (to, RsmMsg::ClockEcho { epoch, ts, seq }) => {
+                assert_eq!((*to, *epoch, *seq), (r(0), Epoch::ZERO, 4));
                 assert_eq!(ts.replica(), r(1));
                 assert_eq!(
                     ts.micros(),
@@ -1788,7 +1828,7 @@ mod tests {
                     "stamped by next_send_ts"
                 );
             }
-            other => panic!("expected a CLOCKTIME echo, got {other:?}"),
+            other => panic!("expected a CLOCKECHO, got {other:?}"),
         }
         // Epoch-gated like CLOCKTIME: a stale-epoch probe is dropped
         // without an echo (what keeps a reconfigured-out replica's reads
@@ -1797,29 +1837,15 @@ mod tests {
             .proto
             .membership
             .install(Epoch(1), vec![r(0), r(1), r(2)]);
-        s.receive(
-            0,
-            r(2),
-            RsmMsg::ClockProbe {
-                epoch: Epoch::ZERO,
-                ts: ts(5_000, 2),
-            },
-        );
+        s.receive(0, r(2), probe(Epoch::ZERO, 5_000, 5));
         assert!(s[0].sent.is_empty());
         assert_eq!(s.nodes[0].proto.latest_tv[2], Timestamp::ZERO);
-        s.receive(
-            0,
-            r(2),
-            RsmMsg::ClockProbe {
-                epoch: Epoch(2),
-                ts: ts(6_000, 2),
-            },
-        );
+        s.receive(0, r(2), probe(Epoch(2), 6_000, 6));
         assert_eq!(s.nodes[0].proto.queued_msgs.len(), 1);
         assert!(!s[0]
             .sent
             .iter()
-            .any(|(_, m)| matches!(m, RsmMsg::ClockTime { .. })));
+            .any(|(_, m)| matches!(m, RsmMsg::ClockEcho { .. })));
     }
 
     #[test]
@@ -1827,14 +1853,15 @@ mod tests {
         let probe = RsmMsg::ClockProbe {
             epoch: Epoch::ZERO,
             ts: ts(900, 0),
+            seq: 1,
         };
         for rejoining in [false, true] {
             let mut s = Script::new(vec![replica(1, 3)]);
             s[0].clock = 1_000;
-            // A read parks, then the replica freezes / loses its place.
+            // A read rides a probe, then the replica freezes / loses its
+            // place.
             s.on(0, |p, ctx| p.on_client_read(read(1), ctx));
             s[0].sent.clear();
-            s.nodes[0].proto.probes_out.clear();
             s.nodes[0].proto.frozen = !rejoining;
             s.nodes[0].proto.needs_rejoin = rejoining;
             s.on(0, |p, ctx| p.on_client_read(read(2), ctx));
@@ -1865,16 +1892,17 @@ mod tests {
         let mut s = Script::new(vec![replica(2, 3)]);
         s[0].clock = 1_000;
         // A write with a small timestamp is pending (not yet majority-
-        // acked); a read stamped above it must wait even once every
-        // clock passed the stamp.
+        // acked); a read parked above it must wait even once every
+        // clock passed its mark.
         s.receive(0, r(0), prepare(Epoch::ZERO, ts(500, 0), r(0), cmd(1)));
         s[0].sent.clear();
         s.on(0, |p, ctx| p.on_client_read(read(9), ctx));
+        loop_back(&mut s);
         advance_latest_tv(&mut s, 50_000);
         assert_eq!(
-            s.nodes[0].proto.parked_reads(),
+            s.nodes[0].proto.exec.pending_reads(),
             1,
-            "a pending write below the stamp blocks the read"
+            "a pending write below the mark blocks the read"
         );
         assert!(s[0].replies.is_empty());
         // Majority acks arrive, the write commits, the read releases.
@@ -1890,7 +1918,7 @@ mod tests {
             );
         }
         assert_eq!(s[0].executed.len(), 1, "the write committed");
-        assert_eq!(s.nodes[0].proto.parked_reads(), 0);
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 0);
         assert_eq!(s[0].replies.len(), 1);
     }
 
@@ -1901,8 +1929,9 @@ mod tests {
         // The state machine cannot answer reads locally.
         s.nodes[0].sm = Box::new(ApplyOnly::default());
         s.on(0, |p, ctx| p.on_client_read(read(3), ctx));
+        loop_back(&mut s);
         advance_latest_tv(&mut s, 50_000);
-        assert_eq!(s.nodes[0].proto.parked_reads(), 0);
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 0);
         assert!(s[0].replies.is_empty());
         assert!(
             s[0].sent
@@ -1913,21 +1942,23 @@ mod tests {
     }
 
     #[test]
-    fn frozen_replica_queues_reads_and_restamps_on_unfreeze() {
+    fn frozen_replica_queues_reads_and_probes_on_unfreeze() {
         let mut s = Script::new(vec![replica(0, 3)]);
         s[0].clock = 1_000;
         s.nodes[0].proto.frozen = true;
         s.on(0, |p, ctx| p.on_client_read(read(4), ctx));
         assert_eq!(
-            s.nodes[0].proto.parked_reads(),
+            s.nodes[0].proto.exec.pending_reads(),
             0,
-            "frozen: not stamped yet"
+            "frozen: no probe yet"
         );
+        assert!(probes(&s[0].sent).is_empty());
         assert_eq!(s.nodes[0].proto.queued_reads.len(), 1);
         s.nodes[0].proto.frozen = false;
         s.on(0, |p, ctx| p.drain_buffers(ctx));
         assert_eq!(s.nodes[0].proto.queued_reads.len(), 0);
-        assert_eq!(s.nodes[0].proto.parked_reads(), 1, "re-stamped and parked");
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 1, "riding a probe");
+        loop_back(&mut s);
         advance_latest_tv(&mut s, 50_000);
         assert_eq!(s[0].replies.len(), 1);
     }

@@ -100,7 +100,9 @@ impl Reference {
                 let acked = &mut self.acked[from][up_to.replica().index()];
                 *acked = (*acked).max(up_to.micros());
             }
-            RsmMsg::ClockTime { ts, .. } | RsmMsg::ClockProbe { ts, .. } => {
+            RsmMsg::ClockTime { ts, .. }
+            | RsmMsg::ClockProbe { ts, .. }
+            | RsmMsg::ClockEcho { ts, .. } => {
                 self.latest_tv[from] = self.latest_tv[from].max(*ts);
             }
             _ => {}

@@ -18,6 +18,7 @@
 //! execution (a replica that crashes more often than the checkpoint
 //! interval still checkpoints and compacts).
 
+use crate::batch::Batch;
 use crate::checkpoint::{
     Checkpoint, CheckpointPolicy, Checkpointer, StateTransferReply, StateTransferRequest,
 };
@@ -25,7 +26,7 @@ use crate::command::{Command, Committed, Reply};
 use crate::config::Epoch;
 use crate::id::ReplicaId;
 use crate::protocol::{Context, Protocol};
-use crate::read::ReadQueue;
+use crate::read::{ReadProbes, ReadQueue};
 use crate::session::SessionTable;
 use crate::time::Micros;
 
@@ -37,18 +38,19 @@ use crate::time::Micros;
 pub const TRANSFER_RETRY_US: Micros = 500_000;
 
 /// One replica's execution state: the client-session dedup window, the
-/// checkpoint trigger, the parked local reads and the state-transfer
-/// peer rotation. See the [module docs](self).
+/// checkpoint trigger, the read front and the state-transfer peer
+/// rotation. `W` is the protocol's ordering coordinate, `A` what its
+/// read probes fold their answers into. See the [module docs](self).
 #[derive(Debug)]
-pub struct Executor<W: Ord + Copy> {
+pub struct Executor<W: Ord + Copy, A = W> {
     me: ReplicaId,
     sessions: SessionTable,
     checkpointer: Checkpointer,
-    /// Reads parked on a watermark of the protocol's choosing. Protocols
-    /// park and inspect directly; serving goes through
-    /// [`release_reads`](Executor::release_reads) or
-    /// [`serve_reads`](Executor::serve_reads).
-    pub reads: ReadQueue<W>,
+    /// Reads parked on a mark of the protocol's choosing, until its
+    /// release cursor passes it.
+    reads: ReadQueue<W>,
+    /// The probes reads ride before they park.
+    probes: ReadProbes<A>,
     /// Rotation cursor over the peers for state transfer requests: one
     /// peer is asked per round (a snapshot is large; asking everyone
     /// would make every peer serialize and ship one while the requester
@@ -57,7 +59,7 @@ pub struct Executor<W: Ord + Copy> {
     transfer_target: usize,
 }
 
-impl<W: Ord + Copy> Executor<W> {
+impl<W: Ord + Copy, A> Executor<W, A> {
     /// An executor for replica `me`.
     ///
     /// # Panics
@@ -69,6 +71,7 @@ impl<W: Ord + Copy> Executor<W> {
             sessions: SessionTable::new(session_window),
             checkpointer: Checkpointer::new(policy),
             reads: ReadQueue::new(),
+            probes: ReadProbes::new(),
             transfer_target: 0,
         }
     }
@@ -217,32 +220,159 @@ impl<W: Ord + Copy> Executor<W> {
         None
     }
 
-    /// Serves every parked read whose mark is `<= up_to` (see
-    /// [`serve_reads`](Executor::serve_reads) for the return value).
-    pub fn release_reads<P: Protocol + ?Sized>(
-        &mut self,
-        up_to: W,
-        ctx: &mut dyn Context<P>,
-    ) -> Vec<Command> {
-        let ready = self.reads.release(up_to);
-        Self::serve_reads(ready, ctx)
+    /// Parks a read that needs no probe (the Paxos lease fast path)
+    /// until the release cursor reaches `mark`.
+    pub fn park_read(&mut self, mark: W, cmd: Command) {
+        self.reads.park(mark, cmd);
     }
 
-    /// Answers released reads from the local state machine. Returns the
-    /// ones the driver could not serve (no state machine access, or the
-    /// command is not actually read-only): the protocol replicates those
-    /// like writes.
-    pub fn serve_reads<P: Protocol + ?Sized>(
-        ready: Vec<Command>,
-        ctx: &mut dyn Context<P>,
-    ) -> Vec<Command> {
-        let mut unserved = Vec::new();
-        for cmd in ready {
-            match ctx.sm_read(&cmd) {
-                Some(result) => ctx.send_reply(Reply::new(cmd.id, result)),
-                None => unserved.push(cmd),
-            }
+    /// Number of reads parked, riding probes, or queued for a probe.
+    pub fn pending_reads(&self) -> usize {
+        self.reads.len() + self.probes.pending()
+    }
+
+    /// Hands back every read the front holds — parked, riding a probe,
+    /// or queued for one — for the protocol to admit again when its
+    /// probes' answers can no longer arrive and its release cursor
+    /// restarts (Clock-RSM after an epoch install).
+    pub fn take_reads(&mut self) -> Vec<Command> {
+        let mut cmds = self.reads.take_all();
+        cmds.append(&mut self.probes.abandon());
+        cmds
+    }
+}
+
+/// The one read front (see [`crate::read`]): a protocol supplies its
+/// probe message, its local mark, how a completed probe folds into a
+/// park mark, its release cursor and its probe quorum, and the executor
+/// runs the loop admit → probe → fold → park → release → relaunch.
+pub trait ReadFront: Protocol + Sized {
+    /// The coordinate reads park on.
+    type Mark: Ord + Copy;
+    /// What a probe folds its answers into, starting from its seed.
+    type Probe;
+    /// The protocol's executor.
+    fn executor(&mut self) -> &mut Executor<Self::Mark, Self::Probe>;
+
+    /// Sends probe `seq` (the protocol's probe message) and returns its
+    /// seed: the local mark the answers are folded into.
+    fn send_probe(&mut self, seq: u64, ctx: &mut dyn Context<Self>) -> Self::Probe;
+
+    /// How many distinct replicas must answer a probe before it
+    /// completes (the seed is not an answer).
+    fn probe_quorum(&self) -> usize;
+
+    /// Where a completed probe parks `cmd`, one of its reads.
+    fn park_mark(&self, probe: &Self::Probe, cmd: &Command) -> Self::Mark;
+
+    /// The release cursor: parked reads at or below it are served.
+    /// `None` while the replica may serve none.
+    fn read_cursor(&self) -> Option<Self::Mark>;
+
+    /// Whether a released read may still be answered; one that may not
+    /// is dropped unanswered, for the client to retry.
+    fn servable(&self, _cmd: &Command) -> bool {
+        true
+    }
+
+    /// Admits a client read: it rides a fresh probe, or — past
+    /// [`MAX_INFLIGHT_PROBES`](crate::read::MAX_INFLIGHT_PROBES) — the
+    /// next one.
+    fn start_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
+        if let Some(cmds) = self.executor().probes.admit(cmd, ctx) {
+            launch_probe(self, cmds, ctx);
         }
-        unserved
+    }
+
+    /// Folds `from`'s answer to probe `seq` in with `fold` and completes
+    /// every probe that reached its quorum.
+    fn probe_answered(
+        &mut self,
+        from: ReplicaId,
+        seq: u64,
+        fold: impl FnOnce(&mut Self::Probe),
+        ctx: &mut dyn Context<Self>,
+    ) {
+        self.executor().probes.on_answer(from, seq, fold);
+        complete_probes(self, ctx);
+    }
+
+    /// The probe escape timer ([`PROBE_FLUSH_TOKEN`]) fired: the queued
+    /// reads get a probe of their own.
+    ///
+    /// [`PROBE_FLUSH_TOKEN`]: crate::read::PROBE_FLUSH_TOKEN
+    fn flush_read_probes(&mut self, ctx: &mut dyn Context<Self>) {
+        let queued = self.executor().probes.on_flush_timer();
+        launch_probe(self, queued, ctx);
+    }
+
+    /// Serves every parked read at or below the release cursor. Returns
+    /// at once when nothing is parked.
+    fn release_reads(&mut self, ctx: &mut dyn Context<Self>) {
+        if self.executor().reads.is_empty() {
+            return;
+        }
+        if let Some(cursor) = self.read_cursor() {
+            let ready = self.executor().reads.release(cursor);
+            serve(self, ready, ctx);
+        }
+    }
+
+    /// Serves every parked read **strictly below** `bound`: a protocol
+    /// about to apply a write at `bound` calls this first, so each read
+    /// is answered from exactly the writes below its mark.
+    fn release_reads_before(&mut self, bound: Self::Mark, ctx: &mut dyn Context<Self>) {
+        if !self.executor().reads.is_empty() {
+            let ready = self.executor().reads.release_before(bound);
+            serve(self, ready, ctx);
+        }
+    }
+}
+
+/// Sends a probe carrying `cmds` (none: nothing to do) and completes it
+/// at once if its quorum is already met.
+fn launch_probe<P: ReadFront>(p: &mut P, cmds: Vec<Command>, ctx: &mut dyn Context<P>) {
+    if cmds.is_empty() {
+        return;
+    }
+    let seq = p.executor().probes.next_seq();
+    let seed = p.send_probe(seq, ctx);
+    p.executor().probes.begin(seed, cmds);
+    complete_probes(p, ctx);
+}
+
+/// Parks the reads of every probe that reached its quorum, serves what
+/// is already releasable, and launches one probe for the reads that
+/// queued up behind the cap — probe traffic scales with probe round
+/// trips, not with read arrivals.
+fn complete_probes<P: ReadFront>(p: &mut P, ctx: &mut dyn Context<P>) {
+    let quorum = p.probe_quorum();
+    let ready = p.executor().probes.take_ready(quorum);
+    if ready.is_empty() {
+        return;
+    }
+    for (probe, cmds) in ready {
+        for cmd in cmds {
+            let mark = p.park_mark(&probe, &cmd);
+            p.executor().reads.park(mark, cmd);
+        }
+    }
+    p.release_reads(ctx);
+    let queued = p.executor().probes.take_queued();
+    launch_probe(p, queued, ctx);
+}
+
+/// Answers released reads from the local state machine. One the driver
+/// cannot serve (no state machine access, or the command is not actually
+/// read-only) is replicated like a write.
+fn serve<P: ReadFront>(p: &mut P, ready: Vec<Command>, ctx: &mut dyn Context<P>) {
+    for cmd in ready {
+        if !p.servable(&cmd) {
+            continue;
+        }
+        match ctx.sm_read(&cmd) {
+            Some(result) => ctx.send_reply(Reply::new(cmd.id, result)),
+            None => p.on_client_batch(Batch::single(cmd), ctx),
+        }
     }
 }

@@ -44,9 +44,10 @@
 //! ## Linearizable reads
 //!
 //! The [`read`] module is the protocol-agnostic half of the local read
-//! subsystem: a [`ReadPath`] capability each protocol reports, a
-//! [`ReadQueue`] parking pending reads against a watermark, and the
-//! [`ReadRequest`]/[`ReadReply`] quorum-probe wire shapes. Drivers route
+//! subsystem: a [`ReadPath`] capability each protocol reports, the
+//! release rule every path follows, and the [`ReadRequest`]/[`ReadReply`]
+//! quorum-probe wire shapes; the [`Executor`] runs the one read front a
+//! protocol plugs into through [`ReadFront`]. Drivers route
 //! commands marked [`Command::read_only`] to
 //! [`Protocol::on_client_read`] **outside** the write batching pipeline
 //! (a `Get` is never delayed behind a flush threshold), and protocols
@@ -127,14 +128,14 @@ pub use checkpoint::{
 pub use command::{Command, CommandId, Committed, Reply};
 pub use config::{Epoch, Membership};
 pub use error::{ProtocolError, Result};
-pub use exec::Executor;
+pub use exec::{Executor, ReadFront};
 pub use id::{ClientId, ReplicaId};
 pub use lease::{Lease, LeaseConfig};
 pub use matrix::LatencyMatrix;
 pub use node::{Driver, Node};
 pub use obs::TraceStage;
 pub use protocol::{Context, Protocol, TimerToken};
-pub use read::{ReadPath, ReadProbes, ReadQueue, ReadReply, ReadRequest};
+pub use read::{ReadPath, ReadReply, ReadRequest};
 pub use session::{
     ClientSession, SessionCheck, SessionEvict, SessionOpen, SessionRetry, SessionTable,
     DEFAULT_SESSION_WINDOW,

@@ -123,11 +123,8 @@ pub mod names {
     /// Unicast `ClockTime` echoes sent in answer to a peer's clock probe
     /// (Clock-RSM).
     pub const CLOCK_ECHOES_SENT: &str = "clock_rsm.clock_echoes_sent";
-    /// Local reads the stable timestamp already covered when they were
-    /// stamped: served without parking (Clock-RSM).
-    pub const READS_IMMEDIATE: &str = "clock_rsm.reads_immediate";
-    /// Local reads that parked above the stable timestamp and waited
-    /// for clock evidence — the reads `STABLE_LAG_US` is paid by
+    /// Local reads admitted to the read front: each rides a clock probe
+    /// and waits for its evidence — the reads `STABLE_LAG_US` is paid by
     /// (Clock-RSM).
     pub const READS_PARKED: &str = "clock_rsm.reads_parked";
     /// Elections started (Paxos: a candidacy began).

@@ -38,6 +38,8 @@
 //!
 //! Version 2 changed the checksum function (to the low 32 bits of XXH64)
 //! and nothing else: layout, field order and tags are those of version 1.
+//! Version 3 added a probe sequence number to Clock-RSM's `ClockProbe`
+//! (the echo under the new, appended tag 12 names it).
 //!
 //! # Zero-copy discipline
 //!
@@ -102,7 +104,7 @@ pub const MSG_HEADER_BYTES: usize = 32;
 pub const FRAME_MAGIC: u32 = 0x5253_4D57;
 
 /// Current wire format version (see the module-level versioning rule).
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Upper bound on a frame's payload length; a header announcing more is
 /// rejected before any allocation (a corrupt or hostile length prefix
@@ -1026,12 +1028,14 @@ mod tests {
     }
 
     #[test]
-    fn version_1_peers_are_refused_by_version() {
-        assert_eq!(WIRE_VERSION, 2);
-        let mut old =
-            FrameHeader::for_payload(ReplicaId::new(1), ReplicaId::new(2), 1, b"x").encode();
-        old[4..6].copy_from_slice(&1u16.to_be_bytes());
-        assert_eq!(FrameHeader::decode(&old), Err(WireError::BadVersion(1)));
+    fn older_peers_are_refused_by_version() {
+        assert_eq!(WIRE_VERSION, 3);
+        for v in [1u16, 2] {
+            let mut old =
+                FrameHeader::for_payload(ReplicaId::new(1), ReplicaId::new(2), 1, b"x").encode();
+            old[4..6].copy_from_slice(&v.to_be_bytes());
+            assert_eq!(FrameHeader::decode(&old), Err(WireError::BadVersion(v)));
+        }
     }
 
     #[test]

@@ -10,12 +10,18 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 use rsm_core::checkpoint::CheckpointPolicy;
-use rsm_core::exec::Executor;
+use rsm_core::exec::{Executor, ReadFront};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::{ClientId, Command, CommandId, Committed, Epoch, Micros, ReplicaId, Reply};
 
-/// The protocol type the contexts are keyed by; never driven.
-struct Nop;
+/// The protocol the contexts are keyed by: it owns the executor under
+/// test, releases parked reads at a cursor the test sets, and keeps the
+/// reads the front hands back for replication. Never otherwise driven.
+struct Nop {
+    exec: Executor<u64>,
+    cursor: u64,
+    replicated: Vec<Command>,
+}
 
 impl Protocol for Nop {
     type Msg = ();
@@ -24,10 +30,32 @@ impl Protocol for Nop {
         ME
     }
     fn on_start(&mut self, _: &mut dyn Context<Self>) {}
-    fn on_client_request(&mut self, _: Command, _: &mut dyn Context<Self>) {}
+    fn on_client_request(&mut self, cmd: Command, _: &mut dyn Context<Self>) {
+        self.replicated.push(cmd);
+    }
     fn on_message(&mut self, _: ReplicaId, _: (), _: &mut dyn Context<Self>) {}
     fn on_timer(&mut self, _: TimerToken, _: &mut dyn Context<Self>) {}
     fn on_recover(&mut self, _: &[()], _: &mut dyn Context<Self>) {}
+}
+
+impl ReadFront for Nop {
+    type Mark = u64;
+    type Probe = u64;
+    fn executor(&mut self) -> &mut Executor<u64> {
+        &mut self.exec
+    }
+    fn send_probe(&mut self, _: u64, _: &mut dyn Context<Self>) -> u64 {
+        unreachable!("the model parks its reads directly")
+    }
+    fn probe_quorum(&self) -> usize {
+        0
+    }
+    fn park_mark(&self, mark: &u64, _: &Command) -> u64 {
+        *mark
+    }
+    fn read_cursor(&self) -> Option<u64> {
+        Some(self.cursor)
+    }
 }
 
 const ME: ReplicaId = ReplicaId::new(0);
@@ -147,7 +175,7 @@ proptest! {
     ) {
         let policy = CheckpointPolicy::every(every);
         let config = [ME, ELSEWHERE];
-        let mut exec: Executor<u64> = Executor::new(ME, policy, 64);
+        let mut nop = Nop { exec: Executor::new(ME, policy, 64), cursor: 0, replicated: Vec::new() };
         let (mut sm, mut model) = (Sm::default(), Model::default());
         // The twin installs `exec`'s checkpoint at `transfer_at` and then
         // executes the same suffix.
@@ -159,10 +187,10 @@ proptest! {
         for (step, &(kind, client, arg)) in ops.iter().enumerate() {
             if step == transfer_at.min(ops.len() - 1) {
                 let at = model.applied.len() as u64;
-                let reply = exec.serve_transfer(0, at + 1, Epoch::ZERO, &config, &mut sm);
+                let reply = nop.exec.serve_transfer(0, at + 1, Epoch::ZERO, &config, &mut sm);
                 let cp = reply.expect("snapshots are supported").checkpoint;
                 prop_assert_eq!(cp.applied, at + 1);
-                prop_assert!(exec.serve_transfer(at + 1, at + 1, Epoch::ZERO, &config, &mut sm).is_none());
+                prop_assert!(nop.exec.serve_transfer(at + 1, at + 1, Epoch::ZERO, &config, &mut sm).is_none());
                 prop_assert!(twin.install(&cp, &mut twin_sm));
                 twin_live = true;
             }
@@ -188,7 +216,7 @@ proptest! {
             if let Some(cmd) = cmd {
                 let expect = model.execute(&cmd, origin);
                 let hint = model.applied.len() as u64;
-                prop_assert_eq!(exec.execute(cmd.clone(), origin, hint, &mut sm), expect);
+                prop_assert_eq!(nop.exec.execute(cmd.clone(), origin, hint, &mut sm), expect);
                 if twin_live {
                     prop_assert_eq!(twin.execute(cmd, origin, hint, &mut twin_sm), expect);
                 }
@@ -197,7 +225,7 @@ proptest! {
                 6 => {
                     let due = model.since_checkpoint >= every;
                     let at = model.applied.len() as u64;
-                    let cp = exec.checkpoint_if_due(at, Epoch(3), &config, &mut sm);
+                    let cp = nop.exec.checkpoint_if_due(at, Epoch(3), &config, &mut sm);
                     prop_assert_eq!(cp.is_some(), due, "checkpoint exactly when the policy says");
                     if let Some(cp) = cp {
                         model.since_checkpoint = 0;
@@ -216,21 +244,25 @@ proptest! {
                         Command::read(rid, Bytes::from_static(b"r"))
                     };
                     model.parked.push((arg, cmd.clone()));
-                    exec.reads.park(arg, cmd);
+                    nop.exec.park_read(arg, cmd);
                 }
-                8 => prop_assert_eq!(exec.release_reads(arg, &mut sm), model.release(arg)),
+                8 => {
+                    nop.cursor = arg;
+                    nop.release_reads(&mut sm);
+                    prop_assert_eq!(std::mem::take(&mut nop.replicated), model.release(arg));
+                }
                 _ => {}
             }
             prop_assert_eq!(&sm.state, &model.applied, "applied exactly the fresh commands, in order");
             prop_assert_eq!(&sm.replies, &model.replies, "replies re-sent only at the origin");
-            prop_assert_eq!(exec.reads.len(), model.parked.len());
+            prop_assert_eq!(nop.exec.pending_reads(), model.parked.len());
         }
 
         // Install + the same suffix is indistinguishable from having
         // executed the whole sequence: identical snapshot and dedup
         // window, byte for byte.
         let end = model.applied.len() as u64 + 1;
-        let ours = exec.serve_transfer(0, end, Epoch::ZERO, &config, &mut sm).expect("snapshot");
+        let ours = nop.exec.serve_transfer(0, end, Epoch::ZERO, &config, &mut sm).expect("snapshot");
         let theirs = twin.serve_transfer(0, end, Epoch::ZERO, &config, &mut twin_sm).expect("snapshot");
         prop_assert_eq!(ours.checkpoint.snapshot, theirs.checkpoint.snapshot);
         prop_assert_eq!(ours.checkpoint.sessions, theirs.checkpoint.sessions);

@@ -6,25 +6,21 @@
 //! one ack per slot. Per-slot ack counters collapse into a small
 //! per-(acker, owner) watermark matrix.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rsm_core::batch::Batch;
 use rsm_core::checkpoint::{Checkpoint, CheckpointPolicy};
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
-use rsm_core::exec::{Executor, TRANSFER_RETRY_US};
+use rsm_core::exec::{Executor, ReadFront, TRANSFER_RETRY_US};
 use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{ReadPath, ReadProbes, ReadReply, MAX_READ_PROBES};
+use rsm_core::read::{ReadPath, ReadReply, ReadRequest, PROBE_FLUSH_TOKEN};
 use rsm_core::session::DEFAULT_SESSION_WINDOW;
 use rsm_core::time::Micros;
 
 use crate::msg::MenciusMsg;
-
-/// Timer token for the escape flush of the shared quorum-read pipeline
-/// ([`ReadProbes::admit`]; the crate uses no other timers).
-pub(crate) const TOKEN_PROBE_FLUSH: TimerToken = TimerToken(1);
 
 /// Stable log record of Mencius-bcast.
 #[derive(Debug, Clone)]
@@ -145,20 +141,13 @@ pub struct MenciusBcast {
     exec_cursor: u64,
     /// The shared execution pipeline (`rsm_core::exec`): session dedup
     /// window, checkpoint trigger, state-transfer peer rotation, and the
-    /// reads parked on a slot mark — the fold of the per-owner bounds a
-    /// majority probe established — until `exec_cursor` passes it.
-    exec: Executor<u64>,
+    /// read front, whose probes accumulate per-owner bounds and park
+    /// their reads on the slot mark those bounds fold into, until
+    /// `exec_cursor` passes it.
+    exec: Executor<u64, ProbeMarks>,
     /// When the last [`MenciusMsg::StateRequest`] left: an unanswered one
     /// stays deduplicated for [`TRANSFER_RETRY_US`].
     last_transfer_req: Option<Micros>,
-
-    // ------ local reads (`rsm_core::read`) ------
-    /// Quorum-read probes awaiting a majority of marks, and the reads
-    /// queued to ride the next one.
-    read_probes: ReadProbes,
-    /// Per-owner mark state for each in-flight probe, keyed by probe
-    /// seq (the shared [`ReadProbes`] tracks only the folded scalar).
-    probe_marks: HashMap<u64, ProbeMarks>,
 }
 
 /// The requester-side per-owner bounds accumulated for one read probe.
@@ -171,7 +160,7 @@ pub struct MenciusBcast {
 /// logged-top bounds covers its completed writes by quorum intersection
 /// (committed ⇒ logged by a majority ⇒ logged by some responder).
 #[derive(Debug)]
-struct ProbeMarks {
+pub struct ProbeMarks {
     /// Owner `o`'s bound for its own slots, when `o` answered the probe
     /// (seeded for self at probe start).
     own: Vec<Option<u64>>,
@@ -179,6 +168,26 @@ struct ProbeMarks {
     /// the requester's own vector): the fallback bound for owners that
     /// never answered.
     all: Vec<u64>,
+}
+
+impl ProbeMarks {
+    /// Folds the per-owner bounds into the single slot coordinate a read
+    /// parks on: the smallest cursor position at which every bound is
+    /// honored. Owner `o` with (exclusive) bound `p` has its largest
+    /// constrained slot at `p - 1 - ((p - 1 - o) mod n)` when `p > o`,
+    /// and none otherwise; execution is total-order by slot, so waiting
+    /// for the maximum of those slots waits for all.
+    fn park_mark(&self, n: u64) -> u64 {
+        let mut needed = 0u64;
+        for o in 0..n {
+            let p = self.own[o as usize].unwrap_or(self.all[o as usize]);
+            if p > o {
+                let last = p - 1 - ((p - 1 - o) % n);
+                needed = needed.max(last + 1);
+            }
+        }
+        needed
+    }
 }
 
 impl MenciusBcast {
@@ -206,8 +215,6 @@ impl MenciusBcast {
             exec_cursor: 0,
             exec: Executor::new(id, CheckpointPolicy::DISABLED, DEFAULT_SESSION_WINDOW),
             last_transfer_req: None,
-            read_probes: ReadProbes::new(),
-            probe_marks: HashMap::new(),
             membership,
         }
     }
@@ -516,11 +523,11 @@ impl MenciusBcast {
     //   such an owner was logged by a majority, which intersects the
     //   responders, so the element-wise maximum covers it.
     //
-    // The fold back to the scalar `ReadQueue` coordinate is exact
+    // The fold back to the one slot coordinate a read parks on is exact
     // because execution is total-order by slot: waiting for owner `o`'s
     // slots below bound `p` means waiting for the largest `o`-owned slot
     // below `p`, so the park point is the maximum of those largest
-    // slots, plus one ([`park_mark`](Self::park_mark)). Latency is one
+    // slots, plus one (`ProbeMarks::park_mark`). Latency is one
     // local quorum round trip plus the resolution of slots below the
     // *completed-write* frontier — not below the in-flight frontier.
 
@@ -550,33 +557,6 @@ impl MenciusBcast {
         marks
     }
 
-    /// Starts a quorum-read probe carrying `cmds` (no-op without any).
-    fn start_read_probe(&mut self, cmds: Vec<Command>, ctx: &mut dyn Context<Self>) {
-        if cmds.is_empty() {
-            return;
-        }
-        let req = self.read_probes.begin(self.local_read_mark(), cmds);
-        let mut marks = ProbeMarks {
-            own: vec![None; self.n as usize],
-            all: self.owner_marks(),
-        };
-        marks.own[self.id.index()] = Some(self.exec_cursor);
-        self.probe_marks.insert(req.seq, marks);
-        // `ReadProbes` silently evicts the oldest probe past its cap;
-        // seqs are dense, so everything at or below seq - cap is dead.
-        if self.probe_marks.len() > MAX_READ_PROBES {
-            let floor = req.seq.saturating_sub(MAX_READ_PROBES as u64);
-            self.probe_marks.retain(|&s, _| s > floor);
-        }
-        for r in self.membership.config().to_vec() {
-            if r != self.id {
-                ctx.send(r, MenciusMsg::ReadProbe(req));
-            }
-        }
-        // A single-replica configuration is its own majority.
-        self.complete_ready_probes(ctx);
-    }
-
     /// Answers a peer's probe with our read marks.
     fn on_read_probe(&mut self, from: ReplicaId, seq: u64, ctx: &mut dyn Context<Self>) {
         let mark = self.local_read_mark();
@@ -589,8 +569,7 @@ impl MenciusBcast {
         );
     }
 
-    /// Collects a probe answer; on a majority, parks the probe's reads
-    /// at the fold of the accumulated per-owner bounds.
+    /// Folds a probe answer into the probe's per-owner bounds.
     fn on_read_mark(
         &mut self,
         from: ReplicaId,
@@ -598,8 +577,9 @@ impl MenciusBcast {
         owner_marks: Vec<u64>,
         ctx: &mut dyn Context<Self>,
     ) {
-        if let Some(marks) = self.probe_marks.get_mut(&reply.seq) {
-            if owner_marks.len() == self.n as usize {
+        let n = self.n as usize;
+        let fold = |marks: &mut ProbeMarks| {
+            if owner_marks.len() == n {
                 for (a, &m) in marks.all.iter_mut().zip(&owner_marks) {
                     *a = (*a).max(m);
                 }
@@ -614,63 +594,8 @@ impl MenciusBcast {
                     *a = (*a).max(reply.mark);
                 }
             }
-        }
-        self.read_probes.on_reply(from, reply);
-        self.complete_ready_probes(ctx);
-    }
-
-    /// Folds a completed probe's per-owner bounds into the single
-    /// [`ReadQueue`] coordinate: the smallest cursor position at which
-    /// every bound is honored. Owner `o` with (exclusive) bound `p` has
-    /// its largest constrained slot at `p - 1 - ((p - 1 - o) mod n)`
-    /// when `p > o`, and none otherwise; execution is total-order by
-    /// slot, so waiting for the maximum of those slots waits for all.
-    fn park_mark(n: u64, marks: &ProbeMarks) -> u64 {
-        let mut needed = 0u64;
-        for o in 0..n {
-            let p = marks.own[o as usize].unwrap_or(marks.all[o as usize]);
-            if p > o {
-                let last = p - 1 - ((p - 1 - o) % n);
-                needed = needed.max(last + 1);
-            }
-        }
-        needed
-    }
-
-    /// Moves every probe that reached a majority (self plus responders)
-    /// into the read queue at its per-owner fold, releases whatever is
-    /// already resolvable, and launches one probe for the reads that
-    /// queued up meanwhile.
-    fn complete_ready_probes(&mut self, ctx: &mut dyn Context<Self>) {
-        let (n, majority) = (self.n, self.majority());
-        let parked =
-            self.read_probes
-                .complete(majority, &mut self.exec.reads, |seq, scalar_mark| {
-                    match self.probe_marks.remove(&seq) {
-                        Some(marks) => Self::park_mark(n, &marks),
-                        // Side state evicted (probe-cap overflow): the folded
-                        // scalar is the conservative all-owners bound.
-                        None => scalar_mark,
-                    }
-                });
-        if let Some(queued) = parked {
-            self.release_reads(ctx);
-            self.start_read_probe(queued, ctx);
-        }
-    }
-
-    /// Serves every parked read whose mark the resolution cursor has
-    /// passed; one the driver cannot serve is replicated like a write.
-    fn release_reads(&mut self, ctx: &mut dyn Context<Self>) {
-        for cmd in self.exec.release_reads(self.exec_cursor, ctx) {
-            self.on_client_batch(Batch::single(cmd), ctx);
-        }
-    }
-
-    /// Number of reads parked, riding probes, or queued for the next
-    /// probe (test observability).
-    pub fn pending_reads(&self) -> usize {
-        self.exec.reads.len() + self.read_probes.pending()
+        };
+        self.probe_answered(from, reply.seq, fold, ctx);
     }
 
     /// Writes a checkpoint when one is due and the driver supports
@@ -935,6 +860,45 @@ impl MenciusBcast {
     }
 }
 
+/// The per-owner quorum-mark read front: probe the peers for their
+/// owner marks, fold a majority's answers (counting our own) into one
+/// slot mark, serve once the resolution cursor passes it.
+impl ReadFront for MenciusBcast {
+    type Mark = u64;
+    type Probe = ProbeMarks;
+
+    fn executor(&mut self) -> &mut Executor<u64, ProbeMarks> {
+        &mut self.exec
+    }
+
+    fn send_probe(&mut self, seq: u64, ctx: &mut dyn Context<Self>) -> ProbeMarks {
+        for r in self.membership.config().to_vec() {
+            if r != self.id {
+                ctx.send(r, MenciusMsg::ReadProbe(ReadRequest { seq }));
+            }
+        }
+        let mut marks = ProbeMarks {
+            own: vec![None; self.n as usize],
+            all: self.owner_marks(),
+        };
+        marks.own[self.id.index()] = Some(self.exec_cursor);
+        marks
+    }
+
+    fn probe_quorum(&self) -> usize {
+        // Our own marks are the seed: a majority counting ourselves.
+        self.majority() - 1
+    }
+
+    fn park_mark(&self, marks: &ProbeMarks, _cmd: &Command) -> u64 {
+        marks.park_mark(self.n)
+    }
+
+    fn read_cursor(&self) -> Option<u64> {
+        Some(self.exec_cursor)
+    }
+}
+
 impl Protocol for MenciusBcast {
     type Msg = MenciusMsg;
     type LogRec = MenciusLogRec;
@@ -950,11 +914,7 @@ impl Protocol for MenciusBcast {
     }
 
     fn on_client_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-        // Past the probe cap the read rides the next probe instead of
-        // broadcasting one of its own.
-        if let Some(cmds) = self.read_probes.admit(cmd, TOKEN_PROBE_FLUSH, ctx) {
-            self.start_read_probe(cmds, ctx);
-        }
+        self.start_read(cmd, ctx);
     }
 
     fn read_path(&self) -> ReadPath {
@@ -1019,9 +979,8 @@ impl Protocol for MenciusBcast {
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn Context<Self>) {
-        if token == TOKEN_PROBE_FLUSH {
-            let queued = self.read_probes.on_flush_timer();
-            self.start_read_probe(queued, ctx);
+        if token == PROBE_FLUSH_TOKEN {
+            self.flush_read_probes(ctx);
         }
     }
 
@@ -2040,7 +1999,7 @@ mod tests {
             },
         );
         assert_eq!(
-            s.nodes[0].proto.pending_reads(),
+            s.nodes[0].proto.exec.pending_reads(),
             1,
             "parked until slots 0..2 resolve"
         );
@@ -2059,7 +2018,7 @@ mod tests {
         );
         assert_eq!(s[0].replies.len(), 1);
         assert_eq!(s[0].replies[0].id.seq, 5);
-        assert_eq!(s.nodes[0].proto.pending_reads(), 0);
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 0);
     }
 
     #[test]
@@ -2113,7 +2072,7 @@ mod tests {
             "read served without waiting for the in-flight proposal"
         );
         assert_eq!(s[0].replies[0].id.seq, 9);
-        assert_eq!(s.nodes[0].proto.pending_reads(), 0);
+        assert_eq!(s.nodes[0].proto.exec.pending_reads(), 0);
     }
 
     #[test]

@@ -44,12 +44,12 @@ use rsm_core::batch::Batch;
 use rsm_core::checkpoint::{Checkpoint, CheckpointPolicy};
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
-use rsm_core::exec::{Executor, TRANSFER_RETRY_US};
+use rsm_core::exec::{Executor, ReadFront, TRANSFER_RETRY_US};
 use rsm_core::id::ReplicaId;
 use rsm_core::lease::{Lease, LeaseConfig};
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::read::{ReadPath, ReadProbes, ReadReply};
+use rsm_core::read::{ReadPath, ReadReply, ReadRequest, PROBE_FLUSH_TOKEN};
 use rsm_core::session::DEFAULT_SESSION_WINDOW;
 use rsm_core::time::Micros;
 
@@ -58,10 +58,6 @@ use crate::synod::Ballot;
 
 /// The lease/election timer (heartbeats, suspicion, candidate retries).
 pub(crate) const TOKEN_LEASE: TimerToken = TimerToken(1);
-
-/// The probe-flush escape timer of the shared quorum-read pipeline
-/// ([`ReadProbes::admit`]).
-pub(crate) const TOKEN_PROBE_FLUSH: TimerToken = TimerToken(2);
 
 /// Which phase-2b dissemination strategy to run (Section IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,9 +249,6 @@ pub struct MultiPaxos {
     fill_asked: Option<(u64, Micros)>,
 
     // ------ local reads (`rsm_core::read`) ------
-    /// Quorum-read probes awaiting a majority of marks, and the reads
-    /// queued to ride the next one.
-    read_probes: ReadProbes,
     /// `regime_heard[k]`: local clock when replica `k` last sent
     /// evidence of the **current** regime (an `Accepted` or `ReadMark`
     /// at our ballot). Reset on regime change; feeds the leader's read
@@ -309,7 +302,6 @@ impl MultiPaxos {
             exec: Executor::new(id, CheckpointPolicy::DISABLED, DEFAULT_SESSION_WINDOW),
             stalled_at: None,
             fill_asked: None,
-            read_probes: ReadProbes::new(),
             regime_heard: vec![0; n],
             repair_top: 0,
         }
@@ -1423,65 +1415,11 @@ impl MultiPaxos {
             .max(self.committed_next)
     }
 
-    /// Starts a quorum-read probe carrying `cmds` (no-op without any).
-    fn start_read_probe(&mut self, cmds: Vec<Command>, ctx: &mut dyn Context<Self>) {
-        if cmds.is_empty() {
-            return;
-        }
-        let req = self.read_probes.begin(self.local_read_mark(), cmds);
-        for r in self.membership.config().to_vec() {
-            if r != self.id {
-                ctx.send(r, PaxosMsg::ReadProbe(req));
-            }
-        }
-        // A single-replica configuration is its own majority.
-        self.complete_ready_probes(ctx);
-    }
-
     /// Answers a peer's probe with our read mark (any replica answers —
     /// no leader involvement, no ballot gate).
     fn on_read_probe(&mut self, from: ReplicaId, seq: u64, ctx: &mut dyn Context<Self>) {
         let mark = self.local_read_mark();
         ctx.send(from, PaxosMsg::ReadMark(ReadReply { seq, mark }));
-    }
-
-    /// Collects a probe answer; on a majority, parks the probe's reads
-    /// at the maximum mark. Deliberately **not** lease evidence: a
-    /// probe answer does not imply the responder recently heard the
-    /// leader (see [`PaxosMsg::ReadMark`]).
-    fn on_read_mark(&mut self, from: ReplicaId, reply: ReadReply, ctx: &mut dyn Context<Self>) {
-        self.read_probes.on_reply(from, reply);
-        self.complete_ready_probes(ctx);
-    }
-
-    /// Moves every probe that reached a majority (self plus responders)
-    /// into the read queue and releases whatever is already executable;
-    /// then launches one fresh probe carrying every read that queued up
-    /// behind the completed one (probe batching: probe traffic scales
-    /// with probe round trips, not with read arrivals).
-    fn complete_ready_probes(&mut self, ctx: &mut dyn Context<Self>) {
-        let majority = self.majority();
-        let parked = self
-            .read_probes
-            .complete(majority, &mut self.exec.reads, |_seq, mark| mark);
-        if let Some(queued) = parked {
-            self.release_reads(ctx);
-            self.start_read_probe(queued, ctx);
-        }
-    }
-
-    /// Serves every parked read whose mark the execution cursor has
-    /// passed; one the driver cannot serve is replicated like a write.
-    fn release_reads(&mut self, ctx: &mut dyn Context<Self>) {
-        for cmd in self.exec.release_reads(self.exec_cursor, ctx) {
-            self.on_client_batch(Batch::single(cmd), ctx);
-        }
-    }
-
-    /// Number of reads parked, riding probes, or queued for the next
-    /// probe (test observability).
-    pub fn pending_reads(&self) -> usize {
-        self.exec.reads.len() + self.read_probes.pending()
     }
 
     // ------------------------------------------------------------------
@@ -1656,6 +1594,40 @@ impl MultiPaxos {
     }
 }
 
+/// The clock-free quorum-mark read front: probe the peers for their
+/// read marks, park at the maximum over a majority (counting our own),
+/// serve once execution passes it.
+impl ReadFront for MultiPaxos {
+    type Mark = u64;
+    type Probe = u64;
+
+    fn executor(&mut self) -> &mut Executor<u64> {
+        &mut self.exec
+    }
+
+    fn send_probe(&mut self, seq: u64, ctx: &mut dyn Context<Self>) -> u64 {
+        for r in self.membership.config().to_vec() {
+            if r != self.id {
+                ctx.send(r, PaxosMsg::ReadProbe(ReadRequest { seq }));
+            }
+        }
+        self.local_read_mark()
+    }
+
+    fn probe_quorum(&self) -> usize {
+        // Our own mark is the seed: a majority counting ourselves.
+        self.majority() - 1
+    }
+
+    fn park_mark(&self, mark: &u64, _cmd: &Command) -> u64 {
+        *mark
+    }
+
+    fn read_cursor(&self) -> Option<u64> {
+        Some(self.exec_cursor)
+    }
+}
+
 impl Protocol for MultiPaxos {
     type Msg = PaxosMsg;
     type LogRec = PaxosLogRec;
@@ -1695,16 +1667,13 @@ impl Protocol for MultiPaxos {
                 PaxosVariant::Plain => self.committed_next.max(self.repair_top),
                 PaxosVariant::Bcast => self.local_read_mark(),
             };
-            self.exec.reads.park(mark, cmd);
+            self.exec.park_read(mark, cmd);
             self.release_reads(ctx);
-        } else if let Some(cmds) = self.read_probes.admit(cmd, TOKEN_PROBE_FLUSH, ctx) {
+        } else {
             // Nack the local fast path and forward the read onto the
             // clock-free quorum-mark fallback (followers, candidates,
-            // and a leader whose lease is uncertain all land here). With
-            // probes saturated the read instead rides the next one
-            // (launched the moment a probe completes — see
-            // `complete_ready_probes`).
-            self.start_read_probe(cmds, ctx);
+            // and a leader whose lease is uncertain all land here).
+            self.start_read(cmd, ctx);
         }
     }
 
@@ -1804,17 +1773,21 @@ impl Protocol for MultiPaxos {
                 self.on_state_reply(reply.checkpoint, promised, ctx)
             }
             PaxosMsg::ReadProbe(req) => self.on_read_probe(from, req.seq, ctx),
-            PaxosMsg::ReadMark(reply) => self.on_read_mark(from, reply, ctx),
+            // Deliberately **not** lease evidence: a probe answer does
+            // not imply the responder recently heard the leader (see
+            // [`PaxosMsg::ReadMark`]).
+            PaxosMsg::ReadMark(ReadReply { seq, mark }) => {
+                self.probe_answered(from, seq, |m| *m = (*m).max(mark), ctx)
+            }
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn Context<Self>) {
         if token == TOKEN_LEASE {
             self.lease_tick(ctx);
-        } else if token == TOKEN_PROBE_FLUSH {
+        } else if token == PROBE_FLUSH_TOKEN {
             // Escape hatch: the gating probes have had their window.
-            let queued = self.read_probes.on_flush_timer();
-            self.start_read_probe(queued, ctx);
+            self.flush_read_probes(ctx);
         }
     }
 

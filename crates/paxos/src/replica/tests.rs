@@ -1554,7 +1554,7 @@ fn fixed_leader_serves_reads_locally_without_wire_traffic() {
         "a leader-local read must not touch the wire: {:?}",
         s[0].sent
     );
-    assert_eq!(s.nodes[0].proto.pending_reads(), 0);
+    assert_eq!(s.nodes[0].proto.exec.pending_reads(), 0);
 }
 
 #[test]
@@ -1624,7 +1624,7 @@ fn failover_leader_without_regime_evidence_probes_instead_of_serving() {
         .filter(|(_, m)| matches!(m, PaxosMsg::ReadProbe(_)))
         .count();
     assert_eq!(probes, 2, "lease-uncertain leader falls back to a probe");
-    assert_eq!(s.nodes[0].proto.pending_reads(), 1);
+    assert_eq!(s.nodes[0].proto.exec.pending_reads(), 1);
 }
 
 #[test]
@@ -1667,7 +1667,7 @@ fn follower_quorum_read_parks_on_the_max_mark_until_executed() {
     // matches our own log top, so the read parks at instance mark 1.
     s.receive(0, r(0), PaxosMsg::ReadMark(ReadReply { seq: 1, mark: 1 }));
     assert_eq!(
-        s.nodes[0].proto.pending_reads(),
+        s.nodes[0].proto.exec.pending_reads(),
         1,
         "parked: instance 0 not yet executed"
     );
@@ -1677,7 +1677,7 @@ fn follower_quorum_read_parks_on_the_max_mark_until_executed() {
     s.receive(0, r(2), acked(b0(), 1));
     assert_eq!(s.nodes[0].proto.executed(), 1);
     assert_eq!(s[0].replies.len(), 1);
-    assert_eq!(s.nodes[0].proto.pending_reads(), 0);
+    assert_eq!(s.nodes[0].proto.exec.pending_reads(), 0);
 }
 
 #[test]

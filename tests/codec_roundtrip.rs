@@ -199,8 +199,17 @@ fn arb_rsm_all() -> impl Strategy<Value = Vec<RsmMsg>> {
                 RsmMsg::DecisionCatchup {
                     decisions: vec![(epoch, decision)],
                 },
-                RsmMsg::ClockProbe { epoch, ts: later },
+                RsmMsg::ClockProbe {
+                    epoch,
+                    ts: later,
+                    seq: e * 3,
+                },
                 RsmMsg::StateReply(StateTransferReply { checkpoint }),
+                RsmMsg::ClockEcho {
+                    epoch,
+                    ts,
+                    seq: e * 3,
+                },
             ];
             msgs.extend(synods.into_iter().map(|msg| RsmMsg::Synod { epoch, msg }));
             msgs
@@ -590,16 +599,24 @@ fn unknown_variant_tags_are_rejected() {
             tag: 0xFF
         })
     ));
-    // `ClockProbe` and `StateReply` were appended under tags 10 and 11
-    // without a version bump (the wire.rs versioning rule): their tags
-    // are pinned, and the same bytes under the next, still unused, tag
-    // are refused — which is how a receiver built before a variant
-    // existed sees it.
+    // `ClockProbe`, `StateReply` and `ClockEcho` were appended under tags
+    // 10, 11 and 12 (the wire.rs versioning rule): their tags are
+    // pinned, and the same bytes under the next, still unused, tag are
+    // refused — which is how a receiver built before a variant existed
+    // sees it.
     let probe = encode_payload(&RsmMsg::ClockProbe {
         epoch: Epoch(3),
         ts: Timestamp::new(9, ReplicaId::new(1)),
+        seq: 4,
     });
     assert_eq!(probe[0], 10);
+    let echo = encode_payload(&RsmMsg::ClockEcho {
+        epoch: Epoch(3),
+        ts: Timestamp::new(9, ReplicaId::new(1)),
+        seq: 4,
+    });
+    assert_eq!(echo[0], 12);
+    assert_eq!(echo[1..], probe[1..], "an echo names its probe's seq");
     let reply = encode_payload(&RsmMsg::StateReply(StateTransferReply {
         checkpoint: Checkpoint {
             applied: Timestamp::new(9, ReplicaId::new(1)),
@@ -610,13 +627,13 @@ fn unknown_variant_tags_are_rejected() {
         },
     }));
     assert_eq!(reply[0], 11);
-    let mut next_tag = probe.to_vec();
-    next_tag[0] = 12;
+    let mut next_tag = echo.to_vec();
+    next_tag[0] = 13;
     assert!(matches!(
         decode_payload::<RsmMsg>(Bytes::from(next_tag)),
         Err(WireError::BadTag {
             ty: "RsmMsg",
-            tag: 12
+            tag: 13
         })
     ));
     assert!(matches!(
