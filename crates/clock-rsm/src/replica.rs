@@ -832,10 +832,6 @@ impl Protocol for ClockRsm {
         }
     }
 
-    fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-        self.handle_batch(Batch::single(cmd), ctx);
-    }
-
     fn on_client_batch(&mut self, batch: Batch, ctx: &mut dyn Context<Self>) {
         self.handle_batch(batch, ctx);
     }
@@ -1091,7 +1087,7 @@ mod tests {
     fn request_broadcasts_prepare_to_everyone() {
         let mut s = Script::new(vec![replica(0, 3)]);
         s[0].clock = 1_000;
-        s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+        s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(1)), ctx));
         let prepares: Vec<&RsmMsg> = s[0]
             .sent
             .iter()
@@ -1216,7 +1212,7 @@ mod tests {
     fn command_commits_after_majority_and_stable_order() {
         let mut s = Script::new(vec![replica(0, 3)]);
         s[0].clock = 1_000;
-        s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+        s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(1)), ctx));
         let tcmd = match &std::mem::take(&mut s[0].sent)[0] {
             (_, RsmMsg::PrepareBatch { ts, .. }) => *ts,
             _ => unreachable!(),
@@ -1476,7 +1472,7 @@ mod tests {
         s.on(0, |p, ctx| {
             p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), ctx)
         });
-        s.on(0, |p, ctx| p.on_client_request(cmd(3), ctx));
+        s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(3)), ctx));
         assert!(s[0].sent.is_empty(), "frozen: nothing leaves");
         s.nodes[0].proto.frozen = false;
         s.on(0, |p, ctx| p.drain_buffers(ctx));

@@ -51,7 +51,7 @@ fn submit(s: &mut Script<ClockRsm>, at: usize, seq: u64) {
         CommandId::new(ClientId::new(ReplicaId::new(at as u16), 0), seq),
         Bytes::from_static(b"w"),
     );
-    s.on(at, |p, ctx| p.on_client_request(cmd, ctx));
+    s.on(at, |p, ctx| p.on_client_batch(Batch::single(cmd), ctx));
     s.flush(at);
 }
 

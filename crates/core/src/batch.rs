@@ -184,7 +184,8 @@ impl WireSize for Batch {
 /// command — a lone request commits with batch-of-1 latency under any
 /// cap; it only bounds how much a deep queue may coalesce into one wire
 /// message. `max_batch == 1` disables batching and reproduces the
-/// per-command protocol exactly.
+/// per-command protocol exactly. Every driver cuts its queue with one
+/// rule, [`node::intake`](crate::node::intake).
 ///
 /// # Examples
 ///

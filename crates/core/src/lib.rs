@@ -31,8 +31,9 @@
 //!
 //! Every protocol in the workspace replicates whole [`Batch`]es of client
 //! commands: drivers coalesce queued requests (up to
-//! [`BatchPolicy::max_batch`] commands, never waiting intentionally) and
-//! deliver them via [`Protocol::on_client_batch`]; protocols bind each
+//! [`BatchPolicy::max_batch`] commands, never waiting intentionally, by
+//! one rule, [`node::intake`]) and deliver them via
+//! [`Protocol::on_client_batch`]; protocols bind each
 //! batch to a contiguous run of ordering coordinates and acknowledge it
 //! with one cumulative watermark message. `BatchPolicy::DISABLED` (the
 //! default everywhere) reproduces per-command behaviour exactly —

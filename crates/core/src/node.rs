@@ -11,7 +11,9 @@
 //! timers, and where an executed command's reply goes). Applying a
 //! command, counting it, logging, snapshots, local reads and every
 //! `obs_*` hook are implemented once, here, so a protocol's unit tests
-//! run the same context code as a simulation or a live cluster.
+//! run the same context code as a simulation or a live cluster. So is
+//! the rule that cuts a replica's inbox into client batches, reads and
+//! peer messages, [`intake`]: the simulator batches as the runtime does.
 
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
@@ -19,7 +21,7 @@ use std::ops::{Index, IndexMut};
 use bytes::Bytes;
 use rsm_obs::{NodeObs, Tracer};
 
-use crate::batch::Batch;
+use crate::batch::{Batch, BatchPolicy};
 use crate::command::{Command, CommandId, Committed, Reply};
 use crate::id::ReplicaId;
 use crate::obs::{names, span_key, TraceStage};
@@ -126,6 +128,87 @@ pub fn propose<P: Protocol>(proto: &mut P, ctx: &mut dyn Context<P>, cmds: Vec<C
     ctx.obs_count(names::CLIENT_BATCHES, 1);
     ctx.obs_count(names::BATCHED_COMMANDS, cmds.len() as u64);
     proto.on_client_batch(Batch::new(cmds), ctx);
+}
+
+/// One input a scheduler took for a replica, in arrival order. `M` is the
+/// peer message as the scheduler carries it; [`intake`] never looks
+/// inside.
+#[derive(Debug)]
+pub enum Input<M> {
+    /// A message from peer replica `.0`.
+    Msg(ReplicaId, M),
+    /// A client write.
+    Write(Command),
+    /// A client read ([`Command::read_only`]).
+    Read(Command),
+}
+
+impl<M> Input<M> {
+    /// A client command: a read if it is read-only, a write otherwise.
+    pub fn request(cmd: Command) -> Self {
+        if cmd.read_only {
+            Input::Read(cmd)
+        } else {
+            Input::Write(cmd)
+        }
+    }
+}
+
+/// What a scheduler hands its protocol next: a client batch (to
+/// [`propose`]), a read (to [`Protocol::on_client_read`]) or a peer
+/// message (to [`Protocol::on_message`]).
+#[derive(Debug)]
+pub enum Action<M> {
+    /// A run of writes, in arrival order; never empty.
+    Batch(Vec<Command>),
+    /// A client read.
+    Read(Command),
+    /// A message from peer replica `.0`.
+    Msg(ReplicaId, M),
+}
+
+/// The intake rule: turns the input `first`, and the inputs `next` yields
+/// behind it, into the actions it appends to `out`. Both schedulers cut
+/// an inbox with it, simnet's inbox step and the runtime's node loop.
+///
+/// A message or a read is one action of its own. A write opens a
+/// **run**: the writes `next` yields join its batch, never waiting for
+/// more; a peer message met on the way is set aside and does not end the
+/// run; a read, the `policy` cap or the end of input (`next` yields
+/// `None`) does. The batch goes first, then the set-aside messages in
+/// arrival order, then the read that ended the run. So writes keep their
+/// order among themselves and with reads, each link keeps its order, and
+/// a message handled after newer writes is only a message on a slower
+/// link, which every protocol tolerates. `next` is called only while a
+/// run is open and below the cap, so a scheduler that pulls lazily takes
+/// nothing the step does not use.
+pub fn intake<M>(
+    policy: BatchPolicy,
+    first: Input<M>,
+    mut next: impl FnMut() -> Option<Input<M>>,
+    out: &mut VecDeque<Action<M>>,
+) {
+    let write = match first {
+        Input::Write(cmd) => cmd,
+        Input::Read(cmd) => return out.push_back(Action::Read(cmd)),
+        Input::Msg(from, m) => return out.push_back(Action::Msg(from, m)),
+    };
+    let at = out.len();
+    let mut run = vec![write];
+    let mut ended_by = None;
+    while policy.fits(run.len()) {
+        match next() {
+            Some(Input::Write(cmd)) => run.push(cmd),
+            Some(Input::Msg(from, m)) => out.push_back(Action::Msg(from, m)),
+            Some(Input::Read(cmd)) => {
+                ended_by = Some(Action::Read(cmd));
+                break;
+            }
+            None => break,
+        }
+    }
+    out.insert(at, Action::Batch(run));
+    out.extend(ended_by);
 }
 
 struct NodeCtx<'a, P: Protocol, D> {
@@ -521,6 +604,139 @@ mod tests {
         Script::new((0..n).map(|i| Echo::new(r(i))).collect())
     }
 
+    fn write(seq: u64) -> Input<u32> {
+        Input::Write(cmd(seq))
+    }
+
+    fn read(seq: u64) -> Input<u32> {
+        Input::Read(Command::read(cmd(seq).id, Bytes::from_static(b"r")))
+    }
+
+    fn msg(from: u16, payload: u32) -> Input<u32> {
+        Input::Msg(r(from), payload)
+    }
+
+    /// An action, by the sequence numbers of its commands.
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Batch(Vec<u64>),
+        Read(u64),
+        Msg(u16, u32),
+    }
+
+    /// The actions a scheduler takes for `inputs` under a cap of `cap`,
+    /// one intake step after another until the input runs out, as
+    /// simnet's inbox step does.
+    fn cut(cap: usize, inputs: Vec<Input<u32>>) -> Vec<Step> {
+        let mut inputs = inputs.into_iter();
+        let mut out = VecDeque::new();
+        while let Some(first) = inputs.next() {
+            intake(BatchPolicy::max(cap), first, || inputs.next(), &mut out);
+        }
+        let step = |action| match action {
+            Action::Batch(cmds) => Step::Batch(cmds.iter().map(|c| c.id.seq).collect()),
+            Action::Read(c) => Step::Read(c.id.seq),
+            Action::Msg(from, payload) => Step::Msg(from.as_u16(), payload),
+        };
+        out.into_iter().map(step).collect()
+    }
+
+    #[test]
+    fn reads_end_a_write_run_and_messages_wait_behind_it() {
+        use Step::{Batch, Msg, Read};
+        let inputs = vec![write(1), write(2), read(3), write(4), msg(1, 7), write(5)];
+        assert_eq!(
+            cut(8, inputs),
+            [Batch(vec![1, 2]), Read(3), Batch(vec![4, 5]), Msg(1, 7)]
+        );
+        // Writes and reads arriving together, interleaved: a read neither
+        // joins a batch nor overtakes the write before it.
+        let (mut inputs, mut want) = (Vec::new(), Vec::new());
+        for seq in 0..10u64 {
+            if seq.is_multiple_of(2) {
+                inputs.push(write(seq));
+                want.push(Batch(vec![seq]));
+            } else {
+                inputs.push(read(seq));
+                want.push(Read(seq));
+            }
+        }
+        assert_eq!(cut(64, inputs), want);
+        // The read that ends a run follows the messages the run set aside.
+        assert_eq!(
+            cut(8, vec![write(1), msg(2, 0), read(2)]),
+            [Batch(vec![1]), Msg(2, 0), Read(2)]
+        );
+    }
+
+    #[test]
+    fn messages_inside_a_write_run_wait_for_its_batch() {
+        use Step::{Batch, Msg};
+        // Five writes with the messages of two links between them: one
+        // batch, then the messages in arrival order.
+        let inputs = vec![
+            write(1),
+            msg(1, 0),
+            write(2),
+            msg(2, 0),
+            write(3),
+            msg(1, 1),
+            write(4),
+            msg(2, 1),
+            write(5),
+        ];
+        let after = [Msg(1, 0), Msg(2, 0), Msg(1, 1), Msg(2, 1)];
+        let mut want = vec![Batch(vec![1, 2, 3, 4, 5])];
+        want.extend(after);
+        assert_eq!(cut(8, inputs), want);
+        // Outside a run a message is handled at once.
+        assert_eq!(
+            cut(8, vec![msg(1, 0), write(1), msg(1, 1)]),
+            [Msg(1, 0), Batch(vec![1]), Msg(1, 1)]
+        );
+    }
+
+    #[test]
+    fn a_deep_write_queue_splits_at_the_cap() {
+        let sizes = |cap, n| -> Vec<usize> {
+            let steps = cut(cap, (1..=n).map(write).collect());
+            let size = |s: &Step| match s {
+                Step::Batch(seqs) => seqs.len(),
+                other => panic!("not a batch: {other:?}"),
+            };
+            steps.iter().map(size).collect()
+        };
+        assert_eq!(sizes(1, 10), [1; 10], "a cap of 1 batches nothing");
+        assert_eq!(sizes(4, 10), [4, 4, 2]);
+        assert_eq!(sizes(8, 20), [8, 8, 4]);
+        assert_eq!(sizes(64, 10), [10]);
+        // The cap ends a run as a read does: the messages it set aside
+        // follow its batch, ahead of the next run.
+        use Step::{Batch, Msg};
+        assert_eq!(
+            cut(2, vec![write(1), msg(1, 0), write(2), write(3)]),
+            [Batch(vec![1, 2]), Msg(1, 0), Batch(vec![3])]
+        );
+    }
+
+    #[test]
+    fn intake_pulls_only_what_the_step_uses() {
+        let mut out = VecDeque::new();
+        let mut pulls = 0;
+        let mut pull = || {
+            pulls += 1;
+            Some(write(pulls))
+        };
+        intake(BatchPolicy::max(3), msg(1, 0), &mut pull, &mut out);
+        intake(BatchPolicy::max(3), read(9), &mut pull, &mut out);
+        intake(BatchPolicy::max(3), write(0), &mut pull, &mut out);
+        assert_eq!(
+            pulls, 2,
+            "a lone input pulls nothing; a run stops at its cap"
+        );
+        assert_eq!(out.len(), 3);
+    }
+
     #[test]
     fn a_link_is_fifo_and_links_interleave_freely() {
         let mut s = echoes(3);
@@ -555,7 +771,7 @@ mod tests {
         let mut s = echoes(1);
         s.on(0, |p, ctx| p.on_start(ctx));
         for seq in 1..=3 {
-            s.on(0, |p, ctx| p.on_client_request(cmd(seq), ctx));
+            s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(seq)), ctx));
         }
         let order = |s: &Script<Echo>| -> Vec<(u64, u64)> {
             let executed = s[0].executed.iter();

@@ -200,25 +200,26 @@ pub trait Protocol {
     /// before any other event. Protocols arm their periodic timers here.
     fn on_start(&mut self, ctx: &mut dyn Context<Self>);
 
-    /// A local client submitted `cmd` for replication (the paper's
-    /// `⟨REQUEST cmd⟩`).
-    fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>);
-
-    /// A driver coalesced several queued client requests into one ordered
-    /// [`Batch`] (see [`BatchPolicy`](crate::BatchPolicy)).
+    /// A driver cut a run of queued client writes into one ordered
+    /// [`Batch`] (the paper's `⟨REQUEST cmd⟩`, one or more at a time; see
+    /// [`node::intake`](crate::node::intake) for the rule and
+    /// [`BatchPolicy`](crate::BatchPolicy) for the cap). This is the only
+    /// way a write reaches a protocol: with batching off, every batch
+    /// holds one command.
     ///
     /// Protocols that replicate whole batches — one wire message, one
-    /// acknowledgement, contiguous order coordinates — override this. The
-    /// default expands the batch into per-command requests, so a protocol
-    /// without native batching still behaves correctly (it merely gains
-    /// nothing from coalescing). Implementations must commit the batch's
-    /// commands in batch order, exactly as if each had been submitted
-    /// individually: batching must never be observable in the committed
-    /// sequence.
-    fn on_client_batch(&mut self, batch: Batch, ctx: &mut dyn Context<Self>) {
-        for cmd in batch {
-            self.on_client_request(cmd, ctx);
-        }
+    /// acknowledgement, contiguous order coordinates — gain from
+    /// coalescing. Implementations must commit the batch's commands in
+    /// batch order, exactly as if each had been submitted individually:
+    /// batching must never be observable in the committed sequence.
+    fn on_client_batch(&mut self, batch: Batch, ctx: &mut dyn Context<Self>);
+
+    /// One client write as a batch of its own. No driver calls this and
+    /// no protocol of the workspace overrides it; it stays, provided,
+    /// because the standalone `benchmark` package's null protocol still
+    /// implements it.
+    fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
+        self.on_client_batch(Batch::single(cmd), ctx);
     }
 
     /// A local client submitted a **read-only** command (one with
@@ -229,7 +230,7 @@ pub trait Protocol {
     /// [`ReadPath::Replicated`]. Protocols with a local read path
     /// override both.
     fn on_client_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-        self.on_client_request(cmd, ctx);
+        self.on_client_batch(Batch::single(cmd), ctx);
     }
 
     /// The local-read capability this protocol implements (see
@@ -317,14 +318,16 @@ pub(crate) mod tests {
         fn on_start(&mut self, ctx: &mut dyn Context<Self>) {
             ctx.set_timer(5, TimerToken(1));
         }
-        fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-            ctx.log_append(cmd.clone());
-            self.order += 1;
-            ctx.commit(Committed {
-                cmd,
-                origin: self.id,
-                order_hint: self.order,
-            });
+        fn on_client_batch(&mut self, batch: Batch, ctx: &mut dyn Context<Self>) {
+            for cmd in batch {
+                ctx.log_append(cmd.clone());
+                self.order += 1;
+                ctx.commit(Committed {
+                    cmd,
+                    origin: self.id,
+                    order_hint: self.order,
+                });
+            }
         }
         fn on_message(&mut self, from: ReplicaId, msg: Command, _: &mut dyn Context<Self>) {
             self.received.push((from, msg));
@@ -393,8 +396,7 @@ pub(crate) mod tests {
         let mut ctx = RecordingCtx::default();
         p.on_start(&mut ctx);
         assert_eq!(ctx.timers, vec![(5, TimerToken(1))]);
-        p.on_client_request(cmd(1), &mut ctx);
-        p.on_client_request(cmd(2), &mut ctx);
+        p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), &mut ctx);
         assert_eq!(ctx.committed.len(), 2);
         assert!(ctx.committed[0].order_hint < ctx.committed[1].order_hint);
         assert_eq!(ctx.log.len(), 2);

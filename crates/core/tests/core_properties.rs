@@ -1,9 +1,42 @@
 //! Property tests for the core vocabulary types: timestamp total order,
-//! monotonic stamping, and latency-matrix helper consistency.
+//! monotonic stamping, latency-matrix helper consistency, and the
+//! intake rule that cuts a replica's inbox.
 
+use std::collections::VecDeque;
+
+use bytes::Bytes;
 use proptest::prelude::*;
+use rsm_core::node::{intake, Action, Input};
 use rsm_core::time::MonotonicStamper;
-use rsm_core::{LatencyMatrix, ReplicaId, Timestamp};
+use rsm_core::{BatchPolicy, ClientId, Command, CommandId, LatencyMatrix, ReplicaId, Timestamp};
+
+/// The kinds of input the intake property draws.
+const WRITE: u8 = 0;
+const READ: u8 = 1;
+const MSG: u8 = 2;
+
+/// The input of `kind` at arrival position `pos`, a message on link
+/// `link`. Every input carries its position: a command as its sequence
+/// number, a message as its payload.
+fn input(pos: usize, kind: u8, link: u16) -> Input<u64> {
+    let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), pos as u64);
+    match kind {
+        WRITE => Input::request(Command::new(id, Bytes::from_static(b"w"))),
+        READ => Input::request(Command::read(id, Bytes::from_static(b"r"))),
+        _ => Input::Msg(ReplicaId::new(link), pos as u64),
+    }
+}
+
+/// The arrival positions of an action's inputs, and whether each is a
+/// read.
+fn positions(action: &Action<u64>) -> Vec<(usize, bool)> {
+    let of = |c: &Command| (c.id.seq as usize, c.read_only);
+    match action {
+        Action::Batch(cmds) => cmds.iter().map(of).collect(),
+        Action::Read(c) => vec![of(c)],
+        Action::Msg(_, pos) => vec![(*pos as usize, false)],
+    }
+}
 
 proptest! {
     /// Timestamps form a strict total order: distinct (micros, replica)
@@ -91,5 +124,115 @@ proptest! {
             .filter(|&&d| d <= matrix.median_from(r_id))
             .count();
         prop_assert!(within > n / 2);
+    }
+
+    /// The intake rule over random arrivals of writes, reads and the
+    /// messages of two or three links, under caps 1 to 8, cut step by
+    /// step until the input runs out, as a scheduler's drain does.
+    #[test]
+    fn intake_keeps_every_order_and_fills_every_batch(
+        arrivals in proptest::collection::vec((0u8..3, 0u16..3), 0..60),
+        links in 2u16..4,
+        cap in 1usize..9,
+    ) {
+        let kinds: Vec<(u8, u16)> = arrivals.iter().map(|&(k, l)| (k, l % links)).collect();
+        let mut inputs = kinds.iter().enumerate().map(|(pos, &(k, l))| input(pos, k, l));
+        let mut out = VecDeque::new();
+        while let Some(first) = inputs.next() {
+            intake(BatchPolicy::max(cap), first, || inputs.next(), &mut out);
+        }
+        let actions: Vec<Action<u64>> = out.into_iter().collect();
+        // Where each input was handled: its action's index.
+        let mut handled = vec![None; kinds.len()];
+        for (i, action) in actions.iter().enumerate() {
+            for (pos, _) in positions(action) {
+                prop_assert_eq!(handled[pos], None, "input {} handled twice", pos);
+                handled[pos] = Some(i);
+            }
+        }
+        let handled: Vec<usize> = handled
+            .into_iter()
+            .map(|h| h.expect("every input handled"))
+            .collect();
+        let is_write = |pos: usize| kinds[pos].0 == WRITE;
+
+        // Every write lands in exactly one batch, in arrival order; every
+        // batch is non-empty, no larger than the cap, and writes only.
+        let mut batched = Vec::new();
+        for action in &actions {
+            if let Action::Batch(cmds) = action {
+                let size = cmds.len();
+                prop_assert!(size > 0 && size <= cap, "batch of {}", size);
+                for (pos, read_only) in positions(action) {
+                    prop_assert!(!read_only, "read {} joined a batch", pos);
+                    batched.push(pos);
+                }
+            }
+        }
+        let writes: Vec<usize> = (0..kinds.len()).filter(|&p| is_write(p)).collect();
+        prop_assert_eq!(&batched, &writes);
+
+        // A read is handled after every write that arrived before it and
+        // before every write that arrived after it.
+        for (p, &(kind, _)) in kinds.iter().enumerate() {
+            if kind != READ {
+                continue;
+            }
+            for &w in &writes {
+                let before = handled[w] < handled[p];
+                prop_assert_eq!(before, w < p, "read {} and write {}", p, w);
+            }
+        }
+
+        // Each link's messages keep their order.
+        for link in 0..links {
+            let msgs: Vec<usize> = actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Msg(from, pos) if from.as_u16() == link => Some(*pos as usize),
+                    _ => None,
+                })
+                .collect();
+            let fifo = msgs.windows(2).all(|w| w[0] < w[1]);
+            prop_assert!(fifo, "link {} reordered: {:?}", link, msgs);
+        }
+
+        // No message waits past the end of the run it arrived in: it
+        // overtakes nothing, and only the writes of one batch, the one
+        // open when it arrived, overtake it.
+        for (p, &(kind, _)) in kinds.iter().enumerate() {
+            if kind != MSG {
+                continue;
+            }
+            let mut overtakers = Vec::new();
+            for (q, &at) in handled.iter().enumerate() {
+                if q < p {
+                    prop_assert!(at < handled[p], "message {} overtook input {}", p, q);
+                } else if q > p && at < handled[p] {
+                    prop_assert!(is_write(q), "input {} overtook message {}", q, p);
+                    overtakers.push(at);
+                }
+            }
+            if let Some(&batch) = overtakers.first() {
+                let one_batch = overtakers.iter().all(|&at| at == batch);
+                prop_assert!(one_batch, "message {} waited past its run", p);
+                let opened_before = positions(&actions[batch]).iter().any(|&(w, _)| w < p);
+                prop_assert!(opened_before, "message {} waited for a later run", p);
+            }
+        }
+
+        // A run ends only at a read, the cap or the end of input: past
+        // the messages behind it, a batch below the cap is never
+        // followed by a write.
+        for action in &actions {
+            if let Action::Batch(cmds) = action {
+                if cmds.len() < cap {
+                    let last = cmds.last().expect("non-empty").id.seq as usize;
+                    let next = kinds[last + 1..].iter().find(|&&(k, _)| k != MSG);
+                    let ended = next.is_none_or(|&(k, _)| k == READ);
+                    prop_assert!(ended, "batch ending at {} cut short", last);
+                }
+            }
+        }
     }
 }

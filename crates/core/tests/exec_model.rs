@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rsm_core::checkpoint::CheckpointPolicy;
 use rsm_core::exec::{Executor, ReadFront};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::{ClientId, Command, CommandId, Committed, Epoch, Micros, ReplicaId, Reply};
+use rsm_core::{Batch, ClientId, Command, CommandId, Committed, Epoch, Micros, ReplicaId, Reply};
 
 /// The protocol the contexts are keyed by: it owns the executor under
 /// test, releases parked reads at a cursor the test sets, and keeps the
@@ -30,8 +30,8 @@ impl Protocol for Nop {
         ME
     }
     fn on_start(&mut self, _: &mut dyn Context<Self>) {}
-    fn on_client_request(&mut self, cmd: Command, _: &mut dyn Context<Self>) {
-        self.replicated.push(cmd);
+    fn on_client_batch(&mut self, batch: Batch, _: &mut dyn Context<Self>) {
+        self.replicated.extend(batch);
     }
     fn on_message(&mut self, _: ReplicaId, _: (), _: &mut dyn Context<Self>) {}
     fn on_timer(&mut self, _: TimerToken, _: &mut dyn Context<Self>) {}

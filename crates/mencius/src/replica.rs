@@ -909,10 +909,6 @@ impl Protocol for MenciusBcast {
 
     fn on_start(&mut self, _ctx: &mut dyn Context<Self>) {}
 
-    fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-        self.on_client_batch(Batch::single(cmd), ctx);
-    }
-
     fn on_client_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
         self.start_read(cmd, ctx);
     }
@@ -1159,8 +1155,8 @@ mod tests {
     #[test]
     fn proposer_uses_own_slots_in_order() {
         let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
-        s.on(0, |m, ctx| m.on_client_request(cmd(1), ctx));
-        s.on(0, |m, ctx| m.on_client_request(cmd(2), ctx));
+        s.on(0, |m, ctx| m.on_client_batch(Batch::single(cmd(1)), ctx));
+        s.on(0, |m, ctx| m.on_client_batch(Batch::single(cmd(2)), ctx));
         let slots: Vec<u64> = s[0]
             .sent
             .iter()
@@ -1364,7 +1360,7 @@ mod tests {
             assert!(skip > 3, "skip promise must still cover the gap slots");
         }
         // Own proposals remain fully vouchable after recovery.
-        s.on(0, |m, ctx| m.on_client_request(cmd(9), ctx));
+        s.on(0, |m, ctx| m.on_client_batch(Batch::single(cmd(9)), ctx));
         let own_acks = s[0]
             .sent
             .iter()
@@ -1448,7 +1444,9 @@ mod tests {
             MenciusBcast::new(r(0), Membership::uniform(3)),
             MenciusBcast::new(r(1), Membership::uniform(3)),
         ]);
-        s.on(0, |owner, ctx| owner.on_client_request(cmd(7), ctx)); // fills slot 0
+        s.on(0, |owner, ctx| {
+            owner.on_client_batch(Batch::single(cmd(7)), ctx)
+        }); // fills slot 0
         s.on(1, |m, ctx| m.on_recover(&[], ctx));
         // r0's next batch is the first thing r1 hears: its floor now
         // covers slot 0, which the old code skipped locally.
@@ -1672,7 +1670,9 @@ mod tests {
             MenciusBcast::new(r(1), Membership::uniform(3)),
         ]);
         for seq in 0..8 {
-            s.on(0, |owner, ctx| owner.on_client_request(cmd(seq), ctx));
+            s.on(0, |owner, ctx| {
+                owner.on_client_batch(Batch::single(cmd(seq)), ctx)
+            });
         }
         // Majority watermarks + skip promises resolve everything at the
         // owner: its own 8 slots commit, everyone else's skip.
@@ -1686,7 +1686,9 @@ mod tests {
         );
         // Two more own proposals stay unresolved above the watermark.
         for seq in 8..10 {
-            s.on(0, |owner, ctx| owner.on_client_request(cmd(seq), ctx));
+            s.on(0, |owner, ctx| {
+                owner.on_client_batch(Batch::single(cmd(seq)), ctx)
+            });
         }
         let log = &s.nodes[0].log;
         assert!(
@@ -1790,7 +1792,7 @@ mod tests {
             "recovered replica reaches the owner's exact state"
         );
         // And it can keep proposing above everything resolved.
-        s.on(1, |m, ctx| m.on_client_request(cmd(99), ctx));
+        s.on(1, |m, ctx| m.on_client_batch(Batch::single(cmd(99)), ctx));
         assert!(s.nodes[1].proto.next_own_slot > 22);
     }
 
@@ -1799,7 +1801,7 @@ mod tests {
         let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))
             .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true))]);
         for seq in 0..6 {
-            s.on(0, |m, ctx| m.on_client_request(cmd(seq), ctx));
+            s.on(0, |m, ctx| m.on_client_batch(Batch::single(cmd(seq)), ctx));
         }
         ack(&mut s, 0, r(1), 15, 16);
         ack(&mut s, 0, r(2), 15, 17);
@@ -1858,7 +1860,7 @@ mod tests {
             // stays.
             s.restart(0, replica());
             for slot in 2 * life..2 * life + 2 {
-                s.on(0, |m, ctx| m.on_client_request(cmd(slot), ctx));
+                s.on(0, |m, ctx| m.on_client_batch(Batch::single(cmd(slot)), ctx));
                 ack(&mut s, 0, r(0), slot, slot + 1);
             }
             assert_eq!(s.nodes[0].proto.resolved(), 2 * life + 2);
@@ -2008,7 +2010,7 @@ mod tests {
         // promises cover the empty slots of every owner.
         ack(&mut s, 0, r(1), 1, 7);
         ack(&mut s, 0, r(2), 1, 8);
-        s.on(0, |m, ctx| m.on_client_request(cmd(1), ctx)); // fills own slot 3... (slot 0 skipped by own floor)
+        s.on(0, |m, ctx| m.on_client_batch(Batch::single(cmd(1)), ctx)); // fills own slot 3... (slot 0 skipped by own floor)
         ack(&mut s, 0, r(1), 3, 7);
         ack(&mut s, 0, r(2), 3, 8);
         assert!(

@@ -6,6 +6,7 @@
 use bytes::Bytes;
 use mencius::MenciusBcast;
 use proptest::prelude::*;
+use rsm_core::batch::Batch;
 use rsm_core::command::{Command, CommandId};
 use rsm_core::config::Membership;
 use rsm_core::id::{ClientId, ReplicaId};
@@ -23,7 +24,7 @@ fn submit(s: &mut Script<MenciusBcast>, at: usize, seq: u64) {
         CommandId::new(ClientId::new(ReplicaId::new(at as u16), 0), seq),
         Bytes::from_static(b"m"),
     );
-    s.on(at, |p, ctx| p.on_client_request(cmd, ctx));
+    s.on(at, |p, ctx| p.on_client_batch(Batch::single(cmd), ctx));
     s.flush(at);
 }
 

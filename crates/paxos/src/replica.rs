@@ -1644,10 +1644,6 @@ impl Protocol for MultiPaxos {
         }
     }
 
-    fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-        self.on_client_batch(Batch::single(cmd), ctx);
-    }
-
     fn on_client_read(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
         let now = ctx.clock();
         if self.is_leader() && self.read_lease_valid(now) {

@@ -78,7 +78,7 @@ fn prepares(sent: &[(ReplicaId, PaxosMsg)]) -> Vec<Ballot> {
 #[test]
 fn follower_forwards_to_leader() {
     let mut s = Script::new(vec![bcast(1)]);
-    s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(1)), ctx));
     assert_eq!(s[0].sent.len(), 1);
     assert_eq!(s[0].sent[0].0, r(0));
     assert!(matches!(s[0].sent[0].1, PaxosMsg::Forward { .. }));
@@ -87,8 +87,8 @@ fn follower_forwards_to_leader() {
 #[test]
 fn leader_assigns_consecutive_instances() {
     let mut s = Script::new(vec![bcast(0)]);
-    s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
-    s.on(0, |p, ctx| p.on_client_request(cmd(2), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(1)), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(2)), ctx));
     let firsts: Vec<u64> = s[0]
         .sent
         .iter()
@@ -239,7 +239,7 @@ fn plain_leader_broadcasts_commit_on_majority() {
     )]);
     // propose() self-delivers the Accept synchronously: the run is
     // logged and the leader's own Accepted is already in flight.
-    s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(1)), ctx));
     s.receive(0, r(0), acked(b0(), 1));
     s.receive(0, r(1), acked(b0(), 1));
     let commit_sends = s[0]
@@ -383,7 +383,7 @@ fn leader_recovery_never_reuses_instances() {
         "run logged before any network round-trip"
     );
     s.restart(0, bcast(0));
-    s.on(0, |p, ctx| p.on_client_request(cmd(3), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(3)), ctx));
     let firsts: Vec<u64> = s[0]
         .sent
         .iter()
@@ -909,7 +909,7 @@ fn election_win_merges_highest_ballot_and_noops_holes() {
     assert_eq!(s[0].executed[0].order_hint, 1);
     assert_eq!(s[0].executed[0].cmd.id.seq, 42);
     // The data plane resumes above the repaired suffix.
-    s.on(0, |p, ctx| p.on_client_request(cmd(7), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(7)), ctx));
     let new_accepts: Vec<(Ballot, u64)> = s[0]
         .sent
         .iter()
@@ -1104,7 +1104,7 @@ fn resumed_vouch_walk_matches_the_full_walk_under_a_deep_pipeline() {
 fn deposed_leader_steps_down_on_nack_and_forwards() {
     let mut s = Script::new(vec![bcast(0).with_failover(lease())]);
     s.on(0, |p, ctx| p.on_start(ctx));
-    s.on(0, |p, ctx| p.on_client_request(cmd(1), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(1)), ctx));
     assert!(s.nodes[0].proto.is_leader());
     s.receive(0, r(2), PaxosMsg::Nack { promised: b(3, 1) });
     assert!(
@@ -1112,7 +1112,7 @@ fn deposed_leader_steps_down_on_nack_and_forwards() {
         "a higher promise deposes the leader"
     );
     // Subsequent client traffic flows toward the fencing candidate.
-    s.on(0, |p, ctx| p.on_client_request(cmd(2), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(2)), ctx));
     let (to, last) = s[0].sent.last().unwrap();
     assert_eq!(*to, r(1));
     assert!(matches!(last, PaxosMsg::Forward { .. }));
@@ -1462,7 +1462,7 @@ fn client_batches_buffered_during_candidacy_are_proposed_on_victory() {
     s.on(0, |p, ctx| p.on_start(ctx));
     s[0].clock = 600_000;
     s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
-    s.on(0, |p, ctx| p.on_client_request(cmd(9), ctx));
+    s.on(0, |p, ctx| p.on_client_batch(Batch::single(cmd(9)), ctx));
     assert!(
         !s[0]
             .sent

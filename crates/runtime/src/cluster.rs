@@ -162,7 +162,8 @@ impl ClusterConfig {
     /// protocol whatever writes are queued in its inbox (up to
     /// `max_batch`) as one batch, never waiting for more. Peer messages
     /// queued between them are handled right after the batch instead of
-    /// splitting it; a read ends the batch.
+    /// splitting it; a read ends the batch (`rsm_core::node::intake`, the
+    /// simulator's rule too).
     pub fn batch_policy(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
         self

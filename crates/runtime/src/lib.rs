@@ -33,14 +33,11 @@
 //! protocol-level batches ([`ClusterConfig::batch_policy`]): a node
 //! thread drains whatever writes sit in its inbox (up to `max_batch`,
 //! never waiting for more) and hands them to the protocol as one batch.
-//! The run rule differs in one point. Here a peer message met while
-//! draining is set aside and handled right after the batch, so under
-//! load the steady stream of peer traffic does not cut batches short;
-//! only a read, `Stop`, the cap or an empty inbox ends a run. The
-//! simulator's inbox step still lets a message end the run: adopting
-//! the runtime's rule there would re-time every simulated execution,
-//! and predicting the runtime's batch sizes belongs to the simulator's
-//! CPU-cost calibration, not its inbox step.
+//! Both cut the inbox with the same rule, `rsm_core::node::intake`: a
+//! peer message met while draining is set aside and handled right after
+//! the batch, so under load the steady stream of peer traffic does not
+//! cut batches short; only a read, the cap or an empty inbox (here also
+//! `Stop`) ends a run.
 //!
 //! ## Example
 //!

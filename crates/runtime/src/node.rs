@@ -10,7 +10,7 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use rsm_core::batch::BatchPolicy;
 use rsm_core::command::{Command, CommandId, Committed, Reply};
 use rsm_core::id::ReplicaId;
-use rsm_core::node::{propose, Driver, Node};
+use rsm_core::node::{intake, propose, Action, Driver, Input, Node};
 use rsm_core::obs::{span_key, TraceStage};
 use rsm_core::protocol::{Protocol, TimerToken};
 use rsm_core::time::{Micros, MonotonicStamper};
@@ -85,6 +85,19 @@ impl Waiters {
         self.0.insert(id, waiter);
     }
 
+    /// The intake's view of an inbox input, registering a request's
+    /// waiter on the way; `None` for `Stop`.
+    fn admit<P: Protocol>(&mut self, input: NodeInput<P>) -> Option<Input<Held<P::Msg>>> {
+        Some(match input {
+            NodeInput::Msg { from, msg, due } => Input::Msg(from, (msg, due)),
+            NodeInput::Request(cmd, waiter) => {
+                self.register(cmd.id, waiter);
+                Input::request(cmd)
+            }
+            NodeInput::Stop => return None,
+        })
+    }
+
     /// Removes and returns the reply channel for `id`. A command is
     /// answered at most once per registration, so the send that follows
     /// finds room and the node thread never blocks on a caller.
@@ -105,6 +118,10 @@ pub struct NodeReport {
     /// Number of stable log records written.
     pub log_len: usize,
 }
+
+/// A peer message as the node loop carries it through the intake: the
+/// message and when its link delivers it (`NodeInput::Msg`'s `due`).
+type Held<M> = (M, Option<Instant>);
 
 /// A received peer message that is not due yet, ordered by
 /// `(due, arrival seq)`.
@@ -253,15 +270,14 @@ impl<P: Protocol> NodeHarness<P> {
     /// The node thread body: dispatch messages, requests, and timers until
     /// asked to stop.
     ///
-    /// A write request opens a **run**: every write already queued behind
-    /// it joins one batch, up to the policy cap, never waiting for more.
-    /// The run ends at the cap, at an empty inbox, at a read or at `Stop`;
-    /// a peer message met on the way is set aside and does not end it.
-    /// Right after the batch, the set-aside messages are handled in
-    /// arrival order, then the input that ended the run. So client
-    /// requests keep their arrival order among themselves, each link
-    /// keeps its order, and a message handled after newer writes is only
-    /// a message on a slower link, which every protocol tolerates.
+    /// The inbox is cut by the one intake rule, `rsm_core::node::intake`,
+    /// the simulator's too: a write opens a **run** that takes the writes
+    /// already queued behind it into one batch, up to the policy cap,
+    /// never waiting for more; a peer message met on the way is set aside
+    /// and handled right after the batch; a read, the cap, an empty inbox
+    /// or `Stop` ends the run. The intake pulls from the inbox only while
+    /// a run is open, so timers and held messages fire between inputs as
+    /// they did between runs.
     ///
     /// On the in-process plane this loop is also the emulated WAN: a peer
     /// message arrives stamped with its `due` time and waits in
@@ -282,10 +298,9 @@ impl<P: Protocol> NodeHarness<P> {
         } = self;
         let mut in_flight: BinaryHeap<Reverse<InFlight<P::Msg>>> = BinaryHeap::new();
         let mut arrival_seq = 0u64;
-        // Inputs a write run took from the inbox but did not batch: the
-        // peer messages it set aside, then the input that ended it. They
-        // are handled, in this order, before anything else.
-        let mut handed_back: VecDeque<NodeInput<P>> = VecDeque::new();
+        // One intake step's actions, in order; empty between steps.
+        let mut actions: VecDeque<Action<Held<P::Msg>>> = VecDeque::new();
+        let mut stopping = false;
 
         node.with(&mut wall, |p, c| p.on_start(c));
 
@@ -294,121 +309,100 @@ impl<P: Protocol> NodeHarness<P> {
         // snapshot before the first interval elapses).
         let mut next_poll = poll_every.map(|_| Instant::now());
 
-        loop {
-            let input = match handed_back.pop_front() {
-                Some(input) => input,
-                None => {
-                    // Fire due timers first, then deliver every due
-                    // message.
-                    let now = Instant::now();
-                    while wall
-                        .timers
-                        .peek()
-                        .is_some_and(|Reverse((due, _, _))| *due <= now)
-                    {
-                        let Reverse((_, _, token)) = wall.timers.pop().expect("peeked");
-                        node.with(&mut wall, |p, c| p.on_timer(token, c));
-                    }
-                    while in_flight.peek().is_some_and(|Reverse(f)| f.due <= now) {
-                        let Reverse(f) = in_flight.pop().expect("peeked");
-                        node.with(&mut wall, |p, c| p.on_message(f.from, f.msg, c));
-                    }
+        while !stopping {
+            // Fire due timers first, then deliver every due message.
+            let now = Instant::now();
+            while wall
+                .timers
+                .peek()
+                .is_some_and(|Reverse((due, _, _))| *due <= now)
+            {
+                let Reverse((_, _, token)) = wall.timers.pop().expect("peeked");
+                node.with(&mut wall, |p, c| p.on_timer(token, c));
+            }
+            while in_flight.peek().is_some_and(|Reverse(f)| f.due <= now) {
+                let Reverse(f) = in_flight.pop().expect("peeked");
+                node.with(&mut wall, |p, c| p.on_message(f.from, f.msg, c));
+            }
 
-                    // Periodic gauge poll (observing clusters only): ask
-                    // the protocol for its instantaneous state —
-                    // stable-timestamp lag, per-peer LatestTV staleness,
-                    // ballot.
-                    if let (Some(every), Some(np)) = (poll_every, next_poll) {
-                        if now >= np {
-                            node.with(&mut wall, |p, c| p.obs_poll(c));
-                            next_poll = Some(Instant::now() + every);
-                        }
-                    }
+            // Periodic gauge poll (observing clusters only): ask the
+            // protocol for its instantaneous state — stable-timestamp
+            // lag, per-peer LatestTV staleness, ballot.
+            if let (Some(every), Some(np)) = (poll_every, next_poll) {
+                if now >= np {
+                    node.with(&mut wall, |p, c| p.obs_poll(c));
+                    next_poll = Some(Instant::now() + every);
+                }
+            }
 
-                    // Sleep until the next timer, held message or gauge
-                    // poll, whichever is sooner (forever when none is
-                    // pending).
-                    let deadline = [
-                        wall.timers.peek().map(|Reverse((due, _, _))| *due),
-                        in_flight.peek().map(|Reverse(f)| f.due),
-                        next_poll,
-                    ]
-                    .into_iter()
-                    .flatten()
-                    .min();
-                    match deadline {
-                        Some(due) => {
-                            let timeout = due.saturating_duration_since(Instant::now());
-                            match inbox.recv_timeout(timeout) {
-                                Ok(i) => i,
-                                Err(RecvTimeoutError::Timeout) => continue,
-                                Err(RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                        None => match inbox.recv() {
-                            Ok(i) => i,
-                            Err(_) => break,
-                        },
+            // Sleep until the next timer, held message or gauge poll,
+            // whichever is sooner (forever when none is pending).
+            let deadline = [
+                wall.timers.peek().map(|Reverse((due, _, _))| *due),
+                in_flight.peek().map(|Reverse(f)| f.due),
+                next_poll,
+            ]
+            .into_iter()
+            .flatten()
+            .min();
+            let input = match deadline {
+                Some(due) => {
+                    let timeout = due.saturating_duration_since(Instant::now());
+                    match inbox.recv_timeout(timeout) {
+                        Ok(i) => i,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => break,
                     }
                 }
-            };
-
-            match input {
-                NodeInput::Msg { from, msg, due } => match due {
-                    Some(due) if !in_flight.is_empty() || due > Instant::now() => {
-                        arrival_seq += 1;
-                        in_flight.push(Reverse(InFlight {
-                            due,
-                            seq: arrival_seq,
-                            from,
-                            msg,
-                        }));
-                    }
-                    _ => node.with(&mut wall, |p, c| p.on_message(from, msg, c)),
+                None => match inbox.recv() {
+                    Ok(i) => i,
+                    Err(_) => break,
                 },
-                NodeInput::Request(cmd, waiter) if cmd.read_only => {
-                    wall.waiters.register(cmd.id, waiter);
-                    // Reads bypass the batching pipeline entirely: a `Get`
-                    // must never wait behind a write batch. Straight to
+            };
+            let Some(first) = wall.waiters.admit(input) else {
+                break;
+            };
+            let waiters = &mut wall.waiters;
+            let pull = || match inbox.try_recv() {
+                Ok(input) => {
+                    let admitted = waiters.admit(input);
+                    stopping = admitted.is_none();
+                    admitted
+                }
+                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
+            };
+            intake(batch, first, pull, &mut actions);
+
+            for action in actions.drain(..) {
+                match action {
+                    Action::Msg(from, (msg, due)) => match due {
+                        Some(due) if !in_flight.is_empty() || due > Instant::now() => {
+                            arrival_seq += 1;
+                            in_flight.push(Reverse(InFlight {
+                                due,
+                                seq: arrival_seq,
+                                from,
+                                msg,
+                            }));
+                        }
+                        _ => node.with(&mut wall, |p, c| p.on_message(from, msg, c)),
+                    },
+                    // Reads never join batches: a `Get` goes straight to
                     // the protocol's read path.
-                    node.with(&mut wall, |p, c| p.on_client_read(cmd, c));
-                }
-                NodeInput::Request(cmd, waiter) => {
-                    wall.waiters.register(cmd.id, waiter);
-                    // Coalesce opportunistically: take whatever writes are
-                    // already queued (up to the policy cap) into one
-                    // batch, never waiting for more. A peer message is set
-                    // aside and the run goes on; a read (reads never join
-                    // batches) or `Stop` ends it. A run starts only when
-                    // nothing is handed back, so what it hands back is
-                    // handled next, in arrival order.
-                    let mut cmds = vec![cmd];
-                    while batch.fits(cmds.len()) {
-                        match inbox.try_recv() {
-                            Ok(NodeInput::Request(c, waiter)) if !c.read_only => {
-                                wall.waiters.register(c.id, waiter);
-                                cmds.push(c);
+                    Action::Read(cmd) => node.with(&mut wall, |p, c| p.on_client_read(cmd, c)),
+                    Action::Batch(cmds) => {
+                        if let Some(t) = &node.tracer {
+                            // Span origin: this node (the command's local
+                            // replica). Reads never reach here — they skip
+                            // the ordering pipeline the span describes.
+                            let at = wall.trace_now();
+                            for c in &cmds {
+                                t.begin(span_key(c.id), wall.id.as_u16(), at);
                             }
-                            Ok(msg @ NodeInput::Msg { .. }) => handed_back.push_back(msg),
-                            Ok(other) => {
-                                handed_back.push_back(other);
-                                break;
-                            }
-                            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
                         }
+                        node.with(&mut wall, |p, c| propose(p, c, cmds));
                     }
-                    if let Some(t) = &node.tracer {
-                        // Span origin: this node (the command's local
-                        // replica). Reads never reach here — they skip the
-                        // ordering pipeline the span describes.
-                        let at = wall.trace_now();
-                        for c in &cmds {
-                            t.begin(span_key(c.id), wall.id.as_u16(), at);
-                        }
-                    }
-                    node.with(&mut wall, |p, c| propose(p, c, cmds));
                 }
-                NodeInput::Stop => break,
             }
         }
 
@@ -475,9 +469,6 @@ mod tests {
             ReplicaId::new(0)
         }
         fn on_start(&mut self, _: &mut dyn Context<Self>) {}
-        fn on_client_request(&mut self, _: Command, _: &mut dyn Context<Self>) {
-            unreachable!("the node loop only calls the batch and read entry points");
-        }
         fn on_client_batch(&mut self, batch: Batch, _: &mut dyn Context<Self>) {
             self.push(Call::Batch(batch.len()));
             std::thread::sleep(self.stall);
@@ -508,22 +499,6 @@ mod tests {
             batch: BatchPolicy::max(8),
             poll_every: None,
         }
-    }
-
-    /// Runs a node on this thread over a fully pre-loaded inbox (nothing
-    /// races the drain) that ends in `Stop`, and returns the callback
-    /// sequence.
-    fn drain(inputs: Vec<NodeInput<Recorder>>) -> Vec<Call> {
-        let proto = Recorder::default();
-        let calls = Arc::clone(&proto.calls);
-        let (inbox_tx, inbox) = unbounded();
-        for input in inputs {
-            inbox_tx.send(input).expect("inbox open");
-        }
-        inbox_tx.send(NodeInput::Stop).expect("inbox open");
-        harness(proto, inbox, Vec::new()).run();
-        let mut calls = calls.lock().expect("recorder lock");
-        calls.drain(..).map(|(call, _)| call).collect()
     }
 
     /// Blocks until `want` callbacks have been recorded. A delivery that
@@ -581,68 +556,6 @@ mod tests {
 
     fn message(from: u16, payload: u32) -> Call {
         Call::Message { from, payload }
-    }
-
-    #[test]
-    fn reads_end_a_write_run_and_messages_wait_behind_it() {
-        // Due on arrival, as the socket planes deliver.
-        let peer = NodeInput::Msg {
-            from: ReplicaId::new(1),
-            msg: Payload(7),
-            due: None,
-        };
-        let inputs = vec![write(1), write(2), read(3), write(4), peer, write(5)];
-        assert_eq!(
-            drain(inputs),
-            [
-                Call::Batch(2),
-                Call::Read,
-                Call::Batch(2), // the message does not end the run
-                message(1, 7),
-            ]
-        );
-    }
-
-    #[test]
-    fn messages_inside_a_write_run_wait_for_its_batch() {
-        // A pre-loaded inbox, so nothing races the drain: five writes
-        // with in-process messages of two links between them, link 1
-        // slower than link 2.
-        let t0 = Instant::now();
-        let sent = [(1, 0, 6), (2, 0, 2), (1, 1, 8), (2, 1, 4)]
-            .map(|(from, payload, ms)| (from, payload, t0 + Duration::from_millis(ms)));
-        let mut inputs = vec![write(1)];
-        for (seq, &(from, payload, due)) in (2..).zip(&sent) {
-            inputs.push(msg(from, payload, due));
-            inputs.push(write(seq));
-        }
-        let calls = run_until(Recorder::default(), inputs, 1 + sent.len());
-        assert_eq!(calls[0].0, Call::Batch(5), "one batch, before any message");
-        let mut per_link: HashMap<u16, Vec<u32>> = HashMap::new();
-        for (call, at) in &calls[1..] {
-            let &Call::Message { from, payload } = call else {
-                panic!("a second batch or a read: {call:?}");
-            };
-            let due = sent
-                .iter()
-                .find(|s| (s.0, s.1) == (from, payload))
-                .expect("a sent message")
-                .2;
-            assert!(*at >= due, "{call:?} dispatched early");
-            per_link.entry(from).or_default().push(payload);
-        }
-        for link in [1, 2] {
-            assert_eq!(per_link[&link], [0, 1], "FIFO on link {link}");
-        }
-    }
-
-    #[test]
-    fn a_deep_write_queue_splits_at_the_cap() {
-        let inputs = (1..=20).map(write).collect();
-        assert_eq!(
-            drain(inputs),
-            [Call::Batch(8), Call::Batch(8), Call::Batch(4)]
-        );
     }
 
     #[test]

@@ -24,10 +24,13 @@
 //! * **crash / recovery / partition** fault injection;
 //! * an optional **CPU cost model** with opportunistic batching, used by
 //!   the local-cluster throughput experiments (Figure 8);
-//! * **request coalescing** ([`SimConfig::batch_policy`]): client
-//!   requests queued at a replica when it gets scheduled are handed to
-//!   the protocol as one `Batch` of up to `max_batch` commands, enabling
-//!   the protocol-level batching of the replication crates.
+//! * **request coalescing** ([`SimConfig::batch_policy`]): the client
+//!   writes queued at a replica when it gets scheduled are handed to the
+//!   protocol as one `Batch` of up to `max_batch` commands, enabling the
+//!   protocol-level batching of the replication crates. The inbox is cut
+//!   by the threaded runtime's rule, `rsm_core::node::intake`: a peer
+//!   message inside a run of writes waits for its batch, and a read ends
+//!   the run, so no read overtakes an earlier write.
 //!
 //! The simulator is a scheduler: the replica itself — state machine,
 //! log, execution count, observability hooks and the one `Context`

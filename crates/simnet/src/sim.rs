@@ -9,7 +9,7 @@ use rsm_core::batch::BatchPolicy;
 use rsm_core::command::{Command, Committed, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
-use rsm_core::node::{propose, Driver, Node};
+use rsm_core::node::{intake, propose, Action, Driver, Input, Node};
 use rsm_core::obs::{names, span_key, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::sm::StateMachine;
@@ -112,11 +112,13 @@ impl SimConfig {
         self
     }
 
-    /// Sets the request-coalescing policy: client requests queued at a
+    /// Sets the request-coalescing policy: the client writes queued at a
     /// replica when it gets scheduled are handed to the protocol as one
-    /// [`Batch`](rsm_core::batch::Batch) of up to `max_batch` commands (never waiting
-    /// intentionally). The default is [`BatchPolicy::DISABLED`], which
-    /// reproduces per-command behaviour exactly.
+    /// [`Batch`](rsm_core::batch::Batch) of up to `max_batch` commands
+    /// (never waiting intentionally), cut by the runtime's intake rule,
+    /// [`rsm_core::node::intake`]. The default is
+    /// [`BatchPolicy::DISABLED`], which reproduces per-command behaviour
+    /// exactly.
     pub fn batch_policy(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
         self
@@ -411,11 +413,6 @@ enum Event<P: Protocol> {
     ObsPoll,
 }
 
-enum NodeInput<P: Protocol> {
-    Msg(ReplicaId, P::Msg),
-    Request(Command),
-}
-
 /// One simulated replica: the node core plus what only simnet models
 /// around it.
 struct SimNode<P: Protocol> {
@@ -426,7 +423,7 @@ struct SimNode<P: Protocol> {
     commits: Vec<CommitRecord>,
     /// `commits` restarted at a snapshot install.
     mid_stream: bool,
-    inbox: VecDeque<NodeInput<P>>,
+    inbox: VecDeque<Input<P::Msg>>,
     inbox_scheduled: bool,
     cpu_free: Micros,
 }
@@ -802,29 +799,18 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                         t.begin(span_key(cmd.id), to.as_u16(), self.now);
                     }
                 }
-                // Reads never coalesce: batching amortizes replication
-                // cost, and a local read replicates nothing, so holding
-                // a Get behind a write batch would buy nothing and
-                // inflate read latency. They only pass
-                // through the inbox when a CPU model prices processing.
-                if cmd.read_only {
-                    if self.cfg.cpu.is_some() {
-                        self.enqueue_input(idx, NodeInput::Request(cmd));
-                    } else {
-                        self.invoke(idx, false, |p, ctx| p.on_client_read(cmd, ctx));
-                    }
-                    return;
-                }
-                // Write requests pass through the node's inbox when that
-                // buys something: a CPU model prices the processing
-                // step, and a batch policy coalesces same-instant
-                // arrivals. With neither (the default for latency
-                // experiments) the hop only doubles event-queue traffic,
-                // so invoke directly.
+                // Requests pass through the node's inbox when that buys
+                // something: a CPU model prices the processing step, and
+                // a batch policy coalesces same-instant writes. Reads go
+                // the same way, so none overtakes an earlier write. With
+                // neither (the default for latency experiments) the hop
+                // only doubles event-queue traffic, so invoke directly.
                 if self.cfg.cpu.is_some() || self.cfg.batch.coalesces() {
-                    self.enqueue_input(idx, NodeInput::Request(cmd));
+                    self.enqueue_input(idx, Input::request(cmd));
+                } else if cmd.read_only {
+                    self.invoke(idx, false, |p, ctx| p.on_client_read(cmd, ctx));
                 } else {
-                    self.invoke(idx, false, |p, ctx| p.on_client_request(cmd, ctx));
+                    self.invoke(idx, false, |p, ctx| propose(p, ctx, vec![cmd]));
                 }
             }
             Event::ReplyArrive { client, reply } => {
@@ -922,7 +908,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             return; // destination crashed: message lost
         }
         if self.cfg.cpu.is_some() {
-            self.enqueue_input(idx, NodeInput::Msg(from, msg));
+            self.enqueue_input(idx, Input::Msg(from, msg));
         } else {
             self.invoke(idx, false, |p, ctx| p.on_message(from, msg, ctx));
         }
@@ -966,7 +952,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         }
     }
 
-    fn enqueue_input(&mut self, idx: usize, input: NodeInput<P>) {
+    fn enqueue_input(&mut self, idx: usize, input: Input<P::Msg>) {
         let (at, incarnation) = {
             let n = &mut self.nodes[idx];
             n.inbox.push_back(input);
@@ -985,9 +971,11 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         );
     }
 
-    /// Inbox processing step: drain the inbox as one receive batch,
-    /// coalesce runs of queued client requests into [`Batch`](rsm_core::batch::Batch)es (capped
-    /// by the batch policy), run the protocol, then ship all produced
+    /// Inbox processing step: drain the inbox as one receive batch, hand
+    /// it to the protocol as the intake rule cuts it
+    /// ([`rsm_core::node::intake`], the runtime's rule: runs of queued
+    /// writes become capped batches, a peer message inside a run waits
+    /// for its batch, a read ends the run), then ship all produced
     /// messages as per-destination send batches. With a CPU model the
     /// node is busy for the step's total cost and outgoing messages hit
     /// the network when it completes; without one the step is free and
@@ -1003,7 +991,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             return;
         }
         let cpu = self.cfg.cpu;
-        let inputs: Vec<NodeInput<P>> = {
+        let inputs: Vec<Input<P::Msg>> = {
             let n = &mut self.nodes[idx];
             n.inbox_scheduled = false;
             if !n.up || n.inbox.is_empty() {
@@ -1017,8 +1005,8 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 let recv_bytes: usize = inputs
                     .iter()
                     .map(|i| match i {
-                        NodeInput::Msg(_, m) => m.wire_size(),
-                        NodeInput::Request(c) => c.wire_size(),
+                        Input::Msg(_, m) => m.wire_size(),
+                        Input::Write(c) | Input::Read(c) => c.wire_size(),
                     })
                     .sum();
                 cpu.batch_cost(inputs.len(), recv_bytes)
@@ -1027,47 +1015,21 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         };
 
         // Run the protocol over every input, accumulating effects.
-        // Consecutive requests coalesce into one client batch each, up to
-        // the policy cap; messages flush the run so relative order with
-        // requests is preserved. This is deliberately not the threaded
-        // runtime's rule, where a message is set aside and the run goes
-        // on: adopting it here would re-time every simulated execution,
-        // and predicting the runtime's batch sizes is the cost model's
-        // calibration, not the inbox step's.
         let batch = self.cfg.batch;
         let n = &mut self.nodes[idx];
         let mut driver = SimDriver::new(self.now, &mut n.clock);
         n.node.with(&mut driver, |proto, ctx| {
-            let mut run: Vec<Command> = Vec::new();
-            for input in inputs {
-                match input {
-                    NodeInput::Msg(from, m) => {
-                        if !run.is_empty() {
-                            propose(proto, ctx, std::mem::take(&mut run));
-                        }
-                        proto.on_message(from, m, ctx);
-                    }
-                    NodeInput::Request(c) if c.read_only => {
-                        // Reads bypass coalescing entirely: flush the
-                        // open write run (relative order is preserved)
-                        // and hand the read straight to the protocol's
-                        // read path.
-                        if !run.is_empty() {
-                            propose(proto, ctx, std::mem::take(&mut run));
-                        }
-                        proto.on_client_read(c, ctx);
-                    }
-                    NodeInput::Request(c) => {
-                        // Flush when the run has reached the cap.
-                        if !batch.fits(run.len()) {
-                            propose(proto, ctx, std::mem::take(&mut run));
-                        }
-                        run.push(c);
+            let mut inputs = inputs.into_iter();
+            let mut actions = VecDeque::new();
+            while let Some(first) = inputs.next() {
+                intake(batch, first, || inputs.next(), &mut actions);
+                for action in actions.drain(..) {
+                    match action {
+                        Action::Batch(cmds) => propose(proto, ctx, cmds),
+                        Action::Read(cmd) => proto.on_client_read(cmd, ctx),
+                        Action::Msg(from, m) => proto.on_message(from, m, ctx),
                     }
                 }
-            }
-            if !run.is_empty() {
-                propose(proto, ctx, run);
             }
         });
         let eff = driver.eff;
@@ -1304,9 +1266,11 @@ mod tests {
             self.id
         }
         fn on_start(&mut self, _ctx: &mut dyn Context<Self>) {}
-        fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-            for i in 0..self.n {
-                ctx.send(ReplicaId::new(i), FloodMsg(cmd.clone(), self.id));
+        fn on_client_batch(&mut self, batch: rsm_core::Batch, ctx: &mut dyn Context<Self>) {
+            for cmd in batch {
+                for i in 0..self.n {
+                    ctx.send(ReplicaId::new(i), FloodMsg(cmd.clone(), self.id));
+                }
             }
         }
         fn on_message(&mut self, _from: ReplicaId, msg: FloodMsg, ctx: &mut dyn Context<Self>) {
@@ -1707,11 +1671,11 @@ mod tests {
         assert!(first_remote_commit >= 300 + 200 + 1_000);
     }
 
-    /// A protocol that records the sizes of the client batches handed to
-    /// it, to observe driver coalescing directly.
+    /// A protocol that records what the inbox step hands it: the size of
+    /// each client batch, and 0 for a read.
     struct BatchObserver {
         id: ReplicaId,
-        batch_sizes: Vec<usize>,
+        calls: Vec<usize>,
     }
 
     impl Protocol for BatchObserver {
@@ -1722,72 +1686,27 @@ mod tests {
             self.id
         }
         fn on_start(&mut self, _ctx: &mut dyn Context<Self>) {}
-        fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-            self.on_client_batch(rsm_core::Batch::single(cmd), ctx);
+        fn on_client_batch(&mut self, batch: rsm_core::Batch, _: &mut dyn Context<Self>) {
+            self.calls.push(batch.len());
         }
-        fn on_client_batch(&mut self, batch: rsm_core::Batch, ctx: &mut dyn Context<Self>) {
-            self.batch_sizes.push(batch.len());
-            for cmd in batch {
-                ctx.commit(Committed {
-                    cmd,
-                    origin: self.id,
-                    order_hint: self.batch_sizes.len() as u64,
-                });
-            }
+        fn on_client_read(&mut self, _: Command, _: &mut dyn Context<Self>) {
+            self.calls.push(0);
         }
         fn on_message(&mut self, _: ReplicaId, _: (), _: &mut dyn Context<Self>) {}
         fn on_timer(&mut self, _: TimerToken, _: &mut dyn Context<Self>) {}
         fn on_recover(&mut self, _: &[()], _: &mut dyn Context<Self>) {}
     }
 
-    struct TenAtOnce;
-    impl Application<BatchObserver> for TenAtOnce {
-        fn on_init(&mut self, api: &mut SimApi<'_, BatchObserver>) {
-            for seq in 0..10 {
-                let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), seq);
-                api.submit(
-                    ReplicaId::new(0),
-                    Command::new(id, Bytes::from_static(b"b")),
-                );
-            }
-        }
-        fn on_reply(&mut self, _: ClientId, _: Reply, _: &mut SimApi<'_, BatchObserver>) {}
-        fn on_event(&mut self, _: u64, _: &mut SimApi<'_, BatchObserver>) {}
-    }
-
-    fn observer_sim(batch: rsm_core::BatchPolicy) -> Vec<usize> {
-        let cfg = SimConfig::new(LatencyMatrix::uniform(2, 1_000)).batch_policy(batch);
-        let mut sim = Simulation::new(
-            cfg,
-            |id| BatchObserver {
-                id,
-                batch_sizes: Vec::new(),
-            },
-            sm,
-            TenAtOnce,
-        );
-        sim.run_until(1_000_000);
-        sim.protocol(ReplicaId::new(0)).batch_sizes.clone()
-    }
-
-    #[test]
-    fn same_instant_requests_coalesce_up_to_the_policy_cap() {
-        // All ten requests arrive at t = 300 (same local delivery delay).
-        assert_eq!(observer_sim(rsm_core::BatchPolicy::DISABLED), vec![1; 10]);
-        assert_eq!(observer_sim(rsm_core::BatchPolicy::max(4)), vec![4, 4, 2]);
-        assert_eq!(observer_sim(rsm_core::BatchPolicy::max(64)), vec![10]);
-    }
-
     struct MixedAtOnce;
     impl Application<BatchObserver> for MixedAtOnce {
         fn on_init(&mut self, api: &mut SimApi<'_, BatchObserver>) {
-            // Five writes and five reads, all landing at t = 300.
-            for seq in 0..10 {
+            // Two writes, a read, two writes, all landing at t = 300.
+            for seq in 0..5 {
                 let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), seq);
-                let cmd = if seq % 2 == 0 {
-                    Command::new(id, Bytes::from_static(b"w"))
-                } else {
+                let cmd = if seq == 2 {
                     Command::read(id, Bytes::from_static(b"r"))
+                } else {
+                    Command::new(id, Bytes::from_static(b"w"))
                 };
                 api.submit(ReplicaId::new(0), cmd);
             }
@@ -1797,34 +1716,24 @@ mod tests {
     }
 
     #[test]
-    fn reads_never_join_write_batches() {
-        // With a generous cap, the five writes coalesce into one batch;
-        // the five reads bypass the coalescing path entirely (the
-        // observer's default read path maps each to a single-command
-        // dispatch). A read must never wait for a flush threshold.
-        let cfg = SimConfig::new(LatencyMatrix::uniform(2, 1_000))
-            .batch_policy(rsm_core::BatchPolicy::max(64));
-        let mut sim = Simulation::new(
-            cfg,
-            |id| BatchObserver {
+    fn a_coalescing_inbox_keeps_reads_in_place_among_writes() {
+        // The rule itself is `rsm_core::node::intake`'s to test; this is
+        // the wiring. Without a CPU model, a coalescing policy routes
+        // reads through the inbox with the writes, so the read waits
+        // for the writes that arrived before it; without one, nothing
+        // coalesces and every request is handed over on arrival.
+        let calls = |batch| {
+            let cfg = SimConfig::new(LatencyMatrix::uniform(2, 1_000)).batch_policy(batch);
+            let observer = |id| BatchObserver {
                 id,
-                batch_sizes: Vec::new(),
-            },
-            sm,
-            MixedAtOnce,
-        );
-        sim.run_until(1_000_000);
-        let sizes = sim.protocol(ReplicaId::new(0)).batch_sizes.clone();
-        assert_eq!(sizes.iter().sum::<usize>(), 10, "nothing lost");
-        assert!(
-            sizes.contains(&5),
-            "the five writes must coalesce: {sizes:?}"
-        );
-        assert_eq!(
-            sizes.iter().filter(|&&s| s == 1).count(),
-            5,
-            "each read dispatches alone: {sizes:?}"
-        );
+                calls: Vec::new(),
+            };
+            let mut sim = Simulation::new(cfg, observer, sm, MixedAtOnce);
+            sim.run_until(1_000_000);
+            sim.protocol(ReplicaId::new(0)).calls.clone()
+        };
+        assert_eq!(calls(rsm_core::BatchPolicy::max(64)), [2, 0, 2]);
+        assert_eq!(calls(rsm_core::BatchPolicy::DISABLED), [1, 1, 0, 1, 1]);
     }
 
     #[test]

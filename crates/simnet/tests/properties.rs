@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use rsm_core::batch::Batch;
 use rsm_core::command::{Command, CommandId, Committed, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
@@ -44,21 +45,23 @@ impl Protocol for Probe {
         self.id
     }
     fn on_start(&mut self, _ctx: &mut dyn Context<Self>) {}
-    fn on_client_request(&mut self, cmd: Command, ctx: &mut dyn Context<Self>) {
-        let c = ctx.clock();
-        if c <= self.last_clock {
-            self.clock_regressions.push((self.last_clock, c));
+    fn on_client_batch(&mut self, batch: Batch, ctx: &mut dyn Context<Self>) {
+        for cmd in batch {
+            let c = ctx.clock();
+            if c <= self.last_clock {
+                self.clock_regressions.push((self.last_clock, c));
+            }
+            self.last_clock = c;
+            self.sent += 1;
+            for i in 0..self.n {
+                ctx.send(ReplicaId::new(i), Seq(self.sent));
+            }
+            ctx.commit(Committed {
+                cmd,
+                origin: self.id,
+                order_hint: self.sent,
+            });
         }
-        self.last_clock = c;
-        self.sent += 1;
-        for i in 0..self.n {
-            ctx.send(ReplicaId::new(i), Seq(self.sent));
-        }
-        ctx.commit(Committed {
-            cmd,
-            origin: self.id,
-            order_hint: self.sent,
-        });
     }
     fn on_message(&mut self, from: ReplicaId, msg: Seq, ctx: &mut dyn Context<Self>) {
         let c = ctx.clock();
