@@ -48,8 +48,8 @@ pub enum FailureKind {
     Monotonic,
     /// A commit violated real-time (issue/reply) ordering.
     RealTime,
-    /// A read returned a value no linearization point explains.
-    ReadValue,
+    /// The client-observed history admits no linearization.
+    Linearizability,
     /// Final replica state hashes diverged.
     SnapshotDivergence,
     /// A private-key CAS chain broke (lost or misordered write).
@@ -73,7 +73,7 @@ impl FailureKind {
             FailureKind::TotalOrder => "total-order",
             FailureKind::Monotonic => "monotonic",
             FailureKind::RealTime => "real-time",
-            FailureKind::ReadValue => "read-value",
+            FailureKind::Linearizability => "linearizability",
             FailureKind::SnapshotDivergence => "snapshot-divergence",
             FailureKind::CasChainBroken => "cas-chain-broken",
             FailureKind::LogUnbounded => "log-unbounded",
@@ -193,9 +193,9 @@ pub fn evaluate(s: &Schedule, r: &ExperimentResult) -> Option<Failure> {
             detail: violation(),
         });
     }
-    if !r.checks.read_values_ok {
+    if !r.checks.linearizable_ok {
         return Some(Failure {
-            kind: FailureKind::ReadValue,
+            kind: FailureKind::Linearizability,
             detail: violation(),
         });
     }

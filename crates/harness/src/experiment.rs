@@ -564,11 +564,7 @@ pub(crate) fn group_result<P: Protocol, A: Application<P>>(
         for (i, h) in histories.iter().enumerate() {
             commit_times[i] = h.iter().map(|c| c.at).collect();
         }
-        let mid_stream: Vec<bool> = replicas
-            .iter()
-            .map(|&r| sim.history_starts_mid_stream(r))
-            .collect();
-        check_all(&histories, &mid_stream, measured.ops)
+        check_all(&histories, measured.ops)
     } else {
         CheckReport::trivially_ok()
     };

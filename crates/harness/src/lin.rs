@@ -1,18 +1,20 @@
-//! Correctness checkers: total order, monotonic execution, real-time
-//! (linearizability) order, read-value consistency, and replica
-//! convergence.
+//! Correctness checkers: the linearizability of what clients saw, the
+//! replicas' total order, monotonic execution and real-time order, and
+//! cross-shard snapshot cuts.
 //!
 //! The paper proves (appendix, Claims 1–5) that Clock-RSM executions are
 //! linearizable: all replicas execute the same commands in the same order,
-//! and that order respects the real-time order of client operations. These
-//! checkers verify exactly those properties on simulation histories, for
-//! all four protocols — plus the read subsystem's obligation: a locally
-//! served `Get` (which never appears in the replicated order) must still
-//! be explainable by a single linearization point consistent with the
-//! verified total order and the real-time order of completed operations
-//! ([`check_read_values`]).
+//! and that order respects the real-time order of client operations.
+//! [`check_linearizable`] checks the claim itself, exactly, from the
+//! client operations alone — every reply, locally served reads included,
+//! must be explained by one sequential order of the key-value store that
+//! respects real time. The replica-side checkers verify the mechanism
+//! the proof rests on, for all four protocols: one total order
+//! ([`check_total_order`]), executed in order ([`check_monotonic`]), once
+//! ([`check_no_duplicates`]), and consistent with real time at every
+//! replica ([`check_real_time`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use bytes::Bytes;
 use kvstore::KvOp;
@@ -20,18 +22,20 @@ use rsm_core::command::CommandId;
 use rsm_core::time::Micros;
 use simnet::sim::CommitRecord;
 
-/// One client operation's real-time interval, recorded by the workload,
-/// with enough payload context for the value checkers.
+/// One client operation as its client saw it: the real-time interval,
+/// the payload and the result.
 #[derive(Debug, Clone)]
 pub struct OpRecord {
     /// The command's identity.
     pub cmd_id: CommandId,
-    /// When the client issued the command (virtual time).
+    /// When the client issued the command, in µs of one clock shared by
+    /// every record of a history (simnet's virtual time, or wall-clock
+    /// time since a fixed instant).
     pub issued: Micros,
     /// When the reply reached the client, if it did.
     pub replied: Option<Micros>,
-    /// The encoded operation payload (a [`KvOp`]), used by the
-    /// read-value checker to replay writes and position reads.
+    /// The encoded operation payload (a [`KvOp`]), which
+    /// [`check_linearizable`] runs against its register model.
     pub payload: Bytes,
     /// The reply's result bytes, when a reply arrived.
     pub result: Option<Bytes>,
@@ -66,9 +70,9 @@ pub struct CheckReport {
     pub real_time_ok: bool,
     /// No command executed twice at any replica.
     pub no_duplicates_ok: bool,
-    /// Every `Get` reply is consistent with some linearization point in
-    /// the verified total order ([`check_read_values`]).
-    pub read_values_ok: bool,
+    /// The client-observed history is linearizable
+    /// ([`check_linearizable`]).
+    pub linearizable_ok: bool,
     /// Human-readable description of the first violation found, if any.
     pub violation: Option<String>,
 }
@@ -81,7 +85,7 @@ impl CheckReport {
             monotonic_ok: true,
             real_time_ok: true,
             no_duplicates_ok: true,
-            read_values_ok: true,
+            linearizable_ok: true,
             violation: None,
         }
     }
@@ -92,7 +96,7 @@ impl CheckReport {
             && self.monotonic_ok
             && self.real_time_ok
             && self.no_duplicates_ok
-            && self.read_values_ok
+            && self.linearizable_ok
     }
 }
 
@@ -161,12 +165,12 @@ pub fn check_no_duplicates(histories: &[Vec<CommitRecord>]) -> Result<(), String
     Ok(())
 }
 
-/// Checks the real-time ordering component of linearizability (Claim 5):
-/// if operation A's reply preceded operation B's issue, A must appear
-/// before B in the total execution order.
+/// Checks the real-time ordering component of linearizability (Claim 5)
+/// across keys: if operation A's reply preceded operation B's issue, A
+/// must appear before B in the total execution order.
 ///
-/// `order` is the longest replica history (the most complete view of the
-/// total order); `ops` are the client-observed intervals.
+/// `order` is one replica's history; `ops` are the client-observed
+/// intervals. Commands the history lacks are not constrained.
 pub fn check_real_time(order: &[CommitRecord], ops: &[OpRecord]) -> Result<(), String> {
     let pos: HashMap<CommandId, usize> = order
         .iter()
@@ -223,178 +227,157 @@ pub fn check_real_time(order: &[CommitRecord], ops: &[OpRecord]) -> Result<(), S
     Ok(())
 }
 
-/// Checks that every locally served `Get` returned a value consistent
-/// with **some** linearization point in the verified total order,
-/// respecting the real-time order of completed operations (the read-side
-/// counterpart of [`check_real_time`], sharing its window logic).
+/// Checks that the history clients saw is linearizable against the
+/// key-value store's sequential semantics: Claims 1–5 judged from the
+/// [`OpRecord`]s alone.
 ///
-/// Local reads never appear in the replicated order, so the checker
-/// *places* each one: replaying the write ops of `order` yields, per
-/// key, a timeline of values; a read of key `k` that was issued at
-/// `t_i` and replied at `t_r` may legally observe any value `k` held at
-/// a position
+/// A key-value history is linearizable iff each key's sub-history is
+/// (locality, Herlihy & Wing 1990). Each key gets a Wing–Gong search with
+/// Lowe's memo of (linearized set, value) ("Testing for
+/// linearizability", 2017), iterative because one key can hold
+/// thousands of operations.
 ///
-/// * **at or after** the latest write to `k` whose reply preceded
-///   `t_i` (a completed write must be visible to a later read), and
-/// * **strictly before** the earliest write to `k` issued after `t_r`
-///   (a write that started after the read finished must not be
-///   visible).
+/// * **The model** is [`KvStore`](kvstore::KvStore) on one key, result
+///   bytes included: `Put` answers `[1]`, `Get` `[1, value…]` or `[0]`,
+///   `Delete` whether the key was present, and `Cas` whether the key
+///   held its expectation (`None`: absent), writing only then.
+/// * **Real time.** An operation takes effect once between its issue and
+///   its reply. An issue at the instant of another operation's reply is
+///   concurrent with it, as in [`check_real_time`].
+/// * **Pending operations.** One that never replied may take effect at
+///   any point after its issue, or never. An unreplied `Get` is dropped,
+///   and so is a payload that is not a [`KvOp`].
 ///
-/// The read passes iff its observed value (or observed absence) occurs
-/// somewhere in that window. Writes the order does not contain (still
-/// in flight at shutdown, or invisible because a history restarted at a
-/// checkpoint install) cannot be positioned and simply do not constrain
-/// the window — the check degrades gracefully rather than
-/// false-positively.
-///
-/// `mid_stream` says the order begins mid-stream: its replica installed
-/// a snapshot, so a key's state before its first write in the order is
-/// unknown. A read no positioned write bounds from below may then also
-/// observe an unpositioned write that took effect (it replied, and a
-/// `Cas` replied success) and was issued before the read replied. A
-/// write that never replied stays invisible either way.
-pub fn check_read_values(
-    order: &[CommitRecord],
-    ops: &[OpRecord],
-    mid_stream: bool,
-) -> Result<(), String> {
-    let by_id: HashMap<CommandId, &OpRecord> = ops.iter().map(|op| (op.cmd_id, op)).collect();
-
-    /// One write as positioned in the total order (the per-key timeline
-    /// vectors are in order position, so the index inside a timeline is
-    /// the position we window over).
-    struct WriteAt {
-        issued: Micros,
-        replied: Option<Micros>,
-        /// The key's value after this write applied.
-        value_after: Option<Bytes>,
-    }
-
-    // In an order that starts mid-stream, the writes it lacks that took
-    // effect, per key, with when each was issued and the value it left.
-    let mut unpositioned: HashMap<Bytes, Vec<(Micros, Option<Bytes>)>> = HashMap::new();
-    let positioned: HashSet<CommandId> = order.iter().map(|r| r.cmd_id).collect();
-    let lacked = ops
-        .iter()
-        .filter(|op| mid_stream && !op.read_only && !positioned.contains(&op.cmd_id));
-    for op in lacked {
-        let Some(result) = &op.result else {
-            continue; // never replied: it may never have applied
-        };
-        let (key, value) = match KvOp::decode(&op.payload) {
-            Ok(KvOp::Put { key, value }) => (key, Some(value)),
-            Ok(KvOp::Cas { key, value, .. }) if result.first() == Some(&1) => (key, Some(value)),
-            Ok(KvOp::Delete { key }) => (key, None),
-            _ => continue,
-        };
-        unpositioned
-            .entry(key)
-            .or_default()
-            .push((op.issued, value));
-    }
-
-    // Replay the order's writes, simulating the kv store per key.
-    let mut current: HashMap<Bytes, Bytes> = HashMap::new();
-    let mut writes: HashMap<Bytes, Vec<WriteAt>> = HashMap::new();
-    for rec in order {
-        let Some(op) = by_id.get(&rec.cmd_id) else {
-            continue; // command from outside the recorded population
-        };
-        let Ok(kv_op) = KvOp::decode(&op.payload) else {
-            continue;
-        };
-        let key = kv_op.key().clone();
-        let changed = match &kv_op {
-            KvOp::Put { value, .. } => {
-                current.insert(key.clone(), value.clone());
-                true
-            }
-            KvOp::Delete { .. } => {
-                current.remove(&key);
-                true
-            }
-            KvOp::Cas { expect, value, .. } => {
-                let matches = match (expect, current.get(&key)) {
-                    (None, None) => true,
-                    (Some(e), Some(v)) => e == v,
-                    _ => false,
-                };
-                if matches {
-                    current.insert(key.clone(), value.clone());
-                }
-                matches
-            }
-            KvOp::Get { .. } => false, // a replicated (fallback) read
-        };
-        if changed {
-            writes.entry(key.clone()).or_default().push(WriteAt {
-                issued: op.issued,
-                replied: op.replied,
-                value_after: current.get(&key).cloned(),
-            });
-        }
-    }
-
+/// A violation names the key, the operation no linearization could
+/// place (id, interval, observed result), and the value the key held at
+/// the deepest linearized prefix the search reached.
+pub fn check_linearizable(ops: &[OpRecord]) -> Result<(), String> {
+    let mut by_key: BTreeMap<Bytes, Vec<(&OpRecord, KvOp)>> = BTreeMap::new();
     for op in ops {
-        if !op.read_only {
+        match KvOp::decode(&op.payload) {
+            Ok(KvOp::Get { .. }) if op.result.is_none() => {}
+            Ok(kv_op) => by_key
+                .entry(kv_op.key().clone())
+                .or_default()
+                .push((op, kv_op)),
+            Err(_) => {}
+        }
+    }
+    by_key
+        .iter()
+        .try_for_each(|(key, key_ops)| search_key(key, key_ops))
+}
+
+/// The key's value after `op` takes effect while it holds `state`, or
+/// `None` when the recorded `result` is not what the store answers there.
+fn step(op: &KvOp, result: Option<&[u8]>, state: &Option<Bytes>) -> Option<Option<Bytes>> {
+    let answers = |status: bool| result.is_none_or(|r| r == [u8::from(status)]);
+    match op {
+        KvOp::Put { value, .. } => answers(true).then(|| Some(value.clone())),
+        KvOp::Delete { .. } => answers(state.is_some()).then_some(None),
+        KvOp::Cas { expect, value, .. } => {
+            let matched = expect == state;
+            answers(matched).then(|| {
+                if matched {
+                    Some(value.clone())
+                } else {
+                    state.clone()
+                }
+            })
+        }
+        KvOp::Get { .. } => {
+            let fits = result.is_none_or(|r| match state {
+                Some(v) => r.first() == Some(&1) && r[1..] == v[..],
+                None => r == [0],
+            });
+            fits.then(|| state.clone())
+        }
+    }
+}
+
+/// The Wing–Gong search over one key's operations. Their calls and
+/// replies are ordered by time, a call before a reply at the same
+/// instant and replies that never came last; linearizing an operation
+/// lifts both out. Scanning from the first live event, the search
+/// linearizes the first call the model accepts in an unexplored
+/// configuration and rescans, or meets a reply — that operation ran
+/// out of time — and backtracks. It succeeds once every replied
+/// operation is linearized.
+fn search_key(key: &Bytes, ops: &[(&OpRecord, KvOp)]) -> Result<(), String> {
+    // (time, is a reply, operation)
+    let mut events: Vec<(Micros, bool, usize)> = ops
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (rec, _))| {
+            let replied = rec.replied.unwrap_or(Micros::MAX);
+            [(rec.issued, false, i), (replied, true, i)]
+        })
+        .collect();
+    events.sort_unstable();
+    let mut reply_at = vec![0; ops.len()];
+    for (e, &(_, is_reply, i)) in events.iter().enumerate() {
+        if is_reply {
+            reply_at[i] = e;
+        }
+    }
+    let mut lifted = vec![false; events.len()];
+    let mut linearized = vec![0u64; ops.len().div_ceil(64)];
+    let mut memo: HashSet<(Box<[u64]>, Option<Bytes>)> = HashSet::new();
+    // (call event, the value before it)
+    let mut stack: Vec<(usize, Option<Bytes>)> = Vec::new();
+    let mut state: Option<Bytes> = None;
+    // (depth, the operation that ran out of time there, the value)
+    let mut deepest: Option<(usize, usize, Option<Bytes>)> = None;
+    let mut left = ops.iter().filter(|(rec, _)| rec.replied.is_some()).count();
+    let (mut head, mut e) = (0, 0); // every event before `head` is lifted
+    while left > 0 {
+        if lifted[e] {
+            head += usize::from(e == head);
+            e += 1;
             continue;
         }
-        let (Some(replied), Some(result)) = (op.replied, op.result.as_ref()) else {
-            continue; // never answered: no value to check
-        };
-        let Ok(KvOp::Get { key }) = KvOp::decode(&op.payload) else {
-            continue;
-        };
-        // Reply format: status byte, then the value when found.
-        let observed: Option<&[u8]> = match result.first() {
-            Some(1) => Some(&result[1..]),
-            _ => None,
-        };
-        let timeline = writes.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-        // The window of legal linearization points.
-        let lower = timeline
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.replied.is_some_and(|r| r < op.issued))
-            .map(|(i, _)| i)
-            .next_back();
-        let upper = timeline
-            .iter()
-            .position(|w| w.issued > replied)
-            .unwrap_or(timeline.len());
-        // Values observable in the window: the state at the lower bound
-        // (initial absence when there is none), plus every write applied
-        // strictly inside it.
-        let mut candidates: Vec<Option<&[u8]>> = Vec::new();
-        match lower {
-            Some(i) => candidates.push(timeline[i].value_after.as_deref()),
-            None => {
-                candidates.push(None);
-                let before = unpositioned.get(&key).into_iter().flatten();
-                let begun = before.filter(|(issued, _)| *issued < replied);
-                candidates.extend(begun.map(|(_, value)| value.as_deref()));
+        let (_, is_reply, i) = events[e];
+        let (rec, op) = &ops[i];
+        if !is_reply {
+            if let Some(after) = step(op, rec.result.as_deref(), &state) {
+                linearized[i / 64] ^= 1 << (i % 64);
+                if memo.insert((linearized.as_slice().into(), after.clone())) {
+                    stack.push((e, std::mem::replace(&mut state, after)));
+                    (lifted[e], lifted[reply_at[i]]) = (true, true);
+                    left -= usize::from(rec.replied.is_some());
+                    e = head;
+                    continue;
+                }
+                linearized[i / 64] ^= 1 << (i % 64);
             }
+            e += 1;
+            continue;
         }
-        let from = lower.map_or(0, |i| i + 1);
-        for w in &timeline[from..upper] {
-            candidates.push(w.value_after.as_deref());
+        if deepest.as_ref().is_none_or(|d| stack.len() > d.0) {
+            deepest = Some((stack.len(), i, state.clone()));
         }
-        if !candidates.contains(&observed) {
+        let Some((call, before)) = stack.pop() else {
+            let (depth, i, held) = deepest.expect("recorded at this reply");
+            let rec = ops[i].0;
             return Err(format!(
-                "read-value violation: {:?} (key {:?}, issued {}, replied {}) \
-                 observed {:?}, but the legal window over the total order \
-                 holds {:?}",
-                op.cmd_id,
-                key,
-                op.issued,
-                replied,
-                observed.map(|v| v.to_vec()),
-                candidates
-                    .iter()
-                    .map(|c| c.map(|v| v.to_vec()))
-                    .collect::<Vec<_>>(),
+                "linearizability violation on key {key:?}: no linearization of \
+                 its {} operations places {:?} (issued {}, replied {}, observed \
+                 {:?}); at the deepest linearized prefix ({depth} operations) \
+                 the key held {held:?}",
+                ops.len(),
+                rec.cmd_id,
+                rec.issued,
+                rec.replied.unwrap_or(Micros::MAX),
+                rec.result,
             ));
-        }
+        };
+        let j = events[call].2;
+        linearized[j / 64] ^= 1 << (j % 64);
+        state = before;
+        (lifted[call], lifted[reply_at[j]]) = (false, false);
+        left += usize::from(ops[j].0.replied.is_some());
+        head = head.min(call);
+        e = call + 1;
     }
     Ok(())
 }
@@ -524,21 +507,19 @@ pub fn check_snapshot_reads(
     Ok(())
 }
 
-/// Runs every check and summarizes the outcome. `mid_stream[i]` says
-/// history `i` begins mid-stream (see [`check_read_values`]).
-pub fn check_all(
-    histories: &[Vec<CommitRecord>],
-    mid_stream: &[bool],
-    ops: &[OpRecord],
-) -> CheckReport {
+/// Runs every check and summarizes the outcome: the replica-side checks
+/// over `histories` (real time at every replica), and linearizability
+/// over `ops`.
+pub fn check_all(histories: &[Vec<CommitRecord>], ops: &[OpRecord]) -> CheckReport {
     let total = check_total_order(histories);
     let mono = check_monotonic(histories);
     let dup = check_no_duplicates(histories);
-    let longest = (0..histories.len()).max_by_key(|&i| histories[i].len());
-    let order = longest.map_or(&[][..], |i| &histories[i][..]);
-    let rt = check_real_time(order, ops);
-    let rv = check_read_values(order, ops, longest.is_some_and(|i| mid_stream[i]));
-    let violation = [&total, &mono, &dup, &rt, &rv]
+    let rt = histories
+        .iter()
+        .enumerate()
+        .try_for_each(|(i, h)| check_real_time(h, ops).map_err(|e| format!("replica {i}: {e}")));
+    let lin = check_linearizable(ops);
+    let violation = [&total, &mono, &dup, &rt, &lin]
         .iter()
         .find_map(|r| r.as_ref().err().cloned());
     CheckReport {
@@ -546,7 +527,7 @@ pub fn check_all(
         monotonic_ok: mono.is_ok(),
         real_time_ok: rt.is_ok(),
         no_duplicates_ok: dup.is_ok(),
-        read_values_ok: rv.is_ok(),
+        linearizable_ok: lin.is_ok(),
         violation,
     }
 }
@@ -653,107 +634,117 @@ mod tests {
     #[test]
     fn check_all_aggregates() {
         let a = vec![rec(1, 1, 10), rec(2, 2, 20)];
-        let report = check_all(&[a], &[false], &[]);
+        let report = check_all(&[a], &[]);
         assert!(report.all_ok());
         assert!(report.violation.is_none());
     }
 
-    // ---------------- read-value checker ----------------
+    #[test]
+    fn real_time_is_checked_at_every_replica() {
+        // Replica 1 executed B before A, which replied before B was
+        // issued; replica 0's longer history, which lacks B, does not
+        // hide that.
+        let ops = vec![
+            OpRecord::interval(cid(1), 0, Some(100)),
+            OpRecord::interval(cid(2), 200, Some(300)),
+        ];
+        let a = vec![rec(1, 1, 10), rec(3, 3, 30), rec(4, 4, 40)];
+        let b = vec![rec(2, 1, 220), rec(1, 2, 230)];
+        assert!(check_real_time(&a, &ops).is_ok());
+        let report = check_all(&[a, b], &ops);
+        assert!(report.total_order_ok && !report.real_time_ok);
+        let violation = report.violation.unwrap();
+        assert!(violation.starts_with("replica 1: "), "{violation}");
+    }
 
-    /// A completed Put op record.
-    fn put(seq: u64, key: &str, value: &str, issued: Micros, replied: Micros) -> OpRecord {
+    // ---------------- linearizability checker ----------------
+
+    fn kv_op(seq: u64, op: KvOp, result: &[u8], issued: Micros, replied: Micros) -> OpRecord {
         OpRecord {
             cmd_id: cid(seq),
             issued,
             replied: Some(replied),
-            payload: KvOp::put(key.to_string(), value.to_string()).encode(),
-            result: Some(Bytes::from_static(&[1])),
-            read_only: false,
+            read_only: matches!(op, KvOp::Get { .. }),
+            payload: op.encode(),
+            result: Some(Bytes::from(result.to_vec())),
         }
+    }
+
+    /// A completed Put op record.
+    fn put(seq: u64, key: &str, value: &str, issued: Micros, replied: Micros) -> OpRecord {
+        kv_op(
+            seq,
+            KvOp::put(key.to_string(), value.to_string()),
+            &[1],
+            issued,
+            replied,
+        )
     }
 
     /// A locally served Get that observed `value` (None = not found).
     fn get(seq: u64, key: &str, value: Option<&str>, issued: Micros, replied: Micros) -> OpRecord {
         let result = match value {
-            Some(v) => {
-                let mut r = vec![1u8];
-                r.extend_from_slice(v.as_bytes());
-                Bytes::from(r)
-            }
-            None => Bytes::from_static(&[0]),
+            Some(v) => [&[1u8][..], v.as_bytes()].concat(),
+            None => vec![0],
         };
-        OpRecord {
-            cmd_id: cid(seq),
-            issued,
-            replied: Some(replied),
-            payload: KvOp::get(key.to_string()).encode(),
-            result: Some(result),
-            read_only: true,
-        }
+        kv_op(seq, KvOp::get(key.to_string()), &result, issued, replied)
     }
 
-    #[test]
-    fn read_sees_the_latest_completed_write() {
-        // w1 (k=a) replied at 100; w2 (k=b) is unrelated. A read of k
-        // issued at 150 must observe "a" (there is nothing newer).
-        let order = vec![rec(1, 1, 10), rec(2, 2, 20)];
-        let ops = vec![
-            put(1, "k", "a", 0, 100),
-            put(2, "other", "x", 0, 100),
-            get(3, "k", Some("a"), 150, 160),
-        ];
-        assert!(check_read_values(&order, &ops, false).is_ok());
-        // Observing absence instead is a violation: w1 completed first.
-        let stale = vec![
-            put(1, "k", "a", 0, 100),
-            put(2, "other", "x", 0, 100),
-            get(3, "k", None, 150, 160),
-        ];
-        let err = check_read_values(&order, &stale, false).unwrap_err();
-        assert!(err.contains("read-value violation"), "{err}");
+    /// A Delete that answered whether the key was present.
+    fn del(seq: u64, key: &str, present: bool, issued: Micros, replied: Micros) -> OpRecord {
+        let op = KvOp::delete(key.to_string());
+        kv_op(seq, op, &[u8::from(present)], issued, replied)
     }
 
+    /// A Cas of `key` from `expect` (None = absent) to `value`, issued at
+    /// 0 and replied at 50, that answered whether it matched.
+    fn cas(seq: u64, key: &str, expect: Option<&str>, value: &str, matched: bool) -> OpRecord {
+        let expect = expect.map(|e| Bytes::from(e.as_bytes().to_vec()));
+        let op = KvOp::cas(key.to_string(), expect, value.to_string());
+        kv_op(seq, op, &[u8::from(matched)], 0, 50)
+    }
+
+    /// `op` with its reply lost: it never replied.
+    fn pending(mut op: OpRecord) -> OpRecord {
+        op.replied = None;
+        op.result = None;
+        op
+    }
+
+    /// The verdict table: hand-built histories and whether each is
+    /// linearizable. It includes the cases a check that places client
+    /// operations in one replica's history gets wrong: a write that
+    /// history lacks still bounds what a later read may see, and a read
+    /// may see a write no history holds yet.
     #[test]
-    fn read_may_not_see_a_superseded_value() {
-        // Two writes to k, both completed before the read was issued:
-        // only the later one (in the total order) is observable.
-        let order = vec![rec(1, 1, 10), rec(2, 2, 20)];
-        let ops = |seen| {
+    fn verdict_table() {
+        // A read of k after w1 completed; w2 is another key's.
+        let latest = |seen| {
+            vec![
+                put(1, "k", "a", 0, 100),
+                put(2, "other", "x", 0, 100),
+                get(3, "k", seen, 150, 160),
+            ]
+        };
+        // Two writes to k, both completed before the read.
+        let superseded = |seen| {
             vec![
                 put(1, "k", "old", 0, 50),
                 put(2, "k", "new", 60, 100),
                 get(3, "k", Some(seen), 150, 160),
             ]
         };
-        assert!(check_read_values(&order, &ops("new"), false).is_ok());
-        assert!(check_read_values(&order, &ops("old"), false).is_err());
-    }
-
-    #[test]
-    fn concurrent_write_window_admits_either_value() {
-        // The write overlaps the read (issued before the read replied,
-        // replied after the read was issued): both values are legal.
-        let order = vec![rec(1, 1, 10), rec(2, 2, 20)];
-        let ops = |seen: Option<&str>| {
+        // The second write overlaps the read.
+        let overlapping = |seen| {
             vec![
                 put(1, "k", "a", 0, 50),
                 put(2, "k", "b", 140, 300),
                 get(3, "k", seen, 150, 160),
             ]
         };
-        assert!(check_read_values(&order, &ops(Some("a")), false).is_ok());
-        assert!(check_read_values(&order, &ops(Some("b")), false).is_ok());
-        assert!(check_read_values(&order, &ops(None), false).is_err());
-    }
-
-    #[test]
-    fn an_order_starting_mid_stream_leaves_the_initial_state_open() {
-        // The order's replica installed a snapshot after write 1: the
-        // order holds only write 2, to another key. A read of k may
-        // observe write 1's value, but not a value issued after it
-        // replied.
-        let order = vec![rec(2, 2, 20)];
-        let ops = |seen: Option<&str>| {
+        // As a replica that installed a snapshot covering write 1 would
+        // record it: its history holds only write 2.
+        let installed = |seen| {
             vec![
                 put(1, "k", "a", 0, 50),
                 put(2, "other", "x", 60, 100),
@@ -761,88 +752,206 @@ mod tests {
                 get(3, "k", seen, 150, 160),
             ]
         };
-        assert!(check_read_values(&order, &ops(Some("a")), true).is_ok());
-        assert!(check_read_values(&order, &ops(None), true).is_ok());
-        assert!(check_read_values(&order, &ops(Some("late")), true).is_err());
-        // An order that did not start mid-stream admits no such value.
-        assert!(check_read_values(&order, &ops(Some("a")), false).is_err());
-        // A positioned write completed before the read still bounds it.
-        let order = vec![rec(2, 2, 20), rec(5, 5, 50)];
-        let mut bounded = ops(Some("a"));
-        bounded.push(put(5, "k", "b", 110, 120));
-        assert!(check_read_values(&order, &bounded, true).is_err());
-    }
-
-    #[test]
-    fn a_write_that_took_no_effect_is_never_observable() {
-        // Write 1 never replied (it may have been dropped); Cas 4 replied
-        // that its expectation failed. Neither value may be read, in an
-        // order that started mid-stream or not.
-        let order = vec![rec(2, 2, 20)];
-        let mut lost = put(1, "k", "lost", 0, 50);
-        lost.replied = None;
-        lost.result = None;
-        let failed_cas = OpRecord {
-            cmd_id: cid(4),
-            issued: 0,
-            replied: Some(50),
-            payload: KvOp::cas(
-                "k".to_string(),
-                Some(Bytes::from_static(b"x")),
-                "cas".to_string(),
-            )
-            .encode(),
-            result: Some(Bytes::from_static(&[0])),
-            read_only: false,
-        };
-        let ops = |seen: &str| {
+        let mut installed_bounded = installed(Some("a"));
+        installed_bounded.push(put(5, "k", "b", 110, 120));
+        // Write 1 never replied; Cas 4 answered that its expectation
+        // failed.
+        let no_effect = |seen| {
             vec![
-                lost.clone(),
-                failed_cas.clone(),
+                pending(put(1, "k", "lost", 0, 50)),
+                cas(4, "k", Some("x"), "cas", false),
                 put(2, "other", "x", 60, 100),
                 get(3, "k", Some(seen), 150, 160),
             ]
         };
-        for mid_stream in [false, true] {
-            assert!(check_read_values(&order, &ops("lost"), mid_stream).is_err());
-            assert!(check_read_values(&order, &ops("cas"), mid_stream).is_err());
+        // A Cas from "a" to "c" whose reply was lost.
+        let pending_cas = |expect, seen| {
+            vec![
+                put(1, "k", "a", 0, 40),
+                pending(cas(2, "k", Some(expect), "c", true)),
+                get(3, "k", Some(seen), 150, 160),
+            ]
+        };
+
+        let rows: Vec<(&str, Vec<OpRecord>, bool)> = vec![
+            ("latest completed write is read", latest(Some("a")), true),
+            ("absence after a completed write", latest(None), false),
+            ("the later of two completed writes", superseded("new"), true),
+            ("a superseded value", superseded("old"), false),
+            ("overlapping write: old value", overlapping(Some("a")), true),
+            ("overlapping write: new value", overlapping(Some("b")), true),
+            ("overlapping write: absence", overlapping(None), false),
+            // Write 1 completed before the read: "a" is the only legal
+            // answer, whatever history lacks write 1.
+            (
+                "mid-stream: a completed write is read",
+                installed(Some("a")),
+                true,
+            ),
+            (
+                "mid-stream: absence after a completed write",
+                installed(None),
+                false,
+            ),
+            (
+                "mid-stream: a write issued after the reply",
+                installed(Some("late")),
+                false,
+            ),
+            (
+                "mid-stream: a later completed write",
+                installed_bounded,
+                false,
+            ),
+            // Write 1 never replied: its reply may have been lost after
+            // it took effect, so its value is legal to read.
+            ("an unreplied write is read", no_effect("lost"), true),
+            ("a failed Cas's value is read", no_effect("cas"), false),
+            (
+                "a future write is read",
+                vec![
+                    put(1, "k", "a", 0, 50),
+                    put(2, "k", "future", 300, 400),
+                    get(3, "k", Some("future"), 150, 160),
+                ],
+                false,
+            ),
+            // Write 2 replied before the read was issued, whatever
+            // history lacks it.
+            (
+                "a completed write the order lacks is missed",
+                vec![
+                    put(1, "k", "a", 0, 50),
+                    put(2, "k", "lost", 60, 100),
+                    get(3, "k", Some("a"), 150, 160),
+                ],
+                false,
+            ),
+            (
+                "initial absence before any write completes",
+                vec![put(1, "k", "a", 100, 300), get(2, "k", None, 150, 160)],
+                true,
+            ),
+            // A write still in flight at the end of the run, which no
+            // replica history holds, may be read.
+            (
+                "a read observes an in-flight write",
+                vec![
+                    put(1, "k", "a", 0, 50),
+                    pending(put(2, "k", "b", 100, 0)),
+                    get(3, "k", Some("b"), 150, 160),
+                ],
+                true,
+            ),
+            // A completed Delete bounds the read even if no replica
+            // history holds it.
+            (
+                "a stale read past a completed write the order lacks",
+                vec![
+                    put(1, "k", "a", 0, 50),
+                    del(2, "k", true, 60, 100),
+                    get(3, "k", Some("a"), 150, 160),
+                ],
+                false,
+            ),
+            (
+                "an issue at the instant of a reply is concurrent",
+                vec![put(1, "k", "a", 0, 100), get(2, "k", None, 100, 160)],
+                true,
+            ),
+            (
+                "an issue after a reply is not",
+                vec![put(1, "k", "a", 0, 100), get(2, "k", None, 101, 160)],
+                false,
+            ),
+            (
+                "a Delete answers that the key was present",
+                vec![put(1, "k", "a", 0, 50), del(2, "k", true, 60, 100)],
+                true,
+            ),
+            (
+                "a Delete of a present key answers absent",
+                vec![put(1, "k", "a", 0, 50), del(2, "k", false, 60, 100)],
+                false,
+            ),
+            (
+                "a Delete of a never-written key answers present",
+                vec![del(1, "k", true, 0, 50)],
+                false,
+            ),
+            (
+                "a Delete of a never-written key answers absent",
+                vec![del(1, "k", false, 0, 50)],
+                true,
+            ),
+            (
+                "a pending Cas that took effect",
+                pending_cas("a", "c"),
+                true,
+            ),
+            (
+                "a pending Cas that did not take effect",
+                pending_cas("a", "a"),
+                true,
+            ),
+            (
+                "a pending Cas whose expectation never held",
+                pending_cas("x", "c"),
+                false,
+            ),
+            (
+                "a completed Cas from absent",
+                vec![cas(1, "k", None, "c", true), get(2, "k", Some("c"), 60, 70)],
+                true,
+            ),
+            (
+                "a Cas that claims a match it could not make",
+                vec![put(1, "k", "a", 0, 40), cas(2, "k", Some("x"), "c", true)],
+                false,
+            ),
+        ];
+        for (name, ops, linearizable) in rows {
+            let verdict = check_linearizable(&ops);
+            assert_eq!(verdict.is_ok(), linearizable, "{name}: {verdict:?}");
         }
     }
 
     #[test]
-    fn read_must_not_see_a_future_write() {
-        // The write was issued strictly after the read replied: its
-        // value must be invisible.
-        let order = vec![rec(1, 1, 10), rec(2, 2, 20)];
-        let ops = vec![
+    fn a_violation_names_its_culprit() {
+        let stale = vec![
             put(1, "k", "a", 0, 50),
-            put(2, "k", "future", 300, 400),
-            get(3, "k", Some("future"), 150, 160),
-        ];
-        assert!(check_read_values(&order, &ops, false).is_err());
-    }
-
-    #[test]
-    fn unpositioned_writes_relax_but_never_break_the_check() {
-        // w2 never committed (not in the order): it cannot constrain
-        // the window, and a read seeing w1's value stays legal.
-        let order = vec![rec(1, 1, 10)];
-        let ops = vec![
-            put(1, "k", "a", 0, 50),
-            put(2, "k", "lost", 60, 100),
+            put(2, "k", "b", 60, 100),
             get(3, "k", Some("a"), 150, 160),
         ];
-        assert!(check_read_values(&order, &ops, false).is_ok());
+        let err = check_linearizable(&stale).unwrap_err();
+        for part in [
+            "key b\"k\"".to_string(),
+            format!("{:?}", cid(3)),
+            "issued 150, replied 160".to_string(),
+            "observed Some(b\"\\x01a\")".to_string(),
+            "held Some(b\"b\")".to_string(),
+        ] {
+            assert!(err.contains(&part), "{part} not in {err}");
+        }
     }
 
     #[test]
-    fn initial_absence_is_observable_before_any_write_completes() {
-        let order = vec![rec(1, 1, 10)];
-        let ops = vec![
-            put(1, "k", "a", 100, 300), // concurrent with the read
-            get(2, "k", None, 150, 160),
-        ];
-        assert!(check_read_values(&order, &ops, false).is_ok());
+    fn one_key_of_many_operations_is_searched_without_recursion() {
+        // A writer and a reader alternating on one key, 4 000 operations
+        // deep, with the reader's answers lagging one write behind while
+        // the writes overlap them.
+        let mut ops = Vec::new();
+        for v in 0..2_000u64 {
+            let t = v * 100;
+            ops.push(put(2 * v + 1, "k", &v.to_string(), t, t + 150));
+            let seen = v.checked_sub(1).map(|p| p.to_string());
+            ops.push(get(2 * v + 2, "k", seen.as_deref(), t + 10, t + 20));
+        }
+        assert!(check_linearizable(&ops).is_ok());
+        // One stale answer deep in the history is found.
+        ops[3_001] = get(3_002, "k", Some("1"), 150_010, 150_020);
+        let err = check_linearizable(&ops).unwrap_err();
+        assert!(err.contains(&format!("{:?}", cid(3_002))), "{err}");
     }
 
     // ---------------- cross-shard snapshot checker ----------------

@@ -824,7 +824,7 @@ where
         agg_checks.monotonic_ok &= r.checks.monotonic_ok;
         agg_checks.real_time_ok &= r.checks.real_time_ok;
         agg_checks.no_duplicates_ok &= r.checks.no_duplicates_ok;
-        agg_checks.read_values_ok &= r.checks.read_values_ok;
+        agg_checks.linearizable_ok &= r.checks.linearizable_ok;
         if agg_checks.violation.is_none() {
             agg_checks.violation = r.checks.violation.clone();
         }

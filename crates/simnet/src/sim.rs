@@ -421,8 +421,6 @@ struct SimNode<P: Protocol> {
     up: bool,
     incarnation: u64,
     commits: Vec<CommitRecord>,
-    /// `commits` restarted at a snapshot install.
-    mid_stream: bool,
     inbox: VecDeque<Input<P::Msg>>,
     inbox_scheduled: bool,
     cpu_free: Micros,
@@ -569,7 +567,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 up: true,
                 incarnation: 0,
                 commits: Vec::new(),
-                mid_stream: false,
                 inbox: VecDeque::new(),
                 inbox_scheduled: false,
                 cpu_free: 0,
@@ -686,13 +683,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// cleared when the replica recovers and replays).
     pub fn commits(&self, r: ReplicaId) -> &[CommitRecord] {
         &self.nodes[r.index()].commits
-    }
-
-    /// Whether a replica's commit history begins mid-stream: it restarted
-    /// at a snapshot install (a state transfer, or a checkpoint replayed
-    /// at recovery), so the commands before it are missing.
-    pub fn history_starts_mid_stream(&self, r: ReplicaId) -> bool {
-        self.nodes[r.index()].mid_stream
     }
 
     /// Total number of commands a replica has executed (monotonic across
@@ -925,7 +915,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         n.node.proto = (self.factory)(node);
         n.node.sm.reset();
         n.commits.clear();
-        n.mid_stream = false;
         n.cpu_free = self.now;
         let log = n.node.log.clone();
         // Replaying the log re-commits executed commands into the fresh
@@ -1146,7 +1135,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             // cannot align across interior gaps. The cumulative
             // commit_count is deliberately left alone.
             self.nodes[idx].commits.clear();
-            self.nodes[idx].mid_stream = true;
         }
         // Locally served reads: route straight back to the issuing
         // client — no commit, no history record, one delivery hop

@@ -371,11 +371,11 @@ fn paxos_leader_crash_elects_and_commits() {
 /// linearizable local reads (leader-lease fast path at the leader,
 /// commit-watermark quorum reads at the followers) while the leader
 /// crashes mid-load. Reads issued around the crash and election must
-/// never return a value the verified total order contradicts — the
-/// read-value checker inside `checks.all_ok()` is the judge — and both
-/// paths must resume once the replacement regime settles. (The classic
-/// deposed-leader-with-expired-lease partition scenario lives in
-/// tests/read_mix.rs.)
+/// never return a value no linearization of the client history
+/// explains — the linearizability checker inside `checks.all_ok()` is
+/// the judge — and both paths must resume once the replacement regime
+/// settles. (The classic deposed-leader-with-expired-lease partition
+/// scenario lives in tests/read_mix.rs.)
 #[test]
 fn paxos_leader_crash_read_mix_stays_linearizable() {
     let crash_at = 2_000 * MILLIS;

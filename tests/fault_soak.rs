@@ -66,7 +66,8 @@ fn soak(seed: u64, n: usize) {
 /// One Clock-RSM soak round; `read_fraction > 0` interleaves local
 /// stable-timestamp reads with the writes, so the crash/recover churn
 /// also exercises read parking across freezes, rejoins, and epoch
-/// changes — judged by the read-value checker inside `checks.all_ok()`.
+/// changes — judged by the linearizability checker inside
+/// `checks.all_ok()`.
 fn soak_with_reads(seed: u64, n: usize, read_fraction: f64) {
     let seconds = 16u64;
     let rsm_cfg = ClockRsmConfig::default()
@@ -125,7 +126,7 @@ fn soak_three_replicas_with_read_mix() {
 /// grade) and multi-second (a badly broken daemon) — combined with
 /// crash/recover churn. Clock-RSM's stable-timestamp reads may slow
 /// down arbitrarily under skew but must never return a stale value;
-/// the read-value checker inside `checks.all_ok()` is the judge.
+/// the linearizability checker inside `checks.all_ok()` is the judge.
 ///
 /// Skew sets the timing physics: a read stamped by a fast clock waits
 /// for the slowest clock to pass the stamp, up to ~2×bound. The client

@@ -8,11 +8,13 @@
 //! silent peer all surface here and nowhere else, because the in-process
 //! plane moves cloned structs and the simnet never serializes at all.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clock_rsm::{ClockRsm, ClockRsmConfig};
+use harness::lin::check_linearizable;
+use harness::OpRecord;
 use kvstore::{KvOp, KvStore};
 use mencius::MenciusBcast;
 use paxos::{MultiPaxos, PaxosVariant};
@@ -109,119 +111,110 @@ fn paxos_leader_failover_over_tcp() {
     assert_eq!(reports[1].snapshot, reports[2].snapshot);
 }
 
+/// Runs `op` at `site` — a linearizable read, or a replicated write —
+/// and records it on the wall clock, in microseconds since `t0`: the
+/// issue time is taken before the call and the reply time after it
+/// returns, so the recorded interval covers the operation's real one.
+fn timed<P>(cluster: &Cluster<P>, t0: Instant, site: ReplicaId, op: KvOp) -> OpRecord
+where
+    P: Protocol + Send + 'static,
+    P::Msg: WireMsg,
+{
+    let read = matches!(op, KvOp::Get { .. });
+    let payload = op.encode();
+    let issued = t0.elapsed().as_micros() as u64;
+    let timeout = Duration::from_secs(10);
+    let reply = if read {
+        cluster.read(site, payload.clone(), timeout)
+    } else {
+        cluster.execute(site, payload.clone(), timeout)
+    }
+    .unwrap_or_else(|e| panic!("{op:?} at {site:?}: {e:?}"));
+    OpRecord {
+        cmd_id: reply.id,
+        issued,
+        replied: Some(t0.elapsed().as_micros() as u64),
+        payload,
+        result: Some(reply.result),
+        read_only: read,
+    }
+}
+
 /// A 90/10-style read-mix soak over TCP for one protocol: per-site
 /// writer threads bump a per-site version key while reader threads at
-/// *other* sites issue linearizable reads, asserting versions never run
-/// backwards (regressions here mean a stale read slipped through the
-/// probe/lease machinery — or a codec bug scrambled a mark).
+/// *other* sites issue linearizable reads of it, then every site reads
+/// every key once more. Every operation is recorded, and the history is
+/// graded by `check_linearizable` — a stale read that slipped past the
+/// probe/lease machinery, or a codec bug that scrambled a mark, fails it.
 fn read_mix_over_tcp<P>(name: &str, factory: impl FnMut(ReplicaId) -> P + Send)
 where
     P: Protocol + Send + 'static,
     P::Msg: WireMsg,
 {
     let cluster = Arc::new(Cluster::spawn(tcp_cfg(3_000), factory, kv));
+    let t0 = Instant::now();
     let writes_done = Arc::new(AtomicBool::new(false));
-    // Highest version each writer has seen *acknowledged*; readers at
-    // other sites must never observe below what was acked when their
-    // read started... monotonicity per reader is the portable check.
-    let acked = Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]);
 
-    let mut handles = Vec::new();
-    for site in 0..3u16 {
-        // Writer: versioned puts to this site's key.
-        let cluster = Arc::clone(&cluster);
-        let acked = Arc::clone(&acked);
-        handles.push(std::thread::spawn(move || {
-            for v in 1..=20u64 {
-                let ok = cluster
-                    .execute(
-                        ReplicaId::new(site),
-                        KvOp::put(format!("w{site}"), format!("{v:06}")).encode(),
-                        Duration::from_secs(10),
-                    )
-                    .is_ok();
-                assert!(ok, "{site} write v{v} timed out");
-                acked[site as usize].store(v, Ordering::SeqCst);
-            }
-        }));
-    }
-    for site in 0..3u16 {
-        // Reader: linearizable reads of the *next* site's key.
-        let cluster = Arc::clone(&cluster);
-        let acked = Arc::clone(&acked);
-        let writes_done = Arc::clone(&writes_done);
-        let target = (site + 1) % 3;
-        handles.push(std::thread::spawn(move || {
-            let mut last_seen = 0u64;
-            while !writes_done.load(Ordering::SeqCst) {
-                let floor = acked[target as usize].load(Ordering::SeqCst);
-                let reply = cluster
-                    .read(
-                        ReplicaId::new(site),
-                        KvOp::get(format!("w{target}")).encode(),
-                        Duration::from_secs(10),
-                    )
-                    .expect("read");
-                let seen = if reply.result[0] == 1 {
-                    std::str::from_utf8(&reply.result[1..])
-                        .expect("utf8 version")
-                        .parse::<u64>()
-                        .expect("numeric version")
-                } else {
-                    0
-                };
-                // Linearizability necessities: never run backwards, and
-                // never below what was globally acked before the read
-                // was issued.
-                assert!(
-                    seen >= last_seen,
-                    "w{target} ran backwards at site {site}: {seen} < {last_seen}"
-                );
-                assert!(
-                    seen >= floor,
-                    "stale read of w{target} at site {site}: {seen} < acked {floor}"
-                );
-                last_seen = seen;
-            }
-        }));
-    }
+    let writers: Vec<_> = (0..3u16)
+        .map(|site| {
+            // Writer: versioned puts to this site's key.
+            let cluster = Arc::clone(&cluster);
+            std::thread::spawn(move || {
+                (1..=20u64)
+                    .map(|v| {
+                        let put = KvOp::put(format!("w{site}"), format!("{v:06}"));
+                        timed(&cluster, t0, ReplicaId::new(site), put)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let readers: Vec<_> = (0..3u16)
+        .map(|site| {
+            // Reader: linearizable reads of the *next* site's key.
+            let cluster = Arc::clone(&cluster);
+            let writes_done = Arc::clone(&writes_done);
+            let target = (site + 1) % 3;
+            std::thread::spawn(move || {
+                let mut ops = Vec::new();
+                while !writes_done.load(Ordering::SeqCst) {
+                    let get = KvOp::get(format!("w{target}"));
+                    ops.push(timed(&cluster, t0, ReplicaId::new(site), get));
+                }
+                ops
+            })
+        })
+        .collect();
 
     // Writers finish first; then release the readers.
-    let (writers, readers): (Vec<_>, Vec<_>) = {
-        let mut it = handles.into_iter();
-        let w: Vec<_> = (&mut it).take(3).collect();
-        (w, it.collect())
-    };
+    let mut ops = Vec::new();
     for w in writers {
-        w.join()
-            .unwrap_or_else(|_| panic!("{name} writer panicked"));
+        ops.extend(
+            w.join()
+                .unwrap_or_else(|_| panic!("{name} writer panicked")),
+        );
     }
     writes_done.store(true, Ordering::SeqCst);
     for r in readers {
-        r.join()
-            .unwrap_or_else(|_| panic!("{name} reader panicked"));
+        ops.extend(
+            r.join()
+                .unwrap_or_else(|_| panic!("{name} reader panicked")),
+        );
     }
-
-    // Final reads at every site see every writer's last version.
+    // Final reads of every key at every site: after the last write
+    // replied, each must see it.
     for site in 0..3u16 {
         for target in 0..3u16 {
-            let reply = cluster
-                .read(
-                    ReplicaId::new(site),
-                    KvOp::get(format!("w{target}")).encode(),
-                    Duration::from_secs(10),
-                )
-                .expect("final read");
-            assert_eq!(
-                &reply.result[..],
-                format!("\x01{:06}", 20).as_bytes(),
-                "{name}: site {site} missing final w{target}"
-            );
+            let get = KvOp::get(format!("w{target}"));
+            ops.push(timed(&cluster, t0, ReplicaId::new(site), get));
         }
     }
 
     let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
     cluster.shutdown();
+    if let Err(e) = check_linearizable(&ops) {
+        panic!("{name}: {e}");
+    }
 }
 
 #[test]

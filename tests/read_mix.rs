@@ -4,8 +4,8 @@
 //! The production north star is a read-dominated workload, so the
 //! headline scenario is a 90/10 mix on a geo topology with NTP-grade
 //! clocks: Clock-RSM must serve linearizable reads **locally** — read
-//! p50 strictly below write-commit p50 — with the read-value checker
-//! green. The rest of the suite drives the same mix through clock skew
+//! p50 strictly below write-commit p50 — with the linearizability
+//! checker green. The rest of the suite drives the same mix through clock skew
 //! (sub-millisecond and multi-second; latency may move, answers may
 //! not), leader crashes, and the batching bypass regression (a `Get`
 //! must never wait behind a write batch).
@@ -74,8 +74,8 @@ fn clock_rsm_geo_read_mix_local_reads_beat_write_commits() {
     }
 }
 
-/// All three protocols run the same geo mix with the read-value checker
-/// green; Paxos and Mencius quorum-path reads also undercut their write
+/// All three protocols run the same geo mix with the linearizability
+/// checker green; Paxos and Mencius quorum-path reads also undercut their write
 /// commits (a local quorum round trip beats replicate-then-wait).
 #[test]
 fn all_protocols_geo_read_mix_is_linearizable() {
@@ -172,7 +172,7 @@ fn read_mix_survives_leader_crash_schedules() {
 /// issuing reads at it. Inside its lease window it may serve from its
 /// (still current) prefix; once the lease expires its fast path closes
 /// and its quorum probes go unanswered — it must park, not answer
-/// stale. The read-value checker is the judge.
+/// stale. The linearizability checker is the judge.
 #[test]
 fn deposed_leader_with_expired_lease_never_serves_stale_reads() {
     let leader = 1u16;
@@ -497,20 +497,19 @@ fn run_castaway(sim_cfg: SimConfig) -> Simulation<ClockRsm, CastawayApp> {
 /// probes go unanswered (cut off, then dropped as stale-epoch), and once
 /// it learns of the new epoch it queues reads until it has rejoined —
 /// so it answers **no** read from its stale state, which
-/// `check_read_values` grades, and none at all between its exclusion
+/// `check_linearizable` grades, and none at all between its exclusion
 /// and the heal.
 #[test]
 fn reconfigured_out_replica_answers_no_read_until_it_rejoins() {
     let (cut_at, heal_at) = (CastawayApp::CUT_AT, CastawayApp::HEAL_AT);
     let sim = run_castaway(SimConfig::new(LatencyMatrix::uniform(3, 2_000)));
 
-    let order = sim.commits(ReplicaId::new(0)).to_vec();
-    let ops = sim.app().ops.clone();
-    let mid_stream = sim.history_starts_mid_stream(ReplicaId::new(0));
-    harness::lin::check_read_values(&order, &ops, mid_stream).expect("a stale read was served");
+    let ops = &sim.app().ops;
+    harness::lin::check_linearizable(ops).expect("a stale read was served");
 
     // The survivors reconfigured the castaway out and kept writing.
-    let excluded_at = order
+    let excluded_at = sim
+        .commits(ReplicaId::new(0))
         .iter()
         .map(|c| c.at)
         .find(|&at| at > cut_at + 400 * MILLIS)
@@ -554,9 +553,7 @@ fn slow_castaway_answers_no_stale_read() {
         let sim_cfg = SimConfig::new(LatencyMatrix::uniform(3, 2_000))
             .clock_override(1, ClockModel::fixed_offset(-offset_ms * MILLIS as i64));
         let sim = run_castaway(sim_cfg);
-        let order = sim.commits(ReplicaId::new(0)).to_vec();
-        let mid_stream = sim.history_starts_mid_stream(ReplicaId::new(0));
-        if let Err(e) = harness::lin::check_read_values(&order, &sim.app().ops, mid_stream) {
+        if let Err(e) = harness::lin::check_linearizable(&sim.app().ops) {
             panic!("clock {offset_ms} ms slow: a stale read was served: {e}");
         }
     }
