@@ -586,6 +586,332 @@ fn zero_length_batches_are_rejected() {
 }
 
 // -----------------------------------------------------------------
+// Golden bytes
+// -----------------------------------------------------------------
+
+/// `ty::Variant` for an enum value, from its `Debug` form.
+fn variant_label<M: std::fmt::Debug>(ty: &str, msg: &M) -> String {
+    let debug = format!("{msg:?}");
+    let end = debug.find([' ', '(', '{']).unwrap_or(debug.len());
+    format!("{ty}::{}", &debug[..end])
+}
+
+fn labelled<M: WireEncode + std::fmt::Debug>(ty: &str, msgs: &[M]) -> Vec<(String, Bytes)> {
+    msgs.iter()
+        .map(|m| (variant_label(ty, m), encode_payload(m)))
+        .collect()
+}
+
+/// One fixed value of every variant of every message enum, and of every
+/// struct whose codec is its field order, each with its encoding.
+fn golden_encodings() -> Vec<(String, Bytes)> {
+    let (r1, r2) = (ReplicaId::new(1), ReplicaId::new(2));
+    let epoch = Epoch(3);
+    let ts = Timestamp::new(0x0102, r1);
+    let later = Timestamp::new(0x0203, r2);
+    let write = Command::new(
+        CommandId::new(ClientId::new(r1, 7), 9),
+        Bytes::from_static(b"pk"),
+    );
+    let read = Command::read_at(
+        CommandId::new(ClientId::new(r2, 4), 5),
+        Bytes::from_static(b"gk"),
+        0x33,
+    );
+    let cmds = Batch::new(vec![write.clone(), read.clone()]);
+    let logged = LoggedCmd {
+        ts,
+        origin: r1,
+        cmd: write.clone(),
+    };
+    let decision = Decision {
+        config: vec![r1, r2],
+        cts: ts,
+        cmds: vec![logged.clone()],
+    };
+    let ballot = Ballot {
+        round: 6,
+        proposer: r2,
+    };
+    let promised = Ballot {
+        round: 8,
+        proposer: r1,
+    };
+    let entry = SuffixEntry {
+        instance: 12,
+        ballot,
+        value: Some((read.clone(), r2)),
+    };
+    let entries = vec![
+        entry.clone(),
+        SuffixEntry {
+            instance: 13,
+            ballot,
+            value: None,
+        },
+    ];
+    let checkpoint = Checkpoint {
+        applied: 11u64,
+        epoch,
+        config: vec![r1],
+        snapshot: Bytes::from_static(b"sn"),
+        sessions: Bytes::from_static(b"se"),
+    };
+    let synods = vec![
+        SynodMsg::Prepare { ballot },
+        SynodMsg::Promise {
+            ballot,
+            accepted: Some((promised, decision.clone())),
+        },
+        SynodMsg::Propose {
+            ballot,
+            value: decision.clone(),
+        },
+        SynodMsg::Accept { ballot },
+        SynodMsg::Nack { ballot, promised },
+        SynodMsg::Decided {
+            value: decision.clone(),
+        },
+    ];
+    let rsm = vec![
+        RsmMsg::PrepareBatch {
+            epoch,
+            ts,
+            origin: r1,
+            cmds: cmds.clone(),
+        },
+        RsmMsg::PrepareOk {
+            epoch,
+            up_to: ts,
+            clock_ts: later,
+        },
+        RsmMsg::ClockTime { epoch, ts },
+        RsmMsg::Suspend { epoch, cts: ts },
+        RsmMsg::SuspendOk {
+            epoch,
+            cmds: vec![logged.clone()],
+        },
+        RsmMsg::Synod {
+            epoch,
+            msg: SynodMsg::Accept { ballot },
+        },
+        RsmMsg::RetrieveCmds {
+            from_ts: ts,
+            to_ts: later,
+        },
+        RsmMsg::RetrieveReply {
+            from_ts: ts,
+            to_ts: later,
+            cmds: vec![logged.clone()],
+        },
+        RsmMsg::DecisionRequest { have_epoch: epoch },
+        RsmMsg::DecisionCatchup {
+            decisions: vec![(epoch, decision.clone())],
+        },
+        RsmMsg::ClockProbe {
+            epoch,
+            ts: later,
+            seq: 4,
+        },
+        RsmMsg::StateReply(StateTransferReply {
+            checkpoint: Checkpoint {
+                applied: ts,
+                epoch,
+                config: vec![r1],
+                snapshot: Bytes::from_static(b"sn"),
+                sessions: Bytes::new(),
+            },
+        }),
+        RsmMsg::ClockEcho {
+            epoch,
+            ts: later,
+            seq: 4,
+        },
+    ];
+    let paxos = vec![
+        PaxosMsg::Forward {
+            cmds: cmds.clone(),
+            origin: r2,
+        },
+        PaxosMsg::Accept {
+            ballot,
+            first_instance: 12,
+            cmds: cmds.clone(),
+            origin: r2,
+        },
+        PaxosMsg::Accepted { ballot, up_to: 14 },
+        PaxosMsg::Commit { ballot, up_to: 14 },
+        PaxosMsg::Heartbeat {
+            ballot,
+            committed: 14,
+        },
+        PaxosMsg::Prepare {
+            ballot,
+            from_instance: 12,
+        },
+        PaxosMsg::Promise {
+            ballot,
+            from_instance: 12,
+            committed: 11,
+            entries: entries.clone(),
+        },
+        PaxosMsg::Nack { promised },
+        PaxosMsg::Repair {
+            ballot,
+            floor: 12,
+            entries: entries.clone(),
+        },
+        PaxosMsg::FillRequest {
+            from_instance: 12,
+            to_instance: 14,
+        },
+        PaxosMsg::Fill {
+            ballot,
+            entries: entries.clone(),
+        },
+        PaxosMsg::StateRequest(StateTransferRequest { have: 10 }),
+        PaxosMsg::StateReply {
+            reply: StateTransferReply {
+                checkpoint: checkpoint.clone(),
+            },
+            promised,
+        },
+        PaxosMsg::ReadProbe(ReadRequest { seq: 5 }),
+        PaxosMsg::ReadMark(ReadReply { seq: 5, mark: 14 }),
+        PaxosMsg::PreVote { ballot },
+        PaxosMsg::PreVoteGrant { ballot },
+    ];
+    let mencius = vec![
+        MenciusMsg::Propose {
+            first_slot: 7,
+            cmds,
+            origin: r1,
+        },
+        MenciusMsg::AcceptAck {
+            up_to_slot: 7,
+            skip_below: 10,
+        },
+        MenciusMsg::GapRequest {
+            from_slot: 4,
+            below: 10,
+        },
+        MenciusMsg::GapFill {
+            from_slot: 4,
+            below: 10,
+            cmds: vec![(7, write)],
+        },
+        MenciusMsg::StateRequest(StateTransferRequest { have: 10 }),
+        MenciusMsg::StateReply(StateTransferReply {
+            checkpoint: checkpoint.clone(),
+        }),
+        MenciusMsg::ReadProbe(ReadRequest { seq: 5 }),
+        MenciusMsg::ReadMark {
+            reply: ReadReply { seq: 5, mark: 9 },
+            owner_marks: vec![9, 8, 7],
+        },
+    ];
+    let mut out = labelled("RsmMsg", &rsm);
+    out.extend(labelled("PaxosMsg", &paxos));
+    out.extend(labelled("MenciusMsg", &mencius));
+    out.extend(labelled("SynodMsg", &synods));
+    out.push(("LoggedCmd".into(), encode_payload(&logged)));
+    out.push(("Decision".into(), encode_payload(&decision)));
+    out.push(("SuffixEntry".into(), encode_payload(&entry)));
+    out.push(("Checkpoint".into(), encode_payload(&checkpoint)));
+    out
+}
+
+/// The pinned encodings of [`golden_encodings`], in the same order.
+/// Editing a row's tag or field order changes these bytes; such a change
+/// bumps `WIRE_VERSION` and re-pins the vectors in the same commit.
+const GOLDEN: &[(&str, &str)] = &[
+    ("RsmMsg::PrepareBatch", "000000000000000003000000000000010200010001000000020001000000070000000000000009000000000002706b00020000000400000000000000050101000000000000003300000002676b"),
+    ("RsmMsg::PrepareOk", "0100000000000000030000000000000102000100000000000002030002"),
+    ("RsmMsg::ClockTime", "02000000000000000300000000000001020001"),
+    ("RsmMsg::Suspend", "03000000000000000300000000000001020001"),
+    ("RsmMsg::SuspendOk", "040000000000000003000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("RsmMsg::Synod", "0500000000000000030300000000000000060002"),
+    ("RsmMsg::RetrieveCmds", "060000000000000102000100000000000002030002"),
+    ("RsmMsg::RetrieveReply", "070000000000000102000100000000000002030002000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("RsmMsg::DecisionRequest", "080000000000000003"),
+    ("RsmMsg::DecisionCatchup", "09000000010000000000000003000000020001000200000000000001020001000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("RsmMsg::ClockProbe", "0a0000000000000003000000000000020300020000000000000004"),
+    ("RsmMsg::StateReply", "0b00000000000001020001000000000000000300000001000100000002736e00000000"),
+    ("RsmMsg::ClockEcho", "0c0000000000000003000000000000020300020000000000000004"),
+    ("PaxosMsg::Forward", "00000000020001000000070000000000000009000000000002706b00020000000400000000000000050101000000000000003300000002676b0002"),
+    ("PaxosMsg::Accept", "0100000000000000060002000000000000000c000000020001000000070000000000000009000000000002706b00020000000400000000000000050101000000000000003300000002676b0002"),
+    ("PaxosMsg::Accepted", "0200000000000000060002000000000000000e"),
+    ("PaxosMsg::Commit", "0300000000000000060002000000000000000e"),
+    ("PaxosMsg::Heartbeat", "0400000000000000060002000000000000000e"),
+    ("PaxosMsg::Prepare", "0500000000000000060002000000000000000c"),
+    ("PaxosMsg::Promise", "0600000000000000060002000000000000000c000000000000000b00000002000000000000000c000000000000000600020100020000000400000000000000050101000000000000003300000002676b0002000000000000000d0000000000000006000200"),
+    ("PaxosMsg::Nack", "0700000000000000080001"),
+    ("PaxosMsg::Repair", "0800000000000000060002000000000000000c00000002000000000000000c000000000000000600020100020000000400000000000000050101000000000000003300000002676b0002000000000000000d0000000000000006000200"),
+    ("PaxosMsg::FillRequest", "09000000000000000c000000000000000e"),
+    ("PaxosMsg::Fill", "0a0000000000000006000200000002000000000000000c000000000000000600020100020000000400000000000000050101000000000000003300000002676b0002000000000000000d0000000000000006000200"),
+    ("PaxosMsg::StateRequest", "0b000000000000000a"),
+    ("PaxosMsg::StateReply", "0c000000000000000b000000000000000300000001000100000002736e00000002736500000000000000080001"),
+    ("PaxosMsg::ReadProbe", "0d0000000000000005"),
+    ("PaxosMsg::ReadMark", "0e0000000000000005000000000000000e"),
+    ("PaxosMsg::PreVote", "0f00000000000000060002"),
+    ("PaxosMsg::PreVoteGrant", "1000000000000000060002"),
+    ("MenciusMsg::Propose", "000000000000000007000000020001000000070000000000000009000000000002706b00020000000400000000000000050101000000000000003300000002676b0001"),
+    ("MenciusMsg::AcceptAck", "010000000000000007000000000000000a"),
+    ("MenciusMsg::GapRequest", "020000000000000004000000000000000a"),
+    ("MenciusMsg::GapFill", "030000000000000004000000000000000a0000000100000000000000070001000000070000000000000009000000000002706b"),
+    ("MenciusMsg::StateRequest", "04000000000000000a"),
+    ("MenciusMsg::StateReply", "05000000000000000b000000000000000300000001000100000002736e000000027365"),
+    ("MenciusMsg::ReadProbe", "060000000000000005"),
+    ("MenciusMsg::ReadMark", "070000000000000005000000000000000900000003000000000000000900000000000000080000000000000007"),
+    ("SynodMsg::Prepare", "0000000000000000060002"),
+    ("SynodMsg::Promise", "01000000000000000600020100000000000000080001000000020001000200000000000001020001000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("SynodMsg::Propose", "0200000000000000060002000000020001000200000000000001020001000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("SynodMsg::Accept", "0300000000000000060002"),
+    ("SynodMsg::Nack", "040000000000000006000200000000000000080001"),
+    ("SynodMsg::Decided", "05000000020001000200000000000001020001000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("LoggedCmd", "0000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("Decision", "000000020001000200000000000001020001000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("SuffixEntry", "000000000000000c000000000000000600020100020000000400000000000000050101000000000000003300000002676b0002"),
+    ("Checkpoint", "000000000000000b000000000000000300000001000100000002736e000000027365"),
+];
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Round trips cannot see a tag renumbered, or two fields swapped, in
+/// both the encoder and the decoder; pinned bytes can.
+#[test]
+fn encodings_match_the_golden_vectors() {
+    let got: Vec<(String, String)> = golden_encodings()
+        .into_iter()
+        .map(|(label, bytes)| (label, hex(&bytes)))
+        .collect();
+    let want: Vec<(String, String)> = GOLDEN
+        .iter()
+        .map(|&(label, bytes)| (label.to_owned(), bytes.to_owned()))
+        .collect();
+    if got != want {
+        let table: String = got
+            .iter()
+            .map(|(label, bytes)| format!("    (\"{label}\", \"{bytes}\"),\n"))
+            .collect();
+        for ((gl, gb), (wl, wb)) in got.iter().zip(&want) {
+            assert_eq!(
+                (gl, gb),
+                (wl, wb),
+                "first differing vector; the encoder's table:\n{table}"
+            );
+        }
+        panic!(
+            "{} vectors encoded, {} pinned; the encoder's table:\n{table}",
+            got.len(),
+            want.len()
+        );
+    }
+}
+
+// -----------------------------------------------------------------
 // Unknown tags and frame headers
 // -----------------------------------------------------------------
 
