@@ -176,32 +176,34 @@ impl Checkpointer {
     }
 }
 
-/// A protocol-agnostic checkpoint: a state machine snapshot pinned to an
-/// applied watermark and the epoch/configuration it was taken in.
-///
-/// `W` is the protocol's execution-order coordinate (Clock-RSM
-/// `Timestamp`, Paxos instance `u64`, Mencius slot `u64`); each protocol
-/// documents whether its watermark is inclusive or exclusive. See the
-/// module docs for the invariants a checkpoint must satisfy.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Checkpoint<W> {
-    /// The applied watermark: the snapshot reflects exactly the commands
-    /// the protocol executed before (or through — protocol-defined) this
-    /// coordinate.
-    pub applied: W,
-    /// The epoch the snapshot was taken in.
-    pub epoch: Epoch,
-    /// The configuration at snapshot time.
-    pub config: Vec<ReplicaId>,
-    /// Canonical state machine snapshot
-    /// ([`StateMachine::snapshot`](crate::sm::StateMachine::snapshot)).
-    pub snapshot: Bytes,
-    /// The replica's client-session dedup window at the watermark
-    /// ([`SessionTable::export`](crate::session::SessionTable::export)):
-    /// riding the checkpoint is what keeps the exactly-once guarantee
-    /// alive across recovery, log compaction, and state transfer. Empty
-    /// when the protocol tracks no sessions.
-    pub sessions: Bytes,
+crate::wire_table! {
+    /// A protocol-agnostic checkpoint: a state machine snapshot pinned to an
+    /// applied watermark and the epoch/configuration it was taken in.
+    ///
+    /// `W` is the protocol's execution-order coordinate (Clock-RSM
+    /// `Timestamp`, Paxos instance `u64`, Mencius slot `u64`); each protocol
+    /// documents whether its watermark is inclusive or exclusive. See the
+    /// module docs for the invariants a checkpoint must satisfy.
+    #[derive(Clone, PartialEq, Eq)]
+    pub struct Checkpoint<W> {
+        /// The applied watermark: the snapshot reflects exactly the commands
+        /// the protocol executed before (or through — protocol-defined) this
+        /// coordinate.
+        pub applied: W,
+        /// The epoch the snapshot was taken in.
+        pub epoch: Epoch,
+        /// The configuration at snapshot time.
+        pub config: Vec<ReplicaId>,
+        /// Canonical state machine snapshot
+        /// ([`StateMachine::snapshot`](crate::sm::StateMachine::snapshot)).
+        pub snapshot: Bytes,
+        /// The replica's client-session dedup window at the watermark
+        /// ([`SessionTable::export`](crate::session::SessionTable::export)):
+        /// riding the checkpoint is what keeps the exactly-once guarantee
+        /// alive across recovery, log compaction, and state transfer. Empty
+        /// when the protocol tracks no sessions.
+        pub sessions: Bytes,
+    }
 }
 
 impl<W: fmt::Debug> fmt::Debug for Checkpoint<W> {
@@ -224,19 +226,21 @@ impl<W> WireSize for Checkpoint<W> {
     }
 }
 
-/// A replica asks a peer for its latest checkpoint covering everything the
-/// requester has already executed.
-///
-/// Sent when execution cannot progress from the log and live traffic
-/// alone: a Paxos replica stalled at a committed hole whose `ACCEPT` was
-/// lost while it was down, or a Mencius replica stalled at a hole below
-/// the checkpoint its owner's compacted log now starts at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StateTransferRequest<W> {
-    /// The requester's applied watermark: it has executed everything
-    /// strictly below this coordinate. Any checkpoint with
-    /// `applied > have` helps.
-    pub have: W,
+crate::wire_table! {
+    /// A replica asks a peer for its latest checkpoint covering everything the
+    /// requester has already executed.
+    ///
+    /// Sent when execution cannot progress from the log and live traffic
+    /// alone: a Paxos replica stalled at a committed hole whose `ACCEPT` was
+    /// lost while it was down, or a Mencius replica stalled at a hole below
+    /// the checkpoint its owner's compacted log now starts at.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct StateTransferRequest<W> {
+        /// The requester's applied watermark: it has executed everything
+        /// strictly below this coordinate. Any checkpoint with
+        /// `applied > have` helps.
+        pub have: W,
+    }
 }
 
 impl<W> WireSize for StateTransferRequest<W> {
@@ -245,14 +249,16 @@ impl<W> WireSize for StateTransferRequest<W> {
     }
 }
 
-/// A peer's answer to a [`StateTransferRequest`]: its checkpoint (taken on
-/// demand from the live state machine, so it always covers the peer's own
-/// applied prefix).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateTransferReply<W> {
-    /// The checkpoint; `applied` exceeds the request's `have` or the peer
-    /// would not have answered.
-    pub checkpoint: Checkpoint<W>,
+crate::wire_table! {
+    /// A peer's answer to a [`StateTransferRequest`]: its checkpoint (taken on
+    /// demand from the live state machine, so it always covers the peer's own
+    /// applied prefix).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StateTransferReply<W> {
+        /// The checkpoint; `applied` exceeds the request's `have` or the peer
+        /// would not have answered.
+        pub checkpoint: Checkpoint<W>,
+    }
 }
 
 impl<W> WireSize for StateTransferReply<W> {

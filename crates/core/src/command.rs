@@ -7,23 +7,25 @@ use bytes::Bytes;
 use crate::id::{ClientId, ReplicaId};
 use crate::time::Micros;
 
-/// Uniquely identifies one client command: the issuing client plus a
-/// per-client sequence number.
-///
-/// # Examples
-///
-/// ```
-/// use rsm_core::{ClientId, CommandId, ReplicaId};
-/// let client = ClientId::new(ReplicaId::new(0), 4);
-/// let id = CommandId::new(client, 17);
-/// assert_eq!(id.seq, 17);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CommandId {
-    /// The client that issued the command.
-    pub client: ClientId,
-    /// Per-client monotonically increasing sequence number.
-    pub seq: u64,
+crate::wire_table! {
+    /// Uniquely identifies one client command: the issuing client plus a
+    /// per-client sequence number.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rsm_core::{ClientId, CommandId, ReplicaId};
+    /// let client = ClientId::new(ReplicaId::new(0), 4);
+    /// let id = CommandId::new(client, 17);
+    /// assert_eq!(id.seq, 17);
+    /// ```
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct CommandId {
+        /// The client that issued the command.
+        pub client: ClientId,
+        /// Per-client monotonically increasing sequence number.
+        pub seq: u64,
+    }
 }
 
 impl CommandId {
@@ -117,14 +119,16 @@ impl fmt::Debug for Command {
     }
 }
 
-/// The result of executing a command on the replicated state machine,
-/// returned to the issuing client by its local replica.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Reply {
-    /// Which command this reply answers.
-    pub id: CommandId,
-    /// Opaque result produced by the state machine.
-    pub result: Bytes,
+crate::wire_table! {
+    /// The result of executing a command on the replicated state machine,
+    /// returned to the issuing client by its local replica.
+    #[derive(Clone, PartialEq, Eq)]
+    pub struct Reply {
+        /// Which command this reply answers.
+        pub id: CommandId,
+        /// Opaque result produced by the state machine.
+        pub result: Bytes,
+    }
 }
 
 impl Reply {

@@ -137,10 +137,7 @@ pub use node::{Driver, Node};
 pub use obs::TraceStage;
 pub use protocol::{Context, Protocol, TimerToken};
 pub use read::{ReadPath, ReadReply, ReadRequest};
-pub use session::{
-    ClientSession, SessionCheck, SessionEvict, SessionOpen, SessionRetry, SessionTable,
-    DEFAULT_SESSION_WINDOW,
-};
+pub use session::{ClientSession, SessionCheck, SessionTable, DEFAULT_SESSION_WINDOW};
 pub use sm::StateMachine;
 pub use time::{Micros, Timestamp};
 pub use wire::{

@@ -136,16 +136,18 @@ pub enum ReadPath {
     Replicated,
 }
 
-/// A quorum-read probe: asks a peer for its current read mark.
-///
-/// Sent by a replica that cannot serve a read locally (a follower, a
-/// leader with an uncertain lease, or any Mencius replica). The `seq`
-/// number pairs replies with the probe they answer; it is scoped to the
-/// requesting replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadRequest {
-    /// Requester-local probe sequence number, echoed in the reply.
-    pub seq: u64,
+crate::wire_table! {
+    /// A quorum-read probe: asks a peer for its current read mark.
+    ///
+    /// Sent by a replica that cannot serve a read locally (a follower, a
+    /// leader with an uncertain lease, or any Mencius replica). The `seq`
+    /// number pairs replies with the probe they answer; it is scoped to the
+    /// requesting replica.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ReadRequest {
+        /// Requester-local probe sequence number, echoed in the reply.
+        pub seq: u64,
+    }
 }
 
 impl WireSize for ReadRequest {
@@ -154,22 +156,24 @@ impl WireSize for ReadRequest {
     }
 }
 
-/// A peer's answer to a [`ReadRequest`]: its read mark in the protocol's
-/// ordering coordinate (instance for Paxos, slot for Mencius).
-///
-/// The mark must be an upper bound on every coordinate the responder has
-/// ever **logged** — its commit watermark raised to the top of its
-/// accepted log — not merely on what it has executed. Commitment of a
-/// write requires a majority to log it, and the probe quorum intersects
-/// every commit quorum, so the maximum mark over a majority of replies
-/// covers every write that completed before the probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadReply {
-    /// Echo of the probe's sequence number.
-    pub seq: u64,
-    /// The responder's read mark (exclusive upper bound: every logged
-    /// coordinate is `< mark`).
-    pub mark: u64,
+crate::wire_table! {
+    /// A peer's answer to a [`ReadRequest`]: its read mark in the protocol's
+    /// ordering coordinate (instance for Paxos, slot for Mencius).
+    ///
+    /// The mark must be an upper bound on every coordinate the responder has
+    /// ever **logged** — its commit watermark raised to the top of its
+    /// accepted log — not merely on what it has executed. Commitment of a
+    /// write requires a majority to log it, and the probe quorum intersects
+    /// every commit quorum, so the maximum mark over a majority of replies
+    /// covers every write that completed before the probe.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ReadReply {
+        /// Echo of the probe's sequence number.
+        pub seq: u64,
+        /// The responder's read mark (exclusive upper bound: every logged
+        /// coordinate is `< mark`).
+        pub mark: u64,
+    }
 }
 
 impl WireSize for ReadReply {

@@ -18,10 +18,6 @@
 //!   through [`SessionTable::commit_dedup`]; a duplicate is **not**
 //!   re-applied, and at the origin replica the cached reply is re-sent
 //!   instead.
-//! * [`SessionOpen`] / [`SessionRetry`] / [`SessionEvict`] — the wire
-//!   vocabulary of the client plane (encoded via `rsm_core::wire` like
-//!   every other frame), so session establishment and explicit eviction
-//!   work across the socket transport exactly as in-process.
 //!
 //! # The exactly-once contract
 //!
@@ -74,7 +70,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crate::command::{CommandId, Committed, Reply};
 use crate::id::{ClientId, ReplicaId};
 use crate::protocol::{Context, Protocol};
-use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireSize, MSG_HEADER_BYTES};
+use crate::wire::{WireDecode, WireEncode, WireError, WireReader};
 
 /// Default bound on distinct client entries a replica's dedup window
 /// holds before LRU eviction (see the module docs for the staleness
@@ -293,8 +289,8 @@ impl SessionTable {
         }
     }
 
-    /// Explicitly evicts `client`'s entry (the [`SessionEvict`] wire
-    /// shape): a client that closes its session releases its window slot.
+    /// Explicitly evicts `client`'s entry: a client that closes its
+    /// session releases its window slot.
     pub fn evict(&mut self, client: ClientId) {
         self.entries.remove(&client);
     }
@@ -450,53 +446,6 @@ fn classify(entry: Option<&SessionEntry>, seq: u64) -> SessionCheck {
         Some(e) if seq > e.seq => SessionCheck::Fresh,
         Some(e) if seq == e.seq => SessionCheck::Duplicate(e.reply.clone()),
         Some(_) => SessionCheck::Stale,
-    }
-}
-
-/// A client announces its session identity to a replica (the client
-/// plane's `open`): the server allocates or confirms the window slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionOpen {
-    /// The session's stable client identity.
-    pub client: ClientId,
-}
-
-impl WireSize for SessionOpen {
-    fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES + 6
-    }
-}
-
-/// A client re-submits its in-flight command after a timeout: same
-/// [`CommandId`] as the original, which is what lets the dedup window
-/// recognise it. The command payload travels exactly as on first send;
-/// this shape marks the frame as a retry so admission control lets it
-/// through a saturated inbox (rejecting retries would deadlock the
-/// client against its own backlog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionRetry {
-    /// The original command's id, reused verbatim.
-    pub id: CommandId,
-}
-
-impl WireSize for SessionRetry {
-    fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES + 14
-    }
-}
-
-/// A client closes its session (or a server instructs a client that its
-/// entry was evicted): the window slot is released immediately instead
-/// of aging out by LRU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionEvict {
-    /// The session being closed.
-    pub client: ClientId,
-}
-
-impl WireSize for SessionEvict {
-    fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES + 6
     }
 }
 

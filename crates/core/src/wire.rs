@@ -19,27 +19,35 @@
 //! ```
 //!
 //! All integers are big-endian. The payload is the [`WireEncode`]
-//! encoding of one protocol message; enum messages lead with a one-byte
-//! variant tag. A decoder must consume the payload **exactly** —
-//! leftover bytes are a [`WireError::TrailingBytes`] error, so a frame
-//! can never smuggle garbage past the codec.
+//! encoding of one protocol message. Each message type is declared once,
+//! by [`wire_table!`](crate::wire_table): an enum's rows read
+//! `tag => Variant { field: Type, … }`, and a variant encodes as its
+//! row's one-byte tag followed by its fields in row order; a struct
+//! encodes as its fields in declaration order. A decoder must consume
+//! the payload **exactly** — leftover bytes are a
+//! [`WireError::TrailingBytes`] error, so a frame can never smuggle
+//! garbage past the codec.
 //!
 //! # Versioning rule
 //!
 //! The format is version-gated, not self-describing: a receiver rejects
 //! any frame whose `version` differs from its own [`WIRE_VERSION`]
 //! ([`WireError::BadVersion`]) — there is no negotiation and no
-//! cross-version decoding. **Any** change to the frame layout, to a
-//! message's field order, or to an enum's variant tags requires bumping
-//! [`WIRE_VERSION`]. Within a version, the only compatible evolution is
-//! via the reserved `flags` field (zero on send, ignored on receive) and
-//! by appending new enum variants with previously unused tags (old
-//! receivers reject them cleanly as [`WireError::BadTag`]).
+//! cross-version decoding. A tag lives in exactly one row of its enum's
+//! table; a second row under it fails the build.
+//!
+//! * Appending a row under an unused tag needs no bump: an older
+//!   receiver rejects the new variant cleanly as [`WireError::BadTag`].
+//! * Editing an existing row's tag or fields, a struct's fields, or the
+//!   frame layout needs a [`WIRE_VERSION`] bump, and the golden vectors
+//!   of `tests/codec_roundtrip.rs` re-pinned in the same commit.
+//! * The reserved `flags` field (zero on send, ignored on receive) is the
+//!   only other evolution within a version.
 //!
 //! Version 2 changed the checksum function (to the low 32 bits of XXH64)
 //! and nothing else: layout, field order and tags are those of version 1.
 //! Version 3 added a probe sequence number to Clock-RSM's `ClockProbe`
-//! (the echo under the new, appended tag 12 names it).
+//! (the echo, appended under tag 12, names it).
 //!
 //! # Zero-copy discipline
 //!
@@ -74,12 +82,9 @@ use std::fmt;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::batch::Batch;
-use crate::checkpoint::{Checkpoint, StateTransferReply, StateTransferRequest};
-use crate::command::{Command, CommandId, Reply};
+use crate::command::{Command, CommandId};
 use crate::config::Epoch;
 use crate::id::{ClientId, ReplicaId};
-use crate::read::{ReadReply, ReadRequest};
-use crate::session::{SessionEvict, SessionOpen, SessionRetry};
 use crate::time::Timestamp;
 
 /// Number of bytes a value occupies on the wire.
@@ -393,6 +398,167 @@ pub fn decode_payload<M: WireDecode>(payload: Bytes) -> Result<M, WireError> {
     Ok(msg)
 }
 
+/// The buffer type of [`WireEncode::encode`], named here so that
+/// [`wire_table!`](crate::wire_table) expands in crates that do not
+/// depend on `bytes`.
+#[doc(hidden)]
+pub use bytes::BytesMut as EncodeBuf;
+
+/// Declares a message type and generates its codec from one table.
+///
+/// An enum's rows read `tag => Variant { field: Type, … }` or
+/// `tag => Variant(Type)`, each with its doc comments. The macro declares
+/// the enum exactly as written, minus the tags, and generates:
+///
+/// * [`WireEncode`]: the tag byte, then the fields in row order;
+/// * [`WireDecode`]: the same order back; a tag no row names is
+///   [`WireError::BadTag`] with the enum's name;
+/// * `TAGS`: every tag, in row order.
+///
+/// Two rows under one tag fail the build. A struct
+/// (`struct Name { field: Type, … }`) gets the same codec without a tag:
+/// its fields in declaration order. The generated impls bound every
+/// generic parameter by the codec trait they implement. [`WireSize`] is
+/// simnet's size model, not the encoded length, so it stays hand-written.
+///
+/// ```
+/// use rsm_core::wire::{decode_payload, encode_payload};
+///
+/// rsm_core::wire_table! {
+///     /// A toy protocol.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Toy {
+///         /// Asks for `n`.
+///         0 => Ask { n: u16 },
+///         /// Answers.
+///         7 => Answer(bool),
+///     }
+/// }
+///
+/// let bytes = encode_payload(&Toy::Ask { n: 5 });
+/// assert_eq!(bytes[..], [0, 0, 5]);
+/// assert_eq!(decode_payload::<Toy>(bytes), Ok(Toy::Ask { n: 5 }));
+/// assert_eq!(Toy::TAGS, [0, 7]);
+/// ```
+///
+/// ```compile_fail,E0081
+/// rsm_core::wire_table! {
+///     pub enum Clash {
+///         1 => A { n: u64 },
+///         1 => B { n: u64 },
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! wire_table {
+    // One variant's binding pattern, encoder and decoder, by its shape.
+    (@pat $name:ident $variant:ident $value:ident { $($(#[$m:meta])* $f:ident : $t:ty),* $(,)? }) => {
+        $name::$variant { $($f),* }
+    };
+    (@pat $name:ident $variant:ident $value:ident ($t:ty)) => {
+        $name::$variant($value)
+    };
+    (@enc $buf:ident $value:ident { $($(#[$m:meta])* $f:ident : $t:ty),* $(,)? }) => {
+        $($crate::wire::WireEncode::encode($f, $buf);)*
+    };
+    (@enc $buf:ident $value:ident ($t:ty)) => {
+        $crate::wire::WireEncode::encode($value, $buf);
+    };
+    (@dec $r:ident $name:ident $variant:ident { $($(#[$m:meta])* $f:ident : $t:ty),* $(,)? }) => {
+        $name::$variant { $($f: <$t as $crate::wire::WireDecode>::decode($r)?),* }
+    };
+    (@dec $r:ident $name:ident $variant:ident ($t:ty)) => {
+        $name::$variant(<$t as $crate::wire::WireDecode>::decode($r)?)
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident $(<$($gen:ident),+>)? {
+            $($(#[$vmeta:meta])* $tag:literal => $variant:ident $body:tt),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name $(<$($gen),+>)? {
+            $($(#[$vmeta])* $variant $body,)+
+        }
+
+        impl $(<$($gen),+>)? $name $(<$($gen),+>)? {
+            /// Every variant tag, in row order.
+            pub const TAGS: &'static [u8] = &[$($tag),+];
+        }
+
+        // Two rows under one tag are two equal discriminants: error E0081.
+        const _: () = {
+            #[allow(dead_code)]
+            #[repr(u8)]
+            enum Tags {
+                $($variant = $tag,)+
+            }
+        };
+
+        impl $(<$($gen: $crate::wire::WireEncode),+>)? $crate::wire::WireEncode
+            for $name $(<$($gen),+>)?
+        {
+            fn encode(&self, buf: &mut $crate::wire::EncodeBuf) {
+                match self {
+                    $($crate::wire_table!(@pat $name $variant value $body) => {
+                        <u8 as $crate::wire::WireEncode>::encode(&$tag, buf);
+                        $crate::wire_table!(@enc buf value $body);
+                    })+
+                }
+            }
+        }
+
+        impl $(<$($gen: $crate::wire::WireDecode),+>)? $crate::wire::WireDecode
+            for $name $(<$($gen),+>)?
+        {
+            fn decode(
+                r: &mut $crate::wire::WireReader,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok(match r.u8()? {
+                    $($tag => $crate::wire_table!(@dec r $name $variant $body),)+
+                    tag => {
+                        return ::core::result::Result::Err($crate::wire::WireError::BadTag {
+                            ty: stringify!($name),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $(<$($gen:ident),+>)? {
+            $($(#[$fmeta:meta])* $fvis:vis $f:ident : $t:ty),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name $(<$($gen),+>)? {
+            $($(#[$fmeta])* $fvis $f: $t,)+
+        }
+
+        impl $(<$($gen: $crate::wire::WireEncode),+>)? $crate::wire::WireEncode
+            for $name $(<$($gen),+>)?
+        {
+            fn encode(&self, buf: &mut $crate::wire::EncodeBuf) {
+                $($crate::wire::WireEncode::encode(&self.$f, buf);)+
+            }
+        }
+
+        impl $(<$($gen: $crate::wire::WireDecode),+>)? $crate::wire::WireDecode
+            for $name $(<$($gen),+>)?
+        {
+            fn decode(
+                r: &mut $crate::wire::WireReader,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok($name {
+                    $($f: <$t as $crate::wire::WireDecode>::decode(r)?,)+
+                })
+            }
+        }
+    };
+}
+
 /// A decoded frame header (see the [module docs](self) for the layout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
@@ -644,21 +810,6 @@ impl WireDecode for ClientId {
     }
 }
 
-impl WireEncode for CommandId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.client.encode(buf);
-        buf.put_u64(self.seq);
-    }
-}
-impl WireDecode for CommandId {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(CommandId {
-            client: ClientId::decode(r)?,
-            seq: r.u64()?,
-        })
-    }
-}
-
 impl WireEncode for Timestamp {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64(self.micros());
@@ -706,59 +857,6 @@ impl WireDecode for Command {
     }
 }
 
-impl WireEncode for Reply {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.result.encode(buf);
-    }
-}
-impl WireDecode for Reply {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        let id = CommandId::decode(r)?;
-        let result = Bytes::decode(r)?;
-        Ok(Reply::new(id, result))
-    }
-}
-
-impl WireEncode for SessionOpen {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.client.encode(buf);
-    }
-}
-impl WireDecode for SessionOpen {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(SessionOpen {
-            client: ClientId::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for SessionRetry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-    }
-}
-impl WireDecode for SessionRetry {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(SessionRetry {
-            id: CommandId::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for SessionEvict {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.client.encode(buf);
-    }
-}
-impl WireDecode for SessionEvict {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(SessionEvict {
-            client: ClientId::decode(r)?,
-        })
-    }
-}
-
 impl WireEncode for Batch {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32(self.len() as u32);
@@ -777,85 +875,11 @@ impl WireDecode for Batch {
     }
 }
 
-impl WireEncode for ReadRequest {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64(self.seq);
-    }
-}
-impl WireDecode for ReadRequest {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(ReadRequest { seq: r.u64()? })
-    }
-}
-
-impl WireEncode for ReadReply {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64(self.seq);
-        buf.put_u64(self.mark);
-    }
-}
-impl WireDecode for ReadReply {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(ReadReply {
-            seq: r.u64()?,
-            mark: r.u64()?,
-        })
-    }
-}
-
-impl<W: WireEncode> WireEncode for Checkpoint<W> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.applied.encode(buf);
-        self.epoch.encode(buf);
-        self.config.encode(buf);
-        self.snapshot.encode(buf);
-        self.sessions.encode(buf);
-    }
-}
-impl<W: WireDecode> WireDecode for Checkpoint<W> {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(Checkpoint {
-            applied: W::decode(r)?,
-            epoch: Epoch::decode(r)?,
-            config: Vec::<ReplicaId>::decode(r)?,
-            snapshot: Bytes::decode(r)?,
-            sessions: Bytes::decode(r)?,
-        })
-    }
-}
-
-impl<W: WireEncode> WireEncode for StateTransferRequest<W> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.have.encode(buf);
-    }
-}
-impl<W: WireDecode> WireDecode for StateTransferRequest<W> {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(StateTransferRequest {
-            have: W::decode(r)?,
-        })
-    }
-}
-
-impl<W: WireEncode> WireEncode for StateTransferReply<W> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.checkpoint.encode(buf);
-    }
-}
-impl<W: WireDecode> WireDecode for StateTransferReply<W> {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(StateTransferReply {
-            checkpoint: Checkpoint::<W>::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::CommandId;
-    use crate::id::{ClientId, ReplicaId};
-    use bytes::Bytes;
+    use crate::checkpoint::{Checkpoint, StateTransferReply, StateTransferRequest};
+    use crate::command::Reply;
 
     #[test]
     fn command_size_scales_with_payload() {
@@ -1070,27 +1094,18 @@ mod tests {
         assert_eq!(back, cp);
     }
 
+    /// Session windows carry replies inside checkpoints: id (site,
+    /// client number, seq), then the length-prefixed result.
     #[test]
-    fn reply_and_session_shapes_round_trip() {
+    fn reply_encoding_is_pinned() {
         let id = CommandId::new(ClientId::new(ReplicaId::new(2), 40), 17);
         let reply = Reply::new(id, Bytes::from_static(b"ok"));
-        let back: Reply = decode_payload(encode_payload(&reply)).unwrap();
+        let wire = encode_payload(&reply);
+        assert_eq!(
+            wire[..],
+            [0, 2, 0, 0, 0, 40, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 2, b'o', b'k']
+        );
+        let back: Reply = decode_payload(wire).unwrap();
         assert_eq!(back, reply);
-
-        let open = SessionOpen {
-            client: ClientId::new(ReplicaId::new(1), 9),
-        };
-        let back: SessionOpen = decode_payload(encode_payload(&open)).unwrap();
-        assert_eq!(back, open);
-
-        let retry = SessionRetry { id };
-        let back: SessionRetry = decode_payload(encode_payload(&retry)).unwrap();
-        assert_eq!(back, retry);
-
-        let evict = SessionEvict {
-            client: ClientId::new(ReplicaId::new(0), 3),
-        };
-        let back: SessionEvict = decode_payload(encode_payload(&evict)).unwrap();
-        assert_eq!(back, evict);
     }
 }

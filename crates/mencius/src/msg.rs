@@ -5,114 +5,115 @@
 //! own slots with one message, and acknowledgements are cumulative
 //! per-owner slot watermarks, so one ack covers the batch.
 
-use bytes::BytesMut;
 use rsm_core::batch::Batch;
 use rsm_core::checkpoint::{StateTransferReply, StateTransferRequest};
 use rsm_core::command::Command;
 use rsm_core::id::ReplicaId;
 use rsm_core::read::{ReadReply, ReadRequest};
 use rsm_core::wire::MSG_HEADER_BYTES;
-use rsm_core::wire::{WireDecode, WireEncode, WireError, WireMsg, WireReader, WireSize};
+use rsm_core::wire::{WireMsg, WireSize};
 
-/// Messages exchanged by [`MenciusBcast`](crate::MenciusBcast) replicas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MenciusMsg {
-    /// The owner proposes `cmds` in its own slots `first_slot`,
-    /// `first_slot + N`, …, `first_slot + (len-1)·N` (its slot space has
-    /// stride `N`, the number of replicas).
-    Propose {
-        /// The first slot being filled (owned by the sender).
-        first_slot: u64,
-        /// The commands bound to the consecutive own slots, in order.
-        cmds: Batch,
-        /// The replica whose clients issued the commands (the sender).
-        origin: ReplicaId,
-    },
-    /// Cumulative broadcast acknowledgement: the sender has logged
-    /// **every** slot owned by `up_to_slot % N` at or below `up_to_slot`
-    /// (sound because an owner proposes its slots in increasing order
-    /// over FIFO channels). Also carries the sender's **skip promise**:
-    /// it will never propose in any of its own slots below `skip_below`.
-    AcceptAck {
-        /// Watermark slot; its owner is `up_to_slot % N`.
-        up_to_slot: u64,
-        /// The sender's skip promise (exclusive lower bound on its future
-        /// own-slot proposals).
-        skip_below: u64,
-    },
-    /// A recovered replica asks the receiver (an owner) to retransmit its
-    /// own-slot proposals in `[from_slot, below)`. After a crash the
-    /// sender can no longer tell a skipped slot from a proposal lost in
-    /// flight while it was down, so absence must be confirmed by the
-    /// owner before the slot may resolve as a no-op. The owner answers
-    /// from its stable log.
-    GapRequest {
-        /// First slot of the queried range (owned by the receiver).
-        from_slot: u64,
-        /// Exclusive upper bound; taken from the owner's observed skip
-        /// promise, so no new proposal can land in the range later.
-        below: u64,
-    },
-    /// The owner's answer to a [`MenciusMsg::GapRequest`]: every proposal
-    /// it ever made in its own slots within `[from_slot, below)`, read
-    /// from its stable log. Own slots in the range absent from `cmds`
-    /// are permanently empty. The range may be narrower than the query:
-    /// the owner's log holds no own proposal below the checkpoint a
-    /// compaction left at its head, and the requester fetches a
-    /// checkpoint for a hole under the echoed start
-    /// ([`MenciusMsg::StateRequest`]).
-    GapFill {
-        /// The queried range start, raised to the watermark of the
-        /// checkpoint the owner's compacted log leads with.
-        from_slot: u64,
-        /// The queried range bound, lowered to the owner's next own slot.
-        below: u64,
-        /// The retransmitted proposals, as `(slot, command)` pairs.
-        cmds: Vec<(u64, Command)>,
-    },
-    /// A replica stalled at a hole whose owner can no longer answer gap
-    /// requests (it compacted its log past the hole) asks a peer for a
-    /// checkpoint covering the gap (shared subsystem,
-    /// `rsm_core::checkpoint`). The watermark is the requester's
-    /// next-to-resolve slot.
-    StateRequest(StateTransferRequest<u64>),
-    /// A peer's checkpoint: its state through every slot below the
-    /// carried (exclusive) watermark. The requester installs it and
-    /// resumes resolution from the watermark.
-    StateReply(StateTransferReply<u64>),
-    /// Quorum-read probe (`rsm_core::read`): a replica with a pending
-    /// local read asks a peer for its read mark. Clock-free: safety
-    /// comes from quorum intersection (a committed slot was logged by a
-    /// majority, which intersects the probed majority).
-    ReadProbe(ReadRequest),
-    /// Answer to a [`ReadProbe`](MenciusMsg::ReadProbe): the responder's
-    /// read marks, one coordinate **per owner** instead of one scalar.
-    ///
-    /// `owner_marks[o]` is an exclusive upper bound on owner `o`'s slots
-    /// that any *completed* write could occupy, from the responder's
-    /// perspective:
-    ///
-    /// * for the responder's **own** slot space (`o == responder`) it is
-    ///   the responder's execution cursor — tight, because an owner
-    ///   replies to a client only after executing the write, so every
-    ///   completed own-slot write sits strictly below it. Crucially this
-    ///   *excludes* the responder's own in-flight (logged but uncommitted)
-    ///   proposals, which a scalar logged-top mark would force the read
-    ///   to wait out;
-    /// * for every **other** owner it is the logged-top bound (cursor
-    ///   raised past every slot of that owner in the responder's slot
-    ///   table) — the classic quorum-intersection guarantee: a completed
-    ///   write of a non-responding owner was logged by a majority, which
-    ///   intersects the probed majority.
-    ///
-    /// The scalar [`ReadReply::mark`] is still carried for diagnostics
-    /// and as the conservative fallback.
-    ReadMark {
-        /// Probe echo plus the folded scalar mark (conservative).
-        reply: ReadReply,
-        /// Per-owner exclusive bounds, indexed by owner; see above.
-        owner_marks: Vec<u64>,
-    },
+rsm_core::wire_table! {
+    /// Messages exchanged by [`MenciusBcast`](crate::MenciusBcast) replicas.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum MenciusMsg {
+        /// The owner proposes `cmds` in its own slots `first_slot`,
+        /// `first_slot + N`, …, `first_slot + (len-1)·N` (its slot space has
+        /// stride `N`, the number of replicas).
+        0 => Propose {
+            /// The first slot being filled (owned by the sender).
+            first_slot: u64,
+            /// The commands bound to the consecutive own slots, in order.
+            cmds: Batch,
+            /// The replica whose clients issued the commands (the sender).
+            origin: ReplicaId,
+        },
+        /// Cumulative broadcast acknowledgement: the sender has logged
+        /// **every** slot owned by `up_to_slot % N` at or below `up_to_slot`
+        /// (sound because an owner proposes its slots in increasing order
+        /// over FIFO channels). Also carries the sender's **skip promise**:
+        /// it will never propose in any of its own slots below `skip_below`.
+        1 => AcceptAck {
+            /// Watermark slot; its owner is `up_to_slot % N`.
+            up_to_slot: u64,
+            /// The sender's skip promise (exclusive lower bound on its future
+            /// own-slot proposals).
+            skip_below: u64,
+        },
+        /// A recovered replica asks the receiver (an owner) to retransmit its
+        /// own-slot proposals in `[from_slot, below)`. After a crash the
+        /// sender can no longer tell a skipped slot from a proposal lost in
+        /// flight while it was down, so absence must be confirmed by the
+        /// owner before the slot may resolve as a no-op. The owner answers
+        /// from its stable log.
+        2 => GapRequest {
+            /// First slot of the queried range (owned by the receiver).
+            from_slot: u64,
+            /// Exclusive upper bound; taken from the owner's observed skip
+            /// promise, so no new proposal can land in the range later.
+            below: u64,
+        },
+        /// The owner's answer to a [`MenciusMsg::GapRequest`]: every proposal
+        /// it ever made in its own slots within `[from_slot, below)`, read
+        /// from its stable log. Own slots in the range absent from `cmds`
+        /// are permanently empty. The range may be narrower than the query:
+        /// the owner's log holds no own proposal below the checkpoint a
+        /// compaction left at its head, and the requester fetches a
+        /// checkpoint for a hole under the echoed start
+        /// ([`MenciusMsg::StateRequest`]).
+        3 => GapFill {
+            /// The queried range start, raised to the watermark of the
+            /// checkpoint the owner's compacted log leads with.
+            from_slot: u64,
+            /// The queried range bound, lowered to the owner's next own slot.
+            below: u64,
+            /// The retransmitted proposals, as `(slot, command)` pairs.
+            cmds: Vec<(u64, Command)>,
+        },
+        /// A replica stalled at a hole whose owner can no longer answer gap
+        /// requests (it compacted its log past the hole) asks a peer for a
+        /// checkpoint covering the gap (shared subsystem,
+        /// `rsm_core::checkpoint`). The watermark is the requester's
+        /// next-to-resolve slot.
+        4 => StateRequest(StateTransferRequest<u64>),
+        /// A peer's checkpoint: its state through every slot below the
+        /// carried (exclusive) watermark. The requester installs it and
+        /// resumes resolution from the watermark.
+        5 => StateReply(StateTransferReply<u64>),
+        /// Quorum-read probe (`rsm_core::read`): a replica with a pending
+        /// local read asks a peer for its read mark. Clock-free: safety
+        /// comes from quorum intersection (a committed slot was logged by a
+        /// majority, which intersects the probed majority).
+        6 => ReadProbe(ReadRequest),
+        /// Answer to a [`ReadProbe`](MenciusMsg::ReadProbe): the responder's
+        /// read marks, one coordinate **per owner** instead of one scalar.
+        ///
+        /// `owner_marks[o]` is an exclusive upper bound on owner `o`'s slots
+        /// that any *completed* write could occupy, from the responder's
+        /// perspective:
+        ///
+        /// * for the responder's **own** slot space (`o == responder`) it is
+        ///   the responder's execution cursor — tight, because an owner
+        ///   replies to a client only after executing the write, so every
+        ///   completed own-slot write sits strictly below it. Crucially this
+        ///   *excludes* the responder's own in-flight (logged but uncommitted)
+        ///   proposals, which a scalar logged-top mark would force the read
+        ///   to wait out;
+        /// * for every **other** owner it is the logged-top bound (cursor
+        ///   raised past every slot of that owner in the responder's slot
+        ///   table) — the classic quorum-intersection guarantee: a completed
+        ///   write of a non-responding owner was logged by a majority, which
+        ///   intersects the probed majority.
+        ///
+        /// The scalar [`ReadReply::mark`] is still carried for diagnostics
+        /// and as the conservative fallback.
+        7 => ReadMark {
+            /// Probe echo plus the folded scalar mark (conservative).
+            reply: ReadReply,
+            /// Per-owner exclusive bounds, indexed by owner; see above.
+            owner_marks: Vec<u64>,
+        },
+    }
 }
 
 impl WireSize for MenciusMsg {
@@ -131,101 +132,6 @@ impl WireSize for MenciusMsg {
                 reply.wire_size() + 8 * owner_marks.len()
             }
         }
-    }
-}
-
-impl WireEncode for MenciusMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            MenciusMsg::Propose {
-                first_slot,
-                cmds,
-                origin,
-            } => {
-                0u8.encode(buf);
-                first_slot.encode(buf);
-                cmds.encode(buf);
-                origin.encode(buf);
-            }
-            MenciusMsg::AcceptAck {
-                up_to_slot,
-                skip_below,
-            } => {
-                1u8.encode(buf);
-                up_to_slot.encode(buf);
-                skip_below.encode(buf);
-            }
-            MenciusMsg::GapRequest { from_slot, below } => {
-                2u8.encode(buf);
-                from_slot.encode(buf);
-                below.encode(buf);
-            }
-            MenciusMsg::GapFill {
-                from_slot,
-                below,
-                cmds,
-            } => {
-                3u8.encode(buf);
-                from_slot.encode(buf);
-                below.encode(buf);
-                cmds.encode(buf);
-            }
-            MenciusMsg::StateRequest(req) => {
-                4u8.encode(buf);
-                req.encode(buf);
-            }
-            MenciusMsg::StateReply(reply) => {
-                5u8.encode(buf);
-                reply.encode(buf);
-            }
-            MenciusMsg::ReadProbe(req) => {
-                6u8.encode(buf);
-                req.encode(buf);
-            }
-            MenciusMsg::ReadMark { reply, owner_marks } => {
-                7u8.encode(buf);
-                reply.encode(buf);
-                owner_marks.encode(buf);
-            }
-        }
-    }
-}
-
-impl WireDecode for MenciusMsg {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => MenciusMsg::Propose {
-                first_slot: u64::decode(r)?,
-                cmds: Batch::decode(r)?,
-                origin: ReplicaId::decode(r)?,
-            },
-            1 => MenciusMsg::AcceptAck {
-                up_to_slot: u64::decode(r)?,
-                skip_below: u64::decode(r)?,
-            },
-            2 => MenciusMsg::GapRequest {
-                from_slot: u64::decode(r)?,
-                below: u64::decode(r)?,
-            },
-            3 => MenciusMsg::GapFill {
-                from_slot: u64::decode(r)?,
-                below: u64::decode(r)?,
-                cmds: Vec::<(u64, Command)>::decode(r)?,
-            },
-            4 => MenciusMsg::StateRequest(StateTransferRequest::<u64>::decode(r)?),
-            5 => MenciusMsg::StateReply(StateTransferReply::<u64>::decode(r)?),
-            6 => MenciusMsg::ReadProbe(ReadRequest::decode(r)?),
-            7 => MenciusMsg::ReadMark {
-                reply: ReadReply::decode(r)?,
-                owner_marks: Vec::<u64>::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    ty: "MenciusMsg",
-                    tag,
-                })
-            }
-        })
     }
 }
 

@@ -16,35 +16,36 @@
 //! [`Repair`](PaxosMsg::Repair)) is classic Paxos phase 1 lifted from the
 //! single decree to the instance-log suffix.
 
-use bytes::BytesMut;
 use rsm_core::batch::Batch;
 use rsm_core::checkpoint::{StateTransferReply, StateTransferRequest};
 use rsm_core::command::Command;
 use rsm_core::id::ReplicaId;
 use rsm_core::read::{ReadReply, ReadRequest};
 use rsm_core::wire::MSG_HEADER_BYTES;
-use rsm_core::wire::{WireDecode, WireEncode, WireError, WireMsg, WireReader, WireSize};
+use rsm_core::wire::{WireMsg, WireSize};
 
 use crate::synod::Ballot;
 
 /// Encoded size of a [`Ballot`] on the wire: round plus proposer id.
 const BALLOT_BYTES: usize = 10;
 
-/// One instance of the log suffix, as reported by an acceptor in a
-/// [`Promise`](PaxosMsg::Promise) or re-proposed by a new leader in a
-/// [`Repair`](PaxosMsg::Repair).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuffixEntry {
-    /// The instance number.
-    pub instance: u64,
-    /// In a `Promise`: the ballot at which the value was accepted. In a
-    /// `Repair`: the new leader's ballot (every repaired instance is
-    /// re-proposed at it).
-    pub ballot: Ballot,
-    /// The command bound to the instance and its originating replica, or
-    /// `None` for a **no-op filler**: a hole the new leader proved
-    /// unchosen and closes so execution can pass it.
-    pub value: Option<(Command, ReplicaId)>,
+rsm_core::wire_table! {
+    /// One instance of the log suffix, as reported by an acceptor in a
+    /// [`Promise`](PaxosMsg::Promise) or re-proposed by a new leader in a
+    /// [`Repair`](PaxosMsg::Repair).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SuffixEntry {
+        /// The instance number.
+        pub instance: u64,
+        /// In a `Promise`: the ballot at which the value was accepted. In a
+        /// `Repair`: the new leader's ballot (every repaired instance is
+        /// re-proposed at it).
+        pub ballot: Ballot,
+        /// The command bound to the instance and its originating replica, or
+        /// `None` for a **no-op filler**: a hole the new leader proved
+        /// unchosen and closes so execution can pass it.
+        pub value: Option<(Command, ReplicaId)>,
+    }
 }
 
 impl WireSize for SuffixEntry {
@@ -57,219 +58,203 @@ impl WireSize for SuffixEntry {
     }
 }
 
-impl WireEncode for SuffixEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.instance.encode(buf);
-        self.ballot.encode(buf);
-        self.value.encode(buf);
+rsm_core::wire_table! {
+    /// Messages exchanged by [`MultiPaxos`](crate::MultiPaxos) replicas.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum PaxosMsg {
+        /// A follower forwards a batch of its clients' commands to the
+        /// leader, remembering itself as the commands' origin so replies
+        /// return to the right data center.
+        0 => Forward {
+            /// The client commands, in submission order.
+            cmds: Batch,
+            /// The replica whose clients issued the commands.
+            origin: ReplicaId,
+        },
+        /// Phase 2a: the leader asks replicas to accept the batch in the
+        /// contiguous instance run `[first_instance, first_instance +
+        /// cmds.len())`, at its regime ballot.
+        1 => Accept {
+            /// The proposing leader's regime ballot.
+            ballot: Ballot,
+            /// First instance of the run (consecutive numbers follow).
+            first_instance: u64,
+            /// The commands bound to the run, in instance order.
+            cmds: Batch,
+            /// The replica whose clients issued the commands.
+            origin: ReplicaId,
+        },
+        /// Phase 2b, cumulative: the sender vouches, **for the tagged
+        /// regime**, that every instance below `up_to` is logged at its site.
+        /// Sound because the leader assigns consecutive instances and
+        /// channels are FIFO, so accepts arrive gap-free; tagging with the
+        /// regime ballot is what keeps a quorum honest across fail-overs
+        /// (watermarks earned under a deposed leader are never counted
+        /// toward the new regime's commits). Sent to the leader (plain
+        /// Paxos) or broadcast (Paxos-bcast); one ack covers a whole batch.
+        2 => Accepted {
+            /// The regime the vouch is for.
+            ballot: Ballot,
+            /// Exclusive watermark: all instances `< up_to` are logged.
+            up_to: u64,
+        },
+        /// Commit notification from the leader (plain Paxos only),
+        /// cumulative: every instance below `up_to` is committed. Commitment
+        /// is final regardless of the announcing regime, so receivers honour
+        /// the watermark even from a since-deposed leader (it only announces
+        /// quorums it really observed).
+        3 => Commit {
+            /// The announcing leader's regime ballot.
+            ballot: Ballot,
+            /// Exclusive watermark: all instances `< up_to` are committed.
+            up_to: u64,
+        },
+        /// Lease renewal from an idle leader: proves the regime is alive and
+        /// carries the commit watermark so followers keep executing without
+        /// data-plane traffic. Fenced like an `Accept` — a deposed leader's
+        /// heartbeat draws a [`Nack`](PaxosMsg::Nack), which is how it learns
+        /// it was deposed.
+        4 => Heartbeat {
+            /// The sending leader's regime ballot.
+            ballot: Ballot,
+            /// Exclusive watermark: all instances `< committed` are committed.
+            committed: u64,
+        },
+        /// Phase 1a over the log suffix: a candidate whose leader lease
+        /// expired solicits leadership at `ballot` and asks each acceptor for
+        /// everything it has accepted from `from_instance` up.
+        5 => Prepare {
+            /// The candidate's ballot.
+            ballot: Ballot,
+            /// The candidate's committed watermark: report instances at or
+            /// above this.
+            from_instance: u64,
+        },
+        /// Phase 1b: the acceptor promises to reject anything below `ballot`
+        /// and reports its accepted log suffix so the candidate can adopt
+        /// the highest-ballot value per instance.
+        6 => Promise {
+            /// The promised ballot (echo of the 1a ballot).
+            ballot: Ballot,
+            /// Echo of the solicited suffix start.
+            from_instance: u64,
+            /// The acceptor's committed watermark (everything below is
+            /// globally decided and needs no repair).
+            committed: u64,
+            /// Accepted instances at or above `from_instance`, with the
+            /// ballots they were accepted at.
+            entries: Vec<SuffixEntry>,
+        },
+        /// A rejection carrying the acceptor's current promise: tells a
+        /// stale-ballot sender (deposed leader or outbid candidate) which
+        /// ballot it must outbid — or defer to.
+        7 => Nack {
+            /// The acceptor's promised ballot.
+            promised: Ballot,
+        },
+        /// Phase 2a for the election outcome: the new leader re-proposes the
+        /// merged log suffix `[floor, floor + entries.len())` at its ballot —
+        /// highest-ballot accepted values kept, unchosen holes closed with
+        /// no-ops — and thereby announces its regime. Processing a `Repair`
+        /// is what switches an acceptor to the new regime; FIFO channels
+        /// guarantee it precedes the regime's `Accept` traffic.
+        8 => Repair {
+            /// The new leader's ballot.
+            ballot: Ballot,
+            /// Start of the repaired range: the highest committed watermark
+            /// among the promise quorum. Everything below it is final, and
+            /// the receiver may adopt it as its own committed watermark.
+            floor: u64,
+            /// The re-proposed suffix, one entry per instance, contiguous
+            /// from `floor`.
+            entries: Vec<SuffixEntry>,
+        },
+        /// A follower that sees an accept run land *past* its vouch
+        /// watermark (a gap — per-link FIFO means the missing accepts were
+        /// lost while it was down, or while the leader lacked a majority to
+        /// commit them) asks the leader to retransmit the uncommitted range.
+        /// Without this, instances proposed while the leader was in a
+        /// minority could never commit: the survivors' cumulative acks can
+        /// never soundly cross the hole, and nothing else retransmits
+        /// uncommitted proposals.
+        9 => FillRequest {
+            /// First missing instance (the requester's vouch watermark).
+            from_instance: u64,
+            /// Exclusive end of the gap (the run that revealed it).
+            to_instance: u64,
+        },
+        /// The leader's retransmission of still-pending instances from its
+        /// slot table, re-asserted at its regime ballot. Unlike
+        /// [`Repair`](PaxosMsg::Repair) it carries no floor and drops
+        /// nothing at the receiver — it is a plain re-`Accept` of an
+        /// explicit instance set.
+        10 => Fill {
+            /// The serving leader's regime ballot.
+            ballot: Ballot,
+            /// The retransmitted instances.
+            entries: Vec<SuffixEntry>,
+        },
+        /// A replica stalled at a committed hole (the `ACCEPT`s were lost
+        /// while it was down, or its local suffix was superseded by a
+        /// fail-over it missed) asks a peer for a checkpoint covering the
+        /// gap (shared subsystem, `rsm_core::checkpoint`). The watermark is
+        /// the requester's next-to-execute instance.
+        11 => StateRequest(StateTransferRequest<u64>),
+        /// A peer's checkpoint: its state through every instance below the
+        /// carried (exclusive) watermark. The requester installs it and
+        /// resumes execution and acknowledgements from the watermark. The
+        /// reply also carries the sender's promised ballot so an installing
+        /// replica can never regress its own promise below a regime the
+        /// cluster has already moved to (the compacted log it writes after
+        /// the install re-pins the promise durably).
+        12 => StateReply {
+            /// The checkpoint.
+            reply: StateTransferReply<u64>,
+            /// The serving replica's promised ballot.
+            promised: Ballot,
+        },
+        /// Pre-vote probe (opt-in, [`pre_vote`]): before bumping its ballot, a
+        /// would-be candidate asks whether the receiver would *currently*
+        /// promise `ballot`. The receiver answers from the same tests a real
+        /// [`Prepare`](PaxosMsg::Prepare) faces — promise ordering and the
+        /// leader-stickiness lease gate — but **nothing mutates**: no promise
+        /// moves, no lease renews, no round is burned. A replica flapping
+        /// behind a partition therefore cannot drive real ballots up (and
+        /// depose a healthy leader on heal); it only ever probes, and its
+        /// probes die quietly while a majority still hears the leader.
+        ///
+        /// [`pre_vote`]: rsm_core::lease::LeaseConfig::pre_vote
+        15 => PreVote {
+            /// The ballot the sender would campaign at.
+            ballot: Ballot,
+        },
+        /// Affirmative answer to a [`PreVote`](PaxosMsg::PreVote): the sender
+        /// would promise `ballot` if asked now. A majority of grants licenses
+        /// the real election. There is no negative counterpart — refusals are
+        /// silent, exactly like the stickiness gate's silence on `Prepare`
+        /// (except a probe below the receiver's promise, which draws the
+        /// usual [`Nack`](PaxosMsg::Nack) so a lagging candidate can learn
+        /// the round to beat).
+        16 => PreVoteGrant {
+            /// Echo of the probed ballot.
+            ballot: Ballot,
+        },
+        /// Quorum-read probe (`rsm_core::read`): a replica that cannot serve
+        /// a read locally — a follower, or a leader whose read lease is
+        /// uncertain — asks a peer for its read mark. Clock-free: safety
+        /// comes from quorum intersection, not from any lease.
+        13 => ReadProbe(ReadRequest),
+        /// Answer to a [`ReadProbe`](PaxosMsg::ReadProbe): the responder's
+        /// read mark (its commit watermark raised to the top of its
+        /// accepted log). Deliberately **not** ballot-tagged and never
+        /// counted as leader-lease evidence: answering a probe does not
+        /// imply the responder recently heard the leader, so counting it
+        /// would let a near-deposed replica's answer extend the read lease
+        /// past an election it is about to enable. Only messages whose
+        /// *send* implies current-regime leader contact (an
+        /// [`Accepted`](PaxosMsg::Accepted)) feed the lease.
+        14 => ReadMark(ReadReply),
     }
-}
-
-impl WireDecode for SuffixEntry {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(SuffixEntry {
-            instance: u64::decode(r)?,
-            ballot: Ballot::decode(r)?,
-            value: Option::<(Command, ReplicaId)>::decode(r)?,
-        })
-    }
-}
-
-/// Messages exchanged by [`MultiPaxos`](crate::MultiPaxos) replicas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PaxosMsg {
-    /// A follower forwards a batch of its clients' commands to the
-    /// leader, remembering itself as the commands' origin so replies
-    /// return to the right data center.
-    Forward {
-        /// The client commands, in submission order.
-        cmds: Batch,
-        /// The replica whose clients issued the commands.
-        origin: ReplicaId,
-    },
-    /// Phase 2a: the leader asks replicas to accept the batch in the
-    /// contiguous instance run `[first_instance, first_instance +
-    /// cmds.len())`, at its regime ballot.
-    Accept {
-        /// The proposing leader's regime ballot.
-        ballot: Ballot,
-        /// First instance of the run (consecutive numbers follow).
-        first_instance: u64,
-        /// The commands bound to the run, in instance order.
-        cmds: Batch,
-        /// The replica whose clients issued the commands.
-        origin: ReplicaId,
-    },
-    /// Phase 2b, cumulative: the sender vouches, **for the tagged
-    /// regime**, that every instance below `up_to` is logged at its site.
-    /// Sound because the leader assigns consecutive instances and
-    /// channels are FIFO, so accepts arrive gap-free; tagging with the
-    /// regime ballot is what keeps a quorum honest across fail-overs
-    /// (watermarks earned under a deposed leader are never counted
-    /// toward the new regime's commits). Sent to the leader (plain
-    /// Paxos) or broadcast (Paxos-bcast); one ack covers a whole batch.
-    Accepted {
-        /// The regime the vouch is for.
-        ballot: Ballot,
-        /// Exclusive watermark: all instances `< up_to` are logged.
-        up_to: u64,
-    },
-    /// Commit notification from the leader (plain Paxos only),
-    /// cumulative: every instance below `up_to` is committed. Commitment
-    /// is final regardless of the announcing regime, so receivers honour
-    /// the watermark even from a since-deposed leader (it only announces
-    /// quorums it really observed).
-    Commit {
-        /// The announcing leader's regime ballot.
-        ballot: Ballot,
-        /// Exclusive watermark: all instances `< up_to` are committed.
-        up_to: u64,
-    },
-    /// Lease renewal from an idle leader: proves the regime is alive and
-    /// carries the commit watermark so followers keep executing without
-    /// data-plane traffic. Fenced like an `Accept` — a deposed leader's
-    /// heartbeat draws a [`Nack`](PaxosMsg::Nack), which is how it learns
-    /// it was deposed.
-    Heartbeat {
-        /// The sending leader's regime ballot.
-        ballot: Ballot,
-        /// Exclusive watermark: all instances `< committed` are committed.
-        committed: u64,
-    },
-    /// Phase 1a over the log suffix: a candidate whose leader lease
-    /// expired solicits leadership at `ballot` and asks each acceptor for
-    /// everything it has accepted from `from_instance` up.
-    Prepare {
-        /// The candidate's ballot.
-        ballot: Ballot,
-        /// The candidate's committed watermark: report instances at or
-        /// above this.
-        from_instance: u64,
-    },
-    /// Phase 1b: the acceptor promises to reject anything below `ballot`
-    /// and reports its accepted log suffix so the candidate can adopt
-    /// the highest-ballot value per instance.
-    Promise {
-        /// The promised ballot (echo of the 1a ballot).
-        ballot: Ballot,
-        /// Echo of the solicited suffix start.
-        from_instance: u64,
-        /// The acceptor's committed watermark (everything below is
-        /// globally decided and needs no repair).
-        committed: u64,
-        /// Accepted instances at or above `from_instance`, with the
-        /// ballots they were accepted at.
-        entries: Vec<SuffixEntry>,
-    },
-    /// A rejection carrying the acceptor's current promise: tells a
-    /// stale-ballot sender (deposed leader or outbid candidate) which
-    /// ballot it must outbid — or defer to.
-    Nack {
-        /// The acceptor's promised ballot.
-        promised: Ballot,
-    },
-    /// Phase 2a for the election outcome: the new leader re-proposes the
-    /// merged log suffix `[floor, floor + entries.len())` at its ballot —
-    /// highest-ballot accepted values kept, unchosen holes closed with
-    /// no-ops — and thereby announces its regime. Processing a `Repair`
-    /// is what switches an acceptor to the new regime; FIFO channels
-    /// guarantee it precedes the regime's `Accept` traffic.
-    Repair {
-        /// The new leader's ballot.
-        ballot: Ballot,
-        /// Start of the repaired range: the highest committed watermark
-        /// among the promise quorum. Everything below it is final, and
-        /// the receiver may adopt it as its own committed watermark.
-        floor: u64,
-        /// The re-proposed suffix, one entry per instance, contiguous
-        /// from `floor`.
-        entries: Vec<SuffixEntry>,
-    },
-    /// A follower that sees an accept run land *past* its vouch
-    /// watermark (a gap — per-link FIFO means the missing accepts were
-    /// lost while it was down, or while the leader lacked a majority to
-    /// commit them) asks the leader to retransmit the uncommitted range.
-    /// Without this, instances proposed while the leader was in a
-    /// minority could never commit: the survivors' cumulative acks can
-    /// never soundly cross the hole, and nothing else retransmits
-    /// uncommitted proposals.
-    FillRequest {
-        /// First missing instance (the requester's vouch watermark).
-        from_instance: u64,
-        /// Exclusive end of the gap (the run that revealed it).
-        to_instance: u64,
-    },
-    /// The leader's retransmission of still-pending instances from its
-    /// slot table, re-asserted at its regime ballot. Unlike
-    /// [`Repair`](PaxosMsg::Repair) it carries no floor and drops
-    /// nothing at the receiver — it is a plain re-`Accept` of an
-    /// explicit instance set.
-    Fill {
-        /// The serving leader's regime ballot.
-        ballot: Ballot,
-        /// The retransmitted instances.
-        entries: Vec<SuffixEntry>,
-    },
-    /// A replica stalled at a committed hole (the `ACCEPT`s were lost
-    /// while it was down, or its local suffix was superseded by a
-    /// fail-over it missed) asks a peer for a checkpoint covering the
-    /// gap (shared subsystem, `rsm_core::checkpoint`). The watermark is
-    /// the requester's next-to-execute instance.
-    StateRequest(StateTransferRequest<u64>),
-    /// A peer's checkpoint: its state through every instance below the
-    /// carried (exclusive) watermark. The requester installs it and
-    /// resumes execution and acknowledgements from the watermark. The
-    /// reply also carries the sender's promised ballot so an installing
-    /// replica can never regress its own promise below a regime the
-    /// cluster has already moved to (the compacted log it writes after
-    /// the install re-pins the promise durably).
-    StateReply {
-        /// The checkpoint.
-        reply: StateTransferReply<u64>,
-        /// The serving replica's promised ballot.
-        promised: Ballot,
-    },
-    /// Pre-vote probe (opt-in, [`pre_vote`]): before bumping its ballot, a
-    /// would-be candidate asks whether the receiver would *currently*
-    /// promise `ballot`. The receiver answers from the same tests a real
-    /// [`Prepare`](PaxosMsg::Prepare) faces — promise ordering and the
-    /// leader-stickiness lease gate — but **nothing mutates**: no promise
-    /// moves, no lease renews, no round is burned. A replica flapping
-    /// behind a partition therefore cannot drive real ballots up (and
-    /// depose a healthy leader on heal); it only ever probes, and its
-    /// probes die quietly while a majority still hears the leader.
-    ///
-    /// [`pre_vote`]: rsm_core::lease::LeaseConfig::pre_vote
-    PreVote {
-        /// The ballot the sender would campaign at.
-        ballot: Ballot,
-    },
-    /// Affirmative answer to a [`PreVote`](PaxosMsg::PreVote): the sender
-    /// would promise `ballot` if asked now. A majority of grants licenses
-    /// the real election. There is no negative counterpart — refusals are
-    /// silent, exactly like the stickiness gate's silence on `Prepare`
-    /// (except a probe below the receiver's promise, which draws the
-    /// usual [`Nack`](PaxosMsg::Nack) so a lagging candidate can learn
-    /// the round to beat).
-    PreVoteGrant {
-        /// Echo of the probed ballot.
-        ballot: Ballot,
-    },
-    /// Quorum-read probe (`rsm_core::read`): a replica that cannot serve
-    /// a read locally — a follower, or a leader whose read lease is
-    /// uncertain — asks a peer for its read mark. Clock-free: safety
-    /// comes from quorum intersection, not from any lease.
-    ReadProbe(ReadRequest),
-    /// Answer to a [`ReadProbe`](PaxosMsg::ReadProbe): the responder's
-    /// read mark (its commit watermark raised to the top of its
-    /// accepted log). Deliberately **not** ballot-tagged and never
-    /// counted as leader-lease evidence: answering a probe does not
-    /// imply the responder recently heard the leader, so counting it
-    /// would let a near-deposed replica's answer extend the read lease
-    /// past an election it is about to enable. Only messages whose
-    /// *send* implies current-regime leader contact (an
-    /// [`Accepted`](PaxosMsg::Accepted)) feed the lease.
-    ReadMark(ReadReply),
 }
 
 impl WireSize for PaxosMsg {
@@ -308,191 +293,6 @@ impl WireSize for PaxosMsg {
             PaxosMsg::ReadProbe(req) => req.wire_size(),
             PaxosMsg::ReadMark(reply) => reply.wire_size(),
         }
-    }
-}
-
-impl WireEncode for PaxosMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            PaxosMsg::Forward { cmds, origin } => {
-                0u8.encode(buf);
-                cmds.encode(buf);
-                origin.encode(buf);
-            }
-            PaxosMsg::Accept {
-                ballot,
-                first_instance,
-                cmds,
-                origin,
-            } => {
-                1u8.encode(buf);
-                ballot.encode(buf);
-                first_instance.encode(buf);
-                cmds.encode(buf);
-                origin.encode(buf);
-            }
-            PaxosMsg::Accepted { ballot, up_to } => {
-                2u8.encode(buf);
-                ballot.encode(buf);
-                up_to.encode(buf);
-            }
-            PaxosMsg::Commit { ballot, up_to } => {
-                3u8.encode(buf);
-                ballot.encode(buf);
-                up_to.encode(buf);
-            }
-            PaxosMsg::Heartbeat { ballot, committed } => {
-                4u8.encode(buf);
-                ballot.encode(buf);
-                committed.encode(buf);
-            }
-            PaxosMsg::Prepare {
-                ballot,
-                from_instance,
-            } => {
-                5u8.encode(buf);
-                ballot.encode(buf);
-                from_instance.encode(buf);
-            }
-            PaxosMsg::Promise {
-                ballot,
-                from_instance,
-                committed,
-                entries,
-            } => {
-                6u8.encode(buf);
-                ballot.encode(buf);
-                from_instance.encode(buf);
-                committed.encode(buf);
-                entries.encode(buf);
-            }
-            PaxosMsg::Nack { promised } => {
-                7u8.encode(buf);
-                promised.encode(buf);
-            }
-            PaxosMsg::Repair {
-                ballot,
-                floor,
-                entries,
-            } => {
-                8u8.encode(buf);
-                ballot.encode(buf);
-                floor.encode(buf);
-                entries.encode(buf);
-            }
-            PaxosMsg::FillRequest {
-                from_instance,
-                to_instance,
-            } => {
-                9u8.encode(buf);
-                from_instance.encode(buf);
-                to_instance.encode(buf);
-            }
-            PaxosMsg::Fill { ballot, entries } => {
-                10u8.encode(buf);
-                ballot.encode(buf);
-                entries.encode(buf);
-            }
-            PaxosMsg::StateRequest(req) => {
-                11u8.encode(buf);
-                req.encode(buf);
-            }
-            PaxosMsg::StateReply { reply, promised } => {
-                12u8.encode(buf);
-                reply.encode(buf);
-                promised.encode(buf);
-            }
-            PaxosMsg::ReadProbe(req) => {
-                13u8.encode(buf);
-                req.encode(buf);
-            }
-            PaxosMsg::ReadMark(reply) => {
-                14u8.encode(buf);
-                reply.encode(buf);
-            }
-            PaxosMsg::PreVote { ballot } => {
-                15u8.encode(buf);
-                ballot.encode(buf);
-            }
-            PaxosMsg::PreVoteGrant { ballot } => {
-                16u8.encode(buf);
-                ballot.encode(buf);
-            }
-        }
-    }
-}
-
-impl WireDecode for PaxosMsg {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => PaxosMsg::Forward {
-                cmds: Batch::decode(r)?,
-                origin: ReplicaId::decode(r)?,
-            },
-            1 => PaxosMsg::Accept {
-                ballot: Ballot::decode(r)?,
-                first_instance: u64::decode(r)?,
-                cmds: Batch::decode(r)?,
-                origin: ReplicaId::decode(r)?,
-            },
-            2 => PaxosMsg::Accepted {
-                ballot: Ballot::decode(r)?,
-                up_to: u64::decode(r)?,
-            },
-            3 => PaxosMsg::Commit {
-                ballot: Ballot::decode(r)?,
-                up_to: u64::decode(r)?,
-            },
-            4 => PaxosMsg::Heartbeat {
-                ballot: Ballot::decode(r)?,
-                committed: u64::decode(r)?,
-            },
-            5 => PaxosMsg::Prepare {
-                ballot: Ballot::decode(r)?,
-                from_instance: u64::decode(r)?,
-            },
-            6 => PaxosMsg::Promise {
-                ballot: Ballot::decode(r)?,
-                from_instance: u64::decode(r)?,
-                committed: u64::decode(r)?,
-                entries: Vec::<SuffixEntry>::decode(r)?,
-            },
-            7 => PaxosMsg::Nack {
-                promised: Ballot::decode(r)?,
-            },
-            8 => PaxosMsg::Repair {
-                ballot: Ballot::decode(r)?,
-                floor: u64::decode(r)?,
-                entries: Vec::<SuffixEntry>::decode(r)?,
-            },
-            9 => PaxosMsg::FillRequest {
-                from_instance: u64::decode(r)?,
-                to_instance: u64::decode(r)?,
-            },
-            10 => PaxosMsg::Fill {
-                ballot: Ballot::decode(r)?,
-                entries: Vec::<SuffixEntry>::decode(r)?,
-            },
-            11 => PaxosMsg::StateRequest(StateTransferRequest::<u64>::decode(r)?),
-            12 => PaxosMsg::StateReply {
-                reply: StateTransferReply::<u64>::decode(r)?,
-                promised: Ballot::decode(r)?,
-            },
-            13 => PaxosMsg::ReadProbe(ReadRequest::decode(r)?),
-            14 => PaxosMsg::ReadMark(ReadReply::decode(r)?),
-            15 => PaxosMsg::PreVote {
-                ballot: Ballot::decode(r)?,
-            },
-            16 => PaxosMsg::PreVoteGrant {
-                ballot: Ballot::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    ty: "PaxosMsg",
-                    tag,
-                })
-            }
-        })
     }
 }
 

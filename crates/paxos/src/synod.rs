@@ -19,18 +19,18 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use bytes::BytesMut;
 use rsm_core::id::ReplicaId;
-use rsm_core::wire::{WireDecode, WireEncode, WireError, WireReader};
 
-/// A Paxos ballot: a round number with the proposing replica's id as the
-/// tie-breaker, totally ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Ballot {
-    /// Retry round, dominant in the ordering.
-    pub round: u64,
-    /// Proposer id, breaking ties between concurrent rounds.
-    pub proposer: ReplicaId,
+rsm_core::wire_table! {
+    /// A Paxos ballot: a round number with the proposing replica's id as the
+    /// tie-breaker, totally ordered.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct Ballot {
+        /// Retry round, dominant in the ordering.
+        pub round: u64,
+        /// Proposer id, breaking ties between concurrent rounds.
+        pub proposer: ReplicaId,
+    }
 }
 
 impl Ballot {
@@ -47,64 +47,50 @@ impl fmt::Display for Ballot {
     }
 }
 
-impl WireEncode for Ballot {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.round.encode(buf);
-        self.proposer.encode(buf);
+rsm_core::wire_table! {
+    /// Messages of one synod instance. The embedding protocol wraps these in
+    /// its own message type and relays them.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum SynodMsg<V> {
+        /// Phase 1a: leader solicitation for `ballot`.
+        0 => Prepare {
+            /// The soliciting ballot.
+            ballot: Ballot,
+        },
+        /// Phase 1b: promise not to accept ballots below `ballot`; reports the
+        /// highest value accepted so far, if any.
+        1 => Promise {
+            /// The promised ballot (echo of the 1a ballot).
+            ballot: Ballot,
+            /// Highest accepted (ballot, value), if any.
+            accepted: Option<(Ballot, V)>,
+        },
+        /// Phase 2a: proposal of `value` at `ballot`.
+        2 => Propose {
+            /// The proposing ballot.
+            ballot: Ballot,
+            /// The proposed value.
+            value: V,
+        },
+        /// Phase 2b: acceptance of `ballot`.
+        3 => Accept {
+            /// The accepted ballot.
+            ballot: Ballot,
+        },
+        /// A rejection hint carrying the acceptor's current promise, prompting
+        /// the proposer to retry with a higher round.
+        4 => Nack {
+            /// The ballot being rejected.
+            ballot: Ballot,
+            /// The acceptor's current promised ballot.
+            promised: Ballot,
+        },
+        /// The decided value, broadcast by the successful proposer.
+        5 => Decided {
+            /// The chosen value.
+            value: V,
+        },
     }
-}
-
-impl WireDecode for Ballot {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(Ballot {
-            round: u64::decode(r)?,
-            proposer: ReplicaId::decode(r)?,
-        })
-    }
-}
-
-/// Messages of one synod instance. The embedding protocol wraps these in
-/// its own message type and relays them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SynodMsg<V> {
-    /// Phase 1a: leader solicitation for `ballot`.
-    Prepare {
-        /// The soliciting ballot.
-        ballot: Ballot,
-    },
-    /// Phase 1b: promise not to accept ballots below `ballot`; reports the
-    /// highest value accepted so far, if any.
-    Promise {
-        /// The promised ballot (echo of the 1a ballot).
-        ballot: Ballot,
-        /// Highest accepted (ballot, value), if any.
-        accepted: Option<(Ballot, V)>,
-    },
-    /// Phase 2a: proposal of `value` at `ballot`.
-    Propose {
-        /// The proposing ballot.
-        ballot: Ballot,
-        /// The proposed value.
-        value: V,
-    },
-    /// Phase 2b: acceptance of `ballot`.
-    Accept {
-        /// The accepted ballot.
-        ballot: Ballot,
-    },
-    /// A rejection hint carrying the acceptor's current promise, prompting
-    /// the proposer to retry with a higher round.
-    Nack {
-        /// The ballot being rejected.
-        ballot: Ballot,
-        /// The acceptor's current promised ballot.
-        promised: Ballot,
-    },
-    /// The decided value, broadcast by the successful proposer.
-    Decided {
-        /// The chosen value.
-        value: V,
-    },
 }
 
 impl<V: rsm_core::WireSize> rsm_core::WireSize for SynodMsg<V> {
@@ -121,74 +107,6 @@ impl<V: rsm_core::WireSize> rsm_core::WireSize for SynodMsg<V> {
                 MSG_HEADER_BYTES + value.wire_size()
             }
         }
-    }
-}
-
-impl<V: WireEncode> WireEncode for SynodMsg<V> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SynodMsg::Prepare { ballot } => {
-                0u8.encode(buf);
-                ballot.encode(buf);
-            }
-            SynodMsg::Promise { ballot, accepted } => {
-                1u8.encode(buf);
-                ballot.encode(buf);
-                accepted.encode(buf);
-            }
-            SynodMsg::Propose { ballot, value } => {
-                2u8.encode(buf);
-                ballot.encode(buf);
-                value.encode(buf);
-            }
-            SynodMsg::Accept { ballot } => {
-                3u8.encode(buf);
-                ballot.encode(buf);
-            }
-            SynodMsg::Nack { ballot, promised } => {
-                4u8.encode(buf);
-                ballot.encode(buf);
-                promised.encode(buf);
-            }
-            SynodMsg::Decided { value } => {
-                5u8.encode(buf);
-                value.encode(buf);
-            }
-        }
-    }
-}
-
-impl<V: WireDecode> WireDecode for SynodMsg<V> {
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => SynodMsg::Prepare {
-                ballot: Ballot::decode(r)?,
-            },
-            1 => SynodMsg::Promise {
-                ballot: Ballot::decode(r)?,
-                accepted: Option::<(Ballot, V)>::decode(r)?,
-            },
-            2 => SynodMsg::Propose {
-                ballot: Ballot::decode(r)?,
-                value: V::decode(r)?,
-            },
-            3 => SynodMsg::Accept {
-                ballot: Ballot::decode(r)?,
-            },
-            4 => SynodMsg::Nack {
-                ballot: Ballot::decode(r)?,
-                promised: Ballot::decode(r)?,
-            },
-            5 => SynodMsg::Decided {
-                value: V::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    ty: "SynodMsg",
-                    tag,
-                })
-            }
-        })
     }
 }
 
