@@ -113,8 +113,8 @@ pub fn protocol_choice(s: &Schedule) -> ProtocolChoice {
         ProtocolKind::Paxos => ProtocolChoice::paxos_failover(PAXOS_LEADER, lease),
         ProtocolKind::PaxosBcast => ProtocolChoice::paxos_bcast_failover(PAXOS_LEADER, lease),
         // With `checkpoint_every` set, compaction bounds how far back
-        // Mencius gap fills reach, which puts the checkpoint-transfer
-        // recovery path under the swarm.
+        // an owner's catch-up runs reach, which puts the snapshot arm of
+        // the catch-up exchange under the swarm.
         ProtocolKind::Mencius => ProtocolChoice::mencius(),
     }
 }

@@ -2,7 +2,7 @@
 
 use paxos::synod::SynodMsg;
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::StateTransferReply;
+use rsm_core::checkpoint::Checkpoint;
 use rsm_core::command::Command;
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
@@ -177,10 +177,12 @@ rsm_core::wire_table! {
         },
         /// A snapshot answering a [`Suspend`](RsmMsg::Suspend) or
         /// [`RetrieveCmds`](RsmMsg::RetrieveCmds) that asks from below the
-        /// sender's compacted log. It took a previously unused tag, so it
-        /// needed no `WIRE_VERSION` bump ([`rsm_core::wire`]'s versioning
-        /// rule): an older receiver rejects it cleanly as `BadTag`.
-        11 => StateReply(StateTransferReply<Timestamp>),
+        /// sender's compacted log: the snapshot arm of the shared catch-up
+        /// answer rule (`rsm_core::exec`). It took a previously unused tag,
+        /// so it needed no `WIRE_VERSION` bump ([`rsm_core::wire`]'s
+        /// versioning rule): an older receiver rejects it cleanly as
+        /// `BadTag`.
+        11 => StateReply(Checkpoint<Timestamp>),
         /// A peer's answer to a [`ClockProbe`](RsmMsg::ClockProbe): clock
         /// evidence, and one answer toward the probe's quorum under the
         /// prober's current epoch.
@@ -219,8 +221,16 @@ impl WireSize for RsmMsg {
                         .map(|(_, d)| 8 + d.wire_size())
                         .sum::<usize>()
             }
-            RsmMsg::StateReply(reply) => reply.wire_size(),
+            RsmMsg::StateReply(cp) => MSG_HEADER_BYTES + cp.wire_size(),
         }
+    }
+}
+
+/// The snapshot arm of the shared catch-up answer rule
+/// ([`Executor::answer_catch_up`](rsm_core::exec::Executor::answer_catch_up)).
+impl From<Checkpoint<Timestamp>> for RsmMsg {
+    fn from(cp: Checkpoint<Timestamp>) -> Self {
+        RsmMsg::StateReply(cp)
     }
 }
 

@@ -22,9 +22,14 @@
 //!    timestamp order; finally the new epoch and configuration are
 //!    installed and normal processing resumes.
 //!
-//! A responder whose log was compacted past the point a `SUSPEND` or a
-//! fetch asks from answers with a snapshot (`StateReply`); the requester
-//! installs the checkpoint and asks again from its new commit point.
+//! Both answers — `SUSPENDOK` and `RETRIEVEREPLY` — go through the one
+//! catch-up answer rule of `rsm_core::exec` (the one Paxos and Mencius
+//! serve their catch-up requests with): a responder whose log still
+//! reaches back to the point a `SUSPEND` or a fetch asks from answers
+//! with the commands it logged there; one whose log was compacted past
+//! it answers with a snapshot of its commit point (`StateReply`), and
+//! the requester installs the checkpoint and asks again from its new
+//! commit point.
 //!
 //! Replicas that missed decisions (crashed or partitioned) catch up via
 //! `DecisionRequest`/`DecisionCatchup` and apply decisions strictly in
@@ -536,11 +541,12 @@ impl ClockRsm {
         self.apply_ready_decisions(ctx);
     }
 
-    /// Responder side of SUSPEND and RETRIEVECMDS: answers `to` with
-    /// `reply` over the commands this replica logged above `after`, up to
-    /// `upto`, read from its stable log — unless a compaction folded some
-    /// of them into the checkpoint the log starts with. Then a snapshot of
-    /// our commit point goes instead.
+    /// Responder side of SUSPEND and RETRIEVECMDS, through the shared
+    /// catch-up answer rule: answers `to` with `reply` over the commands
+    /// this replica logged above `after`, up to `upto`, read from its
+    /// stable log — unless a compaction folded some of them into the
+    /// checkpoint the log starts with. Then a snapshot of our commit
+    /// point goes instead (`StateReply`).
     fn answer_from_log(
         &self,
         to: ReplicaId,
@@ -549,17 +555,20 @@ impl ClockRsm {
         ctx: &mut dyn Context<Self>,
         reply: impl FnOnce(Logged) -> RsmMsg,
     ) {
-        let log = ctx.stable_log();
-        let msg = match log.first() {
-            Some(LogRec::Checkpoint(cp)) if cp.applied > after => {
-                let (at, cfg) = (self.last_committed, self.membership.config());
-                let served = self.exec.serve_transfer(after, at, self.epoch(), cfg, ctx);
-                let Some(snapshot) = served else { return };
-                RsmMsg::StateReply(snapshot)
-            }
-            _ => reply(logged_in(log, (Excluded(after), upto))),
+        let held = match ctx.stable_log().first() {
+            Some(LogRec::Checkpoint(cp)) => cp.applied,
+            _ => Timestamp::ZERO,
         };
-        ctx.send(to, msg);
+        let (at, epoch, cfg) = (self.last_committed, self.epoch(), self.membership.config());
+        let logged = |ctx: &mut dyn Context<Self>| {
+            reply(logged_in(ctx.stable_log(), (Excluded(after), upto)))
+        };
+        let answer = self
+            .exec
+            .answer_catch_up(after, Some(held), at, epoch, cfg, ctx, logged);
+        if let Some(msg) = answer {
+            ctx.send(to, msg);
+        }
     }
 
     /// Requester side of a snapshot answer (Section V-B state transfer,
@@ -578,7 +587,7 @@ impl ClockRsm {
             self.reconfig.phase,
             Phase::Idle | Phase::AwaitingDecision { .. }
         );
-        if !waiting || cp.applied <= self.last_committed || !self.exec.install(&cp, ctx) {
+        if !waiting || cp.applied <= self.last_committed || !self.exec.install_caught_up(&cp, ctx) {
             return; // stale, or the driver cannot install snapshots
         }
         self.freeze(ctx);

@@ -900,7 +900,7 @@ impl Protocol for ClockRsm {
             } => self.handle_retrieve_reply(from, from_ts, to_ts, cmds, ctx),
             RsmMsg::DecisionRequest { have_epoch } => self.send_catchup(from, have_epoch, ctx),
             RsmMsg::DecisionCatchup { decisions } => self.handle_decision_catchup(decisions, ctx),
-            RsmMsg::StateReply(reply) => self.handle_state_reply(reply.checkpoint, ctx),
+            RsmMsg::StateReply(cp) => self.handle_state_reply(cp, ctx),
         }
     }
 

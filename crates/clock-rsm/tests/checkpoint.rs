@@ -248,10 +248,10 @@ fn a_suspend_below_a_compacted_log_is_answered_with_a_snapshot() {
     };
     s.on(0, |p, ctx| p.on_message(r(0), suspend(20_000), ctx));
     let reply = match s[0].sent.pop() {
-        Some((to, RsmMsg::StateReply(reply))) if to == r(0) => reply,
+        Some((to, RsmMsg::StateReply(cp))) if to == r(0) => cp,
         other => panic!("expected a snapshot, got {other:?}"),
     };
-    assert_eq!(reply.checkpoint.applied.micros(), 100_000);
+    assert_eq!(reply.applied.micros(), 100_000);
     s.on(0, |p, ctx| p.on_message(r(0), suspend(90_000), ctx));
     match s[0].sent.pop() {
         Some((_, RsmMsg::SuspendOk { cmds, .. })) => {

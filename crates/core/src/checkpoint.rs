@@ -1,4 +1,4 @@
-//! Protocol-agnostic checkpointing and peer-to-peer state transfer.
+//! Protocol-agnostic checkpointing and the catch-up exchange.
 //!
 //! Section V-B of the paper: "Checkpointing can be used to avoid replaying
 //! the whole log and speed up the recovery process." This module lifts that
@@ -12,19 +12,22 @@
 //!   snapshot plus the **applied watermark** (the protocol's own ordering
 //!   coordinate — a Clock-RSM timestamp, a Paxos instance, a Mencius
 //!   slot), and the epoch/configuration it was taken in.
-//! * [`StateTransferRequest`] / [`StateTransferReply`] — the wire shapes
-//!   of peer-to-peer checkpoint transfer: a replica that cannot make
-//!   execution progress from its log and live traffic alone (committed
-//!   holes whose proposals were lost while it was down, and whose log
-//!   records its peers have since compacted into a checkpoint) asks any
-//!   peer whose commit watermark covers the gap; the peer answers with a
-//!   checkpoint, the requester installs it and resumes —
-//!   acknowledgements included — from the installed watermark.
+//! * [`CatchUp`] / [`CatchUpReply`] — the one catch-up exchange (paper
+//!   Section V-B: fetch what was missed, or install a checkpoint if the
+//!   log was compacted). A replica that cannot make execution progress
+//!   from its log and live traffic alone asks one peer for the range
+//!   `[from, below)` it lacks; the peer sends back the runs its
+//!   protocol still holds from `from`, or — when its log was compacted
+//!   past `from` but it executed past it — a checkpoint, which the
+//!   requester installs before resuming, acknowledgements included, from
+//!   the installed watermark.
 //!
 //! The mechanism itself — counting applied commands, taking the
-//! snapshot, building, serving and installing a [`Checkpoint`] — is
+//! snapshot, building, serving and installing a [`Checkpoint`], and the
+//! catch-up answer rule and request pacing — is
 //! [`exec::Executor`](crate::exec::Executor)'s; protocols decide only
-//! what their log keeps around a checkpoint record.
+//! what their log keeps around a checkpoint record and what runs they
+//! serve.
 //!
 //! # Watermark and epoch invariants
 //!
@@ -227,49 +230,75 @@ impl<W> WireSize for Checkpoint<W> {
 }
 
 crate::wire_table! {
-    /// A replica asks a peer for its latest checkpoint covering everything the
-    /// requester has already executed.
+    /// The one catch-up request: a replica that came back with a hole asks
+    /// one peer for what it holds of `[from, below)` (see
+    /// [`Executor::answer_catch_up`](crate::exec::Executor::answer_catch_up)
+    /// for the answer rule).
     ///
     /// Sent when execution cannot progress from the log and live traffic
-    /// alone: a Paxos replica stalled at a committed hole whose `ACCEPT` was
-    /// lost while it was down, or a Mencius replica stalled at a hole below
-    /// the checkpoint its owner's compacted log now starts at.
+    /// alone: a Mencius replica holding a slot its owner may have proposed
+    /// while it was down, a Paxos follower whose accept run landed past
+    /// its vouch watermark, or a Paxos replica stalled at a committed hole.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct StateTransferRequest<W> {
-        /// The requester's applied watermark: it has executed everything
-        /// strictly below this coordinate. Any checkpoint with
-        /// `applied > have` helps.
-        pub have: W,
+    pub struct CatchUp<W> {
+        /// The requester's first missing coordinate (inclusive).
+        pub from: W,
+        /// The end of the range it asks for (exclusive).
+        pub below: W,
     }
 }
 
-impl<W> WireSize for StateTransferRequest<W> {
+impl<W> WireSize for CatchUp<W> {
     fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES + 8
+        MSG_HEADER_BYTES + 16
     }
 }
 
 crate::wire_table! {
-    /// A peer's answer to a [`StateTransferRequest`]: its checkpoint (taken on
-    /// demand from the live state machine, so it always covers the peer's own
-    /// applied prefix).
+    /// A peer's answer to a [`CatchUp`]: the protocol's own runs in the
+    /// asked range, when its log still reaches back to `from`, or else a
+    /// snapshot of its executed prefix (taken on demand from the live state
+    /// machine, so it always covers that prefix).
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct StateTransferReply<W> {
-        /// The checkpoint; `applied` exceeds the request's `have` or the peer
-        /// would not have answered.
-        pub checkpoint: Checkpoint<W>,
+    pub enum CatchUpReply<W, R> {
+        /// What the responder logged in `[from, below)`, in the protocol's
+        /// own run shape. Coordinates of the range absent from `runs` hold
+        /// nothing the responder may serve.
+        0 => Runs {
+            /// Echo of the request's `from`.
+            from: W,
+            /// The range end the runs vouch for: the request's `below`, or
+            /// lower where the protocol cannot vouch that far.
+            below: W,
+            /// The runs.
+            runs: R,
+        },
+        /// The responder compacted its log past `from` but executed past
+        /// it: its checkpoint, with `applied` above the request's `from`.
+        1 => Snapshot(Checkpoint<W>),
     }
 }
 
-impl<W> WireSize for StateTransferReply<W> {
+impl<W, R> From<Checkpoint<W>> for CatchUpReply<W, R> {
+    fn from(cp: Checkpoint<W>) -> Self {
+        CatchUpReply::Snapshot(cp)
+    }
+}
+
+impl<W, R: WireSize> WireSize for CatchUpReply<W, R> {
     fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES + self.checkpoint.wire_size()
+        MSG_HEADER_BYTES
+            + match self {
+                CatchUpReply::Runs { runs, .. } => 16 + runs.wire_size(),
+                CatchUpReply::Snapshot(cp) => cp.wire_size(),
+            }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::Command;
 
     #[test]
     fn disabled_policy_never_fires() {
@@ -315,9 +344,9 @@ mod tests {
             ..small.clone()
         };
         assert_eq!(large.wire_size() - small.wire_size(), 990);
-        let req: StateTransferRequest<u64> = StateTransferRequest { have: 1 };
-        assert_eq!(req.wire_size(), MSG_HEADER_BYTES + 8);
-        let reply = StateTransferReply { checkpoint: large };
+        let req: CatchUp<u64> = CatchUp { from: 1, below: 4 };
+        assert_eq!(req.wire_size(), MSG_HEADER_BYTES + 16);
+        let reply: CatchUpReply<u64, Vec<Command>> = large.into();
         assert!(reply.wire_size() > 1_000);
     }
 }

@@ -4,10 +4,21 @@
 //! commands (a Clock-RSM timestamp, a Paxos instance, a Mencius slot).
 //! Everything after "this command is ordered" is the same, and lives
 //! here once: session dedup → apply → checkpoint trigger → read release,
-//! plus the serve/install halves of checkpoint state transfer. A
+//! plus both ends of the one catch-up exchange
+//! ([`CatchUp`]/[`CatchUpReply`](crate::checkpoint::CatchUpReply)). A
 //! protocol owns one [`Executor`] keyed by its ordering coordinate `W`
-//! and keeps only its ordering logic, its log record shapes and its
-//! compaction (what a rewritten log must retain is ordering state).
+//! and keeps only its ordering logic, its log record shapes, its
+//! compaction (what a rewritten log must retain is ordering state) and
+//! the runs it serves.
+//!
+//! The catch-up answer rule is written once, in
+//! [`Executor::answer_catch_up`]: given the lowest coordinate whose runs
+//! the responder's protocol still holds, a request from at or above it
+//! gets those runs; one from below it gets a snapshot when the
+//! responder's executed prefix covers `from`, and nothing otherwise. The
+//! requester's side, [`Executor::request_catch_up`], paces requests (one
+//! per target lane is not repeated within [`TRANSFER_RETRY_US`]) and
+//! rotates over the peers when the protocol names no target.
 //!
 //! The executor is the one place that calls
 //! [`SessionTable::commit_dedup`], the [`Checkpointer`] count,
@@ -19,26 +30,24 @@
 //! interval still checkpoints and compacts).
 
 use crate::batch::Batch;
-use crate::checkpoint::{
-    Checkpoint, CheckpointPolicy, Checkpointer, StateTransferReply, StateTransferRequest,
-};
+use crate::checkpoint::{CatchUp, Checkpoint, CheckpointPolicy, Checkpointer};
 use crate::command::{Command, Committed, Reply};
 use crate::config::Epoch;
 use crate::id::ReplicaId;
+use crate::obs::names;
 use crate::protocol::{Context, Protocol};
 use crate::read::{ReadProbes, ReadQueue};
 use crate::session::SessionTable;
 use crate::time::Micros;
 
-/// How long an unanswered [`StateTransferRequest`] (or a protocol's own
-/// retransmission request) stays deduplicated before it may be re-sent.
-/// Comfortably above a WAN round trip, so an exchange in flight is never
-/// duplicated by ongoing traffic, while one lost to a peer's downtime is
-/// retried promptly.
+/// How long an unanswered [`CatchUp`] stays deduplicated before it may
+/// be re-sent. Comfortably above a WAN round trip, so an exchange in
+/// flight is never duplicated by ongoing traffic, while one lost to a
+/// peer's downtime is retried promptly.
 pub const TRANSFER_RETRY_US: Micros = 500_000;
 
 /// One replica's execution state: the client-session dedup window, the
-/// checkpoint trigger, the read front and the state-transfer peer
+/// checkpoint trigger, the read front and the catch-up pacer and peer
 /// rotation. `W` is the protocol's ordering coordinate, `A` what its
 /// read probes fold their answers into. See the [module docs](self).
 #[derive(Debug)]
@@ -51,12 +60,15 @@ pub struct Executor<W: Ord + Copy, A = W> {
     reads: ReadQueue<W>,
     /// The probes reads ride before they park.
     probes: ReadProbes<A>,
-    /// Rotation cursor over the peers for state transfer requests: one
-    /// peer is asked per round (a snapshot is large; asking everyone
-    /// would make every peer serialize and ship one while the requester
-    /// installs exactly one), and an unhelpful or dead peer just means
-    /// the next retry asks the next one.
+    /// Rotation cursor over the peers for catch-up requests that name no
+    /// target: one peer is asked per round (a snapshot is large; asking
+    /// everyone would make every peer serialize and ship one while the
+    /// requester installs exactly one), and an unhelpful or dead peer
+    /// just means the next retry asks the next one.
     transfer_target: usize,
+    /// The last catch-up request per lane — a named target, or `None`
+    /// for the rotation — as `(lane, from, sent at)`.
+    asked: Vec<(Option<ReplicaId>, W, Micros)>,
 }
 
 impl<W: Ord + Copy, A> Executor<W, A> {
@@ -73,6 +85,7 @@ impl<W: Ord + Copy, A> Executor<W, A> {
             reads: ReadQueue::new(),
             probes: ReadProbes::new(),
             transfer_target: 0,
+            asked: Vec::new(),
         }
     }
 
@@ -163,28 +176,84 @@ impl<W: Ord + Copy, A> Executor<W, A> {
         Some(cp)
     }
 
-    /// Answers a peer that has executed everything below `have` with a
-    /// fresh snapshot of our prefix below `applied` — always coherent,
-    /// never stale, no retained checkpoint needed. `None` when we have
-    /// nothing the requester lacks or cannot snapshot (a peer that can
-    /// will answer a later retry).
-    pub fn serve_transfer<P: Protocol + ?Sized>(
+    /// The one catch-up answer rule. `held` is the lowest coordinate whose
+    /// runs the responder's protocol still holds (`None`: it serves no
+    /// runs), `applied` its executed prefix. A request from at or above
+    /// `held` gets the runs (`runs` builds them); one from below it gets
+    /// a fresh snapshot of the prefix below `applied` — always coherent,
+    /// never stale, no retained checkpoint needed — when that prefix
+    /// covers `from`; otherwise, or when the driver cannot snapshot,
+    /// nothing goes back (a peer that can will answer a later retry).
+    #[allow(clippy::too_many_arguments)]
+    pub fn answer_catch_up<P: Protocol + ?Sized, M: From<Checkpoint<W>>>(
         &self,
-        have: W,
+        from: W,
+        held: Option<W>,
         applied: W,
         epoch: Epoch,
         config: &[ReplicaId],
         ctx: &mut dyn Context<P>,
-    ) -> Option<StateTransferReply<W>> {
-        if applied <= have {
+        runs: impl FnOnce(&mut dyn Context<P>) -> M,
+    ) -> Option<M> {
+        if held.is_some_and(|h| h <= from) {
+            return Some(runs(ctx));
+        }
+        if applied <= from {
             return None;
         }
-        let checkpoint = self.snapshot(applied, epoch, config, ctx)?;
-        Some(StateTransferReply { checkpoint })
+        self.snapshot(applied, epoch, config, ctx).map(M::from)
+    }
+
+    /// Sends `req` (wrapped by `msg`) to `to`, or to the next peer in the
+    /// rotation over `config` when `None` — unless this lane asked from
+    /// the same coordinate less than [`TRANSFER_RETRY_US`] ago. Different
+    /// lanes pace independently, so two holes in flight at once (a
+    /// protocol's own run fetch and an execution hole) never hold each
+    /// other back.
+    pub fn request_catch_up<P: Protocol + ?Sized>(
+        &mut self,
+        to: Option<ReplicaId>,
+        req: CatchUp<W>,
+        config: &[ReplicaId],
+        ctx: &mut dyn Context<P>,
+        msg: impl FnOnce(CatchUp<W>) -> P::Msg,
+    ) {
+        let now = ctx.clock();
+        let lane = self.asked.iter().position(|a| a.0 == to);
+        if let Some(i) = lane {
+            let (_, from, at) = self.asked[i];
+            if from == req.from && now.saturating_sub(at) < TRANSFER_RETRY_US {
+                return; // an exchange is (presumed) in flight
+            }
+        }
+        let Some(peer) = to.or_else(|| self.next_peer(config)) else {
+            return;
+        };
+        match lane {
+            Some(i) => self.asked[i] = (to, req.from, now),
+            None => self.asked.push((to, req.from, now)),
+        }
+        ctx.obs_count(names::CATCHUP_REQUESTS, 1);
+        ctx.send(peer, msg(req));
+    }
+
+    /// Installs a snapshot a catch-up brought back (see [`install`]).
+    ///
+    /// [`install`]: Executor::install
+    pub fn install_caught_up<P: Protocol + ?Sized>(
+        &mut self,
+        cp: &Checkpoint<W>,
+        ctx: &mut dyn Context<P>,
+    ) -> bool {
+        let installed = self.install(cp, ctx);
+        if installed {
+            ctx.obs_count(names::CATCHUP_SNAPSHOTS_INSTALLED, 1);
+        }
+        installed
     }
 
     /// Restores the state machine and the dedup window from `cp` (a
-    /// recovered log's newest checkpoint, or a peer's transfer). Returns
+    /// recovered log's newest checkpoint, or a peer's snapshot). Returns
     /// false, with nothing changed, when the driver cannot install
     /// snapshots. The window travels with the snapshot so retries of
     /// commands below the watermark stay recognised; a malformed frame
@@ -202,19 +271,14 @@ impl<W: Ord + Copy, A> Executor<W, A> {
         true
     }
 
-    /// The next peer to ask for a checkpoint covering our prefix below
-    /// `have` (round-robin over `config`, skipping ourselves), with the
-    /// request to send it. `None` in a single-replica configuration.
-    pub fn transfer_request(
-        &mut self,
-        have: W,
-        config: &[ReplicaId],
-    ) -> Option<(ReplicaId, StateTransferRequest<W>)> {
+    /// The next peer of the rotation over `config` (skipping ourselves);
+    /// `None` in a single-replica configuration.
+    fn next_peer(&mut self, config: &[ReplicaId]) -> Option<ReplicaId> {
         for _ in 0..config.len() {
             let candidate = config[self.transfer_target % config.len()];
             self.transfer_target = (self.transfer_target + 1) % config.len();
             if candidate != self.me {
-                return Some((candidate, StateTransferRequest { have }));
+                return Some(candidate);
             }
         }
         None

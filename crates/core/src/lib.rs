@@ -59,15 +59,15 @@
 //! (Clock-RSM stable-timestamp reads) versus where a bounded-skew
 //! assumption is load-bearing (Paxos leader-lease reads).
 //!
-//! ## Checkpointing & state transfer
+//! ## Checkpointing & catch-up
 //!
 //! The [`checkpoint`] module (Section V-B of the paper) is shared by all
 //! protocols: a [`CheckpointPolicy`] schedules periodic state machine
 //! snapshots (every N commands), optionally compacting the
-//! stable log below the checkpoint watermark, and the
-//! [`StateTransferRequest`]/[`StateTransferReply`] wire shapes let a
-//! recovered replica install a peer's checkpoint when nothing can
-//! retransmit what it missed — turning recovery from "sound only if the
+//! stable log below the checkpoint watermark, and one catch-up exchange
+//! ([`CatchUp`]/[`CatchUpReply`]) lets a recovered replica fetch what it
+//! missed from a peer — the runs the peer still logs, or its checkpoint
+//! once it compacted them away — turning recovery from "sound only if the
 //! outage was short" into "sound for any outage length" while bounding
 //! per-replica memory. See the module docs for the watermark and epoch
 //! invariants.
@@ -79,7 +79,7 @@
 //! [`read`], [`session`], [`checkpoint`] and [`lease`] are the shared
 //! subsystems; [`exec`] is the execution pipeline that drives the last
 //! three for every protocol — dedup → apply → checkpoint → read release
-//! → state transfer — so a protocol crate holds ordering logic only;
+//! → catch-up — so a protocol crate holds ordering logic only;
 //! [`node`] is a replica under any driver and the one [`Context`]
 //! implementation every driver schedules; [`sm`] is the state machine
 //! trait, [`wire`] the binary codec, [`obs`] the observability
@@ -123,9 +123,7 @@ pub mod time;
 pub mod wire;
 
 pub use batch::{Batch, BatchPolicy};
-pub use checkpoint::{
-    Checkpoint, CheckpointPolicy, Checkpointer, StateTransferReply, StateTransferRequest,
-};
+pub use checkpoint::{CatchUp, CatchUpReply, Checkpoint, CheckpointPolicy, Checkpointer};
 pub use command::{Command, CommandId, Committed, Reply};
 pub use config::{Epoch, Membership};
 pub use error::{ProtocolError, Result};

@@ -135,11 +135,14 @@ pub mod names {
     pub const BALLOT: &str = "paxos.ballot";
     /// Pre-vote rounds begun (Paxos).
     pub const PREVOTES: &str = "paxos.prevotes";
-    /// Slots resolved as no-ops (skips) under an absent peer's skip
-    /// promise (Mencius).
-    pub const GAP_FILLS: &str = "mencius.gap_fills";
-    /// Gap-fill requests sent while blocked on a missing slot (Mencius).
-    pub const GAP_REQUESTS: &str = "mencius.gap_requests";
+    /// Slots resolved as no-ops (skips) under their owner's skip promise
+    /// (Mencius).
+    pub const SKIPS: &str = "mencius.skips";
+    /// Catch-up requests sent (`rsm_core::exec`; every protocol that
+    /// asks a peer for what it missed).
+    pub const CATCHUP_REQUESTS: &str = "catchup.requests";
+    /// Snapshots a catch-up brought back and installed (`rsm_core::exec`).
+    pub const CATCHUP_SNAPSHOTS_INSTALLED: &str = "catchup.snapshots_installed";
     /// Resync rounds started after a desync was detected (Mencius).
     pub const RESYNCS: &str = "mencius.resyncs";
 }

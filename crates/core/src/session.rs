@@ -172,11 +172,11 @@ pub struct SessionTable {
     entries: HashMap<ClientId, SessionEntry>,
     /// LRU index: `(touched tick, client)` pairs in tick order, one
     /// pushed per write. A pair is **live** while its client's entry
-    /// still carries that tick; a rewrite or an eviction leaves the old
-    /// pair behind, stale, to be skipped when it reaches the front
-    /// (lazy deletion). Ticks are unique, so the first live pair is the
-    /// eviction victim. Whenever the index holds more than twice the
-    /// window its stale pairs are dropped, so each costs amortised O(1).
+    /// still carries that tick; a rewrite leaves the old pair behind,
+    /// stale, to be skipped when it reaches the front (lazy deletion).
+    /// Ticks are unique, so the first live pair is the eviction victim.
+    /// Whenever the index holds more than twice the window its stale
+    /// pairs are dropped, so each costs amortised O(1).
     lru: VecDeque<(u64, ClientId)>,
     /// Chaos-canary knob, **test-only**: when set, [`commit_dedup`]
     /// (SessionTable::commit_dedup) skips the window and re-applies
@@ -287,12 +287,6 @@ impl SessionTable {
                 self.entries.remove(&client);
             }
         }
-    }
-
-    /// Explicitly evicts `client`'s entry: a client that closes its
-    /// session releases its window slot.
-    pub fn evict(&mut self, client: ClientId) {
-        self.entries.remove(&client);
     }
 
     /// Drops every entry (recovery from scratch; replay rebuilds).
@@ -508,16 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_evict_releases_the_slot() {
-        let mut t = SessionTable::new(4);
-        let id = CommandId::new(client(9), 5);
-        t.record(id, reply(id, 1));
-        t.evict(client(9));
-        assert!(t.is_empty());
-        assert_eq!(t.check(id), SessionCheck::Fresh);
-    }
-
-    #[test]
     fn export_install_round_trips_and_is_deterministic() {
         let mut a = SessionTable::new(16);
         // Insert in one order…
@@ -710,12 +694,6 @@ mod tests {
                 self.trim();
             }
 
-            fn evict(&mut self, client: ClientId) {
-                if let Some(e) = self.entries.remove(&client) {
-                    self.lru.remove(&e.touched);
-                }
-            }
-
             fn reset(&mut self) {
                 self.tick = 0;
                 self.entries.clear();
@@ -772,14 +750,14 @@ mod tests {
 
         proptest! {
             /// Two tables of different windows, each beside its model,
-            /// under random writes, evictions, resets and installs of
+            /// under random writes (evicting past the window), resets and installs of
             /// either table's export (whole, or cut short): after every
             /// step each table exports its model's bytes.
             #[test]
             fn the_lazy_lru_index_exports_what_the_eager_one_did(
                 window in 1usize..5,
                 ops in proptest::collection::vec(
-                    (0u8..8, any::<bool>(), 0u32..10, any::<u8>()),
+                    (0u8..7, any::<bool>(), 0u32..10, any::<u8>()),
                     0..300,
                 ),
             ) {
@@ -795,10 +773,6 @@ mod tests {
                             models[at].record(id, reply(id, cut));
                         }
                         5 => {
-                            tables[at].evict(client(n));
-                            models[at].evict(client(n));
-                        }
-                        6 => {
                             tables[at].reset();
                             models[at].reset();
                         }

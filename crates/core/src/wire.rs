@@ -109,7 +109,7 @@ pub const MSG_HEADER_BYTES: usize = 32;
 pub const FRAME_MAGIC: u32 = 0x5253_4D57;
 
 /// Current wire format version (see the module-level versioning rule).
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Upper bound on a frame's payload length; a header announcing more is
 /// rejected before any allocation (a corrupt or hostile length prefix
@@ -133,6 +133,18 @@ impl WireSize for Command {
 impl<T: WireSize> WireSize for Option<T> {
     fn wire_size(&self) -> usize {
         1 + self.as_ref().map_or(0, WireSize::wire_size)
+    }
+}
+
+impl WireSize for u64 {
+    fn wire_size(&self) -> usize {
+        8
+    }
+}
+
+impl<A: WireSize, B: WireSize> WireSize for (A, B) {
+    fn wire_size(&self) -> usize {
+        self.0.wire_size() + self.1.wire_size()
     }
 }
 
@@ -878,7 +890,7 @@ impl WireDecode for Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{Checkpoint, StateTransferReply, StateTransferRequest};
+    use crate::checkpoint::{CatchUp, CatchUpReply, Checkpoint};
     use crate::command::Reply;
 
     #[test]
@@ -1053,8 +1065,8 @@ mod tests {
 
     #[test]
     fn older_peers_are_refused_by_version() {
-        assert_eq!(WIRE_VERSION, 3);
-        for v in [1u16, 2] {
+        assert_eq!(WIRE_VERSION, 4);
+        for v in [1u16, 2, 3] {
             let mut old =
                 FrameHeader::for_payload(ReplicaId::new(1), ReplicaId::new(2), 1, b"x").encode();
             old[4..6].copy_from_slice(&v.to_be_bytes());
@@ -1063,7 +1075,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_and_state_transfer_round_trip() {
+    fn checkpoint_and_catch_up_round_trip() {
         let cp = Checkpoint {
             applied: 42u64,
             epoch: Epoch(3),
@@ -1071,13 +1083,21 @@ mod tests {
             snapshot: Bytes::from_static(b"snappy"),
             sessions: Bytes::from_static(b"window"),
         };
-        let reply = StateTransferReply {
-            checkpoint: cp.clone(),
+        let reply: CatchUpReply<u64, Vec<u64>> = CatchUpReply::Snapshot(cp);
+        let back: CatchUpReply<u64, Vec<u64>> = decode_payload(encode_payload(&reply)).unwrap();
+        assert_eq!(back, reply);
+        let runs: CatchUpReply<u64, Vec<u64>> = CatchUpReply::Runs {
+            from: 41,
+            below: 44,
+            runs: vec![41, 43],
         };
-        let back: StateTransferReply<u64> = decode_payload(encode_payload(&reply)).unwrap();
-        assert_eq!(back.checkpoint, cp);
-        let req = StateTransferRequest { have: 41u64 };
-        let back: StateTransferRequest<u64> = decode_payload(encode_payload(&req)).unwrap();
+        let back: CatchUpReply<u64, Vec<u64>> = decode_payload(encode_payload(&runs)).unwrap();
+        assert_eq!(back, runs);
+        let req = CatchUp {
+            from: 41u64,
+            below: 44,
+        };
+        let back: CatchUp<u64> = decode_payload(encode_payload(&req)).unwrap();
         assert_eq!(back, req);
     }
 

@@ -3,14 +3,15 @@
 //! fresh write / a same-id retry / a stale id / a read-only command,
 //! `checkpoint_if_due`, park and release reads, and a twin that installs
 //! a transferred checkpoint mid-sequence — checked step by step against a
-//! small reference (applied-id list + newest-reply map + counter).
+//! small reference (applied-id list + newest-reply map + counter); and
+//! the catch-up exchange's answer rule and request pacing.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rsm_core::checkpoint::CheckpointPolicy;
-use rsm_core::exec::{Executor, ReadFront};
+use rsm_core::checkpoint::{CatchUp, CatchUpReply, Checkpoint, CheckpointPolicy};
+use rsm_core::exec::{Executor, ReadFront, TRANSFER_RETRY_US};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::{Batch, ClientId, Command, CommandId, Committed, Epoch, Micros, ReplicaId, Reply};
 
@@ -68,6 +69,8 @@ const ELSEWHERE: ReplicaId = ReplicaId::new(1);
 struct Sm {
     state: Vec<CommandId>,
     replies: Vec<Reply>,
+    now: Micros,
+    sent: Vec<ReplicaId>,
 }
 
 fn count(n: usize) -> Bytes {
@@ -76,9 +79,11 @@ fn count(n: usize) -> Bytes {
 
 impl Context<Nop> for Sm {
     fn clock(&mut self) -> Micros {
-        0
+        self.now
     }
-    fn send(&mut self, _: ReplicaId, _: ()) {}
+    fn send(&mut self, to: ReplicaId, _: ()) {
+        self.sent.push(to);
+    }
     fn log_append(&mut self, _: ()) {}
     fn log_rewrite(&mut self, _: Vec<()>) {}
     fn commit(&mut self, c: Committed) -> Bytes {
@@ -166,6 +171,105 @@ fn id(client: u32, seq: u64) -> CommandId {
     CommandId::new(ClientId::new(ME, client), seq)
 }
 
+/// What the answer rule sends a requester missing everything from
+/// `from` on, when the responder holds runs from `held` and executed
+/// the prefix below `applied`. Runs are modelled as the `from` they
+/// were built for.
+fn answer(
+    exec: &Executor<u64>,
+    from: u64,
+    held: Option<u64>,
+    applied: u64,
+    sm: &mut Sm,
+) -> Option<CatchUpReply<u64, u64>> {
+    let config = [ME, ELSEWHERE];
+    let runs = |_: &mut dyn Context<Nop>| CatchUpReply::Runs {
+        from,
+        below: from + 1,
+        runs: from,
+    };
+    exec.answer_catch_up(from, held, applied, Epoch::ZERO, &config, sm, runs)
+}
+
+/// The snapshot the answer rule serves a requester at `from`.
+fn snapshot(exec: &Executor<u64>, from: u64, applied: u64, sm: &mut Sm) -> Option<Checkpoint<u64>> {
+    match answer(exec, from, None, applied, sm)? {
+        CatchUpReply::Snapshot(cp) => Some(cp),
+        CatchUpReply::Runs { .. } => unreachable!("no runs held"),
+    }
+}
+
+#[test]
+fn the_answer_rule_serves_runs_from_the_held_coordinate_and_a_snapshot_below() {
+    let exec: Executor<u64> = Executor::new(ME, CheckpointPolicy::DISABLED, 64);
+    let mut sm = Sm::default();
+    let is_runs = |a: &Option<CatchUpReply<u64, u64>>| matches!(a, Some(CatchUpReply::Runs { .. }));
+    let is_snapshot = |a: &Option<CatchUpReply<u64, u64>>, at: u64| match a {
+        Some(CatchUpReply::Snapshot(cp)) => cp.applied == at,
+        _ => false,
+    };
+    // Runs held from 5, prefix executed below 8.
+    assert!(
+        is_runs(&answer(&exec, 5, Some(5), 8, &mut sm)),
+        "at the held coordinate"
+    );
+    assert!(
+        is_runs(&answer(&exec, 9, Some(5), 8, &mut sm)),
+        "above the executed prefix"
+    );
+    assert!(
+        is_snapshot(&answer(&exec, 4, Some(5), 8, &mut sm), 8),
+        "below it"
+    );
+    assert!(
+        is_snapshot(&answer(&exec, 7, None, 8, &mut sm), 8),
+        "no runs held"
+    );
+    // Nothing the requester lacks: silence, not an empty snapshot.
+    assert!(answer(&exec, 8, None, 8, &mut sm).is_none());
+    assert!(answer(&exec, 3, Some(5), 3, &mut sm).is_none());
+}
+
+#[test]
+fn catch_up_requests_are_paced_per_lane_and_rotate_without_a_target() {
+    const THIRD: ReplicaId = ReplicaId::new(2);
+    let config = [ME, ELSEWHERE, THIRD];
+    let mut exec: Executor<u64> = Executor::new(ME, CheckpointPolicy::DISABLED, 64);
+    let mut sm = Sm::default();
+    let mut ask = |to: Option<ReplicaId>, from: u64, now: Micros, sm: &mut Sm| {
+        sm.now = now;
+        exec.request_catch_up(
+            to,
+            CatchUp {
+                from,
+                below: from + 4,
+            },
+            &config,
+            sm,
+            |_| (),
+        );
+    };
+    ask(Some(THIRD), 3, 0, &mut sm);
+    ask(Some(THIRD), 3, TRANSFER_RETRY_US - 1, &mut sm);
+    assert_eq!(sm.sent, [THIRD], "a request in flight is not repeated");
+    ask(Some(THIRD), 4, 1, &mut sm);
+    assert_eq!(sm.sent, [THIRD, THIRD], "a new hole asks at once");
+    ask(None, 4, 2, &mut sm);
+    ask(None, 4, 3, &mut sm);
+    assert_eq!(
+        sm.sent,
+        [THIRD, THIRD, ELSEWHERE],
+        "the rotation is a lane of its own"
+    );
+    ask(None, 4, 2 + TRANSFER_RETRY_US, &mut sm);
+    ask(Some(THIRD), 4, 1 + TRANSFER_RETRY_US, &mut sm);
+    assert_eq!(
+        sm.sent,
+        [THIRD, THIRD, ELSEWHERE, THIRD, THIRD],
+        "retries rotate past ourselves; a named target is asked again"
+    );
+}
+
 proptest! {
     #[test]
     fn executor_matches_the_reference_model(
@@ -187,10 +291,9 @@ proptest! {
         for (step, &(kind, client, arg)) in ops.iter().enumerate() {
             if step == transfer_at.min(ops.len() - 1) {
                 let at = model.applied.len() as u64;
-                let reply = nop.exec.serve_transfer(0, at + 1, Epoch::ZERO, &config, &mut sm);
-                let cp = reply.expect("snapshots are supported").checkpoint;
+                let cp = snapshot(&nop.exec, 0, at + 1, &mut sm).expect("snapshots are supported");
                 prop_assert_eq!(cp.applied, at + 1);
-                prop_assert!(nop.exec.serve_transfer(at + 1, at + 1, Epoch::ZERO, &config, &mut sm).is_none());
+                prop_assert!(snapshot(&nop.exec, at + 1, at + 1, &mut sm).is_none());
                 prop_assert!(twin.install(&cp, &mut twin_sm));
                 twin_live = true;
             }
@@ -262,9 +365,9 @@ proptest! {
         // executed the whole sequence: identical snapshot and dedup
         // window, byte for byte.
         let end = model.applied.len() as u64 + 1;
-        let ours = nop.exec.serve_transfer(0, end, Epoch::ZERO, &config, &mut sm).expect("snapshot");
-        let theirs = twin.serve_transfer(0, end, Epoch::ZERO, &config, &mut twin_sm).expect("snapshot");
-        prop_assert_eq!(ours.checkpoint.snapshot, theirs.checkpoint.snapshot);
-        prop_assert_eq!(ours.checkpoint.sessions, theirs.checkpoint.sessions);
+        let ours = snapshot(&nop.exec, 0, end, &mut sm).expect("snapshot");
+        let theirs = snapshot(&twin, 0, end, &mut twin_sm).expect("snapshot");
+        prop_assert_eq!(ours.snapshot, theirs.snapshot);
+        prop_assert_eq!(ours.sessions, theirs.sessions);
     }
 }

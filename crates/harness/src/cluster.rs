@@ -37,9 +37,9 @@ pub enum ProtocolChoice {
         failover: LeaseConfig,
     },
     /// Mencius with broadcast acknowledgements. It has no knob of its
-    /// own: a replica answers gap requests from its stable log, so the
-    /// experiment's checkpoint policy alone decides how far back those
-    /// answers reach.
+    /// own: an owner answers catch-up requests from its stable log, so
+    /// the experiment's checkpoint policy alone decides how far back
+    /// those runs reach before a snapshot answers instead.
     MenciusBcast,
 }
 

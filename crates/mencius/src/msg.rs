@@ -6,7 +6,7 @@
 //! per-owner slot watermarks, so one ack covers the batch.
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{StateTransferReply, StateTransferRequest};
+use rsm_core::checkpoint::{CatchUp, CatchUpReply};
 use rsm_core::command::Command;
 use rsm_core::id::ReplicaId;
 use rsm_core::read::{ReadReply, ReadRequest};
@@ -40,46 +40,26 @@ rsm_core::wire_table! {
             /// own-slot proposals).
             skip_below: u64,
         },
-        /// A recovered replica asks the receiver (an owner) to retransmit its
-        /// own-slot proposals in `[from_slot, below)`. After a crash the
+        /// A recovered replica asks the owner of its hole what the owner
+        /// proposed in its own slots in `[from, below)` (the shared
+        /// catch-up exchange, `rsm_core::checkpoint`). After a crash the
         /// sender can no longer tell a skipped slot from a proposal lost in
         /// flight while it was down, so absence must be confirmed by the
-        /// owner before the slot may resolve as a no-op. The owner answers
-        /// from its stable log.
-        2 => GapRequest {
-            /// First slot of the queried range (owned by the receiver).
-            from_slot: u64,
-            /// Exclusive upper bound; taken from the owner's observed skip
-            /// promise, so no new proposal can land in the range later.
-            below: u64,
-        },
-        /// The owner's answer to a [`MenciusMsg::GapRequest`]: every proposal
-        /// it ever made in its own slots within `[from_slot, below)`, read
-        /// from its stable log. Own slots in the range absent from `cmds`
-        /// are permanently empty. The range may be narrower than the query:
-        /// the owner's log holds no own proposal below the checkpoint a
-        /// compaction left at its head, and the requester fetches a
-        /// checkpoint for a hole under the echoed start
-        /// ([`MenciusMsg::StateRequest`]).
-        3 => GapFill {
-            /// The queried range start, raised to the watermark of the
-            /// checkpoint the owner's compacted log leads with.
-            from_slot: u64,
-            /// The queried range bound, lowered to the owner's next own slot.
-            below: u64,
-            /// The retransmitted proposals, as `(slot, command)` pairs.
-            cmds: Vec<(u64, Command)>,
-        },
-        /// A replica stalled at a hole whose owner can no longer answer gap
-        /// requests (it compacted its log past the hole) asks a peer for a
-        /// checkpoint covering the gap (shared subsystem,
-        /// `rsm_core::checkpoint`). The watermark is the requester's
-        /// next-to-resolve slot.
-        4 => StateRequest(StateTransferRequest<u64>),
-        /// A peer's checkpoint: its state through every slot below the
-        /// carried (exclusive) watermark. The requester installs it and
-        /// resumes resolution from the watermark.
-        5 => StateReply(StateTransferReply<u64>),
+        /// owner before the slot may resolve as a no-op. `below` is the
+        /// owner's observed skip promise, so no new proposal can land in
+        /// the range later.
+        2 => CatchUp(CatchUp<u64>),
+        /// The owner's answer to a [`CatchUp`](MenciusMsg::CatchUp). `Runs`:
+        /// every proposal it ever made in its own slots within `[from,
+        /// below)`, as `(slot, command)` pairs read from its stable log;
+        /// own slots in the range absent from them are permanently empty,
+        /// and `below` is lowered to the owner's next own slot. When the
+        /// owner's log was compacted past `from` (its own proposals there
+        /// are folded into the checkpoint it leads with): `Snapshot`, its
+        /// state through every slot below the carried (exclusive)
+        /// watermark, which the requester installs before resuming
+        /// resolution from the watermark.
+        3 => CatchUpReply(CatchUpReply<u64, Vec<(u64, Command)>>),
         /// Quorum-read probe (`rsm_core::read`): a replica with a pending
         /// local read asks a peer for its read mark. Clock-free: safety
         /// comes from quorum intersection (a committed slot was logged by a
@@ -121,12 +101,8 @@ impl WireSize for MenciusMsg {
         match self {
             MenciusMsg::Propose { cmds, .. } => MSG_HEADER_BYTES + cmds.wire_size(),
             MenciusMsg::AcceptAck { .. } => MSG_HEADER_BYTES + 8,
-            MenciusMsg::GapRequest { .. } => MSG_HEADER_BYTES + 16,
-            MenciusMsg::GapFill { cmds, .. } => {
-                MSG_HEADER_BYTES + 16 + cmds.iter().map(|(_, c)| 8 + c.wire_size()).sum::<usize>()
-            }
-            MenciusMsg::StateRequest(req) => req.wire_size(),
-            MenciusMsg::StateReply(reply) => reply.wire_size(),
+            MenciusMsg::CatchUp(req) => req.wire_size(),
+            MenciusMsg::CatchUpReply(reply) => reply.wire_size(),
             MenciusMsg::ReadProbe(req) => req.wire_size(),
             MenciusMsg::ReadMark { reply, owner_marks } => {
                 reply.wire_size() + 8 * owner_marks.len()

@@ -9,16 +9,15 @@
 use std::collections::BTreeMap;
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{Checkpoint, CheckpointPolicy};
+use rsm_core::checkpoint::{CatchUp, CatchUpReply, Checkpoint, CheckpointPolicy};
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
-use rsm_core::exec::{Executor, ReadFront, TRANSFER_RETRY_US};
+use rsm_core::exec::{Executor, ReadFront};
 use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::read::{ReadPath, ReadReply, ReadRequest, PROBE_FLUSH_TOKEN};
 use rsm_core::session::DEFAULT_SESSION_WINDOW;
-use rsm_core::time::Micros;
 
 use crate::msg::MenciusMsg;
 
@@ -27,8 +26,8 @@ use crate::msg::MenciusMsg;
 pub enum MenciusLogRec {
     /// A logged (accepted) run of proposals: command `i` in the owner's
     /// `i`-th own slot from `first`, i.e. slot `first + i·N`. A
-    /// replicated batch is one record; a gap fill or compaction entry is
-    /// a one-command run. Replay applies the runs in log order.
+    /// replicated batch is one record; a fetched proposal or compaction
+    /// entry is a one-command run. Replay applies the runs in log order.
     Accept {
         /// Slot of the run's first command.
         first: u64,
@@ -47,14 +46,15 @@ pub enum MenciusLogRec {
         /// Slot number.
         slot: u64,
     },
-    /// A durable record of a [`MenciusMsg::GapFill`] confirmation: the
-    /// owner vouched, from its own stable log, that every proposal it
-    /// ever made at own slots in `[from_slot, below)` is in our log (the
-    /// fill's `Accept` records precede this one). Persisting the range
-    /// keeps absence proofs — and the cumulative acks built on them —
-    /// valid across our own crashes, since an empty confirmed slot
-    /// leaves no other trace in the log, and the owner may since have
-    /// compacted its own records of the range away.
+    /// A durable record of a catch-up confirmation
+    /// ([`MenciusMsg::CatchUpReply`] runs): the owner vouched, from its
+    /// own stable log, that every proposal it ever made at own slots in
+    /// `[from_slot, below)` is in our log (the runs' `Accept` records
+    /// precede this one). Persisting the range keeps absence proofs —
+    /// and the cumulative acks built on them — valid across our own
+    /// crashes, since an empty confirmed slot leaves no other trace in
+    /// the log, and the owner may since have compacted its own records
+    /// of the range away.
     GapConfirm {
         /// The confirming owner.
         owner: ReplicaId,
@@ -68,7 +68,7 @@ pub enum MenciusLogRec {
     /// snapshot: the snapshot reflects every slot **below** the
     /// (exclusive) applied watermark. A compacted log leads with one,
     /// and this replica's own proposals below its watermark are no
-    /// longer in the log, so gap fills reach no lower than it.
+    /// longer in the log, so a catch-up from below it gets a snapshot.
     Checkpoint(Checkpoint<u64>),
 }
 
@@ -105,8 +105,8 @@ pub struct MenciusBcast {
     /// Own proposals are logged synchronously, so the own entry is
     /// always true. Restored per owner once every own slot of theirs
     /// below the first post-recovery receipt is accounted for — held in
-    /// the slot table, already resolved, or confirmed absent by a
-    /// `GapFill` the owner answered from its stable log — since FIFO
+    /// the slot table, already resolved, or confirmed absent by catch-up
+    /// runs the owner served from its stable log — since FIFO
     /// receipt bounds everything at and above that first receipt (see
     /// `resync_floor`).
     recv_synced: Vec<bool>,
@@ -121,33 +121,20 @@ pub struct MenciusBcast {
     /// blocked waiting for exactly that ack — execution-gated resync
     /// deadlocks when two replicas desync in overlapping windows.
     resync_floor: Vec<Option<u64>>,
-    /// Ranges `[from, below)` the owner confirmed via
-    /// [`MenciusMsg::GapFill`]: we hold every proposal it ever made at
-    /// own slots inside them, so absence there proves a skip even while
-    /// `recv_synced[o]` is false. Cleared on resync (no longer needed).
+    /// Ranges `[from, below)` the owner confirmed with catch-up runs
+    /// ([`MenciusMsg::CatchUpReply`]): we hold every proposal it ever
+    /// made at own slots inside them, so absence there proves a skip
+    /// even while `recv_synced[o]` is false. Cleared on resync (no
+    /// longer needed).
     gap_trust: Vec<Vec<(u64, u64)>>,
-    /// Rate limiter: the hole (`from_slot`) last queried per owner and
-    /// when; cleared when the fill arrives, and expired after
-    /// [`TRANSFER_RETRY_US`] so a request or fill lost to the owner's
-    /// downtime is eventually re-sent.
-    gap_requested: Vec<Option<(u64, Micros)>>,
-    /// Highest start each owner has echoed in a [`MenciusMsg::GapFill`]:
-    /// the owner compacted its log past its proposals below this, so
-    /// gap requests starting under it can never be answered and are not
-    /// re-sent — the hole resolves through checkpoint transfer instead
-    /// ([`MenciusMsg::StateRequest`]).
-    gap_unanswerable: Vec<u64>,
     /// Next slot to execute or skip; all smaller slots are resolved.
     exec_cursor: u64,
     /// The shared execution pipeline (`rsm_core::exec`): session dedup
-    /// window, checkpoint trigger, state-transfer peer rotation, and the
-    /// read front, whose probes accumulate per-owner bounds and park
+    /// window, checkpoint trigger, catch-up answer rule and pacing, and
+    /// the read front, whose probes accumulate per-owner bounds and park
     /// their reads on the slot mark those bounds fold into, until
     /// `exec_cursor` passes it.
     exec: Executor<u64, ProbeMarks>,
-    /// When the last [`MenciusMsg::StateRequest`] left: an unanswered one
-    /// stays deduplicated for [`TRANSFER_RETRY_US`].
-    last_transfer_req: Option<Micros>,
 }
 
 /// The requester-side per-owner bounds accumulated for one read probe.
@@ -210,11 +197,8 @@ impl MenciusBcast {
             recv_synced: vec![true; n as usize],
             resync_floor: vec![None; n as usize],
             gap_trust: vec![Vec::new(); n as usize],
-            gap_requested: vec![None; n as usize],
-            gap_unanswerable: vec![0; n as usize],
             exec_cursor: 0,
             exec: Executor::new(id, CheckpointPolicy::DISABLED, DEFAULT_SESSION_WINDOW),
-            last_transfer_req: None,
             membership,
         }
     }
@@ -322,8 +306,9 @@ impl MenciusBcast {
         // once the window a crash can have punctured — the owner's
         // slots between our cursor and our first post-recovery receipt
         // — is fully accounted for (held, resolved, or confirmed empty
-        // by a gap fill); anything missing is fetched from the owner
-        // right here, so resync never waits on execution progress.
+        // by the owner's catch-up runs); anything missing is fetched
+        // from the owner right here, so resync never waits on execution
+        // progress.
         let oi = owner.index();
         if !self.recv_synced[oi] {
             if self.resync_floor[oi].is_none() {
@@ -335,7 +320,7 @@ impl MenciusBcast {
             let f = self.resync_floor[oi].expect("just initialized");
             match self.resync_coverage_hole(oi, f) {
                 None => self.restore_recv_sync(oi),
-                Some(hole) => self.request_gap_fill(hole, owner, ctx),
+                Some(hole) => self.catch_up(hole, owner, ctx),
             }
         }
         let up_to_slot = if self.recv_synced[oi] {
@@ -371,9 +356,10 @@ impl MenciusBcast {
     /// `None` when the whole window is accounted for and cumulative
     /// acks for `o` are truthful again. A slot is covered when its
     /// proposal is in hand (logged in the slot table), it already
-    /// resolved (below the cursor), or a `GapFill` confirmed the owner
-    /// never proposed there (`gap_trust`). FIFO receipt covers `[f, ∞)`
-    /// by construction, so the window is the entire claim.
+    /// resolved (below the cursor), or the owner's catch-up runs
+    /// confirmed it never proposed there (`gap_trust`). FIFO receipt
+    /// covers `[f, ∞)` by construction, so the window is the entire
+    /// claim.
     fn resync_coverage_hole(&self, o: usize, f: u64) -> Option<u64> {
         let o64 = o as u64;
         let r = self.exec_cursor % self.n;
@@ -468,25 +454,19 @@ impl MenciusBcast {
             if self.recv_synced[o] || self.gap_trust[o].iter().any(|&(f, b)| f <= c && c < b) {
                 // The owner promised never to fill this slot with a NEW
                 // proposal, and we provably hold every proposal it ever
-                // made here (continuous FIFO receipt, or an explicit
-                // GapFill): the slot is a no-op.
-                ctx.obs_count(names::GAP_FILLS, 1);
+                // made here (continuous FIFO receipt, or the owner's
+                // catch-up runs): the slot is a no-op.
+                ctx.obs_count(names::SKIPS, 1);
                 ctx.log_append(MenciusLogRec::Skip { slot: c });
                 self.exec_cursor = c + 1;
-            } else if c < self.gap_unanswerable[o] {
-                // The owner compacted its log past the range: no gap
-                // fill can ever answer. Only a peer's checkpoint —
-                // which reflects however the cluster resolved the slot —
-                // can cover the hole (this closes the permanent stall a
-                // long outage used to cause).
-                self.request_state_transfer(ctx);
-                break;
             } else {
                 // Post-crash hole: the floor rules out new proposals, but
                 // one may have been in flight and lost while we were
                 // down — skipping could omit a globally committed
-                // command. Ask the owner to retransmit the range.
-                self.request_gap_fill(c, owner, ctx);
+                // command. Ask the owner for the range: its proposals,
+                // or — compacted past them — its checkpoint, which
+                // reflects however the cluster resolved the slot.
+                self.catch_up(c, owner, ctx);
                 break;
             }
         }
@@ -623,9 +603,8 @@ impl MenciusBcast {
 
     /// Rewrites the stable log to `cp` plus the unresolved slots above
     /// its watermark. Own proposals below the watermark leave the log
-    /// with the rest: a peer still missing one gets a fill clamped at
-    /// the watermark and fetches a checkpoint for the hole below it
-    /// (see [`Self::on_gap_request`]).
+    /// with the rest: a peer still missing one is answered with a
+    /// snapshot instead (see [`Self::on_catch_up`]).
     fn compact_log(&self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
         let mut recs = Vec::with_capacity(1 + self.slots.len());
         recs.push(MenciusLogRec::Checkpoint(cp));
@@ -639,150 +618,102 @@ impl MenciusBcast {
         ctx.log_rewrite(recs);
     }
 
-    /// Asks the peers for a checkpoint covering our resolved prefix; see
-    /// `rsm_core::checkpoint` for the transfer invariants. Unlike the
-    /// Paxos trigger, no confirmation window is needed: the caller has a
-    /// clamped [`MenciusMsg::GapFill`] in hand proving the hole can
-    /// never resolve through retransmission.
-    fn request_state_transfer(&mut self, ctx: &mut dyn Context<Self>) {
-        let now = ctx.clock();
-        if let Some(at) = self.last_transfer_req {
-            if now.saturating_sub(at) < TRANSFER_RETRY_US {
-                return; // an exchange is (presumed) in flight
+    /// Asks `owner` for its own proposals in the unresolved range
+    /// `[from, floor[owner])` (the shared catch-up exchange). The
+    /// executor holds back a request for the same hole while one is in
+    /// flight: the owner's pipelined traffic keeps raising its floor, but
+    /// the answer to this hole covers it regardless, and a request lost
+    /// to the owner's downtime is retried once the retry window passed.
+    fn catch_up(&mut self, from: u64, owner: ReplicaId, ctx: &mut dyn Context<Self>) {
+        let req = CatchUp {
+            from,
+            below: self.floor[owner.index()],
+        };
+        let config = self.membership.config();
+        self.exec
+            .request_catch_up(Some(owner), req, config, ctx, MenciusMsg::CatchUp);
+    }
+
+    /// Owner side: the shared answer rule over our stable log. Own
+    /// proposals are logged synchronously, so the log holds every one
+    /// ever made from the checkpoint a compaction left at its head (slot
+    /// 0 for an uncompacted log) — a request from there gets those
+    /// runs; one from below gets a snapshot of our resolved prefix.
+    fn on_catch_up(&mut self, from: ReplicaId, req: CatchUp<u64>, ctx: &mut dyn Context<Self>) {
+        let held = match ctx.stable_log().first() {
+            Some(MenciusLogRec::Checkpoint(cp)) => cp.applied,
+            _ => 0,
+        };
+        // The requester's floor for us can never outrun our own promise,
+        // but clamp defensively: we must not confirm emptiness of slots
+        // we could still propose in. The clamp can invert the range (a
+        // malformed request): the runs are then empty and confirm
+        // nothing.
+        let below = req.below.min(self.next_own_slot);
+        let (me, n) = (self.id, self.n as usize);
+        let own_runs = |ctx: &mut dyn Context<Self>| {
+            let mut runs = Vec::new();
+            for rec in ctx.stable_log() {
+                if let MenciusLogRec::Accept {
+                    first,
+                    cmds,
+                    origin,
+                } = rec
+                {
+                    if *origin == me {
+                        let slots = (*first..).step_by(n).zip(cmds);
+                        let wanted = slots.filter(|(s, _)| (req.from..below).contains(s));
+                        runs.extend(wanted.map(|(s, c)| (s, c.clone())));
+                    }
+                }
             }
-        }
-        self.last_transfer_req = Some(now);
+            // Own runs are logged in slot order, and compaction keeps it.
+            debug_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0));
+            CatchUpReply::Runs {
+                from: req.from,
+                below,
+                runs,
+            }
+        };
         let config = self.membership.config();
-        if let Some((to, req)) = self.exec.transfer_request(self.exec_cursor, config) {
-            ctx.send(to, MenciusMsg::StateRequest(req));
+        let cursor = self.exec_cursor;
+        let answer = self.exec.answer_catch_up(
+            req.from,
+            Some(held),
+            cursor,
+            Epoch::ZERO,
+            config,
+            ctx,
+            own_runs,
+        );
+        if let Some(reply) = answer {
+            ctx.send(from, MenciusMsg::CatchUpReply(reply));
         }
     }
 
-    /// Serves a state transfer request with a fresh snapshot of our
-    /// resolved prefix.
-    fn on_state_request(&mut self, from: ReplicaId, have: u64, ctx: &mut dyn Context<Self>) {
-        let config = self.membership.config();
-        let served = self
-            .exec
-            .serve_transfer(have, self.exec_cursor, Epoch::ZERO, config, ctx);
-        if let Some(reply) = served {
-            ctx.send(from, MenciusMsg::StateReply(reply));
-        }
-    }
-
-    /// Installs a transferred checkpoint: every slot below its watermark
+    /// Installs an owner's snapshot: every slot below its watermark
     /// resolved at the sender exactly as the cluster decided (commit or
     /// skip), so the state machine jumps there and resolution resumes
     /// from the watermark. Our own slots below it were all either
     /// proposed by us or covered by a skip promise we made, so
     /// `next_own_slot` already clears them — the `max` is a defensive
     /// restatement of that invariant.
-    fn on_state_reply(&mut self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
-        if cp.applied <= self.exec_cursor {
-            return; // stale or duplicate reply
+    fn on_snapshot(&mut self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
+        if cp.applied <= self.exec_cursor || !self.exec.install_caught_up(&cp, ctx) {
+            return; // stale or duplicate, or the driver cannot install snapshots
         }
-        if !self.exec.install(&cp, ctx) {
-            return; // driver cannot install snapshots
-        }
-        self.last_transfer_req = None;
         self.slots = self.slots.split_off(&cp.applied);
         self.exec_cursor = cp.applied;
         self.next_own_slot = self.next_own_slot.max(self.own_slot_after(cp.applied - 1));
         self.floor[self.id.index()] = self.floor[self.id.index()].max(self.next_own_slot);
-        // Gap bookkeeping below the watermark is obsolete.
-        for g in self.gap_requested.iter_mut() {
-            if matches!(g, Some((f, _)) if *f < cp.applied) {
-                *g = None;
-            }
-        }
         self.log_checkpoint(cp, ctx);
         self.try_execute(ctx);
     }
 
-    /// Sends one [`MenciusMsg::GapRequest`] for the unresolved range
-    /// `[from_slot, floor[owner])`. An identical request stays
-    /// deduplicated for [`TRANSFER_RETRY_US`] — long enough that the
-    /// owner's ongoing traffic never duplicates an exchange in flight,
-    /// short enough that a request or fill lost to the owner's downtime
-    /// is retried once traffic gives `try_execute` another pass.
-    fn request_gap_fill(&mut self, from_slot: u64, owner: ReplicaId, ctx: &mut dyn Context<Self>) {
-        let o = owner.index();
-        if from_slot < self.gap_unanswerable[o] {
-            return; // the owner already said its log no longer reaches back here
-        }
-        let below = self.floor[o];
-        let now = ctx.clock();
-        // Dedup on the hole alone: the owner's pipelined traffic keeps
-        // raising its floor (a different `below` every message), but the
-        // in-flight fill for this hole will cover it regardless — a
-        // wider range can be requested after that fill, or after the
-        // retry window expires.
-        if let Some((f, sent_at)) = self.gap_requested[o] {
-            if f == from_slot && now.saturating_sub(sent_at) < TRANSFER_RETRY_US {
-                return; // request for this hole in flight, not yet timed out
-            }
-        }
-        self.gap_requested[o] = Some((from_slot, now));
-        ctx.obs_count(names::GAP_REQUESTS, 1);
-        ctx.send(owner, MenciusMsg::GapRequest { from_slot, below });
-    }
-
-    /// Owner side of gap retransmission: answer with every own proposal
-    /// in the range, read from the stable log. Own proposals are logged
-    /// synchronously, so the log holds every one ever made — except
-    /// those a compaction folded into the checkpoint the log now leads
-    /// with. The answer therefore starts no lower than that checkpoint's
-    /// watermark (0 for an uncompacted log); the echoed `from_slot`
-    /// tells the requester how far back the confirmation reaches.
-    fn on_gap_request(
-        &mut self,
-        from: ReplicaId,
-        from_slot: u64,
-        below: u64,
-        ctx: &mut dyn Context<Self>,
-    ) {
-        let log = ctx.stable_log();
-        let floor = match log.first() {
-            Some(MenciusLogRec::Checkpoint(cp)) => cp.applied,
-            _ => 0,
-        };
-        // The requester's floor for us can never outrun our own promise,
-        // but clamp defensively: we must not confirm emptiness of slots
-        // we could still propose in. The clamps can invert the range (a
-        // compaction passed the requested bound, or a malformed
-        // request): the fill is then empty and confirms nothing.
-        let below = below.min(self.next_own_slot);
-        let from_slot = from_slot.max(floor);
-        let mut cmds = Vec::new();
-        for rec in log {
-            if let MenciusLogRec::Accept {
-                first,
-                cmds: run,
-                origin,
-            } = rec
-            {
-                if *origin == self.id {
-                    let slots = (*first..).step_by(self.n as usize).zip(run);
-                    let wanted = slots.filter(|(s, _)| (from_slot..below).contains(s));
-                    cmds.extend(wanted.map(|(s, c)| (s, c.clone())));
-                }
-            }
-        }
-        // Own runs are logged in slot order, and compaction keeps it.
-        debug_assert!(cmds.windows(2).all(|w| w[0].0 < w[1].0));
-        ctx.send(
-            from,
-            MenciusMsg::GapFill {
-                from_slot,
-                below,
-                cmds,
-            },
-        );
-    }
-
-    /// Requester side: log and register the retransmitted proposals, then
-    /// trust absence across the confirmed range.
-    fn on_gap_fill(
+    /// Requester side of the owner's runs: log and register the
+    /// retransmitted proposals, then trust absence across the confirmed
+    /// range.
+    fn on_runs(
         &mut self,
         from: ReplicaId,
         from_slot: u64,
@@ -791,11 +722,6 @@ impl MenciusBcast {
         ctx: &mut dyn Context<Self>,
     ) {
         let o = from.index();
-        self.gap_requested[o] = None;
-        // The echoed start carries the owner's log floor when it exceeds
-        // what we asked for: ranges below it will never be answerable,
-        // so remember it and stop re-requesting them.
-        self.gap_unanswerable[o] = self.gap_unanswerable[o].max(from_slot);
         for (slot, cmd) in cmds {
             debug_assert_eq!(self.owner_of_slot(slot), from);
             if slot < self.exec_cursor || self.slots.contains_key(&slot) {
@@ -809,10 +735,7 @@ impl MenciusBcast {
             self.slots.insert(slot, (cmd, from));
         }
         // Absence now proves a skip anywhere in `[from_slot, below)` —
-        // and only there: an owner that clamped `from_slot` upward
-        // (compaction) has not confirmed the slots below it, so a hole
-        // at the cursor stays blocked rather than being skipped over a
-        // possibly compacted command. The confirmation is logged:
+        // and only there. The confirmation is logged:
         // cumulative acks will lean on it, and they must stay truthful
         // across our own crashes (the owner compacts its log behind them).
         let covered = self.gap_trust[o]
@@ -826,7 +749,7 @@ impl MenciusBcast {
             });
             self.gap_trust[o].push((from_slot, below));
         }
-        // The fill may have closed the owner's desync window. Check
+        // The runs may have closed the owner's desync window. Check
         // here, not just on the owner's next proposal: peers may be
         // blocked waiting for precisely the cumulative ack we have been
         // withholding — and when two replicas desync in overlapping
@@ -957,16 +880,13 @@ impl Protocol for MenciusBcast {
                 up_to_slot,
                 skip_below,
             } => self.on_accept_ack(from, up_to_slot, skip_below, ctx),
-            MenciusMsg::GapRequest { from_slot, below } => {
-                self.on_gap_request(from, from_slot, below, ctx)
-            }
-            MenciusMsg::GapFill {
-                from_slot,
+            MenciusMsg::CatchUp(req) => self.on_catch_up(from, req, ctx),
+            MenciusMsg::CatchUpReply(CatchUpReply::Runs {
+                from: f,
                 below,
-                cmds,
-            } => self.on_gap_fill(from, from_slot, below, cmds, ctx),
-            MenciusMsg::StateRequest(req) => self.on_state_request(from, req.have, ctx),
-            MenciusMsg::StateReply(reply) => self.on_state_reply(reply.checkpoint, ctx),
+                runs,
+            }) => self.on_runs(from, f, below, runs, ctx),
+            MenciusMsg::CatchUpReply(CatchUpReply::Snapshot(cp)) => self.on_snapshot(cp, ctx),
             MenciusMsg::ReadProbe(req) => self.on_read_probe(from, req.seq, ctx),
             MenciusMsg::ReadMark { reply, owner_marks } => {
                 self.on_read_mark(from, reply, owner_marks, ctx)
@@ -1084,7 +1004,6 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use proptest::prelude::*;
-    use rsm_core::checkpoint::StateTransferRequest;
     use rsm_core::command::CommandId;
     use rsm_core::id::ClientId;
     use rsm_core::node::{ApplyOnly, Script};
@@ -1113,6 +1032,20 @@ mod tests {
     /// at replica `i`.
     fn ack(s: &mut Script<MenciusBcast>, i: usize, from: ReplicaId, slot: u64, skip: u64) {
         s.on(i, |m, ctx| m.on_accept_ack(from, slot, skip, ctx));
+    }
+
+    /// A catch-up request for `[from, below)`.
+    fn catch_up(from: u64, below: u64) -> MenciusMsg {
+        MenciusMsg::CatchUp(CatchUp { from, below })
+    }
+
+    /// Catch-up runs confirming `[from, below)` with `cmds` in it.
+    fn runs(from: u64, below: u64, cmds: Vec<(u64, Command)>) -> MenciusMsg {
+        MenciusMsg::CatchUpReply(CatchUpReply::Runs {
+            from,
+            below,
+            runs: cmds,
+        })
     }
 
     #[test]
@@ -1405,24 +1338,8 @@ mod tests {
             s.nodes[0].proto.resolved() < 4,
             "holes must wait for owner confirmation"
         );
-        s.receive(
-            0,
-            r(0),
-            MenciusMsg::GapFill {
-                from_slot: 0,
-                below: 6,
-                cmds: Vec::new(),
-            },
-        );
-        s.receive(
-            0,
-            r(2),
-            MenciusMsg::GapFill {
-                from_slot: 2,
-                below: 5,
-                cmds: Vec::new(),
-            },
-        );
+        s.receive(0, r(0), runs(0, 6, Vec::new()));
+        s.receive(0, r(2), runs(2, 5, Vec::new()));
         assert!(
             s.nodes[0].proto.resolved() >= 4,
             "gap resolved: {}",
@@ -1456,41 +1373,24 @@ mod tests {
             0,
             "slot 0 must not resolve as a skip"
         );
-        let (to, from_slot, below) = s[1]
+        let (to, req) = s[1]
             .sent
             .iter()
             .find_map(|(to, msg)| match msg {
-                MenciusMsg::GapRequest { from_slot, below } => Some((*to, *from_slot, *below)),
+                MenciusMsg::CatchUp(req) => Some((*to, *req)),
                 _ => None,
             })
             .expect("recovered replica must query the owner");
         assert_eq!(to, r(0));
         // The owner answers from its own Accept records in its log.
-        s[0].sent.clear();
-        s.receive(0, r(1), MenciusMsg::GapRequest { from_slot, below });
-        let fill = s[0]
-            .sent
-            .iter()
-            .find_map(|(to, msg)| match (to, msg) {
-                (to, MenciusMsg::GapFill { .. }) if *to == r(1) => Some(msg.clone()),
-                _ => None,
-            })
-            .expect("owner must answer a gap request");
+        let fill = answer(&mut s, req.from, req.below);
         assert!(
-            matches!(&fill, MenciusMsg::GapFill { cmds, .. } if cmds.len() == 1),
+            matches!(&fill, CatchUpReply::Runs { runs, .. } if runs.len() == 1),
             "retransmission must carry the lost slot-0 proposal"
         );
-        s.receive(1, r(0), fill);
+        s.receive(1, r(0), MenciusMsg::CatchUpReply(fill));
         // r2 confirms its own slots in the gap are empty.
-        s.receive(
-            1,
-            r(2),
-            MenciusMsg::GapFill {
-                from_slot: 2,
-                below: 5,
-                cmds: Vec::new(),
-            },
-        );
+        s.receive(1, r(2), runs(2, 5, Vec::new()));
         // Majority watermarks for slots 0 and 3 arrive: everything
         // resolves, slot 0 first and with the original command.
         ack(&mut s, 1, r(0), 0, 6);
@@ -1507,14 +1407,14 @@ mod tests {
     }
 
     #[test]
-    fn lost_gap_request_is_retried_when_the_owner_is_heard_from() {
+    fn lost_catch_up_is_retried_when_the_owner_is_heard_from() {
         let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
         s.on(0, |m, ctx| m.on_recover(&[], ctx));
         propose(&mut s, 0, 3, cmd(1), r(0));
         let count_reqs = |s: &Script<MenciusBcast>| {
             s[0].sent
                 .iter()
-                .filter(|(_, msg)| matches!(msg, MenciusMsg::GapRequest { .. }))
+                .filter(|(_, msg)| matches!(msg, MenciusMsg::CatchUp(_)))
                 .count()
         };
         assert_eq!(count_reqs(&s), 1, "stall at slot 0 queries the owner");
@@ -1529,7 +1429,7 @@ mod tests {
             },
         );
         assert_eq!(count_reqs(&s), 1, "in-flight request is deduplicated");
-        // …but once the window expires, the request (or its fill) is
+        // …but once the window expires, the request (or its answer) is
         // presumed lost to the owner's downtime and is re-sent.
         s[0].clock = 1_000_000;
         s.receive(
@@ -1543,21 +1443,25 @@ mod tests {
         assert_eq!(count_reqs(&s), 2, "timed-out request is retried");
     }
 
-    /// The owner's answer to a gap request for `[from_slot, below)` from
-    /// replica 1, as a message ready to deliver.
-    fn gap_fill(s: &mut Script<MenciusBcast>, from_slot: u64, below: u64) -> MenciusMsg {
+    /// The owner's (replica 0's) answer to replica 1's catch-up for
+    /// `[from, below)`.
+    fn answer(
+        s: &mut Script<MenciusBcast>,
+        from: u64,
+        below: u64,
+    ) -> CatchUpReply<u64, Vec<(u64, Command)>> {
         s[0].sent.clear();
-        s.receive(0, r(1), MenciusMsg::GapRequest { from_slot, below });
-        let fills: Vec<&MenciusMsg> = s[0]
+        s.receive(0, r(1), catch_up(from, below));
+        let answers: Vec<_> = s[0]
             .sent
             .iter()
             .filter_map(|(to, msg)| match msg {
-                MenciusMsg::GapFill { .. } if *to == r(1) => Some(msg),
+                MenciusMsg::CatchUpReply(reply) if *to == r(1) => Some(reply.clone()),
                 _ => None,
             })
             .collect();
-        assert_eq!(fills.len(), 1, "one fill per request");
-        fills[0].clone()
+        assert_eq!(answers.len(), 1, "one answer per request");
+        answers[0].clone()
     }
 
     /// One step of [`gap_fills_are_exactly_what_the_owner_proposed`].
@@ -1589,10 +1493,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Without compaction the log holds every own proposal, so a fill
-        /// carries exactly what the owner proposed in the range, whatever
-        /// acks and restarts came before, and the own slots it leaves out
-        /// are exactly the ones never proposed.
+        /// Without compaction the log holds every own proposal, so the
+        /// catch-up runs carry exactly what the owner proposed in the
+        /// range, whatever acks and restarts came before, and the own
+        /// slots they leave out are exactly the ones never proposed.
         #[test]
         fn gap_fills_are_exactly_what_the_owner_proposed(
             steps in proptest::collection::vec(step(), 1..60),
@@ -1636,10 +1540,10 @@ mod tests {
                     Step::Restart => s.restart(0, owner()),
                     Step::Ask(from, below) => {
                         let next = s.nodes[0].proto.next_own_slot;
-                        let MenciusMsg::GapFill { from_slot, below: upto, cmds } =
-                            gap_fill(&mut s, from, below)
+                        let CatchUpReply::Runs { from: from_slot, below: upto, runs: cmds } =
+                            answer(&mut s, from, below)
                         else {
-                            unreachable!()
+                            unreachable!("an uncompacted log serves runs")
                         };
                         prop_assert_eq!(from_slot, from, "an uncompacted log reaches slot 0");
                         prop_assert_eq!(upto, below.min(next), "no promise past the next own slot");
@@ -1660,10 +1564,11 @@ mod tests {
     #[test]
     fn compacted_out_hole_fetches_a_checkpoint_instead_of_stalling() {
         // r1 stays down while r0 proposes, resolves and compacts its log
-        // past r1's holes. On rejoin, r0's fill is clamped at its
-        // checkpoint's watermark and cannot confirm the early slots: the
-        // hole resolves through checkpoint transfer instead of a wrong
-        // "permanently empty" answer or a forever-stall.
+        // past r1's holes. On rejoin, r1 asks the owner of its hole, and
+        // the owner — whose log no longer reaches back there — answers
+        // with a snapshot instead of a wrong "permanently empty" answer
+        // or silence. A second request, from above the snapshot, gets the
+        // owner's runs.
         let mut s = Script::new(vec![
             MenciusBcast::new(r(0), Membership::uniform(3))
                 .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true)),
@@ -1702,95 +1607,80 @@ mod tests {
         assert_eq!(own_accepts, 0, "compaction dropped the resolved proposals");
 
         // r1 recovers from a long outage with an empty log and hears the
-        // owner's promise; the gap request comes back clamped, carrying
-        // the proposals the log still holds.
+        // owner's promise: the hole at slot 0 asks the owner.
         s.on(1, |m, ctx| m.on_recover(&[], ctx));
         ack(&mut s, 1, r(0), 27, 30);
-        let (from_slot, below) = s[1]
-            .sent
-            .iter()
-            .find_map(|(to, msg)| match msg {
-                MenciusMsg::GapRequest { from_slot, below } if *to == r(0) => {
-                    Some((*from_slot, *below))
-                }
+        let requests = |s: &Script<MenciusBcast>| {
+            let sent = s[1].sent.iter();
+            let reqs = sent.filter_map(|(to, msg)| match msg {
+                MenciusMsg::CatchUp(req) => Some((*to, req.from, req.below)),
                 _ => None,
-            })
-            .expect("hole must first try a gap request");
-        assert_eq!((from_slot, below), (0, 30));
-        let fill = gap_fill(&mut s, from_slot, below);
-        let MenciusMsg::GapFill {
-            from_slot,
-            below,
-            cmds,
-        } = &fill
-        else {
-            unreachable!()
+            });
+            reqs.collect::<Vec<_>>()
         };
-        assert_eq!((*from_slot, *below), (22, 30), "clamped at the watermark");
-        let held: Vec<(u64, u64)> = cmds.iter().map(|(slot, c)| (*slot, c.id.seq)).collect();
-        assert_eq!(held, [(24, 8), (27, 9)], "the log's own proposals above it");
-        s.receive(1, r(0), fill);
-        let m = &s.nodes[1].proto;
-        assert!(
-            m.gap_trust[0].iter().all(|&(f, _)| f >= 22),
-            "trust must not reach below the owner's watermark"
-        );
+        assert_eq!(requests(&s), [(r(0), 0, 30)], "the owner is asked");
         assert_eq!(
-            m.resolved(),
+            s.nodes[1].proto.resolved(),
             0,
             "the hole at slot 0 must not resolve as a skip"
         );
-        // The clamped fill proves retransmission can never cover the
-        // hole: a state transfer request must leave for a peer (one per
-        // retry round — a snapshot is large, so peers are tried
-        // round-robin rather than all at once).
-        let sent = |s: &Script<MenciusBcast>, gap: bool| {
-            s[1].sent
-                .iter()
-                .filter(|(_, msg)| match msg {
-                    MenciusMsg::GapRequest { .. } => gap,
-                    MenciusMsg::StateRequest(_) => !gap,
-                    _ => false,
-                })
-                .map(|(to, _)| *to)
-                .collect::<Vec<ReplicaId>>()
-        };
-        assert_eq!(sent(&s, false), [r(0)], "one transfer request, first peer");
-        // Further owner traffic must not restart the request/fill
-        // ping-pong: the range is recorded as unanswerable.
-        let before = sent(&s, true).len();
-        let promise = MenciusMsg::AcceptAck {
-            up_to_slot: 27,
-            skip_below: 30,
-        };
-        s.receive(1, r(0), promise);
-        assert_eq!(
-            sent(&s, true).len(),
-            before,
-            "unanswerable range is not re-requested"
-        );
+        // Further owner traffic does not repeat the request in flight.
+        ack(&mut s, 1, r(0), 27, 30);
+        assert_eq!(requests(&s).len(), 1, "in-flight request is not repeated");
 
-        // The owner serves its checkpoint; installing it converges r1 on
-        // the owner's exact state and unblocks resolution.
-        s[0].sent.clear();
-        let request = MenciusMsg::StateRequest(StateTransferRequest { have: 0 });
-        s.receive(0, r(1), request);
-        let reply = s[0]
-            .sent
-            .iter()
-            .find_map(|(to, msg)| match (to, msg) {
-                (to, MenciusMsg::StateReply(_)) if *to == r(1) => Some(msg.clone()),
-                _ => None,
-            })
-            .expect("owner must serve a checkpoint");
-        s.receive(1, r(0), reply);
-        let resolved = s.nodes[1].proto.resolved();
-        assert_eq!(resolved, 22, "hole covered by the checkpoint");
+        // The owner's log starts at 22: it answers with a snapshot, and
+        // installing it converges r1 on the owner's exact state.
+        let reply = answer(&mut s, 0, 30);
+        assert!(
+            matches!(&reply, CatchUpReply::Snapshot(cp) if cp.applied == 22),
+            "below the owner's compacted log: a snapshot, got {reply:?}"
+        );
+        s.receive(1, r(0), MenciusMsg::CatchUpReply(reply));
+        assert_eq!(
+            s.nodes[1].proto.resolved(),
+            22,
+            "hole covered by the snapshot"
+        );
         assert_eq!(
             s.applied(1),
             s.applied(0),
             "recovered replica reaches the owner's exact state"
         );
+
+        // The owner's next proposal reaches r1: its first receipt from
+        // the owner after the outage, so every owner slot between the
+        // cursor and it must be accounted for. The second request starts
+        // above the snapshot and gets the owner's runs from its log.
+        s.on(0, |owner, ctx| {
+            owner.on_client_batch(Batch::single(cmd(10)), ctx)
+        });
+        let propose = s[0].sent.iter().find_map(|(to, msg)| match msg {
+            MenciusMsg::Propose { .. } if *to == r(1) => Some(msg.clone()),
+            _ => None,
+        });
+        s.receive(1, r(0), propose.expect("the owner proposes to r1"));
+        assert_eq!(
+            requests(&s)[1],
+            (r(0), 24, 33),
+            "second request: above the snapshot"
+        );
+        let reply = answer(&mut s, 24, 33);
+        let CatchUpReply::Runs { from, below, runs } = &reply else {
+            panic!("above the owner's checkpoint: runs, got {reply:?}");
+        };
+        assert_eq!((*from, *below), (24, 33));
+        let held: Vec<(u64, u64)> = runs.iter().map(|(slot, c)| (*slot, c.id.seq)).collect();
+        assert_eq!(
+            held,
+            [(24, 8), (27, 9), (30, 10)],
+            "the log's own proposals"
+        );
+        s.receive(1, r(0), MenciusMsg::CatchUpReply(reply));
+        let m = &s.nodes[1].proto;
+        assert!(m.slots.contains_key(&24) && m.slots.contains_key(&27));
+        assert!(m.recv_synced[0], "the runs close the owner's resync window");
+        let asked: Vec<ReplicaId> = requests(&s).iter().map(|q| q.0).collect();
+        assert_eq!(asked, [r(0), r(0)], "no request goes to a non-owner");
         // And it can keep proposing above everything resolved.
         s.on(1, |m, ctx| m.on_client_batch(Batch::single(cmd(99)), ctx));
         assert!(s.nodes[1].proto.next_own_slot > 22);
@@ -1824,22 +1714,22 @@ mod tests {
         assert_eq!(m2.resolved(), 16, "cursor resumes at the watermark");
         assert!(m2.next_own_slot >= m2.resolved(), "own slots never reused");
         // Own proposals below the watermark left the log with the
-        // compaction: a fill reaches no lower than the watermark.
-        let fill = gap_fill(&mut s, 0, 18);
-        let MenciusMsg::GapFill {
-            from_slot,
-            below,
-            cmds,
-        } = fill
-        else {
-            unreachable!()
-        };
-        assert_eq!(
-            (from_slot, below),
-            (16, 18),
-            "fill clamped at the watermark"
+        // compaction: a catch-up from below it gets a snapshot, one from
+        // the watermark the (empty) runs above it.
+        let reply = answer(&mut s, 0, 18);
+        assert!(
+            matches!(&reply, CatchUpReply::Snapshot(cp) if cp.applied == 16),
+            "snapshot below the watermark, got {reply:?}"
         );
-        assert!(cmds.is_empty());
+        let reply = answer(&mut s, 16, 18);
+        assert_eq!(
+            reply,
+            CatchUpReply::Runs {
+                from: 16,
+                below: 18,
+                runs: Vec::new()
+            }
+        );
     }
 
     /// Recovery replay feeds the checkpoint trigger like live execution:
@@ -1908,8 +1798,8 @@ mod tests {
     }
 
     /// A checkpoint lands inside a logged run, so on replay the run's
-    /// prefix lies below the restored cursor: it stays in the log for gap
-    /// fills, and the rest rebuilds the slot table.
+    /// prefix lies below the restored cursor: it stays in the log for
+    /// catch-up runs, and the rest rebuilds the slot table.
     #[test]
     fn replay_of_a_run_straddling_the_checkpoint() {
         let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))
@@ -1937,8 +1827,8 @@ mod tests {
         let live: Vec<u64> = m2.slots.keys().copied().collect();
         assert_eq!(live, [6, 9], "only the unresolved suffix is pending");
         assert_eq!(m2.next_own_slot, 12, "no slot of the run is reused");
-        let MenciusMsg::GapFill { cmds, .. } = gap_fill(&mut s, 0, 12) else {
-            unreachable!()
+        let CatchUpReply::Runs { runs: cmds, .. } = answer(&mut s, 0, 12) else {
+            unreachable!("the log was not compacted")
         };
         let own: Vec<u64> = cmds.iter().map(|(slot, _)| *slot).collect();
         assert_eq!(own, [0, 3, 6, 9], "the whole run stays answerable");

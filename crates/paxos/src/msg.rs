@@ -17,7 +17,7 @@
 //! single decree to the instance-log suffix.
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{StateTransferReply, StateTransferRequest};
+use rsm_core::checkpoint::{CatchUp, CatchUpReply};
 use rsm_core::command::Command;
 use rsm_core::id::ReplicaId;
 use rsm_core::read::{ReadReply, ReadRequest};
@@ -169,49 +169,35 @@ rsm_core::wire_table! {
             /// from `floor`.
             entries: Vec<SuffixEntry>,
         },
+        /// A replica that came back with a hole asks one peer for `[from,
+        /// below)` (the shared catch-up exchange, `rsm_core::checkpoint`).
         /// A follower that sees an accept run land *past* its vouch
         /// watermark (a gap — per-link FIFO means the missing accepts were
         /// lost while it was down, or while the leader lacked a majority to
-        /// commit them) asks the leader to retransmit the uncommitted range.
-        /// Without this, instances proposed while the leader was in a
-        /// minority could never commit: the survivors' cumulative acks can
-        /// never soundly cross the hole, and nothing else retransmits
-        /// uncommitted proposals.
-        9 => FillRequest {
-            /// First missing instance (the requester's vouch watermark).
-            from_instance: u64,
-            /// Exclusive end of the gap (the run that revealed it).
-            to_instance: u64,
-        },
-        /// The leader's retransmission of still-pending instances from its
-        /// slot table, re-asserted at its regime ballot. Unlike
+        /// commit them) asks the regime leader. Without this, instances
+        /// proposed while the leader was in a minority could never commit:
+        /// the survivors' cumulative acks can never soundly cross the hole,
+        /// and nothing else retransmits uncommitted proposals. A replica
+        /// stalled at a committed hole asks the next peer of a rotation.
+        9 => CatchUp(CatchUp<u64>),
+        /// The answer to a [`CatchUp`](PaxosMsg::CatchUp), with the sender's
+        /// promised ballot. `Runs`: the regime leader's retransmission of
+        /// still-pending instances from its slot table, re-asserted at its
+        /// ballot (the `promised` it carries) — unlike
         /// [`Repair`](PaxosMsg::Repair) it carries no floor and drops
-        /// nothing at the receiver — it is a plain re-`Accept` of an
-        /// explicit instance set.
-        10 => Fill {
-            /// The serving leader's regime ballot.
-            ballot: Ballot,
-            /// The retransmitted instances.
-            entries: Vec<SuffixEntry>,
-        },
-        /// A replica stalled at a committed hole (the `ACCEPT`s were lost
-        /// while it was down, or its local suffix was superseded by a
-        /// fail-over it missed) asks a peer for a checkpoint covering the
-        /// gap (shared subsystem, `rsm_core::checkpoint`). The watermark is
-        /// the requester's next-to-execute instance.
-        11 => StateRequest(StateTransferRequest<u64>),
-        /// A peer's checkpoint: its state through every instance below the
-        /// carried (exclusive) watermark. The requester installs it and
-        /// resumes execution and acknowledgements from the watermark. The
-        /// reply also carries the sender's promised ballot so an installing
-        /// replica can never regress its own promise below a regime the
-        /// cluster has already moved to (the compacted log it writes after
-        /// the install re-pins the promise durably).
-        12 => StateReply {
-            /// The checkpoint.
-            reply: StateTransferReply<u64>,
-            /// The serving replica's promised ballot.
+        /// nothing at the receiver, it is a plain re-`Accept` of an explicit
+        /// instance set. `Snapshot`: the sender's state through every
+        /// instance below the carried (exclusive) watermark; the requester
+        /// installs it and resumes execution and acknowledgements from the
+        /// watermark, and adopts `promised` first so it can never regress
+        /// its own promise below a regime the cluster has already moved to
+        /// (the compacted log it writes after the install re-pins the
+        /// promise durably).
+        10 => CatchUpReply {
+            /// The sender's promised ballot.
             promised: Ballot,
+            /// The runs or the snapshot.
+            reply: CatchUpReply<u64, Vec<SuffixEntry>>,
         },
         /// Pre-vote probe (opt-in, [`pre_vote`]): before bumping its ballot, a
         /// would-be candidate asks whether the receiver would *currently*
@@ -269,12 +255,8 @@ impl WireSize for PaxosMsg {
             | PaxosMsg::Nack { .. }
             | PaxosMsg::PreVote { .. }
             | PaxosMsg::PreVoteGrant { .. } => MSG_HEADER_BYTES + BALLOT_BYTES,
-            PaxosMsg::FillRequest { .. } => MSG_HEADER_BYTES + 16,
-            PaxosMsg::Fill { entries, .. } => {
-                MSG_HEADER_BYTES
-                    + BALLOT_BYTES
-                    + entries.iter().map(WireSize::wire_size).sum::<usize>()
-            }
+            PaxosMsg::CatchUp(req) => req.wire_size(),
+            PaxosMsg::CatchUpReply { reply, .. } => reply.wire_size() + BALLOT_BYTES,
             // Promise: from_instance + committed; Repair: floor.
             PaxosMsg::Promise { entries, .. } => {
                 MSG_HEADER_BYTES
@@ -288,8 +270,6 @@ impl WireSize for PaxosMsg {
                     + 8
                     + entries.iter().map(WireSize::wire_size).sum::<usize>()
             }
-            PaxosMsg::StateRequest(req) => req.wire_size(),
-            PaxosMsg::StateReply { reply, .. } => reply.wire_size() + BALLOT_BYTES,
             PaxosMsg::ReadProbe(req) => req.wire_size(),
             PaxosMsg::ReadMark(reply) => reply.wire_size(),
         }

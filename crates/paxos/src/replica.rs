@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{Checkpoint, CheckpointPolicy};
+use rsm_core::checkpoint::{CatchUp, CatchUpReply, Checkpoint, CheckpointPolicy};
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
 use rsm_core::exec::{Executor, ReadFront, TRANSFER_RETRY_US};
@@ -75,8 +75,8 @@ pub enum PaxosVariant {
 pub enum PaxosLogRec {
     /// An accepted (logged) run of instances, phase 2: command `i` at
     /// instance `first + i`. A replicated batch is one record; a repair
-    /// or fill entry is a one-command run. Replay applies the runs in log
-    /// order, so a later record for an instance wins.
+    /// or catch-up entry is a one-command run. Replay applies the runs in
+    /// log order, so a later record for an instance wins.
     Accept {
         /// Instance of the run's first command.
         first: u64,
@@ -216,7 +216,7 @@ pub struct MultiPaxos {
     /// what they advance, not for the pipeline behind the watermark.
     /// The five sites that demote, drop or install slots —
     /// `adopt_regime` (demotes), `on_repair` (drops the tail above the
-    /// repair), `on_fill` (installs), `on_state_reply` (drops below the
+    /// repair), `on_runs` (installs), `on_snapshot` (drops below the
     /// checkpoint) and `on_recover` (rebuilds unverified) — re-walk
     /// from `committed_next` ([`recompute_vouch`]).
     ///
@@ -232,21 +232,18 @@ pub struct MultiPaxos {
     /// Next instance to execute (all below are executed).
     exec_cursor: u64,
     /// The shared execution pipeline (`rsm_core::exec`): session dedup
-    /// window, checkpoint trigger, state-transfer peer rotation, and the
-    /// reads parked on an instance mark until `exec_cursor` passes it.
+    /// window, checkpoint trigger, catch-up answer rule, pacing and peer
+    /// rotation, and the reads parked on an instance mark until
+    /// `exec_cursor` passes it.
     exec: Executor<u64>,
     /// The execution hole currently being watched and since when:
     /// `(exec_cursor, first observed)`. A hole must persist for
-    /// [`TRANSFER_RETRY_US`] before a state transfer is requested —
-    /// comfortably above a WAN round trip, so a hole whose `ACCEPT` is
-    /// merely in flight (commit watermarks can outrun accepts via faster
-    /// relay paths) resolves itself and never triggers a transfer — and
-    /// the same field paces the retries afterwards.
+    /// [`TRANSFER_RETRY_US`] before a catch-up is requested — comfortably
+    /// above a WAN round trip, so a hole whose `ACCEPT` is merely in
+    /// flight (commit watermarks can outrun accepts via faster relay
+    /// paths) resolves itself and never triggers a request; the executor
+    /// paces the retries afterwards.
     stalled_at: Option<(u64, Micros)>,
-    /// The vouch gap a [`PaxosMsg::FillRequest`] is out for, and when it
-    /// was sent: `(gap start, asked at)`. Paces the retries of leader
-    /// retransmission for instances lost while this replica was down.
-    fill_asked: Option<(u64, Micros)>,
 
     // ------ local reads (`rsm_core::read`) ------
     /// `regime_heard[k]`: local clock when replica `k` last sent
@@ -301,7 +298,6 @@ impl MultiPaxos {
             exec_cursor: 0,
             exec: Executor::new(id, CheckpointPolicy::DISABLED, DEFAULT_SESSION_WINDOW),
             stalled_at: None,
-            fill_asked: None,
             regime_heard: vec![0; n],
             repair_top: 0,
         }
@@ -630,7 +626,7 @@ impl MultiPaxos {
             // without a live majority (then *no one* can ack across the
             // hole and the uncommitted range would deadlock forever).
             // Ask the leader to retransmit from its slot table.
-            self.request_gap_fill(first_instance, ctx);
+            self.catch_up_gap(first_instance, ctx);
         }
         // One cumulative ack for the whole batch.
         self.send_ack(ctx);
@@ -1100,8 +1096,8 @@ impl MultiPaxos {
         self.adopt_regime(ballot, ctx);
         self.note_leader_alive(from, ballot, ctx);
         // The floor is a committed watermark observed by the new leader;
-        // adopting it may expose local holes, which the state-transfer
-        // path fills like any other committed hole.
+        // adopting it may expose local holes, which the catch-up path
+        // fills like any other committed hole.
         self.committed_next = self.committed_next.max(floor);
         let top = floor + entries.len() as u64;
         self.accept_entries(ballot, entries, ctx);
@@ -1117,8 +1113,8 @@ impl MultiPaxos {
         self.flush_pending(ctx);
     }
 
-    /// Accepts a set of explicitly-instanced entries (a repair or a
-    /// fill) at `ballot`: each is logged durably and installed as a
+    /// Accepts a set of explicitly-instanced entries (a repair or
+    /// catch-up runs) at `ballot`: each is logged durably and installed as a
     /// verified slot; entries already executed are skipped.
     fn accept_entries(
         &mut self,
@@ -1156,58 +1152,55 @@ impl MultiPaxos {
         }
     }
 
-    /// Asks the regime leader to retransmit the accepts for
-    /// `[logged_next, gap_end)`, paced like state transfers so pipelined
-    /// traffic over a persistent gap does not storm duplicate requests.
-    fn request_gap_fill(&mut self, gap_end: u64, ctx: &mut dyn Context<Self>) {
-        let gap_start = self.logged_next;
-        let now = ctx.clock();
-        if let Some((s, since)) = self.fill_asked {
-            if s == gap_start && now.saturating_sub(since) < TRANSFER_RETRY_US {
-                return; // an exchange for this gap is already in flight
-            }
-        }
-        self.fill_asked = Some((gap_start, now));
-        ctx.send(
-            self.regime.proposer,
-            PaxosMsg::FillRequest {
-                from_instance: gap_start,
-                to_instance: gap_end,
-            },
-        );
+    /// Asks the regime leader to retransmit the accepts for the vouch gap
+    /// `[logged_next, gap_end)`; the executor holds back a repeat while
+    /// one is in flight, so pipelined traffic over a persistent gap does
+    /// not storm duplicate requests.
+    fn catch_up_gap(&mut self, gap_end: u64, ctx: &mut dyn Context<Self>) {
+        let req = CatchUp {
+            from: self.logged_next,
+            below: gap_end,
+        };
+        let (leader, config) = (self.regime.proposer, self.membership.config());
+        self.exec
+            .request_catch_up(Some(leader), req, config, ctx, PaxosMsg::CatchUp);
     }
 
-    /// Leader: retransmit still-pending instances from the slot table.
-    /// Instances already executed here are committed; the requester's
-    /// commit watermark will cover them and the state-transfer path
-    /// takes over for those.
-    fn on_fill_request(&mut self, from: ReplicaId, lo: u64, hi: u64, ctx: &mut dyn Context<Self>) {
-        if !self.is_leader() {
-            return; // a deposed leader's pending values may be superseded
-        }
-        let entries: Vec<SuffixEntry> = self
-            .instances
-            .range(lo..hi)
-            .map(|(&instance, slot)| SuffixEntry {
-                instance,
-                ballot: self.regime,
-                value: slot.value.clone(),
-            })
-            .collect();
-        if !entries.is_empty() {
-            ctx.send(
-                from,
-                PaxosMsg::Fill {
-                    ballot: self.regime,
-                    entries,
-                },
-            );
+    /// Answers a catch-up through the shared rule: the unfenced regime
+    /// leader serves the runs still pending in its slot table from its
+    /// execution cursor up; below it — and at every other replica, whose
+    /// pending values a repair it has not seen may supersede — a
+    /// snapshot of the executed prefix. The answer carries our promise,
+    /// so an installer cannot regress below a regime the cluster already
+    /// fenced.
+    fn on_catch_up(&mut self, from: ReplicaId, req: CatchUp<u64>, ctx: &mut dyn Context<Self>) {
+        let held = self.is_leader().then_some(self.exec_cursor);
+        let (regime, instances) = (self.regime, &self.instances);
+        let pending = |_: &mut dyn Context<Self>| CatchUpReply::Runs {
+            from: req.from,
+            below: req.below,
+            runs: instances
+                .range(req.from..req.below.max(req.from))
+                .map(|(&instance, slot)| SuffixEntry {
+                    instance,
+                    ballot: regime,
+                    value: slot.value.clone(),
+                })
+                .collect(),
+        };
+        let (cursor, config) = (self.exec_cursor, self.membership.config());
+        let answer =
+            self.exec
+                .answer_catch_up(req.from, held, cursor, Epoch::ZERO, config, ctx, pending);
+        if let Some(reply) = answer {
+            let promised = self.promised;
+            ctx.send(from, PaxosMsg::CatchUpReply { promised, reply });
         }
     }
 
     /// A leader retransmission: plain re-acceptance of the carried
     /// instances at the regime ballot — no floor, nothing dropped.
-    fn on_fill(
+    fn on_runs(
         &mut self,
         from: ReplicaId,
         ballot: Ballot,
@@ -1226,7 +1219,6 @@ impl MultiPaxos {
         self.promise_at_least(ballot, ctx);
         self.adopt_regime(ballot, ctx);
         self.note_leader_alive(from, ballot, ctx);
-        self.fill_asked = None;
         self.accept_entries(ballot, entries, ctx);
         self.recompute_vouch();
         self.send_ack(ctx);
@@ -1327,7 +1319,7 @@ impl MultiPaxos {
     //    `k` had just processed current-regime leader traffic — and
     //    therefore renewed its own suspicion clock at send time. An
     //    `Accepted` at our ballot qualifies (it leaves inside the same
-    //    callback that handled our `Accept`/`Repair`/`Fill`, or acks
+    //    callback that handled our `Accept`/`Repair`/runs, or acks
     //    our heartbeat); a `ReadMark` does not (any replica answers
     //    probes, however long since it heard us) and is never counted.
     // 2. **Leader stickiness.** An acceptor refuses to promise a
@@ -1423,7 +1415,7 @@ impl MultiPaxos {
     }
 
     // ------------------------------------------------------------------
-    // Execution, checkpoints, and state transfer
+    // Execution, checkpoints, and catch-up
     // ------------------------------------------------------------------
 
     /// Executes committed instances in consecutive order. `log_marks` is
@@ -1442,12 +1434,11 @@ impl MultiPaxos {
             if !executable {
                 // Command not yet known (or not yet trusted): either it
                 // is still in flight, or its ACCEPT was lost — or
-                // superseded — while this replica was down. Only a
-                // peer's checkpoint can cover it (rate-limited; a no-op
-                // when the run is merely in flight, because peers answer
-                // with watermarks above ours and installs below ours are
-                // ignored).
-                self.request_state_transfer(ctx);
+                // superseded — while this replica was down. Ask a peer
+                // (paced; a no-op when the run is merely in flight,
+                // because peers answer with watermarks above ours and
+                // installs below ours are ignored).
+                self.catch_up_hole(ctx);
                 break;
             }
             let slot = self
@@ -1500,19 +1491,19 @@ impl MultiPaxos {
         ctx.log_rewrite(recs);
     }
 
-    /// Asks the peers for a checkpoint covering our executed prefix once
-    /// the hole at `exec_cursor` has persisted for [`TRANSFER_RETRY_US`]
-    /// (see `rsm_core::checkpoint` for the transfer invariants). The
-    /// path is traffic-driven, like Mencius gap requests: every
-    /// `execute_ready` pass that still faces the hole re-checks the
-    /// clock, so confirmation and retries ride on ordinary replication
-    /// traffic.
-    fn request_state_transfer(&mut self, ctx: &mut dyn Context<Self>) {
+    /// Asks the next peer of the rotation for what it holds from our
+    /// execution cursor once the hole there has persisted for
+    /// [`TRANSFER_RETRY_US`] (see `rsm_core::checkpoint` for the
+    /// transfer invariants). The path is traffic-driven, like Mencius
+    /// catch-up: every `execute_ready` pass that still faces the hole
+    /// re-checks the clock, so confirmation and retries ride on ordinary
+    /// replication traffic.
+    fn catch_up_hole(&mut self, ctx: &mut dyn Context<Self>) {
         let now = ctx.clock();
         match self.stalled_at {
             Some((c, since)) if c == self.exec_cursor => {
                 if now.saturating_sub(since) < TRANSFER_RETRY_US {
-                    return; // not yet confirmed, or an exchange in flight
+                    return; // not yet confirmed
                 }
             }
             _ => {
@@ -1522,33 +1513,21 @@ impl MultiPaxos {
                 return;
             }
         }
-        self.stalled_at = Some((self.exec_cursor, now)); // pace the retry
+        let req = CatchUp {
+            from: self.exec_cursor,
+            below: self.committed_next,
+        };
         let config = self.membership.config();
-        if let Some((to, req)) = self.exec.transfer_request(self.exec_cursor, config) {
-            ctx.send(to, PaxosMsg::StateRequest(req));
-        }
+        self.exec
+            .request_catch_up(None, req, config, ctx, PaxosMsg::CatchUp);
     }
 
-    /// Serves a state transfer request with a fresh snapshot of our
-    /// executed prefix. The reply carries our promise so the installer
-    /// cannot regress below a regime the cluster already fenced.
-    fn on_state_request(&mut self, from: ReplicaId, have: u64, ctx: &mut dyn Context<Self>) {
-        let config = self.membership.config();
-        let served = self
-            .exec
-            .serve_transfer(have, self.exec_cursor, Epoch::ZERO, config, ctx);
-        if let Some(reply) = served {
-            let promised = self.promised;
-            ctx.send(from, PaxosMsg::StateReply { reply, promised });
-        }
-    }
-
-    /// Installs a transferred checkpoint: everything below its watermark
+    /// Installs a peer's snapshot: everything below its watermark
     /// is globally decided (the sender executed it), so the state machine
     /// jumps there, the log is pinned with a durable checkpoint record,
     /// and the cumulative ack watermark resumes from the installed
     /// prefix (covering a decided prefix adds no false quorum weight).
-    fn on_state_reply(
+    fn on_snapshot(
         &mut self,
         cp: Checkpoint<u64>,
         server_promised: Ballot,
@@ -1560,7 +1539,7 @@ impl MultiPaxos {
         if cp.applied <= self.exec_cursor {
             return; // stale or duplicate reply
         }
-        if !self.exec.install(&cp, ctx) {
+        if !self.exec.install_caught_up(&cp, ctx) {
             return; // driver cannot install snapshots
         }
         self.stalled_at = None;
@@ -1754,20 +1733,16 @@ impl Protocol for MultiPaxos {
             PaxosMsg::Nack { promised } => self.on_nack(promised, ctx),
             PaxosMsg::PreVote { ballot } => self.on_prevote(from, ballot, ctx),
             PaxosMsg::PreVoteGrant { ballot } => self.on_prevote_grant(from, ballot, ctx),
-            PaxosMsg::FillRequest {
-                from_instance,
-                to_instance,
-            } => self.on_fill_request(from, from_instance, to_instance, ctx),
-            PaxosMsg::Fill { ballot, entries } => self.on_fill(from, ballot, entries, ctx),
+            PaxosMsg::CatchUp(req) => self.on_catch_up(from, req, ctx),
+            PaxosMsg::CatchUpReply { promised, reply } => match reply {
+                CatchUpReply::Runs { runs, .. } => self.on_runs(from, promised, runs, ctx),
+                CatchUpReply::Snapshot(cp) => self.on_snapshot(cp, promised, ctx),
+            },
             PaxosMsg::Repair {
                 ballot,
                 floor,
                 entries,
             } => self.on_repair(from, ballot, floor, entries, ctx),
-            PaxosMsg::StateRequest(req) => self.on_state_request(from, req.have, ctx),
-            PaxosMsg::StateReply { reply, promised } => {
-                self.on_state_reply(reply.checkpoint, promised, ctx)
-            }
             PaxosMsg::ReadProbe(req) => self.on_read_probe(from, req.seq, ctx),
             // Deliberately **not** lease evidence: a probe answer does
             // not imply the responder recently heard the leader (see

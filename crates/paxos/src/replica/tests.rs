@@ -1,7 +1,6 @@
 use super::*;
 use crate::msg::SuffixEntry;
 use bytes::Bytes;
-use rsm_core::checkpoint::{StateTransferReply, StateTransferRequest};
 use rsm_core::command::CommandId;
 use rsm_core::id::ClientId;
 use rsm_core::node::{ApplyOnly, Script};
@@ -60,6 +59,22 @@ fn last_ack(sent: &[(ReplicaId, PaxosMsg)]) -> Option<u64> {
         PaxosMsg::Accepted { up_to, .. } => Some(*up_to),
         _ => None,
     })
+}
+
+fn catch_up(from: u64, below: u64) -> PaxosMsg {
+    PaxosMsg::CatchUp(CatchUp { from, below })
+}
+
+/// Catch-up runs for `[from, below)` under `promised`.
+fn runs(promised: Ballot, from: u64, below: u64, entries: Vec<SuffixEntry>) -> PaxosMsg {
+    PaxosMsg::CatchUpReply {
+        promised,
+        reply: CatchUpReply::Runs {
+            from,
+            below,
+            runs: entries,
+        },
+    }
 }
 
 fn prepares(sent: &[(ReplicaId, PaxosMsg)]) -> Vec<Ballot> {
@@ -522,40 +537,52 @@ fn confirmed_stall_requests_transfer_and_install_converges() {
     s.receive(1, r(0), accept(b0(), 4, vec![cmd(5)], r(0)));
     s.receive(1, r(0), acked(b0(), 5));
     s.receive(1, r(2), acked(b0(), 5));
-    let requests = |s: &Script<MultiPaxos>| -> Vec<ReplicaId> {
+    let requests = |s: &Script<MultiPaxos>| -> Vec<(ReplicaId, u64, u64)> {
         let sent = s[1].sent.iter();
-        sent.filter_map(|(to, m)| matches!(m, PaxosMsg::StateRequest(_)).then_some(*to))
-            .collect()
+        sent.filter_map(|(to, m)| match m {
+            PaxosMsg::CatchUp(req) => Some((*to, req.from, req.below)),
+            _ => None,
+        })
+        .collect()
     };
     assert_eq!(
         requests(&s),
-        [],
-        "a fresh hole must not trigger a transfer (accepts may be in flight)"
+        [(r(0), 0, 4)],
+        "the vouch gap asks the leader, but a fresh execution hole asks \
+         nobody (accepts may be in flight)"
     );
     // The hole persists past the confirmation window: the next pass
     // over it queries one peer (round-robin; the other peer is next
     // if this round goes unanswered).
     s[1].clock = 1_000_000;
     s.receive(1, r(0), accept(b0(), 4, vec![cmd(5)], r(0)));
-    assert_eq!(requests(&s).len(), 1, "confirmed stall queries one peer");
+    assert_eq!(requests(&s).len(), 2, "confirmed stall queries one peer");
     // Another confirmation window with no reply: the retry rotates
     // to the remaining peer.
     s[1].clock = 2_000_000;
     s.receive(1, r(0), accept(b0(), 4, vec![cmd(5)], r(0)));
-    assert_eq!(requests(&s), [r(0), r(2)], "retries rotate over the peers");
+    assert_eq!(
+        requests(&s)[1..],
+        [(r(0), 0, 5), (r(2), 0, 5)],
+        "retries rotate over the peers"
+    );
 
-    // The healthy peer answers with its checkpoint; installing it
+    // The healthy follower answers with its checkpoint; installing it
     // fills the hole and execution converges on the same state.
     s[0].sent.clear();
-    s.receive(
-        0,
-        r(1),
-        PaxosMsg::StateRequest(StateTransferRequest { have: 0 }),
-    );
+    s.receive(0, r(1), catch_up(0, 5));
     let (to, reply) = s[0]
         .sent
         .iter()
-        .find(|(_, m)| matches!(m, PaxosMsg::StateReply { .. }))
+        .find(|(_, m)| {
+            matches!(
+                m,
+                PaxosMsg::CatchUpReply {
+                    reply: CatchUpReply::Snapshot(_),
+                    ..
+                }
+            )
+        })
         .cloned()
         .expect("healthy peer must serve a checkpoint");
     assert_eq!(to, r(1));
@@ -581,17 +608,15 @@ fn stale_state_reply_is_ignored() {
     s.receive(0, r(0), acked(b0(), 2));
     s.receive(0, r(2), acked(b0(), 2));
     assert_eq!(s.nodes[0].proto.executed(), 2);
-    let stale = PaxosMsg::StateReply {
-        reply: StateTransferReply {
-            checkpoint: Checkpoint {
-                applied: 1,
-                epoch: Epoch::ZERO,
-                config: vec![r(0), r(1), r(2)],
-                snapshot: Bytes::from_static(b""),
-                sessions: Bytes::new(),
-            },
-        },
+    let stale = PaxosMsg::CatchUpReply {
         promised: b0(),
+        reply: CatchUpReply::Snapshot(Checkpoint {
+            applied: 1,
+            epoch: Epoch::ZERO,
+            config: vec![r(0), r(1), r(2)],
+            snapshot: Bytes::from_static(b""),
+            sessions: Bytes::new(),
+        }),
     };
     s.receive(0, r(0), stale);
     assert_eq!(
@@ -1372,10 +1397,7 @@ fn vouch_gap_requests_leader_fill_and_resumes_acking() {
         .sent
         .iter()
         .filter_map(|(to, m)| match m {
-            PaxosMsg::FillRequest {
-                from_instance,
-                to_instance,
-            } => Some((*to, *from_instance, *to_instance)),
+            PaxosMsg::CatchUp(req) => Some((*to, req.from, req.below)),
             _ => None,
         })
         .collect();
@@ -1386,7 +1408,7 @@ fn vouch_gap_requests_leader_fill_and_resumes_acking() {
     assert_eq!(
         s[0].sent
             .iter()
-            .filter(|(_, m)| matches!(m, PaxosMsg::FillRequest { .. }))
+            .filter(|(_, m)| matches!(m, PaxosMsg::CatchUp(_)))
             .count(),
         1
     );
@@ -1399,14 +1421,7 @@ fn vouch_gap_requests_leader_fill_and_resumes_acking() {
             value: Some((cmd(i + 1), r(0))),
         })
         .collect();
-    s.receive(
-        0,
-        r(0),
-        PaxosMsg::Fill {
-            ballot: b0(),
-            entries,
-        },
-    );
+    s.receive(0, r(0), runs(b0(), 0, 3, entries));
     assert_eq!(
         last_ack(&s[0].sent),
         Some(5),
@@ -1425,35 +1440,68 @@ fn leader_serves_fill_from_pending_instances() {
         p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3), cmd(4)]), ctx)
     });
     s[0].sent.clear();
-    s.receive(
-        0,
-        r(2),
-        PaxosMsg::FillRequest {
-            from_instance: 1,
-            to_instance: 3,
-        },
-    );
+    s.receive(0, r(2), catch_up(1, 3));
     let (to, fill) = s[0].sent.last().cloned().expect("leader must answer");
     assert_eq!(to, r(2));
-    let PaxosMsg::Fill { ballot, entries } = fill else {
-        panic!("expected a Fill, got {fill:?}");
+    let PaxosMsg::CatchUpReply {
+        promised,
+        reply: CatchUpReply::Runs { runs: entries, .. },
+    } = fill
+    else {
+        panic!("expected runs, got {fill:?}");
     };
-    assert_eq!(ballot, b0());
+    assert_eq!(promised, b0());
     let instances: Vec<u64> = entries.iter().map(|e| e.instance).collect();
     assert_eq!(instances, vec![1, 2], "exactly the requested pending range");
-    // A deposed leader must not serve fills: its values may be
-    // superseded by a repair it has not seen.
+    // A deposed leader must not serve runs: its values may be
+    // superseded by a repair it has not seen (and it executed nothing
+    // it could snapshot).
     s.receive(0, r(1), PaxosMsg::Nack { promised: b(2, 1) });
     s[0].sent.clear();
-    s.receive(
-        0,
-        r(2),
-        PaxosMsg::FillRequest {
-            from_instance: 1,
-            to_instance: 3,
-        },
-    );
+    s.receive(0, r(2), catch_up(1, 3));
     assert!(s[0].sent.is_empty(), "deposed leader must stay silent");
+}
+
+#[test]
+fn vouch_gap_below_the_leaders_execution_cursor_gets_a_snapshot() {
+    // The leader r0 (position 0) executed instances 0..2 and holds 2..4
+    // pending; r1 (position 1) recovered with an empty log. The next run
+    // opens a vouch gap from 0, below the leader's execution cursor: the
+    // leader no longer holds those runs, so it answers with a snapshot.
+    let mut s = Script::new(vec![bcast(0), bcast(1)]);
+    commit_one_at_leader(&mut s, 0, 1);
+    commit_one_at_leader(&mut s, 0, 2);
+    s.on(0, |p, ctx| {
+        p.on_client_batch(Batch::new(vec![cmd(3), cmd(4)]), ctx)
+    });
+    s.on(1, |p, ctx| p.on_recover(&[], ctx));
+    s.receive(1, r(0), accept(b0(), 2, vec![cmd(3), cmd(4)], r(0)));
+    let asked = s[1].sent.iter().find_map(|(to, m)| match m {
+        PaxosMsg::CatchUp(req) => Some((*to, *req)),
+        _ => None,
+    });
+    assert_eq!(asked, Some((r(0), CatchUp { from: 0, below: 2 })));
+    s[0].sent.clear();
+    s.receive(0, r(1), catch_up(0, 2));
+    let (to, reply) = s[0].sent.last().cloned().expect("leader must answer");
+    assert_eq!(to, r(1));
+    assert!(
+        matches!(
+            &reply,
+            PaxosMsg::CatchUpReply { promised, reply: CatchUpReply::Snapshot(cp) }
+                if *promised == b0() && cp.applied == 2
+        ),
+        "below the leader's cursor: its snapshot, got {reply:?}"
+    );
+    s[1].sent.clear();
+    s.receive(1, r(0), reply);
+    assert_eq!(s.nodes[1].proto.executed(), 2);
+    assert_eq!(s.applied(1), s.applied(0), "the leader's exact state");
+    assert_eq!(
+        last_ack(&s[1].sent),
+        Some(4),
+        "the vouch resumes from the snapshot over the pending run"
+    );
 }
 
 #[test]

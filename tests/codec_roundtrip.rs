@@ -19,7 +19,7 @@ use paxos::synod::{Ballot, SynodMsg};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{Checkpoint, StateTransferReply, StateTransferRequest};
+use rsm_core::checkpoint::{CatchUp, CatchUpReply, Checkpoint};
 use rsm_core::command::{Command, CommandId};
 use rsm_core::config::Epoch;
 use rsm_core::id::{ClientId, ReplicaId};
@@ -204,7 +204,7 @@ fn arb_rsm_all() -> impl Strategy<Value = Vec<RsmMsg>> {
                     ts: later,
                     seq: e * 3,
                 },
-                RsmMsg::StateReply(StateTransferReply { checkpoint }),
+                RsmMsg::StateReply(checkpoint),
                 RsmMsg::ClockEcho {
                     epoch,
                     ts,
@@ -260,15 +260,21 @@ fn arb_paxos_all() -> impl Strategy<Value = Vec<PaxosMsg>> {
                     floor: n,
                     entries: entries.clone(),
                 },
-                PaxosMsg::FillRequest {
-                    from_instance: n,
-                    to_instance: n + 5,
-                },
-                PaxosMsg::Fill { ballot, entries },
-                PaxosMsg::StateRequest(StateTransferRequest { have: n }),
-                PaxosMsg::StateReply {
-                    reply: StateTransferReply { checkpoint },
+                PaxosMsg::CatchUp(CatchUp {
+                    from: n,
+                    below: n + 5,
+                }),
+                PaxosMsg::CatchUpReply {
                     promised: ballot,
+                    reply: CatchUpReply::Runs {
+                        from: n,
+                        below: n + 5,
+                        runs: entries,
+                    },
+                },
+                PaxosMsg::CatchUpReply {
+                    promised: ballot,
+                    reply: CatchUpReply::Snapshot(checkpoint),
                 },
                 PaxosMsg::ReadProbe(ReadRequest { seq: n }),
                 PaxosMsg::ReadMark(ReadReply {
@@ -298,17 +304,16 @@ fn arb_mencius_all() -> impl Strategy<Value = Vec<MenciusMsg>> {
                     up_to_slot: n,
                     skip_below: n + 3,
                 },
-                MenciusMsg::GapRequest {
-                    from_slot: n,
+                MenciusMsg::CatchUp(CatchUp {
+                    from: n,
                     below: n + 9,
-                },
-                MenciusMsg::GapFill {
-                    from_slot: n,
+                }),
+                MenciusMsg::CatchUpReply(CatchUpReply::Runs {
+                    from: n,
                     below: n + 9,
-                    cmds: vec![(n, cmd)],
-                },
-                MenciusMsg::StateRequest(StateTransferRequest { have: n }),
-                MenciusMsg::StateReply(StateTransferReply { checkpoint }),
+                    runs: vec![(n, cmd)],
+                }),
+                MenciusMsg::CatchUpReply(CatchUpReply::Snapshot(checkpoint)),
                 MenciusMsg::ReadProbe(ReadRequest { seq: n }),
                 MenciusMsg::ReadMark {
                     reply: ReadReply { seq: n, mark: n },
@@ -713,14 +718,12 @@ fn golden_encodings() -> Vec<(String, Bytes)> {
             ts: later,
             seq: 4,
         },
-        RsmMsg::StateReply(StateTransferReply {
-            checkpoint: Checkpoint {
-                applied: ts,
-                epoch,
-                config: vec![r1],
-                snapshot: Bytes::from_static(b"sn"),
-                sessions: Bytes::new(),
-            },
+        RsmMsg::StateReply(Checkpoint {
+            applied: ts,
+            epoch,
+            config: vec![r1],
+            snapshot: Bytes::from_static(b"sn"),
+            sessions: Bytes::new(),
         }),
         RsmMsg::ClockEcho {
             epoch,
@@ -761,20 +764,21 @@ fn golden_encodings() -> Vec<(String, Bytes)> {
             floor: 12,
             entries: entries.clone(),
         },
-        PaxosMsg::FillRequest {
-            from_instance: 12,
-            to_instance: 14,
-        },
-        PaxosMsg::Fill {
-            ballot,
-            entries: entries.clone(),
-        },
-        PaxosMsg::StateRequest(StateTransferRequest { have: 10 }),
-        PaxosMsg::StateReply {
-            reply: StateTransferReply {
-                checkpoint: checkpoint.clone(),
+        PaxosMsg::CatchUp(CatchUp {
+            from: 12,
+            below: 14,
+        }),
+        PaxosMsg::CatchUpReply {
+            promised: ballot,
+            reply: CatchUpReply::Runs {
+                from: 12,
+                below: 14,
+                runs: entries.clone(),
             },
+        },
+        PaxosMsg::CatchUpReply {
             promised,
+            reply: CatchUpReply::Snapshot(checkpoint.clone()),
         },
         PaxosMsg::ReadProbe(ReadRequest { seq: 5 }),
         PaxosMsg::ReadMark(ReadReply { seq: 5, mark: 14 }),
@@ -791,19 +795,13 @@ fn golden_encodings() -> Vec<(String, Bytes)> {
             up_to_slot: 7,
             skip_below: 10,
         },
-        MenciusMsg::GapRequest {
-            from_slot: 4,
+        MenciusMsg::CatchUp(CatchUp { from: 4, below: 10 }),
+        MenciusMsg::CatchUpReply(CatchUpReply::Runs {
+            from: 4,
             below: 10,
-        },
-        MenciusMsg::GapFill {
-            from_slot: 4,
-            below: 10,
-            cmds: vec![(7, write)],
-        },
-        MenciusMsg::StateRequest(StateTransferRequest { have: 10 }),
-        MenciusMsg::StateReply(StateTransferReply {
-            checkpoint: checkpoint.clone(),
+            runs: vec![(7, write)],
         }),
+        MenciusMsg::CatchUpReply(CatchUpReply::Snapshot(checkpoint.clone())),
         MenciusMsg::ReadProbe(ReadRequest { seq: 5 }),
         MenciusMsg::ReadMark {
             reply: ReadReply { seq: 5, mark: 9 },
@@ -847,20 +845,18 @@ const GOLDEN: &[(&str, &str)] = &[
     ("PaxosMsg::Promise", "0600000000000000060002000000000000000c000000000000000b00000002000000000000000c000000000000000600020100020000000400000000000000050101000000000000003300000002676b0002000000000000000d0000000000000006000200"),
     ("PaxosMsg::Nack", "0700000000000000080001"),
     ("PaxosMsg::Repair", "0800000000000000060002000000000000000c00000002000000000000000c000000000000000600020100020000000400000000000000050101000000000000003300000002676b0002000000000000000d0000000000000006000200"),
-    ("PaxosMsg::FillRequest", "09000000000000000c000000000000000e"),
-    ("PaxosMsg::Fill", "0a0000000000000006000200000002000000000000000c000000000000000600020100020000000400000000000000050101000000000000003300000002676b0002000000000000000d0000000000000006000200"),
-    ("PaxosMsg::StateRequest", "0b000000000000000a"),
-    ("PaxosMsg::StateReply", "0c000000000000000b000000000000000300000001000100000002736e00000002736500000000000000080001"),
+    ("PaxosMsg::CatchUp", "09000000000000000c000000000000000e"),
+    ("PaxosMsg::CatchUpReply", "0a0000000000000006000200000000000000000c000000000000000e00000002000000000000000c000000000000000600020100020000000400000000000000050101000000000000003300000002676b0002000000000000000d0000000000000006000200"),
+    ("PaxosMsg::CatchUpReply", "0a0000000000000008000101000000000000000b000000000000000300000001000100000002736e000000027365"),
     ("PaxosMsg::ReadProbe", "0d0000000000000005"),
     ("PaxosMsg::ReadMark", "0e0000000000000005000000000000000e"),
     ("PaxosMsg::PreVote", "0f00000000000000060002"),
     ("PaxosMsg::PreVoteGrant", "1000000000000000060002"),
     ("MenciusMsg::Propose", "000000000000000007000000020001000000070000000000000009000000000002706b00020000000400000000000000050101000000000000003300000002676b0001"),
     ("MenciusMsg::AcceptAck", "010000000000000007000000000000000a"),
-    ("MenciusMsg::GapRequest", "020000000000000004000000000000000a"),
-    ("MenciusMsg::GapFill", "030000000000000004000000000000000a0000000100000000000000070001000000070000000000000009000000000002706b"),
-    ("MenciusMsg::StateRequest", "04000000000000000a"),
-    ("MenciusMsg::StateReply", "05000000000000000b000000000000000300000001000100000002736e000000027365"),
+    ("MenciusMsg::CatchUp", "020000000000000004000000000000000a"),
+    ("MenciusMsg::CatchUpReply", "03000000000000000004000000000000000a0000000100000000000000070001000000070000000000000009000000000002706b"),
+    ("MenciusMsg::CatchUpReply", "0301000000000000000b000000000000000300000001000100000002736e000000027365"),
     ("MenciusMsg::ReadProbe", "060000000000000005"),
     ("MenciusMsg::ReadMark", "070000000000000005000000000000000900000003000000000000000900000000000000080000000000000007"),
     ("SynodMsg::Prepare", "0000000000000000060002"),

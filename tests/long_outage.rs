@@ -4,17 +4,19 @@
 //! Paxos replica could never refill its committed holes, and a Mencius
 //! peer whose holes an owner could no longer retransmit stalled forever.
 //! With the shared checkpoint subsystem (periodic snapshots + log
-//! compaction + peer-to-peer transfer, `rsm_core::checkpoint`), every
+//! compaction + the catch-up exchange, `rsm_core::checkpoint`), every
 //! protocol must bring the replica back to a state machine
 //! **byte-identical** to the never-crashed replicas, while compaction
 //! keeps every stable log bounded regardless of how many commands
-//! committed.
+//! committed — and the victim must actually have installed a snapshot,
+//! or the run never reached the regime it is named for.
 
 use clock_rsm::ClockRsmConfig;
 use harness::{run_latency, ExperimentConfig, ExperimentResult, ProtocolChoice};
 use rsm_core::checkpoint::CheckpointPolicy;
 use rsm_core::time::MILLIS;
 use rsm_core::LatencyMatrix;
+use rsm_obs::ObsConfig;
 
 /// The crashed replica (never 0 — that site hosts the clients).
 const VICTIM: u16 = 1;
@@ -46,6 +48,8 @@ fn outage_cfg(seed: u64) -> ExperimentConfig {
         // skips per-command records), so run the soak on snapshots and
         // log bounds rather than per-op traces.
         .record_ops(false)
+        // Counters only read back (observing never changes the run).
+        .observe(ObsConfig::all())
         .long_outage(VICTIM, DOWN_AT, UP_AT)
 }
 
@@ -64,6 +68,14 @@ fn assert_recovered(r: &ExperimentResult, seed: u64, min_site0_commits: u64) {
     assert!(
         r.commit_counts[VICTIM as usize] > 0,
         "{} seed {seed}: recovered replica never executed anything",
+        r.protocol
+    );
+    let metrics = r.metrics.as_ref().expect("observed run");
+    let installed = format!("r{VICTIM}.catchup.snapshots_installed");
+    let n = metrics.counters.get(&installed).copied().unwrap_or(0);
+    assert!(
+        n >= 1,
+        "{} seed {seed}: the victim recovered without installing a snapshot",
         r.protocol
     );
 }
@@ -109,15 +121,14 @@ fn paxos_recovers_committed_holes_via_checkpoint_transfer() {
 fn mencius_peer_down_past_compaction_rejoins_and_commits() {
     // While the victim is down, cluster execution stalls on its slots,
     // but client retries keep the site-0 owner proposing. On rejoin both
-    // catch-up paths run. The owner has not compacted since the stall,
-    // so its gap fill carries every proposal the victim missed, read
-    // from its log. Replica 2 proposes nothing, but once the victim's
-    // promise lets execution resume it checkpoints and compacts every 32
-    // commands, while the victim confirms replica 2's slots one gap
+    // arms of the catch-up answer run. The owner has not compacted since
+    // the stall, so its runs carry every proposal the victim missed,
+    // read from its log. Replica 2 proposes nothing, but once the
+    // victim's promise lets execution resume it checkpoints and compacts
+    // every 32 commands, while the victim confirms replica 2's slots one
     // request at a time. A request reaching below replica 2's newest
-    // checkpoint comes back clamped at its watermark, and the victim
-    // fetches a checkpoint — before checkpoint transfer existed, such a
-    // hole stalled it forever.
+    // checkpoint is answered with replica 2's snapshot — before
+    // checkpoint transfer existed, such a hole stalled it forever.
     for seed in [21u64, 22, 23] {
         let r = run_latency(ProtocolChoice::mencius(), &outage_cfg(seed));
         // Mencius commits only outside the outage window (the dead

@@ -480,7 +480,7 @@ fn digest_run<P: Protocol + 'static>(
 
 /// The digest of every protocol's execution under every condition of
 /// [`digest_run`]; see [`executions_match_the_pinned_digest`].
-const PINNED_DIGEST: u64 = 0x7ef0_944c_4cbd_7504;
+const PINNED_DIGEST: u64 = 0x4e04_5141_a76c_0306;
 
 /// Each of the 24 runs behind [`PINNED_DIGEST`] hashed on its own, in
 /// run order: protocol, condition, digest. Pinned with it, so a moved
@@ -492,7 +492,7 @@ const PINNED_RUNS: [(&str, &str, u64); 24] = [
     ("Mencius-bcast", "fault-free", 0x0c7a_9fa1_b3cf_d6e3),
     ("Clock-RSM", "crash and recover", 0x69dc_4390_5660_105b),
     ("Paxos", "crash and recover", 0xf65a_f709_b2ed_9e6f),
-    ("Paxos-bcast", "crash and recover", 0x7686_db89_16c8_f202),
+    ("Paxos-bcast", "crash and recover", 0x0ebc_7957_8939_4ed8),
     ("Mencius-bcast", "crash and recover", 0xf330_3e9d_3540_9b2e),
     ("Clock-RSM", "partition and heal", 0x8d87_a675_eee8_5aa3),
     ("Paxos", "partition and heal", 0xbd06_4a57_613a_3630),
