@@ -145,7 +145,7 @@ pub fn experiment_config(s: &Schedule) -> ExperimentConfig {
         cfg = cfg.batch(BatchPolicy::max(k.batch_max));
     }
     if k.checkpoint_every > 0 {
-        cfg = cfg.checkpoint(CheckpointPolicy::every(k.checkpoint_every).with_compaction(true));
+        cfg = cfg.checkpoint(CheckpointPolicy::every(k.checkpoint_every));
     }
     if k.session_window > 0 {
         cfg = cfg.session_window(k.session_window);

@@ -33,13 +33,11 @@ pub struct ClockRsmConfig {
     /// Retry interval for suspend collection and state transfer.
     pub reconfig_retry_us: Micros,
     /// Checkpoint policy (shared subsystem, `rsm_core::checkpoint`):
-    /// write a state machine checkpoint to the log every N commits so
-    /// recovery restores the snapshot instead of replaying the whole log
-    /// (Section V-B), optionally compacting the log below the checkpoint
-    /// watermark. Compaction works in every configuration: a SUSPEND or
-    /// RETRIEVECMDS asking from below a compacted log's watermark is
-    /// answered with a snapshot. Requires a driver with snapshot support
-    /// (both the simulator and the threaded runtime provide it).
+    /// every N commits, compact the log to a state machine checkpoint and
+    /// the runs still pending above it, so recovery restores the snapshot
+    /// instead of replaying the whole log (Section V-B). A SUSPEND or
+    /// RETRIEVECMDS asking from below the checkpoint is answered with a
+    /// snapshot.
     pub checkpoint: CheckpointPolicy,
     /// Bound on the client-session dedup window
     /// (`rsm_core::session::SessionTable`): how many distinct clients can

@@ -59,11 +59,13 @@ pub enum LogRec {
     /// process"), in the shared [`rsm_core::checkpoint`] shape. The
     /// applied watermark is **inclusive**: every command with a timestamp
     /// ≤ `applied` is reflected in the snapshot. Recovery restores the
-    /// snapshot and skips re-executing everything at or below it. A log
-    /// that *starts* with one was compacted (or installed from a peer),
-    /// so it answers SUSPEND and RETRIEVE only from `applied` up.
+    /// snapshot and skips re-executing everything at or below it. Every
+    /// checkpoint compacts, so one only ever stands at the head of a log,
+    /// which then answers SUSPEND and RETRIEVE only from `applied` up.
     Checkpoint(Checkpoint<Timestamp>),
 }
+
+rsm_core::checkpoint_record!(LogRec, Timestamp);
 
 pub(crate) type Logged = BTreeMap<Timestamp, LoggedCmd>;
 

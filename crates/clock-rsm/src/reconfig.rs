@@ -40,7 +40,7 @@ use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
 use paxos::synod::{SynodInstance, SynodMsg};
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::Checkpoint;
+use rsm_core::checkpoint::{log_head, Checkpoint};
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
 use rsm_core::protocol::Context;
@@ -48,7 +48,7 @@ use rsm_core::time::Timestamp;
 
 use crate::log::{logged_in, LogRec, Logged};
 use crate::msg::{Decision, LoggedCmd, RsmMsg};
-use crate::replica::{order_key, ClockRsm, TOKEN_RECONFIG_RETRY, TOKEN_SYNOD_RETRY};
+use crate::replica::{live_runs, order_key, ClockRsm, TOKEN_RECONFIG_RETRY, TOKEN_SYNOD_RETRY};
 
 /// Where a replica currently stands in the reconfiguration protocol.
 #[derive(Debug)]
@@ -555,10 +555,7 @@ impl ClockRsm {
         ctx: &mut dyn Context<Self>,
         reply: impl FnOnce(Logged) -> RsmMsg,
     ) {
-        let held = match ctx.stable_log().first() {
-            Some(LogRec::Checkpoint(cp)) => cp.applied,
-            _ => Timestamp::ZERO,
-        };
+        let held = log_head(ctx.stable_log()).map_or(Timestamp::ZERO, |cp| cp.applied);
         let (at, epoch, cfg) = (self.last_committed, self.epoch(), self.membership.config());
         let logged = |ctx: &mut dyn Context<Self>| {
             reply(logged_in(ctx.stable_log(), (Excluded(after), upto)))
@@ -572,10 +569,10 @@ impl ClockRsm {
     }
 
     /// Requester side of a snapshot answer (Section V-B state transfer,
-    /// through the shared executor): install it, rewrite the log around
-    /// it, and ask again from the new commit point. The replica stays
-    /// frozen until a decision applies and clears the pending commands
-    /// the snapshot covers. A checkpoint of a later epoch installs that
+    /// through the shared executor): install it — the executor compacts
+    /// the log to it and the pending runs — and ask again from the new
+    /// commit point. The replica stays frozen until a decision applies
+    /// and clears the pending commands the snapshot covers. A checkpoint of a later epoch installs that
     /// epoch as an empty decision would: every decision up to it is
     /// inside the snapshot.
     pub(crate) fn handle_state_reply(
@@ -587,13 +584,13 @@ impl ClockRsm {
             self.reconfig.phase,
             Phase::Idle | Phase::AwaitingDecision { .. }
         );
-        if !waiting || cp.applied <= self.last_committed || !self.exec.install_caught_up(&cp, ctx) {
-            return; // stale, or the driver cannot install snapshots
+        let (epoch, config, cts) = (cp.epoch, cp.config.clone(), cp.applied);
+        let (stale, live) = (cts <= self.last_committed, live_runs(&self.pending));
+        if !waiting || stale || !self.exec.install_caught_up(cp, ctx, live) {
+            return; // stale, or not a snapshot of our state machine
         }
         self.freeze(ctx);
-        self.last_committed = cp.applied;
-        let (epoch, config, cts) = (cp.epoch, cp.config.clone(), cp.applied);
-        self.rewrite_log(cp, ctx);
+        self.last_committed = cts;
         if epoch > self.epoch() {
             self.reconfig.rejoin_proposal = None;
             let decision = Decision {

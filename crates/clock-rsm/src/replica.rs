@@ -3,7 +3,6 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::Checkpoint;
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
 use rsm_core::exec::{Executor, ReadFront};
@@ -615,41 +614,13 @@ impl ClockRsm {
         stable
     }
 
-    /// Writes a checkpoint record when the policy says one is due and the
-    /// driver supports state machine snapshots; with compaction enabled
-    /// the stable log is rewritten around it ([`Self::rewrite_log`]).
+    /// Checkpoints when the policy says one is due: the executor
+    /// compacts the stable log to the checkpoint and [`live_runs`].
     pub(crate) fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
-        let Some(cp) = self.exec.checkpoint_if_due(
-            self.last_committed,
-            self.membership.epoch(),
-            self.membership.config(),
-            ctx,
-        ) else {
-            return;
-        };
-        if self.exec.compacts() {
-            self.rewrite_log(cp, ctx);
-        } else {
-            ctx.log_append(LogRec::Checkpoint(cp));
-        }
-    }
-
-    /// Rewrites the stable log to `cp` plus the records still live above
-    /// its watermark — the pending runs, whole: commit marks at or below
-    /// the checkpoint are skipped on replay, so a run's committed prefix
-    /// is inert there. Any other command logged above the watermark was
-    /// dropped by line 15, and the epoch and configuration travel inside
-    /// the checkpoint.
-    pub(crate) fn rewrite_log(&self, cp: Checkpoint<Timestamp>, ctx: &mut dyn Context<Self>) {
-        let mut recs = vec![LogRec::Checkpoint(cp)];
-        for Run { head, cmds, .. } in self.pending.iter().flatten() {
-            recs.push(LogRec::PrepareBatch {
-                head: *head,
-                origin: head.replica(),
-                cmds: cmds.clone(),
-            });
-        }
-        ctx.log_rewrite(recs);
+        let (epoch, config) = (self.membership.epoch(), self.membership.config());
+        let live = live_runs(&self.pending);
+        self.exec
+            .checkpoint_if_due(self.last_committed, epoch, config, ctx, live);
     }
 
     // ------------------------------------------------------------------
@@ -939,17 +910,10 @@ impl Protocol for ClockRsm {
     }
 
     fn on_recover(&mut self, log: &[LogRec], ctx: &mut dyn Context<Self>) {
-        // Checkpoint fast path (Section V-B): restore the most recent
-        // snapshot and skip re-executing everything at or below its
-        // timestamp. Falls back to a full replay when the driver cannot
-        // restore snapshots (sound only while the log is uncompacted —
-        // compaction requires install support, which both in-tree
-        // drivers provide).
-        let newest = log.iter().rev().find_map(|rec| match rec {
-            LogRec::Checkpoint(cp) => Some(cp),
-            _ => None,
-        });
-        if let Some(cp) = newest.filter(|cp| self.exec.install(cp, ctx)) {
+        // Checkpoint fast path (Section V-B): restore the snapshot at the
+        // log's head and skip re-executing everything at or below its
+        // timestamp.
+        if let Some(cp) = self.exec.recover(log, ctx) {
             self.last_committed = cp.applied;
             // A compacted log may hold no Epoch records below the
             // checkpoint; the checkpoint itself pins the membership it
@@ -1009,6 +973,19 @@ impl Protocol for ClockRsm {
         // the decision (paper, Claim 3); the rest are discarded.
         self.needs_rejoin = true;
     }
+}
+
+/// The records a compaction keeps above a checkpoint: the pending runs,
+/// whole — commit marks at or below the checkpoint are skipped on
+/// replay, so a run's committed prefix is inert there. Any other command
+/// logged above the watermark was dropped by line 15, and the epoch and
+/// configuration travel inside the checkpoint.
+pub(crate) fn live_runs(pending: &[VecDeque<Run>]) -> impl Iterator<Item = LogRec> + '_ {
+    pending.iter().flatten().map(|run| LogRec::PrepareBatch {
+        head: run.head,
+        origin: run.head.replica(),
+        cmds: run.cmds.clone(),
+    })
 }
 
 #[cfg(test)]

@@ -80,25 +80,32 @@ fn checkpoints(s: &Script<ClockRsm>) -> Vec<&Checkpoint<Timestamp>> {
 #[test]
 fn checkpoints_are_written_at_the_interval() {
     let mut s = script(replica(CheckpointPolicy::every(3)));
-    commit_n(&mut s, 7);
-    let checkpoints = checkpoints(&s);
-    assert_eq!(
-        checkpoints.len(),
-        2,
-        "7 commits at interval 3 -> 2 checkpoints"
+    let head = |s: &Script<ClockRsm>| {
+        checkpoints(s)
+            .iter()
+            .map(|cp| cp.applied.micros())
+            .collect::<Vec<_>>()
+    };
+    commit_n(&mut s, 2);
+    assert!(
+        head(&s).is_empty(),
+        "2 commits at interval 3: no checkpoint"
     );
-    let cp = checkpoints[1];
+    commit_seqs(&mut s, 3..=3);
+    assert_eq!(head(&s), [30_000], "the third commit checkpoints");
+    commit_seqs(&mut s, 4..=7);
     assert_eq!(
-        cp.applied.micros(),
-        60_000,
-        "second checkpoint covers commit 6"
+        head(&s),
+        [60_000],
+        "the sixth replaces it at the log's head"
     );
-    assert_eq!(cp.snapshot.len(), 6 * 8);
+    assert!(matches!(&s.nodes[0].log[0], LogRec::Checkpoint(_)));
+    assert_eq!(checkpoints(&s)[0].snapshot.len(), 6 * 8);
 }
 
 #[test]
 fn compaction_truncates_the_log_below_the_watermark() {
-    let policy = CheckpointPolicy::every(3).with_compaction(true);
+    let policy = CheckpointPolicy::every(3);
     let mut s = script(replica(policy));
     commit_n(&mut s, 7);
     // The last compaction ran at commit 6: the log holds that checkpoint
@@ -162,16 +169,17 @@ fn crashing_more_often_than_the_interval_still_checkpoints() {
     );
 }
 
+/// The log holds nothing below its head checkpoint, so a state machine
+/// that cannot restore it cannot recover: the replica refuses, by name,
+/// instead of replaying the suffix onto an empty state machine.
 #[test]
-fn recovery_without_snapshot_support_replays_everything() {
-    // The state machine cannot restore snapshots: full replay.
+#[should_panic(expected = "cannot restore the checkpoint at the head of its own log")]
+fn a_checkpoint_the_state_machine_cannot_restore_refuses_recovery() {
     let mut s = script(replica(CheckpointPolicy::every(3)));
     s.nodes[0].sm = Box::new(ApplyOnly::default());
     commit_n(&mut s, 7);
-    assert_eq!(checkpoints(&s).len(), 2, "checkpoints are still written");
+    assert_eq!(checkpoints(&s).len(), 1, "the log starts with a checkpoint");
     s.restart(0, replica(CheckpointPolicy::every(3)));
-    assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
-    assert_eq!(s[0].executed.len(), 7);
 }
 
 #[test]
@@ -182,54 +190,47 @@ fn no_checkpoints_without_configuration() {
 }
 
 /// A run cut mid-way by acks, with a checkpoint landing inside it: a
-/// replica that crashes there recovers the uncrashed replica's state,
-/// commit count and order keys, whether it restores the checkpoint (from
-/// a compacted log or not) or replays the whole log.
+/// replica that crashes there restores the checkpoint from its compacted
+/// log and recovers the uncrashed replica's state, commit count and
+/// order keys.
 #[test]
 fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
-    for (compact, snapshots) in [(false, true), (true, true), (false, false)] {
-        let policy = CheckpointPolicy::every(3).with_compaction(compact);
-        let mut s = script(replica(policy));
-        if !snapshots {
-            s.nodes[0].sm = Box::new(ApplyOnly::default());
-        }
-        let head = Timestamp::new(10_000, r(0));
-        let prepare = RsmMsg::PrepareBatch {
+    let policy = CheckpointPolicy::every(3);
+    let mut s = script(replica(policy));
+    let head = Timestamp::new(10_000, r(0));
+    let prepare = RsmMsg::PrepareBatch {
+        epoch: Epoch::ZERO,
+        ts: head,
+        origin: r(0),
+        cmds: Batch::new((1..=8).map(cmd).collect()),
+    };
+    s.on(0, |p, ctx| p.on_message(r(0), prepare, ctx));
+    // Acks cover five of the eight commands; every clock passes all.
+    for k in 0..3u16 {
+        let ok = RsmMsg::PrepareOk {
             epoch: Epoch::ZERO,
-            ts: head,
-            origin: r(0),
-            cmds: Batch::new((1..=8).map(cmd).collect()),
+            up_to: Timestamp::new(10_004, r(0)),
+            clock_ts: Timestamp::new(20_000 + k as u64, r(k)),
         };
-        s.on(0, |p, ctx| p.on_message(r(0), prepare, ctx));
-        // Acks cover five of the eight commands; every clock passes all.
-        for k in 0..3u16 {
-            let ok = RsmMsg::PrepareOk {
-                epoch: Epoch::ZERO,
-                up_to: Timestamp::new(10_004, r(0)),
-                clock_ts: Timestamp::new(20_000 + k as u64, r(k)),
-            };
-            s.on(0, |p, ctx| p.on_message(r(k), ok, ctx));
-        }
-        let applied = s.applied(0);
-        assert_eq!(applied, vec![1, 2, 3, 4, 5]);
-        let p = &s.nodes[0].proto;
-        assert_eq!(p.pending_count(), 3, "the run is cut after five");
-        let (committed, last) = (p.committed_count(), p.last_committed_ts());
-        let checkpoint_at = checkpoints(&s).first().map(|cp| cp.applied.micros());
-        assert_eq!(checkpoint_at, Some(10_002), "the checkpoint is mid-run");
-        let keys = |s: &Script<ClockRsm>| -> Vec<u64> {
-            s[0].executed.iter().map(|c| c.order_hint).collect()
-        };
-        let live_keys = keys(&s);
-
-        s.restart(0, replica(policy));
-        assert_eq!(s.applied(0), applied, "compact={compact}");
-        let p = &s.nodes[0].proto;
-        let restored = if snapshots { 3 } else { 0 };
-        assert_eq!(p.committed_count() + restored, committed);
-        assert_eq!(p.last_committed_ts(), last);
-        assert_eq!(keys(&s), live_keys[restored as usize..]);
+        s.on(0, |p, ctx| p.on_message(r(k), ok, ctx));
     }
+    let applied = s.applied(0);
+    assert_eq!(applied, vec![1, 2, 3, 4, 5]);
+    let p = &s.nodes[0].proto;
+    assert_eq!(p.pending_count(), 3, "the run is cut after five");
+    let (committed, last) = (p.committed_count(), p.last_committed_ts());
+    let checkpoint_at = checkpoints(&s).first().map(|cp| cp.applied.micros());
+    assert_eq!(checkpoint_at, Some(10_002), "the checkpoint is mid-run");
+    let keys =
+        |s: &Script<ClockRsm>| -> Vec<u64> { s[0].executed.iter().map(|c| c.order_hint).collect() };
+    let live_keys = keys(&s);
+
+    s.restart(0, replica(policy));
+    assert_eq!(s.applied(0), applied);
+    let p = &s.nodes[0].proto;
+    assert_eq!(p.committed_count() + 3, committed, "three were restored");
+    assert_eq!(p.last_committed_ts(), last);
+    assert_eq!(keys(&s), live_keys[3..]);
 }
 
 /// A compacted log cannot answer a SUSPEND from below its checkpoint:
@@ -239,7 +240,7 @@ fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
 /// again from its new commit point.
 #[test]
 fn a_suspend_below_a_compacted_log_is_answered_with_a_snapshot() {
-    let mut s = script(replica(CheckpointPolicy::every(4).with_compaction(true)));
+    let mut s = script(replica(CheckpointPolicy::every(4)));
     commit_n(&mut s, 10);
     assert!(matches!(&s.nodes[0].log[0], LogRec::Checkpoint(cp) if cp.applied.micros() == 80_000));
     let suspend = |cts| RsmMsg::Suspend {

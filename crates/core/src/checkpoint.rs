@@ -6,12 +6,15 @@
 //! pieces:
 //!
 //! * [`CheckpointPolicy`] / [`Checkpointer`] — *when* to checkpoint: every
-//!   N applied commands, optionally followed by **log compaction**
-//!   (truncating log records at or below the checkpoint watermark).
+//!   N applied commands. Every checkpoint **compacts**: the stable log is
+//!   rewritten to the checkpoint followed by the records still live above
+//!   its watermark, so a log is always its checkpoint (at its head, read
+//!   by [`log_head`]) plus what lies above it.
 //! * [`Checkpoint`] — *what* a checkpoint is: a canonical state machine
 //!   snapshot plus the **applied watermark** (the protocol's own ordering
 //!   coordinate — a Clock-RSM timestamp, a Paxos instance, a Mencius
-//!   slot), and the epoch/configuration it was taken in.
+//!   slot), and the epoch/configuration it was taken in. A protocol's log
+//!   record type carries one through [`CheckpointRecord`].
 //! * [`CatchUp`] / [`CatchUpReply`] — the one catch-up exchange (paper
 //!   Section V-B: fetch what was missed, or install a checkpoint if the
 //!   log was compacted). A replica that cannot make execution progress
@@ -23,11 +26,11 @@
 //!   the installed watermark.
 //!
 //! The mechanism itself — counting applied commands, taking the
-//! snapshot, building, serving and installing a [`Checkpoint`], and the
-//! catch-up answer rule and request pacing — is
-//! [`exec::Executor`](crate::exec::Executor)'s; protocols decide only
-//! what their log keeps around a checkpoint record and what runs they
-//! serve.
+//! snapshot, writing the checkpoint-headed log, restoring it on recovery,
+//! serving and installing a [`Checkpoint`], and the catch-up answer rule
+//! and request pacing — is [`exec::Executor`](crate::exec::Executor)'s;
+//! protocols say only which of their records are still live above a
+//! watermark and what runs they serve.
 //!
 //! # Watermark and epoch invariants
 //!
@@ -67,35 +70,28 @@ use crate::wire::{WireSize, MSG_HEADER_BYTES};
 
 /// When a replica writes a checkpoint: every so many applied commands.
 ///
-/// `compact` additionally truncates the stable log at checkpoint time,
-/// keeping only the checkpoint record and the records still above its
-/// watermark — this is what bounds replica memory (and recovery time)
-/// under long runs. Compaction assumes the recovering driver can restore
-/// snapshots ([`Context::sm_install`](crate::protocol::Context::sm_install)
-/// returns `true`); both in-tree drivers can.
+/// Every checkpoint compacts the stable log to the checkpoint record
+/// followed by the records still live above its watermark — this is
+/// what bounds replica memory (and recovery time) under long runs.
 ///
 /// # Examples
 ///
 /// ```
 /// use rsm_core::CheckpointPolicy;
-/// let p = CheckpointPolicy::every(64).with_compaction(true);
-/// assert!(p.enabled() && p.compact);
+/// let p = CheckpointPolicy::every(64);
+/// assert!(p.enabled() && p.every_commits == Some(64));
 /// assert!(!CheckpointPolicy::DISABLED.enabled());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint every this many applied commands (`None` = never).
     pub every_commits: Option<u64>,
-    /// Truncate the stable log at or below the watermark when a
-    /// checkpoint is written or installed.
-    pub compact: bool,
 }
 
 impl CheckpointPolicy {
     /// Checkpointing off: recovery replays the whole log.
     pub const DISABLED: CheckpointPolicy = CheckpointPolicy {
         every_commits: None,
-        compact: false,
     };
 
     /// Checkpoint every `n` applied commands.
@@ -107,25 +103,20 @@ impl CheckpointPolicy {
         assert!(n > 0, "checkpoint interval must be positive");
         CheckpointPolicy {
             every_commits: Some(n),
-            ..CheckpointPolicy::DISABLED
         }
     }
 
-    /// Enables or disables log compaction at checkpoint time.
-    pub fn with_compaction(mut self, on: bool) -> Self {
-        self.compact = on;
+    /// The policy itself: every checkpoint compacts the log, so `true`
+    /// changes nothing (callers that still pass it compile), and `false`
+    /// panics.
+    pub fn with_compaction(self, on: bool) -> Self {
+        assert!(on, "every checkpoint compacts the log");
         self
     }
 
     /// Whether checkpoints are taken at all.
     pub fn enabled(&self) -> bool {
         self.every_commits.is_some()
-    }
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy::DISABLED
     }
 }
 
@@ -136,9 +127,7 @@ impl Default for CheckpointPolicy {
 /// directly: [`execute`](crate::exec::Executor::execute) counts every
 /// applied command — live or replayed on recovery — and
 /// [`checkpoint_if_due`](crate::exec::Executor::checkpoint_if_due)
-/// resets the count only once a snapshot was actually taken. Until
-/// then [`due`](Checkpointer::due) keeps answering `true`, so a driver
-/// without snapshot support simply never resets it.
+/// resets the count when it writes the checkpoint.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     policy: CheckpointPolicy,
@@ -154,16 +143,9 @@ impl Checkpointer {
         }
     }
 
-    /// The policy this tracker enforces.
-    pub fn policy(&self) -> CheckpointPolicy {
-        self.policy
-    }
-
     /// Records one applied command.
     pub fn note_commit(&mut self) {
-        if self.policy.enabled() {
-            self.commits_since += 1;
-        }
+        self.commits_since += 1;
     }
 
     /// Whether a checkpoint is due under the policy.
@@ -173,7 +155,7 @@ impl Checkpointer {
             .is_some_and(|n| self.commits_since >= n)
     }
 
-    /// Resets the count after a checkpoint was durably written.
+    /// Resets the count: a checkpoint was written.
     pub fn taken(&mut self) {
         self.commits_since = 0;
     }
@@ -227,6 +209,44 @@ impl<W> WireSize for Checkpoint<W> {
         // session table.
         8 + 8 + 2 * self.config.len() + 4 + self.snapshot.len() + 4 + self.sessions.len()
     }
+}
+
+/// A protocol's log record type, whose `Checkpoint` variant only ever
+/// heads a log: [`Executor`](crate::exec::Executor) writes it there and
+/// [`log_head`] reads it back.
+/// [`checkpoint_record!`](crate::checkpoint_record) implements it.
+pub trait CheckpointRecord<W>: Sized {
+    /// `cp` as a log record.
+    fn from_checkpoint(cp: Checkpoint<W>) -> Self;
+
+    /// The checkpoint this record holds, if it is one.
+    fn as_checkpoint(&self) -> Option<&Checkpoint<W>>;
+}
+
+/// Implements [`CheckpointRecord<$w>`](CheckpointRecord) for the log
+/// record enum `$rec`, whose `Checkpoint` variant holds the checkpoint.
+#[macro_export]
+macro_rules! checkpoint_record {
+    ($rec:ident, $w:ty) => {
+        impl $crate::checkpoint::CheckpointRecord<$w> for $rec {
+            fn from_checkpoint(cp: $crate::checkpoint::Checkpoint<$w>) -> Self {
+                $rec::Checkpoint(cp)
+            }
+            fn as_checkpoint(&self) -> Option<&$crate::checkpoint::Checkpoint<$w>> {
+                match self {
+                    $rec::Checkpoint(cp) => Some(cp),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+/// The checkpoint at the head of `log`, if it has one: what a recovering
+/// replica restores, and the watermark below which the log holds no
+/// runs to serve.
+pub fn log_head<W, R: CheckpointRecord<W>>(log: &[R]) -> Option<&Checkpoint<W>> {
+    log.first()?.as_checkpoint()
 }
 
 crate::wire_table! {
@@ -317,7 +337,7 @@ mod tests {
         assert!(!c.due());
         c.note_commit();
         assert!(c.due());
-        // Stays due until taken (driver may lack snapshot support).
+        // Stays due until taken.
         c.note_commit();
         assert!(c.due());
         c.taken();
@@ -328,6 +348,14 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_interval_rejected() {
         let _ = CheckpointPolicy::every(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "every checkpoint compacts")]
+    fn an_uncompacting_policy_is_refused() {
+        let p = CheckpointPolicy::every(4);
+        assert_eq!(p.with_compaction(true), p);
+        let _ = p.with_compaction(false);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! plus both ends of the one catch-up exchange
 //! ([`CatchUp`]/[`CatchUpReply`](crate::checkpoint::CatchUpReply)). A
 //! protocol owns one [`Executor`] keyed by its ordering coordinate `W`
-//! and keeps only its ordering logic, its log record shapes, its
-//! compaction (what a rewritten log must retain is ordering state) and
+//! and keeps only its ordering logic, its log record shapes, which of
+//! its records are live above a checkpoint (the executor writes the log
+//! as that checkpoint followed by them, and recovers from its head) and
 //! the runs it serves.
 //!
 //! The catch-up answer rule is written once, in
@@ -22,15 +23,20 @@
 //!
 //! The executor is the one place that calls
 //! [`SessionTable::commit_dedup`], the [`Checkpointer`] count,
-//! [`Context::sm_snapshot`], [`Context::sm_install`], and the
+//! [`Context::sm_snapshot`], [`Context::sm_install`],
+//! [`Context::log_rewrite`], and the
 //! [`Context::sm_read`] → [`Context::send_reply`] release step, so a fix
 //! to any of them lands for every protocol at once — including recovery
 //! replay, which feeds the checkpoint trigger exactly like live
 //! execution (a replica that crashes more often than the checkpoint
 //! interval still checkpoints and compacts).
 
+use std::iter::once;
+
 use crate::batch::Batch;
-use crate::checkpoint::{CatchUp, Checkpoint, CheckpointPolicy, Checkpointer};
+use crate::checkpoint::{
+    log_head, CatchUp, Checkpoint, CheckpointPolicy, CheckpointRecord, Checkpointer,
+};
 use crate::command::{Command, Committed, Reply};
 use crate::config::Epoch;
 use crate::id::ReplicaId;
@@ -110,11 +116,6 @@ impl<W: Ord + Copy, A> Executor<W, A> {
         self.sessions.set_canary_skip_dedup(on);
     }
 
-    /// Whether the policy asks for log compaction at checkpoint time.
-    pub fn compacts(&self) -> bool {
-        self.checkpointer.policy().compact
-    }
-
     /// Executes one ordered command — live or replayed from the log —
     /// through the dedup window: a fresh write (or any read-only command)
     /// reaches the state machine and counts toward the checkpoint
@@ -139,41 +140,42 @@ impl<W: Ord + Copy, A> Executor<W, A> {
         applied
     }
 
-    /// A checkpoint of the live state machine at watermark `applied`, or
-    /// `None` when the driver has no snapshot support.
+    /// A checkpoint of the live state machine at watermark `applied`.
     fn snapshot<P: Protocol + ?Sized>(
         &self,
         applied: W,
         epoch: Epoch,
         config: &[ReplicaId],
         ctx: &mut dyn Context<P>,
-    ) -> Option<Checkpoint<W>> {
-        Some(Checkpoint {
+    ) -> Checkpoint<W> {
+        Checkpoint {
             applied,
             epoch,
             config: config.to_vec(),
-            snapshot: ctx.sm_snapshot()?,
+            snapshot: ctx.sm_snapshot(),
             sessions: self.sessions.export(),
-        })
+        }
     }
 
-    /// The checkpoint to write when the policy says one is due. Stays due
-    /// (and returns `None`) on a driver without snapshot support, whose
-    /// recovery is replay-only. The caller appends it to — or compacts
-    /// its log around — the returned record.
-    pub fn checkpoint_if_due<P: Protocol + ?Sized>(
+    /// When the policy says a checkpoint is due, takes one at watermark
+    /// `applied` and compacts the stable log to it followed by `live`,
+    /// the protocol's records still live above the watermark (consumed
+    /// only then). Returns whether it did.
+    pub fn checkpoint_if_due<P: Protocol<LogRec: CheckpointRecord<W>> + ?Sized>(
         &mut self,
         applied: W,
         epoch: Epoch,
         config: &[ReplicaId],
         ctx: &mut dyn Context<P>,
-    ) -> Option<Checkpoint<W>> {
+        live: impl IntoIterator<Item = P::LogRec>,
+    ) -> bool {
         if !self.checkpointer.due() {
-            return None;
+            return false;
         }
-        let cp = self.snapshot(applied, epoch, config, ctx)?;
+        let cp = self.snapshot(applied, epoch, config, ctx);
         self.checkpointer.taken();
-        Some(cp)
+        ctx.log_rewrite(once(P::LogRec::from_checkpoint(cp)).chain(live).collect());
+        true
     }
 
     /// The one catch-up answer rule. `held` is the lowest coordinate whose
@@ -182,8 +184,8 @@ impl<W: Ord + Copy, A> Executor<W, A> {
     /// `held` gets the runs (`runs` builds them); one from below it gets
     /// a fresh snapshot of the prefix below `applied` — always coherent,
     /// never stale, no retained checkpoint needed — when that prefix
-    /// covers `from`; otherwise, or when the driver cannot snapshot,
-    /// nothing goes back (a peer that can will answer a later retry).
+    /// covers `from`; otherwise nothing goes back (a peer that can will
+    /// answer a later retry).
     #[allow(clippy::too_many_arguments)]
     pub fn answer_catch_up<P: Protocol + ?Sized, M: From<Checkpoint<W>>>(
         &self,
@@ -201,7 +203,7 @@ impl<W: Ord + Copy, A> Executor<W, A> {
         if applied <= from {
             return None;
         }
-        self.snapshot(applied, epoch, config, ctx).map(M::from)
+        Some(self.snapshot(applied, epoch, config, ctx).into())
     }
 
     /// Sends `req` (wrapped by `msg`) to `to`, or to the next peer in the
@@ -237,29 +239,50 @@ impl<W: Ord + Copy, A> Executor<W, A> {
         ctx.send(peer, msg(req));
     }
 
-    /// Installs a snapshot a catch-up brought back (see [`install`]).
-    ///
-    /// [`install`]: Executor::install
-    pub fn install_caught_up<P: Protocol + ?Sized>(
+    /// Installs a snapshot a catch-up brought back and compacts the
+    /// stable log to it followed by `live`, as
+    /// [`checkpoint_if_due`](Executor::checkpoint_if_due) does. Returns
+    /// false, with nothing changed, when the state machine refuses it: a
+    /// peer's bytes are input from outside.
+    pub fn install_caught_up<P: Protocol<LogRec: CheckpointRecord<W>> + ?Sized>(
         &mut self,
-        cp: &Checkpoint<W>,
+        cp: Checkpoint<W>,
         ctx: &mut dyn Context<P>,
+        live: impl IntoIterator<Item = P::LogRec>,
     ) -> bool {
-        let installed = self.install(cp, ctx);
-        if installed {
-            ctx.obs_count(names::CATCHUP_SNAPSHOTS_INSTALLED, 1);
+        if !self.install(&cp, ctx) {
+            return false;
         }
-        installed
+        ctx.obs_count(names::CATCHUP_SNAPSHOTS_INSTALLED, 1);
+        ctx.log_rewrite(once(P::LogRec::from_checkpoint(cp)).chain(live).collect());
+        true
     }
 
-    /// Restores the state machine and the dedup window from `cp` (a
-    /// recovered log's newest checkpoint, or a peer's snapshot). Returns
-    /// false, with nothing changed, when the driver cannot install
-    /// snapshots. The window travels with the snapshot so retries of
-    /// commands below the watermark stay recognised; a malformed frame
-    /// leaves it empty and replay above the watermark rebuilds what it
-    /// can.
-    pub fn install<P: Protocol + ?Sized>(
+    /// Restores the checkpoint at the head of a recovered `log`, if any,
+    /// and returns it: the protocol replays only what lies above it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state machine refuses the snapshot: the log holds
+    /// nothing below it to replay instead.
+    pub fn recover<'a, P: Protocol<LogRec: CheckpointRecord<W>> + ?Sized>(
+        &mut self,
+        log: &'a [P::LogRec],
+        ctx: &mut dyn Context<P>,
+    ) -> Option<&'a Checkpoint<W>> {
+        let cp = log_head(log)?;
+        assert!(
+            self.install(cp, ctx),
+            "cannot restore the checkpoint at the head of its own log"
+        );
+        Some(cp)
+    }
+
+    /// Restores the state machine and the dedup window from `cp`, unless
+    /// the state machine refuses it. The window travels with the snapshot
+    /// so retries below the watermark stay recognised; a malformed frame
+    /// leaves it empty and replay above the watermark rebuilds it.
+    fn install<P: Protocol + ?Sized>(
         &mut self,
         cp: &Checkpoint<W>,
         ctx: &mut dyn Context<P>,

@@ -63,8 +63,8 @@
 //!
 //! The [`checkpoint`] module (Section V-B of the paper) is shared by all
 //! protocols: a [`CheckpointPolicy`] schedules periodic state machine
-//! snapshots (every N commands), optionally compacting the
-//! stable log below the checkpoint watermark, and one catch-up exchange
+//! snapshots (every N commands), each compacting the stable log to the
+//! checkpoint and what is live above its watermark, and one catch-up exchange
 //! ([`CatchUp`]/[`CatchUpReply`]) lets a recovered replica fetch what it
 //! missed from a peer — the runs the peer still logs, or its checkpoint
 //! once it compacted them away — turning recovery from "sound only if the

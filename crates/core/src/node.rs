@@ -253,8 +253,8 @@ impl<P: Protocol, D: Driver<P>> Context<P> for NodeCtx<'_, P, D> {
         self.driver.set_timer(after, token);
     }
 
-    fn sm_snapshot(&mut self) -> Option<Bytes> {
-        Some(self.sm.snapshot())
+    fn sm_snapshot(&mut self) -> Bytes {
+        self.sm.snapshot()
     }
 
     fn sm_install(&mut self, snapshot: Bytes) -> bool {
@@ -559,10 +559,11 @@ impl StateMachine for Recorder {
     }
 }
 
-/// A [`Recorder`] that keeps [`StateMachine`]'s default `restore` and
-/// `query`: a state machine that can neither install a checkpoint nor
-/// serve a local read, so recovery replays the whole log and reads are
-/// replicated like writes.
+/// A [`Recorder`] that refuses every snapshot and keeps
+/// [`StateMachine`]'s default `query`: a state machine that can neither
+/// restore a checkpoint nor serve a local read, so reads are replicated
+/// like writes and a replica whose log starts with a checkpoint refuses
+/// to recover.
 #[derive(Debug, Default)]
 pub struct ApplyOnly(Recorder);
 
@@ -578,16 +579,17 @@ impl StateMachine for ApplyOnly {
     fn reset(&mut self) {
         self.0.reset();
     }
+
+    fn restore(&mut self, _snapshot: &[u8]) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointPolicy;
-    use crate::config::Epoch;
-    use crate::exec::Executor;
     use crate::id::ClientId;
-    use crate::protocol::tests::{Echo, RecordingCtx};
+    use crate::protocol::tests::Echo;
 
     fn r(i: u16) -> ReplicaId {
         ReplicaId::new(i)
@@ -830,20 +832,5 @@ mod tests {
         bare.apply(&cmd(1));
         assert!(!bare.restore(&bare.snapshot()));
         assert_eq!(bare.query(&read), None);
-    }
-
-    #[test]
-    fn a_checkpoint_stays_due_while_the_driver_cannot_snapshot() {
-        let mut exec: Executor<u64> = Executor::new(r(0), CheckpointPolicy::every(1), 4);
-        let mut snapshotless = RecordingCtx::default();
-        assert!(exec.execute(cmd(1), r(0), 1, &mut snapshotless));
-        let none = exec.checkpoint_if_due(1, Epoch::ZERO, &[r(0)], &mut snapshotless);
-        assert!(none.is_none(), "no snapshot support, no checkpoint");
-        // Still due: the first driver that can snapshot takes it.
-        let mut s = echoes(1);
-        let cp = s.on(0, |_, ctx| {
-            exec.checkpoint_if_due(1, Epoch::ZERO, &[r(0)], ctx)
-        });
-        assert_eq!(cp.map(|cp| cp.applied), Some(1));
     }
 }

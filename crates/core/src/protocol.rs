@@ -108,19 +108,23 @@ pub trait Context<P: Protocol + ?Sized> {
     /// delivering `token` to [`Protocol::on_timer`].
     fn set_timer(&mut self, after: Micros, token: TimerToken);
 
-    /// Takes a snapshot of the replicated state machine, if the driver
-    /// supports it. Used by protocols implementing checkpointing
-    /// (Section V-B of the paper); the default returns `None`, which
-    /// simply disables the optimization.
-    fn sm_snapshot(&mut self) -> Option<bytes::Bytes> {
-        None
+    /// Takes a snapshot of the replicated state machine: the body of
+    /// every checkpoint (Section V-B of the paper).
+    ///
+    /// # Panics
+    ///
+    /// The default panics, as [`stable_log`](Context::stable_log)'s does;
+    /// [`node`](crate::node)'s context, every in-tree driver's, does not.
+    fn sm_snapshot(&mut self) -> bytes::Bytes {
+        panic!("this driver keeps no state machine to snapshot")
     }
 
-    /// Restores the replicated state machine from a checkpoint snapshot
-    /// during recovery. Returns false (checkpoint ignored, full replay
-    /// required) when the driver does not support snapshots.
+    /// Restores the replicated state machine from a checkpoint snapshot:
+    /// the one heading a recovering replica's log, or a peer's. Returns
+    /// false, with nothing changed, when the state machine refuses the
+    /// bytes. The default panics, as `sm_snapshot`'s does.
     fn sm_install(&mut self, _snapshot: bytes::Bytes) -> bool {
-        false
+        panic!("this driver keeps no state machine to restore")
     }
 
     /// Executes a read-only command against the local state machine's
@@ -345,10 +349,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// A context on the trait's defaults (no snapshots, no local reads)
-    /// for the tests that drive `SessionTable`, `ReadProbes` and
-    /// `Executor` without a node. The node's context always offers both
-    /// halves, so only this one shows how the executor does without them.
+    /// A context on the trait's defaults (no readable log, no snapshots,
+    /// no local reads) for the tests that drive `SessionTable`,
+    /// `ReadProbes` and `Executor` without a node. The node's context
+    /// always offers all three, so only this one shows how the read path
+    /// does without local reads.
     #[derive(Default)]
     pub(crate) struct RecordingCtx {
         now: Micros,

@@ -32,6 +32,9 @@ use crate::command::Command;
 ///     fn reset(&mut self) {
 ///         self.0 = 0;
 ///     }
+///     fn restore(&mut self, snapshot: &[u8]) -> bool {
+///         snapshot.try_into().map(|b| self.0 = u64::from_be_bytes(b)).is_ok()
+///     }
 /// }
 ///
 /// let mut sm = ByteCounter::default();
@@ -55,12 +58,12 @@ pub trait StateMachine: Send {
     fn reset(&mut self);
 
     /// Restores the machine from a snapshot previously produced by
-    /// [`snapshot`](StateMachine::snapshot). Returns false when the
-    /// machine does not support restoration (the default), in which case
-    /// callers fall back to replaying the full command log.
-    fn restore(&mut self, _snapshot: &[u8]) -> bool {
-        false
-    }
+    /// [`snapshot`](StateMachine::snapshot): how a replica recovers from
+    /// the checkpoint at the head of its log, and installs a peer's.
+    /// Returns false, with nothing changed, for bytes that are no
+    /// snapshot of this machine. A replica refuses such a peer snapshot,
+    /// and refuses to recover from such a checkpoint of its own.
+    fn restore(&mut self, snapshot: &[u8]) -> bool;
 
     /// Executes `cmd` **read-only** against the current state, without
     /// mutating anything, returning the same result [`apply`] would.
@@ -99,6 +102,10 @@ mod tests {
         }
         fn reset(&mut self) {
             self.0.clear();
+        }
+        fn restore(&mut self, snapshot: &[u8]) -> bool {
+            self.0 = snapshot.to_vec();
+            true
         }
     }
 

@@ -3,14 +3,18 @@
 //! fresh write / a same-id retry / a stale id / a read-only command,
 //! `checkpoint_if_due`, park and release reads, and a twin that installs
 //! a transferred checkpoint mid-sequence — checked step by step against a
-//! small reference (applied-id list + newest-reply map + counter); and
-//! the catch-up exchange's answer rule and request pacing.
+//! small reference (applied-id list + newest-reply map + counter); the
+//! catch-up exchange's answer rule and request pacing; and recovery from
+//! the checkpoint-headed log the executor writes, against replay of the
+//! whole log.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rsm_core::checkpoint::{CatchUp, CatchUpReply, Checkpoint, CheckpointPolicy};
+use rsm_core::checkpoint::{
+    log_head, CatchUp, CatchUpReply, Checkpoint, CheckpointPolicy, CheckpointRecord,
+};
 use rsm_core::exec::{Executor, ReadFront, TRANSFER_RETRY_US};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::{Batch, ClientId, Command, CommandId, Committed, Epoch, Micros, ReplicaId, Reply};
@@ -24,9 +28,31 @@ struct Nop {
     replicated: Vec<Command>,
 }
 
+/// A record of the model replica's log: a command it ordered at a
+/// coordinate, the mark that executed the command at one, or the
+/// checkpoint at the log's head.
+#[derive(Debug, Clone)]
+enum Rec {
+    Accept(u64, Command, ReplicaId),
+    Commit(u64),
+    Checkpoint(Checkpoint<u64>),
+}
+
+impl CheckpointRecord<u64> for Rec {
+    fn from_checkpoint(cp: Checkpoint<u64>) -> Self {
+        Rec::Checkpoint(cp)
+    }
+    fn as_checkpoint(&self) -> Option<&Checkpoint<u64>> {
+        match self {
+            Rec::Checkpoint(cp) => Some(cp),
+            _ => None,
+        }
+    }
+}
+
 impl Protocol for Nop {
     type Msg = ();
-    type LogRec = ();
+    type LogRec = Rec;
     fn id(&self) -> ReplicaId {
         ME
     }
@@ -36,7 +62,7 @@ impl Protocol for Nop {
     }
     fn on_message(&mut self, _: ReplicaId, _: (), _: &mut dyn Context<Self>) {}
     fn on_timer(&mut self, _: TimerToken, _: &mut dyn Context<Self>) {}
-    fn on_recover(&mut self, _: &[()], _: &mut dyn Context<Self>) {}
+    fn on_recover(&mut self, _: &[Rec], _: &mut dyn Context<Self>) {}
 }
 
 impl ReadFront for Nop {
@@ -71,6 +97,7 @@ struct Sm {
     replies: Vec<Reply>,
     now: Micros,
     sent: Vec<ReplicaId>,
+    log: Vec<Rec>,
 }
 
 fn count(n: usize) -> Bytes {
@@ -84,20 +111,27 @@ impl Context<Nop> for Sm {
     fn send(&mut self, to: ReplicaId, _: ()) {
         self.sent.push(to);
     }
-    fn log_append(&mut self, _: ()) {}
-    fn log_rewrite(&mut self, _: Vec<()>) {}
+    fn log_append(&mut self, rec: Rec) {
+        self.log.push(rec);
+    }
+    fn log_rewrite(&mut self, recs: Vec<Rec>) {
+        self.log = recs;
+    }
+    fn stable_log(&self) -> &[Rec] {
+        &self.log
+    }
     fn commit(&mut self, c: Committed) -> Bytes {
         self.state.push(c.cmd.id);
         count(self.state.len())
     }
     fn set_timer(&mut self, _: Micros, _: TimerToken) {}
-    fn sm_snapshot(&mut self) -> Option<Bytes> {
+    fn sm_snapshot(&mut self) -> Bytes {
         let ids = self.state.iter();
-        Some(Bytes::from(
+        Bytes::from(
             ids.flat_map(|id| [id.client.number() as u64, id.seq])
                 .flat_map(u64::to_be_bytes)
                 .collect::<Vec<u8>>(),
-        ))
+        )
     }
     fn sm_install(&mut self, snapshot: Bytes) -> bool {
         let words: Vec<u64> = snapshot
@@ -270,6 +304,107 @@ fn catch_up_requests_are_paced_per_lane_and_rotate_without_a_target() {
     );
 }
 
+/// A replica of a small ordering protocol over the executor: it orders
+/// commands at consecutive coordinates as they arrive, executes them once
+/// its commit point passes them, and logs both. Under a checkpoint policy
+/// the executor compacts that log to its checkpoint and the commands
+/// still unexecuted; recovery restores the log's head and replays the
+/// marks above it, as the protocols do.
+struct Replica {
+    exec: Executor<u64>,
+    sm: Sm,
+    policy: CheckpointPolicy,
+    /// Ordered but not yet executed, by coordinate.
+    accepted: BTreeMap<u64, (Command, ReplicaId)>,
+    next: u64,
+    cursor: u64,
+}
+
+impl Replica {
+    fn new(policy: CheckpointPolicy) -> Self {
+        Replica {
+            exec: Executor::new(ME, policy, 64),
+            sm: Sm::default(),
+            policy,
+            accepted: BTreeMap::new(),
+            next: 0,
+            cursor: 0,
+        }
+    }
+
+    fn accept(&mut self, cmd: Command, origin: ReplicaId) {
+        self.sm
+            .log
+            .push(Rec::Accept(self.next, cmd.clone(), origin));
+        self.accepted.insert(self.next, (cmd, origin));
+        self.next += 1;
+    }
+
+    /// Executes up to `n` more ordered commands, checkpointing after each
+    /// one when due.
+    fn commit(&mut self, n: u64) {
+        for _ in 0..n.min(self.next - self.cursor) {
+            let c = self.cursor;
+            let Some((cmd, origin)) = self.accepted.remove(&c) else {
+                break; // the log lost the command ordered here
+            };
+            self.sm.log.push(Rec::Commit(c));
+            self.cursor += 1;
+            self.exec.execute(cmd, origin, c, &mut self.sm);
+            let live = self.accepted.range(self.cursor..);
+            let live = live.map(|(&at, (cmd, origin))| Rec::Accept(at, cmd.clone(), *origin));
+            self.exec
+                .checkpoint_if_due(self.cursor, Epoch::ZERO, &[ME], &mut self.sm, live);
+        }
+    }
+
+    /// Crashes and recovers from the stable log alone.
+    fn restart(&mut self) {
+        let log = std::mem::take(&mut self.sm.log);
+        let mut fresh = Replica::new(self.policy);
+        fresh.sm.log = log.clone();
+        let base = fresh
+            .exec
+            .recover(&log, &mut fresh.sm)
+            .map_or(0, |cp| cp.applied);
+        let mut marks = BTreeSet::new();
+        for rec in &log {
+            match rec {
+                Rec::Accept(at, cmd, origin) if *at >= base => {
+                    fresh.accepted.insert(*at, (cmd.clone(), *origin));
+                }
+                Rec::Commit(at) if *at >= base => {
+                    marks.insert(*at);
+                }
+                _ => {}
+            }
+        }
+        fresh.cursor = base;
+        while marks.remove(&fresh.cursor) {
+            let Some((cmd, origin)) = fresh.accepted.remove(&fresh.cursor) else {
+                break; // a mark without its command: the log lost it
+            };
+            fresh.exec.execute(cmd, origin, fresh.cursor, &mut fresh.sm);
+            fresh.cursor += 1;
+        }
+        fresh.next = fresh
+            .accepted
+            .keys()
+            .next_back()
+            .map_or(base, |&at| at + 1)
+            .max(fresh.cursor);
+        *self = fresh;
+    }
+
+    /// The applied sequence, and a snapshot of the state machine and the
+    /// session window at the commit point.
+    fn observed(&mut self) -> (Vec<CommandId>, Option<Checkpoint<u64>>) {
+        let at = self.cursor + 1;
+        let cp = snapshot(&self.exec, 0, at, &mut self.sm);
+        (self.sm.state.clone(), cp)
+    }
+}
+
 proptest! {
     #[test]
     fn executor_matches_the_reference_model(
@@ -291,10 +426,11 @@ proptest! {
         for (step, &(kind, client, arg)) in ops.iter().enumerate() {
             if step == transfer_at.min(ops.len() - 1) {
                 let at = model.applied.len() as u64;
-                let cp = snapshot(&nop.exec, 0, at + 1, &mut sm).expect("snapshots are supported");
+                let cp = snapshot(&nop.exec, 0, at + 1, &mut sm).expect("a snapshot answers");
                 prop_assert_eq!(cp.applied, at + 1);
                 prop_assert!(snapshot(&nop.exec, at + 1, at + 1, &mut sm).is_none());
-                prop_assert!(twin.install(&cp, &mut twin_sm));
+                prop_assert!(twin.install_caught_up(cp.clone(), &mut twin_sm, []));
+                prop_assert_eq!(log_head(&twin_sm.log), Some(&cp), "the install heads the log");
                 twin_live = true;
             }
             let origin = if arg % 2 == 0 { ME } else { ELSEWHERE };
@@ -328,12 +464,18 @@ proptest! {
                 6 => {
                     let due = model.since_checkpoint >= every;
                     let at = model.applied.len() as u64;
-                    let cp = nop.exec.checkpoint_if_due(at, Epoch(3), &config, &mut sm);
-                    prop_assert_eq!(cp.is_some(), due, "checkpoint exactly when the policy says");
-                    if let Some(cp) = cp {
+                    let live = [Rec::Commit(at)];
+                    let taken = nop.exec.checkpoint_if_due(at, Epoch(3), &config, &mut sm, live);
+                    prop_assert_eq!(taken, due, "checkpoint exactly when the policy says");
+                    if taken {
                         model.since_checkpoint = 0;
+                        let snapshot = sm.sm_snapshot();
+                        let Some(cp) = log_head(&sm.log) else {
+                            panic!("the checkpoint heads the log");
+                        };
                         prop_assert_eq!((cp.applied, cp.epoch, &cp.config[..]), (at, Epoch(3), &config[..]));
-                        prop_assert_eq!(Some(cp.snapshot), sm.sm_snapshot());
+                        prop_assert_eq!(&cp.snapshot, &snapshot);
+                        prop_assert!(matches!(sm.log[1..], [Rec::Commit(c)] if c == at), "then what is live");
                     }
                 }
                 7 => {
@@ -369,5 +511,45 @@ proptest! {
         let theirs = snapshot(&twin, 0, end, &mut twin_sm).expect("snapshot");
         prop_assert_eq!(ours.snapshot, theirs.snapshot);
         prop_assert_eq!(ours.sessions, theirs.sessions);
+    }
+
+    /// Compaction followed by replay equals replay alone: over random
+    /// checkpoint intervals and crash points, a replica recovered from
+    /// the executor-written `[checkpoint] ++ live` log applies the same
+    /// sequence, and holds the same snapshot and session window, as the
+    /// same run that never checkpoints and replays its whole log.
+    #[test]
+    fn recovery_from_a_compacted_log_equals_replay_of_the_whole_log(
+        ops in proptest::collection::vec((0u8..5, 0u32..4, 0u64..12), 1..120),
+        every in 1u64..6,
+    ) {
+        let mut compacted = Replica::new(CheckpointPolicy::every(every));
+        let mut whole = Replica::new(CheckpointPolicy::DISABLED);
+        let mut issued = [0u64; 4];
+        for &(kind, client, arg) in &ops {
+            let origin = if arg % 2 == 0 { ME } else { ELSEWHERE };
+            let slot = &mut issued[client as usize];
+            match kind {
+                // A fresh write, or a same-id retry of the client's newest.
+                0..=2 => {
+                    if kind < 2 || *slot == 0 {
+                        *slot += 1;
+                    }
+                    let cmd = Command::new(id(client, *slot), Bytes::from_static(b"w"));
+                    compacted.accept(cmd.clone(), origin);
+                    whole.accept(cmd, origin);
+                }
+                3 => {
+                    compacted.commit(arg % 5);
+                    whole.commit(arg % 5);
+                }
+                _ => {
+                    compacted.restart();
+                    whole.restart();
+                }
+            }
+            prop_assert!(log_head(&whole.sm.log).is_none());
+            prop_assert_eq!(compacted.observed(), whole.observed());
+        }
     }
 }

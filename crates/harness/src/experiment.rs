@@ -56,8 +56,8 @@ pub struct ExperimentConfig {
     /// the protocol as batches of up to `max_batch` commands.
     pub batch: BatchPolicy,
     /// Checkpoint policy applied to every replica (shared subsystem,
-    /// `rsm_core::checkpoint`): periodic snapshots, optional log
-    /// compaction, and — for recovered replicas facing holes nothing
+    /// `rsm_core::checkpoint`): periodic snapshots, each compacting the
+    /// log, and — for recovered replicas facing holes nothing
     /// retransmits — peer-to-peer checkpoint transfer. When enabled it
     /// overrides any protocol-level policy carried by the
     /// `ProtocolChoice`.
@@ -336,7 +336,7 @@ pub struct ExperimentResult {
     /// windows (e.g. while a crashed replica is being reconfigured out).
     pub commit_times: Vec<Vec<Micros>>,
     /// Per-replica stable log lengths at the end of the run. With
-    /// checkpoint compaction on, these stay bounded however many
+    /// checkpoints on, these stay bounded however many
     /// commands commit — the memory-bound claim of Section V-B.
     pub log_lens: Vec<usize>,
     /// CAS replies observed (0 in a sharded run, which rejects a CAS

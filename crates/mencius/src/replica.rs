@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{CatchUp, CatchUpReply, Checkpoint, CheckpointPolicy};
+use rsm_core::checkpoint::{log_head, CatchUp, CatchUpReply, Checkpoint, CheckpointPolicy};
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
 use rsm_core::exec::{Executor, ReadFront};
@@ -66,10 +66,30 @@ pub enum MenciusLogRec {
     /// A state machine checkpoint (shared subsystem,
     /// `rsm_core::checkpoint`) — the slot watermark, epoch/config and
     /// snapshot: the snapshot reflects every slot **below** the
-    /// (exclusive) applied watermark. A compacted log leads with one,
-    /// and this replica's own proposals below its watermark are no
-    /// longer in the log, so a catch-up from below it gets a snapshot.
+    /// (exclusive) applied watermark. Every checkpoint compacts, so the
+    /// log leads with it, and this replica's own proposals below its
+    /// watermark are no longer in the log: a catch-up from below it gets
+    /// a snapshot.
     Checkpoint(Checkpoint<u64>),
+}
+
+rsm_core::checkpoint_record!(MenciusLogRec, u64);
+
+/// The records a compaction keeps above a checkpoint at `applied`: the
+/// unresolved slots from `applied` up. Own proposals below the watermark
+/// leave the log with the rest: a peer still missing one is answered with
+/// a snapshot instead (see [`MenciusBcast::on_catch_up`]).
+fn live_records(
+    slots: &BTreeMap<u64, (Command, ReplicaId)>,
+    applied: u64,
+) -> impl Iterator<Item = MenciusLogRec> + '_ {
+    slots
+        .range(applied..)
+        .map(|(&first, (cmd, origin))| MenciusLogRec::Accept {
+            first,
+            cmds: Batch::single(cmd.clone()),
+            origin: *origin,
+        })
 }
 
 /// A Mencius replica with the broadcast-acknowledgement optimization.
@@ -203,8 +223,8 @@ impl MenciusBcast {
         }
     }
 
-    /// Enables periodic checkpoints (and, per the policy, log compaction)
-    /// for this replica.
+    /// Enables periodic checkpoints, each compacting the log, for this
+    /// replica.
     pub fn with_checkpoints(mut self, policy: CheckpointPolicy) -> Self {
         self.exec.set_checkpoint_policy(policy);
         self
@@ -578,44 +598,13 @@ impl MenciusBcast {
         self.probe_answered(from, reply.seq, fold, ctx);
     }
 
-    /// Writes a checkpoint when one is due and the driver supports
-    /// snapshots; with compaction, rewrites the log to the checkpoint
-    /// and the unresolved slots above its watermark.
+    /// Checkpoints when the policy says one is due: the executor
+    /// compacts the stable log to the checkpoint and [`live_records`].
     fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
-        let config = self.membership.config();
-        let due = self
-            .exec
-            .checkpoint_if_due(self.exec_cursor, Epoch::ZERO, config, ctx);
-        if let Some(cp) = due {
-            self.log_checkpoint(cp, ctx);
-        }
-    }
-
-    /// Makes `cp` durable: compacts the log around it when the policy
-    /// says so, otherwise appends the checkpoint record.
-    fn log_checkpoint(&self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
-        if self.exec.compacts() {
-            self.compact_log(cp, ctx);
-        } else {
-            ctx.log_append(MenciusLogRec::Checkpoint(cp));
-        }
-    }
-
-    /// Rewrites the stable log to `cp` plus the unresolved slots above
-    /// its watermark. Own proposals below the watermark leave the log
-    /// with the rest: a peer still missing one is answered with a
-    /// snapshot instead (see [`Self::on_catch_up`]).
-    fn compact_log(&self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
-        let mut recs = Vec::with_capacity(1 + self.slots.len());
-        recs.push(MenciusLogRec::Checkpoint(cp));
-        for (&first, (cmd, origin)) in &self.slots {
-            recs.push(MenciusLogRec::Accept {
-                first,
-                cmds: Batch::single(cmd.clone()),
-                origin: *origin,
-            });
-        }
-        ctx.log_rewrite(recs);
+        let (at, config) = (self.exec_cursor, self.membership.config());
+        let live = live_records(&self.slots, at);
+        self.exec
+            .checkpoint_if_due(at, Epoch::ZERO, config, ctx, live);
     }
 
     /// Asks `owner` for its own proposals in the unresolved range
@@ -636,14 +625,11 @@ impl MenciusBcast {
 
     /// Owner side: the shared answer rule over our stable log. Own
     /// proposals are logged synchronously, so the log holds every one
-    /// ever made from the checkpoint a compaction left at its head (slot
-    /// 0 for an uncompacted log) — a request from there gets those
+    /// ever made from the checkpoint at its head (slot 0 for a log that
+    /// never checkpointed) — a request from there gets those
     /// runs; one from below gets a snapshot of our resolved prefix.
     fn on_catch_up(&mut self, from: ReplicaId, req: CatchUp<u64>, ctx: &mut dyn Context<Self>) {
-        let held = match ctx.stable_log().first() {
-            Some(MenciusLogRec::Checkpoint(cp)) => cp.applied,
-            _ => 0,
-        };
+        let held = log_head(ctx.stable_log()).map_or(0, |cp| cp.applied);
         // The requester's floor for us can never outrun our own promise,
         // but clamp defensively: we must not confirm emptiness of slots
         // we could still propose in. The clamp can invert the range (a
@@ -699,14 +685,14 @@ impl MenciusBcast {
     /// `next_own_slot` already clears them — the `max` is a defensive
     /// restatement of that invariant.
     fn on_snapshot(&mut self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
-        if cp.applied <= self.exec_cursor || !self.exec.install_caught_up(&cp, ctx) {
-            return; // stale or duplicate, or the driver cannot install snapshots
+        let (applied, live) = (cp.applied, live_records(&self.slots, cp.applied));
+        if applied <= self.exec_cursor || !self.exec.install_caught_up(cp, ctx, live) {
+            return; // stale or duplicate, or not a snapshot of our state machine
         }
-        self.slots = self.slots.split_off(&cp.applied);
-        self.exec_cursor = cp.applied;
-        self.next_own_slot = self.next_own_slot.max(self.own_slot_after(cp.applied - 1));
+        self.slots = self.slots.split_off(&applied);
+        self.exec_cursor = applied;
+        self.next_own_slot = self.next_own_slot.max(self.own_slot_after(applied - 1));
         self.floor[self.id.index()] = self.floor[self.id.index()].max(self.next_own_slot);
-        self.log_checkpoint(cp, ctx);
         self.try_execute(ctx);
     }
 
@@ -910,21 +896,10 @@ impl Protocol for MenciusBcast {
             *synced = o == me;
         }
         self.resync_floor.fill(None);
-        // Checkpoint fast path (shared subsystem): restore the newest
-        // durable checkpoint and resume resolution at its watermark
-        // instead of replaying from slot zero. Falls back to a full
-        // replay when the driver cannot install snapshots (sound only
-        // while the log is uncompacted).
-        let newest = log.iter().rev().find_map(|rec| match rec {
-            MenciusLogRec::Checkpoint(cp) => Some(cp),
-            _ => None,
-        });
-        let mut base = 0u64;
-        if let Some(cp) = newest {
-            if self.exec.install(cp, ctx) {
-                base = cp.applied;
-            }
-        }
+        // Checkpoint fast path (shared subsystem): restore the checkpoint
+        // at the log's head and resume resolution at its watermark
+        // instead of replaying from slot zero.
+        let base = self.exec.recover(log, ctx).map_or(0, |cp| cp.applied);
         self.exec_cursor = base;
         // Rebuild the slot table above the base, then re-execute the
         // resolved suffix in slot order exactly as before the crash.
@@ -1543,9 +1518,9 @@ mod tests {
                         let CatchUpReply::Runs { from: from_slot, below: upto, runs: cmds } =
                             answer(&mut s, from, below)
                         else {
-                            unreachable!("an uncompacted log serves runs")
+                            unreachable!("a log without a checkpoint serves runs")
                         };
-                        prop_assert_eq!(from_slot, from, "an uncompacted log reaches slot 0");
+                        prop_assert_eq!(from_slot, from, "a log without a checkpoint reaches slot 0");
                         prop_assert_eq!(upto, below.min(next), "no promise past the next own slot");
                         let got: Vec<(u64, u64)> =
                             cmds.iter().map(|(slot, c)| (*slot, c.id.seq)).collect();
@@ -1571,7 +1546,7 @@ mod tests {
         // owner's runs.
         let mut s = Script::new(vec![
             MenciusBcast::new(r(0), Membership::uniform(3))
-                .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true)),
+                .with_checkpoints(CheckpointPolicy::every(2)),
             MenciusBcast::new(r(1), Membership::uniform(3)),
         ]);
         for seq in 0..8 {
@@ -1689,7 +1664,7 @@ mod tests {
     #[test]
     fn checkpoints_compact_the_log_and_recovery_restores_them() {
         let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))
-            .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true))]);
+            .with_checkpoints(CheckpointPolicy::every(2))]);
         for seq in 0..6 {
             s.on(0, |m, ctx| m.on_client_batch(Batch::single(cmd(seq)), ctx));
         }
@@ -1700,7 +1675,7 @@ mod tests {
         assert_eq!(resolved, 16, "all six own slots + skips resolved");
         // Compaction keeps the log at the checkpoint plus the unresolved
         // slots — none here — far below the 6 accepts + 16 commit/skip
-        // marks a plain log would hold.
+        // marks the log held before it.
         let log = &s.nodes[0].log;
         assert!(
             matches!(&log[..], [MenciusLogRec::Checkpoint(cp)] if cp.applied == 16),
@@ -1797,9 +1772,10 @@ mod tests {
         assert_eq!(s.nodes[0].proto.next_own_slot % 3, 0);
     }
 
-    /// A checkpoint lands inside a logged run, so on replay the run's
-    /// prefix lies below the restored cursor: it stays in the log for
-    /// catch-up runs, and the rest rebuilds the slot table.
+    /// A checkpoint lands inside a logged run: compaction keeps only the
+    /// run's unresolved slots, which rebuild the slot table on replay. A
+    /// catch-up from below the checkpoint gets a snapshot, one from above
+    /// it the rest of the run.
     #[test]
     fn replay_of_a_run_straddling_the_checkpoint() {
         let mut s = Script::new(vec![MenciusBcast::new(r(0), Membership::uniform(3))
@@ -1810,13 +1786,10 @@ mod tests {
         ack(&mut s, 0, r(1), 3, 5);
         ack(&mut s, 0, r(2), 3, 5);
         assert_eq!(s.applied(0), vec![1, 2]);
-        let base = s.nodes[0].log.iter().rev().find_map(|l| match l {
-            MenciusLogRec::Checkpoint(cp) => Some(cp.applied),
-            _ => None,
-        });
+        let log = &s.nodes[0].log;
         assert!(
-            base.is_some_and(|b| b > 0 && b < 9),
-            "checkpoint at {base:?}"
+            matches!(&log[0], MenciusLogRec::Checkpoint(cp) if cp.applied == 5),
+            "the checkpoint heads the log, got {log:?}"
         );
 
         let resolved = s.nodes[0].proto.resolved();
@@ -1827,11 +1800,16 @@ mod tests {
         let live: Vec<u64> = m2.slots.keys().copied().collect();
         assert_eq!(live, [6, 9], "only the unresolved suffix is pending");
         assert_eq!(m2.next_own_slot, 12, "no slot of the run is reused");
-        let CatchUpReply::Runs { runs: cmds, .. } = answer(&mut s, 0, 12) else {
-            unreachable!("the log was not compacted")
+        let reply = answer(&mut s, 0, 12);
+        assert!(
+            matches!(&reply, CatchUpReply::Snapshot(cp) if cp.applied == 5),
+            "snapshot below the checkpoint, got {reply:?}"
+        );
+        let CatchUpReply::Runs { runs: cmds, .. } = answer(&mut s, 6, 12) else {
+            unreachable!("runs from above the checkpoint")
         };
         let own: Vec<u64> = cmds.iter().map(|(slot, _)| *slot).collect();
-        assert_eq!(own, [0, 3, 6, 9], "the whole run stays answerable");
+        assert_eq!(own, [6, 9], "the rest of the run stays answerable");
     }
 
     #[test]

@@ -107,11 +107,27 @@ pub enum PaxosLogRec {
     },
     /// A state machine checkpoint (shared subsystem,
     /// `rsm_core::checkpoint`): the snapshot reflects every instance
-    /// **below** the (exclusive) applied watermark. Recovery restores the
-    /// newest checkpoint and replays only the records above it; with
-    /// compaction the log is rewritten to the checkpoint plus the
-    /// still-pending accepts whenever one is written.
+    /// **below** the (exclusive) applied watermark. Every checkpoint
+    /// compacts the log to itself, the promise and the still-pending
+    /// accepts, so it heads the log; recovery restores it and replays
+    /// only the records above it.
     Checkpoint(Checkpoint<u64>),
+}
+
+rsm_core::checkpoint_record!(PaxosLogRec, u64);
+
+/// The records a compaction keeps above a checkpoint at `applied`: the
+/// promise — it survives compaction, since an acceptor must never regress
+/// it — and the accepts of every instance from `applied` up (everything
+/// below is inside the snapshot).
+fn live_records(
+    promised: Ballot,
+    instances: &BTreeMap<u64, Slot>,
+    applied: u64,
+) -> impl Iterator<Item = PaxosLogRec> + '_ {
+    let accepts = instances.range(applied..);
+    let accepts = accepts.map(|(&instance, slot)| MultiPaxos::slot_rec(instance, slot));
+    std::iter::once(PaxosLogRec::Promised(promised)).chain(accepts)
 }
 
 /// One accepted instance held in memory until executed.
@@ -303,8 +319,8 @@ impl MultiPaxos {
         }
     }
 
-    /// Enables periodic checkpoints (and, per the policy, log compaction)
-    /// for this replica.
+    /// Enables periodic checkpoints, each compacting the log, for this
+    /// replica.
     pub fn with_checkpoints(mut self, policy: CheckpointPolicy) -> Self {
         self.exec.set_checkpoint_policy(policy);
         self
@@ -1461,34 +1477,14 @@ impl MultiPaxos {
         }
     }
 
-    /// Writes a checkpoint when one is due and the driver supports
-    /// snapshots; with compaction, rewrites the log to the checkpoint
-    /// plus the still-pending accepts (everything below the watermark is
-    /// inside the snapshot, everything above is in `instances`).
+    /// Checkpoints when the policy says one is due: the executor
+    /// compacts the stable log to the checkpoint and [`live_records`],
+    /// bounding it by the interval plus the replication pipeline depth.
     fn maybe_checkpoint(&mut self, ctx: &mut dyn Context<Self>) {
-        let config = self.membership.config();
-        let due = self
-            .exec
-            .checkpoint_if_due(self.exec_cursor, Epoch::ZERO, config, ctx);
-        match due {
-            Some(cp) if self.exec.compacts() => self.compact_log(cp, ctx),
-            Some(cp) => ctx.log_append(PaxosLogRec::Checkpoint(cp)),
-            None => {}
-        }
-    }
-
-    /// Rewrites the stable log to `cp` plus the promise and the accepts
-    /// still above its watermark — the log stays bounded by the
-    /// checkpoint interval plus the replication pipeline depth, and the
-    /// promise survives compaction (an acceptor must never regress it).
-    fn compact_log(&self, cp: Checkpoint<u64>, ctx: &mut dyn Context<Self>) {
-        let mut recs = Vec::with_capacity(2 + self.instances.len());
-        recs.push(PaxosLogRec::Checkpoint(cp));
-        recs.push(PaxosLogRec::Promised(self.promised));
-        for (&instance, slot) in &self.instances {
-            recs.push(Self::slot_rec(instance, slot));
-        }
-        ctx.log_rewrite(recs);
+        let (at, config) = (self.exec_cursor, self.membership.config());
+        let live = live_records(self.promised, &self.instances, at);
+        self.exec
+            .checkpoint_if_due(at, Epoch::ZERO, config, ctx, live);
     }
 
     /// Asks the next peer of the rotation for what it holds from our
@@ -1524,9 +1520,9 @@ impl MultiPaxos {
 
     /// Installs a peer's snapshot: everything below its watermark
     /// is globally decided (the sender executed it), so the state machine
-    /// jumps there, the log is pinned with a durable checkpoint record,
-    /// and the cumulative ack watermark resumes from the installed
-    /// prefix (covering a decided prefix adds no false quorum weight).
+    /// jumps there, the log is compacted to it, and the cumulative ack
+    /// watermark resumes from the installed prefix (covering a decided
+    /// prefix adds no false quorum weight).
     fn on_snapshot(
         &mut self,
         cp: Checkpoint<u64>,
@@ -1536,23 +1532,16 @@ impl MultiPaxos {
         // Adopt the server's promise before anything durable happens:
         // the compacted log written below re-pins it.
         self.promise_at_least(server_promised, ctx);
-        if cp.applied <= self.exec_cursor {
-            return; // stale or duplicate reply
-        }
-        if !self.exec.install_caught_up(&cp, ctx) {
-            return; // driver cannot install snapshots
+        let applied = cp.applied;
+        let live = live_records(self.promised, &self.instances, applied);
+        if applied <= self.exec_cursor || !self.exec.install_caught_up(cp, ctx, live) {
+            return; // stale or duplicate, or not a snapshot of our state machine
         }
         self.stalled_at = None;
-        self.instances = self.instances.split_off(&cp.applied);
-        self.exec_cursor = cp.applied;
-        self.committed_next = self.committed_next.max(cp.applied);
-        self.next_instance = self.next_instance.max(cp.applied);
-        if self.exec.compacts() {
-            self.compact_log(cp, ctx);
-        } else {
-            ctx.log_append(PaxosLogRec::Checkpoint(cp));
-            ctx.log_append(PaxosLogRec::Promised(self.promised));
-        }
+        self.instances = self.instances.split_off(&applied);
+        self.exec_cursor = applied;
+        self.committed_next = self.committed_next.max(applied);
+        self.next_instance = self.next_instance.max(applied);
         // Resume quorum duty immediately instead of waiting for the next
         // accept to carry the re-extended watermark — but only while our
         // own lease on the regime is fresh: this ack is triggered by a
@@ -1764,18 +1753,9 @@ impl Protocol for MultiPaxos {
 
     fn on_recover(&mut self, log: &[PaxosLogRec], ctx: &mut dyn Context<Self>) {
         // Checkpoint fast path (Section V-B, shared subsystem): restore
-        // the newest durable checkpoint and start every cursor at its
-        // watermark instead of replaying from instance zero. Falls back
-        // to a full replay when the driver cannot install snapshots
-        // (sound only while the log is uncompacted).
-        let newest = log.iter().rev().find_map(|rec| match rec {
-            PaxosLogRec::Checkpoint(cp) => Some(cp),
-            _ => None,
-        });
-        let base = match newest {
-            Some(cp) if self.exec.install(cp, ctx) => cp.applied,
-            _ => 0,
-        };
+        // the checkpoint at the log's head and start every cursor at its
+        // watermark instead of replaying from instance zero.
+        let base = self.exec.recover(log, ctx).map_or(0, |cp| cp.applied);
         self.exec_cursor = base;
         self.committed_next = base;
         // Rebuild accepted instances, the promise, the regime, and the

@@ -445,9 +445,7 @@ fn recovered_replica_reextends_watermark_past_a_committed_gap_under_load() {
 
 #[test]
 fn checkpoints_compact_the_log_below_the_watermark() {
-    let mut s = Script::new(vec![
-        bcast(1).with_checkpoints(CheckpointPolicy::every(2).with_compaction(true))
-    ]);
+    let mut s = Script::new(vec![bcast(1).with_checkpoints(CheckpointPolicy::every(2))]);
     s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)));
     // A pending third instance that must survive compaction.
     s.receive(0, r(0), accept(b0(), 2, vec![cmd(3)], r(0)));
@@ -467,7 +465,7 @@ fn checkpoints_compact_the_log_below_the_watermark() {
 
 #[test]
 fn recovery_restores_checkpoint_and_replays_only_the_suffix() {
-    let policy = CheckpointPolicy::every(2).with_compaction(true);
+    let policy = CheckpointPolicy::every(2);
     let mut s = Script::new(vec![bcast(1).with_checkpoints(policy)]);
     // Two bursts: the first trips the checkpoint at watermark 2, the
     // third command lands after it and stays in the log suffix.
@@ -1279,7 +1277,7 @@ fn acks_from_an_older_regime_are_never_counted() {
 #[test]
 fn compaction_preserves_the_promise_across_recovery() {
     let mut s = Script::new(vec![bcast(1)
-        .with_checkpoints(CheckpointPolicy::every(2).with_compaction(true))
+        .with_checkpoints(CheckpointPolicy::every(2))
         .with_failover(lease())]);
     s.on(0, |p, ctx| p.on_start(ctx));
     s.receive(0, r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)));

@@ -1321,6 +1321,13 @@ mod tests {
             fn reset(&mut self) {
                 self.0 = 0;
             }
+            fn restore(&mut self, snapshot: &[u8]) -> bool {
+                let Ok(bytes) = snapshot.try_into() else {
+                    return false;
+                };
+                self.0 = u64::from_be_bytes(bytes);
+                true
+            }
         }
         Box::new(Count::default())
     }

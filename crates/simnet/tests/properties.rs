@@ -108,6 +108,9 @@ impl StateMachine for NullSm {
         Bytes::new()
     }
     fn reset(&mut self) {}
+    fn restore(&mut self, snapshot: &[u8]) -> bool {
+        snapshot.is_empty()
+    }
 }
 
 #[allow(clippy::type_complexity)]

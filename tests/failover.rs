@@ -115,8 +115,9 @@ fn fast_crash_recovery_preserves_safety() {
 /// The default configuration — failure detection off, as in the paper's
 /// latency experiments — still survives a crash: the recovered replica
 /// rejoins through Algorithm 3 (Section V-B), and every peer answers its
-/// SUSPEND from the stable log. Run with and without log compaction, so
-/// crash recovery of the default config stays safe with compaction on.
+/// SUSPEND from the stable log. Run without checkpoints and with them,
+/// so crash recovery of the default config stays safe from a compacted
+/// log.
 /// This run never reaches the snapshot answer a compacted peer gives a
 /// SUSPEND from below its checkpoint; that path is covered by
 /// `a_suspend_below_a_compacted_log_is_answered_with_a_snapshot`
@@ -152,7 +153,7 @@ fn default_config_crash_recovery_preserves_safety() {
 
 #[test]
 fn default_config_crash_recovery_with_compaction_preserves_safety() {
-    default_config_crash(CheckpointPolicy::every(32).with_compaction(true));
+    default_config_crash(CheckpointPolicy::every(32));
 }
 
 /// A five-replica deployment tolerates two crashed replicas (majority of
@@ -173,9 +174,9 @@ fn five_replicas_tolerate_two_failures() {
     assert!(r.commit_counts[3] > 0 && r.commit_counts[4] > 0);
 }
 
-/// Checkpointing (Section V-B): with snapshots every 50 commits, a
-/// crashed replica recovers through its latest checkpoint instead of a
-/// full replay, rejoins, and converges — and the alignment-aware total
+/// Checkpointing (Section V-B): with snapshots every 50 commits, each
+/// compacting the log, a crashed replica recovers through the checkpoint
+/// at its log's head instead of a full replay, rejoins, and converges — and the alignment-aware total
 /// order checker validates its mid-stream history.
 #[test]
 fn checkpointed_recovery_converges() {
@@ -199,6 +200,12 @@ fn checkpointed_recovery_converges() {
     );
     // It still executes fresh commands after rejoining.
     assert!(r.commits_between(2, 7_000 * MILLIS, u64::MAX) > 10);
+    // Every checkpoint compacts: each log, the recovered replica's
+    // included, holds its checkpoint and about an interval's worth of
+    // records above it, not the ~1 900 the run logs in all.
+    for (i, &len) in r.log_lens.iter().enumerate() {
+        assert!(len < 3 * 50, "log of replica {i} unbounded: {len} records");
+    }
 }
 
 /// Crash the *reconfigurer* mid-reconfiguration: replica 0 detects the
@@ -446,7 +453,7 @@ fn paxos_deposed_leader_rejoins_via_checkpoint_transfer() {
     let recover_at = 12_000 * MILLIS;
     for seed in [11u64, 12] {
         let cfg = paxos_crash_cfg(seed, 20_000)
-            .checkpoint(CheckpointPolicy::every(32).with_compaction(true))
+            .checkpoint(CheckpointPolicy::every(32))
             // Snapshot installs skip per-command records, so commit
             // histories are gappy by design: soak on snapshots and log
             // bounds, like the long-outage suite.

@@ -5,7 +5,7 @@
 //! schedules crash the *leader* too, so the soak exercises election
 //! churn — lease expiry, ballot elections, repairs, deposed leaders
 //! rejoining — not just follower outages. Safety and convergence must
-//! hold at the end of every schedule, and with compaction on, logs must
+//! hold at the end of every schedule, and with checkpoints on, logs must
 //! stay bounded however many regimes came and went.
 
 use clock_rsm::ClockRsmConfig;
@@ -225,7 +225,7 @@ fn paxos_soak(seed: u64, n: usize) {
         .warmup_us(100 * MILLIS)
         .duration_us(seconds * 1_000 * MILLIS)
         .active_sites(vec![0])
-        .checkpoint(CheckpointPolicy::every(32).with_compaction(true))
+        .checkpoint(CheckpointPolicy::every(32))
         // Snapshot installs (rejoins past retention) make per-replica
         // commit histories gappy, so the soak judges snapshots and log
         // bounds rather than per-op traces, like the long-outage suite.

@@ -27,7 +27,7 @@ const DURATION: u64 = 20_000 * MILLIS;
 /// Checkpoint every 32 commands and compact: small enough that the
 /// 10-second outage spans many checkpoints.
 fn policy() -> CheckpointPolicy {
-    CheckpointPolicy::every(32).with_compaction(true)
+    CheckpointPolicy::every(32)
 }
 
 fn outage_cfg(seed: u64) -> ExperimentConfig {

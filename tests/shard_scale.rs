@@ -162,7 +162,7 @@ fn paxos_shard_leader_crashes_fail_over_per_shard() {
 fn shard_local_long_outage_rejoins_past_log_retention() {
     let mut cfg = ShardedConfig::new(
         base(74, 2_500)
-            .checkpoint(CheckpointPolicy::every(16).with_compaction(true))
+            .checkpoint(CheckpointPolicy::every(16))
             .record_ops(false),
         8,
     );
