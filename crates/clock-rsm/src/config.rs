@@ -36,7 +36,7 @@ pub struct ClockRsmConfig {
     /// every N commits, compact the log to a state machine checkpoint and
     /// the runs still pending above it, so recovery restores the snapshot
     /// instead of replaying the whole log (Section V-B). A SUSPEND or
-    /// RETRIEVECMDS asking from below the checkpoint is answered with a
+    /// CATCHUP asking from below the checkpoint is answered with a
     /// snapshot.
     pub checkpoint: CheckpointPolicy,
     /// Bound on the client-session dedup window

@@ -26,8 +26,8 @@ use crate::run::stamped;
 /// checkpoint replays only its marked prefix. `Epoch` records
 /// additionally persist reconfiguration decisions so a recovering replica
 /// knows the configuration it crashed in. The log is the replica's only
-/// record of what it prepared: SUSPENDOK, RETRIEVEREPLY and replay all
-/// read it through `logged_in`.
+/// record of what it prepared: SUSPENDOK, the fetch's runs and replay
+/// all read it through `logged_in`.
 #[derive(Debug, Clone)]
 pub enum LogRec {
     /// A logged run of commands (Algorithm 1, line 7).
@@ -61,7 +61,7 @@ pub enum LogRec {
     /// ≤ `applied` is reflected in the snapshot. Recovery restores the
     /// snapshot and skips re-executing everything at or below it. Every
     /// checkpoint compacts, so one only ever stands at the head of a log,
-    /// which then answers SUSPEND and RETRIEVE only from `applied` up.
+    /// which then answers SUSPEND and CATCHUP only from `applied` up.
     Checkpoint(Checkpoint<Timestamp>),
 }
 

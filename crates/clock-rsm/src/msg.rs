@@ -2,7 +2,7 @@
 
 use paxos::synod::SynodMsg;
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::Checkpoint;
+use rsm_core::checkpoint::{CatchUp, CatchUpReply, Checkpoint};
 use rsm_core::command::Command;
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
@@ -58,9 +58,11 @@ rsm_core::wire_table! {
     /// Messages exchanged by Clock-RSM replicas.
     ///
     /// `PrepareBatch`, `PrepareOk`, and `ClockTime` are the data plane
-    /// (Algorithms 1 and 2, generalized to whole-batch replication); the rest
-    /// implement reconfiguration, state transfer, and epoch catch-up
-    /// (Algorithm 3 and Section V-B).
+    /// (Algorithms 1 and 2, generalized to whole-batch replication), and
+    /// `ClockProbe`/`ClockEcho` the read path. `Suspend`, `SuspendOk` and
+    /// `Synod` implement reconfiguration (Algorithm 3); state transfer and
+    /// epoch catch-up (Section V-B) ride the shared catch-up exchange,
+    /// `CatchUp`/`CatchUpReply`.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum RsmMsg {
         /// Replication request for an ordered batch of client commands
@@ -132,35 +134,28 @@ rsm_core::wire_table! {
             /// The wrapped single-decree Paxos message.
             msg: SynodMsg<Decision>,
         },
-        /// State transfer request (Algorithm 3, line 26): fetch commands in
-        /// `(from_ts, to_ts]`.
-        6 => RetrieveCmds {
-            /// Exclusive lower bound.
-            from_ts: Timestamp,
-            /// Inclusive upper bound.
-            to_ts: Timestamp,
+        /// The one catch-up request (`rsm_core::checkpoint`), Algorithm 3's
+        /// state transfer (line 26) and epoch catch-up in one row. Clock-RSM
+        /// coordinates are inclusive commit points, so `req` asks for the
+        /// commands in `(from, below]`. Sent by a replica applying a
+        /// decision beyond its commit point (to all of Spec, a majority must
+        /// answer), and by one that sees a later epoch than `decided` (to
+        /// the sender, paced by `Executor::request_catch_up`). A responder
+        /// in a later epoch than `decided` answers with its snapshot; any
+        /// other follows the one answer rule (`Executor::answer_catch_up`).
+        6 => CatchUp {
+            /// The newest epoch the asker holds every decision through: its
+            /// own, or the next ones it has decided but not applied yet.
+            decided: Epoch,
+            /// The asked range.
+            req: CatchUp<Timestamp>,
         },
-        /// State transfer response (line 31).
-        7 => RetrieveReply {
-            /// Echo of the request's lower bound.
-            from_ts: Timestamp,
-            /// Echo of the request's upper bound.
-            to_ts: Timestamp,
-            /// The logged commands in range.
-            cmds: Vec<LoggedCmd>,
-        },
-        /// Request for reconfiguration decisions newer than `have_epoch`,
-        /// sent by a replica that notices it lags behind.
-        8 => DecisionRequest {
-            /// The requester's current epoch.
-            have_epoch: Epoch,
-        },
-        /// Catch-up response: the decisions the requester is missing,
-        /// in epoch order.
-        9 => DecisionCatchup {
-            /// `(epoch, decision)` pairs, ascending.
-            decisions: Vec<(Epoch, Decision)>,
-        },
+        /// The answer to a [`CatchUp`](RsmMsg::CatchUp), or to a
+        /// [`Suspend`](RsmMsg::Suspend) that asks from below the sender's
+        /// compacted log or from an epoch it installed: `Runs`, the commands
+        /// the sender logged in the asked range (line 31); `Snapshot`, its
+        /// live state, which installs its commit point and epoch.
+        7 => CatchUpReply(CatchUpReply<Timestamp, Vec<LoggedCmd>>),
         /// A read probe (`rsm_core::read`), sent to every configuration
         /// member (the sender included) to collect fresh clock evidence for
         /// the reads riding it: each peer answers at once with a
@@ -175,14 +170,6 @@ rsm_core::wire_table! {
             /// The sender's probe sequence number, named by every echo.
             seq: u64,
         },
-        /// A snapshot answering a [`Suspend`](RsmMsg::Suspend) or
-        /// [`RetrieveCmds`](RsmMsg::RetrieveCmds) that asks from below the
-        /// sender's compacted log: the snapshot arm of the shared catch-up
-        /// answer rule (`rsm_core::exec`). It took a previously unused tag,
-        /// so it needed no `WIRE_VERSION` bump ([`rsm_core::wire`]'s
-        /// versioning rule): an older receiver rejects it cleanly as
-        /// `BadTag`.
-        11 => StateReply(Checkpoint<Timestamp>),
         /// A peer's answer to a [`ClockProbe`](RsmMsg::ClockProbe): clock
         /// evidence, and one answer toward the probe's quorum under the
         /// prober's current epoch.
@@ -204,24 +191,14 @@ impl WireSize for RsmMsg {
             RsmMsg::PrepareOk { .. }
             | RsmMsg::ClockTime { .. }
             | RsmMsg::ClockProbe { .. }
-            | RsmMsg::ClockEcho { .. } => MSG_HEADER_BYTES,
-            RsmMsg::Suspend { .. } | RsmMsg::DecisionRequest { .. } => MSG_HEADER_BYTES,
+            | RsmMsg::ClockEcho { .. }
+            | RsmMsg::Suspend { .. } => MSG_HEADER_BYTES,
             RsmMsg::SuspendOk { cmds, .. } => {
                 MSG_HEADER_BYTES + cmds.iter().map(WireSize::wire_size).sum::<usize>()
             }
             RsmMsg::Synod { msg, .. } => MSG_HEADER_BYTES + msg.wire_size(),
-            RsmMsg::RetrieveCmds { .. } => MSG_HEADER_BYTES,
-            RsmMsg::RetrieveReply { cmds, .. } => {
-                MSG_HEADER_BYTES + cmds.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-            RsmMsg::DecisionCatchup { decisions } => {
-                MSG_HEADER_BYTES
-                    + decisions
-                        .iter()
-                        .map(|(_, d)| 8 + d.wire_size())
-                        .sum::<usize>()
-            }
-            RsmMsg::StateReply(cp) => MSG_HEADER_BYTES + cp.wire_size(),
+            RsmMsg::CatchUp { req, .. } => 8 + req.wire_size(),
+            RsmMsg::CatchUpReply(reply) => reply.wire_size(),
         }
     }
 }
@@ -230,7 +207,7 @@ impl WireSize for RsmMsg {
 /// ([`Executor::answer_catch_up`](rsm_core::exec::Executor::answer_catch_up)).
 impl From<Checkpoint<Timestamp>> for RsmMsg {
     fn from(cp: Checkpoint<Timestamp>) -> Self {
-        RsmMsg::StateReply(cp)
+        RsmMsg::CatchUpReply(CatchUpReply::Snapshot(cp))
     }
 }
 

@@ -16,31 +16,37 @@
 //!    Claim 3).
 //! 3. On `DECIDE`, every replica applies the decision: replicas whose last
 //!    commit mark is below the decided timestamp first fetch the missing
-//!    commands from a majority (`STATETRANSFER`); un-executed `PREPARE`
-//!    records beyond the decided timestamp are dropped from the log (the
-//!    `Epoch` record's floor); the decided commands are executed in
-//!    timestamp order; finally the new epoch and configuration are
-//!    installed and normal processing resumes.
+//!    commands from a majority (`STATETRANSFER`: a `CatchUp` to all of
+//!    Spec); un-executed `PREPARE` records beyond the decided timestamp
+//!    are dropped from the log (the `Epoch` record's floor); the decided
+//!    commands are executed in timestamp order; finally the new epoch and
+//!    configuration are installed and normal processing resumes.
 //!
-//! Both answers — `SUSPENDOK` and `RETRIEVEREPLY` — go through the one
-//! catch-up answer rule of `rsm_core::exec` (the one Paxos and Mencius
-//! serve their catch-up requests with): a responder whose log still
-//! reaches back to the point a `SUSPEND` or a fetch asks from answers
-//! with the commands it logged there; one whose log was compacted past
-//! it answers with a snapshot of its commit point (`StateReply`), and
+//! Every answer — `SUSPENDOK` and the fetch's `CatchUpReply` — goes
+//! through the one catch-up answer rule of `rsm_core::exec` (the one
+//! Paxos and Mencius serve their catch-up requests with): a responder
+//! whose log still reaches back to the point a `SUSPEND` or a fetch asks
+//! from answers with the commands it logged there; one whose log was
+//! compacted past it answers with a snapshot of its commit point, and
 //! the requester installs the checkpoint and asks again from its new
 //! commit point.
 //!
-//! Replicas that missed decisions (crashed or partitioned) catch up via
-//! `DecisionRequest`/`DecisionCatchup` and apply decisions strictly in
-//! epoch order.
+//! A decision is kept only until it applies: the log's `Epoch` records
+//! and the checkpoint at its head are the record of what was decided.
+//! A replica that missed decisions (crashed, partitioned, or restarted
+//! peers that no longer hold them) learns so from a later epoch — a
+//! data-plane message or a `SUSPEND` from a later epoch makes it ask the
+//! sender, paced by the executor, and a stale `SUSPEND` or synod message
+//! of its own is answered unasked. The answer is a snapshot of the
+//! responder's live state, whose install applies the responder's epoch
+//! at once; decisions held above it then apply in epoch order.
 
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
 use paxos::synod::{SynodInstance, SynodMsg};
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{log_head, Checkpoint};
+use rsm_core::checkpoint::{log_head, CatchUp, CatchUpReply, Checkpoint};
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
 use rsm_core::protocol::Context;
@@ -81,22 +87,22 @@ pub(crate) enum Phase {
         fetched: BTreeMap<Timestamp, LoggedCmd>,
         /// Replicas that have answered.
         responders: HashSet<ReplicaId>,
-        /// Exclusive lower bound of the fetch.
-        from_ts: Timestamp,
-        /// Inclusive upper bound of the fetch.
-        to_ts: Timestamp,
+        /// The fetched range, `(our commit point, the decided one]`.
+        range: CatchUp<Timestamp>,
     },
 }
 
 /// Reconfiguration state carried by every replica: the current phase, the
-/// per-epoch consensus instances, and the full decision history used to
-/// catch up lagging replicas.
+/// per-epoch consensus instances, and the epochs decided but not applied
+/// yet.
 #[derive(Debug)]
 pub struct ReconfigEngine {
     id: ReplicaId,
     spec: Vec<ReplicaId>,
     pub(crate) phase: Phase,
     synods: BTreeMap<Epoch, SynodInstance<Decision>>,
+    /// Decided epochs above the installed one, applied in epoch order and
+    /// dropped as they apply (or as a snapshot installs past them).
     pub(crate) decisions: BTreeMap<Epoch, Decision>,
     /// The decision value this replica proposed for its own rejoin
     /// reconfiguration, keyed by target epoch. A recovered replica only
@@ -123,10 +129,20 @@ impl ReconfigEngine {
         matches!(self.phase, Phase::Idle)
     }
 
-    /// Drops consensus instances for epochs at or below `epoch` (their
-    /// decisions are retained for catch-up).
-    pub(crate) fn forget_instances_up_to(&mut self, epoch: Epoch) {
-        self.synods = self.synods.split_off(&Epoch(epoch.0 + 1));
+    /// Drops the consensus instances and decisions of epochs at or below
+    /// `epoch`, the installed one.
+    pub(crate) fn forget_up_to(&mut self, epoch: Epoch) {
+        self.synods = self.synods.split_off(&epoch.next());
+        self.decisions = self.decisions.split_off(&epoch.next());
+    }
+
+    /// The newest epoch this replica, installed in `epoch`, holds every
+    /// decision through.
+    fn decided_through(&self, mut epoch: Epoch) -> Epoch {
+        while self.decisions.contains_key(&epoch.next()) {
+            epoch = epoch.next();
+        }
+        epoch
     }
 
     fn synod_for(&mut self, epoch: Epoch) -> &mut SynodInstance<Decision> {
@@ -200,13 +216,15 @@ impl ClockRsm {
         cts: Timestamp,
         ctx: &mut dyn Context<Self>,
     ) {
-        if epoch <= self.epoch() {
-            // The reconfigurer is behind: hand it the decisions it missed.
-            self.send_catchup(from, Epoch(epoch.0.saturating_sub(1)), ctx);
-            return;
+        // The reconfigurer is installed in the epoch before. One behind
+        // us gets a snapshot below instead of a freeze; one ahead of
+        // every decision we hold has what we missed.
+        let decided = Epoch(epoch.0.saturating_sub(1));
+        if epoch > self.epoch() {
+            self.freeze(ctx);
+            self.ask_if_behind(from, decided, ctx);
         }
-        self.freeze(ctx);
-        self.answer_from_log(from, cts, Unbounded, ctx, |logged| {
+        self.answer_from_log(from, decided, cts, Unbounded, ctx, |logged| {
             let cmds = logged.into_values().collect();
             RsmMsg::SuspendOk { epoch, cmds }
         });
@@ -290,8 +308,13 @@ impl ClockRsm {
         ctx: &mut dyn Context<Self>,
     ) {
         if epoch <= self.epoch() {
-            // Already installed: the sender lags behind.
-            self.send_catchup(from, Epoch(epoch.0.saturating_sub(1)), ctx);
+            // Already installed: a peer still deciding it lags behind and
+            // gets a snapshot (our own decision's loopback needs none).
+            if from != self.id {
+                let c = self.last_committed;
+                let req = CatchUp { from: c, below: c };
+                self.handle_catch_up(from, Epoch(epoch.0.saturating_sub(1)), req, ctx);
+            }
             return;
         }
         let mut out = Vec::new();
@@ -301,7 +324,8 @@ impl ClockRsm {
             .on_message(from, msg, &mut out);
         self.route_synod(epoch, out, ctx);
         if let Some(decision) = decided {
-            self.handle_decision_catchup(vec![(epoch, decision)], ctx);
+            self.reconfig.decisions.insert(epoch, decision);
+            self.apply_ready_decisions(ctx);
         }
     }
 
@@ -328,7 +352,7 @@ impl ClockRsm {
     pub(crate) fn apply_ready_decisions(&mut self, ctx: &mut dyn Context<Self>) {
         loop {
             if matches!(self.reconfig.phase, Phase::FetchingState { .. }) {
-                return; // resumes from handle_retrieve_reply
+                return; // resumes from handle_fetched
             }
             let next = self.epoch().next();
             let Some(decision) = self.reconfig.decisions.get(&next).cloned() else {
@@ -348,8 +372,10 @@ impl ClockRsm {
         if decision.cts > cts_local {
             // Lines 13–14: we lag behind the decided commit point.
             self.reconfig.phase = Phase::FetchingState {
-                from_ts: cts_local,
-                to_ts: decision.cts,
+                range: CatchUp {
+                    from: cts_local,
+                    below: decision.cts,
+                },
                 fetched: BTreeMap::new(),
                 responders: HashSet::new(),
             };
@@ -405,7 +431,7 @@ impl ClockRsm {
             config: decision.config.clone(),
             floor,
         });
-        self.reconfig.forget_instances_up_to(e);
+        self.reconfig.forget_up_to(e);
         for tv in &mut self.latest_tv {
             *tv = Timestamp::ZERO;
         }
@@ -481,30 +507,34 @@ impl ClockRsm {
     }
 
     // ------------------------------------------------------------------
-    // State transfer (lines 25–31)
+    // State transfer (lines 25–31) and epoch catch-up
     // ------------------------------------------------------------------
 
-    pub(crate) fn handle_retrieve(
+    /// Responder side of a catch-up request from an asker holding every
+    /// decision through `decided`: the commands logged in
+    /// `(req.from, req.below]`, or a snapshot (see `answer_from_log`).
+    pub(crate) fn handle_catch_up(
         &mut self,
-        from: ReplicaId,
-        from_ts: Timestamp,
-        to_ts: Timestamp,
+        to: ReplicaId,
+        decided: Epoch,
+        req: CatchUp<Timestamp>,
         ctx: &mut dyn Context<Self>,
     ) {
-        self.answer_from_log(from, from_ts, Included(to_ts), ctx, |logged| {
-            RsmMsg::RetrieveReply {
-                from_ts,
-                to_ts,
-                cmds: logged.into_values().collect(),
-            }
+        let CatchUp { from, below } = req;
+        self.answer_from_log(to, decided, from, Included(below), ctx, |logged| {
+            let runs = logged.into_values().collect();
+            RsmMsg::CatchUpReply(CatchUpReply::Runs { from, below, runs })
         });
     }
 
-    pub(crate) fn handle_retrieve_reply(
+    /// Requester side of the majority fetch: collects `from`'s commands
+    /// in `(after, upto]`, and applies the decision once a majority
+    /// answered.
+    pub(crate) fn handle_fetched(
         &mut self,
         from: ReplicaId,
-        from_ts: Timestamp,
-        to_ts: Timestamp,
+        after: Timestamp,
+        upto: Timestamp,
         cmds: Vec<LoggedCmd>,
         ctx: &mut dyn Context<Self>,
     ) {
@@ -513,14 +543,10 @@ impl ClockRsm {
             Phase::FetchingState {
                 fetched,
                 responders,
-                from_ts: f,
-                to_ts: t,
-                ..
-            } if *f == from_ts && *t == to_ts => {
+                range,
+            } if (range.from, range.below) == (after, upto) => {
                 if responders.insert(from) {
-                    let within = cmds
-                        .into_iter()
-                        .filter(|lc| lc.ts > from_ts && lc.ts <= to_ts);
+                    let within = cmds.into_iter().filter(|lc| lc.ts > after && lc.ts <= upto);
                     fetched.extend(within.map(|lc| (lc.ts, lc)));
                 }
                 responders.len() >= majority
@@ -541,15 +567,17 @@ impl ClockRsm {
         self.apply_ready_decisions(ctx);
     }
 
-    /// Responder side of SUSPEND and RETRIEVECMDS, through the shared
-    /// catch-up answer rule: answers `to` with `reply` over the commands
-    /// this replica logged above `after`, up to `upto`, read from its
-    /// stable log — unless a compaction folded some of them into the
-    /// checkpoint the log starts with. Then a snapshot of our commit
-    /// point goes instead (`StateReply`).
+    /// Responder side of SUSPEND and CATCHUP, through the shared catch-up
+    /// answer rule: an asker holding every decision only through an epoch
+    /// before ours gets a snapshot of our live state, which installs our
+    /// epoch. Any other gets `reply` over the commands this replica logged
+    /// above `after`, up to `upto`, read from its stable log — unless a
+    /// compaction folded some of them into the checkpoint the log starts
+    /// with; then a snapshot of our commit point goes instead.
     fn answer_from_log(
         &self,
         to: ReplicaId,
+        decided: Epoch,
         after: Timestamp,
         upto: Bound<Timestamp>,
         ctx: &mut dyn Context<Self>,
@@ -560,9 +588,9 @@ impl ClockRsm {
         let logged = |ctx: &mut dyn Context<Self>| {
             reply(logged_in(ctx.stable_log(), (Excluded(after), upto)))
         };
-        let answer = self
-            .exec
-            .answer_catch_up(after, Some(held), at, epoch, cfg, ctx, logged);
+        let answer =
+            self.exec
+                .answer_catch_up(decided, after, Some(held), at, epoch, cfg, ctx, logged);
         if let Some(msg) = answer {
             ctx.send(to, msg);
         }
@@ -570,28 +598,31 @@ impl ClockRsm {
 
     /// Requester side of a snapshot answer (Section V-B state transfer,
     /// through the shared executor): install it — the executor compacts
-    /// the log to it and the pending runs — and ask again from the new
-    /// commit point. The replica stays frozen until a decision applies
-    /// and clears the pending commands the snapshot covers. A checkpoint of a later epoch installs that
-    /// epoch as an empty decision would: every decision up to it is
-    /// inside the snapshot.
+    /// the log to it and the pending runs. A snapshot of a later epoch
+    /// installs that epoch as an empty decision would, in any phase and
+    /// even at an unchanged commit point: every decision up to it is
+    /// inside the snapshot. One of our own epoch installs only while a
+    /// collection or a fetch waits and only past our commit point; the
+    /// replica stays frozen and asks again from its new commit point.
     pub(crate) fn handle_state_reply(
         &mut self,
         cp: Checkpoint<Timestamp>,
         ctx: &mut dyn Context<Self>,
     ) {
-        let waiting = !matches!(
+        let waiting = matches!(
             self.reconfig.phase,
-            Phase::Idle | Phase::AwaitingDecision { .. }
+            Phase::Collecting { .. } | Phase::FetchingState { .. }
         );
         let (epoch, config, cts) = (cp.epoch, cp.config.clone(), cp.applied);
-        let (stale, live) = (cts <= self.last_committed, live_runs(&self.pending));
-        if !waiting || stale || !self.exec.install_caught_up(cp, ctx, live) {
+        let later = epoch > self.epoch() && cts >= self.last_committed;
+        let fresh = waiting && epoch == self.epoch() && cts > self.last_committed;
+        let live = live_runs(&self.pending);
+        if !(later || fresh) || !self.exec.install_caught_up(cp, ctx, live) {
             return; // stale, or not a snapshot of our state machine
         }
         self.freeze(ctx);
         self.last_committed = cts;
-        if epoch > self.epoch() {
+        if later {
             self.reconfig.rejoin_proposal = None;
             let decision = Decision {
                 config,
@@ -606,36 +637,19 @@ impl ClockRsm {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Epoch catch-up
-    // ------------------------------------------------------------------
-
-    pub(crate) fn send_catchup(
-        &mut self,
-        to: ReplicaId,
-        have_epoch: Epoch,
-        ctx: &mut dyn Context<Self>,
-    ) {
-        let decisions: Vec<(Epoch, Decision)> = self
-            .reconfig
-            .decisions
-            .range(Epoch(have_epoch.0 + 1)..)
-            .map(|(e, d)| (*e, d.clone()))
-            .collect();
-        if !decisions.is_empty() {
-            ctx.send(to, RsmMsg::DecisionCatchup { decisions });
+    /// Asks `to`, installed in epoch `e`, for a snapshot when `e` is past
+    /// every decision this replica holds. The executor paces the request:
+    /// a burst of later-epoch traffic from one peer asks once.
+    pub(crate) fn ask_if_behind(&mut self, to: ReplicaId, e: Epoch, ctx: &mut dyn Context<Self>) {
+        let decided = self.reconfig.decided_through(self.epoch());
+        if e <= decided {
+            return;
         }
-    }
-
-    pub(crate) fn handle_decision_catchup(
-        &mut self,
-        decisions: Vec<(Epoch, Decision)>,
-        ctx: &mut dyn Context<Self>,
-    ) {
-        for (e, d) in decisions {
-            self.reconfig.decisions.entry(e).or_insert(d);
-        }
-        self.apply_ready_decisions(ctx);
+        let c = self.last_committed;
+        let req = CatchUp { from: c, below: c };
+        let msg = |req| RsmMsg::CatchUp { decided, req };
+        let config = self.membership.config();
+        self.exec.request_catch_up(Some(to), req, config, ctx, msg);
     }
 
     // ------------------------------------------------------------------
@@ -662,13 +676,10 @@ impl ClockRsm {
                 (responders, RsmMsg::Suspend { epoch, cts })
             }
             Phase::FetchingState {
-                from_ts,
-                to_ts,
-                responders,
-                ..
+                range, responders, ..
             } => {
-                let (from_ts, to_ts) = (*from_ts, *to_ts);
-                (responders, RsmMsg::RetrieveCmds { from_ts, to_ts })
+                let (decided, req) = (self.reconfig.decided_through(self.epoch()), *range);
+                (responders, RsmMsg::CatchUp { decided, req })
             }
             // The synod retry timer drives this phase.
             Phase::AwaitingDecision { .. } => return,
@@ -694,8 +705,10 @@ mod tests {
     use bytes::Bytes;
     use rsm_core::command::{Command, CommandId};
     use rsm_core::config::Membership;
+    use rsm_core::exec::TRANSFER_RETRY_US;
     use rsm_core::id::ClientId;
     use rsm_core::node::Script;
+    use rsm_core::protocol::Protocol;
 
     fn r(i: u16) -> ReplicaId {
         ReplicaId::new(i)
@@ -807,18 +820,25 @@ mod tests {
         }
     }
 
+    /// Whether `p` holds no decision at or below its installed epoch.
+    fn no_applied_decision_held(p: &ClockRsm) -> bool {
+        p.reconfig.decisions.range(..=p.epoch()).next().is_none()
+    }
+
+    /// The snapshots node `i` sent, with their destinations.
+    fn snapshots(s: &Script<ClockRsm>, i: usize) -> Vec<(ReplicaId, Epoch)> {
+        let sent = s[i].sent.iter();
+        sent.filter_map(|(to, m)| match m {
+            RsmMsg::CatchUpReply(CatchUpReply::Snapshot(cp)) => Some((*to, cp.epoch)),
+            _ => None,
+        })
+        .collect()
+    }
+
     #[test]
-    fn stale_suspend_gets_catchup_not_freeze() {
+    fn stale_suspend_gets_a_snapshot_not_a_freeze() {
         let mut s = Script::new(vec![replica(1)]);
         s[0].clock = 1_000;
-        s.nodes[0].proto.reconfig.decisions.insert(
-            Epoch(1),
-            Decision {
-                config: vec![r(0), r(1)],
-                cts: Timestamp::ZERO,
-                cmds: vec![],
-            },
-        );
         s.nodes[0]
             .proto
             .membership
@@ -827,10 +847,7 @@ mod tests {
             p.handle_suspend(r(2), Epoch(1), Timestamp::ZERO, ctx)
         });
         assert!(!s.nodes[0].proto.is_frozen());
-        assert!(s[0]
-            .sent
-            .iter()
-            .any(|(to, m)| *to == r(2) && matches!(m, RsmMsg::DecisionCatchup { .. })));
+        assert_eq!(snapshots(&s, 0), [(r(2), Epoch(1))]);
     }
 
     /// End-to-end reconfiguration across three hand-driven replicas:
@@ -869,12 +886,89 @@ mod tests {
             // The orphan command was collected from r1 and executed.
             assert_eq!(s[i].executed.len(), 1, "replica {i}");
             assert_eq!(s[i].executed[0].cmd.id.seq, 42);
-            // Epoch record landed in both logs.
+            // Epoch record landed in both logs; the decision is not kept.
             assert!(s.nodes[i]
                 .log
                 .iter()
                 .any(|l| matches!(l, LogRec::Epoch { epoch, .. } if *epoch == Epoch(1))));
+            assert!(no_applied_decision_held(p), "replica {i}");
         }
+    }
+
+    /// r2 is cut off while r0 and r1 decide epoch 1 without it; r0 and r1
+    /// then restart, holding that decision only as their logs' `Epoch`
+    /// records, and every link heals. r2 learns of the later epoch,
+    /// installs a peer's snapshot of it and rejoins.
+    #[test]
+    fn a_laggard_whose_peers_restarted_catches_up_and_rejoins() {
+        let mut s = Script::new((0..3).map(replica).collect());
+        for i in 0..3 {
+            s[i].clock = 1_000;
+            s.on(i, |p, ctx| p.on_start(ctx));
+            s.flush(i);
+        }
+        s.on(0, |p, ctx| p.trigger_reconfigure(vec![r(0), r(1)], ctx));
+        s.flush(0);
+        let pairs = [(0, 0), (0, 1), (1, 0), (1, 1)];
+        while pairs.into_iter().any(|(from, to)| s.deliver(from, to)) {}
+        assert_eq!(s.nodes[1].proto.epoch(), Epoch(1));
+        // What was in flight to r2 is lost; r0 and r1 restart.
+        for i in 0..3 {
+            s[i].links[2].clear();
+        }
+        for i in [0u16, 1] {
+            s.restart(i as usize, replica(i));
+            s.flush(i as usize);
+        }
+        // Each round delivers every link, then fires each replica's
+        // oldest timer.
+        for _ in 0..400 {
+            for (from, to) in (0..3).flat_map(|f| (0..3).map(move |t| (f, t))) {
+                while s.deliver(from, to) {}
+            }
+            for i in 0..3 {
+                if !s[i].timers.is_empty() {
+                    s.fire(i, 0);
+                }
+            }
+        }
+        let r2 = &s.nodes[2].proto;
+        assert!(!r2.is_frozen());
+        assert!(r2.queued_msgs.is_empty());
+        assert!(r2.membership().config().contains(&r(2)));
+        for i in 0..3 {
+            let p = &s.nodes[i].proto;
+            let installed = (p.epoch(), p.membership().config());
+            assert_eq!(
+                installed,
+                (r2.epoch(), r2.membership().config()),
+                "replica {i}"
+            );
+            assert!(no_applied_decision_held(p), "replica {i}");
+        }
+    }
+
+    /// Ten later-epoch CLOCKTIMEs from one peer within the retry window
+    /// ask it once: the executor paces the request. All ten wait for the
+    /// epoch.
+    #[test]
+    fn later_epoch_traffic_asks_its_sender_once() {
+        let mut s = Script::new(vec![replica(0)]);
+        s[0].clock = 1_000;
+        let epoch = Epoch(2);
+        for k in 0..10 {
+            let ts = Timestamp::new(2_000 + k, r(1));
+            s.receive(0, r(1), RsmMsg::ClockTime { epoch, ts });
+        }
+        assert!(s[0].clock < 1_000 + TRANSFER_RETRY_US);
+        let asked: Vec<(ReplicaId, Epoch)> = (s[0].sent.iter())
+            .filter_map(|(to, m)| match m {
+                RsmMsg::CatchUp { decided, .. } => Some((*to, *decided)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(asked, [(r(1), Epoch::ZERO)]);
+        assert_eq!(s.nodes[0].proto.queued_msgs.len(), 10);
     }
 
     #[test]
@@ -893,16 +987,22 @@ mod tests {
             s.nodes[0].proto.reconfig.phase,
             Phase::FetchingState { .. }
         ));
-        let retrieves = s[0]
-            .sent
-            .iter()
-            .filter(|(_, m)| matches!(m, RsmMsg::RetrieveCmds { .. }))
-            .count();
-        assert_eq!(retrieves, 3);
+        // To all of Spec, as an asker holding epoch 1's decision.
+        let fetches: Vec<(Epoch, CatchUp<Timestamp>)> = (s[0].sent.iter())
+            .filter_map(|(_, m)| match m {
+                RsmMsg::CatchUp { decided, req } => Some((*decided, *req)),
+                _ => None,
+            })
+            .collect();
+        let range = CatchUp {
+            from: Timestamp::ZERO,
+            below: Timestamp::new(900, r(0)),
+        };
+        assert_eq!(fetches, [(Epoch(1), range); 3]);
         // Majority replies with the missing command at ts 800.
         for k in [0u16, 1] {
             s.on(0, |p, ctx| {
-                p.handle_retrieve_reply(
+                p.handle_fetched(
                     r(k),
                     Timestamp::ZERO,
                     Timestamp::new(900, r(0)),
@@ -920,7 +1020,7 @@ mod tests {
     }
 
     #[test]
-    fn decision_catchup_applies_in_epoch_order() {
+    fn decisions_decided_out_of_order_apply_in_epoch_order() {
         let mut s = Script::new(vec![replica(2)]);
         s[0].clock = 1_000;
         let d1 = Decision {
@@ -933,19 +1033,20 @@ mod tests {
             cts: Timestamp::new(100, r(0)),
             cmds: vec![lc(200, 0, 2)],
         };
-        // Deliver out of order: epoch 2 first.
-        s.on(0, |p, ctx| {
-            p.handle_decision_catchup(vec![(Epoch(2), d2)], ctx)
-        });
+        let decided = |epoch, value| RsmMsg::Synod {
+            epoch,
+            msg: SynodMsg::Decided { value },
+        };
+        // Decided out of order: epoch 2 first.
+        s.receive(0, r(0), decided(Epoch(2), d2));
         assert_eq!(
             s.nodes[0].proto.epoch(),
             Epoch(0),
             "cannot apply epoch 2 before 1"
         );
-        s.on(0, |p, ctx| {
-            p.handle_decision_catchup(vec![(Epoch(1), d1)], ctx)
-        });
+        s.receive(0, r(1), decided(Epoch(1), d1));
         assert_eq!(s.nodes[0].proto.epoch(), Epoch(2));
+        assert!(s.nodes[0].proto.reconfig.decisions.is_empty());
         assert_eq!(s[0].executed.len(), 2);
         assert_eq!(s[0].executed[0].cmd.id.seq, 1);
         assert_eq!(s[0].executed[1].cmd.id.seq, 2);
@@ -953,25 +1054,22 @@ mod tests {
     }
 
     #[test]
-    fn retrieve_serves_requested_range() {
+    fn catch_up_serves_requested_range() {
         let mut s = Script::new(vec![replica(0)]);
         s[0].clock = 1_000;
         for (m, seq) in [(100u64, 1u64), (200, 2), (300, 3)] {
             log_run(&mut s, 0, Timestamp::new(m, r(0)), vec![cmd(seq)]);
         }
-        s.on(0, |p, ctx| {
-            p.handle_retrieve(
-                r(1),
-                Timestamp::new(100, r(0)),
-                Timestamp::new(250, r(0)),
-                ctx,
-            )
-        });
+        let req = CatchUp {
+            from: Timestamp::new(100, r(0)),
+            below: Timestamp::new(250, r(0)),
+        };
+        s.on(0, |p, ctx| p.handle_catch_up(r(1), Epoch::ZERO, req, ctx));
         let (_, reply) = &s[0].sent[0];
         match reply {
-            RsmMsg::RetrieveReply { cmds, .. } => {
-                assert_eq!(cmds.len(), 1);
-                assert_eq!(cmds[0].cmd.id.seq, 2);
+            RsmMsg::CatchUpReply(CatchUpReply::Runs { runs, .. }) => {
+                assert_eq!(runs.len(), 1);
+                assert_eq!(runs[0].cmd.id.seq, 2);
             }
             _ => unreachable!(),
         }
@@ -979,7 +1077,7 @@ mod tests {
 
     /// Runs from three origins overlapping in micros, queried at every
     /// bound — inside runs, at their ends, at every replica lane — answer
-    /// SUSPENDOK and RETRIEVECMDS from the log with exactly the list a
+    /// SUSPEND and CATCHUP from the log with exactly the list a
     /// per-command index would give, before and after an `Epoch` record
     /// drops (line 15) every uncommitted command above its floor,
     /// splitting runs; a decided command re-logged inside a held run
@@ -1034,8 +1132,9 @@ mod tests {
             };
             for &from in &bounds {
                 s.on(0, |p, ctx| p.handle_suspend(r(1), Epoch(1), from, ctx));
-                for &to in bounds.iter().step_by(5) {
-                    s.on(0, |p, ctx| p.handle_retrieve(r(1), from, to, ctx));
+                for &below in bounds.iter().step_by(5) {
+                    let req = CatchUp { from, below };
+                    s.on(0, |p, ctx| p.handle_catch_up(r(1), Epoch::ZERO, req, ctx));
                 }
                 let mut sent = std::mem::take(&mut s[0].sent).into_iter().map(|(_, m)| m);
                 match sent.next() {
@@ -1044,8 +1143,10 @@ mod tests {
                 }
                 for (&to, m) in bounds.iter().step_by(5).zip(sent) {
                     match m {
-                        RsmMsg::RetrieveReply { cmds, .. } => assert_eq!(cmds, expect(from, to)),
-                        other => panic!("expected RETRIEVEREPLY, got {other:?}"),
+                        RsmMsg::CatchUpReply(CatchUpReply::Runs { runs, .. }) => {
+                            assert_eq!(runs, expect(from, to))
+                        }
+                        other => panic!("expected runs, got {other:?}"),
                     }
                 }
             }
@@ -1155,7 +1256,7 @@ mod tests {
         for k in [0u16, 1] {
             let fetched = vec![lc(500, 0, 1)];
             s.on(0, |p, ctx| {
-                p.handle_retrieve_reply(r(k), Timestamp::ZERO, cts, fetched, ctx)
+                p.handle_fetched(r(k), Timestamp::ZERO, cts, fetched, ctx)
             });
         }
         let order = |s: &Script<ClockRsm>| -> Vec<(u64, u64)> {

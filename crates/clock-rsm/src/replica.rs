@@ -3,6 +3,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use rsm_core::batch::Batch;
+use rsm_core::checkpoint::CatchUpReply;
 use rsm_core::command::Command;
 use rsm_core::config::{Epoch, Membership};
 use rsm_core::exec::{Executor, ReadFront};
@@ -826,15 +827,14 @@ impl Protocol for ClockRsm {
             _ => None,
         };
         if let Some(epoch) = data_epoch {
-            // Older epochs are dropped. Newer ones wait while we request
-            // the decisions we missed, and a PREPARE waits while we are
-            // suspended (Algorithm 3 line 8); both replay from the buffer.
+            // Older epochs are dropped. Newer ones wait while we catch up
+            // with the sender, and a PREPARE waits while we are suspended
+            // (Algorithm 3 line 8); both replay from the buffer.
             if epoch < self.epoch() {
                 return;
             }
             if epoch > self.epoch() {
-                let have_epoch = self.epoch();
-                ctx.send(from, RsmMsg::DecisionRequest { have_epoch });
+                self.ask_if_behind(from, epoch, ctx);
             }
             if epoch > self.epoch() || self.frozen && matches!(msg, RsmMsg::PrepareBatch { .. }) {
                 self.queued_msgs.push_back((from, msg));
@@ -861,17 +861,13 @@ impl Protocol for ClockRsm {
             RsmMsg::Suspend { epoch, cts } => self.handle_suspend(from, epoch, cts, ctx),
             RsmMsg::SuspendOk { epoch, cmds } => self.handle_suspend_ok(from, epoch, cmds, ctx),
             RsmMsg::Synod { epoch, msg } => self.handle_synod(from, epoch, msg, ctx),
-            RsmMsg::RetrieveCmds { from_ts, to_ts } => {
-                self.handle_retrieve(from, from_ts, to_ts, ctx)
-            }
-            RsmMsg::RetrieveReply {
-                from_ts,
-                to_ts,
-                cmds,
-            } => self.handle_retrieve_reply(from, from_ts, to_ts, cmds, ctx),
-            RsmMsg::DecisionRequest { have_epoch } => self.send_catchup(from, have_epoch, ctx),
-            RsmMsg::DecisionCatchup { decisions } => self.handle_decision_catchup(decisions, ctx),
-            RsmMsg::StateReply(cp) => self.handle_state_reply(cp, ctx),
+            RsmMsg::CatchUp { decided, req } => self.handle_catch_up(from, decided, req, ctx),
+            RsmMsg::CatchUpReply(CatchUpReply::Runs {
+                from: after,
+                below,
+                runs,
+            }) => self.handle_fetched(from, after, below, runs, ctx),
+            RsmMsg::CatchUpReply(CatchUpReply::Snapshot(cp)) => self.handle_state_reply(cp, ctx),
         }
     }
 
@@ -920,7 +916,7 @@ impl Protocol for ClockRsm {
             // was taken in.
             if cp.epoch > self.epoch() {
                 self.membership.install(cp.epoch, cp.config.clone());
-                self.reconfig.forget_instances_up_to(cp.epoch);
+                self.reconfig.forget_up_to(cp.epoch);
             }
         }
         // Section V-B: scan the log, executing each command as its COMMIT
@@ -954,7 +950,7 @@ impl Protocol for ClockRsm {
                 LogRec::Epoch { epoch, config, .. } => {
                     if *epoch > self.epoch() {
                         self.membership.install(*epoch, config.clone());
-                        self.reconfig.forget_instances_up_to(*epoch);
+                        self.reconfig.forget_up_to(*epoch);
                     }
                 }
                 LogRec::Checkpoint(_) => {}
@@ -992,6 +988,7 @@ pub(crate) fn live_runs(pending: &[VecDeque<Run>]) -> impl Iterator<Item = LogRe
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use paxos::synod::SynodMsg;
     use rsm_core::command::CommandId;
     use rsm_core::id::ClientId;
     use rsm_core::node::{ApplyOnly, Script};
@@ -1348,7 +1345,7 @@ mod tests {
             },
         );
         assert_eq!(s.nodes[0].proto.latest_tv[1], ts(2_500, 1));
-        // Future epoch: buffered + decision request sent.
+        // Future epoch: buffered + catch-up request sent.
         s.receive(
             0,
             r(1),
@@ -1365,7 +1362,7 @@ mod tests {
         assert!(s[0]
             .sent
             .iter()
-            .any(|(_, m)| matches!(m, RsmMsg::DecisionRequest { .. })));
+            .any(|(_, m)| matches!(m, RsmMsg::CatchUp { .. })));
         assert_eq!(s.nodes[0].proto.queued_msgs.len(), 1);
     }
 
@@ -1670,10 +1667,11 @@ mod tests {
             cts: Timestamp::ZERO,
             cmds: Vec::new(),
         };
-        let catchup = RsmMsg::DecisionCatchup {
-            decisions: vec![(Epoch(1), decision)],
+        let decided = RsmMsg::Synod {
+            epoch: Epoch(1),
+            msg: SynodMsg::Decided { value: decision },
         };
-        s.receive(0, r(1), catchup);
+        s.receive(0, r(1), decided);
         assert_eq!(s.nodes[0].proto.epoch(), Epoch(1));
         let sent = probes(&std::mem::take(&mut s[0].sent));
         assert_eq!(sent.len(), 6, "both reads went round again");

@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use clock_rsm::{ClockRsm, ClockRsmConfig, LogRec, RsmMsg};
 use rsm_core::batch::Batch;
-use rsm_core::checkpoint::{Checkpoint, CheckpointPolicy};
+use rsm_core::checkpoint::{CatchUpReply, Checkpoint, CheckpointPolicy};
 use rsm_core::command::{Command, CommandId};
 use rsm_core::config::{Epoch, Membership};
 use rsm_core::id::{ClientId, ReplicaId};
@@ -249,7 +249,7 @@ fn a_suspend_below_a_compacted_log_is_answered_with_a_snapshot() {
     };
     s.on(0, |p, ctx| p.on_message(r(0), suspend(20_000), ctx));
     let reply = match s[0].sent.pop() {
-        Some((to, RsmMsg::StateReply(cp))) if to == r(0) => cp,
+        Some((to, RsmMsg::CatchUpReply(CatchUpReply::Snapshot(cp)))) if to == r(0) => cp,
         other => panic!("expected a snapshot, got {other:?}"),
     };
     assert_eq!(reply.applied.micros(), 100_000);
@@ -268,9 +268,7 @@ fn a_suspend_below_a_compacted_log_is_answered_with_a_snapshot() {
     let config = vec![r(0), r(1), r(2)];
     q.on(0, |p, ctx| p.trigger_reconfigure(config, ctx));
     q[0].sent.clear();
-    q.on(0, |p, ctx| {
-        p.on_message(r(2), RsmMsg::StateReply(reply), ctx)
-    });
+    q.on(0, |p, ctx| p.on_message(r(2), reply.into(), ctx));
     assert_eq!(q.applied(0), (1..=10).collect::<Vec<u64>>());
     assert!(q.nodes[0].proto.is_frozen());
     assert!(

@@ -56,9 +56,10 @@
 //!
 //! The `epoch`/`config` fields pin the configuration the snapshot was
 //! taken in. Protocols with reconfiguration (Clock-RSM) order epochs
-//! before timestamps, so a checkpoint is only installable by a replica in
-//! the same epoch; the static-membership baselines always carry
-//! [`Epoch::ZERO`] and their fixed configuration.
+//! before timestamps, so a checkpoint of a later epoch serves a replica
+//! behind it whatever its watermark, and installing it installs the
+//! epoch; the static-membership baselines always carry [`Epoch::ZERO`]
+//! and their fixed configuration.
 
 use std::fmt;
 
@@ -258,7 +259,10 @@ crate::wire_table! {
     /// Sent when execution cannot progress from the log and live traffic
     /// alone: a Mencius replica holding a slot its owner may have proposed
     /// while it was down, a Paxos follower whose accept run landed past
-    /// its vouch watermark, or a Paxos replica stalled at a committed hole.
+    /// its vouch watermark, a Paxos replica stalled at a committed hole, a
+    /// Clock-RSM replica applying a decision past its commit point (to a
+    /// majority), or one that sees a later epoch than it holds decisions
+    /// for.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct CatchUp<W> {
         /// The requester's first missing coordinate (inclusive).

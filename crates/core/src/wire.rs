@@ -47,7 +47,8 @@
 //! Version 2 changed the checksum function (to the low 32 bits of XXH64)
 //! and nothing else: layout, field order and tags are those of version 1.
 //! Version 3 added a probe sequence number to Clock-RSM's `ClockProbe`
-//! (the echo, appended under tag 12, names it).
+//! (the echo, appended under tag 12, names it). Version 5 moved Clock-RSM's
+//! catch-up onto the shared catch-up rows (tags 6 and 7; 8, 9, 11 unused).
 //!
 //! # Zero-copy discipline
 //!
@@ -109,7 +110,7 @@ pub const MSG_HEADER_BYTES: usize = 32;
 pub const FRAME_MAGIC: u32 = 0x5253_4D57;
 
 /// Current wire format version (see the module-level versioning rule).
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 
 /// Upper bound on a frame's payload length; a header announcing more is
 /// rejected before any allocation (a corrupt or hostile length prefix
@@ -1065,8 +1066,8 @@ mod tests {
 
     #[test]
     fn older_peers_are_refused_by_version() {
-        assert_eq!(WIRE_VERSION, 4);
-        for v in [1u16, 2, 3] {
+        assert_eq!(WIRE_VERSION, 5);
+        for v in [1u16, 2, 3, 4] {
             let mut old =
                 FrameHeader::for_payload(ReplicaId::new(1), ReplicaId::new(2), 1, b"x").encode();
             old[4..6].copy_from_slice(&v.to_be_bytes());

@@ -170,17 +170,6 @@ impl PhysicalClock {
         }
     }
 
-    /// Creates a clock with a scripted anomaly schedule: each entry is
-    /// applied once true time reaches it (at the next read). Entries need
-    /// not be sorted.
-    pub fn with_anomalies(model: ClockModel, anomalies: Vec<(Micros, ClockAnomaly)>) -> Self {
-        let mut clock = PhysicalClock::new(model);
-        for (at, a) in anomalies {
-            clock.schedule_anomaly(at, a);
-        }
-        clock
-    }
-
     /// Schedules an anomaly to strike at absolute true time `at`. Equal
     /// times apply in insertion order.
     pub fn schedule_anomaly(&mut self, at: Micros, anomaly: ClockAnomaly) {
@@ -409,6 +398,15 @@ mod tests {
         let _ = ClockModel::perfect().with_drift_ppm(-600_000.0);
     }
 
+    /// A clock following `model` with each of `anomalies` scheduled on it.
+    fn scripted(model: ClockModel, anomalies: Vec<(Micros, ClockAnomaly)>) -> PhysicalClock {
+        let mut clock = PhysicalClock::new(model);
+        for (at, a) in anomalies {
+            clock.schedule_anomaly(at, a);
+        }
+        clock
+    }
+
     /// Reads every `step` micros up to `end`, asserting strict monotonicity
     /// throughout; returns the last observed value.
     fn assert_monotonic_sweep(c: &mut PhysicalClock, end: Micros, step: Micros) -> Micros {
@@ -425,7 +423,7 @@ mod tests {
 
     #[test]
     fn scheduled_forward_step_applies_at_its_time() {
-        let mut c = PhysicalClock::with_anomalies(
+        let mut c = scripted(
             ClockModel::perfect(),
             vec![(5_000, ClockAnomaly::Step(2_000))],
         );
@@ -436,7 +434,7 @@ mod tests {
 
     #[test]
     fn scheduled_backward_step_pins_observed_clock() {
-        let mut c = PhysicalClock::with_anomalies(
+        let mut c = scripted(
             ClockModel::perfect(),
             vec![(5_000, ClockAnomaly::Step(-2_000))],
         );
@@ -453,7 +451,7 @@ mod tests {
 
     #[test]
     fn freeze_pins_then_resumes_behind() {
-        let mut c = PhysicalClock::with_anomalies(
+        let mut c = scripted(
             ClockModel::perfect(),
             vec![(10_000, ClockAnomaly::Freeze(3_000))],
         );
@@ -472,7 +470,7 @@ mod tests {
     #[test]
     fn drift_burst_accumulates_and_persists() {
         // +100000 ppm (10%) for 1s of true time → +100ms accumulated.
-        let mut c = PhysicalClock::with_anomalies(
+        let mut c = scripted(
             ClockModel::perfect(),
             vec![(
                 1_000_000,
@@ -500,7 +498,7 @@ mod tests {
 
     #[test]
     fn reads_monotonic_across_every_anomaly_kind() {
-        let mut c = PhysicalClock::with_anomalies(
+        let mut c = scripted(
             ClockModel::ntp(500).with_drift_ppm(40.0),
             vec![
                 (100_000, ClockAnomaly::Step(250_000)),
@@ -523,7 +521,7 @@ mod tests {
 
     #[test]
     fn immediate_freeze_and_drift_burst_match_scheduled() {
-        let mut scheduled = PhysicalClock::with_anomalies(
+        let mut scheduled = scripted(
             ClockModel::perfect(),
             vec![
                 (10_000, ClockAnomaly::Freeze(5_000)),

@@ -18,7 +18,7 @@ use rsm_core::wire::WireSize;
 use rsm_core::CommandId;
 use rsm_obs::{MetricsSnapshot, NodeObs, ObsConfig, Registry, Tracer};
 
-use crate::clock::{ClockAnomaly, ClockModel, PhysicalClock};
+use crate::clock::{ClockModel, PhysicalClock};
 use crate::cpu::CpuModel;
 use crate::sched::EventQueue;
 
@@ -33,7 +33,6 @@ pub struct SimConfig {
     seed: u64,
     clock_model: ClockModel,
     clock_overrides: Vec<(usize, ClockModel)>,
-    clock_anomalies: Vec<(usize, Micros, ClockAnomaly)>,
     cpu: Option<CpuModel>,
     batch: BatchPolicy,
     record_history: bool,
@@ -54,7 +53,6 @@ impl SimConfig {
             seed: 0,
             clock_model: ClockModel::perfect(),
             clock_overrides: Vec::new(),
-            clock_anomalies: Vec::new(),
             cpu: None,
             batch: BatchPolicy::DISABLED,
             record_history: true,
@@ -94,15 +92,6 @@ impl SimConfig {
     /// Overrides the clock model of one replica.
     pub fn clock_override(mut self, replica: usize, m: ClockModel) -> Self {
         self.clock_overrides.push((replica, m));
-        self
-    }
-
-    /// Scripts a [`ClockAnomaly`] on one replica's clock at an absolute
-    /// virtual time — steps, freezes, and drift bursts composed into fault
-    /// schedules by the chaos fuzzer. Anomalies survive crash/recovery
-    /// (the clock is hardware, not process state).
-    pub fn clock_anomaly(mut self, replica: usize, at: Micros, anomaly: ClockAnomaly) -> Self {
-        self.clock_anomalies.push((replica, at, anomaly));
         self
     }
 
@@ -552,18 +541,12 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             if let Some((_, m)) = cfg.clock_overrides.iter().find(|(r, _)| *r == i) {
                 model = *m;
             }
-            let anomalies: Vec<(Micros, ClockAnomaly)> = cfg
-                .clock_anomalies
-                .iter()
-                .filter(|(r, _, _)| *r == i)
-                .map(|&(_, at, a)| (at, a))
-                .collect();
             let obs = cfg
                 .observe
                 .map(|_| NodeObs::new(registry.clone(), i as u16));
             nodes.push(SimNode {
                 node: Node::new(factory(id), sm_factory(), obs, tracer.clone()),
-                clock: PhysicalClock::with_anomalies(model, anomalies),
+                clock: PhysicalClock::new(model),
                 up: true,
                 incarnation: 0,
                 commits: Vec::new(),
@@ -1744,20 +1727,15 @@ mod tests {
     fn scripted_clock_anomalies_stay_monotonic_through_the_sim() {
         // The observed-clock monotonicity guard must hold across every
         // anomaly kind when driven through the simulation, and the net
-        // offsets must land where the schedule says.
-        let cfg = SimConfig::new(LatencyMatrix::uniform(2, 10_000))
-            .clock_anomaly(1, 50_000, ClockAnomaly::Step(-40_000))
-            .clock_anomaly(1, 120_000, ClockAnomaly::Freeze(30_000))
-            .clock_anomaly(
-                1,
-                200_000,
-                ClockAnomaly::DriftBurst {
-                    ppm: 50_000.0,
-                    dur_us: 100_000,
-                },
-            );
-        let mut sim = flood_sim(cfg);
+        // offsets must land where the schedule says. The faults take the
+        // path chaos and harness schedules take: `SimApi`.
+        let mut sim = flood_sim(SimConfig::new(LatencyMatrix::uniform(2, 10_000)));
         let r = ReplicaId::new(1);
+        sim.with_api(|_, api| {
+            api.clock_jump(r, -40_000, 50_000);
+            api.clock_freeze(r, 30_000, 120_000);
+            api.clock_drift_burst(r, 50_000.0, 100_000, 200_000);
+        });
         let mut prev = 0;
         for k in 1..=40u64 {
             sim.run_until(k * 10_000);

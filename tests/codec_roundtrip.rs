@@ -154,11 +154,10 @@ fn arb_rsm_all() -> impl Strategy<Value = Vec<RsmMsg>> {
     (
         arb_batch(),
         pvec(arb_logged(), 0..3),
-        arb_decision(),
         arb_synod_all(),
         (0u64..50, arb_ts(), arb_replica(), arb_checkpoint()),
     )
-        .prop_map(|(cmds, logged, decision, synods, (e, ts, origin, cp))| {
+        .prop_map(|(cmds, logged, synods, (e, ts, origin, cp))| {
             let epoch = Epoch(e);
             let checkpoint = Checkpoint {
                 applied: ts,
@@ -186,25 +185,24 @@ fn arb_rsm_all() -> impl Strategy<Value = Vec<RsmMsg>> {
                     epoch,
                     cmds: logged.clone(),
                 },
-                RsmMsg::RetrieveCmds {
-                    from_ts: ts,
-                    to_ts: later,
+                RsmMsg::CatchUp {
+                    decided: epoch,
+                    req: CatchUp {
+                        from: ts,
+                        below: later,
+                    },
                 },
-                RsmMsg::RetrieveReply {
-                    from_ts: ts,
-                    to_ts: later,
-                    cmds: logged,
-                },
-                RsmMsg::DecisionRequest { have_epoch: epoch },
-                RsmMsg::DecisionCatchup {
-                    decisions: vec![(epoch, decision)],
-                },
+                RsmMsg::CatchUpReply(CatchUpReply::Runs {
+                    from: ts,
+                    below: later,
+                    runs: logged,
+                }),
+                RsmMsg::CatchUpReply(CatchUpReply::Snapshot(checkpoint)),
                 RsmMsg::ClockProbe {
                     epoch,
                     ts: later,
                     seq: e * 3,
                 },
-                RsmMsg::StateReply(checkpoint),
                 RsmMsg::ClockEcho {
                     epoch,
                     ts,
@@ -700,31 +698,30 @@ fn golden_encodings() -> Vec<(String, Bytes)> {
             epoch,
             msg: SynodMsg::Accept { ballot },
         },
-        RsmMsg::RetrieveCmds {
-            from_ts: ts,
-            to_ts: later,
+        RsmMsg::CatchUp {
+            decided: epoch,
+            req: CatchUp {
+                from: ts,
+                below: later,
+            },
         },
-        RsmMsg::RetrieveReply {
-            from_ts: ts,
-            to_ts: later,
-            cmds: vec![logged.clone()],
-        },
-        RsmMsg::DecisionRequest { have_epoch: epoch },
-        RsmMsg::DecisionCatchup {
-            decisions: vec![(epoch, decision.clone())],
-        },
-        RsmMsg::ClockProbe {
-            epoch,
-            ts: later,
-            seq: 4,
-        },
-        RsmMsg::StateReply(Checkpoint {
+        RsmMsg::CatchUpReply(CatchUpReply::Runs {
+            from: ts,
+            below: later,
+            runs: vec![logged.clone()],
+        }),
+        RsmMsg::CatchUpReply(CatchUpReply::Snapshot(Checkpoint {
             applied: ts,
             epoch,
             config: vec![r1],
             snapshot: Bytes::from_static(b"sn"),
             sessions: Bytes::new(),
-        }),
+        })),
+        RsmMsg::ClockProbe {
+            epoch,
+            ts: later,
+            seq: 4,
+        },
         RsmMsg::ClockEcho {
             epoch,
             ts: later,
@@ -829,12 +826,10 @@ const GOLDEN: &[(&str, &str)] = &[
     ("RsmMsg::Suspend", "03000000000000000300000000000001020001"),
     ("RsmMsg::SuspendOk", "040000000000000003000000010000000000000102000100010001000000070000000000000009000000000002706b"),
     ("RsmMsg::Synod", "0500000000000000030300000000000000060002"),
-    ("RsmMsg::RetrieveCmds", "060000000000000102000100000000000002030002"),
-    ("RsmMsg::RetrieveReply", "070000000000000102000100000000000002030002000000010000000000000102000100010001000000070000000000000009000000000002706b"),
-    ("RsmMsg::DecisionRequest", "080000000000000003"),
-    ("RsmMsg::DecisionCatchup", "09000000010000000000000003000000020001000200000000000001020001000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("RsmMsg::CatchUp", "0600000000000000030000000000000102000100000000000002030002"),
+    ("RsmMsg::CatchUpReply", "07000000000000000102000100000000000002030002000000010000000000000102000100010001000000070000000000000009000000000002706b"),
+    ("RsmMsg::CatchUpReply", "070100000000000001020001000000000000000300000001000100000002736e00000000"),
     ("RsmMsg::ClockProbe", "0a0000000000000003000000000000020300020000000000000004"),
-    ("RsmMsg::StateReply", "0b00000000000001020001000000000000000300000001000100000002736e00000000"),
     ("RsmMsg::ClockEcho", "0c0000000000000003000000000000020300020000000000000004"),
     ("PaxosMsg::Forward", "00000000020001000000070000000000000009000000000002706b00020000000400000000000000050101000000000000003300000002676b0002"),
     ("PaxosMsg::Accept", "0100000000000000060002000000000000000c000000020001000000070000000000000009000000000002706b00020000000400000000000000050101000000000000003300000002676b0002"),
