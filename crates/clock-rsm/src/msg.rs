@@ -203,8 +203,8 @@ impl WireSize for RsmMsg {
     }
 }
 
-/// The snapshot arm of the shared catch-up answer rule
-/// ([`Executor::answer_catch_up`](rsm_core::exec::Executor::answer_catch_up)).
+/// A snapshot answer: the shared answer rule's snapshot arm, or the whole
+/// answer to a replica in an earlier epoch ([`rsm_core::exec::Executor`]).
 impl From<Checkpoint<Timestamp>> for RsmMsg {
     fn from(cp: Checkpoint<Timestamp>) -> Self {
         RsmMsg::CatchUpReply(CatchUpReply::Snapshot(cp))

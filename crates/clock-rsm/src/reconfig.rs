@@ -36,10 +36,11 @@
 //! A replica that missed decisions (crashed, partitioned, or restarted
 //! peers that no longer hold them) learns so from a later epoch — a
 //! data-plane message or a `SUSPEND` from a later epoch makes it ask the
-//! sender, paced by the executor, and a stale `SUSPEND` or synod message
-//! of its own is answered unasked. The answer is a snapshot of the
-//! responder's live state, whose install applies the responder's epoch
-//! at once; decisions held above it then apply in epoch order.
+//! sender, paced by the executor; a stale `SUSPEND`, or a synod
+//! `PREPARE`/`PROPOSE` for an installed epoch, is answered unasked. The
+//! answer is a snapshot of the responder's live state, whose install
+//! applies the responder's epoch at once; decisions held above it then
+//! apply in epoch order.
 
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
@@ -308,12 +309,10 @@ impl ClockRsm {
         ctx: &mut dyn Context<Self>,
     ) {
         if epoch <= self.epoch() {
-            // Already installed: a peer still deciding it lags behind and
-            // gets a snapshot (our own decision's loopback needs none).
-            if from != self.id {
-                let c = self.last_committed;
-                let req = CatchUp { from: c, below: c };
-                self.handle_catch_up(from, Epoch(epoch.0.saturating_sub(1)), req, ctx);
+            // Installed: only a proposer still deciding it lags behind.
+            let proposing = matches!(msg, SynodMsg::Prepare { .. } | SynodMsg::Propose { .. });
+            if proposing && from != self.id {
+                self.send_snapshot(from, ctx);
             }
             return;
         }
@@ -567,11 +566,10 @@ impl ClockRsm {
         self.apply_ready_decisions(ctx);
     }
 
-    /// Responder side of SUSPEND and CATCHUP, through the shared catch-up
-    /// answer rule: an asker holding every decision only through an epoch
-    /// before ours gets a snapshot of our live state, which installs our
-    /// epoch. Any other gets `reply` over the commands this replica logged
-    /// above `after`, up to `upto`, read from its stable log — unless a
+    /// Responder side of SUSPEND and CATCHUP. An asker holding decisions
+    /// only through an epoch before ours gets a snapshot; any other, by
+    /// the shared answer rule, `reply` over the commands this replica
+    /// logged in `(after, upto]`, read from its stable log — unless a
     /// compaction folded some of them into the checkpoint the log starts
     /// with; then a snapshot of our commit point goes instead.
     fn answer_from_log(
@@ -583,17 +581,28 @@ impl ClockRsm {
         ctx: &mut dyn Context<Self>,
         reply: impl FnOnce(Logged) -> RsmMsg,
     ) {
+        if decided < self.epoch() {
+            return self.send_snapshot(to, ctx);
+        }
         let held = log_head(ctx.stable_log()).map_or(Timestamp::ZERO, |cp| cp.applied);
         let (at, epoch, cfg) = (self.last_committed, self.epoch(), self.membership.config());
         let logged = |ctx: &mut dyn Context<Self>| {
             reply(logged_in(ctx.stable_log(), (Excluded(after), upto)))
         };
-        let answer =
-            self.exec
-                .answer_catch_up(decided, after, Some(held), at, epoch, cfg, ctx, logged);
+        let answer = self
+            .exec
+            .answer_catch_up(after, Some(held), at, epoch, cfg, ctx, logged);
         if let Some(msg) = answer {
             ctx.send(to, msg);
         }
+    }
+
+    /// Sends `to`, in an earlier epoch than ours, a snapshot of our live
+    /// state: its install installs our epoch and every decision to it.
+    fn send_snapshot(&self, to: ReplicaId, ctx: &mut dyn Context<Self>) {
+        let (at, epoch, cfg) = (self.last_committed, self.epoch(), self.membership.config());
+        let cp = self.exec.snapshot(at, epoch, cfg, ctx);
+        ctx.send(to, cp.into());
     }
 
     /// Requester side of a snapshot answer (Section V-B state transfer,
@@ -895,6 +904,40 @@ mod tests {
         }
     }
 
+    /// A reconfiguration with every replica up and every link delivering
+    /// sends no snapshot: the acceptor whose ACCEPT reaches the proposer
+    /// after the decision installed is not behind, and gets `Decided`.
+    #[test]
+    fn a_reconfiguration_with_every_replica_up_sends_no_snapshot() {
+        let mut s = Script::new((0..3).map(replica).collect());
+        for i in 0..3 {
+            s[i].clock = 1_000;
+        }
+        s.on(0, |p, ctx| {
+            p.trigger_reconfigure(vec![r(0), r(1), r(2)], ctx)
+        });
+        s.flush(0);
+        let mut snapshots_sent = 0;
+        let links = (0..3).flat_map(|f| (0..3).map(move |t| (f, t)));
+        let mut delivered = true;
+        while delivered {
+            delivered = false;
+            for (from, to) in links.clone() {
+                while let Some(msg) = s[from].links[to].pop_front() {
+                    let snapshot = matches!(msg, RsmMsg::CatchUpReply(CatchUpReply::Snapshot(_)));
+                    snapshots_sent += usize::from(snapshot);
+                    s.receive(to, r(from as u16), msg);
+                    s.flush(to);
+                    delivered = true;
+                }
+            }
+        }
+        for i in 0..3 {
+            assert_eq!(s.nodes[i].proto.epoch(), Epoch(1), "replica {i}");
+        }
+        assert_eq!(snapshots_sent, 0);
+    }
+
     /// r2 is cut off while r0 and r1 decide epoch 1 without it; r0 and r1
     /// then restart, holding that decision only as their logs' `Epoch`
     /// records, and every link heals. r2 learns of the later epoch,
@@ -946,6 +989,65 @@ mod tests {
             );
             assert!(no_applied_decision_held(p), "replica {i}");
         }
+    }
+
+    /// A laggard queues a later epoch's run with its acks and clock
+    /// evidence, then installs a peer's snapshot of that epoch whose
+    /// commit point covers the run. Replaying the queue executes nothing
+    /// the snapshot holds and never moves the commit point back.
+    #[test]
+    fn a_snapshot_covering_queued_runs_does_not_replay_them() {
+        let mut s = Script::new(vec![replica(2)]);
+        s[0].clock = 1_000;
+        let epoch = Epoch(1);
+        let (head, last) = (Timestamp::new(2_000, r(0)), Timestamp::new(2_001, r(0)));
+        let cmds = Batch::new(vec![cmd(1), cmd(2)]);
+        let (ts, origin) = (head, r(0));
+        s.receive(
+            0,
+            r(0),
+            RsmMsg::PrepareBatch {
+                epoch,
+                ts,
+                origin,
+                cmds,
+            },
+        );
+        for k in [0u16, 1] {
+            let clock_ts = Timestamp::new(2_100, r(k));
+            s.receive(
+                0,
+                r(k),
+                RsmMsg::PrepareOk {
+                    epoch,
+                    up_to: last,
+                    clock_ts,
+                },
+            );
+            let ts = Timestamp::new(2_200, r(k));
+            s.receive(0, r(k), RsmMsg::ClockTime { epoch, ts });
+        }
+        assert_eq!(s.nodes[0].proto.queued_msgs.len(), 5);
+        let state: Vec<u8> = [1u64, 2].iter().flat_map(|q| q.to_be_bytes()).collect();
+        let cp = Checkpoint {
+            applied: last,
+            epoch,
+            config: vec![r(0), r(1)],
+            snapshot: Bytes::from(state),
+            sessions: Bytes::new(),
+        };
+        s.receive(0, r(0), RsmMsg::CatchUpReply(CatchUpReply::Snapshot(cp)));
+        let p = &s.nodes[0].proto;
+        assert_eq!(p.epoch(), epoch);
+        assert!(p.queued_msgs.is_empty());
+        assert_eq!(p.last_committed, last);
+        assert!(
+            s[0].executed.is_empty(),
+            "the snapshot already holds the run"
+        );
+        let log = &s.nodes[0].log;
+        assert!(!log.iter().any(|l| matches!(l, LogRec::Commit { .. })));
+        assert_eq!(s.applied(0), [1, 2]);
     }
 
     /// Ten later-epoch CLOCKTIMEs from one peer within the retry window

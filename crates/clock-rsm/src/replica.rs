@@ -321,11 +321,12 @@ impl ClockRsm {
             .back()
             .is_none_or(|r| at(r.head, r.cmds.len()) <= head);
         debug_assert!(fifo, "an origin's runs arrive in timestamp order");
-        self.pending[o].push_back(Run {
-            head,
-            cmds,
-            next: 0,
-        });
+        // A run replayed after a snapshot install may reach down to the
+        // commit point the snapshot brought: that prefix already executed.
+        let fresh = (0..cmds.len()).position(|i| at(head, i) > self.last_committed);
+        if let Some(next) = fresh {
+            self.pending[o].push_back(Run { head, cmds, next });
+        }
         self.latest_tv[o] = self.latest_tv[o].max(last);
         if self.needs_rejoin {
             // A recovered replica may have lost prepares that were in

@@ -55,11 +55,10 @@
 //!    instead of log records.
 //!
 //! The `epoch`/`config` fields pin the configuration the snapshot was
-//! taken in. Protocols with reconfiguration (Clock-RSM) order epochs
-//! before timestamps, so a checkpoint of a later epoch serves a replica
-//! behind it whatever its watermark, and installing it installs the
-//! epoch; the static-membership baselines always carry [`Epoch::ZERO`]
-//! and their fixed configuration.
+//! taken in. Clock-RSM orders epochs before timestamps: a checkpoint of
+//! a later epoch serves a replica behind it whatever its watermark, and
+//! installs the epoch. The static-membership baselines always carry
+//! [`Epoch::ZERO`] and their fixed configuration.
 
 use std::fmt;
 

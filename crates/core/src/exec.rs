@@ -13,11 +13,10 @@
 //! the runs it serves.
 //!
 //! The catch-up answer rule is written once, in
-//! [`Executor::answer_catch_up`]: an asker in an earlier epoch gets a
-//! snapshot; otherwise, given the lowest coordinate whose runs the
-//! responder's protocol still holds, a request from at or above it gets
-//! those runs, and one from below it a snapshot when the responder's
-//! executed prefix covers `from`, and nothing otherwise. The
+//! [`Executor::answer_catch_up`]: given the lowest coordinate whose runs
+//! the responder's protocol still holds, a request from at or above it
+//! gets those runs; one from below it gets a snapshot when the
+//! responder's executed prefix covers `from`, and nothing otherwise. The
 //! requester's side, [`Executor::request_catch_up`], paces requests (one
 //! per target lane is not repeated within [`TRANSFER_RETRY_US`]) and
 //! rotates over the peers when the protocol names no target.
@@ -141,8 +140,9 @@ impl<W: Ord + Copy, A> Executor<W, A> {
         applied
     }
 
-    /// A checkpoint of the live state machine at watermark `applied`.
-    fn snapshot<P: Protocol + ?Sized>(
+    /// A checkpoint of the live state machine at `applied`, in `epoch`:
+    /// also the answer to a requester in an earlier epoch, whatever it asks.
+    pub fn snapshot<P: Protocol + ?Sized>(
         &self,
         applied: W,
         epoch: Epoch,
@@ -181,19 +181,15 @@ impl<W: Ord + Copy, A> Executor<W, A> {
 
     /// The one catch-up answer rule. `held` is the lowest coordinate whose
     /// runs the responder's protocol still holds (`None`: it serves no
-    /// runs), `applied` its executed prefix, `epoch` its epoch, and
-    /// `asker` the newest epoch the requester holds every decision
-    /// through. Epochs order before coordinates: an asker in an earlier
-    /// epoch gets a fresh snapshot, which installs the epoch. Otherwise a
-    /// request from at or above `held` gets the runs (`runs` builds
-    /// them); one from below it gets a fresh snapshot of the prefix below
-    /// `applied` — always coherent, never stale, no retained checkpoint
-    /// needed — when that prefix covers `from`; otherwise nothing goes
-    /// back (a peer that can will answer a later retry).
+    /// runs), `applied` its executed prefix. A request from at or above
+    /// `held` gets the runs (`runs` builds them); one from below it gets
+    /// a fresh snapshot of the prefix below `applied` — always coherent,
+    /// never stale, no retained checkpoint needed — when that prefix
+    /// covers `from`; otherwise nothing goes back (a peer that can will
+    /// answer a later retry).
     #[allow(clippy::too_many_arguments)]
     pub fn answer_catch_up<P: Protocol + ?Sized, M: From<Checkpoint<W>>>(
         &self,
-        asker: Epoch,
         from: W,
         held: Option<W>,
         applied: W,
@@ -202,13 +198,11 @@ impl<W: Ord + Copy, A> Executor<W, A> {
         ctx: &mut dyn Context<P>,
         runs: impl FnOnce(&mut dyn Context<P>) -> M,
     ) -> Option<M> {
-        if asker >= epoch {
-            if held.is_some_and(|h| h <= from) {
-                return Some(runs(ctx));
-            }
-            if applied <= from {
-                return None;
-            }
+        if held.is_some_and(|h| h <= from) {
+            return Some(runs(ctx));
+        }
+        if applied <= from {
+            return None;
         }
         Some(self.snapshot(applied, epoch, config, ctx).into())
     }

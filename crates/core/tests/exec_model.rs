@@ -216,26 +216,13 @@ fn answer(
     applied: u64,
     sm: &mut Sm,
 ) -> Option<CatchUpReply<u64, u64>> {
-    answer_in(exec, Epoch(1), from, held, applied, sm)
-}
-
-/// [`answer`] from a responder in epoch 1 to a requester holding every
-/// decision through `asker`.
-fn answer_in(
-    exec: &Executor<u64>,
-    asker: Epoch,
-    from: u64,
-    held: Option<u64>,
-    applied: u64,
-    sm: &mut Sm,
-) -> Option<CatchUpReply<u64, u64>> {
     let config = [ME, ELSEWHERE];
     let runs = |_: &mut dyn Context<Nop>| CatchUpReply::Runs {
         from,
         below: from + 1,
         runs: from,
     };
-    exec.answer_catch_up(asker, from, held, applied, Epoch(1), &config, sm, runs)
+    exec.answer_catch_up(from, held, applied, Epoch::ZERO, &config, sm, runs)
 }
 
 /// The snapshot the answer rule serves a requester at `from`.
@@ -275,10 +262,6 @@ fn the_answer_rule_serves_runs_from_the_held_coordinate_and_a_snapshot_below() {
     // Nothing the requester lacks: silence, not an empty snapshot.
     assert!(answer(&exec, 8, None, 8, &mut sm).is_none());
     assert!(answer(&exec, 3, Some(5), 3, &mut sm).is_none());
-    // An asker in an earlier epoch lacks the epoch, wherever it stands.
-    let behind = |from, held, sm: &mut Sm| answer_in(&exec, Epoch::ZERO, from, held, 8, sm);
-    assert!(is_snapshot(&behind(5, Some(5), &mut sm), 8), "held runs");
-    assert!(is_snapshot(&behind(8, None, &mut sm), 8), "same prefix");
 }
 
 #[test]

@@ -664,7 +664,6 @@ impl MenciusBcast {
         let config = self.membership.config();
         let cursor = self.exec_cursor;
         let answer = self.exec.answer_catch_up(
-            Epoch::ZERO,
             req.from,
             Some(held),
             cursor,

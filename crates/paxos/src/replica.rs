@@ -1205,16 +1205,9 @@ impl MultiPaxos {
                 .collect(),
         };
         let (cursor, config) = (self.exec_cursor, self.membership.config());
-        let answer = self.exec.answer_catch_up(
-            Epoch::ZERO,
-            req.from,
-            held,
-            cursor,
-            Epoch::ZERO,
-            config,
-            ctx,
-            pending,
-        );
+        let answer =
+            self.exec
+                .answer_catch_up(req.from, held, cursor, Epoch::ZERO, config, ctx, pending);
         if let Some(reply) = answer {
             let promised = self.promised;
             ctx.send(from, PaxosMsg::CatchUpReply { promised, reply });

@@ -480,7 +480,7 @@ fn digest_run<P: Protocol + 'static>(
 
 /// The digest of every protocol's execution under every condition of
 /// [`digest_run`]; see [`executions_match_the_pinned_digest`].
-const PINNED_DIGEST: u64 = 0x1eb7_b8dc_4fe3_b78f;
+const PINNED_DIGEST: u64 = 0x5f00_a6da_88ab_31a8;
 
 /// Each of the 24 runs behind [`PINNED_DIGEST`] hashed on its own, in
 /// run order: protocol, condition, digest. Pinned with it, so a moved
@@ -490,11 +490,11 @@ const PINNED_RUNS: [(&str, &str, u64); 24] = [
     ("Paxos", "fault-free", 0x284d_c1a8_7a0c_d747),
     ("Paxos-bcast", "fault-free", 0x2916_4c7a_2e70_7d27),
     ("Mencius-bcast", "fault-free", 0x0c7a_9fa1_b3cf_d6e3),
-    ("Clock-RSM", "crash and recover", 0x2569_459c_2f23_3ee0),
+    ("Clock-RSM", "crash and recover", 0xb12d_bb7c_fef9_b115),
     ("Paxos", "crash and recover", 0xf65a_f709_b2ed_9e6f),
     ("Paxos-bcast", "crash and recover", 0x0ebc_7957_8939_4ed8),
     ("Mencius-bcast", "crash and recover", 0xf330_3e9d_3540_9b2e),
-    ("Clock-RSM", "partition and heal", 0xd3f2_fceb_eea0_a671),
+    ("Clock-RSM", "partition and heal", 0x2f93_eb45_6392_f817),
     ("Paxos", "partition and heal", 0xbd06_4a57_613a_3630),
     ("Paxos-bcast", "partition and heal", 0x2803_d2d8_628d_4f6a),
     ("Mencius-bcast", "partition and heal", 0x308a_6390_0429_32f0),
