@@ -37,7 +37,8 @@
 //! peers that no longer hold them) learns so from a later epoch — a
 //! data-plane message or a `SUSPEND` from a later epoch makes it ask the
 //! sender, paced by the executor; a stale `SUSPEND`, or a synod
-//! `PREPARE`/`PROPOSE` for an installed epoch, is answered unasked. The
+//! `PREPARE`/`PROPOSE` for an installed epoch, is answered unasked, at
+//! most once per peer per `TRANSFER_RETRY_US`. The
 //! answer is a snapshot of the responder's live state, whose install
 //! applies the responder's epoch at once; decisions held above it then
 //! apply in epoch order.
@@ -49,9 +50,10 @@ use paxos::synod::{SynodInstance, SynodMsg};
 use rsm_core::batch::Batch;
 use rsm_core::checkpoint::{log_head, CatchUp, CatchUpReply, Checkpoint};
 use rsm_core::config::Epoch;
+use rsm_core::exec::TRANSFER_RETRY_US;
 use rsm_core::id::ReplicaId;
 use rsm_core::protocol::Context;
-use rsm_core::time::Timestamp;
+use rsm_core::time::{Micros, Timestamp};
 
 use crate::log::{logged_in, LogRec, Logged};
 use crate::msg::{Decision, LoggedCmd, RsmMsg};
@@ -111,12 +113,15 @@ pub struct ReconfigEngine {
     /// collection to cover the commands it missed while down — see
     /// `finish_apply`.
     pub(crate) rejoin_proposal: Option<(Epoch, Decision)>,
+    /// When each peer was last sent a snapshot it did not ask for.
+    unasked_sent: Vec<Option<Micros>>,
 }
 
 impl ReconfigEngine {
     pub(crate) fn new(id: ReplicaId, spec: Vec<ReplicaId>) -> Self {
         ReconfigEngine {
             id,
+            unasked_sent: vec![None; spec.len()],
             spec,
             phase: Phase::Idle,
             synods: BTreeMap::new(),
@@ -218,9 +223,12 @@ impl ClockRsm {
         ctx: &mut dyn Context<Self>,
     ) {
         // The reconfigurer is installed in the epoch before. One behind
-        // us gets a snapshot below instead of a freeze; one ahead of
-        // every decision we hold has what we missed.
+        // us gets a snapshot instead of a freeze; one ahead of every
+        // decision we hold has what we missed.
         let decided = Epoch(epoch.0.saturating_sub(1));
+        if decided < self.epoch() {
+            return self.send_unasked_snapshot(from, ctx);
+        }
         if epoch > self.epoch() {
             self.freeze(ctx);
             self.ask_if_behind(from, decided, ctx);
@@ -312,7 +320,7 @@ impl ClockRsm {
             // Installed: only a proposer still deciding it lags behind.
             let proposing = matches!(msg, SynodMsg::Prepare { .. } | SynodMsg::Propose { .. });
             if proposing && from != self.id {
-                self.send_snapshot(from, ctx);
+                self.send_unasked_snapshot(from, ctx);
             }
             return;
         }
@@ -605,6 +613,21 @@ impl ClockRsm {
         ctx.send(to, cp.into());
     }
 
+    /// [`Self::send_snapshot`] for a stale SUSPEND or synod proposal,
+    /// which its sender repeats on every retry: at most one per peer per
+    /// [`TRANSFER_RETRY_US`], timed by the receipt of the message it
+    /// answers (`last_heard`). The snapshot already on its way ends the
+    /// retries once it installs.
+    fn send_unasked_snapshot(&mut self, to: ReplicaId, ctx: &mut dyn Context<Self>) {
+        let now = self.last_heard[to.index()];
+        let sent = &mut self.reconfig.unasked_sent[to.index()];
+        if sent.is_some_and(|at| now.saturating_sub(at) < TRANSFER_RETRY_US) {
+            return;
+        }
+        *sent = Some(now);
+        self.send_snapshot(to, ctx);
+    }
+
     /// Requester side of a snapshot answer (Section V-B state transfer,
     /// through the shared executor): install it — the executor compacts
     /// the log to it and the pending runs. A snapshot of a later epoch
@@ -714,7 +737,6 @@ mod tests {
     use bytes::Bytes;
     use rsm_core::command::{Command, CommandId};
     use rsm_core::config::Membership;
-    use rsm_core::exec::TRANSFER_RETRY_US;
     use rsm_core::id::ClientId;
     use rsm_core::node::Script;
     use rsm_core::protocol::Protocol;
@@ -857,6 +879,31 @@ mod tests {
         });
         assert!(!s.nodes[0].proto.is_frozen());
         assert_eq!(snapshots(&s, 0), [(r(2), Epoch(1))]);
+    }
+
+    /// A reconfigurer that missed an epoch repeats its stale SUSPEND on
+    /// every retry: one snapshot answers a burst, one more goes once the
+    /// retry window has passed.
+    #[test]
+    fn stale_suspends_from_one_peer_get_one_snapshot_per_window() {
+        let mut s = Script::new(vec![replica(1)]);
+        s[0].clock = 1_000;
+        s.nodes[0]
+            .proto
+            .membership
+            .install(Epoch(1), vec![r(0), r(1), r(2)]);
+        let suspend = RsmMsg::Suspend {
+            epoch: Epoch(1),
+            cts: Timestamp::ZERO,
+        };
+        for _ in 0..10 {
+            s.receive(0, r(2), suspend.clone());
+        }
+        assert!(s[0].clock < 1_000 + TRANSFER_RETRY_US);
+        assert_eq!(snapshots(&s, 0), [(r(2), Epoch(1))]);
+        s[0].clock += TRANSFER_RETRY_US;
+        s.receive(0, r(2), suspend);
+        assert_eq!(snapshots(&s, 0), [(r(2), Epoch(1)); 2]);
     }
 
     /// End-to-end reconfiguration across three hand-driven replicas:

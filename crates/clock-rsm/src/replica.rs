@@ -529,19 +529,10 @@ impl ClockRsm {
 
     /// The majority-ack watermark of origin lane `o`: the largest `t`
     /// such that a majority of the configuration acknowledged logging
-    /// every prepare from `o` up to `t` (the majority-th largest
-    /// `acked[k][o]`). No per-command counter state exists or needs
-    /// cleanup.
+    /// every prepare from `o` up to `t`. No per-command counter state
+    /// exists or needs cleanup.
     fn replicated_upto(&self, o: usize) -> Micros {
-        let config = self.membership.config();
-        let acked = |k: &ReplicaId| self.acked[k.index()][o];
-        let majority = self.membership.majority();
-        config
-            .iter()
-            .map(acked)
-            .filter(|&t| config.iter().filter(|k| acked(k) >= t).count() >= majority)
-            .max()
-            .unwrap_or(0)
+        self.membership.majority_mark(|k| self.acked[k.index()][o])
     }
 
     /// Stamps trace-stage transitions on pending commands **this

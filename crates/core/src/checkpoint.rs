@@ -256,12 +256,12 @@ crate::wire_table! {
     /// for the answer rule).
     ///
     /// Sent when execution cannot progress from the log and live traffic
-    /// alone: a Mencius replica holding a slot its owner may have proposed
-    /// while it was down, a Paxos follower whose accept run landed past
-    /// its vouch watermark, a Paxos replica stalled at a committed hole, a
-    /// Clock-RSM replica applying a decision past its commit point (to a
-    /// majority), or one that sees a later epoch than it holds decisions
-    /// for.
+    /// alone: a recovered Mencius replica resyncing with an owner whose
+    /// proposals it may have missed while down, a Paxos follower whose
+    /// accept run landed past its vouch watermark, a Paxos replica stalled
+    /// at a committed hole, a Clock-RSM replica applying a decision past
+    /// its commit point (to a majority), or one that sees a later epoch
+    /// than it holds decisions for.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct CatchUp<W> {
         /// The requester's first missing coordinate (inclusive).

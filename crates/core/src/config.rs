@@ -105,6 +105,25 @@ impl Membership {
         self.spec.len() / 2 + 1
     }
 
+    /// The largest value that a majority ([`Self::majority`]) of the
+    /// current configuration has reached, by `reached`; 0 when no value
+    /// is reached by that many. For a per-member cumulative watermark
+    /// this is the watermark a majority covers — `majority_mark(..) > c`
+    /// iff a majority's exclusive marks pass `c`. Allocation-free, and
+    /// counts only for a value above the best found so far: the
+    /// protocols call it for every slot or ack they resolve.
+    pub fn majority_mark(&self, reached: impl Fn(ReplicaId) -> u64) -> u64 {
+        let need = self.majority();
+        let mut mark = 0;
+        for &r in &self.config {
+            let v = reached(r);
+            if v > mark && self.config.iter().filter(|&&k| reached(k) >= v).count() >= need {
+                mark = v;
+            }
+        }
+        mark
+    }
+
     /// Whether `r` belongs to `Spec`.
     pub fn in_spec(&self, r: ReplicaId) -> bool {
         self.spec.contains(&r)
@@ -156,6 +175,44 @@ mod tests {
         assert_eq!(m.config().len(), 7);
         assert_eq!(m.majority(), 4);
         assert_eq!(m.epoch(), Epoch::ZERO);
+    }
+
+    /// `majority_mark` against a brute-force count: the largest `v` in
+    /// `0..=max` that at least a majority of the configuration reached.
+    #[test]
+    fn majority_mark_is_the_largest_value_a_majority_reached() {
+        let mut seed = 7u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        for n in 1..=7u16 {
+            let mut m = Membership::uniform(n);
+            if n >= 3 {
+                // A configuration shrunk to its majority still counts
+                // Spec's majority.
+                let keep = (0..m.majority() as u16).map(ReplicaId::new).collect();
+                m.install(Epoch(1), keep);
+            }
+            for _ in 0..200 {
+                let vals: Vec<u64> = (0..n).map(|_| next() % 6).collect();
+                let reached = |r: ReplicaId| vals[r.index()];
+                let brute = (0..=5)
+                    .filter(|&v| {
+                        m.config().iter().filter(|&&k| reached(k) >= v).count() >= m.majority()
+                    })
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(
+                    m.majority_mark(reached),
+                    brute,
+                    "{vals:?} over {:?}",
+                    m.config()
+                );
+            }
+        }
     }
 
     #[test]

@@ -143,7 +143,8 @@ pub mod names {
     pub const CATCHUP_REQUESTS: &str = "catchup.requests";
     /// Snapshots a catch-up brought back and installed (`rsm_core::exec`).
     pub const CATCHUP_SNAPSHOTS_INSTALLED: &str = "catchup.snapshots_installed";
-    /// Resync rounds started after a desync was detected (Mencius).
+    /// Owners a recovered Mencius replica resynced with, one per owner
+    /// per recovery.
     pub const RESYNCS: &str = "mencius.resyncs";
 }
 

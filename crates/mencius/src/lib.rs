@@ -29,6 +29,21 @@
 //! revocation (running Paxos to steal a dead coordinator's slot) is not
 //! modelled; Clock-RSM's reconfiguration is the paper's answer to failures.
 //!
+//! ## Recovery
+//!
+//! A crashed replica replays its stable log (from the checkpoint at its
+//! head, `rsm_core::checkpoint`), but proposals sent while it was down
+//! are lost, so for every other owner it may be missing some. Until it
+//! is back in sync with an owner it neither skips that owner's slots nor
+//! acknowledges them cumulatively. It resyncs with one catch-up per
+//! owner, asked when a proposal of the owner's arrives or the owner's
+//! slot blocks execution: the owner answers with its own proposals from
+//! the requester's execution cursor up to its next own slot, and FIFO
+//! delivers every later one after the answer, so the answer resyncs the
+//! requester at once. An owner whose log no longer reaches back to the
+//! cursor answers with a snapshot instead; the requester installs it and
+//! asks again from its new cursor.
+//!
 //! ## Example
 //!
 //! ```

@@ -40,20 +40,20 @@ rsm_core::wire_table! {
             /// own-slot proposals).
             skip_below: u64,
         },
-        /// A recovered replica asks the owner of its hole what the owner
-        /// proposed in its own slots in `[from, below)` (the shared
-        /// catch-up exchange, `rsm_core::checkpoint`). After a crash the
-        /// sender can no longer tell a skipped slot from a proposal lost in
-        /// flight while it was down, so absence must be confirmed by the
-        /// owner before the slot may resolve as a no-op. `below` is the
-        /// owner's observed skip promise, so no new proposal can land in
-        /// the range later.
+        /// A recovered replica asks an owner for every proposal it made in
+        /// its own slots from `from`, the requester's execution cursor
+        /// (the shared catch-up exchange, `rsm_core::checkpoint`; `below`
+        /// is unbounded). After a crash the sender can no longer tell a
+        /// skipped slot from a proposal lost in flight while it was down,
+        /// so it neither skips nor acknowledges the owner's slots until
+        /// the answer resyncs it.
         2 => CatchUp(CatchUp<u64>),
         /// The owner's answer to a [`CatchUp`](MenciusMsg::CatchUp). `Runs`:
         /// every proposal it ever made in its own slots within `[from,
         /// below)`, as `(slot, command)` pairs read from its stable log;
         /// own slots in the range absent from them are permanently empty,
-        /// and `below` is lowered to the owner's next own slot. When the
+        /// and `below` is lowered to the owner's frontier, its next own
+        /// slot, so every later proposal follows the answer. When the
         /// owner's log was compacted past `from` (its own proposals there
         /// are folded into the checkpoint it leads with): `Snapshot`, its
         /// state through every slot below the carried (exclusive)

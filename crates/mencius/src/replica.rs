@@ -46,23 +46,6 @@ pub enum MenciusLogRec {
         /// Slot number.
         slot: u64,
     },
-    /// A durable record of a catch-up confirmation
-    /// ([`MenciusMsg::CatchUpReply`] runs): the owner vouched, from its
-    /// own stable log, that every proposal it ever made at own slots in
-    /// `[from_slot, below)` is in our log (the runs' `Accept` records
-    /// precede this one). Persisting the range keeps absence proofs —
-    /// and the cumulative acks built on them — valid across our own
-    /// crashes, since an empty confirmed slot leaves no other trace in
-    /// the log, and the owner may since have compacted its own records
-    /// of the range away.
-    GapConfirm {
-        /// The confirming owner.
-        owner: ReplicaId,
-        /// First confirmed slot (inclusive).
-        from_slot: u64,
-        /// End of the confirmed range (exclusive).
-        below: u64,
-    },
     /// A state machine checkpoint (shared subsystem,
     /// `rsm_core::checkpoint`) — the slot watermark, epoch/config and
     /// snapshot: the snapshot reflects every slot **below** the
@@ -90,6 +73,12 @@ fn live_records(
             cmds: Batch::single(cmd.clone()),
             origin: *origin,
         })
+}
+
+/// The largest slot of owner `o` below `p` in a group of `n`:
+/// `p - 1 - ((p - 1 - o) mod n)` when `p > o`, none otherwise.
+fn last_slot_below(o: u64, p: u64, n: u64) -> Option<u64> {
+    (p > o).then(|| p - 1 - ((p - 1 - o) % n))
 }
 
 /// A Mencius replica with the broadcast-acknowledgement optimization.
@@ -121,32 +110,13 @@ pub struct MenciusBcast {
     /// increasing order over FIFO channels, so nothing can be missed).
     /// Cleared for the other owners by a crash — proposals in flight to
     /// a down replica are lost — after which this replica stops issuing
-    /// cumulative acks for them: it can no longer bound what it missed.
-    /// Own proposals are logged synchronously, so the own entry is
-    /// always true. Restored per owner once every own slot of theirs
-    /// below the first post-recovery receipt is accounted for — held in
-    /// the slot table, already resolved, or confirmed absent by catch-up
-    /// runs the owner served from its stable log — since FIFO
-    /// receipt bounds everything at and above that first receipt (see
-    /// `resync_floor`).
+    /// cumulative acks for them and skips none of their slots. Own
+    /// proposals are logged synchronously, so the own entry is always
+    /// true. Restored per owner by one catch-up from the execution
+    /// cursor (see [`Self::resync`]): the owner's runs carry every
+    /// proposal it made from there up to its frontier, its next own
+    /// slot, and FIFO delivers every later proposal after them.
     recv_synced: Vec<bool>,
-    /// First slot received from each owner after a desync: the only
-    /// proposals a crash can have cost us sit **below** it (FIFO — the
-    /// owner proposes its slots in increasing order, and nothing sent
-    /// after our recovery is lost). Once every one of the owner's slots
-    /// in `[exec_cursor, floor)` is held, resolved, or covered by
-    /// `gap_trust`, cumulative acks for the owner are truthful again.
-    /// Crucially this needs no execution progress, so a recovered
-    /// replica re-arms its quorum duty even while the cluster is
-    /// blocked waiting for exactly that ack — execution-gated resync
-    /// deadlocks when two replicas desync in overlapping windows.
-    resync_floor: Vec<Option<u64>>,
-    /// Ranges `[from, below)` the owner confirmed with catch-up runs
-    /// ([`MenciusMsg::CatchUpReply`]): we hold every proposal it ever
-    /// made at own slots inside them, so absence there proves a skip
-    /// even while `recv_synced[o]` is false. Cleared on resync (no
-    /// longer needed).
-    gap_trust: Vec<Vec<(u64, u64)>>,
     /// Next slot to execute or skip; all smaller slots are resolved.
     exec_cursor: u64,
     /// The shared execution pipeline (`rsm_core::exec`): session dedup
@@ -180,16 +150,14 @@ pub struct ProbeMarks {
 impl ProbeMarks {
     /// Folds the per-owner bounds into the single slot coordinate a read
     /// parks on: the smallest cursor position at which every bound is
-    /// honored. Owner `o` with (exclusive) bound `p` has its largest
-    /// constrained slot at `p - 1 - ((p - 1 - o) mod n)` when `p > o`,
-    /// and none otherwise; execution is total-order by slot, so waiting
-    /// for the maximum of those slots waits for all.
+    /// honored. Owner `o` with (exclusive) bound `p` constrains its
+    /// slots up to [`last_slot_below`]`(o, p)`; execution is total-order
+    /// by slot, so waiting for the maximum of those slots waits for all.
     fn park_mark(&self, n: u64) -> u64 {
         let mut needed = 0u64;
         for o in 0..n {
             let p = self.own[o as usize].unwrap_or(self.all[o as usize]);
-            if p > o {
-                let last = p - 1 - ((p - 1 - o) % n);
+            if let Some(last) = last_slot_below(o, p, n) {
                 needed = needed.max(last + 1);
             }
         }
@@ -215,8 +183,6 @@ impl MenciusBcast {
             slots: BTreeMap::new(),
             acked_below: vec![vec![0; n as usize]; n as usize],
             recv_synced: vec![true; n as usize],
-            resync_floor: vec![None; n as usize],
-            gap_trust: vec![Vec::new(); n as usize],
             exec_cursor: 0,
             exec: Executor::new(id, CheckpointPolicy::DISABLED, DEFAULT_SESSION_WINDOW),
             membership,
@@ -257,10 +223,6 @@ impl MenciusBcast {
     /// Number of slots resolved (executed or skipped) so far.
     pub fn resolved(&self) -> u64 {
         self.exec_cursor
-    }
-
-    fn majority(&self) -> usize {
-        self.membership.majority()
     }
 
     /// The smallest slot owned by this replica that is strictly greater
@@ -322,28 +284,8 @@ impl MenciusBcast {
         // whole time). After a crash we may have missed some, so vouch
         // for our own slots instead — trivially complete in our log —
         // which still carries the skip promise everyone needs for
-        // liveness of the gap slots. Coverage becomes truthful again
-        // once the window a crash can have punctured — the owner's
-        // slots between our cursor and our first post-recovery receipt
-        // — is fully accounted for (held, resolved, or confirmed empty
-        // by the owner's catch-up runs); anything missing is fetched
-        // from the owner right here, so resync never waits on execution
-        // progress.
-        let oi = owner.index();
-        if !self.recv_synced[oi] {
-            if self.resync_floor[oi].is_none() {
-                // First post-recovery receipt from this owner: the
-                // resync round for its slot space starts here.
-                self.resync_floor[oi] = Some(first_slot);
-                ctx.obs_count(names::RESYNCS, 1);
-            }
-            let f = self.resync_floor[oi].expect("just initialized");
-            match self.resync_coverage_hole(oi, f) {
-                None => self.restore_recv_sync(oi),
-                Some(hole) => self.catch_up(hole, owner, ctx),
-            }
-        }
-        let up_to_slot = if self.recv_synced[oi] {
+        // liveness of the gap slots, until a catch-up resyncs us.
+        let up_to_slot = if self.recv_synced[owner.index()] {
             last_slot
         } else {
             self.own_ack_mark()
@@ -356,61 +298,20 @@ impl MenciusBcast {
             ctx,
         );
         self.try_execute(ctx);
+        if !self.recv_synced[owner.index()] {
+            self.resync(owner, ctx);
+        }
     }
 
     /// The highest own slot this replica could have proposed — own
     /// proposals are logged synchronously, so claiming cumulative
     /// coverage of them is always sound. Used as the ack watermark when
-    /// coverage of another owner cannot be claimed.
+    /// coverage of another owner cannot be claimed. Never proposed: our
+    /// first own slot, which holds no command from anyone else, so the
+    /// claim is vacuous but well-formed.
     fn own_ack_mark(&self) -> u64 {
-        if self.next_own_slot >= self.n {
-            self.next_own_slot - self.n
-        } else {
-            // Never proposed: our first own slot; it holds no command
-            // from anyone else, so the claim is vacuous but well-formed.
-            self.id.index() as u64
-        }
-    }
-
-    /// First uncovered own slot of owner `o` in `[exec_cursor, f)`, or
-    /// `None` when the whole window is accounted for and cumulative
-    /// acks for `o` are truthful again. A slot is covered when its
-    /// proposal is in hand (logged in the slot table), it already
-    /// resolved (below the cursor), or the owner's catch-up runs
-    /// confirmed it never proposed there (`gap_trust`). FIFO receipt
-    /// covers `[f, ∞)` by construction, so the window is the entire
-    /// claim.
-    fn resync_coverage_hole(&self, o: usize, f: u64) -> Option<u64> {
-        let o64 = o as u64;
-        let r = self.exec_cursor % self.n;
-        // Smallest slot ≥ exec_cursor owned by `o` (slots stripe round
-        // robin: owner_of_slot(s) = s mod n).
-        let mut s = if r <= o64 {
-            self.exec_cursor + (o64 - r)
-        } else {
-            self.exec_cursor + self.n - (r - o64)
-        };
-        while s < f {
-            if !self.slots.contains_key(&s)
-                && !self.gap_trust[o].iter().any(|&(a, b)| a <= s && s < b)
-            {
-                return Some(s);
-            }
-            s += self.n;
-        }
-        None
-    }
-
-    /// Re-arms cumulative acknowledgements for owner `o` after its
-    /// coverage window closed (see [`Self::resync_coverage_hole`]).
-    fn restore_recv_sync(&mut self, o: usize) {
-        self.recv_synced[o] = true;
-        self.resync_floor[o] = None;
-        // The blanket claim subsumes per-range confirmations: a held
-        // proposal stays in the slot table until it executes, and an
-        // absent covered slot was confirmed empty for good (the range's
-        // durable `GapConfirm` record keeps that proof across crashes).
-        self.gap_trust[o].clear();
+        let me = self.id.index() as u64;
+        last_slot_below(me, self.next_own_slot, self.n).unwrap_or(me)
     }
 
     fn on_accept_ack(
@@ -429,27 +330,18 @@ impl MenciusBcast {
         self.try_execute(ctx);
     }
 
-    /// Whether slot `c` has been acknowledged by a majority, read off the
-    /// cumulative watermark matrix.
-    fn majority_acked(&self, c: u64) -> bool {
-        let owner = self.owner_of_slot(c).index();
-        let acks = self
-            .membership
-            .config()
-            .iter()
-            .filter(|k| self.acked_below[k.index()][owner] > c)
-            .count();
-        acks >= self.majority()
-    }
-
     /// Resolves slots in order: execute a slot once it has a command and a
     /// majority of acknowledgements; skip it once its owner's promise
     /// covers it; otherwise stop and wait (the delayed-commit behaviour).
     fn try_execute(&mut self, ctx: &mut dyn Context<Self>) {
         loop {
             let c = self.exec_cursor;
+            let o = self.owner_of_slot(c).index();
             if self.slots.contains_key(&c) {
-                if !self.majority_acked(c) {
+                // Acknowledged by a majority, off the cumulative
+                // watermark matrix?
+                let acked = |k: ReplicaId| self.acked_below[k.index()][o];
+                if self.membership.majority_mark(acked) <= c {
                     break;
                 }
                 let (cmd, origin) = self.slots.remove(&c).expect("checked above");
@@ -466,29 +358,22 @@ impl MenciusBcast {
                 self.exec.execute(cmd, origin, c, ctx);
                 continue;
             }
-            let owner = self.owner_of_slot(c);
-            let o = owner.index();
-            if self.floor[o] <= c {
-                break; // no skip promise yet: wait for owner activity
-            }
-            if self.recv_synced[o] || self.gap_trust[o].iter().any(|&(f, b)| f <= c && c < b) {
-                // The owner promised never to fill this slot with a NEW
-                // proposal, and we provably hold every proposal it ever
-                // made here (continuous FIFO receipt, or the owner's
-                // catch-up runs): the slot is a no-op.
-                ctx.obs_count(names::SKIPS, 1);
-                ctx.log_append(MenciusLogRec::Skip { slot: c });
-                self.exec_cursor = c + 1;
-            } else {
-                // Post-crash hole: the floor rules out new proposals, but
-                // one may have been in flight and lost while we were
-                // down — skipping could omit a globally committed
-                // command. Ask the owner for the range: its proposals,
-                // or — compacted past them — its checkpoint, which
-                // reflects however the cluster resolved the slot.
-                self.catch_up(c, owner, ctx);
+            // The owner promised never to fill this slot with a NEW
+            // proposal, and we provably hold every proposal it ever made
+            // here (continuous FIFO receipt): the slot is a no-op. After
+            // a crash, one may have been in flight and lost while we were
+            // down — skipping could omit a globally committed command —
+            // so wait for the resync below.
+            if self.floor[o] <= c || !self.recv_synced[o] {
                 break;
             }
+            ctx.obs_count(names::SKIPS, 1);
+            ctx.log_append(MenciusLogRec::Skip { slot: c });
+            self.exec_cursor = c + 1;
+        }
+        let owner = self.owner_of_slot(self.exec_cursor);
+        if !self.recv_synced[owner.index()] {
+            self.resync(owner, ctx);
         }
         self.maybe_checkpoint(ctx);
         // The resolution cursor may have passed parked read marks.
@@ -607,16 +492,16 @@ impl MenciusBcast {
             .checkpoint_if_due(at, Epoch::ZERO, config, ctx, live);
     }
 
-    /// Asks `owner` for its own proposals in the unresolved range
-    /// `[from, floor[owner])` (the shared catch-up exchange). The
-    /// executor holds back a request for the same hole while one is in
-    /// flight: the owner's pipelined traffic keeps raising its floor, but
-    /// the answer to this hole covers it regardless, and a request lost
-    /// to the owner's downtime is retried once the retry window passed.
-    fn catch_up(&mut self, from: u64, owner: ReplicaId, ctx: &mut dyn Context<Self>) {
+    /// Asks `owner`, while we are out of sync with it, for every proposal
+    /// it made from our execution cursor on (the shared catch-up
+    /// exchange). Called whenever a proposal of the owner's arrives or
+    /// its slot blocks execution; the executor holds back a repeat from the same
+    /// cursor while one is in flight, and retries one lost to the owner's
+    /// downtime once the retry window passed.
+    fn resync(&mut self, owner: ReplicaId, ctx: &mut dyn Context<Self>) {
         let req = CatchUp {
-            from,
-            below: self.floor[owner.index()],
+            from: self.exec_cursor,
+            below: u64::MAX,
         };
         let config = self.membership.config();
         self.exec
@@ -626,15 +511,15 @@ impl MenciusBcast {
     /// Owner side: the shared answer rule over our stable log. Own
     /// proposals are logged synchronously, so the log holds every one
     /// ever made from the checkpoint at its head (slot 0 for a log that
-    /// never checkpointed) — a request from there gets those
-    /// runs; one from below gets a snapshot of our resolved prefix.
+    /// never checkpointed) — a request from there gets those runs, up to
+    /// our frontier; one from below gets a snapshot of our resolved
+    /// prefix. The frontier is our next own slot: every proposal we make
+    /// after answering lies at or above it and reaches the requester
+    /// after the runs (FIFO), which is what lets the runs resync it. A
+    /// malformed request may ask for less, or invert the range; the runs
+    /// then cover only what it asked.
     fn on_catch_up(&mut self, from: ReplicaId, req: CatchUp<u64>, ctx: &mut dyn Context<Self>) {
         let held = log_head(ctx.stable_log()).map_or(0, |cp| cp.applied);
-        // The requester's floor for us can never outrun our own promise,
-        // but clamp defensively: we must not confirm emptiness of slots
-        // we could still propose in. The clamp can invert the range (a
-        // malformed request): the runs are then empty and confirm
-        // nothing.
         let below = req.below.min(self.next_own_slot);
         let (me, n) = (self.id, self.n as usize);
         let own_runs = |ctx: &mut dyn Context<Self>| {
@@ -697,8 +582,13 @@ impl MenciusBcast {
     }
 
     /// Requester side of the owner's runs: log and register the
-    /// retransmitted proposals, then trust absence across the confirmed
-    /// range.
+    /// retransmitted proposals. Runs reaching back to our cursor hold
+    /// every proposal the owner made from there to its frontier `below`,
+    /// and FIFO brings the rest after them, so they resync us with the
+    /// owner: skips of its slots and cumulative acks for them are
+    /// truthful again. The restored coverage is announced at once, up to
+    /// the owner's last slot below `below` — peers may be blocked waiting
+    /// for exactly that ack, with no proposal left to carry it.
     fn on_runs(
         &mut self,
         from: ReplicaId,
@@ -707,7 +597,6 @@ impl MenciusBcast {
         cmds: Vec<(u64, Command)>,
         ctx: &mut dyn Context<Self>,
     ) {
-        let o = from.index();
         for (slot, cmd) in cmds {
             debug_assert_eq!(self.owner_of_slot(slot), from);
             if slot < self.exec_cursor || self.slots.contains_key(&slot) {
@@ -720,49 +609,19 @@ impl MenciusBcast {
             });
             self.slots.insert(slot, (cmd, from));
         }
-        // Absence now proves a skip anywhere in `[from_slot, below)` —
-        // and only there. The confirmation is logged:
-        // cumulative acks will lean on it, and they must stay truthful
-        // across our own crashes (the owner compacts its log behind them).
-        let covered = self.gap_trust[o]
-            .iter()
-            .any(|&(f, b)| f <= from_slot && below <= b);
-        if from_slot < below && !covered {
-            ctx.log_append(MenciusLogRec::GapConfirm {
-                owner: from,
-                from_slot,
-                below,
-            });
-            self.gap_trust[o].push((from_slot, below));
-        }
-        // The runs may have closed the owner's desync window. Check
-        // here, not just on the owner's next proposal: peers may be
-        // blocked waiting for precisely the cumulative ack we have been
-        // withholding — and when two replicas desync in overlapping
-        // windows, every cursor in the cluster can be stuck on a slot
-        // whose majority needs that ack, so no proposal-side resync
-        // would ever fire. Announce restored coverage immediately, up
-        // to the highest of the owner's slots in hand.
-        if !self.recv_synced[o] {
-            if let Some(f) = self.resync_floor[o] {
-                if self.resync_coverage_hole(o, f).is_none() {
-                    self.restore_recv_sync(o);
-                    let up_to_slot = self
-                        .slots
-                        .keys()
-                        .rev()
-                        .find(|&&s| self.owner_of_slot(s) == from)
-                        .copied()
-                        .unwrap_or(f)
-                        .max(f);
-                    self.broadcast(
-                        MenciusMsg::AcceptAck {
-                            up_to_slot,
-                            skip_below: self.next_own_slot,
-                        },
-                        ctx,
-                    );
-                }
+        let o = from.index();
+        if !self.recv_synced[o] && from_slot <= self.exec_cursor {
+            self.recv_synced[o] = true;
+            ctx.obs_count(names::RESYNCS, 1);
+            if let Some(up_to_slot) = last_slot_below(o as u64, below, self.n) {
+                let skip_below = self.next_own_slot;
+                self.broadcast(
+                    MenciusMsg::AcceptAck {
+                        up_to_slot,
+                        skip_below,
+                    },
+                    ctx,
+                );
             }
         }
         self.try_execute(ctx);
@@ -796,7 +655,7 @@ impl ReadFront for MenciusBcast {
 
     fn probe_quorum(&self) -> usize {
         // Our own marks are the seed: a majority counting ourselves.
-        self.majority() - 1
+        self.membership.majority() - 1
     }
 
     fn park_mark(&self, marks: &ProbeMarks, _cmd: &Command) -> u64 {
@@ -889,13 +748,12 @@ impl Protocol for MenciusBcast {
     fn on_recover(&mut self, log: &[MenciusLogRec], ctx: &mut dyn Context<Self>) {
         // Proposals in flight while we were down are gone (no
         // retransmission), so cumulative ack coverage of the other
-        // owners can never be claimed again — only our own slots stay
-        // vouchable (see `recv_synced`).
+        // owners cannot be claimed until a catch-up resyncs each of
+        // them — only our own slots stay vouchable (see `recv_synced`).
         let me = self.id.index();
         for (o, synced) in self.recv_synced.iter_mut().enumerate() {
             *synced = o == me;
         }
-        self.resync_floor.fill(None);
         // Checkpoint fast path (shared subsystem): restore the checkpoint
         // at the log's head and resume resolution at its watermark
         // instead of replaying from slot zero.
@@ -929,20 +787,8 @@ impl Protocol for MenciusBcast {
                 MenciusLogRec::Skip { slot } if *slot >= base => {
                     resolved.insert(*slot, None);
                 }
-                MenciusLogRec::GapConfirm {
-                    owner,
-                    from_slot,
-                    below,
-                } if *below > base => {
-                    // Confirmed-empty ranges hold for good (the owner
-                    // never proposes below the promise it echoed), so
-                    // the absence proofs — and the cumulative acks we
-                    // issued on their strength — survive the crash.
-                    self.gap_trust[owner.index()].push((*from_slot, *below));
-                }
                 MenciusLogRec::Commit { .. }
                 | MenciusLogRec::Skip { .. }
-                | MenciusLogRec::GapConfirm { .. }
                 | MenciusLogRec::Checkpoint { .. } => {}
             }
         }
@@ -1280,49 +1126,73 @@ mod tests {
         assert!(own_acks >= 3, "own-slot acks keep flowing");
     }
 
+    /// The catch-up requests replica `i` sent: (owner, from, below).
+    fn requests(s: &Script<MenciusBcast>, i: usize) -> Vec<(ReplicaId, u64, u64)> {
+        let reqs = s[i].sent.iter().filter_map(|(to, msg)| match msg {
+            MenciusMsg::CatchUp(req) => Some((*to, req.from, req.below)),
+            _ => None,
+        });
+        reqs.collect()
+    }
+
+    /// The `up_to_slot` of every ack replica `i` sent, in send order.
+    fn acks(s: &Script<MenciusBcast>, i: usize) -> Vec<u64> {
+        let acks = s[i].sent.iter().filter_map(|(_, msg)| match msg {
+            MenciusMsg::AcceptAck { up_to_slot, .. } => Some(*up_to_slot),
+            _ => None,
+        });
+        acks.collect()
+    }
+
     #[test]
-    fn recovered_replica_resyncs_once_the_gap_resolves() {
-        // r1 recovers, first hears r0 at slot 3 (slots 0..3 may have
-        // been missed). Once everything below 3 resolves locally, the
-        // gap is globally decided, so cumulative coverage of r0 becomes
-        // truthful again and full acks resume.
+    fn recovered_replica_resyncs_through_one_catch_up_per_owner() {
+        // r1 recovers and first hears r0 at slot 3 (slots 0..3 may have
+        // been missed). It asks each owner, once, for everything from
+        // its cursor; an owner's runs from there resync it, and full
+        // cumulative acks for that owner resume.
         let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
         s.on(0, |m, ctx| m.on_recover(&[], ctx));
-        propose(&mut s, 0, 3, cmd(1), r(0));
+        s.receive(
+            0,
+            r(0),
+            MenciusMsg::Propose {
+                first_slot: 3,
+                cmds: Batch::single(cmd(1)),
+                origin: r(0),
+            },
+        );
         // Unsynced: the ack references r1's own slots, not slot 3.
-        let last_ack = |s: &Script<MenciusBcast>| {
-            s[0].sent
-                .iter()
-                .rev()
-                .find_map(|(_, msg)| match msg {
-                    MenciusMsg::AcceptAck { up_to_slot, .. } => Some(*up_to_slot),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert_eq!(s.nodes[0].proto.owner_of_slot(last_ack(&s)), r(1));
+        let last = |s: &Script<MenciusBcast>| *acks(s, 0).last().unwrap();
+        assert_eq!(s.nodes[0].proto.owner_of_slot(last(&s)), r(1));
+        assert_eq!(requests(&s, 0), [(r(0), 0, u64::MAX)], "the owner is asked");
         // Majority watermarks for slot 3 arrive.
         ack(&mut s, 0, r(0), 0, 3);
         ack(&mut s, 0, r(2), 0, 5);
         ack(&mut s, 0, r(0), 3, 6);
         ack(&mut s, 0, r(2), 3, 5);
-        // Gap slots 0 and 2 cannot resolve off the owners' floors alone
-        // (a proposal may have been lost in r1's crash); the owners
-        // confirm emptiness, then 0..3 skip and slot 3 commits.
-        assert!(
-            s.nodes[0].proto.resolved() < 4,
-            "holes must wait for owner confirmation"
-        );
+        // Gap slot 0 cannot resolve off the owner's floor alone (a
+        // proposal may have been lost in r1's crash).
+        assert_eq!(s.nodes[0].proto.resolved(), 0, "holes wait for the owner");
+        // r0 answers from the cursor up to its frontier, its next own
+        // slot 6: r1 holds all of r0's proposals below 6 and announces
+        // so at once.
         s.receive(0, r(0), runs(0, 6, Vec::new()));
+        assert!(s.nodes[0].proto.recv_synced[0]);
+        assert_eq!(last(&s), 3, "coverage of r0 announced up to its slot 3");
+        // Slot 0 skips, slot 1 is r1's own; r2's slot 2 blocks and r2 is
+        // asked from the cursor.
+        assert_eq!(s.nodes[0].proto.resolved(), 2);
+        assert_eq!(requests(&s, 0)[1..], [(r(2), 2, u64::MAX)]);
         s.receive(0, r(2), runs(2, 5, Vec::new()));
         assert!(
             s.nodes[0].proto.resolved() >= 4,
             "gap resolved: {}",
             s.nodes[0].proto.resolved()
         );
-        // Next proposal from r0: resynced, full cumulative ack again.
+        assert_eq!(requests(&s, 0).len(), 2, "one request per owner");
+        // Next proposal from r0: full cumulative ack.
         propose(&mut s, 0, 6, cmd(2), r(0));
-        assert_eq!(last_ack(&s), 6, "cumulative acks must resume after resync");
+        assert_eq!(last(&s), 6, "cumulative acks resume after resync");
     }
 
     #[test]
@@ -1348,30 +1218,24 @@ mod tests {
             0,
             "slot 0 must not resolve as a skip"
         );
-        let (to, req) = s[1]
-            .sent
-            .iter()
-            .find_map(|(to, msg)| match msg {
-                MenciusMsg::CatchUp(req) => Some((*to, *req)),
-                _ => None,
-            })
-            .expect("recovered replica must query the owner");
-        assert_eq!(to, r(0));
         // The owner answers from its own Accept records in its log.
-        let fill = answer(&mut s, req.from, req.below);
+        assert_eq!(requests(&s, 1), [(r(0), 0, u64::MAX)], "the owner is asked");
+        let fill = answer(&mut s, 0, u64::MAX);
         assert!(
-            matches!(&fill, CatchUpReply::Runs { runs, .. } if runs.len() == 1),
-            "retransmission must carry the lost slot-0 proposal"
+            matches!(&fill, CatchUpReply::Runs { runs, below: 3, .. } if runs.len() == 1),
+            "retransmission must carry the lost slot-0 proposal, got {fill:?}"
         );
         s.receive(1, r(0), MenciusMsg::CatchUpReply(fill));
-        // r2 confirms its own slots in the gap are empty.
-        s.receive(1, r(2), runs(2, 5, Vec::new()));
-        // Majority watermarks for slots 0 and 3 arrive: everything
-        // resolves, slot 0 first and with the original command.
+        // Majority watermarks for slots 0 and 3 arrive; r2's slot 2
+        // blocks, and r2 confirms from the cursor that its own slots
+        // there are empty.
         ack(&mut s, 1, r(0), 0, 6);
         ack(&mut s, 1, r(2), 0, 5);
         ack(&mut s, 1, r(0), 3, 6);
         ack(&mut s, 1, r(2), 3, 5);
+        assert_eq!(requests(&s, 1)[1..], [(r(2), 2, u64::MAX)]);
+        s.receive(1, r(2), runs(2, 5, Vec::new()));
+        // Everything resolves, slot 0 first and with the original command.
         let resolved = s.nodes[1].proto.resolved();
         assert!(resolved >= 4, "gap resolved: {resolved}");
         assert_eq!(s[1].executed[0].order_hint, 0);
@@ -1382,16 +1246,77 @@ mod tests {
     }
 
     #[test]
+    fn a_runs_answer_rearms_full_acks_at_once_and_a_snapshot_answer_does_not() {
+        // r0 resolves and compacts its slots 0 and 3 while r1 is down.
+        let mut s = Script::new(vec![
+            MenciusBcast::new(r(0), Membership::uniform(3))
+                .with_checkpoints(CheckpointPolicy::every(1)),
+            MenciusBcast::new(r(1), Membership::uniform(3)),
+        ]);
+        for seq in 0..2 {
+            s.on(0, |owner, ctx| {
+                owner.on_client_batch(Batch::single(cmd(seq)), ctx)
+            });
+        }
+        ack(&mut s, 0, r(1), 3, 4);
+        ack(&mut s, 0, r(2), 3, 5);
+        assert_eq!(s.nodes[0].proto.resolved(), 4);
+        s.on(0, |owner, ctx| {
+            owner.on_client_batch(Batch::single(cmd(2)), ctx)
+        }); // slot 6, unresolved
+        let owner_acks = |s: &Script<MenciusBcast>| {
+            let acks = acks(s, 1).into_iter();
+            acks.filter(|&a| a % 3 == 0).collect::<Vec<_>>()
+        };
+        let asked_owner = |s: &Script<MenciusBcast>| {
+            let reqs = requests(s, 1).into_iter();
+            reqs.filter(|q| q.0 == r(0)).collect::<Vec<_>>()
+        };
+        // r1 recovers and hears the owner: it asks from its cursor 0.
+        s.on(1, |m, ctx| m.on_recover(&[], ctx));
+        propose(&mut s, 1, 6, cmd(2), r(0));
+        assert_eq!(asked_owner(&s), [(r(0), 0, u64::MAX)]);
+        // The owner compacted past 0: a snapshot, which installs but
+        // proves nothing about the owner's proposals above it.
+        let reply = answer(&mut s, 0, u64::MAX);
+        assert!(matches!(&reply, CatchUpReply::Snapshot(cp) if cp.applied == 4));
+        s.receive(1, r(0), MenciusMsg::CatchUpReply(reply));
+        // Past the snapshot's 4 slots, r1's own slot 4 skips.
+        assert_eq!(s.nodes[1].proto.resolved(), 5);
+        assert!(
+            !s.nodes[1].proto.recv_synced[0],
+            "a snapshot does not resync"
+        );
+        assert!(
+            owner_acks(&s).is_empty(),
+            "no ack vouches for the owner yet"
+        );
+        // The next trigger, the owner's next proposal, asks again from
+        // the new cursor, and the owner's runs from there resync r1 at
+        // once: one ack up to the owner's last slot below its frontier,
+        // with no further proposal of the owner's needed to carry it.
+        s.on(0, |owner, ctx| {
+            owner.on_client_batch(Batch::single(cmd(3)), ctx)
+        }); // slot 9
+        propose(&mut s, 1, 9, cmd(3), r(0));
+        assert_eq!(asked_owner(&s)[1..], [(r(0), 5, u64::MAX)]);
+        let reply = answer(&mut s, 5, u64::MAX);
+        let below = |reply: &CatchUpReply<u64, _>| match reply {
+            CatchUpReply::Runs { from: 5, below, .. } => Some(*below),
+            _ => None,
+        };
+        assert_eq!(below(&reply), Some(12), "runs up to the owner's frontier");
+        s.receive(1, r(0), MenciusMsg::CatchUpReply(reply));
+        assert!(s.nodes[1].proto.recv_synced[0]);
+        assert_eq!(owner_acks(&s), [9; 3], "one broadcast covers the owner");
+    }
+
+    #[test]
     fn lost_catch_up_is_retried_when_the_owner_is_heard_from() {
         let mut s = Script::new(vec![MenciusBcast::new(r(1), Membership::uniform(3))]);
         s.on(0, |m, ctx| m.on_recover(&[], ctx));
         propose(&mut s, 0, 3, cmd(1), r(0));
-        let count_reqs = |s: &Script<MenciusBcast>| {
-            s[0].sent
-                .iter()
-                .filter(|(_, msg)| matches!(msg, MenciusMsg::CatchUp(_)))
-                .count()
-        };
+        let count_reqs = |s: &Script<MenciusBcast>| requests(s, 0).len();
         assert_eq!(count_reqs(&s), 1, "stall at slot 0 queries the owner");
         // Owner traffic within the retry window must not duplicate the
         // in-flight exchange…
@@ -1582,18 +1507,11 @@ mod tests {
         assert_eq!(own_accepts, 0, "compaction dropped the resolved proposals");
 
         // r1 recovers from a long outage with an empty log and hears the
-        // owner's promise: the hole at slot 0 asks the owner.
+        // owner's promise: the hole at slot 0 asks the owner for
+        // everything from there.
         s.on(1, |m, ctx| m.on_recover(&[], ctx));
         ack(&mut s, 1, r(0), 27, 30);
-        let requests = |s: &Script<MenciusBcast>| {
-            let sent = s[1].sent.iter();
-            let reqs = sent.filter_map(|(to, msg)| match msg {
-                MenciusMsg::CatchUp(req) => Some((*to, req.from, req.below)),
-                _ => None,
-            });
-            reqs.collect::<Vec<_>>()
-        };
-        assert_eq!(requests(&s), [(r(0), 0, 30)], "the owner is asked");
+        assert_eq!(requests(&s, 1), [(r(0), 0, u64::MAX)], "the owner is asked");
         assert_eq!(
             s.nodes[1].proto.resolved(),
             0,
@@ -1601,11 +1519,15 @@ mod tests {
         );
         // Further owner traffic does not repeat the request in flight.
         ack(&mut s, 1, r(0), 27, 30);
-        assert_eq!(requests(&s).len(), 1, "in-flight request is not repeated");
+        assert_eq!(
+            requests(&s, 1).len(),
+            1,
+            "in-flight request is not repeated"
+        );
 
         // The owner's log starts at 22: it answers with a snapshot, and
         // installing it converges r1 on the owner's exact state.
-        let reply = answer(&mut s, 0, 30);
+        let reply = answer(&mut s, 0, u64::MAX);
         assert!(
             matches!(&reply, CatchUpReply::Snapshot(cp) if cp.applied == 22),
             "below the owner's compacted log: a snapshot, got {reply:?}"
@@ -1621,11 +1543,14 @@ mod tests {
             s.applied(0),
             "recovered replica reaches the owner's exact state"
         );
+        assert!(
+            !s.nodes[1].proto.recv_synced[0],
+            "a snapshot does not resync"
+        );
 
-        // The owner's next proposal reaches r1: its first receipt from
-        // the owner after the outage, so every owner slot between the
-        // cursor and it must be accounted for. The second request starts
-        // above the snapshot and gets the owner's runs from its log.
+        // The owner's next proposal moves r1's cursor to replica 2's slot
+        // 23, which blocks it: replica 2 is asked, and the owner again,
+        // both from the new cursor.
         s.on(0, |owner, ctx| {
             owner.on_client_batch(Batch::single(cmd(10)), ctx)
         });
@@ -1635,15 +1560,15 @@ mod tests {
         });
         s.receive(1, r(0), propose.expect("the owner proposes to r1"));
         assert_eq!(
-            requests(&s)[1],
-            (r(0), 24, 33),
-            "second request: above the snapshot"
+            requests(&s, 1)[1..],
+            [(r(2), 23, u64::MAX), (r(0), 23, u64::MAX)],
+            "from the cursor, to each owner"
         );
-        let reply = answer(&mut s, 24, 33);
+        let reply = answer(&mut s, 23, u64::MAX);
         let CatchUpReply::Runs { from, below, runs } = &reply else {
             panic!("above the owner's checkpoint: runs, got {reply:?}");
         };
-        assert_eq!((*from, *below), (24, 33));
+        assert_eq!((*from, *below), (23, 33), "up to the owner's frontier");
         let held: Vec<(u64, u64)> = runs.iter().map(|(slot, c)| (*slot, c.id.seq)).collect();
         assert_eq!(
             held,
@@ -1653,9 +1578,10 @@ mod tests {
         s.receive(1, r(0), MenciusMsg::CatchUpReply(reply));
         let m = &s.nodes[1].proto;
         assert!(m.slots.contains_key(&24) && m.slots.contains_key(&27));
-        assert!(m.recv_synced[0], "the runs close the owner's resync window");
-        let asked: Vec<ReplicaId> = requests(&s).iter().map(|q| q.0).collect();
-        assert_eq!(asked, [r(0), r(0)], "no request goes to a non-owner");
+        assert!(
+            m.recv_synced[0],
+            "runs from the cursor resync r1 with the owner"
+        );
         // And it can keep proposing above everything resolved.
         s.on(1, |m, ctx| m.on_client_batch(Batch::single(cmd(99)), ctx));
         assert!(s.nodes[1].proto.next_own_slot > 22);

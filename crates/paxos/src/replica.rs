@@ -677,27 +677,6 @@ impl MultiPaxos {
         self.advance_commit(ctx);
     }
 
-    /// The instance watermark a majority has acknowledged: the
-    /// `majority`-th largest per-replica watermark, found by advancing a
-    /// candidate from the current committed watermark while a majority
-    /// still covers it. Allocation-free and O(n) per advanced instance,
-    /// so an ACCEPTED that advances nothing costs one counting pass.
-    fn majority_watermark(&self) -> u64 {
-        let mut w = self.committed_next;
-        loop {
-            let covered = self
-                .membership
-                .config()
-                .iter()
-                .filter(|r| self.acked[r.index()] > w)
-                .count();
-            if covered < self.majority() {
-                return w;
-            }
-            w += 1;
-        }
-    }
-
     /// Recomputes the committed watermark from the acknowledgement
     /// watermarks; on advance, notifies (plain leader) and executes.
     /// Stamps [`Replicated`](TraceStage::Replicated) on the commands of
@@ -712,7 +691,8 @@ impl MultiPaxos {
     }
 
     fn advance_commit(&mut self, ctx: &mut dyn Context<Self>) {
-        let w = self.majority_watermark();
+        // The instance watermark a majority has acknowledged.
+        let w = self.membership.majority_mark(|r| self.acked[r.index()]);
         if w <= self.committed_next {
             return;
         }

@@ -157,6 +157,9 @@ pub struct SynodInstance<V> {
     // Proposer state.
     phase: ProposerPhase,
     my_value: Option<V>,
+    /// The value of our phase 2 at `ballot`, which its majority
+    /// chooses, whatever our own acceptor has accepted since.
+    proposed: Option<V>,
     ballot: Ballot,
     promises: Vec<(ReplicaId, Option<(Ballot, V)>)>,
     accepts: HashSet<ReplicaId>,
@@ -179,6 +182,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
             accepted: None,
             phase: ProposerPhase::Idle,
             my_value: None,
+            proposed: None,
             ballot: Ballot::NULL,
             promises: Vec::new(),
             accepts: HashSet::new(),
@@ -297,6 +301,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
                             },
                         ));
                     }
+                    self.proposed = Some(value);
                 }
                 None
             }
@@ -324,12 +329,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
                 self.accepts.insert(from);
                 if self.accepts.len() >= self.majority() {
                     self.phase = ProposerPhase::Done;
-                    let value = self
-                        .accepted
-                        .as_ref()
-                        .map(|(_, v)| v.clone())
-                        .or_else(|| self.my_value.clone())
-                        .expect("phase-2 proposer accepted its own proposal");
+                    let value = self.proposed.clone().expect("phase 2 has a value");
                     for &r in &self.spec {
                         out.push((
                             r,
@@ -502,6 +502,67 @@ mod tests {
             }
         }
         assert_eq!(nodes[4].decided(), Some(&11), "agreement violated");
+    }
+
+    /// A proposer's own acceptor promises a higher ballot before the
+    /// proposer's PROPOSE loops back to it, then the other two accept:
+    /// the proposer decides the value it proposed — the one its phase-2
+    /// majority chose — not its original value.
+    #[test]
+    fn proposer_decides_its_phase_2_value_after_its_acceptor_moves_on() {
+        let s = spec(3);
+        let mut nodes: Vec<_> = s
+            .iter()
+            .map(|&r| SynodInstance::new(r, s.clone()))
+            .collect();
+        let r = ReplicaId::new;
+        let b = |round, p| Ballot {
+            round,
+            proposer: r(p),
+        };
+        let deliver = |nodes: &mut [SynodInstance<u32>], from, to: u16, msg| {
+            let mut out = Vec::new();
+            let decided = nodes[to as usize].on_message(r(from), msg, &mut out);
+            (decided, out)
+        };
+        // r2 accepts (b1.r1, 5); r0 hears b1.r1 and so proposes at b2.r0.
+        deliver(
+            &mut nodes,
+            1,
+            2,
+            SynodMsg::Propose {
+                ballot: b(1, 1),
+                value: 5,
+            },
+        );
+        deliver(&mut nodes, 1, 0, SynodMsg::Prepare { ballot: b(1, 1) });
+        let mut out = Vec::new();
+        nodes[0].propose(7, &mut out);
+        // r0 and r2 promise b2.r0; r2 reports (b1.r1, 5), which r0 inherits.
+        for to in [0, 2] {
+            let (_, promise) = deliver(&mut nodes, 0, to, SynodMsg::Prepare { ballot: b(2, 0) });
+            let (_, proposes) = deliver(&mut nodes, to, 0, promise[0].1.clone());
+            out = proposes;
+        }
+        assert_eq!(out.len(), 3, "phase 2 starts");
+        assert!(out.iter().all(|(_, m)| *m
+            == SynodMsg::Propose {
+                ballot: b(2, 0),
+                value: 5
+            }));
+        // r0's acceptor promises b3.r1, then refuses r0's own PROPOSE.
+        deliver(&mut nodes, 1, 0, SynodMsg::Prepare { ballot: b(3, 1) });
+        let (_, nack) = deliver(&mut nodes, 0, 0, out[0].1.clone());
+        assert!(matches!(nack[0].1, SynodMsg::Nack { .. }));
+        // r1 and r2 accept (b2.r0, 5): a majority chose 5.
+        let mut decided = None;
+        for to in [1, 2] {
+            let (_, accept) = deliver(&mut nodes, 0, to, out[to as usize].1.clone());
+            let (d, _) = deliver(&mut nodes, to, 0, accept[0].1.clone());
+            decided = decided.or(d);
+        }
+        assert_eq!(decided, Some(5), "r0 must decide the chosen value");
+        assert_eq!(nodes[0].decided(), Some(&5));
     }
 
     #[test]

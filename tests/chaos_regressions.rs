@@ -61,9 +61,11 @@ fn chaos_seed_47_clock_rsm_snapshot_divergence() {
 
 /// Swarm regression: seed 43 on mencius froze after staggered
 /// double-crash windows. Two replicas desynced in overlapping recovery
-/// windows and the old execution-gated resync deadlocked (acks gate
-/// execution, execution gated resync, resync gated acks). Fixed by
-/// receipt-based resync with durable gap confirmations.
+/// windows and an execution-gated resync deadlocked (acks gate
+/// execution, execution gated resync, resync gated acks). A recovered
+/// replica now resyncs with each owner through one catch-up from its
+/// execution cursor, which the owner answers from its own log whatever
+/// the cluster's execution, and announces the restored acks at once.
 #[test]
 fn chaos_seed_43_mencius_resync_liveness() {
     assert_eq!(

@@ -8,8 +8,13 @@
 //! protocol must bring the replica back to a state machine
 //! **byte-identical** to the never-crashed replicas, while compaction
 //! keeps every stable log bounded regardless of how many commands
-//! committed — and the victim must actually have installed a snapshot,
-//! or the run never reached the regime it is named for.
+//! committed. Where the peers compact past the victim's commit point,
+//! the victim must actually have installed a snapshot, or the run never
+//! reached the regime it is named for. A recovered Mencius replica asks
+//! each other owner for everything from its execution cursor: at
+//! the default interval an owner's log still reaches back there and its
+//! runs resync the victim; only at a short interval is the answer a
+//! snapshot.
 
 use clock_rsm::ClockRsmConfig;
 use harness::{run_latency, ExperimentConfig, ExperimentResult, ProtocolChoice};
@@ -31,6 +36,10 @@ fn policy() -> CheckpointPolicy {
 }
 
 fn outage_cfg(seed: u64) -> ExperimentConfig {
+    outage_cfg_every(seed, policy())
+}
+
+fn outage_cfg_every(seed: u64, policy: CheckpointPolicy) -> ExperimentConfig {
     ExperimentConfig::new(LatencyMatrix::uniform(3, 10_000))
         .seed(seed)
         .clients_per_site(3)
@@ -38,7 +47,7 @@ fn outage_cfg(seed: u64) -> ExperimentConfig {
         .active_sites(vec![0])
         .warmup_us(100 * MILLIS)
         .duration_us(DURATION)
-        .checkpoint(policy())
+        .checkpoint(policy)
         // Retries keep the closed loop alive across the outage (and, for
         // Mencius, keep proposals flowing while execution is stalled on
         // the dead peer's slots; with nothing executing, no checkpoint
@@ -53,7 +62,23 @@ fn outage_cfg(seed: u64) -> ExperimentConfig {
         .long_outage(VICTIM, DOWN_AT, UP_AT)
 }
 
+/// The victim's counter `name`.
+fn victim_count(r: &ExperimentResult, name: &str) -> u64 {
+    let metrics = r.metrics.as_ref().expect("observed run");
+    let key = format!("r{VICTIM}.{name}");
+    metrics.counters.get(&key).copied().unwrap_or(0)
+}
+
 fn assert_recovered(r: &ExperimentResult, seed: u64, min_site0_commits: u64) {
+    assert_converged(r, seed, min_site0_commits);
+    assert!(
+        victim_count(r, "catchup.snapshots_installed") >= 1,
+        "{} seed {seed}: the victim recovered without installing a snapshot",
+        r.protocol
+    );
+}
+
+fn assert_converged(r: &ExperimentResult, seed: u64, min_site0_commits: u64) {
     assert!(
         r.snapshots_agree,
         "{} seed {seed}: recovered replica diverged; commits {:?}",
@@ -68,14 +93,6 @@ fn assert_recovered(r: &ExperimentResult, seed: u64, min_site0_commits: u64) {
     assert!(
         r.commit_counts[VICTIM as usize] > 0,
         "{} seed {seed}: recovered replica never executed anything",
-        r.protocol
-    );
-    let metrics = r.metrics.as_ref().expect("observed run");
-    let installed = format!("r{VICTIM}.catchup.snapshots_installed");
-    let n = metrics.counters.get(&installed).copied().unwrap_or(0);
-    assert!(
-        n >= 1,
-        "{} seed {seed}: the victim recovered without installing a snapshot",
         r.protocol
     );
 }
@@ -120,19 +137,38 @@ fn paxos_recovers_committed_holes_via_checkpoint_transfer() {
 #[test]
 fn mencius_peer_down_past_compaction_rejoins_and_commits() {
     // While the victim is down, cluster execution stalls on its slots,
-    // but client retries keep the site-0 owner proposing. On rejoin both
-    // arms of the catch-up answer run. The owner has not compacted since
-    // the stall, so its runs carry every proposal the victim missed,
-    // read from its log. Replica 2 proposes nothing, but once the
-    // victim's promise lets execution resume it checkpoints and compacts
-    // every 32 commands, while the victim confirms replica 2's slots one
-    // request at a time. A request reaching below replica 2's newest
-    // checkpoint is answered with replica 2's snapshot — before
-    // checkpoint transfer existed, such a hole stalled it forever.
+    // but client retries keep the site-0 owner proposing. On rejoin the
+    // victim asks each other owner for everything from its execution
+    // cursor. Neither owner has compacted since the stall, so
+    // both answer with runs read from their logs, and each answer
+    // resyncs the victim with its owner: no snapshot, one resync per
+    // owner, and at most two requests per owner (the executor may
+    // re-ask once the cursor has moved).
     for seed in [21u64, 22, 23] {
         let r = run_latency(ProtocolChoice::mencius(), &outage_cfg(seed));
         // Mencius commits only outside the outage window (the dead
         // peer's slots gate execution), so expect less total progress.
+        assert_converged(&r, seed, 100);
+        assert_log_bounded(&r, seed);
+        let requests = victim_count(&r, "catchup.requests");
+        assert!(
+            requests <= 2 * 2,
+            "seed {seed}: {requests} catch-up requests"
+        );
+        assert_eq!(victim_count(&r, "mencius.resyncs"), 2, "seed {seed}");
+    }
+}
+
+#[test]
+fn mencius_rejoin_past_a_short_checkpoint_interval_installs_a_snapshot() {
+    // Checkpointing every 2 commands, an owner's compacted log no longer
+    // reaches back to the victim's cursor: the victim's first request
+    // is answered with a snapshot, it asks again from the snapshot's
+    // watermark, and the runs from there resync it. Before checkpoint
+    // transfer existed, such a hole stalled it forever.
+    for seed in [21u64, 22, 23] {
+        let cfg = outage_cfg_every(seed, CheckpointPolicy::every(2));
+        let r = run_latency(ProtocolChoice::mencius(), &cfg);
         assert_recovered(&r, seed, 100);
         assert_log_bounded(&r, seed);
     }

@@ -480,7 +480,7 @@ fn digest_run<P: Protocol + 'static>(
 
 /// The digest of every protocol's execution under every condition of
 /// [`digest_run`]; see [`executions_match_the_pinned_digest`].
-const PINNED_DIGEST: u64 = 0x5f00_a6da_88ab_31a8;
+const PINNED_DIGEST: u64 = 0x2ac1_4e01_846e_78b8;
 
 /// Each of the 24 runs behind [`PINNED_DIGEST`] hashed on its own, in
 /// run order: protocol, condition, digest. Pinned with it, so a moved
@@ -493,7 +493,7 @@ const PINNED_RUNS: [(&str, &str, u64); 24] = [
     ("Clock-RSM", "crash and recover", 0xb12d_bb7c_fef9_b115),
     ("Paxos", "crash and recover", 0xf65a_f709_b2ed_9e6f),
     ("Paxos-bcast", "crash and recover", 0x0ebc_7957_8939_4ed8),
-    ("Mencius-bcast", "crash and recover", 0xf330_3e9d_3540_9b2e),
+    ("Mencius-bcast", "crash and recover", 0x4f6b_d3c4_d9c1_ea3e),
     ("Clock-RSM", "partition and heal", 0x2f93_eb45_6392_f817),
     ("Paxos", "partition and heal", 0xbd06_4a57_613a_3630),
     ("Paxos-bcast", "partition and heal", 0x2803_d2d8_628d_4f6a),
