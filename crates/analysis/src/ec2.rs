@@ -108,9 +108,9 @@ mod tests {
         let ir = ReplicaId::new(Site::IR.index() as u16);
         let jp = ReplicaId::new(Site::JP.index() as u16);
         let br = ReplicaId::new(Site::BR.index() as u16);
-        assert_eq!(m.rtt(ca, va), 83_000);
-        assert_eq!(m.rtt(ir, jp), 280_000);
-        assert_eq!(m.rtt(jp, br), 368_000);
+        assert_eq!(2 * m.one_way(ca, va), 83_000);
+        assert_eq!(2 * m.one_way(ir, jp), 280_000);
+        assert_eq!(2 * m.one_way(jp, br), 368_000);
         assert_eq!(m.one_way(ca, ir), 85_000);
     }
 
@@ -119,7 +119,7 @@ mod tests {
         let (sites, m) = five_site_deployment();
         assert_eq!(sites.len(), 5);
         // VA is replica 1, JP replica 3 in the subgroup: RTT 215 ms.
-        assert_eq!(m.rtt(ReplicaId::new(1), ReplicaId::new(3)), 215_000);
+        assert_eq!(2 * m.one_way(ReplicaId::new(1), ReplicaId::new(3)), 215_000);
     }
 
     #[test]

@@ -106,9 +106,7 @@ pub fn protocol_choice(s: &Schedule) -> ProtocolChoice {
         ProtocolKind::ClockRsm => ProtocolChoice::clock_rsm_with(
             ClockRsmConfig::default()
                 .with_delta_us(Some(50 * MILLIS))
-                .with_failure_detection(Some(400 * MILLIS))
-                .with_synod_retry_us(100 * MILLIS)
-                .with_reconfig_retry_us(100 * MILLIS),
+                .with_failure_detection(Some(400 * MILLIS)),
         ),
         ProtocolKind::Paxos => ProtocolChoice::paxos_failover(PAXOS_LEADER, lease),
         ProtocolKind::PaxosBcast => ProtocolChoice::paxos_bcast_failover(PAXOS_LEADER, lease),

@@ -1,7 +1,6 @@
 //! Tuning knobs for a Clock-RSM replica.
 
 use rsm_core::checkpoint::CheckpointPolicy;
-use rsm_core::session::DEFAULT_SESSION_WINDOW;
 use rsm_core::time::{Micros, MILLIS};
 
 /// Configuration of a Clock-RSM replica.
@@ -9,6 +8,10 @@ use rsm_core::time::{Micros, MILLIS};
 /// Defaults follow the paper's EC2 deployment: the Algorithm 2 extension
 /// enabled with `Δ = 5 ms`, failure detection disabled (latency
 /// experiments run failure-free; enable it for fault-tolerance tests).
+/// Reconfiguration retries its consensus, suspend collection and state
+/// transfer every [`retry_us`](ClockRsmConfig::retry_us): a quarter of the
+/// failure-detection timeout, the detector's own tick, or 200 ms with
+/// failure detection off.
 ///
 /// # Examples
 ///
@@ -28,10 +31,6 @@ pub struct ClockRsmConfig {
     /// this long is suspected and a reconfiguration removing it is
     /// triggered. `None` disables automatic reconfiguration.
     pub fd_timeout_us: Option<Micros>,
-    /// Retry interval for the reconfiguration consensus proposer.
-    pub synod_retry_us: Micros,
-    /// Retry interval for suspend collection and state transfer.
-    pub reconfig_retry_us: Micros,
     /// Checkpoint policy (shared subsystem, `rsm_core::checkpoint`):
     /// every N commits, compact the log to a state machine checkpoint and
     /// the runs still pending above it, so recovery restores the snapshot
@@ -39,11 +38,6 @@ pub struct ClockRsmConfig {
     /// CATCHUP asking from below the checkpoint is answered with a
     /// snapshot.
     pub checkpoint: CheckpointPolicy,
-    /// Bound on the client-session dedup window
-    /// (`rsm_core::session::SessionTable`): how many distinct clients can
-    /// have a retry recognised as a duplicate at any time. See the
-    /// session module docs for the eviction staleness contract.
-    pub session_window: usize,
 }
 
 impl Default for ClockRsmConfig {
@@ -51,10 +45,7 @@ impl Default for ClockRsmConfig {
         ClockRsmConfig {
             delta_us: Some(5 * MILLIS),
             fd_timeout_us: None,
-            synod_retry_us: 200 * MILLIS,
-            reconfig_retry_us: 200 * MILLIS,
             checkpoint: CheckpointPolicy::DISABLED,
-            session_window: DEFAULT_SESSION_WINDOW,
         }
     }
 }
@@ -84,27 +75,12 @@ impl ClockRsmConfig {
         self
     }
 
-    /// Sets the consensus retry interval.
-    pub fn with_synod_retry_us(mut self, us: Micros) -> Self {
-        self.synod_retry_us = us;
-        self
-    }
-
-    /// Sets the suspend/state-transfer retry interval.
-    pub fn with_reconfig_retry_us(mut self, us: Micros) -> Self {
-        self.reconfig_retry_us = us;
-        self
-    }
-
-    /// Sets the client-session dedup window bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_session_window(mut self, n: usize) -> Self {
-        assert!(n > 0, "session window must be positive");
-        self.session_window = n;
-        self
+    /// The retry interval of reconfiguration's consensus, suspend
+    /// collection and state transfer: the failure detector's tick, a
+    /// quarter of its timeout, or 200 ms with failure detection off.
+    pub fn retry_us(&self) -> Micros {
+        self.fd_timeout_us
+            .map_or(200 * MILLIS, |timeout| timeout / 4)
     }
 
     /// Sets the checkpoint policy (interval, compaction).
@@ -134,14 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn builders_chain() {
-        let cfg = ClockRsmConfig::default()
-            .with_delta_us(Some(1_000))
-            .with_failure_detection(Some(10_000))
-            .with_synod_retry_us(5_000)
-            .with_reconfig_retry_us(7_000);
-        assert_eq!(cfg.fd_timeout_us, Some(10_000));
-        assert_eq!(cfg.synod_retry_us, 5_000);
-        assert_eq!(cfg.reconfig_retry_us, 7_000);
+    fn retries_derive_from_the_failure_detection_timeout() {
+        let cfg = ClockRsmConfig::default().with_failure_detection(Some(10_000));
+        assert_eq!(cfg.retry_us(), 2_500);
+        assert_eq!(ClockRsmConfig::default().retry_us(), 200_000);
     }
 }

@@ -78,7 +78,9 @@
 //! `(config, timestamp, commands)` triple, and every replica applies the
 //! decision — fetching missed commands via state transfer if it lags —
 //! before resuming in the next epoch. Every answer is read from the
-//! stable log, the replica's only record of what it prepared.
+//! stable log, the replica's only record of what it prepared. Its
+//! retries fire at [`ClockRsmConfig::retry_us`], a quarter of the one
+//! failure-detection timeout (the detector's own tick).
 //!
 //! In-flight commands that did not reach the decision are dropped by the
 //! epoch change (their clients retry); commands that reached any majority
@@ -97,7 +99,6 @@
 //!     ClockRsmConfig::default(),
 //! );
 //! assert_eq!(replica.epoch().0, 0);
-//! assert_eq!(replica.membership().config().len(), 5);
 //! ```
 
 #![warn(missing_docs)]
@@ -114,3 +115,8 @@ pub use config::ClockRsmConfig;
 pub use log::LogRec;
 pub use msg::{Decision, LoggedCmd, RsmMsg};
 pub use replica::ClockRsm;
+
+#[cfg(test)]
+mod tests {
+    mod checkpoint;
+}

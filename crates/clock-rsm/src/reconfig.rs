@@ -291,7 +291,7 @@ impl ClockRsm {
             .synod_for(target_epoch)
             .propose(decision, &mut out);
         self.route_synod(target_epoch, out, ctx);
-        ctx.set_timer(self.cfg.synod_retry_us, TOKEN_SYNOD_RETRY);
+        ctx.set_timer(self.cfg.retry_us(), TOKEN_SYNOD_RETRY);
     }
 
     // ------------------------------------------------------------------
@@ -347,7 +347,7 @@ impl ClockRsm {
         let mut out = Vec::new();
         self.reconfig.synod_for(target_epoch).on_retry(&mut out);
         self.route_synod(target_epoch, out, ctx);
-        ctx.set_timer(self.cfg.synod_retry_us, TOKEN_SYNOD_RETRY);
+        ctx.set_timer(self.cfg.retry_us(), TOKEN_SYNOD_RETRY);
     }
 
     // ------------------------------------------------------------------
@@ -492,7 +492,7 @@ impl ClockRsm {
                     self.needs_rejoin = false;
                     self.reconfig.rejoin_proposal = None;
                 } else {
-                    ctx.set_timer(self.cfg.reconfig_retry_us, TOKEN_RECONFIG_RETRY);
+                    ctx.set_timer(self.cfg.retry_us(), TOKEN_RECONFIG_RETRY);
                 }
             }
         } else {
@@ -500,7 +500,7 @@ impl ClockRsm {
             // competing decision won): ask to rejoin, as a recovered
             // replica would (Section V-B).
             self.needs_rejoin = true;
-            ctx.set_timer(self.cfg.reconfig_retry_us, TOKEN_RECONFIG_RETRY);
+            ctx.set_timer(self.cfg.retry_us(), TOKEN_RECONFIG_RETRY);
         }
         self.drain_buffers(ctx);
         self.try_commit(ctx);
@@ -726,7 +726,7 @@ impl ClockRsm {
         for r in spec.filter(|r| !responders.contains(r)) {
             ctx.send(*r, msg.clone());
         }
-        ctx.set_timer(self.cfg.reconfig_retry_us, TOKEN_RECONFIG_RETRY);
+        ctx.set_timer(self.cfg.retry_us(), TOKEN_RECONFIG_RETRY);
     }
 }
 
@@ -836,7 +836,7 @@ mod tests {
         s.on(0, |p, ctx| {
             p.handle_suspend(r(0), Epoch(1), Timestamp::new(100, r(0)), ctx)
         });
-        assert!(s.nodes[0].proto.is_frozen());
+        assert!(s.nodes[0].proto.frozen);
         let (_, reply) = s[0]
             .sent
             .iter()
@@ -877,7 +877,7 @@ mod tests {
         s.on(0, |p, ctx| {
             p.handle_suspend(r(2), Epoch(1), Timestamp::ZERO, ctx)
         });
-        assert!(!s.nodes[0].proto.is_frozen());
+        assert!(!s.nodes[0].proto.frozen);
         assert_eq!(snapshots(&s, 0), [(r(2), Epoch(1))]);
     }
 
@@ -937,8 +937,8 @@ mod tests {
         for i in [0usize, 1] {
             let p = &s.nodes[i].proto;
             assert_eq!(p.epoch(), Epoch(1), "replica {i}");
-            assert_eq!(p.membership().config(), &[r(0), r(1)]);
-            assert!(!p.is_frozen());
+            assert_eq!(p.membership.config(), &[r(0), r(1)]);
+            assert!(!p.frozen);
             // The orphan command was collected from r1 and executed.
             assert_eq!(s[i].executed.len(), 1, "replica {i}");
             assert_eq!(s[i].executed[0].cmd.id.seq, 42);
@@ -1023,18 +1023,65 @@ mod tests {
             }
         }
         let r2 = &s.nodes[2].proto;
-        assert!(!r2.is_frozen());
+        assert!(!r2.frozen);
         assert!(r2.queued_msgs.is_empty());
-        assert!(r2.membership().config().contains(&r(2)));
+        assert!(r2.membership.config().contains(&r(2)));
         for i in 0..3 {
             let p = &s.nodes[i].proto;
-            let installed = (p.epoch(), p.membership().config());
+            let installed = (p.epoch(), p.membership.config());
             assert_eq!(
                 installed,
-                (r2.epoch(), r2.membership().config()),
+                (r2.epoch(), r2.membership.config()),
                 "replica {i}"
             );
             assert!(no_applied_decision_held(p), "replica {i}");
+        }
+    }
+
+    /// r0 and r1 restart together after deciding epoch 1 without r2, so
+    /// both rejoin and compete for epoch 2's synod; every round delivers
+    /// every link and then fires every timer pending at its start, so
+    /// competing proposers retry in lockstep. A proposer whose round heard
+    /// a reply or a higher ballot since its last retry sits the next one
+    /// out, and the epoch is decided.
+    #[test]
+    fn rejoiners_retrying_in_lockstep_decide() {
+        let mut s = Script::new((0..3).map(replica).collect());
+        for i in 0..3 {
+            s[i].clock = 1_000;
+            s.on(i, |p, ctx| p.on_start(ctx));
+            s.flush(i);
+        }
+        s.on(0, |p, ctx| p.trigger_reconfigure(vec![r(0), r(1)], ctx));
+        s.flush(0);
+        let pairs = [(0, 0), (0, 1), (1, 0), (1, 1)];
+        while pairs.into_iter().any(|(from, to)| s.deliver(from, to)) {}
+        for i in 0..3 {
+            s[i].links[2].clear();
+        }
+        for i in [0u16, 1] {
+            s.restart(i as usize, replica(i));
+            s.flush(i as usize);
+        }
+        for _ in 0..100 {
+            for (from, to) in (0..3).flat_map(|f| (0..3).map(move |t| (f, t))) {
+                while s.deliver(from, to) {}
+            }
+            for i in 0..3 {
+                for _ in 0..s[i].timers.len() {
+                    s.fire(i, 0);
+                }
+            }
+        }
+        for i in 0..3 {
+            let p = &s.nodes[i].proto;
+            assert!(
+                p.epoch() >= Epoch(2),
+                "replica {i} stuck in {:?}",
+                p.epoch()
+            );
+            assert!(!p.needs_rejoin, "replica {i} still rejoining");
+            assert!(p.membership.config().contains(&r(i as u16)));
         }
     }
 
@@ -1414,12 +1461,12 @@ mod tests {
         };
         let live = order(&s);
         assert_eq!(live.iter().map(|c| c.0).collect::<Vec<_>>(), [1, 2, 3, 4]);
-        let committed = s.nodes[0].proto.committed_count();
+        let committed = s.nodes[0].proto.committed_count;
 
         s.restart(0, replica(2));
         assert_eq!(order(&s), live, "each command executes once");
         let q = &s.nodes[0].proto;
-        assert_eq!(q.committed_count(), committed);
+        assert_eq!(q.committed_count, committed);
         assert_eq!(logged_in(&s.nodes[0].log, ..).len(), 4);
     }
 }

@@ -11,6 +11,7 @@ use rsm_core::id::ReplicaId;
 use rsm_core::obs::{names, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::read::{ReadPath, PROBE_FLUSH_TOKEN};
+use rsm_core::session::DEFAULT_SESSION_WINDOW;
 use rsm_core::time::{Micros, Timestamp};
 
 use crate::config::ClockRsmConfig;
@@ -193,7 +194,7 @@ impl ClockRsm {
             reconfig: ReconfigEngine::new(id, membership.spec().to_vec()),
             needs_rejoin: false,
             last_heard: vec![0; n],
-            exec: Executor::new(id, cfg.checkpoint, cfg.session_window),
+            exec: Executor::new(id, cfg.checkpoint, DEFAULT_SESSION_WINDOW),
             queued_reads: VecDeque::new(),
             committed_count: 0,
             obs_stable_floor: Timestamp::ZERO,
@@ -202,43 +203,9 @@ impl ClockRsm {
         }
     }
 
-    /// Sets the session-table chaos-canary knob (**test-only**): when on,
-    /// duplicate writes re-apply instead of deduplicating — the bug the
-    /// chaos fuzzer proves it can find and shrink.
-    pub fn with_session_canary(mut self, on: bool) -> Self {
-        self.exec.set_session_canary(on);
-        self
-    }
-
     /// The current epoch.
     pub fn epoch(&self) -> Epoch {
         self.membership.epoch()
-    }
-
-    /// The membership (spec, config, epoch).
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// Number of commands committed (executed) by this replica instance.
-    pub fn committed_count(&self) -> u64 {
-        self.committed_count
-    }
-
-    /// Number of commands currently pending (not yet committed).
-    pub fn pending_count(&self) -> usize {
-        let runs = self.pending.iter().flatten();
-        runs.map(|run| run.cmds.len() - run.next).sum()
-    }
-
-    /// Whether the replica is frozen by an in-flight reconfiguration.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Timestamp of the most recent commit mark.
-    pub fn last_committed_ts(&self) -> Timestamp {
-        self.last_committed
     }
 
     // ------------------------------------------------------------------
@@ -1012,6 +979,12 @@ mod tests {
         Timestamp::new(micros, r(i))
     }
 
+    /// Commands `p` holds pending (not yet committed), over every run.
+    fn pending_count(p: &ClockRsm) -> usize {
+        let runs = p.pending.iter().flatten();
+        runs.map(|run| run.cmds.len() - run.next).sum()
+    }
+
     /// Builds a single-command PREPAREBATCH (most tests drive the
     /// protocol one command at a time).
     fn prepare(epoch: Epoch, t: Timestamp, origin: ReplicaId, c: Command) -> RsmMsg {
@@ -1132,7 +1105,7 @@ mod tests {
             },
         );
         assert_eq!(s.nodes[0].log.len(), 1, "the batch is logged as one run");
-        assert_eq!(s.nodes[0].proto.pending_count(), 4);
+        assert_eq!(pending_count(&s.nodes[0].proto), 4);
         let oks: Vec<&RsmMsg> = s[0]
             .sent
             .iter()
@@ -1222,8 +1195,8 @@ mod tests {
         );
         assert_eq!(s[0].executed.len(), 1);
         assert_eq!(s[0].executed[0].origin, r(0));
-        assert_eq!(s.nodes[0].proto.committed_count(), 1);
-        assert_eq!(s.nodes[0].proto.pending_count(), 0);
+        assert_eq!(s.nodes[0].proto.committed_count, 1);
+        assert_eq!(pending_count(&s.nodes[0].proto), 0);
         // Commit mark appended after the prepare record.
         assert!(s.nodes[0]
             .log

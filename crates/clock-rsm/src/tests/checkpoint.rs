@@ -1,8 +1,8 @@
 //! Checkpointing (Section V-B): recovery restores the latest snapshot and
 //! replays only the log suffix, instead of re-executing everything.
 
+use crate::{ClockRsm, ClockRsmConfig, LogRec, RsmMsg};
 use bytes::Bytes;
-use clock_rsm::{ClockRsm, ClockRsmConfig, LogRec, RsmMsg};
 use rsm_core::batch::Batch;
 use rsm_core::checkpoint::{CatchUpReply, Checkpoint, CheckpointPolicy};
 use rsm_core::command::{Command, CommandId};
@@ -129,7 +129,7 @@ fn compaction_truncates_the_log_below_the_watermark() {
     // Recovery from the compacted log reproduces the full state.
     s.restart(0, replica(policy));
     assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
-    assert_eq!(s.nodes[0].proto.last_committed_ts().micros(), 70_000);
+    assert_eq!(s.nodes[0].proto.last_committed.micros(), 70_000);
 }
 
 #[test]
@@ -142,7 +142,7 @@ fn recovery_restores_snapshot_and_replays_only_suffix() {
     assert_eq!(s.applied(0), vec![1, 2, 3, 4, 5, 6, 7]);
     assert_eq!(s[0].executed.len(), 1, "only the suffix is re-executed");
     assert_eq!(s[0].executed[0].cmd.id.seq, 7);
-    assert_eq!(s.nodes[0].proto.last_committed_ts().micros(), 70_000);
+    assert_eq!(s.nodes[0].proto.last_committed.micros(), 70_000);
 }
 
 /// Recovery replay feeds the checkpoint trigger like live execution: a
@@ -217,8 +217,14 @@ fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
     let applied = s.applied(0);
     assert_eq!(applied, vec![1, 2, 3, 4, 5]);
     let p = &s.nodes[0].proto;
-    assert_eq!(p.pending_count(), 3, "the run is cut after five");
-    let (committed, last) = (p.committed_count(), p.last_committed_ts());
+    let pending: usize = p
+        .pending
+        .iter()
+        .flatten()
+        .map(|run| run.cmds.len() - run.next)
+        .sum();
+    assert_eq!(pending, 3, "the run is cut after five");
+    let (committed, last) = (p.committed_count, p.last_committed);
     let checkpoint_at = checkpoints(&s).first().map(|cp| cp.applied.micros());
     assert_eq!(checkpoint_at, Some(10_002), "the checkpoint is mid-run");
     let keys =
@@ -228,8 +234,8 @@ fn crash_after_a_checkpoint_inside_a_partly_executed_run() {
     s.restart(0, replica(policy));
     assert_eq!(s.applied(0), applied);
     let p = &s.nodes[0].proto;
-    assert_eq!(p.committed_count() + 3, committed, "three were restored");
-    assert_eq!(p.last_committed_ts(), last);
+    assert_eq!(p.committed_count + 3, committed, "three were restored");
+    assert_eq!(p.last_committed, last);
     assert_eq!(keys(&s), live_keys[3..]);
 }
 
@@ -270,7 +276,7 @@ fn a_suspend_below_a_compacted_log_is_answered_with_a_snapshot() {
     q[0].sent.clear();
     q.on(0, |p, ctx| p.on_message(r(2), reply.into(), ctx));
     assert_eq!(q.applied(0), (1..=10).collect::<Vec<u64>>());
-    assert!(q.nodes[0].proto.is_frozen());
+    assert!(q.nodes[0].proto.frozen);
     assert!(
         matches!(&q.nodes[0].log[..], [LogRec::Checkpoint(cp)] if cp.applied.micros() == 100_000)
     );

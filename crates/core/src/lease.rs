@@ -2,12 +2,13 @@
 //!
 //! A leader-based protocol (the Multi-Paxos baseline) keeps exactly one
 //! replica driving the data plane. Liveness across a leader crash needs
-//! two timing decisions that are policy, not protocol: how long followers
-//! wait for leader traffic before suspecting it ([`LeaseConfig::timeout_us`]),
-//! and how often an idle leader proves it is alive
-//! ([`LeaseConfig::heartbeat_us`]). This module holds that surface so
-//! protocols and the experiment harness share one vocabulary, mirroring
-//! how [`CheckpointPolicy`](crate::checkpoint::CheckpointPolicy) factors
+//! one timing decision that is policy, not protocol: how long followers
+//! wait for leader traffic before suspecting it ([`LeaseConfig::timeout_us`]).
+//! Every other interval derives from it, such as how often an idle leader
+//! proves it is alive ([`LeaseConfig::heartbeat_us`]). This module holds
+//! that surface so protocols and the experiment harness share one
+//! vocabulary, mirroring how
+//! [`CheckpointPolicy`](crate::checkpoint::CheckpointPolicy) factors
 //! checkpoint timing out of the protocols.
 //!
 //! **Safety never depends on these clocks.** The lease is purely a
@@ -28,7 +29,8 @@ use crate::time::Micros;
 /// use rsm_core::lease::LeaseConfig;
 /// let lease = LeaseConfig::after(400_000);
 /// assert!(lease.enabled());
-/// assert_eq!(lease.heartbeat_us, 100_000);
+/// assert_eq!(lease.heartbeat_us(), 100_000);
+/// assert_eq!(lease.election_retry_us(), 200_000);
 /// assert!(!LeaseConfig::DISABLED.enabled());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,13 +39,6 @@ pub struct LeaseConfig {
     /// long suspects it and starts an election. Zero disables fail-over
     /// entirely (the protocol behaves as a fixed-leader deployment).
     pub timeout_us: Micros,
-    /// How often the leader broadcasts a heartbeat when the data plane is
-    /// otherwise idle (also the tick interval of the follower-side
-    /// detector). Must be well below `timeout_us`.
-    pub heartbeat_us: Micros,
-    /// How long a candidate waits for its election to conclude before
-    /// retrying at a higher ballot round (dueling-candidate resolution).
-    pub election_retry_us: Micros,
     /// Pre-vote (opt-in): before bumping its ballot, a would-be candidate
     /// probes whether a majority would currently promise it. Peers answer
     /// from their own lease state without mutating anything, so a flapping
@@ -58,14 +53,11 @@ impl LeaseConfig {
     /// paper's failure-free evaluation.
     pub const DISABLED: LeaseConfig = LeaseConfig {
         timeout_us: 0,
-        heartbeat_us: 0,
-        election_retry_us: 0,
         pre_vote: false,
     };
 
-    /// A lease expiring after `timeout_us` of leader silence, with the
-    /// derived defaults: heartbeats at a quarter of the timeout and
-    /// election retries at half of it.
+    /// A lease expiring after `timeout_us` of leader silence; every
+    /// other interval derives from it.
     ///
     /// # Panics
     ///
@@ -75,10 +67,22 @@ impl LeaseConfig {
         assert!(timeout_us >= 4, "lease timeout too small to derive ticks");
         LeaseConfig {
             timeout_us,
-            heartbeat_us: timeout_us / 4,
-            election_retry_us: timeout_us / 2,
             pre_vote: false,
         }
+    }
+
+    /// How often the leader broadcasts a heartbeat when the data plane is
+    /// otherwise idle (also the tick interval of the follower-side
+    /// detector): a quarter of the timeout.
+    pub fn heartbeat_us(&self) -> Micros {
+        self.timeout_us / 4
+    }
+
+    /// How long a candidate waits for its election to conclude before
+    /// retrying at a higher ballot round (dueling-candidate resolution):
+    /// half the timeout.
+    pub fn election_retry_us(&self) -> Micros {
+        self.timeout_us / 2
     }
 
     /// Enables the pre-vote phase: candidates probe electability before
@@ -97,7 +101,7 @@ impl LeaseConfig {
     /// followers do not all turn candidate in the same tick (which would
     /// duel every election). Lower replica indices fire first.
     pub fn stagger_us(&self, replica_index: usize) -> Micros {
-        self.timeout_us + replica_index as Micros * self.heartbeat_us
+        self.timeout_us + replica_index as Micros * self.heartbeat_us()
     }
 }
 
@@ -139,11 +143,6 @@ impl Lease {
         self.renewed_at = self.renewed_at.max(now);
     }
 
-    /// When the lease was last renewed.
-    pub fn renewed_at(&self) -> Micros {
-        self.renewed_at
-    }
-
     /// Whether more than `after` microseconds of silence have passed.
     pub fn expired(&self, now: Micros, after: Micros) -> bool {
         now.saturating_sub(self.renewed_at) > after
@@ -163,8 +162,8 @@ mod tests {
     #[test]
     fn after_derives_ticks() {
         let lease = LeaseConfig::after(400);
-        assert_eq!(lease.heartbeat_us, 100);
-        assert_eq!(lease.election_retry_us, 200);
+        assert_eq!(lease.heartbeat_us(), 100);
+        assert_eq!(lease.election_retry_us(), 200);
         assert!(lease.enabled());
     }
 
@@ -187,6 +186,6 @@ mod tests {
         assert!(!lease.expired(700, 400));
         // Renewals never regress.
         lease.renew(100);
-        assert_eq!(lease.renewed_at(), 300);
+        assert_eq!(lease.renewed_at, 300);
     }
 }

@@ -111,11 +111,6 @@ impl LatencyMatrix {
         self.one_way[from.index()][to.index()]
     }
 
-    /// Round-trip latency `2·d(from, to)` in microseconds.
-    pub fn rtt(&self, from: ReplicaId, to: ReplicaId) -> Micros {
-        2 * self.one_way(from, to)
-    }
-
     /// All one-way latencies from `from` (including the zero to itself),
     /// i.e. the multiset `{d(from, r_k) | ∀ r_k ∈ R}` of Section IV.
     pub fn distances_from(&self, from: ReplicaId) -> Vec<Micros> {
@@ -210,7 +205,7 @@ mod tests {
     fn rtt_halved_to_one_way() {
         let m = three_site();
         assert_eq!(m.one_way(ReplicaId::new(0), ReplicaId::new(2)), 80_000);
-        assert_eq!(m.rtt(ReplicaId::new(0), ReplicaId::new(2)), 160_000);
+        assert_eq!(2 * m.one_way(ReplicaId::new(0), ReplicaId::new(2)), 160_000);
     }
 
     #[test]

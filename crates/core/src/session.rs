@@ -8,9 +8,9 @@
 //! that hole end to end:
 //!
 //! * [`ClientSession`] — the client half: a stable [`ClientId`] plus a
-//!   monotone sequence number. A *retry* keeps the **same** `CommandId`
-//!   ([`ClientSession::current_id`]); only a *new* operation advances the
-//!   sequence ([`ClientSession::next_id`]).
+//!   monotone sequence number. A *retry* resends the **same** `CommandId`
+//!   it was given; only a *new* operation advances the sequence
+//!   ([`ClientSession::next_id`]).
 //! * [`SessionTable`] — the server half, owned by each replica's
 //!   [`Executor`](crate::exec::Executor): per client, the highest applied
 //!   sequence number and the cached [`Reply`] of that newest command.
@@ -88,9 +88,8 @@ pub const DEFAULT_SESSION_WINDOW: usize = 1024;
 ///
 /// let mut s = ClientSession::new(ClientId::new(ReplicaId::new(0), 7));
 /// let first = s.next_id();
-/// // A retry of the in-flight command reuses the SAME id…
-/// assert_eq!(s.current_id(), Some(first));
-/// // …and only a new operation advances the sequence.
+/// // A retry of the in-flight command resends `first`; only a new
+/// // operation advances the sequence.
 /// assert_eq!(s.next_id().seq, first.seq + 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -110,21 +109,10 @@ impl ClientSession {
         self.client
     }
 
-    /// Sequence number of the most recently issued command (0 = none).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Mints the id for the **next** operation, advancing the sequence.
     pub fn next_id(&mut self) -> CommandId {
         self.seq += 1;
         CommandId::new(self.client, self.seq)
-    }
-
-    /// The id of the current (most recently issued) operation — what a
-    /// **retry** must reuse. `None` before the first `next_id`.
-    pub fn current_id(&self) -> Option<CommandId> {
-        (self.seq > 0).then(|| CommandId::new(self.client, self.seq))
     }
 }
 
@@ -224,16 +212,6 @@ impl SessionTable {
     /// Whether the table holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The configured window bound.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Classifies a decided write against the window without mutating it.
-    pub fn check(&self, id: CommandId) -> SessionCheck {
-        classify(self.entries.get(&id.client), id.seq)
     }
 
     /// Records an applied write and its reply, advancing the LRU tick and
@@ -452,6 +430,11 @@ mod tests {
         ClientId::new(ReplicaId::new(0), n)
     }
 
+    /// Classifies a decided write against the window without recording.
+    fn check(t: &SessionTable, id: CommandId) -> SessionCheck {
+        classify(t.entries.get(&id.client), id.seq)
+    }
+
     fn reply(id: CommandId, byte: u8) -> Reply {
         Reply::new(id, Bytes::from(vec![byte]))
     }
@@ -459,10 +442,8 @@ mod tests {
     #[test]
     fn session_retry_reuses_id() {
         let mut s = ClientSession::new(client(3));
-        assert_eq!(s.current_id(), None);
         let a = s.next_id();
-        assert_eq!(s.current_id(), Some(a));
-        assert_eq!(s.current_id(), Some(a), "retries never advance the seq");
+        assert_eq!(a.seq, 1);
         let b = s.next_id();
         assert_eq!(b.seq, a.seq + 1);
         assert_eq!(b.client, a.client);
@@ -474,14 +455,14 @@ mod tests {
         let c = client(1);
         let id1 = CommandId::new(c, 1);
         let id2 = CommandId::new(c, 2);
-        assert_eq!(t.check(id1), SessionCheck::Fresh);
+        assert_eq!(check(&t, id1), SessionCheck::Fresh);
         t.record(id1, reply(id1, 0xAA));
-        assert_eq!(t.check(id1), SessionCheck::Duplicate(reply(id1, 0xAA)));
-        assert_eq!(t.check(id2), SessionCheck::Fresh);
+        assert_eq!(check(&t, id1), SessionCheck::Duplicate(reply(id1, 0xAA)));
+        assert_eq!(check(&t, id2), SessionCheck::Fresh);
         t.record(id2, reply(id2, 0xBB));
         // The older command is below the watermark with its reply gone.
-        assert_eq!(t.check(id1), SessionCheck::Stale);
-        assert_eq!(t.check(id2), SessionCheck::Duplicate(reply(id2, 0xBB)));
+        assert_eq!(check(&t, id1), SessionCheck::Stale);
+        assert_eq!(check(&t, id2), SessionCheck::Duplicate(reply(id2, 0xBB)));
     }
 
     #[test]
@@ -497,8 +478,8 @@ mod tests {
         assert_eq!(t.len(), 2);
         // The documented staleness contract: the evicted client's retry
         // is indistinguishable from a new command.
-        assert_eq!(t.check(ids[1]), SessionCheck::Fresh);
-        assert_eq!(t.check(id0b), SessionCheck::Duplicate(reply(id0b, 2)));
+        assert_eq!(check(&t, ids[1]), SessionCheck::Fresh);
+        assert_eq!(check(&t, id0b), SessionCheck::Duplicate(reply(id0b, 2)));
     }
 
     #[test]
@@ -522,12 +503,12 @@ mod tests {
         c.install(&a.export()).unwrap();
         assert_eq!(c.export(), a.export());
         let id5 = CommandId::new(client(5), 6);
-        assert_eq!(c.check(id5), SessionCheck::Duplicate(reply(id5, 5)));
+        assert_eq!(check(&c, id5), SessionCheck::Duplicate(reply(id5, 5)));
         // The restored tick continues the apply order: new records evict
         // in the same sequence the exporter would have.
         let idn = CommandId::new(client(77), 1);
         c.record(idn, reply(idn, 7));
-        assert_eq!(c.check(idn), SessionCheck::Duplicate(reply(idn, 7)));
+        assert_eq!(check(&c, idn), SessionCheck::Duplicate(reply(idn, 7)));
     }
 
     #[test]
@@ -543,7 +524,7 @@ mod tests {
         // The newest four survive.
         for n in 6..10u32 {
             assert!(matches!(
-                small.check(CommandId::new(client(n), 1)),
+                check(&small, CommandId::new(client(n), 1)),
                 SessionCheck::Duplicate(_)
             ));
         }
@@ -644,7 +625,7 @@ mod tests {
         let t = SessionTable::new(4);
         let id = CommandId::new(client(1), 1);
         let _read = Command::read(id, Bytes::new());
-        assert_eq!(t.check(id), SessionCheck::Fresh);
+        assert_eq!(check(&t, id), SessionCheck::Fresh);
         assert_eq!(t.len(), 0);
     }
 

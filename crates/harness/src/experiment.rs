@@ -8,6 +8,7 @@ use paxos::{MultiPaxos, PaxosVariant};
 use rsm_core::batch::BatchPolicy;
 use rsm_core::checkpoint::CheckpointPolicy;
 use rsm_core::config::Membership;
+use rsm_core::exec::ReadFront;
 use rsm_core::id::ReplicaId;
 use rsm_core::matrix::LatencyMatrix;
 use rsm_core::protocol::Protocol;
@@ -400,44 +401,43 @@ pub(crate) fn with_protocol<R: ProtocolRun>(
     run: R,
 ) -> R::Out {
     let members = Membership::uniform(cfg.n() as u16);
-    let (checkpoint, canary, window) = (cfg.checkpoint, cfg.session_canary, cfg.session_window);
+    let knobs = (cfg.checkpoint, cfg.session_window, cfg.session_canary);
     let name = choice.name();
     let variant = match choice {
         ProtocolChoice::Paxos { .. } => PaxosVariant::Plain,
         _ => PaxosVariant::Bcast,
     };
     match choice {
-        ProtocolChoice::ClockRsm { cfg: mut rcfg } => {
-            if checkpoint.enabled() {
-                rcfg = rcfg.with_checkpoint(checkpoint);
-            }
-            if let Some(w) = window {
-                rcfg = rcfg.with_session_window(w);
-            }
-            run.run(name, move |id| {
-                ClockRsm::new(id, members.clone(), rcfg).with_session_canary(canary)
-            })
-        }
+        ProtocolChoice::ClockRsm { cfg } => run.run(name, move |id| {
+            executor_knobs(ClockRsm::new(id, members.clone(), cfg), knobs)
+        }),
         ProtocolChoice::Paxos { leader, failover }
         | ProtocolChoice::PaxosBcast { leader, failover } => run.run(name, move |id| {
-            let p = MultiPaxos::new(id, members.clone(), leader, variant)
-                .with_checkpoints(checkpoint)
-                .with_failover(failover);
-            let p = match window {
-                Some(w) => p.with_session_window(w),
-                None => p,
-            };
-            p.with_session_canary(canary)
+            let p = MultiPaxos::new(id, members.clone(), leader, variant).with_failover(failover);
+            executor_knobs(p, knobs)
         }),
         ProtocolChoice::MenciusBcast => run.run(name, move |id| {
-            let p = MenciusBcast::new(id, members.clone()).with_checkpoints(checkpoint);
-            let p = match window {
-                Some(w) => p.with_session_window(w),
-                None => p,
-            };
-            p.with_session_canary(canary)
+            executor_knobs(MenciusBcast::new(id, members.clone()), knobs)
         }),
     }
+}
+
+/// Hands the experiment's executor settings straight to `p`'s executor:
+/// an enabled checkpoint policy (overriding the protocol's own), the
+/// session window if set, and the session canary.
+fn executor_knobs<P: ReadFront>(
+    mut p: P,
+    (checkpoint, window, canary): (CheckpointPolicy, Option<usize>, bool),
+) -> P {
+    let exec = p.executor();
+    if checkpoint.enabled() {
+        exec.set_checkpoint_policy(checkpoint);
+    }
+    if let Some(w) = window {
+        exec.set_session_window(w);
+    }
+    exec.set_session_canary(canary);
+    p
 }
 
 /// Runs a latency experiment for the chosen protocol.

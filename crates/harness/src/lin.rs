@@ -44,21 +44,6 @@ pub struct OpRecord {
     pub read_only: bool,
 }
 
-impl OpRecord {
-    /// A write/replicated op record with no payload context (older
-    /// tests and callers that only exercise the interval checkers).
-    pub fn interval(cmd_id: CommandId, issued: Micros, replied: Option<Micros>) -> Self {
-        OpRecord {
-            cmd_id,
-            issued,
-            replied,
-            payload: Bytes::new(),
-            result: None,
-            read_only: false,
-        }
-    }
-}
-
 /// The outcome of all history checks; every flag should be true.
 #[derive(Debug, Clone)]
 pub struct CheckReport {
@@ -541,6 +526,18 @@ mod tests {
         CommandId::new(ClientId::new(ReplicaId::new(0), 0), seq)
     }
 
+    /// A write record with no payload, for the interval checkers.
+    fn interval(cmd_id: CommandId, issued: Micros, replied: Option<Micros>) -> OpRecord {
+        OpRecord {
+            cmd_id,
+            issued,
+            replied,
+            payload: Bytes::new(),
+            result: None,
+            read_only: false,
+        }
+    }
+
     fn rec(seq: u64, hint: u64, at: Micros) -> CommitRecord {
         CommitRecord {
             at,
@@ -603,8 +600,8 @@ mod tests {
         // A replied at t=100; B issued at t=200 but executed earlier.
         let order = vec![rec(2, 1, 5), rec(1, 2, 10)]; // B before A in order
         let ops = vec![
-            OpRecord::interval(cid(1), 0, Some(100)),
-            OpRecord::interval(cid(2), 200, Some(300)),
+            interval(cid(1), 0, Some(100)),
+            interval(cid(2), 200, Some(300)),
         ];
         let err = check_real_time(&order, &ops).unwrap_err();
         assert!(err.contains("real-time violation"), "{err}");
@@ -615,8 +612,8 @@ mod tests {
         // Overlapping intervals: both orders are linearizable.
         let order = vec![rec(2, 1, 5), rec(1, 2, 10)];
         let ops = vec![
-            OpRecord::interval(cid(1), 0, Some(300)),
-            OpRecord::interval(cid(2), 100, Some(200)),
+            interval(cid(1), 0, Some(300)),
+            interval(cid(2), 100, Some(200)),
         ];
         assert!(check_real_time(&order, &ops).is_ok());
     }
@@ -625,8 +622,8 @@ mod tests {
     fn unreplied_ops_are_tolerated() {
         let order = vec![rec(1, 1, 5)];
         let ops = vec![
-            OpRecord::interval(cid(1), 0, None),
-            OpRecord::interval(cid(9), 0, None), // never committed
+            interval(cid(1), 0, None),
+            interval(cid(9), 0, None), // never committed
         ];
         assert!(check_real_time(&order, &ops).is_ok());
     }
@@ -645,8 +642,8 @@ mod tests {
         // issued; replica 0's longer history, which lacks B, does not
         // hide that.
         let ops = vec![
-            OpRecord::interval(cid(1), 0, Some(100)),
-            OpRecord::interval(cid(2), 200, Some(300)),
+            interval(cid(1), 0, Some(100)),
+            interval(cid(2), 200, Some(300)),
         ];
         let a = vec![rec(1, 1, 10), rec(3, 3, 30), rec(4, 4, 40)];
         let b = vec![rec(2, 1, 220), rec(1, 2, 230)];
@@ -692,7 +689,9 @@ mod tests {
 
     /// A Delete that answered whether the key was present.
     fn del(seq: u64, key: &str, present: bool, issued: Micros, replied: Micros) -> OpRecord {
-        let op = KvOp::delete(key.to_string());
+        let op = KvOp::Delete {
+            key: key.to_string().into(),
+        };
         kv_op(seq, op, &[u8::from(present)], issued, replied)
     }
 

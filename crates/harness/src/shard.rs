@@ -974,9 +974,7 @@ mod tests {
         // the dead replica, rejoin to catch it back up.
         let rsm_cfg = clock_rsm::ClockRsmConfig::default()
             .with_delta_us(Some(50 * MILLIS))
-            .with_failure_detection(Some(400 * MILLIS))
-            .with_synod_retry_us(100 * MILLIS)
-            .with_reconfig_retry_us(100 * MILLIS);
+            .with_failure_detection(Some(400 * MILLIS));
         let cfg = quick(2)
             .shard_fault(300 * MILLIS, 0, Fault::Crash(ReplicaId::new(1)))
             .shard_fault(600 * MILLIS, 0, Fault::Recover(ReplicaId::new(1)));

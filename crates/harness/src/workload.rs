@@ -209,22 +209,14 @@ impl<P> WorkloadApp<P> {
         &self.ops
     }
 
-    /// Aggregate latency of local reads across every site.
-    pub fn read_stats(&self) -> &LatencyStats {
-        &self.read_stats
-    }
-
-    /// Mutable access (percentile queries sort lazily).
+    /// Aggregate latency of local reads across every site (mutable:
+    /// percentile queries sort lazily).
     pub fn read_stats_mut(&mut self) -> &mut LatencyStats {
         &mut self.read_stats
     }
 
-    /// Aggregate latency of replicated writes across every site.
-    pub fn write_stats(&self) -> &LatencyStats {
-        &self.write_stats
-    }
-
-    /// Mutable access (percentile queries sort lazily).
+    /// Aggregate latency of replicated writes across every site
+    /// (mutable: percentile queries sort lazily).
     pub fn write_stats_mut(&mut self) -> &mut LatencyStats {
         &mut self.write_stats
     }

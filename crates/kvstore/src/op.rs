@@ -83,11 +83,6 @@ impl KvOp {
         KvOp::Get { key: key.into() }
     }
 
-    /// Convenience constructor for a `Delete`.
-    pub fn delete(key: impl Into<Bytes>) -> Self {
-        KvOp::Delete { key: key.into() }
-    }
-
     /// Convenience constructor for a `Cas`.
     pub fn cas(key: impl Into<Bytes>, expect: Option<Bytes>, value: impl Into<Bytes>) -> Self {
         KvOp::Cas {
@@ -236,7 +231,7 @@ mod tests {
         for op in [
             KvOp::put("k", "v"),
             KvOp::get("k"),
-            KvOp::delete("k"),
+            KvOp::Delete { key: "k".into() },
             KvOp::put("", ""),
             KvOp::put("key", vec![0u8; 1000]),
             KvOp::cas("k", None, "v0"),
@@ -275,7 +270,7 @@ mod tests {
             match which {
                 0 => KvOp::put(key, value),
                 1 => KvOp::get(key),
-                2 => KvOp::delete(key),
+                2 => KvOp::Delete { key: key.into() },
                 3 => KvOp::cas(key, None, value),
                 _ => KvOp::cas(key, Some(expect.into()), value),
             }

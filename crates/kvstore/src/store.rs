@@ -50,7 +50,6 @@ use crate::op::OpRef;
 #[derive(Debug, Default, Clone)]
 pub struct KvStore {
     map: BTreeMap<Box<[u8]>, Vec<u8>>,
-    applied: u64,
 }
 
 impl KvStore {
@@ -67,11 +66,6 @@ impl KvStore {
     /// Whether the store holds no keys.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Number of commands applied since creation (or the last reset).
-    pub fn applied(&self) -> u64 {
-        self.applied
     }
 
     /// Reads a value directly (test observability; not part of the
@@ -112,7 +106,6 @@ impl KvStore {
 
 impl StateMachine for KvStore {
     fn apply(&mut self, cmd: &Command) -> Bytes {
-        self.applied += 1;
         match OpRef::parse(&cmd.payload) {
             Ok(OpRef::Put { key, value }) => {
                 self.write(key, value);
@@ -151,7 +144,6 @@ impl StateMachine for KvStore {
 
     fn reset(&mut self) {
         self.map.clear();
-        self.applied = 0;
     }
 
     fn query(&self, cmd: &Command) -> Option<Bytes> {
@@ -230,10 +222,9 @@ mod tests {
         assert_eq!(s.apply(&cmd(1, &KvOp::put("k", "v")))[0], 1);
         let got = s.apply(&cmd(2, &KvOp::get("k")));
         assert_eq!(&got[..], b"\x01v");
-        assert_eq!(s.apply(&cmd(3, &KvOp::delete("k")))[0], 1);
+        assert_eq!(s.apply(&cmd(3, &KvOp::Delete { key: "k".into() }))[0], 1);
         assert_eq!(s.apply(&cmd(4, &KvOp::get("k")))[0], 0);
-        assert_eq!(s.apply(&cmd(5, &KvOp::delete("k")))[0], 0);
-        assert_eq!(s.applied(), 5);
+        assert_eq!(s.apply(&cmd(5, &KvOp::Delete { key: "k".into() }))[0], 0);
     }
 
     #[test]
@@ -301,22 +292,23 @@ mod tests {
         s.apply(&cmd(1, &KvOp::put("x", "1")));
         s.reset();
         assert_eq!(s.snapshot(), KvStore::new().snapshot());
-        assert_eq!(s.applied(), 0);
     }
 
     #[test]
     fn query_serves_gets_and_refuses_everything_else() {
         let mut s = KvStore::new();
         s.apply(&cmd(1, &KvOp::put("k", "v")));
-        let applied = s.applied();
-        // A Get query answers exactly like apply would, without counting.
+        let before = s.snapshot();
+        // A Get query answers exactly like apply would, changing nothing.
         let got = s.query(&cmd(2, &KvOp::get("k"))).unwrap();
         assert_eq!(&got[..], b"\x01v");
         assert_eq!(s.query(&cmd(3, &KvOp::get("zz"))).unwrap()[..], [0]);
-        assert_eq!(s.applied(), applied, "query must not count as applied");
+        assert_eq!(s.snapshot(), before, "a query changes nothing");
         // Mutating ops (even falsely marked read-only upstream) refuse.
         assert!(s.query(&cmd(4, &KvOp::put("k", "w"))).is_none());
-        assert!(s.query(&cmd(5, &KvOp::delete("k"))).is_none());
+        assert!(s
+            .query(&cmd(5, &KvOp::Delete { key: "k".into() }))
+            .is_none());
         let bad = Command::new(
             CommandId::new(ClientId::new(ReplicaId::new(0), 0), 6),
             Bytes::from_static(b"\xFFjunk"),
@@ -399,7 +391,6 @@ mod tests {
         #[derive(Default)]
         struct Model {
             map: BTreeMap<Vec<u8>, Vec<u8>>,
-            applied: u64,
         }
 
         impl Model {
@@ -411,7 +402,6 @@ mod tests {
             }
 
             fn apply(&mut self, payload: &[u8]) -> Vec<u8> {
-                self.applied += 1;
                 let status = |ok: bool| vec![u8::from(ok)];
                 match KvOp::decode(payload) {
                     Ok(KvOp::Put { key, value }) => {
@@ -464,7 +454,7 @@ mod tests {
             let op = match kind {
                 0 | 5 | 6 => KvOp::put(key, small_value(a)),
                 1 => KvOp::get(key),
-                2 => KvOp::delete(key),
+                2 => KvOp::Delete { key: key.into() },
                 3 => KvOp::cas(key, None, small_value(a)),
                 4 => KvOp::cas(key, Some(small_value(b).into()), small_value(a)),
                 _ => return Bytes::copy_from_slice(junk),
@@ -489,7 +479,7 @@ mod tests {
                     let op = match which {
                         0 => KvOp::put(key, vec![*v]),
                         1 => KvOp::get(key),
-                        _ => KvOp::delete(key),
+                        _ => KvOp::Delete { key: key.into() },
                     };
                     let c = cmd(i as u64, &op);
                     let ra = a.apply(&c);
@@ -499,8 +489,8 @@ mod tests {
                 prop_assert_eq!(a.snapshot(), b.snapshot());
             }
 
-            /// Every reply, every query answer, the applied count and the
-            /// final snapshot are the reference model's.
+            /// Every reply, every query answer and the final snapshot are
+            /// the reference model's.
             #[test]
             fn store_matches_the_reference_model(
                 ops in proptest::collection::vec(
@@ -516,7 +506,6 @@ mod tests {
                     let c = Command::new(id, payload(*kind, *k, *a, *b, junk));
                     prop_assert_eq!(store.query(&c).map(|r| r.to_vec()), model.query(&c.payload));
                     prop_assert_eq!(store.apply(&c).to_vec(), model.apply(&c.payload));
-                    prop_assert_eq!(store.applied(), model.applied);
                     prop_assert_eq!(store.len(), model.map.len());
                 }
                 prop_assert_eq!(store.snapshot().to_vec(), model.snapshot());

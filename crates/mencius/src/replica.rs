@@ -196,33 +196,9 @@ impl MenciusBcast {
         self
     }
 
-    /// Overrides the client-session dedup window bound (defaults to
-    /// [`rsm_core::session::DEFAULT_SESSION_WINDOW`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_session_window(mut self, n: usize) -> Self {
-        self.exec.set_session_window(n);
-        self
-    }
-
-    /// Sets the session-table chaos-canary knob (**test-only**): when on,
-    /// duplicate writes re-apply instead of deduplicating — the bug the
-    /// chaos fuzzer proves it can find and shrink.
-    pub fn with_session_canary(mut self, on: bool) -> Self {
-        self.exec.set_session_canary(on);
-        self
-    }
-
     /// The owner (round-robin coordinator) of `slot`.
     pub fn owner_of_slot(&self, slot: u64) -> ReplicaId {
         ReplicaId::new((slot % self.n) as u16)
-    }
-
-    /// Number of slots resolved (executed or skipped) so far.
-    pub fn resolved(&self) -> u64 {
-        self.exec_cursor
     }
 
     /// The smallest slot owned by this replica that is strictly greater
@@ -1022,7 +998,7 @@ mod tests {
         ack(&mut s, 0, r(2), 3, 5);
         assert_eq!(s[0].executed.len(), 2);
         assert_eq!(s[0].executed[1].order_hint, 3);
-        assert_eq!(s.nodes[0].proto.resolved(), 4);
+        assert_eq!(s.nodes[0].proto.exec_cursor, 4);
     }
 
     #[test]
@@ -1074,7 +1050,7 @@ mod tests {
         ack(&mut s, 0, r(2), 4, 5); // r2 skips 2
         assert_eq!(s[0].executed.len(), 1);
         assert_eq!(s[0].executed[0].order_hint, 4);
-        assert_eq!(s.nodes[0].proto.resolved(), 5);
+        assert_eq!(s.nodes[0].proto.exec_cursor, 5);
         let skips = s.nodes[0]
             .log
             .iter()
@@ -1172,7 +1148,7 @@ mod tests {
         ack(&mut s, 0, r(2), 3, 5);
         // Gap slot 0 cannot resolve off the owner's floor alone (a
         // proposal may have been lost in r1's crash).
-        assert_eq!(s.nodes[0].proto.resolved(), 0, "holes wait for the owner");
+        assert_eq!(s.nodes[0].proto.exec_cursor, 0, "holes wait for the owner");
         // r0 answers from the cursor up to its frontier, its next own
         // slot 6: r1 holds all of r0's proposals below 6 and announces
         // so at once.
@@ -1181,13 +1157,13 @@ mod tests {
         assert_eq!(last(&s), 3, "coverage of r0 announced up to its slot 3");
         // Slot 0 skips, slot 1 is r1's own; r2's slot 2 blocks and r2 is
         // asked from the cursor.
-        assert_eq!(s.nodes[0].proto.resolved(), 2);
+        assert_eq!(s.nodes[0].proto.exec_cursor, 2);
         assert_eq!(requests(&s, 0)[1..], [(r(2), 2, u64::MAX)]);
         s.receive(0, r(2), runs(2, 5, Vec::new()));
         assert!(
-            s.nodes[0].proto.resolved() >= 4,
+            s.nodes[0].proto.exec_cursor >= 4,
             "gap resolved: {}",
-            s.nodes[0].proto.resolved()
+            s.nodes[0].proto.exec_cursor
         );
         assert_eq!(requests(&s, 0).len(), 2, "one request per owner");
         // Next proposal from r0: full cumulative ack.
@@ -1214,8 +1190,7 @@ mod tests {
         // covers slot 0, which the old code skipped locally.
         propose(&mut s, 1, 3, cmd(8), r(0));
         assert_eq!(
-            s.nodes[1].proto.resolved(),
-            0,
+            s.nodes[1].proto.exec_cursor, 0,
             "slot 0 must not resolve as a skip"
         );
         // The owner answers from its own Accept records in its log.
@@ -1236,7 +1211,7 @@ mod tests {
         assert_eq!(requests(&s, 1)[1..], [(r(2), 2, u64::MAX)]);
         s.receive(1, r(2), runs(2, 5, Vec::new()));
         // Everything resolves, slot 0 first and with the original command.
-        let resolved = s.nodes[1].proto.resolved();
+        let resolved = s.nodes[1].proto.exec_cursor;
         assert!(resolved >= 4, "gap resolved: {resolved}");
         assert_eq!(s[1].executed[0].order_hint, 0);
         assert_eq!(
@@ -1260,7 +1235,7 @@ mod tests {
         }
         ack(&mut s, 0, r(1), 3, 4);
         ack(&mut s, 0, r(2), 3, 5);
-        assert_eq!(s.nodes[0].proto.resolved(), 4);
+        assert_eq!(s.nodes[0].proto.exec_cursor, 4);
         s.on(0, |owner, ctx| {
             owner.on_client_batch(Batch::single(cmd(2)), ctx)
         }); // slot 6, unresolved
@@ -1282,7 +1257,7 @@ mod tests {
         assert!(matches!(&reply, CatchUpReply::Snapshot(cp) if cp.applied == 4));
         s.receive(1, r(0), MenciusMsg::CatchUpReply(reply));
         // Past the snapshot's 4 slots, r1's own slot 4 skips.
-        assert_eq!(s.nodes[1].proto.resolved(), 5);
+        assert_eq!(s.nodes[1].proto.exec_cursor, 5);
         assert!(
             !s.nodes[1].proto.recv_synced[0],
             "a snapshot does not resync"
@@ -1485,8 +1460,7 @@ mod tests {
         ack(&mut s, 0, r(2), 21, 23);
         ack(&mut s, 0, r(0), 21, 24);
         assert_eq!(
-            s.nodes[0].proto.resolved(),
-            22,
+            s.nodes[0].proto.exec_cursor, 22,
             "owner resolved its whole prefix"
         );
         // Two more own proposals stay unresolved above the watermark.
@@ -1513,8 +1487,7 @@ mod tests {
         ack(&mut s, 1, r(0), 27, 30);
         assert_eq!(requests(&s, 1), [(r(0), 0, u64::MAX)], "the owner is asked");
         assert_eq!(
-            s.nodes[1].proto.resolved(),
-            0,
+            s.nodes[1].proto.exec_cursor, 0,
             "the hole at slot 0 must not resolve as a skip"
         );
         // Further owner traffic does not repeat the request in flight.
@@ -1534,8 +1507,7 @@ mod tests {
         );
         s.receive(1, r(0), MenciusMsg::CatchUpReply(reply));
         assert_eq!(
-            s.nodes[1].proto.resolved(),
-            22,
+            s.nodes[1].proto.exec_cursor, 22,
             "hole covered by the snapshot"
         );
         assert_eq!(
@@ -1597,7 +1569,7 @@ mod tests {
         ack(&mut s, 0, r(1), 15, 16);
         ack(&mut s, 0, r(2), 15, 17);
         ack(&mut s, 0, r(0), 15, 18);
-        let resolved = s.nodes[0].proto.resolved();
+        let resolved = s.nodes[0].proto.exec_cursor;
         assert_eq!(resolved, 16, "all six own slots + skips resolved");
         // Compaction keeps the log at the checkpoint plus the unresolved
         // slots — none here — far below the 6 accepts + 16 commit/skip
@@ -1612,8 +1584,8 @@ mod tests {
         s.restart(0, MenciusBcast::new(r(0), Membership::uniform(3)));
         assert_eq!(s.applied(0), applied);
         let m2 = &s.nodes[0].proto;
-        assert_eq!(m2.resolved(), 16, "cursor resumes at the watermark");
-        assert!(m2.next_own_slot >= m2.resolved(), "own slots never reused");
+        assert_eq!(m2.exec_cursor, 16, "cursor resumes at the watermark");
+        assert!(m2.next_own_slot >= m2.exec_cursor, "own slots never reused");
         // Own proposals below the watermark left the log with the
         // compaction: a catch-up from below it gets a snapshot, one from
         // the watermark the (empty) runs above it.
@@ -1654,7 +1626,7 @@ mod tests {
                 s.on(0, |m, ctx| m.on_client_batch(Batch::single(cmd(slot)), ctx));
                 ack(&mut s, 0, r(0), slot, slot + 1);
             }
-            assert_eq!(s.nodes[0].proto.resolved(), 2 * life + 2);
+            assert_eq!(s.nodes[0].proto.exec_cursor, 2 * life + 2);
         }
         assert_eq!(s.applied(0), (0..8).collect::<Vec<u64>>());
         let checkpoints: Vec<u64> = s.nodes[0]
@@ -1692,7 +1664,7 @@ mod tests {
         ];
         s.on(0, |m, ctx| m.on_recover(&log, ctx));
         assert_eq!(s[0].executed.len(), 1);
-        assert_eq!(s.nodes[0].proto.resolved(), 3);
+        assert_eq!(s.nodes[0].proto.exec_cursor, 3);
         // Own slots never reused below what the log shows.
         assert!(s.nodes[0].proto.next_own_slot > 3);
         assert_eq!(s.nodes[0].proto.next_own_slot % 3, 0);
@@ -1718,11 +1690,11 @@ mod tests {
             "the checkpoint heads the log, got {log:?}"
         );
 
-        let resolved = s.nodes[0].proto.resolved();
+        let resolved = s.nodes[0].proto.exec_cursor;
         s.restart(0, MenciusBcast::new(r(0), Membership::uniform(3)));
         assert_eq!(s.applied(0), vec![1, 2]);
         let m2 = &s.nodes[0].proto;
-        assert_eq!(m2.resolved(), resolved);
+        assert_eq!(m2.exec_cursor, resolved);
         let live: Vec<u64> = m2.slots.keys().copied().collect();
         assert_eq!(live, [6, 9], "only the unresolved suffix is pending");
         assert_eq!(m2.next_own_slot, 12, "no slot of the run is reused");
@@ -1808,9 +1780,9 @@ mod tests {
         ack(&mut s, 0, r(1), 3, 7);
         ack(&mut s, 0, r(2), 3, 8);
         assert!(
-            s.nodes[0].proto.resolved() >= 4,
+            s.nodes[0].proto.exec_cursor >= 4,
             "slots below the mark resolved: {}",
-            s.nodes[0].proto.resolved()
+            s.nodes[0].proto.exec_cursor
         );
         assert_eq!(s[0].replies.len(), 1);
         assert_eq!(s[0].replies[0].id.seq, 5);

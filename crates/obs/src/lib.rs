@@ -37,14 +37,11 @@
 //! individually — which is fine for the monotone counters and
 //! single-writer gauges recorded here.
 //!
-//! ## Sampling and the slow-command log
+//! ## Sampling
 //!
 //! The tracer samples 1-in-2^[`sample_shift`](ObsConfig::sample_shift)
 //! span keys (0 = every command) with a deterministic key hash, so the
-//! same commands are sampled on every replay. Completed spans whose
-//! end-to-end latency meets [`ObsConfig::slow_threshold`] are copied to
-//! a bounded slow-command log ([`Tracer::slow_spans`]) with their full
-//! stage breakdown.
+//! same commands are sampled on every replay.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,5 +1,4 @@
-//! Per-command trace spans with deterministic sampling and a
-//! slow-command log.
+//! Per-command trace spans with deterministic sampling.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -13,9 +12,6 @@ pub const MAX_STAGES: usize = 8;
 /// unsampled long runs; see [`Tracer::dropped`].
 const MAX_SPANS: usize = 1 << 20;
 
-/// Slow-command log bound.
-const MAX_SLOW: usize = 4_096;
-
 /// Observability configuration shared by both drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
@@ -23,11 +19,8 @@ pub struct ObsConfig {
     /// deterministic hash of the span key so replays sample the same
     /// commands.
     pub sample_shift: u32,
-    /// Completed spans at or above this end-to-end latency (in the
-    /// driver's time unit, microseconds everywhere in this workspace)
-    /// are copied to the slow-command log.
-    pub slow_threshold: Option<u64>,
-    /// How often (same time unit) the driver polls protocols for gauge
+    /// How often (in the driver's time unit, microseconds everywhere in
+    /// this workspace) the driver polls protocols for gauge
     /// state (`Protocol::obs_poll`: stable-timestamp lag, `LatestTV`
     /// staleness, ballot).
     pub poll_interval: u64,
@@ -37,14 +30,13 @@ impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             sample_shift: 0,
-            slow_threshold: None,
             poll_interval: 10_000,
         }
     }
 }
 
 impl ObsConfig {
-    /// Trace every command, poll every 10 ms, no slow log.
+    /// Trace every command, poll every 10 ms.
     pub fn all() -> Self {
         ObsConfig::default()
     }
@@ -52,19 +44,6 @@ impl ObsConfig {
     /// Sets the sampling shift (trace 1-in-2^`shift` commands).
     pub fn sample_shift(mut self, shift: u32) -> Self {
         self.sample_shift = shift;
-        self
-    }
-
-    /// Sets the slow-command threshold.
-    pub fn slow_threshold(mut self, threshold: u64) -> Self {
-        self.slow_threshold = Some(threshold);
-        self
-    }
-
-    /// Sets the protocol gauge poll interval.
-    pub fn poll_interval(mut self, interval: u64) -> Self {
-        assert!(interval > 0, "poll interval must be positive");
-        self.poll_interval = interval;
         self
     }
 }
@@ -102,7 +81,6 @@ struct TraceState {
     open: HashMap<u64, Span>,
     /// Completed spans in completion order (deterministic under simnet).
     done: Vec<Span>,
-    slow: Vec<Span>,
     dropped: u64,
 }
 
@@ -125,7 +103,7 @@ fn mix(mut x: u64) -> u64 {
 }
 
 impl Tracer {
-    /// A tracer with the given sampling and slow-log configuration.
+    /// A tracer with the given sampling configuration.
     pub fn new(cfg: ObsConfig) -> Self {
         Tracer {
             cfg,
@@ -207,9 +185,7 @@ impl Tracer {
     }
 
     /// Completes the span: stamps `stage` (the terminal one, e.g.
-    /// "replied") and moves it to the completed stream. A span whose
-    /// end-to-end latency meets the slow threshold is also copied to
-    /// the slow-command log.
+    /// "replied") and moves it to the completed stream.
     pub fn complete(&self, key: u64, stage: usize, at: u64) {
         assert!(stage < MAX_STAGES);
         if !self.sampled(key) {
@@ -220,12 +196,6 @@ impl Tracer {
             return;
         };
         span.stages[stage].get_or_insert(at);
-        if let Some(threshold) = self.cfg.slow_threshold {
-            let e2e = span.stages[0].map(|s| at.saturating_sub(s)).unwrap_or(0);
-            if e2e >= threshold && st.slow.len() < MAX_SLOW {
-                st.slow.push(span.clone());
-            }
-        }
         st.done.push(span);
     }
 
@@ -241,11 +211,6 @@ impl Tracer {
         let mut open: Vec<Span> = st.open.values().cloned().collect();
         open.sort_by_key(|s| s.key);
         open
-    }
-
-    /// The slow-command log (bounded; completion order).
-    pub fn slow_spans(&self) -> Vec<Span> {
-        self.state.lock().unwrap().slow.clone()
     }
 
     /// Spans dropped by the retention cap.
@@ -308,18 +273,5 @@ mod tests {
             t.complete(k, 6, 2);
         }
         assert!(t.completed().iter().all(|s| t.sampled(s.key)));
-    }
-
-    #[test]
-    fn slow_log_catches_threshold_crossers() {
-        let t = Tracer::new(ObsConfig::all().slow_threshold(100));
-        t.begin(1, 0, 0);
-        t.complete(1, 6, 99); // fast
-        t.begin(2, 0, 0);
-        t.complete(2, 6, 100); // slow
-        let slow = t.slow_spans();
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].key, 2);
-        assert_eq!(t.completed().len(), 2);
     }
 }

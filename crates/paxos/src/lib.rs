@@ -62,7 +62,6 @@
 //!     PaxosVariant::Bcast,
 //! )
 //! .with_failover(LeaseConfig::after(400_000));
-//! assert_eq!(p.leader(), ReplicaId::new(0));
 //! assert!(!p.is_leader());
 //! ```
 

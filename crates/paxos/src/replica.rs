@@ -326,25 +326,6 @@ impl MultiPaxos {
         self
     }
 
-    /// Bounds the client-session dedup window (`rsm_core::session`);
-    /// the default is [`rsm_core::session::DEFAULT_SESSION_WINDOW`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_session_window(mut self, n: usize) -> Self {
-        self.exec.set_session_window(n);
-        self
-    }
-
-    /// Sets the session-table chaos-canary knob (**test-only**): when on,
-    /// duplicate writes re-apply instead of deduplicating — the bug the
-    /// chaos fuzzer proves it can find and shrink.
-    pub fn with_session_canary(mut self, on: bool) -> Self {
-        self.exec.set_session_canary(on);
-        self
-    }
-
     /// Enables lease-based fail-over: leader heartbeats, follower
     /// suspicion, and ballot elections per `lease`.
     pub fn with_failover(mut self, lease: LeaseConfig) -> Self {
@@ -352,36 +333,9 @@ impl MultiPaxos {
         self
     }
 
-    /// The replica this one currently believes leads (the proposer of
-    /// the adopted regime).
-    pub fn leader(&self) -> ReplicaId {
-        self.regime.proposer
-    }
-
     /// Whether this replica is the active, unfenced leader.
     pub fn is_leader(&self) -> bool {
         self.regime.proposer == self.id && self.promised == self.regime
-    }
-
-    /// The adopted leader regime's ballot.
-    pub fn regime(&self) -> Ballot {
-        self.regime
-    }
-
-    /// The acceptor promise (never below [`regime`](MultiPaxos::regime)).
-    pub fn promised(&self) -> Ballot {
-        self.promised
-    }
-
-    /// Whether an election started by this replica is in flight.
-    pub fn is_campaigning(&self) -> bool {
-        self.election.is_some()
-    }
-
-    /// Whether a pre-vote probe started by this replica is in flight
-    /// ([`LeaseConfig::pre_vote`]).
-    pub fn is_pre_voting(&self) -> bool {
-        self.prevote.is_some()
     }
 
     /// The dissemination variant this replica runs.
@@ -1254,7 +1208,7 @@ impl MultiPaxos {
             return;
         }
         // Re-arm first so a panic-free return always keeps the timer alive.
-        ctx.set_timer(self.lease_cfg.heartbeat_us, TOKEN_LEASE);
+        ctx.set_timer(self.lease_cfg.heartbeat_us(), TOKEN_LEASE);
         let now = ctx.clock();
         if self.is_leader() {
             for r in self.membership.config().to_vec() {
@@ -1269,7 +1223,7 @@ impl MultiPaxos {
                 }
             }
         } else if let Some(e) = &self.election {
-            if now.saturating_sub(e.started_at) > self.lease_cfg.election_retry_us {
+            if now.saturating_sub(e.started_at) > self.lease_cfg.election_retry_us() {
                 self.start_election(now, ctx);
             }
         } else if let Some(pv) = &self.prevote {
@@ -1281,7 +1235,7 @@ impl MultiPaxos {
                 // traffic renewed our lease): stand down without having
                 // disturbed anyone — the entire point of pre-voting.
                 self.prevote = None;
-            } else if now.saturating_sub(pv.started_at) > self.lease_cfg.election_retry_us {
+            } else if now.saturating_sub(pv.started_at) > self.lease_cfg.election_retry_us() {
                 // Probe inconclusive (grants lost, or a majority still
                 // shields a leader we cannot hear): re-probe, picking up
                 // any higher round Nacks taught us meanwhile.
@@ -1588,7 +1542,7 @@ impl Protocol for MultiPaxos {
         if self.lease_cfg.enabled() {
             let now = ctx.clock();
             self.lease = Lease::new(now);
-            ctx.set_timer(self.lease_cfg.heartbeat_us, TOKEN_LEASE);
+            ctx.set_timer(self.lease_cfg.heartbeat_us(), TOKEN_LEASE);
         }
     }
 

@@ -715,7 +715,7 @@ fn stale_ballot_accept_from_deposed_leader_is_rejected() {
             from_instance: 0,
         },
     );
-    assert_eq!(s.nodes[0].proto.promised(), b(1, 1));
+    assert_eq!(s.nodes[0].proto.promised, b(1, 1));
     let logged_before = s.nodes[0].log.len();
     let acks_before = s[0]
         .sent
@@ -754,12 +754,12 @@ fn lease_expiry_starts_a_staggered_election() {
     s[0].clock = 400_000;
     s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     assert!(prepares(&s[0].sent).is_empty(), "lease not yet expired");
-    assert!(!s.nodes[0].proto.is_campaigning());
+    assert!(s.nodes[0].proto.election.is_none());
     // Past it: a candidacy at round 1 solicits everyone, self included.
     s[0].clock = 600_000;
     s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     assert_eq!(prepares(&s[0].sent), vec![b(1, 1); 3]);
-    assert!(s.nodes[0].proto.is_campaigning());
+    assert!(s.nodes[0].proto.election.is_some());
 }
 
 #[test]
@@ -890,8 +890,8 @@ fn election_win_merges_highest_ballot_and_noops_holes() {
         },
     );
     assert!(s.nodes[0].proto.is_leader(), "majority of promises elects");
-    assert_eq!(s.nodes[0].proto.regime(), ballot);
-    assert_eq!(s.nodes[0].proto.leader(), r(1));
+    assert_eq!(s.nodes[0].proto.regime, ballot);
+    assert_eq!(s.nodes[0].proto.regime.proposer, r(1));
     // The repair closes the hole with a no-op and re-proposes the
     // inherited value at the new ballot.
     let (_, repair) = s[0]
@@ -979,7 +979,7 @@ fn repair_supersedes_stale_acceptances_and_drops_the_uncommitted_tail() {
             ],
         },
     );
-    assert_eq!(s.nodes[0].proto.regime(), ballot);
+    assert_eq!(s.nodes[0].proto.regime, ballot);
     assert_eq!(
         last_ack(&s[0].sent),
         Some(2),
@@ -1076,7 +1076,7 @@ fn resumed_vouch_walk_matches_the_full_walk_under_a_deep_pipeline() {
     // accepted run instead of resuming at the old tail.
     let b1 = b(1, 1);
     s.receive(0, r(1), accept(b1, committed, batch(), r(1)));
-    assert_eq!(s.nodes[0].proto.regime(), b1);
+    assert_eq!(s.nodes[0].proto.regime, b1);
     check(&mut s, "higher-ballot accept");
     assert_eq!(s.nodes[0].proto.logged_next, committed + BATCH);
     s.receive(0, r(1), acked(b1, committed + BATCH));
@@ -1142,7 +1142,7 @@ fn deposed_leader_steps_down_on_nack_and_forwards() {
     // And the step-down is durable: recovery must not resurrect the
     // old regime's proposer role at the stale ballot.
     s.restart(0, bcast(0).with_failover(lease()));
-    assert_eq!(s.nodes[0].proto.promised(), b(3, 1));
+    assert_eq!(s.nodes[0].proto.promised, b(3, 1));
     assert!(!s.nodes[0].proto.is_leader());
 }
 
@@ -1152,7 +1152,7 @@ fn dueling_candidate_defers_to_a_higher_ballot() {
     s.on(0, |p, ctx| p.on_start(ctx));
     s[0].clock = 600_000;
     s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
-    assert!(s.nodes[0].proto.is_campaigning());
+    assert!(s.nodes[0].proto.election.is_some());
     // A competing candidacy at a higher ballot solicits us: grant it
     // and stand down.
     s.receive(
@@ -1164,10 +1164,10 @@ fn dueling_candidate_defers_to_a_higher_ballot() {
         },
     );
     assert!(
-        !s.nodes[0].proto.is_campaigning(),
+        s.nodes[0].proto.election.is_none(),
         "outbid candidacy must stand down"
     );
-    assert_eq!(s.nodes[0].proto.promised(), b(2, 2));
+    assert_eq!(s.nodes[0].proto.promised, b(2, 2));
     assert!(
         s[0].sent
             .iter()
@@ -1214,7 +1214,7 @@ fn candidate_retries_at_a_higher_round() {
     // A nack tells us round 4 exists somewhere; the retry outbids it.
     s.receive(0, r(2), PaxosMsg::Nack { promised: b(4, 2) });
     assert!(
-        !s.nodes[0].proto.is_campaigning(),
+        s.nodes[0].proto.election.is_none(),
         "outbid candidacy stands down"
     );
     s[0].clock = 900_000;
@@ -1302,7 +1302,7 @@ fn compaction_preserves_the_promise_across_recovery() {
     );
     // Recovery restores it, and the deposed regime stays fenced.
     s.restart(0, bcast(1).with_failover(lease()));
-    assert_eq!(s.nodes[0].proto.promised(), b(5, 2));
+    assert_eq!(s.nodes[0].proto.promised, b(5, 2));
     s.receive(0, r(0), accept(b0(), 2, vec![cmd(3)], r(0)));
     assert!(
         s[0].sent
@@ -1577,7 +1577,7 @@ fn commit_one_at_leader(s: &mut Script<MultiPaxos>, i: usize, seq: u64) {
     s.on(i, |p, ctx| {
         p.on_client_batch(Batch::new(vec![cmd(seq)]), ctx)
     });
-    let regime = s.nodes[i].proto.regime();
+    let regime = s.nodes[i].proto.regime;
     s.receive(i, r(1), acked(regime, next + 1));
     s.receive(i, r(2), acked(regime, next + 1));
     assert_eq!(
@@ -1764,8 +1764,8 @@ fn new_leader_reads_wait_out_the_repaired_suffix() {
     let mut s = Script::new(vec![bcast(1).with_failover(lease())]);
     s[0].clock = 1_000_000;
     s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx)); // lease expired at start: campaign
-    assert!(s.nodes[0].proto.is_campaigning());
-    let ballot = s.nodes[0].proto.promised();
+    assert!(s.nodes[0].proto.election.is_some());
+    let ballot = s.nodes[0].proto.promised;
     // Loop back the self-addressed Prepare, then the resulting Promise.
     let own_prepare = s[0]
         .sent
@@ -1917,9 +1917,9 @@ fn prevote_expiry_probes_instead_of_preparing() {
         prepares(&s[0].sent).is_empty(),
         "probe must precede any Prepare"
     );
-    assert!(s.nodes[0].proto.is_pre_voting() && !s.nodes[0].proto.is_campaigning());
+    assert!(s.nodes[0].proto.prevote.is_some() && s.nodes[0].proto.election.is_none());
     assert_eq!(
-        s.nodes[0].proto.promised(),
+        s.nodes[0].proto.promised,
         b0(),
         "a probe must not move the promise"
     );
@@ -1955,7 +1955,7 @@ fn prevote_answer_is_pure() {
         vec![(r(1), PaxosMsg::PreVoteGrant { ballot: b(1, 1) })]
     );
     assert_eq!(
-        s.nodes[0].proto.promised(),
+        s.nodes[0].proto.promised,
         b0(),
         "granting a probe is not promising"
     );
@@ -1992,7 +1992,7 @@ fn stale_prevote_draws_a_nack() {
             from_instance: 0,
         },
     );
-    assert_eq!(s.nodes[0].proto.promised(), b(3, 1));
+    assert_eq!(s.nodes[0].proto.promised, b(3, 1));
     s[0].sent.clear();
     // A probe below the promise teaches the prober the round to beat.
     s.receive(0, r(0), PaxosMsg::PreVote { ballot: b(1, 0) });
@@ -2013,17 +2013,17 @@ fn prevote_majority_escalates_to_a_real_election() {
     s.receive(0, r(1), PaxosMsg::PreVote { ballot: b(1, 1) });
     s.receive(0, r(1), PaxosMsg::PreVoteGrant { ballot: b(1, 1) });
     assert!(
-        s.nodes[0].proto.is_pre_voting(),
+        s.nodes[0].proto.prevote.is_some(),
         "one grant is not a majority"
     );
     assert!(prepares(&s[0].sent).is_empty());
     // ...and a second grant makes the majority: the real election starts,
     // burning the round only now.
     s.receive(0, r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) });
-    assert!(!s.nodes[0].proto.is_pre_voting() && s.nodes[0].proto.is_campaigning());
+    assert!(s.nodes[0].proto.prevote.is_none() && s.nodes[0].proto.election.is_some());
     assert_eq!(prepares(&s[0].sent), vec![b(1, 1); 3]);
     assert_eq!(
-        s.nodes[0].proto.promised(),
+        s.nodes[0].proto.promised,
         b(1, 1),
         "the election is durably promised"
     );
@@ -2038,7 +2038,7 @@ fn duplicate_grants_do_not_make_a_majority() {
     s.receive(0, r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) });
     s.receive(0, r(2), PaxosMsg::PreVoteGrant { ballot: b(1, 1) });
     assert!(
-        s.nodes[0].proto.is_pre_voting(),
+        s.nodes[0].proto.prevote.is_some(),
         "a re-delivered grant counts once"
     );
     assert!(prepares(&s[0].sent).is_empty());
@@ -2058,7 +2058,7 @@ fn isolated_prevoter_burns_no_ballots_and_rejoins_quietly() {
     s.on(0, |p, ctx| p.on_start(ctx));
     // Partitioned: many retry periods pass, every probe unanswered.
     for tick in 1..=20u64 {
-        s[0].clock = 600_000 + tick * lease().election_retry_us;
+        s[0].clock = 600_000 + tick * lease().election_retry_us();
         s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
     }
     assert!(
@@ -2070,7 +2070,7 @@ fn isolated_prevoter_burns_no_ballots_and_rejoins_quietly() {
         "castaway must never Prepare"
     );
     assert_eq!(
-        s.nodes[0].proto.promised(),
+        s.nodes[0].proto.promised,
         b0(),
         "no self-promise accumulated"
     );
@@ -2106,7 +2106,7 @@ fn isolated_prevoter_burns_no_ballots_and_rejoins_quietly() {
     // down instead of escalating.
     s[0].clock += 1_000;
     s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
-    assert!(!s.nodes[0].proto.is_pre_voting() && !s.nodes[0].proto.is_campaigning());
+    assert!(s.nodes[0].proto.prevote.is_none() && s.nodes[0].proto.election.is_none());
 }
 
 #[test]
@@ -2115,7 +2115,7 @@ fn prevote_stands_down_when_outbid_by_a_real_candidacy() {
     s.on(0, |p, ctx| p.on_start(ctx));
     s[0].clock = 800_000; // past the index-2 stagger
     s.on(0, |p, ctx| p.on_timer(TOKEN_LEASE, ctx));
-    assert!(s.nodes[0].proto.is_pre_voting());
+    assert!(s.nodes[0].proto.prevote.is_some());
     // A real candidate at a higher ballot solicits us: grant and defer.
     s.receive(
         0,
@@ -2126,8 +2126,8 @@ fn prevote_stands_down_when_outbid_by_a_real_candidacy() {
         },
     );
     assert!(
-        !s.nodes[0].proto.is_pre_voting(),
+        s.nodes[0].proto.prevote.is_none(),
         "a real candidacy trumps our probe"
     );
-    assert_eq!(s.nodes[0].proto.promised(), b(2, 1));
+    assert_eq!(s.nodes[0].proto.promised, b(2, 1));
 }

@@ -164,6 +164,11 @@ pub struct SynodInstance<V> {
     promises: Vec<(ReplicaId, Option<(Ballot, V)>)>,
     accepts: HashSet<ReplicaId>,
     max_round_seen: u64,
+    /// Whether our round heard anything since it started or since the
+    /// last retry: a reply to its ballot, or a higher ballot. Either round
+    /// is live (ours, or the one that outbid us), so the next retry sits
+    /// out instead of preempting it.
+    heard: bool,
     decided: Option<V>,
 }
 
@@ -187,18 +192,9 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
             promises: Vec::new(),
             accepts: HashSet::new(),
             max_round_seen: 0,
+            heard: false,
             decided: None,
         }
-    }
-
-    /// The decided value, once known at this replica.
-    pub fn decided(&self) -> Option<&V> {
-        self.decided.as_ref()
-    }
-
-    /// Whether this replica currently has a proposal in flight.
-    pub fn is_proposing(&self) -> bool {
-        matches!(self.phase, ProposerPhase::Phase1 | ProposerPhase::Phase2)
     }
 
     fn majority(&self) -> usize {
@@ -216,11 +212,21 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
     }
 
     /// Re-proposes with a higher ballot; call on timeout while undecided.
+    /// A proposer whose round heard a reply, or was outbid, since the last
+    /// call skips this one, so competing proposers stop preempting each
+    /// other; it retries at the next call if nothing newer arrived, so a
+    /// crashed winner is still replaced.
     pub fn on_retry(&mut self, out: &mut Vec<(ReplicaId, SynodMsg<V>)>) {
-        if self.decided.is_some() || self.my_value.is_none() {
+        let heard = std::mem::take(&mut self.heard);
+        if self.decided.is_some() || self.my_value.is_none() || heard {
             return;
         }
         self.start_round(out);
+    }
+
+    fn saw(&mut self, ballot: Ballot) {
+        self.max_round_seen = self.max_round_seen.max(ballot.round);
+        self.heard |= ballot > self.ballot;
     }
 
     fn start_round(&mut self, out: &mut Vec<(ReplicaId, SynodMsg<V>)>) {
@@ -230,6 +236,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
             proposer: self.id,
         };
         self.phase = ProposerPhase::Phase1;
+        self.heard = false;
         self.promises.clear();
         self.accepts.clear();
         for &r in &self.spec {
@@ -252,7 +259,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
     ) -> Option<V> {
         match msg {
             SynodMsg::Prepare { ballot } => {
-                self.max_round_seen = self.max_round_seen.max(ballot.round);
+                self.saw(ballot);
                 if ballot > self.promised {
                     self.promised = ballot;
                     out.push((
@@ -277,6 +284,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
                 if self.phase != ProposerPhase::Phase1 || ballot != self.ballot {
                     return None;
                 }
+                self.heard = true;
                 if self.promises.iter().all(|(r, _)| *r != from) {
                     self.promises.push((from, accepted));
                 }
@@ -306,7 +314,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
                 None
             }
             SynodMsg::Propose { ballot, value } => {
-                self.max_round_seen = self.max_round_seen.max(ballot.round);
+                self.saw(ballot);
                 if ballot >= self.promised {
                     self.promised = ballot;
                     self.accepted = Some((ballot, value));
@@ -326,6 +334,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
                 if self.phase != ProposerPhase::Phase2 || ballot != self.ballot {
                     return None;
                 }
+                self.heard = true;
                 self.accepts.insert(from);
                 if self.accepts.len() >= self.majority() {
                     self.phase = ProposerPhase::Done;
@@ -350,7 +359,7 @@ impl<V: Clone + fmt::Debug> SynodInstance<V> {
             }
             SynodMsg::Nack { promised, .. } => {
                 // A higher ballot exists: remember it so a retry outbids it.
-                self.max_round_seen = self.max_round_seen.max(promised.round);
+                self.saw(promised);
                 None
             }
             SynodMsg::Decided { value } => {
@@ -423,7 +432,7 @@ mod tests {
         let decisions = pump(&mut nodes, &mut inflight, &[]);
         assert!(decisions.iter().all(|(_, v)| *v == 7));
         for n in &nodes {
-            assert_eq!(n.decided(), Some(&7));
+            assert_eq!(n.decided.as_ref(), Some(&7));
         }
     }
 
@@ -440,7 +449,7 @@ mod tests {
         // Interleave deliveries; retries resolve contention.
         for _ in 0..20 {
             pump(&mut nodes, &mut inflight, &[]);
-            if nodes.iter().all(|n| n.decided().is_some()) {
+            if nodes.iter().all(|n| n.decided.as_ref().is_some()) {
                 break;
             }
             for i in [0usize, 4] {
@@ -451,7 +460,10 @@ mod tests {
                 }
             }
         }
-        let decided: Vec<u32> = nodes.iter().filter_map(|n| n.decided().copied()).collect();
+        let decided: Vec<u32> = nodes
+            .iter()
+            .filter_map(|n| n.decided.as_ref().copied())
+            .collect();
         assert_eq!(decided.len(), 5, "all replicas must decide");
         assert!(decided.windows(2).all(|w| w[0] == w[1]), "{decided:?}");
         assert!(decided[0] == 100 || decided[0] == 200);
@@ -470,8 +482,8 @@ mod tests {
         let decisions = pump(&mut nodes, &mut inflight, &dead);
         assert!(!decisions.is_empty());
         assert!(decisions.iter().all(|(_, v)| *v == 9));
-        assert_eq!(nodes[0].decided(), Some(&9));
-        assert_eq!(nodes[3].decided(), None);
+        assert_eq!(nodes[0].decided.as_ref(), Some(&9));
+        assert_eq!(nodes[3].decided.as_ref(), None);
     }
 
     #[test]
@@ -487,12 +499,12 @@ mod tests {
         let dead = [ReplicaId::new(3), ReplicaId::new(4)];
         start(&mut nodes, 0, 11, &mut inflight);
         pump(&mut nodes, &mut inflight, &dead);
-        assert_eq!(nodes[0].decided(), Some(&11));
+        assert_eq!(nodes[0].decided.as_ref(), Some(&11));
         // Now r4 (which saw nothing) proposes 55 reaching everyone.
         start(&mut nodes, 4, 55, &mut inflight);
         for _ in 0..10 {
             pump(&mut nodes, &mut inflight, &[]);
-            if nodes[4].decided().is_some() {
+            if nodes[4].decided.as_ref().is_some() {
                 break;
             }
             let mut out = Vec::new();
@@ -501,7 +513,7 @@ mod tests {
                 inflight.push_back((ReplicaId::new(4), dest, m));
             }
         }
-        assert_eq!(nodes[4].decided(), Some(&11), "agreement violated");
+        assert_eq!(nodes[4].decided.as_ref(), Some(&11), "agreement violated");
     }
 
     /// A proposer's own acceptor promises a higher ballot before the
@@ -562,7 +574,7 @@ mod tests {
             decided = decided.or(d);
         }
         assert_eq!(decided, Some(5), "r0 must decide the chosen value");
-        assert_eq!(nodes[0].decided(), Some(&5));
+        assert_eq!(nodes[0].decided.as_ref(), Some(&5));
     }
 
     #[test]
@@ -580,13 +592,223 @@ mod tests {
         assert_eq!(a.to_string(), "b1.r2");
     }
 
+    /// A proposer whose round heard a reply, or a higher ballot, sits the
+    /// next retry out, and retries at the one after if nothing newer
+    /// arrived: the live round gets its turn, and a crashed winner is
+    /// still replaced.
     #[test]
-    fn proposing_state_is_reported() {
-        let s = spec(3);
-        let mut n = SynodInstance::new(ReplicaId::new(0), s);
-        assert!(!n.is_proposing());
-        let mut out = Vec::new();
-        n.propose(1, &mut out);
-        assert!(n.is_proposing());
+    fn a_round_that_heard_something_skips_one_retry() {
+        let mut n = SynodInstance::new(ReplicaId::new(0), spec(3));
+        n.propose(1, &mut Vec::new());
+        // Retries until one starts a round; returns how many sat out.
+        let retry = |n: &mut SynodInstance<u32>| {
+            let before = n.ballot;
+            let skipped = (0..3).take_while(|_| {
+                n.on_retry(&mut Vec::new());
+                n.ballot == before
+            });
+            skipped.count()
+        };
+        let promise = SynodMsg::Promise {
+            ballot: n.ballot,
+            accepted: None,
+        };
+        n.on_message(ReplicaId::new(1), promise, &mut Vec::new());
+        assert_eq!(retry(&mut n), 1, "a reply to our round");
+        let higher = Ballot {
+            round: n.ballot.round + 1,
+            proposer: ReplicaId::new(2),
+        };
+        n.on_message(
+            ReplicaId::new(2),
+            SynodMsg::Prepare { ballot: higher },
+            &mut Vec::new(),
+        );
+        assert_eq!(retry(&mut n), 1, "a higher ballot");
+        assert!(n.ballot > higher, "the retry outbids it");
+        let nack = SynodMsg::Nack {
+            ballot: n.ballot,
+            promised: Ballot {
+                round: n.ballot.round + 1,
+                proposer: ReplicaId::new(1),
+            },
+        };
+        n.on_message(ReplicaId::new(1), nack, &mut Vec::new());
+        assert_eq!(retry(&mut n), 1, "a refusal naming a higher promise");
+        assert_eq!(retry(&mut n), 0, "a quiet round retries at once");
+    }
+
+    /// Under random delivery orders, message drops, competing proposers
+    /// and retries, at most one value is ever decided (consensus safety),
+    /// and with a live majority a decision is reached (liveness given
+    /// retries).
+    mod properties {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        type Msg = (ReplicaId, ReplicaId, SynodMsg<u32>); // (from, to, payload)
+
+        struct Net {
+            nodes: Vec<SynodInstance<u32>>,
+            inflight: Vec<Msg>,
+            decided: Vec<Option<u32>>,
+        }
+
+        impl Net {
+            fn new(n: u16) -> Self {
+                let spec: Vec<ReplicaId> = (0..n).map(ReplicaId::new).collect();
+                Net {
+                    nodes: spec
+                        .iter()
+                        .map(|&r| SynodInstance::new(r, spec.clone()))
+                        .collect(),
+                    inflight: Vec::new(),
+                    decided: vec![None; n as usize],
+                }
+            }
+
+            fn propose(&mut self, at: usize, value: u32) {
+                let mut out = Vec::new();
+                self.nodes[at].propose(value, &mut out);
+                let from = ReplicaId::new(at as u16);
+                self.inflight
+                    .extend(out.into_iter().map(|(to, m)| (from, to, m)));
+            }
+
+            fn retry(&mut self, at: usize) {
+                let mut out = Vec::new();
+                self.nodes[at].on_retry(&mut out);
+                let from = ReplicaId::new(at as u16);
+                self.inflight
+                    .extend(out.into_iter().map(|(to, m)| (from, to, m)));
+            }
+
+            /// Delivers (or drops) the in-flight message at `idx % len`.
+            fn step(&mut self, idx: usize, drop: bool) {
+                if self.inflight.is_empty() {
+                    return;
+                }
+                let (from, to, msg) = self.inflight.swap_remove(idx % self.inflight.len());
+                if drop {
+                    return;
+                }
+                let mut out = Vec::new();
+                if let Some(v) = self.nodes[to.index()].on_message(from, msg, &mut out) {
+                    self.decided[to.index()] = Some(v);
+                }
+                self.inflight
+                    .extend(out.into_iter().map(|(t, m)| (to, t, m)));
+            }
+
+            /// Delivers everything currently in flight, no drops.
+            fn drain(&mut self) {
+                while !self.inflight.is_empty() {
+                    self.step(0, false);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Safety: no two replicas ever decide different values, whatever the
+            /// delivery order, drop pattern, proposer set, or retry schedule.
+            #[test]
+            fn at_most_one_value_decided(
+                n in prop_oneof![Just(3u16), Just(5u16)],
+                proposals in proptest::collection::vec((0usize..5, 1u32..100), 1..4),
+                schedule in proptest::collection::vec((any::<usize>(), 0u8..10), 0..300),
+                retries in proptest::collection::vec(0usize..5, 0..5),
+            ) {
+                let mut net = Net::new(n);
+                for (at, v) in &proposals {
+                    net.propose(at % n as usize, *v);
+                }
+                let mut retries = retries.into_iter();
+                for (idx, kind) in schedule {
+                    // ~20% drops, occasional retries interleaved.
+                    net.step(idx, kind < 2);
+                    if kind == 9 {
+                        if let Some(r) = retries.next() {
+                            net.retry(r % n as usize);
+                        }
+                    }
+                }
+                // Whatever happened: all decided values (including acceptor state
+                // learned later) must agree.
+                let decided: Vec<u32> = net
+                    .nodes
+                    .iter()
+                    .filter_map(|node| node.decided.as_ref().copied())
+                    .collect();
+                prop_assert!(
+                    decided.windows(2).all(|w| w[0] == w[1]),
+                    "conflicting decisions: {decided:?}"
+                );
+                // And every decided value was actually proposed.
+                if let Some(&v) = decided.first() {
+                    prop_assert!(proposals.iter().any(|(_, p)| *p == v));
+                }
+            }
+
+            /// Liveness: with no drops and a retry pass, a single proposer always
+            /// gets its value decided everywhere.
+            #[test]
+            fn lone_proposer_always_decides(
+                n in prop_oneof![Just(3u16), Just(5u16)],
+                at in 0usize..5,
+                value in 1u32..1000,
+            ) {
+                let mut net = Net::new(n);
+                let at = at % n as usize;
+                net.propose(at, value);
+                net.drain();
+                for node in &net.nodes {
+                    prop_assert_eq!(node.decided.as_ref(), Some(&value));
+                }
+            }
+
+            /// Convergence after partial chaos: random drops during the run, then
+            /// retries plus a clean drain must still reach agreement on one of
+            /// the proposed values at every node.
+            #[test]
+            fn retries_recover_from_drops(
+                drops in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..80),
+                v1 in 1u32..50,
+                v2 in 50u32..100,
+            ) {
+                let mut net = Net::new(5);
+                net.propose(0, v1);
+                net.propose(4, v2);
+                for (idx, drop) in drops {
+                    net.step(idx, drop);
+                }
+                // Recovery phase: every node still undecided proposes (an
+                // undecided node can always propose; consensus safety makes it
+                // *inherit* the chosen value rather than impose its own) and
+                // everything drains without drops. The bare synod has no
+                // anti-entropy — in the Clock-RSM embedding the decision catch-up
+                // messages play that role.
+                for _ in 0..20 {
+                    if net.nodes.iter().all(|n| n.decided.as_ref().is_some()) {
+                        break;
+                    }
+                    for i in 0..5 {
+                        if net.nodes[i].decided.as_ref().is_none() {
+                            if matches!(net.nodes[i].phase, ProposerPhase::Phase1 | ProposerPhase::Phase2) {
+                                net.retry(i);
+                            } else {
+                                net.propose(i, v1);
+                            }
+                        }
+                    }
+                    net.drain();
+                }
+                let decided: Vec<u32> = net.nodes.iter().filter_map(|n| n.decided.as_ref().copied()).collect();
+                prop_assert_eq!(decided.len(), 5, "liveness: everyone decides");
+                prop_assert!(decided.windows(2).all(|w| w[0] == w[1]), "{decided:?}");
+                prop_assert!(decided[0] == v1 || decided[0] == v2);
+            }
+        }
     }
 }

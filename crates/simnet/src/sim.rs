@@ -22,6 +22,10 @@ use crate::clock::{ClockModel, PhysicalClock};
 use crate::cpu::CpuModel;
 use crate::sched::EventQueue;
 
+/// One-way latency between a client and its local replica: 0.3 ms (the
+/// paper reports ~0.6 ms intra-DC RTT).
+const LOCAL_DELIVERY_US: Micros = 300;
+
 /// Static configuration of a simulation run.
 ///
 /// Built with a fluent API; see the crate-level example.
@@ -29,14 +33,12 @@ use crate::sched::EventQueue;
 pub struct SimConfig {
     latency: LatencyMatrix,
     jitter_us: Micros,
-    local_delivery_us: Micros,
     seed: u64,
     clock_model: ClockModel,
     clock_overrides: Vec<(usize, ClockModel)>,
     cpu: Option<CpuModel>,
     batch: BatchPolicy,
     record_history: bool,
-    max_events: u64,
     observe: Option<ObsConfig>,
 }
 
@@ -49,14 +51,12 @@ impl SimConfig {
         SimConfig {
             latency,
             jitter_us: 0,
-            local_delivery_us: 300,
             seed: 0,
             clock_model: ClockModel::perfect(),
             clock_overrides: Vec::new(),
             cpu: None,
             batch: BatchPolicy::DISABLED,
             record_history: true,
-            max_events: u64::MAX,
             observe: None,
         }
     }
@@ -72,12 +72,6 @@ impl SimConfig {
     /// Per-link FIFO order is preserved regardless.
     pub fn jitter_us(mut self, jitter: Micros) -> Self {
         self.jitter_us = jitter;
-        self
-    }
-
-    /// Sets the one-way latency between a client and its local replica.
-    pub fn local_delivery_us(mut self, d: Micros) -> Self {
-        self.local_delivery_us = d;
         self
     }
 
@@ -116,12 +110,6 @@ impl SimConfig {
     /// Disables per-commit history recording (for long throughput runs).
     pub fn record_history(mut self, on: bool) -> Self {
         self.record_history = on;
-        self
-    }
-
-    /// Caps the number of processed events (safety valve for tests).
-    pub fn max_events(mut self, n: u64) -> Self {
-        self.max_events = n;
         self
     }
 
@@ -201,7 +189,6 @@ impl<P: Protocol> Application<P> for NullApplication {
 /// Capabilities the simulator exposes to the application.
 pub struct SimApi<'a, P: Protocol> {
     now: Micros,
-    local_delivery_us: Micros,
     latency: &'a LatencyMatrix,
     nodes: &'a [SimNode<P>],
     queue: &'a mut EventQueue<Event<P>>,
@@ -216,12 +203,10 @@ impl<'a, P: Protocol> SimApi<'a, P> {
     }
 
     /// Submits a client command to replica `to`; it arrives after the
-    /// configured client↔replica latency.
+    /// local client↔replica latency.
     pub fn submit(&mut self, to: ReplicaId, cmd: Command) {
-        self.queue.push(
-            self.now + self.local_delivery_us,
-            Event::Request { to, cmd },
-        );
+        self.queue
+            .push(self.now + LOCAL_DELIVERY_US, Event::Request { to, cmd });
     }
 
     /// Submits a client command from a client at site `from` to replica
@@ -231,7 +216,7 @@ impl<'a, P: Protocol> SimApi<'a, P> {
     /// honest model must charge it.
     pub fn submit_from(&mut self, from: ReplicaId, to: ReplicaId, cmd: Command) {
         let delay = if from == to {
-            self.local_delivery_us
+            LOCAL_DELIVERY_US
         } else {
             self.latency.one_way(from, to)
         };
@@ -502,7 +487,6 @@ pub struct Simulation<P: Protocol, A: Application<P>> {
     link_chaos: HashMap<(usize, usize), (Micros, Micros)>,
     parked: ParkedLinks<P::Msg>,
     stop: bool,
-    events_processed: u64,
     /// The shared metrics registry (populated only when observing).
     registry: Registry,
     /// The span collector, when observing.
@@ -567,7 +551,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             rng,
             now: 0,
             stop: false,
-            events_processed: 0,
             registry,
             tracer,
             cfg,
@@ -597,7 +580,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         } = self;
         let mut api = SimApi {
             now: *now,
-            local_delivery_us: cfg.local_delivery_us,
             latency: &cfg.latency,
             nodes,
             queue,
@@ -707,19 +689,10 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         self.tracer.as_ref()
     }
 
-    /// Reads a replica's physical clock at the current virtual time — the
-    /// same observation the protocol makes through its context, advancing
-    /// the monotonic stamper identically (test observability for clock
-    /// anomaly schedules).
-    pub fn read_clock(&mut self, r: ReplicaId) -> Micros {
-        let now = self.now;
-        self.nodes[r.index()].clock.read(now)
-    }
-
-    /// Runs until the queue drains, `until` is reached, a stop is
-    /// requested, or the event cap triggers. Returns the virtual time.
+    /// Runs until the queue drains, `until` is reached or a stop is
+    /// requested. Returns the virtual time.
     pub fn run_until(&mut self, until: Micros) -> Micros {
-        while !self.stop && self.events_processed < self.cfg.max_events {
+        while !self.stop {
             match self.queue.peek_time() {
                 Some(t) if t <= until => {
                     self.step();
@@ -740,7 +713,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.events_processed += 1;
         self.dispatch(ev);
         true
     }
@@ -1178,7 +1150,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// routed its request to a remote replica pays the trip home too).
     fn reply_delay(&self, from: ReplicaId, client: ClientId) -> Micros {
         if client.site() == from {
-            self.cfg.local_delivery_us
+            LOCAL_DELIVERY_US
         } else {
             self.cfg.latency.one_way(from, client.site())
         }
@@ -1736,10 +1708,16 @@ mod tests {
             api.clock_freeze(r, 30_000, 120_000);
             api.clock_drift_burst(r, 50_000.0, 100_000, 200_000);
         });
+        // Reads the clock at the current virtual time, advancing the
+        // monotonic stamper as a protocol's read does.
+        let read_clock = |sim: &mut Simulation<_, _>, r: ReplicaId| {
+            let now = sim.now;
+            sim.nodes[r.index()].clock.read(now)
+        };
         let mut prev = 0;
         for k in 1..=40u64 {
             sim.run_until(k * 10_000);
-            let v = sim.read_clock(r);
+            let v = read_clock(&mut sim, r);
             assert!(
                 v > prev,
                 "clock regressed at t={}: {v} <= {prev}",
@@ -1749,9 +1727,12 @@ mod tests {
         }
         // Net: −40ms step, −30ms freeze, +5ms accumulated burst drift.
         assert_eq!(sim.now(), 400_000);
-        assert_eq!(sim.read_clock(r), 400_000 - 40_000 - 30_000 + 5_000 + 1);
+        assert_eq!(
+            read_clock(&mut sim, r),
+            400_000 - 40_000 - 30_000 + 5_000 + 1
+        );
         // Replica 0's clock is untouched by replica 1's schedule.
-        assert_eq!(sim.read_clock(ReplicaId::new(0)), 400_000);
+        assert_eq!(read_clock(&mut sim, ReplicaId::new(0)), 400_000);
     }
 
     #[test]

@@ -21,9 +21,7 @@ fn main() {
 
     let rsm_cfg = ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
-        .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS);
+        .with_failure_detection(Some(400 * MILLIS));
 
     let cfg = ExperimentConfig::new(LatencyMatrix::uniform(3, 20_000))
         .clients_per_site(3)

@@ -374,9 +374,7 @@ proptest! {
             Membership::uniform(n),
             ClockRsmConfig::default()
                 .with_delta_us(Some(50 * MILLIS))
-                .with_failure_detection(Some(400 * MILLIS))
-                .with_synod_retry_us(100 * MILLIS)
-                .with_reconfig_retry_us(100 * MILLIS),
+                .with_failure_detection(Some(400 * MILLIS)),
         );
         let (h0, s0) = run_scripted_with_crash(
             factory(3), &matrix, seed, 500, BatchPolicy::DISABLED, &plan, crash);
@@ -409,9 +407,7 @@ proptest! {
             Membership::uniform(n),
             ClockRsmConfig::default()
                 .with_delta_us(Some(50 * MILLIS))
-                .with_failure_detection(Some(400 * MILLIS))
-                .with_synod_retry_us(100 * MILLIS)
-                .with_reconfig_retry_us(100 * MILLIS),
+                .with_failure_detection(Some(400 * MILLIS)),
         );
         let (h0, s0) = run_scripted_with_crash(
             factory(3), &matrix, seed, 500, BatchPolicy::DISABLED, &plan, crash);

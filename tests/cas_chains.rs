@@ -182,8 +182,6 @@ fn run_chains(
         ClockRsmConfig::default()
             .with_delta_us(Some(50 * MILLIS))
             .with_failure_detection(Some(400 * MILLIS))
-            .with_synod_retry_us(100 * MILLIS)
-            .with_reconfig_retry_us(100 * MILLIS)
     } else {
         ClockRsmConfig::default()
     };

@@ -24,8 +24,6 @@ fn fd_config() -> ClockRsmConfig {
     ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
         .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS)
 }
 
 fn base_cfg(n: usize) -> ExperimentConfig {

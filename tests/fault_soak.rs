@@ -72,9 +72,7 @@ fn soak_with_reads(seed: u64, n: usize, read_fraction: f64) {
     let seconds = 16u64;
     let rsm_cfg = ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
-        .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS);
+        .with_failure_detection(Some(400 * MILLIS));
     let mut cfg = ExperimentConfig::new(LatencyMatrix::uniform(n, 15_000))
         .seed(seed)
         .clients_per_site(2)
@@ -143,9 +141,7 @@ fn soak_read_mix_under_clock_skew() {
         let retry = (4 * 1_000 * MILLIS).max(3 * bound);
         let rsm_cfg = ClockRsmConfig::default()
             .with_delta_us(Some(50 * MILLIS))
-            .with_failure_detection(Some(2_000 * MILLIS))
-            .with_synod_retry_us(100 * MILLIS)
-            .with_reconfig_retry_us(100 * MILLIS);
+            .with_failure_detection(Some(2_000 * MILLIS));
         let mut cfg = ExperimentConfig::new(LatencyMatrix::uniform(3, 15_000))
             .seed(seed)
             .clients_per_site(2)

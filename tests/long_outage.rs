@@ -184,9 +184,7 @@ fn clock_rsm_long_outage_recovers_from_durable_checkpoints() {
     // answered with a snapshot, and every log stays bounded.
     let rsm_cfg = ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
-        .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS);
+        .with_failure_detection(Some(400 * MILLIS));
     for seed in [31u64, 32] {
         let r = run_latency(ProtocolChoice::clock_rsm_with(rsm_cfg), &outage_cfg(seed));
         assert_recovered(&r, seed, 500);

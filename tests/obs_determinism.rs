@@ -480,7 +480,7 @@ fn digest_run<P: Protocol + 'static>(
 
 /// The digest of every protocol's execution under every condition of
 /// [`digest_run`]; see [`executions_match_the_pinned_digest`].
-const PINNED_DIGEST: u64 = 0x2ac1_4e01_846e_78b8;
+const PINNED_DIGEST: u64 = 0x28cd_a287_cb3b_6e9f;
 
 /// Each of the 24 runs behind [`PINNED_DIGEST`] hashed on its own, in
 /// run order: protocol, condition, digest. Pinned with it, so a moved
@@ -494,7 +494,7 @@ const PINNED_RUNS: [(&str, &str, u64); 24] = [
     ("Paxos", "crash and recover", 0xf65a_f709_b2ed_9e6f),
     ("Paxos-bcast", "crash and recover", 0x0ebc_7957_8939_4ed8),
     ("Mencius-bcast", "crash and recover", 0x4f6b_d3c4_d9c1_ea3e),
-    ("Clock-RSM", "partition and heal", 0x2f93_eb45_6392_f817),
+    ("Clock-RSM", "partition and heal", 0xb6d3_c66b_0392_08f8),
     ("Paxos", "partition and heal", 0xbd06_4a57_613a_3630),
     ("Paxos-bcast", "partition and heal", 0x2803_d2d8_628d_4f6a),
     ("Mencius-bcast", "partition and heal", 0x308a_6390_0429_32f0),
@@ -607,9 +607,7 @@ fn sharded_executions_match_the_pinned_digest() {
     let reads = |seed| ShardedConfig::new(base(seed).read_fraction(0.5), 2).snapshot_mix(0.3, 3);
     let reconfig = ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
-        .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS);
+        .with_failure_detection(Some(400 * MILLIS));
     let runs = [
         (
             ProtocolChoice::clock_rsm(),

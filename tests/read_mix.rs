@@ -153,9 +153,7 @@ fn read_mix_survives_leader_crash_schedules() {
     // Clock-RSM: same fault shape, ridden out via reconfiguration.
     let rsm_cfg = clock_rsm::ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
-        .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS);
+        .with_failure_detection(Some(400 * MILLIS));
     let cfg = base().leader_crash(1, crash_at, recover_at);
     let r = run_latency(ProtocolChoice::clock_rsm_with(rsm_cfg), &cfg);
     assert_green(&r, "clock-rsm crash");
@@ -472,10 +470,7 @@ impl Application<ClockRsm> for CastawayApp {
 /// healed at 5 s, clients stopping at 8 s, and the failure detector
 /// reconfiguring after 400 ms of silence.
 fn run_castaway(sim_cfg: SimConfig) -> Simulation<ClockRsm, CastawayApp> {
-    let rsm_cfg = ClockRsmConfig::default()
-        .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS);
+    let rsm_cfg = ClockRsmConfig::default().with_failure_detection(Some(400 * MILLIS));
     let app = CastawayApp {
         ops: Vec::new(),
         seqs: [0; 2],

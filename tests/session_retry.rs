@@ -21,6 +21,7 @@ use kvstore::{KvOp, KvStore};
 use mencius::MenciusBcast;
 use paxos::{MultiPaxos, PaxosVariant};
 use rsm_core::command::{Command, CommandId, Reply};
+use rsm_core::exec::ReadFront;
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::protocol::Protocol;
 use rsm_core::time::MILLIS;
@@ -284,9 +285,7 @@ fn chain_survives_crash<P: Protocol>(
 fn same_id_retry_chain_survives_crash_on_clock_rsm() {
     let cfg = ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
-        .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS);
+        .with_failure_detection(Some(400 * MILLIS));
     chain_survives_crash(
         move |id| ClockRsm::new(id, Membership::uniform(3), cfg),
         0,
@@ -474,11 +473,9 @@ fn session_window_eviction_reapplies_late_retries() {
     let cluster = Cluster::spawn(
         cfg,
         |id| {
-            ClockRsm::new(
-                id,
-                Membership::uniform(3),
-                ClockRsmConfig::default().with_session_window(1),
-            )
+            let mut p = ClockRsm::new(id, Membership::uniform(3), ClockRsmConfig::default());
+            p.executor().set_session_window(1);
+            p
         },
         kv,
     );

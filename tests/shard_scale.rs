@@ -33,8 +33,6 @@ fn reconfig_cfg() -> ClockRsmConfig {
     ClockRsmConfig::default()
         .with_delta_us(Some(50 * MILLIS))
         .with_failure_detection(Some(400 * MILLIS))
-        .with_synod_retry_us(100 * MILLIS)
-        .with_reconfig_retry_us(100 * MILLIS)
 }
 
 /// The acceptance soak: ±1ms NTP-grade clock offsets, a 50/50 read mix
