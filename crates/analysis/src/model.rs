@@ -80,7 +80,10 @@ pub fn clock_rsm_imbalanced(m: &LatencyMatrix, replica: ReplicaId) -> Micros {
 
 /// Clock-RSM latency under **imbalanced light** workloads with the
 /// Algorithm 2 extension and broadcast interval `delta`:
-/// `max(2·median_k d(i,k), max_k d(i,k) + Δ)`.
+/// `max(2·median_k d(i,k), max_k d(i,k) + Δ)`. The `+ Δ` term is the
+/// paper's, a CLOCKTIME at most Δ away; the replica checks every Δ/2 and
+/// sends once Δ has passed, so a peer's silence can reach 1.5Δ and the
+/// measured latency can exceed this by up to Δ/2.
 pub fn clock_rsm_imbalanced_light(m: &LatencyMatrix, replica: ReplicaId, delta: Micros) -> Micros {
     let lc1 = 2 * m.median_from(replica);
     let lc2 = m.max_from(replica) + delta;
@@ -98,8 +101,11 @@ pub fn clock_rsm_imbalanced_light_no_ext(m: &LatencyMatrix, replica: ReplicaId) 
 /// every replica's clock evidence passes the probe's timestamp, and that
 /// evidence comes from whichever lands first: the probe's echoes, one
 /// round trip to the farthest replica away, or each replica's next
-/// periodic CLOCKTIME, at most `delta` away plus the one-way trip:
-/// `min(2·max_k d(i,k), max_k d(k,i) + Δ)`. With `failure_detection`
+/// periodic CLOCKTIME plus the one-way trip:
+/// `min(2·max_k d(i,k), max_k d(k,i) + Δ)`. The CLOCKTIME term takes
+/// the paper's wait of at most Δ; a replica checks every Δ/2 and sends
+/// once Δ has passed, so the wait can reach 1.5Δ, and only the probe
+/// term is a hard bound. With `failure_detection`
 /// on, the probe must also hear a majority of echoes first, one round
 /// trip to the median replica: `max(2·median_k d(i,k), …)`.
 /// Any concurrent write's PREPAREOKs only bring evidence sooner.

@@ -24,8 +24,10 @@ use rsm_core::time::{Micros, MILLIS};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockRsmConfig {
-    /// Interval of the periodic clock-time broadcast (Algorithm 2), or
-    /// `None` to disable the extension (making the protocol quiescent).
+    /// Δ of the periodic clock-time broadcast (Algorithm 2), or `None` to
+    /// disable the extension (making the protocol quiescent). A replica
+    /// sends a CLOCKTIME once Δ has passed since its last message, and
+    /// checks every Δ/2, so it can stay silent for up to 1.5Δ.
     pub delta_us: Option<Micros>,
     /// Failure detector timeout: a configuration member not heard from for
     /// this long is suspected and a reconfiguration removing it is

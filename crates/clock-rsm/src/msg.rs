@@ -7,8 +7,7 @@ use rsm_core::command::Command;
 use rsm_core::config::Epoch;
 use rsm_core::id::ReplicaId;
 use rsm_core::time::Timestamp;
-use rsm_core::wire::MSG_HEADER_BYTES;
-use rsm_core::wire::{WireMsg, WireSize};
+use rsm_core::wire::WireMsg;
 
 rsm_core::wire_table! {
     /// A logged command as exchanged during reconfiguration and state
@@ -22,12 +21,6 @@ rsm_core::wire_table! {
         pub origin: ReplicaId,
         /// The command itself.
         pub cmd: Command,
-    }
-}
-
-impl WireSize for LoggedCmd {
-    fn wire_size(&self) -> usize {
-        16 + self.cmd.wire_size()
     }
 }
 
@@ -45,12 +38,6 @@ rsm_core::wire_table! {
         /// Commands with timestamps greater than `cts` collected from a
         /// majority — everything that *could* have committed.
         pub cmds: Vec<LoggedCmd>,
-    }
-}
-
-impl WireSize for Decision {
-    fn wire_size(&self) -> usize {
-        16 + 2 * self.config.len() + self.cmds.iter().map(WireSize::wire_size).sum::<usize>()
     }
 }
 
@@ -184,25 +171,6 @@ rsm_core::wire_table! {
     }
 }
 
-impl WireSize for RsmMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            RsmMsg::PrepareBatch { cmds, .. } => MSG_HEADER_BYTES + cmds.wire_size(),
-            RsmMsg::PrepareOk { .. }
-            | RsmMsg::ClockTime { .. }
-            | RsmMsg::ClockProbe { .. }
-            | RsmMsg::ClockEcho { .. }
-            | RsmMsg::Suspend { .. } => MSG_HEADER_BYTES,
-            RsmMsg::SuspendOk { cmds, .. } => {
-                MSG_HEADER_BYTES + cmds.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-            RsmMsg::Synod { msg, .. } => MSG_HEADER_BYTES + msg.wire_size(),
-            RsmMsg::CatchUp { req, .. } => 8 + req.wire_size(),
-            RsmMsg::CatchUpReply(reply) => reply.wire_size(),
-        }
-    }
-}
-
 /// A snapshot answer: the shared answer rule's snapshot arm, or the whole
 /// answer to a replica in an earlier epoch ([`rsm_core::exec::Executor`]).
 impl From<Checkpoint<Timestamp>> for RsmMsg {
@@ -242,6 +210,7 @@ mod tests {
     use bytes::Bytes;
     use rsm_core::command::CommandId;
     use rsm_core::id::ClientId;
+    use rsm_core::wire::WireSize;
 
     fn cmd(len: usize) -> Command {
         Command::new(

@@ -592,6 +592,9 @@ impl ClockRsm {
             return;
         };
         // Re-arm first so a panic-free return always keeps the timer alive.
+        // The tick fires every Δ/2 and sends once Δ has passed since this
+        // replica's last timestamp, so the silence between two of its
+        // messages is up to 1.5Δ, not Δ.
         ctx.set_timer(delta / 2, TOKEN_CLOCKTIME);
         if self.needs_rejoin {
             return;

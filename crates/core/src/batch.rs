@@ -26,7 +26,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::command::Command;
-use crate::wire::WireSize;
 
 /// An ordered, non-empty group of client commands replicated as one unit.
 ///
@@ -166,15 +165,6 @@ impl fmt::Debug for Batch {
     }
 }
 
-impl WireSize for Batch {
-    fn wire_size(&self) -> usize {
-        // Encodes exactly like the underlying Vec<Command>; the enclosing
-        // message pays its own header once for the whole batch — that
-        // amortization is the point.
-        self.cmds.wire_size()
-    }
-}
-
 /// How a driver coalesces queued client requests into batches.
 ///
 /// Drivers flush **opportunistically, never waiting intentionally** (the
@@ -242,7 +232,7 @@ mod tests {
     use super::*;
     use crate::command::CommandId;
     use crate::id::{ClientId, ReplicaId};
-    use crate::wire::MSG_HEADER_BYTES;
+    use crate::wire::{WireEncode, MSG_HEADER_BYTES};
     use bytes::Bytes;
 
     fn cmd(seq: u64, len: usize) -> Command {
@@ -278,8 +268,11 @@ mod tests {
     #[test]
     fn batch_wire_size_amortizes_headers() {
         let cmds: Vec<Command> = (0..10).map(|i| cmd(i, 10)).collect();
-        let batched = Batch::new(cmds.clone()).wire_size() + MSG_HEADER_BYTES;
-        let unbatched: usize = cmds.iter().map(|c| c.wire_size() + MSG_HEADER_BYTES).sum();
+        let batched = Batch::new(cmds.clone()).encoded_len() + MSG_HEADER_BYTES;
+        let unbatched: usize = cmds
+            .iter()
+            .map(|c| c.encoded_len() + MSG_HEADER_BYTES)
+            .sum();
         assert!(batched < unbatched, "{batched} !< {unbatched}");
     }
 

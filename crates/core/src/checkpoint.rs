@@ -66,7 +66,6 @@ use bytes::Bytes;
 
 use crate::config::Epoch;
 use crate::id::ReplicaId;
-use crate::wire::{WireSize, MSG_HEADER_BYTES};
 
 /// When a replica writes a checkpoint: every so many applied commands.
 ///
@@ -203,14 +202,6 @@ impl<W: fmt::Debug> fmt::Debug for Checkpoint<W> {
     }
 }
 
-impl<W> WireSize for Checkpoint<W> {
-    fn wire_size(&self) -> usize {
-        // watermark + epoch + config ids + length-prefixed snapshot and
-        // session table.
-        8 + 8 + 2 * self.config.len() + 4 + self.snapshot.len() + 4 + self.sessions.len()
-    }
-}
-
 /// A protocol's log record type, whose `Checkpoint` variant only ever
 /// heads a log: [`Executor`](crate::exec::Executor) writes it there and
 /// [`log_head`] reads it back.
@@ -271,12 +262,6 @@ crate::wire_table! {
     }
 }
 
-impl<W> WireSize for CatchUp<W> {
-    fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES + 16
-    }
-}
-
 crate::wire_table! {
     /// A peer's answer to a [`CatchUp`]: the protocol's own runs in the
     /// asked range, when its log still reaches back to `from`, or else a
@@ -308,20 +293,9 @@ impl<W, R> From<Checkpoint<W>> for CatchUpReply<W, R> {
     }
 }
 
-impl<W, R: WireSize> WireSize for CatchUpReply<W, R> {
-    fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES
-            + match self {
-                CatchUpReply::Runs { runs, .. } => 16 + runs.wire_size(),
-                CatchUpReply::Snapshot(cp) => cp.wire_size(),
-            }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::Command;
 
     #[test]
     fn disabled_policy_never_fires() {
@@ -359,25 +333,5 @@ mod tests {
         let p = CheckpointPolicy::every(4);
         assert_eq!(p.with_compaction(true), p);
         let _ = p.with_compaction(false);
-    }
-
-    #[test]
-    fn wire_sizes_scale_with_snapshot() {
-        let small = Checkpoint {
-            applied: 5u64,
-            epoch: Epoch::ZERO,
-            config: vec![ReplicaId::new(0), ReplicaId::new(1)],
-            snapshot: Bytes::from(vec![0u8; 10]),
-            sessions: Bytes::new(),
-        };
-        let large = Checkpoint {
-            snapshot: Bytes::from(vec![0u8; 1_000]),
-            ..small.clone()
-        };
-        assert_eq!(large.wire_size() - small.wire_size(), 990);
-        let req: CatchUp<u64> = CatchUp { from: 1, below: 4 };
-        assert_eq!(req.wire_size(), MSG_HEADER_BYTES + 16);
-        let reply: CatchUpReply<u64, Vec<Command>> = large.into();
-        assert!(reply.wire_size() > 1_000);
     }
 }

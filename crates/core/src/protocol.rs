@@ -289,7 +289,15 @@ pub(crate) mod tests {
     use super::*;
     use crate::command::CommandId;
     use crate::id::ClientId;
+    use crate::wire::{WireEncode, WireSize, MSG_HEADER_BYTES};
     use bytes::Bytes;
+
+    /// [`Echo`] sends bare commands, each in a frame of its own.
+    impl WireSize for Command {
+        fn wire_size(&self) -> usize {
+            MSG_HEADER_BYTES + self.encoded_len()
+        }
+    }
 
     /// A trivial protocol that commits every request immediately and
     /// keeps every message it receives; exercises the trait surface and

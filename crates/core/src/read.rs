@@ -108,7 +108,6 @@ use crate::command::Command;
 use crate::id::ReplicaId;
 use crate::protocol::{Context, Protocol, TimerToken};
 use crate::time::Micros;
-use crate::wire::{WireSize, MSG_HEADER_BYTES};
 
 /// The local-read mechanism a protocol implements, reported via
 /// [`Protocol::read_path`].
@@ -150,12 +149,6 @@ crate::wire_table! {
     }
 }
 
-impl WireSize for ReadRequest {
-    fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES
-    }
-}
-
 crate::wire_table! {
     /// A peer's answer to a [`ReadRequest`]: its read mark in the protocol's
     /// ordering coordinate (instance for Paxos, slot for Mencius).
@@ -173,12 +166,6 @@ crate::wire_table! {
         /// The responder's read mark (exclusive upper bound: every logged
         /// coordinate is `< mark`).
         pub mark: u64,
-    }
-}
-
-impl WireSize for ReadReply {
-    fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES
     }
 }
 
@@ -557,12 +544,6 @@ mod tests {
         // An answer to an abandoned probe finds nothing.
         probes.on_answer(ReplicaId::new(1), 1, max_of(9));
         assert!(probes.take_ready(0).is_empty());
-    }
-
-    #[test]
-    fn wire_shapes_have_header_weight() {
-        assert_eq!(ReadRequest { seq: 1 }.wire_size(), MSG_HEADER_BYTES);
-        assert_eq!(ReadReply { seq: 1, mark: 9 }.wire_size(), MSG_HEADER_BYTES);
     }
 
     #[test]

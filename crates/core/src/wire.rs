@@ -88,17 +88,16 @@ use crate::config::Epoch;
 use crate::id::{ClientId, ReplicaId};
 use crate::time::Timestamp;
 
-/// Number of bytes a value occupies on the wire.
+/// Number of bytes a message occupies on the wire: its frame header
+/// plus its payload, [`MSG_HEADER_BYTES`] `+` [`WireEncode::encoded_len`].
 ///
 /// The discrete-event simulator's CPU model (used by the throughput
 /// experiments, Figure 8 of the paper) charges per-byte costs for message
-/// sending and receiving; each protocol implements `WireSize` for its
-/// message type. Sizes are estimates of a compact binary encoding — a small
-/// fixed header per message plus any command payload — which is what the
-/// real frame codec in this module produces for these simple message
-/// shapes.
+/// sending and receiving, so it prices the bytes a replica would send.
+/// [`wire_table!`](crate::wire_table) implements it for every type it
+/// declares.
 pub trait WireSize {
-    /// Estimated encoded size in bytes.
+    /// Frame header plus encoded payload, in bytes.
     fn wire_size(&self) -> usize;
 }
 
@@ -117,41 +116,10 @@ pub const WIRE_VERSION: u16 = 5;
 /// must not OOM the receiver).
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 
+/// The frame of an empty message: its header alone.
 impl WireSize for () {
     fn wire_size(&self) -> usize {
-        MSG_HEADER_BYTES
-    }
-}
-
-impl WireSize for Command {
-    fn wire_size(&self) -> usize {
-        // id (client site + number + seq) + length prefix + payload,
-        // plus the optional pinned snapshot timestamp
-        24 + if self.read_at.is_some() { 8 } else { 0 } + self.payload.len()
-    }
-}
-
-impl<T: WireSize> WireSize for Option<T> {
-    fn wire_size(&self) -> usize {
-        1 + self.as_ref().map_or(0, WireSize::wire_size)
-    }
-}
-
-impl WireSize for u64 {
-    fn wire_size(&self) -> usize {
-        8
-    }
-}
-
-impl<A: WireSize, B: WireSize> WireSize for (A, B) {
-    fn wire_size(&self) -> usize {
-        self.0.wire_size() + self.1.wire_size()
-    }
-}
-
-impl<T: WireSize> WireSize for Vec<T> {
-    fn wire_size(&self) -> usize {
-        4 + self.iter().map(WireSize::wire_size).sum::<usize>()
+        MSG_HEADER_BYTES + self.encoded_len()
     }
 }
 
@@ -370,6 +338,16 @@ impl WireReader {
 pub trait WireEncode {
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
+
+    /// The number of bytes [`encode`](WireEncode::encode) appends. Every
+    /// codec in this workspace states it without encoding: the primitives
+    /// below beside their `encode`, and [`wire_table!`](crate::wire_table)
+    /// from its rows. The default measures one encode.
+    fn encoded_len(&self) -> usize {
+        let mut buf = BytesMut::new();
+        self.encode(&mut buf);
+        buf.len()
+    }
 }
 
 /// A value decodable from its [`WireEncode`] encoding.
@@ -423,19 +401,24 @@ pub use bytes::BytesMut as EncodeBuf;
 /// `tag => Variant(Type)`, each with its doc comments. The macro declares
 /// the enum exactly as written, minus the tags, and generates:
 ///
-/// * [`WireEncode`]: the tag byte, then the fields in row order;
+/// * [`WireEncode`]: the tag byte, then the fields in row order; its
+///   [`encoded_len`](WireEncode::encoded_len) is one byte plus the
+///   fields' lengths, summed without encoding;
 /// * [`WireDecode`]: the same order back; a tag no row names is
 ///   [`WireError::BadTag`] with the enum's name;
+/// * [`WireSize`]: [`MSG_HEADER_BYTES`] plus the encoded length;
 /// * `TAGS`: every tag, in row order.
 ///
 /// Two rows under one tag fail the build. A struct
 /// (`struct Name { field: Type, … }`) gets the same codec without a tag:
 /// its fields in declaration order. The generated impls bound every
-/// generic parameter by the codec trait they implement. [`WireSize`] is
-/// simnet's size model, not the encoded length, so it stays hand-written.
+/// generic parameter by [`WireEncode`], or by [`WireDecode`] for the
+/// decoder.
 ///
 /// ```
-/// use rsm_core::wire::{decode_payload, encode_payload};
+/// use rsm_core::wire::{
+///     decode_payload, encode_payload, WireEncode, WireSize, MSG_HEADER_BYTES,
+/// };
 ///
 /// rsm_core::wire_table! {
 ///     /// A toy protocol.
@@ -450,6 +433,8 @@ pub use bytes::BytesMut as EncodeBuf;
 ///
 /// let bytes = encode_payload(&Toy::Ask { n: 5 });
 /// assert_eq!(bytes[..], [0, 0, 5]);
+/// assert_eq!(Toy::Ask { n: 5 }.encoded_len(), 3);
+/// assert_eq!(Toy::Answer(true).wire_size(), MSG_HEADER_BYTES + 2);
 /// assert_eq!(decode_payload::<Toy>(bytes), Ok(Toy::Ask { n: 5 }));
 /// assert_eq!(Toy::TAGS, [0, 7]);
 /// ```
@@ -464,7 +449,17 @@ pub use bytes::BytesMut as EncodeBuf;
 /// ```
 #[macro_export]
 macro_rules! wire_table {
-    // One variant's binding pattern, encoder and decoder, by its shape.
+    // The frame size of a declared type: header plus encoded length.
+    (@size $name:ident $(<$($gen:ident),+>)?) => {
+        impl $(<$($gen: $crate::wire::WireEncode),+>)? $crate::wire::WireSize
+            for $name $(<$($gen),+>)?
+        {
+            fn wire_size(&self) -> usize {
+                $crate::wire::MSG_HEADER_BYTES + $crate::wire::WireEncode::encoded_len(self)
+            }
+        }
+    };
+    // One variant's binding pattern, encoder, length and decoder, by its shape.
     (@pat $name:ident $variant:ident $value:ident { $($(#[$m:meta])* $f:ident : $t:ty),* $(,)? }) => {
         $name::$variant { $($f),* }
     };
@@ -476,6 +471,12 @@ macro_rules! wire_table {
     };
     (@enc $buf:ident $value:ident ($t:ty)) => {
         $crate::wire::WireEncode::encode($value, $buf);
+    };
+    (@len $value:ident { $($(#[$m:meta])* $f:ident : $t:ty),* $(,)? }) => {
+        0 $(+ $crate::wire::WireEncode::encoded_len($f))*
+    };
+    (@len $value:ident ($t:ty)) => {
+        $crate::wire::WireEncode::encoded_len($value)
     };
     (@dec $r:ident $name:ident $variant:ident { $($(#[$m:meta])* $f:ident : $t:ty),* $(,)? }) => {
         $name::$variant { $($f: <$t as $crate::wire::WireDecode>::decode($r)?),* }
@@ -519,7 +520,17 @@ macro_rules! wire_table {
                     })+
                 }
             }
+
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $($crate::wire_table!(@pat $name $variant value $body) => {
+                        1 + $crate::wire_table!(@len value $body)
+                    })+
+                }
+            }
         }
+
+        $crate::wire_table!(@size $name $(<$($gen),+>)?);
 
         impl $(<$($gen: $crate::wire::WireDecode),+>)? $crate::wire::WireDecode
             for $name $(<$($gen),+>)?
@@ -556,7 +567,13 @@ macro_rules! wire_table {
             fn encode(&self, buf: &mut $crate::wire::EncodeBuf) {
                 $($crate::wire::WireEncode::encode(&self.$f, buf);)+
             }
+
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::wire::WireEncode::encoded_len(&self.$f))+
+            }
         }
+
+        $crate::wire_table!(@size $name $(<$($gen),+>)?);
 
         impl $(<$($gen: $crate::wire::WireDecode),+>)? $crate::wire::WireDecode
             for $name $(<$($gen),+>)?
@@ -667,6 +684,10 @@ impl WireEncode for u8 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self);
     }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 impl WireDecode for u8 {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -677,6 +698,10 @@ impl WireDecode for u8 {
 impl WireEncode for u16 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u16(*self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        2
     }
 }
 impl WireDecode for u16 {
@@ -689,6 +714,10 @@ impl WireEncode for u32 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32(*self);
     }
+
+    fn encoded_len(&self) -> usize {
+        4
+    }
 }
 impl WireDecode for u32 {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -699,6 +728,10 @@ impl WireDecode for u32 {
 impl WireEncode for u64 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64(*self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        8
     }
 }
 impl WireDecode for u64 {
@@ -711,6 +744,10 @@ impl WireEncode for bool {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self as u8);
     }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 impl WireDecode for bool {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -720,6 +757,10 @@ impl WireDecode for bool {
 
 impl WireEncode for () {
     fn encode(&self, _buf: &mut BytesMut) {}
+
+    fn encoded_len(&self) -> usize {
+        0
+    }
 }
 impl WireDecode for () {
     fn decode(_r: &mut WireReader) -> Result<Self, WireError> {
@@ -742,6 +783,10 @@ impl<T: WireEncode> WireEncode for Option<T> {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, WireEncode::encoded_len)
+    }
 }
 impl<T: WireDecode> WireDecode for Option<T> {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -759,6 +804,10 @@ impl<T: WireEncode> WireEncode for Vec<T> {
         for v in self {
             v.encode(buf);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(WireEncode::encoded_len).sum::<usize>()
     }
 }
 impl<T: WireDecode> WireDecode for Vec<T> {
@@ -779,6 +828,10 @@ impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
 }
 impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -790,6 +843,10 @@ impl WireEncode for Bytes {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32(self.len() as u32);
         buf.put_slice(self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
     }
 }
 impl WireDecode for Bytes {
@@ -803,6 +860,10 @@ impl WireEncode for ReplicaId {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u16(self.as_u16());
     }
+
+    fn encoded_len(&self) -> usize {
+        2
+    }
 }
 impl WireDecode for ReplicaId {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -814,6 +875,10 @@ impl WireEncode for ClientId {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u16(self.site().as_u16());
         buf.put_u32(self.number());
+    }
+
+    fn encoded_len(&self) -> usize {
+        6
     }
 }
 impl WireDecode for ClientId {
@@ -828,6 +893,10 @@ impl WireEncode for Timestamp {
         buf.put_u64(self.micros());
         buf.put_u16(self.replica().as_u16());
     }
+
+    fn encoded_len(&self) -> usize {
+        10
+    }
 }
 impl WireDecode for Timestamp {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -839,6 +908,10 @@ impl WireDecode for Timestamp {
 impl WireEncode for Epoch {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64(self.0);
+    }
+
+    fn encoded_len(&self) -> usize {
+        8
     }
 }
 impl WireDecode for Epoch {
@@ -853,6 +926,10 @@ impl WireEncode for Command {
         buf.put_u8(self.read_only as u8);
         self.read_at.encode(buf);
         self.payload.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.id.encoded_len() + 1 + self.read_at.encoded_len() + self.payload.encoded_len()
     }
 }
 impl WireDecode for Command {
@@ -877,6 +954,10 @@ impl WireEncode for Batch {
             cmd.encode(buf);
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(WireEncode::encoded_len).sum::<usize>()
+    }
 }
 impl WireDecode for Batch {
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
@@ -894,31 +975,39 @@ mod tests {
     use crate::checkpoint::{CatchUp, CatchUpReply, Checkpoint};
     use crate::command::Reply;
 
-    #[test]
-    fn command_size_scales_with_payload() {
-        let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), 1);
-        let small = Command::new(id, Bytes::from(vec![0; 10]));
-        let large = Command::new(id, Bytes::from(vec![0; 1000]));
-        assert_eq!(large.wire_size() - small.wire_size(), 990);
-    }
-
-    #[test]
-    fn option_and_vec_compose() {
-        let id = CommandId::new(ClientId::new(ReplicaId::new(0), 0), 1);
-        let c = Command::new(id, Bytes::from(vec![0; 8]));
-        assert_eq!(Some(c.clone()).wire_size(), 1 + c.wire_size());
-        assert_eq!(None::<Command>.wire_size(), 1);
-        assert_eq!(
-            vec![c.clone(), c.clone()].wire_size(),
-            4 + 2 * c.wire_size()
-        );
-    }
-
     fn cmd(seq: u64, payload: &[u8]) -> Command {
         Command::new(
             CommandId::new(ClientId::new(ReplicaId::new(2), 9), seq),
             Bytes::copy_from_slice(payload),
         )
+    }
+
+    /// Each primitive's `encoded_len` is the length of its encoding.
+    #[test]
+    fn every_primitive_states_its_encoded_length() {
+        fn check<T: WireEncode + fmt::Debug>(v: T) {
+            assert_eq!(v.encoded_len(), encode_payload(&v).len(), "{v:?}");
+        }
+        check(7u8);
+        check(7u16);
+        check(7u32);
+        check(7u64);
+        check(true);
+        check(());
+        check(None::<u64>);
+        check(Some(5u64));
+        check(vec![1u16, 2, 3]);
+        check((ReplicaId::new(1), 9u32));
+        check(Bytes::from_static(b"abc"));
+        check(ClientId::new(ReplicaId::new(1), 4));
+        check(Timestamp::new(5, ReplicaId::new(2)));
+        check(Epoch(3));
+        check(CommandId::new(ClientId::new(ReplicaId::new(1), 4), 9));
+        check(cmd(1, b"plain write"));
+        check(Command::read(cmd(2, b"").id, Bytes::from_static(b"get k")));
+        check(Command::read_at(cmd(3, b"").id, Bytes::new(), 123_456));
+        check(Batch::new(vec![cmd(4, b"a"), cmd(5, b"bc")]));
+        assert_eq!(().wire_size(), MSG_HEADER_BYTES);
     }
 
     #[test]

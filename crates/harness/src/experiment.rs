@@ -20,7 +20,7 @@ use simnet::{ClockModel, CpuModel, SimConfig, Simulation};
 use crate::cluster::ProtocolChoice;
 use crate::lin::{check_all, CheckReport, OpRecord};
 use crate::stats::LatencyStats;
-use crate::workload::{Fault, WorkloadApp, WorkloadConfig};
+use crate::workload::{Fault, WorkloadApp};
 
 /// Full description of one experiment run.
 #[derive(Debug, Clone)]
@@ -71,16 +71,28 @@ pub struct ExperimentConfig {
     /// [`ProtocolChoice::paxos_failover`]) to survive *leader* faults —
     /// without one it matches the paper's failure-free evaluation setup.
     pub faults: Vec<(Micros, Fault)>,
-    /// Client retry timeout; see `WorkloadConfig::retry_timeout_us`.
+    /// Client-side retry: re-issue the SAME command (identical id and
+    /// payload) when no reply arrives within this long. `None` disables
+    /// retries. Needed under reconfiguration, which drops in-flight
+    /// commands that did not reach a majority (their clients must
+    /// retry, like any RSM client). Reusing the id is what makes the
+    /// retry safe when only the *reply* was lost: the replicas' session
+    /// tables (`rsm_core::session`) recognise the already-applied seq
+    /// and answer from the cached reply instead of applying twice.
     pub client_retry_us: Option<Micros>,
     /// Chaos-canary knob (**test-only**): disables the replicas'
     /// session dedup window, re-introducing the pre-session retry
     /// double-apply bug so the chaos fuzzer can prove it finds and
     /// shrinks it. Never set outside chaos tooling.
     pub session_canary: bool,
-    /// Fraction of writes issued as private-key CAS chains (see
-    /// `WorkloadConfig::cas_fraction`): each must succeed, and
-    /// [`ExperimentResult::cas_failures`] counts the ones that did not.
+    /// Fraction of **writes** issued as compare-and-swap chains: each
+    /// client owns a private key (outside the shared `key_space`) and
+    /// CASes it from the last value it successfully installed to a fresh
+    /// one. Since nobody else writes that key, every such CAS must
+    /// succeed — a failed one means the chain was broken by a lost,
+    /// duplicated, or reordered application, which is exactly what the
+    /// chaos oracles want to catch
+    /// ([`ExperimentResult::cas_failures`]).
     pub cas_fraction: f64,
     /// Session dedup window override applied to every replica (commands
     /// remembered per client); `None` keeps each protocol's default.
@@ -281,6 +293,12 @@ impl ExperimentConfig {
     pub fn observe(mut self, obs: ObsConfig) -> Self {
         self.observe = Some(obs);
         self
+    }
+
+    /// When clients stop issuing and recording: the end of the
+    /// measurement window.
+    pub(crate) fn measure_until(&self) -> Micros {
+        self.warmup_us + self.duration_us
     }
 
     pub(crate) fn n(&self) -> usize {
@@ -613,23 +631,8 @@ where
     P: Protocol + 'static,
     F: FnMut(ReplicaId) -> P + 'static,
 {
-    let end = cfg.warmup_us + cfg.duration_us;
-    let workload = WorkloadConfig {
-        n_sites: cfg.n(),
-        active_sites: cfg.active(),
-        clients_per_site: cfg.clients_per_site,
-        think_max_us: cfg.think_max_us,
-        value_bytes: cfg.value_bytes,
-        key_space: cfg.key_space,
-        read_fraction: cfg.read_fraction,
-        warmup_until: cfg.warmup_us,
-        measure_until: end,
-        record_ops: cfg.record_ops,
-        faults: cfg.faults.clone(),
-        retry_timeout_us: cfg.client_retry_us,
-        cas_fraction: cfg.cas_fraction,
-    };
-    let app: WorkloadApp<P> = WorkloadApp::new(workload);
+    let end = cfg.measure_until();
+    let app: WorkloadApp<P> = WorkloadApp::new(cfg);
     let sim_cfg = sim_config(cfg, cfg.seed);
     let mut sim = Simulation::new(sim_cfg, factory, || Box::new(KvStore::new()), app);
     sim.run_until(end);

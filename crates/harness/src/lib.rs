@@ -53,4 +53,4 @@ pub use experiment::{run_latency, run_throughput, ExperimentConfig, ExperimentRe
 pub use lin::{CheckReport, OpRecord, SnapshotRecord};
 pub use shard::{run_sharded, ShardCounters, ShardedConfig, ShardedResult};
 pub use stats::LatencyStats;
-pub use workload::{Fault, WorkloadApp, WorkloadConfig};
+pub use workload::{Fault, WorkloadApp};

@@ -370,7 +370,7 @@ impl<'a> Router<'a> {
         }
         let mut router = Router {
             cfg,
-            end: base.warmup_us + base.duration_us,
+            end: base.measure_until(),
             clients,
             client_index,
             rng: StdRng::seed_from_u64(base.seed ^ 0x5ead_c0de),
@@ -454,12 +454,12 @@ impl<'a> Router<'a> {
     /// rotation over the replicas (escaping a crashed target).
     fn read_site<P: Protocol>(
         &self,
-        sim: &Simulation<P, Collector>,
+        sim: &mut Simulation<P, Collector>,
         site: ReplicaId,
         attempt: u32,
     ) -> ReplicaId {
         if attempt == 0 {
-            sim.read_target(site)
+            sim.with_api(|_, api| api.read_target(site))
         } else {
             ReplicaId::new(((site.index() + attempt as usize) % self.cfg.base.n()) as u16)
         }
@@ -502,10 +502,12 @@ impl<'a> Router<'a> {
             }
         }
         if is_read {
-            let target = self.read_site(&sims[shard], site, self.clients[idx].attempt);
-            sims[shard].submit_from(site, target, Command::read(cmd_id, payload));
+            let target = self.read_site(&mut sims[shard], site, self.clients[idx].attempt);
+            let cmd = Command::read(cmd_id, payload);
+            sims[shard].with_api(|_, api| api.submit_from(site, target, cmd));
         } else {
-            sims[shard].submit(site, Command::new(cmd_id, payload));
+            let cmd = Command::new(cmd_id, payload);
+            sims[shard].with_api(|_, api| api.submit(site, cmd));
         }
         let next_wake = self.retry_at(now);
         let c = &mut self.clients[idx];
@@ -534,7 +536,7 @@ impl<'a> Router<'a> {
             .iter()
             .map(|&k| {
                 let shard = shard_of(k, self.cfg.shards);
-                let target = self.read_site(&sims[shard], site, attempt);
+                let target = self.read_site(&mut sims[shard], site, attempt);
                 (shard, Bytes::from(k.to_be_bytes().to_vec()), target)
             })
             .collect();
@@ -563,7 +565,7 @@ impl<'a> Router<'a> {
         self.clients[idx].seq = seq;
         for ((shard, cmd), &(_, _, target)) in cmds.into_iter().zip(&parts) {
             self.record_op(shard, cmd.id, now, cmd.payload.clone(), true);
-            sims[shard].submit_from(site, target, cmd);
+            sims[shard].with_api(|_, api| api.submit_from(site, target, cmd));
         }
         self.snap_owner.insert(token, idx);
         let next_wake = self.retry_at(now);
@@ -725,7 +727,7 @@ where
     F: FnMut(ReplicaId) -> P + Clone + 'static,
 {
     let base = &cfg.base;
-    let end = base.warmup_us + base.duration_us;
+    let end = base.measure_until();
     let finish = end + SLACK_US;
 
     let mut sims: Vec<Simulation<P, Collector>> = (0..cfg.shards)
@@ -763,11 +765,11 @@ where
         while next_fault < faults.len() && faults[next_fault].0 <= t {
             let (at, shard, fault) = faults[next_fault];
             let after = at.saturating_sub(now);
-            match fault {
-                Fault::Crash(r) => sims[shard].crash(r, after),
-                Fault::Recover(r) => sims[shard].recover(r, after),
+            sims[shard].with_api(|_, api| match fault {
+                Fault::Crash(r) => api.crash(r, after),
+                Fault::Recover(r) => api.recover(r, after),
                 _ => unreachable!("run_sharded admits crash/recover faults only"),
-            }
+            });
             next_fault += 1;
         }
         for sim in &mut sims {

@@ -23,6 +23,7 @@ use rsm_core::protocol::Protocol;
 use rsm_core::time::Micros;
 use simnet::sim::{Application, SimApi};
 
+use crate::experiment::ExperimentConfig;
 use crate::lin::OpRecord;
 use crate::stats::LatencyStats;
 
@@ -65,55 +66,6 @@ const FAULT_KEY_BASE: u64 = 1 << 32;
 /// watched (bits 0..24).
 const RETRY_KEY_BASE: u64 = 1 << 48;
 
-/// Parameters of the client population.
-#[derive(Debug, Clone)]
-pub struct WorkloadConfig {
-    /// Number of replicas in the deployment.
-    pub n_sites: usize,
-    /// Sites that have clients (all = balanced, one = imbalanced).
-    pub active_sites: Vec<ReplicaId>,
-    /// Closed-loop clients per active site (the paper uses 40).
-    pub clients_per_site: usize,
-    /// Maximum uniform think time (the paper uses 80 ms); zero saturates.
-    pub think_max_us: Micros,
-    /// Value size of the update commands (the paper uses 64 B requests).
-    pub value_bytes: usize,
-    /// Number of distinct keys updated at random.
-    pub key_space: u64,
-    /// Fraction of operations issued as **linearizable local reads**
-    /// (`Get` commands with [`Command::read_only`] set, routed down the
-    /// protocol's read path): `0.0` (the default) reproduces the
-    /// paper's pure-update workload; `0.9` is the read-heavy production
-    /// shape.
-    pub read_fraction: f64,
-    /// Replies at or after this time are recorded into the statistics.
-    pub warmup_until: Micros,
-    /// Clients stop issuing and recording at this time.
-    pub measure_until: Micros,
-    /// Whether to keep per-operation records for the linearizability
-    /// checker (disable for long throughput runs).
-    pub record_ops: bool,
-    /// Scripted faults, applied at absolute virtual times.
-    pub faults: Vec<(Micros, Fault)>,
-    /// Client-side retry: re-issue the SAME command (identical id and
-    /// payload) when no reply arrives within this long. `None` disables
-    /// retries. Needed under reconfiguration, which drops in-flight
-    /// commands that did not reach a majority (their clients must
-    /// retry, like any RSM client). Reusing the id is what makes the
-    /// retry safe when only the *reply* was lost: the replicas' session
-    /// tables (`rsm_core::session`) recognise the already-applied seq
-    /// and answer from the cached reply instead of applying twice.
-    pub retry_timeout_us: Option<Micros>,
-    /// Fraction of **writes** issued as compare-and-swap chains: each
-    /// client owns a private key (outside the shared `key_space`) and
-    /// CASes it from the last value it successfully installed to a fresh
-    /// one. Since nobody else writes that key, every such CAS must
-    /// succeed — a failed one means the chain was broken by a lost,
-    /// duplicated, or reordered application, which is exactly what the
-    /// chaos oracles want to catch ([`WorkloadApp::cas_failures`]).
-    pub cas_fraction: f64,
-}
-
 #[derive(Debug)]
 struct ClientState {
     id: ClientId,
@@ -139,7 +91,7 @@ struct ClientState {
 /// Implements [`Application`] for any protocol; the per-site latency
 /// statistics and the operation log come out at the end of the run.
 pub struct WorkloadApp<P> {
-    cfg: WorkloadConfig,
+    cfg: ExperimentConfig,
     clients: Vec<ClientState>,
     client_index: HashMap<ClientId, usize>,
     site_stats: Vec<LatencyStats>,
@@ -155,18 +107,20 @@ pub struct WorkloadApp<P> {
     /// CAS replies observed (success or failure).
     cas_count: usize,
     /// CAS operations on privately-owned keys that came back failed —
-    /// always a correctness violation (see `WorkloadConfig::cas_fraction`).
+    /// always a correctness violation (see
+    /// [`ExperimentConfig::cas_fraction`]).
     cas_failures: usize,
     observer: ReplicaId,
     _protocol: PhantomData<fn() -> P>,
 }
 
 impl<P> WorkloadApp<P> {
-    /// Creates the client population described by `cfg`.
-    pub fn new(cfg: WorkloadConfig) -> Self {
+    /// Creates the client population `cfg` describes: its sites, clients,
+    /// operation mix, measurement window, retries and fault plan.
+    pub fn new(cfg: &ExperimentConfig) -> Self {
         let mut clients = Vec::new();
         let mut client_index = HashMap::new();
-        for &site in &cfg.active_sites {
+        for site in cfg.active() {
             for k in 0..cfg.clients_per_site {
                 let id = ClientId::new(site, k as u32);
                 client_index.insert(id, clients.len());
@@ -183,7 +137,7 @@ impl<P> WorkloadApp<P> {
             }
         }
         WorkloadApp {
-            site_stats: vec![LatencyStats::new(); cfg.n_sites],
+            site_stats: vec![LatencyStats::new(); cfg.n()],
             read_stats: LatencyStats::new(),
             write_stats: LatencyStats::new(),
             clients,
@@ -194,7 +148,7 @@ impl<P> WorkloadApp<P> {
             cas_count: 0,
             cas_failures: 0,
             observer: ReplicaId::new(0),
-            cfg,
+            cfg: cfg.clone(),
             _protocol: PhantomData,
         }
     }
@@ -232,7 +186,8 @@ impl<P> WorkloadApp<P> {
     }
 
     /// Failed CASes on privately-owned keys — each one a broken chain,
-    /// i.e. a correctness violation (see `WorkloadConfig::cas_fraction`).
+    /// i.e. a correctness violation (see
+    /// [`ExperimentConfig::cas_fraction`]).
     pub fn cas_failures(&self) -> usize {
         self.cas_failures
     }
@@ -242,7 +197,7 @@ impl<P> WorkloadApp<P> {
         P: Protocol,
     {
         let now = api.now();
-        if now >= self.cfg.measure_until {
+        if now >= self.cfg.measure_until() {
             return; // experiment over: stop the closed loop
         }
         let key = api.rng().gen_range(0..self.cfg.key_space);
@@ -308,7 +263,7 @@ impl<P> WorkloadApp<P> {
         } else {
             api.submit(site, cmd);
         }
-        if let Some(timeout) = self.cfg.retry_timeout_us {
+        if let Some(timeout) = self.cfg.client_retry_us {
             let key = RETRY_KEY_BASE | ((idx as u64) << 24) | (seq & 0xFF_FFFF);
             api.schedule(timeout, key);
         }
@@ -354,7 +309,7 @@ impl<P: Protocol> Application<P> for WorkloadApp<P> {
                 } else {
                     api.submit(site, cmd);
                 }
-                if let Some(timeout) = self.cfg.retry_timeout_us {
+                if let Some(timeout) = self.cfg.client_retry_us {
                     api.schedule(timeout, key);
                 }
             }
@@ -410,7 +365,7 @@ impl<P: Protocol> Application<P> for WorkloadApp<P> {
                 self.cas_failures += 1;
             }
         }
-        if issued >= self.cfg.warmup_until && now <= self.cfg.measure_until {
+        if issued >= self.cfg.warmup_us && now <= self.cfg.measure_until() {
             let site = self.clients[idx].site;
             self.site_stats[site.index()].record(now - issued);
             if self.clients[idx].reading {
@@ -429,7 +384,7 @@ impl<P: Protocol> Application<P> for WorkloadApp<P> {
     }
 
     fn on_commit(&mut self, replica: ReplicaId, _committed: &Committed, at: Micros) {
-        if replica == self.observer && at >= self.cfg.warmup_until && at <= self.cfg.measure_until {
+        if replica == self.observer && at >= self.cfg.warmup_us && at <= self.cfg.measure_until() {
             self.observer_commits += 1;
         }
     }
@@ -444,29 +399,21 @@ mod tests {
     use rsm_core::matrix::LatencyMatrix;
     use simnet::{SimConfig, Simulation};
 
-    fn workload(n: usize, clients: usize, until: Micros) -> WorkloadConfig {
-        WorkloadConfig {
-            n_sites: n,
-            active_sites: (0..n as u16).map(ReplicaId::new).collect(),
-            clients_per_site: clients,
-            think_max_us: 20_000,
-            value_bytes: 64,
-            key_space: 1_000,
-            read_fraction: 0.0,
-            warmup_until: 50_000,
-            measure_until: until,
-            record_ops: true,
-            faults: Vec::new(),
-            retry_timeout_us: None,
-            cas_fraction: 0.0,
-        }
+    fn workload(n: usize, clients: usize, until: Micros) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::new(LatencyMatrix::uniform(n, 5_000))
+            .clients_per_site(clients)
+            .think_max_us(20_000)
+            .warmup_us(50_000)
+            .duration_us(until - 50_000);
+        cfg.key_space = 1_000;
+        cfg
     }
 
     #[test]
     fn closed_loop_clients_drive_commits_end_to_end() {
         let n = 3;
         let cfg = SimConfig::new(LatencyMatrix::uniform(n, 5_000)).seed(1);
-        let app: WorkloadApp<ClockRsm> = WorkloadApp::new(workload(n, 2, 800_000));
+        let app: WorkloadApp<ClockRsm> = WorkloadApp::new(&workload(n, 2, 800_000));
         let mut sim = Simulation::new(
             cfg,
             move |id| ClockRsm::new(id, Membership::uniform(n as u16), ClockRsmConfig::default()),
@@ -494,10 +441,9 @@ mod tests {
     #[test]
     fn imbalanced_workload_touches_single_site() {
         let n = 3;
-        let mut w = workload(n, 2, 500_000);
-        w.active_sites = vec![ReplicaId::new(1)];
+        let w = workload(n, 2, 500_000).active_sites(vec![1]);
         let cfg = SimConfig::new(LatencyMatrix::uniform(n, 5_000)).seed(2);
-        let app: WorkloadApp<ClockRsm> = WorkloadApp::new(w);
+        let app: WorkloadApp<ClockRsm> = WorkloadApp::new(&w);
         let mut sim = Simulation::new(
             cfg,
             move |id| ClockRsm::new(id, Membership::uniform(n as u16), ClockRsmConfig::default()),

@@ -10,8 +10,7 @@ use rsm_core::checkpoint::{CatchUp, CatchUpReply};
 use rsm_core::command::Command;
 use rsm_core::id::ReplicaId;
 use rsm_core::read::{ReadReply, ReadRequest};
-use rsm_core::wire::MSG_HEADER_BYTES;
-use rsm_core::wire::{WireMsg, WireSize};
+use rsm_core::wire::WireMsg;
 
 rsm_core::wire_table! {
     /// Messages exchanged by [`MenciusBcast`](crate::MenciusBcast) replicas.
@@ -96,21 +95,6 @@ rsm_core::wire_table! {
     }
 }
 
-impl WireSize for MenciusMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            MenciusMsg::Propose { cmds, .. } => MSG_HEADER_BYTES + cmds.wire_size(),
-            MenciusMsg::AcceptAck { .. } => MSG_HEADER_BYTES + 8,
-            MenciusMsg::CatchUp(req) => req.wire_size(),
-            MenciusMsg::CatchUpReply(reply) => reply.wire_size(),
-            MenciusMsg::ReadProbe(req) => req.wire_size(),
-            MenciusMsg::ReadMark { reply, owner_marks } => {
-                reply.wire_size() + 8 * owner_marks.len()
-            }
-        }
-    }
-}
-
 impl WireMsg for MenciusMsg {
     /// A [`Propose`](MenciusMsg::Propose) broadcast clones one `Arc`'d
     /// [`Batch`] per peer; batch identity plus the scalar fields decides
@@ -140,27 +124,13 @@ mod tests {
     use bytes::Bytes;
     use rsm_core::command::{Command, CommandId};
     use rsm_core::id::ClientId;
+    use rsm_core::wire::WireSize;
 
     fn cmd(len: usize) -> Command {
         Command::new(
             CommandId::new(ClientId::new(ReplicaId::new(0), 0), 1),
             Bytes::from(vec![0u8; len]),
         )
-    }
-
-    #[test]
-    fn wire_sizes() {
-        let p = MenciusMsg::Propose {
-            first_slot: 0,
-            cmds: Batch::single(cmd(64)),
-            origin: ReplicaId::new(0),
-        };
-        let a = MenciusMsg::AcceptAck {
-            up_to_slot: 0,
-            skip_below: 3,
-        };
-        assert!(p.wire_size() > 64);
-        assert_eq!(a.wire_size(), MSG_HEADER_BYTES + 8);
     }
 
     #[test]

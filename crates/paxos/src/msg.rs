@@ -21,13 +21,9 @@ use rsm_core::checkpoint::{CatchUp, CatchUpReply};
 use rsm_core::command::Command;
 use rsm_core::id::ReplicaId;
 use rsm_core::read::{ReadReply, ReadRequest};
-use rsm_core::wire::MSG_HEADER_BYTES;
-use rsm_core::wire::{WireMsg, WireSize};
+use rsm_core::wire::WireMsg;
 
 use crate::synod::Ballot;
-
-/// Encoded size of a [`Ballot`] on the wire: round plus proposer id.
-const BALLOT_BYTES: usize = 10;
 
 rsm_core::wire_table! {
     /// One instance of the log suffix, as reported by an acceptor in a
@@ -45,16 +41,6 @@ rsm_core::wire_table! {
         /// `None` for a **no-op filler**: a hole the new leader proved
         /// unchosen and closes so execution can pass it.
         pub value: Option<(Command, ReplicaId)>,
-    }
-}
-
-impl WireSize for SuffixEntry {
-    fn wire_size(&self) -> usize {
-        8 + BALLOT_BYTES
-            + self
-                .value
-                .as_ref()
-                .map_or(1, |(cmd, _)| 1 + 2 + cmd.wire_size())
     }
 }
 
@@ -243,39 +229,6 @@ rsm_core::wire_table! {
     }
 }
 
-impl WireSize for PaxosMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            PaxosMsg::Forward { cmds, .. } => MSG_HEADER_BYTES + cmds.wire_size(),
-            PaxosMsg::Accept { cmds, .. } => MSG_HEADER_BYTES + BALLOT_BYTES + cmds.wire_size(),
-            PaxosMsg::Accepted { .. } | PaxosMsg::Commit { .. } | PaxosMsg::Heartbeat { .. } => {
-                MSG_HEADER_BYTES + BALLOT_BYTES
-            }
-            PaxosMsg::Prepare { .. }
-            | PaxosMsg::Nack { .. }
-            | PaxosMsg::PreVote { .. }
-            | PaxosMsg::PreVoteGrant { .. } => MSG_HEADER_BYTES + BALLOT_BYTES,
-            PaxosMsg::CatchUp(req) => req.wire_size(),
-            PaxosMsg::CatchUpReply { reply, .. } => reply.wire_size() + BALLOT_BYTES,
-            // Promise: from_instance + committed; Repair: floor.
-            PaxosMsg::Promise { entries, .. } => {
-                MSG_HEADER_BYTES
-                    + BALLOT_BYTES
-                    + 16
-                    + entries.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-            PaxosMsg::Repair { entries, .. } => {
-                MSG_HEADER_BYTES
-                    + BALLOT_BYTES
-                    + 8
-                    + entries.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-            PaxosMsg::ReadProbe(req) => req.wire_size(),
-            PaxosMsg::ReadMark(reply) => reply.wire_size(),
-        }
-    }
-}
-
 impl WireMsg for PaxosMsg {
     /// The broadcast-heavy variants — an [`Accept`](PaxosMsg::Accept) run
     /// fanned out to every acceptor, a [`Forward`](PaxosMsg::Forward)
@@ -319,6 +272,7 @@ mod tests {
     use bytes::Bytes;
     use rsm_core::command::{Command, CommandId};
     use rsm_core::id::ClientId;
+    use rsm_core::wire::WireSize;
 
     fn cmd(len: usize) -> Command {
         Command::new(
@@ -347,7 +301,6 @@ mod tests {
             up_to: 2,
         };
         assert!(accept.wire_size() > ack.wire_size() + 100);
-        assert_eq!(ack.wire_size(), MSG_HEADER_BYTES + BALLOT_BYTES);
     }
 
     #[test]

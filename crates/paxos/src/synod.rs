@@ -93,23 +93,6 @@ rsm_core::wire_table! {
     }
 }
 
-impl<V: rsm_core::WireSize> rsm_core::WireSize for SynodMsg<V> {
-    fn wire_size(&self) -> usize {
-        use rsm_core::wire::MSG_HEADER_BYTES;
-        match self {
-            SynodMsg::Prepare { .. } | SynodMsg::Accept { .. } | SynodMsg::Nack { .. } => {
-                MSG_HEADER_BYTES
-            }
-            SynodMsg::Promise { accepted, .. } => {
-                MSG_HEADER_BYTES + accepted.as_ref().map_or(0, |(_, v)| v.wire_size())
-            }
-            SynodMsg::Propose { value, .. } | SynodMsg::Decided { value } => {
-                MSG_HEADER_BYTES + value.wire_size()
-            }
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProposerPhase {
     Idle,

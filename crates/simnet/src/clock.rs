@@ -7,14 +7,17 @@
 //! exploits this model to run the protocol under both sub-millisecond and
 //! multi-second skews.
 //!
-//! Beyond the steady-state model, a clock can be scripted with
-//! [`ClockAnomaly`] events at absolute virtual times — steps (forward or
-//! backward), freezes (VM pauses), and drift bursts (a misbehaving
+//! Beyond the steady-state model, a clock takes anomalies at the virtual
+//! time the simulator fires them — steps ([`PhysicalClock::jump`],
+//! forward or backward), freezes ([`PhysicalClock::freeze`], VM pauses)
+//! and drift bursts ([`PhysicalClock::drift_burst`], a misbehaving
 //! oscillator or an aggressive NTP slew). The chaos fuzzer composes these
 //! into searched fault schedules; whatever the anomaly, observed reads
 //! stay strictly monotonic (the `MonotonicStamper` guard), exactly like a
 //! process using `CLOCK_MONOTONIC`-derived timestamps under a stepping
-//! wall clock.
+//! wall clock. Each anomaly widens the sync bound as needed: an anomalous
+//! clock has, by definition, escaped its synchronization daemon's
+//! steering for a while.
 
 use rsm_core::time::{Micros, MonotonicStamper};
 
@@ -96,35 +99,6 @@ impl Default for ClockModel {
     }
 }
 
-/// A scripted clock misbehaviour, applied at an absolute virtual time.
-///
-/// Anomalies mutate the clock's deviation model when their scheduled time
-/// passes (lazily, at the next read). All of them widen the sync bound as
-/// needed — an anomalous clock has, by definition, escaped its
-/// synchronization daemon's steering for a while.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClockAnomaly {
-    /// Step the clock by `delta_us` microseconds — positive (operator fat
-    /// finger, leap smear gone wrong) or negative (NTP step correction; a
-    /// backward step, through the monotonicity guard, pins the observed
-    /// clock until true time catches back up).
-    Step(i64),
-    /// Pin the clock at its current value for the given duration — a VM
-    /// pause or a stop-the-world event. When the freeze lifts, the clock
-    /// resumes from the pinned value, permanently behind by the freeze
-    /// duration (until the model's own drift/steering says otherwise).
-    Freeze(Micros),
-    /// Add `ppm` to the drift rate for `dur_us` of true time — a thermal
-    /// excursion or an aggressive slew. The offset accumulated during the
-    /// burst persists after it ends.
-    DriftBurst {
-        /// Drift delta in parts per million (positive = faster clock).
-        ppm: f64,
-        /// Burst length in microseconds of true time.
-        dur_us: Micros,
-    },
-}
-
 /// A replica's physical clock: deterministic deviation from simulation time
 /// plus a strict-monotonicity guarantee on reads.
 ///
@@ -142,10 +116,10 @@ pub enum ClockAnomaly {
 pub struct PhysicalClock {
     model: ClockModel,
     stamper: MonotonicStamper,
-    /// Scripted anomalies not yet applied, sorted by time ascending.
-    /// Applied lazily by [`read`](PhysicalClock::read) once their time
-    /// passes.
-    pending: Vec<(Micros, ClockAnomaly)>,
+    /// The ends of running drift bursts, `(true time, ppm the burst
+    /// added)`, sorted by time ascending. Applied lazily by
+    /// [`read`](PhysicalClock::read) once their time passes.
+    burst_ends: Vec<(Micros, f64)>,
     /// An active freeze window, if any.
     frozen: Option<Freeze>,
 }
@@ -165,22 +139,15 @@ impl PhysicalClock {
         PhysicalClock {
             model,
             stamper: MonotonicStamper::new(),
-            pending: Vec::new(),
+            burst_ends: Vec::new(),
             frozen: None,
         }
     }
 
-    /// Schedules an anomaly to strike at absolute true time `at`. Equal
-    /// times apply in insertion order.
-    pub fn schedule_anomaly(&mut self, at: Micros, anomaly: ClockAnomaly) {
-        let pos = self.pending.partition_point(|&(t, _)| t <= at);
-        self.pending.insert(pos, (at, anomaly));
-    }
-
     /// The steady-state model value at true time `now` — offset, drift,
-    /// and the sync-bound clamp, plus any active freeze pin. Scripted
-    /// anomalies whose time has passed but that no mutable read has
-    /// processed yet are not reflected.
+    /// and the sync-bound clamp, plus any active freeze pin. A burst end
+    /// or thaw whose time has passed but that no mutable read has
+    /// processed yet is not reflected.
     pub fn raw(&self, now: Micros) -> Micros {
         if let Some(f) = &self.frozen {
             if now < f.until {
@@ -221,21 +188,25 @@ impl PhysicalClock {
         self.widen_bound();
     }
 
-    /// Applies every scripted anomaly (and freeze thaw) due at or before
-    /// `now`, in chronological order.
+    /// Applies every drift-burst end and freeze thaw due at or before
+    /// `now`, in chronological order (a thaw first on a tie). The order
+    /// matters: each widens the sync bound to the offset of its moment.
     fn advance(&mut self, now: Micros) {
         loop {
-            let next_at = self.pending.first().map(|&(t, _)| t).filter(|&t| t <= now);
+            let end_at = self
+                .burst_ends
+                .first()
+                .map(|&(t, _)| t)
+                .filter(|&t| t <= now);
             let thaw_at = self.frozen.map(|f| f.until).filter(|&t| t <= now);
-            match (next_at, thaw_at) {
-                (Some(a), Some(t)) if t <= a => self.thaw(),
-                (_, Some(_)) if next_at.is_none() => self.thaw(),
+            match (end_at, thaw_at) {
+                (_, Some(t)) if end_at.is_none_or(|e| t <= e) => self.thaw(),
                 (Some(_), _) => {
-                    let (at, anomaly) = self.pending.remove(0);
-                    self.apply(at, anomaly);
+                    let (at, ppm) = self.burst_ends.remove(0);
+                    // The accumulated offset persists through the end.
+                    self.set_drift(at, self.model.drift_ppm - ppm);
                 }
-                (None, None) => return,
-                _ => unreachable!("covered above"),
+                _ => return,
             }
         }
     }
@@ -250,49 +221,11 @@ impl PhysicalClock {
         self.widen_bound();
     }
 
-    fn apply(&mut self, at: Micros, anomaly: ClockAnomaly) {
-        match anomaly {
-            ClockAnomaly::Step(delta_us) => {
-                self.model.offset_us += delta_us;
-                self.widen_bound();
-            }
-            ClockAnomaly::Freeze(dur_us) => match &mut self.frozen {
-                // Overlapping freezes merge into one longer window.
-                Some(f) => f.until = f.until.max(at + dur_us),
-                None => {
-                    self.frozen = Some(Freeze {
-                        started: at,
-                        until: at + dur_us,
-                        pinned: self.model_value(at),
-                    });
-                }
-            },
-            ClockAnomaly::DriftBurst { ppm, dur_us } => {
-                // Pre-widen the bound by the drift the burst will
-                // accumulate, so the clamp does not silently erase it.
-                let accrued = (ppm.abs() * dur_us as f64 / 1e6).round() as u64;
-                self.model.sync_bound_us = self.model.sync_bound_us.saturating_add(accrued);
-                self.set_drift(at, self.model.drift_ppm + ppm);
-                if dur_us > 0 {
-                    // The burst's end is just the inverse drift change;
-                    // the accumulated offset persists through it.
-                    self.schedule_anomaly(
-                        at + dur_us,
-                        ClockAnomaly::DriftBurst {
-                            ppm: -ppm,
-                            dur_us: 0,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
     /// Reads the clock at true time `now`. Successive reads return strictly
     /// increasing values even within the same simulated instant, matching
     /// the paper's use of `clock_gettime` monotonic timestamps. Readings
     /// are at least 1, so a zero timestamp can serve as a "never" sentinel.
-    /// Scripted anomalies due by `now` are applied first, in order.
+    /// Burst ends and thaws due by `now` are applied first, in order.
     pub fn read(&mut self, now: Micros) -> Micros {
         self.advance(now);
         let raw = self.raw(now).max(1);
@@ -313,19 +246,40 @@ impl PhysicalClock {
         self.widen_bound();
     }
 
-    /// Starts a freeze at true time `now` for `dur_us` — immediate-mode
-    /// fault injection (the event-driven twin of scheduling
-    /// [`ClockAnomaly::Freeze`]).
+    /// Pins the clock at its value at true time `now` for `dur_us` — a VM
+    /// pause or a stop-the-world event. When the freeze lifts, the clock
+    /// resumes from the pinned value, permanently behind by the freeze
+    /// (until the model's own drift or steering says otherwise).
+    /// Overlapping freezes merge into one longer window.
     pub fn freeze(&mut self, now: Micros, dur_us: Micros) {
         self.advance(now);
-        self.apply(now, ClockAnomaly::Freeze(dur_us));
+        match &mut self.frozen {
+            Some(f) => f.until = f.until.max(now + dur_us),
+            None => {
+                self.frozen = Some(Freeze {
+                    started: now,
+                    until: now + dur_us,
+                    pinned: self.model_value(now),
+                });
+            }
+        }
     }
 
-    /// Starts a drift burst at true time `now`: `ppm` extra drift for
-    /// `dur_us` of true time, the accumulated offset persisting after.
+    /// Adds `ppm` to the drift rate from true time `now` for `dur_us` — a
+    /// thermal excursion or an aggressive slew. The offset accumulated
+    /// during the burst persists after it ends.
     pub fn drift_burst(&mut self, now: Micros, ppm: f64, dur_us: Micros) {
         self.advance(now);
-        self.apply(now, ClockAnomaly::DriftBurst { ppm, dur_us });
+        // Pre-widen the bound by the drift the burst will accumulate, so
+        // the clamp does not silently erase it.
+        let accrued = (ppm.abs() * dur_us as f64 / 1e6).round() as u64;
+        self.model.sync_bound_us = self.model.sync_bound_us.saturating_add(accrued);
+        self.set_drift(now, self.model.drift_ppm + ppm);
+        if dur_us > 0 {
+            let end = now + dur_us;
+            let pos = self.burst_ends.partition_point(|&(t, _)| t <= end);
+            self.burst_ends.insert(pos, (end, ppm));
+        }
     }
 }
 
@@ -398,21 +352,16 @@ mod tests {
         let _ = ClockModel::perfect().with_drift_ppm(-600_000.0);
     }
 
-    /// A clock following `model` with each of `anomalies` scheduled on it.
-    fn scripted(model: ClockModel, anomalies: Vec<(Micros, ClockAnomaly)>) -> PhysicalClock {
-        let mut clock = PhysicalClock::new(model);
-        for (at, a) in anomalies {
-            clock.schedule_anomaly(at, a);
-        }
-        clock
-    }
-
-    /// Reads every `step` micros up to `end`, asserting strict monotonicity
-    /// throughout; returns the last observed value.
-    fn assert_monotonic_sweep(c: &mut PhysicalClock, end: Micros, step: Micros) -> Micros {
-        let mut prev = 0;
-        let mut t = 0;
-        while t <= end {
+    /// Reads every multiple of `step` in `[from, to)`, asserting each is
+    /// above `prev` and the one before; returns the last observed value.
+    fn assert_monotonic_sweep(
+        c: &mut PhysicalClock,
+        (from, to): (Micros, Micros),
+        step: Micros,
+        mut prev: Micros,
+    ) -> Micros {
+        let mut t = from.next_multiple_of(step);
+        while t < to {
             let v = c.read(t);
             assert!(v > prev, "read({t}) = {v} not above previous {prev}");
             prev = v;
@@ -422,24 +371,20 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_forward_step_applies_at_its_time() {
-        let mut c = scripted(
-            ClockModel::perfect(),
-            vec![(5_000, ClockAnomaly::Step(2_000))],
-        );
+    fn forward_jump_applies_at_its_time() {
+        let mut c = PhysicalClock::new(ClockModel::perfect());
         assert_eq!(c.read(4_999), 4_999, "before the step: true time");
+        c.jump(2_000);
         assert_eq!(c.read(5_000), 7_000, "at the step: +2ms");
         assert_eq!(c.read(6_000), 8_000, "offset persists");
     }
 
     #[test]
-    fn scheduled_backward_step_pins_observed_clock() {
-        let mut c = scripted(
-            ClockModel::perfect(),
-            vec![(5_000, ClockAnomaly::Step(-2_000))],
-        );
+    fn backward_jump_pins_observed_clock() {
+        let mut c = PhysicalClock::new(ClockModel::perfect());
         let before = c.read(4_000);
         assert_eq!(before, 4_000);
+        c.jump(-2_000);
         // Raw model is now behind true time, but observed reads only creep
         // forward (monotonicity guard) until true time catches up.
         let pinned = c.read(5_000);
@@ -451,11 +396,9 @@ mod tests {
 
     #[test]
     fn freeze_pins_then_resumes_behind() {
-        let mut c = scripted(
-            ClockModel::perfect(),
-            vec![(10_000, ClockAnomaly::Freeze(3_000))],
-        );
+        let mut c = PhysicalClock::new(ClockModel::perfect());
         assert_eq!(c.read(9_000), 9_000);
+        c.freeze(10_000, 3_000);
         // Inside the window the raw clock is pinned at its freeze-start
         // value; the stamper turns repeated reads into +1 increments.
         assert_eq!(c.read(10_000), 10_000);
@@ -470,16 +413,8 @@ mod tests {
     #[test]
     fn drift_burst_accumulates_and_persists() {
         // +100000 ppm (10%) for 1s of true time → +100ms accumulated.
-        let mut c = scripted(
-            ClockModel::perfect(),
-            vec![(
-                1_000_000,
-                ClockAnomaly::DriftBurst {
-                    ppm: 100_000.0,
-                    dur_us: 1_000_000,
-                },
-            )],
-        );
+        let mut c = PhysicalClock::new(ClockModel::perfect());
+        c.drift_burst(1_000_000, 100_000.0, 1_000_000);
         assert_eq!(c.read(1_000_000), 1_000_000, "continuous at burst start");
         assert_eq!(c.read(1_500_000), 1_550_000, "half the burst: +50ms");
         assert_eq!(c.read(2_000_000), 2_100_000, "burst end: +100ms");
@@ -487,65 +422,33 @@ mod tests {
     }
 
     #[test]
-    fn anomalies_apply_lazily_in_chronological_order() {
-        // Scheduled out of order; a read far past both applies both, in time
-        // order (step then freeze), ending behind by freeze − step.
+    fn burst_ends_and_thaws_apply_lazily_in_chronological_order() {
+        // A burst inside a freeze, neither end read until far past both:
+        // the burst ends (+1ms accrued) at 11ms, then the freeze thaws
+        // (−4ms) at 12ms.
         let mut c = PhysicalClock::new(ClockModel::perfect());
-        c.schedule_anomaly(8_000, ClockAnomaly::Freeze(4_000));
-        c.schedule_anomaly(2_000, ClockAnomaly::Step(1_000));
-        assert_eq!(c.read(20_000), 17_000, "+1ms step, −4ms freeze");
+        c.freeze(8_000, 4_000);
+        c.drift_burst(9_000, 500_000.0, 2_000);
+        assert_eq!(c.read(20_000), 17_000, "+1ms burst, −4ms freeze");
     }
 
     #[test]
     fn reads_monotonic_across_every_anomaly_kind() {
-        let mut c = scripted(
-            ClockModel::ntp(500).with_drift_ppm(40.0),
-            vec![
-                (100_000, ClockAnomaly::Step(250_000)),
-                (400_000, ClockAnomaly::Freeze(300_000)),
-                (
-                    900_000,
-                    ClockAnomaly::DriftBurst {
-                        ppm: -80_000.0,
-                        dur_us: 500_000,
-                    },
-                ),
-                (1_600_000, ClockAnomaly::Step(-700_000)),
-                // Overlapping freezes merge.
-                (2_000_000, ClockAnomaly::Freeze(200_000)),
-                (2_100_000, ClockAnomaly::Freeze(400_000)),
-            ],
-        );
-        assert_monotonic_sweep(&mut c, 4_000_000, 7_919);
-    }
-
-    #[test]
-    fn immediate_freeze_and_drift_burst_match_scheduled() {
-        let mut scheduled = scripted(
-            ClockModel::perfect(),
-            vec![
-                (10_000, ClockAnomaly::Freeze(5_000)),
-                (
-                    30_000,
-                    ClockAnomaly::DriftBurst {
-                        ppm: 50_000.0,
-                        dur_us: 10_000,
-                    },
-                ),
-            ],
-        );
-        let mut immediate = PhysicalClock::new(ClockModel::perfect());
-        immediate.read(5_000);
-        scheduled.read(5_000);
-        // Immediate calls model sim events firing AT that virtual time, so
-        // they interleave with reads in time order.
-        immediate.freeze(10_000, 5_000);
-        for t in (10_000..30_000).step_by(1_000) {
-            assert_eq!(scheduled.read(t), immediate.read(t), "diverged at {t}");
-        }
-        immediate.drift_burst(30_000, 50_000.0, 10_000);
-        for t in (30_000..60_000).step_by(1_000) {
-            assert_eq!(scheduled.read(t), immediate.read(t), "diverged at {t}");
-        }
+        let mut c = PhysicalClock::new(ClockModel::ntp(500).with_drift_ppm(40.0));
+        let step = 7_919;
+        let mut prev = assert_monotonic_sweep(&mut c, (0, 100_000), step, 0);
+        c.jump(250_000);
+        prev = assert_monotonic_sweep(&mut c, (100_000, 400_000), step, prev);
+        c.freeze(400_000, 300_000);
+        prev = assert_monotonic_sweep(&mut c, (400_000, 900_000), step, prev);
+        c.drift_burst(900_000, -80_000.0, 500_000);
+        prev = assert_monotonic_sweep(&mut c, (900_000, 1_600_000), step, prev);
+        c.jump(-700_000);
+        prev = assert_monotonic_sweep(&mut c, (1_600_000, 2_000_000), step, prev);
+        // Overlapping freezes merge.
+        c.freeze(2_000_000, 200_000);
+        prev = assert_monotonic_sweep(&mut c, (2_000_000, 2_100_000), step, prev);
+        c.freeze(2_100_000, 400_000);
+        assert_monotonic_sweep(&mut c, (2_100_000, 4_000_001), step, prev);
     }
 }

@@ -60,7 +60,7 @@ pub mod cpu;
 pub mod sched;
 pub mod sim;
 
-pub use clock::{ClockAnomaly, ClockModel, PhysicalClock};
+pub use clock::{ClockModel, PhysicalClock};
 pub use cpu::CpuModel;
 pub use sched::EventQueue;
 pub use sim::{Application, CommitRecord, NullApplication, SimApi, SimConfig, Simulation};

@@ -14,7 +14,7 @@ use rsm_core::obs::{names, span_key, TraceStage};
 use rsm_core::protocol::{Context, Protocol, TimerToken};
 use rsm_core::sm::StateMachine;
 use rsm_core::time::Micros;
-use rsm_core::wire::WireSize;
+use rsm_core::wire::{WireEncode, WireSize};
 use rsm_core::CommandId;
 use rsm_obs::{MetricsSnapshot, NodeObs, ObsConfig, Registry, Tracer};
 
@@ -566,8 +566,11 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     }
 
     /// Runs `f` with the application and the capabilities the
-    /// simulator exposes to it, at the current instant.
-    fn with_api(&mut self, f: impl FnOnce(&mut A, &mut SimApi<'_, P>)) {
+    /// simulator exposes to it, at the current instant. This is also how
+    /// code outside the application (a sharded router coordinating
+    /// several simulations, a test) submits commands and schedules
+    /// faults.
+    pub fn with_api<R>(&mut self, f: impl FnOnce(&mut A, &mut SimApi<'_, P>) -> R) -> R {
         let Simulation {
             queue,
             rng,
@@ -602,41 +605,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// Mutable access to the driving application.
     pub fn app_mut(&mut self) -> &mut A {
         &mut self.app
-    }
-
-    /// Injects a client command from **outside** the application — an
-    /// external router (e.g. a sharded driver coordinating several
-    /// simulations) submitting into this group. Arrives at `to` after
-    /// the client-local delivery hop, exactly like
-    /// [`SimApi::submit`].
-    pub fn submit(&mut self, to: ReplicaId, cmd: Command) {
-        self.with_api(|_, api| api.submit(to, cmd));
-    }
-
-    /// Injects a client command from an external router on behalf of a
-    /// client at site `from`, aimed at replica `to`. Same-site costs the
-    /// local delivery hop; cross-site pays the configured one-way WAN
-    /// latency, exactly like [`SimApi::submit_from`].
-    pub fn submit_from(&mut self, from: ReplicaId, to: ReplicaId, cmd: Command) {
-        self.with_api(|_, api| api.submit_from(from, to, cmd));
-    }
-
-    /// The read-routing target for a client at `site` (external-router
-    /// counterpart of [`SimApi::read_target`]).
-    pub fn read_target(&self, site: ReplicaId) -> ReplicaId {
-        read_target(&self.nodes, site)
-    }
-
-    /// Crashes a replica `after` microseconds from now (external-router
-    /// counterpart of [`SimApi::crash`]).
-    pub fn crash(&mut self, node: ReplicaId, after: Micros) {
-        self.with_api(|_, api| api.crash(node, after));
-    }
-
-    /// Restarts a crashed replica `after` microseconds from now
-    /// (external-router counterpart of [`SimApi::recover`]).
-    pub fn recover(&mut self, node: ReplicaId, after: Micros) {
-        self.with_api(|_, api| api.recover(node, after));
     }
 
     /// The simulation configuration.
@@ -950,7 +918,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                     .iter()
                     .map(|i| match i {
                         Input::Msg(_, m) => m.wire_size(),
-                        Input::Write(c) | Input::Read(c) => c.wire_size(),
+                        Input::Write(c) | Input::Read(c) => c.encoded_len(),
                     })
                     .sum();
                 cpu.batch_cost(inputs.len(), recv_bytes)
@@ -997,8 +965,10 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                     });
                 send_cost += cpu.batch_cost(k, bytes);
             }
-            // Replies to local clients are one more small send batch.
-            let reply_count = eff.commits.iter().filter(|(c, _)| c.origin == node).count();
+            // Replies to local clients, for committed writes and served
+            // reads alike, are one more small send batch.
+            let reply_count = eff.commits.iter().filter(|(c, _)| c.origin == node).count()
+                + eff.read_replies.len();
             if reply_count > 0 {
                 send_cost += cpu.batch_cost(reply_count, reply_count * 16);
             }

@@ -1,6 +1,7 @@
 //! Property tests for the binary wire codec: every message variant of
-//! every protocol must survive an encode → decode round trip unchanged
-//! and encode to its pinned golden bytes, and the decoder must reject
+//! every protocol must survive an encode → decode round trip unchanged,
+//! encode to its pinned golden bytes and state its own encoded length
+//! (the size the simulator prices), and the decoder must reject
 //! malformed frames (truncated prefixes, trailing garbage, every tag no
 //! row of the type's `TAGS` names, corrupted headers) and survive
 //! mutated ones and arbitrary bytes — `Ok` or `Err`, never a panic.
@@ -27,7 +28,7 @@ use rsm_core::read::{ReadReply, ReadRequest};
 use rsm_core::session::SessionTable;
 use rsm_core::time::Timestamp;
 use rsm_core::wire::{
-    decode_payload, encode_payload, FrameHeader, WireDecode, WireEncode, WireError,
+    decode_payload, encode_payload, FrameHeader, WireDecode, WireEncode, WireError, WireSize,
     MSG_HEADER_BYTES,
 };
 
@@ -441,6 +442,48 @@ proptest! {
         for msg in &msgs {
             assert_roundtrip(msg);
         }
+    }
+}
+
+/// The size the simulator prices is the frame a replica sends:
+/// `encoded_len` (summed without encoding) is the length of the
+/// encoding, and `wire_size` adds the frame header to it.
+fn assert_sized<M>(msg: &M)
+where
+    M: WireEncode + WireSize + std::fmt::Debug,
+{
+    let len = encode_payload(msg).len();
+    assert_eq!(msg.encoded_len(), len, "encoded_len of {msg:?}");
+    assert_eq!(
+        msg.wire_size(),
+        MSG_HEADER_BYTES + len,
+        "wire_size of {msg:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every value of every table: the three protocols' messages, the
+    /// nested synod messages, and the structs they carry.
+    #[test]
+    fn sizes_are_the_encoded_lengths(
+        rsm in arb_rsm_all(),
+        paxos in arb_paxos_all(),
+        mencius in arb_mencius_all(),
+        synod in arb_synod_all(),
+        (decision, logged, entry) in (arb_decision(), arb_logged(), arb_suffix_entry()),
+        (checkpoint, ballot) in (arb_checkpoint(), arb_ballot()),
+    ) {
+        rsm.iter().for_each(assert_sized);
+        paxos.iter().for_each(assert_sized);
+        mencius.iter().for_each(assert_sized);
+        synod.iter().for_each(assert_sized);
+        assert_sized(&decision);
+        assert_sized(&logged);
+        assert_sized(&entry);
+        assert_sized(&checkpoint);
+        assert_sized(&ballot);
     }
 }
 

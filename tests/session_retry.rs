@@ -246,10 +246,12 @@ fn chain_survives_crash<P: Protocol>(
     let cfg = SimConfig::new(LatencyMatrix::uniform(3, 15_000)).seed(11);
     let app = ChainApp::new(client_site, 10_000 * MILLIS);
     let mut sim = Simulation::new(cfg, factory, || Box::new(KvStore::new()), app);
-    sim.crash(ReplicaId::new(victim), 2_000 * MILLIS);
-    if recover {
-        sim.recover(ReplicaId::new(victim), 5_000 * MILLIS);
-    }
+    sim.with_api(|_, api| {
+        api.crash(ReplicaId::new(victim), 2_000 * MILLIS);
+        if recover {
+            api.recover(ReplicaId::new(victim), 5_000 * MILLIS);
+        }
+    });
     sim.run_until(12_000 * MILLIS);
 
     assert!(sim.app().failure.is_none(), "{:?}", sim.app().failure);
