@@ -33,9 +33,11 @@
 //! life, dialed once by `i`'s writer thread and accepted by `j`'s
 //! listener. Writer threads coalesce all queued due frames into a single
 //! vectored write (pipelining) and honour a per-link minimum delay (the
-//! runtime's WAN emulation rides on it). Frames carry the per-link
-//! sequence 1, 2, 3, …; the listener refuses any other, and any second
-//! connection from a sender it has delivered from.
+//! runtime's WAN emulation rides on it) by the hold rule, [`recv_until`]'s
+//! too: a frame is never written before its due instant, and is written
+//! within [`EARLY`] of it. Frames carry the per-link sequence 1, 2, 3, …;
+//! the listener refuses any other, and any second connection from a
+//! sender it has delivered from.
 //!
 //! A link is therefore FIFO and gap-free — the channel assumption every
 //! protocol in the workspace relies on — or it is down, and counted. A
@@ -50,11 +52,13 @@
 #![warn(rust_2018_idioms)]
 
 mod endpoint;
+mod hold;
 mod hub;
 mod link;
 mod listener;
 
 pub use endpoint::Endpoint;
+pub use hold::{recv_until, EARLY};
 pub use hub::{Hub, MsgSink, TransportMetrics};
 pub use listener::Listener;
 

@@ -10,10 +10,13 @@ use rsm_core::wire::MSG_HEADER_BYTES;
 use rsm_obs::{Counter, Gauge};
 
 use crate::endpoint::{Conn, Endpoint};
+use crate::hold::sleep_until;
 
 /// An encoded frame queued on a link: pre-built header, shared payload
 /// buffer, and the earliest instant it may hit the socket (the runtime's
-/// WAN emulation: `due = enqueue + one_way(from, to) × scale`).
+/// WAN emulation: `due = enqueue + one_way(from, to) × scale`). The
+/// writer holds a frame by the hold rule: never written before `due`,
+/// written within [`EARLY`](crate::EARLY) of it.
 pub(crate) struct OutFrame {
     pub(crate) header: [u8; MSG_HEADER_BYTES],
     pub(crate) payload: Bytes,
@@ -129,10 +132,7 @@ fn write_frames(conn: &mut Conn, rx: &Receiver<OutFrame>, depth: &Gauge) -> io::
                 Err(_) => return Ok(()), // Hub dropped and queue drained.
             },
         };
-        let now = Instant::now();
-        if first.due > now {
-            std::thread::sleep(first.due - now);
-        }
+        sleep_until(first.due);
         pending.push(first);
         // Coalesce whatever else is already due.
         let now = Instant::now();

@@ -171,23 +171,41 @@ fn broadcast_encodes_the_payload_once() {
 }
 
 #[test]
-fn link_delay_holds_frames_back() {
+fn a_held_frame_is_written_at_its_due_instant() {
+    // Frames go out one at a time over a 250 µs link, each after the
+    // last arrived, so the writer holds every frame alone. `sent` is
+    // taken just before the hub stamps the frame, so `sent + DELAY` is at
+    // most its due instant; arrival is stamped by the reader thread.
+    const DELAY: Duration = Duration::from_micros(250);
+    const FRAMES: usize = 200;
     let (tx, rx) = mpsc::channel();
-    let listener = Listener::bind(&Endpoint::tcp_loopback(), deliver_into(tx)).expect("bind");
-    let r0 = ReplicaId::new(0);
-    let mut hub: Hub<TestMsg> = Hub::new(r0, Box::new(|_| ()));
-    hub.add_peer(
-        ReplicaId::new(1),
-        listener.endpoint().clone(),
-        Duration::from_millis(50),
-    );
-    let start = Instant::now();
-    hub.send_msg(ReplicaId::new(1), TestMsg::new(1, b"delayed"));
-    rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+    let listener = Listener::bind(&Endpoint::tcp_loopback(), move |_, msg: TestMsg| {
+        let _ = tx.send((msg.tag, Instant::now()));
+    })
+    .expect("bind");
+    let r1 = ReplicaId::new(1);
+    let mut hub: Hub<TestMsg> = Hub::new(ReplicaId::new(0), Box::new(|_| ()));
+    hub.add_peer(r1, listener.endpoint().clone(), DELAY);
+    let mut late: Vec<Duration> = (0..FRAMES as u64)
+        .map(|tag| {
+            let sent = Instant::now();
+            hub.send_msg(r1, TestMsg::new(tag, b"held"));
+            let (got, at) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+            assert_eq!(got, tag, "FIFO");
+            let due = sent + DELAY;
+            assert!(at >= due, "frame {tag} arrived {:?} early", due - at);
+            at - due
+        })
+        .collect();
+    drop(hub);
+    late.sort();
+    // The arrival includes the loopback write, the read and the decode,
+    // ~45 µs at the median; a plain timed sleep adds ~70 µs to that.
+    let median = late[FRAMES / 2];
     assert!(
-        start.elapsed() >= Duration::from_millis(40),
-        "a 50ms link must not deliver in {:?}",
-        start.elapsed()
+        median < Duration::from_micros(100),
+        "median lateness {median:?}, p90 {:?}",
+        late[FRAMES * 9 / 10]
     );
 }
 

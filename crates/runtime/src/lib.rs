@@ -7,7 +7,12 @@
 //! wide-area latency (optionally scaled down for fast tests) without a
 //! network thread: a send stamps the message with its due time and pushes
 //! it straight into the destination's inbox, and the receiving replica
-//! thread holds it in a due-time heap until then.
+//! thread holds it in a due-time heap until then. On either plane a held
+//! message is never delivered before its due instant and is released
+//! within `rsm_transport::EARLY` of it (the hold rule,
+//! `rsm_transport::recv_until`): the holder parks until just before it
+//! and polls the rest of the way, so a link adds no timer slack to the
+//! delay it emulates.
 //!
 //! A cluster *is* its replica threads. As in the paper's Algorithm 1, the
 //! replica that took a command from its client is the one that answers

@@ -16,7 +16,7 @@ use rsm_core::protocol::{Protocol, TimerToken};
 use rsm_core::time::{Micros, MonotonicStamper};
 
 use rsm_obs::Tracer;
-use rsm_transport::MsgSink;
+use rsm_transport::{recv_until, MsgSink};
 
 /// Where a node's outbound peer messages go — decided once at cluster
 /// spawn by the configured [`ClusterTransport`](crate::ClusterTransport).
@@ -24,13 +24,15 @@ pub(crate) enum Outbound<P: Protocol> {
     /// In-process transport: one `(inbox, scaled one-way delay)` pair per
     /// destination, indexed by replica (self included). A send stamps the
     /// message `due = now + delay` and pushes it straight into the
-    /// destination's inbox; the receiving node holds it until then.
+    /// destination's inbox; the receiving node holds it by the hold rule
+    /// (`rsm_transport::recv_until`): never dispatched before `due`,
+    /// released within `rsm_transport::EARLY` of it.
     InProcess(Vec<(Sender<NodeInput<P>>, Duration)>),
     /// Socket transport: messages are encoded once and framed onto
     /// per-peer TCP/UDS links by an `rsm_transport::Hub` (which also
     /// short-circuits self-sends back into this node's inbox). Each link
-    /// writer holds a frame for the link delay before it hits the
-    /// socket, so these messages are due on arrival.
+    /// writer holds a frame for the link delay, by the same hold rule,
+    /// before it hits the socket, so these messages are due on arrival.
     Socket(Box<dyn MsgSink<P::Msg>>),
 }
 
@@ -38,7 +40,9 @@ pub(crate) enum Outbound<P: Protocol> {
 pub(crate) enum NodeInput<P: Protocol> {
     /// A peer message. `due` is when the emulated link delivers it:
     /// `Some` on the in-process plane (the node holds the message until
-    /// then), `None` when the plane already applied the delay.
+    /// then — never dispatched earlier, and released within
+    /// `rsm_transport::EARLY` of it), `None` when the plane already
+    /// applied the delay.
     Msg {
         from: ReplicaId,
         msg: P::Msg,
@@ -281,13 +285,18 @@ impl<P: Protocol> NodeHarness<P> {
     ///
     /// On the in-process plane this loop is also the emulated WAN: a peer
     /// message arrives stamped with its `due` time and waits in
-    /// `in_flight` until then. Per-link FIFO holds because one thread
-    /// stamps a link's messages with a monotonic clock plus a constant,
-    /// the inbox is FIFO, and equal `due`s break by arrival sequence —
-    /// so a message may skip the heap only when the heap is **empty**,
-    /// never merely because its own `due` has passed. Links with
-    /// different delays share the heap, not a queue: a slow link cannot
-    /// hold back a fast one.
+    /// `in_flight` until then. The loop waits for the heap's head by the
+    /// hold rule, `rsm_transport::recv_until`: it parks until
+    /// `rsm_transport::EARLY` before `due`, then polls the inbox, yielding
+    /// the core, so the message is never dispatched early and is released
+    /// within `EARLY` of its due instant rather than a timer slack after
+    /// it; timers and the gauge poll just park. Per-link FIFO holds
+    /// because one thread stamps a link's messages with a monotonic clock
+    /// plus a constant, the inbox is FIFO, and equal `due`s break by
+    /// arrival sequence — so a message may skip the heap only when the
+    /// heap is **empty**, never merely because its own `due` has passed.
+    /// Links with different delays share the heap, not a queue: a slow
+    /// link cannot hold back a fast one.
     pub(crate) fn run(self) -> NodeReport {
         let NodeHarness {
             mut node,
@@ -335,29 +344,27 @@ impl<P: Protocol> NodeHarness<P> {
                 }
             }
 
-            // Sleep until the next timer, held message or gauge poll,
-            // whichever is sooner (forever when none is pending).
-            let deadline = [
+            // Wait for the next input until the next timer, held message
+            // or gauge poll, whichever is sooner (forever when none is
+            // pending). A held message is released by the hold rule, at
+            // its due instant; a timer or poll gains nothing from that
+            // precision, so the thread just parks for it.
+            let parked = [
                 wall.timers.peek().map(|Reverse((due, _, _))| *due),
-                in_flight.peek().map(|Reverse(f)| f.due),
                 next_poll,
             ]
             .into_iter()
             .flatten()
             .min();
-            let input = match deadline {
-                Some(due) => {
-                    let timeout = due.saturating_duration_since(Instant::now());
-                    match inbox.recv_timeout(timeout) {
-                        Ok(i) => i,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match inbox.recv() {
-                    Ok(i) => i,
-                    Err(_) => break,
-                },
+            let got = match (in_flight.peek().map(|Reverse(f)| f.due), parked) {
+                (Some(held), p) if p.is_none_or(|p| held <= p) => recv_until(&inbox, held),
+                (_, Some(due)) => inbox.recv_timeout(due.saturating_duration_since(Instant::now())),
+                (_, None) => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            let input = match got {
+                Ok(i) => i,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
             };
             let Some(first) = wall.waiters.admit(input) else {
                 break;
@@ -432,7 +439,9 @@ mod tests {
         Message { from: u16, payload: u32 },
     }
 
-    type Calls = Arc<Mutex<Vec<(Call, Instant)>>>;
+    /// Callbacks in the order they ran, with when each did.
+    type Log = Vec<(Call, Instant)>;
+    type Calls = Arc<Mutex<Log>>;
 
     /// The test protocol's peer message: a number to tell sends apart.
     #[derive(Clone, Debug)]
@@ -514,11 +523,7 @@ mod tests {
     /// Runs a node on its own thread over `inputs`, keeps its inbox open
     /// until `want` callbacks have run, stops it, and returns the
     /// callbacks with their dispatch times.
-    fn run_until(
-        proto: Recorder,
-        inputs: Vec<NodeInput<Recorder>>,
-        want: usize,
-    ) -> Vec<(Call, Instant)> {
+    fn run_until(proto: Recorder, inputs: Vec<NodeInput<Recorder>>, want: usize) -> Log {
         let calls = Arc::clone(&proto.calls);
         let (inbox_tx, inbox) = unbounded();
         for input in inputs {
@@ -558,41 +563,77 @@ mod tests {
         Call::Message { from, payload }
     }
 
-    #[test]
-    fn one_link_delivers_in_send_order_and_never_early() {
-        // Two nodes wired as the cluster wires them: node 0's read
-        // callback sends five messages down its 2 ms link to node 1
-        // through the real `Context::send`, which stamps them.
-        const DELAY: Duration = Duration::from_millis(2);
+    /// Two nodes wired as the cluster wires them: each read node 0 takes
+    /// makes it send `burst` messages down its `delay` link to node 1
+    /// through the real `Context::send`, which stamps them. Sends node 0
+    /// `reads` reads, each once node 1 has dispatched all that came
+    /// before, and returns node 0's read callbacks and node 1's
+    /// dispatches, in order. A read is recorded just before its sends, so
+    /// `read + delay` is at most the due instant of each message it sent.
+    fn over_one_link(burst: u32, reads: usize, delay: Duration) -> (Log, Log) {
         let (tx0, inbox0) = unbounded();
         let (tx1, inbox1) = unbounded();
         let sender = Recorder {
-            burst: 5,
+            burst,
             ..Recorder::default()
         };
-        let links = vec![(tx0.clone(), Duration::ZERO), (tx1.clone(), DELAY)];
+        let sent = Arc::clone(&sender.calls);
+        let links = vec![(tx0.clone(), Duration::ZERO), (tx1.clone(), delay)];
         let node0 = harness(sender, inbox0, links);
         let receiver = Recorder::default();
         let calls = Arc::clone(&receiver.calls);
         let node1 = harness(receiver, inbox1, Vec::new());
         let h0 = std::thread::spawn(move || node0.run());
         let h1 = std::thread::spawn(move || node1.run());
-
-        let sent_after = Instant::now();
-        tx0.send(read(1)).expect("inbox open");
-        wait_for(&calls, 5);
+        for seq in 0..reads {
+            tx0.send(read(seq as u64)).expect("inbox open");
+            wait_for(&calls, (seq + 1) * burst as usize);
+        }
         for tx in [tx0, tx1] {
             tx.send(NodeInput::Stop).expect("inbox open");
         }
         h0.join().expect("node 0");
         h1.join().expect("node 1");
+        let take = |calls: Calls| std::mem::take(&mut *calls.lock().expect("recorder lock"));
+        (take(sent), take(calls))
+    }
 
-        let calls = calls.lock().expect("recorder lock");
+    #[test]
+    fn one_link_delivers_in_send_order_and_never_early() {
+        const DELAY: Duration = Duration::from_millis(2);
+        let (reads, calls) = over_one_link(5, 1, DELAY);
+        let due = reads[0].1 + DELAY;
         for (payload, (call, at)) in calls.iter().enumerate() {
             assert_eq!(*call, message(0, payload as u32), "FIFO per link");
-            assert!(*at >= sent_after + DELAY, "{call:?} dispatched early");
+            assert!(*at >= due, "{call:?} dispatched early");
         }
         assert_eq!(calls.len(), 5);
+    }
+
+    #[test]
+    fn a_held_message_is_released_at_its_due_instant() {
+        // One message per read, each alone in node 1's heap.
+        const DELAY: Duration = Duration::from_micros(250);
+        const SENDS: usize = 200;
+        let (reads, calls) = over_one_link(1, SENDS, DELAY);
+        assert_eq!(calls.len(), SENDS);
+        let mut late: Vec<Duration> = reads
+            .iter()
+            .zip(&calls)
+            .map(|((_, read_at), (call, at))| {
+                let due = *read_at + DELAY;
+                assert!(*at >= due, "{call:?} dispatched early");
+                *at - due
+            })
+            .collect();
+        late.sort();
+        // A timed park alone wakes ~70 µs late at the median.
+        let median = late[SENDS / 2];
+        assert!(
+            median < Duration::from_micros(40),
+            "median lateness {median:?}, p90 {:?}",
+            late[SENDS * 9 / 10]
+        );
     }
 
     #[test]

@@ -111,6 +111,41 @@ fn paxos_leader_failover_over_tcp() {
     assert_eq!(reports[1].snapshot, reports[2].snapshot);
 }
 
+/// The socket plane's latency floor, the one `live_runtime.rs` checks in
+/// process (`clock_rsm_live_on_an_asymmetric_matrix`): with the
+/// runtime's shared clock epoch a lone Clock-RSM write at site `i`
+/// cannot commit before `max(2·median_k d(i,k), max_k d(i,k))`. Here the
+/// link writers apply the delay, so one that writes a frame before its
+/// due instant lands under it. Unscaled, on one slow pair: 0–1 and 0–2
+/// are 1 ms apart one way, 1–2 are 12 ms.
+#[test]
+fn clock_rsm_lone_writes_over_tcp_keep_the_latency_floor() {
+    let matrix = LatencyMatrix::from_one_way_micros(vec![
+        vec![0, 1_000, 1_000],
+        vec![1_000, 0, 12_000],
+        vec![1_000, 12_000, 0],
+    ]);
+    let cluster = Cluster::spawn(
+        ClusterConfig::new(matrix.clone()).transport(ClusterTransport::Tcp),
+        |id| ClockRsm::new(id, Membership::uniform(3), ClockRsmConfig::default()),
+        kv,
+    );
+    for site in matrix.replicas() {
+        let floor = analysis::model::clock_rsm_imbalanced(&matrix, site);
+        let put = KvOp::put(format!("lone{}", site.as_u16()), "v").encode();
+        let started = Instant::now();
+        cluster
+            .execute(site, put, Duration::from_secs(20))
+            .expect("lone write");
+        let took = started.elapsed();
+        assert!(
+            took >= Duration::from_micros(floor),
+            "site {site:?}: {took:?} over TCP beats the {floor} us floor"
+        );
+    }
+    cluster.shutdown();
+}
+
 /// Runs `op` at `site` — a linearizable read, or a replicated write —
 /// and records it on the wall clock, in microseconds since `t0`: the
 /// issue time is taken before the call and the reply time after it
